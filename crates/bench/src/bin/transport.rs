@@ -11,16 +11,15 @@
 //!
 //! Each client keeps a window of 8 round-trips in flight until it has
 //! completed its quota; RTT is measured per echo (same-connection FIFO
-//! ordering makes a timestamp queue exact). The sweep doubles peers
-//! 4 → 1024 against the event-loop backend, and `--ab` repeats each
-//! point against the thread-per-peer baseline (`IoBackend::Threads`,
-//! 2 threads per connection) until the baseline misses a point deadline.
+//! ordering makes a timestamp queue exact). The sweep quadruples peers
+//! 4 → 1024. (The committed `BENCH_transport.json` also holds the retired
+//! thread-per-peer baseline's final figures; see EXPERIMENTS.md,
+//! "Retired baselines".)
 //!
 //! Modes, following the other bench binaries:
-//!   --smoke   event backend only, 4 and 64 peers, asserts completion
-//!             and that the emitted JSON is well-formed (CI gate)
-//!   --ab      full sweep with the thread-per-peer baseline A/B
-//!   (none)    full sweep, event backend only
+//!   --smoke   4 and 64 peers, asserts completion and that the emitted
+//!             JSON is well-formed (CI gate)
+//!   (none)    full sweep
 //!
 //! Full sweeps write `BENCH_transport.json`; smoke writes
 //! `BENCH_transport_smoke.json` so a CI run never clobbers committed
@@ -29,9 +28,7 @@
 #[cfg(target_os = "linux")]
 mod unix_bench {
     use ditico_rt::poller::{connect_start, ConnectStart, Interest, PendingConnect, Poller};
-    use ditico_rt::{
-        Fabric, FabricMode, IoBackend, LinkProfile, PacketFabric, Transport, TransportConfig,
-    };
+    use ditico_rt::{Fabric, FabricMode, LinkProfile, PacketFabric, Transport, TransportConfig};
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::os::fd::AsRawFd;
@@ -60,7 +57,6 @@ mod unix_bench {
         pub elapsed_s: f64,
         pub msgs_per_sec: f64,
         pub p99_us: f64,
-        pub threads: usize,
     }
 
     enum ClientState {
@@ -116,31 +112,17 @@ mod unix_bench {
         }
     }
 
-    /// Count of OS threads in this process, from /proc (0 if unreadable).
-    fn process_threads() -> usize {
-        let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-            return 0;
-        };
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    }
-
     struct Swarm {
         poller: Poller,
         clients: Vec<Client>,
         addr: SocketAddr,
         next_dial: usize,
         hellos_seen: usize,
-        connected: usize,
         done_count: usize,
         msgs_per_client: u64,
         rtts_us: Vec<u64>,
         first_send: Option<Instant>,
         last_echo: Option<Instant>,
-        threads_at_peak: usize,
         failed: Option<String>,
     }
 
@@ -214,10 +196,6 @@ mod unix_bench {
                 return;
             }
             self.clients[i].state = ClientState::Up(sock);
-            self.connected += 1;
-            if self.connected == self.clients.len() {
-                self.threads_at_peak = process_threads();
-            }
             self.flush(i);
         }
 
@@ -377,14 +355,9 @@ mod unix_bench {
         }
     }
 
-    /// One measured point: a hub with `backend`, `peers` echo clients,
-    /// `msgs` round-trips each, abandoned at `deadline`.
-    pub fn run_point(
-        backend: IoBackend,
-        peers: usize,
-        msgs: u64,
-        deadline: Duration,
-    ) -> PointResult {
+    /// One measured point: a hub, `peers` echo clients, `msgs`
+    /// round-trips each, abandoned at `deadline`.
+    pub fn run_point(peers: usize, msgs: u64, deadline: Duration) -> PointResult {
         let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let inbox = fabric.register_node(NodeId(0));
         let mut hub = Transport::start(
@@ -396,7 +369,6 @@ mod unix_bench {
                 // failure monitor never observes them; park suspicion
                 // far beyond any point deadline.
                 stale_periods: 10_000,
-                backend,
                 ..TransportConfig::default()
             },
             fabric.handle(),
@@ -423,13 +395,11 @@ mod unix_bench {
             addr,
             next_dial: 0,
             hellos_seen: 0,
-            connected: 0,
             done_count: 0,
             msgs_per_client: msgs,
             rtts_us: Vec::with_capacity(peers * msgs as usize),
             first_send: None,
             last_echo: None,
-            threads_at_peak: 0,
             failed: None,
         };
         swarm.fill_dials();
@@ -465,11 +435,6 @@ mod unix_bench {
         } else {
             0.0
         };
-        // Sample thread count again at point end: the baseline hub
-        // spawns its 2-per-connection threads *after* the kernel
-        // completes our handshakes, so the connected-peak sample alone
-        // races ahead of the spawn storm it is meant to measure.
-        swarm.threads_at_peak = swarm.threads_at_peak.max(process_threads());
         let p99_us = if swarm.rtts_us.is_empty() {
             f64::NAN
         } else {
@@ -477,7 +442,6 @@ mod unix_bench {
             r.sort_unstable();
             r[(r.len() - 1).min(r.len() * 99 / 100)] as f64
         };
-        let threads = swarm.threads_at_peak;
 
         // Teardown: sockets first, then the hub, then unblock the echo
         // thread with a local sentinel (its fabric sender outlives the
@@ -495,7 +459,6 @@ mod unix_bench {
             elapsed_s: if elapsed.is_finite() { elapsed } else { 0.0 },
             msgs_per_sec,
             p99_us: if p99_us.is_finite() { p99_us } else { 0.0 },
-            threads,
         }
     }
 }
@@ -504,8 +467,8 @@ mod unix_bench {
 fn point_json(p: &unix_bench::PointResult) -> String {
     format!(
         "{{ \"completed\": {}, \"echoes\": {}, \"elapsed_s\": {:.3}, \
-         \"msgs_per_sec\": {:.1}, \"p99_us\": {:.1}, \"threads\": {} }}",
-        p.completed, p.echoes, p.elapsed_s, p.msgs_per_sec, p.p99_us, p.threads
+         \"msgs_per_sec\": {:.1}, \"p99_us\": {:.1} }}",
+        p.completed, p.echoes, p.elapsed_s, p.msgs_per_sec, p.p99_us
     )
 }
 
@@ -540,13 +503,11 @@ fn assert_json_wellformed(s: &str) {
 
 #[cfg(target_os = "linux")]
 fn main() {
-    use ditico_rt::IoBackend;
     use std::time::Duration;
-    use unix_bench::{run_point, PointResult};
+    use unix_bench::run_point;
 
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let ab = args.iter().any(|a| a == "--ab");
     let arg_after = |flag: &str| -> Option<u64> {
         args.iter()
             .position(|a| a == flag)
@@ -554,28 +515,23 @@ fn main() {
             .and_then(|v| v.parse().ok())
     };
 
-    // Single-point probe: `--peers N [--msgs M] [--baseline]`, no JSON.
+    // Single-point probe: `--peers N [--msgs M]`, no JSON.
     if let Some(peers) = arg_after("--peers") {
         let msgs = arg_after("--msgs").unwrap_or(100);
-        let backend = if args.iter().any(|a| a == "--baseline") {
-            IoBackend::Threads
-        } else {
-            IoBackend::Event
-        };
-        let p = run_point(backend, peers as usize, msgs, Duration::from_secs(60));
+        let p = run_point(peers as usize, msgs, Duration::from_secs(60));
         println!(
-            "peers={} completed={} {:.0} msg/s p99 {:.0}us elapsed {:.3}s threads {}",
-            peers, p.completed, p.msgs_per_sec, p.p99_us, p.elapsed_s, p.threads
+            "peers={} completed={} {:.0} msg/s p99 {:.0}us elapsed {:.3}s",
+            peers, p.completed, p.msgs_per_sec, p.p99_us, p.elapsed_s
         );
         return;
     }
 
     if smoke {
-        // CI gate: the event backend must complete 4- and 64-peer echo
-        // rounds, and the JSON we emit must be well-formed.
+        // CI gate: 4- and 64-peer echo rounds must complete, and the JSON
+        // we emit must be well-formed.
         let mut rows = Vec::new();
         for peers in [4usize, 64] {
-            let p = run_point(IoBackend::Event, peers, 50, Duration::from_secs(30));
+            let p = run_point(peers, 50, Duration::from_secs(30));
             eprintln!(
                 "  smoke {} peers: completed={} {:.0} msg/s p99 {:.0}us",
                 peers, p.completed, p.msgs_per_sec, p.p99_us
@@ -611,83 +567,37 @@ fn main() {
         .unwrap_or(1);
     let mut rows = Vec::new();
     let mut max_event = 0usize;
-    let mut baseline_competitive = 0usize;
-    let mut baseline_dead = false;
 
     for peers in PEERS {
-        eprintln!("peers={peers} event backend...");
-        let ev = run_point(IoBackend::Event, peers, MSGS, deadline);
+        eprintln!("peers={peers}...");
+        let ev = run_point(peers, MSGS, deadline);
         eprintln!(
-            "  event:    completed={} {:>9.0} msg/s  p99 {:>7.0}us  {} threads",
-            ev.completed, ev.msgs_per_sec, ev.p99_us, ev.threads
+            "  completed={} {:>9.0} msg/s  p99 {:>7.0}us",
+            ev.completed, ev.msgs_per_sec, ev.p99_us
         );
         if ev.completed {
             max_event = peers;
         }
-
-        let base: Option<PointResult> = if ab && !baseline_dead {
-            eprintln!("peers={peers} thread-per-peer baseline...");
-            let b = run_point(IoBackend::Threads, peers, MSGS, deadline);
-            eprintln!(
-                "  baseline: completed={} {:>9.0} msg/s  p99 {:>7.0}us  {} threads",
-                b.completed, b.msgs_per_sec, b.p99_us, b.threads
-            );
-            if !b.completed {
-                baseline_dead = true; // fell over; larger points are pointless
-            } else if b.msgs_per_sec >= 0.95 * ev.msgs_per_sec {
-                baseline_competitive = peers;
-            }
-            Some(b)
-        } else {
-            None
-        };
-
-        let base_json = match &base {
-            Some(b) => point_json(b),
-            None => "null".to_string(),
-        };
         rows.push(format!(
-            "    {{ \"peers\": {}, \"event\": {}, \"baseline\": {} }}",
+            "    {{ \"peers\": {}, \"event\": {} }}",
             peers,
-            point_json(&ev),
-            base_json
+            point_json(&ev)
         ));
     }
 
-    let advantage = if ab && baseline_competitive > 0 {
-        format!("{:.1}", max_event as f64 / baseline_competitive as f64)
-    } else if ab {
-        format!("{:.1}", max_event as f64 / PEERS[0] as f64)
-    } else {
-        "null".to_string()
-    };
     let json = format!(
         "{{\n  \"bench\": \"transport_scaling\",\n  \
          \"workload\": \"hub echo over loopback: N raw-wire clients, {MSGS} pipelined round-trips each (window 8), Heartbeat-packet payloads\",\n  \
          \"machine\": {{ \"cores\": {cores} }},\n  \
          \"deadline_s\": {},\n  \
          \"points\": [\n{}\n  ],\n  \
-         \"max_peers_event\": {max_event},\n  \
-         \"baseline_competitive_peers\": {},\n  \
-         \"peer_advantage\": {advantage}\n}}\n",
+         \"max_peers_event\": {max_event}\n}}\n",
         deadline.as_secs(),
         rows.join(",\n"),
-        if ab {
-            baseline_competitive.to_string()
-        } else {
-            "null".to_string()
-        },
     );
     assert_json_wellformed(&json);
     std::fs::write("BENCH_transport.json", &json).expect("write json");
-    println!(
-        "wrote BENCH_transport.json: event backend completed {max_event} peers{}",
-        if ab {
-            format!(", baseline competitive up to {baseline_competitive} peers")
-        } else {
-            String::new()
-        }
-    );
+    println!("wrote BENCH_transport.json: event loop completed {max_event} peers");
 }
 
 #[cfg(not(target_os = "linux"))]

@@ -13,14 +13,16 @@ use crate::daemon::{CodeCacheStats, Daemon, DaemonStats, TermCounters, DEFAULT_C
 use crate::fabric::{Fabric, FabricMode, LinkProfile};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
-use crate::sched::{SchedConfig, SchedStats, Shared, SiteWake, Worker};
+use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
 use crate::site::{RtIncoming, RtPort, Site, SiteInterface};
 use crate::termination::{Snapshot, TerminationDetector};
 use crate::transport::{Transport, TransportConfig, TransportReport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tyco_vm::codec::Packet;
 use tyco_vm::stats::ExecStats;
 use tyco_vm::word::{Identity, NodeId, SiteId};
@@ -382,8 +384,7 @@ impl Cluster {
         port.set_interface(interface);
         let mut site = Site::new(lexeme, identity, program, port);
         site.machine.set_shake(self.shake);
-        cell.daemon
-            .attach_site(site_id, in_tx, SiteWake::Notify(site.waker.clone()));
+        cell.daemon.attach_site(site_id, in_tx);
         cell.sites.push(site);
         site_id
     }
@@ -710,178 +711,32 @@ impl Cluster {
     /// threads, the fabric runs its delivery thread, and termination
     /// detection runs on the caller's thread, woken by the scheduler's
     /// idle transitions. Consumes the cluster and returns the report.
-    pub fn run_threaded(mut self, wall_limit: std::time::Duration) -> RunReport {
+    pub fn run_threaded(self, wall_limit: Duration) -> RunReport {
         assert!(
             self.mode != FabricMode::Virtual,
             "threaded runs require Ideal or RealTime fabric"
         );
-        self.fabric.start();
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers_n = self.sched.effective_workers();
-        let slice_fuel = self.sched.slice_fuel;
-
-        // Flatten nodes into daemons + a site pool, remembering which
-        // daemon owns each site so its delivery wakeup can be rebound to
-        // the scheduler's readiness protocol.
-        let mut daemons: Vec<(Daemon, bool)> = Vec::new();
-        let mut sites: Vec<Site> = Vec::new();
-        let mut owner_of_slot: Vec<usize> = Vec::new();
-        for cell in self.nodes.drain(..) {
-            let NodeCell {
-                daemon,
-                sites: node_sites,
-                dead,
-                ..
-            } = cell;
-            let di = daemons.len();
-            daemons.push((daemon, dead));
-            for site in node_sites {
-                owner_of_slot.push(di);
-                sites.push(site);
-            }
-        }
-        let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
-        let shared = Shared::new(sites, workers_n);
-        for (slot, (&di, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
-            daemons[di]
-                .0
-                .set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
-        }
-
-        let mut daemon_threads = Vec::new();
-        for (mut daemon, dead) in daemons {
-            if dead {
-                continue;
-            }
-            let stop_d = stop.clone();
-            daemon_threads.push(std::thread::spawn(move || {
-                // Spin-then-park: while traffic flows, an empty pump
-                // yields (cheap handoff on few cores); a sustained lull
-                // parks on the daemon's waker — sites and the fabric
-                // notify it when they hand it work, so an idle daemon
-                // costs no scheduler quanta. The timeout only bounds
-                // stop-flag latency.
-                let t0d = std::time::Instant::now();
-                let clocked = daemon.needs_clock();
-                let mut lull = 0u32;
-                while !stop_d.load(Ordering::Relaxed) {
-                    // Lease TTLs run on the wall clock under threads.
-                    if clocked {
-                        daemon.set_now_ns(t0d.elapsed().as_nanos() as u64);
-                    }
-                    if daemon.pump() {
-                        lull = 0;
-                    } else {
-                        lull += 1;
-                        if lull > 2 {
-                            daemon
-                                .waker()
-                                .wait_timeout(std::time::Duration::from_millis(1));
-                            // One refill tick per parked millisecond: the
-                            // bounded NeedCode re-ask/give-up ladder for
-                            // shipments parked on a restarted (and thus
-                            // cache-empty) peer.
-                            if daemon.has_pending_refills() {
-                                daemon.tick_refills();
-                            }
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                daemon
-            }));
-        }
-
-        let mut worker_threads = Vec::new();
-        for i in 0..workers_n {
-            let worker = Worker::new(shared.clone(), i, slice_fuel);
-            worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ditico-worker-{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            );
-        }
-
-        // Termination detection on the environment thread, probing on the
+        // Mattern's detector on the environment thread, probing on the
         // scheduler's idle edges rather than a fixed poll quantum.
+        let term = self.term.clone();
         let mut detector = TerminationDetector::new();
-        let t0 = std::time::Instant::now();
-        let probes;
-        let detected;
-        let chaos = self.chaos.clone();
-        loop {
-            // Chaos events fire against the wall clock here; kills and
-            // restarts act at the fabric (traffic blackholed/revived) —
-            // the daemons themselves are owned by their threads.
-            if let Some(ch) = &chaos {
-                for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
-                    match ev {
-                        ChaosEvent::KillNode(n) => {
-                            self.fabric.kill_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_down(n);
-                            }
-                        }
-                        ChaosEvent::RestartNode(n) => {
-                            self.fabric.revive_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_up(n);
-                            }
-                        }
-                        ChaosEvent::Partition { .. } | ChaosEvent::Heal => {}
-                    }
-                }
-            }
-            let any_active = shared.active_sites() > 0;
-            let snap = Snapshot::take(&self.term, any_active);
+        let mut report = self.run_pooled(None, wall_limit, |shared, _| {
+            let snap = Snapshot::take(&term, shared.active_sites() > 0);
             if detector.probe(snap) {
-                probes = detector.probes;
-                detected = true;
-                break;
-            }
-            if t0.elapsed() > wall_limit {
-                probes = detector.probes;
-                detected = false;
-                break;
-            }
-            if snap.quiet() {
+                ControlFlow::Break(true)
+            } else if snap.quiet() {
                 // First quiet wave. Once the system is truly terminated no
                 // further idle edge will fire, so take the confirming
                 // probe after a token wait instead of blocking on the
                 // notify.
-                shared
-                    .idle
-                    .wait_timeout(std::time::Duration::from_micros(200));
+                ControlFlow::Continue(Duration::from_micros(200))
             } else {
                 // Busy: sleep until the next idle edge; the timeout only
                 // bounds the wall-limit check.
-                shared
-                    .idle
-                    .wait_timeout(std::time::Duration::from_millis(20));
+                ControlFlow::Continue(Duration::from_millis(20))
             }
-        }
-        stop.store(true, Ordering::Relaxed);
-        shared.stop();
-
-        let worker_aborts = join_workers(&shared, worker_threads);
-        let mut report = RunReport {
-            detector_probes: probes,
-            sched: shared.stats(),
-            aborts: worker_aborts,
-            ..Default::default()
-        };
-        shared.for_each_site(|site| collect_site(&mut report, site));
-        join_daemons(&mut report, daemon_threads);
-        report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
-        report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.chaos = chaos.as_ref().map(|c| c.report());
-        report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
-        // Quiescent iff the detector confirmed termination (as opposed to
-        // hitting the wall-clock limit).
-        report.quiescent = detected;
-        self.fabric.shutdown();
+        });
+        report.detector_probes = detector.probes;
         report
     }
 
@@ -903,10 +758,15 @@ impl Cluster {
     /// departed or permanently unreachable; a serve process lingers until
     /// every peer that ever connected is gone. `wall_limit` backstops
     /// both.
+    ///
+    /// Once the listener (if any) is bound, one line
+    /// `listening on {addr}, hosting node(s) {list}` goes to stderr with
+    /// the *bound* address, so a process started on port 0 can be dialled
+    /// by whoever reads it.
     pub fn run_distributed(
-        mut self,
+        self,
         cfg: TransportConfig,
-        wall_limit: std::time::Duration,
+        wall_limit: Duration,
     ) -> Result<RunReport, String> {
         if self.mode != FabricMode::Ideal {
             return Err(
@@ -918,8 +778,7 @@ impl Cluster {
         if cfg.local_nodes.is_empty() {
             return Err("distributed run with no local nodes".to_string());
         }
-        let local: HashSet<NodeId> = cfg.local_nodes.iter().copied().collect();
-        for n in &local {
+        for n in &cfg.local_nodes {
             if n.0 as usize >= self.nodes.len() {
                 return Err(format!(
                     "local node {} is outside the topology ({} nodes)",
@@ -928,20 +787,21 @@ impl Cluster {
                 ));
             }
         }
-        self.fabric.start();
         let serve = cfg.serve;
         let idle_grace = cfg.idle_grace;
         let dials_out = !cfg.peers.is_empty();
         // Fallback probe period for the environment loop. The loop is
         // event-driven — scheduler idle edges and transport topology
         // edges both ping `shared.idle` — so this only bounds how stale
-        // the wire-counter stability check can get, and can be much
-        // coarser than the old fixed 20ms poll.
-        let env_tick = (idle_grace / 3).min(cfg.hb_period).clamp(
-            std::time::Duration::from_millis(5),
-            std::time::Duration::from_millis(100),
-        );
-        let mut transport = Transport::start(cfg, self.fabric.handle())?;
+        // the wire-counter stability check can get.
+        let env_tick = (idle_grace / 3)
+            .min(cfg.hb_period)
+            .clamp(Duration::from_millis(5), Duration::from_millis(100));
+        let hosted: Vec<String> = cfg.local_nodes.iter().map(|n| n.0.to_string()).collect();
+        let transport = Transport::start(cfg, self.fabric.handle())?;
+        if let Some(addr) = transport.local_addr() {
+            eprintln!("listening on {addr}, hosting node(s) {}", hosted.join(","));
+        }
         if let Some(ch) = &self.chaos {
             // Chaos moves from the node-local fabric to the wire: an
             // inbound frame that already survived the sender's dice must
@@ -949,31 +809,108 @@ impl Cluster {
             transport.set_chaos(Some(ch.clone()));
             self.fabric.set_chaos(None);
         }
-        let net = transport.handle();
 
+        // The exit policy of the doc comment, over local scheduler
+        // activity and the wire's data counters.
+        let shard_map = self.shard_map.clone();
+        let mut last_counters = transport.data_counters();
+        let mut stable_since = Instant::now();
+        let report = self.run_pooled(Some(transport), wall_limit, |shared, transport| {
+            let transport = transport.expect("distributed runs carry a transport");
+            // The wire's failure verdicts steer shard-read failover the
+            // same way the in-process monitor does.
+            if let Some(m) = &shard_map {
+                for n in transport.suspects() {
+                    m.mark_down(n);
+                }
+            }
+            let counters = transport.data_counters();
+            if counters != last_counters {
+                last_counters = counters;
+                stable_since = Instant::now();
+            }
+            let local_idle = shared.active_sites() == 0;
+            if !serve && transport.all_remotes_down() {
+                // Every peer is dead, departed or unreachable: whatever
+                // this process is computing or waiting for, the
+                // distributed run is over. If that happened as a clean
+                // cascade — local sites idle, nobody suspected, no
+                // dialer exhausted — the peers simply finished and
+                // left, which *is* the computation quiescing, arriving
+                // over the wire instead of through the grace timer.
+                // Anything else is a cut, reported with its suspects.
+                return ControlFlow::Break(
+                    local_idle
+                        && transport.suspects().is_empty()
+                        && transport.report().peers_failed == 0,
+                );
+            }
+            if !local_idle {
+                stable_since = Instant::now();
+            } else if serve {
+                // A server's work arrives over the wire: it stays up
+                // until at least one peer connected and all of them are
+                // gone again (then the usual idle+grace applies).
+                if transport.ever_connected()
+                    && transport.peers_all_gone()
+                    && stable_since.elapsed() >= idle_grace
+                {
+                    return ControlFlow::Break(true);
+                }
+            } else if (!dials_out || transport.ever_connected())
+                && stable_since.elapsed() >= idle_grace
+            {
+                // Never concluded while still dialing: the handshake
+                // itself may deliver the work.
+                return ControlFlow::Break(true);
+            }
+            ControlFlow::Continue(env_tick)
+        });
+        Ok(report)
+    }
+
+    /// The one real-thread driver behind [`run_threaded`](Cluster::run_threaded)
+    /// and [`run_distributed`](Cluster::run_distributed): sites on the
+    /// worker pool, one spin-then-park thread per daemon, and the caller's
+    /// thread as the environment loop. The two differ only in the carrier
+    /// (`transport`: `Some` rebinds every local daemon to the wire and
+    /// drops the cells of nodes hosted by peer processes) and in
+    /// `exit_test`, which the loop evaluates on every wakeup: `Break(q)`
+    /// ends the run with `quiescent = q`, `Continue(d)` parks on the
+    /// pool's idle `Notify` for at most `d`. `wall_limit` backstops it.
+    fn run_pooled(
+        mut self,
+        mut transport: Option<Transport>,
+        wall_limit: Duration,
+        mut exit_test: impl FnMut(&Shared, Option<&Transport>) -> ControlFlow<bool, Duration>,
+    ) -> RunReport {
+        self.fabric.start();
         let stop = Arc::new(AtomicBool::new(false));
         let workers_n = self.sched.effective_workers();
         let slice_fuel = self.sched.slice_fuel;
 
-        // Flatten only the locally hosted nodes; cells for nodes that live
-        // in peer processes are dropped (their sites were never created
-        // here — see `add_remote_site`).
+        // Flatten nodes into daemons + a site pool, remembering which
+        // daemon owns each site so its delivery wakeup can be bound to
+        // the scheduler's readiness protocol.
         let mut daemons: Vec<(Daemon, bool)> = Vec::new();
         let mut sites: Vec<Site> = Vec::new();
         let mut owner_of_slot: Vec<usize> = Vec::new();
         for cell in self.nodes.drain(..) {
             let NodeCell {
                 id,
-                daemon,
+                mut daemon,
                 sites: node_sites,
                 dead,
                 ..
             } = cell;
-            if !local.contains(&id) {
-                continue;
+            if let Some(t) = &transport {
+                // Nodes that live in peer processes have no sites here
+                // (see `add_remote_site`); their cells are dropped.
+                if !t.is_local(id) {
+                    continue;
+                }
+                daemon.set_fabric(Arc::new(t.handle()));
             }
-            let mut daemon = daemon;
-            daemon.set_fabric(Arc::new(net.clone()));
             let di = daemons.len();
             daemons.push((daemon, dead));
             for site in node_sites {
@@ -983,15 +920,17 @@ impl Cluster {
         }
         let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
         let shared = Shared::new(sites, workers_n);
-        // One parking story: the transport pings the same Notify the
-        // scheduler's idle edge does, so a route install, connection
-        // death or dialer exhaustion wakes the environment loop at once
-        // instead of being discovered a poll later.
-        transport.set_activity_notify(shared.idle.clone());
+        if let Some(t) = &transport {
+            // One parking story: the transport pings the same Notify the
+            // scheduler's idle edge does, so a route install, connection
+            // death or dialer exhaustion wakes the environment loop at
+            // once instead of being discovered a poll later.
+            t.set_activity_notify(shared.idle.clone());
+        }
         for (slot, (&di, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
             daemons[di]
                 .0
-                .set_site_waker(*id, SiteWake::Sched(shared.handle(slot as u32)));
+                .set_site_waker(*id, shared.handle(slot as u32));
         }
 
         let mut daemon_threads = Vec::new();
@@ -1001,7 +940,13 @@ impl Cluster {
             }
             let stop_d = stop.clone();
             daemon_threads.push(std::thread::spawn(move || {
-                let t0d = std::time::Instant::now();
+                // Spin-then-park: while traffic flows, an empty pump
+                // yields (cheap handoff on few cores); a sustained lull
+                // parks on the daemon's waker — sites and the fabric
+                // notify it when they hand it work, so an idle daemon
+                // costs no scheduler quanta. The timeout only bounds
+                // stop-flag latency.
+                let t0d = Instant::now();
                 let clocked = daemon.needs_clock();
                 let mut lull = 0u32;
                 while !stop_d.load(Ordering::Relaxed) {
@@ -1014,9 +959,7 @@ impl Cluster {
                     } else {
                         lull += 1;
                         if lull > 2 {
-                            daemon
-                                .waker()
-                                .wait_timeout(std::time::Duration::from_millis(1));
+                            daemon.waker().wait_timeout(Duration::from_millis(1));
                             // One refill tick per parked millisecond: the
                             // bounded NeedCode re-ask/give-up ladder for
                             // shipments parked on a restarted (and thus
@@ -1032,6 +975,7 @@ impl Cluster {
                 daemon
             }));
         }
+
         let mut worker_threads = Vec::new();
         for i in 0..workers_n {
             let worker = Worker::new(shared.clone(), i, slice_fuel);
@@ -1043,21 +987,17 @@ impl Cluster {
             );
         }
 
-        // The environment loop: watch local scheduler activity and the
-        // wire's data counters; exit per the policy in the doc comment.
-        let t0 = std::time::Instant::now();
-        let mut last_counters = transport.data_counters();
-        let mut stable_since = std::time::Instant::now();
-        let mut quiesced = false;
+        let t0 = Instant::now();
         let chaos = self.chaos.clone();
-        loop {
-            shared.idle.wait_timeout(env_tick);
+        let quiescent = loop {
+            // Chaos events fire against the wall clock here; kills and
+            // restarts act at the locally hosted nodes' fabric endpoints
+            // (traffic blackholed/revived) — the daemons themselves are
+            // owned by their threads, and peer processes under chaos run
+            // their own plan against their own clock.
             if let Some(ch) = &chaos {
                 for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
                     match ev {
-                        // Kills/restarts act on locally hosted nodes'
-                        // fabric endpoints; peers under chaos run their
-                        // own plan against their own clock.
                         ChaosEvent::KillNode(n) => {
                             self.fabric.kill_node(n);
                             if let Some(m) = &self.shard_map {
@@ -1074,65 +1014,16 @@ impl Cluster {
                     }
                 }
             }
-            if t0.elapsed() > wall_limit {
-                break;
+            match exit_test(&shared, transport.as_ref()) {
+                ControlFlow::Break(quiescent) => break quiescent,
+                ControlFlow::Continue(_) if t0.elapsed() > wall_limit => break false,
+                ControlFlow::Continue(park) => shared.idle.wait_timeout(park),
             }
-            // The wire's failure verdicts steer shard-read failover the
-            // same way the in-process monitor does.
-            if let Some(m) = &self.shard_map {
-                for n in transport.suspects() {
-                    m.mark_down(n);
-                }
-            }
-            let counters = transport.data_counters();
-            if counters != last_counters {
-                last_counters = counters;
-                stable_since = std::time::Instant::now();
-            }
-            if !serve && transport.all_remotes_down() {
-                // Every peer is dead, departed or unreachable: whatever
-                // this process is computing or waiting for, the
-                // distributed run is over. If that happened as a clean
-                // cascade — local sites idle, nobody suspected, no
-                // dialer exhausted — the peers simply finished and
-                // left, which *is* the computation quiescing, arriving
-                // over the wire instead of through the grace timer.
-                // Anything else is a cut, reported with its suspects.
-                quiesced = shared.active_sites() == 0
-                    && transport.suspects().is_empty()
-                    && transport.report().peers_failed == 0;
-                break;
-            }
-            let local_idle = shared.active_sites() == 0;
-            if !local_idle {
-                stable_since = std::time::Instant::now();
-                continue;
-            }
-            if serve {
-                // A server's work arrives over the wire: it stays up
-                // until at least one peer connected and all of them are
-                // gone again (then the usual idle+grace applies).
-                if transport.ever_connected()
-                    && transport.peers_all_gone()
-                    && stable_since.elapsed() >= idle_grace
-                {
-                    quiesced = true;
-                    break;
-                }
-            } else {
-                // Don't conclude "nothing left to do" while still dialing:
-                // the handshake itself may deliver the work.
-                if dials_out && !transport.ever_connected() {
-                    continue;
-                }
-                if stable_since.elapsed() >= idle_grace {
-                    quiesced = true;
-                    break;
-                }
-            }
-        }
+        };
         // Capture liveness verdicts *before* tearing the wire down.
-        let suspects = transport.suspects();
+        let suspects = transport
+            .as_ref()
+            .map_or_else(Vec::new, Transport::suspects);
         stop.store(true, Ordering::Relaxed);
         shared.stop();
 
@@ -1141,170 +1032,21 @@ impl Cluster {
             sched: shared.stats(),
             aborts: worker_aborts,
             suspects,
+            // Quiescent iff the exit test concluded it (as opposed to
+            // hitting the wall-clock limit or a wire cut).
+            quiescent,
             ..Default::default()
         };
         shared.for_each_site(|site| collect_site(&mut report, site));
         join_daemons(&mut report, daemon_threads);
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
         report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.quiescent = quiesced;
         report.chaos = chaos.as_ref().map(|c| c.report());
         report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
-        transport.shutdown();
-        report.transport = Some(transport.report());
-        self.fabric.shutdown();
-        Ok(report)
-    }
-
-    /// The pre-scheduler execution mode: one OS thread per site (plus one
-    /// per daemon), each spin-then-parking on its own [`crate::Notify`].
-    /// Kept only as the measured baseline for `BENCH_scheduler.json` —
-    /// it is the architecture the M:N scheduler replaces, and it falls
-    /// over beyond a few hundred sites.
-    pub fn run_threaded_thread_per_site(mut self, wall_limit: std::time::Duration) -> RunReport {
-        assert!(
-            self.mode != FabricMode::Virtual,
-            "threaded runs require Ideal or RealTime fabric"
-        );
-        self.fabric.start();
-        let stop = Arc::new(AtomicBool::new(false));
-        let t0 = std::time::Instant::now();
-        let mut site_threads = Vec::new();
-        let mut site_thread_lexemes: Vec<String> = Vec::new();
-        let mut daemon_threads = Vec::new();
-        let mut active_flags: Vec<Arc<AtomicBool>> = Vec::new();
-        let mut unbooted: Vec<Site> = Vec::new();
-
-        for cell in self.nodes.drain(..) {
-            let NodeCell {
-                daemon,
-                sites,
-                dead,
-                ..
-            } = cell;
-            if !dead {
-                let stop_d = stop.clone();
-                let mut daemon = daemon;
-                daemon_threads.push(std::thread::spawn(move || {
-                    let mut lull = 0u32;
-                    while !stop_d.load(Ordering::Relaxed) {
-                        if daemon.pump() {
-                            lull = 0;
-                        } else {
-                            lull += 1;
-                            if lull > 2 {
-                                daemon
-                                    .waker()
-                                    .wait_timeout(std::time::Duration::from_millis(1));
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    daemon
-                }));
-            }
-            for mut site in sites {
-                // Booting one thread per site is part of the strategy's
-                // measurable cost: under heavy oversubscription the spawn
-                // loop itself crawls, so it honours the wall limit instead
-                // of wedging the run before the detector loop ever starts.
-                if t0.elapsed() > wall_limit {
-                    unbooted.push(site);
-                    continue;
-                }
-                let flag = Arc::new(AtomicBool::new(true));
-                active_flags.push(flag.clone());
-                let stop_s = stop.clone();
-                site_thread_lexemes.push(site.lexeme.clone());
-                site_threads.push(
-                    std::thread::Builder::new()
-                        // Sites are shallow; small stacks keep thousands of
-                        // threads mappable for the baseline sweep.
-                        .stack_size(512 * 1024)
-                        .spawn(move || {
-                            let waker = site.waker.clone();
-                            let mut lull = 0u32;
-                            while !stop_s.load(Ordering::Relaxed) {
-                                // Conservatively active for the whole pump:
-                                // a slice consumes messages before reacting
-                                // to them, and if this thread is
-                                // descheduled in between, a stale `false`
-                                // here would let the detector see balanced
-                                // counters with no activity — a false
-                                // termination.
-                                flag.store(true, Ordering::SeqCst);
-                                let ran = site.pump(8192);
-                                let active = ran
-                                    || site.machine.runnable()
-                                    || site.machine.port.inbox_len() > 0;
-                                flag.store(active, Ordering::Relaxed);
-                                if ran {
-                                    lull = 0;
-                                } else {
-                                    lull += 1;
-                                    if lull > 2 && !active {
-                                        waker.wait_timeout(std::time::Duration::from_millis(1));
-                                    } else {
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                            site
-                        })
-                        .expect("spawn site thread"),
-                );
-            }
+        if let Some(t) = &mut transport {
+            t.shutdown();
+            report.transport = Some(t.report());
         }
-
-        let mut detector = TerminationDetector::new();
-        let probes;
-        let detected;
-        loop {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            let any_active = active_flags.iter().any(|f| f.load(Ordering::Relaxed));
-            let snap = Snapshot::take(&self.term, any_active);
-            if detector.probe(snap) {
-                probes = detector.probes;
-                detected = true;
-                break;
-            }
-            if t0.elapsed() > wall_limit {
-                probes = detector.probes;
-                detected = false;
-                break;
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-
-        let mut report = RunReport {
-            detector_probes: probes,
-            ..Default::default()
-        };
-        for (h, lexeme) in site_threads.into_iter().zip(site_thread_lexemes) {
-            match h.join() {
-                Ok(site) => collect_site(&mut report, &site),
-                Err(_) => {
-                    // The thread unwound with the site inside it: its
-                    // output and statistics are gone, but the run still
-                    // reports — the failure is surfaced, not fatal.
-                    report.errors.push((
-                        lexeme.clone(),
-                        VmError::Internal("site thread panicked".to_string()),
-                    ));
-                    report.aborts.push(format!(
-                        "site thread `{lexeme}` panicked; its results are lost"
-                    ));
-                }
-            }
-        }
-        for site in &unbooted {
-            collect_site(&mut report, site);
-        }
-        join_daemons(&mut report, daemon_threads);
-        report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
-        report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.quiescent = detected;
         self.fabric.shutdown();
         report
     }

@@ -29,7 +29,7 @@ use crate::codecache::CodeCache;
 use crate::fabric::{FabricHandle, PacketFabric};
 use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
-use crate::sched::SiteWake;
+use crate::sched::ReadyHandle;
 use crate::site::RtIncoming;
 use crate::wake::Notify;
 use bytes::{Bytes, BytesMut};
@@ -151,9 +151,9 @@ struct OutBuf {
 /// The per-node communication daemon.
 pub struct Daemon {
     pub node: NodeId,
-    /// Inboxes of local sites, plus each site's wakeup (a dedicated
-    /// thread's notify, or the scheduler's readiness handle).
-    sites: HashMap<SiteId, (Sender<RtIncoming>, SiteWake)>,
+    /// Inboxes of local sites, plus each site's scheduler readiness
+    /// handle once a real-thread run has bound one.
+    sites: HashMap<SiteId, (Sender<RtIncoming>, Option<ReadyHandle>)>,
     /// Shared outgoing queue of all local sites.
     from_sites: Receiver<(SiteId, Packet)>,
     /// Inbound packets from other nodes.
@@ -282,16 +282,18 @@ impl Daemon {
         self.store.len()
     }
 
-    /// Attach a local site's inbox and its wakeup.
-    pub fn attach_site(&mut self, site: SiteId, inbox: Sender<RtIncoming>, waker: SiteWake) {
-        self.sites.insert(site, (inbox, waker));
+    /// Attach a local site's inbox. Until [`set_site_waker`](Daemon::set_site_waker)
+    /// binds it to a scheduler, delivery wakes nobody: deterministic runs
+    /// pump every site round-robin.
+    pub fn attach_site(&mut self, site: SiteId, inbox: Sender<RtIncoming>) {
+        self.sites.insert(site, (inbox, None));
     }
 
-    /// Swap a site's wakeup (the threaded runtime rebinds sites to the
-    /// scheduler's readiness protocol before the workers start).
-    pub fn set_site_waker(&mut self, site: SiteId, waker: SiteWake) {
+    /// Bind a site's delivery wakeup to the scheduler's readiness
+    /// protocol (real-thread runs, before the workers start).
+    pub fn set_site_waker(&mut self, site: SiteId, waker: ReadyHandle) {
         if let Some(entry) = self.sites.get_mut(&site) {
-            entry.1 = waker;
+            entry.1 = Some(waker);
         }
     }
 
@@ -840,7 +842,11 @@ impl Daemon {
                     // Delivery first, wake second: the scheduler's
                     // readiness protocol relies on the inbox being
                     // populated before `mark_ready` runs.
-                    Ok(_) => waker.wake(),
+                    Ok(_) => {
+                        if let Some(w) = waker {
+                            w.mark_ready();
+                        }
+                    }
                     // The site is gone (program exited); drop, like the
                     // paper's freed sites.
                     Err(_) => {

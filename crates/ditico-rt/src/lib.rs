@@ -29,9 +29,9 @@
 //! * [`failure`] — heartbeat failure detection and name-service failover
 //!   over replicas (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
-//!   sockets, per-peer connection actors with reconnect/backoff, wire
-//!   heartbeats feeding the failure monitor, verifier screening at the
-//!   process boundary.
+//!   sockets, all driven by one epoll event loop (Linux), with
+//!   reconnect/backoff, wire heartbeats feeding the failure monitor and
+//!   verifier screening at the process boundary.
 
 pub mod chaos;
 pub mod cluster;
@@ -42,8 +42,8 @@ pub mod failure;
 pub mod namecache;
 pub mod nameservice;
 // Linux-only: the module's hand-declared syscall constants and sockaddr
-// layouts are Linux's (see its module docs); other targets use the
-// thread-per-peer transport backend.
+// layouts are Linux's (see its module docs). Only the TCP transport needs
+// it; `Transport::start` is where other targets are told so.
 #[cfg(target_os = "linux")]
 pub mod poller;
 pub mod sched;
@@ -63,7 +63,5 @@ pub use nameservice::{NameService, NsShardMap, NsStats};
 pub use sched::{SchedConfig, SchedStats};
 pub use site::{RtIncoming, RtPort, Site, SiteInterface, SliceOutcome};
 pub use termination::{Snapshot, TerminationDetector};
-pub use transport::{
-    parse_peer_list, IoBackend, NetHandle, Transport, TransportConfig, TransportReport,
-};
+pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig, TransportReport};
 pub use wake::Notify;

@@ -1,12 +1,11 @@
-//! The transport's readiness-driven event loop ([`IoBackend::Event`]).
+//! The transport's readiness-driven event loop.
 //!
 //! One `tyco-net` thread owns the listener, every peer socket, every
 //! in-flight dial and every deadline. It parks in [`Poller::wait`] with
 //! the timer wheel's next deadline as its timeout and is interrupted by
 //! exactly three things: socket readiness, a timer firing, or a producer
-//! thread ringing the wake pipe after queuing outbound frames. Where the
-//! thread-per-peer baseline spends `2·peers + 3` threads and a tangle of
-//! sleep loops, this file spends one thread and zero sleeps.
+//! thread ringing the wake pipe after queuing outbound frames — one
+//! thread and zero sleeps, whatever the peer count.
 //!
 //! Design points, argued in DESIGN.md §15:
 //!
@@ -99,8 +98,7 @@ enum Slot {
     Dial(DialSlot),
 }
 
-/// Per-peer-address dial state: the event-loop re-encoding of what the
-/// baseline's `connector_loop` kept on its thread's stack.
+/// Per-peer-address dial state.
 struct Dialer {
     addr: SocketAddr,
     attempts: u32,
@@ -709,15 +707,15 @@ impl NetLoop {
         c.peer.token.store(0, Ordering::Release);
         c.peer.alive.store(false, Ordering::Release);
         c.peer.out.close();
-        // Same verdict as the baseline's reader exit: a dead accepted
-        // connection means the peer departed; a dead outbound one gets
-        // redialed, so its nodes are merely suspect.
+        // A dead accepted connection means the peer departed (it may
+        // dial back in, which re-installs routes); a dead outbound one
+        // gets redialed, so its nodes are merely suspect.
         self.inner.drop_routes(&c.peer, c.peer.accepted);
         if let Some(didx) = c.dialer {
             if !self.inner.stop.load(Ordering::Acquire) {
                 self.dialers[didx].last_nodes = c.peer.nodes.lock().clone();
-                // Immediate retry, exactly like the baseline connector;
-                // failures fall into exponential backoff from there.
+                // Immediate retry; failures fall into exponential backoff
+                // from there.
                 self.start_dial(didx);
             }
         }

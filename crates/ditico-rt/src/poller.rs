@@ -1,28 +1,25 @@
 //! Readiness-driven I/O primitives for the event-loop transport.
 //!
-//! The thread-per-peer transport parked two OS threads on every socket;
-//! this module is what lets one thread own them all: a [`Poller`]
-//! (epoll(7) by default, with a poll(2) backend kept alive by tests so
-//! the abstraction stays honest for future ports), a [`PollWaker`]
-//! self-pipe so producer threads can interrupt a blocked wait, a
-//! [`TimerWheel`] of deadlines (heartbeats, reconnect backoff, connect
-//! timeouts) that turns every transport sleep-loop into a computed wait
-//! timeout, and a nonblocking [`connect_start`] so in-flight dials are
-//! concurrent instead of serialized behind `connect_timeout`.
+//! This module is what lets one thread own every socket: a [`Poller`]
+//! over epoll(7), a [`PollWaker`] self-pipe so producer threads can
+//! interrupt a blocked wait, a [`TimerWheel`] of deadlines (heartbeats,
+//! reconnect backoff, connect timeouts) that turns every transport
+//! sleep-loop into a computed wait timeout, and a nonblocking
+//! [`connect_start`] so in-flight dials are concurrent instead of
+//! serialized behind `connect_timeout`.
 //!
 //! The workspace vendors no `libc` crate, and the build environment
 //! cannot add one; since std already links the platform libc, the tiny
 //! syscall surface needed here (a dozen symbols) is declared directly in
 //! [`sys`] — with **Linux** constant values and sockaddr layouts, which
-//! is why the whole module (and the event backend that rides on it) is
-//! compiled only for `target_os = "linux"`: other unixes disagree on
-//! `O_NONBLOCK`, `SOL_SOCKET`, `EINPROGRESS` and prefix sockaddrs with
-//! `sin_len`, so compiling there would fail at runtime, not loudly at
-//! build time. Non-Linux targets fall back to the thread-per-peer
-//! transport. Every raw fd is wrapped in [`OwnedFd`] immediately so
-//! error paths cannot leak descriptors.
+//! is why the whole module (and the TCP transport that rides on it) is
+//! compiled only for `target_os = "linux"`: other unixes lack epoll,
+//! disagree on `O_NONBLOCK`, `SOL_SOCKET`, `EINPROGRESS` and prefix
+//! sockaddrs with `sin_len`, so compiling there would fail at runtime,
+//! not loudly at build time. On those targets `Transport::start` reports
+//! that TCP runs need Linux. Every raw fd is wrapped in [`OwnedFd`]
+//! immediately so error paths cannot leak descriptors.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -33,19 +30,7 @@ use std::time::{Duration, Instant};
 /// Linux's — the reason this module is gated on `target_os = "linux"`.
 #[allow(non_camel_case_types)]
 mod sys {
-    pub use std::os::raw::{c_int, c_short, c_ulong, c_void};
-
-    #[repr(C)]
-    pub struct pollfd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
-    }
-
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
+    pub use std::os::raw::{c_int, c_void};
 
     pub const F_SETFL: c_int = 4;
     pub const F_GETFL: c_int = 3;
@@ -63,7 +48,6 @@ mod sys {
 
     // The kernel packs epoll_event on x86-64 (for 32-bit ABI compat);
     // other architectures use natural alignment. Mirrors libc's cfg.
-    #[cfg(target_os = "linux")]
     #[cfg_attr(any(target_arch = "x86_64", target_arch = "x86"), repr(C, packed))]
     #[cfg_attr(not(any(target_arch = "x86_64", target_arch = "x86")), repr(C))]
     #[derive(Clone, Copy)]
@@ -72,27 +56,17 @@ mod sys {
         pub data: u64,
     }
 
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_ADD: c_int = 1;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_DEL: c_int = 2;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_MOD: c_int = 3;
-    #[cfg(target_os = "linux")]
     pub const EPOLLIN: u32 = 0x001;
-    #[cfg(target_os = "linux")]
     pub const EPOLLOUT: u32 = 0x004;
-    #[cfg(target_os = "linux")]
     pub const EPOLLERR: u32 = 0x008;
-    #[cfg(target_os = "linux")]
     pub const EPOLLHUP: u32 = 0x010;
-    #[cfg(target_os = "linux")]
     pub const EPOLLRDHUP: u32 = 0x2000;
 
     extern "C" {
-        pub fn poll(fds: *mut pollfd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
         pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -107,11 +81,8 @@ mod sys {
             len: *mut u32,
         ) -> c_int;
 
-        #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, ev: *mut epoll_event) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_wait(epfd: c_int, evs: *mut epoll_event, max: c_int, timeout: c_int) -> c_int;
     }
 }
@@ -156,104 +127,37 @@ pub struct Event {
     pub closed: bool,
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    Poll(PollTable),
-}
-
-/// Readiness multiplexer over a set of registered fds, each identified
-/// by a caller-chosen `token`. Level-triggered on both backends: an
-/// unconsumed condition is re-reported on the next `wait`, so a budgeted
-/// reader never needs to drain a socket to exhaustion.
+/// Readiness multiplexer (epoll) over a set of registered fds, each
+/// identified by a caller-chosen `token`. Level-triggered: an unconsumed
+/// condition is re-reported on the next `wait`, so a budgeted reader
+/// never needs to drain a socket to exhaustion.
 pub struct Poller {
-    backend: Backend,
-}
-
-impl Poller {
-    /// The best backend for this platform (epoll on Linux).
-    pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            Ok(Poller {
-                backend: Backend::Epoll(Epoll::new()?),
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Poller::new_poll()
-        }
-    }
-
-    /// The portable poll(2) backend, forced — exercised by tests even on
-    /// Linux so the fallback path cannot rot.
-    pub fn new_poll() -> io::Result<Poller> {
-        Ok(Poller {
-            backend: Backend::Poll(PollTable::default()),
-        })
-    }
-
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.ctl(sys::EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Poll(p) => p.register(fd, token, interest),
-        }
-    }
-
-    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.ctl(sys::EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Poll(p) => p.register(fd, token, interest),
-        }
-    }
-
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Backend::Poll(p) => {
-                p.deregister(fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Block until at least one registered fd is ready or `timeout`
-    /// elapses (`None` = forever), appending events to `out`. A spurious
-    /// empty return is allowed (EINTR, timeout).
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let ms: sys::c_int = match timeout {
-            None => -1,
-            // Round up so a 100µs deadline does not busy-spin at 0ms.
-            Some(t) => t
-                .as_millis()
-                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
-                .min(i32::MAX as u128) as sys::c_int,
-        };
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(e) => e.wait(out, ms),
-            Backend::Poll(p) => p.wait(out, ms),
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-struct Epoll {
     epfd: OwnedFd,
     buf: Vec<sys::epoll_event>,
 }
 
-#[cfg(target_os = "linux")]
-impl Epoll {
-    fn new() -> io::Result<Epoll> {
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: no pointers cross the call; a negative return is
+        // turned into an error by `cvt`.
         let fd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
-        Ok(Epoll {
+        Ok(Poller {
+            // SAFETY: `fd` is a fresh descriptor nobody else owns.
             epfd: unsafe { OwnedFd::from_raw_fd(fd) },
             buf: vec![sys::epoll_event { events: 0, data: 0 }; 1024],
         })
+    }
+
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
     fn ctl(&self, op: sys::c_int, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
@@ -268,11 +172,27 @@ impl Epoll {
             events,
             data: token as u64,
         };
+        // SAFETY: `ev` is a live epoll_event for the duration of the call
+        // and `epfd` is our open epoll descriptor; a bad `fd` is reported
+        // as an error, not undefined behaviour.
         cvt(unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
 
-    fn wait(&mut self, out: &mut Vec<Event>, ms: sys::c_int) -> io::Result<()> {
+    /// Block until at least one registered fd is ready or `timeout`
+    /// elapses (`None` = forever), appending events to `out`. A spurious
+    /// empty return is allowed (EINTR, timeout).
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        let ms: sys::c_int = match timeout {
+            None => -1,
+            // Round up so a 100µs deadline does not busy-spin at 0ms.
+            Some(t) => t
+                .as_millis()
+                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
+                .min(i32::MAX as u128) as sys::c_int,
+        };
+        // SAFETY: `buf` is an initialized Vec of `buf.len()` events that
+        // outlives the call; the kernel writes at most that many.
         let n = unsafe {
             sys::epoll_wait(
                 self.epfd.as_raw_fd(),
@@ -298,79 +218,6 @@ impl Epoll {
                 // (the read/write call is what reports *which* error).
                 readable: bits & sys::EPOLLIN != 0 || err,
                 writable: bits & sys::EPOLLOUT != 0 || err,
-                closed: err,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// poll(2) fallback: a registration table rebuilt into a pollfd array on
-/// every wait. O(n) per call where epoll is O(ready) — fine as the
-/// portability net, which is exactly why it stays behind the abstraction.
-#[derive(Default)]
-struct PollTable {
-    entries: Vec<(RawFd, usize, Interest)>,
-    index: HashMap<RawFd, usize>,
-    fds: Vec<sys::pollfd>,
-}
-
-impl PollTable {
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self.index.get(&fd) {
-            Some(&i) => self.entries[i] = (fd, token, interest),
-            None => {
-                self.index.insert(fd, self.entries.len());
-                self.entries.push((fd, token, interest));
-            }
-        }
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) {
-        if let Some(i) = self.index.remove(&fd) {
-            self.entries.swap_remove(i);
-            if let Some(&(moved, _, _)) = self.entries.get(i) {
-                self.index.insert(moved, i);
-            }
-        }
-    }
-
-    fn wait(&mut self, out: &mut Vec<Event>, ms: sys::c_int) -> io::Result<()> {
-        self.fds.clear();
-        for &(fd, _, interest) in &self.entries {
-            let mut events = 0;
-            if interest.readable {
-                events |= sys::POLLIN;
-            }
-            if interest.writable {
-                events |= sys::POLLOUT;
-            }
-            self.fds.push(sys::pollfd {
-                fd,
-                events,
-                revents: 0,
-            });
-        }
-        let n = unsafe { sys::poll(self.fds.as_mut_ptr(), self.fds.len() as sys::c_ulong, ms) };
-        if n < 0 {
-            let e = io::Error::last_os_error();
-            return if e.raw_os_error() == Some(sys::EINTR) {
-                Ok(())
-            } else {
-                Err(e)
-            };
-        }
-        for (pf, &(_, token, _)) in self.fds.iter().zip(&self.entries) {
-            let bits = pf.revents;
-            if bits == 0 {
-                continue;
-            }
-            let err = bits & (sys::POLLERR | sys::POLLHUP) != 0;
-            out.push(Event {
-                token,
-                readable: bits & sys::POLLIN != 0 || err,
-                writable: bits & sys::POLLOUT != 0 || err,
                 closed: err,
             });
         }
@@ -778,7 +625,9 @@ mod tests {
         assert!(w.is_empty());
     }
 
-    fn roundtrip_on(mut poller: Poller) {
+    #[test]
+    fn epoll_backend_connects_and_reads() {
+        let mut poller = Poller::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let pending = match connect_start(&addr).unwrap() {
@@ -818,16 +667,6 @@ mod tests {
         let mut buf = [0u8; 4];
         sock.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
-    }
-
-    #[test]
-    fn epoll_backend_connects_and_reads() {
-        roundtrip_on(Poller::new().unwrap());
-    }
-
-    #[test]
-    fn poll_fallback_connects_and_reads() {
-        roundtrip_on(Poller::new_poll().unwrap());
     }
 
     #[test]
@@ -877,6 +716,9 @@ mod tests {
             poller.wait(&mut evs, Some(Duration::from_secs(1))).unwrap();
         }
         assert!(evs.iter().any(|e| e.token == 0 && e.readable));
+        // Every wake must be in the pipe before the drain, or a late one
+        // makes the final wait readable again.
+        h.join().unwrap();
         reader.drain();
         // Drained: the next wait times out instead of spinning.
         evs.clear();
@@ -884,6 +726,5 @@ mod tests {
             .wait(&mut evs, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(evs.is_empty(), "{evs:?}");
-        h.join().unwrap();
     }
 }

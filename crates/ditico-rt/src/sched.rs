@@ -26,11 +26,9 @@
 //!
 //! ## Interaction with the termination detector
 //!
-//! The per-site `active` flags of the thread-per-site design become
-//! scheduler-owned: a site is *active* iff its state is `QUEUED`,
-//! `RUNNING` or `DIRTY`; the pool keeps a global count of active sites
-//! ([`Shared::active`]). The seed's publish-before-pump race fix is
-//! re-proven in this design as follows. A false termination needs the
+//! Site activity is scheduler-owned: a site is *active* iff its state is
+//! `QUEUED`, `RUNNING` or `DIRTY`; the pool keeps a global count of
+//! active sites ([`Shared::active`]). A false termination needs the
 //! detector to see balanced counters and zero active sites while an
 //! effect is still pending. Pending effects are:
 //!
@@ -355,24 +353,6 @@ impl ReadyHandle {
                 // wakeup covers this delivery too.
                 _ => return,
             }
-        }
-    }
-}
-
-/// How a daemon wakes a site after delivering into its inbox: a dedicated
-/// thread's [`Notify`] (thread-per-site baseline, deterministic mode) or
-/// the scheduler's readiness protocol. Delivery must complete before the
-/// wake in either case.
-pub enum SiteWake {
-    Notify(Arc<Notify>),
-    Sched(ReadyHandle),
-}
-
-impl SiteWake {
-    pub fn wake(&self) {
-        match self {
-            SiteWake::Notify(n) => n.notify(),
-            SiteWake::Sched(h) => h.mark_ready(),
         }
     }
 }

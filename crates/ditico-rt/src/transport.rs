@@ -8,11 +8,10 @@
 //! length-prefixed frames (see [`tyco_vm::codec::decode_frame`] for the
 //! layout).
 //!
-//! ## One event loop, not two threads per peer
+//! ## One event loop
 //!
-//! The default backend ([`IoBackend::Event`], implemented in
-//! `netloop.rs`) runs **every** listener, peer socket, in-flight dial
-//! and timer on a single `tyco-net` thread parked in
+//! **Every** listener, peer socket, in-flight dial and timer runs on a
+//! single `tyco-net` thread (`netloop.rs`) parked in
 //! [`crate::poller::Poller::wait`]: sockets are nonblocking, frame
 //! decode is incremental and zero-copy (reads accumulate in a
 //! `BytesMut`; payloads reach the daemon as `Bytes` views of the read
@@ -24,11 +23,9 @@
 //! through it, the M:N scheduler's ready-marking — socket readiness and
 //! site readiness share one worker pool and one parking story.
 //!
-//! The pre-event-loop architecture — a blocking reader thread plus a
-//! writer actor per peer — is kept behind [`IoBackend::Threads`] as the
-//! measured baseline for `BENCH_transport.json`, exactly like the
-//! thread-per-site scheduler baseline it rhymes with. It is fine for the
-//! paper's 4-node cluster and falls over at thousands of peers.
+//! The loop is built on epoll, so the TCP transport is **Linux-only**:
+//! elsewhere [`Transport::start`] returns an error (deterministic and
+//! in-process threaded runs never touch it and stay portable).
 //!
 //! ## Handshake, liveness, reconnect
 //!
@@ -44,16 +41,19 @@
 //! be linked — the process boundary is the least trustworthy boundary
 //! the runtime has.
 
+// Off Linux only `Transport::start`'s refusal is live; the rest of the
+// module still type-checks there but nothing can reach it.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
+
 use crate::chaos::{ChaosState, Fault};
 use crate::daemon::Daemon;
 use crate::fabric::{FabricHandle, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,21 +63,6 @@ use tyco_vm::word::NodeId;
 #[cfg(target_os = "linux")]
 #[path = "netloop.rs"]
 mod netloop;
-
-/// Which I/O architecture carries the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// One readiness-driven event loop thread owning every socket and
-    /// timer (epoll/poll via `crate::poller`). The default — Linux-only,
-    /// because the poller's hand-declared syscall constants are Linux's;
-    /// `Transport::start` silently falls back to `Threads` elsewhere.
-    #[default]
-    Event,
-    /// The original thread-per-peer architecture (blocking reader +
-    /// writer actor per connection). Kept as the A/B baseline; expect it
-    /// to fall over at high peer counts.
-    Threads,
-}
 
 /// Everything `Transport::start` needs to know about this process's place
 /// in the topology and how patient to be with its peers.
@@ -114,8 +99,6 @@ pub struct TransportConfig {
     /// Bounded outbound queue depth per connection (frames beyond it are
     /// dropped and counted, like an overflowing NIC ring).
     pub outbound_cap: usize,
-    /// I/O architecture; see [`IoBackend`].
-    pub backend: IoBackend,
 }
 
 impl Default for TransportConfig {
@@ -133,7 +116,6 @@ impl Default for TransportConfig {
             connect_timeout: Duration::from_millis(500),
             idle_grace: Duration::from_millis(600),
             outbound_cap: 4096,
-            backend: IoBackend::Event,
         }
     }
 }
@@ -221,12 +203,11 @@ pub(crate) struct Stats {
     pub(crate) dropped_perma: AtomicU64,
 }
 
-/// Bounded MPSC of ready-to-write frame buffers. The threaded backend's
-/// writer blocks on the condvar; the event loop never waits — it drains
-/// opportunistically ([`OutQueue::try_drain`]) when woken.
+/// Bounded MPSC of ready-to-write frame buffers. The event loop never
+/// waits on it — it drains opportunistically ([`OutQueue::try_drain`])
+/// when a producer rings the wake pipe.
 struct OutQueue {
     state: Mutex<OutState>,
-    cond: Condvar,
     cap: usize,
 }
 
@@ -242,7 +223,6 @@ impl OutQueue {
                 items: VecDeque::new(),
                 closed: false,
             }),
-            cond: Condvar::new(),
             cap,
         }
     }
@@ -256,21 +236,7 @@ impl OutQueue {
             return None;
         }
         s.items.push_back(b);
-        let depth = s.items.len();
-        drop(s);
-        self.cond.notify_one();
-        Some(depth)
-    }
-
-    /// Move the whole backlog into `out`, waiting up to `timeout` for the
-    /// first item. Returns `false` once the queue is closed and drained.
-    fn drain_wait(&self, out: &mut Vec<Bytes>, timeout: Duration) -> bool {
-        let mut s = self.state.lock();
-        if s.items.is_empty() && !s.closed {
-            self.cond.wait_for(&mut s, timeout);
-        }
-        out.extend(s.items.drain(..));
-        !(s.closed && out.is_empty())
+        Some(s.items.len())
     }
 
     /// Nonblocking drain for the event loop.
@@ -281,7 +247,6 @@ impl OutQueue {
 
     fn close(&self) {
         self.state.lock().closed = true;
-        self.cond.notify_one();
     }
 }
 
@@ -342,10 +307,9 @@ struct Inner {
     epoch: Instant,
     stop: AtomicBool,
     stats: Stats,
-    /// Wakes the event loop when a producer queues outbound work
-    /// (`None` under the threaded backend, whose writers park on the
-    /// queue condvar instead — two parking stories, one [`Wake`] trait).
-    net_wake: Option<Arc<dyn Wake>>,
+    /// Wakes the event loop (its self-pipe) when a producer queues
+    /// outbound work.
+    net_wake: Arc<dyn Wake>,
     /// Connections with freshly queued outbound frames, drained by the
     /// event loop on its next wakeup.
     dirty: Mutex<Vec<Arc<PeerConn>>>,
@@ -359,7 +323,7 @@ struct Inner {
     /// node-local fabric clean — one jeopardy per packet.
     chaos: RwLock<Option<Arc<ChaosState>>>,
     /// Chaos-delayed frames waiting out their extra latency; flushed by
-    /// the heartbeat paths, so delay resolution is one `hb_period`.
+    /// the heartbeat tick, so delay resolution is one `hb_period`.
     delayed: Mutex<Vec<(Instant, NodeId, Bytes, u64)>>,
 }
 
@@ -398,12 +362,10 @@ impl Inner {
         self.stats
             .outq_hwm
             .fetch_max(depth as u64, Ordering::Relaxed);
-        if let Some(wake) = &self.net_wake {
-            if !conn.dirty.swap(true, Ordering::AcqRel) {
-                self.dirty.lock().push(conn.clone());
-            }
-            wake.wake();
+        if !conn.dirty.swap(true, Ordering::AcqRel) {
+            self.dirty.lock().push(conn.clone());
         }
+        self.net_wake.wake();
     }
 
     /// Queue one already-framed buffer for `to`, running it through the
@@ -431,7 +393,7 @@ impl Inner {
     }
 
     /// Flush chaos-delayed frames whose extra latency has elapsed.
-    /// Driven from both backends' heartbeat paths.
+    /// Driven from the event loop's heartbeat tick.
     fn flush_due_delayed(&self) {
         let now = Instant::now();
         let due: Vec<(Instant, NodeId, Bytes, u64)> = {
@@ -564,7 +526,7 @@ impl Inner {
     }
 
     /// An outbound dialer exhausted its retry budget: its peer's nodes
-    /// are permanently down. Shared by both backends.
+    /// are permanently down.
     fn peer_exhausted(&self, last_nodes: &[NodeId]) {
         self.stats.peers_failed.fetch_add(1, Ordering::Relaxed);
         self.perma_down.lock().extend(last_nodes.iter().copied());
@@ -682,67 +644,33 @@ impl PacketFabric for NetHandle {
     }
 }
 
-/// The I/O a backend choice resolved to, built before any thread is
-/// spawned. Holding the prepared state in one value means the spawn step
-/// can only consume what preparation produced — the historical
-/// prepare/spawn mismatch (an `Event` spawn reaching for I/O that was
-/// never prepared) is unrepresentable rather than a runtime abort.
-enum Prepared {
-    #[cfg(target_os = "linux")]
-    Event {
-        io: netloop::NetIo,
-        wake: Arc<dyn Wake>,
-    },
-    Threads(Option<TcpListener>),
-}
-
-/// Spawn the thread-per-peer baseline's service threads: the accept
-/// loop, one connector per peer address, and the heartbeat beacon.
-fn spawn_thread_backend(
-    inner: &Arc<Inner>,
-    listener: Option<TcpListener>,
-    threads: &mut Vec<std::thread::JoinHandle<()>>,
-) -> Result<(), String> {
-    if let Some(l) = listener {
-        let inner2 = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("tyco-accept".into())
-                .spawn(move || accept_loop(inner2, l))
-                .map_err(|e| format!("spawn accept thread: {e}"))?,
-        );
-    }
-    for (i, addr) in inner.cfg.peers.clone().into_iter().enumerate() {
-        let inner2 = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("tyco-dial-{i}"))
-                .spawn(move || connector_loop(inner2, addr))
-                .map_err(|e| format!("spawn connector thread: {e}"))?,
-        );
-    }
-    let inner2 = inner.clone();
-    threads.push(
-        std::thread::Builder::new()
-            .name("tyco-heartbeat".into())
-            .spawn(move || heartbeat_loop(inner2))
-            .map_err(|e| format!("spawn heartbeat thread: {e}"))?,
-    );
-    Ok(())
-}
-
-/// A running TCP transport: one `tyco-net` event-loop thread (default),
-/// or listener/connector/heartbeat threads plus a reader/writer pair per
-/// connection (baseline).
+/// A running TCP transport: the `tyco-net` event-loop thread and the
+/// state it shares with the daemons' [`NetHandle`]s.
 pub struct Transport {
     inner: Arc<Inner>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    net_thread: Option<std::thread::JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
 }
 
 impl Transport {
     /// Bind, dial and start beaconing. `local_fabric` is the in-process
     /// fabric admitted inbound traffic is injected into.
+    ///
+    /// Linux only: the event loop's poller hand-declares epoll and its
+    /// Linux syscall constants (see `crate::poller`), so on any other
+    /// target this returns an error instead of carrying the wire.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(_cfg: TransportConfig, _local_fabric: FabricHandle) -> Result<Transport, String> {
+        Err(
+            "the TCP transport (`net --peers/--listen`, `serve`) needs Linux epoll; \
+             deterministic and in-process threaded runs work on this platform"
+                .to_string(),
+        )
+    }
+
+    /// Bind, dial and start beaconing. `local_fabric` is the in-process
+    /// fabric admitted inbound traffic is injected into.
+    #[cfg(target_os = "linux")]
     pub fn start(cfg: TransportConfig, local_fabric: FabricHandle) -> Result<Transport, String> {
         let listener = match cfg.listen {
             Some(addr) => {
@@ -755,38 +683,13 @@ impl Transport {
         };
         let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
 
-        // Resolve the backend choice into prepared I/O *before* spawning
-        // anything, so that (a) a poller or wake-pipe failure surfaces as
-        // a start error — never a net thread that exits at birth while
-        // the transport reports success — and (b) the spawn step below
-        // consumes exactly what was prepared: there is no second
-        // backend-match whose arms could disagree with this one.
-        //
-        // The event backend's poller hand-declares Linux syscall
-        // constants (see `crate::poller`); everywhere else the
-        // thread-per-peer architecture carries the wire.
-        #[cfg(target_os = "linux")]
-        let prepared = match cfg.backend {
-            IoBackend::Event => {
-                let (wake_rx, wake_tx) =
-                    crate::poller::wake_pipe().map_err(|e| format!("wake pipe: {e}"))?;
-                let io = netloop::prepare(listener, wake_rx)
-                    .map_err(|e| format!("net event loop: {e}"))?;
-                Prepared::Event {
-                    io,
-                    wake: Arc::new(wake_tx) as Arc<dyn Wake>,
-                }
-            }
-            IoBackend::Threads => Prepared::Threads(listener),
-        };
-        #[cfg(not(target_os = "linux"))]
-        let prepared = Prepared::Threads(listener);
-
-        let net_wake: Option<Arc<dyn Wake>> = match &prepared {
-            #[cfg(target_os = "linux")]
-            Prepared::Event { wake, .. } => Some(wake.clone()),
-            Prepared::Threads(_) => None,
-        };
+        // The poller, wake pipe and their registrations are built here,
+        // *before* the net thread is spawned, so a failure surfaces as a
+        // start error — never a net thread that exits at birth while the
+        // transport reports success.
+        let (wake_rx, wake_tx) =
+            crate::poller::wake_pipe().map_err(|e| format!("wake pipe: {e}"))?;
+        let io = netloop::prepare(listener, wake_rx).map_err(|e| format!("net event loop: {e}"))?;
 
         let stale = cfg.stale_periods;
         let inner = Arc::new(Inner {
@@ -805,30 +708,21 @@ impl Transport {
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
             stats: Stats::default(),
-            net_wake,
+            net_wake: Arc::new(wake_tx),
             dirty: Mutex::new(Vec::new()),
             activity: Mutex::new(None),
             chaos: RwLock::new(None),
             delayed: Mutex::new(Vec::new()),
             cfg,
         });
-        let mut threads = Vec::new();
-        match prepared {
-            #[cfg(target_os = "linux")]
-            Prepared::Event { io, .. } => {
-                let inner2 = inner.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("tyco-net".into())
-                        .spawn(move || netloop::run(inner2, io))
-                        .map_err(|e| format!("spawn net thread: {e}"))?,
-                );
-            }
-            Prepared::Threads(listener) => spawn_thread_backend(&inner, listener, &mut threads)?,
-        }
+        let inner2 = inner.clone();
+        let net_thread = std::thread::Builder::new()
+            .name("tyco-net".into())
+            .spawn(move || netloop::run(inner2, io))
+            .map_err(|e| format!("spawn net thread: {e}"))?;
         Ok(Transport {
             inner,
-            threads,
+            net_thread: Some(net_thread),
             local_addr,
         })
     }
@@ -897,16 +791,14 @@ impl Transport {
         self.inner.report()
     }
 
-    /// Stop all transport threads and close every connection.
+    /// Stop the net thread and close every connection.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
         for c in self.inner.conns.lock().iter() {
             c.out.close();
         }
-        if let Some(w) = &self.inner.net_wake {
-            w.wake();
-        }
-        for h in self.threads.drain(..) {
+        self.inner.net_wake.wake();
+        if let Some(h) = self.net_thread.take() {
             let _ = h.join();
         }
     }
@@ -918,197 +810,14 @@ impl Drop for Transport {
     }
 }
 
-/// Sleep in short slices so shutdown is never blocked on a long backoff.
-fn sleep_stoppable(inner: &Inner, dur: Duration) {
-    let deadline = Instant::now() + dur;
-    while !inner.stop.load(Ordering::Acquire) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        std::thread::sleep(left.min(Duration::from_millis(25)));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-peer baseline ([`IoBackend::Threads`]). This is the PR 4
-// architecture, kept verbatim as the measured A/B for
-// `BENCH_transport.json`: a 20ms-sleep accept loop, one blocking
-// connector thread per peer address, a heartbeat thread, and a blocking
-// reader + condvar-parked writer per live connection.
-// ---------------------------------------------------------------------
-
-fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
-    while !inner.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((sock, _addr)) => {
-                let _ = sock.set_nonblocking(false);
-                let inner2 = inner.clone();
-                // Detached: the handler exits within one read timeout of
-                // `stop` being raised.
-                let _ = std::thread::Builder::new()
-                    .name("tyco-conn".into())
-                    .spawn(move || {
-                        let _ = run_connection(&inner2, sock, true);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn connector_loop(inner: Arc<Inner>, addr: SocketAddr) {
-    let mut attempts: u32 = 0;
-    // Nodes the most recent successful connection to this address
-    // announced; they are declared permanently down when the retry
-    // budget runs out.
-    let mut last_nodes: Vec<NodeId> = Vec::new();
-    while !inner.stop.load(Ordering::Acquire) {
-        match TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) {
-            Ok(sock) => {
-                if attempts > 0 {
-                    inner.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                attempts = 0;
-                let (conn, _res) = run_connection(&inner, sock, false);
-                last_nodes = conn.nodes.lock().clone();
-                if inner.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(_) => {
-                if attempts >= inner.cfg.max_retries {
-                    inner.peer_exhausted(&last_nodes);
-                    return;
-                }
-                let delay = backoff_delay(inner.cfg.backoff_base, inner.cfg.backoff_cap, attempts);
-                attempts += 1;
-                sleep_stoppable(&inner, delay);
-            }
-        }
-    }
-    inner.connectors_done.fetch_add(1, Ordering::Release);
-}
-
-/// Drive one established socket until it dies or the transport stops:
-/// spawn the writer, run the reader inline, tear down routes at the end.
-/// Returns the connection record (for the peer's announced nodes) plus
-/// the reader's verdict.
-fn run_connection(
-    inner: &Arc<Inner>,
-    sock: TcpStream,
-    accepted: bool,
-) -> (Arc<PeerConn>, std::io::Result<()>) {
-    let conn = PeerConn::new(inner.cfg.outbound_cap, accepted);
-    let _ = sock.set_nodelay(true);
-    if let Err(e) = sock.set_read_timeout(Some(Duration::from_millis(50))) {
-        return (conn, Err(e));
-    }
-    conn.out.push(inner.hello_frame());
-    inner.conns.lock().push(conn.clone());
-    inner.ever_connected.store(true, Ordering::Release);
-
-    let write_sock = match sock.try_clone() {
-        Ok(s) => s,
-        Err(e) => {
-            conn.alive.store(false, Ordering::Release);
-            conn.out.close();
-            return (conn, Err(e));
-        }
-    };
-    let writer = {
-        let inner2 = inner.clone();
-        let conn2 = conn.clone();
-        std::thread::Builder::new()
-            .name("tyco-write".into())
-            .spawn(move || writer_loop(inner2, conn2, write_sock))
-    };
-
-    let res = read_loop(inner, &conn, sock);
-
-    conn.alive.store(false, Ordering::Release);
-    conn.out.close();
-    // A dead accepted connection means the peer departed (it may dial
-    // back in, which re-installs routes); a dead outbound one is retried
-    // by our connector, so its nodes are only *suspect*, not gone.
-    inner.drop_routes(&conn, accepted);
-    if let Ok(w) = writer {
-        let _ = w.join();
-    }
-    (conn, res)
-}
-
-fn writer_loop(inner: Arc<Inner>, conn: Arc<PeerConn>, mut sock: TcpStream) {
-    let mut batch: Vec<Bytes> = Vec::new();
-    loop {
-        let open = conn.out.drain_wait(&mut batch, Duration::from_millis(50));
-        if inner.stop.load(Ordering::Acquire) && batch.is_empty() {
-            return;
-        }
-        for buf in batch.drain(..) {
-            if sock.write_all(&buf).is_err() {
-                conn.alive.store(false, Ordering::Release);
-                conn.out.close();
-                return;
-            }
-            inner
-                .stats
-                .bytes_out
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        }
-        if !open {
-            return;
-        }
-    }
-}
-
 fn io_err(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-fn read_loop(inner: &Arc<Inner>, conn: &Arc<PeerConn>, mut sock: TcpStream) -> std::io::Result<()> {
-    let mut pending: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut got_hello = false;
-    loop {
-        if inner.stop.load(Ordering::Acquire) || !conn.alive.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match sock.read(&mut scratch) {
-            Ok(0) => return Ok(()), // peer closed
-            Ok(n) => {
-                pending.extend_from_slice(&scratch[..n]);
-                let mut consumed = 0;
-                loop {
-                    match codec::decode_frame(&pending[consumed..]) {
-                        Ok(None) => break,
-                        Ok(Some((frame, used))) => {
-                            consumed += used;
-                            handle_frame(inner, conn, frame, &mut got_hello)?;
-                        }
-                        Err(e) => return Err(io_err(format!("corrupt stream: {e}"))),
-                    }
-                }
-                pending.drain(..consumed);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Consume one inbound frame: control frames (Hello, Heartbeat) update
 /// routing and liveness here; data frames are verifier-screened and
-/// injected into the local fabric. Shared by both backends — under the
-/// event loop the `payload` is a zero-copy view of the read buffer.
+/// injected into the local fabric; the `payload` is a zero-copy view of
+/// the event loop's read buffer.
 fn handle_frame(
     inner: &Arc<Inner>,
     conn: &Arc<PeerConn>,
@@ -1182,47 +891,6 @@ fn handle_frame(
     Ok(())
 }
 
-fn heartbeat_loop(inner: Arc<Inner>) {
-    while !inner.stop.load(Ordering::Acquire) {
-        sleep_stoppable(&inner, inner.cfg.hb_period);
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        inner.flush_due_delayed();
-        let chaos = inner.chaos.read().clone();
-        let seq = inner.hb_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut frames = Vec::with_capacity(inner.cfg.local_nodes.len());
-        for &n in &inner.cfg.local_nodes {
-            let p = Packet::Heartbeat { node: n, seq };
-            frames.push((n, codec::encode_frame(n, CONTROL_NODE, &codec::encode(&p))));
-        }
-        for conn in inner.conns.lock().iter() {
-            if !conn.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            let peer_nodes = match &chaos {
-                Some(_) => conn.nodes.lock().clone(),
-                None => Vec::new(),
-            };
-            for (n, f) in &frames {
-                if let Some(ch) = &chaos {
-                    // A partition that cuts every announced peer node
-                    // silences the beacon too — that is what drives the
-                    // failure monitor during a partition soak.
-                    if ch.hb_blocked(*n, &peer_nodes) {
-                        continue;
-                    }
-                }
-                if conn.out.push(f.clone()).is_some() {
-                    inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1273,15 +941,10 @@ mod tests {
             "over cap is dropped"
         );
         let mut out = Vec::new();
-        assert!(q.drain_wait(&mut out, Duration::from_millis(1)));
+        q.try_drain(&mut out);
         assert_eq!(out.len(), 2);
         q.close();
         assert!(q.push(Bytes::from_static(b"d")).is_none(), "closed refuses");
-        let mut out2 = Vec::new();
-        assert!(
-            !q.drain_wait(&mut out2, Duration::from_millis(1)),
-            "closed and drained"
-        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Edge-triggered thread wakeups for the threaded runtime.
 //!
-//! [`Notify`] replaces the `sleep(100µs)` lull polling the site and daemon
-//! threads used to do in `cluster::run_threaded`: a thread with no work
-//! parks on its `Notify` and is woken exactly when a producer hands it
-//! something (a packet in its inbox, bytes from the fabric). The flag
+//! A daemon, worker or environment thread with no work parks on its
+//! [`Notify`] and is woken exactly when a producer hands it something (a
+//! packet in its queue, bytes from the fabric, a ready site). The flag
 //! makes the primitive race-free: a notification that arrives between the
 //! "no work" check and the park is consumed immediately instead of lost.
 

@@ -178,11 +178,7 @@ fn rig() -> Rig {
         Arc::new(TermCounters::default()),
     );
     let (site_tx, site_rx) = unbounded();
-    daemon.attach_site(
-        SiteId(0),
-        site_tx,
-        ditico_rt::sched::SiteWake::Notify(Arc::new(ditico_rt::Notify::new())),
-    );
+    daemon.attach_site(SiteId(0), site_tx);
     Rig {
         fabric,
         daemon,

@@ -57,11 +57,7 @@ fn rig() -> Rig {
         );
     }
     let (in_tx, site_rx) = unbounded();
-    daemon.attach_site(
-        SiteId(0),
-        in_tx,
-        ditico_rt::sched::SiteWake::Notify(Arc::new(ditico_rt::wake::Notify::new())),
-    );
+    daemon.attach_site(SiteId(0), in_tx);
     // Keep the fabric alive for the rig's lifetime by leaking it (tests
     // are short-lived); shutting it down would close the channels.
     std::mem::forget(fabric);

@@ -1,28 +1,7 @@
 //! The `ditico` command-line tool: compile, inspect and run DiTyCO
-//! programs.
-//!
-//! ```text
-//! ditico check   <file.dity> [--verify] [--lint]
-//!                                         type-check a program; optionally
-//!                                         run the byte-code verifier and
-//!                                         the calculus liveness lint
-//! ditico compile <file.dity> -o out.tyco  compile to a byte-code image
-//! ditico asm     <file.dity>              show the VM assembly
-//! ditico disasm  <file.tyco>              disassemble an image
-//! ditico run     <file.dity|file.tyco>    run a single site to quiescence
-//! ditico net     <spec.net> [--threaded] [--workers N] [--wall SECS] [--stats]
-//!                                         run a network description
-//!                                         (deterministic by default;
-//!                                         --threaded runs it on the M:N
-//!                                         worker-pool scheduler)
-//! ditico net     <spec.net> --node LIST --peers ADDRS [--listen ADDR] …
-//!                                         run one process of a multi-process
-//!                                         cluster over real TCP
-//! ditico serve   <spec.net> --node LIST --listen ADDR [--wall SECS] …
-//!                                         host this process's nodes and
-//!                                         linger until every peer is gone
-//! ditico shell                            interactive TyCOsh
-//! ```
+//! programs. `ditico help` prints every command with its flags (the text
+//! is generated from [`COMMANDS`], the same table that rejects unknown
+//! flags).
 //!
 //! A network description (for `ditico net` / `ditico serve`) is a
 //! line-oriented file; `node=N` pins a site (multi-process runs require
@@ -42,22 +21,171 @@ use std::path::Path;
 use std::process::ExitCode;
 use tyco_vm::word::NodeId;
 
+// Flag lists are whitespace-separated words: `--flag` for a switch,
+// `--flag=VALUE` for a flag that takes a value (`VALUE` is its placeholder
+// in the usage text).
+
+/// Flags of every cluster run (`net` in all its modes and `serve`).
+const CLUSTER_FLAGS: &str = "--workers=N --wall=SECS --stats --code-cache=N --shake \
+     --ns-shards=N --ns-lease-ms=N --chaos-seed=N --chaos-drop=N --chaos-dup=N \
+     --chaos-delay=N --chaos-delay-ns=N";
+
+/// Flags of one process of a multi-process run over TCP.
+const TCP_FLAGS: &str = "--node=LIST --peers=ADDRS --listen=ADDR --hb-ms=N --retries=N";
+
+/// One subcommand: its operand, every flag it knows and its help text.
+/// This table is the single source for dispatch, for rejecting unknown
+/// flags and for the usage text.
+struct Command {
+    name: &'static str,
+    operand: &'static str,
+    flags: &'static [&'static str],
+    about: &'static str,
+    run: fn(&Command, &[String]) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "check",
+        operand: "<file.dity>",
+        flags: &["--verify --lint --analyze --json --opstats"],
+        about: "type-check; --verify runs the byte-code verifier, --lint the calculus\n\
+                liveness lint, --analyze the whole-program byte-code analysis (unreachable\n\
+                methods, dead classes, orphan sends; --json for CI); any failing gate\n\
+                exits nonzero",
+        run: cmd_check,
+    },
+    Command {
+        name: "compile",
+        operand: "<file.dity>",
+        flags: &["-o=out.tyco --optimize --shake"],
+        about: "compile to a byte-code image; --optimize runs the verified folding\n\
+                passes, --shake prunes unreachable code from the image",
+        run: cmd_compile,
+    },
+    Command {
+        name: "asm",
+        operand: "<file.dity>",
+        flags: &[],
+        about: "show the VM assembly",
+        run: cmd_asm,
+    },
+    Command {
+        name: "disasm",
+        operand: "<file.tyco>",
+        flags: &[],
+        about: "disassemble an image",
+        run: cmd_disasm,
+    },
+    Command {
+        name: "run",
+        operand: "<file.dity|file.tyco>",
+        flags: &["--stats --opstats --trace --no-fuse --shake --unchecked"],
+        about: "run a single site to quiescence",
+        run: cmd_run,
+    },
+    Command {
+        name: "net",
+        operand: "<spec.net>",
+        flags: &["--threaded", CLUSTER_FLAGS, TCP_FLAGS],
+        about: "run a network description: deterministic by default, --threaded on the\n\
+                M:N worker-pool scheduler; --stats prints per-site SHIPM/SHIPO/FETCH and\n\
+                scheduler counters; --code-cache sets the per-node code store capacity in\n\
+                images (0 disables caching/dedup/coalescing); --chaos-* injects seeded\n\
+                packet faults, rates in per-mille, extra latency via --chaos-delay-ns;\n\
+                --ns-shards N partitions the name service over N shard owners with lease\n\
+                caching (TTL --ns-lease-ms).\n\
+                With --node LIST and --peers ADDRS and/or --listen ADDR: run one process\n\
+                of a multi-process cluster over TCP (LIST: comma-separated node indices\n\
+                this process hosts)",
+        run: cmd_net,
+    },
+    Command {
+        name: "serve",
+        operand: "<spec.net>",
+        flags: &[CLUSTER_FLAGS, TCP_FLAGS],
+        about: "host this process's nodes (--node LIST, --listen ADDR) over TCP and linger\n\
+                until every peer is gone",
+        run: |cmd, args| cmd_distributed(cmd, args, true),
+    },
+    Command {
+        name: "shell",
+        operand: "",
+        flags: &[],
+        about: "interactive TyCOsh",
+        run: |_, _| cmd_shell(),
+    },
+];
+
+impl Command {
+    /// Every flag with its value placeholder (`""` for a switch).
+    fn flags(&self) -> impl Iterator<Item = (&'static str, &'static str)> {
+        self.flags
+            .iter()
+            .flat_map(|list| list.split_whitespace())
+            .map(|f| f.split_once('=').unwrap_or((f, "")))
+    }
+
+    /// `usage: ditico <name> <operand> [--flag VALUE]…`, wrapped.
+    fn usage(&self) -> String {
+        let mut out = format!("usage: ditico {}", self.name);
+        let mut width = out.len();
+        let words = std::iter::once(self.operand.to_string())
+            .filter(|w| !w.is_empty())
+            .chain(self.flags().map(|(flag, value)| match value {
+                "" => format!("[{flag}]"),
+                v => format!("[{flag} {v}]"),
+            }));
+        for w in words {
+            if width + 1 + w.len() > 78 {
+                out.push_str("\n         ");
+                width = 9;
+            }
+            out.push(' ');
+            out.push_str(&w);
+            width += 1 + w.len();
+        }
+        out
+    }
+
+    /// Refuse any `-flag` this command does not know (values of flags
+    /// that take one are skipped, so `--wall -1` reaches the parser).
+    fn reject_unknown_flags(&self, args: &[String]) -> Result<(), String> {
+        let mut i = 0;
+        while i < args.len() {
+            let a = &args[i];
+            i += 1;
+            if a.len() < 2 || !a.starts_with('-') {
+                continue;
+            }
+            match self.flags().find(|(flag, _)| flag == a) {
+                Some((_, value)) if !value.is_empty() => i += 1,
+                Some(_) => {}
+                None => {
+                    return Err(format!(
+                        "unknown flag `{a}` for `ditico {}` (try `ditico help`)",
+                        self.name
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("asm") => cmd_asm(&args[1..]),
-        Some("disasm") => cmd_disasm(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("net") => cmd_net(&args[1..]),
-        Some("serve") => cmd_distributed(&args[1..], true),
-        Some("shell") => cmd_shell(),
         Some("help") | None => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}` (try `ditico help`)")),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(cmd) => cmd
+                .reject_unknown_flags(&args[1..])
+                .and_then(|()| (cmd.run)(cmd, &args[1..])),
+            None => Err(format!("unknown command `{name}` (try `ditico help`)")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -69,46 +197,17 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    println!(
-        "usage: ditico <command>\n\
-         \n\
-         commands:\n\
-         \x20 check   <file.dity> [--verify] [--lint] [--analyze] [--json]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 type-check; --verify runs the byte-code verifier,\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --lint the calculus liveness lint, --analyze the\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 whole-program byte-code analysis (unreachable\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 methods, dead classes, orphan sends; --json for CI);\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 any failing gate exits nonzero\n\
-         \x20 compile <file.dity> [-o out.tyco] [--optimize] [--shake]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 compile to a byte-code image; --optimize runs the\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 verified folding passes, --shake prunes unreachable\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 code from the image\n\
-         \x20 asm     <file.dity>              show the VM assembly\n\
-         \x20 disasm  <file.tyco>              disassemble an image\n\
-         \x20 run     <file.dity|file.tyco>    run a single site to quiescence\n\
-         \x20 net     <spec.net> [--threaded] [--workers N] [--wall SECS] [--stats]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--code-cache N] [--shake] [--chaos-seed N]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--chaos-drop N] [--chaos-dup N] [--chaos-delay N]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 run a network description (--threaded uses the\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 M:N worker-pool scheduler; --stats prints per-site\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 SHIPM/SHIPO/FETCH and scheduler counters;\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --code-cache sets the per-node code store capacity\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 in images, 0 disables caching/dedup/coalescing;\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --chaos-* injects seeded packet faults, rates in\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 per-mille, extra latency via --chaos-delay-ns;\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 --ns-shards N partitions the name service over N\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 shard owners with lease caching, --ns-lease-ms sets\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 the lease TTL, --ns-central forces the centralized\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 baseline for A/B runs)\n\
-         \x20 net     <spec.net> --node LIST --peers ADDRS [--listen ADDR]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--wall SECS] [--hb-ms N] [--retries N] [--stats]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 run one process of a multi-process cluster over TCP\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (LIST: comma-separated node indices this process hosts)\n\
-         \x20 serve   <spec.net> --node LIST --listen ADDR [--peers ADDRS]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--wall SECS] [--hb-ms N] [--retries N] [--stats]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 host this process's nodes; linger until peers are gone\n\
-         \x20 shell                            interactive TyCOsh"
-    );
+    println!("usage: ditico <command>\n\ncommands:");
+    for cmd in COMMANDS {
+        let usage = cmd.usage();
+        println!(
+            "  {}",
+            usage.strip_prefix("usage: ditico ").unwrap_or(&usage)
+        );
+        for line in cmd.about.lines() {
+            println!("          {line}");
+        }
+    }
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -136,10 +235,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let path = args
-        .first()
-        .ok_or("usage: ditico check <file.dity> [--verify] [--lint] [--analyze] [--json]")?;
+fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or_else(|| cmd.usage())?;
     let json = args.iter().any(|a| a == "--json");
     let p = compile_file(path)?;
     if !json {
@@ -233,10 +330,8 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let path = args
-        .first()
-        .ok_or("usage: ditico compile <file.dity> [-o out.tyco] [--optimize] [--shake]")?;
+fn cmd_compile(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or_else(|| cmd.usage())?;
     let out = match args.iter().position(|a| a == "-o") {
         Some(i) => args.get(i + 1).cloned().ok_or("missing output after -o")?,
         None => {
@@ -275,15 +370,15 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_asm(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: ditico asm <file.dity>")?;
+fn cmd_asm(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or_else(|| cmd.usage())?;
     let p = compile_file(path)?;
     print!("{}", tyco_vm::emit_asm(&p.code));
     Ok(())
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: ditico disasm <file.tyco>")?;
+fn cmd_disasm(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or_else(|| cmd.usage())?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let prog = tyco_vm::image_from_bytes(bytes.into()).map_err(|e| e.to_string())?;
     print!("{}", tyco_vm::emit_asm(&prog));
@@ -305,11 +400,8 @@ fn load_program(path: &str, unchecked: bool) -> Result<tyco_vm::Program, String>
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or(
-        "usage: ditico run <file.dity|file.tyco> [--stats] [--opstats] [--trace] \
-         [--no-fuse] [--shake] [--unchecked]",
-    )?;
+fn cmd_run(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or_else(|| cmd.usage())?;
     let prog = load_program(path, args.iter().any(|a| a == "--unchecked"))?;
     let port = tyco_vm::LoopbackPort::new("main");
     // --no-fuse executes the byte-code exactly as compiled; the default
@@ -480,12 +572,8 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
 
 /// Apply the name-service flags: `--ns-shards N` switches the run to the
 /// sharded, lease-cached service (lease TTL from `--ns-lease-ms`, default
-/// 50 ms); `--ns-central` forces the centralized baseline even when shards
-/// were requested — the A/B knob for benchmarks.
+/// 50 ms); without it the run uses the paper's central service.
 fn ns_from_args(args: &[String], env: Env) -> Result<Env, String> {
-    if args.iter().any(|a| a == "--ns-central") {
-        return Ok(env);
-    }
     match num_flag(args, "--ns-shards")? {
         Some(s) if s > 0 => {
             let lease_ms = num_flag(args, "--ns-lease-ms")?.unwrap_or(50);
@@ -650,19 +738,14 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_net(args: &[String]) -> Result<(), String> {
-    const USAGE: &str =
-        "usage: ditico net <spec.net> [--threaded] [--workers N] [--wall SECS] [--stats]\n\
-         \x20      [--ns-shards N] [--ns-lease-ms N] [--ns-central]\n\
-         \x20      [--chaos-seed N] [--chaos-drop N] [--chaos-dup N] [--chaos-delay N]\n\
-         \x20      ditico net <spec.net> --node LIST --peers ADDRS [--listen ADDR] …";
-    let path = args.first().ok_or(USAGE)?;
+fn cmd_net(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or_else(|| cmd.usage())?;
     // Any transport flag switches to the multi-process runner.
     if ["--peers", "--listen", "--node"]
         .iter()
         .any(|f| args.iter().any(|a| a == f))
     {
-        return cmd_distributed(args, false);
+        return cmd_distributed(cmd, args, false);
     }
     let threaded = args.iter().any(|a| a == "--threaded");
     let show_stats = args.iter().any(|a| a == "--stats");
@@ -705,17 +788,9 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
 
 /// Run one process of a multi-process cluster over the TCP transport
 /// (`ditico net --node/--peers/--listen` and `ditico serve`).
-fn cmd_distributed(args: &[String], serve: bool) -> Result<(), String> {
-    let usage = if serve {
-        "usage: ditico serve <spec.net> --node LIST --listen ADDR [--peers ADDRS]\n\
-         \x20      [--wall SECS] [--hb-ms N] [--retries N] [--workers N] [--code-cache N]\n\
-         \x20      [--ns-shards N] [--ns-lease-ms N] [--ns-central] [--io-threads] [--stats]"
-    } else {
-        "usage: ditico net <spec.net> --node LIST --peers ADDRS [--listen ADDR]\n\
-         \x20      [--wall SECS] [--hb-ms N] [--retries N] [--workers N] [--code-cache N]\n\
-         \x20      [--ns-shards N] [--ns-lease-ms N] [--ns-central] [--io-threads] [--stats]"
-    };
-    let path = args.first().ok_or(usage)?;
+fn cmd_distributed(cmd: &Command, args: &[String], serve: bool) -> Result<(), String> {
+    let usage = cmd.usage();
+    let path = args.first().ok_or_else(|| usage.clone())?;
     let show_stats = args.iter().any(|a| a == "--stats");
     let node_list = string_flag(args, "--node")?
         .ok_or_else(|| format!("--node LIST is required for a multi-process run\n{usage}"))?;
@@ -779,11 +854,6 @@ fn cmd_distributed(args: &[String], serve: bool) -> Result<(), String> {
     if let Some(r) = num_flag(args, "--retries")? {
         cfg.max_retries = r as u32;
     }
-    if args.iter().any(|a| a == "--io-threads") {
-        // The thread-per-peer baseline, kept for A/B runs and as an
-        // escape hatch; the event loop is the default.
-        cfg.backend = ditico::IoBackend::Threads;
-    }
     let mut env = Env::new(topology);
     if let Some(w) = num_flag(args, "--workers")? {
         env = env.workers(w as usize);
@@ -808,9 +878,7 @@ fn cmd_distributed(args: &[String], serve: bool) -> Result<(), String> {
     let built = env
         .build_partition(&local_nodes)
         .map_err(|e| e.to_string())?;
-    if let Some(addr) = listen {
-        eprintln!("listening on {addr}, hosting node(s) {node_list}");
-    }
+    // `run_distributed` announces `listening on …` once the socket is bound.
     let report = built.run_distributed(cfg, std::time::Duration::from_secs(wall))?;
     print_report(&report, show_stats)
 }

