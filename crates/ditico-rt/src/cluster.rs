@@ -9,7 +9,9 @@
 //! [`Cluster::add_site`].
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
-use crate::daemon::{CodeCacheStats, Daemon, DaemonStats, TermCounters, DEFAULT_CODE_CACHE};
+use crate::daemon::{
+    CodeCacheStats, Daemon, DaemonCell, DaemonStats, TermCounters, DEFAULT_CODE_CACHE,
+};
 use crate::fabric::{Fabric, FabricMode, LinkProfile};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
@@ -17,10 +19,11 @@ use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
 use crate::site::{RtIncoming, RtPort, Site, SiteInterface};
 use crate::termination::{Snapshot, TerminationDetector};
 use crate::transport::{Transport, TransportConfig, TransportReport};
+use crate::wake::Notify;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tyco_vm::codec::Packet;
@@ -80,6 +83,25 @@ pub struct RunReport {
     /// Shard-map read failovers: lookups routed to a follower because the
     /// owning shard was suspected down (sharded name service only).
     pub ns_failovers: u64,
+    /// Who did the waking (real-thread runs; zero elsewhere).
+    pub wakes: WakeStats,
+}
+
+/// Wake-chain counters of a real-thread run: how often each party that
+/// can be woken per message actually was. Carried for regression tests
+/// (`tests/wake_chain.rs`); the CLI's `--stats` report does not print
+/// them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WakeStats {
+    /// Daemon pumps run on the thread that kicked the daemon (a worker
+    /// ending its slice, the net thread after a read, another daemon's
+    /// pump), summed over nodes.
+    pub inline_pumps: u64,
+    /// Turns in which a daemon's fallback thread found a kick nobody had
+    /// served, summed over nodes.
+    pub fallback_pumps: u64,
+    /// Times the environment loop evaluated its exit test.
+    pub env_evals: u64,
 }
 
 impl RunReport {
@@ -326,7 +348,8 @@ impl Cluster {
             daemon.enable_ns_sharding(map.clone());
         }
         daemon.set_ns_service_ns(self.ns_service_ns);
-        // Deliveries into this node's fabric inbox wake its daemon thread.
+        // Deliveries into this node's fabric inbox kick the daemon's waker
+        // (re-pointed at its combining cell when a real-thread run starts).
         self.fabric.set_waker(id, daemon.waker().clone());
         self.nodes.push(NodeCell {
             id,
@@ -790,10 +813,11 @@ impl Cluster {
         let serve = cfg.serve;
         let idle_grace = cfg.idle_grace;
         let dials_out = !cfg.peers.is_empty();
-        // Fallback probe period for the environment loop. The loop is
-        // event-driven — scheduler idle edges and transport topology
-        // edges both ping `shared.idle` — so this only bounds how stale
-        // the wire-counter stability check can get.
+        // Longest the environment loop parks between looks. Nothing on
+        // the data path wakes it — activity is stamped by whoever causes
+        // it and read here — and topology edges ping it directly, so this
+        // only bounds how stale the wire's *suspicion* verdicts (which
+        // ripen by the clock, not by an edge) can get.
         let env_tick = (idle_grace / 3)
             .min(cfg.hb_period)
             .clamp(Duration::from_millis(5), Duration::from_millis(100));
@@ -810,11 +834,13 @@ impl Cluster {
             self.fabric.set_chaos(None);
         }
 
-        // The exit policy of the doc comment, over local scheduler
-        // activity and the wire's data counters.
+        // The exit policy of the doc comment. "Quiet" is measured from
+        // stamps the actors leave — the worker that retired the last
+        // active site, the daemon or net loop that last moved a data
+        // packet — not from when this loop happened to notice: it is not
+        // woken per message, and an observer's clock would run late by
+        // up to one park.
         let shard_map = self.shard_map.clone();
-        let mut last_counters = transport.data_counters();
-        let mut stable_since = Instant::now();
         let report = self.run_pooled(Some(transport), wall_limit, |shared, transport| {
             let transport = transport.expect("distributed runs carry a transport");
             // The wire's failure verdicts steer shard-read failover the
@@ -823,11 +849,6 @@ impl Cluster {
                 for n in transport.suspects() {
                     m.mark_down(n);
                 }
-            }
-            let counters = transport.data_counters();
-            if counters != last_counters {
-                last_counters = counters;
-                stable_since = Instant::now();
             }
             let local_idle = shared.active_sites() == 0;
             if !serve && transport.all_remotes_down() {
@@ -845,39 +866,51 @@ impl Cluster {
                         && transport.report().peers_failed == 0,
                 );
             }
-            if !local_idle {
-                stable_since = Instant::now();
-            } else if serve {
-                // A server's work arrives over the wire: it stays up
-                // until at least one peer connected and all of them are
-                // gone again (then the usual idle+grace applies).
-                if transport.ever_connected()
-                    && transport.peers_all_gone()
-                    && stable_since.elapsed() >= idle_grace
-                {
-                    return ControlFlow::Break(true);
-                }
-            } else if (!dials_out || transport.ever_connected())
-                && stable_since.elapsed() >= idle_grace
-            {
-                // Never concluded while still dialing: the handshake
-                // itself may deliver the work.
-                return ControlFlow::Break(true);
+            // A server's work arrives over the wire: it stays up until
+            // at least one peer connected and all of them are gone
+            // again. A client never concludes while still dialing: the
+            // handshake itself may deliver the work.
+            let may_conclude = if serve {
+                transport.ever_connected() && transport.peers_all_gone()
+            } else {
+                !dials_out || transport.ever_connected()
+            };
+            if !(local_idle && may_conclude) {
+                return ControlFlow::Continue(env_tick);
             }
-            ControlFlow::Continue(env_tick)
+            // Read after `active_sites() == 0`, so the retirement that
+            // made it so is included.
+            let quiet_since = shared.last_retire().max(transport.last_data());
+            match idle_grace.checked_sub(quiet_since.elapsed()) {
+                None => ControlFlow::Break(true),
+                // Sleep out the rest of the grace, no longer.
+                Some(left) => ControlFlow::Continue(left.min(env_tick)),
+            }
         });
         Ok(report)
     }
 
     /// The one real-thread driver behind [`run_threaded`](Cluster::run_threaded)
     /// and [`run_distributed`](Cluster::run_distributed): sites on the
-    /// worker pool, one spin-then-park thread per daemon, and the caller's
-    /// thread as the environment loop. The two differ only in the carrier
-    /// (`transport`: `Some` rebinds every local daemon to the wire and
-    /// drops the cells of nodes hosted by peer processes) and in
-    /// `exit_test`, which the loop evaluates on every wakeup: `Break(q)`
-    /// ends the run with `quiescent = q`, `Continue(d)` parks on the
-    /// pool's idle `Notify` for at most `d`. `wall_limit` backstops it.
+    /// worker pool, every live daemon behind a [`DaemonCell`], and the
+    /// caller's thread as the environment loop.
+    ///
+    /// Nobody is woken to move a message. The cell is what sites and the
+    /// fabric kick, and a kick pumps the daemon on the kicking thread: a
+    /// worker's slice ends by routing and encoding its own sends, the net
+    /// thread delivers what it just read. Each daemon keeps a thread, but
+    /// only as its timer and backstop ([`DaemonCell::run_fallback`]).
+    ///
+    /// The two callers differ in the carrier (`transport`: `Some` rebinds
+    /// every local daemon to the wire and drops the cells of nodes hosted
+    /// by peer processes), in `exit_test`, which the loop evaluates on
+    /// every wakeup — `Break(q)` ends the run with `quiescent = q`,
+    /// `Continue(d)` parks for at most `d` — and in what a park waits on:
+    /// the pool's idle edges without a transport (they are the threaded
+    /// detector's probe points), the transport's topology edges with one
+    /// (the distributed policy needs quiet *after* an idle edge, which it
+    /// reads off the actors' stamps, so it is not woken per edge).
+    /// `wall_limit` backstops it.
     fn run_pooled(
         mut self,
         mut transport: Option<Transport>,
@@ -885,16 +918,19 @@ impl Cluster {
         mut exit_test: impl FnMut(&Shared, Option<&Transport>) -> ControlFlow<bool, Duration>,
     ) -> RunReport {
         self.fabric.start();
-        let stop = Arc::new(AtomicBool::new(false));
         let workers_n = self.sched.effective_workers();
         let slice_fuel = self.sched.slice_fuel;
 
-        // Flatten nodes into daemons + a site pool, remembering which
-        // daemon owns each site so its delivery wakeup can be bound to
-        // the scheduler's readiness protocol.
-        let mut daemons: Vec<(Daemon, bool)> = Vec::new();
+        // Flatten nodes into daemon cells + a site pool, remembering
+        // which cell owns each site so its delivery wakeup can be bound
+        // to the scheduler's readiness protocol. Every producer's kick
+        // moves from the daemon's bare `Notify` to its cell here: the
+        // sites' flushes and the fabric's deliveries. A node that is
+        // already dead gets no cell — its daemon is dropped, so its
+        // sites' sends fail and count as consumed.
+        let mut cells: Vec<Arc<DaemonCell>> = Vec::new();
         let mut sites: Vec<Site> = Vec::new();
-        let mut owner_of_slot: Vec<usize> = Vec::new();
+        let mut owner_of_slot: Vec<Option<usize>> = Vec::new();
         for cell in self.nodes.drain(..) {
             let NodeCell {
                 id,
@@ -911,69 +947,46 @@ impl Cluster {
                 }
                 daemon.set_fabric(Arc::new(t.handle()));
             }
-            let di = daemons.len();
-            daemons.push((daemon, dead));
-            for site in node_sites {
-                owner_of_slot.push(di);
+            let owner = (!dead).then(|| {
+                let cell = DaemonCell::new(daemon);
+                self.fabric.set_waker(id, cell.clone());
+                cells.push(cell);
+                cells.len() - 1
+            });
+            for mut site in node_sites {
+                if let Some(ci) = owner {
+                    site.machine.port.set_daemon_waker(cells[ci].clone());
+                }
+                owner_of_slot.push(owner);
                 sites.push(site);
             }
         }
         let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
         let shared = Shared::new(sites, workers_n);
-        if let Some(t) = &transport {
-            // One parking story: the transport pings the same Notify the
-            // scheduler's idle edge does, so a route install, connection
-            // death or dialer exhaustion wakes the environment loop at
-            // once instead of being discovered a poll later.
-            t.set_activity_notify(shared.idle.clone());
+        for (slot, (owner, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
+            if let Some(ci) = owner {
+                cells[*ci].set_site_waker(*id, Arc::new(shared.handle(slot as u32)));
+            }
         }
-        for (slot, (&di, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
-            daemons[di]
-                .0
-                .set_site_waker(*id, shared.handle(slot as u32));
-        }
+        // What the environment loop parks on (see the doc comment).
+        let env_park = match &transport {
+            Some(t) => {
+                let topology = Arc::new(Notify::new());
+                t.set_activity_notify(topology.clone());
+                topology
+            }
+            None => shared.idle.clone(),
+        };
 
         let mut daemon_threads = Vec::new();
-        for (mut daemon, dead) in daemons {
-            if dead {
-                continue;
-            }
-            let stop_d = stop.clone();
-            daemon_threads.push(std::thread::spawn(move || {
-                // Spin-then-park: while traffic flows, an empty pump
-                // yields (cheap handoff on few cores); a sustained lull
-                // parks on the daemon's waker — sites and the fabric
-                // notify it when they hand it work, so an idle daemon
-                // costs no scheduler quanta. The timeout only bounds
-                // stop-flag latency.
-                let t0d = Instant::now();
-                let clocked = daemon.needs_clock();
-                let mut lull = 0u32;
-                while !stop_d.load(Ordering::Relaxed) {
-                    // Lease TTLs run on the wall clock under threads.
-                    if clocked {
-                        daemon.set_now_ns(t0d.elapsed().as_nanos() as u64);
-                    }
-                    if daemon.pump() {
-                        lull = 0;
-                    } else {
-                        lull += 1;
-                        if lull > 2 {
-                            daemon.waker().wait_timeout(Duration::from_millis(1));
-                            // One refill tick per parked millisecond: the
-                            // bounded NeedCode re-ask/give-up ladder for
-                            // shipments parked on a restarted (and thus
-                            // cache-empty) peer.
-                            if daemon.has_pending_refills() {
-                                daemon.tick_refills();
-                            }
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                daemon
-            }));
+        for cell in &cells {
+            let cell = cell.clone();
+            daemon_threads.push(
+                std::thread::Builder::new()
+                    .name("tycod".into())
+                    .spawn(move || cell.run_fallback())
+                    .expect("spawn daemon fallback thread"),
+            );
         }
 
         let mut worker_threads = Vec::new();
@@ -989,12 +1002,13 @@ impl Cluster {
 
         let t0 = Instant::now();
         let chaos = self.chaos.clone();
+        let mut env_evals = 0u64;
         let quiescent = loop {
             // Chaos events fire against the wall clock here; kills and
             // restarts act at the locally hosted nodes' fabric endpoints
-            // (traffic blackholed/revived) — the daemons themselves are
-            // owned by their threads, and peer processes under chaos run
-            // their own plan against their own clock.
+            // (traffic blackholed/revived) — the daemons themselves stay
+            // in their cells, and peer processes under chaos run their
+            // own plan against their own clock.
             if let Some(ch) = &chaos {
                 for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
                     match ev {
@@ -1014,17 +1028,17 @@ impl Cluster {
                     }
                 }
             }
+            env_evals += 1;
             match exit_test(&shared, transport.as_ref()) {
                 ControlFlow::Break(quiescent) => break quiescent,
                 ControlFlow::Continue(_) if t0.elapsed() > wall_limit => break false,
-                ControlFlow::Continue(park) => shared.idle.wait_timeout(park),
+                ControlFlow::Continue(park) => env_park.wait_timeout(park),
             }
         };
         // Capture liveness verdicts *before* tearing the wire down.
         let suspects = transport
             .as_ref()
             .map_or_else(Vec::new, Transport::suspects);
-        stop.store(true, Ordering::Relaxed);
         shared.stop();
 
         let worker_aborts = join_workers(&shared, worker_threads);
@@ -1038,7 +1052,26 @@ impl Cluster {
             ..Default::default()
         };
         shared.for_each_site(|site| collect_site(&mut report, site));
-        join_daemons(&mut report, daemon_threads);
+        report.wakes.env_evals = env_evals;
+        // Retiring a cell takes its daemon out (later kicks, e.g. from a
+        // net thread still reading, find nothing to pump) and signals the
+        // fallback thread, which returns at once instead of sleeping out
+        // its park.
+        for cell in &cells {
+            let (inline, fallback) = cell.pumps();
+            report.wakes.inline_pumps += inline;
+            report.wakes.fallback_pumps += fallback;
+            if let Some(daemon) = cell.retire() {
+                report.daemon_stats.push(daemon.stats);
+            }
+        }
+        for h in daemon_threads {
+            if h.join().is_err() {
+                report
+                    .aborts
+                    .push("a daemon's fallback thread panicked".to_string());
+            }
+        }
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
         report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
         report.chaos = chaos.as_ref().map(|c| c.report());
@@ -1131,19 +1164,6 @@ fn join_workers(shared: &Arc<Shared>, workers: Vec<std::thread::JoinHandle<()>>)
         }
     }
     aborts
-}
-
-/// Join daemon threads, surviving panics: a lost daemon costs its node's
-/// statistics, not the run.
-fn join_daemons(report: &mut RunReport, daemons: Vec<std::thread::JoinHandle<Daemon>>) {
-    for h in daemons {
-        match h.join() {
-            Ok(daemon) => report.daemon_stats.push(daemon.stats),
-            Err(_) => report
-                .aborts
-                .push("a daemon thread panicked; its node's statistics are lost".to_string()),
-        }
-    }
 }
 
 fn collect_site(report: &mut RunReport, site: &Site) {

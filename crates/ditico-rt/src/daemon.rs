@@ -29,14 +29,16 @@ use crate::codecache::CodeCache;
 use crate::fabric::{FabricHandle, PacketFabric};
 use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
-use crate::sched::ReadyHandle;
+use crate::sched::STOP_LATENCY;
 use crate::site::RtIncoming;
-use crate::wake::Notify;
+use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tyco_vm::codec::{self, Packet};
 use tyco_vm::port::Incoming;
 use tyco_vm::wire::{WireCode, WireGroup, WireObj};
@@ -148,12 +150,22 @@ struct OutBuf {
     ready: Vec<Bytes>,
 }
 
+/// A local site as its daemon sees it: the inbox, plus the site's delivery
+/// wakeup (its scheduler [`crate::sched::ReadyHandle`]) once a
+/// real-thread run has bound one.
+struct LocalSite {
+    inbox: Sender<RtIncoming>,
+    waker: Option<Arc<dyn Wake>>,
+}
+
 /// The per-node communication daemon.
 pub struct Daemon {
     pub node: NodeId,
-    /// Inboxes of local sites, plus each site's scheduler readiness
-    /// handle once a real-thread run has bound one.
-    sites: HashMap<SiteId, (Sender<RtIncoming>, Option<ReadyHandle>)>,
+    sites: HashMap<SiteId, LocalSite>,
+    /// Wakeups of the sites the last pumps delivered to, not yet fired:
+    /// whoever pumped fires them once it has let go of the daemon (see
+    /// [`Daemon::take_woken`]).
+    woken: Vec<Arc<dyn Wake>>,
     /// Shared outgoing queue of all local sites.
     from_sites: Receiver<(SiteId, Packet)>,
     /// Inbound packets from other nodes.
@@ -170,7 +182,7 @@ pub struct Daemon {
     /// Reusable drain buffers for the two inbound queues.
     scratch_pkts: Vec<(SiteId, Packet)>,
     scratch_bytes: Vec<(NodeId, Bytes)>,
-    /// This daemon's own thread wakeup: sites and the fabric notify it.
+    /// What this daemon's fallback thread parks on (see [`Daemon::waker`]).
     waker: Arc<Notify>,
     /// Nodes hosting name-service replicas (primary chosen by
     /// `ns_primary`).
@@ -237,6 +249,7 @@ impl Daemon {
         Daemon {
             node,
             sites: HashMap::new(),
+            woken: Vec::new(),
             from_sites,
             from_fabric,
             fabric: Arc::new(fabric),
@@ -286,19 +299,33 @@ impl Daemon {
     /// binds it to a scheduler, delivery wakes nobody: deterministic runs
     /// pump every site round-robin.
     pub fn attach_site(&mut self, site: SiteId, inbox: Sender<RtIncoming>) {
-        self.sites.insert(site, (inbox, None));
+        self.sites.insert(site, LocalSite { inbox, waker: None });
     }
 
     /// Bind a site's delivery wakeup to the scheduler's readiness
     /// protocol (real-thread runs, before the workers start).
-    pub fn set_site_waker(&mut self, site: SiteId, waker: ReadyHandle) {
+    pub fn set_site_waker(&mut self, site: SiteId, waker: Arc<dyn Wake>) {
         if let Some(entry) = self.sites.get_mut(&site) {
-            entry.1 = Some(waker);
+            entry.waker = Some(waker);
         }
     }
 
-    /// This daemon thread's wakeup (sites and the fabric notify it when
-    /// they hand it work).
+    /// The wakeups of every site the pumps since the last call delivered
+    /// to, in delivery order. A pump never fires them itself: a woken
+    /// worker runs at once, and its slice ends by kicking this daemon —
+    /// which it must find unlocked. The pumper fires them after releasing
+    /// the daemon ([`DaemonCell`] does). Empty in deterministic runs,
+    /// where no site has a wakeup bound.
+    pub fn take_woken(&mut self) -> Vec<Arc<dyn Wake>> {
+        std::mem::take(&mut self.woken)
+    }
+
+    /// The `Notify` this daemon's fallback thread parks on. Nobody pumps
+    /// on it directly any more: a real-thread run wraps the daemon in a
+    /// [`DaemonCell`], whose kickers pump inline and signal this only
+    /// when they could not; until then (and in deterministic runs, where
+    /// the run loop pumps every round) sites and the fabric hold it as a
+    /// waker nobody waits on.
     pub fn waker(&self) -> &Arc<Notify> {
         &self.waker
     }
@@ -408,7 +435,9 @@ impl Daemon {
 
     /// Drain both queues once (each backlog moves under a single queue
     /// lock), then flush the per-site and per-destination outgoing
-    /// batches. Returns whether anything was processed.
+    /// batches. Returns whether anything was processed. Sites delivered
+    /// to are not woken here; their wakeups wait in
+    /// [`take_woken`](Daemon::take_woken).
     pub fn pump(&mut self) -> bool {
         let mut progress = self.drain_ns_backlog();
         let mut pkts = std::mem::take(&mut self.scratch_pkts);
@@ -829,8 +858,8 @@ impl Daemon {
         }
     }
 
-    /// Hand each site its buffered backlog: one inbox lock and one wakeup
-    /// per site per pump, order per site preserved.
+    /// Hand each site its buffered backlog: one inbox lock and one
+    /// (deferred) wakeup per site per pump, order per site preserved.
     fn flush_local(&mut self) {
         for (site, buf) in self.site_bufs.iter_mut() {
             if buf.is_empty() {
@@ -838,13 +867,14 @@ impl Daemon {
             }
             let n = buf.len() as u64;
             match self.sites.get(site) {
-                Some((tx, waker)) => match tx.send_iter(buf.drain(..)) {
+                Some(LocalSite { inbox, waker }) => match inbox.send_iter(buf.drain(..)) {
                     // Delivery first, wake second: the scheduler's
                     // readiness protocol relies on the inbox being
-                    // populated before `mark_ready` runs.
+                    // populated before `mark_ready` runs — and the wake
+                    // waits until the pumper has unlocked the daemon.
                     Ok(_) => {
                         if let Some(w) = waker {
-                            w.mark_ready();
+                            self.woken.push(w.clone());
                         }
                     }
                     // The site is gone (program exited); drop, like the
@@ -1365,5 +1395,162 @@ impl Daemon {
     fn deliver_to_site(&mut self, site: SiteId, item: RtIncoming) {
         self.stats.local_deliveries += 1;
         self.site_bufs.entry(site).or_default().push(item);
+    }
+}
+
+/// A live daemon in a real-thread run: one **combining cell** that every
+/// producer kicks and whoever wins the lock serves.
+///
+/// The paper's 3-step protocol says which party is *responsible* for
+/// queue → forward → queue, not that each step be a hand-off to another
+/// OS thread. So the cell is the [`Wake`] that sites
+/// ([`crate::site::RtPort::flush`]) and the fabric's routes hold: a kick
+/// raises `pending`, tries the lock, and if it wins pumps the daemon on
+/// the kicking thread until `pending` stays clear — a worker's slice ends
+/// by routing and encoding its own sends, the net thread decodes and
+/// delivers what it just read. A kick that loses the lock leaves
+/// `pending` raised for the holder, who re-checks it *after* unlocking,
+/// and signals the fallback thread ([`DaemonCell::run_fallback`]) as the
+/// backstop.
+///
+/// Site wakeups collected by the pumps ([`Daemon::take_woken`]) fire only
+/// after the lock is released. Fired under it, the woken worker preempts
+/// the holder, ends its slice with a kick that loses the lock, and falls
+/// back to the daemon thread on most calls (measured both ways in
+/// DESIGN.md §10).
+pub struct DaemonCell {
+    /// `None` once [`retire`](DaemonCell::retire)d.
+    daemon: Mutex<Option<Daemon>>,
+    /// A producer queued work no pump has looked at yet.
+    pending: AtomicBool,
+    fallback: Arc<Notify>,
+    /// Zero of the wall clock fed to clocked daemons.
+    epoch: Instant,
+    inline_pumps: AtomicU64,
+    fallback_pumps: AtomicU64,
+}
+
+impl DaemonCell {
+    /// Wrap `daemon`; its [`waker`](Daemon::waker) becomes the fallback
+    /// thread's park.
+    pub fn new(daemon: Daemon) -> Arc<DaemonCell> {
+        Arc::new(DaemonCell {
+            fallback: daemon.waker.clone(),
+            daemon: Mutex::new(Some(daemon)),
+            pending: AtomicBool::new(false),
+            epoch: Instant::now(),
+            inline_pumps: AtomicU64::new(0),
+            fallback_pumps: AtomicU64::new(0),
+        })
+    }
+
+    /// Lease TTLs and the modeled resolver run on the wall clock under
+    /// threads; every holder refreshes it before pumping.
+    fn set_clock(&self, d: &mut Daemon) {
+        if d.needs_clock() {
+            d.set_now_ns(self.epoch.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Let go of the daemon, *then* wake the sites its pumps delivered to
+    /// — in that order, whoever held it (see the type's docs).
+    fn release(mut guard: MutexGuard<'_, Option<Daemon>>) {
+        let woken = guard.as_mut().map(Daemon::take_woken).unwrap_or_default();
+        drop(guard);
+        for w in woken {
+            w.wake();
+        }
+    }
+
+    /// Body of the daemon's own thread — the timer and the backstop, no
+    /// longer the pump: it serves kicks that lost the lock, drains the
+    /// modeled resolver's backlog as its completions come due, and ticks
+    /// the `NeedCode` retry clock once per parked millisecond while
+    /// refills are outstanding. With neither timer armed it parks for
+    /// [`STOP_LATENCY`]. Returns once the cell is retired.
+    pub fn run_fallback(&self) {
+        loop {
+            let mut guard = self.daemon.lock();
+            let Some(d) = guard.as_mut() else {
+                return;
+            };
+            self.set_clock(d);
+            let kicked = self.pending.swap(false, Ordering::SeqCst);
+            if kicked {
+                self.fallback_pumps.fetch_add(1, Ordering::Relaxed);
+            }
+            if kicked || d.ns_backlog_next_due().is_some() {
+                d.pump();
+            }
+            if !kicked && d.has_pending_refills() {
+                d.tick_refills();
+            }
+            let timed = d.has_pending_refills() || d.ns_backlog_next_due().is_some();
+            Self::release(guard);
+            // A kick that lost the lock to this turn also signalled
+            // `fallback`: the wait below returns at once.
+            self.fallback.wait_timeout(if timed {
+                Duration::from_millis(1)
+            } else {
+                STOP_LATENCY
+            });
+        }
+    }
+
+    /// [`Daemon::set_site_waker`] on the daemon inside (the scheduler's
+    /// handles exist only once the sites, which already hold this cell,
+    /// are in the pool).
+    pub fn set_site_waker(&self, site: SiteId, waker: Arc<dyn Wake>) {
+        if let Some(d) = self.daemon.lock().as_mut() {
+            d.set_site_waker(site, waker);
+        }
+    }
+
+    /// Take the daemon out for its final statistics. The cell stays where
+    /// its producers can reach it but every later kick is a no-op, the
+    /// fallback thread returns, and the reference cycle cell → daemon →
+    /// fabric routes → cell is cut.
+    pub fn retire(&self) -> Option<Daemon> {
+        let daemon = self.daemon.lock().take();
+        self.fallback.notify();
+        daemon
+    }
+
+    /// `(inline, fallback)`: pumps run by the kicking thread, and turns
+    /// in which the fallback thread found a kick nobody had served.
+    pub fn pumps(&self) -> (u64, u64) {
+        (
+            self.inline_pumps.load(Ordering::Relaxed),
+            self.fallback_pumps.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl Wake for DaemonCell {
+    fn wake(&self) {
+        self.pending.store(true, Ordering::SeqCst);
+        loop {
+            // Pairs with the fence after the unlock below: of a kicker
+            // that fails this `try_lock` and the holder it lost to, at
+            // least one sees the other — the kick is never stranded.
+            fence(Ordering::SeqCst);
+            let Some(mut guard) = self.daemon.try_lock() else {
+                self.fallback.notify();
+                return;
+            };
+            let Some(d) = guard.as_mut() else {
+                return;
+            };
+            self.set_clock(d);
+            while self.pending.swap(false, Ordering::SeqCst) {
+                d.pump();
+                self.inline_pumps.fetch_add(1, Ordering::Relaxed);
+            }
+            Self::release(guard);
+            fence(Ordering::SeqCst);
+            if !self.pending.load(Ordering::SeqCst) {
+                return;
+            }
+        }
     }
 }

@@ -22,14 +22,17 @@
 //! lives in a read-mostly routing table separate from the event-queue
 //! state. An Ideal-mode [`FabricHandle::send`] therefore takes a shared
 //! read lock plus one channel lock — it never serializes against other
-//! links or against the Virtual/RealTime event heap. Senders can also
+//! links or against the Virtual/RealTime event heap. The destination's
+//! waker is cloned out of the table and kicked only after the read lock
+//! is dropped: in real-thread runs the kick *is* the destination daemon's
+//! pump, which sends through this table again. Senders can also
 //! batch: [`FabricHandle::send_batch`] moves a whole per-link backlog
 //! under a single routing lookup, one stats update and one inbox lock,
 //! preserving per-link FIFO order (the batch is drained in send order
 //! into a FIFO channel).
 
 use crate::chaos::{ChaosState, Fault};
-use crate::wake::Notify;
+use crate::wake::Wake;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -194,8 +197,9 @@ struct Route {
     tx: Option<Sender<(NodeId, Bytes)>>,
     /// Dead nodes drop all traffic (failure injection).
     dead: bool,
-    /// Parked daemon thread to wake on delivery (threaded runs).
-    waker: Option<Arc<Notify>>,
+    /// Kicked after a delivery into `tx`: the node's
+    /// [`crate::daemon::DaemonCell`] in real-thread runs.
+    waker: Option<Arc<dyn Wake>>,
 }
 
 /// Event-queue state shared by Virtual/RealTime scheduling. Ideal-mode
@@ -339,9 +343,9 @@ impl Fabric {
         rx
     }
 
-    /// Attach the waker of the node's daemon thread: deliveries into the
-    /// node's inbox notify it, so a parked daemon wakes without polling.
-    pub fn set_waker(&self, node: NodeId, waker: Arc<Notify>) {
+    /// Attach the node's daemon waker: every delivery into the node's
+    /// inbox is followed by one kick of it.
+    pub fn set_waker(&self, node: NodeId, waker: Arc<dyn Wake>) {
         let mut routes = self.routes.write();
         let route = routes.entry(node).or_insert(Route {
             tx: None,
@@ -464,21 +468,30 @@ fn deliver(routes: &Routes, due: Vec<Event>) -> usize {
     if due.is_empty() {
         return 0;
     }
-    let routes = routes.read();
     let mut delivered = 0;
-    for e in due {
-        if let Some(r) = routes.get(&e.to) {
-            if r.dead {
-                continue;
-            }
-            if let Some(tx) = &r.tx {
-                let _ = tx.send((e.from, e.payload));
-                delivered += 1;
-            }
-            if let Some(w) = &r.waker {
-                w.notify();
+    // One kick per destination, after the table is released.
+    let mut kicks: Vec<(NodeId, Arc<dyn Wake>)> = Vec::new();
+    {
+        let routes = routes.read();
+        for e in due {
+            if let Some(r) = routes.get(&e.to) {
+                if r.dead {
+                    continue;
+                }
+                if let Some(tx) = &r.tx {
+                    let _ = tx.send((e.from, e.payload));
+                    delivered += 1;
+                }
+                if let Some(w) = &r.waker {
+                    if !kicks.iter().any(|(n, _)| *n == e.to) {
+                        kicks.push((e.to, w.clone()));
+                    }
+                }
             }
         }
+    }
+    for (_, w) in kicks {
+        w.wake();
     }
     delivered
 }
@@ -544,13 +557,16 @@ impl FabricHandle {
                 .fetch_add(payload.len() as u64, Ordering::Relaxed);
             self.stats.sends.fetch_add(1, Ordering::Relaxed);
             if self.mode == FabricMode::Ideal {
+                let mut kick = None;
                 if let Some(r) = to_route {
                     if let Some(tx) = &r.tx {
                         let _ = tx.send((from, payload));
                     }
-                    if let Some(w) = &r.waker {
-                        w.notify();
-                    }
+                    kick = r.waker.clone();
+                }
+                drop(routes);
+                if let Some(w) = kick {
+                    w.wake();
                 }
                 return;
             }
@@ -597,16 +613,20 @@ impl FabricHandle {
         self.stats.batched_packets.fetch_add(n, Ordering::Relaxed);
         match self.mode {
             FabricMode::Ideal => {
-                let routes = self.routes.read();
-                if let Some(r) = routes.get(&to) {
-                    if let Some(tx) = &r.tx {
-                        let _ = tx.send_iter(batch.drain(..).map(|p| (from, p)));
-                    }
-                    if let Some(w) = &r.waker {
-                        w.notify();
+                let mut kick = None;
+                {
+                    let routes = self.routes.read();
+                    if let Some(r) = routes.get(&to) {
+                        if let Some(tx) = &r.tx {
+                            let _ = tx.send_iter(batch.drain(..).map(|p| (from, p)));
+                        }
+                        kick = r.waker.clone();
                     }
                 }
                 batch.clear();
+                if let Some(w) = kick {
+                    w.wake();
+                }
             }
             _ => {
                 let mut s = self.shared.lock();

@@ -8,6 +8,8 @@
 //!   network port);
 //! * [`daemon`] — TyCOd, the per-node communication daemon: shared-memory
 //!   local delivery, byte-encoded remote forwarding, name-service hosting;
+//!   and the combining cell ([`daemon::DaemonCell`]) that lets whoever
+//!   hands a daemon work pump it, instead of waking a thread to;
 //! * [`codecache`] — the node-level content-addressed store for mobile
 //!   code backing single-flight fetch coalescing, wire-level dedup and
 //!   verify-once linking;
@@ -53,9 +55,9 @@ pub mod transport;
 pub mod wake;
 
 pub use chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, ChaosState};
-pub use cluster::{Cluster, RunLimits, RunReport};
+pub use cluster::{Cluster, RunLimits, RunReport, WakeStats};
 pub use codecache::CodeCache;
-pub use daemon::{CodeCacheStats, Daemon, DaemonStats, TermCounters};
+pub use daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats, TermCounters};
 pub use fabric::{Fabric, FabricHandle, FabricMode, FabricStats, LinkProfile, PacketFabric};
 pub use failure::FailureMonitor;
 pub use namecache::{NameCache, NameCacheStats};
@@ -64,4 +66,4 @@ pub use sched::{SchedConfig, SchedStats};
 pub use site::{RtIncoming, RtPort, Site, SiteInterface, SliceOutcome};
 pub use termination::{Snapshot, TerminationDetector};
 pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig, TransportReport};
-pub use wake::Notify;
+pub use wake::{Notify, Wake};

@@ -9,15 +9,26 @@
 //!
 //! Design points, argued in DESIGN.md §15:
 //!
-//! * **Zero-copy inbound.** Reads land directly in a per-connection
-//!   `BytesMut` tail; once at least one complete frame is buffered the
+//! * **Exactly-sized inbound, views from there on.** Every `read` lands
+//!   in one [`READ_CHUNK`] scratch buffer the loop owns for its lifetime,
+//!   and only the bytes that arrived are appended to the connection's
+//!   accumulator — two copies per byte (kernel → scratch → accumulator),
+//!   and no allocation or zero-fill sized by the chunk: a 57-byte RPC
+//!   frame costs a 57-byte accumulator, not a fresh 64 KB one per
+//!   readable event. Once at least one complete frame is buffered the
 //!   accumulator is frozen and frames are carved off as [`Bytes`] views
-//!   (`codec::decode_frame_view`), so a payload crosses from kernel to
-//!   daemon with a single copy at the `read` call. The partial tail, if
-//!   any, is copied into the next accumulator — bounded by one frame,
-//!   amortized O(1) per byte. Payloads tiny relative to the accumulator
+//!   (`codec::decode_frame_view`), so from the accumulator to the daemon
+//!   a payload is not copied again. The partial tail, if any, is copied
+//!   into the next accumulator — bounded by one frame, amortized O(1)
+//!   per byte. Payloads tiny relative to the accumulator's *allocation*
 //!   are copied out rather than handed over as views, so a retained
-//!   small payload never pins the whole read buffer ([`PIN_DENOM`]).
+//!   small payload never pins a big read buffer ([`PIN_DENOM`]).
+//! * **One injection per readable event.** The data frames a readable
+//!   event admits are handed to the local fabric together — one
+//!   `send_batch` and one kick of the destination daemon per `(from, to)`
+//!   run — and that kick pumps the daemon on this thread: what was just
+//!   read is decoded, delivered and its sites marked ready before the
+//!   loop looks at the next socket.
 //! * **Writable-gated vectored output.** Each connection keeps a deque
 //!   of ready frame buffers; flushes gather up to [`MAX_IOV`] of them
 //!   into one `write_vectored`. `EWOULDBLOCK` registers writable
@@ -28,7 +39,7 @@
 //!   connect timeout and reconnect backoff are wheel deadlines. One dead
 //!   peer costs one quiet socket, never a blocked thread.
 
-use super::{backoff_delay, handle_frame, io_err, Inner, PeerConn};
+use super::{backoff_delay, handle_frame, inject_admitted, io_err, Admitted, Inner, PeerConn};
 use crate::poller::{
     connect_start, ConnectStart, Event, Interest, PendingConnect, Poller, TimerId, TimerWheel,
     WakeReader,
@@ -49,7 +60,8 @@ const TOKEN_LISTENER: usize = 1;
 /// Connection/dial slots start here; `token - SLOT_BASE` indexes `slots`.
 const SLOT_BASE: usize = 2;
 
-/// Bytes appended to the read accumulator per `read` call.
+/// Most bytes one `read` call takes off a socket (the size of the loop's
+/// scratch buffer).
 const READ_CHUNK: usize = 64 * 1024;
 /// Reads per readiness event before yielding to other connections —
 /// level-triggered polling re-reports leftover data, so fairness costs
@@ -58,13 +70,14 @@ const READ_BUDGET: usize = 4;
 /// Buffers gathered into one `write_vectored` (well under IOV_MAX).
 const MAX_IOV: usize = 64;
 /// Pin-amplification bound for zero-copy payload views: a decoded
-/// payload smaller than `1/PIN_DENOM` of its backing read accumulator is
-/// copied out instead of handed over as a view. A retained `Bytes` then
-/// pins at most `PIN_DENOM`× its own size — never the whole multi-frame
-/// accumulator (up to `READ_BUDGET × READ_CHUNK`) on behalf of one small
-/// long-lived payload. Large payloads, where the copy would actually
-/// cost something, stay zero-copy: they already *are* most of the buffer
-/// they pin.
+/// payload smaller than `1/PIN_DENOM` of the allocation backing its read
+/// accumulator (its capacity, which freezing keeps — not merely the bytes
+/// in use) is copied out instead of handed over as a view. A retained
+/// `Bytes` then pins at most `PIN_DENOM`× its own size — never the whole
+/// multi-frame accumulator (up to `READ_BUDGET × READ_CHUNK`) on behalf
+/// of one small long-lived payload. Large payloads, where the copy would
+/// actually cost something, stay zero-copy: they already *are* most of
+/// the buffer they pin.
 const PIN_DENOM: usize = 8;
 /// Park ceiling: bounds stop-flag latency even if the wheel is empty.
 const MAX_PARK: Duration = Duration::from_millis(500);
@@ -127,6 +140,13 @@ struct NetLoop {
     free: Vec<usize>,
     dialers: Vec<Dialer>,
     wheel: TimerWheel<Timer>,
+    /// Where every `read` lands before the bytes that arrived are
+    /// appended to the connection's accumulator.
+    scratch: Vec<u8>,
+    /// Data frames admitted by the readable event being served, and the
+    /// scratch their payloads are batched in on the way into the fabric.
+    admitted: Admitted,
+    batch: Vec<Bytes>,
 }
 
 /// The poller with the wake pipe and listener already registered. Built
@@ -184,6 +204,9 @@ pub(super) fn run(inner: Arc<Inner>, io: NetIo) {
         free: Vec::new(),
         dialers,
         wheel: TimerWheel::new(Duration::from_millis(5), 256),
+        scratch: vec![0; READ_CHUNK],
+        admitted: Vec::new(),
+        batch: Vec::new(),
     };
     // Every dial starts NOW, concurrently — nothing serializes one
     // peer's connect behind another's.
@@ -431,31 +454,20 @@ impl NetLoop {
                 return;
             };
             for _ in 0..READ_BUDGET {
-                // Read straight into the accumulator's tail — no scratch
-                // buffer, no second copy.
-                let len = c.rbuf.len();
-                c.rbuf.resize(len + READ_CHUNK, 0);
-                match c.sock.read(&mut c.rbuf[len..]) {
+                match c.sock.read(&mut self.scratch) {
                     Ok(0) => {
-                        c.rbuf.truncate(len);
                         dead = true; // peer closed
                         break;
                     }
                     Ok(n) => {
-                        c.rbuf.truncate(len + n);
+                        c.rbuf.extend_from_slice(&self.scratch[..n]);
                         if n < READ_CHUNK {
                             break; // drained for now
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        c.rbuf.truncate(len);
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                        c.rbuf.truncate(len);
-                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        c.rbuf.truncate(len);
                         dead = true;
                         break;
                     }
@@ -466,6 +478,9 @@ impl NetLoop {
         if self.parse_frames(idx).is_err() {
             dead = true;
         }
+        // Whatever this event admitted goes in as one batch — also when
+        // the stream turned corrupt after it.
+        inject_admitted(&self.inner, &mut self.admitted, &mut self.batch);
         if dead {
             self.kill_conn(idx);
         }
@@ -485,20 +500,21 @@ impl NetLoop {
     }
 
     fn parse_frames(&mut self, idx: usize) -> std::io::Result<()> {
-        let (buf, peer, mut got_hello) = {
+        let (buf, acc_alloc, peer, mut got_hello) = {
             let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
                 return Ok(());
             };
             if !Self::has_actionable_frame(&c.rbuf) {
                 return Ok(()); // keep accumulating in place
             }
+            let acc_alloc = c.rbuf.capacity();
             (
                 std::mem::take(&mut c.rbuf).freeze(),
+                acc_alloc,
                 c.peer.clone(),
                 c.got_hello,
             )
         };
-        let acc_len = buf.len();
         let mut cur = buf;
         let mut res = Ok(());
         loop {
@@ -512,10 +528,16 @@ impl NetLoop {
                     // daemon retaining it would pin the whole accumulator:
                     // bound the amplification by copying it out (see
                     // `PIN_DENOM`).
-                    if frame.payload.len() * PIN_DENOM < acc_len {
+                    if frame.payload.len() * PIN_DENOM < acc_alloc {
                         frame.payload = Bytes::copy_from_slice(&frame.payload);
                     }
-                    if let Err(e) = handle_frame(&self.inner, &peer, frame, &mut got_hello) {
+                    if let Err(e) = handle_frame(
+                        &self.inner,
+                        &peer,
+                        frame,
+                        &mut got_hello,
+                        &mut self.admitted,
+                    ) {
                         res = Err(e);
                         break;
                     }

@@ -51,15 +51,20 @@
 //!    (active) or the packet is still uncounted-consumed (unbalanced).
 //!
 //! The last worker to retire a site (active count hits zero) signals
-//! [`Shared::idle`], which drives the environment thread's termination
-//! probes event-style instead of on a 1 ms poll quantum.
+//! [`Shared::idle`], which drives the threaded environment loop's
+//! termination probes event-style instead of on a 1 ms poll quantum.
+//! Every retirement also stamps the time ([`Shared::last_retire`]): the
+//! distributed environment loop, which needs a stretch of quiet *after*
+//! an idle edge rather than the edge itself, reads the stamp when it next
+//! looks instead of being woken per edge.
 
 use crate::site::Site;
-use crate::wake::Notify;
+use crate::wake::{Notify, Wake};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tyco_vm::VmError;
 
 /// Sentinel for [`Shared::running`]: the worker is not pumping any slot.
@@ -158,12 +163,17 @@ pub struct Shared {
     /// Sites in state QUEUED/RUNNING/DIRTY. The transition to zero is the
     /// pool's idle edge.
     active: AtomicUsize,
-    /// Signaled on the active-count zero edge (and on stop): drives the
-    /// environment thread's termination probes. An `Arc` so the TCP
-    /// transport can share it as its activity notify — the environment
-    /// thread then parks on one primitive for both "the sites went idle"
-    /// and "the wire changed shape" (see `Transport::set_activity_notify`).
+    /// Signaled on the active-count zero edge (and on stop): what the
+    /// threaded environment loop parks on between Mattern probes. (The
+    /// distributed loop does not — see [`Shared::last_retire`].)
     pub idle: Arc<Notify>,
+    /// Start of the run: the zero of `last_retire_ns`.
+    epoch: Instant,
+    /// When a worker last retired a site, in ns since `epoch`. Stored
+    /// *before* the retiring decrement of `active`, so whoever reads
+    /// `active == 0` afterwards also reads the stamp of the retirement
+    /// that made it so.
+    last_retire_ns: AtomicU64,
     stop: AtomicBool,
     // Counters.
     steals: AtomicU64,
@@ -196,6 +206,8 @@ impl Shared {
             running: (0..workers).map(|_| AtomicU32::new(NO_SLOT)).collect(),
             active: AtomicUsize::new(n),
             idle: Arc::new(Notify::new()),
+            epoch: Instant::now(),
+            last_retire_ns: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             steals: AtomicU64::new(0),
             injector_pushes: AtomicU64::new(n as u64),
@@ -221,6 +233,14 @@ impl Shared {
     /// Number of currently active (queued or running) sites.
     pub fn active_sites(&self) -> usize {
         self.active.load(Ordering::SeqCst)
+    }
+
+    /// When a worker last retired a site (the start of the run if none
+    /// has yet). Read after seeing [`active_sites`](Shared::active_sites)
+    /// at zero, this is when the pool went idle — stamped by the worker
+    /// that did it, not by whoever noticed.
+    pub fn last_retire(&self) -> Instant {
+        self.epoch + Duration::from_nanos(self.last_retire_ns.load(Ordering::SeqCst))
     }
 
     /// Ask every worker to exit and wake them all.
@@ -324,6 +344,12 @@ pub struct ReadyHandle {
     slot: u32,
 }
 
+impl Wake for ReadyHandle {
+    fn wake(&self) {
+        self.mark_ready();
+    }
+}
+
 impl ReadyHandle {
     pub fn mark_ready(&self) {
         let st = &self.shared.slots[self.slot as usize].state;
@@ -356,6 +382,11 @@ impl ReadyHandle {
         }
     }
 }
+
+/// Longest park of a thread whose wakeups are all explicit (workers,
+/// the daemons' fallback threads): bounds how late it notices the stop
+/// flag if a teardown signal were ever missed, nothing else.
+pub(crate) const STOP_LATENCY: Duration = Duration::from_millis(100);
 
 /// How many injector entries a worker moves to its local queue per grab.
 const INJECTOR_BATCH: usize = 32;
@@ -411,8 +442,7 @@ impl Worker {
                     }
                     // The timeout only bounds worst-case stop latency; the
                     // normal path is an explicit unpark.
-                    self.shared.wakers[self.index]
-                        .wait_timeout(std::time::Duration::from_millis(100));
+                    self.shared.wakers[self.index].wait_timeout(STOP_LATENCY);
                     self.unregister_parked();
                 }
             }
@@ -535,6 +565,8 @@ impl Worker {
             .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
         {
             Ok(_) => {
+                let now = self.shared.epoch.elapsed().as_nanos() as u64;
+                self.shared.last_retire_ns.fetch_max(now, Ordering::SeqCst);
                 if self.shared.active.fetch_sub(1, Ordering::SeqCst) == 1 {
                     // Pool idle edge: let the environment thread probe.
                     self.shared.idle.notify();

@@ -7,7 +7,7 @@
 //! fills.
 
 use crate::daemon::TermCounters;
-use crate::wake::Notify;
+use crate::wake::Wake;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -61,8 +61,11 @@ pub struct RtPort {
     /// pushes the whole backlog to the daemon under one queue lock, once
     /// per pump slice. FIFO order is that of the port calls.
     outgoing: Vec<Packet>,
-    /// The daemon thread to wake when a flush hands it packets.
-    daemon_waker: Arc<Notify>,
+    /// Kicked when a flush hands the daemon packets. In real-thread runs
+    /// this is the daemon's [`crate::daemon::DaemonCell`], so the flushing
+    /// worker routes and encodes its own sends before the slice returns;
+    /// in deterministic runs nobody answers it (the run loop pumps).
+    daemon_waker: Arc<dyn Wake>,
     /// Resolved imports: (site, name, kind) → value; filled when replies
     /// arrive so re-executed `import` instructions answer `Ready`.
     cache: HashMap<(String, String, ImportKind), WireWord>,
@@ -80,7 +83,7 @@ impl RtPort {
         lexeme: String,
         out: Sender<(SiteId, Packet)>,
         inbox: Receiver<RtIncoming>,
-        daemon_waker: Arc<Notify>,
+        daemon_waker: Arc<dyn Wake>,
         term: Arc<TermCounters>,
     ) -> RtPort {
         RtPort {
@@ -99,6 +102,12 @@ impl RtPort {
         }
     }
 
+    /// Re-point the flush kick (real-thread runs bind it to the daemon's
+    /// combining cell before the workers start).
+    pub fn set_daemon_waker(&mut self, waker: Arc<dyn Wake>) {
+        self.daemon_waker = waker;
+    }
+
     /// Attach the site's statically inferred interface; subsequent
     /// registrations and imports carry the matching type stamps.
     pub fn set_interface(&mut self, interface: SiteInterface) {
@@ -111,7 +120,7 @@ impl RtPort {
     }
 
     /// Flush the outgoing batch to the daemon: one queue lock for the
-    /// whole backlog, then one wakeup. Called at the end of every
+    /// whole backlog, then one kick. Called at the end of every
     /// [`Site::pump`] slice (and after import re-issue).
     pub fn flush(&mut self) {
         if self.outgoing.is_empty() {
@@ -123,7 +132,7 @@ impl RtPort {
             .out
             .send_iter(self.outgoing.drain(..).map(|p| (site, p)))
         {
-            Ok(_) => self.daemon_waker.notify(),
+            Ok(_) => self.daemon_waker.wake(),
             // A failed send means the daemon is gone (node shut down); the
             // packets are dropped, which is the behaviour of a dead node.
             Err(_) => {

@@ -18,10 +18,11 @@
 //! buffer), writes are vectored and gated on `writable` readiness with
 //! explicit backpressure, and heartbeats / reconnect backoff / connect
 //! timeouts are deadlines on a timer wheel instead of sleeping threads.
-//! Inbound traffic is injected into the in-process fabric, whose
-//! delivery path wakes the owning daemon's [`crate::wake::Notify`] and,
-//! through it, the M:N scheduler's ready-marking — socket readiness and
-//! site readiness share one worker pool and one parking story.
+//! Inbound traffic is injected into the in-process fabric — everything
+//! one readable event admitted as one batch — whose delivery path kicks
+//! the owning daemon's [`crate::daemon::DaemonCell`]: the `tyco-net`
+//! thread itself decodes and delivers what it just read and marks the
+//! destination sites ready on the M:N scheduler.
 //!
 //! The loop is built on epoll, so the TCP transport is **Linux-only**:
 //! elsewhere [`Transport::start`] returns an error (deterministic and
@@ -182,6 +183,9 @@ pub struct TransportReport {
     /// Outbound packets dropped because every route to the destination
     /// was declared permanently down or departed (subset of `dropped`).
     pub dropped_perma: u64,
+    /// Topology edges signalled to the environment loop: routes
+    /// installed, connections dropped, dialers exhausted.
+    pub topology_edges: u64,
 }
 
 #[derive(Debug, Default)]
@@ -201,6 +205,11 @@ pub(crate) struct Stats {
     pub(crate) outq_hwm: AtomicU64,
     pub(crate) flush_stalls: AtomicU64,
     pub(crate) dropped_perma: AtomicU64,
+    pub(crate) topology_edges: AtomicU64,
+    /// When a data packet last went out to or was admitted from the wire,
+    /// in ns since `Inner::epoch`; stamped where `data_out` / `data_in`
+    /// are counted.
+    pub(crate) last_data_ns: AtomicU64,
 }
 
 /// Bounded MPSC of ready-to-write frame buffers. The event loop never
@@ -315,8 +324,8 @@ struct Inner {
     dirty: Mutex<Vec<Arc<PeerConn>>>,
     /// Topology-edge observer: notified when routes appear, connections
     /// die or dialers give up, so the environment loop re-evaluates its
-    /// exit conditions event-driven instead of on a fixed poll. Shared
-    /// with the scheduler's pool-idle `Notify` in distributed runs.
+    /// exit conditions event-driven instead of on a fixed poll. Data
+    /// traffic never pings it; that only stamps `Stats::last_data_ns`.
     activity: Mutex<Option<Arc<Notify>>>,
     /// Fault-injection hook for outbound traffic (the chaos harness).
     /// Distributed runs install chaos here, at the wire, and leave the
@@ -351,9 +360,18 @@ impl Inner {
     /// Tell whoever watches topology edges (the distributed env loop)
     /// that an exit condition may have changed.
     fn notify_activity(&self) {
-        if let Some(n) = self.activity.lock().as_ref() {
+        self.stats.topology_edges.fetch_add(1, Ordering::Relaxed);
+        let observer = self.activity.lock().clone();
+        if let Some(n) = observer {
             n.notify();
         }
+    }
+
+    /// Stamp "a data packet just crossed the wire boundary" — the actor's
+    /// half of the environment loop's quiet clock.
+    fn stamp_data(&self) {
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        self.stats.last_data_ns.store(now, Ordering::SeqCst);
     }
 
     /// Record a successful push onto `conn`'s queue: track the deepest
@@ -599,6 +617,7 @@ impl Inner {
             outq_hwm: s.outq_hwm.load(Ordering::Relaxed),
             flush_stalls: s.flush_stalls.load(Ordering::Relaxed),
             dropped_perma: s.dropped_perma.load(Ordering::Relaxed),
+            topology_edges: s.topology_edges.load(Ordering::Relaxed),
         }
     }
 }
@@ -618,6 +637,7 @@ impl PacketFabric for NetHandle {
             return;
         }
         self.inner.stats.data_out.fetch_add(1, Ordering::Relaxed);
+        self.inner.stamp_data();
         let frame = codec::encode_frame(from, to, &payload);
         self.inner.queue_frame(from, to, frame, 1);
     }
@@ -635,6 +655,7 @@ impl PacketFabric for NetHandle {
         // one write — FIFO order preserved.
         let n = batch.len() as u64;
         self.inner.stats.data_out.fetch_add(n, Ordering::Relaxed);
+        self.inner.stamp_data();
         let total: usize = batch.iter().map(|b| b.len() + 12).sum();
         let mut buf = BytesMut::with_capacity(total);
         for p in batch.drain(..) {
@@ -743,13 +764,14 @@ impl Transport {
         self.inner.local.contains(&node)
     }
 
-    /// (data frames out, data frames in) — the env loop watches these for
-    /// wire stability before declaring the computation idle.
-    pub fn data_counters(&self) -> (u64, u64) {
-        (
-            self.inner.stats.data_out.load(Ordering::Relaxed),
-            self.inner.stats.data_in.load(Ordering::Relaxed),
-        )
+    /// When a data packet last left for or arrived from the wire (the
+    /// transport's start if none has): stamped by the sending daemon and
+    /// the admitting net loop themselves, so the environment loop reads
+    /// how long the wire has been quiet without having been woken for
+    /// the traffic.
+    pub fn last_data(&self) -> Instant {
+        let ns = self.inner.stats.last_data_ns.load(Ordering::SeqCst);
+        self.inner.epoch + Duration::from_nanos(ns)
     }
 
     pub fn ever_connected(&self) -> bool {
@@ -765,10 +787,8 @@ impl Transport {
     }
 
     /// Register the `Notify` to ping when a topology edge lands (route
-    /// installed, connection died, dialer gave up). `run_distributed`
-    /// passes the scheduler pool's idle `Notify` here, so the
-    /// environment loop has exactly one thing to park on for both "the
-    /// sites went idle" and "the wire changed shape".
+    /// installed, connection died, dialer gave up): what the distributed
+    /// environment loop parks on. Nothing on the data path touches it.
     pub fn set_activity_notify(&self, n: Arc<Notify>) {
         *self.inner.activity.lock() = Some(n);
     }
@@ -814,15 +834,20 @@ fn io_err(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
+/// Data frames one readable event admitted, in arrival order, waiting to
+/// be injected into the local fabric by [`inject_admitted`].
+type Admitted = Vec<(NodeId, NodeId, Bytes)>;
+
 /// Consume one inbound frame: control frames (Hello, Heartbeat) update
-/// routing and liveness here; data frames are verifier-screened and
-/// injected into the local fabric; the `payload` is a zero-copy view of
+/// routing and liveness here; data frames are verifier-screened and, if
+/// admitted, appended to `admitted`; the `payload` is a zero-copy view of
 /// the event loop's read buffer.
 fn handle_frame(
     inner: &Arc<Inner>,
     conn: &Arc<PeerConn>,
     frame: codec::Frame,
     got_hello: &mut bool,
+    admitted: &mut Admitted,
 ) -> std::io::Result<()> {
     inner.stats.frames_in.fetch_add(1, Ordering::Relaxed);
     inner
@@ -881,7 +906,7 @@ fn handle_frame(
                 inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
             } else {
                 inner.stats.data_in.fetch_add(1, Ordering::Relaxed);
-                inner.local_fabric.send(frame.from, frame.to, frame.payload);
+                admitted.push((frame.from, frame.to, frame.payload));
             }
         }
         Err(_) => {
@@ -889,6 +914,26 @@ fn handle_frame(
         }
     }
     Ok(())
+}
+
+/// Inject everything one readable event admitted: one `send_batch` — one
+/// inbox lock, one kick of the destination daemon — per run of frames on
+/// the same `(from, to)` link, in arrival order. `batch` is the caller's
+/// reusable scratch (left empty).
+fn inject_admitted(inner: &Inner, admitted: &mut Admitted, batch: &mut Vec<Bytes>) {
+    if admitted.is_empty() {
+        return;
+    }
+    inner.stamp_data();
+    let mut link = (admitted[0].0, admitted[0].1);
+    for (from, to, payload) in admitted.drain(..) {
+        if (from, to) != link {
+            inner.local_fabric.send_batch(link.0, link.1, batch);
+            link = (from, to);
+        }
+        batch.push(payload);
+    }
+    inner.local_fabric.send_batch(link.0, link.1, batch);
 }
 
 #[cfg(test)]

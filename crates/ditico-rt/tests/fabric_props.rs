@@ -2,9 +2,91 @@
 //! under random topologies, sizes and link profiles, in virtual time.
 
 use bytes::Bytes;
+use crossbeam::channel::Receiver;
 use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile};
+use ditico_rt::wake::Wake;
 use proptest::prelude::*;
+use std::sync::{Arc, Barrier, Mutex};
 use tyco_vm::word::NodeId;
+
+/// Send `flushes` on the link `from → to`, numbering the payloads from
+/// 0: each entry is one flush, 0 = a single `send`, n > 0 = a
+/// `send_batch` of n. Returns how many payloads went out.
+fn send_flushes(fabric: &Fabric, from: NodeId, to: NodeId, flushes: &[usize]) -> u8 {
+    let h = fabric.handle();
+    let mut seq: u8 = 0;
+    for batch_len in flushes {
+        if *batch_len == 0 {
+            h.send(from, to, Bytes::from(vec![seq]));
+            seq += 1;
+        } else {
+            let mut batch: Vec<Bytes> = (0..*batch_len)
+                .map(|i| Bytes::from(vec![seq + i as u8]))
+                .collect();
+            seq += *batch_len as u8;
+            h.send_batch(from, to, &mut batch);
+            assert!(batch.is_empty(), "send_batch drains its input");
+        }
+    }
+    seq
+}
+
+/// A destination waker that does what a daemon's cell does when kicked:
+/// drains the node's inbox, on the kicking thread.
+struct DrainOnKick {
+    inbox: Receiver<(NodeId, Bytes)>,
+    log: Mutex<Vec<(NodeId, u8)>>,
+}
+
+impl Wake for DrainOnKick {
+    fn wake(&self) {
+        let mut log = self.log.lock().unwrap();
+        log.extend(self.inbox.try_iter().map(|(from, b)| (from, b[0])));
+    }
+}
+
+/// The batched-flush ordering contract with the kick in the picture: two
+/// threads flush their own links into one node at once, every flush
+/// kicks the node's waker from the flushing thread (after the routing
+/// table is released — the kick sends through the same fabric in real
+/// runs), and each link still arrives whole and in send order.
+#[test]
+fn fifo_across_batched_flushes_from_two_kicking_threads() {
+    let flushes: [&[usize]; 2] = [
+        &[3, 0, 0, 7, 1, 0, 5, 2, 0, 4],
+        &[0, 6, 0, 2, 2, 0, 7, 0, 3, 1],
+    ];
+    for _ in 0..200 {
+        let fabric = Arc::new(Fabric::new(FabricMode::Ideal, LinkProfile::ideal()));
+        let node = Arc::new(DrainOnKick {
+            inbox: fabric.register_node(NodeId(2)),
+            log: Mutex::new(Vec::new()),
+        });
+        fabric.set_waker(NodeId(2), node.clone());
+        let start = Arc::new(Barrier::new(2));
+        let senders: Vec<_> = (0..2u32)
+            .map(|i| {
+                let (fabric, start) = (fabric.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    send_flushes(&fabric, NodeId(i), NodeId(2), flushes[i as usize])
+                })
+            })
+            .collect();
+        let sent: Vec<u8> = senders.into_iter().map(|h| h.join().unwrap()).collect();
+        // Every flush was followed by its kick, so nothing is left over.
+        assert!(node.inbox.is_empty());
+        let log = node.log.lock().unwrap();
+        for (i, n) in sent.iter().enumerate() {
+            let link: Vec<u8> = log
+                .iter()
+                .filter(|(from, _)| *from == NodeId(i as u32))
+                .map(|(_, seq)| *seq)
+                .collect();
+            assert_eq!(link, (0..*n).collect::<Vec<_>>(), "link {i} → 2");
+        }
+    }
+}
 
 fn arb_profile() -> impl Strategy<Value = LinkProfile> {
     prop_oneof![
@@ -100,21 +182,7 @@ proptest! {
     ) {
         let fabric = Fabric::new(FabricMode::Virtual, profile);
         let rx = fabric.register_node(NodeId(1));
-        let h = fabric.handle();
-        let mut seq: u8 = 0;
-        for batch_len in &flushes {
-            if *batch_len == 0 {
-                h.send(NodeId(0), NodeId(1), Bytes::from(vec![seq]));
-                seq += 1;
-            } else {
-                let mut batch: Vec<Bytes> = (0..*batch_len)
-                    .map(|i| Bytes::from(vec![seq + i as u8]))
-                    .collect();
-                seq += *batch_len as u8;
-                h.send_batch(NodeId(0), NodeId(1), &mut batch);
-                prop_assert!(batch.is_empty(), "send_batch drains its input");
-            }
-        }
+        let seq = send_flushes(&fabric, NodeId(0), NodeId(1), &flushes);
         while let Some(t) = fabric.next_event_ns() {
             fabric.advance_to(t);
         }

@@ -4,8 +4,8 @@
 use crossbeam::channel::unbounded;
 use ditico_rt::daemon::TermCounters;
 use ditico_rt::site::{RtIncoming, RtPort};
-use ditico_rt::wake::Notify;
-use std::sync::atomic::Ordering;
+use ditico_rt::wake::{Notify, Wake};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tyco_vm::codec::Packet;
 use tyco_vm::port::{ImportReply, Incoming, NetPort};
@@ -221,4 +221,49 @@ fn conservation_counts_poll_and_send() {
         "empty inbox polls None without counting"
     );
     assert_eq!(r.term.consumed.load(Ordering::SeqCst), 1);
+}
+
+/// Counts kicks, and how many packets each one found queued.
+struct CountingWaker {
+    out_rx: crossbeam::channel::Receiver<(SiteId, Packet)>,
+    kicks: AtomicUsize,
+    found: AtomicUsize,
+}
+
+impl Wake for CountingWaker {
+    fn wake(&self) {
+        self.kicks.fetch_add(1, Ordering::SeqCst);
+        self.found
+            .fetch_add(self.out_rx.try_iter().count(), Ordering::SeqCst);
+    }
+}
+
+/// The port's daemon waker is any [`Wake`], and a flush kicks it once per
+/// backlog, after the backlog is on the queue — what lets the kick be the
+/// daemon's pump itself.
+#[test]
+fn flush_queues_the_backlog_then_kicks_the_daemon_waker_once() {
+    let mut r = rig();
+    let waker = Arc::new(CountingWaker {
+        out_rx: r.out_rx.clone(),
+        kicks: AtomicUsize::new(0),
+        found: AtomicUsize::new(0),
+    });
+    r.port.set_daemon_waker(waker.clone());
+    r.port.flush();
+    assert_eq!(
+        waker.kicks.load(Ordering::SeqCst),
+        0,
+        "nothing to hand over"
+    );
+    r.port.send_msg(some_ref(), "a", vec![]);
+    r.port.send_msg(some_ref(), "b", vec![]);
+    r.port.send_msg(some_ref(), "c", vec![]);
+    r.port.flush();
+    assert_eq!(waker.kicks.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        waker.found.load(Ordering::SeqCst),
+        3,
+        "queued before the kick"
+    );
 }

@@ -307,3 +307,110 @@ fn suspected_peer_that_reconnects_is_healed() {
     bounce.join().expect("bounce peer");
     steady.join().expect("steady peer");
 }
+
+/// The read path's three shapes, against a bare transport whose local
+/// fabric is watched directly: a frame split across two writes (and so
+/// two reads), a frame several times the loop's read chunk, and a burst
+/// of frames arriving in one read. Every payload reaches the node's inbox
+/// whole and in wire order, and each readable event's frames go in as
+/// one batch — never one fabric send per frame.
+#[test]
+fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
+    use ditico_rt::{Fabric, Transport};
+    use tyco_vm::wire::WireWord;
+    use tyco_vm::word::{NetRef, SiteId};
+
+    let msg = |label: &str, text: String| {
+        let p = Packet::Msg {
+            dest: NetRef {
+                heap_id: 1,
+                site: SiteId(0),
+                node: NodeId(1),
+            },
+            label: label.to_string(),
+            args: vec![WireWord::Str(text)],
+        };
+        codec::encode_frame(NodeId(0), NodeId(1), &codec::encode(&p))
+    };
+    let big = "x".repeat(300 * 1024);
+    let frames = [
+        msg("split", "a".into()),
+        msg("big", big.clone()),
+        msg("burst0", "b".into()),
+        msg("burst1", "c".into()),
+        msg("burst2", "d".into()),
+    ];
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let peer = fake_peer(listener, NodeId(0), move |mut sock| {
+        let pause = || std::thread::sleep(Duration::from_millis(30));
+        let (head, tail) = frames[0].split_at(frames[0].len() / 2);
+        sock.write_all(head).expect("first half");
+        pause();
+        sock.write_all(tail).expect("second half");
+        pause();
+        sock.write_all(&frames[1]).expect("big frame");
+        pause();
+        let burst: Vec<u8> = frames[2..].iter().flat_map(|f| f.to_vec()).collect();
+        sock.write_all(&burst).expect("burst");
+        // Hold the connection until everything was seen to arrive.
+        let _ = done_rx.recv();
+    });
+
+    let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let inbox = fabric.register_node(NodeId(1));
+    let transport = Transport::start(
+        TransportConfig {
+            local_nodes: vec![NodeId(1)],
+            peers: vec![addr],
+            ..TransportConfig::default()
+        },
+        fabric.handle(),
+    )
+    .expect("transport");
+
+    let mut got = Vec::new();
+    while got.len() < 5 {
+        let (from, payload) = inbox
+            .recv_timeout(Duration::from_secs(10))
+            .expect("all five frames arrive");
+        assert_eq!(from, NodeId(0));
+        match codec::decode(payload).expect("payload decodes") {
+            Packet::Msg { label, args, .. } => match &args[..] {
+                [WireWord::Str(text)] => got.push((label, text.len())),
+                other => panic!("unexpected args {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let want = [
+        ("split", 1),
+        ("big", big.len()),
+        ("burst0", 1),
+        ("burst1", 1),
+        ("burst2", 1),
+    ];
+    assert_eq!(
+        got,
+        want.map(|(label, len)| (label.to_string(), len)).to_vec()
+    );
+    let wire = transport.report();
+    assert_eq!((wire.data_in, wire.rejected), (5, 0), "{wire:?}");
+    use std::sync::atomic::Ordering;
+    assert_eq!(fabric.stats.packets.load(Ordering::Relaxed), 5);
+    assert_eq!(
+        fabric.stats.batched_packets.load(Ordering::Relaxed),
+        5,
+        "all injected as batches"
+    );
+    let batches = fabric.stats.batches.load(Ordering::Relaxed);
+    assert!(
+        (1..=4).contains(&batches),
+        "the burst's three frames shared a batch: {batches} batches"
+    );
+    done_tx.send(()).expect("peer still there");
+    peer.join().expect("fake peer");
+    drop(transport);
+}

@@ -168,6 +168,13 @@ impl BytesMut {
         self.vec.is_empty()
     }
 
+    /// Bytes the buffer can hold without reallocating. `freeze` keeps
+    /// the whole allocation alive behind the `Bytes` it returns, so this
+    /// — not `len` — is what a retained view pins.
+    pub fn capacity(&self) -> usize {
+        self.vec.capacity()
+    }
+
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
     }
