@@ -1,16 +1,16 @@
 //! Experiment C8 — the §7 future-work features, built and measured:
-//! Mattern-style termination detection and name-service failover over
-//! replicas.
+//! Mattern-style termination detection and name-service failover over a
+//! replicated ring.
 //!
 //! * Detector: probes needed and wall-clock overhead on a busy threaded
 //!   cluster (the detector runs concurrently with real work).
-//! * Failover: virtual time from primary death to a recovered import, and
-//!   the replication cost on the register path.
+//! * Failover: virtual time from the death of a key's owner to a
+//!   recovered import, and the replication cost on the register path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ditico::{Cluster, FabricMode, LinkProfile, RunLimits};
 use ditico_rt::termination::{Snapshot, TerminationDetector};
-use ditico_rt::TermCounters;
+use ditico_rt::{NsShardMap, TermCounters};
 
 fn failover_table() {
     println!("\n=== C8: name-service failover (virtual time) ===");
@@ -26,15 +26,15 @@ fn failover_table() {
             "def S(p) = p?{ v(x, r) = r![x] | S[p] } in export new p in S[p]",
         )
         .unwrap();
-        // Let the export replicate everywhere.
+        // Let the export reach its owner and replicate to the successor.
         c.run_deterministic(RunLimits {
             max_instrs: 1_000_000,
             fuel_per_slice: 256,
             ..RunLimits::default()
         });
         let before = c.virtual_ns();
-        // Kill the primary, then submit a client that needs the NS.
-        c.kill_node(nodes[0]);
+        // Kill the key's owner, then submit a client that needs the NS.
+        c.kill_node(NsShardMap::key_owner("server", "p", replicas));
         c.add_site_src(
             worker,
             "client",
@@ -52,14 +52,14 @@ fn failover_table() {
             "import survived failover"
         );
         println!(
-            "{} replicas: recovery completed {} µs of virtual time after the kill; \
-             register broadcast cost: {} packets total",
+            "ring of {}: recovery completed {} µs of virtual time after the owner's kill; \
+             {} fabric packets in total",
             replicas,
             (report.virtual_ns - before) / 1_000,
             report.fabric_packets
         );
     }
-    println!("(exports are broadcast to every replica, so no export is lost on failover)");
+    println!("(each export is applied by its owner and shipped to the ring successor)");
 }
 
 fn detection_overhead() {
@@ -109,7 +109,7 @@ fn bench_future_work(c: &mut Criterion) {
     });
     group.finish();
 
-    // Criterion: register path with 1 vs 3 NS replicas (replication cost).
+    // Criterion: register path on a ring of 1 vs 3 (replication cost).
     let mut group = c.benchmark_group("c8_replication");
     group.sample_size(15);
     for replicas in [1usize, 3] {

@@ -456,35 +456,6 @@ fn scenario_soak(iterations: u64) -> SoakResult {
 
 // -- main --------------------------------------------------------------------
 
-/// Minimal well-formedness check for the emitted JSON (no parser dep):
-/// balanced braces/brackets outside strings, terminated strings.
-fn assert_json_wellformed(s: &str) {
-    let mut stack = Vec::new();
-    let mut in_str = false;
-    let mut esc = false;
-    for ch in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => stack.push(ch),
-            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced brace"),
-            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced bracket"),
-            _ => {}
-        }
-    }
-    assert!(!in_str, "unterminated string");
-    assert!(stack.is_empty(), "unclosed {stack:?}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -560,7 +531,7 @@ fn main() {
         s.total_faults,
         s.wall_s
     );
-    assert_json_wellformed(&json);
+    ditico_bench::assert_json_wellformed(&json);
     let path = if smoke {
         "BENCH_chaos_smoke.json"
     } else {

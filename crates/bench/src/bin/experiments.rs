@@ -9,6 +9,7 @@
 
 use ditico::{Cluster, Env, FabricMode, LinkProfile, RunLimits, Topology};
 use ditico_bench::*;
+use ditico_rt::NsShardMap;
 use tyco_calculus::Network;
 use tyco_vm::{compile, LoopbackPort, Machine, QueuePolicy};
 
@@ -373,7 +374,7 @@ fn c8_failover() {
             ..RunLimits::default()
         });
         let before = c.virtual_ns();
-        c.kill_node(nodes[0]);
+        c.kill_node(NsShardMap::key_owner("server", "p", replicas));
         c.add_site_src(
             worker,
             "client",
@@ -387,7 +388,7 @@ fn c8_failover() {
         });
         assert_eq!(report.output("client"), ["1".to_string()]);
         println!(
-            "{replicas} replicas: recovery {} µs after kill; total register packets {}",
+            "ring of {replicas}: recovery {} µs after the owner's kill; {} fabric packets in total",
             (report.virtual_ns - before) / 1_000,
             report.fabric_packets
         );

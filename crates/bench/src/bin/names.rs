@@ -58,7 +58,7 @@ struct StormSample {
 }
 
 /// K exporters each register `names` channels; K importers resolve all of
-/// them. `shards == 0` keeps the centralized service.
+/// them. `shards == 0` keeps the default ring of one: the central service.
 fn run_storm(pairs: usize, names: usize, shards: usize) -> StormSample {
     let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
     if shards > 0 {
@@ -256,35 +256,6 @@ fn run_latency(reps: usize, shards: usize) -> LatencySample {
 
 // -- main --------------------------------------------------------------------
 
-/// Minimal well-formedness check for the emitted JSON (no parser dep):
-/// balanced braces/brackets outside strings, terminated strings.
-fn assert_json_wellformed(s: &str) {
-    let mut stack = Vec::new();
-    let mut in_str = false;
-    let mut esc = false;
-    for ch in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => stack.push(ch),
-            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced brace"),
-            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced bracket"),
-            _ => {}
-        }
-    }
-    assert!(!in_str, "unterminated string");
-    assert!(stack.is_empty(), "unclosed {stack:?}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -384,7 +355,7 @@ fn main() {
         lat_sharded.p50_us,
         lat_sharded.p99_us
     );
-    assert_json_wellformed(&json);
+    ditico_bench::assert_json_wellformed(&json);
     let path = if smoke {
         "BENCH_names_smoke.json"
     } else {

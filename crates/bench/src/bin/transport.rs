@@ -27,6 +27,7 @@
 
 #[cfg(target_os = "linux")]
 mod unix_bench {
+    use bytes::{Buf, BytesMut};
     use ditico_rt::poller::{connect_start, ConnectStart, Interest, PendingConnect, Poller};
     use ditico_rt::{Fabric, FabricMode, LinkProfile, PacketFabric, Transport, TransportConfig};
     use std::io::{Read, Write};
@@ -68,8 +69,7 @@ mod unix_bench {
     struct Client {
         state: ClientState,
         node: NodeId,
-        rbuf: Vec<u8>,
-        rpos: usize,
+        rbuf: BytesMut,
         wbuf: Vec<u8>,
         woff: usize,
         want_write: bool,
@@ -86,8 +86,7 @@ mod unix_bench {
             Client {
                 state: ClientState::Idle,
                 node: NodeId(CLIENT_BASE + i as u32),
-                rbuf: Vec::new(),
-                rpos: 0,
+                rbuf: BytesMut::new(),
                 wbuf: Vec::new(),
                 woff: 0,
                 want_write: false,
@@ -262,11 +261,13 @@ mod unix_bench {
             let mut new_msgs = 0u64;
             {
                 let c = &mut self.clients[i];
+                // Frames are carved off the frozen accumulator as views;
+                // the partial tail, if any, starts the next accumulator.
+                let mut cur = std::mem::take(&mut c.rbuf).freeze();
                 loop {
-                    let rest = &c.rbuf[c.rpos..];
-                    match codec::decode_frame(rest) {
+                    match codec::decode_frame_view(&cur) {
                         Ok(Some((frame, used))) => {
-                            c.rpos += used;
+                            cur.advance(used);
                             if frame.to == CONTROL_NODE {
                                 // First control frame on a connection is
                                 // the hub's Hello: its acceptance ack,
@@ -298,10 +299,7 @@ mod unix_bench {
                         }
                     }
                 }
-                if c.rpos > READ_CHUNK {
-                    c.rbuf.drain(..c.rpos);
-                    c.rpos = 0;
-                }
+                c.rbuf.extend_from_slice(&cur);
             }
             if new_msgs > 0 {
                 self.flush(i);
@@ -472,35 +470,6 @@ fn point_json(p: &unix_bench::PointResult) -> String {
     )
 }
 
-/// Minimal well-formedness check for the emitted JSON (no parser dep):
-/// balanced braces/brackets outside strings, terminated strings.
-fn assert_json_wellformed(s: &str) {
-    let mut stack = Vec::new();
-    let mut in_str = false;
-    let mut esc = false;
-    for ch in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => stack.push(ch),
-            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced brace"),
-            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced bracket"),
-            _ => {}
-        }
-    }
-    assert!(!in_str, "unterminated string");
-    assert!(stack.is_empty(), "unclosed {stack:?}");
-}
-
 #[cfg(target_os = "linux")]
 fn main() {
     use std::time::Duration;
@@ -552,7 +521,7 @@ fn main() {
             "{{\n  \"bench\": \"transport_scaling_smoke\",\n  \"points\": [\n{}\n  ]\n}}\n",
             rows.join(",\n")
         );
-        assert_json_wellformed(&json);
+        ditico_bench::assert_json_wellformed(&json);
         std::fs::write("BENCH_transport_smoke.json", &json).expect("write smoke json");
         println!("smoke ok: 4- and 64-peer event-loop echo rounds completed, JSON well-formed");
         return;
@@ -595,7 +564,7 @@ fn main() {
         deadline.as_secs(),
         rows.join(",\n"),
     );
-    assert_json_wellformed(&json);
+    ditico_bench::assert_json_wellformed(&json);
     std::fs::write("BENCH_transport.json", &json).expect("write json");
     println!("wrote BENCH_transport.json: event loop completed {max_event} peers");
 }

@@ -202,6 +202,35 @@ pub fn assert_done(report: &RunReport) {
     );
 }
 
+/// Minimal well-formedness check for the emitted JSON (no parser dep):
+/// balanced braces/brackets outside strings, terminated strings.
+pub fn assert_json_wellformed(s: &str) {
+    let mut stack = Vec::new();
+    let mut in_str = false;
+    let mut esc = false;
+    for ch in s.chars() {
+        if in_str {
+            if esc {
+                esc = false;
+            } else if ch == '\\' {
+                esc = true;
+            } else if ch == '"' {
+                in_str = false;
+            }
+            continue;
+        }
+        match ch {
+            '"' => in_str = true,
+            '{' | '[' => stack.push(ch),
+            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced brace"),
+            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced bracket"),
+            _ => {}
+        }
+    }
+    assert!(!in_str, "unterminated string");
+    assert!(stack.is_empty(), "unclosed {stack:?}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

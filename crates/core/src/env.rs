@@ -83,6 +83,9 @@ pub struct Topology {
     pub nodes: usize,
     pub mode: FabricMode,
     pub link: LinkProfile,
+    /// Name-service ring size: the first `ns_replicas` nodes each own a
+    /// hash slice of the exports and replicate it to their successor
+    /// (1: the paper's central service; clamped to `nodes`).
     pub ns_replicas: usize,
 }
 
@@ -132,7 +135,8 @@ pub struct Env {
     shake: bool,
     /// Seeded fault-injection plan installed at build time.
     chaos: Option<ChaosPlan>,
-    /// Sharded name service: ring size and lease TTL (None: centralized).
+    /// Name-service ring size and lease TTL replacing the topology's
+    /// (`ns_replicas`, no leases).
     ns_shards: Option<(usize, u64)>,
 }
 
@@ -154,7 +158,8 @@ impl Env {
     /// hashing, with each shard replicated to its ring successor and
     /// resolved bindings lease-cached at importing nodes for `lease_ms`
     /// milliseconds (0 keeps sharding but disables the cache). The
-    /// default — no call — is the paper's centralized service.
+    /// default — no call — is a ring of [`Topology::ns_replicas`] nodes
+    /// without leases; with 1 replica, the paper's centralized service.
     pub fn ns_shards(mut self, shards: usize, lease_ms: u64) -> Env {
         self.ns_shards = Some((shards, lease_ms.saturating_mul(1_000_000)));
         self
@@ -301,10 +306,13 @@ impl Env {
         local: Option<std::collections::HashSet<usize>>,
     ) -> Result<BuiltEnv, EnvError> {
         self.check_links()?;
+        // A ring never outgrows the topology: its keys would hash to
+        // nodes that do not exist.
+        let node_count = self.topology.nodes.max(1);
         let mut cluster = Cluster::new(
             self.topology.mode,
             self.topology.link,
-            self.topology.ns_replicas,
+            self.topology.ns_replicas.min(node_count),
         );
         if let Some(w) = self.workers {
             cluster.sched.workers = w;
@@ -319,13 +327,10 @@ impl Env {
             cluster.set_chaos(plan).map_err(EnvError::Chaos)?;
         }
         if let Some((shards, lease_ns)) = self.ns_shards {
-            // Before add_node/add_site: new nodes then self-configure and
-            // site registrations reach every shard's site table.
-            cluster.set_ns_sharding(shards.min(self.topology.nodes.max(1)), lease_ns);
+            // Before add_node: every daemon is built around the map.
+            cluster.set_ns_sharding(shards.min(node_count), lease_ns);
         }
-        let nodes: Vec<NodeId> = (0..self.topology.nodes.max(1))
-            .map(|_| cluster.add_node())
-            .collect();
+        let nodes: Vec<NodeId> = (0..node_count).map(|_| cluster.add_node()).collect();
         let mut placements = Vec::new();
         let check_interfaces = self.check_interfaces;
         for (i, s) in self.sites.into_iter().enumerate() {

@@ -80,7 +80,6 @@ impl Shell {
                     self.topology.mode = match v {
                         "ideal" => FabricMode::Ideal,
                         "virtual" => FabricMode::Virtual,
-                        "realtime" => FabricMode::RealTime,
                         other => return format!("unknown fabric `{other}`"),
                     }
                 }
@@ -190,7 +189,8 @@ impl Shell {
 
 const HELP: &str = "\
 commands:
-  topology nodes=N fabric=ideal|virtual|realtime link=ideal|myrinet|ethernet|wan replicas=K
+  topology nodes=N fabric=ideal|virtual link=ideal|myrinet|ethernet|wan replicas=K
+                             (replicas: name-service ring size, default 1 = central)
   site <lexeme> <program…>   submit a DiTyCO program as a new site
   ps                         list submitted sites and their nodes
   run                        execute the network to quiescence

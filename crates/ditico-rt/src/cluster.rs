@@ -2,7 +2,7 @@
 //! modes (deterministic virtual-time and threaded real-time).
 //!
 //! This is the programmatic face of Fig. 2 of the paper: a static IP
-//! topology of nodes, each running a pool of sites plus a TyCOd, with a
+//! topology of nodes, each running a pool of sites plus a TyCOd, with the
 //! name service hosted on the first node(s) and sites communicating
 //! point-to-point through the fabric. The TyCOi/TyCOsh user-level flow
 //! ("users submit new programs for execution in a node") corresponds to
@@ -23,7 +23,7 @@ use crate::wake::Notify;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tyco_vm::codec::Packet;
@@ -80,8 +80,8 @@ pub struct RunReport {
     /// installed). Every injected event — drop, duplicate, delay,
     /// partition block, kill, restart — is counted here.
     pub chaos: Option<ChaosReport>,
-    /// Shard-map read failovers: lookups routed to a follower because the
-    /// owning shard was suspected down (sharded name service only).
+    /// Shard-map failovers: requests routed to a follower because the
+    /// owning shard was suspected down (rings of two or more).
     pub ns_failovers: u64,
     /// Who did the waking (real-thread runs; zero elsewhere).
     pub wakes: WakeStats,
@@ -197,8 +197,6 @@ pub struct Cluster {
     mode: FabricMode,
     nodes: Vec<NodeCell>,
     term: Arc<TermCounters>,
-    ns_replicas: usize,
-    ns_primary: Arc<AtomicUsize>,
     site_lexemes: Vec<String>,
     /// Heartbeat cadence in scheduler rounds (deterministic mode);
     /// `None` disables heartbeats.
@@ -215,11 +213,10 @@ pub struct Cluster {
     shake: bool,
     /// Installed fault-injection plan (see [`Cluster::set_chaos`]).
     chaos: Option<Arc<ChaosState>>,
-    /// Ring size of the sharded name service (0 = centralized).
-    ns_shards: usize,
-    /// The shared shard map when sharding is on: consistent-hash
-    /// ownership plus the live down-set routing reads to followers.
-    shard_map: Option<Arc<NsShardMap>>,
+    /// The name service's shard map, shared with every daemon:
+    /// consistent-hash ownership over the first `ring` nodes plus the
+    /// live down-set routing requests to followers.
+    shard_map: Arc<NsShardMap>,
     /// Modeled per-request resolver cost at name-service hosts (clock
     /// ns; 0 = instantaneous). See [`Cluster::set_ns_service`].
     ns_service_ns: u64,
@@ -227,16 +224,16 @@ pub struct Cluster {
 
 impl Cluster {
     /// A cluster with the given fabric mode and default link profile.
-    /// `ns_replicas` ≥ 1 name-service replicas are hosted on the first
-    /// nodes added.
+    /// The name service is a ring of the first `ns_replicas` ≥ 1 nodes
+    /// added, each owning a consistent-hash slice of the export table and
+    /// replicating it to its ring successor, with no lease caching. The
+    /// default of 1 is the paper's central service on node 0.
     pub fn new(mode: FabricMode, link: LinkProfile, ns_replicas: usize) -> Cluster {
         Cluster {
             fabric: Fabric::new(mode, link),
             mode,
             nodes: Vec::new(),
             term: Arc::new(TermCounters::default()),
-            ns_replicas: ns_replicas.max(1),
-            ns_primary: Arc::new(AtomicUsize::new(0)),
             site_lexemes: Vec::new(),
             heartbeat_every: None,
             stale_periods: 3,
@@ -244,38 +241,28 @@ impl Cluster {
             code_cache: DEFAULT_CODE_CACHE,
             shake: false,
             chaos: None,
-            ns_shards: 0,
-            shard_map: None,
+            shard_map: Arc::new(NsShardMap::new(ns_replicas, 0)),
             ns_service_ns: 0,
         }
     }
 
-    /// Switch the cluster to the **sharded** name service: the first
-    /// `shards` nodes each own a consistent-hash partition of the export
-    /// table, replicate it to their ring successor, and grant importing
-    /// nodes `lease_ns`-TTL cached bindings (0 disables caching). Call
-    /// before adding sites so registrations land in every shard's site
-    /// table; existing nodes are retrofitted.
+    /// Replace the name service's ring size and lease TTL: the first
+    /// `shards` nodes own the export table, and importing nodes are
+    /// granted `lease_ns`-TTL cached bindings (0 disables caching). Every
+    /// daemon is built around the map, so call this before adding nodes.
     pub fn set_ns_sharding(&mut self, shards: usize, lease_ns: u64) {
-        let shards = shards.max(1);
-        let map = Arc::new(NsShardMap::new(shards, lease_ns));
-        self.ns_shards = shards;
-        for cell in &mut self.nodes {
-            cell.daemon.enable_ns_sharding(map.clone());
-        }
-        self.shard_map = Some(map);
-    }
-
-    /// The shard map when the sharded name service is on.
-    pub fn shard_map(&self) -> Option<Arc<NsShardMap>> {
-        self.shard_map.clone()
+        assert!(
+            self.nodes.is_empty(),
+            "set_ns_sharding must precede add_node"
+        );
+        self.shard_map = Arc::new(NsShardMap::new(shards, lease_ns));
     }
 
     /// Model a per-request resolver cost at every name-service host:
     /// each `NsRegister`/`NsImport` occupies the serving daemon for
     /// `service_ns` of virtual time (0, the default, serves instantly).
-    /// Meaningful in deterministic virtual-time runs, where it makes the
-    /// centralized server's serial bind cost — the paper's bottleneck —
+    /// Meaningful in deterministic virtual-time runs, where it makes a
+    /// ring-of-one server's serial bind cost — the paper's bottleneck —
     /// visible in the makespan. Applies to existing and future nodes.
     pub fn set_ns_service(&mut self, service_ns: u64) {
         self.ns_service_ns = service_ns;
@@ -331,22 +318,15 @@ impl Cluster {
         let id = NodeId(self.nodes.len() as u32);
         let (out_tx, out_rx) = unbounded();
         let fabric_rx = self.fabric.register_node(id);
-        let ns_nodes: Vec<NodeId> = (0..self.ns_replicas as u32).map(NodeId).collect();
-        let hosts_ns = (id.0 as usize) < self.ns_replicas;
         let mut daemon = Daemon::new(
             id,
             out_rx,
             fabric_rx,
             self.fabric.handle(),
-            ns_nodes,
-            self.ns_primary.clone(),
-            hosts_ns,
+            self.shard_map.clone(),
             self.term.clone(),
         );
         daemon.set_code_cache(self.code_cache);
-        if let Some(map) = &self.shard_map {
-            daemon.enable_ns_sharding(map.clone());
-        }
         daemon.set_ns_service_ns(self.ns_service_ns);
         // Deliveries into this node's fabric inbox kick the daemon's waker
         // (re-pointed at its combining cell when a real-thread run starts).
@@ -386,9 +366,8 @@ impl Cluster {
         };
         // Register the site in every name-service host up front — the
         // paper: "site names are registered in a Network Name Service"
-        // and "all sites know its location in advance". Centralized mode
-        // hosts on the first `ns_replicas` nodes; sharded mode on every
-        // ring node.
+        // and "all sites know its location in advance". The hosts are
+        // the ring nodes.
         for cell in self.nodes.iter_mut() {
             if let Some(ns) = &mut cell.daemon.ns {
                 ns.register_site(lexeme, identity);
@@ -426,7 +405,7 @@ impl Cluster {
 
     /// Declare a site that lives on `node` in *another process* of a
     /// multi-process run. No VM is created here; the site's identity is
-    /// registered in the local name-service replicas so imports of its
+    /// registered in the local name-service hosts so imports of its
     /// exports resolve, and a [`SiteId`] is consumed so every process that
     /// builds the same topology in the same order assigns identical ids —
     /// the invariant the wire protocol relies on.
@@ -461,12 +440,10 @@ impl Cluster {
         if let Some(cell) = self.nodes.get_mut(node.0 as usize) {
             cell.dead = true;
         }
-        // Sharded name service: route the dead owner's keys to its
-        // follower at once, and re-issue imports parked at the corpse.
-        if let Some(map) = self.shard_map.clone() {
-            if map.mark_down(node) {
-                self.resend_all_pending_imports();
-            }
+        // Route the dead owner's keys to its follower at once, and
+        // re-issue imports parked at the corpse.
+        if self.shard_map.mark_down(node) {
+            self.resend_all_pending_imports();
         }
     }
 
@@ -484,9 +461,7 @@ impl Cluster {
         }
         // A healed owner serves its shard again. Writes it missed arrive
         // via the follower's symmetric replication stream.
-        if let Some(map) = &self.shard_map {
-            map.mark_up(node);
-        }
+        self.shard_map.mark_up(node);
     }
 
     /// Re-issue every live site's unresolved imports: they may be parked
@@ -532,80 +507,53 @@ impl Cluster {
         }
     }
 
-    /// The current name-service primary node.
-    pub fn ns_primary_node(&self) -> NodeId {
-        NodeId(self.ns_primary.load(Ordering::Relaxed) as u32 % self.ns_replicas.max(1) as u32)
-    }
-
     /// One heartbeat round: beacons from live nodes, observation from a
-    /// live replica's view, and failover when the primary is suspected.
+    /// live ring node's view, and the shard map following the monitor's
+    /// verdicts — a suspected owner's keys fail over to its ring
+    /// successor, a healed owner takes them back.
     fn heartbeat_cycle(&mut self, monitor: &mut FailureMonitor, hb_round: u64) {
         for cell in &mut self.nodes {
             if !cell.dead {
                 cell.daemon.send_heartbeat();
             }
         }
-        let ns_hosts = self.ns_replicas.max(self.ns_shards);
-        if let Some(obs) = self.nodes.iter().take(ns_hosts).find(|c| !c.dead) {
-            let beats: Vec<(NodeId, u64)> = obs
-                .daemon
-                .heartbeats
-                .iter()
-                .map(|(n, s)| (*n, *s))
-                .collect();
-            for (n, s) in beats {
-                monitor.observe(n, s, hb_round);
+        let ring = self.shard_map.ring();
+        if let Some(obs) = self.nodes.iter().take(ring).find(|c| !c.dead) {
+            for (n, s) in &obs.daemon.heartbeats {
+                monitor.observe(*n, *s, hb_round);
             }
         }
-        if self.shard_map.is_some() {
-            // Sharded mode: the shard map reacts to the monitor's
-            // verdicts — a suspected owner's keys fail over to its ring
-            // successor, a healed owner takes them back.
-            for i in 0..self.ns_shards {
-                let n = NodeId(i as u32);
-                let dead = self.nodes.get(i).is_none_or(|c| c.dead);
-                let down = dead || monitor.suspected(n, hb_round);
-                let map = self.shard_map.clone().expect("sharded");
-                if down {
-                    if map.mark_down(n) {
-                        // Imports parked at the suspect re-issue and
-                        // route to the follower.
-                        self.resend_all_pending_imports();
-                    }
-                } else {
-                    map.mark_up(n);
+        for i in 0..ring {
+            let n = NodeId(i as u32);
+            let dead = self.nodes.get(i).is_none_or(|c| c.dead);
+            if dead || monitor.suspected(n, hb_round) {
+                if self.shard_map.mark_down(n) {
+                    // Imports parked at the suspect re-issue and route
+                    // to the follower.
+                    self.resend_all_pending_imports();
                 }
+            } else {
+                self.shard_map.mark_up(n);
             }
-            return;
-        }
-        let primary = self.ns_primary_node();
-        if monitor.suspected(primary, hb_round) || self.nodes[primary.0 as usize].dead {
-            self.failover_to_next_live_replica();
         }
     }
 
-    fn failover_to_next_live_replica(&mut self) -> bool {
-        let cur = self.ns_primary.load(Ordering::Relaxed);
-        for step in 1..=self.ns_replicas {
-            let cand = (cur + step) % self.ns_replicas;
-            if !self.nodes[cand].dead {
-                self.ns_primary.store(cand, Ordering::Relaxed);
-                // Lost requests were parked at the dead primary; sites
-                // re-issue them against the new primary.
-                self.resend_all_pending_imports();
-                return true;
-            }
+    /// A ring larger than the topology would send keys to nodes that do
+    /// not exist, and their imports would hang.
+    fn check_ring(&self) -> Result<(), String> {
+        let (ring, nodes) = (self.shard_map.ring(), self.nodes.len());
+        if ring > nodes {
+            return Err(format!(
+                "the name service's ring of {ring} does not fit a topology of {nodes} node(s)"
+            ));
         }
-        false
+        Ok(())
     }
 
     /// Run deterministically: round-robin pumping of daemons and sites,
     /// advancing the virtual clock when nothing is runnable.
     pub fn run_deterministic(&mut self, limits: RunLimits) -> RunReport {
-        assert!(
-            self.mode != FabricMode::RealTime,
-            "deterministic runs require Ideal or Virtual fabric"
-        );
+        self.check_ring().unwrap_or_else(|e| panic!("{e}"));
         let mut round: u64 = 0;
         let mut hb_round: u64 = 0;
         let mut forced_hb: u64 = 0;
@@ -626,7 +574,7 @@ impl Cluster {
             }
             // Lease TTLs and the modeled resolver run on the fabric's
             // virtual clock here.
-            if self.shard_map.is_some() || self.ns_service_ns > 0 {
+            if self.nodes.iter().any(|c| c.daemon.needs_clock()) {
                 let now = self.fabric.now_ns();
                 for cell in &mut self.nodes {
                     cell.daemon.set_now_ns(now);
@@ -692,11 +640,10 @@ impl Cluster {
                 }
                 // Otherwise, when failure detection is on, keep the
                 // heartbeat protocol alive for a bounded number of idle
-                // cycles so a dead name-service primary is noticed and
-                // failover (which re-injects imports) can happen.
+                // cycles so a dead shard owner is noticed and failover
+                // (which re-injects imports) can happen.
                 if self.heartbeat_every.is_some()
-                    && forced_hb
-                        < self.stale_periods + self.ns_replicas.max(self.ns_shards) as u64 + 2
+                    && forced_hb < self.stale_periods + self.shard_map.ring() as u64 + 2
                 {
                     forced_hb += 1;
                     hb_round += 1;
@@ -731,14 +678,15 @@ impl Cluster {
     /// Run with real threads: sites are multiplexed over a fixed worker
     /// pool by the M:N work-stealing scheduler (`self.sched`; default
     /// worker count is the available parallelism), daemons keep dedicated
-    /// threads, the fabric runs its delivery thread, and termination
-    /// detection runs on the caller's thread, woken by the scheduler's
-    /// idle transitions. Consumes the cluster and returns the report.
+    /// threads, and termination detection runs on the caller's thread,
+    /// woken by the scheduler's idle transitions. Consumes the cluster and
+    /// returns the report.
     pub fn run_threaded(self, wall_limit: Duration) -> RunReport {
         assert!(
-            self.mode != FabricMode::Virtual,
-            "threaded runs require Ideal or RealTime fabric"
+            self.mode == FabricMode::Ideal,
+            "threaded runs require the Ideal fabric"
         );
+        self.check_ring().unwrap_or_else(|e| panic!("{e}"));
         // Mattern's detector on the environment thread, probing on the
         // scheduler's idle edges rather than a fixed poll quantum.
         let term = self.term.clone();
@@ -798,6 +746,7 @@ impl Cluster {
                     .to_string(),
             );
         }
+        self.check_ring()?;
         if cfg.local_nodes.is_empty() {
             return Err("distributed run with no local nodes".to_string());
         }
@@ -843,12 +792,10 @@ impl Cluster {
         let shard_map = self.shard_map.clone();
         let report = self.run_pooled(Some(transport), wall_limit, |shared, transport| {
             let transport = transport.expect("distributed runs carry a transport");
-            // The wire's failure verdicts steer shard-read failover the
-            // same way the in-process monitor does.
-            if let Some(m) = &shard_map {
-                for n in transport.suspects() {
-                    m.mark_down(n);
-                }
+            // The wire's failure verdicts steer shard failover the same
+            // way the in-process monitor does.
+            for n in transport.suspects() {
+                shard_map.mark_down(n);
             }
             let local_idle = shared.active_sites() == 0;
             if !serve && transport.all_remotes_down() {
@@ -917,7 +864,6 @@ impl Cluster {
         wall_limit: Duration,
         mut exit_test: impl FnMut(&Shared, Option<&Transport>) -> ControlFlow<bool, Duration>,
     ) -> RunReport {
-        self.fabric.start();
         let workers_n = self.sched.effective_workers();
         let slice_fuel = self.sched.slice_fuel;
 
@@ -1014,15 +960,11 @@ impl Cluster {
                     match ev {
                         ChaosEvent::KillNode(n) => {
                             self.fabric.kill_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_down(n);
-                            }
+                            self.shard_map.mark_down(n);
                         }
                         ChaosEvent::RestartNode(n) => {
                             self.fabric.revive_node(n);
-                            if let Some(m) = &self.shard_map {
-                                m.mark_up(n);
-                            }
+                            self.shard_map.mark_up(n);
                         }
                         ChaosEvent::Partition { .. } | ChaosEvent::Heal => {}
                     }
@@ -1075,12 +1017,11 @@ impl Cluster {
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
         report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
         report.chaos = chaos.as_ref().map(|c| c.report());
-        report.ns_failovers = self.shard_map.as_ref().map_or(0, |m| m.failovers());
+        report.ns_failovers = self.shard_map.failovers();
         if let Some(t) = &mut transport {
             t.shutdown();
             report.transport = Some(t.report());
         }
-        self.fabric.shutdown();
         report
     }
 
@@ -1120,7 +1061,7 @@ impl Cluster {
             fabric_packets: self.fabric.stats.packets.load(Ordering::Relaxed),
             fabric_bytes: self.fabric.stats.bytes.load(Ordering::Relaxed),
             chaos: self.chaos.as_ref().map(|c| c.report()),
-            ns_failovers: self.shard_map.as_ref().map_or(0, |m| m.failovers()),
+            ns_failovers: self.shard_map.failovers(),
             ..Default::default()
         };
         let mut quiescent = true;

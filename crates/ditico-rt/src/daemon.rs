@@ -13,8 +13,8 @@
 //! destination site's incoming queue. The local path skips the fabric and
 //! the byte codec entirely — packets move by reference.
 //!
-//! The daemon also hosts (a replica of) the name service when configured
-//! to, and answers `export`/`import` traffic for its sites.
+//! A daemon on the name-service ring (see [`NsShardMap`]) also hosts its
+//! shard of the name service and answers `export`/`import` traffic.
 //!
 //! Code mobility rides through here too: the daemon keeps the node's
 //! content-addressed [`CodeCache`] and uses it to (a) fingerprint-check
@@ -36,7 +36,7 @@ use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tyco_vm::codec::{self, Packet};
@@ -184,17 +184,12 @@ pub struct Daemon {
     scratch_bytes: Vec<(NodeId, Bytes)>,
     /// What this daemon's fallback thread parks on (see [`Daemon::waker`]).
     waker: Arc<Notify>,
-    /// Nodes hosting name-service replicas (primary chosen by
-    /// `ns_primary`).
-    ns_nodes: Vec<NodeId>,
-    /// Index into `ns_nodes` of the current primary (shared for failover).
-    ns_primary: Arc<AtomicUsize>,
-    /// The local replica, when this node hosts one.
+    /// This node's shard of the name service, when it is on the ring.
     pub ns: Option<NameService>,
-    /// Sharded name service: the cluster-shared shard map. `None` keeps
-    /// the paper's centralized routing.
-    shard: Option<Arc<NsShardMap>>,
-    /// Leased bindings held by this node (sharded mode).
+    /// The cluster-shared shard map: which node serves which key.
+    shard: Arc<NsShardMap>,
+    /// Leased bindings held by this node (consulted when the map's lease
+    /// TTL is positive).
     name_cache: NameCache,
     /// Daemon-side name-service counters: shard hops plus imports this
     /// daemon answered from its lease cache (the name service and the
@@ -235,17 +230,22 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    #[allow(clippy::too_many_arguments)]
+    /// A daemon for `node`. It hosts a name service iff the node is on
+    /// `shard`'s ring (the cluster replays site registrations into it),
+    /// lease-granting iff the map's TTL is positive.
     pub fn new(
         node: NodeId,
         from_sites: Receiver<(SiteId, Packet)>,
         from_fabric: Receiver<(NodeId, Bytes)>,
         fabric: FabricHandle,
-        ns_nodes: Vec<NodeId>,
-        ns_primary: Arc<AtomicUsize>,
-        hosts_ns: bool,
+        shard: Arc<NsShardMap>,
         term: Arc<TermCounters>,
     ) -> Daemon {
+        let ns = ((node.0 as usize) < shard.ring()).then(|| {
+            let mut ns = NameService::new();
+            ns.set_lease_mode(shard.lease_ns() > 0);
+            ns
+        });
         Daemon {
             node,
             sites: HashMap::new(),
@@ -258,15 +258,9 @@ impl Daemon {
             scratch_pkts: Vec::new(),
             scratch_bytes: Vec::new(),
             waker: Arc::new(Notify::new()),
-            ns_nodes,
-            ns_primary,
-            ns: if hosts_ns {
-                Some(NameService::new())
-            } else {
-                None
-            },
-            shard: None,
-            name_cache: NameCache::new(0),
+            ns,
+            name_cache: NameCache::new(shard.lease_ns()),
+            shard,
             ns_local: NsStats::default(),
             now_ns: 0,
             ns_service_ns: 0,
@@ -337,34 +331,6 @@ impl Daemon {
         self.fabric = fabric;
     }
 
-    /// The node currently acting as name-service primary.
-    fn ns_primary_node(&self) -> NodeId {
-        let i = self.ns_primary.load(Ordering::Relaxed) % self.ns_nodes.len().max(1);
-        *self.ns_nodes.get(i).unwrap_or(&self.node)
-    }
-
-    /// Switch this daemon to the sharded name service: install the
-    /// cluster-shared shard map, size the lease cache to the map's TTL,
-    /// and — when this node owns a shard — host a lease-granting name
-    /// service (the cluster replays site registrations into it).
-    pub fn enable_ns_sharding(&mut self, map: Arc<NsShardMap>) {
-        self.name_cache = NameCache::new(map.lease_ns());
-        if (self.node.0 as usize) < map.ring() {
-            let ns = self.ns.get_or_insert_with(NameService::new);
-            ns.set_lease_mode(true);
-        }
-        // Heartbeats beacon to the name-service hosts; in sharded mode
-        // that audience is every ring node, so any live shard can act as
-        // the failure monitor's observation point.
-        self.ns_nodes = (0..map.ring() as u32).map(NodeId).collect();
-        self.shard = Some(map);
-    }
-
-    /// Is the sharded name service active?
-    pub fn ns_sharded(&self) -> bool {
-        self.shard.is_some()
-    }
-
     /// Leased bindings currently held (diagnostics).
     pub fn name_cache_len(&self) -> usize {
         self.name_cache.len()
@@ -376,10 +342,10 @@ impl Daemon {
         self.now_ns = now_ns;
     }
 
-    /// Does this daemon need `set_now_ns` fed each round? True when the
-    /// sharded service (lease TTLs) or the modeled resolver is active.
+    /// Does this daemon need `set_now_ns` fed each round? True when
+    /// leases carry a TTL or the modeled resolver is active.
     pub fn needs_clock(&self) -> bool {
-        self.shard.is_some() || self.ns_service_ns > 0
+        self.shard.lease_ns() > 0 || self.ns_service_ns > 0
     }
 
     /// Set the modeled name-service resolver cost (see `ns_service_ns`).
@@ -915,11 +881,12 @@ impl Daemon {
         }
     }
 
-    /// Emit a liveness beacon to the name-service nodes.
+    /// Emit a liveness beacon to every ring node, so any live shard can
+    /// act as the failure monitor's observation point.
     pub fn send_heartbeat(&mut self) {
         self.hb_seq += 1;
         let seq = self.hb_seq;
-        for ns_node in self.ns_nodes.clone() {
+        for ns_node in (0..self.shard.ring() as u32).map(NodeId) {
             let p = Packet::Heartbeat {
                 node: self.node,
                 seq,
@@ -945,41 +912,39 @@ impl Daemon {
         self.stats.bytes_out += (ob.buf.len() - start) as u64;
     }
 
-    /// Route a packet by its destination, local or remote.
+    /// Route a packet by its destination, local or remote. Name-service
+    /// requests go to their key's shard — the owner, or its follower
+    /// while the owner is suspected: one copy, replication covers the
+    /// redundancy — unless a live lease answers the import right here.
     pub fn route(&mut self, p: Packet) {
-        let Some(p) = self.pre_route_sharded(p) else {
-            return;
-        };
         let target: NodeId = match &p {
             Packet::Msg { dest, .. } | Packet::Obj { dest, .. } => dest.node,
             Packet::FetchReq { class, .. } => class.node,
             Packet::FetchReply { to, .. } | Packet::NsImportReply { to, .. } => to.node,
             Packet::NsLease { to, .. } => to.node,
             Packet::NsInvalidate { to, .. } | Packet::NsRepl { to, .. } => *to,
-            Packet::NsRegister { .. } => {
-                // Centralized mode: registrations go to every replica so
-                // failover loses no exports. The broadcast fans one
-                // injected packet out into N consumed ones; account for
-                // the extra copies.
-                let extra = self.ns_nodes.len().saturating_sub(1) as u64;
-                self.term.injected.fetch_add(extra, Ordering::Relaxed);
-                for ns_node in self.ns_nodes.clone() {
-                    if ns_node == self.node {
-                        self.deliver_local(p.clone());
-                    } else {
-                        self.send_remote(ns_node, &p);
-                    }
+            Packet::NsRegister {
+                site_lexeme, name, ..
+            } => self.shard.route(site_lexeme, name).0,
+            Packet::NsImport { site, name, .. } => {
+                if self.answer_from_lease(&p) {
+                    return;
                 }
-                return;
+                let (target, _) = self.shard.route(site, name);
+                if target != self.node {
+                    self.ns_local.shard_hops += 1;
+                }
+                target
             }
-            Packet::NsImport { .. } => self.ns_primary_node(),
-            Packet::Heartbeat { .. } | Packet::TermProbe { .. } | Packet::TermReport { .. } => {
-                self.ns_primary_node()
-            }
-            // Handshakes live on the transport layer, and cache-protocol
+            // Beacons are emitted point-to-point by `send_heartbeat`,
+            // termination detection runs at the environment level,
+            // handshakes live on the transport layer, and cache-protocol
             // packets are daemon-generated point-to-point; any reaching
             // the routing layer is consumed and ignored.
-            Packet::Hello { .. }
+            Packet::Heartbeat { .. }
+            | Packet::TermProbe { .. }
+            | Packet::TermReport { .. }
+            | Packet::Hello { .. }
             | Packet::ObjRef { .. }
             | Packet::FetchReplyRef { .. }
             | Packet::NeedCode { .. }
@@ -992,82 +957,50 @@ impl Daemon {
         }
     }
 
-    /// Sharded-mode routing of name-service requests. Registrations go to
-    /// the key's shard (owner, or its follower while the owner is
-    /// suspected) — one copy, not a broadcast; replication covers the
-    /// redundancy. Imports consult the node's lease cache first: a live
-    /// lease answers locally with zero wire traffic, re-running the kind
-    /// and type-stamp checks against the cached stamp. Returns the packet
-    /// when centralized routing should proceed, `None` when handled.
-    fn pre_route_sharded(&mut self, p: Packet) -> Option<Packet> {
-        let Some(shard) = self.shard.clone() else {
-            return Some(p);
+    /// Answer an import from this node's lease cache, re-running the kind
+    /// and type-stamp checks against the cached stamp: zero wire traffic.
+    /// Returns whether the import was answered. With a lease TTL of 0 no
+    /// lease is ever granted and the cache is not consulted.
+    fn answer_from_lease(&mut self, p: &Packet) -> bool {
+        let Packet::NsImport {
+            req,
+            site,
+            name,
+            kind,
+            reply_to,
+            expect,
+        } = p
+        else {
+            return false;
         };
-        match p {
-            Packet::NsRegister {
-                ref site_lexeme,
-                ref name,
-                ..
-            } => {
-                let (target, _) = shard.route(site_lexeme, name);
-                if target == self.node {
-                    self.deliver_local(p);
-                } else {
-                    self.send_remote(target, &p);
-                }
-                None
-            }
-            Packet::NsImport {
-                req,
-                site,
-                name,
-                kind,
-                reply_to,
-                expect,
-            } => {
-                if let Some((w, stamp, _epoch)) = self.name_cache.get(&site, &name, self.now_ns) {
-                    self.ns_local.imports += 1;
-                    let result = if !kind_ok(kind, &w) {
-                        self.ns_local.kind_mismatch += 1;
-                        Err(format!("`{site}.{name}` has the wrong kind"))
-                    } else if let Err(e) = stamp_ok(&expect, &stamp) {
-                        self.ns_local.stamp_mismatch += 1;
-                        Err(format!("`{site}.{name}`: {e}"))
-                    } else {
-                        self.ns_local.resolved += 1;
-                        Ok(w)
-                    };
-                    // The import dies here and its reply is synthesized
-                    // locally: one injected for one consumed, so the
-                    // Mattern balance holds with no wire round trip.
-                    self.term.injected.fetch_add(1, Ordering::Relaxed);
-                    self.deliver_local(Packet::NsImportReply {
-                        to: reply_to,
-                        req,
-                        result,
-                    });
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-                let (target, _) = shard.route(&site, &name);
-                let p = Packet::NsImport {
-                    req,
-                    site,
-                    name,
-                    kind,
-                    reply_to,
-                    expect,
-                };
-                if target == self.node {
-                    self.deliver_local(p);
-                } else {
-                    self.ns_local.shard_hops += 1;
-                    self.send_remote(target, &p);
-                }
-                None
-            }
-            other => Some(other),
+        if self.shard.lease_ns() == 0 {
+            return false;
         }
+        let Some((w, stamp, _epoch)) = self.name_cache.get(site, name, self.now_ns) else {
+            return false;
+        };
+        self.ns_local.imports += 1;
+        let result = if !kind_ok(*kind, &w) {
+            self.ns_local.kind_mismatch += 1;
+            Err(format!("`{site}.{name}` has the wrong kind"))
+        } else if let Err(e) = stamp_ok(expect, &stamp) {
+            self.ns_local.stamp_mismatch += 1;
+            Err(format!("`{site}.{name}`: {e}"))
+        } else {
+            self.ns_local.resolved += 1;
+            Ok(w)
+        };
+        // The import dies here and its reply is synthesized locally: one
+        // injected for one consumed, so the Mattern balance holds with no
+        // wire round trip.
+        self.term.injected.fetch_add(1, Ordering::Relaxed);
+        self.deliver_local(Packet::NsImportReply {
+            to: *reply_to,
+            req: *req,
+            result,
+        });
+        self.term.consumed.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Remote send with the code-mobility optimizations: repeat shipments
@@ -1179,10 +1112,8 @@ impl Daemon {
             .saturating_sub(Digest::SIZE as u64);
     }
 
-    /// Deliver a packet whose destination is on this node (the
-    /// shared-memory path) or handle it in the local name service.
     /// Handle one name-service request at this node's hosted service —
-    /// the shard-owner (or centralized-primary) side of a bind or lookup.
+    /// the shard-owner side of a bind or lookup.
     fn serve_ns_request(&mut self, p: Packet) {
         match p {
             Packet::NsRegister {
@@ -1193,14 +1124,11 @@ impl Daemon {
                 stamp,
             } => {
                 self.stats.ns_ops += 1;
-                // Sharded mode: this registration replicates to the ring
-                // partner for its key — the successor when this node owns
-                // the key, the owner itself when this node is the
-                // follower acting for a suspected owner.
-                let partner = self
-                    .shard
-                    .as_ref()
-                    .and_then(|s| s.partner_of(self.node, &site_lexeme, &name));
+                // This registration replicates to the ring partner for
+                // its key — the successor when this node owns the key,
+                // the owner itself when this node is the follower acting
+                // for a suspected owner; nobody on a ring of one.
+                let partner = self.shard.partner_of(self.node, &site_lexeme, &name);
                 if let Some(ns) = &mut self.ns {
                     ns.set_repl_partner(partner);
                     let replies = ns.handle_register(from_site, &site_lexeme, &name, value, stamp);
@@ -1237,6 +1165,8 @@ impl Daemon {
         }
     }
 
+    /// Deliver a packet whose destination is on this node (the
+    /// shared-memory path) or handle it in the local name service.
     fn deliver_local(&mut self, p: Packet) {
         match p {
             Packet::Msg { dest, label, args } => {

@@ -5,13 +5,14 @@
 //! Substitution note (see DESIGN.md §2): the paper's claims are about
 //! *relative* behaviour under different latency/bandwidth regimes, so the
 //! fabric models point-to-point links with configurable [`LinkProfile`]s
-//! and supports three delivery disciplines:
+//! and supports two delivery disciplines:
 //!
-//! * **Ideal** — immediate delivery (functional testing);
+//! * **Ideal** — immediate delivery (functional testing, and the
+//!   node-local carrier of threaded and multi-process runs);
 //! * **Virtual** — discrete-event delivery against a virtual clock
-//!   (deterministic experiments: latency hiding, crossovers);
-//! * **RealTime** — a delivery thread that holds packets for the modelled
-//!   latency + serialization delay (threaded benchmarks).
+//!   (deterministic experiments: latency hiding, crossovers).
+//!
+//! Real latency is the TCP transport's job ([`crate::transport`]).
 //!
 //! Packets are byte-encoded ([`tyco_vm::codec`]) before entering the
 //! fabric, so byte counts are real.
@@ -22,7 +23,7 @@
 //! lives in a read-mostly routing table separate from the event-queue
 //! state. An Ideal-mode [`FabricHandle::send`] therefore takes a shared
 //! read lock plus one channel lock — it never serializes against other
-//! links or against the Virtual/RealTime event heap. The destination's
+//! links or against the Virtual event heap. The destination's
 //! waker is cloned out of the table and kicked only after the read lock
 //! is dropped: in real-thread runs the kick *is* the destination daemon's
 //! pump, which sends through this table again. Senders can also
@@ -35,10 +36,10 @@ use crate::chaos::{ChaosState, Fault};
 use crate::wake::Wake;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tyco_vm::word::NodeId;
 
@@ -143,8 +144,6 @@ pub enum FabricMode {
     Ideal,
     /// Discrete-event queue against a virtual clock (deterministic).
     Virtual,
-    /// Real wall-clock delays via a delivery thread.
-    RealTime,
 }
 
 /// Aggregate traffic counters. Packets/bytes count only traffic accepted
@@ -202,20 +201,16 @@ struct Route {
     waker: Option<Arc<dyn Wake>>,
 }
 
-/// Event-queue state shared by Virtual/RealTime scheduling. Ideal-mode
-/// sends never touch this lock.
+/// Event-queue state of Virtual scheduling. Ideal-mode sends never touch
+/// this lock.
 struct Shared {
-    mode: FabricMode,
     default_link: LinkProfile,
     links: HashMap<(NodeId, NodeId), LinkProfile>,
-    /// Virtual/RealTime pending deliveries (min-heap on due time).
+    /// Pending deliveries (min-heap on due time).
     pending: BinaryHeap<Reverse<Event>>,
     seq: u64,
-    /// Virtual clock (ns). In RealTime mode, unused.
+    /// Virtual clock (ns).
     now_ns: u64,
-    /// Epoch for RealTime deadlines (shared by senders and the delivery
-    /// thread).
-    epoch: std::time::Instant,
     /// Last scheduled arrival per directed link: links are FIFO (a later
     /// small packet must not overtake an earlier large one), like the
     /// point-to-point switch links of Fig. 1.
@@ -227,10 +222,7 @@ impl Shared {
     /// forcing due times to be strictly monotone along the link.
     /// `extra_ns` is chaos-injected delay on top of the link model.
     fn schedule(&mut self, from: NodeId, to: NodeId, payload: Bytes, extra_ns: u64) {
-        let now = match self.mode {
-            FabricMode::Virtual => self.now_ns,
-            _ => self.epoch.elapsed().as_nanos() as u64,
-        };
+        let now = self.now_ns;
         let profile = self
             .links
             .get(&(from, to))
@@ -275,10 +267,7 @@ pub struct Fabric {
     mode: FabricMode,
     shared: Arc<Mutex<Shared>>,
     routes: Routes,
-    cond: Arc<Condvar>,
     pub stats: Arc<FabricStats>,
-    stop: Arc<AtomicBool>,
-    delivery_thread: Option<std::thread::JoinHandle<()>>,
     /// Installed fault-injection plan (None on the fast path).
     chaos: Arc<RwLock<Option<Arc<ChaosState>>>>,
 }
@@ -289,7 +278,6 @@ pub struct FabricHandle {
     mode: FabricMode,
     shared: Arc<Mutex<Shared>>,
     routes: Routes,
-    cond: Arc<Condvar>,
     stats: Arc<FabricStats>,
     chaos: Arc<RwLock<Option<Arc<ChaosState>>>>,
 }
@@ -299,20 +287,15 @@ impl Fabric {
         Fabric {
             mode,
             shared: Arc::new(Mutex::new(Shared {
-                mode,
                 default_link,
                 links: HashMap::new(),
                 pending: BinaryHeap::new(),
                 seq: 0,
                 now_ns: 0,
-                epoch: std::time::Instant::now(),
                 link_last: HashMap::new(),
             })),
             routes: Arc::new(RwLock::new(HashMap::new())),
-            cond: Arc::new(Condvar::new()),
             stats: Arc::new(FabricStats::default()),
-            stop: Arc::new(AtomicBool::new(false)),
-            delivery_thread: None,
             chaos: Arc::new(RwLock::new(None)),
         }
     }
@@ -361,7 +344,6 @@ impl Fabric {
             mode: self.mode,
             shared: self.shared.clone(),
             routes: self.routes.clone(),
-            cond: self.cond.clone(),
             stats: self.stats.clone(),
             chaos: self.chaos.clone(),
         }
@@ -416,49 +398,6 @@ impl Fabric {
         };
         deliver(&self.routes, due)
     }
-
-    /// Start the RealTime delivery thread (no-op for other modes).
-    pub fn start(&mut self) {
-        if self.mode != FabricMode::RealTime || self.delivery_thread.is_some() {
-            return;
-        }
-        let shared = self.shared.clone();
-        let routes = self.routes.clone();
-        let cond = self.cond.clone();
-        let stop = self.stop.clone();
-        self.delivery_thread = Some(std::thread::spawn(move || loop {
-            let due = {
-                let mut s = shared.lock();
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                let now = s.epoch.elapsed().as_nanos() as u64;
-                let due = s.pop_due(now);
-                if due.is_empty() {
-                    let wait = match s.pending.peek() {
-                        Some(Reverse(e)) => {
-                            std::time::Duration::from_nanos(e.due_ns.saturating_sub(now))
-                                .min(std::time::Duration::from_millis(10))
-                        }
-                        None => std::time::Duration::from_millis(10),
-                    };
-                    cond.wait_for(&mut s, wait);
-                    continue;
-                }
-                due
-            };
-            deliver(&routes, due);
-        }));
-    }
-
-    /// Stop the delivery thread.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.cond.notify_all();
-        if let Some(h) = self.delivery_thread.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 /// Deliver a drained batch of due events through the routing table
@@ -494,12 +433,6 @@ fn deliver(routes: &Routes, due: Vec<Event>) -> usize {
         w.wake();
     }
     delivered
-}
-
-impl Drop for Fabric {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 impl FabricHandle {
@@ -571,18 +504,15 @@ impl FabricHandle {
                 return;
             }
         }
-        // Virtual/RealTime: queue on the event heap (routes lock released
-        // first; the two locks are never held together).
+        // Virtual: queue on the event heap (routes lock released first;
+        // the two locks are never held together).
         self.shared.lock().schedule(from, to, payload, extra_ns);
-        if self.mode == FabricMode::RealTime {
-            self.cond.notify_all();
-        }
     }
 
     /// Send a whole per-link backlog in one operation, draining `batch`
     /// (its allocation is kept for reuse). Per-link FIFO order is
     /// preserved: packets enter the destination inbox (Ideal) or the
-    /// event heap (Virtual/RealTime) in `batch` order, under one lock.
+    /// event heap (Virtual) in `batch` order, under one lock.
     pub fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>) {
         if batch.is_empty() {
             return;
@@ -628,14 +558,10 @@ impl FabricHandle {
                     w.wake();
                 }
             }
-            _ => {
+            FabricMode::Virtual => {
                 let mut s = self.shared.lock();
                 for payload in batch.drain(..) {
                     s.schedule(from, to, payload, 0);
-                }
-                drop(s);
-                if self.mode == FabricMode::RealTime {
-                    self.cond.notify_all();
                 }
             }
         }
@@ -644,10 +570,10 @@ impl FabricHandle {
 
 /// The sending interface a daemon needs from "the network": single sends
 /// plus the batched per-link flush discipline. [`FabricHandle`] implements
-/// it for the three in-process modes; the TCP transport's `NetHandle`
+/// it for the two in-process modes; the TCP transport's `NetHandle`
 /// implements it for multi-process runs by routing frames for remote
 /// nodes onto sockets. Extracting the trait keeps `Daemon` agnostic — the
-/// Ideal/Virtual/RealTime paths are byte-for-byte what they were before
+/// Ideal/Virtual paths are byte-for-byte what they were before
 /// distribution existed.
 pub trait PacketFabric: Send + Sync {
     /// Send one encoded packet from `from` to `to`.
@@ -760,17 +686,6 @@ mod tests {
         assert_eq!(f.stats.batches.load(Ordering::Relaxed), 1);
         assert_eq!(f.stats.batched_packets.load(Ordering::Relaxed), 5);
         assert_eq!(f.stats.sends.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn realtime_mode_delivers_after_delay() {
-        let mut f = Fabric::new(FabricMode::RealTime, LinkProfile::ideal());
-        let rx = f.register_node(n(1));
-        f.start();
-        f.handle().send(n(0), n(1), Bytes::from_static(b"rt"));
-        let got = rx.recv_timeout(std::time::Duration::from_secs(2));
-        assert!(got.is_ok());
-        f.shutdown();
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! performance").
 //!
 //! Every node's TyCOd emits [`Packet::Heartbeat`](tyco_vm::codec::Packet::Heartbeat) beacons to the
-//! name-service replica nodes. The [`FailureMonitor`] tracks the latest
+//! name-service ring nodes. The [`FailureMonitor`] tracks the latest
 //! sequence number observed per node; a node whose sequence has not
 //! advanced for `stale_rounds` observation rounds is *suspected*. When the
-//! suspected node hosts the current name-service primary, the environment
-//! advances the shared primary index to the next live replica and asks
-//! every site to re-issue its in-flight imports (requests parked at the
-//! dead primary are lost; re-execution is idempotent because replicas
-//! share the registration stream).
+//! suspected node owns a shard of the name service, the environment marks
+//! it down in the shard map ([`crate::nameservice::NsShardMap`]), which
+//! routes its keys to its ring successor, and asks every site to re-issue
+//! its in-flight imports (requests parked at the dead owner are lost;
+//! re-execution is idempotent because the successor holds the owner's
+//! replicated registrations).
 
 use std::collections::HashMap;
 use tyco_vm::word::NodeId;

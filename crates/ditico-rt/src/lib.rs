@@ -14,13 +14,14 @@
 //!   code backing single-flight fetch coalescing, wire-level dedup and
 //!   verify-once linking;
 //! * [`nameservice`] — the Network Name Service (SiteTable + IdTable),
-//!   with blocking lookups; centralized as in the paper, or sharded by
+//!   with blocking lookups; one service placed by a shard map — a ring
+//!   of one is the paper's central registry, larger rings shard it by
 //!   consistent hashing with per-shard follower replication;
 //! * [`namecache`] — the node-level lease cache of resolved bindings
-//!   granted by the sharded name service (warm repeat imports are
-//!   zero-wire);
+//!   granted when the name service's lease TTL is positive (warm repeat
+//!   imports are zero-wire);
 //! * [`fabric`] — the simulated interconnect (Myrinet / Fast Ethernet /
-//!   WAN link profiles; ideal, virtual-time and real-time delivery);
+//!   WAN link profiles; ideal and virtual-time delivery);
 //! * [`cluster`] — the environment tying it together, with deterministic
 //!   and threaded execution;
 //! * [`sched`] — the M:N work-stealing scheduler threaded execution runs
@@ -28,8 +29,8 @@
 //!   edge-triggered readiness;
 //! * [`termination`] — Mattern-style four-counter termination detection
 //!   (§7 future work);
-//! * [`failure`] — heartbeat failure detection and name-service failover
-//!   over replicas (§5/§7 future work);
+//! * [`failure`] — heartbeat failure detection feeding the shard map's
+//!   failover (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
 //!   sockets, all driven by one epoll event loop (Linux), with
 //!   reconnect/backoff, wire heartbeats feeding the failure monitor and

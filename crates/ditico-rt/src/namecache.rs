@@ -1,8 +1,8 @@
 //! Lease-based cache of resolved name bindings, one per node daemon.
 //!
-//! The sharded name service (see `crate::nameservice`) answers lookups
-//! with [`tyco_vm::codec::Packet::NsLease`] grants: the binding plus its
-//! re-export epoch, good for the configured TTL. The importing daemon
+//! With a positive lease TTL the name service (see `crate::nameservice`)
+//! answers lookups with [`tyco_vm::codec::Packet::NsLease`] grants: the
+//! binding plus its re-export epoch, good for the configured TTL. The importing daemon
 //! stores the grant here, and any later import of the same `(site, name)`
 //! from any site on the node is answered locally — zero wire round-trips
 //! — until the lease expires or the owning shard broadcasts an epoch-bump

@@ -17,19 +17,21 @@
 //! parked and answered when the export arrives — this is what makes
 //! `import` block until the corresponding `export` executes.
 //!
-//! The paper concedes the service is centralized — its one scalability
-//! bottleneck. We keep that mode (it is still the default and the A/B
-//! control for benchmarks) but can instead *shard* the `IdTable` by
-//! consistent hashing over the interned `(site, name)` key: each node's
-//! daemon owns a shard, registrations and lookups route to the owner, and
-//! every answered lookup grants the importing node a TTL *lease* on the
-//! binding (see `crate::namecache`). A re-export bumps the binding's epoch
-//! and invalidates outstanding lessees. Each shard asynchronously ships an
-//! epoch-numbered log of applied registrations to its successor on the
-//! ring, which serves reads (and takes writes) when the failure monitor
-//! suspects the owner. The `SiteTable` stays fully replicated — site names
-//! are registered at build time, exactly as the paper assumes ("all sites
-//! know its location in advance").
+//! There is one service, and [`NsShardMap`] is the only place that decides
+//! which node serves a key. The `IdTable` is placed by consistent hashing
+//! over the interned `(site, name)` key onto a ring of the first `ring`
+//! nodes; registrations and lookups route to the key's owner. The default
+//! ring is 1 with lease 0: every key lands on node 0, nothing replicates,
+//! every lookup is answered with a plain reply — packet for packet the
+//! paper's central service ("all sites know its location in advance"),
+//! and still its one scalability bottleneck. A larger ring divides the
+//! table: each owner asynchronously ships an epoch-numbered log of applied
+//! registrations to its successor on the ring, which serves reads (and
+//! takes writes) while the owner is suspected dead. A positive lease TTL
+//! additionally grants the importing node a *lease* on every answered
+//! binding (see `crate::namecache`); a re-export bumps the binding's epoch
+//! and invalidates outstanding lessees. The `SiteTable` stays fully
+//! replicated — site names are registered at build time.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,7 +107,9 @@ impl NsStats {
 /// space, and which owners are currently believed dead. Shared (`Arc`)
 /// between every daemon and the cluster driver; membership is fixed for
 /// the duration of a run (nodes `0..ring` own shards), only the down-set
-/// mutates, so routing is a hash plus one read-locked set probe.
+/// mutates, so routing is a hash plus one read-locked set probe. A ring
+/// of one is the paper's central service: node 0 owns every key and has
+/// no follower to fail over to.
 #[derive(Debug)]
 pub struct NsShardMap {
     ring: usize,
@@ -161,10 +165,11 @@ impl NsShardMap {
     /// Where to send a register/import for this key *right now*: the
     /// owner, unless it is suspected dead, in which case the follower
     /// (best effort — a doubly-dead pair still routes to the follower).
+    /// A ring of one has no follower: the owner it is, dead or not.
     /// Returns the target and whether a failover was taken.
     pub fn route(&self, site: &str, name: &str) -> (NodeId, bool) {
         let owner = self.owner(site, name);
-        if self.is_down(owner) {
+        if self.ring >= 2 && self.is_down(owner) {
             self.failovers.fetch_add(1, Ordering::Relaxed);
             (self.follower(owner), true)
         } else {
@@ -191,9 +196,11 @@ impl NsShardMap {
         }
     }
 
-    /// Mark a node suspected dead. Returns true when newly marked.
+    /// Mark a node suspected dead. Returns true when that moved some
+    /// key's route — the node is newly marked, owns a shard and has a
+    /// follower — so lookups parked at it are worth re-issuing.
     pub fn mark_down(&self, n: NodeId) -> bool {
-        self.down.write().unwrap().insert(n)
+        self.down.write().unwrap().insert(n) && self.ring >= 2 && (n.0 as usize) < self.ring
     }
 
     /// Clear a suspicion (heal). Returns true when it was marked.
@@ -234,7 +241,7 @@ pub struct NameService {
     /// identifier) they wait on: a register touches exactly its own
     /// waiters instead of scanning every parked lookup in the network.
     pending: HashMap<(String, String), Vec<PendingImport>>,
-    /// Sharded mode: answer lookups with lease grants ([`Packet::NsLease`])
+    /// Lease TTL > 0: answer lookups with lease grants ([`Packet::NsLease`])
     /// instead of plain replies, and track lessees for invalidation.
     lease_mode: bool,
     /// Nodes holding a lease on each key; a re-export drains the set into
@@ -242,7 +249,7 @@ pub struct NameService {
     lessees: HashMap<(String, String), HashSet<NodeId>>,
     /// Replication: this shard ships every applied registration to its
     /// ring successor (or, when acting for a dead owner, back to it).
-    /// `None` disables shipping (centralized mode, or ring of one).
+    /// `None` disables shipping (ring of one).
     repl_partner: Option<NodeId>,
     /// Log position of the last record shipped.
     repl_seq: u64,
@@ -314,7 +321,7 @@ impl NameService {
         self.pending.values().map(Vec::len).sum()
     }
 
-    /// Sharded mode: answer lookups with lease grants and track lessees.
+    /// Answer lookups with lease grants and track lessees.
     pub fn set_lease_mode(&mut self, on: bool) {
         self.lease_mode = on;
     }
@@ -387,8 +394,8 @@ impl NameService {
     }
 
     /// Handle an `export` registration. Returns reply packets for every
-    /// parked lookup this export satisfies, plus — in sharded mode —
-    /// invalidations for every lessee of a re-exported binding and the
+    /// parked lookup this export satisfies, plus invalidations for every
+    /// lessee of a re-exported binding and, when the ring has one, the
     /// asynchronous replication record for the ring partner.
     pub fn handle_register(
         &mut self,
@@ -920,8 +927,27 @@ mod tests {
         // Heal restores owner routing.
         map.mark_up(owner);
         assert_eq!(map.route("server", "p"), (owner, false));
-        // A ring of one never replicates.
+    }
+
+    #[test]
+    fn ring_of_one_is_the_central_service_and_cannot_fail_over() {
         let solo = NsShardMap::new(1, 0);
+        assert_eq!(solo.route("s", "n"), (NodeId(0), false));
         assert_eq!(solo.partner_of(NodeId(0), "s", "n"), None);
+        // The follower of the only owner is that owner: a downed node 0
+        // moves no route and counts no failover.
+        assert!(!solo.mark_down(NodeId(0)), "no key moved");
+        assert_eq!(solo.route("s", "n"), (NodeId(0), false));
+        assert_eq!(solo.failovers(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring of 3 does not fit a topology of 2 node(s)")]
+    fn ring_larger_than_the_topology_is_refused() {
+        use crate::{Cluster, FabricMode, LinkProfile, RunLimits};
+        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 3);
+        c.add_node();
+        c.add_node();
+        c.run_deterministic(RunLimits::default());
     }
 }

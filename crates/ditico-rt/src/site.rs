@@ -142,7 +142,7 @@ impl RtPort {
     }
 
     /// Re-issue every in-flight import request (called after a
-    /// name-service failover: requests parked at the dead primary are
+    /// name-service failover: requests parked at the dead owner are
     /// lost).
     pub fn resend_pending_imports(&mut self) {
         let pending: Vec<(u64, (String, String, ImportKind))> =

@@ -5,8 +5,8 @@
 //! [`fabric`](crate::fabric) models that network's latency; this module
 //! is the part that actually crosses a machine boundary: it carries the
 //! same encoded [`Packet`](tyco_vm::codec::Packet) stream over TCP with
-//! length-prefixed frames (see [`tyco_vm::codec::decode_frame`] for the
-//! layout).
+//! length-prefixed frames (see [`tyco_vm::codec::decode_frame_view`] for
+//! the layout).
 //!
 //! ## One event loop
 //!

@@ -3,7 +3,7 @@
 //! mode and in threaded mode, including the §7 future-work features
 //! (termination detection and name-service failover).
 
-use ditico_rt::{Cluster, FabricMode, LinkProfile, RunLimits};
+use ditico_rt::{ChaosEvent, ChaosPlan, Cluster, FabricMode, LinkProfile, NsShardMap, RunLimits};
 use tyco_vm::word::NodeId;
 
 fn two_node_cluster(mode: FabricMode, link: LinkProfile) -> (Cluster, NodeId, NodeId) {
@@ -247,58 +247,37 @@ fn threaded_mode_runs_rpc() {
     );
 }
 
-#[test]
-fn threaded_mode_with_realtime_latency() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::RealTime, LinkProfile::myrinet());
-    c.add_site_src(
-        n0,
-        "server",
-        "def Srv(s) = s?{ val(x, r) = r![x + 1] | Srv[s] } in export new p in Srv[p]",
-    )
-    .unwrap();
-    c.add_site_src(
-        n1,
-        "client",
-        r#"
-        import p from server in
-        def Loop(n) =
-            if n > 0 then new a (p!val[n, a] | a?(v) = Loop[n - 1]) else println("done")
-        in Loop[10]
-        "#,
-    )
-    .unwrap();
-    let report = c.run_threaded(std::time::Duration::from_secs(30));
-    assert!(report.errors.is_empty(), "{:?}", report.errors);
-    assert_eq!(report.output("client"), ["done".to_string()]);
-}
-
-#[test]
-fn nameservice_failover_with_replicas() {
-    // Three nodes, two NS replicas. The server exports through both; the
-    // primary dies BEFORE the client imports; the heartbeat monitor fails
-    // over to the replica, and the client's re-issued import succeeds.
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 2);
-    let n0 = c.add_node(); // NS primary
-    let n1 = c.add_node(); // NS replica
+/// Three nodes, a name-service ring of two, the server on the third.
+/// Returns the cluster, the node owning `(server, p)` and the third node.
+fn ring_of_two_with_server(mode: FabricMode, link: LinkProfile) -> (Cluster, NodeId, NodeId) {
+    let mut c = Cluster::new(mode, link, 2);
+    for _ in 0..2 {
+        c.add_node();
+    }
     let n2 = c.add_node();
-    let _ = n1;
-    c.heartbeat_every = Some(64);
-    c.stale_periods = 2;
     c.add_site_src(
         n2,
         "server",
         "def Srv(s) = s?{ val(x, r) = r![x * 3] | Srv[s] } in export new p in Srv[p]",
     )
     .unwrap();
-    // First run: let the export register at both replicas.
+    (c, NsShardMap::key_owner("server", "p", 2), n2)
+}
+
+#[test]
+fn nameservice_failover_with_replicas() {
+    // The server's export lands at the key's owner, which replicates it
+    // to its ring successor; the owner dies BEFORE the client imports;
+    // the shard map routes the client's import to the follower.
+    let (mut c, owner, n2) = ring_of_two_with_server(FabricMode::Virtual, LinkProfile::myrinet());
+    // First run: let the export register and replicate.
     c.run_deterministic(RunLimits {
         max_instrs: 10_000_000,
         fuel_per_slice: 256,
         ..RunLimits::default()
     });
-    // Kill the primary; its daemon stops and traffic to it is dropped.
-    c.kill_node(n0);
-    assert_eq!(c.ns_primary_node(), n0);
+    // Kill the owner; its daemon stops and traffic to it is dropped.
+    c.kill_node(owner);
     // Now submit a client whose import must survive the failover.
     c.add_site_src(
         n2,
@@ -311,8 +290,44 @@ fn nameservice_failover_with_replicas() {
         fuel_per_slice: 256,
         ..RunLimits::default()
     });
-    assert_ne!(c.ns_primary_node(), n0, "failover must have happened");
     assert_eq!(report.output("client"), ["42".to_string()]);
+    assert!(
+        report.ns_failovers >= 1,
+        "the import was served by the follower"
+    );
+}
+
+#[test]
+fn nameservice_failover_with_replicas_threaded() {
+    // The same failover on real threads, where the down-set is the only
+    // failover mechanism there is: the chaos plan kills the key's owner
+    // as the run starts, and the client burns a few hundred slices
+    // before it imports.
+    let (mut c, owner, n2) = ring_of_two_with_server(FabricMode::Ideal, LinkProfile::ideal());
+    // Register and replicate the export first (no packet is then ever
+    // addressed to the corpse, so the run still ends on the detector).
+    c.run_deterministic(RunLimits::default());
+    c.set_chaos(ChaosPlan::default().at(0, ChaosEvent::KillNode(owner)))
+        .unwrap();
+    c.add_site_src(
+        n2,
+        "client",
+        r#"
+        def Spin(n) =
+            if n > 0 then Spin[n - 1]
+            else import p from server in new a (p!val[14, a] | a?(y) = print(y))
+        in Spin[200000]
+        "#,
+    )
+    .unwrap();
+    let report = c.run_threaded(std::time::Duration::from_secs(20));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.output("client"), ["42".to_string()]);
+    assert!(
+        report.ns_failovers >= 1,
+        "the import was served by the follower"
+    );
+    assert!(report.quiescent);
 }
 
 #[test]

@@ -7,8 +7,9 @@
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
 use ditico_rt::daemon::TermCounters;
-use ditico_rt::{Cluster, Daemon, Fabric, FabricMode, LinkProfile, RtIncoming, RunLimits};
-use std::sync::atomic::AtomicUsize;
+use ditico_rt::{
+    Cluster, Daemon, Fabric, FabricMode, LinkProfile, NsShardMap, RtIncoming, RunLimits,
+};
 use std::sync::Arc;
 use tyco_vm::codec::{self, Packet};
 use tyco_vm::port::Incoming;
@@ -172,9 +173,7 @@ fn rig() -> Rig {
         out_rx,
         daemon_rx,
         fabric.handle(),
-        vec![NodeId(0)],
-        Arc::new(AtomicUsize::new(0)),
-        false,
+        Arc::new(NsShardMap::new(1, 0)),
         Arc::new(TermCounters::default()),
     );
     let (site_tx, site_rx) = unbounded();

@@ -8,6 +8,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ditico_rt::daemon::{Daemon, DaemonCell, TermCounters};
 use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile, PacketFabric};
+use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use ditico_rt::wake::Wake;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,9 +35,7 @@ fn rig() -> Rig {
         from_sites,
         fabric_rx,
         fabric.handle(),
-        vec![NodeId(0)],
-        Arc::new(AtomicUsize::new(0)),
-        true,
+        Arc::new(NsShardMap::new(1, 0)),
         Arc::new(TermCounters::default()),
     );
     let (in_tx, site_rx) = unbounded();

@@ -6,8 +6,9 @@
 use crossbeam::channel::unbounded;
 use ditico_rt::daemon::{Daemon, TermCounters};
 use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile};
+use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tyco_vm::codec::{decode, Packet};
 use tyco_vm::port::Incoming;
@@ -35,9 +36,7 @@ fn rig() -> Rig {
         out_rx,
         fabric_rx_self,
         fabric.handle(),
-        vec![NodeId(0)],
-        Arc::new(AtomicUsize::new(0)),
-        true,
+        Arc::new(NsShardMap::new(1, 0)),
         term.clone(),
     );
     if let Some(ns) = &mut daemon.ns {

@@ -1390,29 +1390,9 @@ pub fn encode_frame(from: NodeId, to: NodeId, payload: &[u8]) -> Bytes {
 /// frame was parsed (`consumed` bytes should be drained from the front),
 /// and `Err` when the stream is corrupt (undersized body or a length
 /// prefix beyond [`MAX_FRAME_LEN`]) and the connection must be dropped.
-pub fn decode_frame(buf: &[u8]) -> R<Option<(Frame, usize)>> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let body_len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if body_len < 8 {
-        return err(format!("frame body too short: {body_len} bytes"));
-    }
-    if body_len > MAX_FRAME_LEN {
-        return err(format!("frame body too long: {body_len} bytes"));
-    }
-    if buf.len() < 4 + body_len {
-        return Ok(None);
-    }
-    let from = NodeId(u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]));
-    let to = NodeId(u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]));
-    let payload = Bytes::copy_from_slice(&buf[12..4 + body_len]);
-    Ok(Some((Frame { from, to, payload }, 4 + body_len)))
-}
-
-/// Zero-copy variant of [`decode_frame`]: the payload is a [`Bytes`]
-/// view sharing `buf`'s allocation instead of a fresh copy. The
-/// event-loop transport accumulates socket reads into a `BytesMut`,
+///
+/// Zero-copy: the payload is a [`Bytes`] view sharing `buf`'s allocation.
+/// The event-loop transport accumulates socket reads into a `BytesMut`,
 /// freezes it once at least one complete frame is present, and hands
 /// each payload onward as a slice of that frozen buffer — the only copy
 /// between the kernel and the daemon is the `read(2)` itself.
@@ -1797,9 +1777,13 @@ mod tests {
         // never an error.
         let first_len = 4 + 8 + p.len();
         for cut in 0..first_len {
-            assert_eq!(decode_frame(&bytes[..cut]).unwrap(), None, "prefix {cut}");
+            assert_eq!(
+                decode_frame_view(&bytes.slice(0..cut)).unwrap(),
+                None,
+                "prefix {cut}"
+            );
         }
-        let (f1, used1) = decode_frame(&bytes).unwrap().unwrap();
+        let (f1, used1) = decode_frame_view(&bytes).unwrap().unwrap();
         assert_eq!(f1.from, NodeId(2));
         assert_eq!(f1.to, CONTROL_NODE);
         assert_eq!(
@@ -1809,53 +1793,25 @@ mod tests {
                 seq: 9
             }
         );
-        let (f2, used2) = decode_frame(&bytes[used1..]).unwrap().unwrap();
+        let rest = bytes.slice(used1..bytes.len());
+        let (f2, used2) = decode_frame_view(&rest).unwrap().unwrap();
         assert_eq!(f2.to, NodeId(1));
         assert_eq!(f2.payload.as_ref(), b"xyz");
         assert_eq!(used1 + used2, bytes.len());
-    }
-
-    #[test]
-    fn frame_view_decode_matches_copying_decode() {
-        let p = encode(&Packet::Heartbeat {
-            node: NodeId(2),
-            seq: 9,
-        });
-        let mut buf = BytesMut::new();
-        encode_frame_into(NodeId(2), CONTROL_NODE, &p, &mut buf);
-        encode_frame_into(NodeId(0), NodeId(1), b"xyz", &mut buf);
-        let bytes = buf.freeze();
-
-        // Walk both decoders over the same stream; the view variant must
-        // agree frame-for-frame (its payloads are slices of `bytes`, not
-        // copies, but that is unobservable by value).
-        let mut cur = bytes.clone();
-        let mut off = 0usize;
-        for _ in 0..2 {
-            let (a, ua) = decode_frame(&bytes[off..]).unwrap().unwrap();
-            let (b, ub) = decode_frame_view(&cur).unwrap().unwrap();
-            assert_eq!(ua, ub);
-            assert_eq!(a.from, b.from);
-            assert_eq!(a.to, b.to);
-            assert_eq!(a.payload, b.payload);
-            off += ua;
-            cur.advance(ub);
-        }
-        assert_eq!(decode_frame_view(&cur).unwrap(), None);
-        // Corrupt lengths error identically.
-        let huge = Bytes::from(((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec());
-        assert!(decode_frame_view(&huge).is_err());
+        // Nothing left over reads as "incomplete", not as an error.
+        let end = bytes.slice(bytes.len()..bytes.len());
+        assert_eq!(decode_frame_view(&end).unwrap(), None);
     }
 
     #[test]
     fn frame_rejects_bad_lengths() {
         // Body length below the 8-byte from/to header is corrupt.
-        let short = 4u32.to_le_bytes();
-        assert!(decode_frame(&short).is_err());
+        let short = Bytes::from(4u32.to_le_bytes().to_vec());
+        assert!(decode_frame_view(&short).is_err());
         // A length prefix beyond MAX_FRAME_LEN is rejected before any
         // allocation of that size happens.
-        let huge = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
-        assert!(decode_frame(&huge).is_err());
+        let huge = Bytes::from(((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec());
+        assert!(decode_frame_view(&huge).is_err());
     }
 
     #[test]

@@ -93,8 +93,10 @@ const COMMANDS: &[Command] = &[
                 scheduler counters; --code-cache sets the per-node code store capacity in\n\
                 images (0 disables caching/dedup/coalescing); --chaos-* injects seeded\n\
                 packet faults, rates in per-mille, extra latency via --chaos-delay-ns;\n\
-                --ns-shards N partitions the name service over N shard owners with lease\n\
-                caching (TTL --ns-lease-ms).\n\
+                the name service is a ring of the spec's replicas=K first nodes (default 1:\n\
+                the paper's central service), each owning a hash slice of the exports and\n\
+                replicating it to its successor; --ns-shards N overrides K and turns on\n\
+                lease caching at importing nodes (TTL --ns-lease-ms, default 50).\n\
                 With --node LIST and --peers ADDRS and/or --listen ADDR: run one process\n\
                 of a multi-process cluster over TCP (LIST: comma-separated node indices\n\
                 this process hosts)",
@@ -480,7 +482,6 @@ fn parse_net_spec(path: &str) -> Result<(Topology, Vec<SiteSpec>), String> {
                             topology.mode = match v {
                                 "ideal" => FabricMode::Ideal,
                                 "virtual" => FabricMode::Virtual,
-                                "realtime" => FabricMode::RealTime,
                                 other => {
                                     return Err(format!("{path}:{}: bad fabric `{other}`", i + 1));
                                 }
@@ -570,9 +571,10 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Apply the name-service flags: `--ns-shards N` switches the run to the
-/// sharded, lease-cached service (lease TTL from `--ns-lease-ms`, default
-/// 50 ms); without it the run uses the paper's central service.
+/// Apply the name-service flags: `--ns-shards N` replaces the spec's
+/// ring (`replicas=K`, default 1: the paper's central service, no lease
+/// caching) with N shard owners and a lease TTL from `--ns-lease-ms`
+/// (default 50 ms).
 fn ns_from_args(args: &[String], env: Env) -> Result<Env, String> {
     match num_flag(args, "--ns-shards")? {
         Some(s) if s > 0 => {
@@ -753,7 +755,7 @@ fn cmd_net(cmd: &Command, args: &[String]) -> Result<(), String> {
     let wall = num_flag(args, "--wall")?.unwrap_or(60);
     let (topology, sites) = parse_net_spec(path)?;
     if threaded && topology.mode == FabricMode::Virtual {
-        return Err("--threaded needs fabric=ideal or fabric=realtime in the spec".into());
+        return Err("--threaded needs fabric=ideal in the spec".into());
     }
     let mut env = Env::new(topology);
     if let Some(w) = workers {
