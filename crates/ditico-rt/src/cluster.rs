@@ -717,8 +717,9 @@ impl Cluster {
     /// handle is replaced by the TCP transport's [`crate::NetHandle`] —
     /// node-local traffic stays on the in-process fabric, traffic for
     /// nodes hosted by peer processes is framed onto sockets, and inbound
-    /// frames are verifier-screened and injected back into the local
-    /// fabric. Every process must build the *same topology in the same
+    /// frames are injected back into the local fabric unopened, to be
+    /// decoded and verifier-screened by the daemon's pump like any other
+    /// fabric packet. Every process must build the *same topology in the same
     /// order* (remote sites via [`add_remote_site`](Cluster::add_remote_site))
     /// so site/node ids agree across the wire.
     ///

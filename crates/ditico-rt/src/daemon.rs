@@ -454,9 +454,10 @@ impl Daemon {
     /// receiver cannot trust that shipped byte-code was produced by our
     /// compiler). Returns a reason to reject, or `None` to admit. Packets
     /// without code images pass through; their field-level validation
-    /// happened in the codec. Also used by the TCP transport's reader,
-    /// which sits on an even less trustworthy boundary.
-    pub(crate) fn screen(p: &Packet) -> Option<String> {
+    /// happened in the codec. [`pump`](Daemon::pump) is the only caller:
+    /// bytes read off a TCP socket reach it unopened, so this is where
+    /// the process boundary is screened too.
+    fn screen(p: &Packet) -> Option<String> {
         let (code, table) = match p {
             Packet::Obj { obj, .. } => (&obj.code, obj.table),
             Packet::FetchReply { group, .. } => (&group.code, group.table),

@@ -32,9 +32,10 @@
 //! * [`failure`] — heartbeat failure detection feeding the shard map's
 //!   failover (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
-//!   sockets, all driven by one epoll event loop (Linux), with
-//!   reconnect/backoff, wire heartbeats feeding the failure monitor and
-//!   verifier screening at the process boundary.
+//!   sockets, read by one epoll event loop (Linux) and written by the
+//!   sending thread, with reconnect/backoff and wire heartbeats feeding
+//!   the failure monitor; inbound payloads reach the daemon's verifier
+//!   screen unopened.
 
 pub mod chaos;
 pub mod cluster;

@@ -1,11 +1,12 @@
 //! The transport's readiness-driven event loop.
 //!
-//! One `tyco-net` thread owns the listener, every peer socket, every
-//! in-flight dial and every deadline. It parks in [`Poller::wait`] with
-//! the timer wheel's next deadline as its timeout and is interrupted by
-//! exactly three things: socket readiness, a timer firing, or a producer
-//! thread ringing the wake pipe after queuing outbound frames — one
-//! thread and zero sleeps, whatever the peer count.
+//! One `tyco-net` thread owns the listener, every peer socket's read
+//! half, every in-flight dial and every deadline. It parks in
+//! [`Poller::wait`] with the timer wheel's next deadline as its timeout
+//! and is interrupted by exactly three things: socket readiness, a timer
+//! firing, or a writer ringing the wake pipe because a socket pushed
+//! back or broke under it — one thread and zero sleeps, whatever the
+//! peer count, and no wake at all for a frame the sender could write.
 //!
 //! Design points, argued in DESIGN.md §15:
 //!
@@ -27,13 +28,18 @@
 //!   event admits are handed to the local fabric together — one
 //!   `send_batch` and one kick of the destination daemon per `(from, to)`
 //!   run — and that kick pumps the daemon on this thread: what was just
-//!   read is decoded, delivered and its sites marked ready before the
-//!   loop looks at the next socket.
-//! * **Writable-gated vectored output.** Each connection keeps a deque
-//!   of ready frame buffers; flushes gather up to [`MAX_IOV`] of them
-//!   into one `write_vectored`. `EWOULDBLOCK` registers writable
-//!   interest and parks the backlog (counted in `flush_stalls`) instead
-//!   of parking a writer thread.
+//!   read is decoded, screened, delivered and its sites marked ready
+//!   before the loop looks at the next socket. The loop itself never
+//!   opens a data payload.
+//! * **Writable-gated output, written by the sender.** A connection's
+//!   backlog and socket sit behind the write half's lock in `PeerConn`
+//!   and whoever appends a frame writes it from its own thread. This
+//!   loop takes over only a backlog that met `EWOULDBLOCK` (counted in
+//!   `flush_stalls`): it registers writable interest, drains the backlog
+//!   when the socket reports writable and drops the interest again. A
+//!   connection whose write failed is handed over the same way, to be
+//!   killed and redialled here — slots and registrations are never
+//!   touched off this thread.
 //! * **Concurrent dials.** Every peer address holds a nonblocking
 //!   connect in flight simultaneously ([`poller::connect_start`]); the
 //!   connect timeout and reconnect backoff are wheel deadlines. One dead
@@ -45,8 +51,7 @@ use crate::poller::{
     WakeReader,
 };
 use bytes::{Buf, Bytes, BytesMut};
-use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
@@ -67,8 +72,6 @@ const READ_CHUNK: usize = 64 * 1024;
 /// level-triggered polling re-reports leftover data, so fairness costs
 /// nothing.
 const READ_BUDGET: usize = 4;
-/// Buffers gathered into one `write_vectored` (well under IOV_MAX).
-const MAX_IOV: usize = 64;
 /// Pin-amplification bound for zero-copy payload views: a decoded
 /// payload smaller than `1/PIN_DENOM` of the allocation backing its read
 /// accumulator (its capacity, which freezing keeps — not merely the bytes
@@ -82,17 +85,14 @@ const PIN_DENOM: usize = 8;
 /// Park ceiling: bounds stop-flag latency even if the wheel is empty.
 const MAX_PARK: Duration = Duration::from_millis(500);
 
-/// A connection being served: socket, owner record, decode accumulator
-/// and outbound backlog.
+/// A connection being served: the socket's read half, the owner record
+/// (which holds the write half) and the decode accumulator.
 struct ConnSlot {
-    sock: TcpStream,
+    sock: Arc<TcpStream>,
     peer: Arc<PeerConn>,
     /// Inbound accumulator; frozen into `Bytes` when a frame completes.
     rbuf: BytesMut,
     got_hello: bool,
-    /// Outbound frames not yet on the wire; front buffer is `woff` in.
-    wbufs: VecDeque<Bytes>,
-    woff: usize,
     /// Whether writable interest is currently registered.
     want_write: bool,
     /// Index of the dialer that owns this connection (outbound only).
@@ -243,9 +243,9 @@ impl NetLoop {
                     t => self.slot_ready(t - SLOT_BASE, *ev),
                 }
             }
-            // Producers queued frames since the last pass: flush exactly
-            // the connections they touched, O(marked) not O(conns).
-            self.drain_dirty();
+            // Writers hit a full or broken socket since the last pass:
+            // take over exactly those connections.
+            self.serve_handed();
             due.clear();
             self.wheel.expire(Instant::now(), &mut due);
             for t in &due {
@@ -291,10 +291,9 @@ impl NetLoop {
                 if ev.readable || ev.closed {
                     self.conn_read(idx);
                 }
-                // Flush regardless: a handshake handled during the read
-                // may have queued stashed frames, and a writable event
-                // means the parked backlog can move.
-                if matches!(self.slots.get(idx), Some(Some(Slot::Conn(_)))) {
+                // Writable is only ever reported for a stalled backlog
+                // (or an error): it can move now.
+                if ev.writable {
                     self.conn_flush(idx);
                 }
             }
@@ -317,7 +316,7 @@ impl NetLoop {
     }
 
     /// Wrap an established socket into a connection slot: nonblocking,
-    /// registered for reads, hello queued and flushed.
+    /// registered for reads, hello written.
     fn install_conn(
         &mut self,
         sock: TcpStream,
@@ -327,16 +326,13 @@ impl NetLoop {
         sock.set_nonblocking(true)?;
         let _ = sock.set_nodelay(true);
         let fd = sock.as_raw_fd();
-        let peer = PeerConn::new(self.inner.cfg.outbound_cap, accepted);
-        let mut wbufs = VecDeque::new();
-        wbufs.push_back(self.inner.hello_frame());
+        let sock = Arc::new(sock);
+        let peer = PeerConn::new(sock.clone(), accepted, self.inner.hello_frame());
         let idx = self.alloc_slot(Slot::Conn(ConnSlot {
             sock,
             peer: peer.clone(),
             rbuf: BytesMut::new(),
             got_hello: false,
-            wbufs,
-            woff: 0,
             want_write: false,
             dialer,
         }));
@@ -345,7 +341,7 @@ impl NetLoop {
             return Err(e);
         }
         // Only a registered connection is published: `peers_all_gone`
-        // and the dirty path must never see a socket the loop cannot
+        // and the hand-over path must never see a socket the loop cannot
         // service.
         peer.token.store(idx + SLOT_BASE, Ordering::Release);
         self.inner.conns.lock().push(peer);
@@ -454,7 +450,7 @@ impl NetLoop {
                 return;
             };
             for _ in 0..READ_BUDGET {
-                match c.sock.read(&mut self.scratch) {
+                match (&*c.sock).read(&mut self.scratch) {
                     Ok(0) => {
                         dead = true; // peer closed
                         break;
@@ -560,81 +556,33 @@ impl NetLoop {
 
     // --- writing ------------------------------------------------------
 
+    /// The loop's turn at a connection's write half: move a stalled
+    /// backlog, keep writable interest in step with it, and tear the
+    /// connection down if a write (here or on a producer's thread) failed.
     fn conn_flush(&mut self, idx: usize) {
-        let mut dead = false;
-        {
-            let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
-                return;
+        let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
+            return;
+        };
+        let (mut dead, stalled) = {
+            let mut w = c.peer.w.lock();
+            w.flush(&self.inner.stats);
+            (w.closed(), w.stalled)
+        };
+        // Writable interest tracks "backlog parked on a full socket
+        // buffer" — registered on the stall edge, dropped once the
+        // backlog drains, so an idle connection costs zero spurious
+        // writable events.
+        if !dead && stalled != c.want_write {
+            let interest = if stalled {
+                Interest::BOTH
+            } else {
+                Interest::READ
             };
-            let mut fresh = Vec::new();
-            c.peer.out.try_drain(&mut fresh);
-            c.wbufs.extend(fresh);
-
-            let mut stalled = false;
-            while !c.wbufs.is_empty() {
-                let wrote = {
-                    let mut iovs: Vec<IoSlice<'_>> = Vec::with_capacity(c.wbufs.len().min(MAX_IOV));
-                    for (i, b) in c.wbufs.iter().take(MAX_IOV).enumerate() {
-                        let s = if i == 0 { &b[c.woff..] } else { &b[..] };
-                        iovs.push(IoSlice::new(s));
-                    }
-                    c.sock.write_vectored(&iovs)
-                };
-                match wrote {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(mut n) => {
-                        self.inner
-                            .stats
-                            .bytes_out
-                            .fetch_add(n as u64, Ordering::Relaxed);
-                        while n > 0 {
-                            let front_left = c.wbufs[0].len() - c.woff;
-                            if n >= front_left {
-                                n -= front_left;
-                                c.wbufs.pop_front();
-                                c.woff = 0;
-                            } else {
-                                c.woff += n;
-                                n = 0;
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        stalled = true;
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            // Writable interest tracks "backlog parked on a full socket
-            // buffer" — registered on the stall edge, dropped once the
-            // backlog drains, so an idle connection costs zero spurious
-            // writable events.
-            if !dead && stalled != c.want_write {
-                let interest = if stalled {
-                    Interest::BOTH
-                } else {
-                    Interest::READ
-                };
-                let fd = c.sock.as_raw_fd();
-                if self.poller.modify(fd, idx + SLOT_BASE, interest).is_ok() {
-                    c.want_write = stalled;
-                    if stalled {
-                        self.inner
-                            .stats
-                            .flush_stalls
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    dead = true;
-                }
+            let fd = c.sock.as_raw_fd();
+            if self.poller.modify(fd, idx + SLOT_BASE, interest).is_ok() {
+                c.want_write = stalled;
+            } else {
+                dead = true;
             }
         }
         if dead {
@@ -642,16 +590,14 @@ impl NetLoop {
         }
     }
 
-    /// Flush the connections producer threads marked since the last pass.
-    fn drain_dirty(&mut self) {
-        let marked: Vec<Arc<PeerConn>> = std::mem::take(&mut *self.inner.dirty.lock());
-        for peer in marked {
-            // Clear before draining: a racing producer re-marks and the
-            // frame it queued is picked up next pass at the latest.
-            peer.dirty.store(false, Ordering::Release);
+    /// Take over the connections whose writers hit a full or broken
+    /// socket since the last pass.
+    fn serve_handed(&mut self) {
+        let handed: Vec<Arc<PeerConn>> = std::mem::take(&mut *self.inner.handed.lock());
+        for peer in handed {
             let token = peer.token.load(Ordering::Acquire);
             if token < SLOT_BASE {
-                continue; // never owned, or already torn down (queue closed)
+                continue; // already torn down
             }
             let idx = token - SLOT_BASE;
             let same = matches!(
@@ -681,38 +627,23 @@ impl NetLoop {
                 (n, codec::encode_frame(n, CONTROL_NODE, &codec::encode(&p)))
             })
             .collect();
-        for idx in 0..self.slots.len() {
-            if !matches!(self.slots.get(idx), Some(Some(Slot::Conn(_)))) {
+        for slot in &self.slots {
+            let Some(Slot::Conn(c)) = slot else {
                 continue;
-            }
-            {
-                let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
-                    continue;
-                };
-                let peer_nodes = match &chaos {
-                    Some(_) => c.peer.nodes.lock().clone(),
-                    None => Vec::new(),
-                };
-                for (n, f) in &frames {
-                    // A partition that cuts every announced peer node
-                    // silences the beacon too — that is what drives the
-                    // failure monitor during a partition soak.
-                    if let Some(ch) = &chaos {
-                        if ch.hb_blocked(*n, &peer_nodes) {
-                            continue;
-                        }
-                    }
-                    // Same cap as the queue: a wedged connection drops
-                    // beacons rather than growing without bound.
-                    if c.wbufs.len() >= self.inner.cfg.outbound_cap {
-                        self.inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        c.wbufs.push_back(f.clone());
-                        self.inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.conn_flush(idx);
+            };
+            let peer_nodes = match &chaos {
+                Some(_) => c.peer.nodes.lock().clone(),
+                None => Vec::new(),
+            };
+            // A partition that cuts every announced peer node silences
+            // the beacon too — that is what drives the failure monitor
+            // during a partition soak. The backlog's cap applies: a wedged
+            // connection drops beacons rather than growing without bound.
+            let beacons = frames
+                .iter()
+                .filter(|(n, _)| !matches!(&chaos, Some(ch) if ch.hb_blocked(*n, &peer_nodes)))
+                .map(|(_, f)| (f.clone(), 1));
+            self.inner.write_frames(&c.peer, beacons);
         }
     }
 
@@ -728,7 +659,7 @@ impl NetLoop {
         let _ = self.poller.deregister(c.sock.as_raw_fd());
         c.peer.token.store(0, Ordering::Release);
         c.peer.alive.store(false, Ordering::Release);
-        c.peer.out.close();
+        c.peer.w.lock().close();
         // A dead accepted connection means the peer departed (it may
         // dial back in, which re-installs routes); a dead outbound one
         // gets redialed, so its nodes are merely suspect.
@@ -754,19 +685,22 @@ impl NetLoop {
                 Some(Slot::Dial(d)) => {
                     let _ = self.poller.deregister(d.pending.raw_fd());
                 }
-                Some(Slot::Conn(mut c)) => {
+                Some(Slot::Conn(c)) => {
                     let _ = self.poller.deregister(c.sock.as_raw_fd());
                     c.peer.token.store(0, Ordering::Release);
                     c.peer.alive.store(false, Ordering::Release);
-                    c.peer.out.close();
-                    let mut rest = Vec::new();
-                    c.peer.out.try_drain(&mut rest);
-                    c.wbufs.extend(rest);
+                    // Closing under the lock fences producers off before
+                    // the shared socket changes mode.
+                    let mut w = c.peer.w.lock();
+                    let rest = std::mem::take(&mut w.wbufs);
+                    let woff = w.woff;
+                    w.close();
+                    drop(w);
                     let _ = c.sock.set_nonblocking(false);
                     let _ = c.sock.set_write_timeout(Some(Duration::from_millis(100)));
-                    for (i, b) in c.wbufs.iter().enumerate() {
-                        let s = if i == 0 { &b[c.woff..] } else { &b[..] };
-                        if c.sock.write_all(s).is_err() {
+                    for (i, b) in rest.iter().enumerate() {
+                        let s = if i == 0 { &b[woff..] } else { &b[..] };
+                        if (&*c.sock).write_all(s).is_err() {
                             break;
                         }
                         self.inner

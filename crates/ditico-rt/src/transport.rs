@@ -10,19 +10,33 @@
 //!
 //! ## One event loop
 //!
-//! **Every** listener, peer socket, in-flight dial and timer runs on a
-//! single `tyco-net` thread (`netloop.rs`) parked in
+//! **Every** listener, peer socket's read half, in-flight dial and timer
+//! runs on a single `tyco-net` thread (`netloop.rs`) parked in
 //! [`crate::poller::Poller::wait`]: sockets are nonblocking, frame
 //! decode is incremental and zero-copy (reads accumulate in a
 //! `BytesMut`; payloads reach the daemon as `Bytes` views of the read
-//! buffer), writes are vectored and gated on `writable` readiness with
-//! explicit backpressure, and heartbeats / reconnect backoff / connect
-//! timeouts are deadlines on a timer wheel instead of sleeping threads.
-//! Inbound traffic is injected into the in-process fabric — everything
-//! one readable event admitted as one batch — whose delivery path kicks
-//! the owning daemon's [`crate::daemon::DaemonCell`]: the `tyco-net`
-//! thread itself decodes and delivers what it just read and marks the
+//! buffer), and heartbeats / reconnect backoff / connect timeouts are
+//! deadlines on a timer wheel instead of sleeping threads. Inbound
+//! traffic is injected into the in-process fabric — everything one
+//! readable event admitted as one batch — whose delivery path kicks the
+//! owning daemon's [`crate::daemon::DaemonCell`]: the `tyco-net` thread
+//! itself decodes and delivers what it just read and marks the
 //! destination sites ready on the M:N scheduler.
+//!
+//! ## The sending thread writes the socket
+//!
+//! Each connection's write half (socket, backlog, partial-write offset)
+//! sits behind one lock. Whoever has a frame for a peer — a daemon
+//! flushing on a worker thread, the loop emitting a beacon — appends it
+//! and writes the backlog out from its own thread
+//! (`Inner::write_frames`); the bytes are in the kernel before the call
+//! returns and the event loop is not woken. The loop takes a connection
+//! over in two cases only, each announced through the wake pipe: the
+//! socket buffer filled up (`EWOULDBLOCK`: the half is marked stalled,
+//! producers append behind it up to `outbound_cap`, and the loop drains
+//! it on writable readiness) or a write failed (the loop tears the
+//! connection down and redials). Lock order is daemon cell → write
+//! half; the loop never calls into a daemon while holding a write half.
 //!
 //! The loop is built on epoll, so the TCP transport is **Linux-only**:
 //! elsewhere [`Transport::start`] returns an error (deterministic and
@@ -37,24 +51,34 @@
 //! [`FailureMonitor`] keyed to *wall-clock* rounds
 //! (`elapsed / hb_period`) turns silence into suspicion. Outbound
 //! connections reconnect with exponential backoff up to a retry cap;
-//! exhausting the cap marks the peer's nodes permanently down. Inbound
-//! code images are screened by the byte-code verifier *before* they can
-//! be linked — the process boundary is the least trustworthy boundary
-//! the runtime has.
+//! exhausting the cap marks the peer's nodes permanently down.
+//!
+//! ## Trust boundary
+//!
+//! Bytes from a socket are opaque until [`crate::daemon::Daemon::pump`].
+//! The reader checks what a frame header can tell it — length bounds,
+//! handshake before data, a destination this process hosts — and hands
+//! the payload to the fabric unopened; `pump` decodes every fabric
+//! packet and screens every code image with the byte-code verifier
+//! before `ingest`, for socket and in-process traffic alike. Each packet
+//! is decoded once and each image verified once, and `pump` runs on the
+//! `tyco-net` thread inside the same readable event, so nothing from the
+//! least trustworthy boundary the runtime has reaches a site unscreened
+//! or any later.
 
 // Off Linux only `Transport::start`'s refusal is live; the rest of the
 // module still type-checks there but nothing can reach it.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use crate::chaos::{ChaosState, Fault};
-use crate::daemon::Daemon;
 use crate::fabric::{FabricHandle, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::io::{IoSlice, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -162,9 +186,6 @@ pub struct TransportReport {
     pub data_out: u64,
     pub data_in: u64,
     pub heartbeats_in: u64,
-    /// Inbound packets dropped at the trust boundary (undecodable bytes
-    /// or code images that failed static verification).
-    pub rejected: u64,
     /// Outbound frames dropped on a full or dead queue, plus inbound
     /// frames addressed to nodes this process does not host.
     pub dropped: u64,
@@ -197,7 +218,6 @@ pub(crate) struct Stats {
     pub(crate) data_out: AtomicU64,
     pub(crate) data_in: AtomicU64,
     pub(crate) heartbeats_in: AtomicU64,
-    pub(crate) rejected: AtomicU64,
     pub(crate) dropped: AtomicU64,
     pub(crate) reconnects: AtomicU64,
     pub(crate) peers_failed: AtomicU64,
@@ -212,56 +232,94 @@ pub(crate) struct Stats {
     pub(crate) last_data_ns: AtomicU64,
 }
 
-/// Bounded MPSC of ready-to-write frame buffers. The event loop never
-/// waits on it — it drains opportunistically ([`OutQueue::try_drain`])
-/// when a producer rings the wake pipe.
-struct OutQueue {
-    state: Mutex<OutState>,
-    cap: usize,
+/// Buffers gathered into one `write_vectored` (well under IOV_MAX).
+const MAX_IOV: usize = 64;
+
+/// The write half of one connection: the socket and the frames not yet
+/// on it, behind one lock. Whoever appends a frame also writes it, from
+/// its own thread; the event loop takes over only a connection whose
+/// socket buffer filled up (`stalled`) or whose write failed (closed).
+struct WriteHalf {
+    /// Shared with the loop's read half. `None` is closed — dead, failed
+    /// or shut down: appends are refused and counted, and the descriptor
+    /// goes when the loop drops its slot.
+    sock: Option<Arc<TcpStream>>,
+    /// Frames not yet on the wire; the front buffer is `woff` bytes in.
+    wbufs: VecDeque<Bytes>,
+    woff: usize,
+    /// The socket refused bytes: the backlog waits for the loop's
+    /// writable event, and producers only append behind it.
+    stalled: bool,
 }
 
-struct OutState {
-    items: VecDeque<Bytes>,
-    closed: bool,
-}
+impl WriteHalf {
+    fn closed(&self) -> bool {
+        self.sock.is_none()
+    }
 
-impl OutQueue {
-    fn new(cap: usize) -> OutQueue {
-        OutQueue {
-            state: Mutex::new(OutState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            cap,
+    fn close(&mut self) {
+        self.sock = None;
+        self.wbufs.clear();
+        self.woff = 0;
+    }
+
+    /// Write the backlog until it drains or the socket pushes back.
+    /// Returns whether the event loop must be told: the backlog just
+    /// stalled (it registers writable interest) or the write failed (it
+    /// kills the connection and redials).
+    fn flush(&mut self, stats: &Stats) -> bool {
+        let Some(mut sock) = self.sock.as_deref() else {
+            return false;
+        };
+        while !self.wbufs.is_empty() {
+            let wrote = if self.wbufs.len() == 1 {
+                sock.write(&self.wbufs[0][self.woff..])
+            } else {
+                let mut iovs = [IoSlice::new(&[]); MAX_IOV];
+                let n = self.wbufs.len().min(MAX_IOV);
+                for (i, (iov, b)) in iovs.iter_mut().zip(&self.wbufs).enumerate() {
+                    *iov = IoSlice::new(if i == 0 { &b[self.woff..] } else { b });
+                }
+                sock.write_vectored(&iovs[..n])
+            };
+            match wrote {
+                Ok(mut n) if n > 0 => {
+                    stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+                    while n > 0 {
+                        let front_left = self.wbufs[0].len() - self.woff;
+                        if n >= front_left {
+                            n -= front_left;
+                            self.wbufs.pop_front();
+                            self.woff = 0;
+                        } else {
+                            self.woff += n;
+                            n = 0;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    let edge = !self.stalled;
+                    if edge {
+                        self.stalled = true;
+                        stats.flush_stalls.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return edge;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Ok(_) | Err(_) => {
+                    self.close();
+                    return true;
+                }
+            }
         }
-    }
-
-    /// Enqueue a buffer; `Some(depth)` is the queue length after the
-    /// push (the caller records the high-water mark), `None` (caller
-    /// counts a drop) means the queue is full or the connection died.
-    fn push(&self, b: Bytes) -> Option<usize> {
-        let mut s = self.state.lock();
-        if s.closed || s.items.len() >= self.cap {
-            return None;
-        }
-        s.items.push_back(b);
-        Some(s.items.len())
-    }
-
-    /// Nonblocking drain for the event loop.
-    fn try_drain(&self, out: &mut Vec<Bytes>) {
-        let mut s = self.state.lock();
-        out.extend(s.items.drain(..));
-    }
-
-    fn close(&self) {
-        self.state.lock().closed = true;
+        self.stalled = false;
+        false
     }
 }
 
 /// One live connection to a peer process.
 struct PeerConn {
-    out: OutQueue,
+    w: Mutex<WriteHalf>,
     alive: AtomicBool,
     /// Accepted (inbound) connections; their death means the peer left.
     accepted: bool,
@@ -269,21 +327,22 @@ struct PeerConn {
     nodes: Mutex<Vec<NodeId>>,
     /// Event-loop slot token (+2 offset; 0 = not owned by the loop).
     token: AtomicUsize,
-    /// Dedup flag for the event loop's dirty list: raised by the first
-    /// producer to queue onto an idle connection, cleared by the loop
-    /// before it drains.
-    dirty: AtomicBool,
 }
 
 impl PeerConn {
-    fn new(cap: usize, accepted: bool) -> Arc<PeerConn> {
+    /// A connection over `sock` whose first frame is `hello`.
+    fn new(sock: Arc<TcpStream>, accepted: bool, hello: Bytes) -> Arc<PeerConn> {
         Arc::new(PeerConn {
-            out: OutQueue::new(cap),
+            w: Mutex::new(WriteHalf {
+                sock: Some(sock),
+                wbufs: VecDeque::from([hello]),
+                woff: 0,
+                stalled: false,
+            }),
             alive: AtomicBool::new(true),
             accepted,
             nodes: Mutex::new(Vec::new()),
             token: AtomicUsize::new(0),
-            dirty: AtomicBool::new(false),
         })
     }
 }
@@ -301,7 +360,8 @@ struct Inner {
     conns: Mutex<Vec<Arc<PeerConn>>>,
     /// Frames addressed to remote nodes we have no route to yet, flushed
     /// when a handshake maps them. Bounded; overflow counts as dropped.
-    unrouted: Mutex<Vec<(NodeId, Bytes)>>,
+    /// Each entry keeps the packet count its buffer coalesces.
+    unrouted: Mutex<Vec<(NodeId, Bytes, u64)>>,
     monitor: Mutex<FailureMonitor>,
     /// Remote nodes learned from handshakes.
     known_remote: Mutex<HashSet<NodeId>>,
@@ -316,12 +376,12 @@ struct Inner {
     epoch: Instant,
     stop: AtomicBool,
     stats: Stats,
-    /// Wakes the event loop (its self-pipe) when a producer queues
-    /// outbound work.
+    /// Wakes the event loop (its self-pipe): a connection was handed
+    /// over, or the transport is stopping.
     net_wake: Arc<dyn Wake>,
-    /// Connections with freshly queued outbound frames, drained by the
-    /// event loop on its next wakeup.
-    dirty: Mutex<Vec<Arc<PeerConn>>>,
+    /// Connections whose write half stalled or failed under a writer and
+    /// now need the event loop (writable interest, or teardown).
+    handed: Mutex<Vec<Arc<PeerConn>>>,
     /// Topology-edge observer: notified when routes appear, connections
     /// die or dialers give up, so the environment loop re-evaluates its
     /// exit conditions event-driven instead of on a fixed poll. Data
@@ -374,15 +434,29 @@ impl Inner {
         self.stats.last_data_ns.store(now, Ordering::SeqCst);
     }
 
-    /// Record a successful push onto `conn`'s queue: track the deepest
-    /// backlog ever and hand the connection to the event loop.
-    fn note_queued(&self, conn: &Arc<PeerConn>, depth: usize) {
-        self.stats
-            .outq_hwm
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        if !conn.dirty.swap(true, Ordering::AcqRel) {
-            self.dirty.lock().push(conn.clone());
+    /// Append `frames` (each with the packet count it coalesces) to
+    /// `conn`'s backlog and write them from this thread. Frames beyond
+    /// `outbound_cap`, or for a closed connection, are dropped and
+    /// counted. The event loop hears of it only when the socket pushes
+    /// back or fails; behind a stalled backlog this only appends.
+    fn write_frames(&self, conn: &Arc<PeerConn>, frames: impl IntoIterator<Item = (Bytes, u64)>) {
+        let mut w = conn.w.lock();
+        for (frame, nframes) in frames {
+            if w.closed() || w.wbufs.len() >= self.cfg.outbound_cap {
+                self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
+                continue;
+            }
+            w.wbufs.push_back(frame);
+            self.stats.frames_out.fetch_add(nframes, Ordering::Relaxed);
+            self.stats
+                .outq_hwm
+                .fetch_max(w.wbufs.len() as u64, Ordering::Relaxed);
         }
+        if w.stalled || !w.flush(&self.stats) {
+            return;
+        }
+        drop(w);
+        self.handed.lock().push(conn.clone());
         self.net_wake.wake();
     }
 
@@ -433,15 +507,9 @@ impl Inner {
     fn queue_frame_raw(&self, to: NodeId, frame: Bytes, nframes: u64) {
         let conn = self.routes.read().get(&to).cloned();
         match conn {
-            Some(c) if c.alive.load(Ordering::Acquire) => match c.out.push(frame) {
-                Some(depth) => {
-                    self.stats.frames_out.fetch_add(nframes, Ordering::Relaxed);
-                    self.note_queued(&c, depth);
-                }
-                None => {
-                    self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
-                }
-            },
+            Some(c) if c.alive.load(Ordering::Acquire) => {
+                self.write_frames(&c, [(frame, nframes)]);
+            }
             _ => {
                 // No live route (yet): park until a handshake provides
                 // one, unless the node is known to be gone for good.
@@ -456,7 +524,7 @@ impl Inner {
                 if stash.len() >= 10_000 {
                     self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
                 } else {
-                    stash.push((to, frame));
+                    stash.push((to, frame, nframes));
                 }
             }
         }
@@ -491,31 +559,11 @@ impl Inner {
             }
         }
         let mut stash = self.unrouted.lock();
-        let mut keep = Vec::new();
-        let mut queued = false;
-        for (to, frame) in stash.drain(..) {
-            if nodes.contains(&to) {
-                match conn.out.push(frame) {
-                    Some(depth) => {
-                        self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .outq_hwm
-                            .fetch_max(depth as u64, Ordering::Relaxed);
-                        queued = true;
-                    }
-                    None => {
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            } else {
-                keep.push((to, frame));
-            }
-        }
+        let (flush, keep): (Vec<_>, Vec<_>) =
+            stash.drain(..).partition(|(to, ..)| nodes.contains(to));
         *stash = keep;
         drop(stash);
-        if queued {
-            self.note_queued(conn, 0);
-        }
+        self.write_frames(conn, flush.into_iter().map(|(_, frame, n)| (frame, n)));
         self.notify_activity();
     }
 
@@ -609,7 +657,6 @@ impl Inner {
             data_out: s.data_out.load(Ordering::Relaxed),
             data_in: s.data_in.load(Ordering::Relaxed),
             heartbeats_in: s.heartbeats_in.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
             dropped: s.dropped.load(Ordering::Relaxed),
             reconnects: s.reconnects.load(Ordering::Relaxed),
             peers_failed: s.peers_failed.load(Ordering::Relaxed),
@@ -730,7 +777,7 @@ impl Transport {
             stop: AtomicBool::new(false),
             stats: Stats::default(),
             net_wake: Arc::new(wake_tx),
-            dirty: Mutex::new(Vec::new()),
+            handed: Mutex::new(Vec::new()),
             activity: Mutex::new(None),
             chaos: RwLock::new(None),
             delayed: Mutex::new(Vec::new()),
@@ -814,9 +861,6 @@ impl Transport {
     /// Stop the net thread and close every connection.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
-        for c in self.inner.conns.lock().iter() {
-            c.out.close();
-        }
         self.inner.net_wake.wake();
         if let Some(h) = self.net_thread.take() {
             let _ = h.join();
@@ -839,9 +883,10 @@ fn io_err(msg: String) -> std::io::Error {
 type Admitted = Vec<(NodeId, NodeId, Bytes)>;
 
 /// Consume one inbound frame: control frames (Hello, Heartbeat) update
-/// routing and liveness here; data frames are verifier-screened and, if
-/// admitted, appended to `admitted`; the `payload` is a zero-copy view of
-/// the event loop's read buffer.
+/// routing and liveness here; data frames pass the frame-level checks
+/// (handshake done, destination hosted) and are appended to `admitted`
+/// unopened; the `payload` is a zero-copy view of the event loop's read
+/// buffer.
 fn handle_frame(
     inner: &Arc<Inner>,
     conn: &Arc<PeerConn>,
@@ -897,22 +942,11 @@ fn handle_frame(
         inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
         return Ok(());
     }
-    // Trust boundary: decode and screen BEFORE anything reaches a daemon.
-    // The admitted original bytes are injected (the daemon re-decodes);
-    // rejected ones vanish here, counted.
-    match codec::decode(frame.payload.clone()) {
-        Ok(p) => {
-            if Daemon::screen(&p).is_some() {
-                inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            } else {
-                inner.stats.data_in.fetch_add(1, Ordering::Relaxed);
-                admitted.push((frame.from, frame.to, frame.payload));
-            }
-        }
-        Err(_) => {
-            inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    // The payload stays opaque here: `Daemon::pump` decodes and screens
+    // every fabric packet before `ingest`, and it is the one trust
+    // boundary for socket and in-process traffic alike.
+    inner.stats.data_in.fetch_add(1, Ordering::Relaxed);
+    admitted.push((frame.from, frame.to, frame.payload));
     Ok(())
 }
 
@@ -969,37 +1003,5 @@ mod tests {
         assert_eq!(delays, vec![50, 100, 200, 400, 800, 1600, 2000, 2000]);
         // No overflow at absurd attempt counts.
         assert_eq!(backoff_delay(base, cap, u32::MAX), cap);
-    }
-
-    #[test]
-    fn out_queue_bounds_reports_depth_and_closes() {
-        let q = OutQueue::new(2);
-        assert_eq!(q.push(Bytes::from_static(b"a")), Some(1));
-        assert_eq!(
-            q.push(Bytes::from_static(b"b")),
-            Some(2),
-            "depth is hwm food"
-        );
-        assert_eq!(
-            q.push(Bytes::from_static(b"c")),
-            None,
-            "over cap is dropped"
-        );
-        let mut out = Vec::new();
-        q.try_drain(&mut out);
-        assert_eq!(out.len(), 2);
-        q.close();
-        assert!(q.push(Bytes::from_static(b"d")).is_none(), "closed refuses");
-    }
-
-    #[test]
-    fn out_queue_try_drain_never_blocks() {
-        let q = OutQueue::new(4);
-        let mut out = Vec::new();
-        q.try_drain(&mut out);
-        assert!(out.is_empty());
-        q.push(Bytes::from_static(b"x"));
-        q.try_drain(&mut out);
-        assert_eq!(out.len(), 1);
     }
 }

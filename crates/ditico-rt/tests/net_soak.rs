@@ -209,7 +209,8 @@ fn run_soak(n: u32, dial: impl Fn(u32) -> Vec<u32>) {
         );
         let wire: TransportReport = report.transport.expect("wire counters");
         assert!(wire.heartbeats_in > 0, "partition {p}: no liveness traffic");
-        assert_eq!(wire.rejected, 0, "partition {p}: {wire:?}");
+        let rejected: u64 = report.daemon_stats.iter().map(|d| d.rejected).sum();
+        assert_eq!(rejected, 0, "partition {p}: {:?}", report.daemon_stats);
     }
 }
 

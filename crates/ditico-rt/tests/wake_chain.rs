@@ -82,6 +82,15 @@ fn check(who: &str, report: &RunReport, wall: Duration) {
         wakes.env_evals
     );
 
+    // Senders write their own frames: a 57-byte call never fills a
+    // socket buffer, so no writer handed a connection to the net loop —
+    // the only thing that rings its wake pipe on the data path.
+    assert_eq!(wire.flush_stalls, 0, "{who}: {wire:?}");
+    assert!(
+        wire.outq_hwm <= 2,
+        "{who}: frames waited to be written: {wire:?}"
+    );
+
     // A call is one delivery to an idle site: one park of the one worker
     // (a few fewer when the next delivery beats the worker to its park).
     let parks = report.sched.parks;

@@ -688,7 +688,7 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
             t.bytes_out,
             t.bytes_in,
             t.heartbeats_in,
-            t.rejected,
+            report.daemon_stats.iter().map(|d| d.rejected).sum::<u64>(),
             t.dropped,
             t.reconnects,
             t.peers_failed,
