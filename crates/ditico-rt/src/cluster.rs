@@ -790,14 +790,42 @@ impl Cluster {
         // packet — not from when this loop happened to notice: it is not
         // woken per message, and an observer's clock would run late by
         // up to one park.
+        //
+        // An elapsed grace is only this thread's reading of a clock that
+        // also ran while the process did not (stopped, starved of its
+        // CPU): the replies that would break the quiet may sit unread in
+        // a socket. So the verdict waits for the net loop to look:
+        // `confirming` holds the loop's pass counter and the quiet stamp
+        // at the moment the grace was first seen elapsed, and the run
+        // ends only when the loop has since made a whole pass over its
+        // sockets, is parked again, and nothing moved.
+        //
+        // For the same reason quiet time counts only if this loop was
+        // there to see it. Two looks much further apart than the park
+        // between them mean the process was not running, and a peer
+        // that shared the stall has not had its turn to answer what it
+        // finds in *its* sockets: the grace starts over at the look
+        // that noticed (`witnessed_from`).
         let shard_map = self.shard_map.clone();
+        let mut confirming: Option<(u64, Instant)> = None;
+        let unwitnessed = (idle_grace / 2).max(2 * env_tick);
+        let mut last_look = Instant::now();
+        let mut witnessed_from = last_look;
         let report = self.run_pooled(Some(transport), wall_limit, |shared, transport| {
             let transport = transport.expect("distributed runs carry a transport");
+            let now = Instant::now();
+            if now.duration_since(last_look) > unwitnessed {
+                witnessed_from = now;
+            }
+            last_look = now;
             // The wire's failure verdicts steer shard failover the same
             // way the in-process monitor does.
             for n in transport.suspects() {
                 shard_map.mark_down(n);
             }
+            // Read first: what the passes counted here did is visible to
+            // every read below.
+            let passes = transport.loop_passes();
             let local_idle = shared.active_sites() == 0;
             if !serve && transport.all_remotes_down() {
                 // Every peer is dead, departed or unreachable: whatever
@@ -824,16 +852,32 @@ impl Cluster {
                 !dials_out || transport.ever_connected()
             };
             if !(local_idle && may_conclude) {
+                confirming = None;
                 return ControlFlow::Continue(env_tick);
             }
             // Read after `active_sites() == 0`, so the retirement that
             // made it so is included.
-            let quiet_since = shared.last_retire().max(transport.last_data());
-            match idle_grace.checked_sub(quiet_since.elapsed()) {
-                None => ControlFlow::Break(true),
+            let quiet_since = shared
+                .last_retire()
+                .max(transport.last_data())
+                .max(witnessed_from);
+            if let Some(left) = idle_grace.checked_sub(quiet_since.elapsed()) {
                 // Sleep out the rest of the grace, no longer.
-                Some(left) => ControlFlow::Continue(left.min(env_tick)),
+                confirming = None;
+                return ControlFlow::Continue(left.min(env_tick));
             }
+            match confirming {
+                Some((since, quiet)) if quiet == quiet_since => {
+                    if Transport::looked_since(since, passes) {
+                        return ControlFlow::Break(true);
+                    }
+                }
+                _ => confirming = Some((passes, quiet_since)),
+            }
+            // Rung at every look, so that the passes being waited for do
+            // not themselves wait for a timer.
+            transport.poke_loop();
+            ControlFlow::Continue(Duration::from_millis(1))
         });
         Ok(report)
     }

@@ -24,14 +24,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use tyco_vm::word::NodeId;
-use tyco_vm::{Digest, WireCode};
+use tyco_vm::{codec, Digest, WireCode};
 
 struct Entry {
     code: WireCode,
     /// Encoded size of the image on the wire (canonical codec bytes) —
     /// what a deduplicated shipment saves, minus the digest it still
-    /// carries.
-    wire_len: u64,
+    /// carries. `None` until someone asks, for an image whose inserter
+    /// had no encoding at hand.
+    wire_len: Option<u64>,
     /// Peer nodes this node has already shipped the full image to.
     shipped: HashSet<NodeId>,
 }
@@ -90,16 +91,25 @@ impl CodeCache {
         self.entries.get(d).map(|e| &e.code)
     }
 
-    /// Wire size of the stored image (0 when absent).
-    pub fn wire_len(&self, d: &Digest) -> u64 {
-        self.entries.get(d).map(|e| e.wire_len).unwrap_or(0)
+    /// Wire size of the stored image (0 when absent), measured by
+    /// encoding it the first time it is asked for if the inserter did not
+    /// supply it.
+    pub fn wire_len(&mut self, d: &Digest) -> u64 {
+        let Some(e) = self.entries.get_mut(d) else {
+            return 0;
+        };
+        *e.wire_len
+            .get_or_insert_with(|| codec::code_bytes(&e.code).len() as u64)
     }
 
     /// Insert a *verified* image under its digest. The caller is the
     /// trust boundary: nothing in here re-checks the code, and `d` must
-    /// be the digest of `code`'s canonical bytes. Re-inserting an existing
-    /// digest is a cheap no-op that keeps its shipped-to history.
-    pub fn insert(&mut self, d: Digest, code: &WireCode, wire_len: u64) {
+    /// be the digest of `code`'s canonical bytes. `wire_len` is the length
+    /// of those bytes if the caller has them (a receiver, which hashed
+    /// them) and `None` if it would have to encode the image to know (a
+    /// sender, which ships a `Packet`). Re-inserting an existing digest
+    /// is a cheap no-op that keeps its shipped-to history.
+    pub fn insert(&mut self, d: Digest, code: &WireCode, wire_len: Option<u64>) {
         if self.capacity == 0 || self.entries.contains_key(&d) {
             return;
         }
@@ -159,13 +169,13 @@ mod tests {
     fn insert_get_roundtrip_and_idempotence() {
         let mut c = CodeCache::new(4);
         let (d, w) = code(1);
-        c.insert(d, &w, 100);
+        c.insert(d, &w, Some(100));
         assert!(c.contains(&d));
         assert_eq!(c.get(&d), Some(&w));
         assert_eq!(c.wire_len(&d), 100);
         c.mark_shipped(&d, NodeId(7));
         // Re-insert keeps the entry and its shipped set.
-        c.insert(d, &w, 100);
+        c.insert(d, &w, Some(100));
         assert_eq!(c.len(), 1);
         assert_eq!(c.insertions, 1);
         assert!(c.was_shipped(&d, NodeId(7)));
@@ -173,11 +183,21 @@ mod tests {
     }
 
     #[test]
+    fn an_unmeasured_image_is_measured_when_asked() {
+        let mut c = CodeCache::new(4);
+        let (d, w) = code(1);
+        c.insert(d, &w, None);
+        assert_eq!(c.wire_len(&d), codec::code_bytes(&w).len() as u64);
+        let (absent, _) = code(2);
+        assert_eq!(c.wire_len(&absent), 0);
+    }
+
+    #[test]
     fn capacity_bound_is_honored_fifo() {
         let mut c = CodeCache::new(3);
         let items: Vec<_> = (0..5).map(code).collect();
         for (d, w) in &items {
-            c.insert(*d, w, 10);
+            c.insert(*d, w, Some(10));
         }
         assert_eq!(c.len(), 3, "never exceeds capacity");
         assert_eq!(c.evictions, 2);
@@ -194,16 +214,16 @@ mod tests {
         let mut c = CodeCache::new(1);
         let (d1, w1) = code(1);
         let (d2, w2) = code(2);
-        c.insert(d1, &w1, 10);
+        c.insert(d1, &w1, Some(10));
         c.mark_shipped(&d1, NodeId(3));
-        c.insert(d2, &w2, 10);
+        c.insert(d2, &w2, Some(10));
         assert!(!c.contains(&d1));
         assert!(
             !c.was_shipped(&d1, NodeId(3)),
             "evicted digest has no shipped history"
         );
         // Re-inserting after eviction starts fresh.
-        c.insert(d1, &w1, 10);
+        c.insert(d1, &w1, Some(10));
         assert!(!c.was_shipped(&d1, NodeId(3)));
     }
 
@@ -211,7 +231,7 @@ mod tests {
     fn zero_capacity_disables_the_store() {
         let mut c = CodeCache::new(0);
         let (d, w) = code(1);
-        c.insert(d, &w, 10);
+        c.insert(d, &w, Some(10));
         assert!(c.is_empty());
         assert!(!c.contains(&d));
         assert_eq!(c.insertions, 0);
@@ -224,7 +244,7 @@ mod tests {
         let mut c = CodeCache::new(4);
         let items: Vec<_> = (0..4).map(code).collect();
         for (d, w) in &items {
-            c.insert(*d, w, 10);
+            c.insert(*d, w, Some(10));
         }
         c.set_capacity(2);
         assert_eq!(c.len(), 2);

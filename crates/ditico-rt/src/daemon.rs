@@ -570,7 +570,7 @@ impl Daemon {
                     }
                     return;
                 }
-                self.cache_insert(digest, &code, bytes.len() as u64);
+                self.cache_insert(digest, &code, Some(bytes.len() as u64));
                 self.store.mark_shipped(&digest, from);
                 for p in parked {
                     self.rehydrate(code.clone(), p);
@@ -628,7 +628,7 @@ impl Daemon {
             self.reject();
             return false;
         }
-        self.cache_insert(digest, code, bytes.len() as u64);
+        self.cache_insert(digest, code, Some(bytes.len() as u64));
         // The sender provably holds this image (it just shipped it), so
         // this node's own future shipments back to it can go digest-only.
         self.store.mark_shipped(&digest, from);
@@ -637,7 +637,7 @@ impl Daemon {
 
     /// Insert into the store and mirror its lifetime counters into the
     /// per-daemon stats.
-    fn cache_insert(&mut self, digest: Digest, code: &WireCode, wire_len: u64) {
+    fn cache_insert(&mut self, digest: Digest, code: &WireCode, wire_len: Option<u64>) {
         self.store.insert(digest, code, wire_len);
         self.stats.cache.insertions = self.store.insertions;
         self.stats.cache.evictions = self.store.evictions;
@@ -1097,11 +1097,11 @@ impl Daemon {
     /// Make sure the store holds an image this node is about to ship or
     /// advertise by digest, so a later `NeedCode` from the receiver is
     /// answerable. Outbound images come from the local packager and are
-    /// trusted; no fingerprint check is needed.
+    /// trusted; no fingerprint check is needed — and no encoding: the
+    /// store measures the image if a dedup ever needs its length.
     fn insert_outbound(&mut self, digest: Digest, code: &WireCode) {
         if !self.store.contains(&digest) {
-            let bytes = codec::code_bytes(code);
-            self.cache_insert(digest, code, bytes.len() as u64);
+            self.cache_insert(digest, code, None);
         }
     }
 

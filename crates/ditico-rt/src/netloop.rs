@@ -236,6 +236,9 @@ impl NetLoop {
             if self.inner.stop.load(Ordering::Acquire) {
                 return;
             }
+            // Odd while a pass is under way, even while the loop is
+            // parked: see `Transport::looked_since`.
+            self.inner.loop_passes.fetch_add(1, Ordering::AcqRel);
             for ev in &events {
                 match ev.token {
                     TOKEN_WAKE => self.wake_rx.drain(),
@@ -259,6 +262,10 @@ impl NetLoop {
                     Timer::ConnectTimeout(idx) => self.connect_timed_out(idx),
                 }
             }
+            // Everything readable when this pass began has been read,
+            // stamped and injected: `Transport::loop_passes` pairs with
+            // this `Release`.
+            self.inner.loop_passes.fetch_add(1, Ordering::AcqRel);
         }
     }
 
@@ -616,7 +623,7 @@ impl NetLoop {
         // The beacon tick doubles as the clock for chaos-delayed frames.
         self.inner.flush_due_delayed();
         let chaos = self.inner.chaos.read().clone();
-        let seq = self.inner.hb_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let seq = self.inner.hb_seq.fetch_add(1, Ordering::AcqRel) + 1;
         let frames: Vec<(NodeId, Bytes)> = self
             .inner
             .cfg

@@ -372,7 +372,13 @@ struct Inner {
     /// Outbound dialers that have given up for good.
     connectors_done: AtomicUsize,
     ever_connected: AtomicBool,
+    /// Heartbeat ticks the event loop has executed: the beacon sequence
+    /// number, and the failure monitor's round (see [`Inner::round`]).
     hb_seq: AtomicU64,
+    /// Bumped when a pass of the event loop begins (it woke up) and again
+    /// when it ends (readable sockets drained and injected, due timers
+    /// run): odd while a pass is under way.
+    loop_passes: AtomicU64,
     epoch: Instant,
     stop: AtomicBool,
     stats: Stats,
@@ -397,9 +403,17 @@ struct Inner {
 }
 
 impl Inner {
+    /// The failure monitor's clock: heartbeat ticks the event loop has
+    /// *executed*, not wall time over `hb_period`. A pass of the loop
+    /// reads every readable socket before it runs a due tick, so the
+    /// beacons a peer sent while this process was not running (a stopped
+    /// or starved process, hypervisor steal) are observed before the
+    /// round that would condemn it can advance, whichever thread wakes
+    /// first; a peer that really is silent is still suspected after
+    /// `stale_periods` ticks. The `Release` bump in `emit_heartbeats`
+    /// pairs with this `Acquire`.
     fn round(&self) -> u64 {
-        let period = self.cfg.hb_period.as_nanos().max(1);
-        (self.epoch.elapsed().as_nanos() / period) as u64
+        self.hb_seq.load(Ordering::Acquire)
     }
 
     fn hello_frame(&self) -> Bytes {
@@ -773,6 +787,7 @@ impl Transport {
             connectors_done: AtomicUsize::new(0),
             ever_connected: AtomicBool::new(false),
             hb_seq: AtomicU64::new(0),
+            loop_passes: AtomicU64::new(0),
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
             stats: Stats::default(),
@@ -819,6 +834,30 @@ impl Transport {
     pub fn last_data(&self) -> Instant {
         let ns = self.inner.stats.last_data_ns.load(Ordering::SeqCst);
         self.inner.epoch + Duration::from_nanos(ns)
+    }
+
+    /// The event loop's pass counter: odd while a pass is under way, +2
+    /// per pass. [`looked_since`](Transport::looked_since) compares two
+    /// readings.
+    pub(crate) fn loop_passes(&self) -> u64 {
+        self.inner.loop_passes.load(Ordering::Acquire)
+    }
+
+    /// Ring the event loop's wake pipe: its next pass starts now, not at
+    /// its next deadline.
+    pub(crate) fn poke_loop(&self) {
+        self.inner.net_wake.wake();
+    }
+
+    /// Given two readings of [`loop_passes`](Transport::loop_passes) with
+    /// a [`poke_loop`](Transport::poke_loop) after the first: the loop is
+    /// parked at `now`, and a whole pass began and ended after `since` —
+    /// so whatever sat unread in a socket at the ring has been read,
+    /// stamped into [`last_data`](Transport::last_data) and injected. (A
+    /// pass under way at `since` may have been past its reads: it does
+    /// not count.)
+    pub(crate) fn looked_since(since: u64, now: u64) -> bool {
+        now.is_multiple_of(2) && now >= since + since % 2 + 2
     }
 
     pub fn ever_connected(&self) -> bool {
@@ -973,6 +1012,19 @@ fn inject_admitted(inner: &Inner, admitted: &mut Admitted, batch: &mut Vec<Bytes
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_loop_has_looked_only_after_a_whole_pass_and_parked() {
+        // Rung while parked (even): the pass the ring causes is enough.
+        assert!(!Transport::looked_since(4, 4));
+        assert!(!Transport::looked_since(4, 5), "that pass is under way");
+        assert!(Transport::looked_since(4, 6));
+        // Rung mid-pass (odd): that pass may have read already.
+        assert!(!Transport::looked_since(5, 6));
+        assert!(!Transport::looked_since(5, 7));
+        assert!(Transport::looked_since(5, 8));
+        assert!(!Transport::looked_since(5, 9));
+    }
 
     #[test]
     fn peer_list_parses_good_addresses() {

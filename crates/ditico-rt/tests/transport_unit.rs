@@ -313,6 +313,114 @@ fn suspected_peer_that_reconnects_is_healed() {
     steady.join().expect("steady peer");
 }
 
+/// A fabric waker that parks whoever kicks it — the transport's event
+/// loop, delivering a data frame — until the test lets it go.
+struct Gate {
+    entered: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl ditico_rt::Wake for Gate {
+    fn wake(&self) {
+        self.entered.lock().unwrap().send(()).expect("test waits");
+        let _ = self.release.lock().unwrap().recv();
+    }
+}
+
+/// The failure monitor counts silence in heartbeat ticks the event loop
+/// has executed, not in wall time. While the loop is not running (here:
+/// parked inside a delivery; in the field: a stopped or starved process)
+/// no amount of wall time condemns a peer, because whatever the peer
+/// sent meanwhile is still unread; once the loop ticks again, a peer
+/// that stays silent is suspected after `stale_periods` ticks as before.
+#[test]
+fn silence_is_counted_in_executed_ticks_not_wall_time() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    const STALE: u64 = 3;
+    let hb = Duration::from_millis(10);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let _inbox = fabric.register_node(NodeId(1));
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    fabric.set_waker(
+        NodeId(1),
+        std::sync::Arc::new(Gate {
+            entered: entered_tx.into(),
+            release: release_rx.into(),
+        }),
+    );
+    let transport = ditico_rt::Transport::start(
+        TransportConfig {
+            local_nodes: vec![NodeId(1)],
+            peers: vec![addr],
+            hb_period: hb,
+            stale_periods: STALE,
+            ..TransportConfig::default()
+        },
+        fabric.handle(),
+    )
+    .expect("transport");
+    // Declared after the transport, so dropped before it: if an
+    // assertion below fails with the loop still parked in the gate, the
+    // gate opens before `Transport::drop` joins the loop's thread.
+    let release = release;
+
+    let (stall, stall_rx) = channel::<()>();
+    let (done, done_rx) = channel::<()>();
+    let peer = fake_peer(listener, NodeId(0), move |mut sock| {
+        // Alive and beaconing until told otherwise.
+        let mut seq = 0;
+        loop {
+            seq += 1;
+            sock.write_all(&heartbeat_frame(NodeId(0), seq))
+                .expect("write hb");
+            match stall_rx.recv_timeout(hb) {
+                Err(RecvTimeoutError::Timeout) => {}
+                _ => break,
+            }
+        }
+        // A last beacon and, in the same segment, a data frame whose
+        // delivery parks the loop in the gate. Then silence, socket open.
+        let mut last = heartbeat_frame(NodeId(0), seq + 1).to_vec();
+        last.extend_from_slice(&codec::encode_frame(NodeId(0), NodeId(1), b"stall"));
+        sock.write_all(&last).expect("write stall");
+        let _ = done_rx.recv();
+    });
+
+    eventually("beacons observed", || transport.report().heartbeats_in >= 3);
+    assert!(transport.suspects().is_empty());
+    stall.send(()).expect("peer listens");
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the loop delivers the data frame");
+    // The loop is parked: no tick runs, nothing is read. Let many
+    // `stale_periods` of wall time go by.
+    let ticks_at_gate = transport.report().frames_out;
+    std::thread::sleep(hb * (4 * STALE as u32 + 8));
+    assert_eq!(
+        transport.suspects(),
+        [],
+        "wall time alone must not condemn a peer"
+    );
+    assert!(!transport.all_remotes_down());
+    assert_eq!(transport.report().frames_out, ticks_at_gate, "no tick ran");
+
+    // Ticking again, and the peer really is silent now: suspected once
+    // more than `stale_periods` ticks (one beacon out each) have run
+    // since its last beacon, which arrived with the stalling frame.
+    release.send(()).expect("gate waits");
+    eventually("suspected", || transport.suspects() == [NodeId(0)]);
+    assert!(transport.all_remotes_down());
+    let ticks = transport.report().frames_out - ticks_at_gate;
+    assert!(ticks > STALE, "suspected after only {ticks} ticks");
+
+    drop(done);
+    peer.join().expect("fake peer");
+}
+
 /// The read path's three shapes, against a bare transport whose local
 /// fabric is watched directly: a frame split across two writes (and so
 /// two reads), a frame several times the loop's read chunk, and a burst

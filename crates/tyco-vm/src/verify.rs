@@ -39,6 +39,7 @@
 use crate::program::{Block, Pool, Program};
 use crate::wire::WireCode;
 use crate::Instr;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A static well-formedness violation found in a code image.
@@ -254,26 +255,185 @@ struct View<'a> {
     labels: Labels<'a>,
     nlabels: u32,
     nstrings: u32,
-}
-
-impl View<'_> {
     /// Upper bound on any valid `pushsib` index. A class group's members
     /// are the entries of one method table from the image that shipped
     /// the group's code (`MkGroup` locally, `link_group` for fetched
     /// code), so no sibling index can reach past the image's widest
     /// table.
-    fn max_sibling(&self) -> u32 {
-        self.tables.iter().map(|t| t.len()).max().unwrap_or(0) as u32
+    max_sibling: u32,
+}
+
+/// An abstract machine state: the kinds of the block's frame slots (a
+/// prefix of fixed width `frame_size()`), then the kinds on the operand
+/// stack. Two states of one block have the same stack depth exactly when
+/// they have the same length.
+type State = Vec<Kind>;
+
+/// Marks, in [`Joins::at`], a program point that keeps no state.
+const CARRIED: u32 = u32::MAX;
+
+/// A program point whose in-state is kept: a jump target (a join — it
+/// may have several predecessors) or the fall-through of a conditional
+/// jump (interpreted after the jump's target, so its state must wait).
+#[derive(Clone, Copy, Default)]
+struct Kept {
+    /// The state is `Joins::states[off..off + len]` once `seen`.
+    off: u32,
+    len: u32,
+    seen: bool,
+    /// The state changed since this point was last interpreted.
+    dirty: bool,
+}
+
+/// The states kept for one block.
+#[derive(Default)]
+struct Joins {
+    /// Per program point: an index into `kept`, or [`CARRIED`].
+    at: Vec<u32>,
+    kept: Vec<Kept>,
+    /// Backing store of every kept state.
+    states: Vec<Kind>,
+}
+
+impl Joins {
+    /// Start a block: mark every jump target inside it, and what follows
+    /// each conditional jump.
+    fn mark(&mut self, code: &[Instr]) {
+        self.at.clear();
+        self.at.resize(code.len(), CARRIED);
+        self.kept.clear();
+        self.states.clear();
+        for (pc, ins) in code.iter().enumerate() {
+            match *ins {
+                Instr::Jump(t) => self.keep(t as usize),
+                Instr::JumpIfFalse(t) => {
+                    self.keep(pc + 1);
+                    self.keep(t as usize);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn keep(&mut self, pc: usize) {
+        if let Some(at) = self.at.get_mut(pc) {
+            if *at == CARRIED {
+                *at = self.kept.len() as u32;
+                self.kept.push(Kept::default());
+            }
+        }
+    }
+
+    fn is_kept(&self, pc: u32) -> bool {
+        self.at[pc as usize] != CARRIED
+    }
+
+    /// Merge `src` into the state kept at `pc`. Returns `Ok(true)` if
+    /// that changed it, `Err((a, b))` if the two states differ in length.
+    /// `pc` one past the end keeps nothing: falling off the end of the
+    /// block halts the thread.
+    fn flow(&mut self, pc: u32, src: &[Kind]) -> Result<bool, (u32, u32)> {
+        let Some(&at) = self.at.get(pc as usize) else {
+            return Ok(false);
+        };
+        let k = &mut self.kept[at as usize];
+        if !k.seen {
+            *k = Kept {
+                off: self.states.len() as u32,
+                len: src.len() as u32,
+                seen: true,
+                dirty: true,
+            };
+            self.states.extend_from_slice(src);
+            return Ok(true);
+        }
+        if k.len as usize != src.len() {
+            return Err((k.len, src.len() as u32));
+        }
+        let mut changed = false;
+        let cur = &mut self.states[k.off as usize..(k.off + k.len) as usize];
+        for (c, s) in cur.iter_mut().zip(src) {
+            let j = c.join(*s);
+            changed |= j != *c;
+            *c = j;
+        }
+        k.dirty |= changed;
+        Ok(changed)
+    }
+
+    /// Take the state kept at `pc` for interpretation; `None` if it has
+    /// not changed since it was last taken.
+    fn take(&mut self, pc: u32) -> Option<&[Kind]> {
+        let k = &mut self.kept[self.at[pc as usize] as usize];
+        let dirty = std::mem::take(&mut k.dirty);
+        dirty.then(|| &self.states[k.off as usize..(k.off + k.len) as usize])
     }
 }
 
-impl View<'_> {
+/// The driver's working memory, reused across the blocks of an image so
+/// that verifying straight-line code allocates nothing per instruction.
+#[derive(Default)]
+struct Scratch {
+    /// The running state, carried from one instruction to the next.
+    run: State,
+    joins: Joins,
+    /// Kept points whose state changed, most recent last.
+    work: Vec<u32>,
+}
+
+impl<'a> View<'a> {
+    fn of_wire(code: &'a WireCode) -> Self {
+        View::new(
+            &code.blocks,
+            code.tables.iter().map(|t| t.as_slice()).collect(),
+            Labels::List(&code.labels),
+            code.labels.len(),
+            code.strings.len(),
+        )
+    }
+
+    fn of_program(prog: &'a Program) -> Self {
+        View::new(
+            &prog.blocks,
+            prog.tables.iter().map(|t| t.entries.as_slice()).collect(),
+            Labels::Pool(&prog.labels),
+            prog.labels.len(),
+            prog.strings.len(),
+        )
+    }
+
+    fn new(
+        blocks: &'a [Block],
+        tables: Vec<&'a [(u32, u32)]>,
+        labels: Labels<'a>,
+        nlabels: usize,
+        nstrings: usize,
+    ) -> Self {
+        let max_sibling = tables.iter().map(|t| t.len()).max().unwrap_or(0) as u32;
+        View {
+            blocks,
+            tables,
+            labels,
+            nlabels: nlabels as u32,
+            nstrings: nstrings as u32,
+            max_sibling,
+        }
+    }
+
     fn check(&self) -> Result<(), VerifyError> {
         self.check_tables()?;
+        let mut scratch = Scratch::default();
         for bi in 0..self.blocks.len() as u32 {
-            self.check_block(bi)?;
+            self.check_block(bi, &mut scratch)?;
         }
         Ok(())
+    }
+
+    /// [`View::check`] through the reference driver.
+    #[cfg(test)]
+    fn check_reference(&self) -> Result<(), VerifyError> {
+        self.check_tables()?;
+        (0..self.blocks.len() as u32).try_for_each(|bi| self.check_block_reference(bi))
     }
 
     /// Label-table referential integrity: every entry indexes a real
@@ -281,8 +441,9 @@ impl View<'_> {
     /// dispatch and positional class lookup both take the *first* match,
     /// so a duplicate would silently shadow the earlier block).
     fn check_tables(&self) -> Result<(), VerifyError> {
+        let mut seen: Vec<u32> = Vec::new();
         for (ti, entries) in self.tables.iter().enumerate() {
-            let mut seen: Vec<u32> = Vec::with_capacity(entries.len());
+            seen.clear();
             for &(l, b) in entries.iter() {
                 if l >= self.nlabels {
                     return Err(VerifyError::BadTable {
@@ -308,26 +469,16 @@ impl View<'_> {
         Ok(())
     }
 
-    /// Abstract interpretation of one block: a worklist fixpoint over
-    /// (stack kinds, frame kinds) states at every program point.
-    fn check_block(&self, bi: u32) -> Result<(), VerifyError> {
+    /// The frame-size bound, then the block's code as the transfer
+    /// function models it and the state its spawner builds (in `entry`).
+    ///
+    /// Fused superinstructions (machine-internal, see `crate::fuse`) are
+    /// verified through their normalized two-instruction expansion, so
+    /// the abstract interpreter models only the base instruction set and
+    /// fusion can never change a verification verdict. (Error `pc`s for
+    /// a fused block refer to the normalized code.)
+    fn enter_block(&self, bi: u32, entry: &mut State) -> Result<Cow<'a, [Instr]>, VerifyError> {
         let b = &self.blocks[bi as usize];
-        // Fused superinstructions (machine-internal, see `crate::fuse`) are
-        // verified through their normalized two-instruction expansion, so
-        // the abstract interpreter models only the base instruction set and
-        // fusion can never change a verification verdict. (Error `pc`s for
-        // a fused block refer to the normalized code.)
-        let normalized;
-        let b = match crate::fuse::unfuse_code(&b.code) {
-            Some(code) => {
-                normalized = Block {
-                    code: code.into(),
-                    ..b.clone()
-                };
-                &normalized
-            }
-            None => b,
-        };
         if b.frame_size() as u32 > MAX_FRAME {
             return Err(VerifyError::FrameTooLarge {
                 block: bi,
@@ -335,53 +486,173 @@ impl View<'_> {
                 limit: MAX_FRAME,
             });
         }
-        let len = b.code.len() as u32;
-        if len == 0 {
-            return Ok(());
-        }
-        // The frame a spawner builds: the self-class word (class bodies
-        // only), then captures and parameters of unknown kind, then locals
-        // — which the machine zero-fills with `unit` words.
-        let mut frame0 = Vec::with_capacity(b.frame_size());
+        // The self-class word (class bodies only), then captures and
+        // parameters of unknown kind, then locals — which the machine
+        // zero-fills with `unit` words. The operand stack starts empty.
+        entry.clear();
         if b.is_class_body {
-            frame0.push(Kind::Class);
+            entry.push(Kind::Class);
         }
-        frame0.extend(std::iter::repeat_n(
+        entry.extend(std::iter::repeat_n(
             Kind::Top,
             b.nfree as usize + b.nparams as usize,
         ));
-        frame0.extend(std::iter::repeat_n(Kind::Unit, b.nlocals as usize));
-        let mut states: Vec<Option<State>> = vec![None; b.code.len()];
-        states[0] = Some(State {
-            stack: Vec::new(),
-            frame: frame0,
-        });
+        entry.extend(std::iter::repeat_n(Kind::Unit, b.nlocals as usize));
+        Ok(match crate::fuse::unfuse_code(&b.code) {
+            Some(code) => Cow::Owned(code),
+            None => Cow::Borrowed(&b.code[..]),
+        })
+    }
+
+    /// Abstract interpretation of one block, in *runs*. A program point
+    /// that no jump targets has one predecessor, the instruction before
+    /// it, so its in-state is that instruction's out-state: it is carried
+    /// in `scratch.run` and never stored. States are kept, and merged,
+    /// only at the [`Kept`] points. A run ends at a `Halt` or a jump, at
+    /// the end of the block, or on reaching a kept point that the
+    /// arriving state does not change; the next run starts at the most
+    /// recently changed kept point. Program points are visited in the
+    /// order of a depth-first worklist over *every* point
+    /// (`check_block_reference`, which the tests compare against), so
+    /// this reaches the same fixpoint and reports the same first error.
+    fn check_block(&self, bi: u32, scratch: &mut Scratch) -> Result<(), VerifyError> {
+        let Scratch { run, joins, work } = scratch;
+        let code = self.enter_block(bi, run)?;
+        let code = &code[..];
+        let len = code.len() as u32;
+        if len == 0 {
+            return Ok(());
+        }
+        let b = &self.blocks[bi as usize];
+        joins.mark(code);
+        work.clear();
+        let frame = b.frame_size() as u32;
+        let flow = |joins: &mut Joins, to: u32, run: &State| {
+            joins
+                .flow(to, run)
+                .map_err(|(a, b)| VerifyError::DepthMismatch {
+                    block: bi,
+                    pc: to,
+                    a: a - frame,
+                    b: b - frame,
+                })
+        };
+        // The entry is a join like any other when a jump targets it: the
+        // spawner's state is only the first to arrive there.
+        if joins.is_kept(0) {
+            flow(joins, 0, run)?;
+            joins.take(0);
+        }
+        let mut pc = 0;
+        loop {
+            // One run; `run` is the in-state of `pc`.
+            loop {
+                match self.step(bi, b, code, pc, run)? {
+                    Succ::Fall => {
+                        pc += 1;
+                        if pc == len {
+                            break;
+                        }
+                        if joins.is_kept(pc) {
+                            if !flow(joins, pc, run)? {
+                                break;
+                            }
+                            let merged = joins.take(pc).expect("just changed");
+                            run.copy_from_slice(merged);
+                        }
+                    }
+                    Succ::Jump(t) => {
+                        if flow(joins, t, run)? {
+                            work.push(t);
+                        }
+                        break;
+                    }
+                    Succ::Branch(t) => {
+                        if flow(joins, pc + 1, run)? {
+                            work.push(pc + 1);
+                        }
+                        if flow(joins, t, run)? {
+                            work.push(t);
+                        }
+                        break;
+                    }
+                    Succ::Halt => break,
+                }
+            }
+            // A point queued more than once is interpreted once, in its
+            // latest state: the older entries find nothing to take.
+            pc = loop {
+                let Some(next) = work.pop() else {
+                    return Ok(());
+                };
+                if let Some(state) = joins.take(next) {
+                    run.clear();
+                    run.extend_from_slice(state);
+                    break next;
+                }
+            };
+        }
+    }
+
+    /// The per-`pc` worklist `check_block` replaced, kept as the
+    /// reference the equivalence tests compare it against: one optional
+    /// state per program point, every step clones its in-state out of
+    /// the table and merges its out-state into each successor's.
+    #[cfg(test)]
+    fn check_block_reference(&self, bi: u32) -> Result<(), VerifyError> {
+        let mut entry = State::new();
+        let code = self.enter_block(bi, &mut entry)?;
+        let code = &code[..];
+        let len = code.len() as u32;
+        if len == 0 {
+            return Ok(());
+        }
+        let b = &self.blocks[bi as usize];
+        let frame = b.frame_size() as u32;
+        let mut states: Vec<Option<State>> = vec![None; code.len()];
+        states[0] = Some(entry);
         let mut work: Vec<u32> = vec![0];
         while let Some(pc) = work.pop() {
             let mut st = states[pc as usize].clone().expect("queued pc has a state");
-            let succ = self.step(bi, b, pc, &mut st)?;
-            let mut flow = |target: u32, work: &mut Vec<u32>| -> Result<(), VerifyError> {
+            let succ = self.step(bi, b, code, pc, &mut st)?;
+            let mut flow = |target: u32| -> Result<(), VerifyError> {
                 if target == len {
                     return Ok(()); // falling off the end halts the thread
                 }
-                if merge(&mut states[target as usize], &st).map_err(|(a, c)| {
-                    VerifyError::DepthMismatch {
-                        block: bi,
-                        pc: target,
-                        a,
-                        b: c,
+                let changed = match &mut states[target as usize] {
+                    slot @ None => {
+                        *slot = Some(st.clone());
+                        true
                     }
-                })? {
+                    Some(cur) if cur.len() != st.len() => {
+                        return Err(VerifyError::DepthMismatch {
+                            block: bi,
+                            pc: target,
+                            a: cur.len() as u32 - frame,
+                            b: st.len() as u32 - frame,
+                        })
+                    }
+                    Some(cur) => {
+                        let mut changed = false;
+                        for (c, s) in cur.iter_mut().zip(&st) {
+                            let j = c.join(*s);
+                            changed |= j != *c;
+                            *c = j;
+                        }
+                        changed
+                    }
+                };
+                if changed {
                     work.push(target);
                 }
                 Ok(())
             };
             match succ {
-                Succ::Fall => flow(pc + 1, &mut work)?,
-                Succ::Jump(t) => flow(t, &mut work)?,
+                Succ::Fall => flow(pc + 1)?,
+                Succ::Jump(t) => flow(t)?,
                 Succ::Branch(t) => {
-                    flow(pc + 1, &mut work)?;
-                    flow(t, &mut work)?;
+                    flow(pc + 1)?;
+                    flow(t)?;
                 }
                 Succ::Halt => {}
             }
@@ -391,9 +662,16 @@ impl View<'_> {
 
     /// Transfer function for a single instruction. Mutates `st` into the
     /// out-state and reports the control-flow successors.
-    fn step(&self, bi: u32, b: &Block, pc: u32, st: &mut State) -> Result<Succ, VerifyError> {
+    fn step(
+        &self,
+        bi: u32,
+        b: &Block,
+        code: &[Instr],
+        pc: u32,
+        st: &mut State,
+    ) -> Result<Succ, VerifyError> {
         let frame = b.frame_size() as u32;
-        let len = b.code.len() as u32;
+        let len = code.len() as u32;
         let slot_ok = |slot: u32| -> Result<(), VerifyError> {
             if slot >= frame {
                 Err(VerifyError::BadSlot {
@@ -434,31 +712,38 @@ impl View<'_> {
         macro_rules! pop {
             ($n:expr) => {{
                 let n = $n as usize;
-                if st.stack.len() < n {
+                let have = st.len() - frame as usize;
+                if have < n {
                     return Err(VerifyError::Underflow {
                         block: bi,
                         pc,
                         need: n as u32,
-                        have: st.stack.len() as u32,
+                        have: have as u32,
                     });
                 }
-                st.stack.truncate(st.stack.len() - n);
+                st.truncate(st.len() - n);
+            }};
+        }
+        /// Pop the top word of the operand stack (never a frame slot).
+        macro_rules! pop_word {
+            () => {{
+                if st.len() == frame as usize {
+                    return Err(VerifyError::Underflow {
+                        block: bi,
+                        pc,
+                        need: 1,
+                        have: 0,
+                    });
+                }
+                st.pop().expect("the stack is not empty")
             }};
         }
         /// Pop the top word, requiring a kind (Top always passes).
         macro_rules! pop_kind {
             ($ok:pat, $expected:expr) => {{
-                match st.stack.pop() {
-                    None => {
-                        return Err(VerifyError::Underflow {
-                            block: bi,
-                            pc,
-                            need: 1,
-                            have: 0,
-                        })
-                    }
-                    Some(Kind::Top) | Some($ok) => {}
-                    Some(found) => {
+                match pop_word!() {
+                    Kind::Top | $ok => {}
+                    found => {
                         return Err(VerifyError::KindMismatch {
                             block: bi,
                             pc,
@@ -472,7 +757,7 @@ impl View<'_> {
         /// Require the kind held in a (bounds-checked) frame slot.
         macro_rules! slot_kind {
             ($slot:expr, $ok:pat, $expected:expr) => {{
-                match st.frame[$slot as usize] {
+                match st[$slot as usize] {
                     Kind::Top | $ok => {}
                     found => {
                         return Err(VerifyError::KindMismatch {
@@ -486,19 +771,19 @@ impl View<'_> {
             }};
         }
 
-        match b.code[pc as usize] {
+        match code[pc as usize] {
             Instr::PushLocal(s) => {
                 slot_ok(s as u32)?;
-                let k = st.frame[s as usize];
-                st.stack.push(k);
+                let k = st[s as usize];
+                st.push(k);
             }
-            Instr::PushInt(_) => st.stack.push(Kind::Int),
-            Instr::PushBool(_) => st.stack.push(Kind::Bool),
-            Instr::PushFloat(_) => st.stack.push(Kind::Float),
-            Instr::PushUnit => st.stack.push(Kind::Unit),
+            Instr::PushInt(_) => st.push(Kind::Int),
+            Instr::PushBool(_) => st.push(Kind::Bool),
+            Instr::PushFloat(_) => st.push(Kind::Float),
+            Instr::PushUnit => st.push(Kind::Unit),
             Instr::PushStr(s) => {
                 ref_ok("string", s, self.nstrings)?;
-                st.stack.push(Kind::Str);
+                st.push(Kind::Str);
             }
             Instr::PushSibling(i) => {
                 if !b.is_class_body {
@@ -506,28 +791,20 @@ impl View<'_> {
                 }
                 // The group this body belongs to draws its members from
                 // one table of this same image (see `max_sibling`).
-                ref_ok("sibling", i as u32, self.max_sibling())?;
-                st.stack.push(Kind::Class);
+                ref_ok("sibling", i as u32, self.max_sibling)?;
+                st.push(Kind::Class);
             }
             Instr::Store(s) => {
                 slot_ok(s as u32)?;
-                let Some(k) = st.stack.pop() else {
-                    return Err(VerifyError::Underflow {
-                        block: bi,
-                        pc,
-                        need: 1,
-                        have: 0,
-                    });
-                };
-                st.frame[s as usize] = k;
+                st[s as usize] = pop_word!();
             }
             Instr::Bin(_) => {
                 pop!(2);
-                st.stack.push(Kind::Top);
+                st.push(Kind::Top);
             }
             Instr::Un(_) => {
                 pop!(1);
-                st.stack.push(Kind::Top);
+                st.push(Kind::Top);
             }
             Instr::Jump(t) => {
                 jump_ok(t)?;
@@ -541,7 +818,7 @@ impl View<'_> {
             Instr::Halt => return Ok(Succ::Halt),
             Instr::NewChan(s) => {
                 slot_ok(s as u32)?;
-                st.frame[s as usize] = Kind::Chan;
+                st[s as usize] = Kind::Chan;
             }
             Instr::Fork { block, nfree } => {
                 ref_ok("block", block, self.blocks.len() as u32)?;
@@ -607,7 +884,7 @@ impl View<'_> {
                     });
                 }
                 for slot in dst..dst + count as u16 {
-                    st.frame[slot as usize] = Kind::Class;
+                    st[slot as usize] = Kind::Class;
                 }
                 for &(_, blk) in self.tables[table as usize] {
                     let eb = &self.blocks[blk as usize];
@@ -647,11 +924,11 @@ impl View<'_> {
                 ref_ok("string", name, self.nstrings)?;
                 // The resolved word (channel or class) is written into
                 // `dst` asynchronously — unknown kind from here on.
-                st.frame[dst as usize] = Kind::Top;
+                st[dst as usize] = Kind::Top;
             }
             Instr::Print { argc, .. } => pop!(argc),
             // Fused superinstructions cannot reach the transfer function:
-            // `check_block` normalizes the code first, and the wire decoder
+            // `enter_block` normalizes the code first, and the wire decoder
             // has no encoding that could produce them from untrusted bytes.
             Instr::PushLocal2 { .. }
             | Instr::PushLocalInt { .. }
@@ -677,57 +954,11 @@ enum Succ {
     Halt,
 }
 
-/// The abstract machine state at one program point: kinds for the operand
-/// stack (variable depth) and for every frame slot (fixed width).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    stack: Vec<Kind>,
-    frame: Vec<Kind>,
-}
-
-/// Merge `src` into the state at a program point. Returns `Ok(true)` if
-/// the state changed (the point must be re-queued), `Err((a, b))` on a
-/// stack-depth disagreement.
-fn merge(dst: &mut Option<State>, src: &State) -> Result<bool, (u32, u32)> {
-    match dst {
-        None => {
-            *dst = Some(src.clone());
-            Ok(true)
-        }
-        Some(cur) => {
-            if cur.stack.len() != src.stack.len() {
-                return Err((cur.stack.len() as u32, src.stack.len() as u32));
-            }
-            let mut changed = false;
-            let pairs = cur
-                .stack
-                .iter_mut()
-                .zip(&src.stack)
-                .chain(cur.frame.iter_mut().zip(&src.frame));
-            for (c, s) in pairs {
-                let j = c.join(*s);
-                if j != *c {
-                    *c = j;
-                    changed = true;
-                }
-            }
-            Ok(changed)
-        }
-    }
-}
-
 /// Verify a packet-relative wire bundle before linking it (the SHIPO /
 /// FETCH receive path). All ids are checked against the packet's own
 /// vectors, so a verified bundle can be linked without bounds checks.
 pub fn verify_wire(code: &WireCode) -> Result<(), VerifyError> {
-    View {
-        blocks: &code.blocks,
-        tables: code.tables.iter().map(|t| t.as_slice()).collect(),
-        labels: Labels::List(&code.labels),
-        nlabels: code.labels.len() as u32,
-        nstrings: code.strings.len() as u32,
-    }
-    .check()
+    View::of_wire(code).check()
 }
 
 /// Verify a whole program image (the compile / image-load path). On top
@@ -735,14 +966,7 @@ pub fn verify_wire(code: &WireCode) -> Result<(), VerifyError> {
 /// and take neither captures nor parameters (it is spawned with an empty
 /// frame prefix).
 pub fn verify_program(prog: &Program) -> Result<(), VerifyError> {
-    let view = View {
-        blocks: &prog.blocks,
-        tables: prog.tables.iter().map(|t| t.entries.as_slice()).collect(),
-        labels: Labels::Pool(&prog.labels),
-        nlabels: prog.labels.len() as u32,
-        nstrings: prog.strings.len() as u32,
-    };
-    view.check()?;
+    View::of_program(prog).check()?;
     let Some(entry) = prog.blocks.get(prog.entry as usize) else {
         return Err(VerifyError::BadEntry(format!(
             "entry block {} out of range (< {})",
@@ -761,6 +985,9 @@ pub fn verify_program(prog: &Program) -> Result<(), VerifyError> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod equiv;
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,8 @@
 //! `ditico` binary: one `ditico serve` child hosting the server node and
 //! the name service, one `ditico net --peers` client process fetching
 //! code from it — first the happy path, then with the server killed
-//! mid-run to check the survivor suspects it and terminates cleanly.
+//! mid-run to check the survivor suspects it and terminates cleanly, and
+//! with both processes stopped mid-run to check that nobody is.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -194,6 +195,107 @@ fn killing_the_server_is_suspected_by_the_survivor() {
         "survivor must suspect node 0: {stderr}"
     );
     assert!(out.status.success(), "{stderr}");
+}
+
+/// The paper's §3 RPC server, and `chains` concurrent chains of `calls`
+/// sequential calls to it: chain `c` prints the sum of its replies.
+const RPC_SERVER: &str =
+    "def Srv(p) = p?{ val(x, r) = r![x + 1] | Srv[p] } in export new p in Srv[p]";
+
+fn rpc_client(chains: u64, calls: u64) -> (String, Vec<String>) {
+    let mut src = String::from(
+        "import p from server in \
+         def Chain(c, k, acc) = \
+             if k > 0 then new a (p!val[k, a] | a?(v) = Chain[c, k - 1, acc + v]) \
+             else println(\"chain\", c, acc) \
+         in (0",
+    );
+    for c in 0..chains {
+        src.push_str(&format!(" | Chain[{c}, {calls}, 0]"));
+    }
+    src.push(')');
+    let sum = calls * (calls + 1) / 2 + calls;
+    let expected = (0..chains)
+        .map(|c| format!("[client] chain {c} {sum}"))
+        .collect();
+    (src, expected)
+}
+
+/// One `kill` per child, in the order given: each is signalled about a
+/// millisecond (a process spawn) after the one before it.
+fn signal(sig: &str, children: &[&Child]) {
+    for c in children {
+        let st = Command::new("kill")
+            .args([sig, &c.id().to_string()])
+            .status()
+            .expect("run kill");
+        assert!(st.success(), "kill {sig} {}", c.id());
+    }
+}
+
+/// Both processes are stopped mid-run for much longer than the failure
+/// monitor's patience (5 × 25 ms) and the idle grace (150 ms), three
+/// times. Whichever thread the kernel runs first afterwards, neither
+/// verdict may be taken from the clock alone while the peer's beacons
+/// and replies sit unread in the socket: the client must not suspect the
+/// server and cut the run, and must not declare quiescence and exit
+/// with chains unfinished.
+#[test]
+fn a_stall_of_both_processes_costs_no_replies() {
+    let dir = tmpdir("stall");
+    let (client_src, mut expected) = rpc_client(64, 1500);
+    write(&dir, "server.dity", RPC_SERVER);
+    write(&dir, "client.dity", &client_src);
+    let spec = write(&dir, "cluster.net", SPEC);
+    let addr = format!("127.0.0.1:{}", free_port());
+
+    let mut server = ditico()
+        .args(["serve", spec.to_str().unwrap(), "--node", "0"])
+        .args(["--listen", &addr, "--wall", "60", "--hb-ms", "25"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut client = ditico()
+        .args(["net", spec.to_str().unwrap(), "--node", "1"])
+        .args(["--peers", &addr, "--wall", "60", "--hb-ms", "25"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn client");
+
+    for _ in 0..3 {
+        std::thread::sleep(Duration::from_millis(100));
+        // The client stops first and resumes first. Stopped first, it
+        // leaves the server a moment to answer what is in flight into a
+        // socket nobody reads; resumed first, it wakes to those unread
+        // replies and to a peer that cannot beacon yet — the stalest
+        // view its clocks can be given. (A child that already exited
+        // is a zombie until it is waited for: signalling it is harmless.)
+        signal("-STOP", &[&client, &server]);
+        std::thread::sleep(Duration::from_millis(700));
+        signal("-CONT", &[&client, &server]);
+    }
+
+    wait_bounded(&mut client, 60);
+    let out = client.wait_with_output().expect("client output");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        !stderr.contains("suspected dead nodes") && !stderr.contains("limit hit"),
+        "a stall is not a failure: {stderr}"
+    );
+    let mut lines: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| l.trim().to_string())
+        .collect();
+    lines.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(lines, expected, "{stderr}");
+
+    let st = wait_bounded(&mut server, 30);
+    let out = server.wait_with_output().expect("server output");
+    assert!(st.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// Three sites across the two processes: `a` fetches `Adder`, uses it,
