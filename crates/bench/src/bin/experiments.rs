@@ -1,7 +1,7 @@
-//! Regenerate every virtual-time table of the experiment suite in one run
-//! (the Criterion benches additionally measure wall-clock costs; this
-//! binary produces the deterministic, host-independent numbers recorded in
-//! EXPERIMENTS.md).
+//! Regenerate every table of the experiment suite in one run: the
+//! deterministic, host-independent virtual-time numbers recorded in
+//! EXPERIMENTS.md, and the wall-clock figures (F3, C7, verify overhead) as
+//! plain timed loops.
 //!
 //! ```sh
 //! cargo run --release -p ditico-bench --bin experiments
@@ -10,19 +10,24 @@
 use ditico::{Cluster, Env, FabricMode, LinkProfile, RunLimits, Topology};
 use ditico_bench::*;
 use ditico_rt::NsShardMap;
+use std::hint::black_box;
+use std::time::Instant;
 use tyco_calculus::Network;
-use tyco_vm::{compile, LoopbackPort, Machine, QueuePolicy};
+use tyco_vm::wire::WireWord;
+use tyco_vm::word::{NetRef, NodeId, SiteId, Word};
+use tyco_vm::{compile, LoopbackPort, Machine, NetPort, Program};
 
 fn main() {
     f1_link_profiles();
     f2_architecture();
+    f3_site_vm();
     f4_local_vs_remote();
     c1_granularity();
     c2_latency_hiding();
     c3_remote_steps();
     c5_fetch_vs_ship();
     c6_mobility_vs_rmi();
-    c7_code_size();
+    c7_vm_vs_interp();
     c8_failover();
     verify_overhead();
     println!("\nAll experiment tables regenerated.");
@@ -37,20 +42,17 @@ fn main() {
 /// fetch run (compile, name service, fetch, link, execute) and (b) the
 /// modelled end-to-end FETCH latency per link profile.
 fn verify_overhead() {
-    use std::time::Instant;
-
     /// Mean wall-clock nanoseconds of one `verify_wire` pass over every
     /// table of `src`, and the instruction count of that image.
     fn time_verify(src: &str, reps: u32) -> (u64, usize) {
-        let prog = compile(&tyco_syntax::parse_core(src).unwrap()).unwrap();
+        let prog = program(src);
         let roots: Vec<u32> = (0..prog.tables.len() as u32).collect();
         let packed = tyco_vm::pack(&prog, &roots);
         let instrs = packed.code.blocks.iter().map(|b| b.code.len()).sum();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(tyco_vm::verify_wire(std::hint::black_box(&packed.code))).unwrap();
-        }
-        (t0.elapsed().as_nanos() as u64 / reps as u64, instrs)
+        let ns = time_ns(reps, || {
+            tyco_vm::verify_wire(black_box(&packed.code)).unwrap()
+        });
+        (ns as u64, instrs)
     }
 
     println!("\n=== Verify overhead on the FETCH path ===");
@@ -97,6 +99,31 @@ fn verify_overhead() {
             verify_ns as f64 * 100.0 / rep.virtual_ns as f64
         );
     }
+}
+
+fn program(src: &str) -> Program {
+    compile(&tyco_syntax::parse_core(src).unwrap()).unwrap()
+}
+
+/// Mean wall-clock nanoseconds of one call of `f`, over `reps` calls after
+/// one warm-up call.
+fn time_ns<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
+    black_box(f());
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        black_box(f());
+    }
+    t0.elapsed().as_nanos() as f64 / reps as f64
+}
+
+/// Mean wall-clock nanoseconds of booting a machine on `prog` and running
+/// it to quiescence.
+fn time_run<P: NetPort>(reps: u32, prog: &Program, port: impl Fn() -> P) -> f64 {
+    time_ns(reps, || {
+        let mut m = Machine::new(prog.clone(), port());
+        m.run_to_quiescence(u64::MAX).expect("runs");
+        m.stats.instrs
+    })
 }
 
 fn f1_link_profiles() {
@@ -161,6 +188,119 @@ fn f2_architecture() {
     );
 }
 
+/// A port that resolves every import to a channel on a fictitious remote
+/// site and swallows all outbound traffic — isolates the sender-side cost
+/// of the SHIPM path.
+struct BlackholePort;
+
+impl NetPort for BlackholePort {
+    fn identity(&self) -> tyco_vm::Identity {
+        tyco_vm::Identity::default()
+    }
+    fn register(&mut self, _name: &str, _value: WireWord) {}
+    fn import(&mut self, _: &str, _: &str, _: tyco_vm::ImportKind) -> tyco_vm::ImportReply {
+        tyco_vm::ImportReply::Ready(WireWord::Chan(NetRef {
+            heap_id: 0,
+            site: SiteId(999),
+            node: NodeId(999),
+        }))
+    }
+    fn send_msg(&mut self, _dest: NetRef, _label: &str, _args: Vec<WireWord>) {}
+    fn send_obj(&mut self, _dest: NetRef, _digest: tyco_vm::Digest, _obj: tyco_vm::WireObj) {}
+    fn fetch(&mut self, class: NetRef) -> tyco_vm::FetchReplyNow {
+        tyco_vm::FetchReplyNow::Failed(format!("blackhole cannot fetch {class}"))
+    }
+    fn fetch_reply(
+        &mut self,
+        _to: tyco_vm::Identity,
+        _req: u64,
+        _digest: tyco_vm::Digest,
+        _group: tyco_vm::WireGroup,
+        _index: u8,
+    ) {
+    }
+    fn poll(&mut self) -> Option<tyco_vm::Incoming> {
+        None
+    }
+}
+
+/// Wall-clock cost of the VM's primitives (Fig. 3) and of the fabric's
+/// batched send. Codec and raw dispatch rates are the `dispatch` binary's
+/// and the end-to-end benchmark's per-layer metrics.
+fn f3_site_vm() {
+    println!("\n=== F3 (Fig. 3): site VM primitives (wall clock, ns) ===");
+    let main = || LoopbackPort::new("main");
+    let row = |what: &str, ns: f64| println!("{what:<58} {ns:>10.1}");
+
+    // Two COMM + two INST per iteration of the cell-churn driver.
+    let ns = time_run(200, &program(&cell_churn(1000)), main);
+    row("cell transaction (2 COMM + 2 INST, GC amortized)", ns / 1e3);
+    let inst = "def L(n) = if n > 0 then L[n - 1] else println(\"x\") in L[1000]";
+    row(
+        "class instantiation",
+        time_run(500, &program(inst), main) / 1e3,
+    );
+    let forks: Vec<String> = (0..512).map(|i| format!("print({i})")).collect();
+    let ns = time_run(500, &program(&forks.join(" | ")), main);
+    row("thread fork + context switch", ns / 512.0);
+
+    // The same 500 sends, once on a local channel and once on a network
+    // reference (translate, package, enqueue: the SHIPM path).
+    let local = r#"
+        def L(ch, n) = if n > 0 then (ch![n] | L[ch, n - 1]) else println("x")
+        in new sink (sink?{ } | 0) | new c L[c, 500]
+    "#;
+    let ns = time_run(500, &program(local), main);
+    row(
+        "trmsg on a local channel (per send, incl. driver)",
+        ns / 500.0,
+    );
+    let remote = r#"
+        import c from elsewhere in
+        def L(ch, n) = if n > 0 then (ch![n] | L[ch, n - 1]) else println("x")
+        in L[c, 500]
+    "#;
+    let ns = time_run(500, &program(remote), || BlackholePort);
+    row(
+        "trmsg on a network reference (per send, incl. driver)",
+        ns / 500.0,
+    );
+
+    // A1: the export-table translation in isolation.
+    let mut m = Machine::new(program("new c (c![1] | c?(x) = 0)"), main());
+    m.run_to_quiescence(u64::MAX).unwrap();
+    let ns = time_ns(1_000_000, || m.outgoing(black_box(Word::Chan(0))));
+    row("A1: export-table translation of a channel word", ns);
+    let ns = time_ns(1_000_000, || m.outgoing(black_box(Word::Int(42))));
+    row("A1: export-table translation of an int word", ns);
+
+    // One lock and one wakeup amortized over a whole backlog.
+    let payload = tyco_vm::codec::encode(&tyco_vm::codec::Packet::Msg {
+        dest: NetRef {
+            heap_id: 7,
+            site: SiteId(3),
+            node: NodeId(1),
+        },
+        label: "ping".into(),
+        args: vec![WireWord::Int(42), WireWord::Str("payload".into())],
+    });
+    for batch in [1usize, 64, 1024] {
+        let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let rx = fabric.register_node(NodeId(1));
+        let h = fabric.handle();
+        let mut scratch = Vec::with_capacity(batch);
+        let ns = time_ns(200_000 / batch as u32, || {
+            scratch.extend(std::iter::repeat_n(payload.clone(), batch));
+            h.send_batch(NodeId(0), NodeId(1), &mut scratch);
+            assert_eq!(rx.try_iter().count(), batch);
+        });
+        row(
+            &format!("fabric send_batch of {batch} (per packet)"),
+            ns / batch as f64,
+        );
+    }
+}
+
 fn f4_local_vs_remote() {
     println!("\n=== F4/C4 (Fig. 4): 100 sequential RPCs, same node vs two nodes ===");
     for same in [true, false] {
@@ -201,7 +341,7 @@ fn c1_granularity() {
         ("fanout_500", (0..500).map(|i| format!("print({i})")).collect::<Vec<_>>().join(" | ")),
     ];
     for (name, src) in &programs {
-        let prog = compile(&tyco_syntax::parse_core(src).unwrap()).unwrap();
+        let prog = program(src);
         let mut m = Machine::new(prog, LoopbackPort::new("main"));
         m.run_to_quiescence(u64::MAX).unwrap();
         let h = &m.stats.thread_len;
@@ -242,7 +382,6 @@ fn c2_latency_hiding() {
             .unwrap()
             .build()
             .unwrap();
-            built.cluster.set_queue_policy(QueuePolicy::Fifo);
             let r = built.run_deterministic(RunLimits::default());
             assert!(r.errors.is_empty());
             row.push_str(&format!(" {:>9}", r.virtual_ns / 1_000));
@@ -346,11 +485,11 @@ fn c6_mobility_vs_rmi() {
     }
 }
 
-fn c7_code_size() {
-    println!("\n=== C7: code size (compactness) ===");
+fn c7_vm_vs_interp() {
+    println!("\n=== C7: byte-code VM vs tree-walking interpreter (size; wall clock, µs) ===");
     println!(
-        "{:<16} {:>10} {:>8} {:>8}",
-        "program", "ast", "blocks", "instrs"
+        "{:<16} {:>6} {:>7} {:>7} {:>10} {:>12} {:>8}",
+        "program", "ast", "blocks", "instrs", "vm", "interpreter", "speedup"
     );
     let programs: Vec<(&str, String)> = vec![
         ("cell_churn", cell_churn(300)),
@@ -358,16 +497,56 @@ fn c7_code_size() {
             "counter",
             "def L(n) = if n > 0 then L[n - 1] else println(\"x\") in L[2000]".to_string(),
         ),
+        (
+            "rpc_chain",
+            r#"
+            def Srv(s) = s?{ v(x, r) = r![x + 1] | Srv[s] }
+            and Loop(s, n) =
+                if n > 0 then new a (s!v[n, a] | a?(x) = Loop[s, n - 1]) else println("x")
+            in new s (Srv[s] | Loop[s, 300])
+            "#
+            .to_string(),
+        ),
+        (
+            "fib_processes",
+            r#"
+            def Fib(n, r) =
+                if n < 2 then r![n]
+                else new a new b (Fib[n - 1, a] | Fib[n - 2, b]
+                                  | a?(x) = b?(y) = r![x + y])
+            in new out (Fib[15, out] | out?(v) = print(v))
+            "#
+            .to_string(),
+        ),
     ];
     for (name, src) in &programs {
         let ast = tyco_syntax::parse_core(src).unwrap();
         let prog = compile(&ast).unwrap();
+        // Identical observables first, then the clock.
+        let mut m = Machine::new(prog.clone(), LoopbackPort::new("main"));
+        m.run_to_quiescence(u64::MAX).unwrap();
+        m.io.sort();
+        let interp = || {
+            let mut net = Network::new();
+            net.add_site("main", ast.clone());
+            net.run(u64::MAX).expect("interp runs")
+        };
+        assert_eq!(
+            m.io,
+            interp().line_multiset(),
+            "observable mismatch in {name}"
+        );
+        let vm_ns = time_run(30, &prog, || LoopbackPort::new("main"));
+        let interp_ns = time_ns(10, interp);
         println!(
-            "{:<16} {:>10} {:>8} {:>8}",
+            "{:<16} {:>6} {:>7} {:>7} {:>10.0} {:>12.0} {:>7.1}x",
             name,
             ast.size(),
             prog.blocks.len(),
-            prog.instr_count()
+            prog.instr_count(),
+            vm_ns / 1e3,
+            interp_ns / 1e3,
+            interp_ns / vm_ns
         );
     }
 }

@@ -131,8 +131,6 @@ pub struct Env {
     workers: Option<usize>,
     /// Per-node code-cache capacity (None: the runtime default).
     code_cache: Option<usize>,
-    /// Tree-shake shipped code (SHIPO / served FETCH packages).
-    shake: bool,
     /// Seeded fault-injection plan installed at build time.
     chaos: Option<ChaosPlan>,
     /// Name-service ring size and lease TTL replacing the topology's
@@ -148,7 +146,6 @@ impl Env {
             check_interfaces: true,
             workers: None,
             code_cache: None,
-            shake: false,
             chaos: None,
             ns_shards: None,
         }
@@ -173,20 +170,10 @@ impl Env {
     }
 
     /// Set every node's content-addressed code-cache capacity, in images.
-    /// Zero disables the cache along with wire-level dedup and
-    /// single-flight fetch coalescing (the uncached baseline).
+    /// Zero is a store that holds nothing: every shipment is a full
+    /// image (the uncached baseline).
     pub fn code_cache(mut self, capacity: usize) -> Env {
         self.code_cache = Some(capacity);
-        self
-    }
-
-    /// Tree-shake every shipped code package: SHIPO payloads and served
-    /// FETCH replies carry the pruned closure (`tyco_vm::wire::pack_shaken`)
-    /// instead of the full one. The run report's
-    /// [`RunReport::shake_totals`](ditico_rt::RunReport::shake_totals)
-    /// records packages built and bytes saved.
-    pub fn shake(mut self, enabled: bool) -> Env {
-        self.shake = enabled;
         self
     }
 
@@ -319,9 +306,6 @@ impl Env {
         }
         if let Some(c) = self.code_cache {
             cluster.set_code_cache(c);
-        }
-        if self.shake {
-            cluster.set_shake(true);
         }
         if let Some(plan) = self.chaos {
             cluster.set_chaos(plan).map_err(EnvError::Chaos)?;

@@ -61,20 +61,6 @@ impl Program {
         })
     }
 
-    /// Compile without the static type check (used to demonstrate the
-    /// dynamic checks catching what the static checker would have).
-    pub fn compile_unchecked(source: &str) -> Result<Program, ProgramError> {
-        let ast =
-            tyco_syntax::parse_core(source).map_err(|e| ProgramError::Parse(e.to_string()))?;
-        let code = tyco_vm::compile(&ast).map_err(|e| ProgramError::Compile(e.to_string()))?;
-        Ok(Program {
-            source: source.to_string(),
-            ast,
-            types: TypeSummary::default(),
-            code,
-        })
-    }
-
     /// The canonical (desugared) form of the program.
     pub fn pretty(&self) -> String {
         tyco_syntax::pretty::pretty(&self.ast)
@@ -103,41 +89,11 @@ impl Program {
         tyco_calculus::lint(&self.ast)
     }
 
-    /// Whole-program byte-code analysis rooted at the entry block
-    /// (`tyco_vm::analyze`): interprocedural reachability over the
-    /// call/instantiation graph plus per-block constant dataflow.
-    pub fn analyze(&self) -> tyco_vm::Analysis {
-        tyco_vm::analyze(&self.code, tyco_vm::Roots::Entry)
-    }
-
     /// Static diagnostics over the byte-code — unreachable methods,
     /// never-instantiated classes, sends no reachable table answers
     /// (`ditico check --analyze`).
     pub fn findings(&self) -> Vec<tyco_vm::Finding> {
-        self.analyze().findings(&self.code)
-    }
-
-    /// Verified optimization passes: constant propagation/folding, branch
-    /// simplification, dead-instruction elimination. The optimized code
-    /// replaces `self.code`; observable I/O is preserved and the result
-    /// re-verifies (or the pass backs out).
-    pub fn optimize(&mut self) -> tyco_vm::OptStats {
-        let (code, stats) = tyco_vm::optimize_with_stats(&self.code);
-        self.code = code;
-        stats
-    }
-
-    /// Tree-shake the byte-code from its entry block: prune blocks,
-    /// methods and classes that can never run. Returns what was removed.
-    pub fn shake(&mut self) -> (usize, usize, usize) {
-        let shaken = tyco_vm::shake(&self.code);
-        let out = (
-            shaken.blocks_dropped,
-            shaken.blocks_stubbed,
-            shaken.instrs_dropped,
-        );
-        self.code = shaken.program;
-        out
+        tyco_vm::analyze(&self.code).findings(&self.code)
     }
 }
 
@@ -170,12 +126,6 @@ mod tests {
             Program::compile("new x (x![1] | x![true])"),
             Err(ProgramError::Type(_))
         ));
-        // Unbound names are caught by the type checker first; the compiler
-        // path is still exercised via compile_unchecked.
-        assert!(matches!(
-            Program::compile_unchecked("x![1]"),
-            Err(ProgramError::Compile(_))
-        ));
     }
 
     #[test]
@@ -189,13 +139,5 @@ mod tests {
         let findings = dead.lint();
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, tyco_calculus::LintKind::OrphanMessage);
-    }
-
-    #[test]
-    fn unchecked_skips_static_types() {
-        // Ill-typed but compilable: the dynamic check will catch it at
-        // run time instead.
-        let p = Program::compile_unchecked("new x (x!bad[] | x?{ good() = 0 })");
-        assert!(p.is_ok());
     }
 }

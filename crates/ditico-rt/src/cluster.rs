@@ -115,15 +115,6 @@ impl RunReport {
         self.stats.values().map(|s| s.comm).sum()
     }
 
-    /// Tree-shake counters summed across sites: `(shaken_packs,
-    /// shake_bytes_saved)`. Zero unless the run used
-    /// [`Cluster::set_shake`].
-    pub fn shake_totals(&self) -> (u64, u64) {
-        self.stats.values().fold((0, 0), |(p, b), s| {
-            (p + s.shaken_packs, b + s.shake_bytes_saved)
-        })
-    }
-
     /// Code-cache counters summed across every node's daemon.
     pub fn cache_totals(&self) -> CodeCacheStats {
         let mut t = CodeCacheStats::default();
@@ -205,12 +196,9 @@ pub struct Cluster {
     pub stale_periods: u64,
     /// Worker-pool configuration for threaded runs (M:N scheduler).
     pub sched: SchedConfig,
-    /// Per-node code-cache capacity in images (0 disables caching,
-    /// wire-level dedup and fetch coalescing).
+    /// Per-node code-cache capacity in images (0: a store that holds
+    /// nothing, so every shipment is a full image).
     code_cache: usize,
-    /// Whether sites package shipped code tree-shaken
-    /// (`tyco_vm::wire::pack_shaken`).
-    shake: bool,
     /// Installed fault-injection plan (see [`Cluster::set_chaos`]).
     chaos: Option<Arc<ChaosState>>,
     /// The name service's shard map, shared with every daemon:
@@ -239,7 +227,6 @@ impl Cluster {
             stale_periods: 3,
             sched: SchedConfig::default(),
             code_cache: DEFAULT_CODE_CACHE,
-            shake: false,
             chaos: None,
             shard_map: Arc::new(NsShardMap::new(ns_replicas, 0)),
             ns_service_ns: 0,
@@ -282,23 +269,6 @@ impl Cluster {
     /// The configured per-node code-cache capacity.
     pub fn code_cache(&self) -> usize {
         self.code_cache
-    }
-
-    /// Tree-shake shipped code on every site (existing and future ones).
-    /// Off by default: shaken packets carry their own digests, so mixed
-    /// fleets would split the receiving code caches.
-    pub fn set_shake(&mut self, enabled: bool) {
-        self.shake = enabled;
-        for cell in &mut self.nodes {
-            for site in &mut cell.sites {
-                site.machine.set_shake(enabled);
-            }
-        }
-    }
-
-    /// Whether shipped code is tree-shaken.
-    pub fn shake(&self) -> bool {
-        self.shake
     }
 
     /// A single-node, ideal-fabric cluster (functional testing).
@@ -384,8 +354,7 @@ impl Cluster {
             self.term.clone(),
         );
         port.set_interface(interface);
-        let mut site = Site::new(lexeme, identity, program, port);
-        site.machine.set_shake(self.shake);
+        let site = Site::new(lexeme, identity, program, port);
         cell.daemon.attach_site(site_id, in_tx);
         cell.sites.push(site);
         site_id
@@ -422,15 +391,6 @@ impl Cluster {
             }
         }
         site_id
-    }
-
-    /// Set the run-queue policy of every site (ablation A3).
-    pub fn set_queue_policy(&mut self, policy: tyco_vm::QueuePolicy) {
-        for cell in &mut self.nodes {
-            for site in &mut cell.sites {
-                site.machine.queue_policy = policy;
-            }
-        }
     }
 
     /// Kill a node: its traffic is dropped and its daemon and sites stop

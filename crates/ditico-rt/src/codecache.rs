@@ -16,6 +16,10 @@
 //!   images in the same store, inserted before the dedup decision, so a
 //!   digest it advertises is always answerable while cached).
 //!
+//! Capacity 0 is a store that holds nothing, not a mode: the daemon never
+//! asks for the capacity, so at 0 every shipment is a full image — still
+//! digest-checked on arrival — and concurrent fetches still coalesce.
+//!
 //! Eviction is FIFO by insertion order with a configurable capacity; an
 //! evicted digest also forgets its shipped-to set, which downgrades the
 //! next send to a full shipment (correct, just not deduplicated). A
@@ -50,10 +54,10 @@ pub struct CodeCache {
 }
 
 impl CodeCache {
-    /// A cache holding at most `capacity` images. Zero disables storage
-    /// entirely: every insert is a no-op and every lookup misses, which
-    /// turns off dedup and verify-once without any special-casing at the
-    /// call sites.
+    /// A cache holding at most `capacity` images. Zero is a store that
+    /// holds nothing: every insert is a no-op and every lookup misses, so
+    /// the daemon — which never asks for the capacity — ships and receives
+    /// full images every time, digest-checking each one on arrival.
     pub fn new(capacity: usize) -> CodeCache {
         CodeCache {
             entries: HashMap::new(),

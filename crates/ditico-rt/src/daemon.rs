@@ -277,8 +277,9 @@ impl Daemon {
         }
     }
 
-    /// Resize the content-addressed code store (0 disables it, which also
-    /// turns off wire-level dedup and fetch coalescing on this node).
+    /// Resize the content-addressed code store. Zero is a store that
+    /// holds nothing: every shipment from and to this node is a full
+    /// image, still digest-checked on arrival.
     pub fn set_code_cache(&mut self, capacity: usize) {
         self.store.set_capacity(capacity);
         self.stats.cache.evictions = self.store.evictions;
@@ -615,13 +616,9 @@ impl Daemon {
 
     /// Fingerprint-check a full code image from the fabric and cache it.
     /// Returns `false` when the bytes do not hash to the carried digest
-    /// (the packet is dropped as tampered). With the store disabled the
-    /// image passes through unchecked, exactly as before the cache
-    /// existed — the static verifier in [`Daemon::screen`] already ran.
+    /// (the packet is dropped as tampered) — at every capacity: a store
+    /// that holds nothing still checks what it is handed.
     fn admit_code(&mut self, from: NodeId, digest: Digest, code: &WireCode) -> bool {
-        if self.store.capacity() == 0 {
-            return true;
-        }
         let bytes = codec::code_bytes(code);
         if Digest::of(&bytes) != digest {
             self.stats.cache.digest_mismatches += 1;
@@ -1008,10 +1005,6 @@ impl Daemon {
     /// of a cached image go out digest-only, and a fetch of a class
     /// already being fetched is folded into the in-flight request.
     fn send_remote_coded(&mut self, target: NodeId, p: Packet) {
-        if self.store.capacity() == 0 {
-            self.send_remote(target, &p);
-            return;
-        }
         match p {
             Packet::Obj { dest, digest, obj } => {
                 self.insert_outbound(digest, &obj.code);

@@ -83,8 +83,16 @@ fn disabling_the_cache_restores_full_shipments() {
 fn concurrent_fetches_of_one_class_are_coalesced() {
     // Two sites on the same node race to fetch the same remote class; the
     // node's daemon must put exactly one FetchReq on the wire and fan the
-    // reply out to both.
+    // reply out to both — single-flight is not a cache setting, so a
+    // store that holds nothing coalesces as the default one does.
+    for capacity in [ditico_rt::daemon::DEFAULT_CODE_CACHE, 0] {
+        concurrent_fetches_are_coalesced_at(capacity);
+    }
+}
+
+fn concurrent_fetches_are_coalesced_at(capacity: usize) {
     let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    c.set_code_cache(capacity);
     let n0 = c.add_node();
     let n1 = c.add_node();
     c.add_site_src(
@@ -217,37 +225,60 @@ fn inject(rig: &Rig, p: &Packet) {
 
 #[test]
 fn tampered_image_is_rejected_and_counted() {
-    let mut r = rig();
-    let (digest, obj) = shipped_obj();
-    inject(
-        &r,
-        &Packet::Obj {
+    // The carried digest is checked at every capacity, a store that holds
+    // nothing included, and for both packets that carry a full image.
+    for capacity in [ditico_rt::daemon::DEFAULT_CODE_CACHE, 0] {
+        let (digest, obj) = shipped_obj();
+        let as_obj = |digest| Packet::Obj {
             dest: dest(),
-            digest: Digest(digest.0 ^ 1), // bytes no longer hash to this
+            digest,
             obj: obj.clone(),
-        },
-    );
+        };
+        let as_fetch_reply = |digest| Packet::FetchReply {
+            to: tyco_vm::word::Identity {
+                site: SiteId(0),
+                node: NodeId(0),
+            },
+            req: 7,
+            digest,
+            group: tyco_vm::WireGroup {
+                code: obj.code.clone(),
+                table: obj.table,
+                captured: vec![],
+            },
+            index: 0,
+        };
+        tampered_image_is_rejected_at(capacity, digest, &as_obj);
+        tampered_image_is_rejected_at(capacity, digest, &as_fetch_reply);
+    }
+}
+
+fn tampered_image_is_rejected_at(
+    capacity: usize,
+    digest: Digest,
+    packet: &dyn Fn(Digest) -> Packet,
+) {
+    let mut r = rig();
+    r.daemon.set_code_cache(capacity);
+    // Bytes that no longer hash to the digest they travel under.
+    inject(&r, &packet(Digest(digest.0 ^ 1)));
     r.daemon.pump();
     assert_eq!(r.daemon.stats.cache.digest_mismatches, 1);
     assert_eq!(r.daemon.stats.rejected, 1);
     assert_eq!(r.daemon.code_cache_len(), 0, "tampered code is not cached");
     assert!(r.site_rx.try_recv().is_err(), "nothing was delivered");
 
-    // The honest shipment is admitted, cached and delivered.
-    inject(
-        &r,
-        &Packet::Obj {
-            dest: dest(),
-            digest,
-            obj,
-        },
-    );
+    // The honest shipment is admitted, cached (if anything is) and
+    // delivered.
+    inject(&r, &packet(digest));
     r.daemon.pump();
     assert_eq!(r.daemon.stats.cache.digest_mismatches, 1);
-    assert_eq!(r.daemon.code_cache_len(), 1);
+    assert_eq!(r.daemon.code_cache_len(), capacity.min(1));
     assert!(matches!(
         r.site_rx.try_recv(),
-        Ok(RtIncoming::Vm(Incoming::Obj { .. }))
+        Ok(RtIncoming::Vm(
+            Incoming::Obj { .. } | Incoming::FetchReply { .. }
+        ))
     ));
 }
 

@@ -41,10 +41,17 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest AST the parser builds: no path from the root of a parsed
+/// program to a leaf passes through more nodes than this. Source text is
+/// outside input, and every pass behind the parser recurses over the
+/// tree, so the bound is what keeps arbitrary input from overflowing a
+/// stack; deeper input is an ordinary `nesting too deep` error.
+const MAX_DEPTH: usize = 4096;
+
 /// Parse a complete source program (a single process).
 pub fn parse_program(src: &str) -> Result<Proc, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser::new(toks);
     let proc = p.parse_par()?;
     p.expect_eof()?;
     Ok(proc)
@@ -53,7 +60,7 @@ pub fn parse_program(src: &str) -> Result<Proc, ParseError> {
 /// Parse a single expression (used by tests and the REPL-style shell).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser::new(toks);
     let e = p.parse_expr_prec(0)?;
     p.expect_eof()?;
     Ok(e)
@@ -62,9 +69,29 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 struct Parser {
     toks: Vec<Spanned>,
     i: usize,
+    /// Nodes (and brackets) enclosing the one being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<Spanned>) -> Parser {
+        Parser {
+            toks,
+            i: 0,
+            depth: 0,
+        }
+    }
+
+    /// Refuse a node whose subtree of `height` nodes, hanging below the
+    /// `self.depth` constructs that enclose it, would pass [`MAX_DEPTH`].
+    fn check_depth(&self, height: usize) -> Result<(), ParseError> {
+        if self.depth + height > MAX_DEPTH {
+            Err(self.err(format!("nesting too deep (more than {MAX_DEPTH} levels)")))
+        } else {
+            Ok(())
+        }
+    }
+
     fn cur(&self) -> &Tok {
         &self.toks[self.i].tok
     }
@@ -152,8 +179,17 @@ impl Parser {
         Ok(Proc::par(parts))
     }
 
-    /// A single prefixed process (no top-level `|`).
+    /// A single prefixed process (no top-level `|`). Every level of
+    /// process nesting, brackets included, recurses through here.
     fn parse_prefix(&mut self) -> Result<Proc, ParseError> {
+        self.check_depth(1)?;
+        self.depth += 1;
+        let p = self.parse_prefix_at_depth();
+        self.depth -= 1;
+        p
+    }
+
+    fn parse_prefix_at_depth(&mut self) -> Result<Proc, ParseError> {
         let start = self.pos();
         match self.cur().clone() {
             Tok::Int(0) => {
@@ -568,9 +604,16 @@ impl Parser {
         }
     }
 
-    /// Precedence-climbing expression parser.
     fn parse_expr_prec(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_expr_atom()?;
+        Ok(self.parse_expr_height(min_prec)?.0)
+    }
+
+    /// Precedence-climbing expression parser; returns the expression with
+    /// its height in nodes. A left-deep operator chain grows in the loop
+    /// below, not by recursion, so the height is checked where each node
+    /// is built.
+    fn parse_expr_height(&mut self, min_prec: u8) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.parse_expr_atom()?;
         loop {
             let op = match self.cur() {
                 Tok::Plus => BinOp::Add,
@@ -594,71 +637,63 @@ impl Parser {
                 break;
             }
             self.bump();
-            let rhs = self.parse_expr_prec(prec + 1)?;
+            let (rhs, rhs_height) = self.parse_expr_height(prec + 1)?;
+            height = 1 + height.max(rhs_height);
+            self.check_depth(height)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_expr_atom(&mut self) -> Result<Expr, ParseError> {
+    /// An operand with its height. Every level of expression nesting,
+    /// brackets included, recurses through here.
+    fn parse_expr_atom(&mut self) -> Result<(Expr, usize), ParseError> {
+        self.check_depth(1)?;
+        self.depth += 1;
+        let e = self.parse_expr_atom_at_depth();
+        self.depth -= 1;
+        e
+    }
+
+    fn parse_expr_atom_at_depth(&mut self) -> Result<(Expr, usize), ParseError> {
+        let lit = |p: &mut Parser, l: Lit| {
+            p.bump();
+            Ok((Expr::Lit(l), 1))
+        };
         match self.cur().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Int(i)))
-            }
-            Tok::Float(x) => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Float(x)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Str(s)))
-            }
-            Tok::KwTrue => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Bool(true)))
-            }
-            Tok::KwFalse => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Bool(false)))
-            }
-            Tok::KwUnit => {
-                self.bump();
-                Ok(Expr::Lit(Lit::Unit))
-            }
+            Tok::Int(i) => lit(self, Lit::Int(i)),
+            Tok::Float(x) => lit(self, Lit::Float(x)),
+            Tok::Str(s) => lit(self, Lit::Str(s)),
+            Tok::KwTrue => lit(self, Lit::Bool(true)),
+            Tok::KwFalse => lit(self, Lit::Bool(false)),
+            Tok::KwUnit => lit(self, Lit::Unit),
             Tok::Minus => {
                 self.bump();
                 // Fold negative numeric literals so `-5` is `Lit(-5)` and
                 // printing is stable.
                 match self.cur().clone() {
-                    Tok::Int(i) => {
-                        self.bump();
-                        Ok(Expr::Lit(Lit::Int(-i)))
-                    }
-                    Tok::Float(x) => {
-                        self.bump();
-                        Ok(Expr::Lit(Lit::Float(-x)))
-                    }
+                    Tok::Int(i) => lit(self, Lit::Int(-i)),
+                    Tok::Float(x) => lit(self, Lit::Float(-x)),
                     _ => {
-                        let e = self.parse_expr_atom()?;
-                        Ok(Expr::Un(UnOp::Neg, Box::new(e)))
+                        let (e, height) = self.parse_expr_atom()?;
+                        Ok((Expr::Un(UnOp::Neg, Box::new(e)), height + 1))
                     }
                 }
             }
             Tok::KwNot => {
                 self.bump();
-                let e = self.parse_expr_atom()?;
-                Ok(Expr::Un(UnOp::Not, Box::new(e)))
+                let (e, height) = self.parse_expr_atom()?;
+                Ok((Expr::Un(UnOp::Not, Box::new(e)), height + 1))
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.parse_expr_prec(0)?;
+                let e = self.parse_expr_height(0)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
             Tok::LowerId(_) => {
                 let r = self.parse_name_ref()?;
-                Ok(Expr::Name(r))
+                Ok((Expr::Name(r), 1))
             }
             other => Err(self.err(format!(
                 "expected an expression, found {}",
@@ -910,5 +945,34 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn depth_bound_counts_heights_not_only_brackets() {
+        // A test thread's 2 MiB stack is smaller than the bound assumes.
+        let on_big_stack = std::thread::Builder::new().stack_size(256 << 20);
+        let check = || {
+            let ok = |src: &str| parse_program(src).map(|_| ());
+            let chain = |terms: usize| format!("1{}", " + 1".repeat(terms - 1));
+            // One `print` above the expression: its height may be MAX - 1.
+            ok(&format!("print({})", chain(MAX_DEPTH - 1))).unwrap();
+            let e = ok(&format!("print({})", chain(MAX_DEPTH))).unwrap_err();
+            assert!(e.message.contains("nesting too deep"), "{e}");
+            assert_eq!(e.span.start.line, 1);
+            // A bracketed chain that a second chain pushes further down:
+            // neither is too deep alone, their sum is.
+            let pushed = |m: usize| format!("print(({}){})", chain(3000), " + 1".repeat(m));
+            ok(&pushed(MAX_DEPTH - 1 - 3000)).unwrap();
+            assert!(ok(&pushed(MAX_DEPTH - 3000)).is_err());
+            // Unary prefixes are nodes too.
+            let nots = |n: usize| format!("print({}true)", "not ".repeat(n));
+            ok(&nots(MAX_DEPTH - 2)).unwrap();
+            assert!(ok(&nots(MAX_DEPTH - 1)).is_err());
+            // Brackets build no node but cost a level each.
+            let parens = |n: usize| format!("{}0{}", "(".repeat(n), ")".repeat(n));
+            ok(&parens(MAX_DEPTH - 1)).unwrap();
+            assert!(ok(&parens(MAX_DEPTH)).is_err());
+        };
+        on_big_stack.spawn(check).unwrap().join().unwrap();
     }
 }

@@ -1,6 +1,5 @@
 //! Whole-program byte-code analysis: interprocedural reachability over the
-//! call/instantiation graph, per-block constant dataflow, and the
-//! tree-shake transform built on top of both.
+//! call/instantiation graph with per-block constant dataflow.
 //!
 //! The verifier ([`crate::verify`]) answers *"is this image well-formed?"*;
 //! this module answers *"which parts of it can ever run?"*. It walks the
@@ -34,36 +33,20 @@
 //! marks the class *used*, so "never used" really means "no execution can
 //! instantiate it", locally or at any receiving site.
 //!
-//! Consumers:
-//! * [`shake`] — prune a whole program down to what can run from its entry
-//!   (see also [`crate::wire::pack_shaken`] for the shipped-closure form);
-//! * [`crate::opt`] — constant folding and dead-instruction elimination
-//!   driven by the per-block facts;
-//! * [`Analysis::findings`] — `ditico check --analyze` diagnostics.
+//! The one consumer is [`Analysis::findings`] — the `ditico check
+//! --analyze` diagnostics. Nothing transforms code from these facts: what
+//! ships is selected by the program's lexical structure alone
+//! ([`crate::wire::pack`]).
 
 use crate::machine::binop;
-use crate::program::{Block, BlockId, Instr, LabelId, MethodTable, Pool, Program, StrId, TableId};
+use crate::program::{Block, BlockId, Instr, LabelId, Program, TableId};
 use crate::word::Word;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-
-/// Where reachability starts.
-#[derive(Debug, Clone, Copy)]
-pub enum Roots<'a> {
-    /// The program's entry block: whole-image analysis (`ditico check`,
-    /// [`shake`]). The world is closed unless a reachable instruction
-    /// touches the network.
-    Entry,
-    /// Shipped method tables ([`crate::wire::pack_shaken`]). The receiving
-    /// site is unknown code, so the world is open: every method of every
-    /// root table is live and every root class is instantiable.
-    Tables(&'a [TableId]),
-}
 
 /// Abstract value: the analysis lattice ⊥ < {Const, Class} < ⊤, with ⊥
 /// represented by the absence of a state (unreached program point).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AVal {
+enum AVal {
     /// Any word.
     Any,
     /// An exact base value (`Unit`/`Int`/`Bool`/`Float`/`Str` only —
@@ -75,56 +58,40 @@ pub(crate) enum AVal {
 
 /// Abstract machine state at one program point.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AState {
-    pub stack: Vec<AVal>,
-    pub frame: Vec<AVal>,
+struct AState {
+    stack: Vec<AVal>,
+    frame: Vec<AVal>,
 }
 
 /// What one block's reachable code touches (the analysis' call-graph
 /// edges), accumulated while interpreting it.
 #[derive(Debug, Default)]
-pub(crate) struct Effects {
-    pub blocks: Vec<BlockId>,
-    pub obj_tables: Vec<TableId>,
-    pub class_tables: Vec<TableId>,
-    pub sent: Vec<LabelId>,
+struct Effects {
+    blocks: Vec<BlockId>,
+    obj_tables: Vec<TableId>,
+    class_tables: Vec<TableId>,
+    sent: Vec<LabelId>,
     /// Classes instantiated or escaped (captured, sent, exported, joined
     /// away) — each may run.
-    pub used_classes: Vec<(TableId, u8)>,
+    used_classes: Vec<(TableId, u8)>,
     /// A reachable `import`/`export*`: the program talks to the network.
-    pub open: bool,
+    open: bool,
     /// Precision lost (a `pushsib` whose owning table is ambiguous):
     /// every class of every reachable table must be considered used.
-    pub all_classes_used: bool,
-}
-
-/// Per-block dataflow facts, over the block's *normalized* (unfused) code.
-#[derive(Debug)]
-pub struct BlockFacts {
-    /// Per-pc reachability under constant branch folding.
-    pub live: Vec<bool>,
-    /// In-state per pc (`None` = unreached). Internal to the crate: the
-    /// optimizer reads constants out of these.
-    pub(crate) states: Vec<Option<AState>>,
-}
-
-impl BlockFacts {
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|l| **l).count()
-    }
+    all_classes_used: bool,
 }
 
 /// The result of a whole-program analysis.
 #[derive(Debug)]
 pub struct Analysis {
     /// True when a reachable instruction imports or exports through the
-    /// name service (or the roots were shipped tables): unknown peer code
-    /// may interact with every escaped channel and class.
+    /// name service: unknown peer code may interact with every escaped
+    /// channel and class.
     pub open: bool,
     /// Per block: is its code reachable (as executable code, not merely
     /// referenced by a table entry)?
     pub block_live: Vec<bool>,
-    /// Per table: referenced by reachable code (or a root)?
+    /// Per table: referenced by reachable code?
     pub table_live: Vec<bool>,
     /// Per table: reached through `trobj` (object dispatch)?
     pub table_is_object: Vec<bool>,
@@ -135,21 +102,12 @@ pub struct Analysis {
     pub class_used: Vec<Vec<bool>>,
     /// Labels selected by reachable `trmsg` instructions.
     pub sent_labels: HashSet<LabelId>,
-    /// Per-block facts for live blocks.
-    pub facts: Vec<Option<BlockFacts>>,
-}
-
-impl Analysis {
-    /// Reachable instructions (over normalized code), for shrink metrics.
-    pub fn live_instr_count(&self) -> usize {
-        self.facts.iter().flatten().map(|f| f.live_count()).sum()
-    }
 }
 
 /// For each class-body block, the unique `(table, index)` that lists it —
 /// the origin of the class word `pushsib` builds inside it. `None` when
 /// ambiguous (listed by several tables: hand-written assembly only).
-pub(crate) fn body_owners(prog: &Program) -> HashMap<BlockId, Option<(TableId, u8)>> {
+fn body_owners(prog: &Program) -> HashMap<BlockId, Option<(TableId, u8)>> {
     let mut owners: HashMap<BlockId, Option<(TableId, u8)>> = HashMap::new();
     for (ti, t) in prog.tables.iter().enumerate() {
         for (i, (_, b)) in t.entries.iter().enumerate() {
@@ -216,28 +174,27 @@ enum Succ {
     Halt,
 }
 
-/// Abstractly interpret one block to a fixpoint: per-pc reachability and
-/// in-states under constant branch folding, with side effects (graph
-/// edges, sent labels, class uses) accumulated into `fx`.
+/// Abstractly interpret one block to a fixpoint over its pcs under
+/// constant branch folding, accumulating what its reachable code touches
+/// (graph edges, sent labels, class uses) into `fx`.
 ///
 /// The interpreter assumes verified code; on any structural anomaly it
-/// degrades to the conservative answer (everything live, no constants,
-/// every reference an edge) rather than erroring.
-pub(crate) fn analyze_block(
+/// degrades to the conservative answer (everything live, every reference
+/// an edge) rather than erroring.
+fn analyze_block(
     prog: &Program,
     owner: Option<(TableId, u8)>,
     block: &Block,
     code: &[Instr],
     fx: &mut Effects,
-) -> BlockFacts {
-    match try_analyze_block(prog, owner, block, code, fx) {
-        Some(facts) => facts,
-        None => conservative_facts(code, fx),
+) {
+    if try_analyze_block(prog, owner, block, code, fx).is_none() {
+        conservative_effects(code, fx);
     }
 }
 
 /// Everything-is-live fallback for code the interpreter could not walk.
-fn conservative_facts(code: &[Instr], fx: &mut Effects) -> BlockFacts {
+fn conservative_effects(code: &[Instr], fx: &mut Effects) {
     for ins in code {
         match ins {
             Instr::Fork { block, .. } => fx.blocks.push(*block),
@@ -251,10 +208,6 @@ fn conservative_facts(code: &[Instr], fx: &mut Effects) -> BlockFacts {
             _ => {}
         }
     }
-    BlockFacts {
-        live: vec![true; code.len()],
-        states: vec![None; code.len()],
-    }
 }
 
 fn try_analyze_block(
@@ -263,13 +216,10 @@ fn try_analyze_block(
     block: &Block,
     code: &[Instr],
     fx: &mut Effects,
-) -> Option<BlockFacts> {
+) -> Option<()> {
     let len = code.len() as u32;
     if len == 0 {
-        return Some(BlockFacts {
-            live: Vec::new(),
-            states: Vec::new(),
-        });
+        return Some(());
     }
     let frame_size = block.frame_size();
     // The frame a spawner builds: self-class word (class bodies), then
@@ -320,8 +270,7 @@ fn try_analyze_block(
             Succ::Halt => {}
         }
     }
-    let live: Vec<bool> = states.iter().map(|s| s.is_some()).collect();
-    Some(BlockFacts { live, states })
+    Some(())
 }
 
 /// Merge `src` into a program point. `Ok(true)` = changed (re-queue).
@@ -387,8 +336,7 @@ fn step(
         Instr::PushFloat(f) => st.stack.push(AVal::Const(Word::Float(f))),
         Instr::PushUnit => st.stack.push(AVal::Const(Word::Unit)),
         Instr::PushStr(s) => {
-            // Out-of-pool ids appear transiently while the optimizer is
-            // interning folded strings against a newer pool: treat as ⊤.
+            // An out-of-pool id is unverified input: treat as ⊤.
             if (s as usize) < prog.strings.len() {
                 st.stack
                     .push(AVal::Const(Word::Str(prog.strings.get_arc(s))));
@@ -718,19 +666,19 @@ impl Walker<'_> {
             let code: &[Instr] = normalized.as_deref().unwrap_or(&block.code);
             let owner = self.owners.get(&b).copied().flatten();
             let mut fx = Effects::default();
-            let facts = analyze_block(self.prog, owner, block, code, &mut fx);
-            self.a.facts[b as usize] = Some(facts);
+            analyze_block(self.prog, owner, block, code, &mut fx);
             self.absorb(fx);
         }
     }
 }
 
-/// Analyze `prog` from `roots` to a fixpoint.
+/// Analyze `prog` from its entry block to a fixpoint. The world is closed
+/// unless a reachable instruction touches the network.
 ///
 /// The program is expected to be verifier-clean (compiler output, a loaded
 /// image, or a linked packet); on malformed code the analysis degrades to
 /// "everything reachable" rather than failing.
-pub fn analyze(prog: &Program, roots: Roots) -> Analysis {
+pub fn analyze(prog: &Program) -> Analysis {
     let nb = prog.blocks.len();
     let nt = prog.tables.len();
     let mut w = Walker {
@@ -744,34 +692,13 @@ pub fn analyze(prog: &Program, roots: Roots) -> Analysis {
             table_is_class: vec![false; nt],
             class_used: vec![Vec::new(); nt],
             sent_labels: HashSet::new(),
-            facts: (0..nb).map(|_| None).collect(),
         },
         queue: Vec::new(),
         pending: HashMap::new(),
         all_classes_used: false,
     };
-    match roots {
-        Roots::Entry => {
-            if (prog.entry as usize) < nb {
-                w.mark_block(prog.entry);
-            }
-        }
-        Roots::Tables(ts) => {
-            // Shipped roots face unknown receiver code: open world, and
-            // the root tables are fully live (any method may be selected,
-            // any root class instantiated via `link_group`).
-            w.set_open();
-            for &t in ts {
-                if (t as usize) >= nt {
-                    continue;
-                }
-                w.a.table_live[t as usize] = true;
-                w.a.table_is_object[t as usize] = true;
-                w.a.table_is_class[t as usize] = true;
-                w.a.class_used[t as usize] = vec![false; w.entries(t).len()];
-                w.use_whole_table(t);
-            }
-        }
+    if (prog.entry as usize) < nb {
+        w.mark_block(prog.entry);
     }
     w.run();
     w.a
@@ -897,249 +824,14 @@ impl Analysis {
     }
 }
 
-// -- tree shaking -------------------------------------------------------------------
-
-/// Does this (base-set) instruction reference a block, table, label or
-/// string? Such instructions at provably-dead pcs are rewritten to `halt`
-/// so the pruned referent leaves no dangling id behind.
-fn carries_ref(ins: &Instr) -> bool {
-    matches!(
-        ins,
-        Instr::Fork { .. }
-            | Instr::TrMsg { .. }
-            | Instr::TrObj { .. }
-            | Instr::MkGroup { .. }
-            | Instr::PushStr(_)
-            | Instr::ExportName { .. }
-            | Instr::ExportClass { .. }
-            | Instr::Import { .. }
-    )
-}
-
-/// A shaken program plus what the shake removed.
-#[derive(Debug)]
-pub struct Shaken {
-    pub program: Program,
-    /// Old table id → new table id for every surviving table (consumers
-    /// that addressed the original program — e.g. a ship root — translate
-    /// through this).
-    pub table_map: HashMap<TableId, TableId>,
-    /// Blocks removed outright (unreferenced by any kept table).
-    pub blocks_dropped: usize,
-    /// Blocks kept for table shape but emptied (dead methods, dead
-    /// classes): they keep their frame metadata and lose their code.
-    pub blocks_stubbed: usize,
-    /// Instructions removed by dropping and stubbing.
-    pub instrs_dropped: usize,
-}
-
-/// Prune `prog` down to what can execute from its entry block.
-///
-/// * Blocks and tables unreachable from the entry are removed, with ids
-///   remapped and the symbol pools re-interned to the surviving uses.
-/// * Method and class bodies that are *referenced* by a live table but can
-///   never fire (label never sent in a closed world; class never
-///   instantiated and never escaping) are stubbed: their metadata stays so
-///   table shape, sibling indices and frame-layout checks are untouched,
-///   but their code is emptied.
-/// * Reference-carrying instructions at provably-dead pcs inside live
-///   blocks are rewritten to `halt` (they can never execute), so the
-///   things only they referenced can be pruned too.
-///
-/// The output is normalized (unfused — [`Machine::new`](crate::Machine)
-/// re-fuses at boot), passes [`crate::verify::verify_program`], and is a
-/// fixpoint: `shake(shake(p)) == shake(p)`.
-pub fn shake(prog: &Program) -> Shaken {
-    let a = analyze(prog, Roots::Entry);
-    shake_with(prog, &a)
-}
-
-/// [`shake`] with a precomputed entry-rooted analysis.
-pub fn shake_with(prog: &Program, a: &Analysis) -> Shaken {
-    let nb = prog.blocks.len();
-    let nt = prog.tables.len();
-    // Blocks a kept (live) table still names: they must survive, possibly
-    // as stubs, so entry counts, positional class indices and the
-    // verifier's frame-layout checks keep working.
-    let mut table_ref = vec![false; nb];
-    for t in 0..nt {
-        if a.table_live[t] {
-            for (_, b) in &prog.tables[t].entries {
-                table_ref[*b as usize] = true;
-            }
-        }
-    }
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut kept_blocks: Vec<BlockId> = Vec::new();
-    for b in 0..nb as BlockId {
-        if a.block_live[b as usize] || table_ref[b as usize] {
-            block_map.insert(b, kept_blocks.len() as BlockId);
-            kept_blocks.push(b);
-        }
-    }
-    let mut table_map: HashMap<TableId, TableId> = HashMap::new();
-    let mut kept_tables: Vec<TableId> = Vec::new();
-    for t in 0..nt as TableId {
-        if a.table_live[t as usize] {
-            table_map.insert(t, kept_tables.len() as TableId);
-            kept_tables.push(t);
-        }
-    }
-
-    let mut out = Program::default();
-    let mut blocks_stubbed = 0usize;
-    let mut instrs_dropped = 0usize;
-    for &bid in &kept_blocks {
-        let src = &prog.blocks[bid as usize];
-        let normalized = crate::fuse::unfuse_code(&src.code);
-        let code: &[Instr] = normalized.as_deref().unwrap_or(&src.code);
-        let new_code: Arc<[Instr]> = if !a.block_live[bid as usize] {
-            blocks_stubbed += 1;
-            instrs_dropped += code.len();
-            Arc::from(Vec::new())
-        } else {
-            let live = a.facts[bid as usize].as_ref().map(|f| f.live.as_slice());
-            code.iter()
-                .enumerate()
-                .map(|(pc, ins)| {
-                    let pc_live = live.and_then(|l| l.get(pc)).copied().unwrap_or(true);
-                    if !pc_live && carries_ref(ins) {
-                        return Instr::Halt;
-                    }
-                    remap_instr(ins, prog, &mut out, &block_map, &table_map)
-                })
-                .collect()
-        };
-        out.blocks.push(Block {
-            name: src.name.clone(),
-            nfree: src.nfree,
-            nparams: src.nparams,
-            nlocals: src.nlocals,
-            is_class_body: src.is_class_body,
-            code: new_code,
-        });
-    }
-    for &tid in &kept_tables {
-        let entries = prog.tables[tid as usize]
-            .entries
-            .iter()
-            .map(|(l, b)| (out.labels.intern(prog.labels.get(*l)), block_map[b]))
-            .collect();
-        out.tables.push(MethodTable { entries });
-    }
-    // Table-rooted shakes may drop the original entry block; the image
-    // still needs a well-formed entry (free=0, params=0, plain body), so
-    // synthesize an empty one rather than pointing at an arbitrary
-    // survivor.
-    out.entry = match block_map.get(&prog.entry) {
-        Some(&e) => e,
-        None => {
-            let e = out.blocks.len() as BlockId;
-            out.blocks.push(Block {
-                name: "entry".to_string(),
-                nfree: 0,
-                nparams: 0,
-                nlocals: 0,
-                is_class_body: false,
-                code: Arc::from([]),
-            });
-            e
-        }
-    };
-
-    let blocks_dropped = nb - kept_blocks.len();
-    instrs_dropped += (0..nb as BlockId)
-        .filter(|b| !block_map.contains_key(b))
-        .map(|b| prog.blocks[b as usize].code.len())
-        .sum::<usize>();
-    debug_assert!(
-        out.blocks.is_empty() || crate::verify::verify_program(&out).is_ok(),
-        "shaken program failed verification: {:?}",
-        crate::verify::verify_program(&out)
-    );
-    Shaken {
-        program: out,
-        table_map,
-        blocks_dropped,
-        blocks_stubbed,
-        instrs_dropped,
-    }
-}
-
-/// Remap one live instruction into the shaken program's id spaces,
-/// interning labels and strings on demand (deterministic first-use order,
-/// which makes the transform idempotent).
-fn remap_instr(
-    ins: &Instr,
-    prog: &Program,
-    out: &mut Program,
-    block_map: &HashMap<BlockId, BlockId>,
-    table_map: &HashMap<TableId, TableId>,
-) -> Instr {
-    let s = |pool: &mut Pool, id: StrId| -> StrId { pool.intern(prog.strings.get(id)) };
-    match ins {
-        Instr::Fork { block, nfree } => Instr::Fork {
-            block: block_map[block],
-            nfree: *nfree,
-        },
-        Instr::TrMsg { label, argc } => Instr::TrMsg {
-            label: out.labels.intern(prog.labels.get(*label)),
-            argc: *argc,
-        },
-        Instr::TrObj { table, nfree } => Instr::TrObj {
-            table: table_map[table],
-            nfree: *nfree,
-        },
-        Instr::MkGroup {
-            table,
-            dst,
-            count,
-            nfree,
-        } => Instr::MkGroup {
-            table: table_map[table],
-            dst: *dst,
-            count: *count,
-            nfree: *nfree,
-        },
-        Instr::PushStr(id) => Instr::PushStr(s(&mut out.strings, *id)),
-        Instr::ExportName { slot, name } => Instr::ExportName {
-            slot: *slot,
-            name: s(&mut out.strings, *name),
-        },
-        Instr::ExportClass { slot, name } => Instr::ExportClass {
-            slot: *slot,
-            name: s(&mut out.strings, *name),
-        },
-        Instr::Import {
-            dst,
-            site,
-            name,
-            kind,
-        } => Instr::Import {
-            dst: *dst,
-            site: s(&mut out.strings, *site),
-            name: s(&mut out.strings, *name),
-            kind: *kind,
-        },
-        other => *other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::{image, LoopbackPort, Machine};
     use tyco_syntax::parse_core;
 
     fn prog(src: &str) -> Program {
         compile(&parse_core(src).unwrap()).unwrap()
-    }
-
-    fn io_of(p: Program) -> Vec<String> {
-        let mut m = Machine::new(p, LoopbackPort::new("t"));
-        m.run_to_quiescence(1_000_000).unwrap();
-        m.io
     }
 
     #[test]
@@ -1151,7 +843,7 @@ mod tests {
                    | new z (x!read[z] | z?(w) = print(w)))
             "#,
         );
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         assert!(!a.open);
         let fs = a.findings(&p);
         assert_eq!(fs.len(), 1, "{fs:?}");
@@ -1162,7 +854,7 @@ mod tests {
     #[test]
     fn closed_world_finds_orphan_send() {
         let p = prog("new x (x?{ go(n) = print(n) } | x!stop[])");
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         let fs = a.findings(&p);
         assert!(
             fs.iter()
@@ -1179,7 +871,7 @@ mod tests {
     #[test]
     fn finds_never_instantiated_class() {
         let p = prog("def Ghost(n) = print(n) in print(0)");
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         let fs = a.findings(&p);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].kind, FindingKind::NeverInstantiatedClass);
@@ -1189,7 +881,7 @@ mod tests {
     #[test]
     fn instantiated_class_is_clean() {
         let p = prog("def L(n) = if n > 0 then L[n - 1] else print(n) in L[2]");
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         assert!(a.findings(&p).is_empty(), "{:?}", a.findings(&p));
     }
 
@@ -1198,7 +890,7 @@ mod tests {
         // The channel escapes through the name service: a peer may send
         // any label, so `write` must stay live.
         let p = prog("export new x in x?{ read(r) = r![1], write(u) = print(u) }");
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         assert!(a.open);
         assert!(a.findings(&p).is_empty(), "{:?}", a.findings(&p));
         // And the method bodies are all reachable.
@@ -1215,17 +907,15 @@ mod tests {
     fn escaping_class_counts_as_used() {
         // The class word is exported: a peer can fetch and instantiate it.
         let p = prog("export def Srv(r) = r![1] in print(0)");
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         assert!(a.findings(&p).is_empty(), "{:?}", a.findings(&p));
     }
 
     #[test]
     fn constant_branch_hides_untaken_arm() {
         let p = prog(r#"if 1 < 2 then print(1) else new t (t?{ go() = print(9) } | t!go[])"#);
-        let a = analyze(&p, Roots::Entry);
+        let a = analyze(&p);
         // The `else` arm's object table is dead: never reached.
-        let entry_facts = a.facts[p.entry as usize].as_ref().unwrap();
-        assert!(entry_facts.live.iter().any(|l| !*l), "some pcs are dead");
         assert!(
             (0..p.tables.len()).all(|t| !a.table_live[t]),
             "dead-branch tables must not be live"
@@ -1233,97 +923,5 @@ mod tests {
         // And no findings: dead code is not reported, only live-but-inert
         // methods and classes.
         assert!(a.findings(&p).is_empty(), "{:?}", a.findings(&p));
-    }
-
-    #[test]
-    fn shake_drops_dead_branch_and_preserves_io() {
-        let src = r#"
-            if 1 < 2 then
-                new c (c?{ go(n) = print(n) } | c!go[7])
-            else
-                new t (t?{ trace(a) = println("trace", a) } | t!trace[999])
-        "#;
-        let p = prog(src);
-        let shaken = shake(&p);
-        assert!(shaken.blocks_dropped > 0, "{shaken:?}");
-        assert!(shaken.program.blocks.len() < p.blocks.len());
-        crate::verify::verify_program(&shaken.program).unwrap();
-        let before = image::to_bytes(&p);
-        let after = image::to_bytes(&shaken.program);
-        assert!(
-            after.len() < before.len(),
-            "shaken image must be byte-smaller: {} vs {}",
-            after.len(),
-            before.len()
-        );
-        assert_eq!(io_of(p), io_of(shaken.program));
-    }
-
-    #[test]
-    fn shake_stubs_dead_methods_keeping_table_shape() {
-        let p = prog(
-            r#"
-            new x (x?{ read(r) = r![1], write(u) = print(u) }
-                   | new z (x!read[z] | z?(w) = print(w)))
-            "#,
-        );
-        let shaken = shake(&p);
-        assert!(shaken.blocks_stubbed > 0, "{shaken:?}");
-        // Table shape preserved: both entries still present.
-        let two_entry = shaken
-            .program
-            .tables
-            .iter()
-            .find(|t| t.entries.len() == 2)
-            .expect("cell table survives with both entries");
-        let stub = two_entry
-            .entries
-            .iter()
-            .map(|(_, b)| &shaken.program.blocks[*b as usize])
-            .find(|b| b.code.is_empty());
-        assert!(stub.is_some(), "one body is a stub");
-        crate::verify::verify_program(&shaken.program).unwrap();
-        assert_eq!(io_of(p), io_of(shaken.program));
-    }
-
-    #[test]
-    fn shake_is_idempotent() {
-        for src in [
-            "print(1)",
-            r#"
-            new x (x?{ read(r) = r![1], write(u) = print(u) }
-                   | new z (x!read[z] | z?(w) = print(w)))
-            "#,
-            r#"if 1 < 2 then print(1) else println("never")"#,
-            "def L(n) = if n > 0 then L[n - 1] else print(n) in L[2]",
-            "export new x in x?{ go(n) = print(n) }",
-        ] {
-            let once = shake(&prog(src)).program;
-            let twice = shake(&once).program;
-            assert_eq!(once, twice, "shake must be a fixpoint for {src}");
-        }
-    }
-
-    #[test]
-    fn shake_keeps_open_world_methods() {
-        let p = prog("export new x in x?{ read(r) = r![1], write(u) = print(u) }");
-        let shaken = shake(&p);
-        assert_eq!(shaken.blocks_stubbed, 0, "open world: nothing stubbed");
-        for b in &shaken.program.blocks {
-            if b.name.contains("read") || b.name.contains("write") {
-                assert!(!b.code.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn wire_roots_keep_every_method() {
-        // Rooted at a shipped table, the world is open: both methods live.
-        let p = prog("new x x?{ read(r) = r![1], write(u) = print(u) }");
-        let a = analyze(&p, Roots::Tables(&[0]));
-        assert!(a.open);
-        for (_, b) in &p.tables[0].entries {
-            assert!(a.block_live[*b as usize]);
-        }
     }
 }

@@ -53,16 +53,6 @@ pub fn to_bytes(prog: &Program) -> Bytes {
     buf.freeze()
 }
 
-/// [`to_bytes`] in shake mode: tree-shake the program from its entry
-/// block first (see [`crate::analyze::shake`]), then serialize. The image
-/// is byte-smaller (or equal), still satisfies [`from_bytes`]'s
-/// load-boundary verification, and preserves observable I/O — unreachable
-/// blocks, dead constant-branch arms and never-fired method bodies simply
-/// don't travel.
-pub fn to_bytes_shaken(prog: &Program) -> Bytes {
-    to_bytes(&crate::analyze::shake(prog).program)
-}
-
 /// Load a program from a byte-code image.
 pub fn from_bytes(mut bytes: Bytes) -> Result<Program, CodecError> {
     if bytes.remaining() < 12 {

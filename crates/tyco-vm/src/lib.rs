@@ -25,7 +25,6 @@ pub mod digest;
 pub mod fuse;
 pub mod image;
 pub mod machine;
-pub mod opt;
 pub mod port;
 pub mod program;
 pub mod stats;
@@ -33,25 +32,19 @@ pub mod verify;
 pub mod wire;
 pub mod word;
 
-pub use analyze::{analyze, shake, shake_with, Analysis, Finding, FindingKind, Roots, Shaken};
+pub use analyze::{analyze, Analysis, Finding, FindingKind};
 pub use asm::{emit as emit_asm, parse as parse_asm, AsmError};
 pub use codec::TypeStamp;
 pub use compile::{compile, disassemble, CompileError};
 pub use digest::Digest;
 pub use fuse::{fuse_code, fuse_program, unfuse_code};
-pub use image::{
-    from_bytes as image_from_bytes, to_bytes as image_to_bytes,
-    to_bytes_shaken as image_to_bytes_shaken,
-};
-pub use machine::{binop, unop, Machine, QueuePolicy, SliceStatus, VmError};
-pub use opt::{optimize, optimize_with_stats, OptStats};
+pub use image::{from_bytes as image_from_bytes, to_bytes as image_to_bytes};
+pub use machine::{binop, unop, Machine, SliceStatus, VmError};
 pub use port::{FetchReplyNow, ImportReply, Incoming, LoopbackPort, NetPort};
 pub use program::{
     Block, BlockId, ImportKind, Instr, LabelId, MethodTable, Pool, Program, StrId, TableId,
 };
 pub use stats::{ExecStats, Histogram};
 pub use verify::{verify_program, verify_wire, VerifyError};
-pub use wire::{
-    link, link_trusted, pack, pack_shaken, LinkMap, Packed, WireCode, WireGroup, WireObj, WireWord,
-};
+pub use wire::{link, link_trusted, pack, LinkMap, Packed, WireCode, WireGroup, WireObj, WireWord};
 pub use word::{ChanRef, ClassRefW, Identity, NetRef, NodeId, SiteId, Word};

@@ -195,16 +195,6 @@ impl ExportTable {
     }
 }
 
-/// Run-queue scheduling policy (ablation A3: the paper's latency hiding
-/// relies on switching to *other* ready threads; FIFO maximizes breadth,
-/// LIFO depth-first-runs the most recent spawn).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueuePolicy {
-    #[default]
-    Fifo,
-    Lifo,
-}
-
 /// Outcome of one execution slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceStatus {
@@ -240,17 +230,11 @@ pub struct Machine<P: NetPort> {
     /// [`Machine::new_unfused`]) so A/B comparisons stay honest for mobile
     /// code too.
     fuse_enabled: bool,
-    /// Whether shipped code is tree-shaken ([`wire::pack_shaken`]) before
-    /// packaging. Off by default: shaken packets have their own digests,
-    /// so flipping this mid-flight would cold-start the receiving caches.
-    shake_enabled: bool,
     pub exports: ExportTable,
     pub port: P,
     /// The site's I/O port: lines written by `print`/`println`.
     pub io: Vec<String>,
     pub stats: ExecStats,
-    /// Run-queue discipline (FIFO default; LIFO for the A3 ablation).
-    pub queue_policy: QueuePolicy,
     /// Instruction trace ring buffer capacity; 0 disables tracing.
     trace_cap: usize,
     trace: VecDeque<(BlockId, u32)>,
@@ -353,12 +337,10 @@ impl<P: NetPort> Machine<P> {
             ]
             .into_boxed_slice(),
             fuse_enabled,
-            shake_enabled: false,
             exports: ExportTable::default(),
             port,
             io: Vec::new(),
             stats: ExecStats::default(),
-            queue_policy: QueuePolicy::Fifo,
             trace_cap: 0,
             trace: VecDeque::new(),
             vec_pool: Vec::new(),
@@ -383,17 +365,6 @@ impl<P: NetPort> Machine<P> {
         self.trace.clear();
         if cap > 0 {
             self.trace.reserve(cap);
-        }
-    }
-
-    /// Tree-shake shipped code: every SHIPO / served FETCH packages the
-    /// pruned closure ([`wire::pack_shaken`]) instead of the full one, and
-    /// `stats.shaken_packs` / `stats.shake_bytes_saved` record the win.
-    /// Flushes the pack cache so already-packaged tables pick up the mode.
-    pub fn set_shake(&mut self, enabled: bool) {
-        if self.shake_enabled != enabled {
-            self.shake_enabled = enabled;
-            self.pack_cache.clear();
         }
     }
 
@@ -442,11 +413,9 @@ impl<P: NetPort> Machine<P> {
         self.drain_incoming()?;
         let mut used: u64 = 0;
         while used < fuel {
-            let thread = match self.queue_policy {
-                QueuePolicy::Fifo => self.run_queue.pop_front(),
-                QueuePolicy::Lifo => self.run_queue.pop_back(),
+            let Some(thread) = self.run_queue.pop_front() else {
+                break;
             };
-            let Some(thread) = thread else { break };
             self.stats.threads += 1;
             let before = self.stats.instrs;
             let exit = self.exec_thread(thread)?;
@@ -1219,17 +1188,7 @@ impl<P: NetPort> Machine<P> {
         if let Some(p) = self.pack_cache.get(&table) {
             return p.clone();
         }
-        let packed = if self.shake_enabled {
-            let full = wire::pack(&self.program, &[table]);
-            let shaken = wire::pack_shaken(&self.program, &[table]);
-            let full_len = crate::codec::code_bytes(&full.code).len() as u64;
-            let shaken_len = crate::codec::code_bytes(&shaken.code).len() as u64;
-            self.stats.shaken_packs += 1;
-            self.stats.shake_bytes_saved += full_len.saturating_sub(shaken_len);
-            std::sync::Arc::new(shaken)
-        } else {
-            std::sync::Arc::new(wire::pack(&self.program, &[table]))
-        };
+        let packed = std::sync::Arc::new(wire::pack(&self.program, &[table]));
         self.pack_cache.insert(table, packed.clone());
         packed
     }
@@ -1674,22 +1633,6 @@ mod tests {
             binop(BinOp::Eq, Word::Unit, Word::Unit).unwrap(),
             Word::Bool(true)
         );
-    }
-
-    #[test]
-    fn lifo_policy_changes_execution_order_not_result() {
-        let run = |policy: QueuePolicy| {
-            let mut m = machine("print(1) | print(2) | print(3)");
-            m.queue_policy = policy;
-            m.run_to_quiescence(10_000).unwrap();
-            m.io
-        };
-        let mut fifo = run(QueuePolicy::Fifo);
-        let mut lifo = run(QueuePolicy::Lifo);
-        assert_ne!(fifo, lifo, "order differs under LIFO");
-        fifo.sort();
-        lifo.sort();
-        assert_eq!(fifo, lifo, "multiset identical");
     }
 
     #[test]

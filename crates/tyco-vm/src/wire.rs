@@ -210,39 +210,6 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
     }
 }
 
-/// [`pack`] in shake mode: analyze the program from the shipped roots
-/// ([`crate::analyze::Roots::Tables`]), prune everything that cannot run
-/// at the receiving site — method bodies on labels no live code sends,
-/// classes never instantiated and never escaping, dead constant-branch
-/// arms — and package the pruned program.
-///
-/// The packet is byte-smaller (or equal) than the plain [`pack`] of the
-/// same roots, carries its own content digest (shaken and unshaken images
-/// are distinct cache entries — see `crate::digest`), and still passes
-/// [`crate::verify::verify_wire`] at the receiving boundary: pruning
-/// stubs table-referenced bodies rather than breaking table shape, so
-/// frame-layout and sibling-index invariants are untouched.
-pub fn pack_shaken(prog: &Program, root_tables: &[TableId]) -> Packed {
-    let analysis = crate::analyze::analyze(prog, crate::analyze::Roots::Tables(root_tables));
-    let shaken = crate::analyze::shake_with(prog, &analysis);
-    let new_roots: Vec<TableId> = root_tables
-        .iter()
-        .filter_map(|t| shaken.table_map.get(t).copied())
-        .collect();
-    let packed = pack(&shaken.program, &new_roots);
-    // Re-key the table map to the caller's (pre-shake) table ids.
-    let table_map = shaken
-        .table_map
-        .iter()
-        .filter_map(|(old, new)| packed.table_map.get(new).map(|pid| (*old, *pid)))
-        .collect();
-    Packed {
-        code: packed.code,
-        table_map,
-        digest: packed.digest,
-    }
-}
-
 /// The relocation produced by linking a packet into a program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkMap {

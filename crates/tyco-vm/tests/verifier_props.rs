@@ -372,13 +372,12 @@ fn shipped_packet_byte_flips_never_panic() {
     );
 }
 
-/// Tree-shaken wire images face the same adversary as full ones: flip
-/// bytes in a `pack_shaken` ship packet and push it through decode +
-/// wire verification. Stubbed methods and remapped ids must not open a
-/// panic path — every mutant is either rejected or survives a brief run
-/// with clean `VmError`s only.
+/// The same adversary over every seed program, one step further: a
+/// mutant that decodes and verifies is linked into a fresh program area
+/// and run. Every mutant is either rejected or survives a brief run with
+/// clean `VmError`s only.
 #[test]
-fn shaken_packet_byte_flips_never_panic() {
+fn accepted_packet_mutants_link_and_run_without_panic() {
     use tyco_vm::codec::{decode, encode, Packet};
     use tyco_vm::word::{NetRef, NodeId, SiteId};
 
@@ -390,10 +389,10 @@ fn shaken_packet_byte_flips_never_panic() {
         if prog.tables.is_empty() {
             continue;
         }
-        let packed = tyco_vm::pack_shaken(&prog, &[0]);
+        let packed = tyco_vm::pack(&prog, &[0]);
         assert!(
             verify_wire(&packed.code).is_ok(),
-            "unmutated shaken pack must verify"
+            "unmutated pack must verify"
         );
         let pkt = Packet::Obj {
             dest: NetRef {
@@ -435,11 +434,11 @@ fn shaken_packet_byte_flips_never_panic() {
             match outcome {
                 Ok(true) => accepted += 1,
                 Ok(false) => rejected += 1,
-                Err(_) => panic!("decode/verify/run panicked on a shaken byte flip"),
+                Err(_) => panic!("decode/verify/run panicked on a byte flip"),
             }
         }
     }
-    println!("shaken packet tally: rejected {rejected}, accepted {accepted}");
+    println!("linked packet tally: rejected {rejected}, accepted {accepted}");
     assert!(
         rejected > accepted,
         "rejected {rejected} vs accepted {accepted}"

@@ -26,7 +26,7 @@ use tyco_vm::word::NodeId;
 // in the usage text).
 
 /// Flags of every cluster run (`net` in all its modes and `serve`).
-const CLUSTER_FLAGS: &str = "--workers=N --wall=SECS --stats --code-cache=N --shake \
+const CLUSTER_FLAGS: &str = "--workers=N --wall=SECS --stats --code-cache=N \
      --ns-shards=N --ns-lease-ms=N --chaos-seed=N --chaos-drop=N --chaos-dup=N \
      --chaos-delay=N --chaos-delay-ns=N";
 
@@ -58,9 +58,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "compile",
         operand: "<file.dity>",
-        flags: &["-o=out.tyco --optimize --shake"],
-        about: "compile to a byte-code image; --optimize runs the verified folding\n\
-                passes, --shake prunes unreachable code from the image",
+        flags: &["-o=out.tyco"],
+        about: "compile to a byte-code image",
         run: cmd_compile,
     },
     Command {
@@ -80,7 +79,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "run",
         operand: "<file.dity|file.tyco>",
-        flags: &["--stats --opstats --trace --no-fuse --shake --unchecked"],
+        flags: &["--stats --opstats --trace --no-fuse"],
         about: "run a single site to quiescence",
         run: cmd_run,
     },
@@ -91,8 +90,9 @@ const COMMANDS: &[Command] = &[
         about: "run a network description: deterministic by default, --threaded on the\n\
                 M:N worker-pool scheduler; --stats prints per-site SHIPM/SHIPO/FETCH and\n\
                 scheduler counters; --code-cache sets the per-node code store capacity in\n\
-                images (0 disables caching/dedup/coalescing); --chaos-* injects seeded\n\
-                packet faults, rates in per-mille, extra latency via --chaos-delay-ns;\n\
+                images (0: a store that holds nothing, so every shipment is a full image);\n\
+                --chaos-* injects seeded packet faults, rates in per-mille, extra latency\n\
+                via --chaos-delay-ns;\n\
                 the name service is a ring of the spec's replicas=K first nodes (default 1:\n\
                 the paper's central service), each owning a hash slice of the exports and\n\
                 replicating it to its successor; --ns-shards N overrides K and turns on\n\
@@ -175,7 +175,25 @@ impl Command {
     }
 }
 
+/// Stack of the thread every command runs on. The front end, the lints
+/// and the syntax tree's `Drop` recurse over the tree, whose depth the
+/// parser bounds (`nesting too deep`); a program at that bound needs about
+/// 12 MiB in a release build and 100 MiB in a debug build, more than a
+/// main thread has. Only the pages a run touches are ever committed.
+const STACK_BYTES: usize = 256 << 20;
+
 fn main() -> ExitCode {
+    std::thread::Builder::new()
+        .name("ditico".to_string())
+        .stack_size(STACK_BYTES)
+        .spawn(run)
+        .expect("spawn the command thread")
+        .join()
+        // The panic hook has already printed the message.
+        .unwrap_or(ExitCode::from(101))
+}
+
+fn run() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("help") | None => {
@@ -344,30 +362,8 @@ fn cmd_compile(cmd: &Command, args: &[String]) -> Result<(), String> {
             format!("{stem}.tyco")
         }
     };
-    let mut p = compile_file(path)?;
-    let full_len = tyco_vm::image_to_bytes(&p.code).len();
-    if args.iter().any(|a| a == "--optimize") {
-        let st = p.optimize();
-        println!(
-            "{path}: optimized ({} consts propagated, {} folds, {} dead instrs removed)",
-            st.consts_propagated, st.folds, st.dead_removed
-        );
-    }
-    let shake = args.iter().any(|a| a == "--shake");
-    let bytes = if shake {
-        tyco_vm::image_to_bytes_shaken(&p.code)
-    } else {
-        tyco_vm::image_to_bytes(&p.code)
-    };
+    let bytes = tyco_vm::image_to_bytes(&compile_file(path)?.code);
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    if shake && bytes.len() < full_len {
-        println!(
-            "{path}: tree-shake saved {} bytes ({} -> {})",
-            full_len - bytes.len(),
-            full_len,
-            bytes.len()
-        );
-    }
     println!("{out}: {} bytes", bytes.len());
     Ok(())
 }
@@ -387,16 +383,10 @@ fn cmd_disasm(cmd: &Command, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_program(path: &str, unchecked: bool) -> Result<tyco_vm::Program, String> {
+fn load_program(path: &str) -> Result<tyco_vm::Program, String> {
     if path.ends_with(".tyco") {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
         tyco_vm::image_from_bytes(bytes.into()).map_err(|e| e.to_string())
-    } else if unchecked {
-        // Skip the static type check: the dynamic checks at reduction time
-        // take over (useful with --trace to watch them fire).
-        Ok(Program::compile_unchecked(&read(path)?)
-            .map_err(|e| format!("{path}: {e}"))?
-            .code)
     } else {
         Ok(compile_file(path)?.code)
     }
@@ -404,7 +394,7 @@ fn load_program(path: &str, unchecked: bool) -> Result<tyco_vm::Program, String>
 
 fn cmd_run(cmd: &Command, args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(|| cmd.usage())?;
-    let prog = load_program(path, args.iter().any(|a| a == "--unchecked"))?;
+    let prog = load_program(path)?;
     let port = tyco_vm::LoopbackPort::new("main");
     // --no-fuse executes the byte-code exactly as compiled; the default
     // applies superinstruction fusion. Telemetry for *choosing* fusions is
@@ -414,9 +404,6 @@ fn cmd_run(cmd: &Command, args: &[String]) -> Result<(), String> {
     } else {
         tyco_vm::Machine::new(prog, port)
     };
-    if args.iter().any(|a| a == "--shake") {
-        m.set_shake(true);
-    }
     let tracing = args.iter().any(|a| a == "--trace");
     if tracing {
         m.set_trace(64);
@@ -650,10 +637,6 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
             report.total_dup_fetch_replies()
         );
     }
-    let (shaken_packs, shake_saved) = report.shake_totals();
-    if shaken_packs > 0 {
-        eprintln!("ship shake: {shaken_packs} packs, {shake_saved} B saved");
-    }
     let ns = report.ns_totals();
     if ns.any() {
         eprintln!(
@@ -764,9 +747,6 @@ fn cmd_net(cmd: &Command, args: &[String]) -> Result<(), String> {
     if let Some(c) = num_flag(args, "--code-cache")? {
         env = env.code_cache(c as usize);
     }
-    if args.iter().any(|a| a == "--shake") {
-        env = env.shake(true);
-    }
     env = ns_from_args(args, env)?;
     if let Some(plan) = chaos_from_args(args)? {
         env = env.chaos(plan);
@@ -862,9 +842,6 @@ fn cmd_distributed(cmd: &Command, args: &[String], serve: bool) -> Result<(), St
     }
     if let Some(c) = num_flag(args, "--code-cache")? {
         env = env.code_cache(c as usize);
-    }
-    if args.iter().any(|a| a == "--shake") {
-        env = env.shake(true);
     }
     env = ns_from_args(args, env)?;
     if let Some(plan) = chaos_from_args(args)? {

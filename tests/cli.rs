@@ -195,71 +195,6 @@ fn check_gates_fail_the_build() {
 }
 
 #[test]
-fn compile_optimize_and_shake_shrink_the_image() {
-    let dir = tmpdir("shake");
-    // The debug arm is constant-dead: folding turns the branch into a
-    // jump and shaking drops the forked tracing blocks from the image.
-    let src = write(
-        &dir,
-        "applet.dity",
-        r#"if 1 > 2
-           then (println("debug-a", 1) | println("debug-b", 2) | println("debug-c", 3))
-           else print(7)"#,
-    );
-
-    let plain = dir.join("plain.tyco");
-    let out = ditico()
-        .args([
-            "compile",
-            src.to_str().unwrap(),
-            "-o",
-            plain.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let slim = dir.join("slim.tyco");
-    let out = ditico()
-        .args([
-            "compile",
-            src.to_str().unwrap(),
-            "-o",
-            slim.to_str().unwrap(),
-            "--optimize",
-            "--shake",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("optimized"), "{stdout}");
-    assert!(stdout.contains("tree-shake saved"), "{stdout}");
-
-    let plain_len = std::fs::metadata(&plain).unwrap().len();
-    let slim_len = std::fs::metadata(&slim).unwrap().len();
-    assert!(
-        slim_len < plain_len,
-        "shaken image {slim_len} not smaller than {plain_len}"
-    );
-
-    // Both images behave identically.
-    for img in [&plain, &slim] {
-        let out = ditico().arg("run").arg(img).output().unwrap();
-        assert!(out.status.success());
-        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "7");
-    }
-}
-
-#[test]
 fn unknown_command_and_usage() {
     let out = ditico().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
@@ -274,11 +209,31 @@ fn unknown_flags_are_rejected_by_name() {
     // them stays empty; to the CLI they are just unknown flags now.
     let retired_io = concat!("--io-", "threads");
     let retired_ns = concat!("--ns-", "central");
+    let retired_shake = concat!("--sha", "ke");
+    let retired_optimize = concat!("--opti", "mize");
+    let retired_unchecked = concat!("--unche", "cked");
+    let help = ditico().arg("help").output().unwrap();
+    let help = String::from_utf8_lossy(&help.stdout);
+    for flag in [
+        retired_io,
+        retired_ns,
+        retired_shake,
+        retired_optimize,
+        retired_unchecked,
+    ] {
+        assert!(!help.contains(flag), "usage text still names {flag}");
+    }
     for (cmd, flag) in [
         ("net", "--io-threadz"),
         ("net", retired_io),
         ("serve", retired_io),
         ("net", retired_ns),
+        ("run", retired_shake),
+        ("run", retired_unchecked),
+        ("net", retired_shake),
+        ("serve", retired_shake),
+        ("compile", retired_shake),
+        ("compile", retired_optimize),
         ("check", "--verifi"),
         ("run", "--threaded"),
     ] {
@@ -318,4 +273,83 @@ fn shell_subcommand_batch() {
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("from shell"));
+}
+
+/// The three shapes of source text that used to overflow the stack
+/// (SIGABRT, exit 134), each `n` levels deep: brackets, nested `def`s and
+/// a left-deep operator chain.
+fn deep_sources(n: usize) -> [(&'static str, String); 3] {
+    [
+        ("parens", format!("{}0{}", "(".repeat(n), ")".repeat(n))),
+        ("defs", format!("{}0", "def K(x) = 0 in ".repeat(n))),
+        ("chain", format!("print(0{})", " + 1".repeat(n - 1))),
+    ]
+}
+
+/// The parser's depth bound (`tyco_syntax::parser`'s `MAX_DEPTH`).
+const MAX_DEPTH: usize = 4096;
+
+#[test]
+fn nesting_past_the_bound_is_a_positioned_diagnostic() {
+    let dir = tmpdir("too-deep");
+    // The bound itself and the sizes that used to abort the process.
+    for n in [MAX_DEPTH, 100_000] {
+        for (shape, src) in deep_sources(n) {
+            let file = write(&dir, &format!("{shape}.dity"), &src);
+            let spec = write(
+                &dir,
+                "one.net",
+                &format!("topology nodes=1 fabric=ideal link=ideal\nsite a {shape}.dity\n"),
+            );
+            for (cmd, operand) in [
+                ("check", &file),
+                ("run", &file),
+                ("compile", &file),
+                ("net", &spec),
+            ] {
+                let out = ditico()
+                    .arg(cmd)
+                    .arg(operand)
+                    .current_dir(&dir)
+                    .output()
+                    .unwrap();
+                assert_eq!(out.status.code(), Some(1), "{cmd} {shape} {n}");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    err.contains("parse error at 1:") && err.contains("nesting too deep"),
+                    "{cmd} {shape} {n}: {err}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn nesting_just_inside_the_bound_compiles_verifies_and_runs() {
+    let dir = tmpdir("deep");
+    for (shape, src) in deep_sources(MAX_DEPTH - 1) {
+        let file = write(&dir, &format!("{shape}.dity"), &src);
+        let out = ditico()
+            .args(["check", file.to_str().unwrap(), "--verify"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("byte-code image verifies"),
+            "check {shape}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let out = ditico().arg("run").arg(&file).output().unwrap();
+        assert!(
+            out.status.success(),
+            "run {shape}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let want = if shape == "chain" {
+            (MAX_DEPTH - 2).to_string()
+        } else {
+            String::new()
+        };
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), want, "{shape}");
+    }
 }
