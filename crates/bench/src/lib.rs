@@ -1,17 +1,184 @@
-//! Shared workload builders for the benchmark harness.
+//! The benchmark harness: one driver, `bench <scenario>|all [--smoke]`,
+//! over the scenarios registered in [`SCENARIOS`], plus the workload
+//! builders the `paper` and `dispatch` scenarios share.
 //!
-//! Every experiment in DESIGN.md §5 has a bench target in `benches/`; the
-//! workloads here are the programs those benches run. Two kinds of numbers
-//! come out of the harness:
+//! `paper` prints every table of DESIGN.md §5 (F1–F4, C1–C8, verify
+//! overhead) and records nothing. Every other scenario records
+//! `BENCH_<scenario>.json` at the repo root in one schema,
+//! `{bench, git_rev, cores, link, points[]}`, one point per line. A point
+//! keeps its values in two groups:
 //!
-//! * **wall-clock** measurements (Criterion) — the real cost of the VM,
-//!   codec and runtime primitives on the host machine;
-//! * **virtual-time** measurements (printed tables) — the modelled
-//!   behaviour of the paper's cluster under different link profiles,
-//!   concurrency levels and mobility strategies. These are deterministic
-//!   and host-independent, and are what EXPERIMENTS.md records.
+//! * `exact` — every value of a virtual-time run and every deterministic
+//!   count; a rerun on any host reproduces them exactly;
+//! * `timed` — wall-clock and real-TCP values, which vary run to run.
+//!
+//! A point that did not finish is not recorded: a scenario asserts every
+//! point complete, and a failed run writes nothing. `--smoke` runs the
+//! points tagged `smoke`, writes nothing, and fails unless every `exact`
+//! value equals the committed one and every `timed` value is present and
+//! finite ([`check_smoke`]); wall clock is recorded, never gated.
+
+use std::path::{Path, PathBuf};
 
 use ditico::{Env, FabricMode, LinkProfile, RunLimits, RunReport, Topology};
+use json::{obj, Json};
+
+#[path = "../../../benchmark/src/json.rs"]
+pub mod json;
+
+pub mod chaos;
+pub mod dispatch;
+pub mod fetch_cache;
+pub mod names;
+pub mod paper;
+pub mod scheduler;
+pub mod transport;
+
+/// One entry of the driver's table; `name` is its operand and its file.
+pub struct Scenario {
+    pub name: &'static str,
+    /// The link profile stamped on the record.
+    pub link: &'static str,
+    /// Runs the smoke points, and the full set as well when `smoke` is
+    /// false; panics when a point does not finish.
+    pub run: fn(smoke: bool) -> Vec<Json>,
+}
+
+pub const SCENARIOS: [Scenario; 7] = [
+    Scenario {
+        name: "scheduler",
+        link: "ideal",
+        run: scheduler::run,
+    },
+    Scenario {
+        name: "fetch_cache",
+        link: "virtual, 100 us / 1 MB/s",
+        run: fetch_cache::run,
+    },
+    Scenario {
+        name: "dispatch",
+        link: "ideal",
+        run: dispatch::run,
+    },
+    Scenario {
+        name: "transport",
+        link: "loopback TCP",
+        run: transport::run,
+    },
+    Scenario {
+        name: "chaos",
+        link: "virtual fast_ethernet; restart over loopback TCP",
+        run: chaos::run,
+    },
+    Scenario {
+        name: "names",
+        link: "virtual myrinet",
+        run: names::run,
+    },
+    Scenario {
+        name: "paper",
+        link: "virtual myrinet / fast_ethernet / wan",
+        run: paper::run,
+    },
+];
+
+/// `vals!{"key" => value, ...}`: a JSON object of numbers (`value as f64`).
+#[macro_export]
+macro_rules! vals {
+    ($($k:expr => $v:expr),* $(,)?) => {
+        $crate::json::Json::Obj(vec![$(($k.to_string(), $crate::json::Json::Num($v as f64))),*])
+    };
+}
+
+pub fn point(name: &str, smoke: bool, exact: Json, timed: Json) -> Json {
+    obj([
+        ("name", Json::Str(name.into())),
+        ("smoke", Json::Bool(smoke)),
+        ("exact", exact),
+        ("timed", timed),
+    ])
+}
+
+/// `x` rounded to `places` decimals, so a record carries the digits that
+/// were measured and not the binary noise of a division.
+pub fn round(x: f64, places: i32) -> f64 {
+    let m = 10f64.powi(places);
+    (x * m).round() / m
+}
+
+/// Where a scenario's record lives: the repo root of the checkout this
+/// binary was built from, whatever the current directory.
+pub fn bench_path(scenario: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    root.expect("crates/bench is two levels below the repo root")
+        .join(format!("BENCH_{scenario}.json"))
+}
+
+/// A BENCH document, one point per line so diffs stay readable.
+pub fn render(s: &Scenario, git_rev: &str, cores: usize, points: &[Json]) -> String {
+    let head = obj([
+        ("bench", Json::Str(s.name.into())),
+        ("git_rev", Json::Str(git_rev.into())),
+        ("cores", Json::Num(cores as f64)),
+        ("link", Json::Str(s.link.into())),
+    ])
+    .to_line();
+    let points: Vec<String> = points.iter().map(Json::to_line).collect();
+    format!(
+        "{},\"points\":[\n{}\n]}}\n",
+        head.strip_suffix('}').expect("an object"),
+        points.join(",\n")
+    )
+}
+
+/// Check a smoke run against the committed document: the smoke points
+/// run must be exactly the committed ones tagged `smoke`, each with every
+/// `exact` value equal and every committed `timed` key present and finite.
+pub fn check_smoke(committed: &Json, run: &[Json]) -> Result<(), String> {
+    let name = |p: &Json| p.get("name").and_then(Json::str).unwrap_or("?").to_string();
+    let field = |p: &Json, k: &str| p.get(k).cloned().unwrap_or(Json::Null);
+    let smoke: Vec<&Json> = committed
+        .get("points")
+        .map(Json::arr)
+        .unwrap_or_default()
+        .iter()
+        .filter(|p| p.get("smoke") == Some(&Json::Bool(true)))
+        .collect();
+    if let Some(c) = smoke
+        .iter()
+        .find(|c| !run.iter().any(|p| name(p) == name(c)))
+    {
+        return Err(format!("committed smoke point `{}` was not run", name(c)));
+    }
+    for p in run {
+        let n = name(p);
+        let c = smoke
+            .iter()
+            .find(|c| name(c) == n)
+            .ok_or_else(|| format!("point `{n}` is not a committed smoke point"))?;
+        let (want, got) = (field(c, "exact"), field(p, "exact"));
+        for (k, w) in want.obj() {
+            if got.get(k) != Some(w) {
+                let got = got.get(k).map_or("missing".into(), Json::to_line);
+                return Err(format!(
+                    "point `{n}`: exact `{k}` is {got}, committed {}",
+                    w.to_line()
+                ));
+            }
+        }
+        if let Some((k, _)) = got.obj().iter().find(|(k, _)| want.get(k).is_none()) {
+            return Err(format!("point `{n}`: exact `{k}` is not committed"));
+        }
+        let timed = field(p, "timed");
+        for (k, _) in field(c, "timed").obj() {
+            match timed.get(k).and_then(Json::num) {
+                Some(v) if v.is_finite() => {}
+                _ => return Err(format!("point `{n}`: timed `{k}` is missing or not finite")),
+            }
+        }
+    }
+    Ok(())
+}
 
 /// A server answering `val(x, r)` with `x + 1`, forever.
 pub const ECHO_SERVER: &str =
@@ -202,38 +369,68 @@ pub fn assert_done(report: &RunReport) {
     );
 }
 
-/// Minimal well-formedness check for the emitted JSON (no parser dep):
-/// balanced braces/brackets outside strings, terminated strings.
-pub fn assert_json_wellformed(s: &str) {
-    let mut stack = Vec::new();
-    let mut in_str = false;
-    let mut esc = false;
-    for ch in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => stack.push(ch),
-            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced brace"),
-            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced bracket"),
-            _ => {}
-        }
-    }
-    assert!(!in_str, "unterminated string");
-    assert!(stack.is_empty(), "unclosed {stack:?}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn committed_records_follow_the_schema() {
+        let root = bench_path("x").parent().expect("repo root").to_path_buf();
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&root).expect("repo root") {
+            let file = entry.expect("dir entry").file_name();
+            let file = file.to_str().expect("utf-8 name");
+            let Some(bench) = file
+                .strip_prefix("BENCH_")
+                .and_then(|f| f.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            seen += 1;
+            let text = std::fs::read_to_string(root.join(file)).expect("readable");
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let keys: Vec<&str> = doc.obj().iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                ["bench", "git_rev", "cores", "link", "points"],
+                "{file}"
+            );
+            assert_eq!(doc.get("bench").and_then(Json::str), Some(bench), "{file}");
+            assert!(SCENARIOS.iter().any(|s| s.name == bench), "{file}");
+            assert!(!doc.get("points").unwrap().arr().is_empty(), "{file}");
+        }
+        assert!(seen > 0, "no BENCH_*.json in {}", root.display());
+    }
+
+    #[test]
+    fn smoke_gates_exact_values_and_only_presence_of_timed_ones() {
+        let a = |wall_s: f64| {
+            point(
+                "a",
+                true,
+                vals! {"packets" => 40},
+                vals! {"wall_s" => wall_s},
+            )
+        };
+        let b = |ns: u64| point("b", true, vals! {"virtual_ns" => ns}, vals! {});
+        let full = point("c", false, vals! {"sites" => 4096}, vals! {"wall_s" => 9.0});
+        let committed = |points: &[Json]| {
+            Json::parse(&render(&SCENARIOS[0], "abc1234", 2, points)).expect("parses")
+        };
+        let record = committed(&[a(0.5), b(123_456), full.clone()]);
+        assert_eq!(check_smoke(&record, &[a(0.5), b(123_456)]), Ok(()));
+        // Every timed value different: still the same record.
+        assert_eq!(check_smoke(&record, &[a(7.25), b(123_456)]), Ok(()));
+        // One exact value off by one: refused, and named.
+        let off = committed(&[a(0.5), b(123_457), full]);
+        let err = check_smoke(&off, &[a(0.5), b(123_456)]).unwrap_err();
+        assert!(err.contains("`b`") && err.contains("virtual_ns"), "{err}");
+        // A timed value not finite, a smoke point not run, or a point the
+        // record does not hold: refused.
+        assert!(check_smoke(&record, &[a(f64::NAN), b(123_456)]).is_err());
+        assert!(check_smoke(&record, &[a(0.5)]).is_err());
+        assert!(check_smoke(&committed(&[a(0.5)]), &[a(0.5), b(123_456)]).is_err());
+    }
 
     #[test]
     fn workloads_run() {
