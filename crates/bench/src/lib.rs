@@ -29,6 +29,7 @@ pub mod json;
 pub mod chaos;
 pub mod dispatch;
 pub mod fetch_cache;
+pub mod frontend;
 pub mod names;
 pub mod paper;
 pub mod scheduler;
@@ -44,7 +45,7 @@ pub struct Scenario {
     pub run: fn(smoke: bool) -> Vec<Json>,
 }
 
-pub const SCENARIOS: [Scenario; 7] = [
+pub const SCENARIOS: [Scenario; 8] = [
     Scenario {
         name: "scheduler",
         link: "ideal",
@@ -74,6 +75,11 @@ pub const SCENARIOS: [Scenario; 7] = [
         name: "names",
         link: "virtual myrinet",
         run: names::run,
+    },
+    Scenario {
+        name: "frontend",
+        link: "none: parse, check and compile only",
+        run: frontend::run,
     },
     Scenario {
         name: "paper",

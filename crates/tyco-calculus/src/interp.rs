@@ -858,7 +858,8 @@ impl Network {
                 Some(Binding::Class { .. }) => Err(EvalErr::Rt(RtError::NotAChannel(x.clone()))),
                 None => Err(EvalErr::Rt(RtError::UnboundName(x.clone()))),
             },
-            NameRef::Located(s, x) => {
+            NameRef::Located(sx) => {
+                let (s, x) = &**sx;
                 let remote = self
                     .site_ids
                     .get(s)
@@ -883,9 +884,9 @@ impl Network {
             Expr::Lit(Lit::Bool(b)) => Ok(Val::Bool(*b)),
             Expr::Lit(Lit::Str(s)) => Ok(Val::Str(s.as_str().into())),
             Expr::Lit(Lit::Float(x)) => Ok(Val::Float(*x)),
-            Expr::Bin(op, a, b) => {
-                let va = self.eval_expr(a, env)?;
-                let vb = self.eval_expr(b, env)?;
+            Expr::Bin(op, ab) => {
+                let va = self.eval_expr(&ab.0, env)?;
+                let vb = self.eval_expr(&ab.1, env)?;
                 eval_binop(*op, va, vb).map_err(EvalErr::Rt)
             }
             Expr::Un(op, a) => {

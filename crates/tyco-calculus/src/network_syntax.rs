@@ -336,13 +336,13 @@ fn collect_located(p: &Proc, out: &mut std::collections::BTreeSet<(String, Strin
     use tyco_syntax::ast::{Expr, NameRef};
     fn expr(e: &Expr, out: &mut std::collections::BTreeSet<(String, String)>) {
         match e {
-            Expr::Name(NameRef::Located(s, x)) => {
-                out.insert((s.clone(), x.clone()));
+            Expr::Name(NameRef::Located(sx)) => {
+                out.insert((**sx).clone());
             }
             Expr::Name(_) | Expr::Lit(_) => {}
-            Expr::Bin(_, a, b) => {
-                expr(a, out);
-                expr(b, out);
+            Expr::Bin(_, ab) => {
+                expr(&ab.0, out);
+                expr(&ab.1, out);
             }
             Expr::Un(_, a) => expr(a, out),
         }
@@ -355,16 +355,16 @@ fn collect_located(p: &Proc, out: &mut std::collections::BTreeSet<(String, Strin
         | Proc::ImportName { body, .. }
         | Proc::ImportClass { body, .. } => collect_located(body, out),
         Proc::Msg { target, args, .. } => {
-            if let NameRef::Located(s, x) = target {
-                out.insert((s.clone(), x.clone()));
+            if let NameRef::Located(sx) = target {
+                out.insert((**sx).clone());
             }
             args.iter().for_each(|a| expr(a, out));
         }
         Proc::Obj {
             target, methods, ..
         } => {
-            if let NameRef::Located(s, x) = target {
-                out.insert((s.clone(), x.clone()));
+            if let NameRef::Located(sx) = target {
+                out.insert((**sx).clone());
             }
             methods.iter().for_each(|m| collect_located(&m.body, out));
         }
@@ -387,8 +387,8 @@ fn collect_located(p: &Proc, out: &mut std::collections::BTreeSet<(String, Strin
         Proc::Let {
             target, args, body, ..
         } => {
-            if let NameRef::Located(s, x) = target {
-                out.insert((s.clone(), x.clone()));
+            if let NameRef::Located(sx) = target {
+                out.insert((**sx).clone());
             }
             args.iter().for_each(|a| expr(a, out));
             collect_located(body, out);
@@ -414,10 +414,10 @@ fn rename_proc(p: &Proc, from: &str, to: &str) -> Proc {
         match e {
             Expr::Name(r) => Expr::Name(nref(r, from, to, bound)),
             Expr::Lit(_) => e.clone(),
-            Expr::Bin(op, a, b) => Expr::Bin(
+            Expr::Bin(op, ab) => Expr::bin(
                 *op,
-                Box::new(expr(a, from, to, bound)),
-                Box::new(expr(b, from, to, bound)),
+                expr(&ab.0, from, to, bound),
+                expr(&ab.1, from, to, bound),
             ),
             Expr::Un(op, a) => Expr::Un(*op, Box::new(expr(a, from, to, bound))),
         }

@@ -18,9 +18,9 @@ use tyco_syntax::ast::*;
 /// Translate a name reference moving from site `from` to site `to`.
 pub fn sigma_name(r: &NameRef, from: &str, to: &str) -> NameRef {
     match r {
-        NameRef::Plain(x) => NameRef::Located(from.to_string(), x.clone()),
-        NameRef::Located(s, x) if s == to => NameRef::Plain(x.clone()),
-        NameRef::Located(s, x) => NameRef::Located(s.clone(), x.clone()),
+        NameRef::Plain(x) => NameRef::located(from, x.clone()),
+        NameRef::Located(sx) if sx.0 == to => NameRef::Plain(sx.1.clone()),
+        NameRef::Located(_) => r.clone(),
     }
 }
 
@@ -59,10 +59,10 @@ fn sigma_expr(e: &Expr, from: &str, to: &str, bound: &[String]) -> Expr {
     match e {
         Expr::Name(r) => Expr::Name(sigma_name_in(r, from, to, bound)),
         Expr::Lit(_) => e.clone(),
-        Expr::Bin(op, a, b) => Expr::Bin(
+        Expr::Bin(op, ab) => Expr::bin(
             *op,
-            Box::new(sigma_expr(a, from, to, bound)),
-            Box::new(sigma_expr(b, from, to, bound)),
+            sigma_expr(&ab.0, from, to, bound),
+            sigma_expr(&ab.1, from, to, bound),
         ),
         Expr::Un(op, a) => Expr::Un(*op, Box::new(sigma_expr(a, from, to, bound))),
     }

@@ -52,11 +52,7 @@ pub fn arb_expr() -> impl Strategy<Value = Expr> {
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
-            (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::Bin(
-                op,
-                Box::new(a),
-                Box::new(b)
-            )),
+            (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             inner
                 .clone()
                 .prop_filter("no neg of literal", |e| !matches!(e, Expr::Lit(_)))
@@ -308,10 +304,10 @@ pub fn build_skel(skel: &Skel, nclasses: usize) -> Proc {
                 name: format!("K{i}"),
                 params: vec!["p".to_string()],
                 body: Proc::Print {
-                    args: vec![Expr::Bin(
+                    args: vec![Expr::bin(
                         BinOp::Add,
-                        Box::new(Expr::name("p")),
-                        Box::new(Expr::int(1000 * (i as i64 + 1))),
+                        Expr::name("p"),
+                        Expr::int(1000 * (i as i64 + 1)),
                     )],
                     newline: true,
                     span: sp(),
@@ -340,11 +336,7 @@ fn build(skel: &Skel, nclasses: usize, counter: &mut u32, params: &mut Vec<Strin
                 _ => BinOp::Mod,
             };
             Proc::Print {
-                args: vec![Expr::Bin(
-                    op,
-                    Box::new(Expr::int(*a)),
-                    Box::new(Expr::int(*b)),
-                )],
+                args: vec![Expr::bin(op, Expr::int(*a), Expr::int(*b))],
                 newline: true,
                 span: sp(),
             }
@@ -367,10 +359,10 @@ fn build(skel: &Skel, nclasses: usize, counter: &mut u32, params: &mut Vec<Strin
             let mut body_parts = Vec::new();
             if *print_param {
                 body_parts.push(Proc::Print {
-                    args: vec![Expr::Bin(
+                    args: vec![Expr::bin(
                         BinOp::Add,
-                        Box::new(Expr::name(param.clone())),
-                        Box::new(Expr::int(*bias)),
+                        Expr::name(param.clone()),
+                        Expr::int(*bias),
                     )],
                     newline: true,
                     span: sp(),
@@ -411,10 +403,10 @@ fn build(skel: &Skel, nclasses: usize, counter: &mut u32, params: &mut Vec<Strin
                 .len()
                 .saturating_sub(1 + *hops as usize % params.len());
             Proc::Print {
-                args: vec![Expr::Bin(
+                args: vec![Expr::bin(
                     BinOp::Add,
-                    Box::new(Expr::name(params[idx].clone())),
-                    Box::new(Expr::int(*add + 500)),
+                    Expr::name(params[idx].clone()),
+                    Expr::int(*add + 500),
                 )],
                 newline: true,
                 span: sp(),

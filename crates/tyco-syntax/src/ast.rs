@@ -43,15 +43,21 @@ pub type Ident = String;
 pub enum NameRef {
     /// A plain name `x`, implicitly located at the enclosing site.
     Plain(Ident),
-    /// A located name `s.x`.
-    Located(Ident, Ident),
+    /// A located name `s.x`: `(s, x)`. Boxed, because it is rare and an
+    /// expression is as large as its largest operand.
+    Located(Box<(Ident, Ident)>),
 }
 
 impl NameRef {
+    pub fn located(site: impl Into<Ident>, x: impl Into<Ident>) -> NameRef {
+        NameRef::Located(Box::new((site.into(), x.into())))
+    }
+
     /// The bare identifier part (without the site qualifier).
     pub fn ident(&self) -> &str {
         match self {
-            NameRef::Plain(x) | NameRef::Located(_, x) => x,
+            NameRef::Plain(x) => x,
+            NameRef::Located(sx) => &sx.1,
         }
     }
 
@@ -59,7 +65,7 @@ impl NameRef {
     pub fn site(&self) -> Option<&str> {
         match self {
             NameRef::Plain(_) => None,
-            NameRef::Located(s, _) => Some(s),
+            NameRef::Located(sx) => Some(&sx.0),
         }
     }
 }
@@ -68,7 +74,7 @@ impl fmt::Display for NameRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NameRef::Plain(x) => write!(f, "{x}"),
-            NameRef::Located(s, x) => write!(f, "{s}.{x}"),
+            NameRef::Located(sx) => write!(f, "{}.{}", sx.0, sx.1),
         }
     }
 }
@@ -202,8 +208,9 @@ pub enum Expr {
     Name(NameRef),
     /// A literal constant.
     Lit(Lit),
-    /// Builtin binary operation over base values.
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    /// Builtin binary operation over base values (both operands share one
+    /// allocation: a long operator chain is one node per operator).
+    Bin(BinOp, Box<(Expr, Expr)>),
     /// Builtin unary operation.
     Un(UnOp, Box<Expr>),
 }
@@ -221,6 +228,10 @@ impl Expr {
         Expr::Name(NameRef::Plain(x.into()))
     }
 
+    pub fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::Bin(op, Box::new((a, b)))
+    }
+
     /// Free (plain) names of the expression, accumulated into `out`.
     pub fn free_names_into(&self, out: &mut BTreeSet<Ident>) {
         match self {
@@ -228,9 +239,9 @@ impl Expr {
                 out.insert(x.clone());
             }
             Expr::Name(NameRef::Located(..)) | Expr::Lit(_) => {}
-            Expr::Bin(_, a, b) => {
-                a.free_names_into(out);
-                b.free_names_into(out);
+            Expr::Bin(_, ab) => {
+                ab.0.free_names_into(out);
+                ab.1.free_names_into(out);
             }
             Expr::Un(_, a) => a.free_names_into(out),
         }
@@ -679,7 +690,7 @@ mod tests {
     #[test]
     fn located_names_are_constants() {
         let p = Proc::Msg {
-            target: NameRef::Located("s".into(), "x".into()),
+            target: NameRef::located("s", "x"),
             label: "l".into(),
             args: vec![Expr::name("v")],
             span: Span::synthetic(),

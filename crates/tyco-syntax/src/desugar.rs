@@ -15,110 +15,59 @@ use crate::ast::*;
 use crate::pos::Span;
 use std::collections::BTreeSet;
 
-/// Eliminate all `let` sugar from a process, recursively.
-pub fn desugar(p: Proc) -> Proc {
+/// Eliminate all `let` sugar from a process, recursively. The tree is
+/// rewritten in place: only `let` nodes, and compositions that hold a `0`
+/// or a nested composition, are rebuilt.
+pub fn desugar(mut p: Proc) -> Proc {
+    desugar_in_place(&mut p);
+    p
+}
+
+fn desugar_in_place(p: &mut Proc) {
     match p {
-        Proc::Nil => Proc::Nil,
-        Proc::Par(ps) => Proc::par(ps.into_iter().map(desugar)),
-        Proc::New {
-            binders,
-            body,
-            span,
-        } => Proc::New {
-            binders,
-            body: Box::new(desugar(*body)),
-            span,
-        },
-        Proc::ExportNew {
-            binders,
-            body,
-            span,
-        } => Proc::ExportNew {
-            binders,
-            body: Box::new(desugar(*body)),
-            span,
-        },
-        Proc::Msg { .. } | Proc::Print { .. } => p,
-        Proc::Obj {
-            target,
-            methods,
-            span,
-        } => Proc::Obj {
-            target,
-            methods: methods
-                .into_iter()
-                .map(|m| Method {
-                    body: desugar(m.body),
-                    ..m
-                })
-                .collect(),
-            span,
-        },
-        Proc::Inst { .. } => p,
-        Proc::Def { defs, body, span } => Proc::Def {
-            defs: defs
-                .into_iter()
-                .map(|d| ClassDef {
-                    body: desugar(d.body),
-                    ..d
-                })
-                .collect(),
-            body: Box::new(desugar(*body)),
-            span,
-        },
-        Proc::ExportDef { defs, body, span } => Proc::ExportDef {
-            defs: defs
-                .into_iter()
-                .map(|d| ClassDef {
-                    body: desugar(d.body),
-                    ..d
-                })
-                .collect(),
-            body: Box::new(desugar(*body)),
-            span,
-        },
-        Proc::ImportName {
-            name,
-            site,
-            body,
-            span,
-        } => Proc::ImportName {
-            name,
-            site,
-            body: Box::new(desugar(*body)),
-            span,
-        },
-        Proc::ImportClass {
-            class,
-            site,
-            body,
-            span,
-        } => Proc::ImportClass {
-            class,
-            site,
-            body: Box::new(desugar(*body)),
-            span,
-        },
+        Proc::Nil | Proc::Msg { .. } | Proc::Inst { .. } | Proc::Print { .. } => {}
+        Proc::Par(ps) => {
+            ps.iter_mut().for_each(desugar_in_place);
+            if ps.len() < 2 || ps.iter().any(|q| matches!(q, Proc::Nil | Proc::Par(_))) {
+                *p = Proc::par(std::mem::take(ps));
+            }
+        }
+        Proc::New { body, .. }
+        | Proc::ExportNew { body, .. }
+        | Proc::ImportName { body, .. }
+        | Proc::ImportClass { body, .. } => desugar_in_place(body),
+        Proc::Obj { methods, .. } => {
+            for m in methods {
+                desugar_in_place(&mut m.body);
+            }
+        }
+        Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
+            for d in defs {
+                desugar_in_place(&mut d.body);
+            }
+            desugar_in_place(body);
+        }
         Proc::If {
-            cond,
             then_branch,
             else_branch,
-            span,
-        } => Proc::If {
-            cond,
-            then_branch: Box::new(desugar(*then_branch)),
-            else_branch: Box::new(desugar(*else_branch)),
-            span,
-        },
-        Proc::Let {
-            binder,
-            target,
-            label,
-            mut args,
-            body,
-            span,
+            ..
         } => {
-            let body = desugar(*body);
+            desugar_in_place(then_branch);
+            desugar_in_place(else_branch);
+        }
+        Proc::Let { .. } => {
+            let Proc::Let {
+                binder,
+                target,
+                label,
+                mut args,
+                mut body,
+                span,
+            } = std::mem::replace(p, Proc::Nil)
+            else {
+                unreachable!("matched a `let`")
+            };
+            desugar_in_place(&mut body);
             // Compute the set of names the fresh reply channel must avoid.
             let mut avoid: BTreeSet<Ident> = body.free_names();
             avoid.insert(binder.clone());
@@ -141,16 +90,16 @@ pub fn desugar(p: Proc) -> Proc {
                 methods: vec![Method {
                     label: VAL_LABEL.to_string(),
                     params: vec![binder],
-                    body,
+                    body: *body,
                     span: Span::synthetic(),
                 }],
                 span: Span::synthetic(),
             };
-            Proc::New {
+            *p = Proc::New {
                 binders: vec![reply],
                 body: Box::new(Proc::par([call, receiver])),
                 span,
-            }
+            };
         }
     }
 }

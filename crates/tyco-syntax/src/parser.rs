@@ -12,7 +12,7 @@
 //!   translated programs re-parse (source programs never need them).
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError, Spanned};
+use crate::lexer::{unescape, LexError, Lexer, Spanned};
 use crate::pos::{Pos, Span};
 use crate::token::Tok;
 use std::fmt;
@@ -50,35 +50,73 @@ const MAX_DEPTH: usize = 4096;
 
 /// Parse a complete source program (a single process).
 pub fn parse_program(src: &str) -> Result<Proc, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser::new(toks);
-    let proc = p.parse_par()?;
-    p.expect_eof()?;
-    Ok(proc)
+    let mut p = Parser::new(src);
+    let proc = p.parse_par().and_then(|proc| p.expect_eof().map(|()| proc));
+    p.finish(proc)
 }
 
 /// Parse a single expression (used by tests and the REPL-style shell).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser::new(toks);
-    let e = p.parse_expr_prec(0)?;
-    p.expect_eof()?;
-    Ok(e)
+    let mut p = Parser::new(src);
+    let e = p
+        .parse_expr_prec(0)
+        .and_then(|e| p.expect_eof().map(|()| e));
+    p.finish(e)
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
-    i: usize,
+/// A recursive-descent parser pulling tokens from the lexer as it goes:
+/// the current token and at most one more are held at a time.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    tok: Spanned<'a>,
+    /// The token after `tok`, once [`Parser::peek`] has read it.
+    ahead: Option<Spanned<'a>>,
+    /// The first lex error. The token stream ends there: every later
+    /// token reads as end of input.
+    lex_error: Option<LexError>,
     /// Nodes (and brackets) enclosing the one being parsed.
     depth: usize,
 }
 
-impl Parser {
-    fn new(toks: Vec<Spanned>) -> Parser {
-        Parser {
-            toks,
-            i: 0,
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            tok: Spanned {
+                tok: Tok::Eof,
+                span: Span::default(),
+            },
+            ahead: None,
+            lex_error: None,
             depth: 0,
+        };
+        p.bump();
+        p
+    }
+
+    /// Read the next token into `t`; after a lex error, end of input.
+    fn lex(lexer: &mut Lexer<'a>, lex_error: &mut Option<LexError>, t: &mut Spanned<'a>) {
+        if lex_error.is_none() {
+            match lexer.read(t) {
+                Ok(()) => return,
+                Err(e) => *lex_error = Some(e),
+            }
+        }
+        t.tok = Tok::Eof;
+    }
+
+    /// The outcome of a parse. A lex error anywhere in the text wins over
+    /// the parse's own result, as if the whole text had been lexed first:
+    /// after a parse error the rest of the text is lexed to find one.
+    fn finish<T>(mut self, parsed: Result<T, ParseError>) -> Result<T, ParseError> {
+        if parsed.is_err() {
+            while self.lex_error.is_none() && self.tok.tok != Tok::Eof {
+                self.bump();
+            }
+        }
+        match self.lex_error {
+            Some(e) => Err(e.into()),
+            None => parsed,
         }
     }
 
@@ -92,29 +130,34 @@ impl Parser {
         }
     }
 
-    fn cur(&self) -> &Tok {
-        &self.toks[self.i].tok
+    fn cur(&self) -> &Tok<'a> {
+        &self.tok.tok
     }
 
-    fn peek(&self, n: usize) -> &Tok {
-        let j = (self.i + n).min(self.toks.len() - 1);
-        &self.toks[j].tok
+    /// The token after the current one.
+    fn peek(&mut self) -> &Tok<'a> {
+        if self.ahead.is_none() {
+            let mut t = self.tok;
+            Parser::lex(&mut self.lexer, &mut self.lex_error, &mut t);
+            self.ahead = Some(t);
+        }
+        &self.ahead.as_ref().expect("just read").tok
     }
 
     fn span(&self) -> Span {
-        self.toks[self.i].span
+        self.tok.span
     }
 
     fn pos(&self) -> Pos {
         self.span().start
     }
 
-    fn bump(&mut self) -> Spanned {
-        let t = self.toks[self.i].clone();
-        if self.i + 1 < self.toks.len() {
-            self.i += 1;
+    /// Move to the next token; at the end of input, stay there.
+    fn bump(&mut self) {
+        match self.ahead.take() {
+            Some(t) => self.tok = t,
+            None => Parser::lex(&mut self.lexer, &mut self.lex_error, &mut self.tok),
         }
-        t
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -124,9 +167,10 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<Span, ParseError> {
+    fn expect(&mut self, tok: Tok<'_>) -> Result<(), ParseError> {
         if *self.cur() == tok {
-            Ok(self.bump().span)
+            self.bump();
+            Ok(())
         } else {
             Err(self.err(format!(
                 "expected {}, found {}",
@@ -148,20 +192,20 @@ impl Parser {
     }
 
     fn lower_id(&mut self, what: &str) -> Result<Ident, ParseError> {
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::LowerId(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => Err(self.err(format!("expected {what}, found {}", other.describe()))),
         }
     }
 
     fn upper_id(&mut self, what: &str) -> Result<Ident, ParseError> {
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::UpperId(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => Err(self.err(format!("expected {what}, found {}", other.describe()))),
         }
@@ -191,7 +235,7 @@ impl Parser {
 
     fn parse_prefix_at_depth(&mut self) -> Result<Proc, ParseError> {
         let start = self.pos();
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::Int(0) => {
                 self.bump();
                 Ok(Proc::Nil)
@@ -295,7 +339,7 @@ impl Parser {
         let mut binders: Vec<Ident> = Vec::new();
         let mut explicit_in = false;
         loop {
-            match self.cur().clone() {
+            match *self.cur() {
                 Tok::KwIn if !binders.is_empty() => {
                     self.bump();
                     explicit_in = true;
@@ -306,12 +350,12 @@ impl Parser {
                     // body (message/object on that name) once we already
                     // have at least one binder.
                     if !binders.is_empty()
-                        && matches!(self.peek(1), Tok::Bang | Tok::Query | Tok::Dot)
+                        && matches!(self.peek(), Tok::Bang | Tok::Query | Tok::Dot)
                     {
                         break;
                     }
                     self.bump();
-                    binders.push(x);
+                    binders.push(x.to_string());
                     if *self.cur() == Tok::Comma {
                         self.bump();
                     }
@@ -380,7 +424,7 @@ impl Parser {
 
     /// After having consumed `import`.
     fn parse_import_tail(&mut self, start: Pos) -> Result<Proc, ParseError> {
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::LowerId(name) => {
                 self.bump();
                 self.expect(Tok::KwFrom)?;
@@ -389,7 +433,7 @@ impl Parser {
                 let body = Box::new(self.parse_par()?);
                 let span = Span::new(start, self.pos());
                 Ok(Proc::ImportName {
-                    name,
+                    name: name.to_string(),
                     site,
                     body,
                     span,
@@ -403,7 +447,7 @@ impl Parser {
                 let body = Box::new(self.parse_par()?);
                 let span = Span::new(start, self.pos());
                 Ok(Proc::ImportClass {
-                    class,
+                    class: class.to_string(),
                     site,
                     body,
                     span,
@@ -423,10 +467,10 @@ impl Parser {
         let first = self.lower_id("name")?;
         let target = if *self.cur() == Tok::Dot {
             self.bump();
-            match self.cur().clone() {
+            match *self.cur() {
                 Tok::LowerId(x) => {
                     self.bump();
-                    NameRef::Located(first, x)
+                    NameRef::located(first, x)
                 }
                 Tok::UpperId(_) => {
                     // `s.X[…]` — located instantiation.
@@ -442,7 +486,7 @@ impl Parser {
         } else {
             NameRef::Plain(first)
         };
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::Bang => {
                 self.bump();
                 let (label, args) = self.parse_msg_tail()?;
@@ -479,7 +523,7 @@ impl Parser {
 
     /// `{ l1(ỹ)=P1, … }` or `(ỹ) = P` (val sugar) after `x?`.
     fn parse_obj_tail(&mut self, target: NameRef, start: Pos) -> Result<Proc, ParseError> {
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::LBrace => {
                 self.bump();
                 let mut methods = Vec::new();
@@ -598,7 +642,7 @@ impl Parser {
         if *self.cur() == Tok::Dot {
             self.bump();
             let second = self.lower_id("name after `.`")?;
-            Ok(NameRef::Located(first, second))
+            Ok(NameRef::located(first, second))
         } else {
             Ok(NameRef::Plain(first))
         }
@@ -640,7 +684,7 @@ impl Parser {
             let (rhs, rhs_height) = self.parse_expr_height(prec + 1)?;
             height = 1 + height.max(rhs_height);
             self.check_depth(height)?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = Expr::bin(op, lhs, rhs);
         }
         Ok((lhs, height))
     }
@@ -660,10 +704,10 @@ impl Parser {
             p.bump();
             Ok((Expr::Lit(l), 1))
         };
-        match self.cur().clone() {
+        match *self.cur() {
             Tok::Int(i) => lit(self, Lit::Int(i)),
             Tok::Float(x) => lit(self, Lit::Float(x)),
-            Tok::Str(s) => lit(self, Lit::Str(s)),
+            Tok::Str(s) => lit(self, Lit::Str(unescape(s))),
             Tok::KwTrue => lit(self, Lit::Bool(true)),
             Tok::KwFalse => lit(self, Lit::Bool(false)),
             Tok::KwUnit => lit(self, Lit::Unit),
@@ -671,7 +715,7 @@ impl Parser {
                 self.bump();
                 // Fold negative numeric literals so `-5` is `Lit(-5)` and
                 // printing is stable.
-                match self.cur().clone() {
+                match *self.cur() {
                     Tok::Int(i) => lit(self, Lit::Int(-i)),
                     Tok::Float(x) => lit(self, Lit::Float(-x)),
                     _ => {
@@ -729,7 +773,7 @@ mod tests {
                 assert_eq!(target, NameRef::Plain("x".into()));
                 assert_eq!(label, "read");
                 assert_eq!(args.len(), 2);
-                assert!(matches!(args[1], Expr::Bin(BinOp::Add, _, _)));
+                assert!(matches!(args[1], Expr::Bin(BinOp::Add, _)));
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -855,7 +899,7 @@ mod tests {
     fn parses_located_identifiers() {
         match p("server.p!val[v, a]") {
             Proc::Msg { target, .. } => {
-                assert_eq!(target, NameRef::Located("server".into(), "p".into()));
+                assert_eq!(target, NameRef::located("server", "p"));
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -903,7 +947,7 @@ mod tests {
     fn parses_if_and_print() {
         let src = "if n > 0 then print(n) else println(\"done\")";
         match p(src) {
-            Proc::If { cond, .. } => assert!(matches!(cond, Expr::Bin(BinOp::Gt, _, _))),
+            Proc::If { cond, .. } => assert!(matches!(cond, Expr::Bin(BinOp::Gt, _))),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -913,9 +957,9 @@ mod tests {
         let e = parse_expr("1 + 2 * 3 == 7 && true").unwrap();
         // ((1 + (2*3)) == 7) && true
         match e {
-            Expr::Bin(BinOp::And, l, _) => match *l {
-                Expr::Bin(BinOp::Eq, l2, _) => {
-                    assert!(matches!(*l2, Expr::Bin(BinOp::Add, _, _)));
+            Expr::Bin(BinOp::And, ab) => match ab.0 {
+                Expr::Bin(BinOp::Eq, ab2) => {
+                    assert!(matches!(ab2.0, Expr::Bin(BinOp::Add, _)));
                 }
                 other => panic!("unexpected: {other:?}"),
             },

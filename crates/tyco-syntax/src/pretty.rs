@@ -231,7 +231,8 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
         Expr::Lit(Lit::Float(x)) => {
             let _ = write!(out, "{x:?}");
         }
-        Expr::Bin(op, a, b) => {
+        Expr::Bin(op, ab) => {
+            let (a, b) = &**ab;
             let prec = op.precedence();
             let need = prec < min_prec;
             if need {

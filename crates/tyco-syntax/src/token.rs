@@ -2,17 +2,20 @@
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// A lexical token. Identifiers and string literals borrow the source
+/// text, so a token is a few words and copying one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
     // Identifiers and literals.
     /// Lower-case-initial identifier: names, labels, sites.
-    LowerId(String),
+    LowerId(&'a str),
     /// Upper-case-initial identifier: class variables.
-    UpperId(String),
+    UpperId(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    /// A string literal: the text between the quotes, its escapes already
+    /// checked; [`crate::lexer::unescape`] gives the value.
+    Str(&'a str),
 
     // Keywords.
     KwNew,
@@ -67,10 +70,10 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Keyword lookup for an identifier lexeme; `None` when it is a plain
     /// identifier.
-    pub fn keyword(s: &str) -> Option<Tok> {
+    pub fn keyword(s: &str) -> Option<Tok<'static>> {
         Some(match s {
             "new" => Tok::KwNew,
             "def" => Tok::KwDef,
@@ -100,7 +103,7 @@ impl Tok {
             Tok::UpperId(s) => format!("class variable `{s}`"),
             Tok::Int(i) => format!("integer `{i}`"),
             Tok::Float(x) => format!("float `{x}`"),
-            Tok::Str(s) => format!("string {s:?}"),
+            Tok::Str(s) => format!("string {:?}", crate::lexer::unescape(s)),
             Tok::Eof => "end of input".to_string(),
             other => format!("`{}`", other.lexeme()),
         }
@@ -157,7 +160,7 @@ impl Tok {
     }
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.describe())
     }

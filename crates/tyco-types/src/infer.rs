@@ -13,7 +13,7 @@
 
 use crate::types::*;
 use crate::unify::{TypeError, Unifier};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use tyco_syntax::ast::*;
 
 /// What kind of identifier an `import` refers to.
@@ -40,8 +40,13 @@ pub struct TypeSummary {
 
 /// Check a (desugared) process in an empty environment.
 pub fn check(p: &Proc) -> Result<TypeSummary, TypeError> {
+    let core = if tyco_syntax::desugar::is_core(p) {
+        None
+    } else {
+        Some(tyco_syntax::desugar::desugar(p.clone()))
+    };
     let mut cx = Checker::new();
-    cx.infer_proc(p)?;
+    cx.infer_proc(core.as_ref().unwrap_or(p))?;
     cx.finish()
 }
 
@@ -54,21 +59,26 @@ enum ClassSig {
     Flexible(usize),
 }
 
-struct Checker {
+/// Scopes are keyed by identifiers borrowed from the checked tree, and
+/// an entry stays when its last binding goes, so binding a name allocates
+/// nothing once the name has been seen.
+struct Checker<'a> {
     u: Unifier,
-    names: HashMap<String, Vec<Type>>,
-    classes: HashMap<String, Vec<ClassSig>>,
+    names: HashMap<&'a str, Vec<Type>>,
+    classes: HashMap<&'a str, Vec<ClassSig>>,
     /// Parameter types of imported classes, fixed at first instantiation.
     flexible: Vec<Option<Vec<Type>>>,
     /// Deferred numeric constraints: each type must resolve to `int` or
     /// `float` (defaulting unresolved variables to `int`).
     numeric: Vec<Type>,
     /// Types of located identifiers `s.x` used directly.
-    remote_names: HashMap<(String, String), Type>,
+    remote_names: HashMap<(&'a str, &'a str), Type>,
     summary: TypeSummary,
+    /// Scratch for [`Checker::distinct`].
+    seen: HashSet<&'a str>,
 }
 
-impl Checker {
+impl<'a> Checker<'a> {
     fn new() -> Self {
         Checker {
             u: Unifier::new(),
@@ -78,43 +88,38 @@ impl Checker {
             numeric: Vec::new(),
             remote_names: HashMap::new(),
             summary: TypeSummary::default(),
+            seen: HashSet::new(),
         }
     }
 
-    fn bind_name(&mut self, x: &str, t: Type) {
-        self.names.entry(x.to_string()).or_default().push(t);
+    fn bind_name(&mut self, x: &'a str, t: Type) {
+        self.names.entry(x).or_default().push(t);
     }
 
     fn unbind_name(&mut self, x: &str) {
         if let Some(stack) = self.names.get_mut(x) {
             stack.pop();
-            if stack.is_empty() {
-                self.names.remove(x);
-            }
         }
     }
 
-    fn bind_class(&mut self, x: &str, s: ClassSig) {
-        self.classes.entry(x.to_string()).or_default().push(s);
+    fn bind_class(&mut self, x: &'a str, s: ClassSig) {
+        self.classes.entry(x).or_default().push(s);
     }
 
     fn unbind_class(&mut self, x: &str) {
         if let Some(stack) = self.classes.get_mut(x) {
             stack.pop();
-            if stack.is_empty() {
-                self.classes.remove(x);
-            }
         }
     }
 
-    fn name_type(&mut self, r: &NameRef) -> Result<Type, TypeError> {
+    fn name_type(&mut self, r: &'a NameRef) -> Result<Type, TypeError> {
         match r {
-            NameRef::Plain(x) => match self.names.get(x).and_then(|s| s.last()) {
+            NameRef::Plain(x) => match self.names.get(x.as_str()).and_then(|s| s.last()) {
                 Some(t) => Ok(t.clone()),
                 None => Err(TypeError::Unbound(x.clone())),
             },
-            NameRef::Located(site, x) => {
-                let key = (site.clone(), x.clone());
+            NameRef::Located(sx) => {
+                let key = (sx.0.as_str(), sx.1.as_str());
                 if let Some(t) = self.remote_names.get(&key) {
                     return Ok(t.clone());
                 }
@@ -125,7 +130,37 @@ impl Checker {
         }
     }
 
-    fn infer_expr(&mut self, e: &Expr) -> Result<Type, TypeError> {
+    /// Reject a second binding of one identifier in a pattern or a def
+    /// group: the paper's `x̃` is a sequence of distinct names.
+    fn distinct(
+        &mut self,
+        binders: impl IntoIterator<Item = &'a Ident>,
+        what: &str,
+        place: &str,
+    ) -> Result<(), TypeError> {
+        self.seen.clear();
+        for x in binders {
+            if !self.seen.insert(x) {
+                return Err(TypeError::Mismatch(
+                    format!("duplicate {what} `{x}`"),
+                    place.to_string(),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Require `t` to be `int` or `float` by the end of the check, and
+    /// return it. A type already known to be one needs no record.
+    fn numeric(&mut self, t: Type) -> Type {
+        let t = self.u.resolve_shallow(t);
+        if !matches!(t, Type::Int | Type::Float) {
+            self.numeric.push(t.clone());
+        }
+        t
+    }
+
+    fn infer_expr(&mut self, e: &'a Expr) -> Result<Type, TypeError> {
         match e {
             Expr::Name(r) => self.name_type(r),
             Expr::Lit(Lit::Unit) => Ok(Type::Unit),
@@ -133,18 +168,17 @@ impl Checker {
             Expr::Lit(Lit::Bool(_)) => Ok(Type::Bool),
             Expr::Lit(Lit::Str(_)) => Ok(Type::Str),
             Expr::Lit(Lit::Float(_)) => Ok(Type::Float),
-            Expr::Bin(op, a, b) => {
-                let ta = self.infer_expr(a)?;
-                let tb = self.infer_expr(b)?;
+            Expr::Bin(op, ab) => {
+                let ta = self.infer_expr(&ab.0)?;
+                let tb = self.infer_expr(&ab.1)?;
                 match op {
                     BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
                         self.u.unify(&ta, &tb)?;
-                        self.numeric.push(ta.clone());
-                        Ok(ta)
+                        Ok(self.numeric(ta))
                     }
                     BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         self.u.unify(&ta, &tb)?;
-                        self.numeric.push(ta);
+                        self.numeric(ta);
                         Ok(Type::Bool)
                     }
                     BinOp::Eq | BinOp::Ne => {
@@ -165,8 +199,7 @@ impl Checker {
             }
             Expr::Un(UnOp::Neg, a) => {
                 let t = self.infer_expr(a)?;
-                self.numeric.push(t.clone());
-                Ok(t)
+                Ok(self.numeric(t))
             }
             Expr::Un(UnOp::Not, a) => {
                 let t = self.infer_expr(a)?;
@@ -176,7 +209,7 @@ impl Checker {
         }
     }
 
-    fn infer_proc(&mut self, p: &Proc) -> Result<(), TypeError> {
+    fn infer_proc(&mut self, p: &'a Proc) -> Result<(), TypeError> {
         match p {
             Proc::Nil => Ok(()),
             Proc::Par(ps) => {
@@ -229,15 +262,15 @@ impl Checker {
                 let chan = self.name_type(target)?;
                 let mut fields = BTreeMap::new();
                 for m in methods {
+                    self.distinct(&m.params, "parameter", "pattern")?;
                     let params: Vec<Type> = m.params.iter().map(|_| self.u.fresh()).collect();
                     for (x, t) in m.params.iter().zip(&params) {
                         self.bind_name(x, t.clone());
                     }
-                    let r = self.infer_proc(&m.body);
+                    self.infer_proc(&m.body)?;
                     for x in &m.params {
                         self.unbind_name(x);
                     }
-                    r?;
                     if fields.insert(m.label.clone(), params).is_some() {
                         return Err(TypeError::Mismatch(
                             format!("duplicate method `{}`", m.label),
@@ -257,7 +290,7 @@ impl Checker {
                     ClassRef::Plain(x) => {
                         let sig = self
                             .classes
-                            .get(x)
+                            .get(x.as_str())
                             .and_then(|s| s.last())
                             .cloned()
                             .ok_or_else(|| TypeError::Unbound(x.clone()))?;
@@ -289,55 +322,46 @@ impl Checker {
             }
             Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
                 let export = matches!(p, Proc::ExportDef { .. });
+                self.distinct(defs.iter().map(|d| &d.name), "class", "def group")?;
                 // Check RHSs one level up so their fresh vars generalize.
                 self.u.level += 1;
-                let mono: Vec<(String, Vec<Type>)> = defs
+                let mono: Vec<Vec<Type>> = defs
                     .iter()
-                    .map(|d| {
-                        (
-                            d.name.clone(),
-                            d.params.iter().map(|_| self.u.fresh()).collect(),
-                        )
-                    })
+                    .map(|d| d.params.iter().map(|_| self.u.fresh()).collect())
                     .collect();
                 // Bind all classes monomorphically for mutual recursion.
-                for (n, params) in &mono {
-                    self.bind_class(n, ClassSig::Known(Scheme::mono(params.clone())));
+                for (d, params) in defs.iter().zip(&mono) {
+                    self.bind_class(&d.name, ClassSig::Known(Scheme::mono(params.clone())));
                 }
-                let mut result = Ok(());
-                for (d, (_, params)) in defs.iter().zip(&mono) {
+                for (d, params) in defs.iter().zip(&mono) {
+                    self.distinct(&d.params, "parameter", "pattern")?;
                     for (x, t) in d.params.iter().zip(params) {
                         self.bind_name(x, t.clone());
                     }
-                    let r = self.infer_proc(&d.body);
+                    self.infer_proc(&d.body)?;
                     for x in &d.params {
                         self.unbind_name(x);
                     }
-                    if let Err(e) = r {
-                        result = Err(e);
-                        break;
-                    }
                 }
-                for (n, _) in &mono {
-                    self.unbind_class(n);
+                for d in defs {
+                    self.unbind_class(&d.name);
                 }
                 self.u.level -= 1;
-                result?;
                 // Generalize and bind for the body.
-                for (n, params) in &mono {
+                for (d, params) in defs.iter().zip(&mono) {
                     let scheme = self.u.generalize(params);
                     if export {
                         self.summary
                             .exported_classes
-                            .insert(n.clone(), scheme.clone());
+                            .insert(d.name.clone(), scheme.clone());
                     }
-                    self.bind_class(n, ClassSig::Known(scheme));
+                    self.bind_class(&d.name, ClassSig::Known(scheme));
                 }
-                let r = self.infer_proc(body);
-                for (n, _) in &mono {
-                    self.unbind_class(n);
+                self.infer_proc(body)?;
+                for d in defs {
+                    self.unbind_class(&d.name);
                 }
-                r
+                Ok(())
             }
             Proc::ImportName {
                 name, site, body, ..
@@ -385,12 +409,7 @@ impl Checker {
                 }
                 Ok(())
             }
-            Proc::Let { .. } => {
-                // `check` is defined on desugared processes; treat a stray
-                // Let as its desugaring to stay total.
-                let d = tyco_syntax::desugar::desugar(p.clone());
-                self.infer_proc(&d)
-            }
+            Proc::Let { .. } => unreachable!("`check` desugars first"),
         }
     }
 
@@ -531,6 +550,39 @@ mod tests {
     fn unbound_name_is_rejected() {
         assert!(matches!(fails("x![1]"), TypeError::Unbound(_)));
         assert!(matches!(fails("K[1]"), TypeError::Unbound(_)));
+    }
+
+    #[test]
+    fn duplicate_class_parameters_are_rejected() {
+        let e = fails("def X(a, a) = println(a) in X[1, 2]");
+        assert_eq!(
+            e.to_string(),
+            "type mismatch: `duplicate parameter `a`` vs `pattern`"
+        );
+        ok("def X(a, b) = println(a) in X[1, 2]");
+    }
+
+    #[test]
+    fn duplicate_method_parameters_are_rejected() {
+        let e = fails("new x (x![1, 2] | x?(a, a) = println(a))");
+        assert_eq!(
+            e.to_string(),
+            "type mismatch: `duplicate parameter `a`` vs `pattern`"
+        );
+        // Distinct patterns may reuse a name, and a method's parameter may
+        // shadow a class's.
+        ok("def K(a) = new x (x!l[1] | x?{ l(a) = print(a), m(a, b) = 0 }) in K[0]");
+    }
+
+    #[test]
+    fn duplicate_classes_in_one_group_are_rejected() {
+        let e = fails("def X(a) = println(1) and X(b) = println(2) in X[0]");
+        assert_eq!(
+            e.to_string(),
+            "type mismatch: `duplicate class `X`` vs `def group`"
+        );
+        // Nested groups may shadow an outer class.
+        ok("def X(a) = println(1) in def X(b) = println(2) in X[0]");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Unification with open rows and level-based generalization (Rémy levels).
 
 use crate::types::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A unification failure.
@@ -61,10 +61,16 @@ impl fmt::Display for TypeError {
 impl std::error::Error for TypeError {}
 
 /// The unifier: fresh-variable supply, substitution and levels.
+///
+/// Variables are dense ids, so the substitution is indexed by them. A
+/// chain of bindings — `'t1 := 't2 := 't3 …`, or a row tail bound to a row
+/// whose tail is bound in turn — is collapsed the first time it is walked,
+/// so each later walk takes one step: nested processes that refine one
+/// channel level after level cost linear, not quadratic, time.
 #[derive(Debug, Default)]
 pub struct Unifier {
-    tv_sub: HashMap<TvId, Type>,
-    rv_sub: HashMap<RvId, Row>,
+    tv_sub: Vec<Option<Type>>,
+    rv_sub: Vec<Option<Row>>,
     tv_level: Vec<u32>,
     rv_level: Vec<u32>,
     /// Current generalization level (incremented inside `def` right-hand
@@ -81,6 +87,7 @@ impl Unifier {
     pub fn fresh(&mut self) -> Type {
         let id = TvId(self.tv_level.len() as u32);
         self.tv_level.push(self.level);
+        self.tv_sub.push(None);
         Type::Var(id)
     }
 
@@ -88,6 +95,7 @@ impl Unifier {
     pub fn fresh_row(&mut self) -> RvId {
         let id = RvId(self.rv_level.len() as u32);
         self.rv_level.push(self.level);
+        self.rv_sub.push(None);
         id
     }
 
@@ -105,38 +113,64 @@ impl Unifier {
         self.rv_level[v.0 as usize]
     }
 
-    /// Chase the substitution one step at the root.
-    pub fn resolve_shallow(&self, mut t: Type) -> Type {
-        while let Type::Var(v) = t {
-            match self.tv_sub.get(&v) {
-                Some(next) => t = next.clone(),
-                None => return Type::Var(v),
+    /// Chase the substitution at the root, pointing every variable passed
+    /// straight at the last one.
+    pub fn resolve_shallow(&mut self, t: Type) -> Type {
+        let Type::Var(v) = t else { return t };
+        let mut last = v;
+        while let Some(Type::Var(next)) = &self.tv_sub[last.0 as usize] {
+            last = *next;
+        }
+        let mut u = v;
+        while u != last {
+            match self.tv_sub[u.0 as usize].replace(Type::Var(last)) {
+                Some(Type::Var(next)) => u = next,
+                _ => unreachable!("a variable chain ends in `last`"),
             }
         }
-        t
+        self.tv_sub[last.0 as usize]
+            .clone()
+            .unwrap_or(Type::Var(last))
     }
 
     /// Fully resolve a row: merge fields reachable through bound tail
     /// variables.
-    pub fn resolve_row(&self, row: &Row) -> Row {
+    pub fn resolve_row(&mut self, row: &Row) -> Row {
         let mut fields = row.fields.clone();
         let mut rest = row.rest;
-        while let Some(rv) = rest {
-            match self.rv_sub.get(&rv) {
-                Some(next) => {
-                    for (l, args) in &next.fields {
-                        fields.entry(l.clone()).or_insert_with(|| args.clone());
-                    }
-                    rest = next.rest;
-                }
-                None => break,
+        if let Some(head) = rest {
+            let tail = self.resolve_tail(head);
+            for (l, args) in tail.fields {
+                fields.entry(l).or_insert(args);
             }
+            rest = tail.rest;
         }
         Row { fields, rest }
     }
 
+    /// The row a tail variable stands for: the fields along its chain of
+    /// bindings and the chain's unbound end. A chain of more than one
+    /// binding is collapsed into one.
+    fn resolve_tail(&mut self, head: RvId) -> Row {
+        let mut fields = BTreeMap::new();
+        let mut rest = Some(head);
+        let mut hops = 0;
+        while let Some(Some(next)) = rest.map(|rv| &self.rv_sub[rv.0 as usize]) {
+            for (l, args) in &next.fields {
+                fields.entry(l.clone()).or_insert_with(|| args.clone());
+            }
+            rest = next.rest;
+            hops += 1;
+        }
+        let row = Row { fields, rest };
+        if hops > 1 {
+            self.rv_sub[head.0 as usize] = Some(row.clone());
+        }
+        row
+    }
+
     /// Fully resolve a type (deep).
-    pub fn zonk(&self, t: &Type) -> Type {
+    pub fn zonk(&mut self, t: &Type) -> Type {
         match self.resolve_shallow(t.clone()) {
             Type::Chan(row) => {
                 let row = self.resolve_row(&row);
@@ -153,7 +187,7 @@ impl Unifier {
         }
     }
 
-    fn occurs_in(&self, v: TvId, t: &Type) -> bool {
+    fn occurs_in(&mut self, v: TvId, t: &Type) -> bool {
         match self.resolve_shallow(t.clone()) {
             Type::Var(u) => u == v,
             Type::Chan(row) => {
@@ -164,7 +198,7 @@ impl Unifier {
         }
     }
 
-    fn row_occurs_in(&self, v: RvId, row: &Row) -> bool {
+    fn row_occurs_in(&mut self, v: RvId, row: &Row) -> bool {
         let row = self.resolve_row(row);
         if row.rest == Some(v) {
             return true;
@@ -175,7 +209,7 @@ impl Unifier {
             .any(|t| self.row_occurs_in_type(v, t))
     }
 
-    fn row_occurs_in_type(&self, v: RvId, t: &Type) -> bool {
+    fn row_occurs_in_type(&mut self, v: RvId, t: &Type) -> bool {
         match self.resolve_shallow(t.clone()) {
             Type::Chan(row) => self.row_occurs_in(v, &row),
             _ => false,
@@ -217,7 +251,7 @@ impl Unifier {
                     return Err(TypeError::Occurs(self.zonk(&t).to_string()));
                 }
                 self.adjust_levels(&t, self.tv_lvl(v));
-                self.tv_sub.insert(v, t);
+                self.tv_sub[v.0 as usize] = Some(t);
                 Ok(())
             }
             (Type::Unit, Type::Unit)
@@ -337,7 +371,7 @@ impl Unifier {
             let l = self.rv_lvl(r).min(lvl);
             self.rv_level[r.0 as usize] = l;
         }
-        self.rv_sub.insert(v, row);
+        self.rv_sub[v.0 as usize] = Some(row);
         Ok(())
     }
 
@@ -380,7 +414,12 @@ impl Unifier {
             .collect()
     }
 
-    fn subst_type(&self, t: &Type, tmap: &HashMap<TvId, Type>, rmap: &HashMap<RvId, RvId>) -> Type {
+    fn subst_type(
+        &mut self,
+        t: &Type,
+        tmap: &HashMap<TvId, Type>,
+        rmap: &HashMap<RvId, RvId>,
+    ) -> Type {
         match self.resolve_shallow(t.clone()) {
             Type::Var(v) => tmap.get(&v).cloned().unwrap_or(Type::Var(v)),
             Type::Chan(row) => {

@@ -256,7 +256,7 @@ fn unquote(line_no: usize, w: &str) -> Result<String, AsmError> {
         message: format!("bad string operand: {e}"),
     })?;
     match toks.first().map(|t| &t.tok) {
-        Some(tyco_syntax::token::Tok::Str(s)) => Ok(s.clone()),
+        Some(tyco_syntax::token::Tok::Str(s)) => Ok(tyco_syntax::lexer::unescape(s)),
         _ => Err(AsmError {
             line: line_no,
             message: format!("expected string, got `{w}`"),

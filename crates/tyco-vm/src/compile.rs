@@ -16,7 +16,7 @@
 //! ```
 
 use crate::program::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use tyco_syntax::ast::*;
 
@@ -54,8 +54,13 @@ pub fn compile(p: &Proc) -> Result<Program, CompileError> {
         Some(tyco_syntax::desugar::desugar(p.clone()))
     };
     let p = core.as_ref().unwrap_or(p);
-    let mut c = Compiler::default();
-    let mut cx = BlockCx::new("entry", 0, 0, false);
+    let mut c = Compiler {
+        prog: Program::default(),
+        scope: HashMap::new(),
+        frees: Frees::of(p),
+        buffers: Vec::new(),
+    };
+    let mut cx = BlockCx::new("entry", Vec::new(), 0, 0, false);
     c.proc_(p, &mut cx)?;
     cx.emit(Instr::Halt);
     let entry = c.finish_block(cx);
@@ -82,11 +87,12 @@ struct BlockCx {
 }
 
 impl BlockCx {
-    fn new(name: &str, nfree: u16, nparams: u16, is_class_body: bool) -> BlockCx {
+    /// `code` is an empty buffer, perhaps with room from an earlier block.
+    fn new(name: &str, code: Vec<Instr>, nfree: u16, nparams: u16, is_class_body: bool) -> BlockCx {
         let base = (is_class_body as u32) + nfree as u32 + nparams as u32;
         BlockCx {
             name: name.to_string(),
-            code: Vec::new(),
+            code,
             nfree,
             nparams,
             is_class_body,
@@ -105,23 +111,174 @@ impl BlockCx {
     }
 }
 
+/// A closure the compiler builds, named by the node that builds it:
+/// `(q, true)` forks the parallel component `q`; `(p, false)` is the
+/// environment the methods of object `p`, or the classes of group `p`,
+/// share.
+type Closure = (*const Proc, bool);
+
+/// What a closure captures is every identifier free in its body that is
+/// in scope where the closure is built. The free identifiers of every
+/// closure body are found here, in one bottom-up walk before code is
+/// generated, so no subtree is walked twice however deeply closures nest.
 #[derive(Default)]
-struct Compiler {
-    prog: Program,
-    scope: HashMap<String, Vec<Storage>>,
+struct Frees<'a> {
+    /// Free names and classes of each closure body, sorted, each once.
+    /// Names and classes share the list: they never collide, names are
+    /// lower-case and classes upper-case.
+    at: HashMap<Closure, Vec<&'a str>>,
+    /// `walk` leaves the free identifiers of its node on top, in any
+    /// order and possibly repeated.
+    stack: Vec<&'a str>,
+    /// Scratch for [`Frees::settle`]: the binders, sorted.
+    bound: Vec<&'a str>,
 }
 
-impl Compiler {
-    fn bind(&mut self, x: &str, s: Storage) {
-        self.scope.entry(x.to_string()).or_default().push(s);
+impl<'a> Frees<'a> {
+    fn of(p: &'a Proc) -> HashMap<Closure, Vec<&'a str>> {
+        let mut f = Frees::default();
+        f.walk(p);
+        f.at
+    }
+
+    /// Make `stack[from..]` a set without `binders`: sorted, each once.
+    fn settle(&mut self, from: usize, binders: impl IntoIterator<Item = &'a Ident>) {
+        self.bound.clear();
+        self.bound.extend(binders.into_iter().map(String::as_str));
+        self.bound.sort_unstable();
+        self.stack[from..].sort_unstable();
+        let mut kept = from;
+        for i in from..self.stack.len() {
+            let x = self.stack[i];
+            let repeated = kept > from && self.stack[kept - 1] == x;
+            if !repeated && self.bound.binary_search(&x).is_err() {
+                self.stack[kept] = x;
+                kept += 1;
+            }
+        }
+        self.stack.truncate(kept);
+    }
+
+    /// Settle `stack[from..]` and record it as the free set of `closure`.
+    fn record(
+        &mut self,
+        closure: Closure,
+        from: usize,
+        binders: impl IntoIterator<Item = &'a Ident>,
+    ) {
+        self.settle(from, binders);
+        self.at.insert(closure, self.stack[from..].to_vec());
+    }
+
+    fn name(&mut self, r: &'a NameRef) {
+        if let NameRef::Plain(x) = r {
+            self.stack.push(x);
+        }
+    }
+
+    fn expr(&mut self, mut e: &'a Expr) {
+        // Down the left spine of an operator chain by a loop.
+        loop {
+            match e {
+                Expr::Name(r) => return self.name(r),
+                Expr::Lit(_) => return,
+                Expr::Bin(_, ab) => {
+                    self.expr(&ab.1);
+                    e = &ab.0;
+                }
+                Expr::Un(_, a) => e = a,
+            }
+        }
+    }
+
+    fn walk(&mut self, p: &'a Proc) {
+        let from = self.stack.len();
+        match p {
+            Proc::Nil => {}
+            Proc::Par(ps) => {
+                for (i, q) in ps.iter().enumerate() {
+                    let at = self.stack.len();
+                    self.walk(q);
+                    if i > 0 {
+                        self.record((q, true), at, []);
+                    }
+                }
+            }
+            Proc::New { binders, body, .. } | Proc::ExportNew { binders, body, .. } => {
+                self.walk(body);
+                self.settle(from, binders);
+            }
+            Proc::Msg { target, args, .. } => {
+                args.iter().for_each(|a| self.expr(a));
+                self.name(target);
+            }
+            Proc::Obj {
+                target, methods, ..
+            } => {
+                for m in methods {
+                    let at = self.stack.len();
+                    self.walk(&m.body);
+                    self.settle(at, &m.params);
+                }
+                self.record((p, false), from, []);
+                self.name(target);
+            }
+            Proc::Inst { class, args, .. } => {
+                args.iter().for_each(|a| self.expr(a));
+                if let ClassRef::Plain(x) = class {
+                    self.stack.push(x);
+                }
+            }
+            Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
+                for d in defs {
+                    let at = self.stack.len();
+                    self.walk(&d.body);
+                    self.settle(at, &d.params);
+                }
+                self.record((p, false), from, defs.iter().map(|d| &d.name));
+                self.walk(body);
+                self.settle(from, defs.iter().map(|d| &d.name));
+            }
+            Proc::ImportName { name: x, body, .. } | Proc::ImportClass { class: x, body, .. } => {
+                self.walk(body);
+                self.settle(from, [x]);
+            }
+            Proc::If {
+                cond,
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                self.expr(cond);
+                self.walk(then_branch);
+                self.walk(else_branch);
+            }
+            Proc::Print { args, .. } => args.iter().for_each(|a| self.expr(a)),
+            Proc::Let { .. } => unreachable!("`compile` desugars first"),
+        }
+    }
+}
+
+struct Compiler<'a> {
+    prog: Program,
+    /// In-scope identifiers, innermost binding last. An entry is kept
+    /// when its last binding goes, so rebinding the name allocates
+    /// nothing.
+    scope: HashMap<&'a str, Vec<Storage>>,
+    frees: HashMap<Closure, Vec<&'a str>>,
+    /// Code buffers of finished blocks, for the next blocks to fill: a
+    /// block's code grows once per nesting depth, not once per block.
+    buffers: Vec<Vec<Instr>>,
+}
+
+impl<'a> Compiler<'a> {
+    fn bind(&mut self, x: &'a str, s: Storage) {
+        self.scope.entry(x).or_default().push(s);
     }
 
     fn unbind(&mut self, x: &str) {
         if let Some(v) = self.scope.get_mut(x) {
             v.pop();
-            if v.is_empty() {
-                self.scope.remove(x);
-            }
         }
     }
 
@@ -129,7 +286,7 @@ impl Compiler {
         self.scope.get(x).and_then(|v| v.last()).copied()
     }
 
-    fn finish_block(&mut self, cx: BlockCx) -> BlockId {
+    fn finish_block(&mut self, mut cx: BlockCx) -> BlockId {
         let base = (cx.is_class_body as u32) + cx.nfree as u32 + cx.nparams as u32;
         let id = self.prog.blocks.len() as BlockId;
         self.prog.blocks.push(Block {
@@ -138,8 +295,10 @@ impl Compiler {
             nparams: cx.nparams,
             nlocals: (cx.next_slot - base) as u16,
             is_class_body: cx.is_class_body,
-            code: cx.code.into(),
+            code: cx.code[..].into(),
         });
+        cx.code.clear();
+        self.buffers.push(cx.code);
         id
     }
 
@@ -165,10 +324,10 @@ impl Compiler {
     fn push_name(&mut self, r: &NameRef, cx: &mut BlockCx) -> Result<(), CompileError> {
         match r {
             NameRef::Plain(x) => self.push_ident(x, cx),
-            NameRef::Located(site, x) => {
+            NameRef::Located(sx) => {
                 let dst = cx.alloc()?;
-                let site = self.prog.strings.intern(site);
-                let name = self.prog.strings.intern(x);
+                let site = self.prog.strings.intern(&sx.0);
+                let name = self.prog.strings.intern(&sx.1);
                 cx.emit(Instr::Import {
                     dst,
                     site,
@@ -185,63 +344,42 @@ impl Compiler {
 
     fn expr(&mut self, e: &Expr, cx: &mut BlockCx) -> Result<(), CompileError> {
         match e {
-            Expr::Name(r) => self.push_name(r, cx),
-            Expr::Lit(Lit::Unit) => {
-                cx.emit(Instr::PushUnit);
-                Ok(())
-            }
-            Expr::Lit(Lit::Int(i)) => {
-                cx.emit(Instr::PushInt(*i));
-                Ok(())
-            }
-            Expr::Lit(Lit::Bool(b)) => {
-                cx.emit(Instr::PushBool(*b));
-                Ok(())
-            }
-            Expr::Lit(Lit::Float(x)) => {
-                cx.emit(Instr::PushFloat(*x));
-                Ok(())
-            }
+            Expr::Name(r) => self.push_name(r, cx)?,
+            Expr::Lit(Lit::Unit) => cx.emit(Instr::PushUnit),
+            Expr::Lit(Lit::Int(i)) => cx.emit(Instr::PushInt(*i)),
+            Expr::Lit(Lit::Bool(b)) => cx.emit(Instr::PushBool(*b)),
+            Expr::Lit(Lit::Float(x)) => cx.emit(Instr::PushFloat(*x)),
             Expr::Lit(Lit::Str(s)) => {
                 let id = self.prog.strings.intern(s);
                 cx.emit(Instr::PushStr(id));
-                Ok(())
             }
-            Expr::Bin(op, a, b) => {
-                self.expr(a, cx)?;
-                self.expr(b, cx)?;
+            Expr::Bin(op, ab) => {
+                self.expr(&ab.0, cx)?;
+                self.expr(&ab.1, cx)?;
                 cx.emit(Instr::Bin(*op));
-                Ok(())
             }
             Expr::Un(op, a) => {
                 self.expr(a, cx)?;
                 cx.emit(Instr::Un(*op));
-                Ok(())
             }
         }
+        Ok(())
     }
 
     // -- captures -------------------------------------------------------------
 
-    /// The ordered capture list for a closure body: every free identifier
-    /// (name or class) that is currently in scope.
-    fn captures_for(
-        &self,
-        free_names: &BTreeSet<String>,
-        free_classes: &BTreeSet<String>,
-    ) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for x in free_names.iter().chain(free_classes.iter()) {
-            if self.lookup(x).is_some() && !out.contains(x) {
-                out.push(x.clone());
-            }
-        }
-        out.sort();
-        out
+    /// The ordered capture list of a closure: every free identifier of its
+    /// body that is currently in scope.
+    fn captures_for(&self, closure: Closure) -> Vec<&'a str> {
+        self.frees[&closure]
+            .iter()
+            .copied()
+            .filter(|x| self.lookup(x).is_some())
+            .collect()
     }
 
     /// Emit pushes for each captured identifier (in order).
-    fn push_captures(&mut self, captured: &[String], cx: &mut BlockCx) -> Result<(), CompileError> {
+    fn push_captures(&mut self, captured: &[&str], cx: &mut BlockCx) -> Result<(), CompileError> {
         for x in captured {
             self.push_ident(x, cx)?;
         }
@@ -249,61 +387,53 @@ impl Compiler {
     }
 
     /// Compile `body` into a fresh block whose frame starts with the given
-    /// captures and params.
+    /// captures and params. (A class body also sees its group's classes,
+    /// which the caller binds once for the whole group.)
     fn closure_block(
         &mut self,
         name: &str,
-        captured: &[String],
-        params: &[String],
+        captured: &[&'a str],
+        params: &'a [Ident],
         is_class_body: bool,
-        siblings: Option<&[String]>,
-        body: &Proc,
+        body: &'a Proc,
     ) -> Result<BlockId, CompileError> {
         let mut cx = BlockCx::new(
             name,
+            self.buffers.pop().unwrap_or_default(),
             captured.len() as u16,
             params.len() as u16,
             is_class_body,
         );
         let base = is_class_body as u16;
-        // Rebind scope for the inner block.
-        let mut bound: Vec<String> = Vec::new();
-        if let Some(sib) = siblings {
-            for (i, s) in sib.iter().enumerate() {
-                self.bind(s, Storage::Sibling(i as u8));
-                bound.push(s.clone());
-            }
-        }
         for (i, x) in captured.iter().enumerate() {
             self.bind(x, Storage::Slot(base + i as u16));
-            bound.push(x.clone());
         }
         for (j, x) in params.iter().enumerate() {
             self.bind(x, Storage::Slot(base + captured.len() as u16 + j as u16));
-            bound.push(x.clone());
         }
-        let r = self.proc_(body, &mut cx);
-        for x in bound.iter().rev() {
+        self.proc_(body, &mut cx)?;
+        for x in params.iter().rev() {
             self.unbind(x);
         }
-        r?;
+        for x in captured.iter().rev() {
+            self.unbind(x);
+        }
         cx.emit(Instr::Halt);
         Ok(self.finish_block(cx))
     }
 
     // -- processes --------------------------------------------------------------
 
-    fn proc_(&mut self, p: &Proc, cx: &mut BlockCx) -> Result<(), CompileError> {
+    /// An error leaves the scope as it stands: it ends the compilation.
+    fn proc_(&mut self, p: &'a Proc, cx: &mut BlockCx) -> Result<(), CompileError> {
         match p {
             Proc::Nil => Ok(()),
             Proc::Par(ps) => {
                 // Fork all but the first component; compile the first
                 // inline (it continues on the current thread).
                 for q in &ps[1..] {
-                    let fnames = q.free_names();
-                    let fclasses = q.free_classes();
-                    let captured = self.captures_for(&fnames, &fclasses);
-                    let block = self.closure_block("fork", &captured, &[], false, None, q)?;
+                    let captured = self.captures_for((q, true));
+                    let block = self.closure_block("fork", &captured, &[], false, q)?;
                     self.push_captures(&captured, cx)?;
                     cx.emit(Instr::Fork {
                         block,
@@ -315,35 +445,22 @@ impl Compiler {
                 }
                 Ok(())
             }
-            Proc::New { binders, body, .. } => {
-                let mut bound = Vec::new();
+            Proc::New { binders, body, .. } | Proc::ExportNew { binders, body, .. } => {
+                let export = matches!(p, Proc::ExportNew { .. });
                 for b in binders {
                     let s = cx.alloc()?;
                     cx.emit(Instr::NewChan(s));
+                    if export {
+                        let name = self.prog.strings.intern(b);
+                        cx.emit(Instr::ExportName { slot: s, name });
+                    }
                     self.bind(b, Storage::Slot(s));
-                    bound.push(b.clone());
                 }
-                let r = self.proc_(body, cx);
-                for b in bound.iter().rev() {
+                self.proc_(body, cx)?;
+                for b in binders.iter().rev() {
                     self.unbind(b);
                 }
-                r
-            }
-            Proc::ExportNew { binders, body, .. } => {
-                let mut bound = Vec::new();
-                for b in binders {
-                    let s = cx.alloc()?;
-                    cx.emit(Instr::NewChan(s));
-                    let name = self.prog.strings.intern(b);
-                    cx.emit(Instr::ExportName { slot: s, name });
-                    self.bind(b, Storage::Slot(s));
-                    bound.push(b.clone());
-                }
-                let r = self.proc_(body, cx);
-                for b in bound.iter().rev() {
-                    self.unbind(b);
-                }
-                r
+                Ok(())
             }
             Proc::Msg {
                 target,
@@ -369,22 +486,11 @@ impl Compiler {
                 target, methods, ..
             } => {
                 // Shared captured environment across all methods.
-                let mut fnames = BTreeSet::new();
-                let mut fclasses = BTreeSet::new();
-                for m in methods {
-                    let mut names = m.body.free_names();
-                    for param in &m.params {
-                        names.remove(param);
-                    }
-                    fnames.extend(names);
-                    fclasses.extend(m.body.free_classes());
-                }
-                let captured = self.captures_for(&fnames, &fclasses);
+                let captured = self.captures_for((p, false));
                 let mut entries = Vec::with_capacity(methods.len());
                 for m in methods {
                     let bname = format!("{}.{}", target.ident(), m.label);
-                    let block =
-                        self.closure_block(&bname, &captured, &m.params, false, None, &m.body)?;
+                    let block = self.closure_block(&bname, &captured, &m.params, false, &m.body)?;
                     let label = self.prog.labels.intern(&m.label);
                     entries.push((label, block));
                 }
@@ -431,37 +537,22 @@ impl Compiler {
                     return Err(CompileError::GroupTooLarge(defs.len()));
                 }
                 let export = matches!(p, Proc::ExportDef { .. });
-                let class_names: Vec<String> = defs.iter().map(|d| d.name.clone()).collect();
                 // Group-shared captures: free idents of all bodies, minus
                 // params and the group's own class names.
-                let mut fnames = BTreeSet::new();
-                let mut fclasses = BTreeSet::new();
-                for d in defs {
-                    let mut names = d.body.free_names();
-                    for param in &d.params {
-                        names.remove(param);
-                    }
-                    fnames.extend(names);
-                    let mut classes = d.body.free_classes();
-                    for cn in &class_names {
-                        classes.remove(cn);
-                    }
-                    fclasses.extend(classes);
+                let captured = self.captures_for((p, false));
+                // Compile each class body with siblings visible, bound
+                // once for the whole group.
+                for (i, d) in defs.iter().enumerate() {
+                    self.bind(&d.name, Storage::Sibling(i as u8));
                 }
-                let captured = self.captures_for(&fnames, &fclasses);
-                // Compile each class body with siblings visible.
                 let mut entries = Vec::with_capacity(defs.len());
                 for d in defs {
-                    let block = self.closure_block(
-                        &d.name,
-                        &captured,
-                        &d.params,
-                        true,
-                        Some(&class_names),
-                        &d.body,
-                    )?;
+                    let block = self.closure_block(&d.name, &captured, &d.params, true, &d.body)?;
                     let label = self.prog.labels.intern(&d.name);
                     entries.push((label, block));
+                }
+                for d in defs.iter().rev() {
+                    self.unbind(&d.name);
                 }
                 // Group tables are indexed positionally (def order).
                 let table = self.prog.tables.len() as TableId;
@@ -478,7 +569,6 @@ impl Compiler {
                     count: defs.len() as u8,
                     nfree: captured.len() as u16,
                 });
-                let mut bound = Vec::new();
                 for (i, d) in defs.iter().enumerate() {
                     let slot = dst + i as u16;
                     if export {
@@ -486,47 +576,43 @@ impl Compiler {
                         cx.emit(Instr::ExportClass { slot, name });
                     }
                     self.bind(&d.name, Storage::Slot(slot));
-                    bound.push(d.name.clone());
                 }
-                let r = self.proc_(body, cx);
-                for b in bound.iter().rev() {
-                    self.unbind(b);
+                self.proc_(body, cx)?;
+                for d in defs.iter().rev() {
+                    self.unbind(&d.name);
                 }
-                r
+                Ok(())
             }
             Proc::ImportName {
-                name, site, body, ..
-            } => {
-                let dst = cx.alloc()?;
-                let site_id = self.prog.strings.intern(site);
-                let name_id = self.prog.strings.intern(name);
-                cx.emit(Instr::Import {
-                    dst,
-                    site: site_id,
-                    name: name_id,
-                    kind: ImportKind::Name,
-                });
-                self.bind(name, Storage::Slot(dst));
-                let r = self.proc_(body, cx);
-                self.unbind(name);
-                r
+                name: x,
+                site,
+                body,
+                ..
             }
-            Proc::ImportClass {
-                class, site, body, ..
+            | Proc::ImportClass {
+                class: x,
+                site,
+                body,
+                ..
             } => {
+                let kind = if matches!(p, Proc::ImportName { .. }) {
+                    ImportKind::Name
+                } else {
+                    ImportKind::Class
+                };
                 let dst = cx.alloc()?;
-                let site_id = self.prog.strings.intern(site);
-                let name_id = self.prog.strings.intern(class);
+                let site = self.prog.strings.intern(site);
+                let name = self.prog.strings.intern(x);
                 cx.emit(Instr::Import {
                     dst,
-                    site: site_id,
-                    name: name_id,
-                    kind: ImportKind::Class,
+                    site,
+                    name,
+                    kind,
                 });
-                self.bind(class, Storage::Slot(dst));
-                let r = self.proc_(body, cx);
-                self.unbind(class);
-                r
+                self.bind(x, Storage::Slot(dst));
+                self.proc_(body, cx)?;
+                self.unbind(x);
+                Ok(())
             }
             Proc::If {
                 cond,
@@ -560,10 +646,7 @@ impl Compiler {
                 });
                 Ok(())
             }
-            Proc::Let { .. } => {
-                let d = tyco_syntax::desugar::desugar(p.clone());
-                self.proc_(&d, cx)
-            }
+            Proc::Let { .. } => unreachable!("`compile` desugars first"),
         }
     }
 }

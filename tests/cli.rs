@@ -275,6 +275,169 @@ fn shell_subcommand_batch() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("from shell"));
 }
 
+/// `def K0() = 0 and … and K{n-1}() = 0 in 0`
+fn def_group(n: usize) -> String {
+    let classes: Vec<String> = (0..n).map(|i| format!("K{i}() = 0")).collect();
+    format!("def {} in 0", classes.join(" and "))
+}
+
+/// Malformed sources, each with the exact stderr and exit code of
+/// `ditico check <name>.dity`: lex errors, parse errors at several
+/// positions, type errors and compile limits, so that a front-end rewrite
+/// cannot change a message, a position, or which of two errors wins.
+fn golden_diagnostics() -> Vec<(&'static str, String, &'static str, i32)> {
+    let deep = format!("{}0{}", "(".repeat(5000), ")".repeat(5000));
+    let wide = format!("print({})", vec!["1"; 256].join(","));
+    vec![
+        // Lex errors.
+        ("bad_char", "new x x![1] # 2".into(), "parse error: parse error at 1:14: unexpected character `#`", 1),
+        ("open_string", "println(\"abc".into(), "parse error: parse error at 1:13: unterminated string literal", 1),
+        (
+            "int_overflow",
+            "print(99999999999999999999)".into(),
+            "parse error: parse error at 1:27: bad int literal: number too large to fit in target type",
+            1,
+        ),
+        (
+            "open_comment",
+            "print(1) /* never closed".into(),
+            "parse error: parse error at 1:25: unterminated block comment",
+            1,
+        ),
+        ("bad_escape", "print(\"a\\q\")".into(), "parse error: parse error at 1:11: unknown escape `\\q`", 1),
+        ("lone_amp", "print(true & false)".into(), "parse error: parse error at 1:13: expected `&&`", 1),
+        // Parse errors.
+        (
+            "new_no_name",
+            "new".into(),
+            "parse error: parse error at 1:4: expected at least one name after `new`, found end of input",
+            1,
+        ),
+        (
+            "msg_no_label",
+            "new x x!".into(),
+            "parse error: parse error at 1:9: expected method label, found end of input",
+            1,
+        ),
+        (
+            "def_no_in",
+            "def X(a) = 0".into(),
+            "parse error: parse error at 1:13: expected `in`, found end of input",
+            1,
+        ),
+        (
+            "obj_no_brace",
+            "new x x?{ go(a) = 0".into(),
+            "parse error: parse error at 1:20: expected `}`, found end of input",
+            1,
+        ),
+        ("trailing", "0 0".into(), "parse error: parse error at 1:3: expected end of input, found integer `0`", 1),
+        (
+            "multiline",
+            "new x (\n  x![1]\n  | x?(y) = \n)".into(),
+            "parse error: parse error at 4:1: expected a process, found `)`",
+            1,
+        ),
+        (
+            "export_what",
+            "export x".into(),
+            "parse error: parse error at 1:8: expected `new` or `def` after `export`, found identifier `x`",
+            1,
+        ),
+        ("deep", deep, "parse error: parse error at 1:4097: nesting too deep (more than 4096 levels)", 1),
+        // An early parse error and a later lex error: the lexer reads the
+        // whole file before the parser starts, so the lex error wins.
+        (
+            "parse_then_lex",
+            "new x (x![1] |) # oops".into(),
+            "parse error: parse error at 1:18: unexpected character `#`",
+            1,
+        ),
+        // Type errors.
+        ("mismatch", "new x (x![1] | x![true])".into(), "type error: type mismatch: `int` vs `bool`", 1),
+        (
+            "class_arity",
+            "def K(a) = 0 in K[1, 2]".into(),
+            "type error: class `K` expects 1 argument(s) but got 2",
+            1,
+        ),
+        (
+            "method_arity",
+            "new x (x!go[1, 2] | x?{ go(n) = 0 })".into(),
+            "type error: method `go` expects 2 argument(s) but got 1",
+            1,
+        ),
+        ("unbound_name", "x![1]".into(), "type error: unbound identifier `x`", 1),
+        ("unbound_class", "K[1]".into(), "type error: unbound identifier `K`", 1),
+        (
+            "dup_method",
+            "new x x?{ a() = 0, a() = 0 }".into(),
+            "type error: type mismatch: `duplicate method `a`` vs `object`",
+            1,
+        ),
+        (
+            "occurs",
+            "new x x![x]".into(),
+            "type error: infinite type arising from `^{val(^{| 'r0}) | 'r2}`",
+            1,
+        ),
+        (
+            "missing_label",
+            "new x (x!stop[] | x?{ go(n) = 0 })".into(),
+            "type error: channel of type `^{go('t0)}` has no method `stop`",
+            1,
+        ),
+        (
+            "not_numeric",
+            "print(\"a\" + \"b\")".into(),
+            "type error: type mismatch: `string` vs `int or float`",
+            1,
+        ),
+        // Patterns and def groups bind each name once.
+        (
+            "dup_params_def",
+            "def X(a, a) = println(a) in X[1,2]".into(),
+            "type error: type mismatch: `duplicate parameter `a`` vs `pattern`",
+            1,
+        ),
+        (
+            "dup_params_obj",
+            "new x (x![1,2] | x?(a, a) = println(a))".into(),
+            "type error: type mismatch: `duplicate parameter `a`` vs `pattern`",
+            1,
+        ),
+        (
+            "dup_classes",
+            "def X(a) = println(1) and X(b) = println(2) in X[0]".into(),
+            "type error: type mismatch: `duplicate class `X`` vs `def group`",
+            1,
+        ),
+        // Compile limits.
+        ("group_too_large", def_group(256), "compile error: def group too large (256 > 255)", 1),
+        ("too_many_args", wide, "compile error: too many arguments (256 > 255)", 1),
+    ]
+}
+
+#[test]
+fn diagnostics_are_golden() {
+    let dir = tmpdir("golden");
+    for (name, src, message, code) in golden_diagnostics() {
+        let file = format!("{name}.dity");
+        write(&dir, &file, &src);
+        let out = ditico()
+            .args(["check", &file])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(code), "{name}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("ditico: {file}: {message}\n"),
+            "{name}"
+        );
+    }
+}
+
 /// The three shapes of source text that used to overflow the stack
 /// (SIGABRT, exit 134), each `n` levels deep: brackets, nested `def`s and
 /// a left-deep operator chain.
