@@ -68,7 +68,7 @@ impl Program {
 
     /// Disassembled byte-code (the VM assembly of §5).
     pub fn disassemble(&self) -> String {
-        tyco_vm::disassemble(&self.code)
+        tyco_vm::emit_asm(&self.code)
     }
 
     /// Byte-code size in instructions (compactness metric, experiment C7).

@@ -6,7 +6,9 @@
 //! [`emit`] renders a [`Program`] as assembly text; [`parse`] assembles
 //! text back into a `Program`. The mapping is exactly one-to-one: `parse ∘
 //! emit = id` (property-tested). Labels and strings appear symbolically and
-//! are re-interned on assembly.
+//! are re-interned on assembly. An instruction is its mnemonic, then its
+//! operands in declared order, each spelled by its kind alone (see
+//! [`crate::program`]).
 //!
 //! Format:
 //!
@@ -26,8 +28,8 @@
 //! ```
 
 use crate::program::*;
+use std::borrow::Cow;
 use std::fmt::Write as _;
-use tyco_syntax::ast::{BinOp, UnOp};
 use tyco_syntax::pretty::escape_str;
 
 /// An assembly syntax error.
@@ -44,45 +46,6 @@ impl std::fmt::Display for AsmError {
 }
 
 impl std::error::Error for AsmError {}
-
-fn binop_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::Div => "div",
-        BinOp::Mod => "mod",
-        BinOp::Eq => "eq",
-        BinOp::Ne => "ne",
-        BinOp::Lt => "lt",
-        BinOp::Le => "le",
-        BinOp::Gt => "gt",
-        BinOp::Ge => "ge",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-        BinOp::Concat => "concat",
-    }
-}
-
-fn binop_by_name(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "mod" => BinOp::Mod,
-        "eq" => BinOp::Eq,
-        "ne" => BinOp::Ne,
-        "lt" => BinOp::Lt,
-        "le" => BinOp::Le,
-        "gt" => BinOp::Gt,
-        "ge" => BinOp::Ge,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "concat" => BinOp::Concat,
-        _ => return None,
-    })
-}
 
 /// Render a program as assembly text.
 pub fn emit(prog: &Program) -> String {
@@ -103,74 +66,31 @@ pub fn emit(prog: &Program) -> String {
         // superinstructions are machine-internal, see `crate::fuse`).
         let normalized = crate::fuse::unfuse_code(&b.code);
         let code: &[Instr] = normalized.as_deref().unwrap_or(&b.code);
-        for ins in code {
-            let line = match ins {
-                Instr::PushLocal(s) => format!("pushlocal {s}"),
-                Instr::PushInt(i) => format!("pushint {i}"),
-                Instr::PushBool(v) => format!("pushbool {v}"),
-                Instr::PushFloat(x) => format!("pushfloat {}", x.to_bits()),
-                Instr::PushStr(s) => format!("pushstr {}", escape_str(prog.strings.get(*s))),
-                Instr::PushUnit => "pushunit".to_string(),
-                Instr::PushSibling(i) => format!("pushsibling {i}"),
-                Instr::Store(s) => format!("store {s}"),
-                Instr::Bin(op) => format!("bin {}", binop_name(*op)),
-                Instr::Un(UnOp::Neg) => "un neg".to_string(),
-                Instr::Un(UnOp::Not) => "un not".to_string(),
-                Instr::Jump(t) => format!("jump {t}"),
-                Instr::JumpIfFalse(t) => format!("jumpiffalse {t}"),
-                Instr::Halt => "halt".to_string(),
-                Instr::NewChan(s) => format!("newchan {s}"),
-                Instr::Fork { block, nfree } => format!("fork {block} {nfree}"),
-                Instr::TrMsg { label, argc } => {
-                    format!("trmsg {} {argc}", prog.labels.get(*label))
-                }
-                Instr::TrObj { table, nfree } => format!("trobj {table} {nfree}"),
-                Instr::InstOf { argc } => format!("instof {argc}"),
-                Instr::MkGroup {
-                    table,
-                    dst,
-                    count,
-                    nfree,
-                } => {
-                    format!("mkgroup {table} {dst} {count} {nfree}")
-                }
-                Instr::ExportName { slot, name } => {
-                    format!("exportname {slot} {}", escape_str(prog.strings.get(*name)))
-                }
-                Instr::ExportClass { slot, name } => {
-                    format!("exportclass {slot} {}", escape_str(prog.strings.get(*name)))
-                }
-                Instr::Import {
-                    dst,
-                    site,
-                    name,
-                    kind,
-                } => format!(
-                    "import {dst} {} {} {}",
-                    escape_str(prog.strings.get(*site)),
-                    escape_str(prog.strings.get(*name)),
-                    match kind {
-                        ImportKind::Name => "name",
-                        ImportKind::Class => "class",
+        for mut ins in code.iter().copied() {
+            out.push_str("    ");
+            out.push_str(OP_NAMES[ins.op_index()]);
+            ins.each_operand(|o| {
+                let text: Cow<'_, str> = match o {
+                    Operand::Slot(v) | Operand::U16(v) => v.to_string().into(),
+                    Operand::U8(v) | Operand::Sibling(v) => v.to_string().into(),
+                    Operand::Int(v) => v.to_string().into(),
+                    Operand::Imm(v) => v.to_string().into(),
+                    Operand::Float(v) => v.to_bits().to_string().into(),
+                    Operand::Bool(v) => v.to_string().into(),
+                    Operand::Block(v) | Operand::Table(v) | Operand::Target(v) => {
+                        v.to_string().into()
                     }
-                ),
-                Instr::Print { argc, newline } => {
-                    format!("print {argc} {}", if *newline { "nl" } else { "raw" })
-                }
-                // Normalized away just above.
-                Instr::PushLocal2 { .. }
-                | Instr::PushLocalInt { .. }
-                | Instr::PushIntBin { .. }
-                | Instr::BinJumpIfFalse { .. }
-                | Instr::PushLocalTrMsg { .. }
-                | Instr::PushLocalTrObj { .. }
-                | Instr::PushLocalInstOf { .. }
-                | Instr::PushSiblingInstOf { .. }
-                | Instr::PushSiblingLocal { .. } => {
-                    unreachable!("fused superinstruction survived normalization")
-                }
-            };
-            let _ = writeln!(out, "    {line}");
+                    Operand::Str(s) => escape_str(prog.strings.get(*s)).into(),
+                    Operand::Label(l) => prog.labels.get(*l).into(),
+                    Operand::BinOp(op) => BINOPS[*op as usize].1.into(),
+                    Operand::UnOp(op) => UNOPS[*op as usize].1.into(),
+                    Operand::ImportKind(k) => IMPORT_KINDS[*k as usize].1.into(),
+                    Operand::Newline(nl) => NEWLINES[*nl as usize].1.into(),
+                };
+                out.push(' ');
+                out.push_str(&text);
+            });
+            out.push('\n');
         }
     }
     for (i, t) in prog.tables.iter().enumerate() {
@@ -207,13 +127,22 @@ impl<'a> LineCx<'a> {
     fn num<T: std::str::FromStr>(&self, i: usize) -> Result<T, AsmError> {
         self.arg(i)?.parse().map_err(|_| AsmError {
             line: self.line_no,
-            message: format!("bad numeric operand `{}`", self.words[i]),
+            message: format!("bad operand `{}`", self.words[i]),
         })
+    }
+
+    /// The value whose word in `table` is operand `i`.
+    fn word<T: Copy>(&self, i: usize, table: &[(T, &str)], what: &str) -> Result<T, AsmError> {
+        let w = self.arg(i)?;
+        match table.iter().find(|e| e.1 == w) {
+            Some(e) => Ok(e.0),
+            None => self.err(format!("unknown {what} `{w}`")),
+        }
     }
 }
 
 /// Split a line into words, keeping quoted strings (with escapes) as single
-/// words including their quotes.
+/// words including their quotes. A `;` outside quotes starts a comment.
 fn split_words(line: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let bytes = line.as_bytes();
@@ -222,7 +151,7 @@ fn split_words(line: &str) -> Vec<&str> {
         while i < bytes.len() && (bytes[i] as char).is_whitespace() {
             i += 1;
         }
-        if i >= bytes.len() {
+        if i >= bytes.len() || bytes[i] == b';' {
             break;
         }
         let start = i;
@@ -240,7 +169,7 @@ fn split_words(line: &str) -> Vec<&str> {
                 i += 1;
             }
         } else {
-            while i < bytes.len() && !(bytes[i] as char).is_whitespace() {
+            while i < bytes.len() && !(bytes[i] as char).is_whitespace() && bytes[i] != b';' {
                 i += 1;
             }
         }
@@ -289,11 +218,10 @@ pub fn parse(src: &str) -> Result<Program, AsmError> {
 
     for (idx, raw) in src.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.split(';').next().unwrap_or("");
-        if line.trim().is_empty() {
+        let words = split_words(raw);
+        if words.is_empty() {
             continue;
         }
-        let words = split_words(line);
         let cx = LineCx {
             line_no,
             words,
@@ -392,103 +320,37 @@ pub fn parse(src: &str) -> Result<Program, AsmError> {
 
 fn parse_instr(cx: &LineCx<'_>, prog: &mut Program) -> Result<Instr, AsmError> {
     let head = cx.arg(0)?;
-    Ok(match head {
-        "pushlocal" => Instr::PushLocal(cx.num(1)?),
-        "pushint" => Instr::PushInt(cx.num(1)?),
-        "pushbool" => match cx.arg(1)? {
-            "true" => Instr::PushBool(true),
-            "false" => Instr::PushBool(false),
-            other => return cx.err(format!("bad bool `{other}`")),
-        },
-        "pushfloat" => Instr::PushFloat(f64::from_bits(cx.num(1)?)),
-        "pushstr" => {
-            let s = unquote(cx.line_no, cx.arg(1)?)?;
-            Instr::PushStr(prog.strings.intern(&s))
+    let opcode = OP_NAMES.iter().position(|n| *n == head);
+    let Some(mut ins) = opcode.and_then(|op| Instr::base(op as u8)) else {
+        return cx.err(format!("unknown mnemonic `{head}`"));
+    };
+    let mut i = 0;
+    ins.operands(|o| {
+        i += 1;
+        match o {
+            Operand::Slot(v) | Operand::U16(v) => *v = cx.num(i)?,
+            Operand::U8(v) | Operand::Sibling(v) => *v = cx.num(i)?,
+            Operand::Int(v) => *v = cx.num(i)?,
+            Operand::Imm(v) => *v = cx.num(i)?,
+            Operand::Float(v) => *v = f64::from_bits(cx.num(i)?),
+            Operand::Bool(v) => *v = cx.num(i)?,
+            Operand::Block(v) | Operand::Table(v) | Operand::Target(v) => *v = cx.num(i)?,
+            Operand::Str(v) => *v = prog.strings.intern(&unquote(cx.line_no, cx.arg(i)?)?),
+            Operand::Label(v) => *v = prog.labels.intern(cx.arg(i)?),
+            Operand::BinOp(v) => *v = cx.word(i, &BINOPS, "binop")?,
+            Operand::UnOp(v) => *v = cx.word(i, &UNOPS, "unop")?,
+            Operand::ImportKind(v) => *v = cx.word(i, &IMPORT_KINDS, "import kind")?,
+            Operand::Newline(v) => *v = cx.word(i, &NEWLINES, "print mode")?,
         }
-        "pushunit" => Instr::PushUnit,
-        "pushsibling" => Instr::PushSibling(cx.num(1)?),
-        "store" => Instr::Store(cx.num(1)?),
-        "bin" => {
-            let name = cx.arg(1)?;
-            Instr::Bin(binop_by_name(name).ok_or_else(|| AsmError {
-                line: cx.line_no,
-                message: format!("unknown binop `{name}`"),
-            })?)
-        }
-        "un" => match cx.arg(1)? {
-            "neg" => Instr::Un(UnOp::Neg),
-            "not" => Instr::Un(UnOp::Not),
-            other => return cx.err(format!("unknown unop `{other}`")),
-        },
-        "jump" => Instr::Jump(cx.num(1)?),
-        "jumpiffalse" => Instr::JumpIfFalse(cx.num(1)?),
-        "halt" => Instr::Halt,
-        "newchan" => Instr::NewChan(cx.num(1)?),
-        "fork" => Instr::Fork {
-            block: cx.num(1)?,
-            nfree: cx.num(2)?,
-        },
-        "trmsg" => {
-            let label = prog.labels.intern(cx.arg(1)?);
-            Instr::TrMsg {
-                label,
-                argc: cx.num(2)?,
-            }
-        }
-        "trobj" => Instr::TrObj {
-            table: cx.num(1)?,
-            nfree: cx.num(2)?,
-        },
-        "instof" => Instr::InstOf { argc: cx.num(1)? },
-        "mkgroup" => Instr::MkGroup {
-            table: cx.num(1)?,
-            dst: cx.num(2)?,
-            count: cx.num(3)?,
-            nfree: cx.num(4)?,
-        },
-        "exportname" => {
-            let slot = cx.num(1)?;
-            let name = unquote(cx.line_no, cx.arg(2)?)?;
-            Instr::ExportName {
-                slot,
-                name: prog.strings.intern(&name),
-            }
-        }
-        "exportclass" => {
-            let slot = cx.num(1)?;
-            let name = unquote(cx.line_no, cx.arg(2)?)?;
-            Instr::ExportClass {
-                slot,
-                name: prog.strings.intern(&name),
-            }
-        }
-        "import" => {
-            let dst = cx.num(1)?;
-            let site = unquote(cx.line_no, cx.arg(2)?)?;
-            let name = unquote(cx.line_no, cx.arg(3)?)?;
-            let kind = match cx.arg(4)? {
-                "name" => ImportKind::Name,
-                "class" => ImportKind::Class,
-                other => return cx.err(format!("unknown import kind `{other}`")),
-            };
-            Instr::Import {
-                dst,
-                site: prog.strings.intern(&site),
-                name: prog.strings.intern(&name),
-                kind,
-            }
-        }
-        "print" => {
-            let argc = cx.num(1)?;
-            let newline = match cx.arg(2)? {
-                "nl" => true,
-                "raw" => false,
-                other => return cx.err(format!("unknown print mode `{other}`")),
-            };
-            Instr::Print { argc, newline }
-        }
-        other => return cx.err(format!("unknown mnemonic `{other}`")),
-    })
+        Ok(())
+    })?;
+    if let Some(extra) = cx.words.get(i + 1) {
+        return cx.err(format!(
+            "unexpected operand `{extra}` in `{}`",
+            cx.src.trim()
+        ));
+    }
+    Ok(ins)
 }
 
 #[cfg(test)]
@@ -581,15 +443,19 @@ mod tests {
         assert!(e.message.contains("outside a section"));
         let e = parse(".block 5 \"x\" free=0 params=0 locals=0").unwrap_err();
         assert!(e.message.contains("in order"));
+        let e = parse(".entry 0\n.block 0 \"e\" free=0 params=0 locals=0\n  pushint 1 2 3\n")
+            .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert_eq!(e.message, "unexpected operand `2` in `pushint 1 2 3`");
     }
 
     #[test]
     fn string_escapes_roundtrip() {
-        let prog = program(r#"print("a\nb\"c\\d", "tab\there")"#);
+        let prog = program(r#"print("a\nb\"c\\d", "tab\there", "a;b")"#);
         let back = parse(&emit(&prog)).unwrap();
         let mut m = Machine::new(back, LoopbackPort::new("main"));
         m.run_to_quiescence(1000).unwrap();
-        assert_eq!(m.io, vec!["a\nb\"c\\d tab\there".to_string()]);
+        assert_eq!(m.io, vec!["a\nb\"c\\d tab\there a;b".to_string()]);
     }
 
     #[test]

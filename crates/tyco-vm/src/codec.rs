@@ -8,12 +8,11 @@
 //! UTF-8; floats are IEEE-754 bit patterns.
 
 use crate::digest::Digest;
-use crate::program::{Block, ImportKind, Instr};
+use crate::program::{Block, ImportKind, Instr, Operand, BINOPS, IMPORT_KINDS, UNOPS};
 use crate::wire::{WireCode, WireGroup, WireObj, WireWord};
 use crate::word::{Identity, NetRef, NodeId, SiteId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
-use tyco_syntax::ast::{BinOp, UnOp};
 
 /// A decoding failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -398,310 +397,80 @@ fn get_words(buf: &mut Bytes) -> R<Vec<WireWord>> {
 
 // -- instructions ----------------------------------------------------------------
 
-fn binop_code(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Eq => 5,
-        BinOp::Ne => 6,
-        BinOp::Lt => 7,
-        BinOp::Le => 8,
-        BinOp::Gt => 9,
-        BinOp::Ge => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-        BinOp::Concat => 13,
-    }
-}
-
-fn binop_from(code: u8) -> R<BinOp> {
-    Ok(match code {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Eq,
-        6 => BinOp::Ne,
-        7 => BinOp::Lt,
-        8 => BinOp::Le,
-        9 => BinOp::Gt,
-        10 => BinOp::Ge,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        13 => BinOp::Concat,
-        other => return err(format!("bad binop {other}")),
-    })
-}
-
+/// An instruction is its wire opcode, then its operands in declared order
+/// (see [`crate::program`]), each encoded by its kind alone. A fused form
+/// has no wire code: callers normalize first.
 fn put_instr(buf: &mut BytesMut, ins: &Instr) {
-    match ins {
-        Instr::PushLocal(s) => {
-            buf.put_u8(0);
-            buf.put_u16_le(*s);
-        }
-        Instr::PushInt(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
-        }
-        Instr::PushBool(b) => {
-            buf.put_u8(2);
-            buf.put_u8(*b as u8);
-        }
-        Instr::PushFloat(x) => {
-            buf.put_u8(3);
-            buf.put_u64_le(x.to_bits());
-        }
-        Instr::PushStr(s) => {
-            buf.put_u8(4);
-            buf.put_u32_le(*s);
-        }
-        Instr::PushUnit => buf.put_u8(5),
-        Instr::PushSibling(i) => {
-            buf.put_u8(6);
-            buf.put_u8(*i);
-        }
-        Instr::Store(s) => {
-            buf.put_u8(7);
-            buf.put_u16_le(*s);
-        }
-        Instr::Bin(op) => {
-            buf.put_u8(8);
-            buf.put_u8(binop_code(*op));
-        }
-        Instr::Un(op) => {
-            buf.put_u8(9);
-            buf.put_u8(matches!(op, UnOp::Not) as u8);
-        }
-        Instr::Jump(t) => {
-            buf.put_u8(10);
-            buf.put_u32_le(*t);
-        }
-        Instr::JumpIfFalse(t) => {
-            buf.put_u8(11);
-            buf.put_u32_le(*t);
-        }
-        Instr::Halt => buf.put_u8(12),
-        Instr::NewChan(s) => {
-            buf.put_u8(13);
-            buf.put_u16_le(*s);
-        }
-        Instr::Fork { block, nfree } => {
-            buf.put_u8(14);
-            buf.put_u32_le(*block);
-            buf.put_u16_le(*nfree);
-        }
-        Instr::TrMsg { label, argc } => {
-            buf.put_u8(15);
-            buf.put_u32_le(*label);
-            buf.put_u8(*argc);
-        }
-        Instr::TrObj { table, nfree } => {
-            buf.put_u8(16);
-            buf.put_u32_le(*table);
-            buf.put_u16_le(*nfree);
-        }
-        Instr::InstOf { argc } => {
-            buf.put_u8(17);
-            buf.put_u8(*argc);
-        }
-        Instr::MkGroup {
-            table,
-            dst,
-            count,
-            nfree,
-        } => {
-            buf.put_u8(18);
-            buf.put_u32_le(*table);
-            buf.put_u16_le(*dst);
-            buf.put_u8(*count);
-            buf.put_u16_le(*nfree);
-        }
-        Instr::ExportName { slot, name } => {
-            buf.put_u8(19);
-            buf.put_u16_le(*slot);
-            buf.put_u32_le(*name);
-        }
-        Instr::ExportClass { slot, name } => {
-            buf.put_u8(20);
-            buf.put_u16_le(*slot);
-            buf.put_u32_le(*name);
-        }
-        Instr::Import {
-            dst,
-            site,
-            name,
-            kind,
-        } => {
-            buf.put_u8(21);
-            buf.put_u16_le(*dst);
-            buf.put_u32_le(*site);
-            buf.put_u32_le(*name);
-            buf.put_u8(matches!(kind, ImportKind::Class) as u8);
-        }
-        Instr::Print { argc, newline } => {
-            buf.put_u8(22);
-            buf.put_u8(*argc);
-            buf.put_u8(*newline as u8);
-        }
-        // Fused superinstructions are machine-internal (see `crate::fuse`):
-        // the wire opcode set is frozen at 0–22 and every serialization
-        // entry point (`wire::pack`, `image::to_bytes`, `asm::emit`)
-        // normalizes before reaching the codec, so there is deliberately no
-        // encoding — and therefore no way for untrusted bytes to decode —
-        // for these forms.
-        Instr::PushLocal2 { .. }
-        | Instr::PushLocalInt { .. }
-        | Instr::PushIntBin { .. }
-        | Instr::BinJumpIfFalse { .. }
-        | Instr::PushLocalTrMsg { .. }
-        | Instr::PushLocalTrObj { .. }
-        | Instr::PushLocalInstOf { .. }
-        | Instr::PushSiblingInstOf { .. }
-        | Instr::PushSiblingLocal { .. } => {
-            unreachable!("attempted to serialize a fused superinstruction")
-        }
-    }
+    debug_assert!(!ins.is_fused(), "fused forms have no encoding: {ins:?}");
+    let mut ins = *ins;
+    buf.put_u8(ins.op_index() as u8);
+    ins.each_operand(|o| match o {
+        Operand::Slot(v) | Operand::U16(v) => buf.put_u16_le(*v),
+        Operand::U8(v) | Operand::Sibling(v) => buf.put_u8(*v),
+        Operand::Int(v) => buf.put_i64_le(*v),
+        Operand::Imm(v) => buf.put_slice(&v.to_le_bytes()),
+        Operand::Float(v) => buf.put_u64_le(v.to_bits()),
+        Operand::Bool(v) | Operand::Newline(v) => buf.put_u8(*v as u8),
+        Operand::Str(v)
+        | Operand::Label(v)
+        | Operand::Block(v)
+        | Operand::Table(v)
+        | Operand::Target(v) => buf.put_u32_le(*v),
+        Operand::BinOp(v) => buf.put_u8(*v as u8),
+        Operand::UnOp(v) => buf.put_u8(*v as u8),
+        Operand::ImportKind(v) => buf.put_u8(*v as u8),
+    });
 }
 
-fn get_instr(buf: &mut Bytes) -> R<Instr> {
+/// The next `N` bytes of an operand.
+#[inline(always)]
+fn operand_bytes<const N: usize>(buf: &mut Bytes) -> R<[u8; N]> {
+    let Some(&b) = buf.chunk().first_chunk::<N>() else {
+        return err("truncated operand");
+    };
+    buf.advance(N);
+    Ok(b)
+}
+
+/// Decode one instruction into `ins`. Decoding in place, not into a
+/// value the caller then copies, saves a store-forwarding stall per
+/// instruction: the operands are stored piecewise, the copy reads them
+/// back whole.
+fn get_instr(buf: &mut Bytes, ins: &mut Instr) -> R<()> {
     if !buf.has_remaining() {
         return err("truncated instruction");
     }
-    macro_rules! need {
-        ($n:expr) => {
-            if buf.remaining() < $n {
-                return err("truncated operand");
+    let opcode = buf.get_u8();
+    *ins = match Instr::base(opcode) {
+        Some(template) => template,
+        None => return err(format!("bad opcode {opcode}")),
+    };
+    ins.operands(|o| {
+        match o {
+            Operand::Slot(v) | Operand::U16(v) => *v = u16::from_le_bytes(operand_bytes(buf)?),
+            Operand::U8(v) | Operand::Sibling(v) => *v = operand_bytes::<1>(buf)?[0],
+            Operand::Int(v) => *v = i64::from_le_bytes(operand_bytes(buf)?),
+            Operand::Imm(v) => *v = i32::from_le_bytes(operand_bytes(buf)?),
+            Operand::Float(v) => *v = f64::from_le_bytes(operand_bytes(buf)?),
+            Operand::Bool(v) | Operand::Newline(v) => *v = operand_bytes::<1>(buf)?[0] != 0,
+            Operand::Str(v)
+            | Operand::Label(v)
+            | Operand::Block(v)
+            | Operand::Table(v)
+            | Operand::Target(v) => *v = u32::from_le_bytes(operand_bytes(buf)?),
+            Operand::BinOp(v) => {
+                let [code] = operand_bytes(buf)?;
+                *v = match BINOPS.get(code as usize) {
+                    Some(&(op, _)) => op,
+                    None => return err(format!("bad binop {code}")),
+                };
             }
-        };
-    }
-    Ok(match buf.get_u8() {
-        0 => {
-            need!(2);
-            Instr::PushLocal(buf.get_u16_le())
-        }
-        1 => {
-            need!(8);
-            Instr::PushInt(buf.get_i64_le())
-        }
-        2 => {
-            need!(1);
-            Instr::PushBool(buf.get_u8() != 0)
-        }
-        3 => {
-            need!(8);
-            Instr::PushFloat(f64::from_bits(buf.get_u64_le()))
-        }
-        4 => {
-            need!(4);
-            Instr::PushStr(buf.get_u32_le())
-        }
-        5 => Instr::PushUnit,
-        6 => {
-            need!(1);
-            Instr::PushSibling(buf.get_u8())
-        }
-        7 => {
-            need!(2);
-            Instr::Store(buf.get_u16_le())
-        }
-        8 => {
-            need!(1);
-            Instr::Bin(binop_from(buf.get_u8())?)
-        }
-        9 => {
-            need!(1);
-            Instr::Un(if buf.get_u8() != 0 {
-                UnOp::Not
-            } else {
-                UnOp::Neg
-            })
-        }
-        10 => {
-            need!(4);
-            Instr::Jump(buf.get_u32_le())
-        }
-        11 => {
-            need!(4);
-            Instr::JumpIfFalse(buf.get_u32_le())
-        }
-        12 => Instr::Halt,
-        13 => {
-            need!(2);
-            Instr::NewChan(buf.get_u16_le())
-        }
-        14 => {
-            need!(6);
-            Instr::Fork {
-                block: buf.get_u32_le(),
-                nfree: buf.get_u16_le(),
+            Operand::UnOp(v) => *v = UNOPS[(operand_bytes::<1>(buf)?[0] != 0) as usize].0,
+            Operand::ImportKind(v) => {
+                *v = IMPORT_KINDS[(operand_bytes::<1>(buf)?[0] != 0) as usize].0
             }
         }
-        15 => {
-            need!(5);
-            Instr::TrMsg {
-                label: buf.get_u32_le(),
-                argc: buf.get_u8(),
-            }
-        }
-        16 => {
-            need!(6);
-            Instr::TrObj {
-                table: buf.get_u32_le(),
-                nfree: buf.get_u16_le(),
-            }
-        }
-        17 => {
-            need!(1);
-            Instr::InstOf { argc: buf.get_u8() }
-        }
-        18 => {
-            need!(9);
-            Instr::MkGroup {
-                table: buf.get_u32_le(),
-                dst: buf.get_u16_le(),
-                count: buf.get_u8(),
-                nfree: buf.get_u16_le(),
-            }
-        }
-        19 => {
-            need!(6);
-            Instr::ExportName {
-                slot: buf.get_u16_le(),
-                name: buf.get_u32_le(),
-            }
-        }
-        20 => {
-            need!(6);
-            Instr::ExportClass {
-                slot: buf.get_u16_le(),
-                name: buf.get_u32_le(),
-            }
-        }
-        21 => {
-            need!(11);
-            Instr::Import {
-                dst: buf.get_u16_le(),
-                site: buf.get_u32_le(),
-                name: buf.get_u32_le(),
-                kind: if buf.get_u8() != 0 {
-                    ImportKind::Class
-                } else {
-                    ImportKind::Name
-                },
-            }
-        }
-        22 => {
-            need!(2);
-            Instr::Print {
-                argc: buf.get_u8(),
-                newline: buf.get_u8() != 0,
-            }
-        }
-        t => return err(format!("bad opcode {t}")),
+        Ok(())
     })
 }
 
@@ -776,7 +545,8 @@ pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
         let ninstrs = count!();
         let mut code = Vec::with_capacity(ninstrs.min(65536));
         for _ in 0..ninstrs {
-            code.push(get_instr(buf)?);
+            code.push(Instr::Halt);
+            get_instr(buf, code.last_mut().expect("just pushed"))?;
         }
         blocks.push(Block {
             name,
@@ -1421,6 +1191,7 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::wire;
+    use tyco_syntax::ast::{BinOp, UnOp};
     use tyco_syntax::parse_core;
 
     fn roundtrip(p: Packet) {
@@ -1685,39 +1456,56 @@ mod tests {
         });
     }
 
+    /// The instruction set's encodings, assembly and decoder messages,
+    /// pinned on one hand-made program with every base opcode, every
+    /// enumerated operand value and the extreme numeric operands.
     #[test]
-    fn all_instructions_roundtrip() {
-        let instrs = vec![
-            Instr::PushLocal(7),
-            Instr::PushInt(-1),
+    fn golden_instruction_set() {
+        use crate::program::{MethodTable, Program, NUM_OPS, OP_NAMES};
+        use BinOp::*;
+        let mut code = vec![
+            Instr::PushLocal(u16::MAX),
+            Instr::PushInt(i64::MIN),
             Instr::PushBool(true),
-            Instr::PushFloat(1.5),
-            Instr::PushStr(3),
+            Instr::PushBool(false),
+            Instr::PushFloat(f64::from_bits(0x7ff8_dead_beef_0001)),
+            Instr::PushStr(0),
             Instr::PushUnit,
-            Instr::PushSibling(2),
-            Instr::Store(1),
-            Instr::Bin(BinOp::Concat),
-            Instr::Un(UnOp::Not),
+            Instr::PushSibling(3),
+            Instr::Store(7),
+        ];
+        let ops = [
+            Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Concat,
+        ];
+        code.extend(ops.map(Instr::Bin));
+        code.extend([
             Instr::Un(UnOp::Neg),
-            Instr::Jump(9),
-            Instr::JumpIfFalse(4),
+            Instr::Un(UnOp::Not),
+            Instr::Jump(u32::MAX),
+            Instr::JumpIfFalse(2),
             Instr::Halt,
-            Instr::NewChan(2),
+            Instr::NewChan(1),
             Instr::Fork { block: 1, nfree: 2 },
             Instr::TrMsg { label: 0, argc: 3 },
-            Instr::TrObj { table: 1, nfree: 0 },
-            Instr::InstOf { argc: 2 },
+            Instr::TrObj { table: 0, nfree: 1 },
+            Instr::InstOf { argc: 255 },
             Instr::MkGroup {
-                table: 0,
+                table: 1,
                 dst: 4,
                 count: 2,
-                nfree: 1,
+                nfree: 513,
             },
-            Instr::ExportName { slot: 0, name: 1 },
-            Instr::ExportClass { slot: 1, name: 2 },
+            Instr::ExportName { slot: 5, name: 1 },
+            Instr::ExportClass { slot: 6, name: 1 },
             Instr::Import {
-                dst: 3,
-                site: 0,
+                dst: 8,
+                site: 2,
+                name: 1,
+                kind: ImportKind::Name,
+            },
+            Instr::Import {
+                dst: 9,
+                site: 2,
                 name: 1,
                 kind: ImportKind::Class,
             },
@@ -1725,29 +1513,116 @@ mod tests {
                 argc: 2,
                 newline: true,
             },
-        ];
-        let code = WireCode {
-            blocks: vec![Block {
-                name: "all".into(),
-                nfree: 1,
-                nparams: 2,
-                nlocals: 3,
-                is_class_body: true,
-                code: instrs.into(),
-            }],
-            tables: vec![vec![(0, 0)]],
-            labels: vec!["go".into()],
-            strings: vec!["s".into()],
-        };
-        roundtrip(Packet::Obj {
-            dest: nref(0),
-            digest: code_digest(&code),
-            obj: WireObj {
-                code,
-                table: 0,
-                captured: vec![],
+            Instr::Print {
+                argc: 0,
+                newline: false,
             },
+        ]);
+        let mut prog = Program::default();
+        prog.labels.intern("go");
+        for s in ["a;b\"c", "name", "site"] {
+            prog.strings.intern(s);
+        }
+        prog.tables.push(MethodTable {
+            entries: vec![(0, 0)],
         });
+        prog.blocks.push(Block {
+            name: "all".into(),
+            nfree: 1,
+            nparams: 2,
+            nlocals: 3,
+            is_class_body: true,
+            code: code.clone().into(),
+        });
+        let image = crate::image::to_bytes(&prog);
+        // Decoding inverts encoding, bit for bit (the 12-byte header is
+        // the image's own).
+        let code_part = image.slice(12..image.len());
+        let decoded = get_code(&mut code_part.clone()).expect("decodes");
+        assert_eq!(code_bytes(&decoded), code_part);
+        let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "5459434f01000000000000000100000003000000616c6c010002000300012800000000ffff010000",
+                "00000000008002010200030100efbeaddef87f040000000005060307070008000801080208030804",
+                "08050806080708080809080a080b080c080d090009010affffffff0b020000000c0d01000e010000",
+                "0002000f00000000031000000000010011ff12010000000400020102130500010000001406000100",
+                "00001508000200000001000000001509000200000001000000011602011600000100000001000000",
+                "00000000000000000100000002000000676f0300000005000000613b622263040000006e616d6504",
+                "00000073697465",
+            )
+        );
+        assert_eq!(
+            crate::asm::emit(&prog),
+            r#".entry 0
+.block 0 "all" free=1 params=2 locals=3 class
+    pushlocal 65535
+    pushint -9223372036854775808
+    pushbool true
+    pushbool false
+    pushfloat 9221365074855133185
+    pushstr "a;b\"c"
+    pushunit
+    pushsibling 3
+    store 7
+    bin add
+    bin sub
+    bin mul
+    bin div
+    bin mod
+    bin eq
+    bin ne
+    bin lt
+    bin le
+    bin gt
+    bin ge
+    bin and
+    bin or
+    bin concat
+    un neg
+    un not
+    jump 4294967295
+    jumpiffalse 2
+    halt
+    newchan 1
+    fork 1 2
+    trmsg go 3
+    trobj 0 1
+    instof 255
+    mkgroup 1 4 2 513
+    exportname 5 "name"
+    exportclass 6 "name"
+    import 8 "site" "name" name
+    import 9 "site" "name" class
+    print 2 nl
+    print 0 raw
+.table 0
+    go -> 0
+"#
+        );
+        assert_eq!(NUM_OPS, 32);
+        assert_eq!(
+            OP_NAMES.join(" "),
+            "pushlocal pushint pushbool pushfloat pushstr pushunit pushsibling store bin un \
+             jump jumpiffalse halt newchan fork trmsg trobj instof mkgroup exportname \
+             exportclass import print pushlocal2 pushlocalint pushintbin binjumpiffalse \
+             pushlocaltrmsg pushlocaltrobj pushlocalinstof pushsiblinginstof pushsiblinglocal"
+        );
+        // The empty prefix lacks the opcode; every other proper prefix of
+        // an instruction lacks (part of) an operand.
+        for ins in &code {
+            let mut buf = BytesMut::new();
+            put_instr(&mut buf, ins);
+            let bytes = buf.freeze();
+            for cut in 0..bytes.len() {
+                let got = get_instr(&mut bytes.slice(0..cut), &mut Instr::Halt)
+                    .unwrap_err()
+                    .0;
+                let want = ["truncated operand", "truncated instruction"][(cut == 0) as usize];
+                assert_eq!(got, want, "{ins:?} cut at {cut}");
+            }
+        }
     }
 
     #[test]

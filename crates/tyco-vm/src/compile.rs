@@ -651,60 +651,6 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Human-readable disassembly (the "intermediate virtual machine assembly"
-/// of §5, reconstructed from byte-code).
-pub fn disassemble(prog: &Program) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (i, b) in prog.blocks.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "block {i} \"{}\" free={} params={} locals={}{}{}",
-            b.name,
-            b.nfree,
-            b.nparams,
-            b.nlocals,
-            if b.is_class_body { " class" } else { "" },
-            if i as u32 == prog.entry { " entry" } else { "" },
-        );
-        for (pc, ins) in b.code.iter().enumerate() {
-            let rendered = match ins {
-                Instr::TrMsg { label, argc } => {
-                    format!("trmsg {} argc={argc}", prog.labels.get(*label))
-                }
-                Instr::PushStr(s) => format!("pushstr {:?}", prog.strings.get(*s)),
-                Instr::ExportName { slot, name } => {
-                    format!("exportname slot={slot} {:?}", prog.strings.get(*name))
-                }
-                Instr::ExportClass { slot, name } => {
-                    format!("exportclass slot={slot} {:?}", prog.strings.get(*name))
-                }
-                Instr::Import {
-                    dst,
-                    site,
-                    name,
-                    kind,
-                } => format!(
-                    "import dst={dst} {}.{} ({kind:?})",
-                    prog.strings.get(*site),
-                    prog.strings.get(*name)
-                ),
-                other => format!("{other:?}").to_lowercase(),
-            };
-            let _ = writeln!(out, "  {pc:4}: {rendered}");
-        }
-    }
-    for (i, t) in prog.tables.iter().enumerate() {
-        let entries: Vec<String> = t
-            .entries
-            .iter()
-            .map(|(l, b)| format!("{}→{}", prog.labels.get(*l), b))
-            .collect();
-        let _ = writeln!(out, "table {i}: {}", entries.join(", "));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,7 +793,7 @@ mod tests {
     #[test]
     fn disassembly_mentions_labels() {
         let p = comp("new x (x!ping[] | x?{ ping() = println(\"pong\") })");
-        let d = disassemble(&p);
+        let d = crate::asm::emit(&p);
         assert!(d.contains("trmsg ping"), "{d}");
         assert!(d.contains("entry"), "{d}");
     }

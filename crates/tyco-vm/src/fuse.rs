@@ -33,24 +33,8 @@
 //!   rather than panicking — the machine bounds-checks anyway.
 //! * The pass is idempotent: fused opcodes never start or end a new pair.
 
-use crate::program::{Block, Instr, Program};
+use crate::program::{Block, Instr, Operand, Program};
 use std::sync::Arc;
-
-/// True for the machine-internal fused variants.
-pub fn is_fused(ins: &Instr) -> bool {
-    matches!(
-        ins,
-        Instr::PushLocal2 { .. }
-            | Instr::PushLocalInt { .. }
-            | Instr::PushIntBin { .. }
-            | Instr::BinJumpIfFalse { .. }
-            | Instr::PushLocalTrMsg { .. }
-            | Instr::PushLocalTrObj { .. }
-            | Instr::PushLocalInstOf { .. }
-            | Instr::PushSiblingInstOf { .. }
-            | Instr::PushSiblingLocal { .. }
-    )
-}
 
 /// The two base instructions a fused variant stands for, or `None` for base
 /// instructions. Jump targets inside the expansion are the *fused-space*
@@ -123,16 +107,14 @@ pub fn fuse_code(code: &[Instr]) -> Option<Arc<[Instr]>> {
     // Incoming-edge map: an instruction that is a jump target must start an
     // instruction (can't be swallowed as the second half of a pair).
     let mut is_target = vec![false; len];
-    for ins in code {
-        let t = match ins {
-            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::BinJumpIfFalse { target: t, .. } => {
-                *t as usize
+    for mut ins in code.iter().copied() {
+        ins.each_operand(|o| {
+            if let Operand::Target(t) = o {
+                if let Some(target) = is_target.get_mut(*t as usize) {
+                    *target = true;
+                }
             }
-            _ => continue,
-        };
-        if t < len {
-            is_target[t] = true;
-        }
+        });
     }
 
     // Greedy left-to-right pairing. old_to_new[i] = index in the fused
@@ -145,7 +127,7 @@ pub fn fuse_code(code: &[Instr]) -> Option<Arc<[Instr]>> {
     let mut fused_any = false;
     while i < len {
         old_to_new[i] = out.len() as u32;
-        if i + 1 < len && !is_target[i + 1] && !is_fused(&code[i]) && !is_fused(&code[i + 1]) {
+        if i + 1 < len && !is_target[i + 1] && !code[i].is_fused() && !code[i + 1].is_fused() {
             if let Some(f) = try_fuse(&code[i], &code[i + 1]) {
                 old_to_new[i + 1] = out.len() as u32;
                 out.push(f);
@@ -161,31 +143,30 @@ pub fn fuse_code(code: &[Instr]) -> Option<Arc<[Instr]>> {
         return None;
     }
     old_to_new[len] = out.len() as u32;
-
-    // Remap jump targets into the fused index space. Out-of-range targets
-    // (≥ len: legal halt-by-falling-off, or garbage in unverified code)
-    // clamp to the new end — same halt behaviour, no panic.
-    let new_len = out.len() as u32;
-    for ins in &mut out {
-        match ins {
-            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::BinJumpIfFalse { target: t, .. } => {
-                *t = if (*t as usize) < len {
-                    old_to_new[*t as usize]
-                } else {
-                    new_len
-                };
-            }
-            _ => {}
-        }
-    }
+    remap_targets(&mut out, &old_to_new);
     Some(out.into())
+}
+
+/// Remap jump targets into the new index space through `old_to_new`
+/// (one entry per old instruction, then the old end). Out-of-range
+/// targets (≥ len: legal halt-by-falling-off, or garbage in unverified
+/// code) clamp to the new end — same halt behaviour, no panic.
+fn remap_targets(code: &mut [Instr], old_to_new: &[u32]) {
+    let new_len = code.len() as u32;
+    for ins in code {
+        ins.each_operand(|o| {
+            if let Operand::Target(t) = o {
+                *t = old_to_new.get(*t as usize).copied().unwrap_or(new_len);
+            }
+        });
+    }
 }
 
 /// Normalize: expand every fused instruction back to its base pair and
 /// remap jump targets into the expanded index space. Returns `None` when
 /// the code contains no fused forms (already normal).
 pub fn unfuse_code(code: &[Instr]) -> Option<Vec<Instr>> {
-    if !code.iter().any(is_fused) {
+    if !code.iter().any(Instr::is_fused) {
         return None;
     }
     let len = code.len();
@@ -202,19 +183,7 @@ pub fn unfuse_code(code: &[Instr]) -> Option<Vec<Instr>> {
         }
     }
     old_to_new[len] = out.len() as u32;
-    let new_len = out.len() as u32;
-    for ins in &mut out {
-        match ins {
-            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::BinJumpIfFalse { target: t, .. } => {
-                *t = if (*t as usize) < len {
-                    old_to_new[*t as usize]
-                } else {
-                    new_len
-                };
-            }
-            _ => {}
-        }
-    }
+    remap_targets(&mut out, &old_to_new);
     Some(out)
 }
 

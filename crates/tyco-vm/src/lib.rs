@@ -3,8 +3,7 @@
 //! The TyCO virtual machine (§5 of the DiTyCO paper), from scratch:
 //!
 //! * [`compile()`] — DiTyCO source → byte-code blocks (the "intermediate
-//!   virtual machine assembly" is recoverable with
-//!   [`compile::disassemble`]);
+//!   virtual machine assembly" is recoverable with [`emit_asm`]);
 //! * [`program`] — blocks, method tables, symbol pools, code closures;
 //! * [`machine`] — the threaded emulator with heap, run-queue, export
 //!   table, mark–sweep GC and the re-implemented `trmsg` / `trobj` /
@@ -35,7 +34,7 @@ pub mod word;
 pub use analyze::{analyze, Analysis, Finding, FindingKind};
 pub use asm::{emit as emit_asm, parse as parse_asm, AsmError};
 pub use codec::TypeStamp;
-pub use compile::{compile, disassemble, CompileError};
+pub use compile::{compile, CompileError};
 pub use digest::Digest;
 pub use fuse::{fuse_code, fuse_program, unfuse_code};
 pub use image::{from_bytes as image_from_bytes, to_bytes as image_to_bytes};

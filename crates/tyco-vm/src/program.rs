@@ -32,248 +32,290 @@ pub enum ImportKind {
     Class,
 }
 
-/// The TyCO virtual machine instruction set.
-///
-/// All value traffic goes through the per-thread operand stack; frames are
-/// addressed by slot. `TrMsg` / `TrObj` / `InstOf` are the three
-/// communication instructions of the original TyCOVM, re-implemented per
-/// §5 to dispatch on local vs. network references.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Instr {
-    // -- operand stack -----------------------------------------------------
-    /// Push frame slot.
-    PushLocal(u16),
-    PushInt(i64),
-    PushBool(bool),
-    PushFloat(f64),
-    PushStr(StrId),
-    PushUnit,
-    /// Push the class word for sibling `index` of the current class frame
-    /// (frame slot 0 holds the executing class's own class word).
-    PushSibling(u8),
-    /// Pop into frame slot.
-    Store(u16),
-    /// Binary builtin: pops rhs then lhs, pushes result.
-    Bin(BinOp),
-    /// Unary builtin.
-    Un(UnOp),
+// The values of the enumerated operand kinds, each at its wire code, with
+// its assembly word.
+pub(crate) const BINOPS: [(BinOp, &str); 14] = [
+    (BinOp::Add, "add"),
+    (BinOp::Sub, "sub"),
+    (BinOp::Mul, "mul"),
+    (BinOp::Div, "div"),
+    (BinOp::Mod, "mod"),
+    (BinOp::Eq, "eq"),
+    (BinOp::Ne, "ne"),
+    (BinOp::Lt, "lt"),
+    (BinOp::Le, "le"),
+    (BinOp::Gt, "gt"),
+    (BinOp::Ge, "ge"),
+    (BinOp::And, "and"),
+    (BinOp::Or, "or"),
+    (BinOp::Concat, "concat"),
+];
+pub(crate) const UNOPS: [(UnOp, &str); 2] = [(UnOp::Neg, "neg"), (UnOp::Not, "not")];
+pub(crate) const IMPORT_KINDS: [(ImportKind, &str); 2] =
+    [(ImportKind::Name, "name"), (ImportKind::Class, "class")];
+pub(crate) const NEWLINES: [(bool, &str); 2] = [(false, "raw"), (true, "nl")];
 
-    // -- control -----------------------------------------------------------
-    /// Unconditional jump to absolute instruction index within the block.
-    Jump(u32),
-    /// Pop a bool; jump when false.
-    JumpIfFalse(u32),
-    /// Finish the thread.
-    Halt,
+// A value's wire code is its discriminant, so the codec encodes with `as`.
+const _: () = {
+    let mut i = 0;
+    while i < BINOPS.len() {
+        assert!(BINOPS[i].0 as usize == i);
+        i += 1;
+    }
+    assert!(UNOPS[1].0 as usize == 1 && IMPORT_KINDS[1].0 as usize == 1);
+};
 
-    // -- processes ---------------------------------------------------------
-    /// Allocate a fresh channel into a frame slot (`new`).
-    NewChan(u16),
-    /// Spawn a parallel component: pops `nfree` captured words (last pushed
-    /// = slot 0 of the new frame... see compiler), enqueues a thread for
-    /// `block`.
-    Fork {
-        block: BlockId,
-        nfree: u16,
-    },
-    /// Try-reduce a message: pops the channel word, then `argc` argument
-    /// words. Local channel ⇒ COMM-or-enqueue; network reference ⇒ package
-    /// and ship (SHIPM).
-    TrMsg {
-        label: LabelId,
-        argc: u8,
-    },
-    /// Try-reduce an object: pops the channel word, then `nfree` captured
-    /// words. Local ⇒ COMM-or-enqueue; network ⇒ migrate (SHIPO).
-    TrObj {
-        table: TableId,
-        nfree: u16,
-    },
-    /// Instantiate: pops the class word, then `argc` arguments. Local class
-    /// ⇒ INST; network class ⇒ FETCH then INST.
-    InstOf {
-        argc: u8,
-    },
-    /// Create a (possibly mutually recursive) class group: pops `nfree`
-    /// captured words; stores the `count` class words into consecutive
-    /// frame slots starting at `dst`.
-    MkGroup {
-        table: TableId,
-        dst: u16,
-        count: u8,
-        nfree: u16,
-    },
+/// Declares [`Operand`] from one table of kinds, each with its Rust type
+/// and the value a decoder starts from, and the two mappings from a kind
+/// to those that `instruction_set!` uses.
+macro_rules! operand_kinds {
+    ($($(#[$doc:meta])* $kind:ident($ty:ty) = $zero:expr,)*) => {
+        /// One operand of an instruction, by kind, borrowed from it by
+        /// [`Instr::operands`]. The kind says how the codec encodes the
+        /// operand, how assembly spells it, and what it refers to.
+        pub(crate) enum Operand<'a> {
+            $($(#[$doc])* $kind(&'a mut $ty),)*
+        }
 
-    // -- network (the two new instructions of §5) ---------------------------
-    /// Register the channel in frame slot `slot` with the network name
-    /// service under `name`.
-    ExportName {
-        slot: u16,
-        name: StrId,
-    },
-    /// Register the class in frame slot `slot` under `name`.
-    ExportClass {
-        slot: u16,
-        name: StrId,
-    },
-    /// Resolve `name` at `site` through the name service into slot `dst`.
-    /// May suspend the thread until the reply arrives.
-    Import {
-        dst: u16,
-        site: StrId,
-        name: StrId,
-        kind: ImportKind,
-    },
+        macro_rules! operand_ty {
+            $(($kind) => { $ty };)*
+        }
 
-    // -- I/O port ------------------------------------------------------------
-    /// Pop `argc` words, write them (space-joined) to the site's I/O port.
-    Print {
-        argc: u8,
-        newline: bool,
-    },
+        macro_rules! operand_zero {
+            $(($kind) => { $zero };)*
+        }
+    };
+}
 
-    // -- fused superinstructions ---------------------------------------------
+operand_kinds! {
+    /// A frame slot: inside the block's register window.
+    Slot(u16) = 0,
+    U8(u8) = 0,
+    U16(u16) = 0,
+    Int(i64) = 0,
+    /// A fused form's narrowed integer immediate.
+    Imm(i32) = 0,
+    /// Encoded and spelled as its IEEE-754 bits.
+    Float(f64) = 0.0,
+    Bool(bool) = false,
+    /// A string-pool id, spelled as the quoted string.
+    Str(StrId) = 0,
+    /// A label-pool id, spelled as the bare label.
+    Label(LabelId) = 0,
+    /// A block of the same image.
+    Block(BlockId) = 0,
+    /// A method table of the same image.
+    Table(TableId) = 0,
+    /// A jump target: an instruction index within the block.
+    Target(u32) = 0,
+    /// An index into the executing class's group.
+    Sibling(u8) = 0,
+    /// Encoded and spelled by [`BINOPS`].
+    BinOp(BinOp) = BinOp::Add,
+    /// Encoded and spelled by [`UNOPS`].
+    UnOp(UnOp) = UnOp::Neg,
+    /// Encoded and spelled by [`IMPORT_KINDS`].
+    ImportKind(ImportKind) = ImportKind::Name,
+    /// Encoded and spelled by [`NEWLINES`].
+    Newline(bool) = false,
+}
+
+/// Declares [`Instr`] from one table. A row is a variant with its
+/// operands' kinds, in wire and assembly order, then its mnemonic. The
+/// `base` rows are the wire opcodes: a row's position is its wire code.
+/// The `fused` rows follow and have no wire code.
+macro_rules! instruction_set {
+    ($(#[$doc:meta])* base { $($base:tt)* } fused { $($fused:tt)* }) => {
+        instruction_set!(@all [$(#[$doc])*] $($base)* $($fused)*);
+        instruction_set!(@base $($base)*);
+    };
+    (@all [$(#[$doc:meta])*] $(
+        $(#[$vdoc:meta])* $var:ident $(($op:ident: $kind:ident))?
+        $({ $($field:ident: $fkind:ident),* })? = $name:literal,
+    )*) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Instr {
+            $($(#[$vdoc])* $var $((operand_ty!($kind)))? $({ $($field: operand_ty!($fkind)),* })?,)*
+        }
+
+        /// Opcode positions in the table.
+        enum Op {
+            $($var,)*
+        }
+
+        /// Number of distinct opcodes (base instruction set plus fused
+        /// superinstructions) — the dimension of [`crate::stats::OpStats`].
+        pub const NUM_OPS: usize = [$(Op::$var),*].len();
+
+        /// Opcode names, indexed by [`Instr::op_index`].
+        pub const OP_NAMES: [&str; NUM_OPS] = [$($name),*];
+
+        impl Instr {
+            /// Dense opcode index for telemetry tables, stable across
+            /// runs. For a base form it is the wire opcode.
+            pub fn op_index(&self) -> usize {
+                match self {
+                    $(Instr::$var { .. } => Op::$var as usize,)*
+                }
+            }
+
+            /// Visit the operands in declared order, stopping at the
+            /// first error.
+            #[inline(always)]
+            pub(crate) fn operands<E>(
+                &mut self,
+                mut f: impl FnMut(Operand<'_>) -> Result<(), E>,
+            ) -> Result<(), E> {
+                match self {
+                    $(Instr::$var $(($op))? $({ $($field),* })? => {
+                        $(f(Operand::$kind($op))?;)?
+                        $($(f(Operand::$fkind($field))?;)*)?
+                    })*
+                }
+                Ok(())
+            }
+        }
+    };
+    (@base $(
+        $(#[$vdoc:meta])* $var:ident $(($op:ident: $kind:ident))?
+        $({ $($field:ident: $fkind:ident),* })? = $name:literal,
+    )*) => {
+        /// One instruction per wire code, its operands still to be decoded.
+        const BASE: &[Instr] = &[
+            $(Instr::$var $((operand_zero!($kind)))? $({ $($field: operand_zero!($fkind)),* })?,)*
+        ];
+
+        /// Number of wire opcodes: the base forms.
+        pub(crate) const NUM_BASE: usize = BASE.len();
+    };
+}
+
+instruction_set! {
+    /// The TyCO virtual machine instruction set.
+    ///
+    /// All value traffic goes through the per-thread operand stack; frames are
+    /// addressed by slot. `TrMsg` / `TrObj` / `InstOf` are the three
+    /// communication instructions of the original TyCOVM, re-implemented per
+    /// §5 to dispatch on local vs. network references.
+    base {
+        // -- operand stack -------------------------------------------------
+        /// Push frame slot.
+        PushLocal(slot: Slot) = "pushlocal",
+        PushInt(value: Int) = "pushint",
+        PushBool(value: Bool) = "pushbool",
+        PushFloat(value: Float) = "pushfloat",
+        PushStr(string: Str) = "pushstr",
+        PushUnit = "pushunit",
+        /// Push the class word for sibling `index` of the current class frame
+        /// (frame slot 0 holds the executing class's own class word).
+        PushSibling(index: Sibling) = "pushsibling",
+        /// Pop into frame slot.
+        Store(slot: Slot) = "store",
+        /// Binary builtin: pops rhs then lhs, pushes result.
+        Bin(op: BinOp) = "bin",
+        /// Unary builtin.
+        Un(op: UnOp) = "un",
+
+        // -- control -------------------------------------------------------
+        /// Unconditional jump to absolute instruction index within the block.
+        Jump(target: Target) = "jump",
+        /// Pop a bool; jump when false.
+        JumpIfFalse(target: Target) = "jumpiffalse",
+        /// Finish the thread.
+        Halt = "halt",
+
+        // -- processes -----------------------------------------------------
+        /// Allocate a fresh channel into a frame slot (`new`).
+        NewChan(slot: Slot) = "newchan",
+        /// Spawn a parallel component: pops `nfree` captured words (last pushed
+        /// = slot 0 of the new frame... see compiler), enqueues a thread for
+        /// `block`.
+        Fork { block: Block, nfree: U16 } = "fork",
+        /// Try-reduce a message: pops the channel word, then `argc` argument
+        /// words. Local channel ⇒ COMM-or-enqueue; network reference ⇒ package
+        /// and ship (SHIPM).
+        TrMsg { label: Label, argc: U8 } = "trmsg",
+        /// Try-reduce an object: pops the channel word, then `nfree` captured
+        /// words. Local ⇒ COMM-or-enqueue; network ⇒ migrate (SHIPO).
+        TrObj { table: Table, nfree: U16 } = "trobj",
+        /// Instantiate: pops the class word, then `argc` arguments. Local class
+        /// ⇒ INST; network class ⇒ FETCH then INST.
+        InstOf { argc: U8 } = "instof",
+        /// Create a (possibly mutually recursive) class group: pops `nfree`
+        /// captured words; stores the `count` class words into consecutive
+        /// frame slots starting at `dst`.
+        MkGroup { table: Table, dst: U16, count: U8, nfree: U16 } = "mkgroup",
+
+        // -- network (the two new instructions of §5) -----------------------
+        /// Register the channel in frame slot `slot` with the network name
+        /// service under `name`.
+        ExportName { slot: Slot, name: Str } = "exportname",
+        /// Register the class in frame slot `slot` under `name`.
+        ExportClass { slot: Slot, name: Str } = "exportclass",
+        /// Resolve `name` at `site` through the name service into slot `dst`.
+        /// May suspend the thread until the reply arrives.
+        Import { dst: Slot, site: Str, name: Str, kind: ImportKind } = "import",
+
+        // -- I/O port --------------------------------------------------------
+        /// Pop `argc` words, write them (space-joined) to the site's I/O port.
+        Print { argc: U8, newline: Newline } = "print",
+    }
     // Machine-internal rewrites of hot opcode digrams (see [`crate::fuse`]
     // for the pass and the telemetry that chose them). They never appear in
     // compiler output, on the wire, in images, or in assembly — every
     // serialization and verification path sees the normalized (de-sugared)
     // form, so the wire format and content digests are fusion-independent.
-    /// `PushLocal(a); PushLocal(b)`.
-    PushLocal2 {
-        a: u16,
-        b: u16,
-    },
-    /// `PushLocal(slot); PushInt(imm)` (immediate narrowed to `i32`; wider
-    /// literals stay unfused).
-    PushLocalInt {
-        slot: u16,
-        imm: i32,
-    },
-    /// `PushInt(imm); Bin(op)`: apply `op` with an immediate right operand
-    /// to the top of the stack.
-    PushIntBin {
-        imm: i32,
-        op: BinOp,
-    },
-    /// `Bin(op); JumpIfFalse(target)`: compare-and-branch.
-    BinJumpIfFalse {
-        op: BinOp,
-        target: u32,
-    },
-    /// `PushLocal(slot); TrMsg { label, argc }`: send on a channel read
-    /// straight from the frame, skipping the push/pop round trip.
-    PushLocalTrMsg {
-        slot: u16,
-        label: LabelId,
-        argc: u8,
-    },
-    /// `PushLocal(slot); TrObj { table, nfree }`.
-    PushLocalTrObj {
-        slot: u16,
-        table: TableId,
-        nfree: u16,
-    },
-    /// `PushLocal(slot); InstOf { argc }`: instantiate a class read from
-    /// the frame. A FETCH suspension re-executes the whole fused form (the
-    /// class word is still in the frame, unlike the stack-discipline of the
-    /// base `InstOf`).
-    PushLocalInstOf {
-        slot: u16,
-        argc: u8,
-    },
-    /// `PushSibling(index); InstOf { argc }`: sibling recursion — the class
-    /// word is always local, so this form can never suspend.
-    PushSiblingInstOf {
-        sib: u8,
-        argc: u8,
-    },
-    /// `PushSibling(index); PushLocal(slot)`: a sibling class word followed
-    /// by its first argument — every class-recursion site starts this way
-    /// (telemetry ranks it ~4.5% of executed instructions).
-    PushSiblingLocal {
-        sib: u8,
-        slot: u16,
-    },
+    fused {
+        /// `PushLocal(a); PushLocal(b)`.
+        PushLocal2 { a: Slot, b: Slot } = "pushlocal2",
+        /// `PushLocal(slot); PushInt(imm)` (immediate narrowed to `i32`; wider
+        /// literals stay unfused).
+        PushLocalInt { slot: Slot, imm: Imm } = "pushlocalint",
+        /// `PushInt(imm); Bin(op)`: apply `op` with an immediate right operand
+        /// to the top of the stack.
+        PushIntBin { imm: Imm, op: BinOp } = "pushintbin",
+        /// `Bin(op); JumpIfFalse(target)`: compare-and-branch.
+        BinJumpIfFalse { op: BinOp, target: Target } = "binjumpiffalse",
+        /// `PushLocal(slot); TrMsg { label, argc }`: send on a channel read
+        /// straight from the frame, skipping the push/pop round trip.
+        PushLocalTrMsg { slot: Slot, label: Label, argc: U8 } = "pushlocaltrmsg",
+        /// `PushLocal(slot); TrObj { table, nfree }`.
+        PushLocalTrObj { slot: Slot, table: Table, nfree: U16 } = "pushlocaltrobj",
+        /// `PushLocal(slot); InstOf { argc }`: instantiate a class read from
+        /// the frame. A FETCH suspension re-executes the whole fused form (the
+        /// class word is still in the frame, unlike the stack-discipline of the
+        /// base `InstOf`).
+        PushLocalInstOf { slot: Slot, argc: U8 } = "pushlocalinstof",
+        /// `PushSibling(index); InstOf { argc }`: sibling recursion — the class
+        /// word is always local, so this form can never suspend.
+        PushSiblingInstOf { sib: Sibling, argc: U8 } = "pushsiblinginstof",
+        /// `PushSibling(index); PushLocal(slot)`: a sibling class word followed
+        /// by its first argument — every class-recursion site starts this way
+        /// (telemetry ranks it ~4.5% of executed instructions).
+        PushSiblingLocal { sib: Sibling, slot: Slot } = "pushsiblinglocal",
+    }
 }
 
-/// Number of distinct opcodes (base instruction set plus fused
-/// superinstructions) — the dimension of [`crate::stats::OpStats`].
-pub const NUM_OPS: usize = 32;
-
-/// Opcode names, indexed by [`Instr::op_index`].
-pub const OP_NAMES: [&str; NUM_OPS] = [
-    "pushlocal",
-    "pushint",
-    "pushbool",
-    "pushfloat",
-    "pushstr",
-    "pushunit",
-    "pushsibling",
-    "store",
-    "bin",
-    "un",
-    "jump",
-    "jumpiffalse",
-    "halt",
-    "newchan",
-    "fork",
-    "trmsg",
-    "trobj",
-    "instof",
-    "mkgroup",
-    "exportname",
-    "exportclass",
-    "import",
-    "print",
-    "pushlocal2",
-    "pushlocalint",
-    "pushintbin",
-    "binjumpiffalse",
-    "pushlocaltrmsg",
-    "pushlocaltrobj",
-    "pushlocalinstof",
-    "pushsiblinginstof",
-    "pushsiblinglocal",
-];
-
 impl Instr {
-    /// Dense opcode index for telemetry tables (stable across runs; *not*
-    /// the wire opcode — see [`crate::codec`] for that).
-    pub fn op_index(&self) -> usize {
-        match self {
-            Instr::PushLocal(_) => 0,
-            Instr::PushInt(_) => 1,
-            Instr::PushBool(_) => 2,
-            Instr::PushFloat(_) => 3,
-            Instr::PushStr(_) => 4,
-            Instr::PushUnit => 5,
-            Instr::PushSibling(_) => 6,
-            Instr::Store(_) => 7,
-            Instr::Bin(_) => 8,
-            Instr::Un(_) => 9,
-            Instr::Jump(_) => 10,
-            Instr::JumpIfFalse(_) => 11,
-            Instr::Halt => 12,
-            Instr::NewChan(_) => 13,
-            Instr::Fork { .. } => 14,
-            Instr::TrMsg { .. } => 15,
-            Instr::TrObj { .. } => 16,
-            Instr::InstOf { .. } => 17,
-            Instr::MkGroup { .. } => 18,
-            Instr::ExportName { .. } => 19,
-            Instr::ExportClass { .. } => 20,
-            Instr::Import { .. } => 21,
-            Instr::Print { .. } => 22,
-            Instr::PushLocal2 { .. } => 23,
-            Instr::PushLocalInt { .. } => 24,
-            Instr::PushIntBin { .. } => 25,
-            Instr::BinJumpIfFalse { .. } => 26,
-            Instr::PushLocalTrMsg { .. } => 27,
-            Instr::PushLocalTrObj { .. } => 28,
-            Instr::PushLocalInstOf { .. } => 29,
-            Instr::PushSiblingInstOf { .. } => 30,
-            Instr::PushSiblingLocal { .. } => 31,
-        }
+    /// The instruction a wire opcode stands for, with zero operands; `None`
+    /// for a byte that is no base opcode.
+    pub(crate) fn base(opcode: u8) -> Option<Instr> {
+        BASE.get(opcode as usize).copied()
+    }
+
+    /// True for the machine-internal fused forms, which have no wire code.
+    pub(crate) fn is_fused(&self) -> bool {
+        self.op_index() >= NUM_BASE
+    }
+
+    /// [`Instr::operands`] for a visitor that cannot fail.
+    #[inline(always)]
+    pub(crate) fn each_operand(&mut self, mut f: impl FnMut(Operand<'_>)) {
+        let Ok(()) = self.operands::<std::convert::Infallible>(|o| {
+            f(o);
+            Ok(())
+        });
     }
 
     /// Human-readable opcode name for a telemetry index.
@@ -392,14 +434,12 @@ impl Program {
     pub fn direct_refs(&self, block: BlockId) -> (Vec<BlockId>, Vec<TableId>) {
         let mut blocks = Vec::new();
         let mut tables = Vec::new();
-        for ins in self.blocks[block as usize].code.iter() {
-            match ins {
-                Instr::Fork { block, .. } => blocks.push(*block),
-                Instr::TrObj { table, .. }
-                | Instr::MkGroup { table, .. }
-                | Instr::PushLocalTrObj { table, .. } => tables.push(*table),
+        for mut ins in self.blocks[block as usize].code.iter().copied() {
+            ins.each_operand(|o| match o {
+                Operand::Block(b) => blocks.push(*b),
+                Operand::Table(t) => tables.push(*t),
                 _ => {}
-            }
+            });
         }
         (blocks, tables)
     }

@@ -36,7 +36,7 @@
 //! compiler produces from a well-typed source (the soundness property
 //! tested in `tests/verify_props.rs`).
 
-use crate::program::{Block, Pool, Program};
+use crate::program::{Block, Operand, Pool, Program, NUM_BASE};
 use crate::wire::WireCode;
 use crate::Instr;
 use std::borrow::Cow;
@@ -672,31 +672,6 @@ impl<'a> View<'a> {
     ) -> Result<Succ, VerifyError> {
         let frame = b.frame_size() as u32;
         let len = code.len() as u32;
-        let slot_ok = |slot: u32| -> Result<(), VerifyError> {
-            if slot >= frame {
-                Err(VerifyError::BadSlot {
-                    block: bi,
-                    pc,
-                    slot,
-                    frame,
-                })
-            } else {
-                Ok(())
-            }
-        };
-        let ref_ok = |what: &'static str, id: u32, limit: u32| -> Result<(), VerifyError> {
-            if id >= limit {
-                Err(VerifyError::BadRef {
-                    block: bi,
-                    pc,
-                    what,
-                    id,
-                    limit,
-                })
-            } else {
-                Ok(())
-            }
-        };
         let jump_ok = |target: u32| -> Result<(), VerifyError> {
             if target > len {
                 Err(VerifyError::BadJump {
@@ -771,33 +746,52 @@ impl<'a> View<'a> {
             }};
         }
 
-        match code[pc as usize] {
-            Instr::PushLocal(s) => {
-                slot_ok(s as u32)?;
-                let k = st[s as usize];
-                st.push(k);
+        let mut ins = code[pc as usize];
+        // Every operand that names something must name something that
+        // exists, checked in declared order before the stack rules run.
+        if let Instr::PushSibling(_) = ins {
+            if !b.is_class_body {
+                return Err(VerifyError::SiblingOutsideClass { block: bi, pc });
             }
+        }
+        let bad_ref = |what, id, limit| VerifyError::BadRef {
+            block: bi,
+            pc,
+            what,
+            id,
+            limit,
+        };
+        let (nblocks, ntables) = (self.blocks.len() as u32, self.tables.len() as u32);
+        ins.operands(|o| match o {
+            Operand::Slot(&mut s) if s as u32 >= frame => Err(VerifyError::BadSlot {
+                block: bi,
+                pc,
+                slot: s as u32,
+                frame,
+            }),
+            Operand::Str(&mut id) if id >= self.nstrings => {
+                Err(bad_ref("string", id, self.nstrings))
+            }
+            Operand::Label(&mut id) if id >= self.nlabels => {
+                Err(bad_ref("label", id, self.nlabels))
+            }
+            Operand::Block(&mut id) if id >= nblocks => Err(bad_ref("block", id, nblocks)),
+            Operand::Table(&mut id) if id >= ntables => Err(bad_ref("table", id, ntables)),
+            Operand::Sibling(&mut i) if i as u32 >= self.max_sibling => {
+                Err(bad_ref("sibling", i as u32, self.max_sibling))
+            }
+            _ => Ok(()),
+        })?;
+
+        match ins {
+            Instr::PushLocal(s) => st.push(st[s as usize]),
             Instr::PushInt(_) => st.push(Kind::Int),
             Instr::PushBool(_) => st.push(Kind::Bool),
             Instr::PushFloat(_) => st.push(Kind::Float),
             Instr::PushUnit => st.push(Kind::Unit),
-            Instr::PushStr(s) => {
-                ref_ok("string", s, self.nstrings)?;
-                st.push(Kind::Str);
-            }
-            Instr::PushSibling(i) => {
-                if !b.is_class_body {
-                    return Err(VerifyError::SiblingOutsideClass { block: bi, pc });
-                }
-                // The group this body belongs to draws its members from
-                // one table of this same image (see `max_sibling`).
-                ref_ok("sibling", i as u32, self.max_sibling)?;
-                st.push(Kind::Class);
-            }
-            Instr::Store(s) => {
-                slot_ok(s as u32)?;
-                st[s as usize] = pop_word!();
-            }
+            Instr::PushStr(_) => st.push(Kind::Str),
+            Instr::PushSibling(_) => st.push(Kind::Class),
+            Instr::Store(s) => st[s as usize] = pop_word!(),
             Instr::Bin(_) => {
                 pop!(2);
                 st.push(Kind::Top);
@@ -816,12 +810,8 @@ impl<'a> View<'a> {
                 return Ok(Succ::Branch(t));
             }
             Instr::Halt => return Ok(Succ::Halt),
-            Instr::NewChan(s) => {
-                slot_ok(s as u32)?;
-                st[s as usize] = Kind::Chan;
-            }
+            Instr::NewChan(s) => st[s as usize] = Kind::Chan,
             Instr::Fork { block, nfree } => {
-                ref_ok("block", block, self.blocks.len() as u32)?;
                 pop!(nfree);
                 let tb = &self.blocks[block as usize];
                 if tb.nfree != nfree || tb.nparams != 0 || tb.is_class_body {
@@ -837,13 +827,11 @@ impl<'a> View<'a> {
                     });
                 }
             }
-            Instr::TrMsg { label, argc } => {
-                ref_ok("label", label, self.nlabels)?;
+            Instr::TrMsg { argc, .. } => {
                 pop_kind!(Kind::Chan, "channel");
                 pop!(argc);
             }
             Instr::TrObj { table, nfree } => {
-                ref_ok("table", table, self.tables.len() as u32)?;
                 pop_kind!(Kind::Chan, "channel");
                 pop!(nfree);
                 for &(_, blk) in self.tables[table as usize] {
@@ -872,7 +860,6 @@ impl<'a> View<'a> {
                 count,
                 nfree,
             } => {
-                ref_ok("table", table, self.tables.len() as u32)?;
                 pop!(nfree);
                 let end = dst as u32 + count as u32;
                 if end > frame {
@@ -906,40 +893,18 @@ impl<'a> View<'a> {
                     }
                 }
             }
-            Instr::ExportName { slot, name } => {
-                slot_ok(slot as u32)?;
-                ref_ok("string", name, self.nstrings)?;
-                slot_kind!(slot, Kind::Chan, "channel");
-            }
-            Instr::ExportClass { slot, name } => {
-                slot_ok(slot as u32)?;
-                ref_ok("string", name, self.nstrings)?;
-                slot_kind!(slot, Kind::Class, "class");
-            }
-            Instr::Import {
-                dst, site, name, ..
-            } => {
-                slot_ok(dst as u32)?;
-                ref_ok("string", site, self.nstrings)?;
-                ref_ok("string", name, self.nstrings)?;
+            Instr::ExportName { slot, .. } => slot_kind!(slot, Kind::Chan, "channel"),
+            Instr::ExportClass { slot, .. } => slot_kind!(slot, Kind::Class, "class"),
+            Instr::Import { dst, .. } => {
                 // The resolved word (channel or class) is written into
                 // `dst` asynchronously — unknown kind from here on.
                 st[dst as usize] = Kind::Top;
             }
             Instr::Print { argc, .. } => pop!(argc),
-            // Fused superinstructions cannot reach the transfer function:
-            // `enter_block` normalizes the code first, and the wire decoder
-            // has no encoding that could produce them from untrusted bytes.
-            Instr::PushLocal2 { .. }
-            | Instr::PushLocalInt { .. }
-            | Instr::PushIntBin { .. }
-            | Instr::BinJumpIfFalse { .. }
-            | Instr::PushLocalTrMsg { .. }
-            | Instr::PushLocalTrObj { .. }
-            | Instr::PushLocalInstOf { .. }
-            | Instr::PushSiblingInstOf { .. }
-            | Instr::PushSiblingLocal { .. } => {
-                unreachable!("fused superinstruction survived normalization")
+            // The transfer function models the base forms only: fused
+            // forms have no wire code, and `enter_block` normalizes them.
+            fused => {
+                return Err(bad_ref("opcode", fused.op_index() as u32, NUM_BASE as u32));
             }
         }
         Ok(Succ::Fall)

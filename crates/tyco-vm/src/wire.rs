@@ -99,21 +99,13 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
     let mut label_map: HashMap<LabelId, u32> = HashMap::new();
     let mut strings: Vec<String> = Vec::new();
     let mut string_map: HashMap<StrId, u32> = HashMap::new();
-
-    let remap_label =
-        |labels: &mut Vec<String>, label_map: &mut HashMap<LabelId, u32>, l: LabelId| -> u32 {
-            *label_map.entry(l).or_insert_with(|| {
-                labels.push(prog.labels.get(l).to_string());
-                (labels.len() - 1) as u32
-            })
-        };
-    let remap_string =
-        |strings: &mut Vec<String>, string_map: &mut HashMap<StrId, u32>, s: StrId| -> u32 {
-            *string_map.entry(s).or_insert_with(|| {
-                strings.push(prog.strings.get(s).to_string());
-                (strings.len() - 1) as u32
-            })
-        };
+    // Packet-relative symbol ids, in order of first use.
+    fn remap(pool: &Pool, out: &mut Vec<String>, map: &mut HashMap<u32, u32>, id: u32) -> u32 {
+        *map.entry(id).or_insert_with(|| {
+            out.push(pool.get(id).to_string());
+            (out.len() - 1) as u32
+        })
+    }
 
     let mut blocks = Vec::with_capacity(closure.blocks.len());
     for &bid in &closure.blocks {
@@ -125,53 +117,18 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
         let src_code: &[Instr] = normalized.as_deref().unwrap_or(&src.code);
         let code = src_code
             .iter()
-            .map(|ins| match ins {
-                Instr::Fork { block, nfree } => Instr::Fork {
-                    block: block_map[block],
-                    nfree: *nfree,
-                },
-                Instr::TrMsg { label, argc } => Instr::TrMsg {
-                    label: remap_label(&mut labels, &mut label_map, *label),
-                    argc: *argc,
-                },
-                Instr::TrObj { table, nfree } => Instr::TrObj {
-                    table: table_map[table],
-                    nfree: *nfree,
-                },
-                Instr::MkGroup {
-                    table,
-                    dst,
-                    count,
-                    nfree,
-                } => Instr::MkGroup {
-                    table: table_map[table],
-                    dst: *dst,
-                    count: *count,
-                    nfree: *nfree,
-                },
-                Instr::PushStr(s) => {
-                    Instr::PushStr(remap_string(&mut strings, &mut string_map, *s))
-                }
-                Instr::ExportName { slot, name } => Instr::ExportName {
-                    slot: *slot,
-                    name: remap_string(&mut strings, &mut string_map, *name),
-                },
-                Instr::ExportClass { slot, name } => Instr::ExportClass {
-                    slot: *slot,
-                    name: remap_string(&mut strings, &mut string_map, *name),
-                },
-                Instr::Import {
-                    dst,
-                    site,
-                    name,
-                    kind,
-                } => Instr::Import {
-                    dst: *dst,
-                    site: remap_string(&mut strings, &mut string_map, *site),
-                    name: remap_string(&mut strings, &mut string_map, *name),
-                    kind: *kind,
-                },
-                other => *other,
+            .copied()
+            .map(|mut ins| {
+                ins.each_operand(|o| match o {
+                    // By value: a key borrowed from `ins` would keep it
+                    // in memory for every instruction.
+                    Operand::Block(b) => *b = block_map[&{ *b }],
+                    Operand::Table(t) => *t = table_map[&{ *t }],
+                    Operand::Label(l) => *l = remap(&prog.labels, &mut labels, &mut label_map, *l),
+                    Operand::Str(s) => *s = remap(&prog.strings, &mut strings, &mut string_map, *s),
+                    _ => {}
+                });
+                ins
             })
             .collect();
         blocks.push(Block {
@@ -191,7 +148,10 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
             prog.tables[tid as usize]
                 .entries
                 .iter()
-                .map(|(l, b)| (remap_label(&mut labels, &mut label_map, *l), block_map[b]))
+                .map(|(l, b)| {
+                    let l = remap(&prog.labels, &mut labels, &mut label_map, *l);
+                    (l, block_map[b])
+                })
                 .collect()
         })
         .collect();
@@ -253,54 +213,19 @@ pub fn link_trusted(prog: &mut Program, code: &WireCode) -> LinkMap {
         .collect();
 
     for b in &code.blocks {
-        let rewritten = b
+        let code = b
             .code
             .iter()
-            .map(|ins| match ins {
-                Instr::Fork { block, nfree } => Instr::Fork {
-                    block: block_ids[*block as usize],
-                    nfree: *nfree,
-                },
-                Instr::TrMsg { label, argc } => Instr::TrMsg {
-                    label: label_ids[*label as usize],
-                    argc: *argc,
-                },
-                Instr::TrObj { table, nfree } => Instr::TrObj {
-                    table: table_ids[*table as usize],
-                    nfree: *nfree,
-                },
-                Instr::MkGroup {
-                    table,
-                    dst,
-                    count,
-                    nfree,
-                } => Instr::MkGroup {
-                    table: table_ids[*table as usize],
-                    dst: *dst,
-                    count: *count,
-                    nfree: *nfree,
-                },
-                Instr::PushStr(s) => Instr::PushStr(string_ids[*s as usize]),
-                Instr::ExportName { slot, name } => Instr::ExportName {
-                    slot: *slot,
-                    name: string_ids[*name as usize],
-                },
-                Instr::ExportClass { slot, name } => Instr::ExportClass {
-                    slot: *slot,
-                    name: string_ids[*name as usize],
-                },
-                Instr::Import {
-                    dst,
-                    site,
-                    name,
-                    kind,
-                } => Instr::Import {
-                    dst: *dst,
-                    site: string_ids[*site as usize],
-                    name: string_ids[*name as usize],
-                    kind: *kind,
-                },
-                other => *other,
+            .copied()
+            .map(|mut ins| {
+                ins.each_operand(|o| match o {
+                    Operand::Block(b) => *b += base_block,
+                    Operand::Table(t) => *t += base_table,
+                    Operand::Label(l) => *l = label_ids[*l as usize],
+                    Operand::Str(s) => *s = string_ids[*s as usize],
+                    _ => {}
+                });
+                ins
             })
             .collect();
         prog.blocks.push(Block {
@@ -309,7 +234,7 @@ pub fn link_trusted(prog: &mut Program, code: &WireCode) -> LinkMap {
             nparams: b.nparams,
             nlocals: b.nlocals,
             is_class_body: b.is_class_body,
-            code: rewritten,
+            code,
         });
     }
     for t in &code.tables {

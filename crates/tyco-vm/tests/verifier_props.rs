@@ -179,8 +179,9 @@ fn shape_eq(a: &Program, b: &Program) -> bool {
 
 /// Flip one byte of the stored image and push it through the load path
 /// (decode + verify). Accepted mutants are executed briefly: they must
-/// fail cleanly (a typed `VmError`) or run — never panic.
-fn mutate_image(src: &str, rounds: u64, rng: &mut Rng) -> Tally {
+/// fail cleanly (a typed `VmError`) or run — never panic. Each verdict is
+/// appended to `verdicts` (the loaded code, or the error).
+fn mutate_image(src: &str, rounds: u64, rng: &mut Rng, verdicts: &mut String) -> Tally {
     let prog = compile(&tyco_syntax::parse_core(src).unwrap()).unwrap();
     let bytes = image_to_bytes(&prog).to_vec();
     let mut tally = Tally::default();
@@ -189,7 +190,11 @@ fn mutate_image(src: &str, rounds: u64, rng: &mut Rng) -> Tally {
         let pos = rng.below(m.len());
         let flip = (rng.next() % 255 + 1) as u8; // non-zero xor: always a byte change
         m[pos] ^= flip;
-        match image_from_bytes(bytes_from(m)) {
+        let verdict = image_from_bytes(bytes_from(m));
+        // A `Pool`'s index is a `HashMap`, so its `Debug` is not stable.
+        let loaded = verdict.as_ref().map(|p| (p.entry, &p.blocks, &p.tables));
+        *verdicts += &format!("{loaded:?}\n");
+        match verdict {
             Err(_) => tally.rejected += 1,
             Ok(p) if p == prog => tally.identity += 1,
             Ok(p) => {
@@ -289,8 +294,9 @@ fn run_must_not_panic(p: Program) {
 fn image_byte_flips_are_rejected_without_panic() {
     let mut rng = Rng(0x5eed_0001);
     let mut total = Tally::default();
+    let mut verdicts = String::new();
     for src in SEEDS {
-        let t = mutate_image(src, 1500, &mut rng);
+        let t = mutate_image(src, 1500, &mut rng, &mut verdicts);
         total.rejected += t.rejected;
         total.accepted += t.accepted;
         total.benign += t.benign;
@@ -309,6 +315,11 @@ fn image_byte_flips_are_rejected_without_panic() {
         rate >= 0.95,
         "structural rejection rate {:.2}% below 95% ({total:?})",
         rate * 100.0
+    );
+    // The decoder's messages and the verifier's first error, pinned.
+    assert_eq!(
+        tyco_vm::Digest::of(verdicts.as_bytes()),
+        tyco_vm::Digest(0x7947d1c8d574c6e9add0801e79ac7ab8)
     );
 }
 
