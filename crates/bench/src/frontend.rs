@@ -79,9 +79,10 @@ fn measure(name: &str, sources: &[String], reps: usize) -> Json {
     )
 }
 
-pub fn run(smoke: bool) -> Vec<Json> {
-    let reps = if smoke { 1 } else { REPS };
-    let mut points = Vec::new();
+/// The sources the front end is measured on, by set: each workload's
+/// `.dity` files at [`SEED`], full size, then the examples.
+pub fn corpus() -> Vec<(&'static str, Vec<String>)> {
+    let mut sets = Vec::new();
     for name in gen::WORKLOADS {
         let w = gen::generate(name, SEED, &gen::Sizes::FULL, false).expect("a workload");
         let sources: Vec<String> = w
@@ -90,7 +91,7 @@ pub fn run(smoke: bool) -> Vec<Json> {
             .filter(|(file, _)| file.ends_with(".dity"))
             .map(|(_, text)| text)
             .collect();
-        points.push(measure(name, &sources, reps));
+        sets.push((name, sources));
     }
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/dity");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -103,6 +104,14 @@ pub fn run(smoke: bool) -> Vec<Json> {
         .iter()
         .map(|path| std::fs::read_to_string(path).expect("readable example"))
         .collect();
-    points.push(measure("examples", &sources, reps));
-    points
+    sets.push(("examples", sources));
+    sets
+}
+
+pub fn run(smoke: bool) -> Vec<Json> {
+    let reps = if smoke { 1 } else { REPS };
+    corpus()
+        .iter()
+        .map(|(name, sources)| measure(name, sources, reps))
+        .collect()
 }

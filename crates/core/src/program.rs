@@ -83,17 +83,11 @@ impl Program {
         tyco_vm::verify_program(&self.code)
     }
 
-    /// Run the calculus-level liveness lint: messages no object can ever
-    /// receive and objects no message ever targets (closed program).
-    pub fn lint(&self) -> Vec<tyco_calculus::Lint> {
-        tyco_calculus::lint(&self.ast)
-    }
-
-    /// Static diagnostics over the byte-code — unreachable methods,
-    /// never-instantiated classes, sends no reachable table answers
-    /// (`ditico check --analyze`).
-    pub fn findings(&self) -> Vec<tyco_vm::Finding> {
-        tyco_vm::analyze(&self.code).findings(&self.code)
+    /// The usage pass over the source: orphan messages and objects,
+    /// unreachable methods, never-instantiated classes and orphan sends,
+    /// each with its position (`ditico check --lint`).
+    pub fn findings(&self) -> Vec<tyco_types::Finding> {
+        tyco_types::findings(&self.ast)
     }
 }
 
@@ -132,12 +126,21 @@ mod tests {
     fn verify_and_lint_facade() {
         let p = Program::compile("new x (x!go[1] | x?{ go(n) = print(n) })").unwrap();
         assert!(p.verify().is_ok());
-        assert!(p.lint().is_empty());
+        assert!(p.findings().is_empty());
 
         let dead = Program::compile("new x (x!go[1] | print(0))").unwrap();
         assert!(dead.verify().is_ok(), "dead code still verifies");
-        let findings = dead.lint();
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, tyco_calculus::LintKind::OrphanMessage);
+        let found: Vec<_> = dead
+            .findings()
+            .iter()
+            .map(|f| (f.kind.tag(), f.subject.clone(), f.at.to_string()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("orphan-message", "x".to_string(), "1:1".to_string()),
+                ("orphan-send", "go".to_string(), "1:8".to_string()),
+            ]
+        );
     }
 }

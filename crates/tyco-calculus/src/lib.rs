@@ -7,8 +7,6 @@
 //!   after scope extrusion) and persistent environments;
 //! * [`interp`] — a fair small-step interpreter implementing COMM, INST and
 //!   the mobility axioms SHIPM / SHIPO / FETCH, with per-rule counters;
-//! * [`lint`] — a conservative liveness lint: messages no object can ever
-//!   receive, and objects no message ever targets, in closed programs;
 //! * [`trace`] — reduction-rule accounting.
 //!
 //! The interpreter doubles as the tree-walking *baseline* against which the
@@ -16,14 +14,12 @@
 //! differentially tested and benchmarked (experiment C7 in DESIGN.md).
 
 pub mod interp;
-pub mod lint;
 pub mod network_syntax;
 pub mod sigma;
 pub mod trace;
 pub mod value;
 
 pub use interp::{eval_binop, Network, Outcome, RtError, Scheduler};
-pub use lint::{lint, Lint, LintKind};
 pub use network_syntax::{normalize, CanonNet, Net};
 pub use sigma::{sigma_class, sigma_name, sigma_proc};
 pub use trace::{Counters, Rule};

@@ -16,7 +16,6 @@
 //! * [`stats`] — instruction/thread/mobility counters (granularity
 //!   histogram for experiment C1).
 
-pub mod analyze;
 pub mod asm;
 pub mod codec;
 pub mod compile;
@@ -31,7 +30,6 @@ pub mod verify;
 pub mod wire;
 pub mod word;
 
-pub use analyze::{analyze, Analysis, Finding, FindingKind};
 pub use asm::{emit as emit_asm, parse as parse_asm, AsmError};
 pub use codec::TypeStamp;
 pub use compile::{compile, CompileError};

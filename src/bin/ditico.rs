@@ -48,11 +48,11 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "check",
         operand: "<file.dity>",
-        flags: &["--verify --lint --analyze --json --opstats"],
-        about: "type-check; --verify runs the byte-code verifier, --lint the calculus\n\
-                liveness lint, --analyze the whole-program byte-code analysis (unreachable\n\
-                methods, dead classes, orphan sends; --json for CI); any failing gate\n\
-                exits nonzero",
+        flags: &["--verify --lint --json --opstats"],
+        about: "type-check; --verify runs the byte-code verifier, --lint the usage pass\n\
+                (orphan messages and objects, unreachable methods, never-instantiated\n\
+                classes, orphan sends, each at its line:col); --json prints its findings\n\
+                as one JSON document and implies --lint; any failing gate exits nonzero",
         run: cmd_check,
     },
     Command {
@@ -175,7 +175,7 @@ impl Command {
     }
 }
 
-/// Stack of the thread every command runs on. The front end, the lints
+/// Stack of the thread every command runs on. The front end, the usage pass
 /// and the syntax tree's `Drop` recurse over the tree, whose depth the
 /// parser bounds (`nesting too deep`); a program at that bound needs about
 /// 12 MiB in a release build and 100 MiB in a debug build, more than a
@@ -275,8 +275,8 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
         }
     }
     // Every requested gate runs — a verifier failure must not mask the
-    // lint or analysis findings — and any failing gate fails the command,
-    // so `check` can gate a build.
+    // findings — and any failing gate fails the command, so `check` can
+    // gate a build.
     let mut failures: Vec<String> = Vec::new();
     if args.iter().any(|a| a == "--verify") {
         match p.verify() {
@@ -297,21 +297,7 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
         // for execution-weighted counts).
         print!("{}", tyco_vm::stats::OpStats::census(&p.code).render(12));
     }
-    if args.iter().any(|a| a == "--lint") {
-        let findings = p.lint();
-        if !json {
-            for l in &findings {
-                println!("{path}:{l}");
-            }
-            if findings.is_empty() {
-                println!("{path}: no liveness findings");
-            }
-        }
-        if !findings.is_empty() {
-            failures.push(format!("{} liveness finding(s)", findings.len()));
-        }
-    }
-    if args.iter().any(|a| a == "--analyze") {
+    if json || args.iter().any(|a| a == "--lint") {
         let findings = p.findings();
         if json {
             // One JSON document on stdout for CI gating.
@@ -319,10 +305,12 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
                 .iter()
                 .map(|f| {
                     format!(
-                        r#"{{"kind":"{}","subject":"{}","detail":"{}"}}"#,
+                        r#"{{"kind":"{}","subject":"{}","detail":"{}","line":{},"col":{}}}"#,
                         f.kind.tag(),
                         json_escape(&f.subject),
-                        json_escape(&f.detail)
+                        json_escape(&f.detail),
+                        f.at.line,
+                        f.at.col
                     )
                 })
                 .collect();
@@ -333,14 +321,14 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
             );
         } else {
             for f in &findings {
-                println!("{path}: {f}");
+                println!("{path}:{f}");
             }
             if findings.is_empty() {
-                println!("{path}: no analysis findings");
+                println!("{path}: no liveness findings");
             }
         }
         if !findings.is_empty() {
-            failures.push(format!("{} analysis finding(s)", findings.len()));
+            failures.push(format!("{} liveness finding(s)", findings.len()));
         }
     }
     if failures.is_empty() {

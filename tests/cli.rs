@@ -143,30 +143,22 @@ fn check_gates_fail_the_build() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("liveness"), "{stderr}");
 
-    // A dead method: `--analyze` must exit nonzero and name the finding.
+    // A dead method: `--lint` names the finding and its position.
     let dead = write(
         &dir,
         "dead.dity",
         "new x (x!go[1] | x?{ go(n) = print(n), dbg(n) = print(n) })",
     );
     let out = ditico()
-        .args(["check", dead.to_str().unwrap(), "--analyze"])
+        .args(["check", dead.to_str().unwrap(), "--lint"])
         .output()
         .unwrap();
-    assert!(!out.status.success(), "analysis findings must exit nonzero");
+    assert!(!out.status.success(), "findings must exit nonzero");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("unreachable-method"), "{stdout}");
-    assert!(stdout.contains("dbg"), "{stdout}");
-
-    // The same gate in --json form for CI consumption.
-    let out = ditico()
-        .args(["check", dead.to_str().unwrap(), "--analyze", "--json"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"findings\""), "{stdout}");
-    assert!(stdout.contains("\"unreachable-method\""), "{stdout}");
+    assert!(
+        stdout.contains("dead.dity:1:40: unreachable-method: `x.dbg`"),
+        "{stdout}"
+    );
 
     // A clean program passes every gate, with an empty findings array.
     let clean = write(
@@ -180,7 +172,6 @@ fn check_gates_fail_the_build() {
             clean.to_str().unwrap(),
             "--verify",
             "--lint",
-            "--analyze",
             "--json",
         ])
         .output()
@@ -191,7 +182,35 @@ fn check_gates_fail_the_build() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"findings\":[]"), "{stdout}");
+    assert_eq!(
+        stdout,
+        format!("{{\"file\":\"{}\",\"findings\":[]}}\n", clean.display())
+    );
+}
+
+#[test]
+fn lint_json_serializes_every_finding() {
+    // One JSON document holds the binder finding and the label finding,
+    // each with its position; the exit status still gates.
+    let dir = tmpdir("lintjson");
+    let orphan = write(&dir, "orphan.dity", "new x (x!go[1] | print(0))");
+    let out = ditico()
+        .args(["check", orphan.to_str().unwrap(), "--lint", "--json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout,
+        format!(
+            "{{\"file\":\"{}\",\"findings\":[\
+             {{\"kind\":\"orphan-message\",\"subject\":\"x\",\"detail\":\"messages can never \
+             be received: no object listens on it and it never escapes\",\"line\":1,\"col\":1}},\
+             {{\"kind\":\"orphan-send\",\"subject\":\"go\",\"detail\":\"no live object defines \
+             the label\",\"line\":1,\"col\":8}}]}}\n",
+            orphan.display()
+        )
+    );
 }
 
 #[test]
@@ -212,6 +231,7 @@ fn unknown_flags_are_rejected_by_name() {
     let retired_shake = concat!("--sha", "ke");
     let retired_optimize = concat!("--opti", "mize");
     let retired_unchecked = concat!("--unche", "cked");
+    let retired_analyze = concat!("--anal", "yze");
     let help = ditico().arg("help").output().unwrap();
     let help = String::from_utf8_lossy(&help.stdout);
     for flag in [
@@ -220,6 +240,7 @@ fn unknown_flags_are_rejected_by_name() {
         retired_shake,
         retired_optimize,
         retired_unchecked,
+        retired_analyze,
     ] {
         assert!(!help.contains(flag), "usage text still names {flag}");
     }
@@ -235,6 +256,7 @@ fn unknown_flags_are_rejected_by_name() {
         ("compile", retired_shake),
         ("compile", retired_optimize),
         ("check", "--verifi"),
+        ("check", retired_analyze),
         ("run", "--threaded"),
     ] {
         let out = ditico().args([cmd, "nowhere.net", flag]).output().unwrap();
