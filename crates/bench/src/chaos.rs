@@ -25,7 +25,7 @@
 //! The smoke runs every scenario at CI size (2 000 subscribers, a herd of
 //! 256, one restart cycle, 150 soak seeds).
 
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,11 @@ use tyco_vm::word::NodeId;
 
 use crate::json::Json;
 use crate::{point, round, vals};
+
+// The raw-socket stand-in for a member process the transport tests use.
+#[path = "../../ditico-rt/tests/support/passive_peer.rs"]
+mod passive_peer;
+use passive_peer::PassivePeer;
 
 fn faulty_spec(seed: u64) -> ChaosSpec {
     let mut spec = ChaosSpec::quiet(seed);
@@ -184,14 +189,6 @@ fn scenario_herd(smoke: bool, k: usize) -> Json {
 
 // -- rolling restart over real TCP -------------------------------------------
 
-fn heartbeat_frame(node: NodeId, seq: u64) -> bytes::Bytes {
-    codec::encode_frame(
-        node,
-        CONTROL_NODE,
-        &codec::encode(&Packet::Heartbeat { node, seq }),
-    )
-}
-
 fn hello_frame(node: NodeId) -> bytes::Bytes {
     codec::encode_frame(
         node,
@@ -201,32 +198,6 @@ fn hello_frame(node: NodeId) -> bytes::Bytes {
             nodes: vec![node],
         }),
     )
-}
-
-/// Keep the socket drained while emitting `n` heartbeats at `every`;
-/// returns false if the remote hung up.
-fn beat(
-    sock: &mut std::net::TcpStream,
-    node: NodeId,
-    from_seq: u64,
-    n: u64,
-    every: Duration,
-) -> bool {
-    sock.set_nonblocking(true).expect("nonblocking");
-    let mut sink = [0u8; 4096];
-    for seq in from_seq..from_seq + n {
-        if sock.write_all(&heartbeat_frame(node, seq)).is_err() {
-            return false;
-        }
-        let deadline = Instant::now() + every;
-        while Instant::now() < deadline {
-            match sock.read(&mut sink) {
-                Ok(0) => return false,
-                _ => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-    }
-    true
 }
 
 fn scenario_restart(smoke: bool, cycles: u32) -> Json {
@@ -239,12 +210,14 @@ fn scenario_restart(smoke: bool, cycles: u32) -> Json {
     let steady = std::thread::spawn(move || {
         let (mut sock, _) = steady_l.accept().expect("accept");
         sock.write_all(&hello_frame(NodeId(2))).expect("hello");
-        beat(&mut sock, NodeId(2), 1, 3_000, Duration::from_millis(20));
+        PassivePeer::new(NodeId(2)).beat(&mut sock, 1, 3_000, Duration::from_millis(20));
     });
 
     // The "serve process": accepts, heartbeats, dies, comes back on the
     // same port with its beacon sequence restarted — `cycles` times, then
-    // stays up until the client disconnects.
+    // stays up until the client disconnects. It withholds its reports
+    // until the last comeback, so no wave can end the run before the
+    // client has ridden out every reconnect.
     let server = std::thread::spawn(move || {
         let mut listener = listener;
         for _ in 0..cycles {
@@ -254,14 +227,16 @@ fn scenario_restart(smoke: bool, cycles: u32) -> Json {
             // Alive past the stale threshold, then gone past the
             // immediate-redial window so the comeback is a true
             // reconnect.
-            beat(&mut sock, NodeId(0), 1, 20, Duration::from_millis(20));
+            let mut peer = PassivePeer::new(NodeId(0));
+            peer.answers = false;
+            peer.beat(&mut sock, 1, 20, Duration::from_millis(20));
             drop(sock);
             std::thread::sleep(Duration::from_millis(150));
             listener = TcpListener::bind(addr).expect("rebind");
         }
         let (mut sock, _) = listener.accept().expect("final accept");
         sock.write_all(&hello_frame(NodeId(0))).expect("hello");
-        beat(&mut sock, NodeId(0), 1, 600, Duration::from_millis(20));
+        PassivePeer::new(NodeId(0)).beat(&mut sock, 1, 600, Duration::from_millis(20));
     });
 
     let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
@@ -273,7 +248,6 @@ fn scenario_restart(smoke: bool, cycles: u32) -> Json {
     c.add_site_src(NodeId(1), "client", "print(1)")
         .expect("client");
     let start = Instant::now();
-    let grace = Duration::from_millis(800 * u64::from(cycles) + 1_200);
     let report = c
         .run_distributed(
             TransportConfig {
@@ -284,7 +258,6 @@ fn scenario_restart(smoke: bool, cycles: u32) -> Json {
                 max_retries: 100,
                 backoff_base: Duration::from_millis(10),
                 backoff_cap: Duration::from_millis(50),
-                idle_grace: grace,
                 ..TransportConfig::default()
             },
             Duration::from_secs(60),
@@ -292,6 +265,7 @@ fn scenario_restart(smoke: bool, cycles: u32) -> Json {
         .expect("client run");
     let wall_s = start.elapsed().as_secs_f64();
     no_errors(&report, "restart");
+    assert!(report.quiescent, "restart: the run ends on the verdict");
     let wire = report.transport.expect("wire counters");
     assert!(
         wire.reconnects >= u64::from(cycles),

@@ -365,6 +365,7 @@ mod unix_bench {
                 ..TransportConfig::default()
             },
             fabric.handle(),
+            Default::default(),
         )
         .expect("hub transport");
         let addr = hub.local_addr().expect("hub addr");

@@ -28,7 +28,7 @@
 //!   on: thousands of sites multiplexed over a fixed worker pool with
 //!   edge-triggered readiness;
 //! * [`termination`] — Mattern-style four-counter termination detection
-//!   (§7 future work);
+//!   (§7 future work), summed across processes by the transport's waves;
 //! * [`failure`] — heartbeat failure detection feeding the shard map's
 //!   failover (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over

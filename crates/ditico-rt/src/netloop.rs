@@ -236,9 +236,6 @@ impl NetLoop {
             if self.inner.stop.load(Ordering::Acquire) {
                 return;
             }
-            // Odd while a pass is under way, even while the loop is
-            // parked: see `Transport::looked_since`.
-            self.inner.loop_passes.fetch_add(1, Ordering::AcqRel);
             for ev in &events {
                 match ev.token {
                     TOKEN_WAKE => self.wake_rx.drain(),
@@ -262,10 +259,6 @@ impl NetLoop {
                     Timer::ConnectTimeout(idx) => self.connect_timed_out(idx),
                 }
             }
-            // Everything readable when this pass began has been read,
-            // stamped and injected: `Transport::loop_passes` pairs with
-            // this `Release`.
-            self.inner.loop_passes.fetch_add(1, Ordering::AcqRel);
         }
     }
 
@@ -347,12 +340,9 @@ impl NetLoop {
             self.take_slot(idx);
             return Err(e);
         }
-        // Only a registered connection is published: `peers_all_gone`
-        // and the hand-over path must never see a socket the loop cannot
-        // service.
+        // Only a registered connection is published: the hand-over path
+        // must never see a socket the loop cannot service.
         peer.token.store(idx + SLOT_BASE, Ordering::Release);
-        self.inner.conns.lock().push(peer);
-        self.inner.ever_connected.store(true, Ordering::Release);
         self.conn_flush(idx);
         Ok(())
     }
@@ -572,7 +562,7 @@ impl NetLoop {
         };
         let (mut dead, stalled) = {
             let mut w = c.peer.w.lock();
-            w.flush(&self.inner.stats);
+            w.flush(&self.inner);
             (w.closed(), w.stalled)
         };
         // Writable interest tracks "backlog parked on a full socket
@@ -620,7 +610,8 @@ impl NetLoop {
     // --- heartbeats ---------------------------------------------------
 
     fn emit_heartbeats(&mut self) {
-        // The beacon tick doubles as the clock for chaos-delayed frames.
+        // The beacon tick doubles as the clock for chaos-delayed frames
+        // and for termination waves.
         self.inner.flush_due_delayed();
         let chaos = self.inner.chaos.read().clone();
         let seq = self.inner.hb_seq.fetch_add(1, Ordering::AcqRel) + 1;
@@ -649,9 +640,10 @@ impl NetLoop {
             let beacons = frames
                 .iter()
                 .filter(|(n, _)| !matches!(&chaos, Some(ch) if ch.hb_blocked(*n, &peer_nodes)))
-                .map(|(_, f)| (f.clone(), 1));
+                .map(|(_, f)| (f.clone(), CONTROL_NODE, 1));
             self.inner.write_frames(&c.peer, beacons);
         }
+        self.inner.wave_tick();
     }
 
     // --- teardown -----------------------------------------------------
@@ -666,14 +658,20 @@ impl NetLoop {
         let _ = self.poller.deregister(c.sock.as_raw_fd());
         c.peer.token.store(0, Ordering::Release);
         c.peer.alive.store(false, Ordering::Release);
-        c.peer.w.lock().close();
+        c.peer.w.lock().close(&self.inner);
         // A dead accepted connection means the peer departed (it may
         // dial back in, which re-installs routes); a dead outbound one
         // gets redialed, so its nodes are merely suspect.
         self.inner.drop_routes(&c.peer, c.peer.accepted);
         if let Some(didx) = c.dialer {
             if !self.inner.stop.load(Ordering::Acquire) {
-                self.dialers[didx].last_nodes = c.peer.nodes.lock().clone();
+                // A connection that died before its handshake (a dying
+                // peer's kernel can still complete a redial) names no
+                // nodes: the dialer keeps the ones it last reached.
+                let nodes = c.peer.nodes.lock().clone();
+                if !nodes.is_empty() {
+                    self.dialers[didx].last_nodes = nodes;
+                }
                 // Immediate retry; failures fall into exponential backoff
                 // from there.
                 self.start_dial(didx);
@@ -701,11 +699,11 @@ impl NetLoop {
                     let mut w = c.peer.w.lock();
                     let rest = std::mem::take(&mut w.wbufs);
                     let woff = w.woff;
-                    w.close();
+                    w.close(&self.inner);
                     drop(w);
                     let _ = c.sock.set_nonblocking(false);
                     let _ = c.sock.set_write_timeout(Some(Duration::from_millis(100)));
-                    for (i, b) in rest.iter().enumerate() {
+                    for (i, (b, ..)) in rest.iter().enumerate() {
                         let s = if i == 0 { &b[woff..] } else { &b[..] };
                         if (&*c.sock).write_all(s).is_err() {
                             break;

@@ -52,11 +52,9 @@
 //!
 //! The last worker to retire a site (active count hits zero) signals
 //! [`Shared::idle`], which drives the threaded environment loop's
-//! termination probes event-style instead of on a 1 ms poll quantum.
-//! Every retirement also stamps the time ([`Shared::last_retire`]): the
-//! distributed environment loop, which needs a stretch of quiet *after*
-//! an idle edge rather than the edge itself, reads the stamp when it next
-//! looks instead of being woken per edge.
+//! termination probes event-style instead of on a 1 ms poll quantum. (A
+//! distributed run probes on the transport's heartbeat tick instead, and
+//! reads [`Shared::active_sites`] there.)
 
 use crate::site::Site;
 use crate::wake::{Notify, Wake};
@@ -64,7 +62,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tyco_vm::VmError;
 
 /// Sentinel for [`Shared::running`]: the worker is not pumping any slot.
@@ -164,16 +162,8 @@ pub struct Shared {
     /// pool's idle edge.
     active: AtomicUsize,
     /// Signaled on the active-count zero edge (and on stop): what the
-    /// threaded environment loop parks on between Mattern probes. (The
-    /// distributed loop does not — see [`Shared::last_retire`].)
+    /// threaded environment loop parks on between Mattern probes.
     pub idle: Arc<Notify>,
-    /// Start of the run: the zero of `last_retire_ns`.
-    epoch: Instant,
-    /// When a worker last retired a site, in ns since `epoch`. Stored
-    /// *before* the retiring decrement of `active`, so whoever reads
-    /// `active == 0` afterwards also reads the stamp of the retirement
-    /// that made it so.
-    last_retire_ns: AtomicU64,
     stop: AtomicBool,
     // Counters.
     steals: AtomicU64,
@@ -206,8 +196,6 @@ impl Shared {
             running: (0..workers).map(|_| AtomicU32::new(NO_SLOT)).collect(),
             active: AtomicUsize::new(n),
             idle: Arc::new(Notify::new()),
-            epoch: Instant::now(),
-            last_retire_ns: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             steals: AtomicU64::new(0),
             injector_pushes: AtomicU64::new(n as u64),
@@ -233,14 +221,6 @@ impl Shared {
     /// Number of currently active (queued or running) sites.
     pub fn active_sites(&self) -> usize {
         self.active.load(Ordering::SeqCst)
-    }
-
-    /// When a worker last retired a site (the start of the run if none
-    /// has yet). Read after seeing [`active_sites`](Shared::active_sites)
-    /// at zero, this is when the pool went idle — stamped by the worker
-    /// that did it, not by whoever noticed.
-    pub fn last_retire(&self) -> Instant {
-        self.epoch + Duration::from_nanos(self.last_retire_ns.load(Ordering::SeqCst))
     }
 
     /// Ask every worker to exit and wake them all.
@@ -565,8 +545,6 @@ impl Worker {
             .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
         {
             Ok(_) => {
-                let now = self.shared.epoch.elapsed().as_nanos() as u64;
-                self.shared.last_retire_ns.fetch_max(now, Ordering::SeqCst);
                 if self.shared.active.fetch_sub(1, Ordering::SeqCst) == 1 {
                     // Pool idle edge: let the environment thread probe.
                     self.shared.idle.notify();

@@ -3,20 +3,35 @@
 //! terminate computations cleanly"*).
 //!
 //! We implement Mattern's four-counter scheme adapted to the DiTyCO
-//! architecture. The environment keeps two global packet counters
+//! architecture. Every process keeps two packet counters
 //! ([`crate::daemon::TermCounters`]): `injected` (every packet a site or
 //! the name service puts into the system) and `consumed` (every packet
-//! drained by a site or handled by the name service). The detector takes
-//! repeated snapshots of `(injected, consumed, any_site_active)`:
-//! computation has terminated when two *consecutive* snapshots are equal,
-//! balanced (`injected == consumed`) and inactive — the first snapshot
-//! plays the role of Mattern's first wave, the second confirms that no
-//! message was in flight between the waves.
+//! drained by a site or handled by the name service, plus every packet a
+//! carrier lost on the way). The detector takes repeated snapshots of
+//! `(injected, consumed, any_site_active)`: computation has terminated
+//! when two *consecutive* snapshots are equal, balanced
+//! (`injected == consumed`) and inactive — the first snapshot plays the
+//! role of Mattern's first wave, the second confirms that no message was
+//! in flight between the waves.
+//!
+//! A remote send is injected in one process and consumed in another, so
+//! across processes the snapshot is a *sum*: a [`Wave`] adds the
+//! initiator's own snapshot to one report from every other member
+//! process, and only a complete wave is fed to the detector. That is the
+//! same rule with the same proof — each process's counters only grow, so
+//! two equal quiet sums mean no process sent, received or ran anything
+//! between the waves — and it assumes nothing a single process could not
+//! observe: each counts only what it sent and consumed. A member that has
+//! left for good (departed, or unreachable past its retry budget) is
+//! excluded: every process then leaves out the packets it exchanged with
+//! that node ([`Snapshot::take_excluding`]), because the excluded node's
+//! own counts left with it.
 
 use crate::daemon::TermCounters;
 use std::sync::atomic::Ordering;
+use tyco_vm::word::NodeId;
 
-/// One snapshot of global activity.
+/// One snapshot of activity: one process's, or a wave's sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     pub injected: u64,
@@ -27,13 +42,29 @@ pub struct Snapshot {
 impl Snapshot {
     /// Take a snapshot from the shared counters plus a site-activity scan.
     pub fn take(counters: &TermCounters, any_active: bool) -> Snapshot {
-        // Read consumed before injected: overshooting `injected` can only
-        // make the balance check fail (safe direction).
+        Snapshot::take_excluding(counters, any_active, || (0, 0))
+    }
+
+    /// [`take`](Snapshot::take), less the data packets this process
+    /// exchanged with excluded nodes: `exchanged()` returns how many it
+    /// sent to them and received from them.
+    pub fn take_excluding(
+        counters: &TermCounters,
+        any_active: bool,
+        exchanged: impl FnOnce() -> (u64, u64),
+    ) -> Snapshot {
+        // Read consumed first and injected last: a packet counted while
+        // the snapshot is taken can then only overshoot `injected`, which
+        // makes the balance check fail (the safe direction). The
+        // exchange counts sit between the two for the same reason: a
+        // packet is tallied as received before it is consumed, and
+        // injected before it is tallied as sent.
         let consumed = counters.consumed.load(Ordering::SeqCst);
+        let (sent, received) = exchanged();
         let injected = counters.injected.load(Ordering::SeqCst);
         Snapshot {
-            injected,
-            consumed,
+            injected: injected.wrapping_sub(sent),
+            consumed: consumed.wrapping_sub(received),
             any_active,
         }
     }
@@ -41,6 +72,15 @@ impl Snapshot {
     /// Is the system balanced and idle in this snapshot?
     pub fn quiet(&self) -> bool {
         !self.any_active && self.injected == self.consumed
+    }
+
+    /// Two processes' snapshots as one.
+    fn plus(self, other: Snapshot) -> Snapshot {
+        Snapshot {
+            injected: self.injected.wrapping_add(other.injected),
+            consumed: self.consumed.wrapping_add(other.consumed),
+            any_active: self.any_active || other.any_active,
+        }
     }
 }
 
@@ -69,9 +109,49 @@ impl TerminationDetector {
         done
     }
 
-    /// Forget history (e.g. after a failover re-injection).
+    /// Forget history (e.g. after a failover re-injection, or when a
+    /// wave's exclusion set changed and its sums stopped being
+    /// comparable).
     pub fn reset(&mut self) {
         self.prev = None;
+    }
+}
+
+/// One wave across processes: the initiator's own snapshot, plus one
+/// report from the process hosting each member node it still owes.
+#[derive(Debug, Clone)]
+pub struct Wave {
+    pub round: u64,
+    owed: Vec<NodeId>,
+    sum: Snapshot,
+}
+
+impl Wave {
+    /// A wave numbered `round` that needs a report covering every node of
+    /// `owed` on top of the initiator's `own` snapshot.
+    pub fn new(round: u64, own: Snapshot, owed: Vec<NodeId>) -> Wave {
+        Wave {
+            round,
+            owed,
+            sum: own,
+        }
+    }
+
+    /// Count the report of the process hosting `nodes`. A report from an
+    /// older round, or from a process whose nodes were already covered,
+    /// is ignored.
+    pub fn report(&mut self, round: u64, nodes: &[NodeId], part: Snapshot) {
+        if round != self.round || !self.owed.iter().any(|n| nodes.contains(n)) {
+            return;
+        }
+        self.owed.retain(|n| !nodes.contains(n));
+        self.sum = self.sum.plus(part);
+    }
+
+    /// The summed snapshot, once every owed node has reported: a missing
+    /// report blocks the verdict.
+    pub fn sum(&self) -> Option<Snapshot> {
+        self.owed.is_empty().then_some(self.sum)
     }
 }
 
@@ -143,5 +223,89 @@ mod tests {
         c.injected.fetch_add(1, Ordering::SeqCst);
         let s = Snapshot::take(&c, false);
         assert!(!s.quiet());
+    }
+
+    /// Two waves with the same reports, fed to a fresh detector.
+    fn two_waves(own: Snapshot, owed: &[NodeId], reports: &[(&[NodeId], Snapshot)]) -> bool {
+        let mut d = TerminationDetector::new();
+        (1..=2).fold(false, |_, round| {
+            let mut w = Wave::new(round, own, owed.to_vec());
+            for (nodes, part) in reports {
+                w.report(round, nodes, *part);
+            }
+            w.sum().is_some_and(|s| d.probe(s))
+        })
+    }
+
+    #[test]
+    fn a_member_that_never_reported_blocks_the_verdict() {
+        let (a, b, idle) = (NodeId(1), NodeId(2), snap(0, 0, false));
+        let mut w = Wave::new(1, idle, vec![a, b]);
+        w.report(1, &[a], idle);
+        w.report(0, &[b], idle); // an older wave's answer stands in for nothing
+        assert_eq!(w.sum(), None, "b owes its report");
+        assert!(!two_waves(idle, &[a, b], &[(&[a], idle)]));
+        // One process reports once for all of its nodes, and only once.
+        assert!(two_waves(
+            idle,
+            &[a, b],
+            &[(&[a, b], idle), (&[a, b], snap(1, 0, false))]
+        ));
+    }
+
+    #[test]
+    fn a_packet_in_flight_between_processes_blocks_it() {
+        // The initiator sent 3 packets and consumed the 2 replies; the
+        // peer sent the replies but has read only 2 of the 3.
+        let (peer, own) = (NodeId(1), snap(3, 2, false));
+        assert!(!two_waves(own, &[peer], &[(&[peer], snap(2, 2, false))]));
+        assert!(two_waves(own, &[peer], &[(&[peer], snap(2, 3, false))]));
+        assert!(!two_waves(own, &[peer], &[(&[peer], snap(2, 3, true))]));
+    }
+
+    #[test]
+    fn an_excluded_node_is_subtracted_by_each_process() {
+        // P sent departed X 4 packets and got 1 back, Q sent X 1 and got
+        // 2, and P sent Q 5. X's own counts left with it, so the raw sum
+        // is off; each survivor leaving out its exchange with X balances.
+        let (p, q) = (TermCounters::default(), TermCounters::default());
+        p.injected.fetch_add(4 + 5, Ordering::SeqCst);
+        p.consumed.fetch_add(1, Ordering::SeqCst);
+        q.injected.fetch_add(1, Ordering::SeqCst);
+        q.consumed.fetch_add(2 + 5, Ordering::SeqCst);
+        let raw = Snapshot::take(&p, false).plus(Snapshot::take(&q, false));
+        assert!(!raw.quiet(), "{raw:?}");
+        let own = Snapshot::take_excluding(&p, false, || (4, 1));
+        let part = Snapshot::take_excluding(&q, false, || (1, 2));
+        assert!(two_waves(own, &[NodeId(1)], &[(&[NodeId(1)], part)]));
+    }
+
+    #[test]
+    fn chaos_drops_and_duplicates_keep_the_sum_balanced() {
+        use crate::chaos::{ChaosPlan, ChaosSpec, ChaosState, Fault};
+        use std::sync::Arc;
+        // P's wire chaos compensates P's counters; Q consumes each copy
+        // that arrives.
+        let (p, q) = (Arc::new(TermCounters::default()), TermCounters::default());
+        let mut spec = ChaosSpec::quiet(7);
+        (spec.drop_per_mille, spec.dup_per_mille) = (300, 300);
+        let chaos = ChaosState::new(ChaosPlan::new(spec), p.clone());
+        for _ in 0..200 {
+            p.injected.fetch_add(1, Ordering::SeqCst);
+            let copies = match chaos.packet_fate(NodeId(0), NodeId(1), 1, false) {
+                Fault::Drop => 0,
+                Fault::Duplicate => 2,
+                Fault::Deliver | Fault::Delay(_) => 1,
+            };
+            q.consumed.fetch_add(copies, Ordering::SeqCst);
+        }
+        let r = chaos.report();
+        assert!(r.dropped > 0 && r.duplicated > 0, "{r:?}");
+        let part = Snapshot::take(&q, false);
+        assert!(two_waves(
+            Snapshot::take(&p, false),
+            &[NodeId(1)],
+            &[(&[NodeId(1)], part)]
+        ));
     }
 }

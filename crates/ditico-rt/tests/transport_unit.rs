@@ -6,12 +6,21 @@
 //! run) lives in the workspace-level `tests/net_loopback.rs`; these tests
 //! keep the same machinery honest under `cargo test -p ditico-rt`.
 
-use ditico_rt::{Cluster, FabricMode, LinkProfile, RunReport, TransportConfig};
+use ditico_rt::{
+    ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, RunReport, TermCounters,
+    TransportConfig,
+};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tyco_vm::codec::{self, Packet, CONTROL_NODE, WIRE_VERSION};
 use tyco_vm::word::NodeId;
+
+#[path = "support/passive_peer.rs"]
+mod passive_peer;
+use passive_peer::PassivePeer;
 
 /// Reserve a free loopback port by binding port 0 and dropping the
 /// listener. Racy in principle; fine for a test that runs in isolation.
@@ -48,12 +57,20 @@ fn cfg(local: u32, listen: Option<SocketAddr>, peers: Vec<SocketAddr>) -> Transp
         local_nodes: vec![NodeId(local)],
         listen,
         peers,
-        serve: local == 0,
         hb_period: Duration::from_millis(25),
         stale_periods: 4,
-        idle_grace: Duration::from_millis(400),
         ..TransportConfig::default()
     }
+}
+
+/// Both sides of a finished run ended on the verdict.
+fn on_the_verdict(who: &str, report: &RunReport) {
+    assert!(report.quiescent, "{who} ends on the verdict, not the wall");
+    assert!(
+        report.detector_probes >= 2,
+        "{who} took part in two waves: {}",
+        report.detector_probes
+    );
 }
 
 /// A remote FETCH over real sockets: the client imports a def exported by
@@ -79,11 +96,8 @@ fn two_partitions_fetch_over_loopback() {
     assert_eq!(client.output("client"), ["42".to_string()]);
     assert!(client.errors.is_empty(), "{:?}", client.errors);
     assert!(server.errors.is_empty(), "{:?}", server.errors);
-    assert!(
-        client.quiescent,
-        "client should exit by idling, not by wall"
-    );
-    assert!(server.quiescent, "server should exit once the peer is gone");
+    on_the_verdict("client", &client);
+    on_the_verdict("server", &server);
     assert!(client.suspects.is_empty(), "{:?}", client.suspects);
     let cw = client.transport.expect("client wire counters");
     let sw = server.transport.expect("server wire counters");
@@ -107,12 +121,8 @@ fn silent_peer_is_suspected_and_run_terminates() {
         // then nothing, ever. Keep draining so the client's writer never
         // blocks; keep the socket open so only heartbeat silence — not a
         // disconnect — can kill the peer.
-        let hello = Packet::Hello {
-            version: WIRE_VERSION,
-            nodes: vec![NodeId(0)],
-        };
-        let frame = codec::encode_frame(NodeId(0), CONTROL_NODE, &codec::encode(&hello));
-        sock.write_all(&frame).expect("write hello");
+        sock.write_all(&hello_frame(NodeId(0)))
+            .expect("write hello");
         let mut sink = [0u8; 4096];
         loop {
             match sock.read(&mut sink) {
@@ -126,8 +136,8 @@ fn silent_peer_is_suspected_and_run_terminates() {
     c.add_node();
     c.add_node();
     c.add_remote_site("server", NodeId(0));
-    // The local site finishes immediately; the run should then end via
-    // all-remotes-down, not sit out the (long) idle grace.
+    // The local site finishes immediately; the silent member never
+    // reports, so the run can only end via all-remotes-down.
     c.add_site_src(NodeId(1), "client", "print(1)").unwrap();
     let report = c
         .run_distributed(
@@ -136,9 +146,6 @@ fn silent_peer_is_suspected_and_run_terminates() {
                 peers: vec![addr],
                 hb_period: Duration::from_millis(20),
                 stale_periods: 3,
-                // Long on purpose: terminating before it elapses proves
-                // the exit came from the failure detector.
-                idle_grace: Duration::from_secs(20),
                 ..TransportConfig::default()
             },
             Duration::from_secs(30),
@@ -171,7 +178,6 @@ fn unreachable_peer_exhausts_retries_and_terminates() {
                 max_retries: 2,
                 backoff_base: Duration::from_millis(10),
                 backoff_cap: Duration::from_millis(40),
-                idle_grace: Duration::from_secs(20),
                 ..TransportConfig::default()
             },
             Duration::from_secs(30),
@@ -181,6 +187,14 @@ fn unreachable_peer_exhausts_retries_and_terminates() {
     let wire = report.transport.expect("wire counters");
     assert_eq!(wire.peers_failed, 1, "{wire:?}");
     assert!(!report.quiescent);
+}
+
+fn hello_frame(node: NodeId) -> bytes::Bytes {
+    let hello = Packet::Hello {
+        version: WIRE_VERSION,
+        nodes: vec![node],
+    };
+    codec::encode_frame(node, CONTROL_NODE, &codec::encode(&hello))
 }
 
 /// Spawn a fake peer that serves `node` on `listener`: accepts once, does
@@ -193,12 +207,7 @@ fn fake_peer(
     std::thread::spawn(move || {
         let (mut sock, _) = listener.accept().expect("accept");
         drop(listener);
-        let hello = Packet::Hello {
-            version: WIRE_VERSION,
-            nodes: vec![node],
-        };
-        let frame = codec::encode_frame(node, CONTROL_NODE, &codec::encode(&hello));
-        sock.write_all(&frame).expect("write hello");
+        sock.write_all(&hello_frame(node)).expect("write hello");
         script(sock);
     })
 }
@@ -206,31 +215,6 @@ fn fake_peer(
 fn heartbeat_frame(node: NodeId, seq: u64) -> bytes::Bytes {
     let hb = Packet::Heartbeat { node, seq };
     codec::encode_frame(node, CONTROL_NODE, &codec::encode(&hb))
-}
-
-/// Keep a socket readable (so the local writer never blocks) while
-/// sending `n` heartbeats at `every`, then return the socket.
-fn beat(
-    mut sock: std::net::TcpStream,
-    node: NodeId,
-    from_seq: u64,
-    n: u64,
-    every: Duration,
-) -> std::net::TcpStream {
-    sock.set_nonblocking(true).expect("nonblocking");
-    let mut sink = [0u8; 4096];
-    for seq in from_seq..from_seq + n {
-        sock.write_all(&heartbeat_frame(node, seq))
-            .expect("write hb");
-        let deadline = std::time::Instant::now() + every;
-        while std::time::Instant::now() < deadline {
-            match sock.read(&mut sink) {
-                Ok(0) => return sock,
-                _ => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-    }
-    sock
 }
 
 /// The heal-after-suspect regression: a peer that goes silent long enough
@@ -249,10 +233,14 @@ fn suspected_peer_that_reconnects_is_healed() {
     let steady_l = TcpListener::bind("127.0.0.1:0").expect("bind");
     let steady_addr = steady_l.local_addr().expect("addr");
 
-    let bounce = fake_peer(bounce_l, NodeId(0), move |sock| {
+    let bounce = fake_peer(bounce_l, NodeId(0), move |mut sock| {
         // Heartbeat briefly, then go silent past the stale threshold
-        // (3 × 20 ms) while holding the socket open, then hang up.
-        let sock = beat(sock, NodeId(0), 1, 5, Duration::from_millis(20));
+        // (3 × 20 ms) while holding the socket open, then hang up. Until
+        // the comeback it withholds its reports, so no wave ends the run
+        // before the bounce has played out.
+        let mut withholding = PassivePeer::new(NodeId(0));
+        withholding.answers = false;
+        withholding.beat(&mut sock, 1, 5, Duration::from_millis(20));
         std::thread::sleep(Duration::from_millis(400));
         drop(sock);
         // Stay down briefly so the transport's immediate redial fails and
@@ -263,16 +251,12 @@ fn suspected_peer_that_reconnects_is_healed() {
         // heartbeat sequence starts over, as a restarted daemon's would.
         let l = TcpListener::bind(bounce_addr).expect("rebind");
         let (mut sock, _) = l.accept().expect("re-accept");
-        let hello = Packet::Hello {
-            version: WIRE_VERSION,
-            nodes: vec![NodeId(0)],
-        };
-        let frame = codec::encode_frame(NodeId(0), CONTROL_NODE, &codec::encode(&hello));
-        sock.write_all(&frame).expect("write hello");
-        beat(sock, NodeId(0), 1, 300, Duration::from_millis(20));
+        sock.write_all(&hello_frame(NodeId(0)))
+            .expect("write hello");
+        PassivePeer::new(NodeId(0)).beat(&mut sock, 1, 300, Duration::from_millis(20));
     });
-    let steady = fake_peer(steady_l, NodeId(1), |sock| {
-        beat(sock, NodeId(1), 1, 300, Duration::from_millis(20));
+    let steady = fake_peer(steady_l, NodeId(1), |mut sock| {
+        PassivePeer::new(NodeId(1)).beat(&mut sock, 1, 300, Duration::from_millis(20));
     });
 
     let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
@@ -292,9 +276,6 @@ fn suspected_peer_that_reconnects_is_healed() {
                 max_retries: 50,
                 backoff_base: Duration::from_millis(10),
                 backoff_cap: Duration::from_millis(50),
-                // Long enough for the whole bounce to play out before the
-                // idle exit; short enough to keep the test quick.
-                idle_grace: Duration::from_secs(2),
                 ..TransportConfig::default()
             },
             Duration::from_secs(30),
@@ -302,6 +283,7 @@ fn suspected_peer_that_reconnects_is_healed() {
         .expect("client run");
 
     assert_eq!(report.output("client"), ["1".to_string()]);
+    on_the_verdict("client", &report);
     let wire = report.transport.expect("wire counters");
     assert!(wire.reconnects >= 1, "the bounce really dropped: {wire:?}");
     assert!(
@@ -361,6 +343,7 @@ fn silence_is_counted_in_executed_ticks_not_wall_time() {
             ..TransportConfig::default()
         },
         fabric.handle(),
+        Default::default(),
     )
     .expect("transport");
     // Declared after the transport, so dropped before it: if an
@@ -481,6 +464,7 @@ fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
             ..TransportConfig::default()
         },
         fabric.handle(),
+        Default::default(),
     )
     .expect("transport");
 
@@ -666,7 +650,11 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
         ));
         sock.write_all(&wire)
             .expect("same connection takes all five");
-        beat(sock, NodeId(0), 1, 500, Duration::from_millis(20));
+        // It read the registration and sent the five: that is what its
+        // reports count, and the client's sum balances against them.
+        let mut peer = PassivePeer::new(NodeId(0));
+        (peer.sent, peer.recv) = (5, 1);
+        peer.beat(&mut sock, 1, 500, Duration::from_millis(20));
     });
 
     let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
@@ -685,6 +673,7 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
     peer.join().expect("fake peer");
 
     assert_eq!(report.output("client"), ["7".to_string()], "(v) arrived");
+    on_the_verdict("client", &report);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(rejected(&report), 4, "{:?}", report.daemon_stats);
     let cache = report.cache_totals();
@@ -700,8 +689,9 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
 fn bare_transport(
     addr: SocketAddr,
     outbound_cap: usize,
-) -> (ditico_rt::Fabric, ditico_rt::Transport) {
+) -> (ditico_rt::Fabric, ditico_rt::Transport, Arc<TermCounters>) {
     let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let term = Arc::new(TermCounters::default());
     let transport = ditico_rt::Transport::start(
         TransportConfig {
             local_nodes: vec![NodeId(1)],
@@ -714,9 +704,10 @@ fn bare_transport(
             ..TransportConfig::default()
         },
         fabric.handle(),
+        term.clone(),
     )
     .expect("transport");
-    (fabric, transport)
+    (fabric, transport, term)
 }
 
 /// Poll `cond` until it holds; panics with `what` after ten seconds.
@@ -736,7 +727,7 @@ fn a_batch_stashed_before_the_handshake_counts_every_packet() {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let (_fabric, transport) = bare_transport(addr, 4096);
+    let (_fabric, transport, _) = bare_transport(addr, 4096);
     // Connected (the kernel's accept queue took it) but not handshaken:
     // only our own Hello has gone out.
     eventually("our hello", || transport.report().frames_out == 1);
@@ -824,7 +815,7 @@ fn contended_writers_never_interleave_or_reorder_and_a_stalled_backlog_drains() 
         let _ = done_rx.recv();
     });
 
-    let (_fabric, transport) = bare_transport(addr, 4096);
+    let (_fabric, transport, _) = bare_transport(addr, 4096);
     eventually("route to node 0", || transport.report().topology_edges >= 1);
     std::thread::scope(|s| {
         for who in 0..PRODUCERS {
@@ -873,7 +864,7 @@ fn a_reader_that_never_reads_bounds_the_backlog_and_cannot_hang_shutdown() {
         let _ = done_rx.recv();
         drop(sock);
     });
-    let (_fabric, mut transport) = bare_transport(addr, CAP);
+    let (_fabric, mut transport, term) = bare_transport(addr, CAP);
     eventually("route to node 0", || transport.report().topology_edges >= 1);
     let net = transport.handle();
     let frame = bytes::Bytes::from(vec![7u8; 64 * 1024]);
@@ -885,6 +876,11 @@ fn a_reader_that_never_reads_bounds_the_backlog_and_cannot_hang_shutdown() {
     assert_eq!(wire.frames_out + wire.dropped, 1 + PUSHED, "{wire:?}");
     assert!(wire.outq_hwm <= CAP as u64, "backlog is bounded: {wire:?}");
     assert!(wire.flush_stalls >= 1, "{wire:?}");
+    assert_eq!(
+        term.consumed.load(Ordering::SeqCst),
+        wire.dropped,
+        "every dropped packet is consumed for Mattern's balance"
+    );
 
     let t0 = std::time::Instant::now();
     transport.shutdown();
@@ -920,16 +916,8 @@ fn a_peer_closing_mid_burst_is_killed_and_redialled_by_the_loop() {
         std::thread::sleep(Duration::from_millis(100));
         let l = TcpListener::bind(addr).expect("rebind");
         let (mut sock, _) = l.accept().expect("redial");
-        let hello = Packet::Hello {
-            version: WIRE_VERSION,
-            nodes: vec![NodeId(0)],
-        };
-        sock.write_all(&codec::encode_frame(
-            NodeId(0),
-            CONTROL_NODE,
-            &codec::encode(&hello),
-        ))
-        .expect("write hello");
+        sock.write_all(&hello_frame(NodeId(0)))
+            .expect("write hello");
         let mut rd = FrameReader::new(sock);
         while let Some(payload) = rd.next_data(Duration::ZERO) {
             if payload.len() == 5 {
@@ -940,7 +928,7 @@ fn a_peer_closing_mid_burst_is_killed_and_redialled_by_the_loop() {
         panic!("the redialled connection closed before the marker arrived");
     });
 
-    let (_fabric, transport) = bare_transport(addr, 4096);
+    let (_fabric, transport, _) = bare_transport(addr, 4096);
     eventually("route to node 0", || transport.report().topology_edges >= 1);
     let net = transport.handle();
     let frame = bytes::Bytes::from(vec![9u8; 16 * 1024]);
@@ -958,4 +946,197 @@ fn a_peer_closing_mid_burst_is_killed_and_redialled_by_the_loop() {
         back_rx.try_recv().is_ok()
     });
     peer.join().expect("fake peer");
+}
+
+/// A packet for a node that is gone for good is dropped where it is sent,
+/// and consumed there: with nobody left to receive it, the sender's own
+/// counters balance.
+#[test]
+fn a_send_to_a_perma_down_node_keeps_the_counters_balanced() {
+    use ditico_rt::PacketFabric as _;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    // Node 0 shakes hands and leaves; nothing listens there again.
+    let peer = fake_peer(listener, NodeId(0), |sock| {
+        FrameReader::new(sock)
+            .next(Duration::ZERO)
+            .expect("our hello");
+    });
+    let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let term = Arc::new(TermCounters::default());
+    let transport = ditico_rt::Transport::start(
+        TransportConfig {
+            local_nodes: vec![NodeId(1)],
+            peers: vec![addr],
+            hb_period: Duration::from_secs(60),
+            max_retries: 1,
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(10),
+            ..TransportConfig::default()
+        },
+        fabric.handle(),
+        term.clone(),
+    )
+    .expect("transport");
+    peer.join().expect("fake peer");
+    eventually("node 0 down for good", || {
+        transport.report().peers_failed == 1
+    });
+
+    // Four packets, counted injected as a site's sends would be.
+    term.injected.fetch_add(4, Ordering::SeqCst);
+    let net = transport.handle();
+    let mut batch: Vec<bytes::Bytes> = (0..3u8).map(|i| bytes::Bytes::from(vec![i; 8])).collect();
+    net.send_batch(NodeId(1), NodeId(0), &mut batch);
+    net.send(NodeId(1), NodeId(0), bytes::Bytes::from_static(b"one"));
+    assert_eq!(transport.report().dropped_perma, 4);
+    let s = ditico_rt::Snapshot::take(&term, false);
+    assert!(s.quiet(), "{s:?}");
+}
+
+/// A member that withholds its report blocks every wave — the client,
+/// idle from the start, cannot conclude — until that member's own verdict
+/// arrives, which ends the client's run quiescent: the verdict is global.
+#[test]
+fn a_silent_member_blocks_the_verdict_until_its_own_arrives() {
+    const WITHHELD: Duration = Duration::from_millis(400);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = fake_peer(listener, NodeId(0), |mut sock| {
+        let mut peer = PassivePeer::new(NodeId(0));
+        peer.answers = false;
+        peer.beat(&mut sock, 1, 20, WITHHELD / 20);
+        let verdict = codec::encode(&Packet::TermVerdict);
+        sock.write_all(&codec::encode_frame(NodeId(0), CONTROL_NODE, &verdict))
+            .expect("write verdict");
+        peer.beat(&mut sock, 21, 500, Duration::from_millis(20));
+    });
+
+    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    c.add_node();
+    c.add_node();
+    c.add_remote_site("server", NodeId(0));
+    c.add_site_src(NodeId(1), "client", "print(1)").unwrap();
+    let t0 = Instant::now();
+    let report = c
+        .run_distributed(cfg(1, None, vec![addr]), Duration::from_secs(30))
+        .expect("client run");
+    peer.join().expect("fake peer");
+
+    assert!(t0.elapsed() >= WITHHELD, "concluded without the member");
+    assert!(report.quiescent, "the received verdict ends the run");
+    assert!(report.suspects.is_empty(), "{:?}", report.suspects);
+    assert!(report.detector_probes >= 1, "the client did start a wave");
+    assert_eq!(report.output("client"), ["1".to_string()]);
+}
+
+/// A packet one process has sent and the other has not yet read keeps
+/// the summed counters unbalanced: the member here reports it as sent for
+/// a while before it writes it, and the verdict waits for the client to
+/// have consumed it.
+#[test]
+fn a_frame_not_yet_read_blocks_the_verdict() {
+    use tyco_vm::wire::WireWord;
+    const IN_FLIGHT: Duration = Duration::from_millis(300);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = fake_peer(listener, NodeId(0), |mut sock| {
+        let mut rd = FrameReader::new(sock.try_clone().expect("clone"));
+        let dest = loop {
+            let payload = rd.next_data(Duration::ZERO).expect("the export registers");
+            if let Ok(Packet::NsRegister {
+                value: WireWord::Chan(p),
+                ..
+            }) = codec::decode(payload)
+            {
+                break p;
+            }
+        };
+        let msg = Packet::Msg {
+            dest,
+            label: "val".to_string(),
+            args: vec![WireWord::Int(7)],
+        };
+        let mut peer = PassivePeer::new(NodeId(0));
+        (peer.sent, peer.recv) = (1, 1);
+        peer.beat(&mut sock, 1, 15, IN_FLIGHT / 15);
+        sock.write_all(&codec::encode_frame(
+            NodeId(0),
+            NodeId(1),
+            &codec::encode(&msg),
+        ))
+        .expect("write msg");
+        peer.beat(&mut sock, 16, 500, Duration::from_millis(20));
+    });
+
+    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    c.add_node();
+    c.add_node();
+    c.add_remote_site("server", NodeId(0));
+    c.add_site_src(
+        NodeId(1),
+        "client",
+        "export new p in p?{ val(x) = print(x) }",
+    )
+    .unwrap();
+    let t0 = Instant::now();
+    let report = c
+        .run_distributed(cfg(1, None, vec![addr]), Duration::from_secs(30))
+        .expect("client run");
+    peer.join().expect("fake peer");
+
+    assert!(
+        t0.elapsed() >= IN_FLIGHT,
+        "concluded over a packet in flight"
+    );
+    on_the_verdict("client", &report);
+    assert_eq!(report.output("client"), ["7".to_string()]);
+}
+
+/// Packets the wire's chaos dice drop or duplicate are compensated where
+/// the dice roll, so the two processes' sums still balance: both end on
+/// the verdict, even when a dropped call leaves its chain unfinished.
+#[test]
+fn chaos_drops_and_duplicates_on_the_wire_still_end_on_the_verdict() {
+    let rpc = |local: u32| {
+        let server = "def Srv(p) = p?{ val(x, r) = r![x + 1] | Srv[p] } in export new p in Srv[p]";
+        let client = "import p from server in \
+                      def Chain(k) = if k > 0 then new a (p!val[k, a] | a?(v) = Chain[k - 1]) \
+                      else print(0) in Chain[40]";
+        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+        c.add_node();
+        c.add_node();
+        for (node, lexeme, src) in [(0, "server", server), (1, "client", client)] {
+            if node == local {
+                c.add_site_src(NodeId(node), lexeme, src).unwrap();
+            } else {
+                c.add_remote_site(lexeme, NodeId(node));
+            }
+        }
+        let mut spec = ChaosSpec::quiet(5);
+        (spec.drop_per_mille, spec.dup_per_mille) = (20, 100);
+        c.set_chaos(ChaosPlan::new(spec)).expect("plan");
+        c
+    };
+    let addr = free_addr();
+    let server = std::thread::spawn(move || {
+        rpc(0)
+            .run_distributed(cfg(0, Some(addr), Vec::new()), Duration::from_secs(30))
+            .expect("server run")
+    });
+    let client = rpc(1)
+        .run_distributed(cfg(1, None, vec![addr]), Duration::from_secs(30))
+        .expect("client run");
+    let server = server.join().expect("server thread");
+
+    on_the_verdict("client", &client);
+    on_the_verdict("server", &server);
+    let faults: u64 = [&client, &server]
+        .iter()
+        .filter_map(|r| r.chaos)
+        .map(|c| c.dropped + c.duplicated)
+        .sum();
+    assert!(faults > 0, "the dice did roll faults");
 }

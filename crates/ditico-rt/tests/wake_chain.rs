@@ -17,7 +17,6 @@ use tyco_vm::word::NodeId;
 
 const CALLS: u64 = 2000;
 const HB: Duration = Duration::from_millis(25);
-const GRACE: Duration = Duration::from_millis(150);
 
 /// The topology both sides build: the echo server on node 0, the chain
 /// on node 1; `local` picks which of them really runs here.
@@ -48,17 +47,18 @@ fn partition(local: u32) -> Cluster {
 fn cfg(local: u32, listen: Option<SocketAddr>, peers: Vec<SocketAddr>) -> TransportConfig {
     TransportConfig {
         local_nodes: vec![NodeId(local)],
-        serve: listen.is_some(),
         listen,
         peers,
         hb_period: HB,
-        idle_grace: GRACE,
         ..TransportConfig::default()
     }
 }
 
 fn check(who: &str, report: &RunReport, wall: Duration) {
-    assert!(report.quiescent, "{who} exits by quiescing");
+    assert!(
+        report.quiescent && report.detector_probes > 0,
+        "{who} ends on the verdict"
+    );
     assert!(report.errors.is_empty(), "{who}: {:?}", report.errors);
     let wire = report.transport.expect("wire counters");
     let wakes = report.wakes;
@@ -71,8 +71,8 @@ fn check(who: &str, report: &RunReport, wall: Duration) {
         "{who}: fallback thread pumped on more than 2% of calls: {wakes:?}"
     );
 
-    // The environment loop looks once per `env_tick` (here the heartbeat
-    // period), once per topology edge, and a handful of times around
+    // The environment loop looks once per heartbeat period, once per
+    // topology edge, once on the verdict and a handful of times around
     // start and exit — never per call.
     let ticks = (wall.as_millis() / HB.as_millis()) as u64;
     let env_budget = ticks + wire.topology_edges + 8;

@@ -7,10 +7,13 @@
 # Generates the two-file RPC program (the benchmark's `rpc_seq` shape: one
 # chain, one call in flight), runs `ditico serve` and `ditico net` pinned
 # to one CPU, samples /proc/<pid>/task/*/status when the client starts and
-# again at least a second later, once the chain has finished and both
-# processes sit in their exit grace, and prints voluntary / involuntary
-# switches per call for every thread. With `--max S` it fails when either
-# process spends more than S switches per call in total.
+# again at least a second later, once the chain has finished, and prints
+# voluntary / involuntary switches per call for every thread. With
+# `--max S` it fails when either process spends more than S switches per
+# call in total. The topology has a third node with an idle site, hosted
+# by a third process started only after the second sample: until its node
+# reports, no termination wave can conclude, so both processes are still
+# there to be sampled once the chain is done.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -42,17 +45,20 @@ fi
 work="$(mktemp -d)"
 server_pid=""
 client_pid=""
+latch_pid=""
 cleanup() {
-    for p in $client_pid $server_pid; do kill "$p" 2>/dev/null || true; done
+    for p in $client_pid $server_pid $latch_pid; do kill "$p" 2>/dev/null || true; done
     rm -rf "$work"
 }
 trap cleanup EXIT
 
 cat > "$work/cluster.net" <<EOF
-topology nodes=2 fabric=ideal link=ideal
+topology nodes=3 fabric=ideal link=ideal
 site server server.dity node=0
 site client client.dity node=1
+site latch latch.dity node=2
 EOF
+echo 0 > "$work/latch.dity"
 cat > "$work/server.dity" <<EOF
 def Srv(p) = p?{ val(x, r) = r![x + 1] | Srv[p] } in export new p in Srv[p]
 EOF
@@ -80,7 +86,7 @@ snapshot() {
 # while no call is in flight.
 workers() { awk '$2 ~ /^ditico-worker/ { s += $3 + $4 } END { print s + 0 }' "$1"; }
 
-wall=$(( hb_ms * 6 / 1000 + 60 ))
+wall=60
 "${pin[@]}" "$ditico" serve "$work/cluster.net" --node 0 --listen 127.0.0.1:0 \
     --hb-ms "$hb_ms" --wall "$wall" > "$work/server.out" 2> "$work/server.err" &
 server_pid=$!
@@ -99,12 +105,12 @@ snapshot "$server_pid" > "$work/server.a"
 snapshot "$client_pid" > "$work/client.a"
 
 # Second sample: a second later at the earliest, and only once the
-# client's workers have stopped switching (the chain is done and both
-# processes wait out their exit grace of six heartbeat periods).
+# client's workers have stopped switching (the chain is done, and both
+# processes wait for the latch's node to report).
 sleep 1
 prev=-1
 settled=0
-for _ in $(seq $(( hb_ms * 6 / 250 ))); do
+for _ in $(seq 40); do
     snapshot "$server_pid" > "$work/server.b"
     snapshot "$client_pid" > "$work/client.b"
     [ -s "$work/client.b" ] || break
@@ -117,14 +123,21 @@ for _ in $(seq $(( hb_ms * 6 / 250 ))); do
     sleep 0.25
 done
 if [ "$settled" -ne 1 ]; then
-    echo "wake_chain.sh: the chain did not finish inside the exit grace; raise --hb-ms" >&2
+    echo "wake_chain.sh: the chain did not settle within 10 s" >&2
     exit 1
 fi
+
+# The latch's node reports, and all three end on the verdict.
+"${pin[@]}" "$ditico" net "$work/cluster.net" --node 2 --peers "$addr" \
+    --hb-ms "$hb_ms" --wall "$wall" > /dev/null 2> "$work/latch.err" &
+latch_pid=$!
 
 wait "$client_pid" || { echo "wake_chain.sh: client failed" >&2; cat "$work/client.err" >&2; exit 1; }
 client_pid=""
 wait "$server_pid" || { echo "wake_chain.sh: server failed" >&2; cat "$work/server.err" >&2; exit 1; }
 server_pid=""
+wait "$latch_pid" || { echo "wake_chain.sh: latch failed" >&2; cat "$work/latch.err" >&2; exit 1; }
+latch_pid=""
 if ! grep -qxF "$expected" "$work/client.out"; then
     echo "wake_chain.sh: client printed the wrong result (want \`$expected\`)" >&2
     cat "$work/client.out" >&2

@@ -106,8 +106,8 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         operand: "<spec.net>",
         flags: &[CLUSTER_FLAGS, TCP_FLAGS],
-        about: "host this process's nodes (--node LIST, --listen ADDR) over TCP and linger\n\
-                until every peer is gone",
+        about: "host this process's nodes (--node LIST, --listen ADDR) over TCP until the\n\
+                distributed run terminates",
         run: |cmd, args| cmd_distributed(cmd, args, true),
     },
     Command {
@@ -814,12 +814,10 @@ fn cmd_distributed(cmd: &Command, args: &[String], serve: bool) -> Result<(), St
         local_nodes: local_nodes.iter().map(|&n| NodeId(n as u32)).collect(),
         listen,
         peers,
-        serve,
         ..TransportConfig::default()
     };
     if let Some(ms) = num_flag(args, "--hb-ms")? {
         cfg.hb_period = std::time::Duration::from_millis(ms.max(1));
-        cfg.idle_grace = cfg.hb_period * 6;
     }
     if let Some(r) = num_flag(args, "--retries")? {
         cfg.max_retries = r as u32;

@@ -1,9 +1,11 @@
-//! Two-process cluster tests over loopback TCP, through the real
+//! Multi-process cluster tests over loopback TCP, through the real
 //! `ditico` binary: one `ditico serve` child hosting the server node and
 //! the name service, one `ditico net --peers` client process fetching
 //! code from it — first the happy path, then with the server killed
 //! mid-run to check the survivor suspects it and terminates cleanly, and
-//! with both processes stopped mid-run to check that nobody is.
+//! with both processes stopped mid-run to check that nobody is. Three
+//! processes check that a server waits for every client node of its
+//! topology, and that a killed member is excluded from the verdict.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -105,7 +107,7 @@ fn two_process_fetch_roundtrip() {
         "clean run must not suspect anyone: {client_err}"
     );
 
-    // With its only peer gone, the server must wind down on its own.
+    // Both processes end on the verdict.
     let st = wait_bounded(&mut server, 30);
     let out = server.wait_with_output().expect("server output");
     let server_err = String::from_utf8_lossy(&out.stderr).to_string();
@@ -114,6 +116,141 @@ fn two_process_fetch_roundtrip() {
         server_err.contains("data in"),
         "server should report wire traffic: {server_err}"
     );
+    for err in [&client_err, &server_err] {
+        assert!(!err.contains("limit hit"), "{err}");
+    }
+}
+
+/// Spawn `ditico <args>` listening on port 0 and return it with the
+/// address it announced once bound.
+fn spawn_listening(args: &[&str]) -> (Child, String) {
+    use std::io::BufRead as _;
+    let mut child = ditico()
+        .args(args)
+        .args(["--listen", "127.0.0.1:0", "--wall", "60", "--hb-ms", "25"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn listener");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stderr.as_mut().expect("piped stderr"))
+        .read_line(&mut line)
+        .expect("read announcement");
+    let addr = line
+        .strip_prefix("listening on ")
+        .and_then(|l| l.split(',').next())
+        .unwrap_or_else(|| panic!("unexpected first line: {line:?}"));
+    (child, addr.to_string())
+}
+
+const SPEC_TWO_CLIENTS: &str = "topology nodes=3 fabric=ideal link=ideal\n\
+                                site server server.dity node=0\n\
+                                site first client.dity node=1\n\
+                                site second client.dity node=2\n";
+
+/// The topology names two client nodes. The first client comes, gets its
+/// reply and leaves (on its wall: its run cannot conclude while the
+/// second's node has never reported); a second later the second comes,
+/// and it must still find the server, which then ends with it on the
+/// verdict. A server used to leave soon after its first client did.
+#[test]
+fn serve_waits_for_every_client_node_of_its_topology() {
+    let dir = tmpdir("twoclients");
+    write(&dir, "server.dity", SERVER);
+    write(&dir, "client.dity", CLIENT);
+    let spec = write(&dir, "cluster.net", SPEC_TWO_CLIENTS);
+    let spec = spec.to_str().unwrap();
+    let (mut server, addr) = spawn_listening(&["serve", spec, "--node", "0"]);
+
+    let client = |node: &str, wall: &str| {
+        let out = ditico()
+            .args(["net", spec, "--node", node, "--peers", &addr])
+            .args(["--wall", wall, "--hb-ms", "25"])
+            .output()
+            .expect("run client");
+        let stdout = String::from_utf8_lossy(&out.stdout).trim().to_string();
+        (stdout, String::from_utf8_lossy(&out.stderr).to_string())
+    };
+    let (first, _) = client("1", "2");
+    assert_eq!(first, "[first] 42");
+    std::thread::sleep(Duration::from_secs(1));
+    let (second, second_err) = client("2", "60");
+    assert_eq!(second, "[second] 42", "{second_err}");
+    assert!(!second_err.contains("limit hit"), "{second_err}");
+
+    let st = wait_bounded(&mut server, 30);
+    let out = server.wait_with_output().expect("server output");
+    let server_err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        st.success() && !server_err.contains("limit hit"),
+        "{server_err}"
+    );
+}
+
+const SPEC_SPINNER: &str = "topology nodes=3 fabric=ideal link=ideal\n\
+                            site server server.dity node=0\n\
+                            site client client.dity node=1\n\
+                            site spinner spin.dity node=2\n";
+
+/// Three processes; the third spins forever, so no wave can conclude
+/// while it lives, and it is killed mid-run. Both survivors dial it: each
+/// exhausts its redials, marks the node down for good and excludes it,
+/// and they end on the verdict of the two of them, reporting the killed
+/// node as suspected.
+#[test]
+fn killing_one_of_three_processes_ends_the_survivors_on_the_exclusion_verdict() {
+    let dir = tmpdir("killthree");
+    write(&dir, "server.dity", SERVER);
+    write(&dir, "client.dity", CLIENT);
+    write(&dir, "spin.dity", "def Loop(n) = Loop[n] in Loop[0]");
+    let spec = write(&dir, "cluster.net", SPEC_SPINNER);
+    let spec = spec.to_str().unwrap();
+    let (mut spinner, spin_addr) = spawn_listening(&["net", spec, "--node", "2"]);
+    let (server, server_addr) = spawn_listening(&[
+        "serve",
+        spec,
+        "--node",
+        "0",
+        "--peers",
+        &spin_addr,
+        "--retries",
+        "2",
+    ]);
+    let peers = format!("{server_addr},{spin_addr}");
+    let client = ditico()
+        .args([
+            "net",
+            spec,
+            "--node",
+            "1",
+            "--peers",
+            &peers,
+            "--retries",
+            "2",
+        ])
+        .args(["--wall", "60", "--hb-ms", "25"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn client");
+
+    std::thread::sleep(Duration::from_millis(1500));
+    spinner.kill().expect("kill spinner");
+    let _ = spinner.wait();
+
+    for (who, mut child) in [("server", server), ("client", client)] {
+        wait_bounded(&mut child, 30);
+        let out = child.wait_with_output().expect("output");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{who}: {stderr}");
+        assert!(
+            stderr.contains("suspected dead nodes: 2") && !stderr.contains("limit hit"),
+            "{who} ends on the exclusion verdict: {stderr}"
+        );
+        if who == "client" {
+            assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "[client] 42");
+        }
+    }
 }
 
 #[test]
@@ -147,11 +284,19 @@ fn serve_announces_its_bound_address_only_once_it_accepts() {
     let sock = std::net::TcpStream::connect(addr).expect("announced address accepts");
     drop(sock);
 
-    // Its only peer came and went: the server winds down on its own.
+    // A stranger that never said who it is does not stand in for the
+    // client node: the server winds down once the real client is done.
+    let client = ditico()
+        .args(["net", spec.to_str().unwrap(), "--node", "1"])
+        .args(["--peers", addr, "--wall", "60", "--hb-ms", "25"])
+        .output()
+        .expect("run client");
+    assert!(client.status.success());
     let st = wait_bounded(&mut server, 30);
     let mut rest = String::new();
     stderr.read_to_string(&mut rest).expect("drain stderr");
     assert!(st.success(), "{rest}");
+    assert!(!rest.contains("limit hit"), "{rest}");
 }
 
 #[test]
@@ -234,12 +379,11 @@ fn signal(sig: &str, children: &[&Child]) {
 }
 
 /// Both processes are stopped mid-run for much longer than the failure
-/// monitor's patience (5 × 25 ms) and the idle grace (150 ms), three
-/// times. Whichever thread the kernel runs first afterwards, neither
-/// verdict may be taken from the clock alone while the peer's beacons
-/// and replies sit unread in the socket: the client must not suspect the
-/// server and cut the run, and must not declare quiescence and exit
-/// with chains unfinished.
+/// monitor's patience (5 × 25 ms), three times. Whichever thread the
+/// kernel runs first afterwards, no verdict may be taken from the clock
+/// while the peer's beacons and replies sit unread in the socket: the
+/// client must not suspect the server and cut the run, and must not
+/// declare quiescence and exit with chains unfinished.
 #[test]
 fn a_stall_of_both_processes_costs_no_replies() {
     let dir = tmpdir("stall");
