@@ -268,9 +268,13 @@ fn f3_site_vm() {
     // A1: the export-table translation in isolation.
     let mut m = Machine::new(program("new c (c![1] | c?(x) = 0)"), main());
     m.run_to_quiescence(u64::MAX).unwrap();
-    let ns = time_ns(1_000_000, || m.outgoing(black_box(Word::Chan(0))));
+    let ns = time_ns(1_000_000, || {
+        m.outgoing(black_box(Word::Chan(0)), SiteId(1), false)
+    });
     row("A1: export-table translation of a channel word", ns);
-    let ns = time_ns(1_000_000, || m.outgoing(black_box(Word::Int(42))));
+    let ns = time_ns(1_000_000, || {
+        m.outgoing(black_box(Word::Int(42)), SiteId(1), false)
+    });
     row("A1: export-table translation of an int word", ns);
 
     // One lock and one wakeup amortized over a whole backlog.

@@ -956,28 +956,12 @@ impl Cluster {
         report
     }
 
-    /// Direct access to a site's I/O output after a deterministic run.
-    pub fn output(&self, lexeme: &str) -> Vec<String> {
-        for cell in &self.nodes {
-            for site in &cell.sites {
-                if site.lexeme == lexeme {
-                    return site.machine.io.clone();
-                }
-            }
-        }
-        Vec::new()
-    }
-
-    /// A site's VM statistics after a deterministic run.
-    pub fn site_stats(&self, lexeme: &str) -> Option<ExecStats> {
-        for cell in &self.nodes {
-            for site in &cell.sites {
-                if site.lexeme == lexeme {
-                    return Some(site.machine.stats.clone());
-                }
-            }
-        }
-        None
+    /// A site of this process, for inspection after a deterministic run.
+    pub fn site(&self, lexeme: &str) -> Option<&Site> {
+        self.nodes
+            .iter()
+            .flat_map(|c| &c.sites)
+            .find(|s| s.lexeme == lexeme)
     }
 
     /// Current virtual time (deterministic Virtual mode).

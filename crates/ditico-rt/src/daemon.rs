@@ -918,7 +918,9 @@ impl Daemon {
         let target: NodeId = match &p {
             Packet::Msg { dest, .. } | Packet::Obj { dest, .. } => dest.node,
             Packet::FetchReq { class, .. } => class.node,
-            Packet::FetchReply { to, .. } | Packet::NsImportReply { to, .. } => to.node,
+            Packet::FetchReply { to, .. }
+            | Packet::NsImportReply { to, .. }
+            | Packet::Release { to, .. } => to.node,
             Packet::NsLease { to, .. } => to.node,
             Packet::NsInvalidate { to, .. } | Packet::NsRepl { to, .. } => *to,
             Packet::NsRegister {
@@ -1233,6 +1235,21 @@ impl Daemon {
             }
             Packet::NsImportReply { to, req, result } => {
                 self.deliver_to_site(to.site, RtIncoming::ImportResolved { req, result });
+            }
+            Packet::Release {
+                to,
+                from_site,
+                seq,
+                runs,
+            } => {
+                self.deliver_to_site(
+                    to.site,
+                    RtIncoming::Vm(Incoming::Release {
+                        from_site,
+                        seq,
+                        runs,
+                    }),
+                );
             }
             Packet::NsRegister { .. } | Packet::NsImport { .. } => {
                 if self.ns_service_ns > 0 {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use tyco_vm::codec::{Packet, TypeStamp};
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use tyco_vm::program::ImportKind;
-use tyco_vm::wire::{WireGroup, WireObj, WireWord};
+use tyco_vm::wire::{ReleaseRun, WireGroup, WireObj, WireWord};
 use tyco_vm::word::{Identity, NetRef, SiteId};
 use tyco_vm::{Digest, Machine, Program, SliceStatus, VmError};
 
@@ -264,6 +264,15 @@ impl NetPort for RtPort {
             digest,
             group,
             index,
+        });
+    }
+
+    fn release(&mut self, owner: Identity, seq: u64, runs: Vec<ReleaseRun>) {
+        self.send(Packet::Release {
+            to: owner,
+            from_site: self.identity.site,
+            seq,
+            runs,
         });
     }
 

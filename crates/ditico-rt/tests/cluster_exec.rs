@@ -410,3 +410,58 @@ fn seti_runs_distributed() {
     assert!(client.contains(&"17".to_string()), "{client:?}");
     assert_eq!(report.stats["seti"].fetches_served, 1);
 }
+
+/// The paper's §3 RPC at two sizes: the client's export table and channel
+/// heap at exit stay under a bound that does not grow with the calls,
+/// because the server releases every reply channel it has answered
+/// (DESIGN.md §20).
+#[test]
+fn rpc_client_heap_stays_flat_in_the_call_count() {
+    const CHAINS: u64 = 16;
+    for calls in [10_000u64, 100_000] {
+        let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+        c.add_site_src(
+            n0,
+            "server",
+            "def Srv(p) = p?{ val(x, r) = r![x + 1] | Srv[p] } in export new p in Srv[p]",
+        )
+        .unwrap();
+        let per_chain = calls / CHAINS;
+        let chains: Vec<String> = (0..CHAINS)
+            .map(|i| format!("Chain[{i}, {per_chain}, 0]"))
+            .collect();
+        c.add_site_src(
+            n1,
+            "client",
+            &format!(
+                "import p from server in \
+                 def Chain(c, k, acc) = \
+                     if k > 0 then new a (p!val[k, a] | a?(v) = Chain[c, k - 1, acc + v]) \
+                     else println(\"chain\", c, acc) \
+                 in ({})",
+                chains.join(" | ")
+            ),
+        )
+        .unwrap();
+        let report = c.run_deterministic(RunLimits {
+            max_instrs: u64::MAX,
+            ..RunLimits::default()
+        });
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert!(report.quiescent);
+        let sum = per_chain * (per_chain + 1) / 2 + per_chain;
+        let mut out = report.output("client").to_vec();
+        out.sort();
+        let mut want: Vec<String> = (0..CHAINS).map(|i| format!("chain {i} {sum}")).collect();
+        want.sort();
+        assert_eq!(out, want, "{calls} calls");
+        let client = &c.site("client").expect("client site").machine;
+        assert!(client.stats.chans_collected > 0, "{calls} calls");
+        for (what, n) in [
+            ("export table", client.exports.len()),
+            ("live channels", client.live_channels()),
+        ] {
+            assert!(n <= 3 * 4096, "{calls} calls: {what} holds {n}");
+        }
+    }
+}

@@ -9,7 +9,7 @@
 
 use crate::digest::Digest;
 use crate::program::{Block, ImportKind, Instr, Operand, BINOPS, IMPORT_KINDS, UNOPS};
-use crate::wire::{WireCode, WireGroup, WireObj, WireWord};
+use crate::wire::{ReleaseRun, WireCode, WireGroup, WireObj, WireWord};
 use crate::word::{Identity, NetRef, NodeId, SiteId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -61,7 +61,10 @@ pub struct TypeStamp {
 ///
 /// v4: cross-process termination — [`Packet::TermProbe`] names the nodes
 /// its wave excludes, and [`Packet::TermVerdict`] exists.
-pub const WIRE_VERSION: u32 = 4;
+///
+/// v5: reclaiming exported channels — [`Packet::Release`] and the
+/// forwarded word tag ([`WireWord::FwdChan`]) exist.
+pub const WIRE_VERSION: u32 = 5;
 
 /// Upper bound on a frame body. A length prefix beyond this is treated as
 /// a corrupt or hostile stream and the connection is dropped — the bound
@@ -222,6 +225,16 @@ pub enum Packet {
         stamp: Option<TypeStamp>,
         epoch: u64,
     },
+    /// A holder site gives back the channels its collector found
+    /// unreachable, to the site `to` that exported them (DESIGN.md §20).
+    /// The owner applies it only if `seq` is above the last one it applied
+    /// from `from_site`.
+    Release {
+        to: Identity,
+        from_site: SiteId,
+        seq: u64,
+        runs: Vec<ReleaseRun>,
+    },
 }
 
 // -- primitive writers -------------------------------------------------------
@@ -350,6 +363,10 @@ fn put_word(buf: &mut BytesMut, w: &WireWord) {
             buf.put_u8(6);
             put_netref(buf, r);
         }
+        WireWord::FwdChan(r) => {
+            buf.put_u8(7);
+            put_netref(buf, r);
+        }
     }
 }
 
@@ -380,6 +397,7 @@ fn get_word(buf: &mut Bytes) -> R<WireWord> {
         4 => WireWord::Str(get_str(buf)?),
         5 => WireWord::Chan(get_netref(buf)?),
         6 => WireWord::Class(get_netref(buf)?),
+        7 => WireWord::FwdChan(get_netref(buf)?),
         t => return err(format!("bad word tag {t}")),
     })
 }
@@ -812,8 +830,29 @@ pub fn encode_into(p: &Packet, buf: &mut BytesMut) {
             buf.put_u64_le(*epoch);
         }
         Packet::TermVerdict => buf.put_u8(18),
+        Packet::Release {
+            to,
+            from_site,
+            seq,
+            runs,
+        } => {
+            buf.put_u8(19);
+            put_identity(buf, to);
+            buf.put_u32_le(from_site.0);
+            buf.put_u64_le(*seq);
+            buf.put_u32_le(runs.len() as u32);
+            for r in runs {
+                buf.put_u64_le(r.first);
+                buf.put_u32_le(r.len);
+                buf.put_u64_le(r.recv);
+                buf.put_u64_le(r.sent);
+            }
+        }
     }
 }
+
+/// Encoded size of one [`ReleaseRun`].
+const RELEASE_RUN_BYTES: usize = 28;
 
 fn put_nodes(buf: &mut BytesMut, nodes: &[NodeId]) {
     buf.put_u32_le(nodes.len() as u32);
@@ -1129,6 +1168,36 @@ pub fn decode(mut buf: Bytes) -> R<Packet> {
             }
         }
         18 => Packet::TermVerdict,
+        19 => {
+            let to = get_identity(&mut buf)?;
+            if buf.remaining() < 16 {
+                return err("truncated release header");
+            }
+            let from_site = SiteId(buf.get_u32_le());
+            let seq = buf.get_u64_le();
+            let n = buf.get_u32_le() as usize;
+            // The count is checked against the bytes present before any
+            // allocation: a forged count cannot reserve more than the frame.
+            if n.checked_mul(RELEASE_RUN_BYTES)
+                .is_none_or(|bytes| bytes > buf.remaining())
+            {
+                return err("truncated release runs");
+            }
+            let runs = (0..n)
+                .map(|_| ReleaseRun {
+                    first: buf.get_u64_le(),
+                    len: buf.get_u32_le(),
+                    recv: buf.get_u64_le(),
+                    sent: buf.get_u64_le(),
+                })
+                .collect();
+            Packet::Release {
+                to,
+                from_site,
+                seq,
+                runs,
+            }
+        }
         t => return err(format!("bad packet tag {t}")),
     };
     if buf.has_remaining() {
@@ -1656,6 +1725,126 @@ mod tests {
                 let want = ["truncated operand", "truncated instruction"][(cut == 0) as usize];
                 assert_eq!(got, want, "{ins:?} cut at {cut}");
             }
+        }
+    }
+
+    fn run(first: u64, len: u32, recv: u64, sent: u64) -> ReleaseRun {
+        ReleaseRun {
+            first,
+            len,
+            recv,
+            sent,
+        }
+    }
+
+    #[test]
+    fn release_roundtrip_and_truncation() {
+        let to = Identity {
+            site: SiteId(3),
+            node: NodeId(1),
+        };
+        roundtrip(Packet::Release {
+            to,
+            from_site: SiteId(2),
+            seq: u64::MAX,
+            runs: vec![],
+        });
+        let p = Packet::Release {
+            to,
+            from_site: SiteId(2),
+            seq: 7,
+            runs: vec![run(10, 2, 1, 1), run(u64::MAX, u32::MAX, u64::MAX, 0)],
+        };
+        roundtrip(p.clone());
+        let bytes = encode(&p);
+        for cut in 1..bytes.len() {
+            assert!(decode(bytes.slice(0..cut)).is_err(), "cut at {cut}");
+        }
+        // A forged run count is refused against the bytes present, before
+        // anything is reserved for it.
+        let mut forged = encode(&Packet::Release {
+            to,
+            from_site: SiteId(2),
+            seq: 7,
+            runs: vec![],
+        })
+        .to_vec();
+        let at = forged.len() - 4;
+        forged[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let e = decode(Bytes::from(forged)).unwrap_err();
+        assert_eq!(e.0, "truncated release runs");
+        roundtrip(Packet::Msg {
+            dest: nref(1),
+            label: "fwd".into(),
+            args: vec![WireWord::FwdChan(nref(9))],
+        });
+    }
+
+    /// Frames pinned byte for byte. `Msg` is as v4 wrote it, and `Hello`
+    /// differs from v4's only in its version; the forwarded tag and
+    /// `Release` are v5's.
+    #[test]
+    fn golden_frames() {
+        let hex = |p: &Packet| -> String {
+            encode_frame(NodeId(1), NodeId(2), &encode(p))
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect()
+        };
+        let msg = |w: WireWord| Packet::Msg {
+            dest: nref(42),
+            label: "val".into(),
+            args: vec![WireWord::Int(7), w],
+        };
+        let cases = [
+            (
+                Packet::Hello {
+                    version: WIRE_VERSION,
+                    nodes: vec![NodeId(0), NodeId(3)],
+                },
+                "1900000001000000020000000a05000000020000000000000003000000",
+            ),
+            (
+                msg(WireWord::Chan(nref(9))),
+                concat!(
+                    "3e000000010000000200000000",
+                    "2a000000000000000300000001000000",
+                    "0300000076616c0200000001070000000000000005",
+                    "09000000000000000300000001000000",
+                ),
+            ),
+            (
+                msg(WireWord::FwdChan(nref(9))),
+                concat!(
+                    "3e000000010000000200000000",
+                    "2a000000000000000300000001000000",
+                    "0300000076616c0200000001070000000000000007",
+                    "09000000000000000300000001000000",
+                ),
+            ),
+            (
+                Packet::Release {
+                    to: Identity {
+                        site: SiteId(3),
+                        node: NodeId(1),
+                    },
+                    from_site: SiteId(2),
+                    seq: 5,
+                    runs: vec![run(10, 2, 1, 1), run(13, 1, 2, 0)],
+                },
+                concat!(
+                    "59000000010000000200000013",
+                    "0300000001000000020000000500000000000000",
+                    "02000000",
+                    "0a00000000000000020000000100000000000000",
+                    "0100000000000000",
+                    "0d00000000000000010000000200000000000000",
+                    "0000000000000000",
+                ),
+            ),
+        ];
+        for (p, want) in cases {
+            assert_eq!(hex(&p), want, "{p:?}");
         }
     }
 

@@ -43,5 +43,7 @@ pub use program::{
 };
 pub use stats::{ExecStats, Histogram};
 pub use verify::{verify_program, verify_wire, VerifyError};
-pub use wire::{link, link_trusted, pack, LinkMap, Packed, WireCode, WireGroup, WireObj, WireWord};
+pub use wire::{
+    link, link_trusted, pack, LinkMap, Packed, ReleaseRun, WireCode, WireGroup, WireObj, WireWord,
+};
 pub use word::{ChanRef, ClassRefW, Identity, NetRef, NodeId, SiteId, Word};

@@ -9,7 +9,12 @@
 //! * **run-queue** — runnable threads `(block, pc, frame)`; threads are a
 //!   few tens of instructions long, and a context switch is a queue pop;
 //! * **export table** — maps `HeapId`s to local heap references for every
-//!   identifier that left the site, and back;
+//!   identifier that left the site, and counts who holds each channel so
+//!   that a released one stops being a root (DESIGN.md §20); a channel's
+//!   own heap slot remembers its id;
+//! * **holder table** — counts, per channel another site exported to this
+//!   one, what was received from its owner and what was sent to it, for
+//!   the release the collector sends once it is unreachable;
 //! * **incoming/outgoing queues + I/O port** — behind the [`NetPort`]
 //!   trait, so the same machine runs standalone (loopback) or inside a
 //!   `ditico-rt` node.
@@ -21,7 +26,7 @@ use crate::compile::compile;
 use crate::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use crate::program::*;
 use crate::stats::ExecStats;
-use crate::wire::{self, LinkMap, WireGroup, WireObj, WireWord};
+use crate::wire::{self, LinkMap, ReleaseRun, WireGroup, WireObj, WireWord};
 use crate::word::*;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -108,11 +113,25 @@ pub struct ChanState {
     objs: VecDeque<ObjFrame>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ChanSlot {
-    used: bool,
+    /// Heap id of the channel's export entry, [`NO_EXPORT`], or [`FREE`]
+    /// for a slot on the free list (one word for both facts keeps the
+    /// slot as small as it was before channels had ids).
+    export: u64,
     state: ChanState,
 }
+
+impl ChanSlot {
+    fn used(&self) -> bool {
+        self.export != FREE
+    }
+}
+
+/// [`ChanSlot::export`] of a live channel that has no export entry.
+const NO_EXPORT: u64 = u64::MAX - 1;
+/// [`ChanSlot::export`] of a free slot.
+const FREE: u64 = u64::MAX;
 
 /// A class group heap object: the shared captured environment of a `def`.
 #[derive(Debug, Clone)]
@@ -138,27 +157,59 @@ enum ThreadExit {
     Parked,
 }
 
-/// The export table: `HeapId ↔ local reference` for identifiers that left
-/// the site.
+/// The export table: `HeapId → local reference` for identifiers that left
+/// the site. Classes stay for good. A channel's entry goes once nobody
+/// can name it any more (DESIGN.md §20); heap ids are never reused, so a
+/// late packet naming a reclaimed id cannot reach another channel.
 #[derive(Debug, Default)]
 pub struct ExportTable {
     next: u64,
-    chans: HashMap<u64, ChanRef>,
+    chans: HashMap<u64, ChanExport>,
     classes: HashMap<u64, ClassRefW>,
-    chan_rev: HashMap<ChanRef, u64>,
     class_rev: HashMap<(u32, u8), u64>,
+    /// The last release sequence number applied, per holder site.
+    applied: HashMap<SiteId, u64>,
+}
+
+/// One exported channel's entry.
+#[derive(Debug)]
+struct ChanExport {
+    chan: ChanRef,
+    /// Registered by name, or shipped in a class environment (which its
+    /// receiver keeps for good): never reclaimed.
+    pinned: bool,
+    /// Times the reference was sent to each holder site, less the
+    /// receipts that site released.
+    holders: Vec<(SiteId, u64)>,
+    /// Packets that released holders reported sending to or carrying
+    /// the channel.
+    owed: u64,
+    /// Remote packets delivered to or carrying the channel.
+    delivered: u64,
+}
+
+impl ChanExport {
+    fn reclaimable(&self) -> bool {
+        !self.pinned && self.holders.is_empty() && self.delivered >= self.owed
+    }
 }
 
 impl ExportTable {
-    /// Heap id for a channel leaving the site (stable across calls).
-    pub fn export_chan(&mut self, c: ChanRef) -> u64 {
-        if let Some(&id) = self.chan_rev.get(&c) {
-            return id;
-        }
+    /// A new heap id for a channel leaving the site for the first time
+    /// (the machine keeps it in the channel's slot for later departures).
+    fn add_chan(&mut self, c: ChanRef) -> u64 {
         let id = self.next;
         self.next += 1;
-        self.chans.insert(id, c);
-        self.chan_rev.insert(c, id);
+        self.chans.insert(
+            id,
+            ChanExport {
+                chan: c,
+                pinned: false,
+                holders: Vec::new(),
+                owed: 0,
+                delivered: 0,
+            },
+        );
         id
     }
 
@@ -174,16 +225,87 @@ impl ExportTable {
     }
 
     pub fn resolve_chan(&self, id: u64) -> Option<ChanRef> {
-        self.chans.get(&id).copied()
+        self.chans.get(&id).map(|e| e.chan)
+    }
+
+    /// Was `id` ever handed out (a reclaimed id was, a forged one not)?
+    fn issued(&self, id: u64) -> bool {
+        id < self.next
+    }
+
+    fn entry(&mut self, id: u64) -> &mut ChanExport {
+        self.chans
+            .get_mut(&id)
+            .expect("a slot's export id names an entry")
+    }
+
+    /// Keep `id`'s entry for good.
+    fn pin(&mut self, id: u64) {
+        self.entry(id).pinned = true;
+    }
+
+    /// The reference to `id` leaves for holder site `to`.
+    fn sent_to(&mut self, id: u64, to: SiteId) {
+        let e = self.entry(id);
+        match e.holders.iter_mut().find(|(s, _)| *s == to) {
+            Some((_, n)) => *n += 1,
+            None => e.holders.push((to, 1)),
+        }
+    }
+
+    /// A remote packet arrived addressed to or carrying `id`: its channel,
+    /// and whether that was the packet the entry still waited for.
+    fn deliver(&mut self, id: u64) -> Option<(ChanRef, bool)> {
+        let e = self.chans.get_mut(&id)?;
+        e.delivered += 1;
+        let (c, done) = (e.chan, e.reclaimable());
+        if done {
+            self.chans.remove(&id);
+        }
+        Some((c, done))
+    }
+
+    /// Apply holder `from`'s release number `seq`, unless one at least as
+    /// recent was applied already. Returns the channels it frees.
+    fn release(&mut self, from: SiteId, seq: u64, runs: &[ReleaseRun]) -> Vec<ChanRef> {
+        let mut freed = Vec::new();
+        let last = self.applied.entry(from).or_insert(0);
+        if seq <= *last {
+            return freed;
+        }
+        *last = seq;
+        for run in runs {
+            // Ids never issued cannot name an entry: a forged run costs at
+            // most the table's id range.
+            let end = run.first.saturating_add(run.len.into()).min(self.next);
+            for id in run.first..end {
+                let Some(e) = self.chans.get_mut(&id) else {
+                    continue;
+                };
+                if let Some(i) = e.holders.iter().position(|(s, _)| *s == from) {
+                    let n = &mut e.holders[i].1;
+                    *n = n.saturating_sub(run.recv);
+                    if *n == 0 {
+                        e.holders.swap_remove(i);
+                    }
+                }
+                e.owed = e.owed.saturating_add(run.sent);
+                if e.reclaimable() {
+                    freed.push(e.chan);
+                    self.chans.remove(&id);
+                }
+            }
+        }
+        freed
     }
 
     pub fn resolve_class(&self, id: u64) -> Option<ClassRefW> {
         self.classes.get(&id).copied()
     }
 
-    /// Channels pinned by remote references (GC roots).
+    /// Channels remote references may still name (GC roots).
     pub fn chan_roots(&self) -> impl Iterator<Item = ChanRef> + '_ {
-        self.chans.values().copied()
+        self.chans.values().map(|e| e.chan)
     }
 
     pub fn len(&self) -> usize {
@@ -231,6 +353,13 @@ pub struct Machine<P: NetPort> {
     /// code too.
     fuse_enabled: bool,
     pub exports: ExportTable,
+    /// Channels other sites exported and sent here directly (DESIGN.md
+    /// §20). Empty on a site that only uses names it imported.
+    held: HashMap<NetRef, Held>,
+    /// Collect when `held` outgrows this (the channel heap's rule).
+    held_threshold: usize,
+    /// Sequence number of the last release this site sent.
+    release_seq: u64,
     pub port: P,
     /// The site's I/O port: lines written by `print`/`println`.
     pub io: Vec<String>,
@@ -246,6 +375,23 @@ pub struct Machine<P: NetPort> {
 
 /// Retired word-vector buffers kept for reuse beyond this count are freed.
 const VEC_POOL_CAP: usize = 1024;
+
+/// The smallest collection threshold, for the channel heap and the holder
+/// table alike; each grows to twice what survived the last collection.
+const GC_MIN: usize = 4096;
+
+/// This site's counts for one channel another site exported to it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Held {
+    /// Times the owner sent it here.
+    recv: u64,
+    /// Packets this site sent to it, or carrying it back to its owner.
+    sent: u64,
+    /// Sent on to a third site: never released.
+    sticky: bool,
+    /// Reached by the collection in progress.
+    reached: bool,
+}
 
 /// One way of the method-lookup inline cache.
 #[derive(Clone, Copy)]
@@ -320,7 +466,7 @@ impl<P: NetPort> Machine<P> {
             channels: Vec::new(),
             free_chans: Vec::new(),
             live_chans: 0,
-            gc_threshold: 4096,
+            gc_threshold: GC_MIN,
             groups: Vec::new(),
             run_queue: VecDeque::new(),
             parked: HashMap::new(),
@@ -338,6 +484,9 @@ impl<P: NetPort> Machine<P> {
             .into_boxed_slice(),
             fuse_enabled,
             exports: ExportTable::default(),
+            held: HashMap::new(),
+            held_threshold: GC_MIN,
+            release_seq: 0,
             port,
             io: Vec::new(),
             stats: ExecStats::default(),
@@ -420,7 +569,9 @@ impl<P: NetPort> Machine<P> {
             let before = self.stats.instrs;
             let exit = self.exec_thread(thread)?;
             used += self.stats.instrs - before;
-            if matches!(exit, ThreadExit::Halted) && self.live_chans > self.gc_threshold {
+            if matches!(exit, ThreadExit::Halted)
+                && (self.live_chans > self.gc_threshold || self.held.len() > self.held_threshold)
+            {
                 self.gc();
             }
         }
@@ -686,7 +837,10 @@ impl<P: NetPort> Machine<P> {
                     let Word::Chan(c) = t.frame[slot as usize] else {
                         return Err(VmError::NotAChannel(t.frame[slot as usize].display()));
                     };
-                    let heap_id = self.exports.export_chan(c);
+                    // A registered name can be imported by anyone, at any
+                    // time: its entry stays.
+                    let heap_id = self.export_chan(c);
+                    self.exports.pin(heap_id);
                     let ident = self.port.identity();
                     let name_str = self.program.strings.get(name).to_string();
                     self.port.register(
@@ -725,7 +879,7 @@ impl<P: NetPort> Machine<P> {
                     let name_str = self.program.strings.get(name).to_string();
                     match self.port.import(&site_str, &name_str, kind) {
                         ImportReply::Ready(w) => {
-                            t.frame[dst as usize] = self.incoming_word(w)?;
+                            t.frame[dst as usize] = self.incoming_word(w, false)?;
                         }
                         ImportReply::Pending(req) => {
                             t.pc -= 1;
@@ -895,9 +1049,12 @@ impl<P: NetPort> Machine<P> {
             Word::NetChan(r) => {
                 // SHIPM: package and place on the outgoing queue.
                 self.stats.msgs_sent += 1;
+                self.count_sent(&r);
                 let label_str = self.program.labels.get(label).to_string();
-                let wire_args: Vec<WireWord> =
-                    stack.drain(at..).map(|w| self.outgoing(w)).collect();
+                let wire_args: Vec<WireWord> = stack
+                    .drain(at..)
+                    .map(|w| self.outgoing(w, r.site, false))
+                    .collect();
                 self.port.send_msg(r, &label_str, wire_args);
                 Ok(())
             }
@@ -929,9 +1086,12 @@ impl<P: NetPort> Machine<P> {
                 // SHIPO: the object (code + translated free variables)
                 // migrates to the prefix's site.
                 self.stats.objs_sent += 1;
+                self.count_sent(&r);
                 let packed = self.pack_table(table);
-                let wire_captured: Vec<WireWord> =
-                    stack.drain(at..).map(|w| self.outgoing(w)).collect();
+                let wire_captured: Vec<WireWord> = stack
+                    .drain(at..)
+                    .map(|w| self.outgoing(w, r.site, false))
+                    .collect();
                 let obj = WireObj {
                     code: packed.code.clone(),
                     table: packed.table_map[&table],
@@ -952,12 +1112,12 @@ impl<P: NetPort> Machine<P> {
         if let Some(c) = self.free_chans.pop() {
             // The previous tenant's queues are empty but still allocated.
             let slot = &mut self.channels[c as usize];
-            debug_assert!(!slot.used, "free list entry in use");
-            slot.used = true;
+            debug_assert!(!slot.used(), "free list entry in use");
+            slot.export = NO_EXPORT;
             c
         } else {
             self.channels.push(ChanSlot {
-                used: true,
+                export: NO_EXPORT,
                 state: ChanState::default(),
             });
             (self.channels.len() - 1) as u32
@@ -966,7 +1126,7 @@ impl<P: NetPort> Machine<P> {
 
     fn chan_mut(&mut self, c: ChanRef) -> &mut ChanState {
         let slot = &mut self.channels[c as usize];
-        debug_assert!(slot.used, "dangling channel reference {c}");
+        debug_assert!(slot.used(), "dangling channel reference {c}");
         &mut slot.state
     }
 
@@ -1211,16 +1371,49 @@ impl<P: NetPort> Machine<P> {
         let captured: Vec<Word> = group
             .captured
             .iter()
-            .map(|w| self.incoming_word(w.clone()))
+            .map(|w| self.incoming_word(w.clone(), false))
             .collect::<Result<_, _>>()?;
         let gid = self.groups.len() as u32;
         self.groups.push(GroupObj { table, captured });
         Ok(ClassRefW { group: gid, index })
     }
 
-    /// Translate a word leaving the site (local references become network
-    /// references through the export table — §5's first translation step).
-    pub fn outgoing(&mut self, w: Word) -> WireWord {
+    /// The heap id of a local channel's export entry, made on its first
+    /// departure.
+    fn export_chan(&mut self, c: ChanRef) -> u64 {
+        let slot = &mut self.channels[c as usize];
+        if slot.export == NO_EXPORT {
+            slot.export = self.exports.add_chan(c);
+        }
+        slot.export
+    }
+
+    /// This site's counts for a channel it holds from another site, if it
+    /// counts it at all. The table is empty unless an owner sent this site
+    /// one of its channels: the lookup is skipped then.
+    fn held_mut(&mut self, r: &NetRef) -> Option<&mut Held> {
+        if self.held.is_empty() {
+            None
+        } else {
+            self.held.get_mut(r)
+        }
+    }
+
+    /// A `Msg` or `Obj` leaves for the held channel `r`.
+    fn count_sent(&mut self, r: &NetRef) {
+        if let Some(h) = self.held_mut(r) {
+            h.sent += 1;
+        }
+    }
+
+    /// Translate a word leaving the site for site `to` (local references
+    /// become network references through the export table — §5's first
+    /// translation step). The export entry of a local channel counts it as
+    /// sent to `to`, or with `pin` keeps it for good: a class environment
+    /// is kept by whoever fetched it. A channel held from another site
+    /// goes back to its owner as itself and to anyone else as a forwarded
+    /// reference, which this site then never releases (DESIGN.md §20).
+    pub fn outgoing(&mut self, w: Word, to: SiteId, pin: bool) -> WireWord {
         let ident = self.port.identity();
         match w {
             Word::Unit => WireWord::Unit,
@@ -1228,12 +1421,29 @@ impl<P: NetPort> Machine<P> {
             Word::Bool(b) => WireWord::Bool(b),
             Word::Float(x) => WireWord::Float(x),
             Word::Str(s) => WireWord::Str(s.to_string()),
-            Word::Chan(c) => WireWord::Chan(NetRef {
-                heap_id: self.exports.export_chan(c),
-                site: ident.site,
-                node: ident.node,
-            }),
-            Word::NetChan(r) => WireWord::Chan(r),
+            Word::Chan(c) => {
+                let heap_id = self.export_chan(c);
+                if pin {
+                    self.exports.pin(heap_id);
+                } else {
+                    self.exports.sent_to(heap_id, to);
+                }
+                WireWord::Chan(NetRef {
+                    heap_id,
+                    site: ident.site,
+                    node: ident.node,
+                })
+            }
+            Word::NetChan(r) if r.site == to => {
+                self.count_sent(&r);
+                WireWord::Chan(r)
+            }
+            Word::NetChan(r) => {
+                if let Some(h) = self.held_mut(&r) {
+                    h.sticky = true;
+                }
+                WireWord::FwdChan(r)
+            }
             Word::Class(cr) => WireWord::Class(NetRef {
                 heap_id: self.exports.export_class(cr),
                 site: ident.site,
@@ -1244,8 +1454,10 @@ impl<P: NetPort> Machine<P> {
     }
 
     /// Translate an arriving wire word (references bound to this site
-    /// become local pointers — §5's second translation step).
-    pub fn incoming_word(&mut self, w: WireWord) -> Result<Word, VmError> {
+    /// become local pointers — §5's second translation step). A `direct`
+    /// word arrived as an argument of a `Msg` or a capture of an `Obj`: a
+    /// channel in one came from its owner, and this site counts it.
+    pub fn incoming_word(&mut self, w: WireWord, direct: bool) -> Result<Word, VmError> {
         let me = self.port.identity().site;
         Ok(match w {
             WireWord::Unit => Word::Unit,
@@ -1253,12 +1465,16 @@ impl<P: NetPort> Machine<P> {
             WireWord::Bool(b) => Word::Bool(b),
             WireWord::Float(x) => Word::Float(x),
             WireWord::Str(s) => Word::Str(s.into()),
-            WireWord::Chan(r) if r.site == me => Word::Chan(
-                self.exports
-                    .resolve_chan(r.heap_id)
-                    .ok_or(VmError::BadHeapId(r.heap_id))?,
-            ),
-            WireWord::Chan(r) => Word::NetChan(r),
+            WireWord::Chan(r) | WireWord::FwdChan(r) if r.site == me => {
+                Word::Chan(self.arrived(r.heap_id)?)
+            }
+            WireWord::Chan(r) => {
+                if direct {
+                    self.held.entry(r).or_default().recv += 1;
+                }
+                Word::NetChan(r)
+            }
+            WireWord::FwdChan(r) => Word::NetChan(r),
             WireWord::Class(r) if r.site == me => Word::Class(
                 self.exports
                     .resolve_class(r.heap_id)
@@ -1275,39 +1491,13 @@ impl<P: NetPort> Machine<P> {
             match item {
                 Incoming::Msg { dest, label, args } => {
                     self.stats.msgs_recv += 1;
-                    let c = self
-                        .exports
-                        .resolve_chan(dest)
-                        .ok_or(VmError::BadHeapId(dest))?;
-                    let label = self.program.labels.intern(&label);
-                    let words: Vec<Word> = args
-                        .into_iter()
-                        .map(|w| self.incoming_word(w))
-                        .collect::<Result<_, _>>()?;
-                    self.local_msg(c, label, words)?;
+                    let delivered = self.deliver_msg(dest, &label, args);
+                    self.drop_stale(delivered)?;
                 }
                 Incoming::Obj { dest, obj } => {
                     self.stats.objs_recv += 1;
-                    let c = self
-                        .exports
-                        .resolve_chan(dest)
-                        .ok_or(VmError::BadHeapId(dest))?;
-                    // Verify-once: screened at the node boundary (see
-                    // `link_group`).
-                    let nb = self.program.blocks.len();
-                    let lm = wire::link_trusted(&mut self.program, &obj.code);
-                    if self.fuse_enabled {
-                        crate::fuse::fuse_blocks_from(&mut self.program, nb);
-                    }
-                    let table = *lm.tables.get(obj.table as usize).ok_or_else(|| {
-                        VmError::CodeRejected(format!("object table {} dangles", obj.table))
-                    })?;
-                    let captured: Vec<Word> = obj
-                        .captured
-                        .into_iter()
-                        .map(|w| self.incoming_word(w))
-                        .collect::<Result<_, _>>()?;
-                    self.local_obj(c, table, captured)?;
+                    let delivered = self.deliver_obj(dest, obj);
+                    self.drop_stale(delivered)?;
                 }
                 Incoming::FetchReq {
                     dest,
@@ -1323,8 +1513,10 @@ impl<P: NetPort> Machine<P> {
                     let table = g.table;
                     let captured = g.captured.clone();
                     let packed = self.pack_table(table);
-                    let wire_captured: Vec<WireWord> =
-                        captured.into_iter().map(|w| self.outgoing(w)).collect();
+                    let wire_captured: Vec<WireWord> = captured
+                        .into_iter()
+                        .map(|w| self.outgoing(w, reply_to.site, true))
+                        .collect();
                     let group = WireGroup {
                         code: packed.code.clone(),
                         table: packed.table_map[&table],
@@ -1357,39 +1549,108 @@ impl<P: NetPort> Machine<P> {
                     self.parked.remove(&req);
                     return Err(VmError::ImportFailed(reason));
                 }
+                Incoming::Release {
+                    from_site,
+                    seq,
+                    runs,
+                } => {
+                    for c in self.exports.release(from_site, seq, &runs) {
+                        self.channels[c as usize].export = NO_EXPORT;
+                    }
+                }
             }
         }
         Ok(())
+    }
+
+    /// A remote packet addressed to or carrying this site's channel export
+    /// `id`.
+    fn arrived(&mut self, id: u64) -> Result<ChanRef, VmError> {
+        let (c, reclaimed) = self.exports.deliver(id).ok_or(VmError::BadHeapId(id))?;
+        if reclaimed {
+            self.channels[c as usize].export = NO_EXPORT;
+        }
+        Ok(c)
+    }
+
+    fn deliver_msg(&mut self, dest: u64, label: &str, args: Vec<WireWord>) -> Result<(), VmError> {
+        let c = self.arrived(dest)?;
+        let label = self.program.labels.intern(label);
+        let words: Vec<Word> = args
+            .into_iter()
+            .map(|w| self.incoming_word(w, true))
+            .collect::<Result<_, _>>()?;
+        self.local_msg(c, label, words)
+    }
+
+    fn deliver_obj(&mut self, dest: u64, obj: WireObj) -> Result<(), VmError> {
+        let c = self.arrived(dest)?;
+        // Verify-once: screened at the node boundary (see `link_group`).
+        let nb = self.program.blocks.len();
+        let lm = wire::link_trusted(&mut self.program, &obj.code);
+        if self.fuse_enabled {
+            crate::fuse::fuse_blocks_from(&mut self.program, nb);
+        }
+        let table = *lm
+            .tables
+            .get(obj.table as usize)
+            .ok_or_else(|| VmError::CodeRejected(format!("object table {} dangles", obj.table)))?;
+        let captured: Vec<Word> = obj
+            .captured
+            .into_iter()
+            .map(|w| self.incoming_word(w, true))
+            .collect::<Result<_, _>>()?;
+        self.local_obj(c, table, captured)
+    }
+
+    /// A remote `Msg` or `Obj` that names a channel export this site issued
+    /// and has since reclaimed is stale, a late or duplicated delivery
+    /// (DESIGN.md §20): it is dropped and counted. An id never issued
+    /// stays a protocol error.
+    fn drop_stale(&mut self, delivered: Result<(), VmError>) -> Result<(), VmError> {
+        match delivered {
+            Err(VmError::BadHeapId(id)) if self.exports.issued(id) => {
+                self.stats.stale_deliveries += 1;
+                Ok(())
+            }
+            other => other,
+        }
     }
 
     // -- garbage collection -------------------------------------------------------
 
     /// Mark–sweep over the channel heap. Roots: run-queue and parked
     /// thread frames/stacks, class-group captured environments, and the
-    /// export table (remotely referenced channels are always live).
+    /// export table (channels that remote references may still name). The
+    /// same marking finds which held channels are still reachable; the
+    /// others go back to their owners.
     pub fn gc(&mut self) {
         self.stats.gcs += 1;
         let mut marked = vec![false; self.channels.len()];
         let mut work: Vec<ChanRef> = Vec::new();
 
-        let scan_word = |w: &Word, work: &mut Vec<ChanRef>| {
-            if let Word::Chan(c) = w {
-                work.push(*c);
+        let track = !self.held.is_empty();
+        let held = &mut self.held;
+        let mut scan = |w: &Word, work: &mut Vec<ChanRef>| match w {
+            Word::Chan(c) => work.push(*c),
+            Word::NetChan(r) if track => {
+                if let Some(h) = held.get_mut(r) {
+                    h.reached = true;
+                }
             }
+            _ => {}
         };
         for t in self.run_queue.iter().chain(self.parked.values()) {
             for w in t.frame.iter().chain(t.stack.iter()) {
-                scan_word(w, &mut work);
+                scan(w, &mut work);
             }
         }
         for g in &self.groups {
             for w in &g.captured {
-                scan_word(w, &mut work);
+                scan(w, &mut work);
             }
         }
-        for c in self.exports.chan_roots() {
-            work.push(c);
-        }
+        work.extend(self.exports.chan_roots());
 
         while let Some(c) = work.pop() {
             let i = c as usize;
@@ -1398,29 +1659,20 @@ impl<P: NetPort> Machine<P> {
             }
             marked[i] = true;
             let slot = &self.channels[i];
-            if slot.used {
-                for m in &slot.state.msgs {
-                    for w in &m.args {
-                        if let Word::Chan(c2) = w {
-                            work.push(*c2);
-                        }
-                    }
-                }
-                for o in &slot.state.objs {
-                    for w in &o.captured {
-                        if let Word::Chan(c2) = w {
-                            work.push(*c2);
-                        }
-                    }
+            if slot.used() {
+                let args = slot.state.msgs.iter().flat_map(|m| &m.args);
+                let captured = slot.state.objs.iter().flat_map(|o| &o.captured);
+                for w in args.chain(captured) {
+                    scan(w, &mut work);
                 }
             }
         }
 
         for (i, slot) in self.channels.iter_mut().enumerate() {
-            if !marked[i] && slot.used {
+            if !marked[i] && slot.used() {
                 // Drop unreachable queue contents but keep the queue
                 // allocations for the slot's next tenant.
-                slot.used = false;
+                slot.export = FREE;
                 slot.state.msgs.clear();
                 slot.state.objs.clear();
                 self.free_chans.push(i as u32);
@@ -1428,8 +1680,53 @@ impl<P: NetPort> Machine<P> {
                 self.stats.chans_collected += 1;
             }
         }
-        // Adaptive threshold: at least 4096, else twice the surviving set.
-        self.gc_threshold = (self.live_chans * 2).max(4096);
+        // Adaptive threshold: at least GC_MIN, else twice the surviving set.
+        self.gc_threshold = (self.live_chans * 2).max(GC_MIN);
+        if track {
+            self.release_unreached();
+        }
+    }
+
+    /// Give every held channel the collection did not reach back to its
+    /// owner: one release per owner site, ids with equal counts folded into
+    /// runs. A forwarded channel stays held for good.
+    fn release_unreached(&mut self) {
+        let mut gone: Vec<(NetRef, Held)> = Vec::new();
+        self.held.retain(|r, h| {
+            let keep = std::mem::take(&mut h.reached) || h.sticky;
+            if !keep {
+                gone.push((*r, *h));
+            }
+            keep
+        });
+        self.held_threshold = (self.held.len() * 2).max(GC_MIN);
+        gone.sort_unstable_by_key(|(r, _)| (r.site, r.heap_id));
+        for owner in gone.chunk_by(|a, b| a.0.site == b.0.site) {
+            let mut runs: Vec<ReleaseRun> = Vec::new();
+            for (r, h) in owner {
+                match runs.last_mut() {
+                    Some(run)
+                        if run.first.checked_add(run.len.into()) == Some(r.heap_id)
+                            && (run.recv, run.sent) == (h.recv, h.sent) =>
+                    {
+                        run.len += 1;
+                    }
+                    _ => runs.push(ReleaseRun {
+                        first: r.heap_id,
+                        len: 1,
+                        recv: h.recv,
+                        sent: h.sent,
+                    }),
+                }
+            }
+            self.release_seq += 1;
+            let r = owner[0].0;
+            let owner = Identity {
+                site: r.site,
+                node: r.node,
+            };
+            self.port.release(owner, self.release_seq, runs);
+        }
     }
 }
 
@@ -1500,18 +1797,120 @@ mod tests {
 
     #[test]
     fn export_table_is_stable_and_bijective() {
-        let mut t = ExportTable::default();
-        let a = t.export_chan(3);
-        let b = t.export_chan(9);
+        // A channel's heap id lives in its slot: a second departure
+        // reuses it.
+        let mut m = machine("new a new b (a![1] | b![2])");
+        m.run_to_quiescence(10_000).unwrap();
+        let a = m.export_chan(0);
+        let b = m.export_chan(1);
         assert_ne!(a, b);
-        assert_eq!(t.export_chan(3), a, "re-export returns the same heap id");
-        assert_eq!(t.resolve_chan(a), Some(3));
-        assert_eq!(t.resolve_chan(b), Some(9));
+        assert_eq!(m.export_chan(0), a, "re-export returns the same heap id");
+        let t = &mut m.exports;
+        assert_eq!(t.resolve_chan(a), Some(0));
+        assert_eq!(t.resolve_chan(b), Some(1));
         assert_eq!(t.resolve_chan(999), None);
         let c = t.export_class(ClassRefW { group: 1, index: 0 });
         assert_eq!(t.resolve_class(c), Some(ClassRefW { group: 1, index: 0 }));
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn a_channel_slot_is_one_word_more_than_its_queues() {
+        // A site that churns channels keeps thousands of slots.
+        assert_eq!(
+            std::mem::size_of::<ChanSlot>(),
+            std::mem::size_of::<ChanState>() + 8
+        );
+    }
+
+    #[test]
+    fn a_released_channel_is_reclaimed_and_late_packets_to_it_are_stale() {
+        let mut m = machine("new x (x![1] | x?(v) = 0)");
+        m.run_to_quiescence(10_000).unwrap();
+        let holder = SiteId(5);
+        let WireWord::Chan(r) = m.outgoing(Word::Chan(0), holder, false) else {
+            panic!("a channel leaves as a channel");
+        };
+        m.port.inject(Incoming::Release {
+            from_site: holder,
+            seq: 1,
+            runs: vec![ReleaseRun {
+                first: r.heap_id,
+                len: 1,
+                recv: 1,
+                sent: 0,
+            }],
+        });
+        m.run_to_quiescence(10_000).unwrap();
+        assert!(m.exports.is_empty(), "released with nothing owed");
+        m.port.inject(Incoming::Msg {
+            dest: r.heap_id,
+            label: "ping".into(),
+            args: vec![WireWord::Int(1)],
+        });
+        m.run_to_quiescence(10_000)
+            .expect("a late packet to a reclaimed id is not a protocol error");
+        assert_eq!(m.stats.stale_deliveries, 1);
+        // Ids are never reused: leaving again, the channel gets a new one.
+        let WireWord::Chan(again) = m.outgoing(Word::Chan(0), holder, false) else {
+            panic!("a channel leaves as a channel");
+        };
+        assert_ne!(again.heap_id, r.heap_id);
+        assert_eq!(m.exports.resolve_chan(again.heap_id), Some(0));
+    }
+
+    #[test]
+    fn gc_releases_unreachable_held_channels_in_runs() {
+        let mut m = machine(
+            "export new hold in \
+             def Srv(p) = p?{ drop(r) = (r![] | Srv[p]), keep(r) = (hold![r] | Srv[p]) } in \
+             export new p in Srv[p]",
+        );
+        m.run_to_quiescence(10_000).unwrap();
+        let Some(WireWord::Chan(p)) = m.port.registered("p").cloned() else {
+            panic!("p is registered");
+        };
+        let held = |site: u32, heap_id: u64| NetRef {
+            heap_id,
+            site: SiteId(site),
+            node: NodeId(site),
+        };
+        for (label, r) in [
+            ("drop", held(7, 10)),
+            ("drop", held(7, 11)),
+            ("keep", held(7, 12)),
+            ("drop", held(7, 13)),
+            ("drop", held(8, 3)),
+        ] {
+            m.port.inject(Incoming::Msg {
+                dest: p.heap_id,
+                label: label.into(),
+                args: vec![WireWord::Chan(r)],
+            });
+        }
+        m.run_to_quiescence(10_000).unwrap();
+        m.gc();
+        let run = |first, len| ReleaseRun {
+            first,
+            len,
+            recv: 1,
+            sent: 1,
+        };
+        let owner = |site| Identity {
+            site: SiteId(site),
+            node: NodeId(site),
+        };
+        assert_eq!(
+            m.port.released,
+            vec![
+                (owner(7), 1, vec![run(10, 2), run(13, 1)]),
+                (owner(8), 2, vec![run(3, 1)]),
+            ],
+            "one release per owner, equal neighbours folded, the parked one kept"
+        );
+        m.gc();
+        assert_eq!(m.port.released.len(), 2, "a reachable channel stays held");
     }
 
     #[test]
@@ -1538,12 +1937,12 @@ mod tests {
         m.run_to_quiescence(10_000).unwrap();
         // A local channel leaves as a NetChan with our identity and comes
         // back as the same local channel.
-        let w = m.outgoing(Word::Chan(0));
+        let w = m.outgoing(Word::Chan(0), SiteId(1), false);
         match &w {
             WireWord::Chan(r) => assert_eq!(r.site, m.port.identity().site),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(m.incoming_word(w).unwrap(), Word::Chan(0));
+        assert_eq!(m.incoming_word(w, true).unwrap(), Word::Chan(0));
         // Foreign references pass through untranslated.
         let foreign = NetRef {
             heap_id: 7,
@@ -1551,7 +1950,7 @@ mod tests {
             node: NodeId(42),
         };
         assert_eq!(
-            m.incoming_word(WireWord::Chan(foreign)).unwrap(),
+            m.incoming_word(WireWord::Chan(foreign), false).unwrap(),
             Word::NetChan(foreign)
         );
         // Unknown heap ids are protocol errors.
@@ -1561,7 +1960,7 @@ mod tests {
             node: NodeId(0),
         };
         assert!(matches!(
-            m.incoming_word(WireWord::Chan(bogus)),
+            m.incoming_word(WireWord::Chan(bogus), false),
             Err(VmError::BadHeapId(1234))
         ));
     }

@@ -8,8 +8,8 @@
 
 use crate::digest::Digest;
 use crate::program::ImportKind;
-use crate::wire::{WireGroup, WireObj, WireWord};
-use crate::word::{Identity, NetRef};
+use crate::wire::{ReleaseRun, WireGroup, WireObj, WireWord};
+use crate::word::{Identity, NetRef, SiteId};
 use std::collections::HashMap;
 
 /// Reply to an `import` instruction.
@@ -61,6 +61,12 @@ pub enum Incoming {
     ImportReady { req: u64 },
     /// A pending import failed permanently.
     ImportFailed { req: u64, reason: String },
+    /// Site `from_site` released channels this site exported to it.
+    Release {
+        from_site: SiteId,
+        seq: u64,
+        runs: Vec<ReleaseRun>,
+    },
 }
 
 /// The extended-VM ↔ daemon interface (§5: outgoing/incoming queues, the
@@ -92,6 +98,11 @@ pub trait NetPort {
 
     /// Drain one item from the incoming queue.
     fn poll(&mut self) -> Option<Incoming>;
+
+    /// Give the channels in `runs` back to `owner`, the site that exported
+    /// them (DESIGN.md §20). A port that cannot reach other sites drops
+    /// the release: the owner's entries then stay, which is safe.
+    fn release(&mut self, _owner: Identity, _seq: u64, _runs: Vec<ReleaseRun>) {}
 }
 
 /// An in-process port for a single, isolated site.
@@ -110,6 +121,7 @@ pub struct LoopbackPort {
     /// use; retained for assertions).
     pub sent_msgs: Vec<(NetRef, String, Vec<WireWord>)>,
     pub sent_objs: Vec<(NetRef, Digest, WireObj)>,
+    pub released: Vec<(Identity, u64, Vec<ReleaseRun>)>,
     queue: std::collections::VecDeque<Incoming>,
 }
 
@@ -180,5 +192,9 @@ impl NetPort for LoopbackPort {
 
     fn poll(&mut self) -> Option<Incoming> {
         self.queue.pop_front()
+    }
+
+    fn release(&mut self, owner: Identity, seq: u64, runs: Vec<ReleaseRun>) {
+        self.released.push((owner, seq, runs));
     }
 }

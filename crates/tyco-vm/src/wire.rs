@@ -28,8 +28,23 @@ pub enum WireWord {
     /// A channel, always as a network reference (senders translate local
     /// references through their export table before shipping).
     Chan(NetRef),
+    /// A channel sent on by a site that is not its owner, to a site that
+    /// is not its owner either. Its receiver does not count it and never
+    /// releases it (DESIGN.md §20).
+    FwdChan(NetRef),
     /// A class, always as a network reference.
     Class(NetRef),
+}
+
+/// Consecutive export ids `first .. first + len` that a holder site
+/// releases with the same counts: it received each `recv` times from the
+/// owner and sent `sent` packets to or carrying each (DESIGN.md §20).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReleaseRun {
+    pub first: u64,
+    pub len: u32,
+    pub recv: u64,
+    pub sent: u64,
 }
 
 /// A self-contained bundle of byte-code: blocks, method tables and symbol

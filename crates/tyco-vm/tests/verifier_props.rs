@@ -383,6 +383,54 @@ fn shipped_packet_byte_flips_never_panic() {
     );
 }
 
+/// The same adversary against a `Release` (DESIGN.md §20): no byte flip
+/// panics the decoder, and a mutant that decodes never holds more runs
+/// than its bytes can encode, whatever its count field claims.
+#[test]
+fn release_byte_flips_never_panic_and_stay_bounded() {
+    use tyco_vm::codec::{decode, encode, Packet};
+    use tyco_vm::word::{Identity, NodeId, SiteId};
+    use tyco_vm::ReleaseRun;
+
+    let runs = (0..6)
+        .map(|i| ReleaseRun {
+            first: 100 * i,
+            len: 1 + i as u32,
+            recv: 1,
+            sent: i,
+        })
+        .collect();
+    let pkt = Packet::Release {
+        to: Identity {
+            site: SiteId(1),
+            node: NodeId(1),
+        },
+        from_site: SiteId(2),
+        seq: 9,
+        runs,
+    };
+    let bytes = encode(&pkt).to_vec();
+    let mut rng = Rng(0x5eed_0004);
+    let mut rejected = 0u64;
+    for _ in 0..3000 {
+        let mut m = bytes.clone();
+        let pos = rng.below(m.len());
+        m[pos] ^= (rng.next() % 255 + 1) as u8;
+        let len = m.len();
+        let outcome = std::panic::catch_unwind(|| match decode(bytes_from(m)) {
+            Err(_) => None,
+            Ok(Packet::Release { runs, .. }) => Some(runs.len()),
+            Ok(_) => Some(0), // mutated into another packet kind
+        });
+        match outcome {
+            Ok(None) => rejected += 1,
+            Ok(Some(n)) => assert!(n * 28 <= len, "{n} runs in {len} bytes"),
+            Err(_) => panic!("decode panicked on a byte flip"),
+        }
+    }
+    assert!(rejected > 0, "some flips must break the frame");
+}
+
 /// The same adversary over every seed program, one step further: a
 /// mutant that decodes and verifies is linked into a fresh program area
 /// and run. Every mutant is either rejected or survives a brief run with

@@ -8,7 +8,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use tyco_vm::program::ImportKind;
-use tyco_vm::wire::{WireGroup, WireObj, WireWord};
+use tyco_vm::wire::{ReleaseRun, WireGroup, WireObj, WireWord};
 use tyco_vm::word::{Identity, NetRef, SiteId};
 use tyco_vm::{LoopbackPort, Machine};
 
@@ -159,6 +159,8 @@ struct Ether {
     next_req: u64,
     /// Pending imports: req → (site, waiting site).
     pending: Vec<(u64, String, String, ImportKind, SiteId)>,
+    /// Releases sent so far.
+    releases: usize,
 }
 
 struct EtherPort {
@@ -269,29 +271,45 @@ impl NetPort for EtherPort {
             .or_default()
             .pop_front()
     }
+
+    fn release(&mut self, owner: Identity, seq: u64, runs: Vec<ReleaseRun>) {
+        let mut e = self.ether.borrow_mut();
+        e.releases += 1;
+        e.queues
+            .entry(owner.site)
+            .or_default()
+            .push_back(Incoming::Release {
+                from_site: self.me.site,
+                seq,
+                runs,
+            });
+    }
+}
+
+/// Machines on one ether: site `i` runs the `i`-th `(lexeme, source)`.
+fn sites(specs: &[(&str, &str)]) -> Vec<Machine<EtherPort>> {
+    let ether = Rc::new(RefCell::new(Ether::default()));
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, (lexeme, src))| {
+            let port = EtherPort {
+                me: Identity {
+                    site: SiteId(i as u32),
+                    node: Default::default(),
+                },
+                lexeme: lexeme.to_string(),
+                ether: ether.clone(),
+            };
+            Machine::from_source(src, port).expect("compiles")
+        })
+        .collect()
 }
 
 fn duo(server_src: &str, client_src: &str) -> (Machine<EtherPort>, Machine<EtherPort>) {
-    let ether = Rc::new(RefCell::new(Ether::default()));
-    let server_port = EtherPort {
-        me: Identity {
-            site: SiteId(0),
-            node: Default::default(),
-        },
-        lexeme: "server".to_string(),
-        ether: ether.clone(),
-    };
-    let client_port = EtherPort {
-        me: Identity {
-            site: SiteId(1),
-            node: Default::default(),
-        },
-        lexeme: "client".to_string(),
-        ether,
-    };
-    let server = Machine::from_source(server_src, server_port).expect("server compiles");
-    let client = Machine::from_source(client_src, client_port).expect("client compiles");
-    (server, client)
+    let mut ms = sites(&[("server", server_src), ("client", client_src)]);
+    let client = ms.pop().expect("two sites");
+    (ms.pop().expect("two sites"), client)
 }
 
 fn run_duo(server: &mut Machine<EtherPort>, client: &mut Machine<EtherPort>) {
@@ -495,4 +513,184 @@ fn trace_buffer_records_last_instructions() {
     // Disabling clears it.
     m.set_trace(0);
     assert!(m.render_trace().is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Reclaiming exported channels (DESIGN.md §20): the server holds the
+// client's channels, the client owns them. Packets are held back or
+// reordered in the ether to play out what a faulty carrier can do.
+// ---------------------------------------------------------------------------
+
+const SERVER: SiteId = SiteId(0);
+const CLIENT: SiteId = SiteId(1);
+
+/// A server that takes channels and drops them.
+const DROPPER: &str = "def Srv(p) = p?{ take(r) = Srv[p] } in export new p in Srv[p]";
+
+fn slice(m: &mut Machine<EtherPort>) {
+    m.run_slice(100_000).expect("slice");
+}
+
+/// Take item `i` out of `site`'s queue.
+fn take(m: &Machine<EtherPort>, site: SiteId, i: usize) -> Incoming {
+    let mut e = m.port.ether.borrow_mut();
+    e.queues
+        .get_mut(&site)
+        .and_then(|q| q.remove(i))
+        .expect("queued")
+}
+
+/// Queue `item` for `site` again, last.
+fn put(m: &Machine<EtherPort>, site: SiteId, item: Incoming) {
+    let mut e = m.port.ether.borrow_mut();
+    e.queues.entry(site).or_default().push_back(item);
+}
+
+fn releases(m: &Machine<EtherPort>) -> usize {
+    m.port.ether.borrow().releases
+}
+
+#[test]
+fn an_entry_sent_twice_survives_the_first_release() {
+    let (mut server, mut client) = duo(
+        DROPPER,
+        "import p from server in new r (p!take[r] | p!take[r])",
+    );
+    slice(&mut server);
+    slice(&mut client);
+    let second = take(&server, SERVER, 1);
+    slice(&mut server);
+    server.gc();
+    slice(&mut client);
+    assert_eq!(client.exports.len(), 1, "one receipt of two was released");
+    put(&server, SERVER, second);
+    slice(&mut server);
+    server.gc();
+    slice(&mut client);
+    assert_eq!(releases(&server), 2);
+    assert!(client.exports.is_empty(), "both receipts released");
+    client.gc();
+    assert_eq!(client.live_channels(), 0, "no longer a root");
+}
+
+#[test]
+fn a_forwarded_channel_is_never_released() {
+    let mut ms = sites(&[
+        (
+            "server",
+            "import t from third in export new p in p?(r) = t![r]",
+        ),
+        ("client", "import p from server in new r p![r]"),
+        ("third", "export new t in t?(r) = 0"),
+    ]);
+    for _ in 0..2 {
+        for _ in 0..10 {
+            for m in ms.iter_mut() {
+                slice(m);
+            }
+        }
+        for m in ms.iter_mut() {
+            m.gc();
+        }
+    }
+    assert_eq!(ms[2].stats.msgs_recv, 1, "the third site got the channel");
+    assert_eq!(
+        releases(&ms[0]),
+        0,
+        "neither the forwarder nor the third releases"
+    );
+    assert_eq!(ms[1].exports.len(), 1, "the owner keeps the entry");
+}
+
+#[test]
+fn a_release_that_overtakes_the_reply_waits_for_it() {
+    let (mut server, mut client) = duo(
+        "def Srv(p) = p?{ val(x, r) = (r![x + 1] | Srv[p]) } in export new p in Srv[p]",
+        "import p from server in new a (p!val[41, a] | a?(y) = print(y))",
+    );
+    slice(&mut server);
+    slice(&mut client);
+    slice(&mut server);
+    server.gc();
+    // The client's queue holds the reply, then the release: swap them.
+    let reply = take(&client, CLIENT, 0);
+    slice(&mut client);
+    assert_eq!(client.exports.len(), 1, "the reply is still owed");
+    put(&client, CLIENT, reply);
+    slice(&mut client);
+    assert_eq!(client.io, vec!["42"]);
+    assert!(client.exports.is_empty(), "reclaimed once the reply landed");
+    assert_eq!(client.stats.stale_deliveries, 0);
+}
+
+#[test]
+fn a_duplicated_or_older_release_is_ignored() {
+    let (mut server, mut client) = duo(
+        DROPPER,
+        "import p from server in new r (p!take[r] | p!take[r] | p!take[r])",
+    );
+    slice(&mut server);
+    slice(&mut client);
+    let third = take(&server, SERVER, 2);
+    let second = take(&server, SERVER, 1);
+    slice(&mut server);
+    server.gc();
+    put(&server, SERVER, second);
+    slice(&mut server);
+    server.gc();
+    // Releases 1 and 2 are queued in order: deliver 2, then 1 twice.
+    let r1 = take(&client, CLIENT, 0);
+    let r2 = take(&client, CLIENT, 0);
+    for r in [r2, r1.clone(), r1] {
+        put(&client, CLIENT, r);
+    }
+    slice(&mut client);
+    assert_eq!(client.exports.len(), 1, "two of three receipts still count");
+    put(&server, SERVER, third);
+    slice(&mut server);
+    server.gc();
+    slice(&mut client);
+    assert_eq!(releases(&server), 3);
+    // The ignored release leaks one receipt: the entry stays for good.
+    assert_eq!(client.exports.len(), 1, "leak, never free early");
+}
+
+#[test]
+fn an_exported_name_is_never_reclaimed() {
+    let (mut server, mut client) = duo(
+        "export new q in q?(x) = 0",
+        "export new p in import q from server in q![p]",
+    );
+    slice(&mut server);
+    slice(&mut client);
+    slice(&mut server);
+    server.gc();
+    slice(&mut client);
+    assert_eq!(releases(&server), 1, "the server released p");
+    assert_eq!(client.exports.len(), 1, "p stays exported");
+    client.gc();
+    assert_eq!(client.live_channels(), 1, "and stays a root");
+}
+
+#[test]
+fn a_channel_carried_back_to_its_owner_is_owed_like_a_message_to_it() {
+    let (mut server, mut client) = duo(
+        "import q from client in export new p in p?(r) = q![r]",
+        "export new q in import p from server in \
+         new r (p![r] | q?(x) = x![5] | r?(v) = print(v))",
+    );
+    slice(&mut client);
+    slice(&mut server);
+    slice(&mut client);
+    slice(&mut server);
+    server.gc();
+    // The client's queue holds `q![r]`, then the release: swap them.
+    let carrier = take(&client, CLIENT, 0);
+    slice(&mut client);
+    assert_eq!(client.exports.len(), 2, "q, and r until its carrier lands");
+    put(&client, CLIENT, carrier);
+    slice(&mut client);
+    assert_eq!(client.io, vec!["5"]);
+    assert_eq!(client.exports.len(), 1, "r reclaimed, q pinned");
+    assert_eq!(client.stats.stale_deliveries, 0);
 }

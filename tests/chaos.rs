@@ -226,3 +226,100 @@ fn seeded_churn_soak_replays_cleanly() {
         assert!(first.contains("restarts=1"), "seed {seed}: {first}");
     }
 }
+
+/// Sixteen chains of RPCs, 20 000 calls in all: every reply channel is
+/// released by the server and reclaimed by the client (DESIGN.md §20).
+fn releasing_rpc_client() -> String {
+    let chains: Vec<String> = (0..16).map(|c| format!("Chain[{c}, 1250, 0]")).collect();
+    format!(
+        "import p from server in \
+         def Chain(c, k, acc) = \
+             if k > 0 then new a (p!val[k, a] | a?(v) = Chain[c, k - 1, acc + v]) \
+             else println(\"chain\", c, acc) \
+         in ({})",
+        chains.join(" | ")
+    )
+}
+
+/// One run of the releasing RPC under `spec`: its fingerprint, its sorted
+/// output and the client's stale deliveries.
+fn releasing_rpc(spec: ChaosSpec) -> (String, Vec<String>, u64) {
+    let report = Env::new(Topology {
+        nodes: 2,
+        mode: FabricMode::Virtual,
+        link: LinkProfile::fast_ethernet(),
+        ns_replicas: 1,
+    })
+    .site("server", SRV)
+    .expect("server compiles")
+    .site("client", &releasing_rpc_client())
+    .expect("client compiles")
+    .chaos(ChaosPlan::new(spec))
+    .run()
+    .expect("run starts");
+    if let Some((site, err)) = report.errors.first() {
+        panic!("seed {}: [{site}] {err}", spec.seed);
+    }
+    let mut out = report.output("client").to_vec();
+    out.sort();
+    let c = report.chaos.expect("chaos report recorded");
+    let stats = |s: &str| &report.stats[s];
+    let (client, server) = (stats("client"), stats("server"));
+    let fp = format!(
+        "out={out:?} instrs={} pkts={} bytes={} vns={} dup={} delayed={} \
+         collected={} gcs={} stale={}",
+        report.total_instrs,
+        report.fabric_packets,
+        report.fabric_bytes,
+        report.virtual_ns,
+        c.duplicated,
+        c.delayed,
+        client.chans_collected,
+        server.gcs,
+        client.stale_deliveries,
+    );
+    (fp, out, client.stale_deliveries)
+}
+
+/// Ten seeds of `faults` on the releasing RPC: the output is the
+/// fault-free run's, no site errs, and every seed replays byte for byte.
+/// Returns the stale deliveries per seed.
+fn releasing_rpc_seeds(faults: impl Fn(u64) -> ChaosSpec) -> Vec<u64> {
+    let (_, clean, stale) = releasing_rpc(ChaosSpec::quiet(0));
+    assert_eq!(clean.len(), 16);
+    assert_eq!(stale, 0);
+    (0..10u64)
+        .map(|seed| {
+            let (first, out, stale) = releasing_rpc(faults(seed));
+            assert_eq!(out, clean, "seed {seed}: {first}");
+            assert!(!first.contains(" dup=0 delayed=0 "), "seed {seed}: {first}");
+            let (second, _, _) = releasing_rpc(faults(seed));
+            assert_eq!(first, second, "seed {seed} did not replay");
+            stale
+        })
+        .collect()
+}
+
+fn delay_spec(seed: u64) -> ChaosSpec {
+    let mut spec = ChaosSpec::quiet(seed);
+    spec.delay_per_mille = 100;
+    spec.delay_ns = 500_000;
+    spec
+}
+
+/// Delays reorder a release ahead of the replies it counts; the client
+/// waits for them, so no delivery is ever stale.
+#[test]
+fn releasing_rpc_survives_delays() {
+    assert_eq!(releasing_rpc_seeds(delay_spec), vec![0; 10]);
+}
+
+/// Duplicates make the counts over-report; a copy that lands after its
+/// channel was reclaimed is dropped as stale, and the run is unharmed.
+#[test]
+fn releasing_rpc_survives_duplicates_and_delays() {
+    releasing_rpc_seeds(|seed| ChaosSpec {
+        dup_per_mille: 40,
+        ..delay_spec(seed)
+    });
+}

@@ -442,6 +442,53 @@ fn a_stall_of_both_processes_costs_no_replies() {
     assert!(st.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// A field of `site`'s `heap:` line in a `--stats` report.
+fn heap_field(stderr: &str, site: &str, field: &str) -> u64 {
+    stderr
+        .split(&format!("[{site}]\n"))
+        .nth(1)
+        .and_then(|block| block.lines().find(|l| l.starts_with("heap: ")))
+        .and_then(|l| l.split(&format!("{field}=")).nth(1))
+        .and_then(|v| v.split(' ').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no `{field}` on [{site}]'s heap line: {stderr}"))
+}
+
+/// 20 000 calls over TCP: the server's collector runs and releases the
+/// reply channels it answered, and the client's collector reclaims them
+/// (DESIGN.md §20).
+#[test]
+fn reply_channels_are_reclaimed_across_processes() {
+    let dir = tmpdir("reclaim");
+    let (client_src, mut expected) = rpc_client(16, 1250);
+    write(&dir, "server.dity", RPC_SERVER);
+    write(&dir, "client.dity", &client_src);
+    let spec = write(&dir, "cluster.net", SPEC);
+    let spec = spec.to_str().unwrap();
+    let (mut server, addr) = spawn_listening(&["serve", spec, "--node", "0", "--stats"]);
+    let client = ditico()
+        .args(["net", spec, "--node", "1", "--peers", &addr, "--stats"])
+        .args(["--wall", "60", "--hb-ms", "25"])
+        .output()
+        .expect("run client");
+    let client_err = String::from_utf8_lossy(&client.stderr).to_string();
+    assert!(client.status.success(), "{client_err}");
+    let mut lines: Vec<String> = String::from_utf8_lossy(&client.stdout)
+        .lines()
+        .map(|l| l.trim().to_string())
+        .collect();
+    lines.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(lines, expected, "{client_err}");
+    assert!(heap_field(&client_err, "client", "collected") > 0);
+
+    wait_bounded(&mut server, 30);
+    let out = server.wait_with_output().expect("server output");
+    let server_err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "{server_err}");
+    assert!(heap_field(&server_err, "server", "gcs") > 0);
+}
+
 /// Three sites across the two processes: `a` fetches `Adder`, uses it,
 /// then kicks `b` (same node), whose own fetch of `Adder` must arrive as
 /// a digest-only reply served from the client node's code store.
