@@ -1297,21 +1297,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn msg_roundtrip() {
-        roundtrip(Packet::Msg {
-            dest: nref(42),
-            label: "read".into(),
-            args: vec![
-                WireWord::Int(-7),
-                WireWord::Bool(true),
-                WireWord::Str("héllo".into()),
-                WireWord::Float(2.5),
-                WireWord::Unit,
-                WireWord::Chan(nref(9)),
-                WireWord::Class(nref(10)),
-            ],
-        });
+    fn id(site: u32, node: u32) -> Identity {
+        Identity {
+            site: SiteId(site),
+            node: NodeId(node),
+        }
+    }
+
+    fn stamp(fingerprint: u64, canonical: &str) -> Option<TypeStamp> {
+        Some(TypeStamp {
+            fingerprint,
+            canonical: canonical.into(),
+        })
     }
 
     #[test]
@@ -1336,66 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_roundtrips() {
-        roundtrip(Packet::FetchReq {
-            class: nref(2),
-            req: 77,
-            reply_to: Identity {
-                site: SiteId(1),
-                node: NodeId(0),
-            },
-        });
-        let prog = compile(&parse_core("def K(a) = print(a) in K[1]").unwrap()).unwrap();
-        let packed = wire::pack(&prog, &[0]);
-        roundtrip(Packet::FetchReply {
-            to: Identity {
-                site: SiteId(1),
-                node: NodeId(0),
-            },
-            req: 77,
-            digest: code_digest(&packed.code),
-            group: WireGroup {
-                code: packed.code,
-                table: 0,
-                captured: vec![],
-            },
-            index: 0,
-        });
-    }
-
-    #[test]
-    fn dedup_variants_roundtrip() {
-        roundtrip(Packet::ObjRef {
-            dest: nref(1),
-            digest: Digest(0x0123456789abcdef_fedcba9876543210),
-            table: 4,
-            captured: vec![WireWord::Chan(nref(5)), WireWord::Int(12)],
-        });
-        roundtrip(Packet::FetchReplyRef {
-            to: Identity {
-                site: SiteId(1),
-                node: NodeId(0),
-            },
-            req: 78,
-            digest: Digest(u128::MAX),
-            table: 0,
-            captured: vec![],
-            index: 2,
-        });
-        roundtrip(Packet::NeedCode {
-            from: NodeId(3),
-            digest: Digest(1),
-        });
-        let prog = compile(&parse_core("def K(a) = print(a) in K[1]").unwrap()).unwrap();
-        let packed = wire::pack(&prog, &[0]);
-        roundtrip(Packet::HaveCode {
-            to: NodeId(2),
-            digest: code_digest(&packed.code),
-            code: packed.code,
-        });
-    }
-
-    #[test]
     fn code_digest_is_stable_across_reencoding() {
         // Encode → decode → digest must agree with the digest of the
         // original: the digest is over canonical bytes, so a re-shipped
@@ -1415,148 +1352,6 @@ mod tests {
         // And a different program gets a different digest.
         let other = compile(&parse_core("def K(a) = print(a + 1) in K[2]").unwrap()).unwrap();
         assert_ne!(code_digest(&wire::pack(&other, &[0]).code), d);
-    }
-
-    #[test]
-    fn nameservice_roundtrips() {
-        roundtrip(Packet::NsRegister {
-            from_site: SiteId(2),
-            site_lexeme: "server".into(),
-            name: "appletserver".into(),
-            value: WireWord::Chan(nref(0)),
-            stamp: None,
-        });
-        roundtrip(Packet::NsRegister {
-            from_site: SiteId(2),
-            site_lexeme: "server".into(),
-            name: "appletserver".into(),
-            value: WireWord::Chan(nref(0)),
-            stamp: Some(TypeStamp {
-                fingerprint: 0xdeadbeef,
-                canonical: "^{val(int)|r0}".into(),
-            }),
-        });
-        roundtrip(Packet::NsImport {
-            req: 5,
-            site: "server".into(),
-            name: "p".into(),
-            kind: ImportKind::Class,
-            reply_to: Identity {
-                site: SiteId(9),
-                node: NodeId(2),
-            },
-            expect: None,
-        });
-        roundtrip(Packet::NsImport {
-            req: 5,
-            site: "server".into(),
-            name: "p".into(),
-            kind: ImportKind::Class,
-            reply_to: Identity {
-                site: SiteId(9),
-                node: NodeId(2),
-            },
-            expect: Some(TypeStamp {
-                fingerprint: 1,
-                canonical: "^{val(bool)}".into(),
-            }),
-        });
-        roundtrip(Packet::NsImportReply {
-            to: Identity {
-                site: SiteId(9),
-                node: NodeId(2),
-            },
-            req: 5,
-            result: Ok(WireWord::Class(nref(3))),
-        });
-        roundtrip(Packet::NsImportReply {
-            to: Identity {
-                site: SiteId(9),
-                node: NodeId(2),
-            },
-            req: 6,
-            result: Err("no such identifier".into()),
-        });
-    }
-
-    #[test]
-    fn sharded_nameservice_roundtrips() {
-        roundtrip(Packet::NsLease {
-            to: Identity {
-                site: SiteId(9),
-                node: NodeId(2),
-            },
-            req: 5,
-            site: "server".into(),
-            name: "p".into(),
-            value: WireWord::Chan(nref(3)),
-            stamp: Some(TypeStamp {
-                fingerprint: 0xfeed,
-                canonical: "^{val(int)|r0}".into(),
-            }),
-            epoch: 7,
-        });
-        roundtrip(Packet::NsLease {
-            to: Identity {
-                site: SiteId(0),
-                node: NodeId(0),
-            },
-            req: 0,
-            site: "s".into(),
-            name: "n".into(),
-            value: WireWord::Class(nref(1)),
-            stamp: None,
-            epoch: 1,
-        });
-        roundtrip(Packet::NsInvalidate {
-            to: NodeId(3),
-            site: "server".into(),
-            name: "p".into(),
-            epoch: 8,
-        });
-        roundtrip(Packet::NsRepl {
-            to: NodeId(1),
-            seq: 42,
-            from_site: SiteId(2),
-            site_lexeme: "server".into(),
-            name: "p".into(),
-            value: WireWord::Chan(nref(9)),
-            stamp: Some(TypeStamp {
-                fingerprint: 1,
-                canonical: "^{val(bool)}".into(),
-            }),
-            epoch: 3,
-        });
-    }
-
-    #[test]
-    fn control_packets_roundtrip() {
-        roundtrip(Packet::Heartbeat {
-            node: NodeId(4),
-            seq: 123,
-        });
-        roundtrip(Packet::TermProbe {
-            round: 2,
-            excluded: vec![],
-        });
-        roundtrip(Packet::TermProbe {
-            round: 3,
-            excluded: vec![NodeId(2), NodeId(7)],
-        });
-        roundtrip(Packet::TermReport {
-            round: 2,
-            sent: 100,
-            recv: 99,
-            active: false,
-        });
-        roundtrip(Packet::TermVerdict);
-        let probe = encode(&Packet::TermProbe {
-            round: 1,
-            excluded: vec![NodeId(5)],
-        });
-        for cut in 1..probe.len() {
-            assert!(decode(probe.slice(0..cut)).is_err(), "cut at {cut}");
-        }
     }
 
     /// The instruction set's encodings, assembly and decoder messages,
@@ -1739,31 +1534,16 @@ mod tests {
 
     #[test]
     fn release_roundtrip_and_truncation() {
-        let to = Identity {
-            site: SiteId(3),
-            node: NodeId(1),
-        };
         roundtrip(Packet::Release {
-            to,
-            from_site: SiteId(2),
-            seq: u64::MAX,
-            runs: vec![],
-        });
-        let p = Packet::Release {
-            to,
+            to: id(3, 1),
             from_site: SiteId(2),
             seq: 7,
             runs: vec![run(10, 2, 1, 1), run(u64::MAX, u32::MAX, u64::MAX, 0)],
-        };
-        roundtrip(p.clone());
-        let bytes = encode(&p);
-        for cut in 1..bytes.len() {
-            assert!(decode(bytes.slice(0..cut)).is_err(), "cut at {cut}");
-        }
+        });
         // A forged run count is refused against the bytes present, before
         // anything is reserved for it.
         let mut forged = encode(&Packet::Release {
-            to,
+            to: id(3, 1),
             from_site: SiteId(2),
             seq: 7,
             runs: vec![],
@@ -1773,30 +1553,31 @@ mod tests {
         forged[at..].copy_from_slice(&u32::MAX.to_le_bytes());
         let e = decode(Bytes::from(forged)).unwrap_err();
         assert_eq!(e.0, "truncated release runs");
-        roundtrip(Packet::Msg {
-            dest: nref(1),
-            label: "fwd".into(),
-            args: vec![WireWord::FwdChan(nref(9))],
-        });
     }
 
-    /// Frames pinned byte for byte. `Msg` is as v4 wrote it, and `Hello`
-    /// differs from v4's only in its version; the forwarded tag and
-    /// `Release` are v5's.
-    #[test]
-    fn golden_frames() {
-        let hex = |p: &Packet| -> String {
-            encode_frame(NodeId(1), NodeId(2), &encode(p))
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect()
-        };
+    /// Every packet kind, with the value cases its fields can take, and
+    /// its frame from node 1 to node 2 as the hand-written v5 encoder
+    /// wrote it. `Msg` is as v4 wrote it, and `Hello` differs from v4's
+    /// only in its version.
+    fn golden() -> Vec<(Packet, &'static str)> {
+        let prog = compile(&parse_core("def K(a) = print(a) in K[1]").unwrap()).unwrap();
+        let code = wire::pack(&prog, &[0]).code;
+        // Its digest, then the image.
+        macro_rules! image {
+            () => {
+                concat!(
+                    "174de78dd86b400e59661f65ce8189f5",
+                    "01000000010000004b00000100000001030000000001001601000c01000000",
+                    "01000000000000000000000001000000010000004b00000000",
+                )
+            };
+        }
         let msg = |w: WireWord| Packet::Msg {
             dest: nref(42),
             label: "val".into(),
             args: vec![WireWord::Int(7), w],
         };
-        let cases = [
+        vec![
             (
                 Packet::Hello {
                     version: WIRE_VERSION,
@@ -1824,10 +1605,7 @@ mod tests {
             ),
             (
                 Packet::Release {
-                    to: Identity {
-                        site: SiteId(3),
-                        node: NodeId(1),
-                    },
+                    to: id(3, 1),
                     from_site: SiteId(2),
                     seq: 5,
                     runs: vec![run(10, 2, 1, 1), run(13, 1, 2, 0)],
@@ -1842,22 +1620,267 @@ mod tests {
                     "0000000000000000",
                 ),
             ),
-        ];
-        for (p, want) in cases {
-            assert_eq!(hex(&p), want, "{p:?}");
-        }
+            (
+                Packet::Release {
+                    to: id(3, 1),
+                    from_site: SiteId(2),
+                    seq: u64::MAX,
+                    runs: vec![],
+                },
+                "21000000010000000200000013030000000100000002000000ffffffffffffffff00000000",
+            ),
+            (
+                Packet::Msg {
+                    dest: nref(42),
+                    label: "read".into(),
+                    args: vec![
+                        WireWord::Unit,
+                        WireWord::Int(-7),
+                        WireWord::Bool(true),
+                        WireWord::Float(2.5),
+                        WireWord::Str("héllo".into()),
+                        WireWord::Chan(nref(9)),
+                        WireWord::Class(nref(10)),
+                        WireWord::FwdChan(nref(11)),
+                    ],
+                },
+                concat!(
+                    "78000000010000000200000000",
+                    "2a0000000000000003000000010000000400000072656164080000000001f9ffffffffff",
+                    "ffff0201030000000000000440040600000068c3a96c6c6f050900000000000000030000",
+                    "0001000000060a000000000000000300000001000000070b000000000000000300000001",
+                    "000000",
+                ),
+            ),
+            (
+                Packet::Obj {
+                    dest: nref(1),
+                    digest: code_digest(&code),
+                    obj: WireObj {
+                        code: code.clone(),
+                        table: 0,
+                        captured: vec![WireWord::Chan(nref(5))],
+                    },
+                },
+                concat!(
+                    "7a000000010000000200000001",
+                    "01000000000000000300000001000000",
+                    image!(),
+                    "00000000010000000505000000000000000300000001000000",
+                ),
+            ),
+            (
+                Packet::FetchReq {
+                    class: nref(2),
+                    req: 77,
+                    reply_to: id(1, 0),
+                },
+                concat!(
+                    "29000000010000000200000002",
+                    "020000000000000003000000010000004d000000000000000100000000000000",
+                ),
+            ),
+            (
+                Packet::FetchReply {
+                    to: id(1, 0),
+                    req: 77,
+                    digest: code_digest(&code),
+                    group: WireGroup {
+                        code: code.clone(),
+                        table: 0,
+                        captured: vec![],
+                    },
+                    index: 1,
+                },
+                concat!(
+                    "6a000000010000000200000003",
+                    "01000000000000004d00000000000000",
+                    image!(),
+                    "000000000000000001",
+                ),
+            ),
+            (
+                Packet::NsRegister {
+                    from_site: SiteId(2),
+                    site_lexeme: "server".into(),
+                    name: "appletserver".into(),
+                    value: WireWord::Chan(nref(0)),
+                    stamp: None,
+                },
+                concat!(
+                    "39000000010000000200000004",
+                    "02000000060000007365727665720c0000006170706c6574736572766572050000000000",
+                    "000000030000000100000000",
+                ),
+            ),
+            (
+                Packet::NsImport {
+                    req: 5,
+                    site: "server".into(),
+                    name: "p".into(),
+                    kind: ImportKind::Class,
+                    reply_to: id(9, 2),
+                    expect: stamp(1, "^{val(bool)}"),
+                },
+                concat!(
+                    "42000000010000000200000005",
+                    "050000000000000006000000736572766572010000007001090000000200000001010000",
+                    "00000000000c0000005e7b76616c28626f6f6c297d",
+                ),
+            ),
+            (
+                Packet::NsImportReply {
+                    to: id(9, 2),
+                    req: 5,
+                    result: Ok(WireWord::Class(nref(3))),
+                },
+                concat!(
+                    "2b000000010000000200000006",
+                    "09000000020000000500000000000000010603000000000000000300000001000000",
+                ),
+            ),
+            (
+                Packet::NsImportReply {
+                    to: id(9, 2),
+                    req: 6,
+                    result: Err("no such identifier".into()),
+                },
+                concat!(
+                    "30000000010000000200000006",
+                    "0900000002000000060000000000000000120000006e6f2073756368206964656e746966",
+                    "696572",
+                ),
+            ),
+            (
+                Packet::Heartbeat {
+                    node: NodeId(4),
+                    seq: 123,
+                },
+                "15000000010000000200000007040000007b00000000000000",
+            ),
+            (
+                Packet::TermProbe {
+                    round: 2,
+                    excluded: vec![],
+                },
+                "15000000010000000200000008020000000000000000000000",
+            ),
+            (
+                Packet::TermReport {
+                    round: 2,
+                    sent: 100,
+                    recv: 99,
+                    active: true,
+                },
+                "2200000001000000020000000902000000000000006400000000000000630000000000000001",
+            ),
+            (Packet::TermVerdict, "09000000010000000200000012"),
+            (
+                Packet::ObjRef {
+                    dest: nref(1),
+                    digest: Digest(0x0123456789abcdef_fedcba9876543210),
+                    table: 4,
+                    captured: vec![WireWord::Chan(nref(5)), WireWord::Int(12)],
+                },
+                concat!(
+                    "4b00000001000000020000000b",
+                    "010000000000000003000000010000001032547698badcfeefcdab896745230104000000",
+                    "020000000505000000000000000300000001000000010c00000000000000",
+                ),
+            ),
+            (
+                Packet::FetchReplyRef {
+                    to: id(1, 0),
+                    req: 78,
+                    digest: Digest(u128::MAX),
+                    table: 0,
+                    captured: vec![],
+                    index: 2,
+                },
+                concat!(
+                    "3200000001000000020000000c",
+                    "01000000000000004e00000000000000ffffffffffffffffffffffffffffffff00000000",
+                    "0000000002",
+                ),
+            ),
+            (
+                Packet::NeedCode {
+                    from: NodeId(3),
+                    digest: Digest(1),
+                },
+                "1d00000001000000020000000d0300000001000000000000000000000000000000",
+            ),
+            (
+                Packet::HaveCode {
+                    to: NodeId(2),
+                    digest: code_digest(&code),
+                    code,
+                },
+                concat!("5500000001000000020000000e", "02000000", image!(),),
+            ),
+            (
+                Packet::NsLease {
+                    to: id(9, 2),
+                    req: 5,
+                    site: "server".into(),
+                    name: "p".into(),
+                    value: WireWord::Chan(nref(3)),
+                    stamp: stamp(0xfeed, "^{val(int)|r0}"),
+                    epoch: 7,
+                },
+                concat!(
+                    "5c00000001000000020000000f",
+                    "090000000200000005000000000000000600000073657276657201000000700503000000",
+                    "00000000030000000100000001edfe0000000000000e0000005e7b76616c28696e74297c",
+                    "72307d0700000000000000",
+                ),
+            ),
+            (
+                Packet::NsInvalidate {
+                    to: NodeId(3),
+                    site: "server".into(),
+                    name: "p".into(),
+                    epoch: 8,
+                },
+                "24000000010000000200000010030000000600000073657276657201000000700800000000000000",
+            ),
+            (
+                Packet::NsRepl {
+                    to: NodeId(1),
+                    seq: 42,
+                    from_site: SiteId(2),
+                    site_lexeme: "server".into(),
+                    name: "p".into(),
+                    value: WireWord::Chan(nref(9)),
+                    stamp: None,
+                    epoch: 3,
+                },
+                concat!(
+                    "42000000010000000200000011",
+                    "010000002a00000000000000020000000600000073657276657201000000700509000000",
+                    "000000000300000001000000000300000000000000",
+                ),
+            ),
+        ]
     }
 
+    /// Each golden row encodes to its frame, its frame decodes to the
+    /// packet, and every proper prefix of the packet fails to decode.
     #[test]
-    fn hello_roundtrip() {
-        roundtrip(Packet::Hello {
-            version: WIRE_VERSION,
-            nodes: vec![NodeId(0), NodeId(3)],
-        });
-        roundtrip(Packet::Hello {
-            version: 99,
-            nodes: vec![],
-        });
+    fn golden_frames() {
+        for (p, want) in golden() {
+            let frame = encode_frame(NodeId(1), NodeId(2), &encode(&p));
+            let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{p:?}");
+            let (f, _) = decode_frame_view(&frame).unwrap().unwrap();
+            assert_eq!(decode(f.payload.clone()).as_ref(), Ok(&p));
+            for cut in 0..f.payload.len() {
+                assert!(
+                    decode(f.payload.slice(0..cut)).is_err(),
+                    "{p:?} cut at {cut}"
+                );
+            }
+        }
     }
 
     #[test]
