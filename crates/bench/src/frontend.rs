@@ -7,7 +7,7 @@
 //! (`ditico compile`'s output) and the code cache's 128-bit digest over
 //! them as four 32-bit words. Any change to any emitted image moves the
 //! digest, and `bench all --smoke` fails. The `timed` values are the
-//! three stages' wall clock, best of [`REPS`] (one pass under `--smoke`).
+//! three stages' wall clock, best of `REPS` (one pass under `--smoke`).
 
 use std::path::Path;
 use std::time::Instant;
@@ -80,7 +80,7 @@ fn measure(name: &str, sources: &[String], reps: usize) -> Json {
 }
 
 /// The sources the front end is measured on, by set: each workload's
-/// `.dity` files at [`SEED`], full size, then the examples.
+/// `.dity` files at `SEED`, full size, then the examples.
 pub fn corpus() -> Vec<(&'static str, Vec<String>)> {
     let mut sets = Vec::new();
     for name in gen::WORKLOADS {

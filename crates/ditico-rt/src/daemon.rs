@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tyco_vm::codec::{self, Packet};
+use tyco_vm::codec::{self, Class, Packet};
 use tyco_vm::port::Incoming;
 use tyco_vm::wire::{WireCode, WireGroup, WireObj};
 use tyco_vm::word::{Identity, NetRef, NodeId, SiteId};
@@ -936,20 +936,15 @@ impl Daemon {
                 }
                 target
             }
-            // Beacons are emitted point-to-point by `send_heartbeat`,
-            // termination waves and handshakes live on the transport
-            // layer, and cache-protocol packets are daemon-generated
-            // point-to-point; any reaching the routing layer is consumed
-            // and ignored.
-            Packet::Heartbeat { .. }
-            | Packet::TermProbe { .. }
-            | Packet::TermReport { .. }
-            | Packet::TermVerdict
-            | Packet::Hello { .. }
-            | Packet::ObjRef { .. }
-            | Packet::FetchReplyRef { .. }
-            | Packet::NeedCode { .. }
-            | Packet::HaveCode { .. } => self.node,
+            // Control frames live on the transport (beacons go
+            // point-to-point from `send_heartbeat`), and the cache
+            // protocol's digest-only kinds are made at send and resolved
+            // at ingest; any reaching the routing layer is consumed and
+            // ignored.
+            other => {
+                debug_assert_ne!(other.class(), Class::Data, "unrouted {other:?}");
+                self.node
+            }
         };
         if target == self.node {
             self.deliver_local(p);
@@ -1316,20 +1311,15 @@ impl Daemon {
                 let e = self.heartbeats.entry(node).or_insert(0);
                 *e = (*e).max(seq);
             }
-            Packet::TermProbe { .. }
-            | Packet::TermReport { .. }
-            | Packet::TermVerdict
-            | Packet::Hello { .. }
-            | Packet::ObjRef { .. }
-            | Packet::FetchReplyRef { .. }
-            | Packet::NeedCode { .. }
-            | Packet::HaveCode { .. }
-            | Packet::NsRepl { .. } => {
-                // Termination waves and handshakes are control frames the
-                // transport consumes, and cache-protocol packets are
-                // resolved at ingest (as is replication, which needs the
-                // sender's id); wire packets reaching here are accepted
-                // and ignored.
+            // Replication needs the sender's id, so ingest applies it;
+            // control frames are the transport's, and the cache protocol
+            // is resolved at ingest too. Any reaching here is accepted and
+            // ignored.
+            Packet::NsRepl { .. } => {
+                self.term.consumed.fetch_add(1, Ordering::Relaxed);
+            }
+            other => {
+                debug_assert_ne!(other.class(), Class::Data, "undelivered {other:?}");
                 self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1410,7 +1400,7 @@ impl DaemonCell {
     /// modeled resolver's backlog as its completions come due, and ticks
     /// the `NeedCode` retry clock once per parked millisecond while
     /// refills are outstanding. With neither timer armed it parks for
-    /// [`STOP_LATENCY`]. Returns once the cell is retired.
+    /// `STOP_LATENCY`. Returns once the cell is retired.
     pub fn run_fallback(&self) {
         loop {
             let mut guard = self.daemon.lock();

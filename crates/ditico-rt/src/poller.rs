@@ -11,7 +11,7 @@
 //! The workspace vendors no `libc` crate, and the build environment
 //! cannot add one; since std already links the platform libc, the tiny
 //! syscall surface needed here (a dozen symbols) is declared directly in
-//! [`sys`] — with **Linux** constant values and sockaddr layouts, which
+//! `sys` — with **Linux** constant values and sockaddr layouts, which
 //! is why the whole module (and the TCP transport that rides on it) is
 //! compiled only for `target_os = "linux"`: other unixes lack epoll,
 //! disagree on `O_NONBLOCK`, `SOL_SOCKET`, `EINPROGRESS` and prefix

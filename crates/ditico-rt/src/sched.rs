@@ -28,7 +28,7 @@
 //!
 //! Site activity is scheduler-owned: a site is *active* iff its state is
 //! `QUEUED`, `RUNNING` or `DIRTY`; the pool keeps a global count of
-//! active sites ([`Shared::active`]). A false termination needs the
+//! active sites (`Shared::active`). A false termination needs the
 //! detector to see balanced counters and zero active sites while an
 //! effect is still pending. Pending effects are:
 //!

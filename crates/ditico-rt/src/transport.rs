@@ -4,9 +4,8 @@
 //! byte-coded messages, objects and class code. The in-process
 //! [`fabric`](crate::fabric) models that network's latency; this module
 //! is the part that actually crosses a machine boundary: it carries the
-//! same encoded [`Packet`](tyco_vm::codec::Packet) stream over TCP with
-//! length-prefixed frames (see [`tyco_vm::codec::decode_frame_view`] for
-//! the layout).
+//! same encoded [`Packet`] stream over TCP with length-prefixed frames
+//! (see [`tyco_vm::codec::decode_frame_view`] for the layout).
 //!
 //! ## One event loop
 //!
@@ -60,11 +59,11 @@
 //! net loop with a [`Packet::TermReport`] of its Mattern counters, and the
 //! initiator feeds the sum to the [`TerminationDetector`]
 //! ([`crate::termination`]). Two equal quiet sums are the verdict, which
-//! goes to every peer as a [`Packet::TermVerdict`]. All three are control
-//! frames, consumed here and never counted. Every packet the transport
-//! loses — a full or closed backlog, a node gone for good, an overflowing
-//! stash, a misrouted frame — is consumed where it is lost, so the sums
-//! still balance.
+//! goes to every peer as a [`Packet::TermVerdict`]. All three are
+//! [`Class::Control`] frames, consumed here and never counted. Every
+//! packet the transport loses — a full or closed backlog, a node gone for
+//! good, an overflowing stash, a misrouted frame — is consumed where it
+//! is lost, so the sums still balance.
 //!
 //! ## Trust boundary
 //!
@@ -97,7 +96,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tyco_vm::codec::{self, Packet, CONTROL_NODE, WIRE_VERSION};
+use tyco_vm::codec::{self, Class, Packet, CONTROL_NODE, WIRE_VERSION};
 use tyco_vm::word::NodeId;
 
 #[cfg(target_os = "linux")]
@@ -1146,10 +1145,11 @@ type Admitted = Vec<(NodeId, NodeId, Bytes)>;
 
 /// Consume one inbound frame: control frames update routing and liveness
 /// (Hello, Heartbeat) or run the termination waves (probe, report,
-/// verdict) here, and are never Mattern-counted; data frames pass the
-/// frame-level checks (handshake done, destination hosted) and are
-/// appended to `admitted` unopened; the `payload` is a zero-copy view of
-/// the event loop's read buffer.
+/// verdict) here, and are never Mattern-counted; a frame to
+/// [`CONTROL_NODE`] whose kind is not [`Class::Control`] closes the
+/// connection. Data frames pass the frame-level checks (handshake done,
+/// destination hosted) and are appended to `admitted` unopened; the
+/// `payload` is a zero-copy view of the event loop's read buffer.
 fn handle_frame(
     inner: &Arc<Inner>,
     conn: &Arc<PeerConn>,
@@ -1167,6 +1167,9 @@ fn handle_frame(
         // Control frames are consumed here, never routed.
         let p = codec::decode(frame.payload)
             .map_err(|e| io_err(format!("corrupt control frame: {e}")))?;
+        if p.class() != Class::Control {
+            return Err(io_err(format!("not a control packet: {p:?}")));
+        }
         match p {
             Packet::Hello { version, nodes } => {
                 if version != WIRE_VERSION {
@@ -1206,9 +1209,7 @@ fn handle_frame(
                 inner.take_report(conn, round, part);
             }
             Packet::TermVerdict => inner.conclude(),
-            other => {
-                return Err(io_err(format!("unexpected control packet: {other:?}")));
-            }
+            other => return Err(io_err(format!("unhandled control packet: {other:?}"))),
         }
         return Ok(());
     }

@@ -5,12 +5,12 @@
 
 use crossbeam::channel::unbounded;
 use ditico_rt::daemon::{Daemon, TermCounters};
-use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile};
+use ditico_rt::fabric::{Fabric, FabricHandle, FabricMode, LinkProfile};
 use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use tyco_vm::codec::{decode, Packet};
+use tyco_vm::codec::{decode, encode, Class, Packet, WIRE_VERSION};
 use tyco_vm::port::Incoming;
 use tyco_vm::wire::WireWord;
 use tyco_vm::word::{Identity, NetRef, NodeId, SiteId};
@@ -21,6 +21,8 @@ struct Rig {
     fabric_rx_other: crossbeam::channel::Receiver<(NodeId, bytes::Bytes)>,
     to_daemon: crossbeam::channel::Sender<(SiteId, Packet)>,
     term: Arc<TermCounters>,
+    /// Sends onto the fabric, as node 1's daemon would.
+    net: FabricHandle,
 }
 
 /// A daemon on node 0 hosting the NS, with one local site (SiteId 0) and a
@@ -57,6 +59,7 @@ fn rig() -> Rig {
     }
     let (in_tx, site_rx) = unbounded();
     daemon.attach_site(SiteId(0), in_tx);
+    let net = fabric.handle();
     // Keep the fabric alive for the rig's lifetime by leaking it (tests
     // are short-lived); shutting it down would close the channels.
     std::mem::forget(fabric);
@@ -66,6 +69,7 @@ fn rig() -> Rig {
         fabric_rx_other,
         to_daemon: out_tx,
         term,
+        net,
     }
 }
 
@@ -232,4 +236,27 @@ fn unknown_local_site_drops_and_consumes() {
         before + 1,
         "dropped = consumed"
     );
+}
+
+#[test]
+fn control_packets_from_the_fabric_are_consumed_once_and_reach_no_site() {
+    let mut r = rig();
+    let control = [
+        Packet::TermVerdict,
+        Packet::Hello {
+            version: WIRE_VERSION,
+            nodes: vec![NodeId(1)],
+        },
+    ];
+    for p in &control {
+        assert_eq!(p.class(), Class::Control);
+        // Injected by the sender, as a site's send would be.
+        r.term.injected.fetch_add(1, Ordering::SeqCst);
+        r.net.send(NodeId(1), NodeId(0), encode(p));
+    }
+    assert!(r.daemon.pump());
+    let consumed = r.term.consumed.load(Ordering::SeqCst);
+    assert_eq!((r.term.injected.load(Ordering::SeqCst), consumed), (2, 2));
+    assert!(r.site_rx.try_recv().is_err());
+    assert_eq!(r.daemon.stats.rejected, 0);
 }

@@ -719,6 +719,45 @@ fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// A data kind framed to the control node is no control frame: after the
+/// handshake, the transport refuses it by its class and closes the
+/// connection, and neither a Mattern counter nor a drop count moves.
+#[test]
+fn a_data_packet_framed_as_control_closes_the_connection_uncounted() {
+    use tyco_vm::codec::Class;
+    use tyco_vm::word::{NetRef, SiteId};
+
+    let msg = Packet::Msg {
+        dest: NetRef {
+            heap_id: 0,
+            site: SiteId(0),
+            node: NodeId(1),
+        },
+        label: "go".into(),
+        args: vec![],
+    };
+    assert_eq!(msg.class(), Class::Data);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = fake_peer(listener, NodeId(0), move |mut sock| {
+        let frame = codec::encode_frame(NodeId(0), CONTROL_NODE, &codec::encode(&msg));
+        sock.write_all(&frame).expect("write");
+        // Read until the transport hangs up.
+        let mut rd = FrameReader::new(sock);
+        while rd.next(Duration::ZERO).is_some() {}
+    });
+    let (_fabric, transport, term) = bare_transport(addr, 4096);
+    peer.join().expect("the transport closed the connection");
+    let wire = transport.report();
+    assert_eq!(wire.frames_in, 2, "the hello and the refused frame");
+    assert_eq!((wire.data_in, wire.dropped), (0, 0), "{wire:?}");
+    let counted = (
+        term.injected.load(Ordering::SeqCst),
+        term.consumed.load(Ordering::SeqCst),
+    );
+    assert_eq!(counted, (0, 0));
+}
+
 /// A coalesced batch parked before the handshake is k packets, not one:
 /// `frames_out` grows by k when the route appears and the stash flushes.
 #[test]

@@ -6,6 +6,13 @@
 //! shipped messages and objects, fetched class groups, and the name-service
 //! protocol. All integers are little-endian; strings are length-prefixed
 //! UTF-8; floats are IEEE-754 bit patterns.
+//!
+//! Every packet kind is one row of `packet_set!` (DESIGN.md §21): its wire
+//! tag, its [`Class`] and its fields in wire order. The [`Packet`] enum,
+//! [`encode_into`], [`decode`] and [`Packet::class`] are generated from
+//! the table, and each field is written and read by its type's `Field`
+//! codec. [`Class::Control`] kinds are the transport's own frames, sent
+//! to [`CONTROL_NODE`] and never Mattern-counted.
 
 use crate::digest::Digest;
 use crate::program::{Block, ImportKind, Instr, Operand, BINOPS, IMPORT_KINDS, UNOPS};
@@ -71,173 +78,352 @@ pub const WIRE_VERSION: u32 = 5;
 /// exists so a single bad length cannot make a reader allocate gigabytes.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Sentinel node id for transport-level control frames (handshake,
-/// heartbeats, termination waves): they are consumed by the connection
-/// actor and never enter a node's packet queue.
+/// Sentinel node id for transport-level control frames, the
+/// [`Class::Control`] kinds: they are consumed by the connection actor and
+/// never enter a node's packet queue.
 pub const CONTROL_NODE: NodeId = NodeId(u32::MAX);
 
-/// Everything a TyCOd daemon routes between nodes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Packet {
-    /// A shipped asynchronous message (SHIPM).
-    Msg {
-        dest: NetRef,
-        label: String,
-        args: Vec<WireWord>,
-    },
-    /// A migrating object (SHIPO). Carries the content digest of
-    /// `obj.code` so receivers can cache the image and senders can switch
-    /// to [`Packet::ObjRef`] for later shipments of the same code.
-    Obj {
-        dest: NetRef,
-        digest: Digest,
-        obj: WireObj,
-    },
-    /// Request for the byte-code of an exported class (FETCH, step 1).
-    FetchReq {
-        class: NetRef,
-        req: u64,
-        reply_to: Identity,
-    },
-    /// The packaged byte-code (FETCH, step 2), stamped with the content
-    /// digest of `group.code`.
-    FetchReply {
-        to: Identity,
-        req: u64,
-        digest: Digest,
-        group: WireGroup,
-        index: u8,
-    },
-    /// Name-service registration of an exported identifier.
-    NsRegister {
-        from_site: SiteId,
-        site_lexeme: String,
-        name: String,
-        value: WireWord,
-        /// Type stamp of the export; `None` for untyped registrations.
-        stamp: Option<TypeStamp>,
-    },
-    /// Name-service lookup.
-    NsImport {
-        req: u64,
-        site: String,
-        name: String,
-        kind: ImportKind,
-        reply_to: Identity,
-        /// What the importer expects the name's type to be; `None` skips
-        /// the bind-time compatibility check.
-        expect: Option<TypeStamp>,
-    },
-    /// Name-service answer.
-    NsImportReply {
-        to: Identity,
-        req: u64,
-        result: Result<WireWord, String>,
-    },
-    /// Node liveness beacon (failure detection, §7 future work).
-    Heartbeat { node: NodeId, seq: u64 },
-    /// Termination-detection probe (initiator → member processes). The
-    /// answering process leaves out the packets it exchanged with the
-    /// `excluded` nodes (departed or permanently down).
-    TermProbe { round: u64, excluded: Vec<NodeId> },
-    /// Termination-detection report (member process → initiator), for
-    /// every node the reporting process hosts.
-    TermReport {
-        round: u64,
-        sent: u64,
-        recv: u64,
-        active: bool,
-    },
-    /// The initiator's two-wave verdict: the distributed computation has
-    /// terminated.
-    TermVerdict,
-    /// Transport handshake: the first frame on every TCP connection. It
-    /// announces the sender's wire-protocol version and the node ids the
-    /// sending process hosts, so the receiver can route outbound packets
-    /// for those nodes over this connection.
-    Hello { version: u32, nodes: Vec<NodeId> },
-    /// Deduplicated [`Packet::Obj`]: the code image is replaced by its
-    /// digest because the sender believes the receiving node already
-    /// holds it. The per-shipment state (`table`, `captured`) still
-    /// rides along in full.
-    ObjRef {
-        dest: NetRef,
-        digest: Digest,
-        table: u32,
-        captured: Vec<WireWord>,
-    },
-    /// Deduplicated [`Packet::FetchReply`]: digest instead of code.
-    FetchReplyRef {
-        to: Identity,
-        req: u64,
-        digest: Digest,
-        table: u32,
-        captured: Vec<WireWord>,
-        index: u8,
-    },
-    /// Cache-miss negotiation: a node received a digest-only packet for
-    /// code it does not hold and asks the sender to ship the bytes.
-    NeedCode { from: NodeId, digest: Digest },
-    /// Answer to [`Packet::NeedCode`]: the full code image for `digest`.
-    HaveCode {
-        to: NodeId,
-        digest: Digest,
-        code: WireCode,
-    },
-    /// Name-service answer that also grants the importing *node* a lease
-    /// on the binding (sharded mode). The receiving daemon caches
-    /// `(site, name) → (value, stamp, epoch)` in its `NameCache` until
-    /// the lease TTL runs out or a [`Packet::NsInvalidate`] arrives, then
-    /// hands the resolved value to the waiting site exactly like a
-    /// [`Packet::NsImportReply`]. Errors never grant leases and keep
-    /// using `NsImportReply`.
-    NsLease {
-        to: Identity,
-        req: u64,
-        site: String,
-        name: String,
-        value: WireWord,
-        stamp: Option<TypeStamp>,
-        /// Re-export epoch of the binding at the owning shard. A later
-        /// invalidation only applies if it carries a higher epoch.
-        epoch: u64,
-    },
-    /// Re-export notification: the owning shard bumped the binding's
-    /// epoch, so every lessee node must drop its cached entry (and tell
-    /// its sites to forget the resolved binding) before the next import.
-    NsInvalidate {
-        to: NodeId,
-        site: String,
-        name: String,
-        epoch: u64,
-    },
-    /// Asynchronous shard replication: a registration applied by the
-    /// shard that accepted it, shipped to its replica partner. `seq` is
-    /// the shipper's log position; links are FIFO so the partner applies
-    /// records in order and drops stale re-deliveries.
-    NsRepl {
-        to: NodeId,
-        seq: u64,
-        from_site: SiteId,
-        site_lexeme: String,
-        name: String,
-        value: WireWord,
-        stamp: Option<TypeStamp>,
-        epoch: u64,
-    },
-    /// A holder site gives back the channels its collector found
-    /// unreachable, to the site `to` that exported them (DESIGN.md §20).
-    /// The owner applies it only if `seq` is above the last one it applied
-    /// from `from_site`.
-    Release {
-        to: Identity,
-        from_site: SiteId,
-        seq: u64,
-        runs: Vec<ReleaseRun>,
-    },
+/// What the runtime does with a packet kind, declared by its row of the
+/// packet table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// A transport frame between processes (handshake, beacons,
+    /// termination waves), framed to [`CONTROL_NODE`] and never
+    /// Mattern-counted. The transport refuses any other kind there.
+    Control,
+    /// Carries or names a code image, and is resolved through the
+    /// receiving daemon's code cache at ingest.
+    Code,
+    /// Routed to a site or a name-service shard, and Mattern-counted.
+    Data,
 }
 
-// -- primitive writers -------------------------------------------------------
+/// Declares [`Packet`] from one table, with [`Packet::class`],
+/// [`encode_into`] and [`decode`]. A row is a variant's doc comment, its
+/// class, its name, its wire tag, then its fields in wire order; a field's
+/// type is its kind, written and read by its `Field` codec.
+macro_rules! packet_set {
+    ($(#[$doc:meta])* pub enum Packet { $(
+        $(#[$vdoc:meta])* $class:ident $var:ident = $tag:literal
+        $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty,)* })?,
+    )* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Packet {
+            $($(#[$vdoc])* $var $({ $($(#[$fdoc])* $field: $ty,)* })?,)*
+        }
+
+        impl Packet {
+            /// The kind's class, from its row of the packet table.
+            pub fn class(&self) -> Class {
+                match self {
+                    $(Packet::$var { .. } => Class::$class,)*
+                }
+            }
+        }
+
+        /// Append a packet's encoding to an existing buffer. Batching many
+        /// packets into one buffer (then freezing once and slicing) costs
+        /// one allocation per batch instead of one per packet.
+        pub fn encode_into(p: &Packet, buf: &mut BytesMut) {
+            match p {
+                $(Packet::$var $({ $($field),* })? => {
+                    buf.put_u8($tag);
+                    $($(Field::put($field, buf);)*)?
+                })*
+            }
+        }
+
+        /// Decode a packet from bytes. An error names the field it hit.
+        pub fn decode(mut buf: Bytes) -> R<Packet> {
+            if !buf.has_remaining() {
+                return err("empty packet");
+            }
+            let p = match buf.get_u8() {
+                $($tag => Packet::$var $({ $(
+                    $field: field(&mut buf, concat!(stringify!($var), ".", stringify!($field)))?,
+                )* })?,)*
+                t => return err(format!("bad packet tag {t}")),
+            };
+            if buf.has_remaining() {
+                return err(format!("{} trailing bytes", buf.remaining()));
+            }
+            Ok(p)
+        }
+    };
+}
+
+packet_set! {
+    /// Everything a TyCOd daemon routes between nodes.
+    pub enum Packet {
+        /// A shipped asynchronous message (SHIPM).
+        Data Msg = 0 {
+            dest: NetRef,
+            label: String,
+            args: Vec<WireWord>,
+        },
+        /// A migrating object (SHIPO). Carries the content digest of
+        /// `obj.code` so receivers can cache the image and senders can switch
+        /// to [`Packet::ObjRef`] for later shipments of the same code.
+        Code Obj = 1 {
+            dest: NetRef,
+            digest: Digest,
+            obj: WireObj,
+        },
+        /// Request for the byte-code of an exported class (FETCH, step 1).
+        Data FetchReq = 2 {
+            class: NetRef,
+            req: u64,
+            reply_to: Identity,
+        },
+        /// The packaged byte-code (FETCH, step 2), stamped with the content
+        /// digest of `group.code`.
+        Code FetchReply = 3 {
+            to: Identity,
+            req: u64,
+            digest: Digest,
+            group: WireGroup,
+            index: u8,
+        },
+        /// Name-service registration of an exported identifier.
+        Data NsRegister = 4 {
+            from_site: SiteId,
+            site_lexeme: String,
+            name: String,
+            value: WireWord,
+            /// Type stamp of the export; `None` for untyped registrations.
+            stamp: Option<TypeStamp>,
+        },
+        /// Name-service lookup.
+        Data NsImport = 5 {
+            req: u64,
+            site: String,
+            name: String,
+            kind: ImportKind,
+            reply_to: Identity,
+            /// What the importer expects the name's type to be; `None` skips
+            /// the bind-time compatibility check.
+            expect: Option<TypeStamp>,
+        },
+        /// Name-service answer.
+        Data NsImportReply = 6 {
+            to: Identity,
+            req: u64,
+            result: Result<WireWord, String>,
+        },
+        /// Node liveness beacon (failure detection, §7 future work).
+        Control Heartbeat = 7 {
+            node: NodeId,
+            seq: u64,
+        },
+        /// Termination-detection probe (initiator → member processes). The
+        /// answering process leaves out the packets it exchanged with the
+        /// `excluded` nodes (departed or permanently down).
+        Control TermProbe = 8 {
+            round: u64,
+            excluded: Vec<NodeId>,
+        },
+        /// Termination-detection report (member process → initiator), for
+        /// every node the reporting process hosts.
+        Control TermReport = 9 {
+            round: u64,
+            sent: u64,
+            recv: u64,
+            active: bool,
+        },
+        /// Transport handshake: the first frame on every TCP connection. It
+        /// announces the sender's wire-protocol version and the node ids the
+        /// sending process hosts, so the receiver can route outbound packets
+        /// for those nodes over this connection.
+        Control Hello = 10 {
+            version: u32,
+            nodes: Vec<NodeId>,
+        },
+        /// Deduplicated [`Packet::Obj`]: the code image is replaced by its
+        /// digest because the sender believes the receiving node already
+        /// holds it. The per-shipment state (`table`, `captured`) still
+        /// rides along in full.
+        Code ObjRef = 11 {
+            dest: NetRef,
+            digest: Digest,
+            table: u32,
+            captured: Vec<WireWord>,
+        },
+        /// Deduplicated [`Packet::FetchReply`]: digest instead of code.
+        Code FetchReplyRef = 12 {
+            to: Identity,
+            req: u64,
+            digest: Digest,
+            table: u32,
+            captured: Vec<WireWord>,
+            index: u8,
+        },
+        /// Cache-miss negotiation: a node received a digest-only packet for
+        /// code it does not hold and asks the sender to ship the bytes.
+        Code NeedCode = 13 {
+            from: NodeId,
+            digest: Digest,
+        },
+        /// Answer to [`Packet::NeedCode`]: the full code image for `digest`.
+        Code HaveCode = 14 {
+            to: NodeId,
+            digest: Digest,
+            code: WireCode,
+        },
+        /// Name-service answer that also grants the importing *node* a lease
+        /// on the binding (sharded mode). The receiving daemon caches
+        /// `(site, name) → (value, stamp, epoch)` in its `NameCache` until
+        /// the lease TTL runs out or a [`Packet::NsInvalidate`] arrives, then
+        /// hands the resolved value to the waiting site exactly like a
+        /// [`Packet::NsImportReply`]. Errors never grant leases and keep
+        /// using `NsImportReply`.
+        Data NsLease = 15 {
+            to: Identity,
+            req: u64,
+            site: String,
+            name: String,
+            value: WireWord,
+            stamp: Option<TypeStamp>,
+            /// Re-export epoch of the binding at the owning shard. A later
+            /// invalidation only applies if it carries a higher epoch.
+            epoch: u64,
+        },
+        /// Re-export notification: the owning shard bumped the binding's
+        /// epoch, so every lessee node must drop its cached entry (and tell
+        /// its sites to forget the resolved binding) before the next import.
+        Data NsInvalidate = 16 {
+            to: NodeId,
+            site: String,
+            name: String,
+            epoch: u64,
+        },
+        /// Asynchronous shard replication: a registration applied by the
+        /// shard that accepted it, shipped to its replica partner. `seq` is
+        /// the shipper's log position; links are FIFO so the partner applies
+        /// records in order and drops stale re-deliveries.
+        Data NsRepl = 17 {
+            to: NodeId,
+            seq: u64,
+            from_site: SiteId,
+            site_lexeme: String,
+            name: String,
+            value: WireWord,
+            stamp: Option<TypeStamp>,
+            epoch: u64,
+        },
+        /// The initiator's two-wave verdict: the distributed computation has
+        /// terminated.
+        Control TermVerdict = 18,
+        /// A holder site gives back the channels its collector found
+        /// unreachable, to the site `to` that exported them (DESIGN.md §20).
+        /// The owner applies it only if `seq` is above the last one it applied
+        /// from `from_site`.
+        Data Release = 19 {
+            to: Identity,
+            from_site: SiteId,
+            seq: u64,
+            runs: Vec<ReleaseRun>,
+        },
+    }
+}
+
+/// Encode a packet to bytes.
+pub fn encode(p: &Packet) -> Bytes {
+    let mut buf = BytesMut::with_capacity(64);
+    encode_into(p, &mut buf);
+    buf.freeze()
+}
+
+// -- field kinds -------------------------------------------------------------
+
+/// A field kind of the packet table: its wire form, and the fewest bytes
+/// that form takes, which a counted list's length is checked against.
+/// Every `get` is `#[inline]`: without the hints `decode` ran ~10 % slower
+/// than the hand-written decoder (DESIGN.md §21).
+trait Field: Sized {
+    /// Every kind's encoding takes at least one byte.
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut Bytes) -> R<Self>;
+}
+
+/// Read the field `name` of a packet, naming it in the error.
+#[inline]
+fn field<T: Field>(buf: &mut Bytes, name: &str) -> R<T> {
+    T::get(buf).map_err(|e| CodecError(format!("{name}: {}", e.0)))
+}
+
+/// Fixed-width numbers, little-endian; a float is its IEEE-754 bits.
+macro_rules! number_fields {
+    ($($ty:ty = $put:ident, $get:ident;)*) => {$(
+        impl Field for $ty {
+            const MIN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+            #[inline]
+            fn get(buf: &mut Bytes) -> R<Self> {
+                if buf.remaining() < <$ty as Field>::MIN {
+                    return err(concat!("truncated ", stringify!($ty)));
+                }
+                Ok(buf.$get())
+            }
+        }
+    )*};
+}
+
+number_fields! {
+    u8 = put_u8, get_u8;
+    u32 = put_u32_le, get_u32_le;
+    u64 = put_u64_le, get_u64_le;
+    u128 = put_u128_le, get_u128_le;
+    i64 = put_i64_le, get_i64_le;
+    f64 = put_f64_le, get_f64_le;
+}
+
+/// Newtypes, encoded as the integer they wrap.
+macro_rules! newtype_fields {
+    ($($ty:ident($inner:ty),)*) => {$(
+        impl Field for $ty {
+            const MIN: usize = <$inner as Field>::MIN;
+            fn put(&self, buf: &mut BytesMut) {
+                self.0.put(buf);
+            }
+            #[inline]
+            fn get(buf: &mut Bytes) -> R<Self> {
+                <$inner>::get(buf).map($ty)
+            }
+        }
+    )*};
+}
+
+newtype_fields! {
+    NodeId(u32),
+    SiteId(u32),
+    Digest(u128),
+}
+
+/// One byte; any non-zero byte reads as `true`.
+impl Field for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        Ok(u8::get(buf)? != 0)
+    }
+}
+
+/// One byte, by [`IMPORT_KINDS`]; any non-zero byte reads as a class.
+impl Field for ImportKind {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        Ok(IMPORT_KINDS[bool::get(buf)? as usize].0)
+    }
+}
 
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -259,166 +445,150 @@ fn get_str(buf: &mut Bytes) -> R<String> {
     Ok(s)
 }
 
-fn put_stamp(buf: &mut BytesMut, s: &Option<TypeStamp>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_u64_le(t.fingerprint);
-            put_str(buf, &t.canonical);
+impl Field for String {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        get_str(buf)
+    }
+}
+
+/// A tag byte, then the payload.
+fn tagged(buf: &mut BytesMut, tag: u8, payload: &impl Field) {
+    buf.put_u8(tag);
+    payload.put(buf);
+}
+
+/// Flag 1 and the value, or flag 0.
+impl<T: Field> Field for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Some(x) => tagged(buf, 1, x),
+            None => buf.put_u8(0),
+        }
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => T::get(buf).map(Some),
+            f => err(format!("bad option flag {f}")),
         }
     }
 }
 
-fn get_stamp(buf: &mut Bytes) -> R<Option<TypeStamp>> {
-    if !buf.has_remaining() {
-        return err("truncated stamp flag");
+/// Flag 1 and the value, or flag 0 and the error; any non-zero flag reads
+/// as a value.
+impl<T: Field, E: Field> Field for Result<T, E> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Ok(x) => tagged(buf, 1, x),
+            Err(e) => tagged(buf, 0, e),
+        }
     }
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => {
-            if buf.remaining() < 8 {
-                return err("truncated stamp fingerprint");
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        Ok(match bool::get(buf)? {
+            true => Ok(T::get(buf)?),
+            false => Err(E::get(buf)?),
+        })
+    }
+}
+
+/// A tag byte, then the word's payload.
+impl Field for WireWord {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            WireWord::Unit => buf.put_u8(0),
+            WireWord::Int(i) => tagged(buf, 1, i),
+            WireWord::Bool(b) => tagged(buf, 2, b),
+            WireWord::Float(x) => tagged(buf, 3, x),
+            WireWord::Str(s) => tagged(buf, 4, s),
+            WireWord::Chan(r) => tagged(buf, 5, r),
+            WireWord::Class(r) => tagged(buf, 6, r),
+            WireWord::FwdChan(r) => tagged(buf, 7, r),
+        }
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        Ok(match u8::get(buf)? {
+            0 => WireWord::Unit,
+            1 => WireWord::Int(Field::get(buf)?),
+            2 => WireWord::Bool(Field::get(buf)?),
+            3 => WireWord::Float(Field::get(buf)?),
+            4 => WireWord::Str(Field::get(buf)?),
+            5 => WireWord::Chan(Field::get(buf)?),
+            6 => WireWord::Class(Field::get(buf)?),
+            7 => WireWord::FwdChan(Field::get(buf)?),
+            t => return err(format!("bad word tag {t}")),
+        })
+    }
+}
+
+/// A `u32` count, then the elements. The count is checked against the
+/// bytes left before anything is reserved, at the element kind's `MIN`
+/// bytes each: a forged count cannot make the decoder allocate more than
+/// its frame could hold.
+impl<T: Field> Field for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        let n = u32::get(buf)? as usize;
+        if n.saturating_mul(T::MIN) > buf.remaining() {
+            return err(format!("truncated list of {n}"));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Four counted sections: blocks, tables, labels, strings.
+impl Field for WireCode {
+    const MIN: usize = 16;
+    fn put(&self, buf: &mut BytesMut) {
+        put_code(buf, self);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        get_code(buf)
+    }
+}
+
+/// Structs, encoded as their fields in declared order.
+macro_rules! struct_fields {
+    ($($ty:ident { $($f:ident: $fty:ty),* })*) => {$(
+        impl Field for $ty {
+            const MIN: usize = 0 $(+ <$fty as Field>::MIN)*;
+            fn put(&self, buf: &mut BytesMut) {
+                $(<$fty as Field>::put(&self.$f, buf);)*
             }
-            let fingerprint = buf.get_u64_le();
-            let canonical = get_str(buf)?;
-            Ok(Some(TypeStamp {
-                fingerprint,
-                canonical,
-            }))
-        }
-        f => err(format!("bad stamp flag {f}")),
-    }
-}
-
-fn put_netref(buf: &mut BytesMut, r: &NetRef) {
-    buf.put_u64_le(r.heap_id);
-    buf.put_u32_le(r.site.0);
-    buf.put_u32_le(r.node.0);
-}
-
-fn get_netref(buf: &mut Bytes) -> R<NetRef> {
-    if buf.remaining() < 16 {
-        return err("truncated netref");
-    }
-    Ok(NetRef {
-        heap_id: buf.get_u64_le(),
-        site: SiteId(buf.get_u32_le()),
-        node: NodeId(buf.get_u32_le()),
-    })
-}
-
-fn put_digest(buf: &mut BytesMut, d: &Digest) {
-    buf.put_u128_le(d.0);
-}
-
-fn get_digest(buf: &mut Bytes) -> R<Digest> {
-    if buf.remaining() < Digest::SIZE {
-        return err("truncated digest");
-    }
-    Ok(Digest(buf.get_u128_le()))
-}
-
-fn put_identity(buf: &mut BytesMut, i: &Identity) {
-    buf.put_u32_le(i.site.0);
-    buf.put_u32_le(i.node.0);
-}
-
-fn get_identity(buf: &mut Bytes) -> R<Identity> {
-    if buf.remaining() < 8 {
-        return err("truncated identity");
-    }
-    Ok(Identity {
-        site: SiteId(buf.get_u32_le()),
-        node: NodeId(buf.get_u32_le()),
-    })
-}
-
-// -- wire words ---------------------------------------------------------------
-
-fn put_word(buf: &mut BytesMut, w: &WireWord) {
-    match w {
-        WireWord::Unit => buf.put_u8(0),
-        WireWord::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
-        }
-        WireWord::Bool(b) => {
-            buf.put_u8(2);
-            buf.put_u8(*b as u8);
-        }
-        WireWord::Float(x) => {
-            buf.put_u8(3);
-            buf.put_u64_le(x.to_bits());
-        }
-        WireWord::Str(s) => {
-            buf.put_u8(4);
-            put_str(buf, s);
-        }
-        WireWord::Chan(r) => {
-            buf.put_u8(5);
-            put_netref(buf, r);
-        }
-        WireWord::Class(r) => {
-            buf.put_u8(6);
-            put_netref(buf, r);
-        }
-        WireWord::FwdChan(r) => {
-            buf.put_u8(7);
-            put_netref(buf, r);
-        }
-    }
-}
-
-fn get_word(buf: &mut Bytes) -> R<WireWord> {
-    if !buf.has_remaining() {
-        return err("truncated word tag");
-    }
-    Ok(match buf.get_u8() {
-        0 => WireWord::Unit,
-        1 => {
-            if buf.remaining() < 8 {
-                return err("truncated int");
+            #[inline]
+            fn get(buf: &mut Bytes) -> R<Self> {
+                Ok($ty { $($f: <$fty as Field>::get(buf)?),* })
             }
-            WireWord::Int(buf.get_i64_le())
         }
-        2 => {
-            if !buf.has_remaining() {
-                return err("truncated bool");
-            }
-            WireWord::Bool(buf.get_u8() != 0)
-        }
-        3 => {
-            if buf.remaining() < 8 {
-                return err("truncated float");
-            }
-            WireWord::Float(f64::from_bits(buf.get_u64_le()))
-        }
-        4 => WireWord::Str(get_str(buf)?),
-        5 => WireWord::Chan(get_netref(buf)?),
-        6 => WireWord::Class(get_netref(buf)?),
-        7 => WireWord::FwdChan(get_netref(buf)?),
-        t => return err(format!("bad word tag {t}")),
-    })
+    )*};
 }
 
-fn put_words(buf: &mut BytesMut, ws: &[WireWord]) {
-    buf.put_u32_le(ws.len() as u32);
-    for w in ws {
-        put_word(buf, w);
-    }
-}
-
-fn get_words(buf: &mut Bytes) -> R<Vec<WireWord>> {
-    if buf.remaining() < 4 {
-        return err("truncated word list");
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(get_word(buf)?);
-    }
-    Ok(out)
+struct_fields! {
+    NetRef { heap_id: u64, site: SiteId, node: NodeId }
+    Identity { site: SiteId, node: NodeId }
+    TypeStamp { fingerprint: u64, canonical: String }
+    ReleaseRun { first: u64, len: u32, recv: u64, sent: u64 }
+    WireObj { code: WireCode, table: u32, captured: Vec<WireWord> }
+    WireGroup { code: WireCode, table: u32, captured: Vec<WireWord> }
 }
 
 // -- instructions ----------------------------------------------------------------
@@ -612,598 +782,6 @@ pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
         labels,
         strings,
     })
-}
-
-// -- packets -------------------------------------------------------------------------
-
-/// Encode a packet to bytes.
-pub fn encode(p: &Packet) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    encode_into(p, &mut buf);
-    buf.freeze()
-}
-
-/// Append a packet's encoding to an existing buffer. Batching many
-/// packets into one buffer (then freezing once and slicing) costs one
-/// allocation per batch instead of one per packet.
-pub fn encode_into(p: &Packet, buf: &mut BytesMut) {
-    match p {
-        Packet::Msg { dest, label, args } => {
-            buf.put_u8(0);
-            put_netref(buf, dest);
-            put_str(buf, label);
-            put_words(buf, args);
-        }
-        Packet::Obj { dest, digest, obj } => {
-            buf.put_u8(1);
-            put_netref(buf, dest);
-            put_digest(buf, digest);
-            put_code(buf, &obj.code);
-            buf.put_u32_le(obj.table);
-            put_words(buf, &obj.captured);
-        }
-        Packet::FetchReq {
-            class,
-            req,
-            reply_to,
-        } => {
-            buf.put_u8(2);
-            put_netref(buf, class);
-            buf.put_u64_le(*req);
-            put_identity(buf, reply_to);
-        }
-        Packet::FetchReply {
-            to,
-            req,
-            digest,
-            group,
-            index,
-        } => {
-            buf.put_u8(3);
-            put_identity(buf, to);
-            buf.put_u64_le(*req);
-            put_digest(buf, digest);
-            put_code(buf, &group.code);
-            buf.put_u32_le(group.table);
-            put_words(buf, &group.captured);
-            buf.put_u8(*index);
-        }
-        Packet::NsRegister {
-            from_site,
-            site_lexeme,
-            name,
-            value,
-            stamp,
-        } => {
-            buf.put_u8(4);
-            buf.put_u32_le(from_site.0);
-            put_str(buf, site_lexeme);
-            put_str(buf, name);
-            put_word(buf, value);
-            put_stamp(buf, stamp);
-        }
-        Packet::NsImport {
-            req,
-            site,
-            name,
-            kind,
-            reply_to,
-            expect,
-        } => {
-            buf.put_u8(5);
-            buf.put_u64_le(*req);
-            put_str(buf, site);
-            put_str(buf, name);
-            buf.put_u8(matches!(kind, ImportKind::Class) as u8);
-            put_identity(buf, reply_to);
-            put_stamp(buf, expect);
-        }
-        Packet::NsImportReply { to, req, result } => {
-            buf.put_u8(6);
-            put_identity(buf, to);
-            buf.put_u64_le(*req);
-            match result {
-                Ok(w) => {
-                    buf.put_u8(1);
-                    put_word(buf, w);
-                }
-                Err(e) => {
-                    buf.put_u8(0);
-                    put_str(buf, e);
-                }
-            }
-        }
-        Packet::Heartbeat { node, seq } => {
-            buf.put_u8(7);
-            buf.put_u32_le(node.0);
-            buf.put_u64_le(*seq);
-        }
-        Packet::TermProbe { round, excluded } => {
-            buf.put_u8(8);
-            buf.put_u64_le(*round);
-            put_nodes(buf, excluded);
-        }
-        Packet::TermReport {
-            round,
-            sent,
-            recv,
-            active,
-        } => {
-            buf.put_u8(9);
-            buf.put_u64_le(*round);
-            buf.put_u64_le(*sent);
-            buf.put_u64_le(*recv);
-            buf.put_u8(*active as u8);
-        }
-        Packet::Hello { version, nodes } => {
-            buf.put_u8(10);
-            buf.put_u32_le(*version);
-            put_nodes(buf, nodes);
-        }
-        Packet::ObjRef {
-            dest,
-            digest,
-            table,
-            captured,
-        } => {
-            buf.put_u8(11);
-            put_netref(buf, dest);
-            put_digest(buf, digest);
-            buf.put_u32_le(*table);
-            put_words(buf, captured);
-        }
-        Packet::FetchReplyRef {
-            to,
-            req,
-            digest,
-            table,
-            captured,
-            index,
-        } => {
-            buf.put_u8(12);
-            put_identity(buf, to);
-            buf.put_u64_le(*req);
-            put_digest(buf, digest);
-            buf.put_u32_le(*table);
-            put_words(buf, captured);
-            buf.put_u8(*index);
-        }
-        Packet::NeedCode { from, digest } => {
-            buf.put_u8(13);
-            buf.put_u32_le(from.0);
-            put_digest(buf, digest);
-        }
-        Packet::HaveCode { to, digest, code } => {
-            buf.put_u8(14);
-            buf.put_u32_le(to.0);
-            put_digest(buf, digest);
-            put_code(buf, code);
-        }
-        Packet::NsLease {
-            to,
-            req,
-            site,
-            name,
-            value,
-            stamp,
-            epoch,
-        } => {
-            buf.put_u8(15);
-            put_identity(buf, to);
-            buf.put_u64_le(*req);
-            put_str(buf, site);
-            put_str(buf, name);
-            put_word(buf, value);
-            put_stamp(buf, stamp);
-            buf.put_u64_le(*epoch);
-        }
-        Packet::NsInvalidate {
-            to,
-            site,
-            name,
-            epoch,
-        } => {
-            buf.put_u8(16);
-            buf.put_u32_le(to.0);
-            put_str(buf, site);
-            put_str(buf, name);
-            buf.put_u64_le(*epoch);
-        }
-        Packet::NsRepl {
-            to,
-            seq,
-            from_site,
-            site_lexeme,
-            name,
-            value,
-            stamp,
-            epoch,
-        } => {
-            buf.put_u8(17);
-            buf.put_u32_le(to.0);
-            buf.put_u64_le(*seq);
-            buf.put_u32_le(from_site.0);
-            put_str(buf, site_lexeme);
-            put_str(buf, name);
-            put_word(buf, value);
-            put_stamp(buf, stamp);
-            buf.put_u64_le(*epoch);
-        }
-        Packet::TermVerdict => buf.put_u8(18),
-        Packet::Release {
-            to,
-            from_site,
-            seq,
-            runs,
-        } => {
-            buf.put_u8(19);
-            put_identity(buf, to);
-            buf.put_u32_le(from_site.0);
-            buf.put_u64_le(*seq);
-            buf.put_u32_le(runs.len() as u32);
-            for r in runs {
-                buf.put_u64_le(r.first);
-                buf.put_u32_le(r.len);
-                buf.put_u64_le(r.recv);
-                buf.put_u64_le(r.sent);
-            }
-        }
-    }
-}
-
-/// Encoded size of one [`ReleaseRun`].
-const RELEASE_RUN_BYTES: usize = 28;
-
-fn put_nodes(buf: &mut BytesMut, nodes: &[NodeId]) {
-    buf.put_u32_le(nodes.len() as u32);
-    for n in nodes {
-        buf.put_u32_le(n.0);
-    }
-}
-
-fn get_nodes(buf: &mut Bytes, what: &str) -> R<Vec<NodeId>> {
-    if buf.remaining() < 4 {
-        return err(format!("truncated {what}"));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut nodes = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        if buf.remaining() < 4 {
-            return err(format!("truncated {what} node list"));
-        }
-        nodes.push(NodeId(buf.get_u32_le()));
-    }
-    Ok(nodes)
-}
-
-/// Decode a packet from bytes.
-pub fn decode(mut buf: Bytes) -> R<Packet> {
-    if !buf.has_remaining() {
-        return err("empty packet");
-    }
-    let tag = buf.get_u8();
-    let p = match tag {
-        0 => Packet::Msg {
-            dest: get_netref(&mut buf)?,
-            label: get_str(&mut buf)?,
-            args: get_words(&mut buf)?,
-        },
-        1 => {
-            let dest = get_netref(&mut buf)?;
-            let digest = get_digest(&mut buf)?;
-            let code = get_code(&mut buf)?;
-            if buf.remaining() < 4 {
-                return err("truncated obj table");
-            }
-            let table = buf.get_u32_le();
-            let captured = get_words(&mut buf)?;
-            Packet::Obj {
-                dest,
-                digest,
-                obj: WireObj {
-                    code,
-                    table,
-                    captured,
-                },
-            }
-        }
-        2 => {
-            let class = get_netref(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated req");
-            }
-            let req = buf.get_u64_le();
-            let reply_to = get_identity(&mut buf)?;
-            Packet::FetchReq {
-                class,
-                req,
-                reply_to,
-            }
-        }
-        3 => {
-            let to = get_identity(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated req");
-            }
-            let req = buf.get_u64_le();
-            let digest = get_digest(&mut buf)?;
-            let code = get_code(&mut buf)?;
-            if buf.remaining() < 4 {
-                return err("truncated group table");
-            }
-            let table = buf.get_u32_le();
-            let captured = get_words(&mut buf)?;
-            if !buf.has_remaining() {
-                return err("truncated index");
-            }
-            let index = buf.get_u8();
-            Packet::FetchReply {
-                to,
-                req,
-                digest,
-                group: WireGroup {
-                    code,
-                    table,
-                    captured,
-                },
-                index,
-            }
-        }
-        4 => {
-            if buf.remaining() < 4 {
-                return err("truncated site id");
-            }
-            let from_site = SiteId(buf.get_u32_le());
-            let site_lexeme = get_str(&mut buf)?;
-            let name = get_str(&mut buf)?;
-            let value = get_word(&mut buf)?;
-            let stamp = get_stamp(&mut buf)?;
-            Packet::NsRegister {
-                from_site,
-                site_lexeme,
-                name,
-                value,
-                stamp,
-            }
-        }
-        5 => {
-            if buf.remaining() < 8 {
-                return err("truncated req");
-            }
-            let req = buf.get_u64_le();
-            let site = get_str(&mut buf)?;
-            let name = get_str(&mut buf)?;
-            if !buf.has_remaining() {
-                return err("truncated kind");
-            }
-            let kind = if buf.get_u8() != 0 {
-                ImportKind::Class
-            } else {
-                ImportKind::Name
-            };
-            let reply_to = get_identity(&mut buf)?;
-            let expect = get_stamp(&mut buf)?;
-            Packet::NsImport {
-                req,
-                site,
-                name,
-                kind,
-                reply_to,
-                expect,
-            }
-        }
-        6 => {
-            let to = get_identity(&mut buf)?;
-            if buf.remaining() < 9 {
-                return err("truncated reply");
-            }
-            let req = buf.get_u64_le();
-            let ok = buf.get_u8() != 0;
-            let result = if ok {
-                Ok(get_word(&mut buf)?)
-            } else {
-                Err(get_str(&mut buf)?)
-            };
-            Packet::NsImportReply { to, req, result }
-        }
-        7 => {
-            if buf.remaining() < 12 {
-                return err("truncated heartbeat");
-            }
-            Packet::Heartbeat {
-                node: NodeId(buf.get_u32_le()),
-                seq: buf.get_u64_le(),
-            }
-        }
-        8 => {
-            if buf.remaining() < 8 {
-                return err("truncated probe");
-            }
-            let round = buf.get_u64_le();
-            let excluded = get_nodes(&mut buf, "probe")?;
-            Packet::TermProbe { round, excluded }
-        }
-        9 => {
-            if buf.remaining() < 25 {
-                return err("truncated report");
-            }
-            Packet::TermReport {
-                round: buf.get_u64_le(),
-                sent: buf.get_u64_le(),
-                recv: buf.get_u64_le(),
-                active: buf.get_u8() != 0,
-            }
-        }
-        10 => {
-            if buf.remaining() < 4 {
-                return err("truncated hello");
-            }
-            let version = buf.get_u32_le();
-            let nodes = get_nodes(&mut buf, "hello")?;
-            Packet::Hello { version, nodes }
-        }
-        11 => {
-            let dest = get_netref(&mut buf)?;
-            let digest = get_digest(&mut buf)?;
-            if buf.remaining() < 4 {
-                return err("truncated objref table");
-            }
-            let table = buf.get_u32_le();
-            let captured = get_words(&mut buf)?;
-            Packet::ObjRef {
-                dest,
-                digest,
-                table,
-                captured,
-            }
-        }
-        12 => {
-            let to = get_identity(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated req");
-            }
-            let req = buf.get_u64_le();
-            let digest = get_digest(&mut buf)?;
-            if buf.remaining() < 4 {
-                return err("truncated replyref table");
-            }
-            let table = buf.get_u32_le();
-            let captured = get_words(&mut buf)?;
-            if !buf.has_remaining() {
-                return err("truncated index");
-            }
-            let index = buf.get_u8();
-            Packet::FetchReplyRef {
-                to,
-                req,
-                digest,
-                table,
-                captured,
-                index,
-            }
-        }
-        13 => {
-            if buf.remaining() < 4 {
-                return err("truncated needcode node");
-            }
-            let from = NodeId(buf.get_u32_le());
-            let digest = get_digest(&mut buf)?;
-            Packet::NeedCode { from, digest }
-        }
-        14 => {
-            if buf.remaining() < 4 {
-                return err("truncated havecode node");
-            }
-            let to = NodeId(buf.get_u32_le());
-            let digest = get_digest(&mut buf)?;
-            let code = get_code(&mut buf)?;
-            Packet::HaveCode { to, digest, code }
-        }
-        15 => {
-            let to = get_identity(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated lease req");
-            }
-            let req = buf.get_u64_le();
-            let site = get_str(&mut buf)?;
-            let name = get_str(&mut buf)?;
-            let value = get_word(&mut buf)?;
-            let stamp = get_stamp(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated lease epoch");
-            }
-            let epoch = buf.get_u64_le();
-            Packet::NsLease {
-                to,
-                req,
-                site,
-                name,
-                value,
-                stamp,
-                epoch,
-            }
-        }
-        16 => {
-            if buf.remaining() < 4 {
-                return err("truncated invalidate node");
-            }
-            let to = NodeId(buf.get_u32_le());
-            let site = get_str(&mut buf)?;
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated invalidate epoch");
-            }
-            let epoch = buf.get_u64_le();
-            Packet::NsInvalidate {
-                to,
-                site,
-                name,
-                epoch,
-            }
-        }
-        17 => {
-            if buf.remaining() < 16 {
-                return err("truncated repl header");
-            }
-            let to = NodeId(buf.get_u32_le());
-            let seq = buf.get_u64_le();
-            let from_site = SiteId(buf.get_u32_le());
-            let site_lexeme = get_str(&mut buf)?;
-            let name = get_str(&mut buf)?;
-            let value = get_word(&mut buf)?;
-            let stamp = get_stamp(&mut buf)?;
-            if buf.remaining() < 8 {
-                return err("truncated repl epoch");
-            }
-            let epoch = buf.get_u64_le();
-            Packet::NsRepl {
-                to,
-                seq,
-                from_site,
-                site_lexeme,
-                name,
-                value,
-                stamp,
-                epoch,
-            }
-        }
-        18 => Packet::TermVerdict,
-        19 => {
-            let to = get_identity(&mut buf)?;
-            if buf.remaining() < 16 {
-                return err("truncated release header");
-            }
-            let from_site = SiteId(buf.get_u32_le());
-            let seq = buf.get_u64_le();
-            let n = buf.get_u32_le() as usize;
-            // The count is checked against the bytes present before any
-            // allocation: a forged count cannot reserve more than the frame.
-            if n.checked_mul(RELEASE_RUN_BYTES)
-                .is_none_or(|bytes| bytes > buf.remaining())
-            {
-                return err("truncated release runs");
-            }
-            let runs = (0..n)
-                .map(|_| ReleaseRun {
-                    first: buf.get_u64_le(),
-                    len: buf.get_u32_le(),
-                    recv: buf.get_u64_le(),
-                    sent: buf.get_u64_le(),
-                })
-                .collect();
-            Packet::Release {
-                to,
-                from_site,
-                seq,
-                runs,
-            }
-        }
-        t => return err(format!("bad packet tag {t}")),
-    };
-    if buf.has_remaining() {
-        return err(format!("{} trailing bytes", buf.remaining()));
-    }
-    Ok(p)
 }
 
 // -- TCP frames ---------------------------------------------------------------------
@@ -1542,17 +1120,59 @@ mod tests {
         });
         // A forged run count is refused against the bytes present, before
         // anything is reserved for it.
-        let mut forged = encode(&Packet::Release {
+        let forged = forged_count(&Packet::Release {
             to: id(3, 1),
             from_site: SiteId(2),
             seq: 7,
             runs: vec![],
-        })
-        .to_vec();
+        });
+        assert_eq!(forged, "Release.runs: truncated list of 4294967295");
+    }
+
+    /// The decoder's error for `p` with its last four bytes, a list's
+    /// count, forged to `u32::MAX`.
+    fn forged_count(p: &Packet) -> String {
+        let mut forged = encode(p).to_vec();
         let at = forged.len() - 4;
         forged[at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        let e = decode(Bytes::from(forged)).unwrap_err();
-        assert_eq!(e.0, "truncated release runs");
+        decode(Bytes::from(forged)).unwrap_err().0
+    }
+
+    /// The other counted lists follow the same rule: a count of
+    /// `u32::MAX` is refused as truncated, naming its field.
+    #[test]
+    fn forged_counts_are_refused_as_truncated() {
+        let empty = [
+            Packet::Msg {
+                dest: nref(1),
+                label: "l".into(),
+                args: vec![],
+            },
+            Packet::ObjRef {
+                dest: nref(1),
+                digest: Digest(1),
+                table: 0,
+                captured: vec![],
+            },
+            Packet::Hello {
+                version: WIRE_VERSION,
+                nodes: vec![],
+            },
+            Packet::TermProbe {
+                round: 1,
+                excluded: vec![],
+            },
+        ];
+        let fields = [
+            "Msg.args",
+            "ObjRef.captured",
+            "Hello.nodes",
+            "TermProbe.excluded",
+        ];
+        for (p, field) in empty.iter().zip(fields) {
+            let want = format!("{field}: truncated list of 4294967295");
+            assert_eq!(forged_count(p), want);
+        }
     }
 
     /// Every packet kind, with the value cases its fields can take, and
@@ -1881,6 +1501,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Seeded single-byte flips of every golden row never panic the
+    /// decoder, and a mutant that decodes re-encodes to exactly its own
+    /// length, so none of its lists holds more elements than its bytes
+    /// can encode, whatever a count claimed.
+    #[test]
+    fn packet_byte_flips_never_panic_and_stay_bounded() {
+        let mut state = 0x5eed_0004_u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut rejected, mut accepted) = (0, 0);
+        for (p, _) in golden() {
+            let bytes = encode(&p);
+            for _ in 0..300 {
+                let mut m = bytes.to_vec();
+                let at = rng() as usize % m.len();
+                m[at] ^= (rng() % 255 + 1) as u8;
+                match decode(Bytes::from(m)) {
+                    Ok(q) => {
+                        assert_eq!(encode(&q).len(), bytes.len(), "{q:?}");
+                        accepted += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(rejected > 0 && accepted > 0, "{rejected} vs {accepted}");
     }
 
     #[test]

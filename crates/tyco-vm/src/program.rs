@@ -370,8 +370,8 @@ impl MethodTable {
 }
 
 /// An interned symbol pool (labels, strings). Entries are refcounted so
-/// the hot path (`PushStr`) can hand out a [`Word::Str`] with a refcount
-/// bump instead of allocating a fresh string per execution.
+/// the hot path (`PushStr`) can hand out a [`crate::word::Word::Str`] with
+/// a refcount bump instead of allocating a fresh string per execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Pool {
     items: Vec<Arc<str>>,
