@@ -113,17 +113,22 @@ impl Topology {
     }
 }
 
-/// A site declaration queued in the builder.
+/// A site declaration queued in the builder: no AST, and byte-code only
+/// if this process hosts its node.
 struct SiteDecl {
     lexeme: String,
-    program: Program,
-    pin: Option<usize>,
+    node: usize,
+    source: String,
+    types: tyco_types::TypeSummary,
+    code: Option<tyco_vm::Program>,
 }
 
 /// The DiTyCO environment builder.
 pub struct Env {
     topology: Topology,
     sites: Vec<SiteDecl>,
+    /// Per node index: does this process run its sites?
+    hosted: Vec<bool>,
     /// Skip the link-time interface check (to demonstrate pure dynamic
     /// checking at reduction time).
     pub check_interfaces: bool,
@@ -141,6 +146,7 @@ pub struct Env {
 impl Env {
     pub fn new(topology: Topology) -> Env {
         Env {
+            hosted: vec![true; topology.nodes.max(1)],
             topology,
             sites: Vec::new(),
             check_interfaces: true,
@@ -191,26 +197,44 @@ impl Env {
         Env::new(Topology::default())
     }
 
+    /// Make this environment **one process's partition** of a
+    /// multi-process cluster. Every site is parsed and type-checked when
+    /// it is declared, since the link-time check needs every interface,
+    /// but only sites placed on `local_nodes` (by default, all) are
+    /// compiled and get a VM. The rest keep an identity, so every
+    /// [`SiteId`](tyco_vm::word::SiteId) agrees across processes built
+    /// from the same declarations. A compile error is thus reported only
+    /// by the process that hosts its site. No AST outlives its site's
+    /// declaration. Must come before the first site.
+    pub fn hosting(mut self, local_nodes: &[usize]) -> Env {
+        assert!(self.sites.is_empty(), "Env::hosting after a site");
+        for (i, h) in self.hosted.iter_mut().enumerate() {
+            *h = local_nodes.contains(&i);
+        }
+        self
+    }
+
     /// Declare a site from source (placed round-robin).
-    pub fn site(mut self, lexeme: &str, source: &str) -> Result<Env, EnvError> {
-        let program =
-            Program::compile(source).map_err(|e| EnvError::Program(lexeme.to_string(), e))?;
-        self.sites.push(SiteDecl {
-            lexeme: lexeme.to_string(),
-            program,
-            pin: None,
-        });
-        Ok(self)
+    pub fn site(self, lexeme: &str, source: &str) -> Result<Env, EnvError> {
+        let next = self.sites.len();
+        self.site_on(next, lexeme, source)
     }
 
     /// Declare a site pinned to a specific node index.
     pub fn site_on(mut self, node: usize, lexeme: &str, source: &str) -> Result<Env, EnvError> {
-        let program =
-            Program::compile(source).map_err(|e| EnvError::Program(lexeme.to_string(), e))?;
+        let node = node % self.hosted.len();
+        let err = |e| EnvError::Program(lexeme.to_string(), e);
+        let (ast, types) = Program::front_end(source).map_err(err)?;
+        let code = self.hosted[node]
+            .then(|| Program::back_end(&ast))
+            .transpose()
+            .map_err(err)?;
         self.sites.push(SiteDecl {
             lexeme: lexeme.to_string(),
-            program,
-            pin: Some(node),
+            node,
+            source: source.to_string(),
+            types,
+            code,
         });
         Ok(self)
     }
@@ -225,7 +249,7 @@ impl Env {
         let by_lexeme: HashMap<&str, &SiteDecl> =
             self.sites.iter().map(|s| (s.lexeme.as_str(), s)).collect();
         for s in &self.sites {
-            for (site, name, kind) in &s.program.types.imports {
+            for (site, name, kind) in &s.types.imports {
                 let Some(exporter) = by_lexeme.get(site.as_str()) else {
                     return Err(EnvError::UnknownSite {
                         importer: s.lexeme.clone(),
@@ -237,8 +261,8 @@ impl Env {
                 // exporter's interface can never appear: the import would
                 // block forever. Catch it at link time.
                 let exported = match kind {
-                    ImportKind::Name => exporter.program.types.exported_names.contains_key(name),
-                    ImportKind::Class => exporter.program.types.exported_classes.contains_key(name),
+                    ImportKind::Name => exporter.types.exported_names.contains_key(name),
+                    ImportKind::Class => exporter.types.exported_classes.contains_key(name),
                 };
                 if !exported {
                     return Err(EnvError::MissingExport {
@@ -249,11 +273,10 @@ impl Env {
                 }
                 if *kind == ImportKind::Name {
                     let expected = s
-                        .program
                         .types
                         .import_expectations
                         .get(&(site.clone(), name.clone()));
-                    let actual = exporter.program.types.exported_names.get(name);
+                    let actual = exporter.types.exported_names.get(name);
                     if let (Some(exp), Some(act)) = (expected, actual) {
                         if !tyco_types::compatible(exp, act) {
                             return Err(EnvError::Interface {
@@ -271,27 +294,9 @@ impl Env {
         Ok(())
     }
 
-    /// Materialize the cluster (nodes, daemons, sites).
+    /// Materialize the cluster (nodes, daemons, sites); a site this
+    /// process does not [host](Env::hosting) gets only an identity.
     pub fn build(self) -> Result<BuiltEnv, EnvError> {
-        self.build_inner(None)
-    }
-
-    /// Materialize **one process's partition** of a multi-process cluster:
-    /// the full topology is built (every node gets a daemon id, every site
-    /// a deterministic [`SiteId`](tyco_vm::word::SiteId)), but only sites
-    /// placed on `local_nodes` get a VM — the rest are declared via
-    /// [`Cluster::add_remote_site`] so the name service can still resolve
-    /// them. Every process of the run must build from the *same*
-    /// environment so placements and ids agree across the wire.
-    pub fn build_partition(self, local_nodes: &[usize]) -> Result<BuiltEnv, EnvError> {
-        let local: std::collections::HashSet<usize> = local_nodes.iter().copied().collect();
-        self.build_inner(Some(local))
-    }
-
-    fn build_inner(
-        self,
-        local: Option<std::collections::HashSet<usize>>,
-    ) -> Result<BuiltEnv, EnvError> {
         self.check_links()?;
         // A ring never outgrows the topology: its keys would hash to
         // nodes that do not exist.
@@ -315,25 +320,25 @@ impl Env {
             cluster.set_ns_sharding(shards.min(node_count), lease_ns);
         }
         let nodes: Vec<NodeId> = (0..node_count).map(|_| cluster.add_node()).collect();
-        let mut placements = Vec::new();
-        let check_interfaces = self.check_interfaces;
-        for (i, s) in self.sites.into_iter().enumerate() {
-            let node_idx = s.pin.unwrap_or(i % nodes.len()) % nodes.len();
-            let node = nodes[node_idx];
-            if local.as_ref().is_some_and(|set| !set.contains(&node_idx)) {
+        let mut placements = Vec::with_capacity(self.sites.len());
+        for s in self.sites {
+            let node = nodes[s.node];
+            match s.code {
                 // Hosted by a peer process: identity only, no VM.
-                cluster.add_remote_site(&s.lexeme, node);
-            } else {
-                // In pure-dynamic mode the sites carry no stamps and the
-                // name service has no static evidence to refuse on.
-                let iface = if check_interfaces {
-                    site_interface(&s.program.types)
-                } else {
-                    SiteInterface::default()
-                };
-                cluster.add_site_with_interface(node, &s.lexeme, s.program.code.clone(), iface);
-            }
-            placements.push((s.lexeme.clone(), node, s.program));
+                None => cluster.add_remote_site(&s.lexeme, node),
+                Some(code) => {
+                    // In pure-dynamic mode the sites carry no stamps and
+                    // the name service has no static evidence to refuse on.
+                    let iface = self.check_interfaces.then(|| site_interface(&s.types));
+                    cluster.add_site_with_interface(
+                        node,
+                        &s.lexeme,
+                        code,
+                        iface.unwrap_or_default(),
+                    )
+                }
+            };
+            placements.push((s.lexeme, node));
         }
         Ok(BuiltEnv {
             cluster,
@@ -360,7 +365,8 @@ impl Env {
     ) -> Result<Outcome, EnvError> {
         let mut net = Network::new().with_scheduler(scheduler);
         for s in &self.sites {
-            net.add_site(&s.lexeme, s.program.ast.clone());
+            let ast = tyco_syntax::parse_core(&s.source).expect("a declared site parses");
+            net.add_site(&s.lexeme, ast);
         }
         net.run(max_steps)
             .map_err(|e: RtError| EnvError::Reference(e.to_string()))
@@ -398,8 +404,8 @@ fn site_interface(types: &tyco_types::TypeSummary) -> SiteInterface {
 /// A materialized environment ready to run.
 pub struct BuiltEnv {
     pub cluster: Cluster,
-    /// (lexeme, node, program) for each site.
-    pub placements: Vec<(String, NodeId, Program)>,
+    /// (lexeme, node) for each site, in declaration order.
+    pub placements: Vec<(String, NodeId)>,
 }
 
 impl BuiltEnv {
@@ -411,9 +417,9 @@ impl BuiltEnv {
         self.cluster.run_threaded(wall)
     }
 
-    /// Run this process's partition over the real TCP transport (built
-    /// with [`Env::build_partition`]). `cfg.local_nodes` must match the
-    /// partition the environment was built for.
+    /// Run this process's partition over the real TCP transport.
+    /// `cfg.local_nodes` must match the nodes the environment was
+    /// [`hosting`](Env::hosting).
     pub fn run_distributed(
         self,
         cfg: ditico_rt::TransportConfig,
@@ -453,8 +459,10 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        assert_eq!(built.placements[0].1, NodeId(0));
-        assert_eq!(built.placements[1].1, NodeId(1));
+        assert_eq!(
+            built.placements,
+            [("a".to_string(), NodeId(0)), ("b".to_string(), NodeId(1))]
+        );
     }
 
     #[test]
@@ -471,6 +479,75 @@ mod tests {
         .run()
         .unwrap_err();
         assert!(matches!(err, EnvError::Interface { .. }), "{err}");
+    }
+
+    /// A def group one class over the compiler's limit: it parses and
+    /// type-checks, so its only fault is compile-time.
+    fn too_large_group() -> String {
+        let classes: Vec<String> = (0..256).map(|i| format!("K{i}(x) = 0")).collect();
+        format!("def {} in K0[1]", classes.join(" and "))
+    }
+
+    /// A two-node environment: node 0 runs `zero`, node 1 a client, and
+    /// the process hosts `hosted`.
+    fn partition(hosted: &[usize], zero: &str, client: &str) -> Result<BuiltEnv, EnvError> {
+        Env::new(Topology {
+            nodes: 2,
+            ..Topology::default()
+        })
+        .hosting(hosted)
+        .site_on(0, "zero", zero)?
+        .site_on(1, "client", client)?
+        .build()
+    }
+
+    #[test]
+    fn a_partition_compiles_only_the_sites_it_hosts() {
+        let big = too_large_group();
+        let built = partition(&[1], &big, "println(\"x\")").expect("not compiled here");
+        assert_eq!(built.placements[0], ("zero".to_string(), NodeId(0)));
+        for hosted in [&[0][..], &[0, 1]] {
+            let err = partition(hosted, &big, "println(\"x\")").err();
+            assert!(
+                matches!(&err, Some(EnvError::Program(s, ProgramError::Compile(_))) if s == "zero"),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_remote_parse_or_type_error_is_refused_in_every_partition() {
+        for hosted in [&[0][..], &[1], &[0, 1]] {
+            let err = partition(hosted, "def (", "0").err();
+            assert!(
+                matches!(&err, Some(EnvError::Program(_, ProgramError::Parse(_)))),
+                "{err:?}"
+            );
+            let err = partition(hosted, "new x (x![1] | x![true])", "0").err();
+            assert!(
+                matches!(&err, Some(EnvError::Program(_, ProgramError::Type(_)))),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_interface_mismatch_with_a_remote_exporter_is_refused() {
+        for hosted in [&[0][..], &[1], &[0, 1]] {
+            let err = partition(
+                hosted,
+                "export new p in p?{ halt() = 0 }",
+                "import p from zero in p!go[1]",
+            )
+            .err();
+            assert!(matches!(err, Some(EnvError::Interface { .. })), "{err:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Env::hosting after a site")]
+    fn hosting_comes_before_the_first_site() {
+        let _ = Env::local().site("a", "0").unwrap().hosting(&[0]);
     }
 
     #[test]

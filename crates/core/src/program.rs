@@ -1,5 +1,5 @@
-//! A compiled DiTyCO program: source → AST → types → byte-code in one
-//! value.
+//! A compiled DiTyCO program: AST, types and byte-code in one value, and
+//! the front (parse, check) and back (compile) halves that produce it.
 
 use std::fmt;
 use tyco_syntax::ast::Proc;
@@ -29,8 +29,6 @@ impl std::error::Error for ProgramError {}
 /// A fully processed site program.
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// Original source text.
-    pub source: String,
     /// Desugared AST (core syntax).
     pub ast: Proc,
     /// The static half of the hybrid type check: exported interface and
@@ -43,22 +41,29 @@ pub struct Program {
 impl Program {
     /// Parse, desugar, type-check and compile.
     pub fn compile(source: &str) -> Result<Program, ProgramError> {
+        let (ast, types) = Program::front_end(source)?;
+        let code = Program::back_end(&ast)?;
+        Ok(Program { ast, types, code })
+    }
+
+    /// The front half: parse, desugar and type-check.
+    pub fn front_end(source: &str) -> Result<(Proc, TypeSummary), ProgramError> {
         let ast =
             tyco_syntax::parse_core(source).map_err(|e| ProgramError::Parse(e.to_string()))?;
         let types = tyco_types::check(&ast).map_err(|e| ProgramError::Type(e.to_string()))?;
-        let code = tyco_vm::compile(&ast).map_err(|e| ProgramError::Compile(e.to_string()))?;
+        Ok((ast, types))
+    }
+
+    /// The back half: compile a checked AST to byte-code.
+    pub fn back_end(ast: &Proc) -> Result<Code, ProgramError> {
+        let code = tyco_vm::compile(ast).map_err(|e| ProgramError::Compile(e.to_string()))?;
         // Regression oracle: well-typed source must compile to code the
         // byte-code verifier accepts. A failure here is a compiler bug.
         #[cfg(debug_assertions)]
         if let Err(e) = tyco_vm::verify_program(&code) {
             panic!("verifier rejects compiler output for well-typed source: {e}");
         }
-        Ok(Program {
-            source: source.to_string(),
-            ast,
-            types,
-            code,
-        })
+        Ok(code)
     }
 
     /// The canonical (desugared) form of the program.

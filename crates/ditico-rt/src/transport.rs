@@ -52,6 +52,15 @@
 //! connections reconnect with exponential backoff up to a retry cap;
 //! exhausting the cap marks the peer's nodes permanently down.
 //!
+//! A frame for a node with no live route yet waits in the `unrouted`
+//! stash until a handshake installs one. The handshake inserts the route
+//! and drains the stash under the stash lock, and a sender re-checks the
+//! route under the same lock before it stashes, so no frame is stashed
+//! after the drain that should have flushed it. Lock order, for deadlock
+//! freedom: `unrouted` → `routes` → `known_remote` → `monitor` →
+//! `perma_down` → `departed`; a connection's write half is taken with
+//! none of them held.
+//!
 //! ## Termination waves
 //!
 //! On the heartbeat tick, a process whose sites are all idle sends a
@@ -597,34 +606,58 @@ impl Inner {
         }
     }
 
-    /// Queue one already-framed buffer for `to`, stashing it when no
-    /// route exists yet.
-    fn queue_frame_raw(&self, to: NodeId, frame: Bytes, nframes: u64) {
+    /// The live connection that reaches `to`, if any.
+    fn live_route(&self, to: NodeId) -> Option<Arc<PeerConn>> {
         let conn = self.routes.read().get(&to).cloned();
-        match conn {
-            Some(c) if c.alive.load(Ordering::Acquire) => {
-                self.write_frames(&c, [(frame, to, nframes)]);
-            }
-            _ => {
-                // No live route (yet): park until a handshake provides
-                // one, unless the node is known to be gone for good.
-                if self.perma_down.lock().contains(&to) || self.departed.lock().contains(&to) {
-                    self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
-                    self.stats
-                        .dropped_perma
-                        .fetch_add(nframes, Ordering::Relaxed);
-                    self.lost(to, nframes);
-                    return;
-                }
+        conn.filter(|c| c.alive.load(Ordering::Acquire))
+    }
+
+    /// Queue one already-framed buffer for `to`, stashing it when no
+    /// route exists yet. The route is re-checked under the stash lock,
+    /// which [`Inner::install_routes`] holds across its insert and drain.
+    fn queue_frame_raw(&self, to: NodeId, frame: Bytes, nframes: u64) {
+        let conn = match self.live_route(to) {
+            Some(c) => c,
+            None => {
                 let mut stash = self.unrouted.lock();
-                if stash.len() >= 10_000 {
-                    drop(stash);
-                    self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
-                    self.lost(to, nframes);
-                } else {
-                    stash.push((to, frame, nframes));
+                match self.live_route(to) {
+                    Some(c) => c,
+                    None => return self.stash(&mut stash, to, frame, nframes),
                 }
             }
+        };
+        self.write_frames(&conn, [(frame, to, nframes)]);
+    }
+
+    /// Park a frame for `to` until a handshake routes it, unless the node
+    /// is gone for good or the stash is full: then it is dropped and lost.
+    fn stash(&self, stash: &mut Vec<(NodeId, Bytes, u64)>, to: NodeId, frame: Bytes, n: u64) {
+        let gone = self.perma_down.lock().contains(&to) || self.departed.lock().contains(&to);
+        if !gone && stash.len() < 10_000 {
+            stash.push((to, frame, n));
+            return;
+        }
+        self.stats.dropped.fetch_add(n, Ordering::Relaxed);
+        if gone {
+            self.stats.dropped_perma.fetch_add(n, Ordering::Relaxed);
+        }
+        self.lost(to, n);
+    }
+
+    /// Count as lost any frame still stashed for a node that has a live
+    /// route: its handshake drained the stash without it, so nothing ever
+    /// will. The stash discipline makes this impossible.
+    fn lose_stranded(&self) {
+        let mut stash = self.unrouted.lock();
+        let (stranded, keep): (Vec<_>, Vec<_>) = stash
+            .drain(..)
+            .partition(|(to, ..)| self.live_route(*to).is_some());
+        *stash = keep;
+        drop(stash);
+        debug_assert!(stranded.is_empty(), "{} frame(s) stranded", stranded.len());
+        for (to, _, n) in stranded {
+            self.stats.dropped.fetch_add(n, Ordering::Relaxed);
+            self.lost(to, n);
         }
     }
 
@@ -632,6 +665,7 @@ impl Inner {
     /// were parked waiting for them.
     fn install_routes(&self, conn: &Arc<PeerConn>, nodes: &[NodeId]) {
         let round = self.round();
+        let mut stash = self.unrouted.lock();
         {
             let mut routes = self.routes.write();
             let mut known = self.known_remote.lock();
@@ -656,7 +690,6 @@ impl Inner {
                 departed.remove(&n);
             }
         }
-        let mut stash = self.unrouted.lock();
         let (flush, keep): (Vec<_>, Vec<_>) =
             stash.drain(..).partition(|(to, ..)| nodes.contains(to));
         *stash = keep;
@@ -698,9 +731,7 @@ impl Inner {
         self.notify_activity();
     }
 
-    // Lock-ordering discipline for the node-status mutexes (deadlock
-    // freedom): known_remote → monitor → perma_down → departed, with the
-    // routes RwLock taken before any of them.
+    // Lock order (deadlock freedom): see the module doc.
     fn suspects(&self) -> Vec<NodeId> {
         let round = self.round();
         let known = self.known_remote.lock();
@@ -1119,6 +1150,7 @@ impl Transport {
 
     /// Stop the net thread and close every connection.
     pub fn shutdown(&mut self) {
+        self.inner.lose_stranded();
         self.inner.stop.store(true, Ordering::Release);
         self.inner.net_wake.wake();
         if let Some(h) = self.net_thread.take() {

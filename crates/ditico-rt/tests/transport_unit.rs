@@ -797,6 +797,83 @@ fn a_batch_stashed_before_the_handshake_counts_every_packet() {
     peer.join().expect("fake peer");
 }
 
+/// Senders racing the handshake, over many handshakes: four threads send
+/// while the peer's Hello arrives and the route goes in. A frame that
+/// found no route, then was stashed after the handshake drained the stash,
+/// would never leave; every frame counted out must reach the peer.
+#[test]
+fn frames_sent_during_the_handshake_all_arrive() {
+    use ditico_rt::PacketFabric as _;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    const ROUNDS: usize = 300;
+    const SENDERS: usize = 4;
+    // Under the stash's bound even if the handshake is slow.
+    const MAX_SENDS: u32 = 2_000;
+
+    for round in 0..ROUNDS {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let arrived = Arc::new(AtomicU64::new(0));
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let peer = {
+            let arrived = arrived.clone();
+            std::thread::spawn(move || {
+                let (mut sock, _) = listener.accept().expect("accept");
+                go_rx.recv().expect("test says go");
+                sock.write_all(&hello_frame(NodeId(0)))
+                    .expect("write hello");
+                let mut rd = FrameReader::new(sock);
+                while rd.next_data(Duration::ZERO).is_some() {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        let (_fabric, mut transport, _) = bare_transport(addr, 1 << 16);
+        let routed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for who in 0..SENDERS {
+                let (net, routed) = (transport.handle(), &routed);
+                s.spawn(move || {
+                    // Keep sending until a little after the route is in.
+                    let mut after = 0;
+                    for seq in 0..MAX_SENDS {
+                        let payload = bytes::Bytes::from(vec![who as u8; 8 + seq as usize % 8]);
+                        net.send(NodeId(1), NodeId(0), payload);
+                        if routed.load(Ordering::Acquire) {
+                            after += 1;
+                            if after == 32 {
+                                break;
+                            }
+                        }
+                    }
+                });
+            }
+            go_tx.send(()).expect("peer waits");
+            eventually("route to node 0", || transport.report().topology_edges >= 1);
+            routed.store(true, Ordering::Release);
+        });
+        let wire = transport.report();
+        assert_eq!(wire.dropped, 0, "round {round}: {wire:?}");
+        let t0 = Instant::now();
+        while arrived.load(Ordering::SeqCst) < wire.data_out {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "round {round}: {} of {} frames arrived",
+                arrived.load(Ordering::SeqCst),
+                wire.data_out
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        transport.shutdown();
+        peer.join().expect("fake peer");
+        assert_eq!(
+            arrived.load(Ordering::SeqCst),
+            wire.data_out,
+            "round {round}"
+        );
+    }
+}
+
 /// Payload of producer `who`'s `seq`-th frame: a header naming both, then
 /// filler derived from them up to a length that cycles through small,
 /// 20 KB and 200 KB frames.

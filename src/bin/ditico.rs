@@ -546,18 +546,32 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Apply the name-service flags: `--ns-shards N` replaces the spec's
-/// ring (`replicas=K`, default 1: the paper's central service, no lease
+/// Apply the flags every cluster run shares to `env`, then declare the
+/// spec's sites. `--ns-shards N` replaces the spec's name-service ring
+/// (`replicas=K`, default 1: the paper's central service, no lease
 /// caching) with N shard owners and a lease TTL from `--ns-lease-ms`
 /// (default 50 ms).
-fn ns_from_args(args: &[String], env: Env) -> Result<Env, String> {
-    match num_flag(args, "--ns-shards")? {
-        Some(s) if s > 0 => {
-            let lease_ms = num_flag(args, "--ns-lease-ms")?.unwrap_or(50);
-            Ok(env.ns_shards(s as usize, lease_ms))
-        }
-        _ => Ok(env),
+fn cluster_env(mut env: Env, args: &[String], sites: Vec<SiteSpec>) -> Result<Env, String> {
+    if let Some(w) = num_flag(args, "--workers")? {
+        env = env.workers(w as usize);
     }
+    if let Some(c) = num_flag(args, "--code-cache")? {
+        env = env.code_cache(c as usize);
+    }
+    if let Some(s) = num_flag(args, "--ns-shards")?.filter(|&s| s > 0) {
+        env = env.ns_shards(s as usize, num_flag(args, "--ns-lease-ms")?.unwrap_or(50));
+    }
+    if let Some(plan) = chaos_from_args(args)? {
+        env = env.chaos(plan);
+    }
+    for s in sites {
+        env = match s.pin {
+            Some(pin) => env.site_on(pin, &s.lexeme, &s.src),
+            None => env.site(&s.lexeme, &s.src),
+        }
+        .map_err(|e| e.to_string())?;
+    }
+    Ok(env)
 }
 
 /// Parse the `--chaos-*` fault-injection flags into a plan, or `None` when
@@ -722,30 +736,12 @@ fn cmd_net(cmd: &Command, args: &[String]) -> Result<(), String> {
     }
     let threaded = args.iter().any(|a| a == "--threaded");
     let show_stats = args.iter().any(|a| a == "--stats");
-    let workers = num_flag(args, "--workers")?;
     let wall = num_flag(args, "--wall")?.unwrap_or(60);
     let (topology, sites) = parse_net_spec(path)?;
     if threaded && topology.mode == FabricMode::Virtual {
         return Err("--threaded needs fabric=ideal in the spec".into());
     }
-    let mut env = Env::new(topology);
-    if let Some(w) = workers {
-        env = env.workers(w as usize);
-    }
-    if let Some(c) = num_flag(args, "--code-cache")? {
-        env = env.code_cache(c as usize);
-    }
-    env = ns_from_args(args, env)?;
-    if let Some(plan) = chaos_from_args(args)? {
-        env = env.chaos(plan);
-    }
-    for s in &sites {
-        env = match s.pin {
-            Some(pin) => env.site_on(pin, &s.lexeme, &s.src),
-            None => env.site(&s.lexeme, &s.src),
-        }
-        .map_err(|e| e.to_string())?;
-    }
+    let env = cluster_env(Env::new(topology), args, sites)?;
     let report = if threaded {
         env.build()
             .map_err(|e| e.to_string())?
@@ -822,27 +818,8 @@ fn cmd_distributed(cmd: &Command, args: &[String], serve: bool) -> Result<(), St
     if let Some(r) = num_flag(args, "--retries")? {
         cfg.max_retries = r as u32;
     }
-    let mut env = Env::new(topology);
-    if let Some(w) = num_flag(args, "--workers")? {
-        env = env.workers(w as usize);
-    }
-    if let Some(c) = num_flag(args, "--code-cache")? {
-        env = env.code_cache(c as usize);
-    }
-    env = ns_from_args(args, env)?;
-    if let Some(plan) = chaos_from_args(args)? {
-        env = env.chaos(plan);
-    }
-    for s in &sites {
-        env = match s.pin {
-            Some(pin) => env.site_on(pin, &s.lexeme, &s.src),
-            None => env.site(&s.lexeme, &s.src),
-        }
-        .map_err(|e| e.to_string())?;
-    }
-    let built = env
-        .build_partition(&local_nodes)
-        .map_err(|e| e.to_string())?;
+    let env = cluster_env(Env::new(topology).hosting(&local_nodes), args, sites)?;
+    let built = env.build().map_err(|e| e.to_string())?;
     // `run_distributed` announces `listening on …` once the socket is bound.
     let report = built.run_distributed(cfg, std::time::Duration::from_secs(wall))?;
     print_report(&report, show_stats)
