@@ -291,10 +291,12 @@ fn f3_site_vm() {
         let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = fabric.register_node(NodeId(1));
         let h = fabric.handle();
+        let term = ditico_rt::TermCounters::leak();
         let mut scratch = Vec::with_capacity(batch);
         let ns = time_ns(200_000 / batch as u32, || {
             scratch.extend(std::iter::repeat_n(payload.clone(), batch));
-            h.send_batch(NodeId(0), NodeId(1), &mut scratch);
+            let ticket = ditico_rt::Ticket::mint(term, batch as u64);
+            h.send_batch(NodeId(0), NodeId(1), &mut scratch, ticket);
             assert_eq!(rx.try_iter().count(), batch);
         });
         row(

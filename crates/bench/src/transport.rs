@@ -27,7 +27,10 @@ pub use unix_bench::run;
 mod unix_bench {
     use bytes::{Buf, BytesMut};
     use ditico_rt::poller::{connect_start, ConnectStart, Interest, PendingConnect, Poller};
-    use ditico_rt::{Fabric, FabricMode, LinkProfile, PacketFabric, Transport, TransportConfig};
+    use ditico_rt::{
+        Fabric, FabricMode, LinkProfile, PacketFabric, TermCounters, Ticket, Transport,
+        TransportConfig,
+    };
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::os::fd::AsRawFd;
@@ -365,7 +368,7 @@ mod unix_bench {
                 ..TransportConfig::default()
             },
             fabric.handle(),
-            Default::default(),
+            TermCounters::leak(),
         )
         .expect("hub transport");
         let addr = hub.local_addr().expect("hub addr");
@@ -374,11 +377,12 @@ mod unix_bench {
         let echo = std::thread::Builder::new()
             .name("bench-echo".into())
             .spawn(move || {
-                while let Ok((from, payload)) = inbox.recv() {
+                while let Ok((from, payload, ticket)) = inbox.recv() {
                     if from == NodeId(0) {
                         return; // shutdown sentinel (hub echoes never originate locally)
                     }
-                    net.send(NodeId(0), from, payload);
+                    // The echo takes over the request's ticket.
+                    net.send_batch(NodeId(0), from, &mut vec![payload], ticket);
                 }
             })
             .expect("spawn echo");
@@ -429,9 +433,10 @@ mod unix_bench {
         // transport, so a plain drop would leave it parked forever).
         drop(swarm);
         hub.shutdown();
+        let bye = Ticket::mint(TermCounters::leak(), 1);
         fabric
             .handle()
-            .send(NodeId(0), NodeId(0), bytes::Bytes::from_static(b"bye"));
+            .send(NodeId(0), NodeId(0), bytes::Bytes::from_static(b"bye"), bye);
         echo.join().expect("echo thread");
 
         let msgs_per_sec = echoes as f64 / elapsed;

@@ -101,6 +101,39 @@ impl Default for Topology {
 }
 
 impl Topology {
+    /// Set one `key=value` of the topology grammar that `.net` specs and
+    /// the shell share: `nodes=N`, `fabric=ideal|virtual`,
+    /// `link=ideal|myrinet|ethernet|wan`, `replicas=K`.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let count = |what: &str| {
+            value
+                .parse()
+                .map_err(|e| format!("bad {what} `{value}`: {e}"))
+        };
+        match key {
+            "nodes" => self.nodes = count("nodes")?,
+            "replicas" => self.ns_replicas = count("replicas")?,
+            "fabric" => {
+                self.mode = match value {
+                    "ideal" => FabricMode::Ideal,
+                    "virtual" => FabricMode::Virtual,
+                    other => return Err(format!("bad fabric `{other}`")),
+                }
+            }
+            "link" => {
+                self.link = match value {
+                    "ideal" => LinkProfile::ideal(),
+                    "myrinet" => LinkProfile::myrinet(),
+                    "ethernet" => LinkProfile::fast_ethernet(),
+                    "wan" => LinkProfile::wan(),
+                    other => return Err(format!("bad link `{other}`")),
+                }
+            }
+            other => return Err(format!("unknown topology key `{other}`")),
+        }
+        Ok(())
+    }
+
     /// The paper's hardware platform (Fig. 1): four nodes on a Myrinet
     /// switch, deterministic virtual time.
     pub fn paper_cluster() -> Topology {

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::env::{Env, Topology};
-use ditico_rt::{FabricMode, LinkProfile, RunReport};
+use ditico_rt::RunReport;
 use std::fmt::Write as _;
 
 /// The shell's mutable state.
@@ -71,32 +71,8 @@ impl Shell {
             let Some((k, v)) = kv.split_once('=') else {
                 return format!("expected key=value, got `{kv}`");
             };
-            match k {
-                "nodes" => match v.parse() {
-                    Ok(n) => self.topology.nodes = n,
-                    Err(e) => return format!("bad nodes value: {e}"),
-                },
-                "fabric" => {
-                    self.topology.mode = match v {
-                        "ideal" => FabricMode::Ideal,
-                        "virtual" => FabricMode::Virtual,
-                        other => return format!("unknown fabric `{other}`"),
-                    }
-                }
-                "link" => {
-                    self.topology.link = match v {
-                        "ideal" => LinkProfile::ideal(),
-                        "myrinet" => LinkProfile::myrinet(),
-                        "ethernet" => LinkProfile::fast_ethernet(),
-                        "wan" => LinkProfile::wan(),
-                        other => return format!("unknown link `{other}`"),
-                    }
-                }
-                "replicas" => match v.parse() {
-                    Ok(n) => self.topology.ns_replicas = n,
-                    Err(e) => return format!("bad replicas value: {e}"),
-                },
-                other => return format!("unknown topology key `{other}`"),
+            if let Err(e) = self.topology.set(k, v) {
+                return e;
             }
         }
         format!(

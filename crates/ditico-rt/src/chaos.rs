@@ -14,22 +14,11 @@
 //!   time since start in the threaded/distributed loops).
 //!
 //! The carriers ([`crate::fabric::FabricHandle`] and the TCP transport's
-//! outbound queue) consult one shared [`ChaosState`] per run. Every
-//! injected fault is counted in a [`ChaosReport`] that lands in
-//! `RunReport.chaos`.
-//!
-//! ## Termination accounting
-//!
-//! Mattern-style detection (see `termination.rs`) needs
-//! `injected == consumed` at quiescence. A chaos-dropped packet was
-//! counted `injected` by its sender and will never be consumed; a
-//! duplicated packet is consumed twice but injected once. [`ChaosState`]
-//! therefore carries the run's [`TermCounters`] and compensates at the
-//! injection point: +1 `consumed` per dropped packet, +1 `injected` per
-//! duplicated one. Without this, threaded runs under drop chaos hang in
-//! the detector and runs under dup chaos can terminate early.
+//! outbound queue) consult one shared [`ChaosState`] per run and obey
+//! each [`Fault`] with the packet's [`crate::termination::Ticket`]: a
+//! drop discards it, a duplicate mints one for the copy. Every injected
+//! fault is counted in a [`ChaosReport`] that lands in `RunReport.chaos`.
 
-use crate::daemon::TermCounters;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -181,8 +170,6 @@ pub struct ChaosState {
     partitions: RwLock<Vec<(HashSet<NodeId>, HashSet<NodeId>)>>,
     /// Per-directed-edge packet counter feeding the fate hash.
     edge_seq: Mutex<HashMap<(u32, u32), u64>>,
-    /// The run's termination counters, for drop/dup compensation.
-    term: Arc<TermCounters>,
     dropped: AtomicU64,
     duplicated: AtomicU64,
     delayed: AtomicU64,
@@ -194,7 +181,7 @@ pub struct ChaosState {
 }
 
 impl ChaosState {
-    pub fn new(plan: ChaosPlan, term: Arc<TermCounters>) -> Arc<ChaosState> {
+    pub fn new(plan: ChaosPlan) -> Arc<ChaosState> {
         let mut events = plan.events;
         events.sort_by_key(|(at, _)| *at);
         Arc::new(ChaosState {
@@ -203,7 +190,6 @@ impl ChaosState {
             next_event: AtomicUsize::new(0),
             partitions: RwLock::new(Vec::new()),
             edge_seq: Mutex::new(HashMap::new()),
-            term,
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
@@ -271,14 +257,12 @@ impl ChaosState {
 
     /// Decide the fate of `n` packets travelling together on
     /// `(from, to)` (n > 1 for a coalesced transport buffer). Counts the
-    /// fault and performs termination compensation; the caller only has
-    /// to obey the returned [`Fault`]. `can_delay` is false on carriers
+    /// fault; the caller obeys the returned [`Fault`]. `can_delay` is false on carriers
     /// that cannot hold a packet back (the Ideal fabric), in which case a
     /// rolled delay degrades to `Deliver`, uncounted.
     pub fn packet_fate(&self, from: NodeId, to: NodeId, n: u64, can_delay: bool) -> Fault {
         if self.blocked(from, to) {
             self.partition_drops.fetch_add(n, Ordering::Relaxed);
-            self.term.consumed.fetch_add(n, Ordering::Relaxed);
             return Fault::Drop;
         }
         let Some(spec) = &self.spec else {
@@ -298,11 +282,9 @@ impl ChaosState {
         let roll = (splitmix64(spec.seed ^ splitmix64(edge).wrapping_add(k)) % 1000) as u32;
         if roll < spec.drop_per_mille {
             self.dropped.fetch_add(n, Ordering::Relaxed);
-            self.term.consumed.fetch_add(n, Ordering::Relaxed);
             Fault::Drop
         } else if roll < spec.drop_per_mille + spec.dup_per_mille {
             self.duplicated.fetch_add(n, Ordering::Relaxed);
-            self.term.injected.fetch_add(n, Ordering::Relaxed);
             Fault::Duplicate
         } else if can_delay && roll < budget {
             self.delayed.fetch_add(n, Ordering::Relaxed);
@@ -345,14 +327,10 @@ impl ChaosState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::termination::{TermCounters, Ticket};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
-    }
-
-    fn state(plan: ChaosPlan) -> (Arc<ChaosState>, Arc<TermCounters>) {
-        let term = Arc::new(TermCounters::default());
-        (ChaosState::new(plan, term.clone()), term)
     }
 
     #[test]
@@ -364,8 +342,8 @@ mod tests {
             delay_per_mille: 200,
             delay_ns: 1_000,
         };
-        let (a, _) = state(ChaosPlan::new(spec));
-        let (b, _) = state(ChaosPlan::new(spec));
+        let a = ChaosState::new(ChaosPlan::new(spec));
+        let b = ChaosState::new(ChaosPlan::new(spec));
         let fates_a: Vec<Fault> = (0..500)
             .map(|_| a.packet_fate(n(0), n(1), 1, true))
             .collect();
@@ -390,8 +368,8 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        let (a, _) = state(ChaosPlan::new(mk(1)));
-        let (b, _) = state(ChaosPlan::new(mk(2)));
+        let a = ChaosState::new(ChaosPlan::new(mk(1)));
+        let b = ChaosState::new(ChaosPlan::new(mk(2)));
         let fa: Vec<Fault> = (0..200)
             .map(|_| a.packet_fate(n(0), n(1), 1, true))
             .collect();
@@ -410,7 +388,7 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        let (s, term) = state(ChaosPlan::new(spec));
+        let s = ChaosState::new(ChaosPlan::new(spec));
         let total = 10_000u64;
         for _ in 0..total {
             let _ = s.packet_fate(n(0), n(1), 1, true);
@@ -418,8 +396,6 @@ mod tests {
         let dropped = s.report().dropped;
         // 25% ± generous slack; the hash is not adversarial.
         assert!((1_500..3_500).contains(&dropped), "dropped {dropped}");
-        // Every drop was compensated as consumed.
-        assert_eq!(term.consumed.load(Ordering::Relaxed), dropped);
     }
 
     #[test]
@@ -431,14 +407,23 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        let (s, term) = state(ChaosPlan::new(spec));
+        // The carrier mints a ticket for each copy, so copies are counted
+        // in as well as out.
+        let s = ChaosState::new(ChaosPlan::new(spec));
+        let term = TermCounters::leak();
+        let mut arrived = Vec::new();
         for _ in 0..1_000 {
-            let _ = s.packet_fate(n(0), n(1), 1, true);
+            let t = Ticket::mint(term, 1);
+            if s.packet_fate(n(0), n(1), 1, true) == Fault::Duplicate {
+                arrived.push(t.mint_copy());
+            }
+            arrived.push(t);
         }
         let dups = s.report().duplicated;
         assert!(dups > 0);
-        assert_eq!(term.injected.load(Ordering::Relaxed), dups);
-        assert_eq!(term.consumed.load(Ordering::Relaxed), 0);
+        assert_eq!(term.injected(), 1_000 + dups);
+        drop(arrived);
+        assert_eq!(term.in_flight(), 0);
     }
 
     #[test]
@@ -453,7 +438,7 @@ mod tests {
             )
             .at(100, ChaosEvent::KillNode(n(2)))
             .at(300, ChaosEvent::Heal);
-        let (s, _) = state(plan);
+        let s = ChaosState::new(plan);
         assert_eq!(s.next_event_ns(), Some(100));
         let first = s.apply_due(150);
         assert_eq!(first, vec![ChaosEvent::KillNode(n(2))]);
@@ -481,12 +466,15 @@ mod tests {
                 b: vec![n(1), n(2)],
             },
         );
-        let (s, term) = state(plan);
+        let s = ChaosState::new(plan);
         s.apply_due(0);
+        let term = TermCounters::leak();
+        let buffer = Ticket::mint(term, 3);
         assert_eq!(s.packet_fate(n(0), n(1), 3, true), Fault::Drop);
+        drop(buffer); // the carrier discards the dropped buffer
         assert_eq!(s.packet_fate(n(1), n(2), 1, true), Fault::Deliver);
         assert_eq!(s.report().partition_drops, 3);
-        assert_eq!(term.consumed.load(Ordering::Relaxed), 3);
+        assert_eq!(term.consumed(), 3);
         // Heartbeat screening: cut only when every peer edge is cut.
         assert!(s.hb_blocked(n(0), &[n(1), n(2)]));
         assert!(!s.hb_blocked(n(0), &[n(1), n(3)]));
@@ -502,7 +490,7 @@ mod tests {
             delay_per_mille: 1000,
             delay_ns: 5,
         };
-        let (s, _) = state(ChaosPlan::new(spec));
+        let s = ChaosState::new(ChaosPlan::new(spec));
         assert_eq!(s.packet_fate(n(0), n(1), 1, false), Fault::Deliver);
         assert_eq!(s.report().delayed, 0, "unapplied delays are not counted");
         assert_eq!(s.packet_fate(n(0), n(1), 1, true), Fault::Delay(5));

@@ -9,18 +9,16 @@
 //! [`Cluster::add_site`].
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
-use crate::daemon::{
-    CodeCacheStats, Daemon, DaemonCell, DaemonStats, TermCounters, DEFAULT_CODE_CACHE,
-};
+use crate::daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats, DEFAULT_CODE_CACHE};
 use crate::fabric::{Fabric, FabricMode, LinkProfile};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
 use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
-use crate::site::{RtIncoming, RtPort, Site, SiteInterface};
-use crate::termination::{Snapshot, TerminationDetector};
+use crate::site::{RtPort, Site, SiteInterface};
+use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket};
 use crate::transport::{Transport, TransportConfig, TransportReport};
 use crate::wake::Notify;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,7 +34,7 @@ struct NodeCell {
     id: NodeId,
     daemon: Daemon,
     sites: Vec<Site>,
-    out_tx: Sender<(SiteId, Packet)>,
+    out_tx: Sender<(SiteId, Packet, Ticket)>,
     dead: bool,
 }
 
@@ -86,6 +84,10 @@ pub struct RunReport {
     pub ns_failovers: u64,
     /// Who did the waking (real-thread runs; zero elsewhere).
     pub wakes: WakeStats,
+    /// Packets this process injected and did not consume by the end of
+    /// the run: still held by a queue, a carrier or a parking lot. 0 for
+    /// a run that ended with nothing stranded.
+    pub in_flight: i64,
 }
 
 /// Wake-chain counters of a real-thread run: how often each party that
@@ -188,7 +190,7 @@ pub struct Cluster {
     fabric: Fabric,
     mode: FabricMode,
     nodes: Vec<NodeCell>,
-    term: Arc<TermCounters>,
+    term: &'static TermCounters,
     site_lexemes: Vec<String>,
     /// The node of every site, local or declared remote, by `SiteId`.
     site_nodes: Vec<NodeId>,
@@ -224,7 +226,7 @@ impl Cluster {
             fabric: Fabric::new(mode, link),
             mode,
             nodes: Vec::new(),
-            term: Arc::new(TermCounters::default()),
+            term: TermCounters::leak(),
             site_lexemes: Vec::new(),
             site_nodes: Vec::new(),
             heartbeat_every: None,
@@ -298,7 +300,7 @@ impl Cluster {
             fabric_rx,
             self.fabric.handle(),
             self.shard_map.clone(),
-            self.term.clone(),
+            self.term,
         );
         daemon.set_code_cache(self.code_cache);
         daemon.set_ns_service_ns(self.ns_service_ns);
@@ -348,7 +350,7 @@ impl Cluster {
                 ns.register_site(lexeme, identity);
             }
         }
-        let (in_tx, in_rx): (Sender<RtIncoming>, Receiver<RtIncoming>) = unbounded();
+        let (in_tx, in_rx) = unbounded();
         let cell = &mut self.nodes[node.0 as usize];
         let mut port = RtPort::new(
             identity,
@@ -356,7 +358,7 @@ impl Cluster {
             cell.out_tx.clone(),
             in_rx,
             cell.daemon.waker().clone(),
-            self.term.clone(),
+            self.term,
         );
         port.set_interface(interface);
         let site = Site::new(lexeme, identity, program, port);
@@ -416,8 +418,8 @@ impl Cluster {
     /// Restart a killed node, modelling a daemon process bounce: fabric
     /// delivery resumes, sites pump again, but the node's TyCOd comes
     /// back *empty* — code cache cleared, parked and queued traffic lost
-    /// (Mattern-compensated so termination still balances), heartbeat
-    /// history reset. In-flight shipments to the node converge again via
+    /// (consumed with its tickets, so termination still balances),
+    /// heartbeat history reset. In-flight shipments to the node converge again via
     /// the daemon's bounded NeedCode refill retries.
     pub fn restart_node(&mut self, node: NodeId) {
         self.fabric.revive_node(node);
@@ -451,7 +453,7 @@ impl Cluster {
     /// passes them. Same seed + same plan ⇒ same injected schedule.
     pub fn set_chaos(&mut self, plan: ChaosPlan) -> Result<(), String> {
         plan.validate()?;
-        let st = ChaosState::new(plan, self.term.clone());
+        let st = ChaosState::new(plan);
         self.fabric.set_chaos(Some(st.clone()));
         self.chaos = Some(st);
         Ok(())
@@ -705,7 +707,7 @@ impl Cluster {
             }
         }
         let hosted: Vec<String> = cfg.local_nodes.iter().map(|n| n.0.to_string()).collect();
-        let transport = Transport::start(cfg, self.fabric.handle(), self.term.clone())?;
+        let transport = Transport::start(cfg, self.fabric.handle(), self.term)?;
         if let Some(addr) = transport.local_addr() {
             eprintln!("listening on {addr}, hosting node(s) {}", hosted.join(","));
         }
@@ -864,7 +866,7 @@ impl Cluster {
             env_evals += 1;
             let park = match &transport {
                 None => {
-                    let snap = Snapshot::take(&self.term, shared.active_sites() > 0);
+                    let snap = Snapshot::take(self.term, shared.active_sites() > 0);
                     if detector.probe(snap) {
                         break true;
                     }
@@ -919,6 +921,8 @@ impl Cluster {
             // Quiescent iff the exit test concluded it (as opposed to
             // hitting the wall-clock limit or a wire cut).
             quiescent,
+            // Taken while the daemons still hold what they hold.
+            in_flight: self.term.in_flight(),
             ..Default::default()
         };
         shared.for_each_site(|site| collect_site(&mut report, site));
@@ -976,6 +980,7 @@ impl Cluster {
             fabric_bytes: self.fabric.stats.bytes.load(Ordering::Relaxed),
             chaos: self.chaos.as_ref().map(|c| c.report()),
             ns_failovers: self.shard_map.failovers(),
+            in_flight: self.term.in_flight(),
             ..Default::default()
         };
         let mut quiescent = true;

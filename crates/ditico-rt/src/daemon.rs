@@ -31,6 +31,7 @@ use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
 use crate::sched::STOP_LATENCY;
 use crate::site::RtIncoming;
+use crate::termination::{TermCounters, Ticket};
 use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
@@ -55,20 +56,10 @@ pub const DEFAULT_CODE_CACHE: usize = 256;
 pub const REFILL_RETRY_TICKS: u32 = 100;
 
 /// Total `NeedCode` attempts per missing digest before the parked
-/// packets are dropped as consumed. Bounds the park/retry loop: a peer
-/// that lost the image (or a link that eats every ask) costs at most
+/// packets are rejected. Bounds the park/retry loop: a peer that lost
+/// the image (or a link that eats every ask) costs at most
 /// `REFILL_MAX_ASKS × REFILL_RETRY_TICKS` idle ticks, never a hang.
 pub const REFILL_MAX_ASKS: u32 = 4;
-
-/// Cluster-wide packet-conservation counters used by the termination
-/// detector (see [`crate::termination`]).
-#[derive(Debug, Default)]
-pub struct TermCounters {
-    /// Packets injected into the system (site sends + NS-generated replies).
-    pub injected: AtomicU64,
-    /// Packets fully consumed (handled by the NS, or drained by a site).
-    pub consumed: AtomicU64,
-}
 
 /// Per-daemon traffic statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -127,7 +118,7 @@ pub struct CodeCacheStats {
 /// retry bookkeeping that bounds the refill protocol (see
 /// [`Daemon::tick_refills`]).
 struct ParkedCode {
-    pkts: Vec<Packet>,
+    pkts: Vec<(Packet, Ticket)>,
     /// Whom to (re-)ask: the most recent sender of a ref for this digest
     /// provably holds the image (or held it moments ago).
     from: NodeId,
@@ -148,13 +139,15 @@ struct OutBuf {
     ends: Vec<usize>,
     /// Reusable scratch for the per-packet slice views.
     ready: Vec<Bytes>,
+    /// The buffered packets' tickets, as one.
+    ticket: Option<Ticket>,
 }
 
 /// A local site as its daemon sees it: the inbox, plus the site's delivery
 /// wakeup (its scheduler [`crate::sched::ReadyHandle`]) once a
 /// real-thread run has bound one.
 struct LocalSite {
-    inbox: Sender<RtIncoming>,
+    inbox: Sender<(RtIncoming, Ticket)>,
     waker: Option<Arc<dyn Wake>>,
 }
 
@@ -167,9 +160,9 @@ pub struct Daemon {
     /// [`Daemon::take_woken`]).
     woken: Vec<Arc<dyn Wake>>,
     /// Shared outgoing queue of all local sites.
-    from_sites: Receiver<(SiteId, Packet)>,
+    from_sites: Receiver<(SiteId, Packet, Ticket)>,
     /// Inbound packets from other nodes.
-    from_fabric: Receiver<(NodeId, Bytes)>,
+    from_fabric: Receiver<(NodeId, Bytes, Ticket)>,
     /// The outbound network: the in-process fabric, or (in distributed
     /// runs) the TCP transport's handle, swapped in via [`Daemon::set_fabric`].
     fabric: Arc<dyn PacketFabric>,
@@ -178,10 +171,10 @@ pub struct Daemon {
     out_bufs: HashMap<NodeId, OutBuf>,
     /// Local deliveries per site, flushed to each site inbox once per
     /// pump (one inbox lock + one wakeup per site per pump).
-    site_bufs: HashMap<SiteId, Vec<RtIncoming>>,
+    site_bufs: HashMap<SiteId, Vec<(RtIncoming, Ticket)>>,
     /// Reusable drain buffers for the two inbound queues.
-    scratch_pkts: Vec<(SiteId, Packet)>,
-    scratch_bytes: Vec<(NodeId, Bytes)>,
+    scratch_pkts: Vec<(SiteId, Packet, Ticket)>,
+    scratch_bytes: Vec<(NodeId, Bytes, Ticket)>,
     /// What this daemon's fallback thread parks on (see [`Daemon::waker`]).
     waker: Arc<Notify>,
     /// This node's shard of the name service, when it is on the ring.
@@ -209,21 +202,22 @@ pub struct Daemon {
     /// Completion time of the request the modeled resolver is serving.
     ns_busy_until: u64,
     /// Requests waiting for the modeled resolver, FIFO with arrival time.
-    ns_backlog: std::collections::VecDeque<(u64, Packet)>,
+    ns_backlog: std::collections::VecDeque<(u64, Packet, Ticket)>,
     /// Liveness info gathered from heartbeats: node → latest sequence.
     pub heartbeats: HashMap<NodeId, u64>,
     pub stats: DaemonStats,
-    term: Arc<TermCounters>,
+    term: &'static TermCounters,
     hb_seq: u64,
     /// The node's content-addressed store of verified code images.
     store: CodeCache,
     /// Digest-only packets parked until a `HaveCode` refill arrives (or a
-    /// tombstone reports the image gone, which drops them as consumed),
-    /// with bounded-retry bookkeeping per digest.
+    /// tombstone reports the image gone, which rejects them), with
+    /// bounded-retry bookkeeping per digest.
     awaiting_code: HashMap<Digest, ParkedCode>,
     /// Single-flight: remote class → the coalesced fetches waiting on the
-    /// one request in flight.
-    inflight: HashMap<NetRef, Vec<(Identity, u64)>>,
+    /// one request in flight, each holding its request's ticket for the
+    /// reply it will get.
+    inflight: HashMap<NetRef, Vec<(Identity, u64, Ticket)>>,
     /// Reverse index: the in-flight leader's reply key `(to, req)` → the
     /// class it fetched, so the reply can be fanned out to the waiters.
     inflight_leader: HashMap<(Identity, u64), NetRef>,
@@ -235,11 +229,11 @@ impl Daemon {
     /// lease-granting iff the map's TTL is positive.
     pub fn new(
         node: NodeId,
-        from_sites: Receiver<(SiteId, Packet)>,
-        from_fabric: Receiver<(NodeId, Bytes)>,
+        from_sites: Receiver<(SiteId, Packet, Ticket)>,
+        from_fabric: Receiver<(NodeId, Bytes, Ticket)>,
         fabric: FabricHandle,
         shard: Arc<NsShardMap>,
-        term: Arc<TermCounters>,
+        term: &'static TermCounters,
     ) -> Daemon {
         let ns = ((node.0 as usize) < shard.ring()).then(|| {
             let mut ns = NameService::new();
@@ -293,7 +287,7 @@ impl Daemon {
     /// Attach a local site's inbox. Until [`set_site_waker`](Daemon::set_site_waker)
     /// binds it to a scheduler, delivery wakes nobody: deterministic runs
     /// pump every site round-robin.
-    pub fn attach_site(&mut self, site: SiteId, inbox: Sender<RtIncoming>) {
+    pub fn attach_site(&mut self, site: SiteId, inbox: Sender<(RtIncoming, Ticket)>) {
         self.sites.insert(site, LocalSite { inbox, waker: None });
     }
 
@@ -358,7 +352,7 @@ impl Daemon {
     /// which the next one finishes service — the deterministic runner
     /// folds this into its idle advance so a backlog is always drained.
     pub fn ns_backlog_next_due(&self) -> Option<u64> {
-        self.ns_backlog.front().map(|&(arrival, _)| {
+        self.ns_backlog.front().map(|&(arrival, ..)| {
             self.ns_busy_until
                 .max(arrival)
                 .saturating_add(self.ns_service_ns)
@@ -370,7 +364,7 @@ impl Daemon {
     /// one service quantum at a time as the clock passes completions.
     fn drain_ns_backlog(&mut self) -> bool {
         let mut progress = false;
-        while let Some(&(arrival, _)) = self.ns_backlog.front() {
+        while let Some(&(arrival, ..)) = self.ns_backlog.front() {
             let done = self
                 .ns_busy_until
                 .max(arrival)
@@ -379,8 +373,8 @@ impl Daemon {
                 break;
             }
             self.ns_busy_until = done;
-            let (_, p) = self.ns_backlog.pop_front().expect("peeked");
-            self.serve_ns_request(p);
+            let (_, p, ticket) = self.ns_backlog.pop_front().expect("peeked");
+            self.serve_ns_request(p, ticket);
             progress = true;
         }
         progress
@@ -410,27 +404,24 @@ impl Daemon {
         let mut pkts = std::mem::take(&mut self.scratch_pkts);
         if self.from_sites.drain_into(&mut pkts) > 0 {
             progress = true;
-            for (_, packet) in pkts.drain(..) {
-                self.route(packet);
+            for (_, packet, ticket) in pkts.drain(..) {
+                self.route(packet, ticket);
             }
         }
         self.scratch_pkts = pkts;
         let mut raw = std::mem::take(&mut self.scratch_bytes);
         if self.from_fabric.drain_into(&mut raw) > 0 {
             progress = true;
-            for (from, bytes) in raw.drain(..) {
+            for (from, bytes, ticket) in raw.drain(..) {
                 self.stats.remote_recvs += 1;
                 match codec::decode(bytes) {
-                    Ok(packet) => {
-                        if Self::screen(&packet).is_some() {
-                            self.reject();
-                        } else {
-                            self.ingest(from, packet);
-                        }
+                    Ok(packet) if Self::screen(&packet).is_none() => {
+                        self.ingest(from, packet, ticket);
                     }
-                    // Undecodable bytes are dropped and counted; the
-                    // daemon (and the node's sites) stay up.
-                    Err(_) => self.reject(),
+                    // Undecodable bytes and code the verifier refuses are
+                    // dropped and counted; the daemon (and the node's
+                    // sites) stay up.
+                    _ => self.reject(ticket),
                 }
             }
         }
@@ -443,12 +434,16 @@ impl Daemon {
         progress
     }
 
-    /// Drop a fabric packet at the trust boundary. The sender already
-    /// counted it as injected, so the drop must count as consumed or the
-    /// termination detector would wait on it forever.
-    fn reject(&mut self) {
+    /// Drop a fabric packet at the trust boundary, or one that can never
+    /// be completed: counted, and consumed with its ticket.
+    fn reject(&mut self, ticket: Ticket) {
         self.stats.rejected += 1;
-        self.term.consumed.fetch_add(1, Ordering::Relaxed);
+        drop(ticket);
+    }
+
+    /// A ticket for one packet this daemon makes.
+    fn mint(&self) -> Ticket {
+        Ticket::mint(self.term, 1)
     }
 
     /// Static screening of mobile code arriving from the fabric (§6: the
@@ -490,13 +485,13 @@ impl Daemon {
     /// digest-only packets are rehydrated from the store or parked behind
     /// a `NeedCode` round trip; cache-protocol packets are handled here;
     /// everything else goes straight to local delivery.
-    fn ingest(&mut self, from: NodeId, p: Packet) {
+    fn ingest(&mut self, from: NodeId, p: Packet, ticket: Ticket) {
         match p {
             Packet::Obj { dest, digest, obj } => {
                 if !self.admit_code(from, digest, &obj.code) {
-                    return;
+                    return self.reject(ticket);
                 }
-                self.deliver_local(Packet::Obj { dest, digest, obj });
+                self.deliver_local(Packet::Obj { dest, digest, obj }, ticket);
             }
             Packet::FetchReply {
                 to,
@@ -506,22 +501,23 @@ impl Daemon {
                 index,
             } => {
                 if !self.admit_code(from, digest, &group.code) {
-                    return;
+                    return self.reject(ticket);
                 }
-                self.deliver_local(Packet::FetchReply {
+                let reply = Packet::FetchReply {
                     to,
                     req,
                     digest,
                     group,
                     index,
-                });
+                };
+                self.deliver_local(reply, ticket);
             }
             Packet::ObjRef { digest, .. } | Packet::FetchReplyRef { digest, .. } => {
                 match self.store.get(&digest).cloned() {
-                    Some(code) => self.rehydrate(code, p),
+                    Some(code) => self.rehydrate(code, p, ticket),
                     None => {
                         self.stats.cache.misses += 1;
-                        self.park(from, digest, p);
+                        self.park(from, digest, p, ticket);
                     }
                 }
             }
@@ -529,7 +525,6 @@ impl Daemon {
                 from: needy,
                 digest,
             } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
                 let code = self.store.get(&digest).cloned().unwrap_or(WireCode {
                     // Evicted since it was advertised: answer with an
                     // empty tombstone (its bytes cannot hash to `digest`)
@@ -540,18 +535,15 @@ impl Daemon {
                     labels: vec![],
                     strings: vec![],
                 });
-                self.term.injected.fetch_add(1, Ordering::Relaxed);
-                self.send_remote(
-                    needy,
-                    &Packet::HaveCode {
-                        to: needy,
-                        digest,
-                        code,
-                    },
-                );
+                // The answer takes over the request's ticket.
+                let answer = Packet::HaveCode {
+                    to: needy,
+                    digest,
+                    code,
+                };
+                self.send_remote(needy, &answer, ticket);
             }
             Packet::HaveCode { digest, code, .. } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
                 let parked = self
                     .awaiting_code
                     .remove(&digest)
@@ -561,20 +553,19 @@ impl Daemon {
                 if Digest::of(&bytes) != digest {
                     // A tampered refill — or the sender's tombstone for an
                     // image it no longer holds. The parked packets can
-                    // never be completed; drop them as consumed so the
-                    // termination detector stays balanced.
+                    // never be completed.
                     if !code.blocks.is_empty() || !code.tables.is_empty() {
                         self.stats.cache.digest_mismatches += 1;
                     }
-                    for _ in &parked {
-                        self.reject();
+                    for (_, t) in parked {
+                        self.reject(t);
                     }
                     return;
                 }
                 self.cache_insert(digest, &code, Some(bytes.len() as u64));
                 self.store.mark_shipped(&digest, from);
-                for p in parked {
-                    self.rehydrate(code.clone(), p);
+                for (p, t) in parked {
+                    self.rehydrate(code.clone(), p, t);
                 }
             }
             // Replication needs the sender for its per-shipper watermark,
@@ -602,27 +593,23 @@ impl Daemon {
                         epoch,
                     );
                     for r in replies {
-                        self.term.injected.fetch_add(1, Ordering::Relaxed);
-                        self.route(r);
+                        let t = self.mint();
+                        self.route(r, t);
                     }
                 }
-                // Consume only after the replies it unparked are injected
-                // (same ordering rule as NsRegister below).
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
-            other => self.deliver_local(other),
+            other => self.deliver_local(other, ticket),
         }
     }
 
     /// Fingerprint-check a full code image from the fabric and cache it.
     /// Returns `false` when the bytes do not hash to the carried digest
-    /// (the packet is dropped as tampered) — at every capacity: a store
-    /// that holds nothing still checks what it is handed.
+    /// (the caller rejects the packet as tampered) — at every capacity: a
+    /// store that holds nothing still checks what it is handed.
     fn admit_code(&mut self, from: NodeId, digest: Digest, code: &WireCode) -> bool {
         let bytes = codec::code_bytes(code);
         if Digest::of(&bytes) != digest {
             self.stats.cache.digest_mismatches += 1;
-            self.reject();
             return false;
         }
         self.cache_insert(digest, code, Some(bytes.len() as u64));
@@ -643,29 +630,32 @@ impl Daemon {
     /// Park a digest-only packet whose image is not in the store; the
     /// first miss for a digest asks the sender to refill it (later asks
     /// are driven by the bounded retry clock, [`Daemon::tick_refills`]).
-    fn park(&mut self, from: NodeId, digest: Digest, p: Packet) {
+    fn park(&mut self, from: NodeId, digest: Digest, p: Packet, ticket: Ticket) {
         let entry = self.awaiting_code.entry(digest).or_insert(ParkedCode {
             pkts: Vec::new(),
             from,
             ticks: 0,
             asks: 0,
         });
-        entry.pkts.push(p);
+        entry.pkts.push((p, ticket));
         // Refresh the refill target: the latest sender is the most likely
         // to still hold the image.
         entry.from = from;
         let first = entry.asks == 0;
         if first {
             entry.asks = 1;
-            self.term.injected.fetch_add(1, Ordering::Relaxed);
-            self.send_remote(
-                from,
-                &Packet::NeedCode {
-                    from: self.node,
-                    digest,
-                },
-            );
+            self.ask_for_code(from, digest);
         }
+    }
+
+    /// Send `to` a `NeedCode` for `digest`.
+    fn ask_for_code(&mut self, to: NodeId, digest: Digest) {
+        let ask = Packet::NeedCode {
+            from: self.node,
+            digest,
+        };
+        let t = self.mint();
+        self.send_remote(to, &ask, t);
     }
 
     /// Are any digest-only packets parked waiting for a code refill? The
@@ -677,8 +667,8 @@ impl Daemon {
 
     /// One idle tick of the refill retry clock: re-ask for digests whose
     /// `NeedCode` (or its `HaveCode` answer) was lost, and after
-    /// [`REFILL_MAX_ASKS`] fruitless attempts drop the parked packets as
-    /// consumed. The previous protocol asked exactly once per digest, so
+    /// [`REFILL_MAX_ASKS`] fruitless attempts reject the parked packets.
+    /// The previous protocol asked exactly once per digest, so
     /// a single lost refill packet parked its waiters forever — an
     /// unbounded park that chaos drop plans (and restarted peers) hit
     /// immediately. Returns whether anything was sent or dropped.
@@ -703,19 +693,12 @@ impl Daemon {
         }
         let acted = !asks.is_empty() || !give_up.is_empty();
         for (to, digest) in asks {
-            self.term.injected.fetch_add(1, Ordering::Relaxed);
-            self.send_remote(
-                to,
-                &Packet::NeedCode {
-                    from: self.node,
-                    digest,
-                },
-            );
+            self.ask_for_code(to, digest);
         }
         for digest in give_up {
             if let Some(e) = self.awaiting_code.remove(&digest) {
-                for _ in e.pkts {
-                    self.reject();
+                for (_, t) in e.pkts {
+                    self.reject(t);
                 }
             }
         }
@@ -732,66 +715,44 @@ impl Daemon {
     /// queued-but-unprocessed inbound packets are gone; the beacon
     /// sequence restarts from 1. Sites and the name service survive (the
     /// chaos `RestartNode` event models a TyCOd restart, not node loss —
-    /// [`crate::fabric::Fabric::kill_node`] models that). Dropped packets
-    /// are compensated as consumed so termination accounting stays
-    /// balanced.
+    /// [`crate::fabric::Fabric::kill_node`] models that). The packets it
+    /// held are lost, and their tickets with them.
     pub fn simulate_restart(&mut self) {
         self.store = CodeCache::new(self.store.capacity());
         // Leases do not survive a daemon bounce (counters do: they are
         // lifetime totals).
         self.name_cache.clear();
-        let parked: u64 = self
-            .awaiting_code
-            .values()
-            .map(|e| e.pkts.len() as u64)
-            .sum();
         self.awaiting_code.clear();
         self.inflight.clear();
         self.inflight_leader.clear();
         self.heartbeats.clear();
         self.hb_seq = 0;
-        let mut raw = std::mem::take(&mut self.scratch_bytes);
-        raw.clear();
-        let lost_fabric = self.from_fabric.drain_into(&mut raw) as u64;
-        raw.clear();
-        self.scratch_bytes = raw;
-        let mut pkts = std::mem::take(&mut self.scratch_pkts);
-        pkts.clear();
-        let lost_sites = self.from_sites.drain_into(&mut pkts) as u64;
-        pkts.clear();
-        self.scratch_pkts = pkts;
-        self.term
-            .consumed
-            .fetch_add(parked + lost_fabric + lost_sites, Ordering::Relaxed);
+        self.from_fabric.drain_into(&mut self.scratch_bytes);
+        self.scratch_bytes.clear();
+        self.from_sites.drain_into(&mut self.scratch_pkts);
+        self.scratch_pkts.clear();
     }
 
     /// Rebuild the full packet a digest-only ref stands for and deliver
     /// it. Re-applies the entry-table bound check the screen performs on
     /// full shipments (the ref's table index is attacker-controllable
     /// even though the cached image is verified).
-    fn rehydrate(&mut self, code: WireCode, p: Packet) {
-        match p {
+    fn rehydrate(&mut self, code: WireCode, p: Packet, ticket: Ticket) {
+        let p = match p {
             Packet::ObjRef {
                 dest,
                 digest,
                 table,
                 captured,
-            } => {
-                if table as usize >= code.tables.len() {
-                    self.reject();
-                    return;
-                }
-                self.stats.cache.hits += 1;
-                self.deliver_local(Packet::Obj {
-                    dest,
-                    digest,
-                    obj: WireObj {
-                        code,
-                        table,
-                        captured,
-                    },
-                });
-            }
+            } if (table as usize) < code.tables.len() => Packet::Obj {
+                dest,
+                digest,
+                obj: WireObj {
+                    code,
+                    table,
+                    captured,
+                },
+            },
             Packet::FetchReplyRef {
                 to,
                 req,
@@ -799,27 +760,23 @@ impl Daemon {
                 table,
                 captured,
                 index,
-            } => {
-                if table as usize >= code.tables.len() {
-                    self.reject();
-                    return;
-                }
-                self.stats.cache.hits += 1;
-                self.deliver_local(Packet::FetchReply {
-                    to,
-                    req,
-                    digest,
-                    group: WireGroup {
-                        code,
-                        table,
-                        captured,
-                    },
-                    index,
-                });
-            }
-            // Only refs are ever parked or rehydrated.
-            other => self.deliver_local(other),
-        }
+            } if (table as usize) < code.tables.len() => Packet::FetchReply {
+                to,
+                req,
+                digest,
+                group: WireGroup {
+                    code,
+                    table,
+                    captured,
+                },
+                index,
+            },
+            // Only refs are ever parked or rehydrated, and a ref's table
+            // index must fit the image.
+            _ => return self.reject(ticket),
+        };
+        self.stats.cache.hits += 1;
+        self.deliver_local(p, ticket);
     }
 
     /// Hand each site its buffered backlog: one inbox lock and one
@@ -829,30 +786,23 @@ impl Daemon {
             if buf.is_empty() {
                 continue;
             }
-            let n = buf.len() as u64;
             match self.sites.get(site) {
-                Some(LocalSite { inbox, waker }) => match inbox.send_iter(buf.drain(..)) {
-                    // Delivery first, wake second: the scheduler's
-                    // readiness protocol relies on the inbox being
-                    // populated before `mark_ready` runs — and the wake
-                    // waits until the pumper has unlocked the daemon.
-                    Ok(_) => {
+                // Delivery first, wake second: the scheduler's readiness
+                // protocol relies on the inbox being populated before
+                // `mark_ready` runs — and the wake waits until the pumper
+                // has unlocked the daemon. A failed send means the site is
+                // gone (program exited): the batch is dropped, like the
+                // paper's freed sites.
+                Some(LocalSite { inbox, waker }) => {
+                    if inbox.send_iter(buf.drain(..)).is_ok() {
                         if let Some(w) = waker {
                             self.woken.push(w.clone());
                         }
                     }
-                    // The site is gone (program exited); drop, like the
-                    // paper's freed sites.
-                    Err(_) => {
-                        self.term.consumed.fetch_add(n, Ordering::Relaxed);
-                    }
-                },
-                None => {
-                    // Unknown site on this node: drop (can only happen
-                    // after a site was destroyed).
-                    buf.clear();
-                    self.term.consumed.fetch_add(n, Ordering::Relaxed);
                 }
+                // Unknown site on this node: drop (can only happen after
+                // a site was destroyed).
+                None => buf.clear(),
             }
         }
     }
@@ -875,7 +825,8 @@ impl Daemon {
             }
             ob.ends.clear();
             self.stats.remote_batches += 1;
-            self.fabric.send_batch(node, *to, &mut ob.ready);
+            let ticket = ob.ticket.take().expect("buffered packets hold a ticket");
+            self.fabric.send_batch(node, *to, &mut ob.ready, ticket);
         }
     }
 
@@ -889,11 +840,11 @@ impl Daemon {
                 node: self.node,
                 seq,
             };
-            self.term.injected.fetch_add(1, Ordering::Relaxed);
+            let t = self.mint();
             if ns_node == self.node {
-                self.deliver_local(p);
+                self.deliver_local(p, t);
             } else {
-                self.send_remote(ns_node, &p);
+                self.send_remote(ns_node, &p, t);
             }
         }
         // Heartbeats are emitted outside the pump loop (scheduler rounds);
@@ -901,11 +852,15 @@ impl Daemon {
         self.flush_remote();
     }
 
-    fn send_remote(&mut self, to: NodeId, p: &Packet) {
+    fn send_remote(&mut self, to: NodeId, p: &Packet, ticket: Ticket) {
         let ob = self.out_bufs.entry(to).or_default();
         let start = ob.buf.len();
         codec::encode_into(p, &mut ob.buf);
         ob.ends.push(ob.buf.len());
+        match &mut ob.ticket {
+            Some(held) => held.merge(ticket),
+            None => ob.ticket = Some(ticket),
+        }
         self.stats.remote_sends += 1;
         self.stats.bytes_out += (ob.buf.len() - start) as u64;
     }
@@ -914,7 +869,7 @@ impl Daemon {
     /// requests go to their key's shard — the owner, or its follower
     /// while the owner is suspected: one copy, replication covers the
     /// redundancy — unless a live lease answers the import right here.
-    pub fn route(&mut self, p: Packet) {
+    pub fn route(&mut self, p: Packet, ticket: Ticket) {
         let target: NodeId = match &p {
             Packet::Msg { dest, .. } | Packet::Obj { dest, .. } => dest.node,
             Packet::FetchReq { class, .. } => class.node,
@@ -927,8 +882,10 @@ impl Daemon {
                 site_lexeme, name, ..
             } => self.shard.route(site_lexeme, name).0,
             Packet::NsImport { site, name, .. } => {
-                if self.answer_from_lease(&p) {
-                    return;
+                if let Some(reply) = self.answer_from_lease(&p) {
+                    // The reply takes over the import's ticket: no wire
+                    // round trip.
+                    return self.deliver_local(reply, ticket);
                 }
                 let (target, _) = self.shard.route(site, name);
                 if target != self.node {
@@ -947,17 +904,17 @@ impl Daemon {
             }
         };
         if target == self.node {
-            self.deliver_local(p);
+            self.deliver_local(p, ticket);
         } else {
-            self.send_remote_coded(target, p);
+            self.send_remote_coded(target, p, ticket);
         }
     }
 
     /// Answer an import from this node's lease cache, re-running the kind
     /// and type-stamp checks against the cached stamp: zero wire traffic.
-    /// Returns whether the import was answered. With a lease TTL of 0 no
+    /// Returns the reply, if the cache answers. With a lease TTL of 0 no
     /// lease is ever granted and the cache is not consulted.
-    fn answer_from_lease(&mut self, p: &Packet) -> bool {
+    fn answer_from_lease(&mut self, p: &Packet) -> Option<Packet> {
         let Packet::NsImport {
             req,
             site,
@@ -967,14 +924,12 @@ impl Daemon {
             expect,
         } = p
         else {
-            return false;
+            return None;
         };
         if self.shard.lease_ns() == 0 {
-            return false;
+            return None;
         }
-        let Some((w, stamp, _epoch)) = self.name_cache.get(site, name, self.now_ns) else {
-            return false;
-        };
+        let (w, stamp, _epoch) = self.name_cache.get(site, name, self.now_ns)?;
         self.ns_local.imports += 1;
         let result = if !kind_ok(*kind, &w) {
             self.ns_local.kind_mismatch += 1;
@@ -986,40 +941,31 @@ impl Daemon {
             self.ns_local.resolved += 1;
             Ok(w)
         };
-        // The import dies here and its reply is synthesized locally: one
-        // injected for one consumed, so the Mattern balance holds with no
-        // wire round trip.
-        self.term.injected.fetch_add(1, Ordering::Relaxed);
-        self.deliver_local(Packet::NsImportReply {
+        Some(Packet::NsImportReply {
             to: *reply_to,
             req: *req,
             result,
-        });
-        self.term.consumed.fetch_add(1, Ordering::Relaxed);
-        true
+        })
     }
 
     /// Remote send with the code-mobility optimizations: repeat shipments
     /// of a cached image go out digest-only, and a fetch of a class
     /// already being fetched is folded into the in-flight request.
-    fn send_remote_coded(&mut self, target: NodeId, p: Packet) {
-        match p {
+    fn send_remote_coded(&mut self, target: NodeId, p: Packet, ticket: Ticket) {
+        let p = match p {
             Packet::Obj { dest, digest, obj } => {
                 self.insert_outbound(digest, &obj.code);
                 if self.store.was_shipped(&digest, target) {
                     self.count_dedup(digest);
-                    self.send_remote(
-                        target,
-                        &Packet::ObjRef {
-                            dest,
-                            digest,
-                            table: obj.table,
-                            captured: obj.captured,
-                        },
-                    );
+                    Packet::ObjRef {
+                        dest,
+                        digest,
+                        table: obj.table,
+                        captured: obj.captured,
+                    }
                 } else {
-                    self.send_remote(target, &Packet::Obj { dest, digest, obj });
                     self.store.mark_shipped(&digest, target);
+                    Packet::Obj { dest, digest, obj }
                 }
             }
             Packet::FetchReply {
@@ -1032,29 +978,23 @@ impl Daemon {
                 self.insert_outbound(digest, &group.code);
                 if self.store.was_shipped(&digest, target) {
                     self.count_dedup(digest);
-                    self.send_remote(
-                        target,
-                        &Packet::FetchReplyRef {
-                            to,
-                            req,
-                            digest,
-                            table: group.table,
-                            captured: group.captured,
-                            index,
-                        },
-                    );
+                    Packet::FetchReplyRef {
+                        to,
+                        req,
+                        digest,
+                        table: group.table,
+                        captured: group.captured,
+                        index,
+                    }
                 } else {
-                    self.send_remote(
-                        target,
-                        &Packet::FetchReply {
-                            to,
-                            req,
-                            digest,
-                            group,
-                            index,
-                        },
-                    );
                     self.store.mark_shipped(&digest, target);
+                    Packet::FetchReply {
+                        to,
+                        req,
+                        digest,
+                        group,
+                        index,
+                    }
                 }
             }
             Packet::FetchReq {
@@ -1063,26 +1003,23 @@ impl Daemon {
                 reply_to,
             } => {
                 if let Some(waiters) = self.inflight.get_mut(&class) {
-                    // Single-flight: this request dies here; its reply
-                    // will be synthesized from the leader's.
-                    waiters.push((reply_to, req));
+                    // Single-flight: this request stops here, holding its
+                    // ticket for the reply synthesized from the leader's.
+                    waiters.push((reply_to, req, ticket));
                     self.stats.cache.coalesced += 1;
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 self.inflight.insert(class, Vec::new());
                 self.inflight_leader.insert((reply_to, req), class);
-                self.send_remote(
-                    target,
-                    &Packet::FetchReq {
-                        class,
-                        req,
-                        reply_to,
-                    },
-                );
+                Packet::FetchReq {
+                    class,
+                    req,
+                    reply_to,
+                }
             }
-            other => self.send_remote(target, &other),
-        }
+            other => other,
+        };
+        self.send_remote(target, &p, ticket);
     }
 
     /// Make sure the store holds an image this node is about to ship or
@@ -1105,8 +1042,11 @@ impl Daemon {
     }
 
     /// Handle one name-service request at this node's hosted service —
-    /// the shard-owner side of a bind or lookup.
-    fn serve_ns_request(&mut self, p: Packet) {
+    /// the shard-owner side of a bind or lookup. The replies are minted
+    /// before the request's ticket drops at return: the opposite order
+    /// has a window where the counters look balanced while a reply is
+    /// still pending, which could falsely satisfy the detector.
+    fn serve_ns_request(&mut self, p: Packet, _ticket: Ticket) {
         match p {
             Packet::NsRegister {
                 from_site,
@@ -1125,15 +1065,10 @@ impl Daemon {
                     ns.set_repl_partner(partner);
                     let replies = ns.handle_register(from_site, &site_lexeme, &name, value, stamp);
                     for r in replies {
-                        self.term.injected.fetch_add(1, Ordering::Relaxed);
-                        self.route(r);
+                        let t = self.mint();
+                        self.route(r, t);
                     }
                 }
-                // Consume the request only after its replies are injected:
-                // the opposite order has a window where the counters look
-                // balanced while a reply is still pending, which could
-                // falsely satisfy the termination detector.
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
             Packet::NsImport {
                 req,
@@ -1147,11 +1082,10 @@ impl Daemon {
                 if let Some(ns) = &mut self.ns {
                     if let Some(reply) = ns.handle_import(req, &site, &name, kind, reply_to, expect)
                     {
-                        self.term.injected.fetch_add(1, Ordering::Relaxed);
-                        self.route(reply);
+                        let t = self.mint();
+                        self.route(reply, t);
                     }
                 }
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
             }
             other => unreachable!("not a name-service request: {other:?}"),
         }
@@ -1159,40 +1093,34 @@ impl Daemon {
 
     /// Deliver a packet whose destination is on this node (the
     /// shared-memory path) or handle it in the local name service.
-    fn deliver_local(&mut self, p: Packet) {
-        match p {
+    fn deliver_local(&mut self, p: Packet, ticket: Ticket) {
+        let (site, item) = match p {
             Packet::Msg { dest, label, args } => {
-                self.deliver_to_site(
-                    dest.site,
-                    RtIncoming::Vm(Incoming::Msg {
-                        dest: dest.heap_id,
-                        label,
-                        args,
-                    }),
-                );
+                let msg = Incoming::Msg {
+                    dest: dest.heap_id,
+                    label,
+                    args,
+                };
+                (dest.site, RtIncoming::Vm(msg))
             }
             Packet::Obj { dest, obj, .. } => {
-                self.deliver_to_site(
-                    dest.site,
-                    RtIncoming::Vm(Incoming::Obj {
-                        dest: dest.heap_id,
-                        obj,
-                    }),
-                );
+                let obj = Incoming::Obj {
+                    dest: dest.heap_id,
+                    obj,
+                };
+                (dest.site, RtIncoming::Vm(obj))
             }
             Packet::FetchReq {
                 class,
                 req,
                 reply_to,
             } => {
-                self.deliver_to_site(
-                    class.site,
-                    RtIncoming::Vm(Incoming::FetchReq {
-                        dest: class.heap_id,
-                        req,
-                        reply_to,
-                    }),
-                );
+                let fetch = Incoming::FetchReq {
+                    dest: class.heap_id,
+                    req,
+                    reply_to,
+                };
+                (class.site, RtIncoming::Vm(fetch))
             }
             Packet::FetchReply {
                 to,
@@ -1202,34 +1130,24 @@ impl Daemon {
                 ..
             } => {
                 // Single-flight fan-out: if this reply answers an
-                // in-flight leader fetch, synthesize a reply for every
-                // waiter coalesced behind it (each consumed one injected
-                // request when folded, so each synthesized reply counts
-                // as injected to keep the packet balance).
+                // in-flight leader fetch, every waiter coalesced behind it
+                // gets a copy, on its own request's ticket.
                 if let Some(class) = self.inflight_leader.remove(&(to, req)) {
-                    if let Some(waiters) = self.inflight.remove(&class) {
-                        self.term
-                            .injected
-                            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                        for (w_to, w_req) in waiters {
-                            self.deliver_to_site(
-                                w_to.site,
-                                RtIncoming::Vm(Incoming::FetchReply {
-                                    req: w_req,
-                                    group: group.clone(),
-                                    index,
-                                }),
-                            );
-                        }
+                    let waiters = self.inflight.remove(&class).unwrap_or_default();
+                    for (w_to, w_req, w_ticket) in waiters {
+                        let reply = Incoming::FetchReply {
+                            req: w_req,
+                            group: group.clone(),
+                            index,
+                        };
+                        self.deliver_to_site(w_to.site, RtIncoming::Vm(reply), w_ticket);
                     }
                 }
-                self.deliver_to_site(
-                    to.site,
-                    RtIncoming::Vm(Incoming::FetchReply { req, group, index }),
-                );
+                let reply = Incoming::FetchReply { req, group, index };
+                (to.site, RtIncoming::Vm(reply))
             }
             Packet::NsImportReply { to, req, result } => {
-                self.deliver_to_site(to.site, RtIncoming::ImportResolved { req, result });
+                (to.site, RtIncoming::ImportResolved { req, result })
             }
             Packet::Release {
                 to,
@@ -1237,24 +1155,23 @@ impl Daemon {
                 seq,
                 runs,
             } => {
-                self.deliver_to_site(
-                    to.site,
-                    RtIncoming::Vm(Incoming::Release {
-                        from_site,
-                        seq,
-                        runs,
-                    }),
-                );
+                let release = Incoming::Release {
+                    from_site,
+                    seq,
+                    runs,
+                };
+                (to.site, RtIncoming::Vm(release))
             }
             Packet::NsRegister { .. } | Packet::NsImport { .. } => {
                 if self.ns_service_ns > 0 {
                     // Modeled resolver cost: the request queues behind
                     // the shard's single server; `drain_ns_backlog`
                     // serves it once the clock passes its completion.
-                    self.ns_backlog.push_back((self.now_ns, p));
+                    self.ns_backlog.push_back((self.now_ns, p, ticket));
                 } else {
-                    self.serve_ns_request(p);
+                    self.serve_ns_request(p, ticket);
                 }
+                return;
             }
             Packet::NsLease {
                 to,
@@ -1266,18 +1183,12 @@ impl Daemon {
                 epoch,
             } => {
                 // A lease grant: cache the binding for the whole node,
-                // then resolve the waiting site's import. The packet is
-                // consumed when the site polls the resolution, exactly
-                // like a plain NsImportReply.
+                // then resolve the waiting site's import, exactly like a
+                // plain NsImportReply.
                 self.name_cache
                     .insert(&site, &name, value.clone(), stamp, epoch, self.now_ns);
-                self.deliver_to_site(
-                    to.site,
-                    RtIncoming::ImportResolved {
-                        req,
-                        result: Ok(value),
-                    },
-                );
+                let result = Ok(value);
+                (to.site, RtIncoming::ImportResolved { req, result })
             }
             Packet::NsInvalidate {
                 to: _,
@@ -1288,46 +1199,41 @@ impl Daemon {
                 self.name_cache.invalidate(&site, &name, epoch);
                 // Sites hold their own resolved-binding caches; tell each
                 // one to forget the key so its next import re-resolves.
-                // Every forwarded notice is a fresh injection, consumed
-                // when the site polls it — the balance holds even if the
-                // invalidation itself was chaos-dropped upstream.
+                // Every forwarded notice is minted, so the balance holds
+                // even if the invalidation itself was chaos-dropped
+                // upstream.
                 let locals: Vec<SiteId> = self.sites.keys().copied().collect();
-                self.term
-                    .injected
-                    .fetch_add(locals.len() as u64, Ordering::Relaxed);
                 for s in locals {
-                    self.deliver_to_site(
-                        s,
-                        RtIncoming::NsInvalidated {
-                            site: site.clone(),
-                            name: name.clone(),
-                        },
-                    );
+                    let notice = RtIncoming::NsInvalidated {
+                        site: site.clone(),
+                        name: name.clone(),
+                    };
+                    let t = self.mint();
+                    self.deliver_to_site(s, notice, t);
                 }
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
+                return;
             }
             Packet::Heartbeat { node, seq } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
                 let e = self.heartbeats.entry(node).or_insert(0);
                 *e = (*e).max(seq);
+                return;
             }
             // Replication needs the sender's id, so ingest applies it;
             // control frames are the transport's, and the cache protocol
             // is resolved at ingest too. Any reaching here is accepted and
             // ignored.
-            Packet::NsRepl { .. } => {
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
-            }
+            Packet::NsRepl { .. } => return,
             other => {
                 debug_assert_ne!(other.class(), Class::Data, "undelivered {other:?}");
-                self.term.consumed.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-        }
+        };
+        self.deliver_to_site(site, item, ticket);
     }
 
-    fn deliver_to_site(&mut self, site: SiteId, item: RtIncoming) {
+    fn deliver_to_site(&mut self, site: SiteId, item: RtIncoming, ticket: Ticket) {
         self.stats.local_deliveries += 1;
-        self.site_bufs.entry(site).or_default().push(item);
+        self.site_bufs.entry(site).or_default().push((item, ticket));
     }
 }
 

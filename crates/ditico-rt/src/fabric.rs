@@ -21,18 +21,21 @@
 //!
 //! Per-destination delivery state (inbox sender, dead flag, daemon waker)
 //! lives in a read-mostly routing table separate from the event-queue
-//! state. An Ideal-mode [`FabricHandle::send`] therefore takes a shared
-//! read lock plus one channel lock — it never serializes against other
-//! links or against the Virtual event heap. The destination's
-//! waker is cloned out of the table and kicked only after the read lock
-//! is dropped: in real-thread runs the kick *is* the destination daemon's
-//! pump, which sends through this table again. Senders can also
-//! batch: [`FabricHandle::send_batch`] moves a whole per-link backlog
-//! under a single routing lookup, one stats update and one inbox lock,
-//! preserving per-link FIFO order (the batch is drained in send order
-//! into a FIFO channel).
+//! state. An Ideal-mode [`FabricHandle::send_batch`] therefore takes a
+//! shared read lock plus one channel lock — it never serializes against
+//! other links or against the Virtual event heap — and moves a whole
+//! per-link backlog under that one routing lookup, one stats update and
+//! one inbox lock, preserving per-link FIFO order (the batch is drained
+//! in send order into a FIFO channel). The destination's waker is cloned
+//! out of the table and kicked only after the read lock is dropped: in
+//! real-thread runs the kick *is* the destination daemon's pump, which
+//! sends through this table again.
+//!
+//! Every packet rides with its [`Ticket`]: a packet the fabric drops — a
+//! dead endpoint, a chaos fate — is consumed by dropping it.
 
 use crate::chaos::{ChaosState, Fault};
+use crate::termination::Ticket;
 use crate::wake::Wake;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -153,13 +156,9 @@ pub enum FabricMode {
 pub struct FabricStats {
     pub packets: AtomicU64,
     pub bytes: AtomicU64,
-    /// Send operations (single sends + batch flushes) that hit the fabric.
-    pub sends: AtomicU64,
-    /// Batch flushes ([`FabricHandle::send_batch`]) among those sends.
+    /// Batches ([`FabricHandle::send_batch`]) that hit the fabric; mean
+    /// batch occupancy is `packets / batches`.
     pub batches: AtomicU64,
-    /// Packets carried by those batches; mean batch occupancy is
-    /// `batched_packets / batches`.
-    pub batched_packets: AtomicU64,
 }
 
 struct Event {
@@ -168,6 +167,7 @@ struct Event {
     from: NodeId,
     to: NodeId,
     payload: Bytes,
+    ticket: Ticket,
 }
 
 impl PartialEq for Event {
@@ -193,7 +193,7 @@ impl Ord for Event {
 struct Route {
     /// Inbound queue of the node's daemon (`None` for nodes that were
     /// killed before ever registering).
-    tx: Option<Sender<(NodeId, Bytes)>>,
+    tx: Option<Sender<(NodeId, Bytes, Ticket)>>,
     /// Dead nodes drop all traffic (failure injection).
     dead: bool,
     /// Kicked after a delivery into `tx`: the node's
@@ -221,7 +221,14 @@ impl Shared {
     /// Queue one payload on the (from, to) link, keeping per-link FIFO by
     /// forcing due times to be strictly monotone along the link.
     /// `extra_ns` is chaos-injected delay on top of the link model.
-    fn schedule(&mut self, from: NodeId, to: NodeId, payload: Bytes, extra_ns: u64) {
+    fn schedule(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        payload: Bytes,
+        extra_ns: u64,
+        ticket: Ticket,
+    ) {
         let now = self.now_ns;
         let profile = self
             .links
@@ -242,6 +249,7 @@ impl Shared {
             from,
             to,
             payload,
+            ticket,
         }));
     }
 
@@ -314,7 +322,7 @@ impl Fabric {
     }
 
     /// Register a node; returns its inbound packet queue.
-    pub fn register_node(&self, node: NodeId) -> Receiver<(NodeId, Bytes)> {
+    pub fn register_node(&self, node: NodeId) -> Receiver<(NodeId, Bytes, Ticket)> {
         let (tx, rx) = unbounded();
         let mut routes = self.routes.write();
         let route = routes.entry(node).or_insert(Route {
@@ -402,7 +410,7 @@ impl Fabric {
 
 /// Deliver a drained batch of due events through the routing table
 /// (called with no fabric lock held). Dead or unregistered destinations
-/// drop their packets. Returns the number delivered.
+/// drop their packets, tickets and all. Returns the number delivered.
 fn deliver(routes: &Routes, due: Vec<Event>) -> usize {
     if due.is_empty() {
         return 0;
@@ -413,19 +421,17 @@ fn deliver(routes: &Routes, due: Vec<Event>) -> usize {
     {
         let routes = routes.read();
         for e in due {
-            if let Some(r) = routes.get(&e.to) {
-                if r.dead {
-                    continue;
+            let Some(r) = routes.get(&e.to).filter(|r| !r.dead) else {
+                continue;
+            };
+            if let Some(w) = &r.waker {
+                if !kicks.iter().any(|(n, _)| *n == e.to) {
+                    kicks.push((e.to, w.clone()));
                 }
-                if let Some(tx) = &r.tx {
-                    let _ = tx.send((e.from, e.payload));
-                    delivered += 1;
-                }
-                if let Some(w) = &r.waker {
-                    if !kicks.iter().any(|(n, _)| *n == e.to) {
-                        kicks.push((e.to, w.clone()));
-                    }
-                }
+            }
+            if let Some(tx) = &r.tx {
+                let _ = tx.send((e.from, e.payload, e.ticket));
+                delivered += 1;
             }
         }
     }
@@ -443,104 +449,65 @@ impl FabricHandle {
         routes.get(&from).is_some_and(|r| r.dead) || routes.get(&to).is_some_and(|r| r.dead)
     }
 
-    /// Send a payload from one node to another, applying the link model
-    /// and, when a plan is installed, the chaos fault die.
-    pub fn send(&self, from: NodeId, to: NodeId, payload: Bytes) {
+    /// Send one encoded packet: a batch of one.
+    pub fn send(&self, from: NodeId, to: NodeId, payload: Bytes, ticket: Ticket) {
+        self.send_batch(from, to, &mut vec![payload], ticket);
+    }
+
+    /// Send a whole per-link backlog in one operation, draining `batch`
+    /// (its allocation is kept for reuse); `ticket` covers its packets.
+    /// Per-link FIFO order is preserved: packets enter the destination
+    /// inbox (Ideal) or the event heap (Virtual) in `batch` order, under
+    /// one lock.
+    pub fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, mut ticket: Ticket) {
         let chaos = if from == to {
             None // chaos models the network; a node cannot partition itself
         } else {
             self.chaos.read().clone()
         };
-        match chaos {
-            None => self.send_inner(from, to, payload, 0),
-            Some(ch) => self.send_chaos(&ch, from, to, payload),
-        }
-    }
-
-    /// One packet through the fault die. Drops vanish here (already
-    /// counted and termination-compensated by `packet_fate`); duplicates
-    /// are sent twice; delays ride the event heap with extra nanoseconds
-    /// (Ideal mode cannot hold packets, so `can_delay` is false there).
-    fn send_chaos(&self, ch: &ChaosState, from: NodeId, to: NodeId, payload: Bytes) {
-        match ch.packet_fate(from, to, 1, self.mode != FabricMode::Ideal) {
-            Fault::Drop => {}
-            Fault::Deliver => self.send_inner(from, to, payload, 0),
-            Fault::Duplicate => {
-                self.send_inner(from, to, payload.clone(), 0);
-                self.send_inner(from, to, payload, 0);
-            }
-            Fault::Delay(extra) => self.send_inner(from, to, payload, extra),
-        }
-    }
-
-    fn send_inner(&self, from: NodeId, to: NodeId, payload: Bytes, extra_ns: u64) {
-        // Dead-endpoint traffic is dropped BEFORE it is counted: the stats
-        // must reflect traffic the fabric carried, not what dead nodes
-        // attempted.
-        {
-            let routes = self.routes.read();
-            let from_dead = routes.get(&from).is_some_and(|r| r.dead);
-            let to_route = routes.get(&to);
-            if from_dead || to_route.is_some_and(|r| r.dead) {
-                return;
-            }
-            self.stats.packets.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            self.stats.sends.fetch_add(1, Ordering::Relaxed);
-            if self.mode == FabricMode::Ideal {
-                let mut kick = None;
-                if let Some(r) = to_route {
-                    if let Some(tx) = &r.tx {
-                        let _ = tx.send((from, payload));
+        // Extra latency per packet from chaos delays (empty: none).
+        let mut delays = Vec::new();
+        if let Some(ch) = chaos {
+            // Each packet rolls its fate, in batch order, and `batch` keeps
+            // the copies that go on: a dropped packet's ticket is
+            // discarded, a duplicate gets a minted one. Ideal mode cannot
+            // hold a packet back, so it never delays.
+            let can_delay = self.mode == FabricMode::Virtual;
+            let (mut kept, mut fated) = (ticket.split(0), Vec::new());
+            for p in batch.drain(..) {
+                let one = ticket.split(1);
+                let extra = match ch.packet_fate(from, to, 1, can_delay) {
+                    Fault::Drop => continue,
+                    Fault::Deliver => 0,
+                    Fault::Duplicate => {
+                        kept.merge(one.mint_copy());
+                        fated.push(p.clone());
+                        delays.push(0);
+                        0
                     }
-                    kick = r.waker.clone();
-                }
-                drop(routes);
-                if let Some(w) = kick {
-                    w.wake();
-                }
-                return;
+                    Fault::Delay(extra) => extra,
+                };
+                kept.merge(one);
+                fated.push(p);
+                delays.push(extra);
             }
+            batch.append(&mut fated);
+            ticket = kept;
         }
-        // Virtual: queue on the event heap (routes lock released first;
-        // the two locks are never held together).
-        self.shared.lock().schedule(from, to, payload, extra_ns);
-    }
-
-    /// Send a whole per-link backlog in one operation, draining `batch`
-    /// (its allocation is kept for reuse). Per-link FIFO order is
-    /// preserved: packets enter the destination inbox (Ideal) or the
-    /// event heap (Virtual) in `batch` order, under one lock.
-    pub fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>) {
-        if batch.is_empty() {
-            return;
-        }
-        if from != to {
-            // With chaos installed each packet needs its own fate, so the
-            // batch falls back to single sends (order still preserved —
-            // survivors enter the link in batch order). The chaos-free
-            // fast path below is untouched.
-            let chaos = self.chaos.read().clone();
-            if let Some(ch) = chaos {
-                for payload in batch.drain(..) {
-                    self.send_chaos(&ch, from, to, payload);
-                }
-                return;
-            }
-        }
-        if self.endpoint_dead(from, to) {
+        // Traffic to or from a dead endpoint is dropped before the stats
+        // count it: they reflect traffic the fabric carried, not what dead
+        // nodes attempted.
+        if batch.is_empty() || self.endpoint_dead(from, to) {
             batch.clear();
             return;
         }
         let n = batch.len() as u64;
+        debug_assert_eq!(ticket.count(), n, "one ticket share per packet");
         let total: u64 = batch.iter().map(|b| b.len() as u64).sum();
         self.stats.packets.fetch_add(n, Ordering::Relaxed);
         self.stats.bytes.fetch_add(total, Ordering::Relaxed);
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.batched_packets.fetch_add(n, Ordering::Relaxed);
+        let mut packets = batch.drain(..).map(|p| (p, ticket.split(1)));
         match self.mode {
             FabricMode::Ideal => {
                 let mut kick = None;
@@ -548,64 +515,69 @@ impl FabricHandle {
                     let routes = self.routes.read();
                     if let Some(r) = routes.get(&to) {
                         if let Some(tx) = &r.tx {
-                            let _ = tx.send_iter(batch.drain(..).map(|p| (from, p)));
+                            let _ = tx.send_iter(packets.by_ref().map(|(p, t)| (from, p, t)));
                         }
                         kick = r.waker.clone();
                     }
                 }
-                batch.clear();
+                drop(packets);
                 if let Some(w) = kick {
                     w.wake();
                 }
             }
             FabricMode::Virtual => {
+                // Routes lock released first; the two locks are never
+                // held together.
                 let mut s = self.shared.lock();
-                for payload in batch.drain(..) {
-                    s.schedule(from, to, payload, 0);
+                for (i, (p, t)) in packets.enumerate() {
+                    let extra = delays.get(i).copied().unwrap_or(0);
+                    s.schedule(from, to, p, extra, t);
                 }
             }
         }
     }
 }
 
-/// The sending interface a daemon needs from "the network": single sends
-/// plus the batched per-link flush discipline. [`FabricHandle`] implements
-/// it for the two in-process modes; the TCP transport's `NetHandle`
-/// implements it for multi-process runs by routing frames for remote
-/// nodes onto sockets. Extracting the trait keeps `Daemon` agnostic — the
-/// Ideal/Virtual paths are byte-for-byte what they were before
-/// distribution existed.
+/// The sending interface a daemon needs from "the network": the batched
+/// per-link flush discipline. [`FabricHandle`] implements it for the two
+/// in-process modes; the TCP transport's `NetHandle` implements it for
+/// multi-process runs by routing frames for remote nodes onto sockets.
+/// Extracting the trait keeps `Daemon` agnostic — the Ideal/Virtual
+/// paths are byte-for-byte what they were before distribution existed.
 pub trait PacketFabric: Send + Sync {
-    /// Send one encoded packet from `from` to `to`.
-    fn send(&self, from: NodeId, to: NodeId, payload: Bytes);
     /// Send a whole per-link backlog, draining `batch` (the allocation is
-    /// kept for reuse). Must preserve `batch` order on the link.
-    fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>);
+    /// kept for reuse); `ticket` covers its packets. Must preserve
+    /// `batch` order on the link.
+    fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, ticket: Ticket);
 }
 
 impl PacketFabric for FabricHandle {
-    fn send(&self, from: NodeId, to: NodeId, payload: Bytes) {
-        FabricHandle::send(self, from, to, payload);
-    }
-    fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>) {
-        FabricHandle::send_batch(self, from, to, batch);
+    fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, ticket: Ticket) {
+        FabricHandle::send_batch(self, from, to, batch, ticket);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::termination::TermCounters;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// A ticket for `k` packets, on counters of their own.
+    fn tickets(k: u64) -> Ticket {
+        Ticket::mint(TermCounters::leak(), k)
     }
 
     #[test]
     fn ideal_mode_delivers_immediately() {
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
-        f.handle().send(n(0), n(1), Bytes::from_static(b"hi"));
-        let (from, payload) = rx.try_recv().expect("delivered");
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"hi"), tickets(1));
+        let (from, payload, _) = rx.try_recv().expect("delivered");
         assert_eq!(from, n(0));
         assert_eq!(&payload[..], b"hi");
         assert_eq!(f.stats.packets.load(Ordering::Relaxed), 1);
@@ -619,8 +591,8 @@ mod tests {
         let rx1 = f.register_node(n(1));
         let rx2 = f.register_node(n(2));
         let h = f.handle();
-        h.send(n(0), n(2), Bytes::from_static(b"slow"));
-        h.send(n(0), n(1), Bytes::from_static(b"fast"));
+        h.send(n(0), n(2), Bytes::from_static(b"slow"), tickets(1));
+        h.send(n(0), n(1), Bytes::from_static(b"fast"), tickets(1));
         // Nothing delivered until the clock advances.
         assert!(rx1.try_recv().is_err());
         // Advance past Myrinet latency but before WAN latency.
@@ -637,7 +609,7 @@ mod tests {
         let f = Fabric::new(FabricMode::Virtual, LinkProfile::fast_ethernet());
         let rx = f.register_node(n(1));
         let h = f.handle();
-        h.send(n(0), n(1), Bytes::from(vec![0u8; 125_000])); // 10 ms at 100 Mb/s
+        h.send(n(0), n(1), Bytes::from(vec![0u8; 125_000]), tickets(1)); // 10 ms at 100 Mb/s
         assert!(
             f.next_event_ns().unwrap() > 9_000_000,
             "{:?}",
@@ -652,14 +624,23 @@ mod tests {
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.kill_node(n(1));
-        f.handle().send(n(0), n(1), Bytes::from_static(b"lost"));
+        let term = TermCounters::leak();
+        let h = f.handle();
+        h.send(
+            n(0),
+            n(1),
+            Bytes::from_static(b"lost"),
+            Ticket::mint(term, 1),
+        );
         let mut batch = vec![Bytes::from_static(b"also lost")];
-        f.handle().send_batch(n(0), n(1), &mut batch);
+        h.send_batch(n(0), n(1), &mut batch, Ticket::mint(term, 1));
         assert!(rx.try_recv().is_err());
-        // Dropped traffic is not counted (it was never carried).
+        // Dropped traffic is not counted (it was never carried), but it
+        // is consumed: nothing waits for it.
         assert_eq!(f.stats.packets.load(Ordering::Relaxed), 0);
         assert_eq!(f.stats.bytes.load(Ordering::Relaxed), 0);
         assert!(batch.is_empty(), "dropped batches are still drained");
+        assert_eq!((term.injected(), term.in_flight()), (2, 0));
     }
 
     #[test]
@@ -667,7 +648,8 @@ mod tests {
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.kill_node(n(0)); // n(0) never registered: killed by upsert
-        f.handle().send(n(0), n(1), Bytes::from_static(b"lost"));
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"lost"), tickets(1));
         assert!(rx.try_recv().is_err());
         assert_eq!(f.stats.packets.load(Ordering::Relaxed), 0);
     }
@@ -678,24 +660,21 @@ mod tests {
         let rx = f.register_node(n(1));
         let h = f.handle();
         let mut batch: Vec<Bytes> = (0u8..5).map(|i| Bytes::from(vec![i])).collect();
-        h.send_batch(n(0), n(1), &mut batch);
+        h.send_batch(n(0), n(1), &mut batch, tickets(5));
         assert!(batch.is_empty(), "batch is drained (allocation reusable)");
-        let got: Vec<u8> = rx.try_iter().map(|(_, b)| b[0]).collect();
+        let got: Vec<u8> = rx.try_iter().map(|(_, b, _)| b[0]).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(f.stats.packets.load(Ordering::Relaxed), 5);
         assert_eq!(f.stats.batches.load(Ordering::Relaxed), 1);
-        assert_eq!(f.stats.batched_packets.load(Ordering::Relaxed), 5);
-        assert_eq!(f.stats.sends.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn chaos_drops_and_duplicates_on_the_fabric() {
         use crate::chaos::{ChaosPlan, ChaosSpec, ChaosState};
-        use crate::daemon::TermCounters;
 
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
-        let term = Arc::new(TermCounters::default());
+        let term = TermCounters::leak();
         // Drop everything.
         let all_drop = ChaosSpec {
             seed: 1,
@@ -704,21 +683,23 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        f.set_chaos(Some(ChaosState::new(
-            ChaosPlan::new(all_drop),
-            term.clone(),
-        )));
+        f.set_chaos(Some(ChaosState::new(ChaosPlan::new(all_drop))));
         let h = f.handle();
-        h.send(n(0), n(1), Bytes::from_static(b"gone"));
+        h.send(
+            n(0),
+            n(1),
+            Bytes::from_static(b"gone"),
+            Ticket::mint(term, 1),
+        );
         let mut batch = vec![Bytes::from_static(b"also"), Bytes::from_static(b"gone")];
-        h.send_batch(n(0), n(1), &mut batch);
+        h.send_batch(n(0), n(1), &mut batch, Ticket::mint(term, 2));
         assert!(batch.is_empty());
         assert!(rx.try_recv().is_err());
         // Chaos drops, like dead-node drops, never reach the stats.
         assert_eq!(f.stats.packets.load(Ordering::Relaxed), 0);
-        assert_eq!(term.consumed.load(Ordering::Relaxed), 3);
+        assert_eq!(term.consumed(), 3);
 
-        // Duplicate everything.
+        // Duplicate everything: the copy is minted.
         let all_dup = ChaosSpec {
             seed: 1,
             drop_per_mille: 0,
@@ -726,30 +707,32 @@ mod tests {
             delay_per_mille: 0,
             delay_ns: 0,
         };
-        let term2 = Arc::new(TermCounters::default());
-        f.set_chaos(Some(ChaosState::new(
-            ChaosPlan::new(all_dup),
-            term2.clone(),
-        )));
-        h.send(n(0), n(1), Bytes::from_static(b"twice"));
+        let term2 = TermCounters::leak();
+        f.set_chaos(Some(ChaosState::new(ChaosPlan::new(all_dup))));
+        h.send(
+            n(0),
+            n(1),
+            Bytes::from_static(b"twice"),
+            Ticket::mint(term2, 1),
+        );
         let got: Vec<_> = rx.try_iter().collect();
         assert_eq!(got.len(), 2);
-        assert_eq!(term2.injected.load(Ordering::Relaxed), 1);
+        assert_eq!(term2.injected(), 2);
+        drop(got);
+        assert_eq!(term2.in_flight(), 0);
 
         // Clearing the plan restores the fast path.
         f.set_chaos(None);
-        h.send(n(0), n(1), Bytes::from_static(b"clean"));
+        h.send(n(0), n(1), Bytes::from_static(b"clean"), tickets(1));
         assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]
     fn chaos_partition_blocks_edges_until_heal() {
         use crate::chaos::{ChaosEvent, ChaosPlan, ChaosState};
-        use crate::daemon::TermCounters;
 
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
-        let term = Arc::new(TermCounters::default());
         let plan = ChaosPlan::default()
             .at(
                 0,
@@ -759,13 +742,15 @@ mod tests {
                 },
             )
             .at(100, ChaosEvent::Heal);
-        let state = ChaosState::new(plan, term);
+        let state = ChaosState::new(plan);
         f.set_chaos(Some(state.clone()));
         state.apply_due(0);
-        f.handle().send(n(0), n(1), Bytes::from_static(b"cut"));
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"cut"), tickets(1));
         assert!(rx.try_recv().is_err());
         state.apply_due(100);
-        f.handle().send(n(0), n(1), Bytes::from_static(b"healed"));
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"healed"), tickets(1));
         assert!(rx.try_recv().is_ok());
         assert_eq!(state.report().partition_drops, 1);
     }
@@ -775,10 +760,12 @@ mod tests {
         let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.kill_node(n(1));
-        f.handle().send(n(0), n(1), Bytes::from_static(b"lost"));
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"lost"), tickets(1));
         assert!(rx.try_recv().is_err());
         f.revive_node(n(1));
-        f.handle().send(n(0), n(1), Bytes::from_static(b"back"));
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"back"), tickets(1));
         assert!(rx.try_recv().is_ok(), "revived node receives again");
     }
 
@@ -822,7 +809,8 @@ mod tests {
         // saturate rather than panicking in debug builds.
         let f = Fabric::new(FabricMode::Virtual, zero);
         let _rx = f.register_node(n(1));
-        f.handle().send(n(0), n(1), Bytes::from_static(b"x"));
+        f.handle()
+            .send(n(0), n(1), Bytes::from_static(b"x"), tickets(1));
         assert_eq!(f.next_event_ns(), Some(u64::MAX));
     }
 

@@ -29,6 +29,7 @@
 //!   edge-triggered readiness;
 //! * [`termination`] — Mattern-style four-counter termination detection
 //!   (§7 future work), summed across processes by the transport's waves;
+//!   every packet carries the [`Ticket`] that counts it in and out;
 //! * [`failure`] — heartbeat failure detection feeding the shard map's
 //!   failover (§5/§7 future work);
 //! * [`transport`] — the real TCP transport: length-prefixed frames over
@@ -59,13 +60,13 @@ pub mod wake;
 pub use chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, ChaosState};
 pub use cluster::{Cluster, RunLimits, RunReport, WakeStats};
 pub use codecache::CodeCache;
-pub use daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats, TermCounters};
+pub use daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats};
 pub use fabric::{Fabric, FabricHandle, FabricMode, FabricStats, LinkProfile, PacketFabric};
 pub use failure::FailureMonitor;
 pub use namecache::{NameCache, NameCacheStats};
 pub use nameservice::{NameService, NsShardMap, NsStats};
 pub use sched::{SchedConfig, SchedStats};
 pub use site::{RtIncoming, RtPort, Site, SiteInterface, SliceOutcome};
-pub use termination::{Snapshot, TerminationDetector};
+pub use termination::{Snapshot, TermCounters, TerminationDetector, Ticket};
 pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig, TransportReport};
 pub use wake::{Notify, Wake};

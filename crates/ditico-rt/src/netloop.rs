@@ -640,7 +640,7 @@ impl NetLoop {
             let beacons = frames
                 .iter()
                 .filter(|(n, _)| !matches!(&chaos, Some(ch) if ch.hb_blocked(*n, &peer_nodes)))
-                .map(|(_, f)| (f.clone(), CONTROL_NODE, 1));
+                .map(|(_, f)| (f.clone(), CONTROL_NODE, None));
             self.inner.write_frames(&c.peer, beacons);
         }
         self.inner.wave_tick();
@@ -658,7 +658,7 @@ impl NetLoop {
         let _ = self.poller.deregister(c.sock.as_raw_fd());
         c.peer.token.store(0, Ordering::Release);
         c.peer.alive.store(false, Ordering::Release);
-        c.peer.w.lock().close(&self.inner);
+        c.peer.w.lock().close();
         // A dead accepted connection means the peer departed (it may
         // dial back in, which re-installs routes); a dead outbound one
         // gets redialed, so its nodes are merely suspect.
@@ -699,12 +699,12 @@ impl NetLoop {
                     let mut w = c.peer.w.lock();
                     let rest = std::mem::take(&mut w.wbufs);
                     let woff = w.woff;
-                    w.close(&self.inner);
+                    w.close();
                     drop(w);
                     let _ = c.sock.set_nonblocking(false);
                     let _ = c.sock.set_write_timeout(Some(Duration::from_millis(100)));
-                    for (i, (b, ..)) in rest.iter().enumerate() {
-                        let s = if i == 0 { &b[woff..] } else { &b[..] };
+                    for (i, q) in rest.into_iter().enumerate() {
+                        let s = if i == 0 { &q.0[woff..] } else { &q.0[..] };
                         if (&*c.sock).write_all(s).is_err() {
                             break;
                         }
@@ -712,6 +712,7 @@ impl NetLoop {
                             .stats
                             .bytes_out
                             .fetch_add(s.len() as u64, Ordering::Relaxed);
+                        self.inner.sent(q);
                     }
                     self.inner.drop_routes(&c.peer, c.peer.accepted);
                 }

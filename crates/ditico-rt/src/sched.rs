@@ -33,9 +33,9 @@
 //! effect is still pending. Pending effects are:
 //!
 //! 1. *A packet in flight* (site outgoing buffer, daemon queue, fabric, or
-//!    site inbox): counted `injected` at `RtPort::send` time and only
-//!    counted `consumed` when drained, so the counters are unbalanced —
-//!    the detector cannot fire, active or not.
+//!    site inbox): its ticket was minted at `RtPort::send` time and is
+//!    dropped only when the packet is drained, so the counters are
+//!    unbalanced — the detector cannot fire, active or not.
 //! 2. *A site mid-slice*: consuming a packet (`consumed` moves) and
 //!    reacting to it (`injected` moves) happen strictly inside a slice,
 //!    and a slice runs only in state `RUNNING` — the active count is

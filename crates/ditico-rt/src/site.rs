@@ -6,11 +6,10 @@
 //! node's TyCOd daemon) and by draining the incoming queue the daemon
 //! fills.
 
-use crate::daemon::TermCounters;
+use crate::termination::{TermCounters, Ticket};
 use crate::wake::Wake;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tyco_vm::codec::{Packet, TypeStamp};
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
@@ -52,15 +51,16 @@ pub struct SiteInterface {
 pub struct RtPort {
     identity: Identity,
     lexeme: String,
-    out: Sender<(SiteId, Packet)>,
-    inbox: Receiver<RtIncoming>,
+    out: Sender<(SiteId, Packet, Ticket)>,
+    inbox: Receiver<(RtIncoming, Ticket)>,
     /// Incoming batch buffer: `poll` refills it from the inbox with one
     /// queue lock per backlog instead of one per item.
-    pending_in: VecDeque<RtIncoming>,
-    /// Outgoing batch buffer: port operations append here; [`flush`]
-    /// pushes the whole backlog to the daemon under one queue lock, once
-    /// per pump slice. FIFO order is that of the port calls.
-    outgoing: Vec<Packet>,
+    pending_in: VecDeque<(RtIncoming, Ticket)>,
+    /// Outgoing batch buffer: port operations append here, each packet
+    /// with the ticket minted for it; [`flush`] pushes the whole backlog
+    /// to the daemon under one queue lock, once per pump slice. FIFO
+    /// order is that of the port calls.
+    outgoing: Vec<(Packet, Ticket)>,
     /// Kicked when a flush hands the daemon packets. In real-thread runs
     /// this is the daemon's [`crate::daemon::DaemonCell`], so the flushing
     /// worker routes and encodes its own sends before the slice returns;
@@ -72,7 +72,7 @@ pub struct RtPort {
     /// In-flight import requests: req → key.
     pending: HashMap<u64, (String, String, ImportKind)>,
     next_req: u64,
-    term: Arc<TermCounters>,
+    term: &'static TermCounters,
     /// Type stamps attached to outgoing registrations and lookups.
     interface: SiteInterface,
 }
@@ -81,10 +81,10 @@ impl RtPort {
     pub fn new(
         identity: Identity,
         lexeme: String,
-        out: Sender<(SiteId, Packet)>,
-        inbox: Receiver<RtIncoming>,
+        out: Sender<(SiteId, Packet, Ticket)>,
+        inbox: Receiver<(RtIncoming, Ticket)>,
         daemon_waker: Arc<dyn Wake>,
-        term: Arc<TermCounters>,
+        term: &'static TermCounters,
     ) -> RtPort {
         RtPort {
             identity,
@@ -115,29 +115,22 @@ impl RtPort {
     }
 
     fn send(&mut self, p: Packet) {
-        self.term.injected.fetch_add(1, Ordering::Relaxed);
-        self.outgoing.push(p);
+        self.outgoing.push((p, Ticket::mint(self.term, 1)));
     }
 
     /// Flush the outgoing batch to the daemon: one queue lock for the
     /// whole backlog, then one kick. Called at the end of every
-    /// [`Site::pump`] slice (and after import re-issue).
+    /// [`Site::pump`] slice (and after import re-issue). A failed send
+    /// means the daemon is gone (node shut down): the packets are
+    /// dropped, which is the behaviour of a dead node.
     pub fn flush(&mut self) {
         if self.outgoing.is_empty() {
             return;
         }
-        let n = self.outgoing.len() as u64;
         let site = self.identity.site;
-        match self
-            .out
-            .send_iter(self.outgoing.drain(..).map(|p| (site, p)))
-        {
-            Ok(_) => self.daemon_waker.wake(),
-            // A failed send means the daemon is gone (node shut down); the
-            // packets are dropped, which is the behaviour of a dead node.
-            Err(_) => {
-                self.term.consumed.fetch_add(n, Ordering::Relaxed);
-            }
+        let batch = self.outgoing.drain(..).map(|(p, t)| (site, p, t));
+        if self.out.send_iter(batch).is_ok() {
+            self.daemon_waker.wake();
         }
     }
 
@@ -178,19 +171,13 @@ impl RtPort {
         self.pending_in.len() + self.inbox.len()
     }
 
-    /// Drain and drop everything in the incoming queue, counting each item
-    /// as consumed. Used when the site can no longer react (runtime
-    /// error): like a dead node's sites, its traffic is absorbed so the
-    /// rest of the computation can still be detected as terminated.
-    pub fn drop_inbox(&mut self) -> usize {
-        let mut n = self.pending_in.len();
+    /// Drain and drop everything in the incoming queue, tickets and all.
+    /// Used when the site can no longer react (runtime error): like a
+    /// dead node's sites, its traffic is absorbed so the rest of the
+    /// computation can still be detected as terminated.
+    pub fn drop_inbox(&mut self) {
+        self.inbox.drain_into(&mut self.pending_in);
         self.pending_in.clear();
-        let mut scratch: VecDeque<RtIncoming> = VecDeque::new();
-        n += self.inbox.drain_into(&mut scratch);
-        if n > 0 {
-            self.term.consumed.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        n
     }
 }
 
@@ -281,13 +268,12 @@ impl NetPort for RtPort {
             if self.pending_in.is_empty() && self.inbox.drain_into(&mut self.pending_in) == 0 {
                 return None;
             }
-            match self.pending_in.pop_front()? {
-                RtIncoming::Vm(i) => {
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
-                    return Some(i);
-                }
+            let (item, ticket) = self.pending_in.pop_front()?;
+            // Handing the item over consumes it.
+            drop(ticket);
+            match item {
+                RtIncoming::Vm(i) => return Some(i),
                 RtIncoming::ImportResolved { req, result } => {
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     let key = self.pending.remove(&req);
                     return match result {
                         Ok(w) => {
@@ -303,7 +289,6 @@ impl NetPort for RtPort {
                     // Handled entirely inside the port: drop the resolved
                     // binding (both kinds — the notice doesn't say which)
                     // and keep polling for something the VM can act on.
-                    self.term.consumed.fetch_add(1, Ordering::Relaxed);
                     self.cache
                         .remove(&(site.clone(), name.clone(), ImportKind::Name));
                     self.cache
@@ -367,7 +352,7 @@ impl Site {
     /// the site without taking its lock again.
     ///
     /// An errored site behaves like a dead node's sites: its inbox is
-    /// drained and dropped (counted consumed) and it always retires, so
+    /// drained and dropped (consumed with its tickets) and it always retires, so
     /// messages to it cannot wedge the termination detector.
     pub fn pump_slice(&mut self, fuel: u64) -> SliceOutcome {
         if self.error.is_some() {

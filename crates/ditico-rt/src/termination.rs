@@ -4,15 +4,27 @@
 //!
 //! We implement Mattern's four-counter scheme adapted to the DiTyCO
 //! architecture. Every process keeps two packet counters
-//! ([`crate::daemon::TermCounters`]): `injected` (every packet a site or
-//! the name service puts into the system) and `consumed` (every packet
-//! drained by a site or handled by the name service, plus every packet a
-//! carrier lost on the way). The detector takes repeated snapshots of
+//! ([`TermCounters`]): `injected` (every packet a site, the name service
+//! or a daemon puts into the system) and `consumed` (every packet that
+//! left it). The detector takes repeated snapshots of
 //! `(injected, consumed, any_site_active)`: computation has terminated
 //! when two *consecutive* snapshots are equal, balanced
 //! (`injected == consumed`) and inactive — the first snapshot plays the
 //! role of Mattern's first wave, the second confirms that no message was
 //! in flight between the waves.
+//!
+//! ## One ticket per packet
+//!
+//! The counters are sound only if every packet is counted in once and
+//! out once, so only a [`Ticket`] writes them: [`Ticket::mint`] counts a
+//! packet injected where it is made, and dropping the ticket counts it
+//! consumed. The ticket travels with its packet through every queue and
+//! holding place and is dropped where the packet ends — when the site's
+//! [`RtPort`](crate::site::RtPort) polls it for the VM, when its handler
+//! returns, or wherever a carrier discards it — so no loss path can
+//! forget the count. A reply takes over its request's ticket; a handler
+//! that mints replies holds the request's ticket until it returns, so
+//! they are injected before the request is consumed.
 //!
 //! A remote send is injected in one process and consumed in another, so
 //! across processes the snapshot is a *sum*: a [`Wave`] adds the
@@ -21,15 +33,115 @@
 //! same rule with the same proof — each process's counters only grow, so
 //! two equal quiet sums mean no process sent, received or ran anything
 //! between the waves — and it assumes nothing a single process could not
-//! observe: each counts only what it sent and consumed. A member that has
-//! left for good (departed, or unreachable past its retry budget) is
-//! excluded: every process then leaves out the packets it exchanged with
-//! that node ([`Snapshot::take_excluding`]), because the excluded node's
-//! own counts left with it.
+//! observe: each counts only what it sent and consumed. A packet leaves
+//! its process once its frame is written to the socket
+//! ([`Ticket::forward`]) and is taken in, uncounted, by the process that
+//! reads it ([`Ticket::adopt`]). A member that has left for good
+//! (departed, or unreachable past its retry budget) is excluded: every
+//! process then leaves out the packets it exchanged with that node
+//! ([`Snapshot::take_excluding`]), because the excluded node's own counts
+//! left with it.
 
-use crate::daemon::TermCounters;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tyco_vm::word::NodeId;
+
+/// One process's packet-conservation counters. Only a [`Ticket`] moves
+/// them; everyone else reads.
+#[derive(Debug, Default)]
+pub struct TermCounters {
+    injected: AtomicU64,
+    consumed: AtomicU64,
+}
+
+impl TermCounters {
+    /// Fresh counters, kept for the life of the process: 16 bytes per
+    /// cluster or transport built. A ticket may outlive whatever minted it
+    /// (a queue dropped after its cluster), and a plain reference keeps
+    /// minting and dropping tickets — once per packet — free of reference
+    /// counting.
+    pub fn leak() -> &'static TermCounters {
+        Box::leak(Box::default())
+    }
+
+    /// Packets put into the system so far.
+    pub fn injected(&self) -> u64 {
+        self.injected.load(Ordering::SeqCst)
+    }
+
+    /// Packets that left the system so far.
+    pub fn consumed(&self) -> u64 {
+        self.consumed.load(Ordering::SeqCst)
+    }
+
+    /// Packets injected and not yet consumed: still held by a queue, a
+    /// carrier or a parking lot. Negative if more left than came in.
+    pub fn in_flight(&self) -> i64 {
+        let consumed = self.consumed();
+        self.injected().wrapping_sub(consumed) as i64
+    }
+}
+
+/// What one packet — or a buffer of [`count`](Ticket::count) packets
+/// travelling together — holds against its process's [`TermCounters`].
+/// Dropping the ticket counts its packets consumed.
+#[must_use = "dropping a ticket counts its packets consumed"]
+#[derive(Debug)]
+pub struct Ticket {
+    term: &'static TermCounters,
+    n: u64,
+}
+
+impl Ticket {
+    /// `n` packets made here: counted injected.
+    pub fn mint(term: &'static TermCounters, n: u64) -> Ticket {
+        term.injected.fetch_add(n, Ordering::SeqCst);
+        Ticket::adopt(term, n)
+    }
+
+    /// `n` packets read off a socket: the sending process counted them
+    /// injected, so they are held here, and consumed here, uncounted in.
+    pub fn adopt(term: &'static TermCounters, n: u64) -> Ticket {
+        Ticket { term, n }
+    }
+
+    /// A ticket for a copy of these packets (a chaos duplicate): minted.
+    pub fn mint_copy(&self) -> Ticket {
+        Ticket::mint(self.term, self.n)
+    }
+
+    /// How many packets the ticket covers.
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// Move `k` of the packets onto a ticket of their own.
+    pub fn split(&mut self, k: u64) -> Ticket {
+        assert!(k <= self.n, "split {k} of {}", self.n);
+        self.n -= k;
+        Ticket::adopt(self.term, k)
+    }
+
+    /// Move `other`'s packets onto this ticket.
+    pub fn merge(&mut self, other: Ticket) {
+        debug_assert!(std::ptr::eq(self.term, other.term), "two processes");
+        self.n += other.forward();
+    }
+
+    /// The packets left this process unconsumed: their frame is on the
+    /// socket, and the receiving process consumes them. Returns how many
+    /// they were.
+    pub fn forward(mut self) -> u64 {
+        std::mem::take(&mut self.n)
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if self.n > 0 {
+            self.term.consumed.fetch_add(self.n, Ordering::SeqCst);
+        }
+    }
+}
 
 /// One snapshot of activity: one process's, or a wave's sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,9 +171,9 @@ impl Snapshot {
         // exchange counts sit between the two for the same reason: a
         // packet is tallied as received before it is consumed, and
         // injected before it is tallied as sent.
-        let consumed = counters.consumed.load(Ordering::SeqCst);
+        let consumed = counters.consumed();
         let (sent, received) = exchanged();
-        let injected = counters.injected.load(Ordering::SeqCst);
+        let injected = counters.injected();
         Snapshot {
             injected: injected.wrapping_sub(sent),
             consumed: consumed.wrapping_sub(received),
@@ -215,14 +327,33 @@ mod tests {
 
     #[test]
     fn snapshot_take_reads_counters() {
-        let c = TermCounters::default();
-        c.injected.fetch_add(3, Ordering::SeqCst);
-        c.consumed.fetch_add(3, Ordering::SeqCst);
-        let s = Snapshot::take(&c, false);
-        assert!(s.quiet());
-        c.injected.fetch_add(1, Ordering::SeqCst);
-        let s = Snapshot::take(&c, false);
-        assert!(!s.quiet());
+        let c = TermCounters::leak();
+        drop(Ticket::mint(c, 3));
+        assert!(Snapshot::take(c, false).quiet());
+        let held = Ticket::mint(c, 1);
+        assert!(!Snapshot::take(c, false).quiet());
+        drop(held);
+        assert!(Snapshot::take(c, false).quiet());
+    }
+
+    #[test]
+    fn a_ticket_counts_its_packets_once_however_it_is_split_or_merged() {
+        let c = TermCounters::leak();
+        let mut batch = Ticket::mint(c, 5);
+        let one = batch.split(1);
+        let mut rest = Ticket::mint(c, 2);
+        rest.merge(batch);
+        assert_eq!((c.injected(), c.consumed(), rest.count()), (7, 0, 6));
+        drop(one);
+        assert_eq!(c.in_flight(), 6);
+        // A copy is minted; forwarded packets leave uncounted, and the
+        // process that reads them adopts and consumes them.
+        let copy = rest.mint_copy();
+        assert_eq!(rest.forward(), 6);
+        drop(copy);
+        assert_eq!((c.injected(), c.consumed(), c.in_flight()), (13, 7, 6));
+        drop(Ticket::adopt(c, 6));
+        assert_eq!(c.in_flight(), 0);
     }
 
     /// Two waves with the same reports, fed to a fresh detector.
@@ -268,42 +399,44 @@ mod tests {
         // P sent departed X 4 packets and got 1 back, Q sent X 1 and got
         // 2, and P sent Q 5. X's own counts left with it, so the raw sum
         // is off; each survivor leaving out its exchange with X balances.
-        let (p, q) = (TermCounters::default(), TermCounters::default());
-        p.injected.fetch_add(4 + 5, Ordering::SeqCst);
-        p.consumed.fetch_add(1, Ordering::SeqCst);
-        q.injected.fetch_add(1, Ordering::SeqCst);
-        q.consumed.fetch_add(2 + 5, Ordering::SeqCst);
-        let raw = Snapshot::take(&p, false).plus(Snapshot::take(&q, false));
+        let (p, q) = (TermCounters::leak(), TermCounters::leak());
+        Ticket::mint(p, 4 + 5).forward();
+        drop(Ticket::adopt(p, 1));
+        Ticket::mint(q, 1).forward();
+        drop(Ticket::adopt(q, 2 + 5));
+        let raw = Snapshot::take(p, false).plus(Snapshot::take(q, false));
         assert!(!raw.quiet(), "{raw:?}");
-        let own = Snapshot::take_excluding(&p, false, || (4, 1));
-        let part = Snapshot::take_excluding(&q, false, || (1, 2));
+        let own = Snapshot::take_excluding(p, false, || (4, 1));
+        let part = Snapshot::take_excluding(q, false, || (1, 2));
         assert!(two_waves(own, &[NodeId(1)], &[(&[NodeId(1)], part)]));
     }
 
     #[test]
     fn chaos_drops_and_duplicates_keep_the_sum_balanced() {
         use crate::chaos::{ChaosPlan, ChaosSpec, ChaosState, Fault};
-        use std::sync::Arc;
-        // P's wire chaos compensates P's counters; Q consumes each copy
-        // that arrives.
-        let (p, q) = (Arc::new(TermCounters::default()), TermCounters::default());
+        // P's carrier obeys each fate with the packet's ticket — a drop
+        // discards it, a duplicate mints one for the copy — and Q adopts
+        // and consumes every copy that arrives.
+        let (p, q) = (TermCounters::leak(), TermCounters::leak());
         let mut spec = ChaosSpec::quiet(7);
         (spec.drop_per_mille, spec.dup_per_mille) = (300, 300);
-        let chaos = ChaosState::new(ChaosPlan::new(spec), p.clone());
+        let chaos = ChaosState::new(ChaosPlan::new(spec));
         for _ in 0..200 {
-            p.injected.fetch_add(1, Ordering::SeqCst);
-            let copies = match chaos.packet_fate(NodeId(0), NodeId(1), 1, false) {
-                Fault::Drop => 0,
-                Fault::Duplicate => 2,
-                Fault::Deliver | Fault::Delay(_) => 1,
+            let t = Ticket::mint(p, 1);
+            let sent = match chaos.packet_fate(NodeId(0), NodeId(1), 1, false) {
+                Fault::Drop => vec![],
+                Fault::Duplicate => vec![t.mint_copy(), t],
+                Fault::Deliver | Fault::Delay(_) => vec![t],
             };
-            q.consumed.fetch_add(copies, Ordering::SeqCst);
+            for t in sent {
+                drop(Ticket::adopt(q, t.forward()));
+            }
         }
         let r = chaos.report();
         assert!(r.dropped > 0 && r.duplicated > 0, "{r:?}");
-        let part = Snapshot::take(&q, false);
+        let part = Snapshot::take(q, false);
         assert!(two_waves(
-            Snapshot::take(&p, false),
+            Snapshot::take(p, false),
             &[NodeId(1)],
             &[(&[NodeId(1)], part)]
         ));

@@ -69,10 +69,11 @@
 //! initiator feeds the sum to the [`TerminationDetector`]
 //! ([`crate::termination`]). Two equal quiet sums are the verdict, which
 //! goes to every peer as a [`Packet::TermVerdict`]. All three are
-//! [`Class::Control`] frames, consumed here and never counted. Every
-//! packet the transport loses — a full or closed backlog, a node gone for
-//! good, an overflowing stash, a misrouted frame — is consumed where it
-//! is lost, so the sums still balance.
+//! [`Class::Control`] frames, handled here and never counted. A data
+//! frame's [`Ticket`] rides in the backlog, the stash and the chaos delay
+//! list, so a frame the transport loses is consumed by being dropped; a
+//! frame written to its socket is forwarded, and tallied as sent to its
+//! node.
 //!
 //! ## Trust boundary
 //!
@@ -92,10 +93,9 @@
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use crate::chaos::{ChaosState, Fault};
-use crate::daemon::TermCounters;
 use crate::fabric::{FabricHandle, PacketFabric};
 use crate::failure::FailureMonitor;
-use crate::termination::{Snapshot, TerminationDetector, Wave};
+use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket, Wave};
 use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
@@ -251,9 +251,14 @@ pub(crate) struct Stats {
 const MAX_IOV: usize = 64;
 
 /// One buffer waiting in a connection's backlog: the bytes, the node its
-/// data packets are bound for ([`CONTROL_NODE`] for a control frame,
-/// which carries none) and how many frames it coalesces.
-type Queued = (Bytes, NodeId, u64);
+/// data packets are bound for, and the ticket of the frames it coalesces
+/// (a control frame goes to [`CONTROL_NODE`] and carries no ticket).
+type Queued = (Bytes, NodeId, Option<Ticket>);
+
+/// How many frames a queued buffer coalesces.
+fn frames((_, _, ticket): &Queued) -> u64 {
+    ticket.as_ref().map_or(1, Ticket::count)
+}
 
 /// The write half of one connection: the socket and the frames not yet
 /// on it, behind one lock. Whoever appends a frame also writes it, from
@@ -278,11 +283,9 @@ impl WriteHalf {
     }
 
     /// Close the half; the data packets of an unsent backlog are lost.
-    fn close(&mut self, inner: &Inner) {
+    fn close(&mut self) {
         self.sock = None;
-        for (_, to, n) in self.wbufs.drain(..) {
-            inner.lost(to, n);
-        }
+        self.wbufs.clear();
         self.woff = 0;
     }
 
@@ -312,7 +315,7 @@ impl WriteHalf {
                         let front_left = self.wbufs[0].0.len() - self.woff;
                         if n >= front_left {
                             n -= front_left;
-                            self.wbufs.pop_front();
+                            inner.sent(self.wbufs.pop_front().expect("front"));
                             self.woff = 0;
                         } else {
                             self.woff += n;
@@ -330,7 +333,7 @@ impl WriteHalf {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Ok(_) | Err(_) => {
-                    self.close(inner);
+                    self.close();
                     return true;
                 }
             }
@@ -358,7 +361,7 @@ impl PeerConn {
         Arc::new(PeerConn {
             w: Mutex::new(WriteHalf {
                 sock: Some(sock),
-                wbufs: VecDeque::from([(hello, CONTROL_NODE, 1)]),
+                wbufs: VecDeque::from([(hello, CONTROL_NODE, None)]),
                 woff: 0,
                 stalled: false,
             }),
@@ -400,8 +403,7 @@ struct Inner {
     routes: RwLock<HashMap<NodeId, Arc<PeerConn>>>,
     /// Frames addressed to remote nodes we have no route to yet, flushed
     /// when a handshake maps them. Bounded; overflow counts as dropped.
-    /// Each entry keeps the packet count its buffer coalesces.
-    unrouted: Mutex<Vec<(NodeId, Bytes, u64)>>,
+    unrouted: Mutex<Vec<(NodeId, Bytes, Ticket)>>,
     monitor: Mutex<FailureMonitor>,
     /// Remote nodes learned from handshakes.
     known_remote: Mutex<HashSet<NodeId>>,
@@ -415,12 +417,11 @@ struct Inner {
     /// number, and the failure monitor's round (see [`Inner::round`]).
     hb_seq: AtomicU64,
     stop: AtomicBool,
-    /// This process's Mattern counters: a packet the transport loses is
-    /// consumed here, so the waves' sums stay balanced.
-    term: Arc<TermCounters>,
-    /// Remote node → data packets sent to it and received from it,
-    /// counted with `data_out` / `data_in`; a wave that excludes the
-    /// node subtracts them.
+    /// This process's Mattern counters, which admitted inbound frames are
+    /// adopted against.
+    term: &'static TermCounters,
+    /// Remote node → data packets written to it and admitted from it; a
+    /// wave that excludes the node subtracts them.
     exchanged: Mutex<HashMap<NodeId, (u64, u64)>>,
     /// The termination waves this process runs, once
     /// [`Transport::attach`] has joined it to them.
@@ -444,7 +445,7 @@ struct Inner {
     chaos: RwLock<Option<Arc<ChaosState>>>,
     /// Chaos-delayed frames waiting out their extra latency; flushed by
     /// the heartbeat tick, so delay resolution is one `hb_period`.
-    delayed: Mutex<Vec<(Instant, NodeId, Bytes, u64)>>,
+    delayed: Mutex<Vec<(Instant, NodeId, Bytes, Ticket)>>,
 }
 
 impl Inner {
@@ -494,11 +495,12 @@ impl Inner {
         }
     }
 
-    /// Count `n` data packets sent to remote node `to`.
-    fn tally_out(&self, to: NodeId, n: u64) {
-        let mut x = self.exchanged.lock();
-        let e = x.entry(to).or_default();
-        e.0 = e.0.wrapping_add(n);
+    /// A buffer is on the socket: its data packets leave this process
+    /// unconsumed and count as sent to the node they are bound for.
+    fn sent(&self, (_, to, ticket): Queued) {
+        if let Some(t) = ticket {
+            self.exchanged.lock().entry(to).or_default().0 += t.forward();
+        }
     }
 
     /// Count `n` data packets admitted from remote node `from`, before
@@ -507,42 +509,29 @@ impl Inner {
         self.exchanged.lock().entry(from).or_default().1 += n;
     }
 
-    /// `n` data packets bound for `to` were lost here, before they left:
-    /// they no longer count as sent to it, and their sender counted them
-    /// injected, so they are consumed — the compensation chaos drops make.
-    /// A [`CONTROL_NODE`] frame carries no counted packet.
-    fn lost(&self, to: NodeId, n: u64) {
-        if to == CONTROL_NODE {
-            return;
-        }
-        self.tally_out(to, n.wrapping_neg());
-        self.term.consumed.fetch_add(n, Ordering::SeqCst);
-    }
-
     /// Data packets this process sent to and received from `nodes`.
     fn exchanged_with(&self, nodes: &[NodeId]) -> (u64, u64) {
         let x = self.exchanged.lock();
         nodes
             .iter()
             .filter_map(|n| x.get(n))
-            .fold((0, 0), |(s, r), (o, i)| (s.wrapping_add(*o), r + i))
+            .fold((0, 0), |(s, r), (o, i)| (s + o, r + i))
     }
 
-    /// Append `frames` — each with the node its data packets are bound
-    /// for and the frame count it coalesces — to `conn`'s backlog and
-    /// write them from this thread. Frames beyond `outbound_cap`, or for
-    /// a closed connection, are dropped, counted and compensated. The
-    /// event loop hears of it only when the socket pushes back or fails;
-    /// behind a stalled backlog this only appends.
-    fn write_frames(&self, conn: &Arc<PeerConn>, frames: impl IntoIterator<Item = Queued>) {
+    /// Append `queued` to `conn`'s backlog and write it from this
+    /// thread. Frames beyond `outbound_cap`, or for a closed connection,
+    /// are dropped and counted. The event loop hears of it only when the
+    /// socket pushes back or fails; behind a stalled backlog this only
+    /// appends.
+    fn write_frames(&self, conn: &Arc<PeerConn>, queued: impl IntoIterator<Item = Queued>) {
         let mut w = conn.w.lock();
-        for (frame, to, nframes) in frames {
+        for q in queued {
+            let nframes = frames(&q);
             if w.closed() || w.wbufs.len() >= self.cfg.outbound_cap {
                 self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
-                self.lost(to, nframes);
                 continue;
             }
-            w.wbufs.push_back((frame, to, nframes));
+            w.wbufs.push_back(q);
             self.stats.frames_out.fetch_add(nframes, Ordering::Relaxed);
             self.stats
                 .outq_hwm
@@ -558,33 +547,30 @@ impl Inner {
 
     /// Write one control packet to `conn`.
     fn send_control(&self, conn: &Arc<PeerConn>, p: &Packet) {
-        self.write_frames(conn, [(self.control_frame(p), CONTROL_NODE, 1)]);
+        self.write_frames(conn, [(self.control_frame(p), CONTROL_NODE, None)]);
     }
 
     /// Queue one already-framed buffer for `to`, running it through the
-    /// chaos hook first (when installed). `nframes` is the packet count
-    /// the buffer coalesces — fault bookkeeping and termination-counter
-    /// compensation must scale by it, or a dropped batch of k packets
-    /// would unbalance Mattern's counters by k−1. (The chaos state
-    /// compensates the counters itself; the tally of packets sent to `to`
-    /// follows the copies that really go.)
-    fn queue_frame(&self, from: NodeId, to: NodeId, frame: Bytes, nframes: u64) {
+    /// chaos hook first (when installed). `ticket` covers every packet
+    /// the buffer coalesces, so one fate applies to them all: a drop
+    /// discards the ticket, a duplicate mints one for the copy.
+    fn queue_frame(&self, from: NodeId, to: NodeId, frame: Bytes, ticket: Ticket) {
         let chaos = self.chaos.read().clone();
-        match chaos {
-            None => self.queue_frame_raw(to, frame, nframes),
-            Some(ch) => match ch.packet_fate(from, to, nframes, true) {
-                Fault::Drop => self.tally_out(to, nframes.wrapping_neg()),
-                Fault::Deliver => self.queue_frame_raw(to, frame, nframes),
-                Fault::Duplicate => {
-                    self.tally_out(to, nframes);
-                    self.queue_frame_raw(to, frame.clone(), nframes);
-                    self.queue_frame_raw(to, frame, nframes);
-                }
-                Fault::Delay(extra_ns) => {
-                    let due = Instant::now() + Duration::from_nanos(extra_ns);
-                    self.delayed.lock().push((due, to, frame, nframes));
-                }
-            },
+        let Some(ch) = chaos else {
+            return self.queue_frame_raw(to, frame, ticket);
+        };
+        match ch.packet_fate(from, to, ticket.count(), true) {
+            Fault::Drop => {}
+            Fault::Deliver => self.queue_frame_raw(to, frame, ticket),
+            Fault::Duplicate => {
+                let copy = ticket.mint_copy();
+                self.queue_frame_raw(to, frame.clone(), ticket);
+                self.queue_frame_raw(to, frame, copy);
+            }
+            Fault::Delay(extra_ns) => {
+                let due = Instant::now() + Duration::from_nanos(extra_ns);
+                self.delayed.lock().push((due, to, frame, ticket));
+            }
         }
     }
 
@@ -592,7 +578,7 @@ impl Inner {
     /// Driven from the event loop's heartbeat tick.
     fn flush_due_delayed(&self) {
         let now = Instant::now();
-        let due: Vec<(Instant, NodeId, Bytes, u64)> = {
+        let due: Vec<(Instant, NodeId, Bytes, Ticket)> = {
             let mut d = self.delayed.lock();
             if d.is_empty() {
                 return;
@@ -601,8 +587,8 @@ impl Inner {
             *d = keep;
             due
         };
-        for (_, to, frame, nframes) in due {
-            self.queue_frame_raw(to, frame, nframes);
+        for (_, to, frame, ticket) in due {
+            self.queue_frame_raw(to, frame, ticket);
         }
     }
 
@@ -615,38 +601,39 @@ impl Inner {
     /// Queue one already-framed buffer for `to`, stashing it when no
     /// route exists yet. The route is re-checked under the stash lock,
     /// which [`Inner::install_routes`] holds across its insert and drain.
-    fn queue_frame_raw(&self, to: NodeId, frame: Bytes, nframes: u64) {
+    fn queue_frame_raw(&self, to: NodeId, frame: Bytes, ticket: Ticket) {
         let conn = match self.live_route(to) {
             Some(c) => c,
             None => {
                 let mut stash = self.unrouted.lock();
                 match self.live_route(to) {
                     Some(c) => c,
-                    None => return self.stash(&mut stash, to, frame, nframes),
+                    None => return self.stash(&mut stash, to, frame, ticket),
                 }
             }
         };
-        self.write_frames(&conn, [(frame, to, nframes)]);
+        self.write_frames(&conn, [(frame, to, Some(ticket))]);
     }
 
     /// Park a frame for `to` until a handshake routes it, unless the node
-    /// is gone for good or the stash is full: then it is dropped and lost.
-    fn stash(&self, stash: &mut Vec<(NodeId, Bytes, u64)>, to: NodeId, frame: Bytes, n: u64) {
+    /// is gone for good or the stash is full: then it is dropped.
+    fn stash(&self, stash: &mut Vec<(NodeId, Bytes, Ticket)>, to: NodeId, frame: Bytes, t: Ticket) {
         let gone = self.perma_down.lock().contains(&to) || self.departed.lock().contains(&to);
         if !gone && stash.len() < 10_000 {
-            stash.push((to, frame, n));
+            stash.push((to, frame, t));
             return;
         }
-        self.stats.dropped.fetch_add(n, Ordering::Relaxed);
+        self.stats.dropped.fetch_add(t.count(), Ordering::Relaxed);
         if gone {
-            self.stats.dropped_perma.fetch_add(n, Ordering::Relaxed);
+            self.stats
+                .dropped_perma
+                .fetch_add(t.count(), Ordering::Relaxed);
         }
-        self.lost(to, n);
     }
 
-    /// Count as lost any frame still stashed for a node that has a live
-    /// route: its handshake drained the stash without it, so nothing ever
-    /// will. The stash discipline makes this impossible.
+    /// Drop any frame still stashed for a node that has a live route: its
+    /// handshake drained the stash without it, so nothing ever will. The
+    /// stash discipline makes this impossible.
     fn lose_stranded(&self) {
         let mut stash = self.unrouted.lock();
         let (stranded, keep): (Vec<_>, Vec<_>) = stash
@@ -655,10 +642,6 @@ impl Inner {
         *stash = keep;
         drop(stash);
         debug_assert!(stranded.is_empty(), "{} frame(s) stranded", stranded.len());
-        for (to, _, n) in stranded {
-            self.stats.dropped.fetch_add(n, Ordering::Relaxed);
-            self.lost(to, n);
-        }
     }
 
     /// Install the routes a handshake announced and flush any frames that
@@ -694,7 +677,10 @@ impl Inner {
             stash.drain(..).partition(|(to, ..)| nodes.contains(to));
         *stash = keep;
         drop(stash);
-        self.write_frames(conn, flush.into_iter().map(|(to, frame, n)| (frame, to, n)));
+        self.write_frames(
+            conn,
+            flush.into_iter().map(|(to, frame, t)| (frame, to, Some(t))),
+        );
         self.notify_activity();
     }
 
@@ -780,7 +766,7 @@ impl Inner {
     /// exchanged with `excluded`.
     fn snapshot(&self, excluded: &[NodeId], active: bool) -> Snapshot {
         self.stats.detector_probes.fetch_add(1, Ordering::Relaxed);
-        Snapshot::take_excluding(&self.term, active, || self.exchanged_with(excluded))
+        Snapshot::take_excluding(self.term, active, || self.exchanged_with(excluded))
     }
 
     /// The heartbeat tick's turn at the waves: start one, unless one has
@@ -939,37 +925,25 @@ pub struct NetHandle {
 }
 
 impl PacketFabric for NetHandle {
-    fn send(&self, from: NodeId, to: NodeId, payload: Bytes) {
-        if self.inner.local.contains(&to) {
-            self.inner.local_fabric.send(from, to, payload);
-            return;
-        }
-        self.inner.stats.data_out.fetch_add(1, Ordering::Relaxed);
-        self.inner.tally_out(to, 1);
-        let frame = codec::encode_frame(from, to, &payload);
-        self.inner.queue_frame(from, to, frame, 1);
-    }
-
-    fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>) {
+    fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, ticket: Ticket) {
         if batch.is_empty() {
             return;
         }
         if self.inner.local.contains(&to) {
-            self.inner.local_fabric.send_batch(from, to, batch);
+            self.inner.local_fabric.send_batch(from, to, batch, ticket);
             return;
         }
         // Keep the fabric's batching discipline on the wire: the whole
-        // per-link backlog becomes one coalesced buffer, one queue slot,
-        // one write — FIFO order preserved.
+        // per-link backlog becomes one coalesced buffer under one ticket,
+        // one queue slot, one write — FIFO order preserved.
         let n = batch.len() as u64;
         self.inner.stats.data_out.fetch_add(n, Ordering::Relaxed);
-        self.inner.tally_out(to, n);
         let total: usize = batch.iter().map(|b| b.len() + 12).sum();
         let mut buf = BytesMut::with_capacity(total);
         for p in batch.drain(..) {
             codec::encode_frame_into(from, to, &p, &mut buf);
         }
-        self.inner.queue_frame(from, to, buf.freeze(), n);
+        self.inner.queue_frame(from, to, buf.freeze(), ticket);
     }
 }
 
@@ -984,8 +958,8 @@ pub struct Transport {
 impl Transport {
     /// Bind, dial and start beaconing. `local_fabric` is the in-process
     /// fabric admitted inbound traffic is injected into; `term` is the
-    /// process's Mattern counters, which packets the transport loses are
-    /// compensated into.
+    /// process's Mattern counters, which admitted traffic is adopted
+    /// against.
     ///
     /// Linux only: the event loop's poller hand-declares epoll and its
     /// Linux syscall constants (see `crate::poller`), so on any other
@@ -994,7 +968,7 @@ impl Transport {
     pub fn start(
         _cfg: TransportConfig,
         _local_fabric: FabricHandle,
-        _term: Arc<TermCounters>,
+        _term: &'static TermCounters,
     ) -> Result<Transport, String> {
         Err(
             "the TCP transport (`net --peers/--listen`, `serve`) needs Linux epoll; \
@@ -1005,13 +979,13 @@ impl Transport {
 
     /// Bind, dial and start beaconing. `local_fabric` is the in-process
     /// fabric admitted inbound traffic is injected into; `term` is the
-    /// process's Mattern counters, which packets the transport loses are
-    /// compensated into.
+    /// process's Mattern counters, which admitted traffic is adopted
+    /// against.
     #[cfg(target_os = "linux")]
     pub fn start(
         cfg: TransportConfig,
         local_fabric: FabricHandle,
-        term: Arc<TermCounters>,
+        term: &'static TermCounters,
     ) -> Result<Transport, String> {
         let listener = match cfg.listen {
             Some(addr) => {
@@ -1251,10 +1225,10 @@ fn handle_frame(
     }
     if !inner.local.contains(&frame.to) {
         // Misrouted: this process does not host the destination node. Its
-        // sender counted it injected; it ends here, as if consumed.
+        // sender counted it injected; it ends here.
         inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
         inner.tally_in(frame.from, 1);
-        inner.term.consumed.fetch_add(1, Ordering::SeqCst);
+        drop(Ticket::adopt(inner.term, 1));
         return Ok(());
     }
     // The payload stays opaque here: `Daemon::pump` decodes and screens
@@ -1275,8 +1249,10 @@ fn inject_admitted(inner: &Inner, admitted: &mut Admitted, batch: &mut Vec<Bytes
     }
     let mut link = (admitted[0].0, admitted[0].1);
     let deliver = |batch: &mut Vec<Bytes>, (from, to): (NodeId, NodeId)| {
-        inner.tally_in(from, batch.len() as u64);
-        inner.local_fabric.send_batch(from, to, batch);
+        let n = batch.len() as u64;
+        inner.tally_in(from, n);
+        let ticket = Ticket::adopt(inner.term, n);
+        inner.local_fabric.send_batch(from, to, batch, ticket);
     };
     for (from, to, payload) in admitted.drain(..) {
         if (from, to) != link {

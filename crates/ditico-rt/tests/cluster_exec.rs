@@ -304,8 +304,7 @@ fn nameservice_failover_with_replicas_threaded() {
     // as the run starts, and the client burns a few hundred slices
     // before it imports.
     let (mut c, owner, n2) = ring_of_two_with_server(FabricMode::Ideal, LinkProfile::ideal());
-    // Register and replicate the export first (no packet is then ever
-    // addressed to the corpse, so the run still ends on the detector).
+    // Register and replicate the export first.
     c.run_deterministic(RunLimits::default());
     c.set_chaos(ChaosPlan::default().at(0, ChaosEvent::KillNode(owner)))
         .unwrap();
@@ -328,6 +327,41 @@ fn nameservice_failover_with_replicas_threaded() {
         "the import was served by the follower"
     );
     assert!(report.quiescent);
+}
+
+/// A threaded run whose chaos plan kills the server's node as it starts,
+/// after which the client sends the corpse one message: the fabric drops
+/// it, and with it its ticket, so the run ends on the detector instead of
+/// waiting out its wall-clock limit for a packet nobody will consume.
+#[test]
+fn a_send_to_a_node_killed_mid_run_ends_on_the_detector() {
+    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let nodes: Vec<NodeId> = (0..3).map(|_| c.add_node()).collect();
+    c.add_site_src(
+        nodes[1],
+        "server",
+        "export new p in p?{ val(x) = print(x) }",
+    )
+    .unwrap();
+    // The export registers at node 0's name service before the kill.
+    c.run_deterministic(RunLimits::default());
+    c.set_chaos(ChaosPlan::default().at(0, ChaosEvent::KillNode(nodes[1])))
+        .unwrap();
+    c.add_site_src(nodes[2], "client", "import p from server in p!val[1]")
+        .unwrap();
+    let t0 = std::time::Instant::now();
+    let report = c.run_threaded(std::time::Duration::from_secs(20));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert!(report.quiescent, "the run hit its wall-clock limit");
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(10),
+        "took {:?}",
+        t0.elapsed()
+    );
+    assert!(
+        report.output("server").is_empty(),
+        "the corpse heard nothing"
+    );
 }
 
 #[test]

@@ -6,9 +6,9 @@
 
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::TermCounters;
 use ditico_rt::{
     Cluster, Daemon, Fabric, FabricMode, LinkProfile, NsShardMap, RtIncoming, RunLimits,
+    TermCounters, Ticket,
 };
 use std::sync::Arc;
 use tyco_vm::codec::{self, Packet};
@@ -47,6 +47,7 @@ fn repeat_shipment_to_the_same_node_goes_digest_only() {
     let mut c = ship_twice_cluster();
     let report = c.run_deterministic(RunLimits::default());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     assert_eq!(
         report.output("client"),
         ["shipped 1", "shipped 2", "done"].map(String::from)
@@ -69,6 +70,7 @@ fn disabling_the_cache_restores_full_shipments() {
     c.set_code_cache(0);
     let report = c.run_deterministic(RunLimits::default());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     assert_eq!(
         report.output("client"),
         ["shipped 1", "shipped 2", "done"].map(String::from)
@@ -107,6 +109,7 @@ fn concurrent_fetches_are_coalesced_at(capacity: usize) {
         .unwrap();
     let report = c.run_deterministic(RunLimits::default());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     assert_eq!(report.output("a"), ["applet 1".to_string()]);
     assert_eq!(report.output("b"), ["applet 2".to_string()]);
     let cache = report.cache_totals();
@@ -151,6 +154,7 @@ fn sequential_fetches_from_one_node_get_a_digest_only_reply() {
     .unwrap();
     let report = c.run_deterministic(RunLimits::default());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     assert_eq!(report.output("a"), ["applet 1".to_string()]);
     assert_eq!(report.output("b"), ["applet 2".to_string()]);
     let cache = report.cache_totals();
@@ -167,8 +171,9 @@ fn sequential_fetches_from_one_node_get_a_digest_only_reply() {
 struct Rig {
     fabric: Fabric,
     daemon: Daemon,
-    peer_rx: crossbeam::channel::Receiver<(NodeId, Bytes)>,
-    site_rx: crossbeam::channel::Receiver<RtIncoming>,
+    peer_rx: crossbeam::channel::Receiver<(NodeId, Bytes, Ticket)>,
+    site_rx: crossbeam::channel::Receiver<(RtIncoming, Ticket)>,
+    term: &'static TermCounters,
 }
 
 fn rig() -> Rig {
@@ -176,13 +181,14 @@ fn rig() -> Rig {
     let daemon_rx = fabric.register_node(NodeId(0));
     let peer_rx = fabric.register_node(NodeId(1));
     let (_out_tx, out_rx) = unbounded();
+    let term = TermCounters::leak();
     let mut daemon = Daemon::new(
         NodeId(0),
         out_rx,
         daemon_rx,
         fabric.handle(),
         Arc::new(NsShardMap::new(1, 0)),
-        Arc::new(TermCounters::default()),
+        term,
     );
     let (site_tx, site_rx) = unbounded();
     daemon.attach_site(SiteId(0), site_tx);
@@ -191,6 +197,7 @@ fn rig() -> Rig {
         daemon,
         peer_rx,
         site_rx,
+        term,
     }
 }
 
@@ -218,9 +225,10 @@ fn dest() -> NetRef {
 }
 
 fn inject(rig: &Rig, p: &Packet) {
+    let ticket = Ticket::mint(rig.term, 1);
     rig.fabric
         .handle()
-        .send(NodeId(1), NodeId(0), codec::encode(p));
+        .send(NodeId(1), NodeId(0), codec::encode(p), ticket);
 }
 
 #[test]
@@ -276,8 +284,9 @@ fn tampered_image_is_rejected_at(
     assert_eq!(r.daemon.code_cache_len(), capacity.min(1));
     assert!(matches!(
         r.site_rx.try_recv(),
-        Ok(RtIncoming::Vm(
-            Incoming::Obj { .. } | Incoming::FetchReply { .. }
+        Ok((
+            RtIncoming::Vm(Incoming::Obj { .. } | Incoming::FetchReply { .. }),
+            _
         ))
     ));
 }
@@ -300,7 +309,7 @@ fn missing_digest_negotiates_a_refill_then_delivers() {
     assert_eq!(r.daemon.stats.cache.misses, 1);
     assert!(r.site_rx.try_recv().is_err(), "parked, not delivered");
     // The daemon asked the sender for the bytes.
-    let (_, bytes) = r.peer_rx.try_recv().expect("a NeedCode went out");
+    let (_, bytes, _) = r.peer_rx.try_recv().expect("a NeedCode went out");
     match codec::decode(bytes).unwrap() {
         Packet::NeedCode { from, digest: d } => {
             assert_eq!(from, NodeId(0));
@@ -322,7 +331,7 @@ fn missing_digest_negotiates_a_refill_then_delivers() {
     assert_eq!(r.daemon.code_cache_len(), 1);
     assert!(matches!(
         r.site_rx.try_recv(),
-        Ok(RtIncoming::Vm(Incoming::Obj { .. }))
+        Ok((RtIncoming::Vm(Incoming::Obj { .. }), _))
     ));
 }
 
@@ -375,7 +384,7 @@ use ditico_rt::{ChaosEvent, ChaosPlan, ChaosSpec};
 /// Drain every frame the rig's peer has received, decoded.
 fn drain_peer(r: &Rig) -> Vec<Packet> {
     let mut out = Vec::new();
-    while let Ok((_, bytes)) = r.peer_rx.try_recv() {
+    while let Ok((_, bytes, _)) = r.peer_rx.try_recv() {
         out.push(codec::decode(bytes).unwrap());
     }
     out
@@ -419,7 +428,7 @@ fn lost_refill_is_retried_on_idle_ticks() {
     assert!(!r.daemon.has_pending_refills());
     assert!(matches!(
         r.site_rx.try_recv(),
-        Ok(RtIncoming::Vm(Incoming::Obj { .. }))
+        Ok((RtIncoming::Vm(Incoming::Obj { .. }), _))
     ));
 }
 
@@ -473,7 +482,7 @@ fn restarted_daemon_reconverges_on_digest_only_shipment() {
     );
     r.daemon.pump();
     assert_eq!(r.daemon.code_cache_len(), 1);
-    r.site_rx.try_recv().expect("first delivery");
+    let _ = r.site_rx.try_recv().expect("first delivery");
 
     // The daemon process bounces: cache gone, but the sender's dedup
     // bookkeeping still believes this node holds the digest.
@@ -510,7 +519,7 @@ fn restarted_daemon_reconverges_on_digest_only_shipment() {
     assert_eq!(r.daemon.code_cache_len(), 1, "cache repopulated");
     assert!(matches!(
         r.site_rx.try_recv(),
-        Ok(RtIncoming::Vm(Incoming::Obj { .. }))
+        Ok((RtIncoming::Vm(Incoming::Obj { .. }), _))
     ));
 }
 

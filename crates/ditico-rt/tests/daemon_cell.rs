@@ -6,10 +6,11 @@
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use ditico_rt::daemon::{Daemon, DaemonCell, TermCounters};
+use ditico_rt::daemon::{Daemon, DaemonCell};
 use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile, PacketFabric};
 use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
+use ditico_rt::termination::{TermCounters, Ticket};
 use ditico_rt::wake::Wake;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
@@ -22,21 +23,23 @@ struct Rig {
     /// Node 0's daemon, one local site (SiteId 0) attached.
     daemon: Daemon,
     fabric: Fabric,
-    site_rx: Receiver<RtIncoming>,
-    to_daemon: Sender<(SiteId, Packet)>,
+    site_rx: Receiver<(RtIncoming, Ticket)>,
+    to_daemon: Sender<(SiteId, Packet, Ticket)>,
+    term: &'static TermCounters,
 }
 
 fn rig() -> Rig {
     let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
     let fabric_rx = fabric.register_node(NodeId(0));
     let (to_daemon, from_sites) = unbounded();
+    let term = TermCounters::leak();
     let mut daemon = Daemon::new(
         NodeId(0),
         from_sites,
         fabric_rx,
         fabric.handle(),
         Arc::new(NsShardMap::new(1, 0)),
-        Arc::new(TermCounters::default()),
+        term,
     );
     let (in_tx, site_rx) = unbounded();
     daemon.attach_site(SiteId(0), in_tx);
@@ -45,6 +48,7 @@ fn rig() -> Rig {
         fabric,
         site_rx,
         to_daemon,
+        term,
     }
 }
 
@@ -62,9 +66,9 @@ fn tagged(producer: i64, seq: i64) -> Packet {
     }
 }
 
-fn tags(rx: &Receiver<RtIncoming>) -> Vec<(i64, i64)> {
+fn tags(rx: &Receiver<(RtIncoming, Ticket)>) -> Vec<(i64, i64)> {
     rx.try_iter()
-        .map(|item| match item {
+        .map(|(item, _)| match item {
             RtIncoming::Vm(Incoming::Msg { args, .. }) => match args[..] {
                 [WireWord::Int(p), WireWord::Int(s)] => (p, s),
                 _ => panic!("untagged message"),
@@ -89,22 +93,30 @@ fn producers_pump_the_cell_exactly_once_and_in_order() {
             fabric,
             site_rx,
             to_daemon,
+            term,
         } = rig();
         let cell = DaemonCell::new(daemon);
         fabric.set_waker(NodeId(0), cell.clone());
         let start = Arc::new(Barrier::new(PRODUCERS as usize));
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
-                let (cell, start) = (cell.clone(), start.clone());
+                let (cell, start, term) = (cell.clone(), start.clone(), term);
                 let (to_daemon, wire) = (to_daemon.clone(), fabric.handle());
                 std::thread::spawn(move || {
                     start.wait();
                     for seq in 0..PACKETS {
                         if p % 2 == 0 {
-                            to_daemon.send((SiteId(0), tagged(p, seq))).unwrap();
+                            to_daemon
+                                .send((SiteId(0), tagged(p, seq), Ticket::mint(term, 1)))
+                                .unwrap();
                             cell.wake();
                         } else {
-                            wire.send(NodeId(1), NodeId(0), codec::encode(&tagged(p, seq)));
+                            wire.send(
+                                NodeId(1),
+                                NodeId(0),
+                                codec::encode(&tagged(p, seq)),
+                                Ticket::mint(term, 1),
+                            );
                         }
                     }
                 })
@@ -157,19 +169,22 @@ fn two_simultaneous_kicks_never_strand_one() {
         fabric: _fabric,
         site_rx,
         to_daemon,
+        term,
     } = rig();
     let cell = DaemonCell::new(daemon);
     let round = Arc::new(AtomicUsize::new(0));
     let other_done = Arc::new(AtomicUsize::new(0));
     let other = {
-        let (cell, to_daemon) = (cell.clone(), to_daemon.clone());
+        let (cell, to_daemon, term) = (cell.clone(), to_daemon.clone(), term);
         let (round, other_done) = (round.clone(), other_done.clone());
         std::thread::spawn(move || {
             for r in 1..=ROUNDS {
                 while round.load(Ordering::SeqCst) < r {
                     std::thread::yield_now();
                 }
-                to_daemon.send((SiteId(0), tagged(1, r as i64))).unwrap();
+                to_daemon
+                    .send((SiteId(0), tagged(1, r as i64), Ticket::mint(term, 1)))
+                    .unwrap();
                 cell.wake();
                 other_done.store(r, Ordering::SeqCst);
             }
@@ -178,7 +193,9 @@ fn two_simultaneous_kicks_never_strand_one() {
     let mut delivered = 0;
     for r in 1..=ROUNDS {
         round.store(r, Ordering::SeqCst);
-        to_daemon.send((SiteId(0), tagged(0, r as i64))).unwrap();
+        to_daemon
+            .send((SiteId(0), tagged(0, r as i64), Ticket::mint(term, 1)))
+            .unwrap();
         cell.wake();
         while other_done.load(Ordering::SeqCst) < r {
             std::thread::yield_now();
@@ -195,18 +212,16 @@ fn two_simultaneous_kicks_never_strand_one() {
 /// a `wake()` issued from inside that daemon's `pump`.
 struct Echo {
     cell: OnceLock<Arc<DaemonCell>>,
-    to_daemon: Sender<(SiteId, Packet)>,
+    to_daemon: Sender<(SiteId, Packet, Ticket)>,
     echoed: AtomicUsize,
 }
 
 impl PacketFabric for Echo {
-    fn send(&self, _from: NodeId, _to: NodeId, _payload: Bytes) {
-        unreachable!("the daemon sends in batches");
-    }
-    fn send_batch(&self, _from: NodeId, _to: NodeId, batch: &mut Vec<Bytes>) {
+    fn send_batch(&self, _from: NodeId, _to: NodeId, batch: &mut Vec<Bytes>, mut ticket: Ticket) {
         for _ in batch.drain(..) {
             let n = self.echoed.fetch_add(1, Ordering::SeqCst) as i64;
-            self.to_daemon.send((SiteId(0), tagged(9, n))).unwrap();
+            let echo = (SiteId(0), tagged(9, n), ticket.split(1));
+            self.to_daemon.send(echo).unwrap();
         }
         self.cell.get().expect("cell installed").wake();
     }
@@ -219,6 +234,7 @@ fn a_kick_from_inside_the_daemons_own_pump_is_neither_deadlock_nor_lost() {
         fabric: _fabric,
         site_rx,
         to_daemon,
+        term,
     } = rig();
     let echo = Arc::new(Echo {
         cell: OnceLock::new(),
@@ -235,7 +251,9 @@ fn a_kick_from_inside_the_daemons_own_pump_is_neither_deadlock_nor_lost() {
     if let Packet::Msg { dest, .. } = &mut remote {
         dest.node = NodeId(1);
     }
-    to_daemon.send((SiteId(0), remote)).unwrap();
+    to_daemon
+        .send((SiteId(0), remote, Ticket::mint(term, 1)))
+        .unwrap();
     cell.wake(); // would hang here on a re-entrant lock
 
     assert_eq!(echo.echoed.load(Ordering::SeqCst), 1);
@@ -276,6 +294,7 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
         fabric: _fabric,
         site_rx,
         to_daemon,
+        term,
     } = rig();
     let probe = Arc::new(UnlockedProbe {
         cell: OnceLock::new(),
@@ -299,7 +318,9 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
     assert!(probe.cell.set(cell.clone()).is_ok());
 
     // The producer path: kick, pump inline, unlock, then wake the site.
-    to_daemon.send((SiteId(0), tagged(0, 0))).unwrap();
+    to_daemon
+        .send((SiteId(0), tagged(0, 0), Ticket::mint(term, 1)))
+        .unwrap();
     cell.wake();
     assert_eq!(probe.fired.load(Ordering::SeqCst), 1);
     assert_eq!(tags(&site_rx), vec![(0, 0)]);
@@ -333,7 +354,9 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
             expect: None,
         },
     ] {
-        to_daemon.send((SiteId(0), request)).unwrap();
+        to_daemon
+            .send((SiteId(0), request, Ticket::mint(term, 1)))
+            .unwrap();
     }
     cell.wake();
     assert_eq!(probe.fired.load(Ordering::SeqCst), 1, "still queued");
@@ -348,7 +371,7 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
     fallback
         .join()
         .expect("fallback thread returns once retired");
-    match site_rx.try_recv().expect("reply") {
+    match site_rx.try_recv().expect("reply").0 {
         RtIncoming::ImportResolved { req: 9, result } => assert_eq!(result, Ok(exported)),
         other => panic!("unexpected {other:?}"),
     }
@@ -362,10 +385,13 @@ fn a_retired_cell_is_a_no_op_to_kick() {
         fabric,
         site_rx,
         to_daemon,
+        term,
     } = rig();
     let cell = DaemonCell::new(daemon);
     fabric.set_waker(NodeId(0), cell.clone());
-    to_daemon.send((SiteId(0), tagged(0, 0))).unwrap();
+    to_daemon
+        .send((SiteId(0), tagged(0, 0), Ticket::mint(term, 1)))
+        .unwrap();
     cell.wake();
     let daemon = cell.retire().expect("the daemon comes out once");
     assert_eq!(daemon.stats.local_deliveries, 1);
@@ -374,11 +400,14 @@ fn a_retired_cell_is_a_no_op_to_kick() {
 
     // Kicks from a site and from the fabric find nothing to pump — and
     // nothing to panic or block on.
-    let _ = to_daemon.send((SiteId(0), tagged(0, 1)));
+    let _ = to_daemon.send((SiteId(0), tagged(0, 1), Ticket::mint(term, 1)));
     cell.wake();
-    fabric
-        .handle()
-        .send(NodeId(1), NodeId(0), codec::encode(&tagged(0, 2)));
+    fabric.handle().send(
+        NodeId(1),
+        NodeId(0),
+        codec::encode(&tagged(0, 2)),
+        Ticket::mint(term, 1),
+    );
     cell.run_fallback(); // returns at once
     assert_eq!(tags(&site_rx), vec![(0, 0)]);
     assert_eq!(cell.pumps(), (1, 0));

@@ -4,11 +4,11 @@
 //! relies on.
 
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::{Daemon, TermCounters};
+use ditico_rt::daemon::Daemon;
 use ditico_rt::fabric::{Fabric, FabricHandle, FabricMode, LinkProfile};
 use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
-use std::sync::atomic::Ordering;
+use ditico_rt::termination::{TermCounters, Ticket};
 use std::sync::Arc;
 use tyco_vm::codec::{decode, encode, Class, Packet, WIRE_VERSION};
 use tyco_vm::port::Incoming;
@@ -17,10 +17,10 @@ use tyco_vm::word::{Identity, NetRef, NodeId, SiteId};
 
 struct Rig {
     daemon: Daemon,
-    site_rx: crossbeam::channel::Receiver<RtIncoming>,
-    fabric_rx_other: crossbeam::channel::Receiver<(NodeId, bytes::Bytes)>,
-    to_daemon: crossbeam::channel::Sender<(SiteId, Packet)>,
-    term: Arc<TermCounters>,
+    site_rx: crossbeam::channel::Receiver<(RtIncoming, Ticket)>,
+    fabric_rx_other: crossbeam::channel::Receiver<(NodeId, bytes::Bytes, Ticket)>,
+    to_daemon: crossbeam::channel::Sender<(SiteId, Packet, Ticket)>,
+    term: &'static TermCounters,
     /// Sends onto the fabric, as node 1's daemon would.
     net: FabricHandle,
 }
@@ -32,14 +32,14 @@ fn rig() -> Rig {
     let fabric_rx_self = fabric.register_node(NodeId(0));
     let fabric_rx_other = fabric.register_node(NodeId(1));
     let (out_tx, out_rx) = unbounded();
-    let term = Arc::new(TermCounters::default());
+    let term = TermCounters::leak();
     let mut daemon = Daemon::new(
         NodeId(0),
         out_rx,
         fabric_rx_self,
         fabric.handle(),
         Arc::new(NsShardMap::new(1, 0)),
-        term.clone(),
+        term,
     );
     if let Some(ns) = &mut daemon.ns {
         ns.register_site(
@@ -73,6 +73,13 @@ fn rig() -> Rig {
     }
 }
 
+impl Rig {
+    /// A ticket for one packet, minted on the rig's counters.
+    fn ticket(&self) -> Ticket {
+        Ticket::mint(self.term, 1)
+    }
+}
+
 fn msg_to(site: u32, node: u32) -> Packet {
     Packet::Msg {
         dest: NetRef {
@@ -88,9 +95,11 @@ fn msg_to(site: u32, node: u32) -> Packet {
 #[test]
 fn local_destination_is_delivered_by_reference() {
     let mut r = rig();
-    r.to_daemon.send((SiteId(0), msg_to(0, 0))).unwrap();
+    r.to_daemon
+        .send((SiteId(0), msg_to(0, 0), r.ticket()))
+        .unwrap();
     assert!(r.daemon.pump());
-    match r.site_rx.try_recv().expect("delivered") {
+    match r.site_rx.try_recv().expect("delivered").0 {
         RtIncoming::Vm(Incoming::Msg { dest, label, .. }) => {
             assert_eq!(dest, 5);
             assert_eq!(label, "go");
@@ -104,9 +113,11 @@ fn local_destination_is_delivered_by_reference() {
 #[test]
 fn remote_destination_is_encoded_and_forwarded() {
     let mut r = rig();
-    r.to_daemon.send((SiteId(0), msg_to(7, 1))).unwrap();
+    r.to_daemon
+        .send((SiteId(0), msg_to(7, 1), r.ticket()))
+        .unwrap();
     assert!(r.daemon.pump());
-    let (from, bytes) = r.fabric_rx_other.try_recv().expect("forwarded");
+    let (from, bytes, _) = r.fabric_rx_other.try_recv().expect("forwarded");
     assert_eq!(from, NodeId(0));
     // The payload decodes back to the same packet.
     match decode(bytes).expect("decodes") {
@@ -135,6 +146,7 @@ fn ns_register_then_import_answers_locally() {
                 value: value.clone(),
                 stamp: None,
             },
+            r.ticket(),
         ))
         .unwrap();
     r.to_daemon
@@ -151,10 +163,11 @@ fn ns_register_then_import_answers_locally() {
                 },
                 expect: None,
             },
+            r.ticket(),
         ))
         .unwrap();
     assert!(r.daemon.pump());
-    match r.site_rx.try_recv().expect("reply") {
+    match r.site_rx.try_recv().expect("reply").0 {
         RtIncoming::ImportResolved {
             req: 9,
             result: Ok(w),
@@ -168,9 +181,8 @@ fn ns_register_then_import_answers_locally() {
 fn conservation_accounting_balances() {
     let mut r = rig();
     // Two NS ops and one local delivery: everything injected must be
-    // consumable. (Site-side injections happen in RtPort; here we emulate
-    // them so the balance is observable.)
-    r.term.injected.fetch_add(2, Ordering::SeqCst);
+    // consumable. (Site-side tickets are minted in RtPort; here the rig
+    // mints them so the balance is observable.)
     r.to_daemon
         .send((
             SiteId(0),
@@ -185,6 +197,7 @@ fn conservation_accounting_balances() {
                 }),
                 stamp: None,
             },
+            r.ticket(),
         ))
         .unwrap();
     r.to_daemon
@@ -201,15 +214,13 @@ fn conservation_accounting_balances() {
                 },
                 expect: None,
             },
+            r.ticket(),
         ))
         .unwrap();
     r.daemon.pump();
     // Both NS ops consumed; the generated reply (+1 injected) sits in the
     // site inbox, not yet consumed.
-    let injected = r.term.injected.load(Ordering::SeqCst);
-    let consumed = r.term.consumed.load(Ordering::SeqCst);
-    assert_eq!(injected, 3);
-    assert_eq!(consumed, 2);
+    assert_eq!((r.term.injected(), r.term.consumed()), (3, 2));
     assert_eq!(r.site_rx.len(), 1, "the reply is in flight");
 }
 
@@ -227,15 +238,13 @@ fn heartbeats_update_liveness_map() {
 #[test]
 fn unknown_local_site_drops_and_consumes() {
     let mut r = rig();
-    let before = r.term.consumed.load(Ordering::SeqCst);
-    r.to_daemon.send((SiteId(0), msg_to(42, 0))).unwrap(); // site 42: nobody
+    let before = r.term.consumed();
+    r.to_daemon
+        .send((SiteId(0), msg_to(42, 0), r.ticket()))
+        .unwrap(); // site 42: nobody
     r.daemon.pump();
     assert!(r.site_rx.try_recv().is_err());
-    assert_eq!(
-        r.term.consumed.load(Ordering::SeqCst),
-        before + 1,
-        "dropped = consumed"
-    );
+    assert_eq!(r.term.consumed(), before + 1, "dropped = consumed");
 }
 
 #[test]
@@ -250,13 +259,11 @@ fn control_packets_from_the_fabric_are_consumed_once_and_reach_no_site() {
     ];
     for p in &control {
         assert_eq!(p.class(), Class::Control);
-        // Injected by the sender, as a site's send would be.
-        r.term.injected.fetch_add(1, Ordering::SeqCst);
-        r.net.send(NodeId(1), NodeId(0), encode(p));
+        // Minted by the sender, as a site's send would be.
+        r.net.send(NodeId(1), NodeId(0), encode(p), r.ticket());
     }
     assert!(r.daemon.pump());
-    let consumed = r.term.consumed.load(Ordering::SeqCst);
-    assert_eq!((r.term.injected.load(Ordering::SeqCst), consumed), (2, 2));
+    assert_eq!((r.term.injected(), r.term.consumed()), (2, 2));
     assert!(r.site_rx.try_recv().is_err());
     assert_eq!(r.daemon.stats.rejected, 0);
 }

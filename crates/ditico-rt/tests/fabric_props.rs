@@ -4,10 +4,16 @@
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile};
+use ditico_rt::termination::{TermCounters, Ticket};
 use ditico_rt::wake::Wake;
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier, Mutex};
 use tyco_vm::word::NodeId;
+
+/// A ticket for `n` packets, on counters of their own.
+fn tickets(n: usize) -> Ticket {
+    Ticket::mint(TermCounters::leak(), n as u64)
+}
 
 /// Send `flushes` on the link `from → to`, numbering the payloads from
 /// 0: each entry is one flush, 0 = a single `send`, n > 0 = a
@@ -17,14 +23,14 @@ fn send_flushes(fabric: &Fabric, from: NodeId, to: NodeId, flushes: &[usize]) ->
     let mut seq: u8 = 0;
     for batch_len in flushes {
         if *batch_len == 0 {
-            h.send(from, to, Bytes::from(vec![seq]));
+            h.send(from, to, Bytes::from(vec![seq]), tickets(1));
             seq += 1;
         } else {
             let mut batch: Vec<Bytes> = (0..*batch_len)
                 .map(|i| Bytes::from(vec![seq + i as u8]))
                 .collect();
             seq += *batch_len as u8;
-            h.send_batch(from, to, &mut batch);
+            h.send_batch(from, to, &mut batch, tickets(*batch_len));
             assert!(batch.is_empty(), "send_batch drains its input");
         }
     }
@@ -34,14 +40,14 @@ fn send_flushes(fabric: &Fabric, from: NodeId, to: NodeId, flushes: &[usize]) ->
 /// A destination waker that does what a daemon's cell does when kicked:
 /// drains the node's inbox, on the kicking thread.
 struct DrainOnKick {
-    inbox: Receiver<(NodeId, Bytes)>,
+    inbox: Receiver<(NodeId, Bytes, Ticket)>,
     log: Mutex<Vec<(NodeId, u8)>>,
 }
 
 impl Wake for DrainOnKick {
     fn wake(&self) {
         let mut log = self.log.lock().unwrap();
-        log.extend(self.inbox.try_iter().map(|(from, b)| (from, b[0])));
+        log.extend(self.inbox.try_iter().map(|(from, b, _)| (from, b[0])));
     }
 }
 
@@ -125,7 +131,7 @@ proptest! {
             // Tag each payload with its sequence number.
             let mut payload = vec![0u8; *size];
             payload[0] = i as u8;
-            h.send(NodeId(from), NodeId(to), Bytes::from(payload));
+            h.send(NodeId(from), NodeId(to), Bytes::from(payload), tickets(1));
             expected[to as usize].push((from, *size));
         }
         // Drain the event queue completely.
@@ -134,7 +140,7 @@ proptest! {
         }
         for (node, rx) in rxs.iter().enumerate() {
             let got: Vec<(u32, usize)> =
-                rx.try_iter().map(|(from, bytes)| (from.0, bytes.len())).collect();
+                rx.try_iter().map(|(from, bytes, _)| (from.0, bytes.len())).collect();
             // Multiset equality: deliveries may legally interleave across
             // *different* links by modelled time.
             let mut got_sorted = got.clone();
@@ -159,12 +165,12 @@ proptest! {
         for (i, size) in sizes.iter().enumerate() {
             let mut payload = vec![0u8; *size];
             payload[0] = i as u8;
-            h.send(NodeId(0), NodeId(1), Bytes::from(payload));
+            h.send(NodeId(0), NodeId(1), Bytes::from(payload), tickets(1));
         }
         while let Some(t) = fabric.next_event_ns() {
             fabric.advance_to(t);
         }
-        let received: Vec<u8> = rx.try_iter().map(|(_, b)| b[0]).collect();
+        let received: Vec<u8> = rx.try_iter().map(|(_, b, _)| b[0]).collect();
         prop_assert_eq!(received, (0..sizes.len() as u8).collect::<Vec<_>>());
     }
 
@@ -186,7 +192,7 @@ proptest! {
         while let Some(t) = fabric.next_event_ns() {
             fabric.advance_to(t);
         }
-        let received: Vec<u8> = rx.try_iter().map(|(_, b)| b[0]).collect();
+        let received: Vec<u8> = rx.try_iter().map(|(_, b, _)| b[0]).collect();
         prop_assert_eq!(received, (0..seq).collect::<Vec<_>>());
     }
 }

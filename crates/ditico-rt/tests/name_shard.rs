@@ -37,6 +37,7 @@ fn import_resolves_across_shards_and_replicates() {
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(report.output("client"), ["42".to_string()]);
     assert!(report.quiescent);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     let ns = report.ns_totals();
     assert_eq!(ns.registers, 1, "{ns:?}");
     assert!(ns.resolved >= 1, "{ns:?}");
@@ -83,6 +84,7 @@ fn warm_repeat_import_hits_the_node_lease_cache() {
     assert_eq!(report.output("a"), ["8".to_string()]);
     assert_eq!(report.output("b"), ["10".to_string()]);
     assert!(report.quiescent);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     let ns = report.ns_totals();
     assert_eq!(ns.lease_hits, 1, "b's repeat import was local: {ns:?}");
     assert!(ns.lease_misses >= 2, "{ns:?}");
@@ -139,6 +141,7 @@ fn reexport_invalidates_cached_bindings() {
         "second import saw the re-exported binding"
     );
     assert!(report.quiescent);
+    assert_eq!(report.in_flight, 0, "every packet was consumed");
     let ns = report.ns_totals();
     assert!(ns.invalidations >= 1, "{ns:?}");
     assert_eq!(ns.registers, 4, "kick, ack, p, and the re-exported p");

@@ -81,7 +81,7 @@ fn dead_peer_does_not_delay_live_handshake() {
             ..TransportConfig::default()
         },
         fabric_live.handle(),
-        Default::default(),
+        ditico_rt::TermCounters::leak(),
     )
     .expect("live transport");
     let live_addr = live.local_addr().expect("live addr");
@@ -99,7 +99,7 @@ fn dead_peer_does_not_delay_live_handshake() {
             ..TransportConfig::default()
         },
         fabric_dialer.handle(),
-        Default::default(),
+        ditico_rt::TermCounters::leak(),
     )
     .expect("dialing transport");
 

@@ -2,8 +2,8 @@
 //! import caching and re-issue, and conservation accounting.
 
 use crossbeam::channel::unbounded;
-use ditico_rt::daemon::TermCounters;
 use ditico_rt::site::{RtIncoming, RtPort};
+use ditico_rt::termination::{TermCounters, Ticket};
 use ditico_rt::wake::{Notify, Wake};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -15,15 +15,15 @@ use tyco_vm::ImportKind;
 
 struct Rig {
     port: RtPort,
-    out_rx: crossbeam::channel::Receiver<(SiteId, Packet)>,
-    in_tx: crossbeam::channel::Sender<RtIncoming>,
-    term: Arc<TermCounters>,
+    out_rx: crossbeam::channel::Receiver<(SiteId, Packet, Ticket)>,
+    in_tx: crossbeam::channel::Sender<(RtIncoming, Ticket)>,
+    term: &'static TermCounters,
 }
 
 fn rig() -> Rig {
     let (out_tx, out_rx) = unbounded();
     let (in_tx, in_rx) = unbounded();
-    let term = Arc::new(TermCounters::default());
+    let term = TermCounters::leak();
     let port = RtPort::new(
         Identity {
             site: SiteId(3),
@@ -33,13 +33,21 @@ fn rig() -> Rig {
         out_tx,
         in_rx,
         Arc::new(Notify::new()),
-        term.clone(),
+        term,
     );
     Rig {
         port,
         out_rx,
         in_tx,
         term,
+    }
+}
+
+impl Rig {
+    /// The ticket of an item the daemon delivers: it arrived from
+    /// elsewhere, so it is consumed here but was not injected here.
+    fn arrival(&self) -> Ticket {
+        Ticket::adopt(self.term, 1)
     }
 }
 
@@ -65,6 +73,7 @@ fn register_emits_ns_packet_with_lexeme() {
                 name,
                 ..
             },
+            _,
         ) => {
             assert_eq!(from_site, SiteId(3));
             assert_eq!(site_lexeme, "me");
@@ -72,7 +81,7 @@ fn register_emits_ns_packet_with_lexeme() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(r.term.injected.load(Ordering::SeqCst), 1);
+    assert_eq!(r.term.injected(), 1);
 }
 
 #[test]
@@ -94,10 +103,13 @@ fn import_pends_then_caches_then_ready() {
     // The resolution arrives; poll surfaces ImportReady and fills the cache.
     let value = WireWord::Chan(some_ref());
     r.in_tx
-        .send(RtIncoming::ImportResolved {
-            req,
-            result: Ok(value.clone()),
-        })
+        .send((
+            RtIncoming::ImportResolved {
+                req,
+                result: Ok(value.clone()),
+            },
+            r.arrival(),
+        ))
         .unwrap();
     assert_eq!(r.port.inbox_len(), 1);
     match r.port.poll() {
@@ -128,10 +140,13 @@ fn failed_import_surfaces_reason() {
         panic!("expected pending");
     };
     r.in_tx
-        .send(RtIncoming::ImportResolved {
-            req,
-            result: Err("no such identifier".into()),
-        })
+        .send((
+            RtIncoming::ImportResolved {
+                req,
+                result: Err("no such identifier".into()),
+            },
+            r.arrival(),
+        ))
         .unwrap();
     match r.port.poll() {
         Some(Incoming::ImportFailed { req: got, reason }) => {
@@ -151,7 +166,7 @@ fn resend_pending_reissues_lookups_after_failover() {
     // Drain the two original lookups.
     assert_eq!(r.out_rx.try_iter().count(), 2);
     r.port.resend_pending_imports();
-    let reissued: Vec<Packet> = r.out_rx.try_iter().map(|(_, p)| p).collect();
+    let reissued: Vec<Packet> = r.out_rx.try_iter().map(|(_, p, _)| p).collect();
     assert_eq!(reissued.len(), 2);
     for p in reissued {
         assert!(matches!(p, Packet::NsImport { .. }));
@@ -206,26 +221,29 @@ fn conservation_counts_poll_and_send() {
     let mut r = rig();
     r.port.send_msg(some_ref(), "x", vec![]);
     r.port.flush();
-    assert_eq!(r.term.injected.load(Ordering::SeqCst), 1);
+    assert_eq!(r.term.injected(), 1);
     r.in_tx
-        .send(RtIncoming::Vm(Incoming::Msg {
-            dest: 0,
-            label: "x".into(),
-            args: vec![],
-        }))
+        .send((
+            RtIncoming::Vm(Incoming::Msg {
+                dest: 0,
+                label: "x".into(),
+                args: vec![],
+            }),
+            r.arrival(),
+        ))
         .unwrap();
     assert!(r.port.poll().is_some());
-    assert_eq!(r.term.consumed.load(Ordering::SeqCst), 1);
+    assert_eq!(r.term.consumed(), 1);
     assert!(
         r.port.poll().is_none(),
         "empty inbox polls None without counting"
     );
-    assert_eq!(r.term.consumed.load(Ordering::SeqCst), 1);
+    assert_eq!(r.term.consumed(), 1);
 }
 
 /// Counts kicks, and how many packets each one found queued.
 struct CountingWaker {
-    out_rx: crossbeam::channel::Receiver<(SiteId, Packet)>,
+    out_rx: crossbeam::channel::Receiver<(SiteId, Packet, Ticket)>,
     kicks: AtomicUsize,
     found: AtomicUsize,
 }

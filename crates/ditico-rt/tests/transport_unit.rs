@@ -7,8 +7,8 @@
 //! keep the same machinery honest under `cargo test -p ditico-rt`.
 
 use ditico_rt::{
-    ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, RunReport, TermCounters,
-    TransportConfig,
+    ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, NetHandle, RunReport, TermCounters,
+    Ticket, TransportConfig,
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener};
@@ -343,7 +343,7 @@ fn silence_is_counted_in_executed_ticks_not_wall_time() {
             ..TransportConfig::default()
         },
         fabric.handle(),
-        Default::default(),
+        TermCounters::leak(),
     )
     .expect("transport");
     // Declared after the transport, so dropped before it: if an
@@ -464,13 +464,13 @@ fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
             ..TransportConfig::default()
         },
         fabric.handle(),
-        Default::default(),
+        TermCounters::leak(),
     )
     .expect("transport");
 
     let mut got = Vec::new();
     while got.len() < 5 {
-        let (from, payload) = inbox
+        let (from, payload, _) = inbox
             .recv_timeout(Duration::from_secs(10))
             .expect("all five frames arrive");
         assert_eq!(from, NodeId(0));
@@ -497,11 +497,6 @@ fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
     assert_eq!(wire.data_in, 5, "{wire:?}");
     use std::sync::atomic::Ordering;
     assert_eq!(fabric.stats.packets.load(Ordering::Relaxed), 5);
-    assert_eq!(
-        fabric.stats.batched_packets.load(Ordering::Relaxed),
-        5,
-        "all injected as batches"
-    );
     let batches = fabric.stats.batches.load(Ordering::Relaxed);
     assert!(
         (1..=4).contains(&batches),
@@ -689,9 +684,13 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
 fn bare_transport(
     addr: SocketAddr,
     outbound_cap: usize,
-) -> (ditico_rt::Fabric, ditico_rt::Transport, Arc<TermCounters>) {
+) -> (
+    ditico_rt::Fabric,
+    ditico_rt::Transport,
+    &'static TermCounters,
+) {
     let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
-    let term = Arc::new(TermCounters::default());
+    let term = TermCounters::leak();
     let transport = ditico_rt::Transport::start(
         TransportConfig {
             local_nodes: vec![NodeId(1)],
@@ -704,10 +703,22 @@ fn bare_transport(
             ..TransportConfig::default()
         },
         fabric.handle(),
-        term.clone(),
+        term,
     )
     .expect("transport");
     (fabric, transport, term)
+}
+
+/// Send one payload from node 1 to node 0, minted on `term` as a site's
+/// send would be.
+fn send_one(net: &NetHandle, term: &&'static TermCounters, payload: bytes::Bytes) {
+    use ditico_rt::PacketFabric as _;
+    net.send_batch(
+        NodeId(1),
+        NodeId(0),
+        &mut vec![payload],
+        Ticket::mint(term, 1),
+    );
 }
 
 /// Poll `cond` until it holds; panics with `what` after ten seconds.
@@ -751,11 +762,7 @@ fn a_data_packet_framed_as_control_closes_the_connection_uncounted() {
     let wire = transport.report();
     assert_eq!(wire.frames_in, 2, "the hello and the refused frame");
     assert_eq!((wire.data_in, wire.dropped), (0, 0), "{wire:?}");
-    let counted = (
-        term.injected.load(Ordering::SeqCst),
-        term.consumed.load(Ordering::SeqCst),
-    );
-    assert_eq!(counted, (0, 0));
+    assert_eq!((term.injected(), term.consumed()), (0, 0));
 }
 
 /// A coalesced batch parked before the handshake is k packets, not one:
@@ -766,14 +773,14 @@ fn a_batch_stashed_before_the_handshake_counts_every_packet() {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let (_fabric, transport, _) = bare_transport(addr, 4096);
+    let (_fabric, transport, term) = bare_transport(addr, 4096);
     // Connected (the kernel's accept queue took it) but not handshaken:
     // only our own Hello has gone out.
     eventually("our hello", || transport.report().frames_out == 1);
     let mut batch: Vec<bytes::Bytes> = (0..3u8).map(|i| bytes::Bytes::from(vec![i; 16])).collect();
     transport
         .handle()
-        .send_batch(NodeId(1), NodeId(0), &mut batch);
+        .send_batch(NodeId(1), NodeId(0), &mut batch, Ticket::mint(term, 3));
     assert_eq!(transport.report().frames_out, 1, "no route yet: stashed");
 
     let (got_tx, got_rx) = std::sync::mpsc::channel();
@@ -803,7 +810,6 @@ fn a_batch_stashed_before_the_handshake_counts_every_packet() {
 /// would never leave; every frame counted out must reach the peer.
 #[test]
 fn frames_sent_during_the_handshake_all_arrive() {
-    use ditico_rt::PacketFabric as _;
     use std::sync::atomic::{AtomicBool, AtomicU64};
     const ROUNDS: usize = 300;
     const SENDERS: usize = 4;
@@ -828,17 +834,17 @@ fn frames_sent_during_the_handshake_all_arrive() {
                 }
             })
         };
-        let (_fabric, mut transport, _) = bare_transport(addr, 1 << 16);
+        let (_fabric, mut transport, term) = bare_transport(addr, 1 << 16);
         let routed = AtomicBool::new(false);
         std::thread::scope(|s| {
             for who in 0..SENDERS {
-                let (net, routed) = (transport.handle(), &routed);
+                let (net, routed, term) = (transport.handle(), &routed, &term);
                 s.spawn(move || {
                     // Keep sending until a little after the route is in.
                     let mut after = 0;
                     for seq in 0..MAX_SENDS {
                         let payload = bytes::Bytes::from(vec![who as u8; 8 + seq as usize % 8]);
-                        net.send(NodeId(1), NodeId(0), payload);
+                        send_one(&net, term, payload);
                         if routed.load(Ordering::Acquire) {
                             after += 1;
                             if after == 32 {
@@ -931,11 +937,11 @@ fn contended_writers_never_interleave_or_reorder_and_a_stalled_backlog_drains() 
         let _ = done_rx.recv();
     });
 
-    let (_fabric, transport, _) = bare_transport(addr, 4096);
+    let (_fabric, transport, term) = bare_transport(addr, 4096);
     eventually("route to node 0", || transport.report().topology_edges >= 1);
     std::thread::scope(|s| {
         for who in 0..PRODUCERS {
-            let net = transport.handle();
+            let (net, term) = (transport.handle(), &term);
             s.spawn(move || {
                 let mut seq = 0;
                 while seq < FRAMES {
@@ -943,10 +949,10 @@ fn contended_writers_never_interleave_or_reorder_and_a_stalled_backlog_drains() 
                     if seq % 5 == 0 && seq + 3 <= FRAMES {
                         let mut batch: Vec<_> =
                             (seq..seq + 3).map(|q| contention_payload(who, q)).collect();
-                        net.send_batch(NodeId(1), NodeId(0), &mut batch);
+                        net.send_batch(NodeId(1), NodeId(0), &mut batch, Ticket::mint(term, 3));
                         seq += 3;
                     } else {
-                        net.send(NodeId(1), NodeId(0), contention_payload(who, seq));
+                        send_one(&net, term, contention_payload(who, seq));
                         seq += 1;
                     }
                 }
@@ -969,7 +975,6 @@ fn contended_writers_never_interleave_or_reorder_and_a_stalled_backlog_drains() 
 /// past `outbound_cap`, and shutdown does not wait on the wedged peer.
 #[test]
 fn a_reader_that_never_reads_bounds_the_backlog_and_cannot_hang_shutdown() {
-    use ditico_rt::PacketFabric as _;
     const CAP: usize = 32;
     const PUSHED: u64 = 600;
 
@@ -985,7 +990,7 @@ fn a_reader_that_never_reads_bounds_the_backlog_and_cannot_hang_shutdown() {
     let net = transport.handle();
     let frame = bytes::Bytes::from(vec![7u8; 64 * 1024]);
     for _ in 0..PUSHED {
-        net.send(NodeId(1), NodeId(0), frame.clone());
+        send_one(&net, &term, frame.clone());
     }
     let wire = transport.report();
     assert!(wire.dropped > 0, "600 × 64 KB fit nowhere: {wire:?}");
@@ -993,7 +998,7 @@ fn a_reader_that_never_reads_bounds_the_backlog_and_cannot_hang_shutdown() {
     assert!(wire.outq_hwm <= CAP as u64, "backlog is bounded: {wire:?}");
     assert!(wire.flush_stalls >= 1, "{wire:?}");
     assert_eq!(
-        term.consumed.load(Ordering::SeqCst),
+        term.consumed(),
         wire.dropped,
         "every dropped packet is consumed for Mattern's balance"
     );
@@ -1015,8 +1020,6 @@ fn a_reader_that_never_reads_bounds_the_backlog_and_cannot_hang_shutdown() {
 /// connection that comes back carries traffic again.
 #[test]
 fn a_peer_closing_mid_burst_is_killed_and_redialled_by_the_loop() {
-    use ditico_rt::PacketFabric as _;
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let (back_tx, back_rx) = std::sync::mpsc::channel::<bytes::Bytes>();
@@ -1044,7 +1047,7 @@ fn a_peer_closing_mid_burst_is_killed_and_redialled_by_the_loop() {
         panic!("the redialled connection closed before the marker arrived");
     });
 
-    let (_fabric, transport, _) = bare_transport(addr, 4096);
+    let (_fabric, transport, term) = bare_transport(addr, 4096);
     eventually("route to node 0", || transport.report().topology_edges >= 1);
     let net = transport.handle();
     let frame = bytes::Bytes::from(vec![9u8; 16 * 1024]);
@@ -1053,12 +1056,12 @@ fn a_peer_closing_mid_burst_is_killed_and_redialled_by_the_loop() {
     // for the new one — all fine, none may panic.
     eventually("the loop redials", || {
         for _ in 0..8 {
-            net.send(NodeId(1), NodeId(0), frame.clone());
+            send_one(&net, &term, frame.clone());
         }
         transport.report().reconnects >= 1
     });
     eventually("the new connection carries traffic", || {
-        net.send(NodeId(1), NodeId(0), bytes::Bytes::from_static(b"again"));
+        send_one(&net, &term, bytes::Bytes::from_static(b"again"));
         back_rx.try_recv().is_ok()
     });
     peer.join().expect("fake peer");
@@ -1080,7 +1083,7 @@ fn a_send_to_a_perma_down_node_keeps_the_counters_balanced() {
             .expect("our hello");
     });
     let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
-    let term = Arc::new(TermCounters::default());
+    let term = TermCounters::leak();
     let transport = ditico_rt::Transport::start(
         TransportConfig {
             local_nodes: vec![NodeId(1)],
@@ -1092,7 +1095,7 @@ fn a_send_to_a_perma_down_node_keeps_the_counters_balanced() {
             ..TransportConfig::default()
         },
         fabric.handle(),
-        term.clone(),
+        term,
     )
     .expect("transport");
     peer.join().expect("fake peer");
@@ -1100,14 +1103,13 @@ fn a_send_to_a_perma_down_node_keeps_the_counters_balanced() {
         transport.report().peers_failed == 1
     });
 
-    // Four packets, counted injected as a site's sends would be.
-    term.injected.fetch_add(4, Ordering::SeqCst);
+    // Four packets, minted as a site's sends would be.
     let net = transport.handle();
     let mut batch: Vec<bytes::Bytes> = (0..3u8).map(|i| bytes::Bytes::from(vec![i; 8])).collect();
-    net.send_batch(NodeId(1), NodeId(0), &mut batch);
-    net.send(NodeId(1), NodeId(0), bytes::Bytes::from_static(b"one"));
+    net.send_batch(NodeId(1), NodeId(0), &mut batch, Ticket::mint(term, 3));
+    send_one(&net, &term, bytes::Bytes::from_static(b"one"));
     assert_eq!(transport.report().dropped_perma, 4);
-    let s = ditico_rt::Snapshot::take(&term, false);
+    let s = ditico_rt::Snapshot::take(term, false);
     assert!(s.quiet(), "{s:?}");
 }
 
@@ -1211,8 +1213,8 @@ fn a_frame_not_yet_read_blocks_the_verdict() {
     assert_eq!(report.output("client"), ["7".to_string()]);
 }
 
-/// Packets the wire's chaos dice drop or duplicate are compensated where
-/// the dice roll, so the two processes' sums still balance: both end on
+/// Packets the wire's chaos dice drop or duplicate are discarded or
+/// minted where the dice roll, so the two processes' sums still balance: both end on
 /// the verdict, even when a dropped call leaves its chain unfinished.
 #[test]
 fn chaos_drops_and_duplicates_on_the_wire_still_end_on_the_verdict() {

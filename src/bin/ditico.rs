@@ -13,7 +13,7 @@
 //! site client client.dity node=1
 //! ```
 
-use ditico::{parse_peer_list, Env, FabricMode, LinkProfile, Program, Shell, Topology};
+use ditico::{parse_peer_list, Env, FabricMode, Program, Shell, Topology};
 use ditico::{RunReport, TransportConfig};
 use std::io::BufRead as _;
 use std::net::ToSocketAddrs as _;
@@ -448,37 +448,9 @@ fn parse_net_spec(path: &str) -> Result<(Topology, Vec<SiteSpec>), String> {
                     let (k, v) = kv
                         .split_once('=')
                         .ok_or_else(|| format!("{path}:{}: expected key=value", i + 1))?;
-                    match k {
-                        "nodes" => {
-                            topology.nodes =
-                                v.parse().map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-                        }
-                        "fabric" => {
-                            topology.mode = match v {
-                                "ideal" => FabricMode::Ideal,
-                                "virtual" => FabricMode::Virtual,
-                                other => {
-                                    return Err(format!("{path}:{}: bad fabric `{other}`", i + 1));
-                                }
-                            };
-                        }
-                        "link" => {
-                            topology.link = match v {
-                                "ideal" => LinkProfile::ideal(),
-                                "myrinet" => LinkProfile::myrinet(),
-                                "ethernet" => LinkProfile::fast_ethernet(),
-                                "wan" => LinkProfile::wan(),
-                                other => {
-                                    return Err(format!("{path}:{}: bad link `{other}`", i + 1));
-                                }
-                            };
-                        }
-                        "replicas" => {
-                            topology.ns_replicas =
-                                v.parse().map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-                        }
-                        other => return Err(format!("{path}:{}: unknown key `{other}`", i + 1)),
-                    }
+                    topology
+                        .set(k, v)
+                        .map_err(|e| format!("{path}:{}: {e}", i + 1))?;
                 }
             }
             Some("site") => {

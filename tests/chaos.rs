@@ -34,6 +34,10 @@ fn fingerprint(plan: ChaosPlan) -> String {
     if let Some((site, err)) = report.errors.first() {
         panic!("chaos must degrade, not crash: [{site}] {err}");
     }
+    assert_eq!(
+        report.in_flight, 0,
+        "a packet was neither consumed nor lost"
+    );
     let c = report.chaos.expect("chaos report recorded");
     format!(
         "out={:?} instrs={} pkts={} bytes={} vns={} quiescent={} \
@@ -144,12 +148,12 @@ const NS_CLIENT: &str = r#"
     ))
 "#;
 
-/// Satellite regression: lease grants, invalidations, and replication
-/// records ride the same chaotic fabric as application packets, so each
-/// chaos-dropped (or duplicated) control packet must be
-/// Mattern-compensated at the injection point — otherwise the
-/// termination wave never balances and a run under drop rates hangs
-/// instead of winding down. Every seed is also replayed once, keeping
+/// Lease grants, invalidations, and replication records ride the same
+/// chaotic fabric as application packets, so each chaos-dropped (or
+/// duplicated) control packet must be consumed (or minted) where the dice
+/// roll — otherwise the termination wave never balances and a run under
+/// drop rates hangs instead of winding down. The run's ledger checks it:
+/// nothing is left in flight. Every seed is also replayed once, keeping
 /// the sharded path inside the determinism gate.
 #[test]
 fn sharded_name_service_drops_are_termination_compensated() {
@@ -171,6 +175,7 @@ fn sharded_name_service_drops_are_termination_compensated() {
         if let Some((site, err)) = report.errors.first() {
             panic!("seed {seed}: chaos must degrade, not crash: [{site}] {err}");
         }
+        assert_eq!(report.in_flight, 0, "seed {seed}: a packet went uncounted");
         let ns = report.ns_totals();
         let c = report.chaos.expect("chaos report recorded");
         let faults = c.dropped + c.duplicated;
@@ -260,6 +265,11 @@ fn releasing_rpc(spec: ChaosSpec) -> (String, Vec<String>, u64) {
     if let Some((site, err)) = report.errors.first() {
         panic!("seed {}: [{site}] {err}", spec.seed);
     }
+    assert_eq!(
+        report.in_flight, 0,
+        "seed {}: a packet went uncounted",
+        spec.seed
+    );
     let mut out = report.output("client").to_vec();
     out.sort();
     let c = report.chaos.expect("chaos report recorded");
