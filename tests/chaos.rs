@@ -14,10 +14,27 @@ const CLIENT: &str = r#"
     in Loop[40]
 "#;
 
+/// Every fingerprint below, as recorded before the deterministic run
+/// became the pooled loop on a virtual clock: one `key<TAB>fingerprint`
+/// per line. Replaying two runs inside one binary cannot see a schedule
+/// that moved between commits; this file can.
+const GOLDEN: &str = include_str!("chaos.golden");
+
+/// Assert that `fp` is the recorded fingerprint of `key`, and return it.
+fn pinned(key: &str, fp: String) -> String {
+    let want = GOLDEN
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix('\t'))
+        .unwrap_or_else(|| panic!("tests/chaos.golden has no line for {key:?}"));
+    assert_eq!(fp, want, "{key}: the virtual schedule moved");
+    fp
+}
+
 /// One chaotic client/server run, collapsed to a canonical fingerprint:
 /// every observable the report carries, in a fixed order. Two runs with
-/// the same plan must produce the same string, byte for byte.
-fn fingerprint(plan: ChaosPlan) -> String {
+/// the same plan must produce the same string, byte for byte, and the
+/// string recorded under `key`.
+fn fingerprint(key: &str, plan: ChaosPlan) -> String {
     let report = Env::new(Topology {
         nodes: 2,
         mode: FabricMode::Virtual,
@@ -39,7 +56,7 @@ fn fingerprint(plan: ChaosPlan) -> String {
         "a packet was neither consumed nor lost"
     );
     let c = report.chaos.expect("chaos report recorded");
-    format!(
+    let fp = format!(
         "out={:?} instrs={} pkts={} bytes={} vns={} quiescent={} \
          dropped={} dup={} delayed={} pdrops={} parts={} heals={} kills={} restarts={}",
         report.output("client"),
@@ -56,7 +73,8 @@ fn fingerprint(plan: ChaosPlan) -> String {
         c.heals,
         c.kills,
         c.restarts
-    )
+    );
+    pinned(key, fp)
 }
 
 fn faulty_spec(seed: u64) -> ChaosSpec {
@@ -71,7 +89,7 @@ fn faulty_spec(seed: u64) -> ChaosSpec {
 /// The undisturbed run's length, used to place structural events at
 /// meaningful fractions of the run instead of guessed absolute times.
 fn baseline_ns() -> u64 {
-    let quiet = fingerprint(ChaosPlan::new(ChaosSpec::quiet(0)));
+    let quiet = fingerprint("baseline", ChaosPlan::new(ChaosSpec::quiet(0)));
     let vns: u64 = quiet
         .split(" vns=")
         .nth(1)
@@ -96,9 +114,13 @@ fn same_seed_and_plan_replay_identically() {
             )
             .at(v / 2, ChaosEvent::Heal)
     };
-    let first = fingerprint(plan());
+    let first = fingerprint("replay", plan());
     for i in 0..11 {
-        assert_eq!(fingerprint(plan()), first, "iteration {i} diverged");
+        assert_eq!(
+            fingerprint("replay", plan()),
+            first,
+            "iteration {i} diverged"
+        );
     }
     assert!(
         first.contains("parts=1") && first.contains("heals=1"),
@@ -108,14 +130,14 @@ fn same_seed_and_plan_replay_identically() {
 
 #[test]
 fn different_seeds_draw_different_schedules() {
-    let a = fingerprint(ChaosPlan::new(faulty_spec(1)));
-    let b = fingerprint(ChaosPlan::new(faulty_spec(2)));
+    let a = fingerprint("seed 1", ChaosPlan::new(faulty_spec(1)));
+    let b = fingerprint("seed 2", ChaosPlan::new(faulty_spec(2)));
     assert_ne!(a, b, "independent seeds hit the same fault schedule");
 }
 
 #[test]
 fn quiet_plan_is_a_no_op() {
-    let quiet = fingerprint(ChaosPlan::new(ChaosSpec::quiet(7)));
+    let quiet = fingerprint("quiet", ChaosPlan::new(ChaosSpec::quiet(7)));
     assert!(
         quiet.contains("out=[\"done\"]"),
         "no faults, full run: {quiet}"
@@ -188,7 +210,7 @@ fn sharded_name_service_drops_are_termination_compensated() {
             c.duplicated,
             c.delayed,
         );
-        (fp, faults, ns)
+        (pinned(&format!("sharded {seed}"), fp), faults, ns)
     };
     let (mut faults, mut registers, mut misses) = (0, 0, 0);
     for seed in 0..10u64 {
@@ -225,8 +247,9 @@ fn seeded_churn_soak_replays_cleanly() {
                 .at(v / 2, ChaosEvent::Heal)
                 .at(2 * v / 3, ChaosEvent::RestartNode(NodeId(1)))
         };
-        let first = fingerprint(plan());
-        let second = fingerprint(plan());
+        let key = format!("churn {seed}");
+        let first = fingerprint(&key, plan());
+        let second = fingerprint(&key, plan());
         assert_eq!(first, second, "seed {seed} did not replay");
         assert!(first.contains("restarts=1"), "seed {seed}: {first}");
     }
@@ -246,9 +269,10 @@ fn releasing_rpc_client() -> String {
     )
 }
 
-/// One run of the releasing RPC under `spec`: its fingerprint, its sorted
-/// output and the client's stale deliveries.
-fn releasing_rpc(spec: ChaosSpec) -> (String, Vec<String>, u64) {
+/// One run of the releasing RPC under `spec`: its fingerprint (checked
+/// against the one recorded under `key`), its sorted output and the
+/// client's stale deliveries.
+fn releasing_rpc(key: &str, spec: ChaosSpec) -> (String, Vec<String>, u64) {
     let report = Env::new(Topology {
         nodes: 2,
         mode: FabricMode::Virtual,
@@ -288,22 +312,24 @@ fn releasing_rpc(spec: ChaosSpec) -> (String, Vec<String>, u64) {
         server.gcs,
         client.stale_deliveries,
     );
-    (fp, out, client.stale_deliveries)
+    (pinned(key, fp), out, client.stale_deliveries)
 }
 
 /// Ten seeds of `faults` on the releasing RPC: the output is the
-/// fault-free run's, no site errs, and every seed replays byte for byte.
-/// Returns the stale deliveries per seed.
-fn releasing_rpc_seeds(faults: impl Fn(u64) -> ChaosSpec) -> Vec<u64> {
-    let (_, clean, stale) = releasing_rpc(ChaosSpec::quiet(0));
+/// fault-free run's, no site errs, and every seed replays byte for byte
+/// the fingerprint recorded as `<label> <seed>`. Returns the stale
+/// deliveries per seed.
+fn releasing_rpc_seeds(label: &str, faults: impl Fn(u64) -> ChaosSpec) -> Vec<u64> {
+    let (_, clean, stale) = releasing_rpc("releasing clean", ChaosSpec::quiet(0));
     assert_eq!(clean.len(), 16);
     assert_eq!(stale, 0);
     (0..10u64)
         .map(|seed| {
-            let (first, out, stale) = releasing_rpc(faults(seed));
+            let key = format!("{label} {seed}");
+            let (first, out, stale) = releasing_rpc(&key, faults(seed));
             assert_eq!(out, clean, "seed {seed}: {first}");
             assert!(!first.contains(" dup=0 delayed=0 "), "seed {seed}: {first}");
-            let (second, _, _) = releasing_rpc(faults(seed));
+            let (second, _, _) = releasing_rpc(&key, faults(seed));
             assert_eq!(first, second, "seed {seed} did not replay");
             stale
         })
@@ -321,14 +347,14 @@ fn delay_spec(seed: u64) -> ChaosSpec {
 /// waits for them, so no delivery is ever stale.
 #[test]
 fn releasing_rpc_survives_delays() {
-    assert_eq!(releasing_rpc_seeds(delay_spec), vec![0; 10]);
+    assert_eq!(releasing_rpc_seeds("delays", delay_spec), vec![0; 10]);
 }
 
 /// Duplicates make the counts over-report; a copy that lands after its
 /// channel was reclaimed is dropped as stale, and the run is unharmed.
 #[test]
 fn releasing_rpc_survives_duplicates_and_delays() {
-    releasing_rpc_seeds(|seed| ChaosSpec {
+    releasing_rpc_seeds("duplicates", |seed| ChaosSpec {
         dup_per_mille: 40,
         ..delay_spec(seed)
     });
