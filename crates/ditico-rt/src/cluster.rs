@@ -1,5 +1,5 @@
-//! The cluster environment: nodes, sites, fabric and the two execution
-//! modes (deterministic virtual-time and threaded real-time).
+//! The cluster environment: nodes, sites, fabric, and the one run loop
+//! that drives them on a virtual or a wall clock.
 //!
 //! This is the programmatic face of Fig. 2 of the paper: a static IP
 //! topology of nodes, each running a pool of sites plus a TyCOd, with the
@@ -7,35 +7,41 @@
 //! point-to-point through the fabric. The TyCOi/TyCOsh user-level flow
 //! ("users submit new programs for execution in a node") corresponds to
 //! [`Cluster::add_site`].
+//!
+//! A run mode is a clock plus a carrier driving one loop (DESIGN.md §10):
+//! [`Cluster::run_deterministic`] is the virtual clock over the fabric,
+//! [`Cluster::run_threaded`] the wall clock over it, and
+//! [`Cluster::run_distributed`] the wall clock over the TCP transport.
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
 use crate::daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats, DEFAULT_CODE_CACHE};
-use crate::fabric::{Fabric, FabricMode, LinkProfile};
+use crate::fabric::{Clock, Fabric, FabricMode, LinkProfile};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
 use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
 use crate::site::{RtPort, Site, SiteInterface};
 use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket};
 use crate::transport::{Transport, TransportConfig, TransportReport};
-use crate::wake::Notify;
+use crate::wake::{Notify, Wake};
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tyco_vm::codec::Packet;
 use tyco_vm::stats::ExecStats;
 use tyco_vm::word::{Identity, NodeId, SiteId};
 use tyco_vm::{Program, VmError};
 
-/// One node: its daemon, its sites, and the shared outgoing queue end
-/// that new sites clone.
+/// One node: its daemon (its cell [down](DaemonCell::is_down) while the
+/// node is killed), its sites (in the scheduler's pool during a run), and
+/// the shared outgoing queue end that new sites clone.
 struct NodeCell {
     id: NodeId,
-    daemon: Daemon,
+    daemon: Arc<DaemonCell>,
     sites: Vec<Site>,
     out_tx: Sender<(SiteId, Packet, Ticket)>,
-    dead: bool,
 }
 
 /// Everything a finished run reports.
@@ -47,27 +53,31 @@ pub struct RunReport {
     pub stats: HashMap<String, ExecStats>,
     /// Runtime errors per site lexeme.
     pub errors: Vec<(String, VmError)>,
-    /// Final virtual time (deterministic mode; 0 otherwise).
+    /// The fabric's virtual time at the end: where a virtual-clock run
+    /// stopped; 0 on the wall clock, which never moves it.
     pub virtual_ns: u64,
     /// Fabric traffic.
     pub fabric_packets: u64,
     pub fabric_bytes: u64,
     /// Per-node daemon statistics.
     pub daemon_stats: Vec<DaemonStats>,
-    /// True when the run ended with nothing runnable anywhere.
+    /// True when the run ended with nothing runnable anywhere: on the
+    /// termination detector's verdict, or on the virtual clock at its
+    /// limit with no site runnable (never at the wall limit or a cut).
     pub quiescent: bool,
     /// Import requests still unresolved at the end.
     pub blocked_imports: usize,
-    /// Probes the termination detector performed (threaded mode); in a
-    /// distributed run, the snapshots this process took for its own waves
-    /// and its peers'.
+    /// Probes the termination detector performed: one per exit test in
+    /// process, on either clock; in a distributed run, the snapshots
+    /// this process took for its own waves and its peers'.
     pub detector_probes: u64,
     /// Total byte-code instructions executed across all sites.
     pub total_instrs: u64,
-    /// Work-stealing scheduler counters (threaded mode; zero elsewhere).
+    /// Work-stealing scheduler counters (wall clock; zero on the
+    /// virtual clock, which has no workers).
     pub sched: SchedStats,
-    /// Remote nodes considered dead at the end of a distributed run
-    /// (heartbeat silence or exhausted reconnects).
+    /// Nodes considered dead at the end (heartbeat silence, or in a
+    /// distributed run exhausted reconnects).
     pub suspects: Vec<NodeId>,
     /// Wire-level counters (distributed runs only).
     pub transport: Option<TransportReport>,
@@ -82,7 +92,8 @@ pub struct RunReport {
     /// Shard-map failovers: requests routed to a follower because the
     /// owning shard was suspected down (rings of two or more).
     pub ns_failovers: u64,
-    /// Who did the waking (real-thread runs; zero elsewhere).
+    /// Who did the waking (pumps are zero on the virtual clock, where
+    /// nobody is woken).
     pub wakes: WakeStats,
     /// Packets this process injected and did not consume by the end of
     /// the run: still held by a queue, a carrier or a parking lot. 0 for
@@ -103,7 +114,7 @@ pub struct WakeStats {
     /// Turns in which a daemon's fallback thread found a kick nobody had
     /// served, summed over nodes.
     pub fallback_pumps: u64,
-    /// Times the environment loop evaluated its exit test.
+    /// Times the environment loop evaluated its exit test (either clock).
     pub env_evals: u64,
 }
 
@@ -111,11 +122,6 @@ impl RunReport {
     /// Output lines of one site (empty slice if unknown).
     pub fn output(&self, lexeme: &str) -> &[String] {
         self.outputs.get(lexeme).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Summed VM statistics across sites.
-    pub fn total_comm(&self) -> u64 {
-        self.stats.values().map(|s| s.comm).sum()
     }
 
     /// Code-cache counters summed across every node's daemon.
@@ -148,22 +154,15 @@ impl RunReport {
     pub fn total_dup_fetch_replies(&self) -> u64 {
         self.stats.values().map(|s| s.dup_fetch_replies).sum()
     }
-
-    pub fn total_shipped(&self) -> u64 {
-        self.stats
-            .values()
-            .map(|s| s.msgs_sent + s.objs_sent + s.fetches)
-            .sum()
-    }
 }
 
-/// Limits for a deterministic run.
+/// Limits for a virtual-clock run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunLimits {
     /// Stop after this many byte-code instructions (across all sites).
     pub max_instrs: u64,
     /// Instructions per site slice (context-switch granularity between
-    /// sites in the deterministic scheduler).
+    /// sites on the virtual clock).
     pub fuel_per_slice: u64,
     /// When the deterministic loop goes idle and advances virtual time
     /// to the next due event, overshoot the target by this much so a
@@ -194,8 +193,8 @@ pub struct Cluster {
     site_lexemes: Vec<String>,
     /// The node of every site, local or declared remote, by `SiteId`.
     site_nodes: Vec<NodeId>,
-    /// Heartbeat cadence in scheduler rounds (deterministic mode);
-    /// `None` disables heartbeats.
+    /// Heartbeat cadence of an in-process run, in loop rounds (scheduler
+    /// rounds on the virtual clock); `None` disables heartbeats.
     pub heartbeat_every: Option<u64>,
     /// Staleness threshold for the failure monitor, in heartbeat periods.
     pub stale_periods: u64,
@@ -206,6 +205,8 @@ pub struct Cluster {
     code_cache: usize,
     /// Installed fault-injection plan (see [`Cluster::set_chaos`]).
     chaos: Option<Arc<ChaosState>>,
+    /// The sites, while a run holds them.
+    pool: Option<Arc<Shared>>,
     /// The name service's shard map, shared with every daemon:
     /// consistent-hash ownership over the first `ring` nodes plus the
     /// live down-set routing requests to followers.
@@ -234,6 +235,7 @@ impl Cluster {
             sched: SchedConfig::default(),
             code_cache: DEFAULT_CODE_CACHE,
             chaos: None,
+            pool: None,
             shard_map: Arc::new(NsShardMap::new(ns_replicas, 0)),
             ns_service_ns: 0,
         }
@@ -259,16 +261,16 @@ impl Cluster {
     /// visible in the makespan. Applies to existing and future nodes.
     pub fn set_ns_service(&mut self, service_ns: u64) {
         self.ns_service_ns = service_ns;
-        for cell in &mut self.nodes {
-            cell.daemon.set_ns_service_ns(service_ns);
+        for cell in &self.nodes {
+            cell.daemon.with(|d| d.set_ns_service_ns(service_ns));
         }
     }
 
     /// Set every node's code-cache capacity (existing and future nodes).
     pub fn set_code_cache(&mut self, capacity: usize) {
         self.code_cache = capacity;
-        for cell in &mut self.nodes {
-            cell.daemon.set_code_cache(capacity);
+        for cell in &self.nodes {
+            cell.daemon.with(|d| d.set_code_cache(capacity));
         }
     }
 
@@ -304,15 +306,11 @@ impl Cluster {
         );
         daemon.set_code_cache(self.code_cache);
         daemon.set_ns_service_ns(self.ns_service_ns);
-        // Deliveries into this node's fabric inbox kick the daemon's waker
-        // (re-pointed at its combining cell when a real-thread run starts).
-        self.fabric.set_waker(id, daemon.waker().clone());
         self.nodes.push(NodeCell {
             id,
-            daemon,
+            daemon: DaemonCell::new(daemon),
             sites: Vec::new(),
             out_tx,
-            dead: false,
         });
         id
     }
@@ -334,37 +332,22 @@ impl Cluster {
         program: Program,
         interface: SiteInterface,
     ) -> SiteId {
-        let site_id = SiteId(self.site_lexemes.len() as u32);
-        self.site_lexemes.push(lexeme.to_string());
-        self.site_nodes.push(node);
-        let identity = Identity {
-            site: site_id,
-            node,
-        };
-        // Register the site in every name-service host up front — the
-        // paper: "site names are registered in a Network Name Service"
-        // and "all sites know its location in advance". The hosts are
-        // the ring nodes.
-        for cell in self.nodes.iter_mut() {
-            if let Some(ns) = &mut cell.daemon.ns {
-                ns.register_site(lexeme, identity);
-            }
-        }
+        let identity = self.register_site(lexeme, node);
         let (in_tx, in_rx) = unbounded();
         let cell = &mut self.nodes[node.0 as usize];
+        cell.daemon.with(|d| d.attach_site(identity.site, in_tx));
         let mut port = RtPort::new(
             identity,
             lexeme.to_string(),
             cell.out_tx.clone(),
             in_rx,
-            cell.daemon.waker().clone(),
+            cell.daemon.fallback(),
             self.term,
         );
         port.set_interface(interface);
-        let site = Site::new(lexeme, identity, program, port);
-        cell.daemon.attach_site(site_id, in_tx);
+        let site = Site::new(program, port, cell.daemon.down_flag());
         cell.sites.push(site);
-        site_id
+        identity.site
     }
 
     /// Compile source and add the site (convenience).
@@ -386,71 +369,94 @@ impl Cluster {
     /// builds the same topology in the same order assigns identical ids —
     /// the invariant the wire protocol relies on.
     pub fn add_remote_site(&mut self, lexeme: &str, node: NodeId) -> SiteId {
-        let site_id = SiteId(self.site_lexemes.len() as u32);
-        self.site_lexemes.push(lexeme.to_string());
-        self.site_nodes.push(node);
-        let identity = Identity {
-            site: site_id,
-            node,
-        };
-        for cell in self.nodes.iter_mut() {
-            if let Some(ns) = &mut cell.daemon.ns {
-                ns.register_site(lexeme, identity);
-            }
-        }
-        site_id
+        self.register_site(lexeme, node).site
     }
 
-    /// Kill a node: its traffic is dropped and its daemon and sites stop
-    /// (failure injection for the §7 experiments).
+    /// The next [`SiteId`], on `node`, registered in every name-service
+    /// host (the ring nodes) up front — the paper: "site names are
+    /// registered in a Network Name Service" and "all sites know its
+    /// location in advance".
+    fn register_site(&mut self, lexeme: &str, node: NodeId) -> Identity {
+        let identity = Identity {
+            site: SiteId(self.site_lexemes.len() as u32),
+            node,
+        };
+        self.site_lexemes.push(lexeme.to_string());
+        self.site_nodes.push(node);
+        for cell in &self.nodes {
+            cell.daemon.with(|d| {
+                if let Some(ns) = &mut d.ns {
+                    ns.register_site(lexeme, identity);
+                }
+            });
+        }
+        identity
+    }
+
+    /// Kill a node (failure injection, §7; a chaos `KillNode` on either
+    /// clock): its traffic is dropped, its daemon and sites stop, keeping
+    /// what they hold, its keys route to the follower at once, and
+    /// imports parked at the corpse are re-issued.
     pub fn kill_node(&mut self, node: NodeId) {
         self.fabric.kill_node(node);
-        if let Some(cell) = self.nodes.get_mut(node.0 as usize) {
-            cell.dead = true;
+        if let Some(cell) = self.nodes.get(node.0 as usize) {
+            cell.daemon.set_down(true);
         }
-        // Route the dead owner's keys to its follower at once, and
-        // re-issue imports parked at the corpse.
         if self.shard_map.mark_down(node) {
             self.resend_all_pending_imports();
         }
     }
 
-    /// Restart a killed node, modelling a daemon process bounce: fabric
-    /// delivery resumes, sites pump again, but the node's TyCOd comes
-    /// back *empty* — code cache cleared, parked and queued traffic lost
-    /// (consumed with its tickets, so termination still balances),
-    /// heartbeat history reset. In-flight shipments to the node converge again via
-    /// the daemon's bounded NeedCode refill retries.
+    /// Restart a killed node, modelling a daemon process bounce: its TyCOd
+    /// comes back *empty* — code cache cleared, parked and queued traffic
+    /// lost (consumed with its tickets), heartbeat history reset — and
+    /// its sites and fabric delivery resume. In-flight shipments converge
+    /// again via the daemon's bounded NeedCode refill retries.
     pub fn restart_node(&mut self, node: NodeId) {
-        self.fabric.revive_node(node);
-        if let Some(cell) = self.nodes.get_mut(node.0 as usize) {
-            cell.dead = false;
-            cell.daemon.simulate_restart();
+        if let Some(cell) = self.nodes.get(node.0 as usize) {
+            cell.daemon.with(Daemon::simulate_restart);
+            cell.daemon.set_down(false);
         }
+        self.fabric.revive_node(node);
         // A healed owner serves its shard again. Writes it missed arrive
         // via the follower's symmetric replication stream.
         self.shard_map.mark_up(node);
+        // Sites with work left when the node died are queued again.
+        if let Some(pool) = &self.pool {
+            pool.for_each_site(|slot, site| {
+                if site.identity.node == node {
+                    pool.handle(slot).wake();
+                }
+            });
+        }
+    }
+
+    /// Every site in node-major order, wherever it is.
+    fn for_each_site(&mut self, mut f: impl FnMut(&mut Site)) {
+        for site in self.nodes.iter_mut().flat_map(|c| &mut c.sites) {
+            f(site);
+        }
+        if let Some(pool) = &self.pool {
+            pool.for_each_site(|_, site| f(site));
+        }
     }
 
     /// Re-issue every live site's unresolved imports: they may be parked
     /// at a node that just died or changed shard role.
     fn resend_all_pending_imports(&mut self) {
-        for cell in &mut self.nodes {
-            if cell.dead {
-                continue;
-            }
-            for site in &mut cell.sites {
+        self.for_each_site(|site| {
+            if !site.is_down() {
                 site.machine.port.resend_pending_imports();
             }
-        }
+        });
     }
 
     /// Install a seeded fault-injection plan on the cluster's fabric.
     /// Every packet crossing a node boundary then rolls for a fate
     /// (drop / duplicate / delay within the link's profile) from a
     /// deterministic per-edge stream, and the plan's timed events
-    /// (partition, heal, kill, restart) fire as virtual or wall time
-    /// passes them. Same seed + same plan ⇒ same injected schedule.
+    /// (partition, heal, kill, restart) fire as the run's clock passes
+    /// them. Same seed + same plan ⇒ same injected schedule.
     pub fn set_chaos(&mut self, plan: ChaosPlan) -> Result<(), String> {
         plan.validate()?;
         let st = ChaosState::new(plan);
@@ -459,42 +465,27 @@ impl Cluster {
         Ok(())
     }
 
-    /// Fire every chaos event due at `now_ns`, acting on the ones that
-    /// need the cluster (kill/restart); partitions and heals were already
-    /// applied inside the chaos state.
-    fn apply_chaos_due(&mut self, now_ns: u64) {
-        let Some(ch) = self.chaos.clone() else {
-            return;
-        };
-        for ev in ch.apply_due(now_ns) {
-            match ev {
-                ChaosEvent::KillNode(n) => self.kill_node(n),
-                ChaosEvent::RestartNode(n) => self.restart_node(n),
-                ChaosEvent::Partition { .. } | ChaosEvent::Heal => {}
-            }
-        }
-    }
-
     /// One heartbeat round: beacons from live nodes, observation from a
     /// live ring node's view, and the shard map following the monitor's
     /// verdicts — a suspected owner's keys fail over to its ring
     /// successor, a healed owner takes them back.
-    fn heartbeat_cycle(&mut self, monitor: &mut FailureMonitor, hb_round: u64) {
-        for cell in &mut self.nodes {
-            if !cell.dead {
-                cell.daemon.send_heartbeat();
-            }
+    fn heartbeat_round(&mut self, beats: &mut Beats) {
+        beats.round += 1;
+        let round = beats.round;
+        for cell in &self.nodes {
+            cell.daemon.live(Daemon::send_heartbeat);
         }
         let ring = self.shard_map.ring();
-        if let Some(obs) = self.nodes.iter().take(ring).find(|c| !c.dead) {
-            for (n, s) in &obs.daemon.heartbeats {
-                monitor.observe(*n, *s, hb_round);
-            }
+        // The first live ring node's view.
+        let mut ring_nodes = self.nodes.iter().take(ring);
+        let seen = ring_nodes.find_map(|c| c.daemon.live(|d| d.heartbeats.clone()));
+        for (n, s) in seen.unwrap_or_default() {
+            beats.monitor.observe(n, s, round);
         }
         for i in 0..ring {
             let n = NodeId(i as u32);
-            let dead = self.nodes.get(i).is_none_or(|c| c.dead);
-            if dead || monitor.suspected(n, hb_round) {
+            let dead = self.nodes.get(i).is_none_or(|c| c.daemon.is_down());
+            if dead || beats.monitor.suspected(n, round) {
                 if self.shard_map.mark_down(n) {
                     // Imports parked at the suspect re-issue and route
                     // to the follower.
@@ -518,129 +509,18 @@ impl Cluster {
         Ok(())
     }
 
-    /// Run deterministically: round-robin pumping of daemons and sites,
-    /// advancing the virtual clock when nothing is runnable.
+    /// Run on the virtual clock, round by round, until nothing is left to
+    /// happen; the cluster can then be inspected and run again.
     pub fn run_deterministic(&mut self, limits: RunLimits) -> RunReport {
         self.check_ring().unwrap_or_else(|e| panic!("{e}"));
-        let mut round: u64 = 0;
-        let mut hb_round: u64 = 0;
-        let mut forced_hb: u64 = 0;
-        let mut monitor = FailureMonitor::new(self.stale_periods);
-        loop {
-            round += 1;
-            let mut progress = false;
-            // Chaos events scheduled at or before the current virtual
-            // time fire first, so a partition cuts this round's traffic
-            // and a restart's daemon is pumpable this round.
-            self.apply_chaos_due(self.fabric.now_ns());
-            // Heartbeats + failure detection (when enabled).
-            if let Some(every) = self.heartbeat_every {
-                if round.is_multiple_of(every) {
-                    hb_round += 1;
-                    self.heartbeat_cycle(&mut monitor, hb_round);
-                }
-            }
-            // Lease TTLs and the modeled resolver run on the fabric's
-            // virtual clock here.
-            if self.nodes.iter().any(|c| c.daemon.needs_clock()) {
-                let now = self.fabric.now_ns();
-                for cell in &mut self.nodes {
-                    cell.daemon.set_now_ns(now);
-                }
-            }
-            for cell in &mut self.nodes {
-                if !cell.dead {
-                    progress |= cell.daemon.pump();
-                }
-            }
-            let mut site_progress = false;
-            for cell in &mut self.nodes {
-                if cell.dead {
-                    continue;
-                }
-                for site in &mut cell.sites {
-                    site_progress |= site.pump(limits.fuel_per_slice);
-                }
-            }
-            progress |= site_progress;
-            if site_progress {
-                forced_hb = 0;
-            }
-            if !progress {
-                // Nothing runnable: advance virtual time to the next due
-                // event — a fabric delivery or a scheduled chaos event,
-                // whichever is earlier — optionally overshooting by
-                // `idle_advance_ns` to land a whole wave at once.
-                let mut next = self.fabric.next_event_ns();
-                if let Some(c) = self.chaos.as_ref().and_then(|ch| ch.next_event_ns()) {
-                    next = Some(next.map_or(c, |f| f.min(c)));
-                }
-                // A modeled resolver with a backlog finishes its current
-                // request at a known clock time; jump there so queued
-                // binds are always served.
-                for cell in &self.nodes {
-                    if cell.dead {
-                        continue;
-                    }
-                    if let Some(d) = cell.daemon.ns_backlog_next_due() {
-                        next = Some(next.map_or(d, |f| f.min(d)));
-                    }
-                }
-                if let Some(t) = next {
-                    self.fabric
-                        .advance_to(t.saturating_add(limits.idle_advance_ns));
-                    continue;
-                }
-                // A daemon waiting on a code refill gets its retry clock
-                // ticked only on idle rounds like this one: each tick is
-                // a unit of "nothing else happened", so the bounded
-                // re-ask/give-up ladder runs the same way on every
-                // fabric and never races real deliveries.
-                let mut ticked = false;
-                for cell in &mut self.nodes {
-                    if !cell.dead && cell.daemon.has_pending_refills() {
-                        cell.daemon.tick_refills();
-                        ticked = true;
-                    }
-                }
-                if ticked {
-                    continue;
-                }
-                // Otherwise, when failure detection is on, keep the
-                // heartbeat protocol alive for a bounded number of idle
-                // cycles so a dead shard owner is noticed and failover
-                // (which re-injects imports) can happen.
-                if self.heartbeat_every.is_some()
-                    && forced_hb < self.stale_periods + self.shard_map.ring() as u64 + 2
-                {
-                    forced_hb += 1;
-                    hb_round += 1;
-                    self.heartbeat_cycle(&mut monitor, hb_round);
-                    continue;
-                }
-                break;
-            }
-            let total: u64 = self
-                .nodes
-                .iter()
-                .flat_map(|c| &c.sites)
-                .map(|s| s.machine.stats.instrs)
-                .sum();
-            if total > limits.max_instrs {
-                break;
-            }
-        }
-        let mut report = self.report();
-        // Surface the failure monitor's verdict like distributed runs do:
-        // a node that stopped beaconing (killed and never restarted) is
-        // reported suspected. Only meaningful when the deterministic
-        // heartbeat protocol ran at all.
-        if self.heartbeat_every.is_some() && hb_round > 0 {
-            let known: Vec<NodeId> = (0..self.nodes.len() as u32).map(NodeId).collect();
-            report.suspects = monitor.suspects(&known, hb_round);
-            report.suspects.sort_by_key(|n| n.0);
-        }
-        report
+        let rounds = Rounds {
+            limits,
+            idle_beats: 0,
+            last: Step::Idled,
+            instrs: 0,
+            runnable: true,
+        };
+        self.run(Engine::Virtual(rounds), None)
     }
 
     /// Run with real threads: sites are multiplexed over a fixed worker
@@ -649,13 +529,13 @@ impl Cluster {
     /// threads, and termination detection runs on the caller's thread,
     /// woken by the scheduler's idle transitions. Consumes the cluster and
     /// returns the report.
-    pub fn run_threaded(self, wall_limit: Duration) -> RunReport {
+    pub fn run_threaded(mut self, wall_limit: Duration) -> RunReport {
         assert!(
             self.mode == FabricMode::Ideal,
             "threaded runs require the Ideal fabric"
         );
         self.check_ring().unwrap_or_else(|e| panic!("{e}"));
-        self.run_pooled(None, wall_limit)
+        self.run(Engine::Wall(wall_limit, None), None)
     }
 
     /// Run as **one process of a multi-process cluster**: local nodes'
@@ -682,7 +562,7 @@ impl Cluster {
     /// the *bound* address, so a process started on port 0 can be dialled
     /// by whoever reads it.
     pub fn run_distributed(
-        self,
+        mut self,
         cfg: TransportConfig,
         wall_limit: Duration,
     ) -> Result<RunReport, String> {
@@ -718,164 +598,104 @@ impl Cluster {
             transport.set_chaos(Some(ch.clone()));
             self.fabric.set_chaos(None);
         }
-        Ok(self.run_pooled(Some(transport), wall_limit))
+        Ok(self.run(Engine::Wall(wall_limit, None), Some(transport)))
     }
 
-    /// The nodes a termination wave must hear from: every node that hosts
-    /// a site, here or in a peer process, or a name-service shard.
-    fn members(&self) -> Vec<NodeId> {
-        let ring = (0..self.shard_map.ring() as u32).map(NodeId);
-        let mut members: Vec<NodeId> = self.site_nodes.iter().copied().chain(ring).collect();
-        members.sort_by_key(|n| n.0);
-        members.dedup();
-        members
-    }
-
-    /// The one real-thread driver behind [`run_threaded`](Cluster::run_threaded)
-    /// and [`run_distributed`](Cluster::run_distributed): sites on the
-    /// worker pool, every live daemon behind a [`DaemonCell`], and the
-    /// caller's thread as the environment loop.
-    ///
-    /// Nobody is woken to move a message. The cell is what sites and the
-    /// fabric kick, and a kick pumps the daemon on the kicking thread: a
-    /// worker's slice ends by routing and encoding its own sends, the net
-    /// thread delivers what it just read. Each daemon keeps a thread, but
-    /// only as its timer and backstop ([`DaemonCell::run_fallback`]).
-    ///
-    /// The two callers differ only in the carrier. Without a transport,
-    /// the environment loop feeds Mattern's detector this process's
-    /// counters on the pool's idle edges. With one (`Some` rebinds every
-    /// local daemon to the wire and drops the cells of nodes hosted by
-    /// peer processes), the transport's waves feed the same detector
-    /// every member process's summed counters on the heartbeat tick, and
-    /// the loop parks until the transport pings it with the verdict or a
-    /// topology edge. `wall_limit` backstops both.
-    fn run_pooled(mut self, mut transport: Option<Transport>, wall_limit: Duration) -> RunReport {
-        let workers_n = self.sched.effective_workers();
-        let slice_fuel = self.sched.slice_fuel;
-
-        // Flatten nodes into daemon cells + a site pool, remembering
-        // which cell owns each site so its delivery wakeup can be bound
-        // to the scheduler's readiness protocol. Every producer's kick
-        // moves from the daemon's bare `Notify` to its cell here: the
-        // sites' flushes and the fabric's deliveries. A node that is
-        // already dead gets no cell — its daemon is dropped, so its
-        // sites' sends fail and count as consumed.
-        let mut cells: Vec<Arc<DaemonCell>> = Vec::new();
-        let mut sites: Vec<Site> = Vec::new();
-        let mut owner_of_slot: Vec<Option<usize>> = Vec::new();
-        for cell in self.nodes.drain(..) {
-            let NodeCell {
-                id,
-                mut daemon,
-                sites: node_sites,
-                dead,
-                ..
-            } = cell;
-            if let Some(t) = &transport {
-                // Nodes that live in peer processes have no sites here
-                // (see `add_remote_site`); their cells are dropped.
-                if !t.is_local(id) {
-                    continue;
-                }
-                daemon.set_fabric(Arc::new(t.handle()));
+    /// The one driver of every run mode: a clock (`engine`) plus a carrier,
+    /// the fabric or `transport` (DESIGN.md §10). The exit test follows
+    /// the advance, so a run that has just ended fires no further event.
+    fn run(&mut self, mut engine: Engine, mut transport: Option<Transport>) -> RunReport {
+        let (clock, workers_n) = match engine {
+            Engine::Virtual(_) => (Clock::Virtual(self.fabric.handle()), 0),
+            Engine::Wall(..) => (Clock::Wall(Instant::now()), self.sched.effective_workers()),
+        };
+        let wall = matches!(engine, Engine::Wall(..));
+        let hosted = |id: NodeId| transport.as_ref().is_none_or(|t| t.is_local(id));
+        for cell in &mut self.nodes {
+            if !hosted(cell.id) {
+                // A node of a peer process has no sites here (see
+                // `add_remote_site`), and its daemon goes.
+                cell.daemon.retire();
+                continue;
             }
-            let owner = (!dead).then(|| {
-                let cell = DaemonCell::new(daemon);
-                self.fabric.set_waker(id, cell.clone());
-                cells.push(cell);
-                cells.len() - 1
+            cell.daemon.with(|d| {
+                d.set_clock(clock.clone());
+                if let Some(t) = &transport {
+                    d.set_fabric(Arc::new(t.handle()));
+                }
             });
-            for mut site in node_sites {
-                if let Some(ci) = owner {
-                    site.machine.port.set_daemon_waker(cells[ci].clone());
-                }
-                owner_of_slot.push(owner);
-                sites.push(site);
+            if wall {
+                // Deliveries and flushes kick the cell: it pumps inline.
+                self.fabric.set_waker(cell.id, cell.daemon.clone());
             }
         }
-        let slot_ids: Vec<SiteId> = sites.iter().map(|s| s.identity.site).collect();
-        let shared = Shared::new(sites, workers_n);
-        for (slot, (owner, id)) in owner_of_slot.iter().zip(&slot_ids).enumerate() {
-            if let Some(ci) = owner {
-                cells[*ci].set_site_waker(*id, Arc::new(shared.handle(slot as u32)));
-            }
+        let sites = self.nodes.iter_mut().flat_map(|c| c.sites.drain(..));
+        let pool = Shared::new(sites.collect(), workers_n);
+        if wall {
+            pool.for_each_site(|slot, site| {
+                let (ready, id) = (Arc::new(pool.handle(slot)), site.identity);
+                let cell = &self.nodes[id.node.0 as usize].daemon;
+                site.machine.port.set_daemon_waker(cell.clone());
+                cell.with(|d| d.set_site_waker(id.site, ready));
+            });
         }
-        // What the environment loop parks on (see the doc comment).
+        self.pool = Some(pool.clone());
+        // What a wall-clock advance parks on.
         let env_park = match &transport {
             Some(t) => {
-                let edges = Arc::new(Notify::new());
-                let pool = shared.clone();
-                t.attach(
-                    &self.members(),
-                    move || pool.active_sites() > 0,
-                    edges.clone(),
-                );
+                // A termination wave must hear from every node that hosts
+                // a site, here or in a peer process, or a shard.
+                let ring = (0..self.shard_map.ring() as u32).map(NodeId);
+                let mut members: Vec<NodeId> =
+                    self.site_nodes.iter().copied().chain(ring).collect();
+                members.sort_by_key(|n| n.0);
+                members.dedup();
+                let (edges, pool) = (Arc::new(Notify::new()), pool.clone());
+                t.attach(&members, move || pool.active_sites() > 0, edges.clone());
                 edges
             }
-            None => shared.idle.clone(),
+            None => pool.idle.clone(),
         };
-
-        let mut daemon_threads = Vec::new();
-        for cell in &cells {
-            let cell = cell.clone();
-            daemon_threads.push(
-                std::thread::Builder::new()
-                    .name("tycod".into())
-                    .spawn(move || cell.run_fallback())
-                    .expect("spawn daemon fallback thread"),
-            );
-        }
-
-        let mut worker_threads = Vec::new();
-        for i in 0..workers_n {
-            let worker = Worker::new(shared.clone(), i, slice_fuel);
-            worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ditico-worker-{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            );
-        }
-
-        let t0 = Instant::now();
-        let chaos = self.chaos.clone();
-        let mut env_evals = 0u64;
+        let mut beats = Beats {
+            monitor: FailureMonitor::new(self.stale_periods),
+            round: 0,
+        };
         let mut detector = TerminationDetector::new();
+        let (mut round, mut env_evals, mut park) = (0u64, 0u64, Duration::ZERO);
         let quiescent = loop {
-            // Chaos events fire against the wall clock here; kills and
-            // restarts act at the locally hosted nodes' fabric endpoints
-            // (traffic blackholed/revived) — the daemons themselves stay
-            // in their cells, and peer processes under chaos run their
-            // own plan against their own clock.
-            if let Some(ch) = &chaos {
-                for ev in ch.apply_due(t0.elapsed().as_nanos() as u64) {
+            // 1. Chaos events due now: partitions and heals act inside
+            // the chaos state, kills and restarts here.
+            if let Some(ch) = self.chaos.clone() {
+                for ev in ch.apply_due(clock.now_ns()) {
                     match ev {
-                        ChaosEvent::KillNode(n) => {
-                            self.fabric.kill_node(n);
-                            self.shard_map.mark_down(n);
-                        }
-                        ChaosEvent::RestartNode(n) => {
-                            self.fabric.revive_node(n);
-                            self.shard_map.mark_up(n);
-                        }
+                        ChaosEvent::KillNode(n) => self.kill_node(n),
+                        ChaosEvent::RestartNode(n) => self.restart_node(n),
                         ChaosEvent::Partition { .. } | ChaosEvent::Heal => {}
                     }
                 }
             }
-            env_evals += 1;
-            let park = match &transport {
-                None => {
-                    let snap = Snapshot::take(self.term, shared.active_sites() > 0);
-                    if detector.probe(snap) {
-                        break true;
+            // 2. A heartbeat round, when due: in-process runs only (the
+            // transport beats on its own tick), and a dry clock has none.
+            round += 1;
+            let due = self.heartbeat_every.is_some_and(|e| round % e == 0);
+            let dry = matches!(&engine, Engine::Virtual(r) if r.dry());
+            if due && transport.is_none() && !dry {
+                self.heartbeat_round(&mut beats);
+            }
+            // 3. Advance the clock. The wall clock's first advance starts
+            // the threads, after the chaos events due at 0 have fired.
+            match &mut engine {
+                Engine::Virtual(r) => r.last = self.virtual_round(&pool, r, &mut beats),
+                Engine::Wall(_, threads) => {
+                    if threads.is_none() {
+                        *threads = Some(self.spawn(&pool, workers_n, hosted));
                     }
-                    // A first quiet wave is confirmed after a token wait:
-                    // once the run has truly terminated no idle edge fires
-                    // again. Busy, the timeout only bounds the wall check.
-                    let quiet = snap.quiet();
-                    Duration::from_micros(if quiet { 200 } else { 20_000 })
+                    env_park.wait_timeout(park);
                 }
+            }
+            // 4. The exit test.
+            env_evals += 1;
+            match &transport {
                 Some(t) => {
                     if t.concluded() {
                         break true;
@@ -893,53 +713,92 @@ impl Cluster {
                         // sites idle, nobody suspected, no dialer
                         // exhausted — is the peers finishing and leaving;
                         // anything else is a cut, reported with its suspects.
-                        break shared.active_sites() == 0
+                        break pool.active_sites() == 0
                             && suspects.is_empty()
                             && t.report().peers_failed == 0;
                     }
                     // Suspicion ripens by the heartbeat clock, not by an
                     // edge: look again every tick.
-                    t.hb_period()
+                    park = t.hb_period();
                 }
-            };
-            if t0.elapsed() > wall_limit {
-                break false;
+                None => {
+                    // Time the virtual clock can still advance to is work
+                    // the counters cannot see (a timed kill, a heartbeat
+                    // that fails a shard over): it counts as activity.
+                    let busy = match &engine {
+                        Engine::Virtual(r) => !r.dry() || r.runnable,
+                        Engine::Wall(..) => pool.active_sites() > 0,
+                    };
+                    let snap = Snapshot::take(self.term, busy);
+                    if detector.probe(snap) {
+                        break true;
+                    }
+                    // A first quiet wave is confirmed after a token wait:
+                    // once the run has truly terminated no idle edge fires
+                    // again. Busy, the timeout only bounds the wall check.
+                    park = Duration::from_micros(if snap.quiet() { 200 } else { 20_000 });
+                }
             }
-            env_park.wait_timeout(park);
+            // The limit. On the virtual clock: out of fuel, or dry after
+            // the detector's second look (packets stranded at a dead
+            // node, or a dead node's site left runnable).
+            match &engine {
+                Engine::Virtual(r) => {
+                    let fuel = r.last == Step::Ran && r.instrs > r.limits.max_instrs;
+                    if fuel || r.last == Step::StillDry {
+                        break !r.runnable;
+                    }
+                }
+                Engine::Wall(limit, _) => {
+                    if Duration::from_nanos(clock.now_ns()) > *limit {
+                        break false;
+                    }
+                }
+            }
         };
-        // Capture liveness verdicts *before* tearing the wire down.
-        let suspects = transport
-            .as_ref()
-            .map_or_else(Vec::new, Transport::suspects);
-        shared.stop();
-
-        let worker_aborts = join_workers(&shared, worker_threads);
+        // Liveness verdicts are captured *before* the wire is torn down.
+        // In process, a node that stopped beaconing is suspected.
+        let known: Vec<NodeId> = self.nodes.iter().map(|c| c.id).collect();
+        let suspects = transport.as_ref().map_or_else(
+            || beats.monitor.suspects(&known, beats.round),
+            Transport::suspects,
+        );
+        pool.stop();
+        let (workers, fallbacks) = match engine {
+            Engine::Wall(_, threads) => threads.unwrap_or_default(),
+            Engine::Virtual(_) => Default::default(),
+        };
         let mut report = RunReport {
-            sched: shared.stats(),
-            aborts: worker_aborts,
+            virtual_ns: self.fabric.now_ns(),
+            sched: if wall {
+                pool.stats()
+            } else {
+                SchedStats::default()
+            },
+            aborts: join_workers(&pool, workers),
             suspects,
-            // Quiescent iff the exit test concluded it (as opposed to
-            // hitting the wall-clock limit or a wire cut).
             quiescent,
             // Taken while the daemons still hold what they hold.
             in_flight: self.term.in_flight(),
+            detector_probes: detector.probes,
             ..Default::default()
         };
-        shared.for_each_site(|site| collect_site(&mut report, site));
         report.wakes.env_evals = env_evals;
-        // Retiring a cell takes its daemon out (later kicks, e.g. from a
-        // net thread still reading, find nothing to pump) and signals the
-        // fallback thread, which returns at once instead of sleeping out
-        // its park.
-        for cell in &cells {
-            let (inline, fallback) = cell.pumps();
+        self.for_each_site(|site| collect_site(&mut report, site));
+        for cell in &self.nodes {
+            let (inline, fallback) = cell.daemon.pumps();
             report.wakes.inline_pumps += inline;
             report.wakes.fallback_pumps += fallback;
-            if let Some(daemon) = cell.retire() {
-                report.daemon_stats.push(daemon.stats);
+            report.daemon_stats.extend(cell.daemon.with(|d| d.stats));
+            if wall {
+                // Retiring a cell takes its daemon out (later kicks, e.g.
+                // from a net thread still reading, find nothing to pump)
+                // and signals the fallback thread, which returns at once
+                // instead of sleeping out its park.
+                cell.daemon.retire();
             }
         }
-        for h in daemon_threads {
+        for h in fallbacks {
             if h.join().is_err() {
                 report
                     .aborts
@@ -948,16 +807,118 @@ impl Cluster {
         }
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
         report.fabric_bytes = self.fabric.stats.bytes.load(Ordering::Relaxed);
-        report.chaos = chaos.as_ref().map(|c| c.report());
+        report.chaos = self.chaos.as_ref().map(|c| c.report());
         report.ns_failovers = self.shard_map.failovers();
         report.transport = transport.as_mut().map(|t| {
             t.shutdown();
             t.report()
         });
-        report.detector_probes = report
-            .transport
-            .map_or(detector.probes, |wire| wire.detector_probes);
+        if let Some(wire) = &report.transport {
+            report.detector_probes = wire.detector_probes;
+        }
+        // The sites go back to their nodes, where a virtual-clock run
+        // finds them again and `site` inspects them.
+        self.pool = None;
+        if !wall {
+            for site in pool.into_sites() {
+                self.nodes[site.identity.node.0 as usize].sites.push(site);
+            }
+        }
         report
+    }
+
+    /// One round of the virtual clock: pump every live daemon in node
+    /// order, then give every site a slice in slot order. When nothing
+    /// ran, move time to the next event (plus `idle_advance_ns`), tick
+    /// the refill clocks, or beat an idle heartbeat; else it is dry.
+    fn virtual_round(&mut self, pool: &Shared, r: &mut Rounds, beats: &mut Beats) -> Step {
+        if r.dry() {
+            return Step::StillDry;
+        }
+        let mut progress = false;
+        for cell in &self.nodes {
+            progress |= cell.daemon.live(Daemon::pump).unwrap_or(false);
+        }
+        let (mut site_progress, mut instrs, mut runnable) = (false, 0, false);
+        pool.for_each_site(|_, site| {
+            site_progress |= site.pump_slice(r.limits.fuel_per_slice).ran;
+            instrs += site.machine.stats.instrs;
+            runnable |= site.machine.runnable();
+        });
+        (r.instrs, r.runnable) = (instrs, runnable);
+        if site_progress {
+            r.idle_beats = 0;
+        }
+        if progress || site_progress {
+            return Step::Ran;
+        }
+        // A modeled resolver with a backlog finishes its current request
+        // at a known clock time; jump there so queued binds are served.
+        let resolvers = self
+            .nodes
+            .iter()
+            .filter_map(|c| c.daemon.live(|d| d.ns_backlog_next_due()).flatten());
+        let chaos = self.chaos.as_ref().and_then(|ch| ch.next_event_ns());
+        if let Some(t) = resolvers
+            .chain(chaos)
+            .chain(self.fabric.next_event_ns())
+            .min()
+        {
+            self.fabric
+                .advance_to(t.saturating_add(r.limits.idle_advance_ns));
+            return Step::Idled;
+        }
+        // Refill retry clocks tick only on idle rounds like this one, so
+        // the bounded re-ask/give-up ladder never races real deliveries.
+        let mut ticked = false;
+        for cell in &self.nodes {
+            cell.daemon.live(|d| {
+                if d.has_pending_refills() {
+                    d.tick_refills();
+                    ticked = true;
+                }
+            });
+        }
+        if ticked {
+            return Step::Idled;
+        }
+        // With failure detection on, a bounded number of idle heartbeat
+        // rounds lets a dead shard owner be noticed and failed over.
+        let bound = self.stale_periods + self.shard_map.ring() as u64 + 2;
+        if self.heartbeat_every.is_some() && r.idle_beats < bound {
+            r.idle_beats += 1;
+            self.heartbeat_round(beats);
+            return Step::Idled;
+        }
+        Step::Dry
+    }
+
+    /// Start a wall-clock run's threads: a fallback per hosted daemon,
+    /// then the worker pool.
+    fn spawn(
+        &self,
+        pool: &Arc<Shared>,
+        workers: usize,
+        hosted: impl Fn(NodeId) -> bool,
+    ) -> Threads {
+        let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
+            let thread = std::thread::Builder::new().name(name);
+            thread.spawn(body).expect("spawn a runtime thread")
+        };
+        let hosted_cells = self.nodes.iter().filter(|c| hosted(c.id));
+        let fallbacks = hosted_cells
+            .map(|c| {
+                let cell = c.daemon.clone();
+                spawn("tycod".into(), Box::new(move || cell.run_fallback()))
+            })
+            .collect();
+        let workers = (0..workers)
+            .map(|i| {
+                let worker = Worker::new(pool.clone(), i, self.sched.slice_fuel);
+                spawn(format!("ditico-worker-{i}"), Box::new(move || worker.run()))
+            })
+            .collect();
+        (workers, fallbacks)
     }
 
     /// A site of this process, for inspection after a deterministic run.
@@ -972,31 +933,55 @@ impl Cluster {
     pub fn virtual_ns(&self) -> u64 {
         self.fabric.now_ns()
     }
+}
 
-    fn report(&self) -> RunReport {
-        let mut report = RunReport {
-            virtual_ns: self.fabric.now_ns(),
-            fabric_packets: self.fabric.stats.packets.load(Ordering::Relaxed),
-            fabric_bytes: self.fabric.stats.bytes.load(Ordering::Relaxed),
-            chaos: self.chaos.as_ref().map(|c| c.report()),
-            ns_failovers: self.shard_map.failovers(),
-            in_flight: self.term.in_flight(),
-            ..Default::default()
-        };
-        let mut quiescent = true;
-        for cell in &self.nodes {
-            debug_assert_eq!(cell.id.0 as usize, report.daemon_stats.len());
-            report.daemon_stats.push(cell.daemon.stats);
-            for site in &cell.sites {
-                collect_site(&mut report, site);
-                if site.machine.runnable() {
-                    quiescent = false;
-                }
-            }
-        }
-        report.quiescent = quiescent;
-        report
+/// A run's clock, as step 3 of the loop advances it.
+enum Engine {
+    /// Virtual time: the loop runs every round itself, up to a fuel limit.
+    Virtual(Rounds),
+    /// Wall time up to a limit: threads run, the loop parks.
+    Wall(Duration, Option<Threads>),
+}
+
+/// The worker and daemon fallback threads of a wall-clock run.
+type Threads = (Vec<JoinHandle<()>>, Vec<JoinHandle<()>>);
+
+/// The virtual clock's state across rounds.
+struct Rounds {
+    limits: RunLimits,
+    /// Idle heartbeat rounds since a site last ran.
+    idle_beats: u64,
+    last: Step,
+    /// Instructions run by every site (earlier runs too), and whether any
+    /// site, dead or alive, can run: as the last stepping round left them.
+    instrs: u64,
+    runnable: bool,
+}
+
+impl Rounds {
+    /// Nothing left to run or advance to.
+    fn dry(&self) -> bool {
+        matches!(self.last, Step::Dry | Step::StillDry)
     }
+}
+
+/// What one virtual round did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// A daemon or a site made progress.
+    Ran,
+    /// Nothing ran; time moved, or a refill or heartbeat ticked.
+    Idled,
+    /// Nothing ran and nothing is left to happen.
+    Dry,
+    /// Dry for a second round: the detector has looked twice.
+    StillDry,
+}
+
+/// The in-process failure monitor and its round count.
+struct Beats {
+    monitor: FailureMonitor,
+    round: u64,
 }
 
 /// Join the worker pool, surviving panicked workers. A worker that died

@@ -26,7 +26,7 @@
 //! back out to every coalesced waiter (single-flight).
 
 use crate::codecache::CodeCache;
-use crate::fabric::{FabricHandle, PacketFabric};
+use crate::fabric::{Clock, FabricHandle, PacketFabric};
 use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
 use crate::sched::STOP_LATENCY;
@@ -175,8 +175,6 @@ pub struct Daemon {
     /// Reusable drain buffers for the two inbound queues.
     scratch_pkts: Vec<(SiteId, Packet, Ticket)>,
     scratch_bytes: Vec<(NodeId, Bytes, Ticket)>,
-    /// What this daemon's fallback thread parks on (see [`Daemon::waker`]).
-    waker: Arc<Notify>,
     /// This node's shard of the name service, when it is on the ring.
     pub ns: Option<NameService>,
     /// The cluster-shared shard map: which node serves which key.
@@ -189,9 +187,10 @@ pub struct Daemon {
     /// cache keep their own; [`Daemon::sync_ns_stats`] folds all three
     /// into `stats.ns`).
     ns_local: NsStats,
-    /// Lease clock: virtual fabric time in deterministic runs, wall
-    /// clock in threaded/distributed ones. Fed by the embedding.
-    now_ns: u64,
+    /// What lease TTLs and the modeled resolver are timed by: the
+    /// fabric's virtual clock for a bare daemon; a run sets its own
+    /// ([`Daemon::set_clock`]).
+    clock: Clock,
     /// Modeled per-request service time of the hosted name service, in
     /// clock ns. 0 (the default) serves requests instantaneously; a
     /// positive value queues `NsRegister`/`NsImport` behind a single
@@ -242,6 +241,7 @@ impl Daemon {
         });
         Daemon {
             node,
+            clock: Clock::Virtual(fabric.clone()),
             sites: HashMap::new(),
             woken: Vec::new(),
             from_sites,
@@ -251,12 +251,10 @@ impl Daemon {
             site_bufs: HashMap::new(),
             scratch_pkts: Vec::new(),
             scratch_bytes: Vec::new(),
-            waker: Arc::new(Notify::new()),
             ns,
             name_cache: NameCache::new(shard.lease_ns()),
             shard,
             ns_local: NsStats::default(),
-            now_ns: 0,
             ns_service_ns: 0,
             ns_busy_until: 0,
             ns_backlog: std::collections::VecDeque::new(),
@@ -309,16 +307,6 @@ impl Daemon {
         std::mem::take(&mut self.woken)
     }
 
-    /// The `Notify` this daemon's fallback thread parks on. Nobody pumps
-    /// on it directly any more: a real-thread run wraps the daemon in a
-    /// [`DaemonCell`], whose kickers pump inline and signal this only
-    /// when they could not; until then (and in deterministic runs, where
-    /// the run loop pumps every round) sites and the fabric hold it as a
-    /// waker nobody waits on.
-    pub fn waker(&self) -> &Arc<Notify> {
-        &self.waker
-    }
-
     /// Replace the outbound network. Distributed runs rebind each local
     /// daemon to the TCP transport's handle so packets addressed to
     /// remote nodes leave the process; in-process runs never call this.
@@ -326,21 +314,9 @@ impl Daemon {
         self.fabric = fabric;
     }
 
-    /// Leased bindings currently held (diagnostics).
-    pub fn name_cache_len(&self) -> usize {
-        self.name_cache.len()
-    }
-
-    /// Advance the lease clock (virtual ns under the deterministic
-    /// fabric, wall-clock ns under threads).
-    pub fn set_now_ns(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
-    }
-
-    /// Does this daemon need `set_now_ns` fed each round? True when
-    /// leases carry a TTL or the modeled resolver is active.
-    pub fn needs_clock(&self) -> bool {
-        self.shard.lease_ns() > 0 || self.ns_service_ns > 0
+    /// Read lease TTLs and the modeled resolver on `clock`.
+    pub fn set_clock(&mut self, clock: Clock) {
+        self.clock = clock;
     }
 
     /// Set the modeled name-service resolver cost (see `ns_service_ns`).
@@ -363,13 +339,17 @@ impl Daemon {
     /// finish: each occupies it for `ns_service_ns`, so a burst drains
     /// one service quantum at a time as the clock passes completions.
     fn drain_ns_backlog(&mut self) -> bool {
+        if self.ns_backlog.is_empty() {
+            return false;
+        }
+        let now = self.clock.now_ns();
         let mut progress = false;
         while let Some(&(arrival, ..)) = self.ns_backlog.front() {
             let done = self
                 .ns_busy_until
                 .max(arrival)
                 .saturating_add(self.ns_service_ns);
-            if done > self.now_ns {
+            if done > now {
                 break;
             }
             self.ns_busy_until = done;
@@ -929,7 +909,7 @@ impl Daemon {
         if self.shard.lease_ns() == 0 {
             return None;
         }
-        let (w, stamp, _epoch) = self.name_cache.get(site, name, self.now_ns)?;
+        let (w, stamp, _epoch) = self.name_cache.get(site, name, self.clock.now_ns())?;
         self.ns_local.imports += 1;
         let result = if !kind_ok(*kind, &w) {
             self.ns_local.kind_mismatch += 1;
@@ -1167,7 +1147,7 @@ impl Daemon {
                     // Modeled resolver cost: the request queues behind
                     // the shard's single server; `drain_ns_backlog`
                     // serves it once the clock passes its completion.
-                    self.ns_backlog.push_back((self.now_ns, p, ticket));
+                    self.ns_backlog.push_back((self.clock.now_ns(), p, ticket));
                 } else {
                     self.serve_ns_request(p, ticket);
                 }
@@ -1185,8 +1165,9 @@ impl Daemon {
                 // A lease grant: cache the binding for the whole node,
                 // then resolve the waiting site's import, exactly like a
                 // plain NsImportReply.
+                let now = self.clock.now_ns();
                 self.name_cache
-                    .insert(&site, &name, value.clone(), stamp, epoch, self.now_ns);
+                    .insert(&site, &name, value.clone(), stamp, epoch, now);
                 let result = Ok(value);
                 (to.site, RtIncoming::ImportResolved { req, result })
             }
@@ -1237,8 +1218,9 @@ impl Daemon {
     }
 }
 
-/// A live daemon in a real-thread run: one **combining cell** that every
-/// producer kicks and whoever wins the lock serves.
+/// A node's daemon: one **combining cell** that, on the wall clock, every
+/// producer kicks and whoever wins the lock serves. On the virtual clock
+/// the run loop pumps it ([`DaemonCell::live`]) and nobody kicks it.
 ///
 /// The paper's 3-step protocol says which party is *responsible* for
 /// queue → forward → queue, not that each step be a hand-off to another
@@ -1262,33 +1244,65 @@ pub struct DaemonCell {
     daemon: Mutex<Option<Daemon>>,
     /// A producer queued work no pump has looked at yet.
     pending: AtomicBool,
+    /// The node is killed: nobody pumps the daemon, and the node's sites,
+    /// which share the flag, run nothing ([`DaemonCell::set_down`]).
+    down: Arc<AtomicBool>,
     fallback: Arc<Notify>,
-    /// Zero of the wall clock fed to clocked daemons.
-    epoch: Instant,
     inline_pumps: AtomicU64,
     fallback_pumps: AtomicU64,
 }
 
 impl DaemonCell {
-    /// Wrap `daemon`; its [`waker`](Daemon::waker) becomes the fallback
-    /// thread's park.
-    pub fn new(daemon: Daemon) -> Arc<DaemonCell> {
+    /// Wrap `daemon`. A cell's kickers are threads, so the daemon reads
+    /// the wall clock until a run hands it the run's own.
+    pub fn new(mut daemon: Daemon) -> Arc<DaemonCell> {
+        daemon.set_clock(Clock::Wall(Instant::now()));
         Arc::new(DaemonCell {
-            fallback: daemon.waker.clone(),
+            fallback: Arc::new(Notify::new()),
             daemon: Mutex::new(Some(daemon)),
             pending: AtomicBool::new(false),
-            epoch: Instant::now(),
+            down: Arc::new(AtomicBool::new(false)),
             inline_pumps: AtomicU64::new(0),
             fallback_pumps: AtomicU64::new(0),
         })
     }
 
-    /// Lease TTLs and the modeled resolver run on the wall clock under
-    /// threads; every holder refreshes it before pumping.
-    fn set_clock(&self, d: &mut Daemon) {
-        if d.needs_clock() {
-            d.set_now_ns(self.epoch.elapsed().as_nanos() as u64);
+    /// What the fallback thread parks on, and what the node's sites kick
+    /// until a wall-clock run hands them the cell itself.
+    pub fn fallback(&self) -> Arc<Notify> {
+        self.fallback.clone()
+    }
+
+    /// Stop (a chaos kill) or resume (a restart) the node: while down,
+    /// nothing pumps the daemon, and the sites holding
+    /// [`down_flag`](DaemonCell::down_flag) run nothing.
+    pub fn set_down(&self, down: bool) {
+        self.down.store(down, Ordering::SeqCst);
+    }
+
+    pub fn is_down(&self) -> bool {
+        self.down.load(Ordering::SeqCst)
+    }
+
+    /// The flag [`set_down`](DaemonCell::set_down) raises.
+    pub fn down_flag(&self) -> Arc<AtomicBool> {
+        self.down.clone()
+    }
+
+    /// Run `f` on the daemon, down or not, unless the cell is retired.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Daemon) -> R) -> Option<R> {
+        let mut guard = self.daemon.lock();
+        let r = guard.as_mut().map(f);
+        Self::release(guard);
+        r
+    }
+
+    /// [`with`](DaemonCell::with), unless the node is down.
+    pub fn live<R>(&self, f: impl FnOnce(&mut Daemon) -> R) -> Option<R> {
+        if self.is_down() {
+            return None;
         }
+        self.with(f)
     }
 
     /// Let go of the daemon, *then* wake the sites its pumps delivered to
@@ -1313,18 +1327,19 @@ impl DaemonCell {
             let Some(d) = guard.as_mut() else {
                 return;
             };
-            self.set_clock(d);
-            let kicked = self.pending.swap(false, Ordering::SeqCst);
-            if kicked {
-                self.fallback_pumps.fetch_add(1, Ordering::Relaxed);
-            }
-            if kicked || d.ns_backlog_next_due().is_some() {
-                d.pump();
-            }
-            if !kicked && d.has_pending_refills() {
-                d.tick_refills();
-            }
-            let timed = d.has_pending_refills() || d.ns_backlog_next_due().is_some();
+            let timed = !self.is_down() && {
+                let kicked = self.pending.swap(false, Ordering::SeqCst);
+                if kicked {
+                    self.fallback_pumps.fetch_add(1, Ordering::Relaxed);
+                }
+                if kicked || d.ns_backlog_next_due().is_some() {
+                    d.pump();
+                }
+                if !kicked && d.has_pending_refills() {
+                    d.tick_refills();
+                }
+                d.has_pending_refills() || d.ns_backlog_next_due().is_some()
+            };
             Self::release(guard);
             // A kick that lost the lock to this turn also signalled
             // `fallback`: the wait below returns at once.
@@ -1333,15 +1348,6 @@ impl DaemonCell {
             } else {
                 STOP_LATENCY
             });
-        }
-    }
-
-    /// [`Daemon::set_site_waker`] on the daemon inside (the scheduler's
-    /// handles exist only once the sites, which already hold this cell,
-    /// are in the pool).
-    pub fn set_site_waker(&self, site: SiteId, waker: Arc<dyn Wake>) {
-        if let Some(d) = self.daemon.lock().as_mut() {
-            d.set_site_waker(site, waker);
         }
     }
 
@@ -1377,10 +1383,9 @@ impl Wake for DaemonCell {
                 self.fallback.notify();
                 return;
             };
-            let Some(d) = guard.as_mut() else {
+            let Some(d) = guard.as_mut().filter(|_| !self.is_down()) else {
                 return;
             };
-            self.set_clock(d);
             while self.pending.swap(false, Ordering::SeqCst) {
                 d.pump();
                 self.inline_pumps.fetch_add(1, Ordering::Relaxed);

@@ -44,6 +44,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use tyco_vm::word::NodeId;
 
 /// Latency/bandwidth model of a point-to-point link.
@@ -149,6 +150,26 @@ pub enum FabricMode {
     Virtual,
 }
 
+/// The time a run is measured in: daemons time leases and the modeled
+/// resolver by it, the run loop chaos events.
+#[derive(Clone)]
+pub enum Clock {
+    /// The fabric's virtual clock, which only a deterministic run moves.
+    Virtual(FabricHandle),
+    /// Wall time since the instant a threaded run started.
+    Wall(Instant),
+}
+
+impl Clock {
+    /// Nanoseconds on this clock.
+    pub fn now_ns(&self) -> u64 {
+        match self {
+            Clock::Virtual(f) => f.shared.lock().now_ns,
+            Clock::Wall(t0) => t0.elapsed().as_nanos() as u64,
+        }
+    }
+}
+
 /// Aggregate traffic counters. Packets/bytes count only traffic accepted
 /// by the fabric — sends dropped because an endpoint is dead are NOT
 /// counted, so partition experiments don't over-report traffic.
@@ -190,6 +211,7 @@ impl Ord for Event {
 /// Per-destination delivery state: the shard of the old global table that
 /// a sender actually needs. Lives in a read-mostly `RwLock` map — sends
 /// only read it; registration and failure injection write it.
+#[derive(Default)]
 struct Route {
     /// Inbound queue of the node's daemon (`None` for nodes that were
     /// killed before ever registering).
@@ -324,26 +346,14 @@ impl Fabric {
     /// Register a node; returns its inbound packet queue.
     pub fn register_node(&self, node: NodeId) -> Receiver<(NodeId, Bytes, Ticket)> {
         let (tx, rx) = unbounded();
-        let mut routes = self.routes.write();
-        let route = routes.entry(node).or_insert(Route {
-            tx: None,
-            dead: false,
-            waker: None,
-        });
-        route.tx = Some(tx);
+        self.routes.write().entry(node).or_default().tx = Some(tx);
         rx
     }
 
     /// Attach the node's daemon waker: every delivery into the node's
     /// inbox is followed by one kick of it.
     pub fn set_waker(&self, node: NodeId, waker: Arc<dyn Wake>) {
-        let mut routes = self.routes.write();
-        let route = routes.entry(node).or_insert(Route {
-            tx: None,
-            dead: false,
-            waker: None,
-        });
-        route.waker = Some(waker);
+        self.routes.write().entry(node).or_default().waker = Some(waker);
     }
 
     /// A sending handle for daemons.
@@ -360,29 +370,13 @@ impl Fabric {
     /// Mark a node dead: all traffic to/from it is dropped (failure
     /// injection for the §7 future-work experiments).
     pub fn kill_node(&self, node: NodeId) {
-        let mut routes = self.routes.write();
-        routes
-            .entry(node)
-            .or_insert(Route {
-                tx: None,
-                dead: false,
-                waker: None,
-            })
-            .dead = true;
+        self.routes.write().entry(node).or_default().dead = true;
     }
 
     /// Undo [`Fabric::kill_node`]: the node carries traffic again
     /// (rolling-restart experiments).
     pub fn revive_node(&self, node: NodeId) {
-        let mut routes = self.routes.write();
-        routes
-            .entry(node)
-            .or_insert(Route {
-                tx: None,
-                dead: false,
-                waker: None,
-            })
-            .dead = false;
+        self.routes.write().entry(node).or_default().dead = false;
     }
 
     /// Virtual mode: the due time of the earliest pending event.

@@ -11,7 +11,7 @@
 //! machine:
 //!
 //! * **Edge-triggered readiness.** A site enters a run queue only when the
-//!   daemon delivers into its inbox ([`ReadyHandle::mark_ready`]) or its
+//!   daemon delivers into its inbox (its [`ReadyHandle`]) or its
 //!   own pump slice reports runnable threads / a non-empty inbox. An idle
 //!   site costs nothing: no parked OS thread, no timeout polls.
 //! * **Per-worker LIFO run queues with randomized stealing.** A worker
@@ -218,6 +218,12 @@ impl Shared {
         }
     }
 
+    /// The sites, in slot order, once no worker or handle is left.
+    pub fn into_sites(self: Arc<Shared>) -> Vec<Site> {
+        let slots = Arc::into_inner(self).expect("an unshared pool").slots;
+        slots.into_iter().map(|s| s.site.into_inner()).collect()
+    }
+
     /// Number of currently active (queued or running) sites.
     pub fn active_sites(&self) -> usize {
         self.active.load(Ordering::SeqCst)
@@ -280,11 +286,11 @@ impl Shared {
         }
     }
 
-    /// Visit every site after the workers have stopped (report
-    /// collection). Locks are uncontended then.
-    pub fn for_each_site<F: FnMut(&Site)>(&self, mut f: F) {
-        for slot in &self.slots {
-            f(&slot.site.lock());
+    /// Visit every site with its slot, in slot order, each under its lock
+    /// (a worker pumping one finishes its slice first).
+    pub fn for_each_site<F: FnMut(u32, &mut Site)>(&self, mut f: F) {
+        for (i, slot) in self.slots.iter().enumerate() {
+            f(i as u32, &mut slot.site.lock());
         }
     }
 
@@ -326,13 +332,13 @@ pub struct ReadyHandle {
 
 impl Wake for ReadyHandle {
     fn wake(&self) {
-        self.mark_ready();
+        self.shared.mark_ready(self.slot);
     }
 }
 
-impl ReadyHandle {
-    pub fn mark_ready(&self) {
-        let st = &self.shared.slots[self.slot as usize].state;
+impl Shared {
+    fn mark_ready(&self, slot: u32) {
+        let st = &self.slots[slot as usize].state;
         loop {
             match st.load(Ordering::SeqCst) {
                 IDLE => {
@@ -340,8 +346,8 @@ impl ReadyHandle {
                         .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
                         .is_ok()
                     {
-                        self.shared.active.fetch_add(1, Ordering::SeqCst);
-                        self.shared.inject(self.slot);
+                        self.active.fetch_add(1, Ordering::SeqCst);
+                        self.inject(slot);
                         return;
                     }
                 }

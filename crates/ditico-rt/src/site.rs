@@ -10,6 +10,7 @@ use crate::termination::{TermCounters, Ticket};
 use crate::wake::Wake;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tyco_vm::codec::{Packet, TypeStamp};
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
@@ -120,7 +121,7 @@ impl RtPort {
 
     /// Flush the outgoing batch to the daemon: one queue lock for the
     /// whole backlog, then one kick. Called at the end of every
-    /// [`Site::pump`] slice (and after import re-issue). A failed send
+    /// [`Site::pump_slice`] slice (and after import re-issue). A failed send
     /// means the daemon is gone (node shut down): the packets are
     /// dropped, which is the behaviour of a dead node.
     pub fn flush(&mut self) {
@@ -327,23 +328,26 @@ pub struct Site {
     pub machine: Machine<RtPort>,
     /// Set when the site's program raised a runtime error.
     pub error: Option<VmError>,
+    /// Its node's [`crate::DaemonCell::down_flag`]: raised, the site is
+    /// frozen, inbox and runnable threads kept.
+    down: Arc<AtomicBool>,
 }
 
 impl Site {
-    pub fn new(lexeme: &str, identity: Identity, program: Program, port: RtPort) -> Site {
+    /// A site running `program` behind `port`, frozen while `down` is.
+    pub fn new(program: Program, port: RtPort, down: Arc<AtomicBool>) -> Site {
         Site {
-            lexeme: lexeme.to_string(),
-            identity,
+            lexeme: port.lexeme.clone(),
+            identity: port.identity,
             machine: Machine::new(program, port),
             error: None,
+            down,
         }
     }
 
-    /// Pump the site once: drain incoming, run a bounded slice, then
-    /// flush the outgoing batch to the daemon in one operation.
-    /// Returns whether any instruction ran (progress).
-    pub fn pump(&mut self, fuel: u64) -> bool {
-        self.pump_slice(fuel).ran
+    /// Is the site's node killed?
+    pub fn is_down(&self) -> bool {
+        self.down.load(Ordering::SeqCst)
     }
 
     /// Re-entrant pump slice: drain incoming, run up to `fuel`
@@ -351,10 +355,14 @@ impl Site {
     /// The outcome lets a scheduler worker decide to requeue or retire
     /// the site without taking its lock again.
     ///
-    /// An errored site behaves like a dead node's sites: its inbox is
-    /// drained and dropped (consumed with its tickets) and it always retires, so
-    /// messages to it cannot wedge the termination detector.
+    /// A site on a killed node runs nothing and retires. An errored
+    /// site's inbox is drained and dropped (consumed with its tickets) and
+    /// it always retires, so messages to it cannot wedge the termination
+    /// detector.
     pub fn pump_slice(&mut self, fuel: u64) -> SliceOutcome {
+        if self.is_down() {
+            return SliceOutcome::RETIRED;
+        }
         if self.error.is_some() {
             self.machine.port.drop_inbox();
             return SliceOutcome::RETIRED;
@@ -379,10 +387,5 @@ impl Site {
                 SliceOutcome::RETIRED
             }
         }
-    }
-
-    /// Is the site idle (nothing runnable)?
-    pub fn idle(&self) -> bool {
-        !self.machine.runnable()
     }
 }

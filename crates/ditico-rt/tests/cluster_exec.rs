@@ -297,28 +297,17 @@ fn nameservice_failover_with_replicas() {
     );
 }
 
-#[test]
-fn nameservice_failover_with_replicas_threaded() {
-    // The same failover on real threads, where the down-set is the only
-    // failover mechanism there is: the chaos plan kills the key's owner
-    // as the run starts, and the client burns a few hundred slices
-    // before it imports.
+/// The failover of `nameservice_failover_with_replicas` on real threads,
+/// where the down-set is the only failover mechanism there is: the chaos
+/// plan kills the key's owner at 0, which fires before any thread runs,
+/// so however soon `client` imports, the follower serves it.
+fn failover_threaded(client: &str) {
     let (mut c, owner, n2) = ring_of_two_with_server(FabricMode::Ideal, LinkProfile::ideal());
     // Register and replicate the export first.
     c.run_deterministic(RunLimits::default());
     c.set_chaos(ChaosPlan::default().at(0, ChaosEvent::KillNode(owner)))
         .unwrap();
-    c.add_site_src(
-        n2,
-        "client",
-        r#"
-        def Spin(n) =
-            if n > 0 then Spin[n - 1]
-            else import p from server in new a (p!val[14, a] | a?(y) = print(y))
-        in Spin[200000]
-        "#,
-    )
-    .unwrap();
+    c.add_site_src(n2, "client", client).unwrap();
     let report = c.run_threaded(std::time::Duration::from_secs(20));
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(report.output("client"), ["42".to_string()]);
@@ -327,6 +316,24 @@ fn nameservice_failover_with_replicas_threaded() {
         "the import was served by the follower"
     );
     assert!(report.quiescent);
+}
+
+#[test]
+fn nameservice_failover_with_replicas_threaded() {
+    // The client burns a few hundred slices before it imports.
+    failover_threaded(
+        r#"
+        def Spin(n) =
+            if n > 0 then Spin[n - 1]
+            else import p from server in new a (p!val[14, a] | a?(y) = print(y))
+        in Spin[200000]
+        "#,
+    );
+}
+
+#[test]
+fn nameservice_failover_with_replicas_threaded_importing_at_once() {
+    failover_threaded("import p from server in new a (p!val[14, a] | a?(y) = print(y))");
 }
 
 /// A threaded run whose chaos plan kills the server's node as it starts,
