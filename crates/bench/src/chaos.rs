@@ -30,8 +30,7 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use ditico_rt::{
-    ChaosEvent, ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, RunLimits, RunReport,
-    TransportConfig,
+    ChaosEvent, ChaosPlan, ChaosSpec, Cluster, LinkProfile, RunLimits, RunReport, TransportConfig,
 };
 use tyco_vm::codec::{self, Packet, CONTROL_NODE, WIRE_VERSION};
 use tyco_vm::word::NodeId;
@@ -68,7 +67,7 @@ const SUB: &str = r#"import t from hub in new me (t!sub[me] | me?(v) = println("
 
 fn scenario_pubsub(smoke: bool, subs: usize) -> Json {
     let sub_nodes = 8usize;
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
     let hub_node = c.add_node();
     let nodes: Vec<NodeId> = (0..sub_nodes).map(|_| c.add_node()).collect();
     c.add_site_src(hub_node, "hub", HUB).expect("hub compiles");
@@ -125,7 +124,7 @@ const HERD_CLIENT: &str =
     r#"import Applet from server in new a (Applet[a] | a?(x) = println("ran"))"#;
 
 fn herd_cluster(k: usize) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
     let srv = c.add_node();
     let cli = c.add_node();
     c.add_site_src(srv, "server", HERD_SRV).expect("server");
@@ -239,7 +238,7 @@ fn scenario_restart(smoke: bool, cycles: u32) -> Json {
         PassivePeer::new(NodeId(0)).beat(&mut sock, 1, 600, Duration::from_millis(20));
     });
 
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_node();
@@ -306,7 +305,7 @@ const SOAK_CLIENT: &str = r#"
 "#;
 
 fn soak_cluster() -> Cluster {
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     // Deterministic heartbeats so the partition windows drive the

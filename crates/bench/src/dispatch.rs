@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use ditico::{Cluster, FabricMode, LinkProfile};
+use ditico::{Cluster, LinkProfile};
 use tyco_vm::{compile, LoopbackPort, Machine, Program};
 
 use crate::json::Json;
@@ -120,7 +120,7 @@ fn top_digrams(n: usize) -> Json {
 /// nodes of `CLIENTS_PER_NODE` sites each pushing `msgs_per_client` pings
 /// in `BURST`-sized windows closed by a sync round-trip.
 fn cross_site(name: &str, smoke: bool, msgs_per_client: u64) -> Json {
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     let hub_node = c.add_node();
     c.add_site_src(
         hub_node,

@@ -18,7 +18,7 @@
 //! folds the simultaneous FetchReqs into one, so the server serves one
 //! request and the image crosses the wire once, regardless of `K`.
 
-use ditico_rt::{Cluster, FabricMode, LinkProfile, RunLimits, RunReport};
+use ditico_rt::{Cluster, LinkProfile, RunLimits, RunReport};
 use tyco_vm::Digest;
 
 use crate::json::Json;
@@ -63,7 +63,7 @@ fn chain_site_src(i: usize, k: usize) -> String {
 }
 
 fn build_chain(k: usize, code_cache: usize) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Virtual, wan(), 1);
+    let mut c = Cluster::new(wan(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     c.set_code_cache(code_cache);
@@ -77,7 +77,7 @@ fn build_chain(k: usize, code_cache: usize) -> Cluster {
 }
 
 fn build_concurrent(k: usize, code_cache: usize) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Virtual, wan(), 1);
+    let mut c = Cluster::new(wan(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     c.set_code_cache(code_cache);

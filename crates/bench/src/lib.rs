@@ -20,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ditico::{Env, FabricMode, LinkProfile, RunLimits, RunReport, Topology};
+use ditico::{Env, LinkProfile, RunLimits, RunReport, Topology};
 use json::{obj, Json};
 
 #[path = "../../../benchmark/src/json.rs"]
@@ -228,7 +228,6 @@ pub fn pipelined_client(n: u64, width: u64) -> String {
 pub fn run_two_node(link: LinkProfile, server: &str, client: &str, max_instrs: u64) -> RunReport {
     let mut built = Env::new(Topology {
         nodes: 2,
-        mode: FabricMode::Virtual,
         link,
         ns_replicas: 1,
     })

@@ -6,7 +6,7 @@
 
 use crate::json::Json;
 use crate::*;
-use ditico::{Cluster, Env, FabricMode, LinkProfile, RunLimits, Topology};
+use ditico::{Cluster, Env, LinkProfile, RunLimits, Topology};
 use ditico_rt::NsShardMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -143,7 +143,7 @@ fn f1_link_profiles() {
 
 fn f2_architecture() {
     println!("\n=== F2 (Fig. 2): 4 nodes x 2 sites, 8 workers x 20 pings to one hub ===");
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
     let nodes: Vec<_> = (0..4).map(|_| c.add_node()).collect();
     c.add_site_src(
         nodes[0],
@@ -288,7 +288,7 @@ fn f3_site_vm() {
         args: vec![WireWord::Int(42), WireWord::Str("payload".into())],
     });
     for batch in [1usize, 64, 1024] {
-        let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let fabric = ditico_rt::Fabric::new(LinkProfile::ideal());
         let rx = fabric.register_node(NodeId(1));
         let h = fabric.handle();
         let term = ditico_rt::TermCounters::leak();
@@ -309,7 +309,7 @@ fn f3_site_vm() {
 fn f4_local_vs_remote() {
     println!("\n=== F4/C4 (Fig. 4): 100 sequential RPCs, same node vs two nodes ===");
     for same in [true, false] {
-        let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
+        let mut c = Cluster::new(LinkProfile::myrinet(), 1);
         let n0 = c.add_node();
         let n1 = if same { n0 } else { c.add_node() };
         c.add_site_src(n0, "server", ECHO_SERVER).unwrap();
@@ -377,7 +377,6 @@ fn c2_latency_hiding() {
         for width in [1u64, 2, 4, 8, 16] {
             let mut built = Env::new(Topology {
                 nodes: 2,
-                mode: FabricMode::Virtual,
                 link,
                 ns_replicas: 1,
             })
@@ -559,7 +558,7 @@ fn c7_vm_vs_interp() {
 fn c8_failover() {
     println!("\n=== C8: name-service failover (virtual time) ===");
     for replicas in [2usize, 3] {
-        let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), replicas);
+        let mut c = Cluster::new(LinkProfile::myrinet(), replicas);
         let nodes: Vec<_> = (0..replicas + 1).map(|_| c.add_node()).collect();
         let worker = nodes[replicas];
         c.heartbeat_every = Some(64);

@@ -11,7 +11,7 @@
 use std::time::{Duration, Instant};
 
 use ditico_rt::sched::SchedConfig;
-use ditico_rt::{Cluster, FabricMode, LinkProfile};
+use ditico_rt::{Cluster, LinkProfile};
 use tyco_vm::word::NodeId;
 
 use crate::json::Json;
@@ -43,7 +43,7 @@ fn ring_site_src(i: usize, n: usize, msgs: u64) -> String {
 }
 
 fn build(sites: usize, msgs_per_site: u64) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     let nodes: Vec<NodeId> = (0..NODES).map(|_| c.add_node()).collect();
     for i in 0..sites {
         c.add_site_src(

@@ -28,8 +28,7 @@ mod unix_bench {
     use bytes::{Buf, BytesMut};
     use ditico_rt::poller::{connect_start, ConnectStart, Interest, PendingConnect, Poller};
     use ditico_rt::{
-        Fabric, FabricMode, LinkProfile, PacketFabric, TermCounters, Ticket, Transport,
-        TransportConfig,
+        Fabric, LinkProfile, PacketFabric, TermCounters, Ticket, Transport, TransportConfig,
     };
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
@@ -354,7 +353,7 @@ mod unix_bench {
     /// One measured point: a hub, `peers` echo clients, `msgs`
     /// round-trips each; panics unless every echo is back by `deadline`.
     fn run_point(name: &str, smoke: bool, peers: usize, msgs: u64, deadline: Duration) -> Json {
-        let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let fabric = Fabric::new(LinkProfile::ideal());
         let inbox = fabric.register_node(NodeId(0));
         let mut hub = Transport::start(
             TransportConfig {

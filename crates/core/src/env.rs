@@ -3,7 +3,7 @@
 //! for differential testing.
 
 use crate::program::{Program, ProgramError};
-use ditico_rt::{ChaosPlan, Cluster, FabricMode, LinkProfile, RunLimits, RunReport, SiteInterface};
+use ditico_rt::{ChaosPlan, Cluster, LinkProfile, RunLimits, RunReport, SiteInterface};
 use std::collections::HashMap;
 use std::fmt;
 use tyco_calculus::{Network, Outcome, RtError, Scheduler};
@@ -81,7 +81,9 @@ impl std::error::Error for EnvError {}
 pub struct Topology {
     /// Number of nodes; sites are placed round-robin unless pinned.
     pub nodes: usize,
-    pub mode: FabricMode,
+    /// The link between every pair of nodes. An ideal link delivers at
+    /// send time; any other is modeled on the virtual clock, so only a
+    /// deterministic run accepts it.
     pub link: LinkProfile,
     /// Name-service ring size: the first `ns_replicas` nodes each own a
     /// hash slice of the exports and replicate it to their successor
@@ -93,7 +95,6 @@ impl Default for Topology {
     fn default() -> Self {
         Topology {
             nodes: 1,
-            mode: FabricMode::Ideal,
             link: LinkProfile::ideal(),
             ns_replicas: 1,
         }
@@ -102,8 +103,9 @@ impl Default for Topology {
 
 impl Topology {
     /// Set one `key=value` of the topology grammar that `.net` specs and
-    /// the shell share: `nodes=N`, `fabric=ideal|virtual`,
-    /// `link=ideal|myrinet|ethernet|wan`, `replicas=K`.
+    /// the shell share: `nodes=N`, `link=ideal|myrinet|ethernet|wan`,
+    /// `replicas=K`. The link decides delivery; `fabric=ideal|virtual`,
+    /// which older specs still write, is checked and ignored.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
         let count = |what: &str| {
             value
@@ -114,10 +116,8 @@ impl Topology {
             "nodes" => self.nodes = count("nodes")?,
             "replicas" => self.ns_replicas = count("replicas")?,
             "fabric" => {
-                self.mode = match value {
-                    "ideal" => FabricMode::Ideal,
-                    "virtual" => FabricMode::Virtual,
-                    other => return Err(format!("bad fabric `{other}`")),
+                if !matches!(value, "ideal" | "virtual") {
+                    return Err(format!("bad fabric `{value}`"));
                 }
             }
             "link" => {
@@ -139,7 +139,6 @@ impl Topology {
     pub fn paper_cluster() -> Topology {
         Topology {
             nodes: 4,
-            mode: FabricMode::Virtual,
             link: LinkProfile::myrinet(),
             ns_replicas: 1,
         }
@@ -335,7 +334,6 @@ impl Env {
         // nodes that do not exist.
         let node_count = self.topology.nodes.max(1);
         let mut cluster = Cluster::new(
-            self.topology.mode,
             self.topology.link,
             self.topology.ns_replicas.min(node_count),
         );

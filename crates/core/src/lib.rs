@@ -9,7 +9,7 @@
 //! * [`Program`] — source → parse → desugar → Damas–Milner type check →
 //!   byte-code, in one value;
 //! * [`Env`] / [`Topology`] — declare sites, place them on nodes, pick a
-//!   fabric (ideal / virtual-time / real-time) and run, with link-time
+//!   link (ideal, or modeled in virtual time) and run, with link-time
 //!   interface checking between importers and exporters;
 //! * [`Shell`] — the TyCOsh-style command interpreter;
 //! * re-exports of the underlying layers: [`tyco_syntax`], [`tyco_types`],
@@ -47,6 +47,6 @@ pub use tyco_types;
 pub use tyco_vm;
 
 pub use ditico_rt::{
-    parse_peer_list, ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, Cluster, FabricMode,
-    LinkProfile, NsStats, RunLimits, RunReport, TransportConfig, TransportReport,
+    parse_peer_list, ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, Cluster, LinkProfile, NsStats,
+    RunLimits, RunReport, TransportConfig, TransportReport,
 };

@@ -9,7 +9,7 @@
 //! `examples/tycosh.rs`) or from tests:
 //!
 //! ```text
-//! topology nodes=2 fabric=virtual link=myrinet
+//! topology nodes=2 link=myrinet
 //! site server export new p in p?{ val(x, r) = r![x + 1] }
 //! site client import p from server in new a (p!val[41, a] | a?(y) = print(y))
 //! run
@@ -75,9 +75,10 @@ impl Shell {
                 return e;
             }
         }
+        let link = self.topology.link;
         format!(
-            "topology: {} node(s), fabric {:?}, {} ns replica(s)",
-            self.topology.nodes, self.topology.mode, self.topology.ns_replicas
+            "topology: {} node(s), link {} ns + {} B/s, {} ns replica(s)",
+            self.topology.nodes, link.latency_ns, link.bandwidth_bps, self.topology.ns_replicas
         )
     }
 
@@ -165,7 +166,7 @@ impl Shell {
 
 const HELP: &str = "\
 commands:
-  topology nodes=N fabric=ideal|virtual link=ideal|myrinet|ethernet|wan replicas=K
+  topology nodes=N link=ideal|myrinet|ethernet|wan replicas=K
                              (replicas: name-service ring size, default 1 = central)
   site <lexeme> <program…>   submit a DiTyCO program as a new site
   ps                         list submitted sites and their nodes
@@ -182,9 +183,7 @@ mod tests {
     #[test]
     fn shell_session_end_to_end() {
         let mut sh = Shell::new();
-        assert!(sh
-            .exec("topology nodes=2 fabric=virtual link=myrinet")
-            .contains("2 node"));
+        assert!(sh.exec("topology nodes=2 link=myrinet").contains("2 node"));
         assert!(sh
             .exec("site server def Srv(s) = s?{ val(x, r) = r![x + 1] | Srv[s] } in export new p in Srv[p]")
             .contains("submitted"));

@@ -56,7 +56,9 @@ impl ChaosSpec {
 
     /// The three rates must fit in one die roll.
     pub fn validate(&self) -> Result<(), String> {
-        let total = self.drop_per_mille + self.dup_per_mille + self.delay_per_mille;
+        let total = u64::from(self.drop_per_mille)
+            + u64::from(self.dup_per_mille)
+            + u64::from(self.delay_per_mille);
         if total > 1000 {
             return Err(format!(
                 "chaos fault rates sum to {total}‰ (> 1000‰): drop {} + dup {} + delay {}",
@@ -257,9 +259,10 @@ impl ChaosState {
 
     /// Decide the fate of `n` packets travelling together on
     /// `(from, to)` (n > 1 for a coalesced transport buffer). Counts the
-    /// fault; the caller obeys the returned [`Fault`]. `can_delay` is false on carriers
-    /// that cannot hold a packet back (the Ideal fabric), in which case a
-    /// rolled delay degrades to `Deliver`, uncounted.
+    /// fault; the caller obeys the returned [`Fault`]. `can_delay` is false
+    /// on carriers that cannot hold a packet back (the fabric over an ideal
+    /// link, which delivers at send time), in which case a rolled delay
+    /// degrades to `Deliver`, uncounted.
     pub fn packet_fate(&self, from: NodeId, to: NodeId, n: u64, can_delay: bool) -> Fault {
         if self.blocked(from, to) {
             self.partition_drops.fetch_add(n, Ordering::Relaxed);
@@ -506,5 +509,9 @@ mod tests {
         spec.dup_per_mille = 400;
         assert!(spec.validate().is_ok());
         assert!(ChaosPlan::new(spec).validate().is_ok());
+        // Rates that wrap a `u32` sum are still refused.
+        spec.drop_per_mille = u32::MAX;
+        spec.dup_per_mille = 1;
+        assert!(spec.validate().is_err());
     }
 }

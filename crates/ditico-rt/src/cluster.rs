@@ -15,7 +15,7 @@
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
 use crate::daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats, DEFAULT_CODE_CACHE};
-use crate::fabric::{Clock, Fabric, FabricMode, LinkProfile};
+use crate::fabric::{Clock, Fabric, LinkProfile};
 use crate::failure::FailureMonitor;
 use crate::nameservice::{NsShardMap, NsStats};
 use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
@@ -33,6 +33,10 @@ use tyco_vm::codec::Packet;
 use tyco_vm::stats::ExecStats;
 use tyco_vm::word::{Identity, NodeId, SiteId};
 use tyco_vm::{Program, VmError};
+
+/// Why a wall-clock run refuses a link that takes time.
+const WALL_CLOCK_LINK: &str = "a wall-clock run needs link=ideal: \
+     only a deterministic run models link latency";
 
 /// One node: its daemon (its cell [down](DaemonCell::is_down) while the
 /// node is killed), its sites (in the scheduler's pool during a run), and
@@ -187,7 +191,6 @@ impl Default for RunLimits {
 /// A DiTyCO cluster.
 pub struct Cluster {
     fabric: Fabric,
-    mode: FabricMode,
     nodes: Vec<NodeCell>,
     term: &'static TermCounters,
     site_lexemes: Vec<String>,
@@ -217,15 +220,16 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// A cluster with the given fabric mode and default link profile.
+    /// A cluster whose nodes share one link profile: an
+    /// [ideal](LinkProfile::is_ideal) link delivers at send time, any
+    /// other on the virtual clock.
     /// The name service is a ring of the first `ns_replicas` ≥ 1 nodes
     /// added, each owning a consistent-hash slice of the export table and
     /// replicating it to its ring successor, with no lease caching. The
     /// default of 1 is the paper's central service on node 0.
-    pub fn new(mode: FabricMode, link: LinkProfile, ns_replicas: usize) -> Cluster {
+    pub fn new(link: LinkProfile, ns_replicas: usize) -> Cluster {
         Cluster {
-            fabric: Fabric::new(mode, link),
-            mode,
+            fabric: Fabric::new(link),
             nodes: Vec::new(),
             term: TermCounters::leak(),
             site_lexemes: Vec::new(),
@@ -281,14 +285,9 @@ impl Cluster {
 
     /// A single-node, ideal-fabric cluster (functional testing).
     pub fn local() -> Cluster {
-        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+        let mut c = Cluster::new(LinkProfile::ideal(), 1);
         c.add_node();
         c
-    }
-
-    /// Override one link's profile.
-    pub fn set_link(&self, a: NodeId, b: NodeId, profile: LinkProfile) {
-        self.fabric.set_link(a, b, profile);
     }
 
     /// Add a node (an "IP node" of Fig. 2) and its TyCOd.
@@ -530,10 +529,7 @@ impl Cluster {
     /// woken by the scheduler's idle transitions. Consumes the cluster and
     /// returns the report.
     pub fn run_threaded(mut self, wall_limit: Duration) -> RunReport {
-        assert!(
-            self.mode == FabricMode::Ideal,
-            "threaded runs require the Ideal fabric"
-        );
+        assert!(self.fabric.is_immediate(), "{WALL_CLOCK_LINK}");
         self.check_ring().unwrap_or_else(|e| panic!("{e}"));
         self.run(Engine::Wall(wall_limit, None), None)
     }
@@ -566,12 +562,8 @@ impl Cluster {
         cfg: TransportConfig,
         wall_limit: Duration,
     ) -> Result<RunReport, String> {
-        if self.mode != FabricMode::Ideal {
-            return Err(
-                "distributed runs require the Ideal fabric mode: link latency is supplied \
-                 by the real network, not the simulator"
-                    .to_string(),
-            );
+        if !self.fabric.is_immediate() {
+            return Err(WALL_CLOCK_LINK.to_string());
         }
         self.check_ring()?;
         if cfg.local_nodes.is_empty() {
@@ -929,7 +921,8 @@ impl Cluster {
             .find(|s| s.lexeme == lexeme)
     }
 
-    /// Current virtual time (deterministic Virtual mode).
+    /// Current virtual time (a deterministic run over a link that takes
+    /// time).
     pub fn virtual_ns(&self) -> u64 {
         self.fabric.now_ns()
     }

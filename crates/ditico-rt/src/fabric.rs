@@ -4,13 +4,15 @@
 //!
 //! Substitution note (see DESIGN.md §2): the paper's claims are about
 //! *relative* behaviour under different latency/bandwidth regimes, so the
-//! fabric models point-to-point links with configurable [`LinkProfile`]s
-//! and supports two delivery disciplines:
+//! fabric models point-to-point links with one [`LinkProfile`], and the
+//! link decides how a packet is delivered:
 //!
-//! * **Ideal** — immediate delivery (functional testing, and the
-//!   node-local carrier of threaded and multi-process runs);
-//! * **Virtual** — discrete-event delivery against a virtual clock
-//!   (deterministic experiments: latency hiding, crossovers).
+//! * an [ideal](LinkProfile::is_ideal) link, which takes no time, puts a
+//!   send straight into the destination's inbox (functional testing, and
+//!   the node-local carrier of threaded and multi-process runs);
+//! * any other link queues it on an event heap against a virtual clock,
+//!   delivered by [`Fabric::advance_to`] (deterministic experiments:
+//!   latency hiding, crossovers).
 //!
 //! Real latency is the TCP transport's job ([`crate::transport`]).
 //!
@@ -21,9 +23,9 @@
 //!
 //! Per-destination delivery state (inbox sender, dead flag, daemon waker)
 //! lives in a read-mostly routing table separate from the event-queue
-//! state. An Ideal-mode [`FabricHandle::send_batch`] therefore takes a
+//! state. An ideal-link [`FabricHandle::send_batch`] therefore takes a
 //! shared read lock plus one channel lock — it never serializes against
-//! other links or against the Virtual event heap — and moves a whole
+//! other links or against the event heap — and moves a whole
 //! per-link backlog under that one routing lookup, one stats update and
 //! one inbox lock, preserving per-link FIFO order (the batch is drained
 //! in send order into a FIFO channel). The destination's waker is cloned
@@ -89,6 +91,12 @@ impl LinkProfile {
         }
     }
 
+    /// Does every transfer take no time ([`LinkProfile::ideal`])? The
+    /// fabric over such a link delivers at send time.
+    pub fn is_ideal(&self) -> bool {
+        self.latency_ns == 0 && self.bandwidth_bps == f64::INFINITY
+    }
+
     /// Validated constructor: rejects bandwidths that would poison the
     /// delay math (NaN, zero, negative, subnormal). `f64::INFINITY` is
     /// accepted and means "no serialization delay".
@@ -139,15 +147,6 @@ impl LinkProfile {
         };
         self.latency_ns.saturating_add(ser)
     }
-}
-
-/// Delivery discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricMode {
-    /// Deliver immediately on send.
-    Ideal,
-    /// Discrete-event queue against a virtual clock (deterministic).
-    Virtual,
 }
 
 /// The time a run is measured in: daemons time leases and the modeled
@@ -223,11 +222,10 @@ struct Route {
     waker: Option<Arc<dyn Wake>>,
 }
 
-/// Event-queue state of Virtual scheduling. Ideal-mode sends never touch
-/// this lock.
+/// Event-queue state of a link that takes time. Ideal-link sends never
+/// touch this lock.
 struct Shared {
-    default_link: LinkProfile,
-    links: HashMap<(NodeId, NodeId), LinkProfile>,
+    link: LinkProfile,
     /// Pending deliveries (min-heap on due time).
     pending: BinaryHeap<Reverse<Event>>,
     seq: u64,
@@ -251,14 +249,9 @@ impl Shared {
         extra_ns: u64,
         ticket: Ticket,
     ) {
-        let now = self.now_ns;
-        let profile = self
-            .links
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_link);
-        let raw = now
-            .saturating_add(profile.transfer_ns(payload.len()))
+        let raw = self
+            .now_ns
+            .saturating_add(self.link.transfer_ns(payload.len()))
             .saturating_add(extra_ns);
         let last = self.link_last.get(&(from, to)).copied().unwrap_or(0);
         let due = raw.max(last.saturating_add(1));
@@ -294,7 +287,8 @@ type Routes = Arc<RwLock<HashMap<NodeId, Route>>>;
 
 /// The network fabric connecting node daemons.
 pub struct Fabric {
-    mode: FabricMode,
+    /// The link is [ideal](LinkProfile::is_ideal): sends skip the heap.
+    immediate: bool,
     shared: Arc<Mutex<Shared>>,
     routes: Routes,
     pub stats: Arc<FabricStats>,
@@ -305,7 +299,7 @@ pub struct Fabric {
 /// A cloneable handle daemons use to send.
 #[derive(Clone)]
 pub struct FabricHandle {
-    mode: FabricMode,
+    immediate: bool,
     shared: Arc<Mutex<Shared>>,
     routes: Routes,
     stats: Arc<FabricStats>,
@@ -313,12 +307,11 @@ pub struct FabricHandle {
 }
 
 impl Fabric {
-    pub fn new(mode: FabricMode, default_link: LinkProfile) -> Fabric {
+    pub fn new(link: LinkProfile) -> Fabric {
         Fabric {
-            mode,
+            immediate: link.is_ideal(),
             shared: Arc::new(Mutex::new(Shared {
-                default_link,
-                links: HashMap::new(),
+                link,
                 pending: BinaryHeap::new(),
                 seq: 0,
                 now_ns: 0,
@@ -336,11 +329,10 @@ impl Fabric {
         *self.chaos.write() = chaos;
     }
 
-    /// Override the profile of one directed link.
-    pub fn set_link(&self, a: NodeId, b: NodeId, profile: LinkProfile) {
-        let mut s = self.shared.lock();
-        s.links.insert((a, b), profile);
-        s.links.insert((b, a), profile);
+    /// Does a send deliver at once (an [ideal](LinkProfile::is_ideal)
+    /// link), rather than when [`Fabric::advance_to`] reaches it?
+    pub fn is_immediate(&self) -> bool {
+        self.immediate
     }
 
     /// Register a node; returns its inbound packet queue.
@@ -359,7 +351,7 @@ impl Fabric {
     /// A sending handle for daemons.
     pub fn handle(&self) -> FabricHandle {
         FabricHandle {
-            mode: self.mode,
+            immediate: self.immediate,
             shared: self.shared.clone(),
             routes: self.routes.clone(),
             stats: self.stats.clone(),
@@ -379,18 +371,19 @@ impl Fabric {
         self.routes.write().entry(node).or_default().dead = false;
     }
 
-    /// Virtual mode: the due time of the earliest pending event.
+    /// The due time of the earliest pending event (none ever, over an
+    /// ideal link).
     pub fn next_event_ns(&self) -> Option<u64> {
         self.shared.lock().pending.peek().map(|Reverse(e)| e.due_ns)
     }
 
-    /// Virtual mode: current virtual time.
+    /// Current virtual time.
     pub fn now_ns(&self) -> u64 {
         self.shared.lock().now_ns
     }
 
-    /// Virtual mode: advance the clock and deliver everything due.
-    /// Returns the number of packets delivered.
+    /// Advance the virtual clock and deliver everything due on a link
+    /// that takes time. Returns the number of packets delivered.
     pub fn advance_to(&self, t_ns: u64) -> usize {
         let due = {
             let mut s = self.shared.lock();
@@ -451,8 +444,8 @@ impl FabricHandle {
     /// Send a whole per-link backlog in one operation, draining `batch`
     /// (its allocation is kept for reuse); `ticket` covers its packets.
     /// Per-link FIFO order is preserved: packets enter the destination
-    /// inbox (Ideal) or the event heap (Virtual) in `batch` order, under
-    /// one lock.
+    /// inbox (ideal link) or the event heap in `batch` order, under one
+    /// lock.
     pub fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, mut ticket: Ticket) {
         let chaos = if from == to {
             None // chaos models the network; a node cannot partition itself
@@ -464,9 +457,9 @@ impl FabricHandle {
         if let Some(ch) = chaos {
             // Each packet rolls its fate, in batch order, and `batch` keeps
             // the copies that go on: a dropped packet's ticket is
-            // discarded, a duplicate gets a minted one. Ideal mode cannot
-            // hold a packet back, so it never delays.
-            let can_delay = self.mode == FabricMode::Virtual;
+            // discarded, a duplicate gets a minted one. An ideal link
+            // cannot hold a packet back, so it never delays.
+            let can_delay = !self.immediate;
             let (mut kept, mut fated) = (ticket.split(0), Vec::new());
             for p in batch.drain(..) {
                 let one = ticket.split(1);
@@ -502,42 +495,39 @@ impl FabricHandle {
         self.stats.bytes.fetch_add(total, Ordering::Relaxed);
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let mut packets = batch.drain(..).map(|p| (p, ticket.split(1)));
-        match self.mode {
-            FabricMode::Ideal => {
-                let mut kick = None;
-                {
-                    let routes = self.routes.read();
-                    if let Some(r) = routes.get(&to) {
-                        if let Some(tx) = &r.tx {
-                            let _ = tx.send_iter(packets.by_ref().map(|(p, t)| (from, p, t)));
-                        }
-                        kick = r.waker.clone();
+        if self.immediate {
+            let mut kick = None;
+            {
+                let routes = self.routes.read();
+                if let Some(r) = routes.get(&to) {
+                    if let Some(tx) = &r.tx {
+                        let _ = tx.send_iter(packets.by_ref().map(|(p, t)| (from, p, t)));
                     }
-                }
-                drop(packets);
-                if let Some(w) = kick {
-                    w.wake();
+                    kick = r.waker.clone();
                 }
             }
-            FabricMode::Virtual => {
-                // Routes lock released first; the two locks are never
-                // held together.
-                let mut s = self.shared.lock();
-                for (i, (p, t)) in packets.enumerate() {
-                    let extra = delays.get(i).copied().unwrap_or(0);
-                    s.schedule(from, to, p, extra, t);
-                }
+            drop(packets);
+            if let Some(w) = kick {
+                w.wake();
+            }
+        } else {
+            // Routes lock released first; the two locks are never held
+            // together.
+            let mut s = self.shared.lock();
+            for (i, (p, t)) in packets.enumerate() {
+                let extra = delays.get(i).copied().unwrap_or(0);
+                s.schedule(from, to, p, extra, t);
             }
         }
     }
 }
 
 /// The sending interface a daemon needs from "the network": the batched
-/// per-link flush discipline. [`FabricHandle`] implements it for the two
-/// in-process modes; the TCP transport's `NetHandle` implements it for
+/// per-link flush discipline. [`FabricHandle`] implements it in process;
+/// the TCP transport's `NetHandle` implements it for
 /// multi-process runs by routing frames for remote nodes onto sockets.
-/// Extracting the trait keeps `Daemon` agnostic — the Ideal/Virtual
-/// paths are byte-for-byte what they were before distribution existed.
+/// Extracting the trait keeps `Daemon` agnostic — the in-process paths
+/// are byte-for-byte what they were before distribution existed.
 pub trait PacketFabric: Send + Sync {
     /// Send a whole per-link backlog, draining `batch` (the allocation is
     /// kept for reuse); `ticket` covers its packets. Must preserve
@@ -567,7 +557,7 @@ mod tests {
 
     #[test]
     fn ideal_mode_delivers_immediately() {
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.handle()
             .send(n(0), n(1), Bytes::from_static(b"hi"), tickets(1));
@@ -579,28 +569,43 @@ mod tests {
     }
 
     #[test]
+    fn the_link_decides_delivery() {
+        for link in [LinkProfile::ideal(), LinkProfile::myrinet()] {
+            let f = Fabric::new(link);
+            let rx = f.register_node(n(1));
+            f.handle()
+                .send(n(0), n(1), Bytes::from_static(b"hi"), tickets(1));
+            assert_eq!(rx.try_recv().is_ok(), link.is_ideal(), "{link:?} at send");
+            f.advance_to(1_000_000);
+            assert_eq!(rx.try_recv().is_ok(), !link.is_ideal(), "{link:?} at 1 ms");
+        }
+    }
+
+    #[test]
     fn virtual_mode_orders_by_latency() {
-        let f = Fabric::new(FabricMode::Virtual, LinkProfile::myrinet());
-        f.set_link(n(0), n(2), LinkProfile::wan());
-        let rx1 = f.register_node(n(1));
-        let rx2 = f.register_node(n(2));
-        let h = f.handle();
-        h.send(n(0), n(2), Bytes::from_static(b"slow"), tickets(1));
-        h.send(n(0), n(1), Bytes::from_static(b"fast"), tickets(1));
+        let fast = Fabric::new(LinkProfile::myrinet());
+        let slow = Fabric::new(LinkProfile::wan());
+        let rx1 = fast.register_node(n(1));
+        let rx2 = slow.register_node(n(1));
+        slow.handle()
+            .send(n(0), n(1), Bytes::from_static(b"slow"), tickets(1));
+        fast.handle()
+            .send(n(0), n(1), Bytes::from_static(b"fast"), tickets(1));
         // Nothing delivered until the clock advances.
         assert!(rx1.try_recv().is_err());
         // Advance past Myrinet latency but before WAN latency.
-        assert_eq!(f.advance_to(1_000_000), 1);
+        assert_eq!(fast.advance_to(1_000_000), 1);
+        assert_eq!(slow.advance_to(1_000_000), 0);
         assert!(rx1.try_recv().is_ok());
         assert!(rx2.try_recv().is_err());
         // Advance past WAN latency.
-        f.advance_to(100_000_000);
+        slow.advance_to(100_000_000);
         assert!(rx2.try_recv().is_ok());
     }
 
     #[test]
     fn virtual_bandwidth_delays_large_payloads() {
-        let f = Fabric::new(FabricMode::Virtual, LinkProfile::fast_ethernet());
+        let f = Fabric::new(LinkProfile::fast_ethernet());
         let rx = f.register_node(n(1));
         let h = f.handle();
         h.send(n(0), n(1), Bytes::from(vec![0u8; 125_000]), tickets(1)); // 10 ms at 100 Mb/s
@@ -615,7 +620,7 @@ mod tests {
 
     #[test]
     fn dead_nodes_drop_traffic_without_counting_it() {
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.kill_node(n(1));
         let term = TermCounters::leak();
@@ -639,7 +644,7 @@ mod tests {
 
     #[test]
     fn dead_sources_drop_traffic_too() {
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.kill_node(n(0)); // n(0) never registered: killed by upsert
         f.handle()
@@ -650,7 +655,7 @@ mod tests {
 
     #[test]
     fn batched_send_preserves_order_and_counts_occupancy() {
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         let h = f.handle();
         let mut batch: Vec<Bytes> = (0u8..5).map(|i| Bytes::from(vec![i])).collect();
@@ -666,7 +671,7 @@ mod tests {
     fn chaos_drops_and_duplicates_on_the_fabric() {
         use crate::chaos::{ChaosPlan, ChaosSpec, ChaosState};
 
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         let term = TermCounters::leak();
         // Drop everything.
@@ -725,7 +730,7 @@ mod tests {
     fn chaos_partition_blocks_edges_until_heal() {
         use crate::chaos::{ChaosEvent, ChaosPlan, ChaosState};
 
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         let plan = ChaosPlan::default()
             .at(
@@ -751,7 +756,7 @@ mod tests {
 
     #[test]
     fn revive_node_restores_traffic() {
-        let f = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+        let f = Fabric::new(LinkProfile::ideal());
         let rx = f.register_node(n(1));
         f.kill_node(n(1));
         f.handle()
@@ -801,7 +806,7 @@ mod tests {
         assert_eq!(negative.transfer_ns(1), u64::MAX);
         // And the event scheduler survives such a profile: due times
         // saturate rather than panicking in debug builds.
-        let f = Fabric::new(FabricMode::Virtual, zero);
+        let f = Fabric::new(zero);
         let _rx = f.register_node(n(1));
         f.handle()
             .send(n(0), n(1), Bytes::from_static(b"x"), tickets(1));

@@ -61,7 +61,7 @@ pub use chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, ChaosState};
 pub use cluster::{Cluster, RunLimits, RunReport, WakeStats};
 pub use codecache::CodeCache;
 pub use daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats};
-pub use fabric::{Clock, Fabric, FabricHandle, FabricMode, FabricStats, LinkProfile, PacketFabric};
+pub use fabric::{Clock, Fabric, FabricHandle, FabricStats, LinkProfile, PacketFabric};
 pub use failure::FailureMonitor;
 pub use namecache::{NameCache, NameCacheStats};
 pub use nameservice::{NameService, NsShardMap, NsStats};

@@ -306,16 +306,6 @@ impl NameService {
         self.site_table.insert(lexeme.to_string(), identity);
     }
 
-    /// Where a site lives.
-    pub fn lookup_site(&self, lexeme: &str) -> Option<Identity> {
-        self.site_table.get(lexeme).copied()
-    }
-
-    /// Number of exported identifiers (diagnostics).
-    pub fn exported_count(&self) -> usize {
-        self.id_table.len()
-    }
-
     /// Pending (blocked) lookups.
     pub fn pending_count(&self) -> usize {
         self.pending.values().map(Vec::len).sum()
@@ -944,8 +934,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "ring of 3 does not fit a topology of 2 node(s)")]
     fn ring_larger_than_the_topology_is_refused() {
-        use crate::{Cluster, FabricMode, LinkProfile, RunLimits};
-        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 3);
+        use crate::{Cluster, LinkProfile, RunLimits};
+        let mut c = Cluster::new(LinkProfile::ideal(), 3);
         c.add_node();
         c.add_node();
         c.run_deterministic(RunLimits::default());

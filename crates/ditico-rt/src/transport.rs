@@ -396,7 +396,7 @@ struct Inner {
     cfg: TransportConfig,
     local: HashSet<NodeId>,
     /// Injection path for admitted inbound traffic: the node-local
-    /// in-process fabric (Ideal mode), so daemons receive remote packets
+    /// in-process fabric (over an ideal link), so daemons receive remote packets
     /// exactly like local ones.
     local_fabric: FabricHandle,
     /// Remote node → the connection that currently reaches it.

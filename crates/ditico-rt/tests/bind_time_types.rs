@@ -3,7 +3,7 @@
 //! name service *at bind time* — the importer gets a typed error instead
 //! of a protocol failure mid-reduction, and the exporting site stays live.
 
-use ditico_rt::{Cluster, FabricMode, LinkProfile, RunLimits, SiteInterface};
+use ditico_rt::{Cluster, LinkProfile, RunLimits, SiteInterface};
 use tyco_vm::codec::TypeStamp;
 use tyco_vm::VmError;
 
@@ -20,7 +20,7 @@ fn stamp(canonical: &str) -> TypeStamp {
 }
 
 fn two_site_cluster(expect: TypeStamp, export: TypeStamp) -> Cluster {
-    let mut cluster = Cluster::new(FabricMode::Virtual, LinkProfile::ideal(), 1);
+    let mut cluster = Cluster::new(LinkProfile::ideal(), 1);
     let n0 = cluster.add_node();
     let n1 = cluster.add_node();
 

@@ -3,11 +3,11 @@
 //! mode and in threaded mode, including the §7 future-work features
 //! (termination detection and name-service failover).
 
-use ditico_rt::{ChaosEvent, ChaosPlan, Cluster, FabricMode, LinkProfile, NsShardMap, RunLimits};
+use ditico_rt::{ChaosEvent, ChaosPlan, Cluster, LinkProfile, NsShardMap, RunLimits};
 use tyco_vm::word::NodeId;
 
-fn two_node_cluster(mode: FabricMode, link: LinkProfile) -> (Cluster, NodeId, NodeId) {
-    let mut c = Cluster::new(mode, link, 1);
+fn two_node_cluster(link: LinkProfile) -> (Cluster, NodeId, NodeId) {
+    let mut c = Cluster::new(link, 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     (c, n0, n1)
@@ -15,7 +15,7 @@ fn two_node_cluster(mode: FabricMode, link: LinkProfile) -> (Cluster, NodeId, No
 
 #[test]
 fn remote_rpc_across_nodes_deterministic() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
     c.add_site_src(
         n0,
         "server",
@@ -41,7 +41,7 @@ fn remote_rpc_across_nodes_deterministic() {
 
 #[test]
 fn same_node_sites_use_shared_memory_path() {
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
     let n0 = c.add_node();
     c.add_site_src(
         n0,
@@ -65,7 +65,7 @@ fn same_node_sites_use_shared_memory_path() {
 
 #[test]
 fn applet_fetch_across_nodes() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::fast_ethernet());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::fast_ethernet());
     c.add_site_src(
         n0,
         "server",
@@ -86,7 +86,7 @@ fn applet_fetch_across_nodes() {
 
 #[test]
 fn applet_ship_across_nodes() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
     c.add_site_src(
         n0,
         "server",
@@ -113,7 +113,7 @@ fn applet_ship_across_nodes() {
 fn four_node_cluster_like_figure_1() {
     // The paper's hardware platform: 4 nodes, 2 sites each (dual CPUs),
     // all-to-all traffic through one "switch".
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
     let nodes: Vec<NodeId> = (0..4).map(|_| c.add_node()).collect();
     // A counting hub on node 0 plus seven pingers spread across nodes.
     c.add_site_src(
@@ -157,7 +157,7 @@ fn four_node_cluster_like_figure_1() {
 #[test]
 fn deterministic_runs_are_reproducible() {
     let run = || {
-        let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+        let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
         c.add_site_src(
             n0,
             "server",
@@ -191,7 +191,7 @@ fn deterministic_runs_are_reproducible() {
 #[test]
 fn slower_links_cost_more_virtual_time() {
     let time_for = |link: LinkProfile| {
-        let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, link);
+        let (mut c, n0, n1) = two_node_cluster(link);
         c.add_site_src(
             n0,
             "server",
@@ -225,7 +225,7 @@ fn slower_links_cost_more_virtual_time() {
 
 #[test]
 fn threaded_mode_runs_rpc() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Ideal, LinkProfile::ideal());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::ideal());
     c.add_site_src(
         n0,
         "server",
@@ -249,8 +249,8 @@ fn threaded_mode_runs_rpc() {
 
 /// Three nodes, a name-service ring of two, the server on the third.
 /// Returns the cluster, the node owning `(server, p)` and the third node.
-fn ring_of_two_with_server(mode: FabricMode, link: LinkProfile) -> (Cluster, NodeId, NodeId) {
-    let mut c = Cluster::new(mode, link, 2);
+fn ring_of_two_with_server(link: LinkProfile) -> (Cluster, NodeId, NodeId) {
+    let mut c = Cluster::new(link, 2);
     for _ in 0..2 {
         c.add_node();
     }
@@ -269,7 +269,7 @@ fn nameservice_failover_with_replicas() {
     // The server's export lands at the key's owner, which replicates it
     // to its ring successor; the owner dies BEFORE the client imports;
     // the shard map routes the client's import to the follower.
-    let (mut c, owner, n2) = ring_of_two_with_server(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, owner, n2) = ring_of_two_with_server(LinkProfile::myrinet());
     // First run: let the export register and replicate.
     c.run_deterministic(RunLimits {
         max_instrs: 10_000_000,
@@ -302,7 +302,7 @@ fn nameservice_failover_with_replicas() {
 /// plan kills the key's owner at 0, which fires before any thread runs,
 /// so however soon `client` imports, the follower serves it.
 fn failover_threaded(client: &str) {
-    let (mut c, owner, n2) = ring_of_two_with_server(FabricMode::Ideal, LinkProfile::ideal());
+    let (mut c, owner, n2) = ring_of_two_with_server(LinkProfile::ideal());
     // Register and replicate the export first.
     c.run_deterministic(RunLimits::default());
     c.set_chaos(ChaosPlan::default().at(0, ChaosEvent::KillNode(owner)))
@@ -342,7 +342,7 @@ fn nameservice_failover_with_replicas_threaded_importing_at_once() {
 /// waiting out its wall-clock limit for a packet nobody will consume.
 #[test]
 fn a_send_to_a_node_killed_mid_run_ends_on_the_detector() {
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     let nodes: Vec<NodeId> = (0..3).map(|_| c.add_node()).collect();
     c.add_site_src(
         nodes[1],
@@ -373,7 +373,7 @@ fn a_send_to_a_node_killed_mid_run_ends_on_the_detector() {
 
 #[test]
 fn dead_node_loses_its_sites_but_others_continue() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
     c.add_site_src(n0, "a", "println(\"a alive\")").unwrap();
     c.add_site_src(n1, "b", "println(\"b alive\")").unwrap();
     c.kill_node(n1);
@@ -384,7 +384,7 @@ fn dead_node_loses_its_sites_but_others_continue() {
 
 #[test]
 fn blocked_import_reported() {
-    let (mut c, n0, _n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, n0, _n1) = two_node_cluster(LinkProfile::myrinet());
     c.add_site_src(n0, "client", "import ghost from client in ghost![1]")
         .unwrap();
     let report = c.run_deterministic(RunLimits::default());
@@ -395,7 +395,7 @@ fn blocked_import_reported() {
 
 #[test]
 fn wrong_kind_import_is_error() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
     c.add_site_src(n0, "server", "export new p in 0").unwrap();
     // Import p as a CLASS — the name service must reject it.
     c.add_site_src(n1, "client", "import P from server in P[1]")
@@ -404,7 +404,7 @@ fn wrong_kind_import_is_error() {
     // P (class) ≠ p (name): unknown identifier stays blocked rather than
     // erroring... so use matching case with wrong kind instead:
     let _ = report;
-    let (mut c2, m0, m1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c2, m0, m1) = two_node_cluster(LinkProfile::myrinet());
     c2.add_site_src(m0, "server", "export def Applet(v) = print(v) in 0")
         .unwrap();
     c2.add_site_src(m1, "client", "import applet from server in applet![1]")
@@ -412,7 +412,7 @@ fn wrong_kind_import_is_error() {
     let _ = c2.run_deterministic(RunLimits::default());
     // lower-case `applet` was never exported (class was exported as
     // `Applet`): blocked, not crashed. Now the true kind-mismatch:
-    let (mut c3, k0, k1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c3, k0, k1) = two_node_cluster(LinkProfile::myrinet());
     c3.add_site_src(k0, "server", "export def Thing(v) = print(v) in 0")
         .unwrap();
     c3.add_site_src(k1, "client", "import Thing from server in Thing[1]")
@@ -425,7 +425,7 @@ fn wrong_kind_import_is_error() {
 
 #[test]
 fn seti_runs_distributed() {
-    let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
     c.add_site_src(
         n0,
         "seti",
@@ -460,7 +460,7 @@ fn seti_runs_distributed() {
 fn rpc_client_heap_stays_flat_in_the_call_count() {
     const CHAINS: u64 = 16;
     for calls in [10_000u64, 100_000] {
-        let (mut c, n0, n1) = two_node_cluster(FabricMode::Virtual, LinkProfile::myrinet());
+        let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());
         c.add_site_src(
             n0,
             "server",

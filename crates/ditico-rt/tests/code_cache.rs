@@ -7,8 +7,7 @@
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
 use ditico_rt::{
-    Cluster, Daemon, Fabric, FabricMode, LinkProfile, NsShardMap, RtIncoming, RunLimits,
-    TermCounters, Ticket,
+    Cluster, Daemon, Fabric, LinkProfile, NsShardMap, RtIncoming, RunLimits, TermCounters, Ticket,
 };
 use std::sync::Arc;
 use tyco_vm::codec::{self, Packet};
@@ -34,7 +33,7 @@ const SHIP_TWICE_CLIENT: &str = r#"
 "#;
 
 fn ship_twice_cluster() -> Cluster {
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     c.add_site_src(n0, "server", SHIP_SERVER).unwrap();
@@ -93,7 +92,7 @@ fn concurrent_fetches_of_one_class_are_coalesced() {
 }
 
 fn concurrent_fetches_are_coalesced_at(capacity: usize) {
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
     c.set_code_cache(capacity);
     let n0 = c.add_node();
     let n1 = c.add_node();
@@ -131,7 +130,7 @@ fn sequential_fetches_from_one_node_get_a_digest_only_reply() {
     // Site `a` fetches, then kicks `b` (over an exported channel), which
     // fetches the same class: the second FetchReply to node 1 must ship
     // digest-only and rehydrate from the node's store.
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::fast_ethernet(), 1);
+    let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     c.add_site_src(
@@ -177,7 +176,7 @@ struct Rig {
 }
 
 fn rig() -> Rig {
-    let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = Fabric::new(LinkProfile::ideal());
     let daemon_rx = fabric.register_node(NodeId(0));
     let peer_rx = fabric.register_node(NodeId(1));
     let (_out_tx, out_rx) = unbounded();

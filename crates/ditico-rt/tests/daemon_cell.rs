@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ditico_rt::daemon::{Daemon, DaemonCell};
-use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile, PacketFabric};
+use ditico_rt::fabric::{Fabric, LinkProfile, PacketFabric};
 use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use ditico_rt::termination::{TermCounters, Ticket};
@@ -29,7 +29,7 @@ struct Rig {
 }
 
 fn rig() -> Rig {
-    let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = Fabric::new(LinkProfile::ideal());
     let fabric_rx = fabric.register_node(NodeId(0));
     let (to_daemon, from_sites) = unbounded();
     let term = TermCounters::leak();

@@ -5,7 +5,7 @@
 
 use crossbeam::channel::unbounded;
 use ditico_rt::daemon::Daemon;
-use ditico_rt::fabric::{Fabric, FabricHandle, FabricMode, LinkProfile};
+use ditico_rt::fabric::{Fabric, FabricHandle, LinkProfile};
 use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use ditico_rt::termination::{TermCounters, Ticket};
@@ -28,7 +28,7 @@ struct Rig {
 /// A daemon on node 0 hosting the NS, with one local site (SiteId 0) and a
 /// second node (NodeId 1) observable through the fabric.
 fn rig() -> Rig {
-    let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = Fabric::new(LinkProfile::ideal());
     let fabric_rx_self = fabric.register_node(NodeId(0));
     let fabric_rx_other = fabric.register_node(NodeId(1));
     let (out_tx, out_rx) = unbounded();

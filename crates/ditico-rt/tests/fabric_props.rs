@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use ditico_rt::fabric::{Fabric, FabricMode, LinkProfile};
+use ditico_rt::fabric::{Fabric, LinkProfile};
 use ditico_rt::termination::{TermCounters, Ticket};
 use ditico_rt::wake::Wake;
 use proptest::prelude::*;
@@ -63,7 +63,7 @@ fn fifo_across_batched_flushes_from_two_kicking_threads() {
         &[0, 6, 0, 2, 2, 0, 7, 0, 3, 1],
     ];
     for _ in 0..200 {
-        let fabric = Arc::new(Fabric::new(FabricMode::Ideal, LinkProfile::ideal()));
+        let fabric = Arc::new(Fabric::new(LinkProfile::ideal()));
         let node = Arc::new(DrainOnKick {
             inbox: fabric.register_node(NodeId(2)),
             log: Mutex::new(Vec::new()),
@@ -118,7 +118,7 @@ proptest! {
         profile in arb_profile(),
         sends in proptest::collection::vec((0u32..6, 0u32..6, 1usize..2048), 1..64),
     ) {
-        let fabric = Fabric::new(FabricMode::Virtual, profile);
+        let fabric = Fabric::new(profile);
         let rxs: Vec<_> = (0..nodes).map(|i| fabric.register_node(NodeId(i))).collect();
         let h = fabric.handle();
         let mut expected: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nodes as usize];
@@ -159,7 +159,7 @@ proptest! {
         profile in arb_profile(),
         sizes in proptest::collection::vec(1usize..4096, 2..32),
     ) {
-        let fabric = Fabric::new(FabricMode::Virtual, profile);
+        let fabric = Fabric::new(profile);
         let rx = fabric.register_node(NodeId(1));
         let h = fabric.handle();
         for (i, size) in sizes.iter().enumerate() {
@@ -186,7 +186,7 @@ proptest! {
         // Each entry is one flush: 0 = single send, n>0 = batch of n.
         flushes in proptest::collection::vec(0usize..8, 2..24),
     ) {
-        let fabric = Fabric::new(FabricMode::Virtual, profile);
+        let fabric = Fabric::new(profile);
         let rx = fabric.register_node(NodeId(1));
         let seq = send_flushes(&fabric, NodeId(0), NodeId(1), &flushes);
         while let Some(t) = fabric.next_event_ns() {

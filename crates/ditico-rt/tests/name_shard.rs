@@ -4,13 +4,13 @@
 //! failover to the ring-successor follower.
 
 use ditico_rt::NsShardMap;
-use ditico_rt::{ChaosEvent, ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, RunLimits};
+use ditico_rt::{ChaosEvent, ChaosPlan, ChaosSpec, Cluster, LinkProfile, RunLimits};
 use tyco_vm::word::NodeId;
 
 const LEASE_NS: u64 = 1_000_000_000; // 1 s: never expires inside a test run
 
 fn sharded_cluster(nodes: usize, shards: usize) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
     c.set_ns_sharding(shards, LEASE_NS);
     for _ in 0..nodes {
         c.add_node();

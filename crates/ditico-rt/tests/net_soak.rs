@@ -12,9 +12,7 @@
 //!   `#[ignore]`d (minutes of wall clock and ~1k fds — run it by hand
 //!   with `cargo test -p ditico-rt --test net_soak -- --ignored`).
 
-use ditico_rt::{
-    Cluster, Fabric, FabricMode, LinkProfile, Transport, TransportConfig, TransportReport,
-};
+use ditico_rt::{Cluster, Fabric, LinkProfile, Transport, TransportConfig, TransportReport};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use tyco_vm::word::NodeId;
@@ -72,7 +70,7 @@ fn dead_peer_does_not_delay_live_handshake() {
         "accept queue refused to saturate; cannot build a blackhole"
     );
 
-    let fabric_live = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric_live = Fabric::new(LinkProfile::ideal());
     let live = Transport::start(
         TransportConfig {
             local_nodes: vec![NodeId(1)],
@@ -86,7 +84,7 @@ fn dead_peer_does_not_delay_live_handshake() {
     .expect("live transport");
     let live_addr = live.local_addr().expect("live addr");
 
-    let fabric_dialer = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric_dialer = Fabric::new(LinkProfile::ideal());
     let t0 = Instant::now();
     let dialer = Transport::start(
         TransportConfig {
@@ -125,7 +123,7 @@ fn dead_peer_does_not_delay_live_handshake() {
 /// from its ring successor, so every partition both serves code mobility
 /// and exercises it.
 fn soak_partition(p: u32, n: u32) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     for _ in 0..n {
         c.add_node();
     }
@@ -150,13 +148,18 @@ fn soak_cfg(p: u32, n: u32, listen: SocketAddr, peers: Vec<SocketAddr>) -> Trans
         local_nodes: vec![NodeId(p)],
         listen: Some(listen),
         peers,
-        hb_period: Duration::from_millis(50),
+        // Every partition must beacon while the fetch ring still runs, so
+        // that each one hears a peer before a wave can reach the verdict:
+        // the ring ends within one 50 ms period, and a partition that
+        // ticked first once concluded before any peer had ticked. 1 ms at
+        // n=8; 32 ms at n=256, where 1k threads share the host's cores.
+        hb_period: Duration::from_millis(u64::from(n.max(8)) / 8),
         // The suspicion window (stale × hb) must dominate both the exit
         // skew between partitions and the worst-case scheduling
         // starvation of a beacon *sender* — and the latter grows with
         // the number of in-process partitions oversubscribing the
         // host's cores. 2.5s at n=8; 80s at n=256.
-        stale_periods: 50 * u64::from(n.max(8)) / 8,
+        stale_periods: 2500,
         max_retries: 20,
         ..TransportConfig::default()
     }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use ditico_rt::sched::SchedConfig;
-use ditico_rt::{Cluster, FabricMode, LinkProfile};
+use ditico_rt::{Cluster, LinkProfile};
 use tyco_vm::word::NodeId;
 use tyco_vm::Program;
 
@@ -100,7 +100,7 @@ fn termination_detection_is_sound_under_stress() {
         let tokens = rng.pick(&[1u64, 2, 4, 8]);
         let hops = rng.pick(&[1u64, 2, 4, 8, 16]);
 
-        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+        let mut c = Cluster::new(LinkProfile::ideal(), 1);
         let nodes: Vec<NodeId> = (0..2).map(|_| c.add_node()).collect();
         for i in 0..n {
             let prog = cache.get(&ring_site_src(i, n, tokens, hops));
@@ -141,7 +141,7 @@ fn termination_detection_is_sound_under_stress() {
 #[test]
 fn channel_fifo_preserved_across_worker_migration() {
     const N: u64 = 400;
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     c.add_site_src(
@@ -189,7 +189,7 @@ fn channel_fifo_preserved_across_worker_migration() {
 #[test]
 fn many_sites_few_workers_smoke() {
     let sites = 64;
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     let nodes: Vec<NodeId> = (0..4).map(|_| c.add_node()).collect();
     let mut cache = ProgramCache(HashMap::new());
     for i in 0..sites {

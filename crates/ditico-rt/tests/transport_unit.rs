@@ -7,8 +7,8 @@
 //! keep the same machinery honest under `cargo test -p ditico-rt`.
 
 use ditico_rt::{
-    ChaosPlan, ChaosSpec, Cluster, FabricMode, LinkProfile, NetHandle, RunReport, TermCounters,
-    Ticket, TransportConfig,
+    ChaosPlan, ChaosSpec, Cluster, LinkProfile, NetHandle, RunReport, TermCounters, Ticket,
+    TransportConfig,
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener};
@@ -32,7 +32,7 @@ fn free_addr() -> SocketAddr {
 /// Both partitions must build the same two-node topology in the same
 /// order; `local` selects which node gets real VMs.
 fn partition(local: u32) -> Cluster {
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node(); // node 0: server + the name service
     c.add_node(); // node 1: client
     let server_src = "export def Adder(x, r) = r![x + 40] in 0";
@@ -132,7 +132,7 @@ fn silent_peer_is_suspected_and_run_terminates() {
         }
     });
 
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_remote_site("server", NodeId(0));
@@ -165,7 +165,7 @@ fn silent_peer_is_suspected_and_run_terminates() {
 #[test]
 fn unreachable_peer_exhausts_retries_and_terminates() {
     let addr = free_addr(); // nothing is listening here
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_remote_site("server", NodeId(0));
@@ -259,7 +259,7 @@ fn suspected_peer_that_reconnects_is_healed() {
         PassivePeer::new(NodeId(1)).beat(&mut sock, 1, 300, Duration::from_millis(20));
     });
 
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_node();
@@ -323,7 +323,7 @@ fn silence_is_counted_in_executed_ticks_not_wall_time() {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = ditico_rt::Fabric::new(LinkProfile::ideal());
     let _inbox = fabric.register_node(NodeId(1));
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
@@ -455,7 +455,7 @@ fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
         let _ = done_rx.recv();
     });
 
-    let fabric = Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = Fabric::new(LinkProfile::ideal());
     let inbox = fabric.register_node(NodeId(1));
     let transport = Transport::start(
         TransportConfig {
@@ -652,7 +652,7 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
         peer.beat(&mut sock, 1, 500, Duration::from_millis(20));
     });
 
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_remote_site("server", NodeId(0));
@@ -689,7 +689,7 @@ fn bare_transport(
     ditico_rt::Transport,
     &'static TermCounters,
 ) {
-    let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = ditico_rt::Fabric::new(LinkProfile::ideal());
     let term = TermCounters::leak();
     let transport = ditico_rt::Transport::start(
         TransportConfig {
@@ -1082,7 +1082,7 @@ fn a_send_to_a_perma_down_node_keeps_the_counters_balanced() {
             .next(Duration::ZERO)
             .expect("our hello");
     });
-    let fabric = ditico_rt::Fabric::new(FabricMode::Ideal, LinkProfile::ideal());
+    let fabric = ditico_rt::Fabric::new(LinkProfile::ideal());
     let term = TermCounters::leak();
     let transport = ditico_rt::Transport::start(
         TransportConfig {
@@ -1131,7 +1131,7 @@ fn a_silent_member_blocks_the_verdict_until_its_own_arrives() {
         peer.beat(&mut sock, 21, 500, Duration::from_millis(20));
     });
 
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_remote_site("server", NodeId(0));
@@ -1189,7 +1189,7 @@ fn a_frame_not_yet_read_blocks_the_verdict() {
         peer.beat(&mut sock, 16, 500, Duration::from_millis(20));
     });
 
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     c.add_remote_site("server", NodeId(0));
@@ -1223,7 +1223,7 @@ fn chaos_drops_and_duplicates_on_the_wire_still_end_on_the_verdict() {
         let client = "import p from server in \
                       def Chain(k) = if k > 0 then new a (p!val[k, a] | a?(v) = Chain[k - 1]) \
                       else print(0) in Chain[40]";
-        let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+        let mut c = Cluster::new(LinkProfile::ideal(), 1);
         c.add_node();
         c.add_node();
         for (node, lexeme, src) in [(0, "server", server), (1, "client", client)] {

@@ -10,7 +10,7 @@
 //! or more.) `scripts/wake_chain.sh` is the same check from outside, in
 //! context switches.
 
-use ditico_rt::{Cluster, FabricMode, LinkProfile, RunReport, TransportConfig};
+use ditico_rt::{Cluster, LinkProfile, RunReport, TransportConfig};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 use tyco_vm::word::NodeId;
@@ -29,7 +29,7 @@ fn partition(local: u32) -> Cluster {
              else println(acc) \
          in Chain[{CALLS}, 0]"
     );
-    let mut c = Cluster::new(FabricMode::Ideal, LinkProfile::ideal(), 1);
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
     c.add_node();
     c.add_node();
     // One worker: a call is then exactly one park of that worker.

@@ -11,12 +11,11 @@
 //! cargo run --example applet_server -- ship
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 
 fn topology() -> Topology {
     Topology {
         nodes: 2,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     }

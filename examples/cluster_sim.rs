@@ -9,14 +9,13 @@
 //! cargo run --example cluster_sim
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 
 /// One coordinator + seven workers hammering it with small requests: the
 /// grain of traffic the paper's model generates.
 fn build(link: LinkProfile) -> Env {
     let mut env = Env::new(Topology {
         nodes: 4, // four PCs
-        mode: FabricMode::Virtual,
         link,
         ns_replicas: 1,
     })

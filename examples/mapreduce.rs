@@ -12,7 +12,7 @@
 //! cargo run --example mapreduce -- 5 100  # 5 workers, 100 items
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 
 fn main() {
     let workers: usize = std::env::args()
@@ -60,7 +60,6 @@ fn main() {
 
     let mut env = Env::new(Topology {
         nodes: workers + 1,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     })

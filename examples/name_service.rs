@@ -10,12 +10,11 @@
 //! cargo run --example name_service
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 
 fn main() {
     let report = Env::new(Topology {
         nodes: 4,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     })

@@ -11,7 +11,7 @@
 //! cargo run --example ring -- 8 1000  # 8 sites, 1000 hops
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 
 fn main() {
     let sites: usize = std::env::args()
@@ -25,7 +25,6 @@ fn main() {
 
     let mut env = Env::new(Topology {
         nodes: sites,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     });

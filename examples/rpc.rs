@@ -7,12 +7,11 @@
 //! cargo run --example rpc
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 
 fn main() {
     let env = Env::new(Topology {
         nodes: 2,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     })

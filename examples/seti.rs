@@ -8,7 +8,7 @@
 //! cargo run --example seti -- 4      # 4 workers
 //! ```
 
-use ditico::{Env, FabricMode, LinkProfile, RunLimits, Topology};
+use ditico::{Env, LinkProfile, RunLimits, Topology};
 
 fn main() {
     let workers: usize = std::env::args()
@@ -18,7 +18,6 @@ fn main() {
 
     let mut env = Env::new(Topology {
         nodes: workers + 1,
-        mode: FabricMode::Virtual,
         link: LinkProfile::fast_ethernet(),
         ns_replicas: 1,
     })

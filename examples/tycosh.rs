@@ -9,7 +9,7 @@
 //! Then, at the prompt:
 //!
 //! ```text
-//! tycosh> topology nodes=2 fabric=virtual link=myrinet
+//! tycosh> topology nodes=2 link=myrinet
 //! tycosh> site server def Srv(s) = s?{ val(x, r) = r![x + 1] | Srv[s] } in export new p in Srv[p]
 //! tycosh> site client import p from server in new a (p!val[41, a] | a?(y) = print(y))
 //! tycosh> run

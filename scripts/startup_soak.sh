@@ -39,7 +39,7 @@ cleanup() {
 trap cleanup EXIT
 
 {
-    echo "topology nodes=2 fabric=ideal link=ideal"
+    echo "topology nodes=2 link=ideal"
     echo "site server server.dity node=0"
     for c in $(seq 0 $((clients - 1))); do echo "site c$c c$c.dity node=1"; done
 } > "$work/cluster.net"

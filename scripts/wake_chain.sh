@@ -53,7 +53,7 @@ cleanup() {
 trap cleanup EXIT
 
 cat > "$work/cluster.net" <<EOF
-topology nodes=3 fabric=ideal link=ideal
+topology nodes=3 link=ideal
 site server server.dity node=0
 site client client.dity node=1
 site latch latch.dity node=2

@@ -8,12 +8,12 @@
 //! every process to read the same spec so placements agree):
 //!
 //! ```text
-//! topology nodes=2 fabric=virtual link=myrinet
+//! topology nodes=2 link=myrinet
 //! site server server.dity node=0
 //! site client client.dity node=1
 //! ```
 
-use ditico::{parse_peer_list, Env, FabricMode, Program, Shell, Topology};
+use ditico::{parse_peer_list, Env, Program, Shell, Topology};
 use ditico::{RunReport, TransportConfig};
 use std::io::BufRead as _;
 use std::net::ToSocketAddrs as _;
@@ -510,8 +510,12 @@ fn string_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// Optional `--flag N` numeric lookup.
-fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
+/// Optional `--flag N` numeric lookup; a value that does not fit `T` is
+/// refused, never wrapped.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
     match string_flag(args, name)? {
         Some(v) => v.parse().map(Some).map_err(|e| format!("{name}: {e}")),
         None => Ok(None),
@@ -525,13 +529,13 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
 /// (default 50 ms).
 fn cluster_env(mut env: Env, args: &[String], sites: Vec<SiteSpec>) -> Result<Env, String> {
     if let Some(w) = num_flag(args, "--workers")? {
-        env = env.workers(w as usize);
+        env = env.workers(w);
     }
     if let Some(c) = num_flag(args, "--code-cache")? {
-        env = env.code_cache(c as usize);
+        env = env.code_cache(c);
     }
     if let Some(s) = num_flag(args, "--ns-shards")?.filter(|&s| s > 0) {
-        env = env.ns_shards(s as usize, num_flag(args, "--ns-lease-ms")?.unwrap_or(50));
+        env = env.ns_shards(s, num_flag(args, "--ns-lease-ms")?.unwrap_or(50));
     }
     if let Some(plan) = chaos_from_args(args)? {
         env = env.chaos(plan);
@@ -559,9 +563,9 @@ fn chaos_from_args(args: &[String]) -> Result<Option<ditico::ChaosPlan>, String>
         return Ok(None);
     }
     let mut spec = ditico::ChaosSpec::quiet(seed.unwrap_or(0));
-    spec.drop_per_mille = drop.unwrap_or(0) as u32;
-    spec.dup_per_mille = dup.unwrap_or(0) as u32;
-    spec.delay_per_mille = delay.unwrap_or(0) as u32;
+    spec.drop_per_mille = drop.unwrap_or(0);
+    spec.dup_per_mille = dup.unwrap_or(0);
+    spec.delay_per_mille = delay.unwrap_or(0);
     spec.delay_ns = delay_ns.unwrap_or(1_000_000);
     Ok(Some(ditico::ChaosPlan::new(spec)))
 }
@@ -710,8 +714,8 @@ fn cmd_net(cmd: &Command, args: &[String]) -> Result<(), String> {
     let show_stats = args.iter().any(|a| a == "--stats");
     let wall = num_flag(args, "--wall")?.unwrap_or(60);
     let (topology, sites) = parse_net_spec(path)?;
-    if threaded && topology.mode == FabricMode::Virtual {
-        return Err("--threaded needs fabric=ideal in the spec".into());
+    if threaded && !topology.link.is_ideal() {
+        return Err("--threaded needs link=ideal in the spec".into());
     }
     let env = cluster_env(Env::new(topology), args, sites)?;
     let report = if threaded {
@@ -763,13 +767,6 @@ fn cmd_distributed(cmd: &Command, args: &[String], serve: bool) -> Result<(), St
     }
     let wall = num_flag(args, "--wall")?.unwrap_or(60);
     let (topology, sites) = parse_net_spec(path)?;
-    if topology.mode != FabricMode::Ideal {
-        return Err(
-            "multi-process runs need fabric=ideal in the spec: link latency comes from \
-             the real network"
-                .to_string(),
-        );
-    }
     for &n in &local_nodes {
         if n >= topology.nodes.max(1) {
             return Err(format!(
@@ -784,11 +781,11 @@ fn cmd_distributed(cmd: &Command, args: &[String], serve: bool) -> Result<(), St
         peers,
         ..TransportConfig::default()
     };
-    if let Some(ms) = num_flag(args, "--hb-ms")? {
+    if let Some(ms) = num_flag::<u64>(args, "--hb-ms")? {
         cfg.hb_period = std::time::Duration::from_millis(ms.max(1));
     }
     if let Some(r) = num_flag(args, "--retries")? {
-        cfg.max_retries = r as u32;
+        cfg.max_retries = r;
     }
     let env = cluster_env(Env::new(topology).hosting(&local_nodes), args, sites)?;
     let built = env.build().map_err(|e| e.to_string())?;

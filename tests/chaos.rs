@@ -4,7 +4,7 @@
 //! hang, or crash a site.
 
 use ditico::tyco_vm::word::NodeId;
-use ditico::{ChaosEvent, ChaosPlan, ChaosSpec, Env, FabricMode, LinkProfile, Topology};
+use ditico::{ChaosEvent, ChaosPlan, ChaosSpec, Env, LinkProfile, Topology};
 
 const SRV: &str = "def Srv(p) = p?{ val(x, a) = a![x] | Srv[p] } in export new p in Srv[p]";
 const CLIENT: &str = r#"
@@ -37,7 +37,6 @@ fn pinned(key: &str, fp: String) -> String {
 fn fingerprint(key: &str, plan: ChaosPlan) -> String {
     let report = Env::new(Topology {
         nodes: 2,
-        mode: FabricMode::Virtual,
         link: LinkProfile::fast_ethernet(),
         ns_replicas: 1,
     })
@@ -182,7 +181,6 @@ fn sharded_name_service_drops_are_termination_compensated() {
     let run = |seed: u64| {
         let report = Env::new(Topology {
             nodes: 4,
-            mode: FabricMode::Virtual,
             link: LinkProfile::fast_ethernet(),
             ns_replicas: 1,
         })
@@ -275,7 +273,6 @@ fn releasing_rpc_client() -> String {
 fn releasing_rpc(key: &str, spec: ChaosSpec) -> (String, Vec<String>, u64) {
     let report = Env::new(Topology {
         nodes: 2,
-        mode: FabricMode::Virtual,
         link: LinkProfile::fast_ethernet(),
         ns_replicas: 1,
     })

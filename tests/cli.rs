@@ -277,6 +277,106 @@ fn unknown_flags_are_rejected_by_name() {
     assert!(!err.contains("unknown flag"), "{err}");
 }
 
+/// Run `ditico` with `args` and return its exit code and stderr.
+fn refusal(args: &[&str]) -> (Option<i32>, String) {
+    let out = ditico().args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The link decides delivery: a wall-clock run over a link that takes
+/// time is refused before it starts, and the `fabric=` key older specs
+/// write still parses (and is still checked) but selects nothing.
+#[test]
+fn the_link_decides_delivery() {
+    let dir = tmpdir("link");
+    write(&dir, "a.dity", "println(\"hi\")");
+    let spec = |name: &str, topology: &str| {
+        let p = write(
+            &dir,
+            name,
+            &format!("topology {topology}\nsite a a.dity node=0\n"),
+        );
+        p.to_str().unwrap().to_string()
+    };
+    let myrinet = spec("myrinet.net", "nodes=1 link=myrinet");
+    let listen = ["--node", "0", "--listen", "127.0.0.1:0"];
+    for args in [
+        vec!["net", &myrinet, "--threaded"],
+        [&["serve", &myrinet][..], &listen].concat(),
+        [&["net", &myrinet][..], &listen].concat(),
+    ] {
+        let (code, err) = refusal(&args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("ditico: ") && err.contains("link=ideal"),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+    }
+    // Deterministically, the same spec runs.
+    let out = ditico().args(["net", &myrinet]).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for fabric in ["ideal", "virtual"] {
+        let ideal = spec(
+            &format!("{fabric}.net"),
+            &format!("nodes=1 fabric={fabric} link=ideal"),
+        );
+        for threaded in [false, true] {
+            let mut cmd = ditico();
+            cmd.args(["net", &ideal]);
+            if threaded {
+                cmd.arg("--threaded");
+            }
+            let out = cmd.output().unwrap();
+            assert!(
+                out.status.success(),
+                "fabric={fabric} threaded={threaded}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(String::from_utf8_lossy(&out.stdout), "[a] hi\n");
+        }
+    }
+    let bogus = spec("bogus.net", "nodes=1 fabric=bogus link=ideal");
+    let (code, err) = refusal(&["net", &bogus]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.ends_with(":1: bad fabric `bogus`\n"), "{err}");
+}
+
+/// Numeric flags are refused, never wrapped: a value that does not fit
+/// its field, and chaos rates whose sum would overflow one (a wrapped sum
+/// used to pass validation and inject nothing).
+#[test]
+fn out_of_range_numeric_flags_are_refused() {
+    let rpc = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/dity/rpc.net");
+    let listen = [rpc, "--node", "0", "--listen", "127.0.0.1:0"];
+    for (args, expect) in [
+        (
+            vec!["net", rpc, "--chaos-drop", "4294967295", "--chaos-dup", "1"],
+            "ditico: chaos plan: chaos fault rates sum to 4294967296‰",
+        ),
+        (
+            vec!["net", rpc, "--chaos-delay", "4294967296"],
+            "ditico: --chaos-delay: number too large",
+        ),
+        (
+            [&["net"][..], &listen, &["--retries", "4294967296"]].concat(),
+            "ditico: --retries: number too large",
+        ),
+    ] {
+        let (code, err) = refusal(&args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(err.starts_with(expect), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+    }
+}
+
 #[test]
 fn shell_subcommand_batch() {
     use std::io::Write as _;

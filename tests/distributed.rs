@@ -4,7 +4,7 @@
 //! runtime (exactly-once delivery) and the behaviour of the future-work
 //! features under failure injection.
 
-use ditico::{Env, FabricMode, LinkProfile, Topology};
+use ditico::{Env, LinkProfile, Topology};
 use proptest::prelude::*;
 
 /// A small family of two-site client/server programs parameterized by a
@@ -61,10 +61,10 @@ proptest! {
         let reference = observable(Topology::default(), &server, &client);
         prop_assert_eq!(ops.len(), reference.len());
         for topology in [
-            Topology { nodes: 2, mode: FabricMode::Virtual, link: LinkProfile::myrinet(), ns_replicas: 1 },
-            Topology { nodes: 2, mode: FabricMode::Virtual, link: LinkProfile::wan(), ns_replicas: 1 },
-            Topology { nodes: 3, mode: FabricMode::Virtual, link: LinkProfile::fast_ethernet(), ns_replicas: 2 },
-            Topology { nodes: 2, mode: FabricMode::Ideal, link: LinkProfile::ideal(), ns_replicas: 1 },
+            Topology { nodes: 2, link: LinkProfile::myrinet(), ns_replicas: 1 },
+            Topology { nodes: 2, link: LinkProfile::wan(), ns_replicas: 1 },
+            Topology { nodes: 3, link: LinkProfile::fast_ethernet(), ns_replicas: 2 },
+            Topology { nodes: 2, link: LinkProfile::ideal(), ns_replicas: 1 },
         ] {
             let got = observable(topology, &server, &client);
             prop_assert_eq!(&got, &reference);
@@ -80,7 +80,6 @@ proptest! {
         let (server, client) = client_server(&ops);
         let report = Env::new(Topology {
             nodes: 2,
-            mode: FabricMode::Virtual,
             link: LinkProfile::myrinet(),
             ns_replicas: 1,
         })
@@ -120,7 +119,6 @@ fn distributed_differential_against_calculus() {
     for (server, client) in cases {
         let env = Env::new(Topology {
             nodes: 2,
-            mode: FabricMode::Virtual,
             link: LinkProfile::myrinet(),
             ns_replicas: 1,
         })
@@ -145,7 +143,7 @@ fn distributed_differential_against_calculus() {
 #[test]
 fn surviving_sites_unaffected_by_dead_node() {
     use ditico::{Cluster, RunLimits};
-    let mut c = Cluster::new(FabricMode::Virtual, LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
     let n0 = c.add_node();
     let n1 = c.add_node();
     let n2 = c.add_node();
@@ -179,7 +177,6 @@ fn surviving_sites_unaffected_by_dead_node() {
 fn threaded_termination_detector_waits_for_work() {
     let report = Env::new(Topology {
         nodes: 2,
-        mode: FabricMode::Ideal,
         link: LinkProfile::ideal(),
         ns_replicas: 1,
     })

@@ -1,7 +1,7 @@
 //! Every worked example in the paper, end-to-end on the public API,
 //! with the structural claims of §3–§5 asserted.
 
-use ditico::{Env, FabricMode, LinkProfile, RunLimits, Topology};
+use ditico::{Env, LinkProfile, RunLimits, Topology};
 
 fn paper_topology() -> Topology {
     Topology::paper_cluster()
@@ -178,7 +178,6 @@ fn section5_local_vs_remote_paths() {
     // Same node.
     let local = Env::new(Topology {
         nodes: 1,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     })
@@ -191,7 +190,6 @@ fn section5_local_vs_remote_paths() {
     // Different nodes.
     let remote = Env::new(Topology {
         nodes: 2,
-        mode: FabricMode::Virtual,
         link: LinkProfile::myrinet(),
         ns_replicas: 1,
     })
