@@ -622,7 +622,7 @@ impl Cluster {
             }
         }
         let sites = self.nodes.iter_mut().flat_map(|c| c.sites.drain(..));
-        let pool = Shared::new(sites.collect(), workers_n);
+        let pool = Shared::new(sites.collect(), workers_n, self.sched.slice_fuel);
         if wall {
             pool.for_each_site(|slot, site| {
                 let (ready, id) = (Arc::new(pool.handle(slot)), site.identity);
@@ -906,7 +906,7 @@ impl Cluster {
             .collect();
         let workers = (0..workers)
             .map(|i| {
-                let worker = Worker::new(pool.clone(), i, self.sched.slice_fuel);
+                let worker = Worker::new(pool.clone(), i);
                 spawn(format!("ditico-worker-{i}"), Box::new(move || worker.run()))
             })
             .collect();
@@ -982,8 +982,10 @@ struct Beats {
 /// pumping is marked errored and its inbox drained (the errored-site
 /// discipline) so the run reports instead of aborting. Sound because this
 /// runs after `Shared::stop`, when no live worker can re-enter the slot.
+/// The net thread's slices that panicked were reported as they happened;
+/// their abort lines come first.
 fn join_workers(shared: &Arc<Shared>, workers: Vec<std::thread::JoinHandle<()>>) -> Vec<String> {
-    let mut aborts = Vec::new();
+    let mut aborts = shared.take_aborts();
     for (i, h) in workers.into_iter().enumerate() {
         if h.join().is_err() {
             match shared.take_running(i) {

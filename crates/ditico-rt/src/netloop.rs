@@ -24,13 +24,17 @@
 //!   per byte. Payloads tiny relative to the accumulator's *allocation*
 //!   are copied out rather than handed over as views, so a retained
 //!   small payload never pins a big read buffer ([`PIN_DENOM`]).
-//! * **One injection per readable event.** The data frames a readable
-//!   event admits are handed to the local fabric together — one
-//!   `send_batch` and one kick of the destination daemon per `(from, to)`
-//!   run — and that kick pumps the daemon on this thread: what was just
-//!   read is decoded, screened, delivered and its sites marked ready
-//!   before the loop looks at the next socket. The loop itself never
-//!   opens a data payload.
+//! * **One injection per readable event, and one slice.** The data
+//!   frames a readable event admits are handed to the local fabric
+//!   together — one `send_batch` and one kick of the destination daemon
+//!   per `(from, to)` run — and that kick pumps the daemon on this
+//!   thread: what was just read is decoded, screened, delivered and its
+//!   sites marked ready before the loop looks at the next socket. The
+//!   first site the event readies is not handed to a worker: once the
+//!   injection has returned, this thread runs one slice of it itself
+//!   ([`crate::sched::inject_and_run`]), so a reply is read, delivered
+//!   and acted on without waking anyone. The loop itself never opens a
+//!   data payload.
 //! * **Writable-gated output, written by the sender.** A connection's
 //!   backlog and socket sit behind the write half's lock in `PeerConn`
 //!   and whoever appends a frame writes it from its own thread. This
@@ -50,6 +54,7 @@ use crate::poller::{
     connect_start, ConnectStart, Event, Interest, PendingConnect, Poller, TimerId, TimerWheel,
     WakeReader,
 };
+use crate::sched;
 use bytes::{Buf, Bytes, BytesMut};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -472,8 +477,9 @@ impl NetLoop {
             dead = true;
         }
         // Whatever this event admitted goes in as one batch — also when
-        // the stream turned corrupt after it.
-        inject_admitted(&self.inner, &mut self.admitted, &mut self.batch);
+        // the stream turned corrupt after it — and the first site it
+        // readies runs its slice here.
+        sched::inject_and_run(|| inject_admitted(&self.inner, &mut self.admitted, &mut self.batch));
         if dead {
             self.kill_conn(idx);
         }

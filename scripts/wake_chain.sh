@@ -82,9 +82,12 @@ snapshot() {
             END { if (name != "") print tid, name, v, n }' "$t/status" 2>/dev/null || true
     done
 }
-# Switches of the worker pool alone: the threads that are still only
-# while no call is in flight.
-workers() { awk '$2 ~ /^ditico-worker/ { s += $3 + $4 } END { print s + 0 }' "$1"; }
+# Switches of every thread of a process: whichever threads carry the
+# chain (the net thread runs the slice its read readied, so the workers
+# may stay still throughout), all of them are still once it is done, but
+# for the heartbeat tick — allowed 4 switches per tick in a 0.25 s poll.
+switches() { awk '{ s += $3 + $4 } END { print s + 0 }' "$1"; }
+quiet=$(( 8 + 1000 / (hb_ms > 0 ? hb_ms : 1) ))
 
 wall=60
 "${pin[@]}" "$ditico" serve "$work/cluster.net" --node 0 --listen 127.0.0.1:0 \
@@ -105,7 +108,7 @@ snapshot "$server_pid" > "$work/server.a"
 snapshot "$client_pid" > "$work/client.a"
 
 # Second sample: a second later at the earliest, and only once the
-# client's workers have stopped switching (the chain is done, and both
+# client's threads have stopped switching (the chain is done, and both
 # processes wait for the latch's node to report).
 sleep 1
 prev=-1
@@ -114,8 +117,8 @@ for _ in $(seq 40); do
     snapshot "$server_pid" > "$work/server.b"
     snapshot "$client_pid" > "$work/client.b"
     [ -s "$work/client.b" ] || break
-    now="$(workers "$work/client.b")"
-    if [ "$prev" -ge 0 ] && [ $(( now - prev )) -le 8 ]; then
+    now="$(switches "$work/client.b")"
+    if [ "$prev" -ge 0 ] && [ $(( now - prev )) -le "$quiet" ]; then
         settled=1
         break
     fi
