@@ -1,11 +1,17 @@
 //! Node-level content-addressed store for mobile code.
 //!
 //! Byte-code is immutable once packaged (§5 of the paper), so a node
-//! never needs to hold — or receive — two copies of the same image. The
-//! TyCOd daemon keeps one [`CodeCache`] and uses it in three ways:
+//! never needs to hold — or receive — two copies of the same image. An
+//! image ([`WireCode`]) is its canonical bytes and their digest, fixed
+//! when it was made; the store is keyed by that digest, and what a
+//! deduplicated shipment saves is the length of those bytes. The TyCOd
+//! daemon keeps one [`CodeCache`] and uses it in three ways:
 //!
 //! * **receive-side cache** — every full code-carrying packet that passes
-//!   the verifier is inserted; digest-only packets
+//!   the verifier and whose bytes hash to the digest it carries is
+//!   inserted, decoded parts and all, with a copy of its bytes of its own
+//!   (a decoded image's bytes are a view into the frame it came in);
+//!   digest-only packets
 //!   ([`Packet::ObjRef`](tyco_vm::codec::Packet::ObjRef) /
 //!   [`Packet::FetchReplyRef`](tyco_vm::codec::Packet::FetchReplyRef))
 //!   rehydrate from it without re-verification (verify-once);
@@ -14,7 +20,9 @@
 //! * **negotiation backstop** — a `NeedCode` for a digest this node still
 //!   holds is answered with `HaveCode` (the sender keeps its own outbound
 //!   images in the same store, inserted before the dedup decision, so a
-//!   digest it advertises is always answerable while cached).
+//!   digest it advertises is always answerable while cached). An
+//!   outbound image holds its bytes only: the exporter never decodes what
+//!   it packed.
 //!
 //! Capacity 0 is a store that holds nothing, not a mode: the daemon never
 //! asks for the capacity, so at 0 every shipment is a full image — still
@@ -28,15 +36,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use tyco_vm::word::NodeId;
-use tyco_vm::{codec, Digest, WireCode};
+use tyco_vm::{Digest, WireCode};
 
 struct Entry {
     code: WireCode,
-    /// Encoded size of the image on the wire (canonical codec bytes) —
-    /// what a deduplicated shipment saves, minus the digest it still
-    /// carries. `None` until someone asks, for an image whose inserter
-    /// had no encoding at hand.
-    wire_len: Option<u64>,
     /// Peer nodes this node has already shipped the full image to.
     shipped: HashSet<NodeId>,
 }
@@ -95,25 +98,19 @@ impl CodeCache {
         self.entries.get(d).map(|e| &e.code)
     }
 
-    /// Wire size of the stored image (0 when absent), measured by
-    /// encoding it the first time it is asked for if the inserter did not
-    /// supply it.
-    pub fn wire_len(&mut self, d: &Digest) -> u64 {
-        let Some(e) = self.entries.get_mut(d) else {
-            return 0;
-        };
-        *e.wire_len
-            .get_or_insert_with(|| codec::code_bytes(&e.code).len() as u64)
+    /// Wire size of the stored image (0 when absent): the length of its
+    /// bytes, what a deduplicated shipment saves besides the digest it
+    /// still carries.
+    pub fn wire_len(&self, d: &Digest) -> u64 {
+        self.get(d).map_or(0, |code| code.bytes().len() as u64)
     }
 
     /// Insert a *verified* image under its digest. The caller is the
-    /// trust boundary: nothing in here re-checks the code, and `d` must
-    /// be the digest of `code`'s canonical bytes. `wire_len` is the length
-    /// of those bytes if the caller has them (a receiver, which hashed
-    /// them) and `None` if it would have to encode the image to know (a
-    /// sender, which ships a `Packet`). Re-inserting an existing digest
-    /// is a cheap no-op that keeps its shipped-to history.
-    pub fn insert(&mut self, d: Digest, code: &WireCode, wire_len: Option<u64>) {
+    /// trust boundary: nothing in here re-checks the code. Re-inserting
+    /// an existing digest is a cheap no-op that keeps its shipped-to
+    /// history.
+    pub fn insert(&mut self, code: &WireCode) {
+        let d = code.digest();
         if self.capacity == 0 || self.entries.contains_key(&d) {
             return;
         }
@@ -122,7 +119,6 @@ impl CodeCache {
             d,
             Entry {
                 code: code.clone(),
-                wire_len,
                 shipped: HashSet::new(),
             },
         );
@@ -160,26 +156,23 @@ mod tests {
     use super::*;
 
     fn code(tag: u32) -> (Digest, WireCode) {
-        let code = WireCode {
-            blocks: vec![],
-            tables: vec![],
+        let code = WireCode::new(tyco_vm::CodeParts {
             labels: vec![format!("l{tag}")],
-            strings: vec![],
-        };
-        (tyco_vm::codec::code_digest(&code), code)
+            ..Default::default()
+        });
+        (code.digest(), code)
     }
 
     #[test]
     fn insert_get_roundtrip_and_idempotence() {
         let mut c = CodeCache::new(4);
         let (d, w) = code(1);
-        c.insert(d, &w, Some(100));
+        c.insert(&w);
         assert!(c.contains(&d));
         assert_eq!(c.get(&d), Some(&w));
-        assert_eq!(c.wire_len(&d), 100);
         c.mark_shipped(&d, NodeId(7));
         // Re-insert keeps the entry and its shipped set.
-        c.insert(d, &w, Some(100));
+        c.insert(&w);
         assert_eq!(c.len(), 1);
         assert_eq!(c.insertions, 1);
         assert!(c.was_shipped(&d, NodeId(7)));
@@ -187,11 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn an_unmeasured_image_is_measured_when_asked() {
+    fn wire_len_is_the_stored_bytes_length() {
         let mut c = CodeCache::new(4);
         let (d, w) = code(1);
-        c.insert(d, &w, None);
-        assert_eq!(c.wire_len(&d), codec::code_bytes(&w).len() as u64);
+        c.insert(&w);
+        assert_eq!(c.wire_len(&d), w.bytes().len() as u64);
         let (absent, _) = code(2);
         assert_eq!(c.wire_len(&absent), 0);
     }
@@ -200,8 +193,8 @@ mod tests {
     fn capacity_bound_is_honored_fifo() {
         let mut c = CodeCache::new(3);
         let items: Vec<_> = (0..5).map(code).collect();
-        for (d, w) in &items {
-            c.insert(*d, w, Some(10));
+        for (_, w) in &items {
+            c.insert(w);
         }
         assert_eq!(c.len(), 3, "never exceeds capacity");
         assert_eq!(c.evictions, 2);
@@ -217,17 +210,17 @@ mod tests {
     fn eviction_forgets_shipped_history() {
         let mut c = CodeCache::new(1);
         let (d1, w1) = code(1);
-        let (d2, w2) = code(2);
-        c.insert(d1, &w1, Some(10));
+        let (_, w2) = code(2);
+        c.insert(&w1);
         c.mark_shipped(&d1, NodeId(3));
-        c.insert(d2, &w2, Some(10));
+        c.insert(&w2);
         assert!(!c.contains(&d1));
         assert!(
             !c.was_shipped(&d1, NodeId(3)),
             "evicted digest has no shipped history"
         );
         // Re-inserting after eviction starts fresh.
-        c.insert(d1, &w1, Some(10));
+        c.insert(&w1);
         assert!(!c.was_shipped(&d1, NodeId(3)));
     }
 
@@ -235,7 +228,7 @@ mod tests {
     fn zero_capacity_disables_the_store() {
         let mut c = CodeCache::new(0);
         let (d, w) = code(1);
-        c.insert(d, &w, Some(10));
+        c.insert(&w);
         assert!(c.is_empty());
         assert!(!c.contains(&d));
         assert_eq!(c.insertions, 0);
@@ -247,8 +240,8 @@ mod tests {
     fn shrinking_capacity_evicts_oldest() {
         let mut c = CodeCache::new(4);
         let items: Vec<_> = (0..4).map(code).collect();
-        for (d, w) in &items {
-            c.insert(*d, w, Some(10));
+        for (_, w) in &items {
+            c.insert(w);
         }
         c.set_capacity(2);
         assert_eq!(c.len(), 2);

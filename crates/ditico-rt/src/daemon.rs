@@ -505,16 +505,11 @@ impl Daemon {
                 from: needy,
                 digest,
             } => {
-                let code = self.store.get(&digest).cloned().unwrap_or(WireCode {
-                    // Evicted since it was advertised: answer with an
-                    // empty tombstone (its bytes cannot hash to `digest`)
-                    // so the requester releases its parked packets
-                    // instead of waiting forever.
-                    blocks: vec![],
-                    tables: vec![],
-                    labels: vec![],
-                    strings: vec![],
-                });
+                // Evicted since it was advertised: answer with an empty
+                // tombstone (its bytes cannot hash to `digest`) so the
+                // requester releases its parked packets instead of
+                // waiting forever.
+                let code = self.store.get(&digest).cloned().unwrap_or_default();
                 // The answer takes over the request's ticket.
                 let answer = Packet::HaveCode {
                     to: needy,
@@ -529,8 +524,7 @@ impl Daemon {
                     .remove(&digest)
                     .map(|e| e.pkts)
                     .unwrap_or_default();
-                let bytes = codec::code_bytes(&code);
-                if Digest::of(&bytes) != digest {
+                if code.digest() != digest {
                     // A tampered refill — or the sender's tombstone for an
                     // image it no longer holds. The parked packets can
                     // never be completed.
@@ -542,7 +536,7 @@ impl Daemon {
                     }
                     return;
                 }
-                self.cache_insert(digest, &code, Some(bytes.len() as u64));
+                self.store_received(&code);
                 self.store.mark_shipped(&digest, from);
                 for (p, t) in parked {
                     self.rehydrate(code.clone(), p, t);
@@ -583,26 +577,35 @@ impl Daemon {
     }
 
     /// Fingerprint-check a full code image from the fabric and cache it.
-    /// Returns `false` when the bytes do not hash to the carried digest
-    /// (the caller rejects the packet as tampered) — at every capacity: a
-    /// store that holds nothing still checks what it is handed.
+    /// Returns `false` when the bytes that arrived do not hash to the
+    /// carried digest (the caller rejects the packet as tampered) — at
+    /// every capacity: a store that holds nothing still checks what it is
+    /// handed.
     fn admit_code(&mut self, from: NodeId, digest: Digest, code: &WireCode) -> bool {
-        let bytes = codec::code_bytes(code);
-        if Digest::of(&bytes) != digest {
+        if code.digest() != digest {
             self.stats.cache.digest_mismatches += 1;
             return false;
         }
-        self.cache_insert(digest, code, Some(bytes.len() as u64));
+        self.store_received(code);
         // The sender provably holds this image (it just shipped it), so
         // this node's own future shipments back to it can go digest-only.
         self.store.mark_shipped(&digest, from);
         true
     }
 
+    /// Cache a received image under the digest of the bytes that arrived.
+    /// Its bytes are a view into the frame it was decoded from; the store
+    /// keeps a copy of its own, so a cached image pins only itself.
+    fn store_received(&mut self, code: &WireCode) {
+        if !self.store.contains(&code.digest()) {
+            self.cache_insert(&code.detached());
+        }
+    }
+
     /// Insert into the store and mirror its lifetime counters into the
     /// per-daemon stats.
-    fn cache_insert(&mut self, digest: Digest, code: &WireCode, wire_len: Option<u64>) {
-        self.store.insert(digest, code, wire_len);
+    fn cache_insert(&mut self, code: &WireCode) {
+        self.store.insert(code);
         self.stats.cache.insertions = self.store.insertions;
         self.stats.cache.evictions = self.store.evictions;
     }
@@ -930,11 +933,15 @@ impl Daemon {
 
     /// Remote send with the code-mobility optimizations: repeat shipments
     /// of a cached image go out digest-only, and a fetch of a class
-    /// already being fetched is folded into the in-flight request.
+    /// already being fetched is folded into the in-flight request. The
+    /// store first takes an image this node ships or advertises by digest,
+    /// so a later `NeedCode` from the receiver is answerable; outbound
+    /// images come from the local packager and are trusted, so there is
+    /// no fingerprint check, and the store shares the packager's bytes.
     fn send_remote_coded(&mut self, target: NodeId, p: Packet, ticket: Ticket) {
         let p = match p {
             Packet::Obj { dest, digest, obj } => {
-                self.insert_outbound(digest, &obj.code);
+                self.cache_insert(&obj.code);
                 if self.store.was_shipped(&digest, target) {
                     self.count_dedup(digest);
                     Packet::ObjRef {
@@ -955,7 +962,7 @@ impl Daemon {
                 group,
                 index,
             } => {
-                self.insert_outbound(digest, &group.code);
+                self.cache_insert(&group.code);
                 if self.store.was_shipped(&digest, target) {
                     self.count_dedup(digest);
                     Packet::FetchReplyRef {
@@ -1000,17 +1007,6 @@ impl Daemon {
             other => other,
         };
         self.send_remote(target, &p, ticket);
-    }
-
-    /// Make sure the store holds an image this node is about to ship or
-    /// advertise by digest, so a later `NeedCode` from the receiver is
-    /// answerable. Outbound images come from the local packager and are
-    /// trusted; no fingerprint check is needed — and no encoding: the
-    /// store measures the image if a dedup ever needs its length.
-    fn insert_outbound(&mut self, digest: Digest, code: &WireCode) {
-        if !self.store.contains(&digest) {
-            self.cache_insert(digest, code, None);
-        }
     }
 
     fn count_dedup(&mut self, digest: Digest) {

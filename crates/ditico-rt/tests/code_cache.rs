@@ -163,6 +163,38 @@ fn sequential_fetches_from_one_node_get_a_digest_only_reply() {
     assert_eq!(report.stats["server"].fetches_served, 2);
 }
 
+#[test]
+fn a_site_on_the_exporters_node_links_what_it_fetched_and_was_shipped() {
+    // The exporter keeps the bytes of what it packed; a site on its own
+    // node decodes them when it links, whether or not the store holds
+    // anything.
+    for capacity in [256, 0] {
+        let mut c = Cluster::new(LinkProfile::fast_ethernet(), 1);
+        c.set_code_cache(capacity);
+        let n0 = c.add_node();
+        c.add_site_src(n0, "server", SHIP_SERVER).unwrap();
+        c.add_site_src(
+            n0,
+            "classes",
+            r#"export def Applet(v) = println("applet", v) in 0"#,
+        )
+        .unwrap();
+        c.add_site_src(n0, "client", SHIP_TWICE_CLIENT).unwrap();
+        c.add_site_src(n0, "a", "import Applet from classes in Applet[1]")
+            .unwrap();
+        let report = c.run_deterministic(RunLimits::default());
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(report.in_flight, 0, "every packet was consumed");
+        assert_eq!(
+            report.output("client"),
+            ["shipped 1", "shipped 2", "done"].map(String::from)
+        );
+        assert_eq!(report.output("a"), ["applet 1".to_string()]);
+        assert_eq!(report.stats["client"].objs_recv, 2);
+        assert_eq!(report.stats["classes"].fetches_served, 1);
+    }
+}
+
 // -- daemon-level: fingerprint boundary and the refill protocol --------------
 
 /// A daemon on node 0 wired to a real (ideal) fabric, plus the receiver
@@ -206,7 +238,7 @@ fn shipped_obj() -> (Digest, WireObj) {
         .unwrap();
     let packed = tyco_vm::pack(&prog, &[0]);
     (
-        packed.digest,
+        packed.code.digest(),
         WireObj {
             code: packed.code,
             table: 0,
@@ -290,6 +322,102 @@ fn tampered_image_is_rejected_at(
     ));
 }
 
+/// `p` encoded, with one operand byte of its image changed: the literal
+/// 7 of `print(n + 7)` reads 6. The image still decodes and verifies,
+/// but its bytes no longer hash to the digest `p` carries.
+fn with_one_operand_flipped(p: &Packet, code: &tyco_vm::WireCode) -> Bytes {
+    let honest = codec::encode(p).to_vec();
+    let pushint_7 = [1, 7, 0, 0, 0, 0, 0, 0, 0];
+    let in_code = code
+        .bytes()
+        .windows(pushint_7.len())
+        .position(|w| w == pushint_7)
+        .expect("the image pushes 7");
+    let code_at = honest
+        .windows(code.bytes().len())
+        .position(|w| w == &code.bytes()[..])
+        .expect("the packet carries the image");
+    let mut flipped = honest;
+    flipped[code_at + in_code + 1] ^= 1;
+    let flipped = Bytes::from(flipped);
+    let code = match codec::decode(flipped.clone()).expect("still decodes") {
+        Packet::Obj { obj, .. } => obj.code,
+        Packet::FetchReply { group, .. } => group.code,
+        Packet::HaveCode { code, .. } => code,
+        other => panic!("not a code-carrying packet: {other:?}"),
+    };
+    assert!(tyco_vm::verify_wire(&code).is_ok(), "and still verifies");
+    flipped
+}
+
+#[test]
+fn the_digest_is_checked_against_the_bytes_that_arrived() {
+    let prog =
+        tyco_vm::compile(&tyco_syntax::parse_core("new x x?{ go(n) = print(n + 7) }").unwrap())
+            .unwrap();
+    let code = tyco_vm::pack(&prog, &[0]).code;
+    let digest = code.digest();
+    let obj = Packet::Obj {
+        dest: dest(),
+        digest,
+        obj: WireObj {
+            code: code.clone(),
+            table: 0,
+            captured: vec![],
+        },
+    };
+    let fetch_reply = Packet::FetchReply {
+        to: tyco_vm::word::Identity {
+            site: SiteId(0),
+            node: NodeId(0),
+        },
+        req: 7,
+        digest,
+        group: tyco_vm::WireGroup {
+            code: code.clone(),
+            table: 0,
+            captured: vec![],
+        },
+        index: 0,
+    };
+    let refill = Packet::HaveCode {
+        to: NodeId(0),
+        digest,
+        code: code.clone(),
+    };
+    for capacity in [ditico_rt::daemon::DEFAULT_CODE_CACHE, 0] {
+        for p in [&obj, &fetch_reply, &refill] {
+            let mut r = rig();
+            r.daemon.set_code_cache(capacity);
+            if matches!(p, Packet::HaveCode { .. }) {
+                // A refill answers a digest-only packet parked for it.
+                inject(
+                    &r,
+                    &Packet::ObjRef {
+                        dest: dest(),
+                        digest,
+                        table: 0,
+                        captured: vec![],
+                    },
+                );
+                r.daemon.pump();
+                assert!(r.daemon.has_pending_refills());
+            }
+            let ticket = Ticket::mint(r.term, 1);
+            let flipped = with_one_operand_flipped(p, &code);
+            r.fabric
+                .handle()
+                .send(NodeId(1), NodeId(0), flipped, ticket);
+            r.daemon.pump();
+            assert_eq!(r.daemon.stats.cache.digest_mismatches, 1, "{p:?}");
+            assert_eq!(r.daemon.stats.rejected, 1, "{p:?}");
+            assert_eq!(r.daemon.code_cache_len(), 0, "not cached: {p:?}");
+            assert!(r.site_rx.try_recv().is_err(), "not delivered: {p:?}");
+            assert!(!r.daemon.has_pending_refills());
+        }
+    }
+}
+
 #[test]
 fn missing_digest_negotiates_a_refill_then_delivers() {
     let mut r = rig();
@@ -345,7 +473,7 @@ fn capacity_bound_is_honored_with_eviction() {
     .unwrap();
     let packed2 = tyco_vm::pack(&prog2, &[0]);
     let (d2, o2) = (
-        packed2.digest,
+        packed2.code.digest(),
         WireObj {
             code: packed2.code,
             table: 0,

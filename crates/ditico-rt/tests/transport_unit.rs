@@ -575,8 +575,9 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
     let prog = tyco_vm::compile(&tyco_syntax::parse_core("new x x?{ go(n) = print(n) }").unwrap())
         .unwrap();
     let good = tyco_vm::pack(&prog, &[0]);
-    let mut bad_code = good.code.clone();
-    bad_code.tables[0].push((0, 9_999)); // a method in a block nobody shipped
+    let mut bad_parts = tyco_vm::CodeParts::clone(&good.code);
+    bad_parts.tables[0].push((0, 9_999)); // a method in a block nobody shipped
+    let bad_code = tyco_vm::WireCode::new(bad_parts);
     assert!(tyco_vm::verify_wire(&good.code).is_ok());
     assert!(tyco_vm::verify_wire(&bad_code).is_err());
 
@@ -603,7 +604,7 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
         let hostile = [
             Packet::Obj {
                 dest: p,
-                digest: good.digest,
+                digest: good.code.digest(),
                 obj: WireObj {
                     code: bad_code.clone(),
                     table: 0,
@@ -613,7 +614,7 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
             Packet::FetchReply {
                 to,
                 req: 1,
-                digest: tyco_vm::Digest(good.digest.0 ^ 1),
+                digest: tyco_vm::Digest(good.code.digest().0 ^ 1),
                 group: WireGroup {
                     code: good.code.clone(),
                     table: 0,
@@ -623,7 +624,7 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
             },
             Packet::HaveCode {
                 to: NodeId(1),
-                digest: good.digest,
+                digest: good.code.digest(),
                 code: bad_code,
             },
         ];

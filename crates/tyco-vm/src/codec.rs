@@ -16,7 +16,7 @@
 
 use crate::digest::Digest;
 use crate::program::{Block, ImportKind, Instr, Operand, BINOPS, IMPORT_KINDS, UNOPS};
-use crate::wire::{ReleaseRun, WireCode, WireGroup, WireObj, WireWord};
+use crate::wire::{CodeParts, ReleaseRun, WireCode, WireGroup, WireObj, WireWord};
 use crate::word::{Identity, NetRef, NodeId, SiteId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -403,25 +403,38 @@ newtype_fields! {
     Digest(u128),
 }
 
-/// One byte; any non-zero byte reads as `true`.
+/// The value a one-byte wire code names in `table`, which lists the
+/// values by code. Only the code the encoder writes is accepted, so
+/// decoding stays canonical: `encode(decode(b)) == b`.
+#[inline]
+fn by_code<T: Copy>(code: u8, table: &[(T, &str)], what: &str) -> R<T> {
+    match table.get(code as usize) {
+        Some(&(v, _)) => Ok(v),
+        None => err(format!("bad {what} {code}")),
+    }
+}
+
+const BOOLS: [(bool, &str); 2] = [(false, "false"), (true, "true")];
+
+/// One byte, 0 or 1.
 impl Field for bool {
     fn put(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
     #[inline]
     fn get(buf: &mut Bytes) -> R<Self> {
-        Ok(u8::get(buf)? != 0)
+        by_code(u8::get(buf)?, &BOOLS, "bool")
     }
 }
 
-/// One byte, by [`IMPORT_KINDS`]; any non-zero byte reads as a class.
+/// One byte, by [`IMPORT_KINDS`].
 impl Field for ImportKind {
     fn put(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);
     }
     #[inline]
     fn get(buf: &mut Bytes) -> R<Self> {
-        Ok(IMPORT_KINDS[bool::get(buf)? as usize].0)
+        by_code(u8::get(buf)?, &IMPORT_KINDS, "import kind")
     }
 }
 
@@ -480,8 +493,7 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
-/// Flag 1 and the value, or flag 0 and the error; any non-zero flag reads
-/// as a value.
+/// Flag 1 and the value, or flag 0 and the error.
 impl<T: Field, E: Field> Field for Result<T, E> {
     fn put(&self, buf: &mut BytesMut) {
         match self {
@@ -554,11 +566,12 @@ impl<T: Field> Field for Vec<T> {
     }
 }
 
-/// Four counted sections: blocks, tables, labels, strings.
+/// Four counted sections: blocks, tables, labels, strings. An image
+/// writes its stored bytes.
 impl Field for WireCode {
     const MIN: usize = 16;
     fn put(&self, buf: &mut BytesMut) {
-        put_code(buf, self);
+        buf.put_slice(self.bytes());
     }
     #[inline]
     fn get(buf: &mut Bytes) -> R<Self> {
@@ -648,22 +661,18 @@ fn get_instr(buf: &mut Bytes, ins: &mut Instr) -> R<()> {
             Operand::Int(v) => *v = i64::from_le_bytes(operand_bytes(buf)?),
             Operand::Imm(v) => *v = i32::from_le_bytes(operand_bytes(buf)?),
             Operand::Float(v) => *v = f64::from_le_bytes(operand_bytes(buf)?),
-            Operand::Bool(v) | Operand::Newline(v) => *v = operand_bytes::<1>(buf)?[0] != 0,
+            Operand::Bool(v) | Operand::Newline(v) => {
+                *v = by_code(operand_bytes::<1>(buf)?[0], &BOOLS, "bool")?
+            }
             Operand::Str(v)
             | Operand::Label(v)
             | Operand::Block(v)
             | Operand::Table(v)
             | Operand::Target(v) => *v = u32::from_le_bytes(operand_bytes(buf)?),
-            Operand::BinOp(v) => {
-                let [code] = operand_bytes(buf)?;
-                *v = match BINOPS.get(code as usize) {
-                    Some(&(op, _)) => op,
-                    None => return err(format!("bad binop {code}")),
-                };
-            }
-            Operand::UnOp(v) => *v = UNOPS[(operand_bytes::<1>(buf)?[0] != 0) as usize].0,
+            Operand::BinOp(v) => *v = by_code(operand_bytes::<1>(buf)?[0], &BINOPS, "binop")?,
+            Operand::UnOp(v) => *v = by_code(operand_bytes::<1>(buf)?[0], &UNOPS, "unop")?,
             Operand::ImportKind(v) => {
-                *v = IMPORT_KINDS[(operand_bytes::<1>(buf)?[0] != 0) as usize].0
+                *v = by_code(operand_bytes::<1>(buf)?[0], &IMPORT_KINDS, "import kind")?
             }
         }
         Ok(())
@@ -672,7 +681,7 @@ fn get_instr(buf: &mut Bytes, ins: &mut Instr) -> R<()> {
 
 // -- code bundles -------------------------------------------------------------------
 
-pub(crate) fn put_code(buf: &mut BytesMut, code: &WireCode) {
+pub(crate) fn put_parts(buf: &mut BytesMut, code: &CodeParts) {
     buf.put_u32_le(code.blocks.len() as u32);
     for b in &code.blocks {
         put_str(buf, &b.name);
@@ -704,21 +713,30 @@ pub(crate) fn put_code(buf: &mut BytesMut, code: &WireCode) {
 }
 
 /// The canonical byte serialization of a code bundle — exactly the bytes
-/// `put_code` emits inside [`Packet::Obj`] / [`Packet::FetchReply`] /
-/// [`Packet::HaveCode`]. This is the input to content fingerprinting: any
-/// two sites that would ship identical bytes agree on the digest.
+/// [`Packet::Obj`] / [`Packet::FetchReply`] / [`Packet::HaveCode`] carry,
+/// fixed when the image was made. This is the input to content
+/// fingerprinting: any two sites that would ship identical bytes agree on
+/// the digest.
 pub fn code_bytes(code: &WireCode) -> Bytes {
-    let mut buf = BytesMut::with_capacity(code.approx_size());
-    put_code(&mut buf, code);
-    buf.freeze()
+    code.bytes().clone()
 }
 
 /// Content digest of a code bundle over its canonical codec bytes.
 pub fn code_digest(code: &WireCode) -> Digest {
-    Digest::of(&code_bytes(code))
+    code.digest()
 }
 
+/// Decode an image, keeping the span of `buf` it was decoded from as its
+/// bytes and hashing that span: decoding is canonical, so the span is the
+/// image's canonical encoding.
 pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
+    let start = buf.clone();
+    let parts = get_parts(buf)?;
+    let span = start.slice(0..start.len() - buf.len());
+    Ok(WireCode::from_bytes(span, Some(parts)))
+}
+
+pub(crate) fn get_parts(buf: &mut Bytes) -> R<CodeParts> {
     macro_rules! count {
         () => {{
             if buf.remaining() < 4 {
@@ -737,7 +755,7 @@ pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
         let nfree = buf.get_u16_le();
         let nparams = buf.get_u16_le();
         let nlocals = buf.get_u16_le();
-        let is_class_body = buf.get_u8() != 0;
+        let is_class_body = by_code(buf.get_u8(), &BOOLS, "bool")?;
         let ninstrs = count!();
         let mut code = Vec::with_capacity(ninstrs.min(65536));
         for _ in 0..ninstrs {
@@ -776,7 +794,7 @@ pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
     for _ in 0..nstrings {
         strings.push(get_str(buf)?);
     }
-    Ok(WireCode {
+    Ok(CodeParts {
         blocks,
         tables,
         labels,
@@ -1505,8 +1523,8 @@ mod tests {
 
     /// Seeded single-byte flips of every golden row never panic the
     /// decoder, and a mutant that decodes re-encodes to exactly its own
-    /// length, so none of its lists holds more elements than its bytes
-    /// can encode, whatever a count claimed.
+    /// bytes: decoding is canonical, and none of its lists holds more
+    /// elements than its bytes can encode, whatever a count claimed.
     #[test]
     fn packet_byte_flips_never_panic_and_stay_bounded() {
         let mut state = 0x5eed_0004_u64;
@@ -1523,9 +1541,9 @@ mod tests {
                 let mut m = bytes.to_vec();
                 let at = rng() as usize % m.len();
                 m[at] ^= (rng() % 255 + 1) as u8;
-                match decode(Bytes::from(m)) {
+                match decode(Bytes::from(m.clone())) {
                     Ok(q) => {
-                        assert_eq!(encode(&q).len(), bytes.len(), "{q:?}");
+                        assert_eq!(encode(&q), m, "{q:?}");
                         accepted += 1;
                     }
                     Err(_) => rejected += 1,

@@ -2,12 +2,12 @@
 //!
 //! Every [`WireGroup`](crate::wire::WireGroup) / [`WireObj`](crate::wire::WireObj)
 //! image is identified by a stable 128-bit hash over its *canonical codec
-//! bytes* (the exact `put_code` serialization — see
+//! bytes* (the bytes the image holds and ships — see
 //! [`codec::code_bytes`](crate::codec::code_bytes)). Because the codec is
 //! the hardware-independent form of the paper's byte-code, two sites
 //! compiling or re-shipping the same class always agree on the digest, and
-//! the digest of a received image can be re-derived locally to detect
-//! tampering in transit.
+//! the digest of a received image is re-derived from the bytes that
+//! arrived to detect tampering in transit.
 //!
 //! The hash is a from-scratch MurmurHash3 x64/128 (public domain
 //! algorithm): non-cryptographic, but 128 bits of well-mixed output make

@@ -8,7 +8,7 @@
 
 use crate::codec::{self, CodecError};
 use crate::program::{MethodTable, Program};
-use crate::wire::WireCode;
+use crate::wire::CodeParts;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"TYCO";
@@ -18,7 +18,7 @@ const VERSION: u32 = 1;
 pub fn to_bytes(prog: &Program) -> Bytes {
     // A Program's pools are already dense, so the conversion to the wire
     // bundle is the identity on all ids.
-    let code = WireCode {
+    let code = CodeParts {
         // Images always carry the normalized (unfused) form: the codec's
         // opcode set is frozen at the base instructions, and fusion is a
         // machine-internal rewrite (see `crate::fuse`).
@@ -49,7 +49,7 @@ pub fn to_bytes(prog: &Program) -> Bytes {
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u32_le(prog.entry);
-    codec::put_code(&mut buf, &code);
+    codec::put_parts(&mut buf, &code);
     buf.freeze()
 }
 
@@ -68,7 +68,7 @@ pub fn from_bytes(mut bytes: Bytes) -> Result<Program, CodecError> {
         return Err(CodecError(format!("unsupported image version {version}")));
     }
     let entry = bytes.get_u32_le();
-    let code = codec::get_code(&mut bytes)?;
+    let code = codec::get_parts(&mut bytes)?;
     if bytes.has_remaining() {
         return Err(CodecError(format!("{} trailing bytes", bytes.remaining())));
     }

@@ -1097,7 +1097,7 @@ impl<P: NetPort> Machine<P> {
                     table: packed.table_map[&table],
                     captured: wire_captured,
                 };
-                self.port.send_obj(r, packed.digest, obj);
+                self.port.send_obj(r, packed.code.digest(), obj);
                 Ok(())
             }
             other => Err(VmError::NotAChannel(other.display())),
@@ -1523,7 +1523,7 @@ impl<P: NetPort> Machine<P> {
                         captured: wire_captured,
                     };
                     self.port
-                        .fetch_reply(reply_to, req, packed.digest, group, cr.index);
+                        .fetch_reply(reply_to, req, packed.code.digest(), group, cr.index);
                 }
                 Incoming::FetchReply { req, group, index } => {
                     // Idempotence: a reply for a request this machine is

@@ -1210,10 +1210,10 @@ mod tests {
     fn rejects_wire_bundle_with_dangling_string() {
         let p = prog("new x x?{ go(n) = println(\"hi\", n) }");
         let packed = crate::wire::pack(&p, &[0]);
-        let mut bad = packed.code.clone();
+        let mut bad = crate::wire::CodeParts::clone(&packed.code);
         bad.strings.clear(); // every PushStr id now dangles
         assert!(matches!(
-            verify_wire(&bad),
+            verify_wire(&WireCode::new(bad)),
             Err(VerifyError::BadRef { what: "string", .. })
         ));
     }

@@ -13,9 +13,14 @@
 //! ids index the packet's own vectors, and labels/strings are carried
 //! symbolically so heterogeneous sites can re-intern them.
 
+use crate::digest::Digest;
 use crate::program::*;
 use crate::word::NetRef;
+use bytes::{Bytes, BytesMut};
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A value on the wire (hardware-independent).
 #[derive(Debug, Clone, PartialEq)]
@@ -47,10 +52,10 @@ pub struct ReleaseRun {
     pub sent: u64,
 }
 
-/// A self-contained bundle of byte-code: blocks, method tables and symbol
+/// The decoded parts of a code image: blocks, method tables and symbol
 /// pools, all packet-relative.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct WireCode {
+pub struct CodeParts {
     pub blocks: Vec<Block>,
     /// Each table is a vec of (label index into `labels`, packet block id).
     pub tables: Vec<Vec<(u32, u32)>>,
@@ -58,9 +63,8 @@ pub struct WireCode {
     pub strings: Vec<String>,
 }
 
-impl WireCode {
-    /// Approximate payload size in bytes (used for bandwidth accounting
-    /// before actual encoding).
+impl CodeParts {
+    /// Approximate encoded size in bytes (the encoder's first reserve).
     pub fn approx_size(&self) -> usize {
         self.blocks
             .iter()
@@ -69,6 +73,99 @@ impl WireCode {
             + self.tables.iter().map(|t| t.len() * 8).sum::<usize>()
             + self.labels.iter().map(|s| s.len() + 4).sum::<usize>()
             + self.strings.iter().map(|s| s.len() + 4).sum::<usize>()
+    }
+}
+
+/// A self-contained bundle of byte-code: its canonical codec bytes, the
+/// digest of those bytes, and its [`CodeParts`] (read through `Deref`).
+///
+/// An image is immutable: its bytes and digest are fixed when it is made,
+/// and every shipment writes those bytes as they are. It is made by
+/// [`WireCode::new`] from parts, by [`pack`] (which keeps the bytes
+/// only), or by the codec's decoder (which keeps the span of the frame it
+/// decoded, hashes it, and keeps the parts). Parts an image does not hold
+/// are decoded from its bytes the first time they are read.
+#[derive(Clone)]
+pub struct WireCode {
+    bytes: Bytes,
+    digest: Digest,
+    parts: OnceLock<Arc<CodeParts>>,
+}
+
+impl WireCode {
+    /// Encode `parts` once and hash the bytes.
+    pub fn new(parts: CodeParts) -> WireCode {
+        WireCode::from_bytes(encode_parts(&parts), Some(parts))
+    }
+
+    /// The image whose canonical bytes are `bytes`, holding `parts` if
+    /// they are at hand.
+    pub(crate) fn from_bytes(bytes: Bytes, parts: Option<CodeParts>) -> WireCode {
+        WireCode {
+            digest: Digest::of(&bytes),
+            bytes,
+            parts: parts.map_or_else(OnceLock::new, |p| OnceLock::from(Arc::new(p))),
+        }
+    }
+
+    /// The canonical codec bytes, as every shipment writes them.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// The content digest: the hash of [`bytes`](WireCode::bytes).
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    /// The same image holding its own copy of its bytes. A decoded
+    /// image's bytes are a view into the frame it arrived in; a copy kept
+    /// for long pins only itself.
+    pub fn detached(&self) -> WireCode {
+        WireCode {
+            bytes: Bytes::copy_from_slice(&self.bytes),
+            digest: self.digest,
+            parts: self.parts.clone(),
+        }
+    }
+}
+
+fn encode_parts(parts: &CodeParts) -> Bytes {
+    let mut buf = BytesMut::with_capacity(parts.approx_size());
+    crate::codec::put_parts(&mut buf, parts);
+    buf.freeze()
+}
+
+impl Deref for WireCode {
+    type Target = CodeParts;
+
+    fn deref(&self) -> &CodeParts {
+        self.parts.get_or_init(|| {
+            let parts = crate::codec::get_parts(&mut self.bytes.clone());
+            Arc::new(parts.expect("an image's own bytes decode"))
+        })
+    }
+}
+
+impl Default for WireCode {
+    fn default() -> WireCode {
+        WireCode::new(CodeParts::default())
+    }
+}
+
+/// Two images are equal when their canonical bytes are.
+impl PartialEq for WireCode {
+    fn eq(&self, other: &WireCode) -> bool {
+        self.digest == other.digest && self.bytes == other.bytes
+    }
+}
+
+impl fmt::Debug for WireCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WireCode")
+            .field("digest", &format_args!("{}", self.digest))
+            .field("len", &self.bytes.len())
+            .finish()
     }
 }
 
@@ -91,12 +188,12 @@ pub struct WireGroup {
 
 /// Result of packaging: the wire code plus the mapping from program ids to
 /// packet ids (callers need it to translate the root table reference).
+/// `code` holds its bytes and digest only, fixed once here so every
+/// shipment of this image reuses them; a site on the same node that
+/// links it decodes its own copy.
 pub struct Packed {
     pub code: WireCode,
     pub table_map: HashMap<TableId, u32>,
-    /// Content digest of `code` over its canonical codec bytes, computed
-    /// once at packaging time so every shipment of this image reuses it.
-    pub digest: crate::digest::Digest,
 }
 
 /// Package the transitive closure of `root_tables` from `prog`.
@@ -171,17 +268,15 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
         })
         .collect();
 
-    let code = WireCode {
+    let parts = CodeParts {
         blocks,
         tables,
         labels,
         strings,
     };
-    let digest = crate::codec::code_digest(&code);
     Packed {
-        code,
+        code: WireCode::from_bytes(encode_parts(&parts), None),
         table_map,
-        digest,
     }
 }
 
@@ -349,9 +444,15 @@ mod tests {
     fn pack_stamps_the_canonical_digest() {
         let p = prog("def Loop(n) = if n > 0 then Loop[n - 1] else println(\"done\") in Loop[3]");
         let packed = pack(&p, &[0]);
-        assert_eq!(packed.digest, crate::codec::code_digest(&packed.code));
+        let bytes = crate::codec::code_bytes(&packed.code);
+        assert_eq!(packed.code.digest(), crate::digest::Digest::of(&bytes));
+        // The parts decoded from those bytes encode back to them.
+        assert_eq!(
+            WireCode::new(CodeParts::clone(&packed.code)).bytes(),
+            &bytes
+        );
         // Re-packing the same program yields the same identity.
-        assert_eq!(pack(&p, &[0]).digest, packed.digest);
+        assert_eq!(pack(&p, &[0]).code.digest(), packed.code.digest());
     }
 
     #[test]

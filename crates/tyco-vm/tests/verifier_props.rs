@@ -316,10 +316,12 @@ fn image_byte_flips_are_rejected_without_panic() {
         "structural rejection rate {:.2}% below 95% ({total:?})",
         rate * 100.0
     );
-    // The decoder's messages and the verifier's first error, pinned.
+    // The decoder's messages and the verifier's first error, pinned. The
+    // decoder is canonical: a bool, unop or import-kind byte other than
+    // the one the encoder writes is refused ("bad bool 12").
     assert_eq!(
         tyco_vm::Digest::of(verdicts.as_bytes()),
-        tyco_vm::Digest(0x7947d1c8d574c6e9add0801e79ac7ab8)
+        tyco_vm::Digest(0x4a5712e80324680fbf9d9975d3e2fd64)
     );
 }
 
@@ -346,7 +348,7 @@ fn shipped_packet_byte_flips_never_panic() {
             site: SiteId(1),
             node: NodeId(1),
         },
-        digest: packed.digest,
+        digest: packed.code.digest(),
         obj: tyco_vm::WireObj {
             code: packed.code,
             table: 0,
@@ -411,7 +413,7 @@ fn accepted_packet_mutants_link_and_run_without_panic() {
                 site: SiteId(1),
                 node: NodeId(1),
             },
-            digest: packed.digest,
+            digest: packed.code.digest(),
             obj: tyco_vm::WireObj {
                 code: packed.code,
                 table: packed.table_map[&0],
