@@ -22,7 +22,7 @@ use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
 use crate::site::{RtPort, Site, SiteInterface};
 use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket};
 use crate::transport::{Transport, TransportConfig, TransportReport};
-use crate::wake::{Notify, Wake};
+use crate::wake::{NoWake, Notify, Wake};
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -33,10 +33,6 @@ use tyco_vm::codec::Packet;
 use tyco_vm::stats::ExecStats;
 use tyco_vm::word::{Identity, NodeId, SiteId};
 use tyco_vm::{Program, VmError};
-
-/// Why a wall-clock run refuses a link that takes time.
-const WALL_CLOCK_LINK: &str = "a wall-clock run needs link=ideal: \
-     only a deterministic run models link latency";
 
 /// One node: its daemon (its cell [down](DaemonCell::is_down) while the
 /// node is killed), its sites (in the scheduler's pool during a run), and
@@ -85,9 +81,9 @@ pub struct RunReport {
     pub suspects: Vec<NodeId>,
     /// Wire-level counters (distributed runs only).
     pub transport: Option<TransportReport>,
-    /// Runtime-thread failures survived during the run: a worker, site or
-    /// daemon thread that panicked. The run completes and reports instead
-    /// of aborting; each entry names what was lost.
+    /// Runtime-thread failures survived during the run: a worker thread,
+    /// or a slice the net thread ran, that panicked. The run completes
+    /// and reports instead of aborting; each entry names what was lost.
     pub aborts: Vec<String>,
     /// Fault-injection tallies (`None` unless the run had a chaos plan
     /// installed). Every injected event — drop, duplicate, delay,
@@ -111,13 +107,11 @@ pub struct RunReport {
 /// them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WakeStats {
-    /// Daemon pumps run on the thread that kicked the daemon (a worker
-    /// ending its slice, the net thread after a read, another daemon's
-    /// pump), summed over nodes.
+    /// Daemon pumps, each run by the thread that kicked the daemon (a
+    /// worker ending its slice, the net thread after a read, another
+    /// daemon's pump) or by the holder the kick lost the lock to, summed
+    /// over nodes.
     pub inline_pumps: u64,
-    /// Turns in which a daemon's fallback thread found a kick nobody had
-    /// served, summed over nodes.
-    pub fallback_pumps: u64,
     /// Times the environment loop evaluated its exit test (either clock).
     pub env_evals: u64,
 }
@@ -260,9 +254,10 @@ impl Cluster {
     /// Model a per-request resolver cost at every name-service host:
     /// each `NsRegister`/`NsImport` occupies the serving daemon for
     /// `service_ns` of virtual time (0, the default, serves instantly).
-    /// Meaningful in deterministic virtual-time runs, where it makes a
-    /// ring-of-one server's serial bind cost — the paper's bottleneck —
-    /// visible in the makespan. Applies to existing and future nodes.
+    /// A virtual-clock model only: it makes a ring-of-one server's serial
+    /// bind cost — the paper's bottleneck — visible in the makespan, and
+    /// the wall-clock runs refuse a non-zero cost. Applies to existing
+    /// and future nodes.
     pub fn set_ns_service(&mut self, service_ns: u64) {
         self.ns_service_ns = service_ns;
         for cell in &self.nodes {
@@ -340,7 +335,7 @@ impl Cluster {
             lexeme.to_string(),
             cell.out_tx.clone(),
             in_rx,
-            cell.daemon.fallback(),
+            Arc::new(NoWake),
             self.term,
         );
         port.set_interface(interface);
@@ -414,6 +409,7 @@ impl Cluster {
     pub fn restart_node(&mut self, node: NodeId) {
         if let Some(cell) = self.nodes.get(node.0 as usize) {
             cell.daemon.with(Daemon::simulate_restart);
+            // Resuming serves the kicks that found the node down.
             cell.daemon.set_down(false);
         }
         self.fabric.revive_node(node);
@@ -428,6 +424,16 @@ impl Cluster {
                 }
             });
         }
+    }
+
+    /// Deliver `packet` to `to` over the fabric as if `from` had sent it,
+    /// on a ticket of the cluster's own counters: fault injection, like
+    /// [`kill_node`](Cluster::kill_node), for a packet no site here sends
+    /// (a forged or orphaned shipment).
+    pub fn inject(&self, from: NodeId, to: NodeId, packet: &Packet) {
+        let bytes = tyco_vm::codec::encode(packet);
+        let ticket = Ticket::mint(self.term, 1);
+        self.fabric.handle().send(from, to, bytes, ticket);
     }
 
     /// Every site in node-major order, wherever it is.
@@ -497,13 +503,25 @@ impl Cluster {
     }
 
     /// A ring larger than the topology would send keys to nodes that do
-    /// not exist, and their imports would hang.
-    fn check_ring(&self) -> Result<(), String> {
+    /// not exist, and their imports would hang. The wall clock also
+    /// refuses what only the virtual clock models: a link that takes
+    /// time, and a resolver cost.
+    fn check(&self, wall: bool) -> Result<(), String> {
         let (ring, nodes) = (self.shard_map.ring(), self.nodes.len());
         if ring > nodes {
             return Err(format!(
                 "the name service's ring of {ring} does not fit a topology of {nodes} node(s)"
             ));
+        }
+        if wall && !self.fabric.is_immediate() {
+            return Err("a wall-clock run needs link=ideal: \
+                 only a deterministic run models link latency"
+                .to_string());
+        }
+        if wall && self.ns_service_ns != 0 {
+            return Err("a wall-clock run needs a resolver cost of 0: \
+                 only a deterministic run models the name service's service time"
+                .to_string());
         }
         Ok(())
     }
@@ -511,7 +529,7 @@ impl Cluster {
     /// Run on the virtual clock, round by round, until nothing is left to
     /// happen; the cluster can then be inspected and run again.
     pub fn run_deterministic(&mut self, limits: RunLimits) -> RunReport {
-        self.check_ring().unwrap_or_else(|e| panic!("{e}"));
+        self.check(false).unwrap_or_else(|e| panic!("{e}"));
         let rounds = Rounds {
             limits,
             idle_beats: 0,
@@ -524,13 +542,12 @@ impl Cluster {
 
     /// Run with real threads: sites are multiplexed over a fixed worker
     /// pool by the M:N work-stealing scheduler (`self.sched`; default
-    /// worker count is the available parallelism), daemons keep dedicated
-    /// threads, and termination detection runs on the caller's thread,
-    /// woken by the scheduler's idle transitions. Consumes the cluster and
-    /// returns the report.
+    /// worker count is the available parallelism), daemons are pumped by
+    /// whoever kicks them, and termination detection runs on the caller's
+    /// thread, woken by the scheduler's idle transitions. Consumes the
+    /// cluster and returns the report.
     pub fn run_threaded(mut self, wall_limit: Duration) -> RunReport {
-        assert!(self.fabric.is_immediate(), "{WALL_CLOCK_LINK}");
-        self.check_ring().unwrap_or_else(|e| panic!("{e}"));
+        self.check(true).unwrap_or_else(|e| panic!("{e}"));
         self.run(Engine::Wall(wall_limit, None), None)
     }
 
@@ -562,10 +579,7 @@ impl Cluster {
         cfg: TransportConfig,
         wall_limit: Duration,
     ) -> Result<RunReport, String> {
-        if !self.fabric.is_immediate() {
-            return Err(WALL_CLOCK_LINK.to_string());
-        }
-        self.check_ring()?;
+        self.check(true)?;
         if cfg.local_nodes.is_empty() {
             return Err("distributed run with no local nodes".to_string());
         }
@@ -602,9 +616,8 @@ impl Cluster {
             Engine::Wall(..) => (Clock::Wall(Instant::now()), self.sched.effective_workers()),
         };
         let wall = matches!(engine, Engine::Wall(..));
-        let hosted = |id: NodeId| transport.as_ref().is_none_or(|t| t.is_local(id));
         for cell in &mut self.nodes {
-            if !hosted(cell.id) {
+            if transport.as_ref().is_some_and(|t| !t.is_local(cell.id)) {
                 // A node of a peer process has no sites here (see
                 // `add_remote_site`), and its daemon goes.
                 cell.daemon.retire();
@@ -654,6 +667,9 @@ impl Cluster {
         };
         let mut detector = TerminationDetector::new();
         let (mut round, mut env_evals, mut park) = (0u64, 0u64, Duration::ZERO);
+        // The wall clock's refill retry clock: whether a daemon had parked
+        // refills at the last look, and the millisecond it looked in.
+        let (mut refilling, mut refilled_ms) = (false, 0u64);
         let quiescent = loop {
             // 1. Chaos events due now: partitions and heals act inside
             // the chaos state, kills and restarts here.
@@ -675,14 +691,19 @@ impl Cluster {
                 self.heartbeat_round(&mut beats);
             }
             // 3. Advance the clock. The wall clock's first advance starts
-            // the threads, after the chaos events due at 0 have fired.
+            // the workers, after the chaos events due at 0 have fired; while
+            // refills are parked it wakes every millisecond to tick them.
             match &mut engine {
                 Engine::Virtual(r) => r.last = self.virtual_round(&pool, r, &mut beats),
-                Engine::Wall(_, threads) => {
-                    if threads.is_none() {
-                        *threads = Some(self.spawn(&pool, workers_n, hosted));
+                Engine::Wall(_, workers) => {
+                    if workers.is_none() {
+                        *workers = Some(spawn_workers(&pool, workers_n));
                     }
-                    env_park.wait_timeout(park);
+                    let tick = Duration::from_millis(1);
+                    env_park.wait_timeout(if refilling { park.min(tick) } else { park });
+                    let ms = clock.now_ns() / 1_000_000;
+                    refilling = self.tick_refills(if refilling { ms - refilled_ms } else { 0 });
+                    refilled_ms = ms;
                 }
             }
             // 4. The exit test.
@@ -693,12 +714,15 @@ impl Cluster {
                         break true;
                     }
                     // The wire's failure verdicts steer shard failover the
-                    // same way the in-process monitor does.
+                    // same way the in-process monitor does. They are read
+                    // after the cut is judged: a peer the cut found
+                    // suspected stays so until it beacons again.
+                    let down = t.all_remotes_down();
                     let suspects = t.suspects();
                     for &n in &suspects {
                         self.shard_map.mark_down(n);
                     }
-                    if t.all_remotes_down() {
+                    if down {
                         // Every peer is dead, departed or unreachable:
                         // whatever this process is computing or waiting
                         // for, the run is over. A clean cascade — local
@@ -714,12 +738,16 @@ impl Cluster {
                     park = t.hb_period();
                 }
                 None => {
-                    // Time the virtual clock can still advance to is work
-                    // the counters cannot see (a timed kill, a heartbeat
-                    // that fails a shard over): it counts as activity.
+                    // Time the clock can still advance to is work the
+                    // counters cannot see (a timed kill or restart, a
+                    // heartbeat that fails a shard over): it counts as
+                    // activity.
                     let busy = match &engine {
                         Engine::Virtual(r) => !r.dry() || r.runnable,
-                        Engine::Wall(..) => pool.active_sites() > 0,
+                        Engine::Wall(..) => {
+                            let timed = self.chaos.as_ref().and_then(|ch| ch.next_event_ns());
+                            pool.active_sites() > 0 || timed.is_some()
+                        }
                     };
                     let snap = Snapshot::take(self.term, busy);
                     if detector.probe(snap) {
@@ -756,9 +784,9 @@ impl Cluster {
             Transport::suspects,
         );
         pool.stop();
-        let (workers, fallbacks) = match engine {
-            Engine::Wall(_, threads) => threads.unwrap_or_default(),
-            Engine::Virtual(_) => Default::default(),
+        let workers = match engine {
+            Engine::Wall(_, workers) => workers.unwrap_or_default(),
+            Engine::Virtual(_) => Vec::new(),
         };
         let mut report = RunReport {
             virtual_ns: self.fabric.now_ns(),
@@ -778,23 +806,12 @@ impl Cluster {
         report.wakes.env_evals = env_evals;
         self.for_each_site(|site| collect_site(&mut report, site));
         for cell in &self.nodes {
-            let (inline, fallback) = cell.daemon.pumps();
-            report.wakes.inline_pumps += inline;
-            report.wakes.fallback_pumps += fallback;
+            report.wakes.inline_pumps += cell.daemon.pumps();
             report.daemon_stats.extend(cell.daemon.with(|d| d.stats));
             if wall {
-                // Retiring a cell takes its daemon out (later kicks, e.g.
-                // from a net thread still reading, find nothing to pump)
-                // and signals the fallback thread, which returns at once
-                // instead of sleeping out its park.
+                // Retiring a cell takes its daemon out: later kicks, e.g.
+                // from a net thread still reading, find nothing to pump.
                 cell.daemon.retire();
-            }
-        }
-        for h in fallbacks {
-            if h.join().is_err() {
-                report
-                    .aborts
-                    .push("a daemon's fallback thread panicked".to_string());
             }
         }
         report.fabric_packets = self.fabric.stats.packets.load(Ordering::Relaxed);
@@ -862,16 +879,7 @@ impl Cluster {
         }
         // Refill retry clocks tick only on idle rounds like this one, so
         // the bounded re-ask/give-up ladder never races real deliveries.
-        let mut ticked = false;
-        for cell in &self.nodes {
-            cell.daemon.live(|d| {
-                if d.has_pending_refills() {
-                    d.tick_refills();
-                    ticked = true;
-                }
-            });
-        }
-        if ticked {
+        if self.tick_refills(1) {
             return Step::Idled;
         }
         // With failure detection on, a bounded number of idle heartbeat
@@ -885,32 +893,21 @@ impl Cluster {
         Step::Dry
     }
 
-    /// Start a wall-clock run's threads: a fallback per hosted daemon,
-    /// then the worker pool.
-    fn spawn(
-        &self,
-        pool: &Arc<Shared>,
-        workers: usize,
-        hosted: impl Fn(NodeId) -> bool,
-    ) -> Threads {
-        let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
-            let thread = std::thread::Builder::new().name(name);
-            thread.spawn(body).expect("spawn a runtime thread")
-        };
-        let hosted_cells = self.nodes.iter().filter(|c| hosted(c.id));
-        let fallbacks = hosted_cells
-            .map(|c| {
-                let cell = c.daemon.clone();
-                spawn("tycod".into(), Box::new(move || cell.run_fallback()))
-            })
-            .collect();
-        let workers = (0..workers)
-            .map(|i| {
-                let worker = Worker::new(pool.clone(), i);
-                spawn(format!("ditico-worker-{i}"), Box::new(move || worker.run()))
-            })
-            .collect();
-        (workers, fallbacks)
+    /// Tick the `NeedCode` retry clock `ticks` times at every live
+    /// daemon with parked refills; whether there was one.
+    fn tick_refills(&self, ticks: u64) -> bool {
+        let mut parked = false;
+        for cell in &self.nodes {
+            cell.daemon.live(|d| {
+                if d.has_pending_refills() {
+                    parked = true;
+                    for _ in 0..ticks {
+                        d.tick_refills();
+                    }
+                }
+            });
+        }
+        parked
     }
 
     /// A site of this process, for inspection after a deterministic run.
@@ -932,12 +929,9 @@ impl Cluster {
 enum Engine {
     /// Virtual time: the loop runs every round itself, up to a fuel limit.
     Virtual(Rounds),
-    /// Wall time up to a limit: threads run, the loop parks.
-    Wall(Duration, Option<Threads>),
+    /// Wall time up to a limit: the workers run, the loop parks.
+    Wall(Duration, Option<Vec<JoinHandle<()>>>),
 }
-
-/// The worker and daemon fallback threads of a wall-clock run.
-type Threads = (Vec<JoinHandle<()>>, Vec<JoinHandle<()>>);
 
 /// The virtual clock's state across rounds.
 struct Rounds {
@@ -977,6 +971,20 @@ struct Beats {
     round: u64,
 }
 
+/// Start a wall-clock run's worker pool: its only threads, with the net
+/// thread when it has a transport.
+fn spawn_workers(pool: &Arc<Shared>, workers: usize) -> Vec<JoinHandle<()>> {
+    (0..workers)
+        .map(|i| {
+            let worker = Worker::new(pool.clone(), i);
+            let thread = std::thread::Builder::new().name(format!("ditico-worker-{i}"));
+            thread
+                .spawn(move || worker.run())
+                .expect("spawn a runtime thread")
+        })
+        .collect()
+}
+
 /// Join the worker pool, surviving panicked workers. A worker that died
 /// mid-slice abandoned its slot in state `RUNNING`; the site it was
 /// pumping is marked errored and its inbox drained (the errored-site
@@ -984,7 +992,7 @@ struct Beats {
 /// runs after `Shared::stop`, when no live worker can re-enter the slot.
 /// The net thread's slices that panicked were reported as they happened;
 /// their abort lines come first.
-fn join_workers(shared: &Arc<Shared>, workers: Vec<std::thread::JoinHandle<()>>) -> Vec<String> {
+fn join_workers(shared: &Arc<Shared>, workers: Vec<JoinHandle<()>>) -> Vec<String> {
     let mut aborts = shared.take_aborts();
     for (i, h) in workers.into_iter().enumerate() {
         if h.join().is_err() {

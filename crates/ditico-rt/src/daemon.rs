@@ -29,17 +29,16 @@ use crate::codecache::CodeCache;
 use crate::fabric::{Clock, FabricHandle, PacketFabric};
 use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
-use crate::sched::STOP_LATENCY;
 use crate::site::RtIncoming;
 use crate::termination::{TermCounters, Ticket};
-use crate::wake::{Notify, Wake};
+use crate::wake::Wake;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tyco_vm::codec::{self, Class, Packet};
 use tyco_vm::port::Incoming;
 use tyco_vm::wire::{WireCode, WireGroup, WireObj};
@@ -49,10 +48,10 @@ use tyco_vm::Digest;
 /// Default capacity of the per-node code store, in images (not bytes).
 pub const DEFAULT_CODE_CACHE: usize = 256;
 
-/// Idle ticks of the refill clock between `NeedCode` re-asks (the
-/// embedding advances the clock only while the daemon is otherwise idle:
-/// once per idle round in deterministic runs, roughly once per parked
-/// millisecond in threaded ones).
+/// Ticks of the refill clock between `NeedCode` re-asks. The run loop
+/// ticks it (`Cluster::run`): on the virtual clock once per idle round,
+/// on the wall clock once per elapsed millisecond while refills are
+/// parked, so there a re-ask comes every 100 ms.
 pub const REFILL_RETRY_TICKS: u32 = 100;
 
 /// Total `NeedCode` attempts per missing digest before the parked
@@ -1215,8 +1214,9 @@ impl Daemon {
 }
 
 /// A node's daemon: one **combining cell** that, on the wall clock, every
-/// producer kicks and whoever wins the lock serves. On the virtual clock
-/// the run loop pumps it ([`DaemonCell::live`]) and nobody kicks it.
+/// producer kicks and whoever holds the lock serves. On the virtual clock
+/// the run loop pumps it ([`DaemonCell::live`]) and nobody kicks it. The
+/// daemon has no thread of its own.
 ///
 /// The paper's 3-step protocol says which party is *responsible* for
 /// queue → forward → queue, not that each step be a hand-off to another
@@ -1226,15 +1226,16 @@ impl Daemon {
 /// the kicking thread until `pending` stays clear — a worker's slice ends
 /// by routing and encoding its own sends, the net thread decodes and
 /// delivers what it just read. A kick that loses the lock leaves
-/// `pending` raised for the holder, who re-checks it *after* unlocking,
-/// and signals the fallback thread ([`DaemonCell::run_fallback`]) as the
-/// backstop.
+/// `pending` raised for the holder. Every holder — a kicker, or the run
+/// loop in [`with`](DaemonCell::with) or [`live`](DaemonCell::live) —
+/// re-checks it *after* unlocking and pumps again, so no kick is
+/// stranded. The run loop keeps the daemon's one timer, the `NeedCode`
+/// retry clock ([`Daemon::tick_refills`]).
 ///
 /// Site wakeups collected by the pumps ([`Daemon::take_woken`]) fire only
 /// after the lock is released. Fired under it, the woken worker preempts
-/// the holder, ends its slice with a kick that loses the lock, and falls
-/// back to the daemon thread on most calls (measured both ways in
-/// DESIGN.md §10).
+/// the holder and ends its slice with a kick that loses the lock, leaving
+/// its sends to the holder (measured in DESIGN.md §10).
 pub struct DaemonCell {
     /// `None` once [`retire`](DaemonCell::retire)d.
     daemon: Mutex<Option<Daemon>>,
@@ -1243,9 +1244,7 @@ pub struct DaemonCell {
     /// The node is killed: nobody pumps the daemon, and the node's sites,
     /// which share the flag, run nothing ([`DaemonCell::set_down`]).
     down: Arc<AtomicBool>,
-    fallback: Arc<Notify>,
     inline_pumps: AtomicU64,
-    fallback_pumps: AtomicU64,
 }
 
 impl DaemonCell {
@@ -1254,26 +1253,20 @@ impl DaemonCell {
     pub fn new(mut daemon: Daemon) -> Arc<DaemonCell> {
         daemon.set_clock(Clock::Wall(Instant::now()));
         Arc::new(DaemonCell {
-            fallback: Arc::new(Notify::new()),
             daemon: Mutex::new(Some(daemon)),
             pending: AtomicBool::new(false),
             down: Arc::new(AtomicBool::new(false)),
             inline_pumps: AtomicU64::new(0),
-            fallback_pumps: AtomicU64::new(0),
         })
-    }
-
-    /// What the fallback thread parks on, and what the node's sites kick
-    /// until a wall-clock run hands them the cell itself.
-    pub fn fallback(&self) -> Arc<Notify> {
-        self.fallback.clone()
     }
 
     /// Stop (a chaos kill) or resume (a restart) the node: while down,
     /// nothing pumps the daemon, and the sites holding
-    /// [`down_flag`](DaemonCell::down_flag) run nothing.
+    /// [`down_flag`](DaemonCell::down_flag) run nothing. A resumed node
+    /// serves the kicks that found it down.
     pub fn set_down(&self, down: bool) {
         self.down.store(down, Ordering::SeqCst);
+        self.serve();
     }
 
     pub fn is_down(&self) -> bool {
@@ -1285,11 +1278,13 @@ impl DaemonCell {
         self.down.clone()
     }
 
-    /// Run `f` on the daemon, down or not, unless the cell is retired.
+    /// Run `f` on the daemon, down or not, unless the cell is retired;
+    /// then serve the kicks that lost the lock to it.
     pub fn with<R>(&self, f: impl FnOnce(&mut Daemon) -> R) -> Option<R> {
         let mut guard = self.daemon.lock();
         let r = guard.as_mut().map(f);
         Self::release(guard);
+        self.serve();
         r
     }
 
@@ -1311,72 +1306,18 @@ impl DaemonCell {
         }
     }
 
-    /// Body of the daemon's own thread — the timer and the backstop, no
-    /// longer the pump: it serves kicks that lost the lock, drains the
-    /// modeled resolver's backlog as its completions come due, and ticks
-    /// the `NeedCode` retry clock once per parked millisecond while
-    /// refills are outstanding. With neither timer armed it parks for
-    /// `STOP_LATENCY`. Returns once the cell is retired.
-    pub fn run_fallback(&self) {
+    /// Pump while a kick is pending and the lock is free. The fence pairs
+    /// a holder's look at `pending` after unlocking with a kicker's
+    /// `try_lock` after raising it: of the two, at least one sees the
+    /// other, so a kick that loses the lock is served by the thread it
+    /// lost to. A down node or a retired cell leaves `pending` raised.
+    fn serve(&self) {
         loop {
-            let mut guard = self.daemon.lock();
-            let Some(d) = guard.as_mut() else {
-                return;
-            };
-            let timed = !self.is_down() && {
-                let kicked = self.pending.swap(false, Ordering::SeqCst);
-                if kicked {
-                    self.fallback_pumps.fetch_add(1, Ordering::Relaxed);
-                }
-                if kicked || d.ns_backlog_next_due().is_some() {
-                    d.pump();
-                }
-                if !kicked && d.has_pending_refills() {
-                    d.tick_refills();
-                }
-                d.has_pending_refills() || d.ns_backlog_next_due().is_some()
-            };
-            Self::release(guard);
-            // A kick that lost the lock to this turn also signalled
-            // `fallback`: the wait below returns at once.
-            self.fallback.wait_timeout(if timed {
-                Duration::from_millis(1)
-            } else {
-                STOP_LATENCY
-            });
-        }
-    }
-
-    /// Take the daemon out for its final statistics. The cell stays where
-    /// its producers can reach it but every later kick is a no-op, the
-    /// fallback thread returns, and the reference cycle cell → daemon →
-    /// fabric routes → cell is cut.
-    pub fn retire(&self) -> Option<Daemon> {
-        let daemon = self.daemon.lock().take();
-        self.fallback.notify();
-        daemon
-    }
-
-    /// `(inline, fallback)`: pumps run by the kicking thread, and turns
-    /// in which the fallback thread found a kick nobody had served.
-    pub fn pumps(&self) -> (u64, u64) {
-        (
-            self.inline_pumps.load(Ordering::Relaxed),
-            self.fallback_pumps.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl Wake for DaemonCell {
-    fn wake(&self) {
-        self.pending.store(true, Ordering::SeqCst);
-        loop {
-            // Pairs with the fence after the unlock below: of a kicker
-            // that fails this `try_lock` and the holder it lost to, at
-            // least one sees the other — the kick is never stranded.
             fence(Ordering::SeqCst);
+            if !self.pending.load(Ordering::SeqCst) {
+                return;
+            }
             let Some(mut guard) = self.daemon.try_lock() else {
-                self.fallback.notify();
                 return;
             };
             let Some(d) = guard.as_mut().filter(|_| !self.is_down()) else {
@@ -1387,10 +1328,25 @@ impl Wake for DaemonCell {
                 self.inline_pumps.fetch_add(1, Ordering::Relaxed);
             }
             Self::release(guard);
-            fence(Ordering::SeqCst);
-            if !self.pending.load(Ordering::SeqCst) {
-                return;
-            }
         }
+    }
+
+    /// Take the daemon out for its final statistics. The cell stays where
+    /// its producers can reach it but every later kick is a no-op, and
+    /// the reference cycle cell → daemon → fabric routes → cell is cut.
+    pub fn retire(&self) -> Option<Daemon> {
+        self.daemon.lock().take()
+    }
+
+    /// Pumps run by a kicking thread or a holder serving kicks.
+    pub fn pumps(&self) -> u64 {
+        self.inline_pumps.load(Ordering::Relaxed)
+    }
+}
+
+impl Wake for DaemonCell {
+    fn wake(&self) {
+        self.pending.store(true, Ordering::SeqCst);
+        self.serve();
     }
 }

@@ -620,7 +620,9 @@ impl NetLoop {
         // and for termination waves.
         self.inner.flush_due_delayed();
         let chaos = self.inner.chaos.read().clone();
-        let seq = self.inner.hb_seq.fetch_add(1, Ordering::AcqRel) + 1;
+        // The tick's round is published once its beacons are queued, so
+        // whoever reads the monitor's clock counts only ticks that ran.
+        let seq = self.inner.round() + 1;
         let frames: Vec<(NodeId, Bytes)> = self
             .inner
             .cfg
@@ -649,6 +651,7 @@ impl NetLoop {
                 .map(|(_, f)| (f.clone(), CONTROL_NODE, None));
             self.inner.write_frames(&c.peer, beacons);
         }
+        self.inner.hb_seq.store(seq, Ordering::Release);
         self.inner.wave_tick();
     }
 

@@ -523,10 +523,10 @@ impl Shared {
     }
 }
 
-/// Longest park of a thread whose wakeups are all explicit (workers,
-/// the daemons' fallback threads): bounds how late it notices the stop
-/// flag if a teardown signal were ever missed, nothing else.
-pub(crate) const STOP_LATENCY: Duration = Duration::from_millis(100);
+/// Longest park of a worker, whose wakeups are all explicit: bounds how
+/// late it notices the stop flag if a teardown signal were ever missed,
+/// nothing else.
+const STOP_LATENCY: Duration = Duration::from_millis(100);
 
 /// How many injector entries a worker moves to its local queue per grab.
 const INJECTOR_BATCH: usize = 32;

@@ -456,8 +456,10 @@ impl Inner {
     /// or starved process, hypervisor steal) are observed before the
     /// round that would condemn it can advance, whichever thread wakes
     /// first; a peer that really is silent is still suspected after
-    /// `stale_periods` ticks. The `Release` bump in `emit_heartbeats`
-    /// pairs with this `Acquire`.
+    /// `stale_periods` ticks. A tick's round is published by the
+    /// `Release` store in `emit_heartbeats` after its beacons are queued,
+    /// and pairs with this `Acquire`: a reader sees the beacons of every
+    /// round it counts.
     fn round(&self) -> u64 {
         self.hb_seq.load(Ordering::Acquire)
     }

@@ -1,11 +1,12 @@
 //! Edge-triggered wakeups for the threaded runtime.
 //!
-//! A worker, fallback daemon thread or environment thread with no work
-//! parks on its [`Notify`] and is woken exactly when a producer hands it
-//! something (a ready site, a kick it could not serve itself, a topology
-//! edge). The flag makes the primitive race-free: a notification that
-//! arrives between the "no work" check and the park is consumed
-//! immediately instead of lost.
+//! A worker or the environment thread with no work parks on its
+//! [`Notify`] and is woken exactly when a producer hands it something (a
+//! ready site, an idle edge, a topology edge). The flag makes the
+//! primitive race-free: a notification that arrives between the "no
+//! work" check and the park is consumed immediately instead of lost. A
+//! daemon never parks: it has no thread, and whoever kicks or holds its
+//! cell pumps it.
 //!
 //! One rule holds for every wake in the runtime: **signal after
 //! unlocking.** A woken thread runs at once on a busy core; if the waker
@@ -34,6 +35,15 @@ impl Wake for Notify {
     fn wake(&self) {
         self.notify();
     }
+}
+
+/// A kick nobody answers: a site's daemon waker until a wall-clock run
+/// hands it the daemon's cell. On the virtual clock the run loop pumps
+/// every daemon itself.
+pub struct NoWake;
+
+impl Wake for NoWake {
+    fn wake(&self) {}
 }
 
 /// A one-shot, self-resetting wakeup flag (a minimal eventcount).

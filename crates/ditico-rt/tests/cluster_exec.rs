@@ -371,6 +371,34 @@ fn a_send_to_a_node_killed_mid_run_ends_on_the_detector() {
     );
 }
 
+/// A node killed as a wall-clock run starts and restarted mid-run: its
+/// frozen site resumes, and what it sends is pumped by its daemon, which
+/// has no thread of its own. The run waits for the timed restart — time
+/// the clock can still advance to counts as activity — and ends on the
+/// detector with nothing stranded.
+#[test]
+fn a_node_restarted_mid_run_gets_its_queued_work_through() {
+    let (mut c, n0, n1) = two_node_cluster(LinkProfile::ideal());
+    c.add_site_src(n0, "server", "export new p in p?{ val(x) = print(x) }")
+        .unwrap();
+    c.add_site_src(n1, "client", "import p from server in p!val[7]")
+        .unwrap();
+    let restart_at = std::time::Duration::from_millis(50);
+    let plan = ChaosPlan::default()
+        .at(0, ChaosEvent::KillNode(n1))
+        .at(restart_at.as_nanos() as u64, ChaosEvent::RestartNode(n1));
+    c.set_chaos(plan).unwrap();
+    let t0 = std::time::Instant::now();
+    let report = c.run_threaded(std::time::Duration::from_secs(20));
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert!(report.quiescent, "the run hit its wall-clock limit");
+    assert_eq!(report.in_flight, 0);
+    assert_eq!(report.output("server"), ["7".to_string()]);
+    let chaos = report.chaos.expect("chaos report");
+    assert_eq!((chaos.kills, chaos.restarts), (1, 1));
+    assert!(t0.elapsed() >= restart_at, "ended before the restart");
+}
+
 #[test]
 fn dead_node_loses_its_sites_but_others_continue() {
     let (mut c, n0, n1) = two_node_cluster(LinkProfile::myrinet());

@@ -594,6 +594,42 @@ fn refill_gives_up_after_bounded_asks_and_compensates() {
     assert!(r.site_rx.try_recv().is_err(), "nothing was delivered");
 }
 
+/// The wall clock runs the same ladder end to end: a digest-only packet
+/// from a node that died after shipping it is parked, its asks go
+/// nowhere, and it is rejected after `REFILL_MAX_ASKS` asks
+/// `REFILL_RETRY_TICKS` ms apart — the run loop ticks the retry clock,
+/// as its virtual rounds do — then the run ends on the detector with
+/// nothing stranded.
+#[test]
+fn a_refill_nobody_answers_is_given_up_on_the_wall_clock() {
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
+    let (n0, dead) = (c.add_node(), c.add_node());
+    // Its registration is the kick that has node 0's daemon pump.
+    c.add_site_src(n0, "kicker", "export new p in 0").unwrap();
+    let (digest, _) = shipped_obj();
+    let orphan = Packet::ObjRef {
+        dest: dest(),
+        digest,
+        table: 0,
+        captured: vec![],
+    };
+    c.inject(dead, n0, &orphan);
+    c.set_chaos(ChaosPlan::default().at(0, ChaosEvent::KillNode(dead)))
+        .unwrap();
+    let t0 = std::time::Instant::now();
+    let report = c.run_threaded(std::time::Duration::from_secs(20));
+    let took = t0.elapsed();
+    assert!(report.quiescent, "ended on the detector: {report:?}");
+    assert_eq!(report.in_flight, 0, "nothing stranded");
+    assert_eq!(report.daemon_stats[0].rejected, 1, "the parked packet");
+    assert_eq!(report.cache_totals().misses, 1);
+    // One tick per millisecond boundary: the last comes at least
+    // `ladder - 1` ms after the run first found the packet parked.
+    let ladder = u64::from(REFILL_MAX_ASKS * REFILL_RETRY_TICKS);
+    assert!(took.as_millis() >= u128::from(ladder - 1), "{took:?}");
+    assert!(took.as_millis() < u128::from(ladder + 2000), "{took:?}");
+}
+
 #[test]
 fn restarted_daemon_reconverges_on_digest_only_shipment() {
     let mut r = rig();

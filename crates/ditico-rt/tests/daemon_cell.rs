@@ -1,8 +1,8 @@
 //! The daemon's combining cell ([`DaemonCell`]): producers pump the daemon
-//! they kick, nothing is stranded when a kick loses the lock, and site
-//! wakeups fire only once the cell is unlocked. Every test but the one
-//! that says otherwise runs with **no fallback thread** — the cell alone
-//! must get every packet through.
+//! they kick, nothing is stranded when a kick loses the lock — the holder
+//! it lost to serves it, whoever that is — and site wakeups fire only
+//! once the cell is unlocked. A daemon has no thread of its own: the cell
+//! alone must get every packet through.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -12,12 +12,15 @@ use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use ditico_rt::termination::{TermCounters, Ticket};
 use ditico_rt::wake::Wake;
+use ditico_rt::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier, OnceLock};
+use std::time::Duration;
 use tyco_vm::codec::{self, Packet};
 use tyco_vm::port::Incoming;
 use tyco_vm::wire::WireWord;
-use tyco_vm::word::{Identity, NetRef, NodeId, SiteId};
+use tyco_vm::word::{NetRef, NodeId, SiteId};
 
 struct Rig {
     /// Node 0's daemon, one local site (SiteId 0) attached.
@@ -141,8 +144,7 @@ fn producers_pump_the_cell_exactly_once_and_in_order() {
                 "round {round}: producer {p} out of order"
             );
         }
-        let (inline, fallback) = cell.pumps();
-        assert!(inline > 0 && fallback == 0, "no fallback thread ran");
+        assert!(cell.pumps() > 0, "the producers pumped");
         let daemon = cell.retire().expect("first retire yields the daemon");
         assert_eq!(
             daemon.stats.local_deliveries,
@@ -204,7 +206,6 @@ fn two_simultaneous_kicks_never_strand_one() {
         assert_eq!(delivered, 2 * r, "round {r}: a kick was stranded");
     }
     other.join().unwrap();
-    assert_eq!(cell.pumps().1, 0, "no fallback thread ran");
 }
 
 /// A network whose every batch comes straight back as one more packet on
@@ -262,7 +263,7 @@ fn a_kick_from_inside_the_daemons_own_pump_is_neither_deadlock_nor_lost() {
         vec![(9, 0)],
         "the holder served the inner kick before returning"
     );
-    assert_eq!(cell.pumps(), (2, 0));
+    assert_eq!(cell.pumps(), 2);
 }
 
 /// Stands in for a site's scheduler handle and checks the rule the cell
@@ -278,9 +279,9 @@ struct UnlockedProbe {
 impl Wake for UnlockedProbe {
     fn wake(&self) {
         let cell = self.cell.get().expect("cell installed");
-        let (inline_before, _) = cell.pumps();
+        let inline_before = cell.pumps();
         cell.wake();
-        if cell.pumps().0 == inline_before {
+        if cell.pumps() == inline_before {
             self.fired_under_lock.fetch_add(1, Ordering::SeqCst);
         }
         self.fired.fetch_add(1, Ordering::SeqCst);
@@ -302,18 +303,6 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
         fired_under_lock: AtomicUsize::new(0),
     });
     daemon.set_site_waker(SiteId(0), probe.clone());
-    daemon.set_ns_service_ns(1);
-    daemon
-        .ns
-        .as_mut()
-        .expect("node 0 hosts the name service")
-        .register_site(
-            "local",
-            Identity {
-                site: SiteId(0),
-                node: NodeId(0),
-            },
-        );
     let cell = DaemonCell::new(daemon);
     assert!(probe.cell.set(cell.clone()).is_ok());
 
@@ -324,58 +313,69 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
     cell.wake();
     assert_eq!(probe.fired.load(Ordering::SeqCst), 1);
     assert_eq!(tags(&site_rx), vec![(0, 0)]);
-
-    // The fallback thread's path. With a modeled resolver cost the bind
-    // and the lookup only queue at the inline pump; it is the fallback
-    // thread's timer turn that serves them and delivers the reply.
-    let me = Identity {
-        site: SiteId(0),
-        node: NodeId(0),
-    };
-    let exported = WireWord::Chan(NetRef {
-        heap_id: 1,
-        site: SiteId(0),
-        node: NodeId(0),
-    });
-    for request in [
-        Packet::NsRegister {
-            from_site: SiteId(0),
-            site_lexeme: "local".into(),
-            name: "p".into(),
-            value: exported.clone(),
-            stamp: None,
-        },
-        Packet::NsImport {
-            req: 9,
-            site: "local".into(),
-            name: "p".into(),
-            kind: tyco_vm::ImportKind::Name,
-            reply_to: me,
-            expect: None,
-        },
-    ] {
-        to_daemon
-            .send((SiteId(0), request, Ticket::mint(term, 1)))
-            .unwrap();
-    }
-    cell.wake();
-    assert_eq!(probe.fired.load(Ordering::SeqCst), 1, "still queued");
-    let fallback = {
-        let cell = cell.clone();
-        std::thread::spawn(move || cell.run_fallback())
-    };
-    while probe.fired.load(Ordering::SeqCst) < 2 {
-        std::thread::yield_now();
-    }
-    assert!(cell.retire().is_some());
-    fallback
-        .join()
-        .expect("fallback thread returns once retired");
-    match site_rx.try_recv().expect("reply").0 {
-        RtIncoming::ImportResolved { req: 9, result } => assert_eq!(result, Ok(exported)),
-        other => panic!("unexpected {other:?}"),
-    }
     assert_eq!(probe.fired_under_lock.load(Ordering::SeqCst), 0);
+}
+
+/// Counts the wakeups of the site it stands in for.
+#[derive(Default)]
+struct Woken(AtomicUsize);
+
+impl Wake for Woken {
+    fn wake(&self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A kick that loses the lock to a holder that is not pumping — the run
+/// loop inside `with` or `live` (a heartbeat round, a kill, a restart,
+/// teardown) — is served by that holder as it lets go. No other thread
+/// runs: the kicker has returned, and there is no daemon thread.
+#[test]
+fn a_holder_in_with_serves_the_kick_it_beat() {
+    let Rig {
+        mut daemon,
+        fabric: _fabric,
+        site_rx,
+        to_daemon,
+        term,
+    } = rig();
+    let woken = Arc::new(Woken::default());
+    daemon.set_site_waker(SiteId(0), woken.clone());
+    let cell = DaemonCell::new(daemon);
+    let (holding, held) = channel();
+    let (kicked, kick_done) = channel();
+    let holder = {
+        let cell = cell.clone();
+        std::thread::spawn(move || {
+            cell.with(|_| {
+                holding.send(()).unwrap();
+                kick_done.recv().unwrap();
+            })
+        })
+    };
+    held.recv().unwrap();
+    to_daemon
+        .send((SiteId(0), tagged(0, 0), Ticket::mint(term, 1)))
+        .unwrap();
+    cell.wake(); // loses `try_lock` and returns
+    assert!(tags(&site_rx).is_empty(), "the kicker pumped nothing");
+    assert_eq!(cell.pumps(), 0);
+    kicked.send(()).unwrap();
+    holder.join().unwrap().expect("the cell is not retired");
+    assert_eq!(tags(&site_rx), vec![(0, 0)], "delivered as `with` returned");
+    assert_eq!(woken.0.load(Ordering::SeqCst), 1, "the site woken once");
+    assert_eq!(cell.pumps(), 1);
+}
+
+/// The modeled resolver is a virtual-clock model: a wall-clock run
+/// refuses a resolver cost, as it refuses a link that takes time.
+#[test]
+#[should_panic(expected = "resolver cost of 0")]
+fn a_threaded_run_refuses_a_resolver_cost() {
+    let mut c = Cluster::new(LinkProfile::ideal(), 1);
+    c.add_node();
+    c.set_ns_service(1);
+    c.run_threaded(Duration::from_secs(5));
 }
 
 #[test]
@@ -408,7 +408,6 @@ fn a_retired_cell_is_a_no_op_to_kick() {
         codec::encode(&tagged(0, 2)),
         Ticket::mint(term, 1),
     );
-    cell.run_fallback(); // returns at once
     assert_eq!(tags(&site_rx), vec![(0, 0)]);
-    assert_eq!(cell.pumps(), (1, 0));
+    assert_eq!(cell.pumps(), 1);
 }

@@ -78,18 +78,36 @@ fn on_the_verdict(who: &str, report: &RunReport) {
 /// prints the result. Exercises the whole path — NS lookup over the wire,
 /// code image screened by the verifier at the trust boundary, replies
 /// routed back, and both partitions terminating cleanly.
+///
+/// A run may end inside one heartbeat period: the termination waves ride
+/// on the tick, and a quiet wave starts its confirming wave at once. So
+/// for liveness to be seen flowing, the server beats every millisecond
+/// (patient enough for the client's slower beacon) and the client at the
+/// default 100 ms. The server's waves end the run, each behind a beacon
+/// on the same connection; the client's first tick, and so its first
+/// wave, comes 100 ms after it starts, long after the server's.
 #[test]
 fn two_partitions_fetch_over_loopback() {
     let addr = free_addr();
+    let server_cfg = TransportConfig {
+        hb_period: Duration::from_millis(1),
+        stale_periods: 2500,
+        ..cfg(0, Some(addr), Vec::new())
+    };
     let server = std::thread::spawn(move || {
         partition(0)
-            .run_distributed(cfg(0, Some(addr), Vec::new()), Duration::from_secs(30))
+            .run_distributed(server_cfg, Duration::from_secs(30))
             .expect("server run")
     });
     // The client dials with reconnect/backoff, so it tolerates starting
     // before the server's listener is up.
+    let client_cfg = TransportConfig {
+        local_nodes: vec![NodeId(1)],
+        peers: vec![addr],
+        ..TransportConfig::default()
+    };
     let client = partition(1)
-        .run_distributed(cfg(1, None, vec![addr]), Duration::from_secs(30))
+        .run_distributed(client_cfg, Duration::from_secs(30))
         .expect("client run");
     let server = server.join().expect("server thread");
 
