@@ -59,9 +59,9 @@ fn no_errors(report: &RunReport, scenario: &str) {
 /// resolve all of them. `shards == 0` keeps the default ring of one: the
 /// central service. Returns (ops, virtual ns, wall s).
 fn run_storm(shards: usize) -> (u64, u64, f64) {
-    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), shards.max(1));
     if shards > 0 {
-        c.set_ns_sharding(shards, LEASE_NS);
+        c.set_ns_lease(LEASE_NS);
     }
     c.set_ns_service(SERVICE_NS);
     for _ in 0..STORM_NODES {
@@ -160,8 +160,8 @@ fn storm() -> [Json; 2] {
 /// one after another (each rings the next when done). With leases on,
 /// only the first import crosses the wire.
 fn chain_cluster(g: usize, lease_ns: u64) -> Cluster {
-    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
-    c.set_ns_sharding(SHARDS, lease_ns);
+    let mut c = Cluster::new(LinkProfile::myrinet(), SHARDS);
+    c.set_ns_lease(lease_ns);
     for _ in 0..SHARDS {
         c.add_node();
     }
@@ -246,9 +246,9 @@ fn run_warm(g: usize) -> Json {
 /// One cold resolve: exporter and importer placed by `rep`, key name
 /// varied so the owning shard varies too. Returns the run's virtual ns.
 fn latency_once(rep: usize, shards: usize) -> u64 {
-    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
+    let mut c = Cluster::new(LinkProfile::myrinet(), shards.max(1));
     if shards > 0 {
-        c.set_ns_sharding(shards, LEASE_NS);
+        c.set_ns_lease(LEASE_NS);
     }
     c.set_ns_service(SERVICE_NS);
     for _ in 0..STORM_NODES {

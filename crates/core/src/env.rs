@@ -170,9 +170,8 @@ pub struct Env {
     code_cache: Option<usize>,
     /// Seeded fault-injection plan installed at build time.
     chaos: Option<ChaosPlan>,
-    /// Name-service ring size and lease TTL replacing the topology's
-    /// (`ns_replicas`, no leases).
-    ns_shards: Option<(usize, u64)>,
+    /// Name-service lease TTL in ns (0: no lease caching).
+    ns_lease_ns: u64,
 }
 
 impl Env {
@@ -185,18 +184,16 @@ impl Env {
             workers: None,
             code_cache: None,
             chaos: None,
-            ns_shards: None,
+            ns_lease_ns: 0,
         }
     }
 
-    /// Shard the name service over the first `shards` nodes by consistent
-    /// hashing, with each shard replicated to its ring successor and
-    /// resolved bindings lease-cached at importing nodes for `lease_ms`
-    /// milliseconds (0 keeps sharding but disables the cache). The
-    /// default — no call — is a ring of [`Topology::ns_replicas`] nodes
-    /// without leases; with 1 replica, the paper's centralized service.
-    pub fn ns_shards(mut self, shards: usize, lease_ms: u64) -> Env {
-        self.ns_shards = Some((shards, lease_ms.saturating_mul(1_000_000)));
+    /// Lease-cache resolved name-service bindings at importing nodes for
+    /// `lease_ms` milliseconds (0, the default, disables the cache). The
+    /// ring is [`Topology::ns_replicas`] nodes; with 1, the paper's
+    /// centralized service.
+    pub fn ns_lease(mut self, lease_ms: u64) -> Env {
+        self.ns_lease_ns = lease_ms.saturating_mul(1_000_000);
         self
     }
 
@@ -346,10 +343,8 @@ impl Env {
         if let Some(plan) = self.chaos {
             cluster.set_chaos(plan).map_err(EnvError::Chaos)?;
         }
-        if let Some((shards, lease_ns)) = self.ns_shards {
-            // Before add_node: every daemon is built around the map.
-            cluster.set_ns_sharding(shards.min(node_count), lease_ns);
-        }
+        // Before add_node: every daemon is built around the map.
+        cluster.set_ns_lease(self.ns_lease_ns);
         let nodes: Vec<NodeId> = (0..node_count).map(|_| cluster.add_node()).collect();
         let mut placements = Vec::with_capacity(self.sites.len());
         for s in self.sites {

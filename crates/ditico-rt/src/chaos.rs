@@ -13,7 +13,7 @@
 //!   the embedding run uses (virtual time in `run_deterministic`, wall
 //!   time since start in the threaded/distributed loops).
 //!
-//! The carriers ([`crate::fabric::FabricHandle`] and the TCP transport's
+//! The carriers ([`crate::fabric::Fabric`] and the TCP transport's
 //! outbound queue) consult one shared [`ChaosState`] per run and obey
 //! each [`Fault`] with the packet's [`crate::termination::Ticket`]: a
 //! drop discards it, a duplicate mints one for the copy. Every injected

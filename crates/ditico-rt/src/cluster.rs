@@ -239,16 +239,12 @@ impl Cluster {
         }
     }
 
-    /// Replace the name service's ring size and lease TTL: the first
-    /// `shards` nodes own the export table, and importing nodes are
-    /// granted `lease_ns`-TTL cached bindings (0 disables caching). Every
-    /// daemon is built around the map, so call this before adding nodes.
-    pub fn set_ns_sharding(&mut self, shards: usize, lease_ns: u64) {
-        assert!(
-            self.nodes.is_empty(),
-            "set_ns_sharding must precede add_node"
-        );
-        self.shard_map = Arc::new(NsShardMap::new(shards, lease_ns));
+    /// Grant importing nodes `lease_ns`-TTL cached bindings (0, the
+    /// default, disables caching). Every daemon is built around the
+    /// name service's map, so call this before adding nodes.
+    pub fn set_ns_lease(&mut self, lease_ns: u64) {
+        assert!(self.nodes.is_empty(), "set_ns_lease must precede add_node");
+        self.shard_map = Arc::new(NsShardMap::new(self.shard_map.ring(), lease_ns));
     }
 
     /// Model a per-request resolver cost at every name-service host:

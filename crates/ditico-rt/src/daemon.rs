@@ -26,7 +26,7 @@
 //! back out to every coalesced waiter (single-flight).
 
 use crate::codecache::CodeCache;
-use crate::fabric::{Clock, FabricHandle, PacketFabric};
+use crate::fabric::{Clock, Fabric, PacketFabric};
 use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
 use crate::site::RtIncoming;
@@ -229,7 +229,7 @@ impl Daemon {
         node: NodeId,
         from_sites: Receiver<(SiteId, Packet, Ticket)>,
         from_fabric: Receiver<(NodeId, Bytes, Ticket)>,
-        fabric: FabricHandle,
+        fabric: Fabric,
         shard: Arc<NsShardMap>,
         term: &'static TermCounters,
     ) -> Daemon {
@@ -791,7 +791,7 @@ impl Daemon {
 
     /// Hand every buffered per-destination backlog to the fabric in one
     /// batched send each (per-link FIFO preserved; see
-    /// [`FabricHandle::send_batch`]). The batch's encodings share one
+    /// [`Fabric::send_batch`]). The batch's encodings share one
     /// frozen allocation; each packet is a slice view into it.
     fn flush_remote(&mut self) {
         let node = self.node;

@@ -23,7 +23,7 @@
 //!
 //! Per-destination delivery state (inbox sender, dead flag, daemon waker)
 //! lives in a read-mostly routing table separate from the event-queue
-//! state. An ideal-link [`FabricHandle::send_batch`] therefore takes a
+//! state. An ideal-link [`Fabric::send_batch`] therefore takes a
 //! shared read lock plus one channel lock — it never serializes against
 //! other links or against the event heap — and moves a whole
 //! per-link backlog under that one routing lookup, one stats update and
@@ -154,7 +154,7 @@ impl LinkProfile {
 #[derive(Clone)]
 pub enum Clock {
     /// The fabric's virtual clock, which only a deterministic run moves.
-    Virtual(FabricHandle),
+    Virtual(Fabric),
     /// Wall time since the instant a threaded run started.
     Wall(Instant),
 }
@@ -176,7 +176,7 @@ impl Clock {
 pub struct FabricStats {
     pub packets: AtomicU64,
     pub bytes: AtomicU64,
-    /// Batches ([`FabricHandle::send_batch`]) that hit the fabric; mean
+    /// Batches ([`Fabric::send_batch`]) that hit the fabric; mean
     /// batch occupancy is `packets / batches`.
     pub batches: AtomicU64,
 }
@@ -285,7 +285,10 @@ impl Shared {
 
 type Routes = Arc<RwLock<HashMap<NodeId, Route>>>;
 
-/// The network fabric connecting node daemons.
+/// The network fabric connecting node daemons. A clone is another handle
+/// on the same network: every clone shares the routing table, the event
+/// queue, the counters and the chaos plan.
+#[derive(Clone)]
 pub struct Fabric {
     /// The link is [ideal](LinkProfile::is_ideal): sends skip the heap.
     immediate: bool,
@@ -293,16 +296,6 @@ pub struct Fabric {
     routes: Routes,
     pub stats: Arc<FabricStats>,
     /// Installed fault-injection plan (None on the fast path).
-    chaos: Arc<RwLock<Option<Arc<ChaosState>>>>,
-}
-
-/// A cloneable handle daemons use to send.
-#[derive(Clone)]
-pub struct FabricHandle {
-    immediate: bool,
-    shared: Arc<Mutex<Shared>>,
-    routes: Routes,
-    stats: Arc<FabricStats>,
     chaos: Arc<RwLock<Option<Arc<ChaosState>>>>,
 }
 
@@ -348,15 +341,9 @@ impl Fabric {
         self.routes.write().entry(node).or_default().waker = Some(waker);
     }
 
-    /// A sending handle for daemons.
-    pub fn handle(&self) -> FabricHandle {
-        FabricHandle {
-            immediate: self.immediate,
-            shared: self.shared.clone(),
-            routes: self.routes.clone(),
-            stats: self.stats.clone(),
-            chaos: self.chaos.clone(),
-        }
+    /// A sending handle for daemons: a clone.
+    pub fn handle(&self) -> Fabric {
+        self.clone()
     }
 
     /// Mark a node dead: all traffic to/from it is dropped (failure
@@ -428,7 +415,7 @@ fn deliver(routes: &Routes, due: Vec<Event>) -> usize {
     delivered
 }
 
-impl FabricHandle {
+impl Fabric {
     /// Is either endpoint dead? (Unregistered nodes count as alive: tests
     /// send from synthetic nodes that never register.)
     fn endpoint_dead(&self, from: NodeId, to: NodeId) -> bool {
@@ -523,7 +510,7 @@ impl FabricHandle {
 }
 
 /// The sending interface a daemon needs from "the network": the batched
-/// per-link flush discipline. [`FabricHandle`] implements it in process;
+/// per-link flush discipline. [`Fabric`] implements it in process;
 /// the TCP transport's `NetHandle` implements it for
 /// multi-process runs by routing frames for remote nodes onto sockets.
 /// Extracting the trait keeps `Daemon` agnostic — the in-process paths
@@ -535,9 +522,9 @@ pub trait PacketFabric: Send + Sync {
     fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, ticket: Ticket);
 }
 
-impl PacketFabric for FabricHandle {
+impl PacketFabric for Fabric {
     fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, ticket: Ticket) {
-        FabricHandle::send_batch(self, from, to, batch, ticket);
+        Fabric::send_batch(self, from, to, batch, ticket);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! One `tyco-net` thread owns the listener, every peer socket's read
 //! half, every in-flight dial and every deadline. It parks in
-//! [`Poller::wait`] with the timer wheel's next deadline as its timeout
+//! [`Poller::wait`] with its earliest deadline as the timeout
 //! and is interrupted by exactly three things: socket readiness, a timer
 //! firing, or a writer ringing the wake pipe because a socket pushed
 //! back or broke under it — one thread and zero sleeps, whatever the
@@ -46,13 +46,15 @@
 //!   touched off this thread.
 //! * **Concurrent dials.** Every peer address holds a nonblocking
 //!   connect in flight simultaneously ([`poller::connect_start`]); the
-//!   connect timeout and reconnect backoff are wheel deadlines. One dead
-//!   peer costs one quiet socket, never a blocked thread.
+//!   connect timeout and reconnect backoff are deadlines in the loop's
+//!   list. One dead peer costs one quiet socket, never a blocked thread.
+//! * **A list of deadlines.** A heartbeat and at most one timer per
+//!   dialer: a `Vec` scanned for its minimum beats any wheel at that
+//!   size.
 
 use super::{backoff_delay, handle_frame, inject_admitted, io_err, Admitted, Inner, PeerConn};
 use crate::poller::{
-    connect_start, ConnectStart, Event, Interest, PendingConnect, Poller, TimerId, TimerWheel,
-    WakeReader,
+    connect_start, ConnectStart, Event, Interest, PendingConnect, Poller, WakeReader,
 };
 use crate::sched;
 use bytes::{Buf, Bytes, BytesMut};
@@ -87,7 +89,7 @@ const READ_BUDGET: usize = 4;
 /// actually cost something, stay zero-copy: they already *are* most of
 /// the buffer they pin.
 const PIN_DENOM: usize = 8;
-/// Park ceiling: bounds stop-flag latency even if the wheel is empty.
+/// Park ceiling: bounds stop-flag latency even if no deadline is armed.
 const MAX_PARK: Duration = Duration::from_millis(500);
 
 /// A connection being served: the socket's read half, the owner record
@@ -97,7 +99,8 @@ struct ConnSlot {
     peer: Arc<PeerConn>,
     /// Inbound accumulator; frozen into `Bytes` when a frame completes.
     rbuf: BytesMut,
-    got_hello: bool,
+    /// The nodes the peer's handshake announced, once it has arrived.
+    hello: Option<Vec<NodeId>>,
     /// Whether writable interest is currently registered.
     want_write: bool,
     /// Index of the dialer that owns this connection (outbound only).
@@ -108,7 +111,6 @@ struct ConnSlot {
 struct DialSlot {
     pending: PendingConnect,
     dialer: usize,
-    timer: Option<TimerId>,
 }
 
 enum Slot {
@@ -144,7 +146,9 @@ struct NetLoop {
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     dialers: Vec<Dialer>,
-    wheel: TimerWheel<Timer>,
+    /// Armed deadlines, unordered: a heartbeat, and at most one connect
+    /// timeout or redial per dialer.
+    timers: Vec<(Instant, Timer)>,
     /// Where every `read` lands before the bytes that arrived are
     /// appended to the connection's accumulator.
     scratch: Vec<u8>,
@@ -208,7 +212,7 @@ pub(super) fn run(inner: Arc<Inner>, io: NetIo) {
         slots: Vec::new(),
         free: Vec::new(),
         dialers,
-        wheel: TimerWheel::new(Duration::from_millis(5), 256),
+        timers: Vec::new(),
         scratch: vec![0; READ_CHUNK],
         admitted: Vec::new(),
         batch: Vec::new(),
@@ -218,7 +222,7 @@ pub(super) fn run(inner: Arc<Inner>, io: NetIo) {
     for i in 0..nl.dialers.len() {
         nl.start_dial(i);
     }
-    nl.wheel.schedule_after(hb_period, Timer::Heartbeat);
+    nl.after(hb_period, Timer::Heartbeat);
     nl.run_loop();
     nl.shutdown_flush();
 }
@@ -226,11 +230,8 @@ pub(super) fn run(inner: Arc<Inner>, io: NetIo) {
 impl NetLoop {
     fn run_loop(&mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut due: Vec<Timer> = Vec::new();
         while !self.inner.stop.load(Ordering::Acquire) {
-            let timeout = self
-                .wheel
-                .next_deadline()
+            let timeout = (self.timers.iter().map(|&(at, _)| at).min())
                 .map(|d| d.saturating_duration_since(Instant::now()))
                 .unwrap_or(MAX_PARK)
                 .min(MAX_PARK);
@@ -251,20 +252,26 @@ impl NetLoop {
             // Writers hit a full or broken socket since the last pass:
             // take over exactly those connections.
             self.serve_handed();
-            due.clear();
-            self.wheel.expire(Instant::now(), &mut due);
-            for t in &due {
-                match *t {
+            let now = Instant::now();
+            let due: Vec<Timer> = (self.timers.extract_if(.., |&mut (at, _)| at <= now))
+                .map(|(_, t)| t)
+                .collect();
+            for t in due {
+                match t {
                     Timer::Heartbeat => {
                         self.emit_heartbeats();
-                        self.wheel
-                            .schedule_after(self.inner.cfg.hb_period, Timer::Heartbeat);
+                        self.after(self.inner.cfg.hb_period, Timer::Heartbeat);
                     }
                     Timer::Redial(didx) => self.start_dial(didx),
                     Timer::ConnectTimeout(idx) => self.connect_timed_out(idx),
                 }
             }
         }
+    }
+
+    /// Arm `timer` to fire `delay` from now.
+    fn after(&mut self, delay: Duration, timer: Timer) {
+        self.timers.push((Instant::now() + delay, timer));
     }
 
     fn alloc_slot(&mut self, slot: Slot) -> usize {
@@ -337,7 +344,7 @@ impl NetLoop {
             sock,
             peer: peer.clone(),
             rbuf: BytesMut::new(),
-            got_hello: false,
+            hello: None,
             want_write: false,
             dialer,
         }));
@@ -366,7 +373,6 @@ impl NetLoop {
                 let idx = self.alloc_slot(Slot::Dial(DialSlot {
                     pending: p,
                     dialer: didx,
-                    timer: None,
                 }));
                 if self
                     .poller
@@ -377,12 +383,7 @@ impl NetLoop {
                     self.dial_failed(didx);
                     return;
                 }
-                let tid = self
-                    .wheel
-                    .schedule_after(self.inner.cfg.connect_timeout, Timer::ConnectTimeout(idx));
-                if let Some(Some(Slot::Dial(d))) = self.slots.get_mut(idx) {
-                    d.timer = Some(tid);
-                }
+                self.after(self.inner.cfg.connect_timeout, Timer::ConnectTimeout(idx));
             }
             Err(_) => self.dial_failed(didx),
         }
@@ -393,9 +394,8 @@ impl NetLoop {
         let Some(Slot::Dial(d)) = self.take_slot(idx) else {
             return;
         };
-        if let Some(t) = d.timer {
-            self.wheel.cancel(t);
-        }
+        self.timers
+            .retain(|&(_, t)| !matches!(t, Timer::ConnectTimeout(i) if i == idx));
         let _ = self.poller.deregister(d.pending.raw_fd());
         match d.pending.finish() {
             Ok(sock) => self.dial_connected(d.dialer, sock),
@@ -405,7 +405,7 @@ impl NetLoop {
 
     fn connect_timed_out(&mut self, idx: usize) {
         // Only meaningful if the slot still holds the dial this timer was
-        // armed for (resolution cancels its timer, so a reused slot index
+        // armed for (resolution removes its timer, so a reused slot index
         // can never be hit by a stale timeout).
         if matches!(self.slots.get(idx), Some(Some(Slot::Dial(_)))) {
             let Some(Slot::Dial(d)) = self.take_slot(idx) else {
@@ -440,7 +440,7 @@ impl NetLoop {
             d.attempts,
         );
         d.attempts += 1;
-        self.wheel.schedule_after(delay, Timer::Redial(didx));
+        self.after(delay, Timer::Redial(didx));
     }
 
     // --- reading ------------------------------------------------------
@@ -499,7 +499,7 @@ impl NetLoop {
     }
 
     fn parse_frames(&mut self, idx: usize) -> std::io::Result<()> {
-        let (buf, acc_alloc, peer, mut got_hello) = {
+        let (buf, acc_alloc, peer, mut hello) = {
             let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
                 return Ok(());
             };
@@ -511,7 +511,7 @@ impl NetLoop {
                 std::mem::take(&mut c.rbuf).freeze(),
                 acc_alloc,
                 c.peer.clone(),
-                c.got_hello,
+                c.hello.take(),
             )
         };
         let mut cur = buf;
@@ -530,13 +530,9 @@ impl NetLoop {
                     if frame.payload.len() * PIN_DENOM < acc_alloc {
                         frame.payload = Bytes::copy_from_slice(&frame.payload);
                     }
-                    if let Err(e) = handle_frame(
-                        &self.inner,
-                        &peer,
-                        frame,
-                        &mut got_hello,
-                        &mut self.admitted,
-                    ) {
+                    if let Err(e) =
+                        handle_frame(&self.inner, &peer, frame, &mut hello, &mut self.admitted)
+                    {
                         res = Err(e);
                         break;
                     }
@@ -548,7 +544,7 @@ impl NetLoop {
             }
         }
         if let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) {
-            c.got_hello = got_hello;
+            c.hello = hello;
             if res.is_ok() && !cur.is_empty() {
                 // Partial tail: at most one frame's worth re-buffered.
                 c.rbuf.extend_from_slice(&cur);
@@ -637,17 +633,14 @@ impl NetLoop {
             let Some(Slot::Conn(c)) = slot else {
                 continue;
             };
-            let peer_nodes = match &chaos {
-                Some(_) => c.peer.nodes.lock().clone(),
-                None => Vec::new(),
-            };
+            let peer_nodes = c.hello.as_deref().unwrap_or_default();
             // A partition that cuts every announced peer node silences
             // the beacon too — that is what drives the failure monitor
             // during a partition soak. The backlog's cap applies: a wedged
             // connection drops beacons rather than growing without bound.
             let beacons = frames
                 .iter()
-                .filter(|(n, _)| !matches!(&chaos, Some(ch) if ch.hb_blocked(*n, &peer_nodes)))
+                .filter(|(n, _)| !matches!(&chaos, Some(ch) if ch.hb_blocked(*n, peer_nodes)))
                 .map(|(_, f)| (f.clone(), CONTROL_NODE, None));
             self.inner.write_frames(&c.peer, beacons);
         }
@@ -671,13 +664,13 @@ impl NetLoop {
         // A dead accepted connection means the peer departed (it may
         // dial back in, which re-installs routes); a dead outbound one
         // gets redialed, so its nodes are merely suspect.
-        self.inner.drop_routes(&c.peer, c.peer.accepted);
+        let nodes = c.hello.unwrap_or_default();
+        self.inner.drop_routes(&c.peer, &nodes);
         if let Some(didx) = c.dialer {
             if !self.inner.stop.load(Ordering::Acquire) {
                 // A connection that died before its handshake (a dying
                 // peer's kernel can still complete a redial) names no
                 // nodes: the dialer keeps the ones it last reached.
-                let nodes = c.peer.nodes.lock().clone();
                 if !nodes.is_empty() {
                     self.dialers[didx].last_nodes = nodes;
                 }
@@ -723,7 +716,8 @@ impl NetLoop {
                             .fetch_add(s.len() as u64, Ordering::Relaxed);
                         self.inner.sent(q);
                     }
-                    self.inner.drop_routes(&c.peer, c.peer.accepted);
+                    self.inner
+                        .drop_routes(&c.peer, c.hello.as_deref().unwrap_or_default());
                 }
             }
         }

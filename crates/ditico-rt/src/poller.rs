@@ -2,11 +2,11 @@
 //!
 //! This module is what lets one thread own every socket: a [`Poller`]
 //! over epoll(7), a [`PollWaker`] self-pipe so producer threads can
-//! interrupt a blocked wait, a [`TimerWheel`] of deadlines (heartbeats,
-//! reconnect backoff, connect timeouts) that turns every transport
-//! sleep-loop into a computed wait timeout, and a nonblocking
-//! [`connect_start`] so in-flight dials are concurrent instead of
-//! serialized behind `connect_timeout`.
+//! interrupt a blocked wait, and a nonblocking [`connect_start`] so
+//! in-flight dials are concurrent instead of serialized behind
+//! `connect_timeout`. The loop's deadlines (heartbeats, reconnect
+//! backoff, connect timeouts) are a plain list in `netloop.rs` whose
+//! earliest entry becomes the wait timeout.
 //!
 //! The workspace vendors no `libc` crate, and the build environment
 //! cannot add one; since std already links the platform libc, the tiny
@@ -24,7 +24,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Raw libc declarations. Constant values and struct layouts are
 /// Linux's — the reason this module is gated on `target_os = "linux"`.
@@ -380,250 +380,12 @@ pub fn connect_start(addr: &SocketAddr) -> io::Result<ConnectStart> {
     }
 }
 
-/// Opaque handle for cancelling a scheduled deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
-struct TimerEntry<T> {
-    id: u64,
-    deadline: Instant,
-    val: T,
-}
-
-/// A hashed deadline wheel: `slots` buckets of `tick` width. Near
-/// deadlines hash into their bucket; deadlines beyond the horizon
-/// (`slots × tick`) sit in an overflow list re-examined as the wheel
-/// turns. This absorbs every sleep the old transport threads did —
-/// heartbeat periods, reconnect backoff, connect timeouts — into
-/// [`TimerWheel::next_deadline`], which becomes the poller's wait
-/// timeout: the loop sleeps *exactly* until something is due.
-pub struct TimerWheel<T> {
-    tick: Duration,
-    slots: Vec<Vec<TimerEntry<T>>>,
-    overflow: Vec<TimerEntry<T>>,
-    /// First tick index not yet expired.
-    cursor: u64,
-    epoch: Instant,
-    next_id: u64,
-    live: usize,
-}
-
-impl<T> TimerWheel<T> {
-    pub fn new(tick: Duration, slots: usize) -> TimerWheel<T> {
-        assert!(!tick.is_zero() && slots > 0);
-        TimerWheel {
-            tick,
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            cursor: 0,
-            epoch: Instant::now(),
-            next_id: 0,
-            live: 0,
-        }
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        let dt = at.saturating_duration_since(self.epoch);
-        (dt.as_nanos() / self.tick.as_nanos().max(1)) as u64
-    }
-
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Arm a deadline at `at` carrying `val`.
-    pub fn schedule_at(&mut self, at: Instant, val: T) -> TimerId {
-        let id = self.next_id;
-        self.next_id += 1;
-        // Clamp into the future relative to the unexpired cursor so a
-        // deadline in the past fires on the very next expire().
-        let t = self.tick_of(at).max(self.cursor);
-        let entry = TimerEntry {
-            id,
-            deadline: at,
-            val,
-        };
-        if t < self.cursor + self.slots.len() as u64 {
-            let slot = (t % self.slots.len() as u64) as usize;
-            self.slots[slot].push(entry);
-        } else {
-            self.overflow.push(entry);
-        }
-        self.live += 1;
-        TimerId(id)
-    }
-
-    pub fn schedule_after(&mut self, after: Duration, val: T) -> TimerId {
-        self.schedule_at(Instant::now() + after, val)
-    }
-
-    /// Disarm. O(wheel) worst case; timer counts here are small (one per
-    /// dialer plus the heartbeat), so linear scans beat tombstone
-    /// bookkeeping.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        for bucket in self
-            .slots
-            .iter_mut()
-            .chain(std::iter::once(&mut self.overflow))
-        {
-            if let Some(i) = bucket.iter().position(|e| e.id == id.0) {
-                bucket.swap_remove(i);
-                self.live -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Pop every deadline at or before `now` into `due` (unordered
-    /// within the same tick; callers that care compare `Instant`s).
-    pub fn expire(&mut self, now: Instant, due: &mut Vec<T>) {
-        let now_tick = self.tick_of(now);
-        if now_tick < self.cursor && self.overflow.is_empty() {
-            return;
-        }
-        let nslots = self.slots.len() as u64;
-        let mut t = self.cursor;
-        // Walk at most one full revolution; every bucket is visited once
-        // even if the loop slept through many turns.
-        let stop = now_tick.min(self.cursor + nslots - 1);
-        while t <= stop {
-            let slot = (t % nslots) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].deadline <= now {
-                    due.push(bucket.swap_remove(i).val);
-                    self.live -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-            t += 1;
-        }
-        // Stop *at* `now_tick`, not past it: only the current tick's
-        // bucket can hold entries whose deadline falls later within the
-        // tick (any earlier tick's deadlines are all ≤ now and fired
-        // above). Advancing to `now_tick + 1` would strand such an entry
-        // for a full wheel revolution while `next_deadline` keeps
-        // returning its past-due deadline — a busy-spinning wait loop.
-        // Re-walking the current bucket on the next expire is safe: fired
-        // entries were removed.
-        self.cursor = now_tick;
-        // The horizon moved: rehash overflow entries that now fit (or
-        // are already due — schedule_at clamps them to the cursor).
-        let mut i = 0;
-        while i < self.overflow.len() {
-            if self.tick_of(self.overflow[i].deadline) < self.cursor + nslots {
-                let e = self.overflow.swap_remove(i);
-                self.live -= 1;
-                if e.deadline <= now {
-                    due.push(e.val);
-                } else {
-                    self.schedule_at(e.deadline, e.val);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// The earliest armed deadline, if any — the poller's wait timeout.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.slots
-            .iter()
-            .chain(std::iter::once(&self.overflow))
-            .flat_map(|b| b.iter().map(|e| e.deadline))
-            .min()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpListener;
-
-    #[test]
-    fn wheel_fires_in_deadline_order_across_buckets() {
-        let mut w: TimerWheel<u32> = TimerWheel::new(Duration::from_millis(1), 8);
-        let t0 = Instant::now();
-        w.schedule_at(t0 + Duration::from_millis(3), 3);
-        w.schedule_at(t0 + Duration::from_millis(1), 1);
-        // Beyond the 8ms horizon: lands in overflow.
-        w.schedule_at(t0 + Duration::from_millis(40), 40);
-        assert_eq!(w.len(), 3);
-
-        let mut due = Vec::new();
-        w.expire(t0 + Duration::from_millis(2), &mut due);
-        assert_eq!(due, vec![1]);
-        w.expire(t0 + Duration::from_millis(10), &mut due);
-        assert_eq!(due, vec![1, 3]);
-        assert_eq!(w.len(), 1, "overflow entry still armed");
-        w.expire(t0 + Duration::from_millis(60), &mut due);
-        assert_eq!(due, vec![1, 3, 40]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_cancel_and_next_deadline() {
-        let mut w: TimerWheel<&'static str> = TimerWheel::new(Duration::from_millis(1), 16);
-        let t0 = Instant::now();
-        let a = w.schedule_at(t0 + Duration::from_millis(5), "a");
-        let b = w.schedule_at(t0 + Duration::from_millis(2), "b");
-        assert_eq!(w.next_deadline(), Some(t0 + Duration::from_millis(2)));
-        assert!(w.cancel(b));
-        assert!(!w.cancel(b), "double cancel is a no-op");
-        assert_eq!(w.next_deadline(), Some(t0 + Duration::from_millis(5)));
-        let mut due = Vec::new();
-        w.expire(t0 + Duration::from_secs(1), &mut due);
-        assert_eq!(due, vec!["a"]);
-        let _ = a;
-    }
-
-    #[test]
-    fn wheel_past_deadline_fires_immediately() {
-        let mut w: TimerWheel<u8> = TimerWheel::new(Duration::from_millis(1), 8);
-        let t0 = Instant::now();
-        // Let the cursor advance, then schedule something already due.
-        let mut due = Vec::new();
-        w.expire(t0 + Duration::from_millis(20), &mut due);
-        w.schedule_at(t0, 7);
-        w.expire(t0 + Duration::from_millis(21), &mut due);
-        assert_eq!(due, vec![7]);
-    }
-
-    #[test]
-    fn wheel_same_tick_later_deadline_is_not_stranded() {
-        // 5ms ticks: a deadline at t0+4ms hashes into tick 0. An expire
-        // at t0+1ms (same tick, earlier instant) must keep the entry
-        // *reachable*: the next expire at t0+6ms fires it. The regression
-        // advanced the cursor past tick 0 and stranded the entry for a
-        // full wheel revolution (~1.28s) while next_deadline() kept
-        // reporting the past deadline — a zero-timeout busy spin.
-        let mut w: TimerWheel<u8> = TimerWheel::new(Duration::from_millis(5), 256);
-        let t0 = Instant::now();
-        w.schedule_at(t0 + Duration::from_millis(4), 1);
-        let mut due = Vec::new();
-        w.expire(t0 + Duration::from_millis(1), &mut due);
-        assert!(due.is_empty(), "not due yet");
-        assert_eq!(
-            w.next_deadline(),
-            Some(t0 + Duration::from_millis(4)),
-            "still armed"
-        );
-        w.expire(t0 + Duration::from_millis(6), &mut due);
-        assert_eq!(
-            due,
-            vec![1],
-            "fires on the next expire, not a wheel turn later"
-        );
-        assert!(w.is_empty());
-    }
+    use std::time::Instant;
 
     #[test]
     fn epoll_backend_connects_and_reads() {

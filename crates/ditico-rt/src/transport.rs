@@ -15,7 +15,7 @@
 //! decode is incremental and zero-copy (reads accumulate in a
 //! `BytesMut`; payloads reach the daemon as `Bytes` views of the read
 //! buffer), and heartbeats / reconnect backoff / connect timeouts are
-//! deadlines on a timer wheel instead of sleeping threads. Inbound
+//! deadlines in one list instead of sleeping threads. Inbound
 //! traffic is injected into the in-process fabric — everything one
 //! readable event admitted as one batch — whose delivery path kicks the
 //! owning daemon's [`crate::daemon::DaemonCell`]: the `tyco-net` thread
@@ -34,8 +34,8 @@
 //! socket buffer filled up (`EWOULDBLOCK`: the half is marked stalled,
 //! producers append behind it up to `outbound_cap`, and the loop drains
 //! it on writable readiness) or a write failed (the loop tears the
-//! connection down and redials). Lock order is daemon cell → write
-//! half; the loop never calls into a daemon while holding a write half.
+//! connection down and redials). The loop never calls into a daemon
+//! while holding a write half.
 //!
 //! The loop is built on epoll, so the TCP transport is **Linux-only**:
 //! elsewhere [`Transport::start`] returns an error (deterministic and
@@ -52,14 +52,17 @@
 //! connections reconnect with exponential backoff up to a retry cap;
 //! exhausting the cap marks the peer's nodes permanently down.
 //!
-//! A frame for a node with no live route yet waits in the `unrouted`
-//! stash until a handshake installs one. The handshake inserts the route
-//! and drains the stash under the stash lock, and a sender re-checks the
-//! route under the same lock before it stashes, so no frame is stashed
-//! after the drain that should have flushed it. Lock order, for deadlock
-//! freedom: `unrouted` → `routes` → `known_remote` → `monitor` →
-//! `perma_down` → `departed`; a connection's write half is taken with
-//! none of them held.
+//! Everything known of one remote node is one `Remote` record in one
+//! table under one lock, beside the failure monitor: its route, the
+//! frames stashed for it, whether a handshake named it, and whether it
+//! is gone. A frame for a node with no live route is stashed in its
+//! record. A handshake publishes the route and moves the stash into the
+//! connection's backlog before it releases the table, so a sender that
+//! finds the route queues behind every frame stashed before it: each
+//! link is FIFO, and no frame is stashed after the drain that should
+//! have flushed it.
+//!
+//! Lock order: `waves` → table → write half → tallies (`exchanged`).
 //!
 //! ## Termination waves
 //!
@@ -93,12 +96,12 @@
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use crate::chaos::{ChaosState, Fault};
-use crate::fabric::{FabricHandle, PacketFabric};
+use crate::fabric::{Fabric, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket, Wave};
 use crate::wake::{Notify, Wake};
 use bytes::{Bytes, BytesMut};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -349,8 +352,6 @@ struct PeerConn {
     alive: AtomicBool,
     /// Accepted (inbound) connections; their death means the peer left.
     accepted: bool,
-    /// Node ids the peer announced in its handshake.
-    nodes: Mutex<Vec<NodeId>>,
     /// Event-loop slot token (+2 offset; 0 = not owned by the loop).
     token: AtomicUsize,
 }
@@ -367,11 +368,71 @@ impl PeerConn {
             }),
             alive: AtomicBool::new(true),
             accepted,
-            nodes: Mutex::new(Vec::new()),
             token: AtomicUsize::new(0),
         })
     }
 }
+
+/// Why a remote node will never be reached again (until a handshake
+/// names it anew). `Unreachable` outranks `Departed`: a node once
+/// unreachable stays suspected whatever else is learned of it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Gone {
+    /// Its accepted connection closed: the peer left.
+    Departed,
+    /// The dialer that reached it exhausted its retries.
+    Unreachable,
+}
+
+/// What this process knows of one remote node.
+#[derive(Default)]
+struct Remote {
+    /// The connection that currently reaches it.
+    route: Option<Arc<PeerConn>>,
+    /// Frames waiting for a route, in send order.
+    stash: Vec<(Bytes, Ticket)>,
+    /// A handshake has named it.
+    known: bool,
+    /// Gone for good, and why; a handshake clears it.
+    gone: Option<Gone>,
+}
+
+impl Remote {
+    /// The route, if its connection is still alive.
+    fn live_route(&self) -> Option<&Arc<PeerConn>> {
+        self.route
+            .as_ref()
+            .filter(|c| c.alive.load(Ordering::Acquire))
+    }
+}
+
+/// Every remote node, behind one lock. A handshake publishes a route and
+/// moves the node's stash into the connection's backlog under it, so a
+/// sender that finds the route queues behind every frame stashed before.
+struct Remotes {
+    nodes: HashMap<NodeId, Remote>,
+    monitor: FailureMonitor,
+    /// Frames stashed over all nodes; bounded by [`STASH_CAP`].
+    stashed: usize,
+}
+
+impl Remotes {
+    /// The nodes a handshake has named.
+    fn known(&self) -> impl Iterator<Item = (&NodeId, &Remote)> {
+        self.nodes.iter().filter(|(_, r)| r.known)
+    }
+
+    /// Record that `nodes` are gone for `why`.
+    fn mark_gone(&mut self, nodes: &[NodeId], why: Gone) {
+        for &n in nodes {
+            let r = self.nodes.entry(n).or_default();
+            r.gone = r.gone.max(Some(why));
+        }
+    }
+}
+
+/// Most frames the stash holds over all nodes; beyond it they are dropped.
+const STASH_CAP: usize = 10_000;
 
 /// A process's side of the termination waves (see [`crate::termination`]).
 struct Waves {
@@ -398,19 +459,8 @@ struct Inner {
     /// Injection path for admitted inbound traffic: the node-local
     /// in-process fabric (over an ideal link), so daemons receive remote packets
     /// exactly like local ones.
-    local_fabric: FabricHandle,
-    /// Remote node → the connection that currently reaches it.
-    routes: RwLock<HashMap<NodeId, Arc<PeerConn>>>,
-    /// Frames addressed to remote nodes we have no route to yet, flushed
-    /// when a handshake maps them. Bounded; overflow counts as dropped.
-    unrouted: Mutex<Vec<(NodeId, Bytes, Ticket)>>,
-    monitor: Mutex<FailureMonitor>,
-    /// Remote nodes learned from handshakes.
-    known_remote: Mutex<HashSet<NodeId>>,
-    /// Remote nodes declared permanently unreachable (retry cap).
-    perma_down: Mutex<HashSet<NodeId>>,
-    /// Remote nodes whose accepted connection closed (peer departed).
-    departed: Mutex<HashSet<NodeId>>,
+    local_fabric: Fabric,
+    remotes: Mutex<Remotes>,
     /// Outbound dialers that have given up for good.
     connectors_done: AtomicUsize,
     /// Heartbeat ticks the event loop has executed: the beacon sequence
@@ -528,17 +578,28 @@ impl Inner {
     fn write_frames(&self, conn: &Arc<PeerConn>, queued: impl IntoIterator<Item = Queued>) {
         let mut w = conn.w.lock();
         for q in queued {
-            let nframes = frames(&q);
-            if w.closed() || w.wbufs.len() >= self.cfg.outbound_cap {
-                self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
-                continue;
-            }
-            w.wbufs.push_back(q);
-            self.stats.frames_out.fetch_add(nframes, Ordering::Relaxed);
-            self.stats
-                .outq_hwm
-                .fetch_max(w.wbufs.len() as u64, Ordering::Relaxed);
+            self.append(&mut w, q);
         }
+        self.write_out(conn, w);
+    }
+
+    /// Append one buffer to a backlog, or drop and count it.
+    fn append(&self, w: &mut WriteHalf, q: Queued) {
+        let nframes = frames(&q);
+        if w.closed() || w.wbufs.len() >= self.cfg.outbound_cap {
+            self.stats.dropped.fetch_add(nframes, Ordering::Relaxed);
+            return;
+        }
+        w.wbufs.push_back(q);
+        self.stats.frames_out.fetch_add(nframes, Ordering::Relaxed);
+        self.stats
+            .outq_hwm
+            .fetch_max(w.wbufs.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Write `conn`'s backlog from this thread, and hand the connection
+    /// to the event loop if its socket pushed back or failed.
+    fn write_out(&self, conn: &Arc<PeerConn>, mut w: MutexGuard<'_, WriteHalf>) {
         if w.stalled || !w.flush(self) {
             return;
         }
@@ -594,39 +655,31 @@ impl Inner {
         }
     }
 
-    /// The live connection that reaches `to`, if any.
-    fn live_route(&self, to: NodeId) -> Option<Arc<PeerConn>> {
-        let conn = self.routes.read().get(&to).cloned();
-        conn.filter(|c| c.alive.load(Ordering::Acquire))
-    }
-
     /// Queue one already-framed buffer for `to`, stashing it when no
-    /// route exists yet. The route is re-checked under the stash lock,
-    /// which [`Inner::install_routes`] holds across its insert and drain.
+    /// route exists yet.
     fn queue_frame_raw(&self, to: NodeId, frame: Bytes, ticket: Ticket) {
-        let conn = match self.live_route(to) {
-            Some(c) => c,
-            None => {
-                let mut stash = self.unrouted.lock();
-                match self.live_route(to) {
-                    Some(c) => c,
-                    None => return self.stash(&mut stash, to, frame, ticket),
-                }
+        let mut remotes = self.remotes.lock();
+        match remotes.nodes.get(&to).and_then(Remote::live_route).cloned() {
+            Some(conn) => {
+                drop(remotes);
+                self.write_frames(&conn, [(frame, to, Some(ticket))]);
             }
-        };
-        self.write_frames(&conn, [(frame, to, Some(ticket))]);
+            None => self.stash(&mut remotes, to, frame, ticket),
+        }
     }
 
     /// Park a frame for `to` until a handshake routes it, unless the node
     /// is gone for good or the stash is full: then it is dropped.
-    fn stash(&self, stash: &mut Vec<(NodeId, Bytes, Ticket)>, to: NodeId, frame: Bytes, t: Ticket) {
-        let gone = self.perma_down.lock().contains(&to) || self.departed.lock().contains(&to);
-        if !gone && stash.len() < 10_000 {
-            stash.push((to, frame, t));
+    fn stash(&self, remotes: &mut Remotes, to: NodeId, frame: Bytes, t: Ticket) {
+        let full = remotes.stashed >= STASH_CAP;
+        let r = remotes.nodes.entry(to).or_default();
+        if r.gone.is_none() && !full {
+            r.stash.push((frame, t));
+            remotes.stashed += 1;
             return;
         }
         self.stats.dropped.fetch_add(t.count(), Ordering::Relaxed);
-        if gone {
+        if r.gone.is_some() {
             self.stats
                 .dropped_perma
                 .fetch_add(t.count(), Ordering::Relaxed);
@@ -635,78 +688,70 @@ impl Inner {
 
     /// Drop any frame still stashed for a node that has a live route: its
     /// handshake drained the stash without it, so nothing ever will. The
-    /// stash discipline makes this impossible.
+    /// handshake moves the stash under the table lock, so this finds none.
     fn lose_stranded(&self) {
-        let mut stash = self.unrouted.lock();
-        let (stranded, keep): (Vec<_>, Vec<_>) = stash
-            .drain(..)
-            .partition(|(to, ..)| self.live_route(*to).is_some());
-        *stash = keep;
-        drop(stash);
-        debug_assert!(stranded.is_empty(), "{} frame(s) stranded", stranded.len());
-    }
-
-    /// Install the routes a handshake announced and flush any frames that
-    /// were parked waiting for them.
-    fn install_routes(&self, conn: &Arc<PeerConn>, nodes: &[NodeId]) {
-        let round = self.round();
-        let mut stash = self.unrouted.lock();
-        {
-            let mut routes = self.routes.write();
-            let mut known = self.known_remote.lock();
-            let mut monitor = self.monitor.lock();
-            let mut perma = self.perma_down.lock();
-            let mut departed = self.departed.lock();
-            for &n in nodes {
-                if self.local.contains(&n) {
-                    continue;
-                }
-                routes.insert(n, conn.clone());
-                known.insert(n);
-                // A handshake is proof of life: restart the grace window
-                // *now* and forget any recorded heartbeat history. This
-                // covers both the late joiner (first-known tracking) and
-                // the suspected peer that reconnects — whose restarted
-                // beacon sequence would otherwise never shed suspicion,
-                // leaving the all-remotes-down termination cut
-                // satisfiable under a live peer.
-                monitor.reconnected(n, round);
-                perma.remove(&n);
-                departed.remove(&n);
+        let mut remotes = self.remotes.lock();
+        let mut stranded = 0;
+        for r in remotes.nodes.values_mut() {
+            if r.live_route().is_some() {
+                stranded += std::mem::take(&mut r.stash).len();
             }
         }
-        let (flush, keep): (Vec<_>, Vec<_>) =
-            stash.drain(..).partition(|(to, ..)| nodes.contains(to));
-        *stash = keep;
-        drop(stash);
-        self.write_frames(
-            conn,
-            flush.into_iter().map(|(to, frame, t)| (frame, to, Some(t))),
-        );
+        remotes.stashed -= stranded;
+        drop(remotes);
+        debug_assert!(stranded == 0, "{stranded} frame(s) stranded");
+    }
+
+    /// Publish the routes a handshake announced, moving each node's stash
+    /// into the connection's backlog before the table lock is released:
+    /// no sender can see the route while a frame stashed before it is not
+    /// yet queued, so the link stays FIFO.
+    fn install_routes(&self, conn: &Arc<PeerConn>, nodes: &[NodeId]) {
+        let round = self.round();
+        let mut remotes = self.remotes.lock();
+        let mut w = conn.w.lock();
+        for &n in nodes {
+            if self.local.contains(&n) {
+                continue;
+            }
+            // A handshake is proof of life: restart the grace window
+            // *now* and forget any recorded heartbeat history. This
+            // covers both the late joiner (first-known tracking) and
+            // the suspected peer that reconnects — whose restarted
+            // beacon sequence would otherwise never shed suspicion,
+            // leaving the all-remotes-down termination cut
+            // satisfiable under a live peer.
+            remotes.monitor.reconnected(n, round);
+            let r = remotes.nodes.entry(n).or_default();
+            r.route = Some(conn.clone());
+            r.known = true;
+            r.gone = None;
+            let stash = std::mem::take(&mut r.stash);
+            remotes.stashed -= stash.len();
+            for (frame, t) in stash {
+                self.append(&mut w, (frame, n, Some(t)));
+            }
+        }
+        drop(remotes);
+        self.write_out(conn, w);
         self.notify_activity();
     }
 
-    /// Tear down a dead connection's routes; `terminal` marks its nodes
-    /// as gone for good (accepted peer departed / retries exhausted).
-    fn drop_routes(&self, conn: &Arc<PeerConn>, terminal: bool) {
-        let nodes = conn.nodes.lock().clone();
-        let mut routes = self.routes.write();
-        for n in &nodes {
-            if let Some(cur) = routes.get(n) {
-                if Arc::ptr_eq(cur, conn) {
-                    routes.remove(n);
+    /// Tear down a dead connection's routes to `nodes`, the ones it
+    /// announced; those of an accepted connection have departed.
+    fn drop_routes(&self, conn: &Arc<PeerConn>, nodes: &[NodeId]) {
+        let mut remotes = self.remotes.lock();
+        for n in nodes {
+            if let Some(r) = remotes.nodes.get_mut(n) {
+                if r.route.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, conn)) {
+                    r.route = None;
                 }
             }
         }
-        drop(routes);
-        if terminal {
-            let mut set = if conn.accepted {
-                self.departed.lock()
-            } else {
-                self.perma_down.lock()
-            };
-            set.extend(nodes);
+        if conn.accepted {
+            remotes.mark_gone(nodes, Gone::Departed);
         }
+        drop(remotes);
         self.notify_activity();
     }
 
@@ -714,21 +759,20 @@ impl Inner {
     /// are permanently down.
     fn peer_exhausted(&self, last_nodes: &[NodeId]) {
         self.stats.peers_failed.fetch_add(1, Ordering::Relaxed);
-        self.perma_down.lock().extend(last_nodes.iter().copied());
+        self.remotes.lock().mark_gone(last_nodes, Gone::Unreachable);
         self.connectors_done.fetch_add(1, Ordering::Release);
         self.notify_activity();
     }
 
-    // Lock order (deadlock freedom): see the module doc.
     fn suspects(&self) -> Vec<NodeId> {
         let round = self.round();
-        let known = self.known_remote.lock();
-        let monitor = self.monitor.lock();
-        let perma = self.perma_down.lock();
-        let mut out: Vec<NodeId> = known
-            .iter()
-            .copied()
-            .filter(|n| perma.contains(n) || monitor.suspected(*n, round))
+        let remotes = self.remotes.lock();
+        let mut out: Vec<NodeId> = remotes
+            .known()
+            .filter(|(n, r)| {
+                r.gone == Some(Gone::Unreachable) || remotes.monitor.suspected(**n, round)
+            })
+            .map(|(n, _)| *n)
             .collect();
         out.sort_by_key(|n| n.0);
         out
@@ -747,21 +791,21 @@ impl Inner {
             .map_or_else(Vec::new, |w| w.members.clone());
         let gave_up = !self.cfg.peers.is_empty()
             && self.connectors_done.load(Ordering::Acquire) >= self.cfg.peers.len();
-        let known = self.known_remote.lock();
-        if known.is_empty() {
+        let round = self.round();
+        let remotes = self.remotes.lock();
+        if remotes.known().next().is_none() {
             return gave_up;
         }
-        let unseen = members.iter().any(|n| !known.contains(n));
+        let unseen = members
+            .iter()
+            .any(|n| !remotes.nodes.get(n).is_some_and(|r| r.known));
         if unseen && !(gave_up && self.cfg.listen.is_none()) {
             return false;
         }
-        let round = self.round();
-        let monitor = self.monitor.lock();
-        let perma = self.perma_down.lock();
-        let departed = self.departed.lock();
-        known
-            .iter()
-            .all(|n| perma.contains(n) || departed.contains(n) || monitor.suspected(*n, round))
+        let down = remotes
+            .known()
+            .all(|(n, r)| r.gone.is_some() || remotes.monitor.suspected(*n, round));
+        down
     }
 
     /// One termination snapshot of this process, leaving out what it
@@ -807,17 +851,15 @@ impl Inner {
         let mut owed = Vec::new();
         let mut conns: Vec<Arc<PeerConn>> = Vec::new();
         {
-            let routes = self.routes.read();
-            let monitor = self.monitor.lock();
-            let perma = self.perma_down.lock();
-            let departed = self.departed.lock();
+            let remotes = self.remotes.lock();
             for &n in &w.members {
-                if perma.contains(&n) || departed.contains(&n) {
+                let r = remotes.nodes.get(&n);
+                if r.is_some_and(|r| r.gone.is_some()) {
                     excluded.push(n);
                     continue;
                 }
-                match routes.get(&n) {
-                    Some(c) if c.alive.load(Ordering::Acquire) && !monitor.suspected(n, round) => {
+                match r.and_then(Remote::live_route) {
+                    Some(c) if !remotes.monitor.suspected(n, round) => {
                         owed.push(n);
                         if !conns.iter().any(|k| Arc::ptr_eq(k, c)) {
                             conns.push(c.clone());
@@ -852,7 +894,9 @@ impl Inner {
         };
         w.wave = None;
         if w.detector.probe(sum) {
-            let peers: Vec<Arc<PeerConn>> = self.routes.read().values().cloned().collect();
+            let peers: Vec<Arc<PeerConn>> = (self.remotes.lock().nodes.values())
+                .filter_map(|r| r.route.clone())
+                .collect();
             for c in &peers {
                 self.send_control(c, &Packet::TermVerdict);
             }
@@ -863,14 +907,15 @@ impl Inner {
         }
     }
 
-    /// A member process's report, on the connection that carries it.
-    fn take_report(&self, conn: &PeerConn, round: u64, part: Snapshot) {
+    /// A member process's report, from the connection that announced
+    /// `nodes`.
+    fn take_report(&self, nodes: &[NodeId], round: u64, part: Snapshot) {
         let mut waves = self.waves.lock();
         let Some(w) = waves.as_mut() else {
             return;
         };
         if let Some((wave, _)) = &mut w.wave {
-            wave.report(round, &conn.nodes.lock(), part);
+            wave.report(round, nodes, part);
         }
         self.finish_wave(w);
     }
@@ -969,7 +1014,7 @@ impl Transport {
     #[cfg(not(target_os = "linux"))]
     pub fn start(
         _cfg: TransportConfig,
-        _local_fabric: FabricHandle,
+        _local_fabric: Fabric,
         _term: &'static TermCounters,
     ) -> Result<Transport, String> {
         Err(
@@ -986,7 +1031,7 @@ impl Transport {
     #[cfg(target_os = "linux")]
     pub fn start(
         cfg: TransportConfig,
-        local_fabric: FabricHandle,
+        local_fabric: Fabric,
         term: &'static TermCounters,
     ) -> Result<Transport, String> {
         let listener = match cfg.listen {
@@ -1012,12 +1057,11 @@ impl Transport {
         let inner = Arc::new(Inner {
             local: cfg.local_nodes.iter().copied().collect(),
             local_fabric,
-            routes: RwLock::new(HashMap::new()),
-            unrouted: Mutex::new(Vec::new()),
-            monitor: Mutex::new(FailureMonitor::new(stale)),
-            known_remote: Mutex::new(HashSet::new()),
-            perma_down: Mutex::new(HashSet::new()),
-            departed: Mutex::new(HashSet::new()),
+            remotes: Mutex::new(Remotes {
+                nodes: HashMap::new(),
+                monitor: FailureMonitor::new(stale),
+                stashed: 0,
+            }),
             connectors_done: AtomicUsize::new(0),
             hb_seq: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -1158,11 +1202,12 @@ type Admitted = Vec<(NodeId, NodeId, Bytes)>;
 /// connection. Data frames pass the frame-level checks (handshake done,
 /// destination hosted) and are appended to `admitted` unopened; the
 /// `payload` is a zero-copy view of the event loop's read buffer.
+/// `hello` holds the nodes the peer announced, once it has.
 fn handle_frame(
     inner: &Arc<Inner>,
     conn: &Arc<PeerConn>,
     frame: codec::Frame,
-    got_hello: &mut bool,
+    hello: &mut Option<Vec<NodeId>>,
     admitted: &mut Admitted,
 ) -> std::io::Result<()> {
     inner.stats.frames_in.fetch_add(1, Ordering::Relaxed);
@@ -1189,17 +1234,16 @@ fn handle_frame(
                         "wire version mismatch: peer speaks v{version}, we speak v{WIRE_VERSION}"
                     )));
                 }
-                *got_hello = true;
-                *conn.nodes.lock() = nodes.clone();
                 inner.install_routes(conn, &nodes);
+                *hello = Some(nodes);
             }
-            _ if !*got_hello => {
+            _ if hello.is_none() => {
                 return Err(io_err("control frame before handshake".into()));
             }
             Packet::Heartbeat { node, seq } => {
                 inner.stats.heartbeats_in.fetch_add(1, Ordering::Relaxed);
                 let round = inner.round();
-                inner.monitor.lock().observe(node, seq, round);
+                inner.remotes.lock().monitor.observe(node, seq, round);
             }
             Packet::TermProbe { round, excluded } => inner.answer_probe(conn, round, &excluded),
             Packet::TermReport {
@@ -1214,7 +1258,7 @@ fn handle_frame(
                     consumed: recv,
                     any_active: active,
                 };
-                inner.take_report(conn, round, part);
+                inner.take_report(hello.as_deref().unwrap_or_default(), round, part);
             }
             Packet::TermVerdict => inner.conclude(),
             other => return Err(io_err(format!("unhandled control packet: {other:?}"))),
@@ -1222,7 +1266,7 @@ fn handle_frame(
         return Ok(());
     }
 
-    if !*got_hello {
+    if hello.is_none() {
         return Err(io_err("data frame before handshake".into()));
     }
     if !inner.local.contains(&frame.to) {

@@ -5,7 +5,7 @@
 
 use crossbeam::channel::unbounded;
 use ditico_rt::daemon::Daemon;
-use ditico_rt::fabric::{Fabric, FabricHandle, LinkProfile};
+use ditico_rt::fabric::{Fabric, LinkProfile};
 use ditico_rt::nameservice::NsShardMap;
 use ditico_rt::site::RtIncoming;
 use ditico_rt::termination::{TermCounters, Ticket};
@@ -22,7 +22,7 @@ struct Rig {
     to_daemon: crossbeam::channel::Sender<(SiteId, Packet, Ticket)>,
     term: &'static TermCounters,
     /// Sends onto the fabric, as node 1's daemon would.
-    net: FabricHandle,
+    net: Fabric,
 }
 
 /// A daemon on node 0 hosting the NS, with one local site (SiteId 0) and a

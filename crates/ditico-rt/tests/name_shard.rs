@@ -10,8 +10,8 @@ use tyco_vm::word::NodeId;
 const LEASE_NS: u64 = 1_000_000_000; // 1 s: never expires inside a test run
 
 fn sharded_cluster(nodes: usize, shards: usize) -> Cluster {
-    let mut c = Cluster::new(LinkProfile::myrinet(), 1);
-    c.set_ns_sharding(shards, LEASE_NS);
+    let mut c = Cluster::new(LinkProfile::myrinet(), shards);
+    c.set_ns_lease(LEASE_NS);
     for _ in 0..nodes {
         c.add_node();
     }

@@ -824,9 +824,12 @@ fn a_batch_stashed_before_the_handshake_counts_every_packet() {
 }
 
 /// Senders racing the handshake, over many handshakes: four threads send
-/// while the peer's Hello arrives and the route goes in. A frame that
-/// found no route, then was stashed after the handshake drained the stash,
-/// would never leave; every frame counted out must reach the peer.
+/// numbered frames while the peer's Hello arrives and the route goes in.
+/// A frame that found no route, then was stashed after the handshake
+/// drained the stash, would never leave; every frame counted out must
+/// reach the peer. And the link stays FIFO: a frame sent after the route
+/// appeared must not overtake one its sender stashed before it, so each
+/// sender's frames arrive in strictly increasing order.
 #[test]
 fn frames_sent_during_the_handshake_all_arrive() {
     use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -848,9 +851,19 @@ fn frames_sent_during_the_handshake_all_arrive() {
                 sock.write_all(&hello_frame(NodeId(0)))
                     .expect("write hello");
                 let mut rd = FrameReader::new(sock);
-                while rd.next_data(Duration::ZERO).is_some() {
+                // Per sender: the last sequence number seen, and every
+                // frame that arrived behind a later one of its sender.
+                let mut last = [None::<u32>; SENDERS];
+                let mut inversions = Vec::new();
+                while let Some(p) = rd.next_data(Duration::ZERO) {
+                    let (who, seq) = (p[0] as usize, u32::from_le_bytes([p[1], p[2], p[3], p[4]]));
+                    if last[who].is_some_and(|l| seq <= l) {
+                        inversions.push((who, last[who], seq));
+                    }
+                    last[who] = Some(seq);
                     arrived.fetch_add(1, Ordering::SeqCst);
                 }
+                inversions
             })
         };
         let (_fabric, mut transport, term) = bare_transport(addr, 1 << 16);
@@ -862,8 +875,9 @@ fn frames_sent_during_the_handshake_all_arrive() {
                     // Keep sending until a little after the route is in.
                     let mut after = 0;
                     for seq in 0..MAX_SENDS {
-                        let payload = bytes::Bytes::from(vec![who as u8; 8 + seq as usize % 8]);
-                        send_one(&net, term, payload);
+                        let mut v = vec![who as u8; 8 + seq as usize % 8];
+                        v[1..5].copy_from_slice(&seq.to_le_bytes());
+                        send_one(&net, term, bytes::Bytes::from(v));
                         if routed.load(Ordering::Acquire) {
                             after += 1;
                             if after == 32 {
@@ -890,11 +904,17 @@ fn frames_sent_during_the_handshake_all_arrive() {
             std::thread::sleep(Duration::from_millis(1));
         }
         transport.shutdown();
-        peer.join().expect("fake peer");
+        let inversions = peer.join().expect("fake peer");
         assert_eq!(
             arrived.load(Ordering::SeqCst),
             wire.data_out,
             "round {round}"
+        );
+        assert!(
+            inversions.is_empty(),
+            "round {round}: {} frame(s) overtaken, (sender, last seq, seq): {:?}",
+            inversions.len(),
+            &inversions[..inversions.len().min(8)]
         );
     }
 }

@@ -16,11 +16,11 @@ fn main() {
     let report = Env::new(Topology {
         nodes: 4,
         link: LinkProfile::myrinet(),
-        ns_replicas: 1,
+        // Shard the name service across all four nodes.
+        ns_replicas: 4,
     })
-    // Shard the name service across all four nodes; importers hold
-    // resolved bindings under a 50 ms lease.
-    .ns_shards(4, 50)
+    // Importers hold resolved bindings under a 50 ms lease.
+    .ns_lease(50)
     .site_on(
         0,
         "registry",

@@ -11,6 +11,9 @@
 # client's two lines and end on the termination verdict in both
 # processes: a `-- …` summary line without a `(limit hit)` tail. A frame
 # stranded during the handshake shows up as a round that runs to --wall.
+# Each process's `wire:` line must also show 0 dropped and 0 perma-down
+# drops: a dropped frame's ticket is consumed, so a loss alone would
+# still end on the verdict.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -55,14 +58,16 @@ EOF
     expected+=("[c$c] kicked" "[c$c] sum $((c + 40))")
 done
 
-# Both processes ended on the verdict: the summary line has no tail.
+# Both processes ended on the verdict (the summary line has no tail) and
+# lost no frame on the wire.
 on_the_verdict() {
-    grep -qE '^-- .* virtual [0-9]+ µs$' "$1"
+    grep -qE '^-- .* virtual [0-9]+ µs$' "$1" &&
+        grep -qE '^wire: .*, 0 dropped, .*, 0 perma-down drops$' "$1"
 }
 
 for round in $(seq 1 "$rounds"); do
     "$ditico" serve "$work/cluster.net" --node 0 --listen 127.0.0.1:0 \
-        --hb-ms "$hb_ms" --wall "$wall" > /dev/null 2> "$work/server.err" &
+        --hb-ms "$hb_ms" --wall "$wall" --stats > /dev/null 2> "$work/server.err" &
     server_pid=$!
     addr=""
     for _ in $(seq 100); do
@@ -73,7 +78,7 @@ for round in $(seq 1 "$rounds"); do
     [ -n "$addr" ] || { echo "round $round: server never listened" >&2; cat "$work/server.err" >&2; exit 1; }
     client_ok=1
     "$ditico" net "$work/cluster.net" --node 1 --peers "$addr" \
-        --hb-ms "$hb_ms" --wall "$wall" > "$work/client.out" 2> "$work/client.err" || client_ok=0
+        --hb-ms "$hb_ms" --wall "$wall" --stats > "$work/client.out" 2> "$work/client.err" || client_ok=0
     server_ok=1
     wait "$server_pid" || server_ok=0
     server_pid=""
@@ -83,10 +88,10 @@ for round in $(seq 1 "$rounds"); do
     on_the_verdict "$work/client.err" || client_ok=0
     on_the_verdict "$work/server.err" || server_ok=0
     if [ "$client_ok$server_ok" != 11 ]; then
-        echo "round $round: did not end on the verdict" >&2
+        echo "round $round: did not end on the verdict with no frame lost" >&2
         echo "--- client" >&2; cat "$work/client.err" >&2
         echo "--- server" >&2; cat "$work/server.err" >&2
         exit 1
     fi
 done
-echo "ok: $rounds rounds of $clients clients, each ended on the verdict"
+echo "ok: $rounds rounds of $clients clients, each ended on the verdict with no frame lost"

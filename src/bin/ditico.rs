@@ -27,7 +27,7 @@ use tyco_vm::word::NodeId;
 
 /// Flags of every cluster run (`net` in all its modes and `serve`).
 const CLUSTER_FLAGS: &str = "--workers=N --wall=SECS --stats --code-cache=N \
-     --ns-shards=N --ns-lease-ms=N --chaos-seed=N --chaos-drop=N --chaos-dup=N \
+     --ns-lease-ms=N --chaos-seed=N --chaos-drop=N --chaos-dup=N \
      --chaos-delay=N --chaos-delay-ns=N";
 
 /// Flags of one process of a multi-process run over TCP.
@@ -95,8 +95,8 @@ const COMMANDS: &[Command] = &[
                 via --chaos-delay-ns;\n\
                 the name service is a ring of the spec's replicas=K first nodes (default 1:\n\
                 the paper's central service), each owning a hash slice of the exports and\n\
-                replicating it to its successor; --ns-shards N overrides K and turns on\n\
-                lease caching at importing nodes (TTL --ns-lease-ms, default 50).\n\
+                replicating it to its successor; --ns-lease-ms T turns on lease caching\n\
+                at importing nodes, with a TTL of T ms.\n\
                 With --node LIST and --peers ADDRS and/or --listen ADDR: run one process\n\
                 of a multi-process cluster over TCP (LIST: comma-separated node indices\n\
                 this process hosts)",
@@ -523,10 +523,9 @@ where
 }
 
 /// Apply the flags every cluster run shares to `env`, then declare the
-/// spec's sites. `--ns-shards N` replaces the spec's name-service ring
-/// (`replicas=K`, default 1: the paper's central service, no lease
-/// caching) with N shard owners and a lease TTL from `--ns-lease-ms`
-/// (default 50 ms).
+/// spec's sites. `--ns-lease-ms T` lease-caches name-service bindings for
+/// T ms on the spec's ring (`replicas=K`, default 1: the paper's central
+/// service).
 fn cluster_env(mut env: Env, args: &[String], sites: Vec<SiteSpec>) -> Result<Env, String> {
     if let Some(w) = num_flag(args, "--workers")? {
         env = env.workers(w);
@@ -534,8 +533,8 @@ fn cluster_env(mut env: Env, args: &[String], sites: Vec<SiteSpec>) -> Result<En
     if let Some(c) = num_flag(args, "--code-cache")? {
         env = env.code_cache(c);
     }
-    if let Some(s) = num_flag(args, "--ns-shards")?.filter(|&s| s > 0) {
-        env = env.ns_shards(s, num_flag(args, "--ns-lease-ms")?.unwrap_or(50));
+    if let Some(ms) = num_flag(args, "--ns-lease-ms")? {
+        env = env.ns_lease(ms);
     }
     if let Some(plan) = chaos_from_args(args)? {
         env = env.chaos(plan);

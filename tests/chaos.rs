@@ -182,9 +182,9 @@ fn sharded_name_service_drops_are_termination_compensated() {
         let report = Env::new(Topology {
             nodes: 4,
             link: LinkProfile::fast_ethernet(),
-            ns_replicas: 1,
+            ns_replicas: 4,
         })
-        .ns_shards(4, 50)
+        .ns_lease(50)
         .site_on(0, "nsserver", NS_SRV)
         .expect("server compiles")
         .site_on(3, "nsclient", NS_CLIENT)

@@ -232,6 +232,7 @@ fn unknown_flags_are_rejected_by_name() {
     let retired_optimize = concat!("--opti", "mize");
     let retired_unchecked = concat!("--unche", "cked");
     let retired_analyze = concat!("--anal", "yze");
+    let retired_shards = concat!("--ns-", "shards");
     let help = ditico().arg("help").output().unwrap();
     let help = String::from_utf8_lossy(&help.stdout);
     for flag in [
@@ -241,6 +242,7 @@ fn unknown_flags_are_rejected_by_name() {
         retired_optimize,
         retired_unchecked,
         retired_analyze,
+        retired_shards,
     ] {
         assert!(!help.contains(flag), "usage text still names {flag}");
     }
@@ -258,6 +260,8 @@ fn unknown_flags_are_rejected_by_name() {
         ("check", "--verifi"),
         ("check", retired_analyze),
         ("run", "--threaded"),
+        ("net", retired_shards),
+        ("serve", retired_shards),
     ] {
         let out = ditico().args([cmd, "nowhere.net", flag]).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{cmd} {flag}");
@@ -275,6 +279,55 @@ fn unknown_flags_are_rejected_by_name() {
         .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("unknown flag"), "{err}");
+}
+
+/// The spec's `replicas=K` is the name-service ring and `--ns-lease-ms`
+/// turns lease caching on by itself: an import from the ring's second
+/// node misses its node cache and is granted a lease.
+#[test]
+fn ns_lease_ms_turns_on_leases_on_the_specs_ring() {
+    let dir = tmpdir("nslease");
+    write(
+        &dir,
+        "server.dity",
+        "def S(p) = p?{ val(x, r) = r![x + 1] | S[p] } in export new p in S[p]",
+    );
+    write(
+        &dir,
+        "client.dity",
+        "import p from server in let y = p!val[41] in print(y)",
+    );
+    let spec = write(
+        &dir,
+        "ring.net",
+        "topology nodes=2 link=myrinet replicas=2\nsite server server.dity\nsite client client.dity\n",
+    );
+    let misses = |extra: &[&str]| {
+        let out = ditico()
+            .arg("net")
+            .arg(&spec)
+            .arg("--stats")
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("[client] 42"),
+            "{stderr}"
+        );
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("name service:"))
+            .unwrap_or_else(|| panic!("no name-service line: {stderr}"));
+        let tail = line.split(" lease hits / ").nth(1).expect("lease counts");
+        tail.split(' ').next().unwrap().parse::<u64>().unwrap()
+    };
+    assert_eq!(misses(&[]), 0, "no lease without --ns-lease-ms");
+    assert!(
+        misses(&["--ns-lease-ms", "50"]) > 0,
+        "leases on by themselves"
+    );
 }
 
 /// Run `ditico` with `args` and return its exit code and stderr.

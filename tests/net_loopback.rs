@@ -559,7 +559,7 @@ fn second_fetch_from_a_node_is_served_digest_only_over_tcp() {
 /// whose import of the same name must miss the invalidated caches and
 /// resolve the *new* binding. FIFO TCP delivers the invalidation ahead
 /// of the ack that unblocks the chain, so `b` can never see epoch 1.
-const SPEC_NS: &str = "topology nodes=2 fabric=ideal link=ideal\n\
+const SPEC_NS: &str = "topology nodes=2 fabric=ideal link=ideal replicas=2\n\
                        site server server.dity node=0\n\
                        site a a.dity node=1\n\
                        site b b.dity node=1\n";
@@ -589,7 +589,7 @@ fn reexport_invalidation_crosses_tcp_between_processes() {
     write(&dir, "b.dity", NS_SITE_B);
     let spec = write(&dir, "cluster.net", SPEC_NS);
     let addr = format!("127.0.0.1:{}", free_port());
-    let ns_flags = ["--ns-shards", "2", "--ns-lease-ms", "60000"];
+    let ns_flags = ["--ns-lease-ms", "60000"];
 
     let mut server = ditico()
         .args(["serve", spec.to_str().unwrap(), "--node", "0"])
