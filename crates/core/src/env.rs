@@ -150,7 +150,8 @@ impl Topology {
 struct SiteDecl {
     lexeme: String,
     node: usize,
-    source: String,
+    /// For the reference run; a partition ([`Env::hosting`]) keeps none.
+    source: Option<String>,
     types: tyco_types::TypeSummary,
     code: Option<tyco_vm::Program>,
 }
@@ -234,7 +235,9 @@ impl Env {
     /// [`SiteId`](tyco_vm::word::SiteId) agrees across processes built
     /// from the same declarations. A compile error is thus reported only
     /// by the process that hosts its site. No AST outlives its site's
-    /// declaration. Must come before the first site.
+    /// declaration, and no source is kept: a partition has no
+    /// [`Env::run_reference`], which interprets the whole network. Must
+    /// come before the first site.
     pub fn hosting(mut self, local_nodes: &[usize]) -> Env {
         assert!(self.sites.is_empty(), "Env::hosting after a site");
         for (i, h) in self.hosted.iter_mut().enumerate() {
@@ -258,10 +261,11 @@ impl Env {
             .then(|| Program::back_end(&ast))
             .transpose()
             .map_err(err)?;
+        let partition = self.hosted.contains(&false);
         self.sites.push(SiteDecl {
             lexeme: lexeme.to_string(),
             node,
-            source: source.to_string(),
+            source: (!partition).then(|| source.to_string()),
             types,
             code,
         });
@@ -391,7 +395,12 @@ impl Env {
     ) -> Result<Outcome, EnvError> {
         let mut net = Network::new().with_scheduler(scheduler);
         for s in &self.sites {
-            let ast = tyco_syntax::parse_core(&s.source).expect("a declared site parses");
+            let Some(source) = &s.source else {
+                return Err(EnvError::Reference(
+                    "a partition of a cluster keeps no site sources".into(),
+                ));
+            };
+            let ast = tyco_syntax::parse_core(source).expect("a declared site parses");
             net.add_site(&s.lexeme, ast);
         }
         net.run(max_steps)
@@ -568,6 +577,22 @@ mod tests {
             .err();
             assert!(matches!(err, Some(EnvError::Interface { .. })), "{err:?}");
         }
+    }
+
+    #[test]
+    fn only_a_whole_environment_runs_the_reference() {
+        let declare = |hosted: &[usize]| {
+            Env::new(Topology {
+                nodes: 2,
+                ..Topology::default()
+            })
+            .hosting(hosted)
+            .site_on(0, "zero", "println(\"x\")")
+            .unwrap()
+        };
+        assert!(declare(&[0, 1]).run_reference(100).is_ok());
+        let err = declare(&[1]).run_reference(100).err();
+        assert!(matches!(err, Some(EnvError::Reference(_))), "{err:?}");
     }
 
     #[test]

@@ -61,9 +61,9 @@ fn peak() -> i64 {
 }
 
 /// A catalogue server: 128 nested `export def`s of long operator chains,
-/// about 300 KB of source. What a declaration keeps of it — the source and
-/// the interface, ~750 B per exported class — is ~7 % of the front end's
-/// peak, whose bulk is the AST.
+/// about 300 KB of source. What a partition's declaration keeps of it —
+/// the interface, ~750 B per exported class, and no source — is ~3 % of
+/// the front end's peak, whose bulk is the AST.
 fn catalogue() -> String {
     let mut src = String::new();
     for class in 0..128 {

@@ -429,6 +429,17 @@ impl Remotes {
             r.gone = r.gone.max(Some(why));
         }
     }
+
+    /// Take the frames stashed for every node `lost` picks: no route
+    /// will ever drain them.
+    fn take_stashes(&mut self, lost: impl Fn(&Remote) -> bool) -> Vec<(Bytes, Ticket)> {
+        let mut out = Vec::new();
+        for r in self.nodes.values_mut().filter(|r| lost(r)) {
+            out.append(&mut r.stash);
+        }
+        self.stashed -= out.len();
+        out
+    }
 }
 
 /// Most frames the stash holds over all nodes; beyond it they are dropped.
@@ -669,21 +680,39 @@ impl Inner {
     }
 
     /// Park a frame for `to` until a handshake routes it, unless the node
-    /// is gone for good or the stash is full: then it is dropped.
+    /// is gone for good, no handshake can come any more, or the stash is
+    /// full: then it is dropped.
     fn stash(&self, remotes: &mut Remotes, to: NodeId, frame: Bytes, t: Ticket) {
         let full = remotes.stashed >= STASH_CAP;
         let r = remotes.nodes.entry(to).or_default();
-        if r.gone.is_none() && !full {
+        let lost = r.gone.is_some() || self.no_handshake_can_come();
+        if !lost && !full {
             r.stash.push((frame, t));
             remotes.stashed += 1;
             return;
         }
         self.stats.dropped.fetch_add(t.count(), Ordering::Relaxed);
-        if r.gone.is_some() {
+        if lost {
             self.stats
                 .dropped_perma
                 .fetch_add(t.count(), Ordering::Relaxed);
         }
+    }
+
+    /// Every dialer has given up and no listener can accept a peer: no
+    /// node without a route will ever get one.
+    fn no_handshake_can_come(&self) -> bool {
+        !self.cfg.peers.is_empty()
+            && self.cfg.listen.is_none()
+            && self.connectors_done.load(Ordering::Acquire) >= self.cfg.peers.len()
+    }
+
+    /// Drop frames that were stashed for a route that will never come,
+    /// counting them as dropped for a permanently down node.
+    fn drop_lost(&self, lost: Vec<(Bytes, Ticket)>) {
+        let n: u64 = lost.iter().map(|(_, t)| t.count()).sum();
+        self.stats.dropped.fetch_add(n, Ordering::Relaxed);
+        self.stats.dropped_perma.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Drop any frame still stashed for a node that has a live route: its
@@ -748,19 +777,28 @@ impl Inner {
                 }
             }
         }
+        let mut lost = Vec::new();
         if conn.accepted {
             remotes.mark_gone(nodes, Gone::Departed);
+            lost = remotes.take_stashes(|r| r.gone.is_some());
         }
         drop(remotes);
+        self.drop_lost(lost);
         self.notify_activity();
     }
 
     /// An outbound dialer exhausted its retry budget: its peer's nodes
-    /// are permanently down.
+    /// are permanently down, and so is every node without a route once
+    /// no handshake can come. Frames stashed for them are dropped.
     fn peer_exhausted(&self, last_nodes: &[NodeId]) {
         self.stats.peers_failed.fetch_add(1, Ordering::Relaxed);
-        self.remotes.lock().mark_gone(last_nodes, Gone::Unreachable);
+        let mut remotes = self.remotes.lock();
+        remotes.mark_gone(last_nodes, Gone::Unreachable);
         self.connectors_done.fetch_add(1, Ordering::Release);
+        let hopeless = self.no_handshake_can_come();
+        let lost = remotes.take_stashes(|r| hopeless || r.gone.is_some());
+        drop(remotes);
+        self.drop_lost(lost);
         self.notify_activity();
     }
 

@@ -1152,6 +1152,51 @@ fn a_send_to_a_perma_down_node_keeps_the_counters_balanced() {
     assert!(s.quiet(), "{s:?}");
 }
 
+/// A frame stashed for a node no handshake ever named is dropped, and
+/// counted as a perma-down drop, once the only dialer has given up and no
+/// listener can still bring the node: it does not vanish uncounted, and
+/// the sender's counters balance.
+#[test]
+fn a_frame_stashed_for_a_node_no_dialer_reached_is_counted_dropped() {
+    let addr = free_addr(); // nothing is listening here
+    let term = TermCounters::leak();
+    let fabric = ditico_rt::Fabric::new(LinkProfile::ideal());
+    let transport = ditico_rt::Transport::start(
+        TransportConfig {
+            local_nodes: vec![NodeId(1)],
+            peers: vec![addr],
+            hb_period: Duration::from_secs(60),
+            max_retries: 1,
+            backoff_base: Duration::from_millis(100),
+            backoff_cap: Duration::from_millis(100),
+            ..TransportConfig::default()
+        },
+        fabric.handle(),
+        term,
+    )
+    .expect("transport");
+    send_one(
+        &transport.handle(),
+        &term,
+        bytes::Bytes::from_static(b"one"),
+    );
+    eventually("the dialer gives up", || {
+        transport.report().peers_failed == 1
+    });
+    let wire = transport.report();
+    assert_eq!((wire.dropped, wire.dropped_perma), (1, 1), "{wire:?}");
+    // A frame sent after that is dropped at once, counted the same way.
+    send_one(
+        &transport.handle(),
+        &term,
+        bytes::Bytes::from_static(b"two"),
+    );
+    let wire = transport.report();
+    assert_eq!((wire.dropped, wire.dropped_perma), (2, 2), "{wire:?}");
+    let s = ditico_rt::Snapshot::take(term, false);
+    assert!(s.quiet(), "{s:?}");
+}
+
 /// A member that withholds its report blocks every wave — the client,
 /// idle from the start, cannot conclude — until that member's own verdict
 /// arrives, which ends the client's run quiescent: the verdict is global.

@@ -876,28 +876,42 @@ impl Network {
         }
     }
 
+    /// Evaluate `e` on a value stack, its nodes in post-order: the left
+    /// operand, then the right, then the operator.
     fn eval_expr(&self, e: &Expr, env: &Env) -> Result<Val, EvalErr> {
-        match e {
-            Expr::Name(r) => self.eval_name(r, env),
-            Expr::Lit(Lit::Unit) => Ok(Val::Unit),
-            Expr::Lit(Lit::Int(i)) => Ok(Val::Int(*i)),
-            Expr::Lit(Lit::Bool(b)) => Ok(Val::Bool(*b)),
-            Expr::Lit(Lit::Str(s)) => Ok(Val::Str(s.as_str().into())),
-            Expr::Lit(Lit::Float(x)) => Ok(Val::Float(*x)),
-            Expr::Bin(op, ab) => {
-                let va = self.eval_expr(&ab.0, env)?;
-                let vb = self.eval_expr(&ab.1, env)?;
-                eval_binop(*op, va, vb).map_err(EvalErr::Rt)
-            }
-            Expr::Un(op, a) => {
-                let v = self.eval_expr(a, env)?;
-                match (op, v) {
-                    (UnOp::Neg, Val::Int(i)) => Ok(Val::Int(-i)),
-                    (UnOp::Neg, Val::Float(x)) => Ok(Val::Float(-x)),
-                    (UnOp::Not, Val::Bool(b)) => Ok(Val::Bool(!b)),
-                    _ => Err(EvalErr::Rt(RtError::BadOperands(op.symbol().to_string()))),
+        if let Some(t) = e.atom() {
+            return self.eval_operand(t, env);
+        }
+        let mut stack: Vec<Val> = Vec::new();
+        for t in e.terms() {
+            let v = match t {
+                Term::Bin(op) => {
+                    let vb = stack.pop().expect("a well-formed expression");
+                    let va = stack.pop().expect("a well-formed expression");
+                    eval_binop(op, va, vb).map_err(EvalErr::Rt)?
                 }
-            }
+                Term::Un(op) => match (op, stack.pop().expect("a well-formed expression")) {
+                    (UnOp::Neg, Val::Int(i)) => Val::Int(-i),
+                    (UnOp::Neg, Val::Float(x)) => Val::Float(-x),
+                    (UnOp::Not, Val::Bool(b)) => Val::Bool(!b),
+                    _ => return Err(EvalErr::Rt(RtError::BadOperands(op.symbol().to_string()))),
+                },
+                operand => self.eval_operand(operand, env)?,
+            };
+            stack.push(v);
+        }
+        Ok(stack.pop().expect("a well-formed expression"))
+    }
+
+    fn eval_operand(&self, t: Term, env: &Env) -> Result<Val, EvalErr> {
+        match t {
+            Term::Name(r) => self.eval_name(r, env),
+            Term::Unit => Ok(Val::Unit),
+            Term::Int(i) => Ok(Val::Int(i)),
+            Term::Bool(b) => Ok(Val::Bool(b)),
+            Term::Str(s) => Ok(Val::Str(s.into())),
+            Term::Float(x) => Ok(Val::Float(x)),
+            Term::Bin(_) | Term::Un(_) => unreachable!("an operand"),
         }
     }
 }

@@ -333,18 +333,12 @@ impl Norm {
 
 /// Collect `s.x` mentions (free located names) of a process.
 fn collect_located(p: &Proc, out: &mut std::collections::BTreeSet<(String, String)>) {
-    use tyco_syntax::ast::{Expr, NameRef};
+    use tyco_syntax::ast::{Expr, NameRef, Term};
     fn expr(e: &Expr, out: &mut std::collections::BTreeSet<(String, String)>) {
-        match e {
-            Expr::Name(NameRef::Located(sx)) => {
+        for t in e.terms() {
+            if let Term::Name(NameRef::Located(sx)) = t {
                 out.insert((**sx).clone());
             }
-            Expr::Name(_) | Expr::Lit(_) => {}
-            Expr::Bin(_, ab) => {
-                expr(&ab.0, out);
-                expr(&ab.1, out);
-            }
-            Expr::Un(_, a) => expr(a, out),
         }
     }
     match p {
@@ -411,16 +405,7 @@ fn rename_proc(p: &Proc, from: &str, to: &str) -> Proc {
         }
     }
     fn expr(e: &Expr, from: &str, to: &str, bound: &[String]) -> Expr {
-        match e {
-            Expr::Name(r) => Expr::Name(nref(r, from, to, bound)),
-            Expr::Lit(_) => e.clone(),
-            Expr::Bin(op, ab) => Expr::bin(
-                *op,
-                expr(&ab.0, from, to, bound),
-                expr(&ab.1, from, to, bound),
-            ),
-            Expr::Un(op, a) => Expr::Un(*op, Box::new(expr(a, from, to, bound))),
-        }
+        e.map_names(|r| nref(r, from, to, bound))
     }
     fn walk(p: &Proc, from: &str, to: &str, bound: &mut Vec<String>) -> Proc {
         if bound.iter().any(|b| b == from) {

@@ -56,16 +56,7 @@ fn sigma_name_in(r: &NameRef, from: &str, to: &str, bound: &[String]) -> NameRef
 }
 
 fn sigma_expr(e: &Expr, from: &str, to: &str, bound: &[String]) -> Expr {
-    match e {
-        Expr::Name(r) => Expr::Name(sigma_name_in(r, from, to, bound)),
-        Expr::Lit(_) => e.clone(),
-        Expr::Bin(op, ab) => Expr::bin(
-            *op,
-            sigma_expr(&ab.0, from, to, bound),
-            sigma_expr(&ab.1, from, to, bound),
-        ),
-        Expr::Un(op, a) => Expr::Un(*op, Box::new(sigma_expr(a, from, to, bound))),
-    }
+    e.map_names(|r| sigma_name_in(r, from, to, bound))
 }
 
 fn sigma_rec(p: &Proc, from: &str, to: &str, bn: &mut Vec<String>, bc: &mut Vec<String>) -> Proc {

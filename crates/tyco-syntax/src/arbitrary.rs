@@ -47,17 +47,19 @@ fn arb_lit() -> impl Strategy<Value = Lit> {
 /// constant-folds.
 pub fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        arb_lit().prop_map(Expr::Lit),
-        arb_name().prop_map(|x| Expr::Name(NameRef::Plain(x))),
+        arb_lit().prop_map(Expr::lit),
+        arb_name().prop_map(Expr::name),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             inner
                 .clone()
-                .prop_filter("no neg of literal", |e| !matches!(e, Expr::Lit(_)))
-                .prop_map(|e| Expr::Un(UnOp::Neg, Box::new(e))),
-            inner.prop_map(|e| Expr::Un(UnOp::Not, Box::new(e))),
+                .prop_filter("no neg of literal", |e| {
+                    e.atom().is_none_or(|t| matches!(t, Term::Name(_)))
+                })
+                .prop_map(|e| Expr::un(UnOp::Neg, e)),
+            inner.prop_map(|e| Expr::un(UnOp::Not, e)),
         ]
     })
 }

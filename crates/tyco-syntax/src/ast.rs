@@ -43,8 +43,8 @@ pub type Ident = String;
 pub enum NameRef {
     /// A plain name `x`, implicitly located at the enclosing site.
     Plain(Ident),
-    /// A located name `s.x`: `(s, x)`. Boxed, because it is rare and an
-    /// expression is as large as its largest operand.
+    /// A located name `s.x`: `(s, x)`. Boxed, because it is rare: a
+    /// `NameRef` is the size of the `String` of a plain one.
     Located(Box<(Ident, Ident)>),
 }
 
@@ -202,49 +202,331 @@ impl UnOp {
 }
 
 /// Expressions occur as message arguments and in builtin positions.
+///
+/// An expression is its nodes in post-order, operands before their
+/// operator — the order the VM's operand stack evaluates them in — in
+/// one allocation, so every pass over it is a forward (or, for names in
+/// right-operand-first order, a backward) scan that neither recurses nor
+/// chases a pointer per operator. A lone operand, which most arguments
+/// are, is held inline and allocates nothing of its own. Build one with
+/// the constructors below or an [`ExprBuilder`]; read it with
+/// [`Expr::terms`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    /// A channel name used as a first-class value.
+pub struct Expr(Repr);
+
+/// How an [`Expr`] is held. A lone operand is always `Name` or `Lit` and
+/// anything longer `Flat` — [`ExprBuilder::finish`] decides — so one
+/// expression has one representation and the derived equality is
+/// structural.
+#[derive(Debug, Clone, PartialEq)]
+enum Repr {
+    /// A lone name.
     Name(NameRef),
-    /// A literal constant.
+    /// A lone literal.
     Lit(Lit),
-    /// Builtin binary operation over base values (both operands share one
-    /// allocation: a long operator chain is one node per operator).
-    Bin(BinOp, Box<(Expr, Expr)>),
-    /// Builtin unary operation.
-    Un(UnOp, Box<Expr>),
+    /// Two or more nodes: at least one operator.
+    Flat {
+        nodes: Box<[Node]>,
+        /// The names and string literals the `Leaf` nodes index, in
+        /// node order.
+        leaves: Box<[Leaf]>,
+    },
+}
+
+/// One node of a compound expression: 16 bytes (checked below). A name
+/// or a string literal owns heap text, so it sits in the expression's
+/// side table and the node holds its index there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Node {
+    Unit,
+    Int(i64),
+    Bool(bool),
+    Float(f64),
+    Leaf(u32),
+    Bin(BinOp),
+    Un(UnOp),
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+/// A name or a string literal of a compound expression.
+#[derive(Debug, Clone, PartialEq)]
+enum Leaf {
+    Name(NameRef),
+    Str(String),
+}
+
+/// One node of an expression as the passes read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Term<'a> {
+    /// A channel name used as a first-class value.
+    Name(&'a NameRef),
+    Unit,
+    Int(i64),
+    Bool(bool),
+    Float(f64),
+    Str(&'a str),
+    /// A builtin binary operator over the two values below it.
+    Bin(BinOp),
+    /// A builtin unary operator over the value below it.
+    Un(UnOp),
 }
 
 impl Expr {
     pub fn int(i: i64) -> Expr {
-        Expr::Lit(Lit::Int(i))
+        Expr::lit(Lit::Int(i))
     }
 
     pub fn boolean(b: bool) -> Expr {
-        Expr::Lit(Lit::Bool(b))
+        Expr::lit(Lit::Bool(b))
+    }
+
+    pub fn lit(l: Lit) -> Expr {
+        Expr(Repr::Lit(l))
     }
 
     pub fn name(x: impl Into<String>) -> Expr {
-        Expr::Name(NameRef::Plain(x.into()))
+        Expr(Repr::Name(NameRef::Plain(x.into())))
     }
 
     pub fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
-        Expr::Bin(op, Box::new((a, b)))
+        let mut e = ExprBuilder::default();
+        e.extend(&a);
+        e.extend(&b);
+        e.bin(op);
+        e.finish()
+    }
+
+    pub fn un(op: UnOp, a: Expr) -> Expr {
+        let mut e = ExprBuilder::default();
+        e.extend(&a);
+        e.un(op);
+        e.finish()
+    }
+
+    /// The nodes in post-order: operands before their operator. Read
+    /// backwards, the names come right operand first.
+    pub fn terms(&self) -> Terms<'_> {
+        match &self.0 {
+            Repr::Name(r) => Terms::one(Term::Name(r)),
+            Repr::Lit(l) => Terms::one(lit_term(l)),
+            Repr::Flat { nodes, leaves } => Terms {
+                lone: None,
+                nodes: nodes.iter(),
+                leaves,
+            },
+        }
+    }
+
+    /// The expression's only node, if it is a lone operand.
+    pub fn atom(&self) -> Option<Term<'_>> {
+        match &self.0 {
+            Repr::Name(r) => Some(Term::Name(r)),
+            Repr::Lit(l) => Some(lit_term(l)),
+            Repr::Flat { .. } => None,
+        }
+    }
+
+    /// The same expression with every name `r` replaced by `f(r)`.
+    pub fn map_names(&self, mut f: impl FnMut(&NameRef) -> NameRef) -> Expr {
+        Expr(match &self.0 {
+            Repr::Name(r) => Repr::Name(f(r)),
+            Repr::Lit(l) => Repr::Lit(l.clone()),
+            Repr::Flat { nodes, leaves } => Repr::Flat {
+                nodes: nodes.clone(),
+                leaves: leaves
+                    .iter()
+                    .map(|leaf| match leaf {
+                        Leaf::Name(r) => Leaf::Name(f(r)),
+                        Leaf::Str(s) => Leaf::Str(s.clone()),
+                    })
+                    .collect(),
+            },
+        })
     }
 
     /// Free (plain) names of the expression, accumulated into `out`.
     pub fn free_names_into(&self, out: &mut BTreeSet<Ident>) {
-        match self {
-            Expr::Name(NameRef::Plain(x)) => {
+        for t in self.terms() {
+            if let Term::Name(NameRef::Plain(x)) = t {
                 out.insert(x.clone());
             }
-            Expr::Name(NameRef::Located(..)) | Expr::Lit(_) => {}
-            Expr::Bin(_, ab) => {
-                ab.0.free_names_into(out);
-                ab.1.free_names_into(out);
-            }
-            Expr::Un(_, a) => a.free_names_into(out),
         }
+    }
+}
+
+fn lit_term(l: &Lit) -> Term<'_> {
+    match l {
+        Lit::Unit => Term::Unit,
+        Lit::Int(i) => Term::Int(*i),
+        Lit::Bool(b) => Term::Bool(*b),
+        Lit::Float(x) => Term::Float(*x),
+        Lit::Str(s) => Term::Str(s),
+    }
+}
+
+/// The nodes of an [`Expr`], from [`Expr::terms`].
+#[derive(Debug, Clone)]
+pub struct Terms<'a> {
+    /// The node of a lone operand, until it is read.
+    lone: Option<Term<'a>>,
+    nodes: std::slice::Iter<'a, Node>,
+    leaves: &'a [Leaf],
+}
+
+impl<'a> Terms<'a> {
+    fn one(t: Term<'a>) -> Terms<'a> {
+        Terms {
+            lone: Some(t),
+            nodes: [].iter(),
+            leaves: &[],
+        }
+    }
+
+    fn term(&self, n: &Node) -> Term<'a> {
+        match *n {
+            Node::Unit => Term::Unit,
+            Node::Int(i) => Term::Int(i),
+            Node::Bool(b) => Term::Bool(b),
+            Node::Float(x) => Term::Float(x),
+            Node::Leaf(i) => match &self.leaves[i as usize] {
+                Leaf::Name(r) => Term::Name(r),
+                Leaf::Str(s) => Term::Str(s),
+            },
+            Node::Bin(op) => Term::Bin(op),
+            Node::Un(op) => Term::Un(op),
+        }
+    }
+}
+
+impl<'a> Iterator for Terms<'a> {
+    type Item = Term<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Term<'a>> {
+        if let Some(t) = self.lone.take() {
+            return Some(t);
+        }
+        self.nodes.next().map(|n| self.term(n))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.lone.is_some() as usize + self.nodes.len();
+        (n, Some(n))
+    }
+}
+
+impl DoubleEndedIterator for Terms<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        if let Some(t) = self.lone.take() {
+            return Some(t);
+        }
+        self.nodes.next_back().map(|n| self.term(n))
+    }
+}
+
+/// Builds an [`Expr`] node by node in post-order: push the operands,
+/// then their operator. The parser emits straight into one as it climbs
+/// precedence, so an expression's nodes are written once, into the
+/// buffer that becomes the expression. A lone operand stays inline.
+#[derive(Debug, Default)]
+pub struct ExprBuilder {
+    /// The first node, while it is the only one.
+    lone: Option<Repr>,
+    nodes: Vec<Node>,
+    leaves: Vec<Leaf>,
+    /// Values an evaluation of the nodes so far would leave on a stack.
+    depth: usize,
+}
+
+impl ExprBuilder {
+    pub fn name(&mut self, r: NameRef) {
+        self.operand(Repr::Name(r));
+    }
+
+    pub fn lit(&mut self, l: Lit) {
+        self.operand(Repr::Lit(l));
+    }
+
+    /// # Panics
+    /// Unless two operands are waiting for it.
+    pub fn bin(&mut self, op: BinOp) {
+        assert!(self.depth >= 2, "`{}` needs two operands", op.symbol());
+        self.depth -= 1;
+        self.spill();
+        self.nodes.push(Node::Bin(op));
+    }
+
+    /// # Panics
+    /// Unless an operand is waiting for it.
+    pub fn un(&mut self, op: UnOp) {
+        assert!(self.depth >= 1, "`{}` needs an operand", op.symbol());
+        self.spill();
+        self.nodes.push(Node::Un(op));
+    }
+
+    /// Push every node of `e`.
+    fn extend(&mut self, e: &Expr) {
+        for t in e.terms() {
+            match t {
+                Term::Name(r) => self.name(r.clone()),
+                Term::Unit => self.lit(Lit::Unit),
+                Term::Int(i) => self.lit(Lit::Int(i)),
+                Term::Bool(b) => self.lit(Lit::Bool(b)),
+                Term::Float(x) => self.lit(Lit::Float(x)),
+                Term::Str(s) => self.lit(Lit::Str(s.to_string())),
+                Term::Bin(op) => self.bin(op),
+                Term::Un(op) => self.un(op),
+            }
+        }
+    }
+
+    /// # Panics
+    /// Unless the nodes pushed make exactly one value.
+    pub fn finish(self) -> Expr {
+        assert_eq!(self.depth, 1, "an expression is one value");
+        Expr(match self.lone {
+            Some(lone) => lone,
+            None => Repr::Flat {
+                nodes: self.nodes.into_boxed_slice(),
+                leaves: self.leaves.into_boxed_slice(),
+            },
+        })
+    }
+
+    fn operand(&mut self, a: Repr) {
+        self.depth += 1;
+        if self.lone.is_none() && self.nodes.is_empty() {
+            self.lone = Some(a);
+        } else {
+            self.spill();
+            let n = self.node(a);
+            self.nodes.push(n);
+        }
+    }
+
+    /// Move a lone first operand into the node array: a second node came.
+    fn spill(&mut self) {
+        if let Some(a) = self.lone.take() {
+            let n = self.node(a);
+            self.nodes.push(n);
+        }
+    }
+
+    fn node(&mut self, a: Repr) -> Node {
+        let leaf = match a {
+            Repr::Lit(Lit::Unit) => return Node::Unit,
+            Repr::Lit(Lit::Int(i)) => return Node::Int(i),
+            Repr::Lit(Lit::Bool(b)) => return Node::Bool(b),
+            Repr::Lit(Lit::Float(x)) => return Node::Float(x),
+            Repr::Lit(Lit::Str(s)) => Leaf::Str(s),
+            Repr::Name(r) => Leaf::Name(r),
+            Repr::Flat { .. } => unreachable!("an operand is one node"),
+        };
+        let i = u32::try_from(self.leaves.len()).expect("fewer than 2^32 names in one expression");
+        self.leaves.push(leaf);
+        Node::Leaf(i)
     }
 }
 
@@ -595,6 +877,49 @@ mod tests {
             args: vec![],
             span: Span::synthetic(),
         }
+    }
+
+    #[test]
+    fn an_expression_is_its_nodes_in_post_order() {
+        // (a + 1) * -b
+        let e = Expr::bin(
+            BinOp::Mul,
+            Expr::bin(BinOp::Add, Expr::name("a"), Expr::int(1)),
+            Expr::un(UnOp::Neg, Expr::name("b")),
+        );
+        let (a, b) = (NameRef::Plain("a".into()), NameRef::Plain("b".into()));
+        assert!(e.terms().eq([
+            Term::Name(&a),
+            Term::Int(1),
+            Term::Bin(BinOp::Add),
+            Term::Name(&b),
+            Term::Un(UnOp::Neg),
+            Term::Bin(BinOp::Mul),
+        ]));
+        assert_eq!(e.atom(), None);
+        // Backwards, the names come right operand first.
+        let names: Vec<&str> = (e.terms().rev())
+            .filter_map(|t| match t {
+                Term::Name(r) => Some(r.ident()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names, ["b", "a"]);
+        let located = e.map_names(|r| NameRef::located("s", r.ident()));
+        assert_eq!(crate::pretty::pretty_expr(&located), "(s.a + 1) * -s.b");
+        // A lone operand is held inline, however it was built.
+        let mut one = ExprBuilder::default();
+        one.name(a.clone());
+        assert_eq!(one.finish(), Expr::name("a"));
+        assert_eq!(Expr::name("a").atom(), Some(Term::Name(&a)));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs two operands")]
+    fn an_operator_needs_its_operands() {
+        let mut e = ExprBuilder::default();
+        e.lit(Lit::Int(1));
+        e.bin(BinOp::Add);
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn desugar_in_place(p: &mut Proc) {
                 avoid.insert(x.clone());
             }
             let reply = fresh_name("reply", &avoid);
-            args.push(Expr::Name(NameRef::Plain(reply.clone())));
+            args.push(Expr::name(reply.clone()));
             let call = Proc::Msg {
                 target,
                 label,
@@ -162,7 +162,7 @@ mod tests {
                                 assert_eq!(label, "chunk");
                                 // Original arg plus the appended reply name.
                                 assert_eq!(args.len(), 2);
-                                assert_eq!(args[1], Expr::Name(NameRef::Plain(binders[0].clone())));
+                                assert_eq!(args[1], Expr::name(binders[0].clone()));
                             }
                             other => panic!("unexpected: {other:?}"),
                         }

@@ -31,7 +31,8 @@ pub mod token;
 pub mod arbitrary;
 
 pub use ast::{
-    BinOp, ClassDef, ClassRef, Expr, Ident, Lit, Method, NameRef, Proc, UnOp, VAL_LABEL,
+    BinOp, ClassDef, ClassRef, Expr, ExprBuilder, Ident, Lit, Method, NameRef, Proc, Term, UnOp,
+    VAL_LABEL,
 };
 pub use parser::{parse_expr, parse_program, ParseError};
 pub use pos::{Pos, Span};

@@ -43,9 +43,14 @@ impl From<LexError> for ParseError {
 
 /// The deepest AST the parser builds: no path from the root of a parsed
 /// program to a leaf passes through more nodes than this. Source text is
-/// outside input, and every pass behind the parser recurses over the
-/// tree, so the bound is what keeps arbitrary input from overflowing a
-/// stack; deeper input is an ordinary `nesting too deep` error.
+/// outside input, and the parser and every process pass behind it
+/// recurse over the tree, so the bound is what keeps arbitrary input
+/// from overflowing a stack; deeper input is an ordinary `nesting too
+/// deep` error. Expression passes no longer recurse — an expression is a
+/// flat post-order array — but the parser still does, on brackets,
+/// prefixes and right operands, and an expression's height still counts
+/// toward the bound: lifting it for operator chains would change which
+/// programs are accepted.
 const MAX_DEPTH: usize = 4096;
 
 /// Parse a complete source program (a single process).
@@ -58,9 +63,7 @@ pub fn parse_program(src: &str) -> Result<Proc, ParseError> {
 /// Parse a single expression (used by tests and the REPL-style shell).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let mut p = Parser::new(src);
-    let e = p
-        .parse_expr_prec(0)
-        .and_then(|e| p.expect_eof().map(|()| e));
+    let e = p.parse_expr().and_then(|e| p.expect_eof().map(|()| e));
     p.finish(e)
 }
 
@@ -76,6 +79,9 @@ struct Parser<'a> {
     lex_error: Option<LexError>,
     /// Nodes (and brackets) enclosing the one being parsed.
     depth: usize,
+    /// The nodes of the expression being parsed. Expressions do not
+    /// nest, so one at a time is built here.
+    expr: ExprBuilder,
 }
 
 impl<'a> Parser<'a> {
@@ -89,6 +95,7 @@ impl<'a> Parser<'a> {
             ahead: None,
             lex_error: None,
             depth: 0,
+            expr: ExprBuilder::default(),
         };
         p.bump();
         p
@@ -277,7 +284,7 @@ impl<'a> Parser<'a> {
             }
             Tok::KwIf => {
                 self.bump();
-                let cond = self.parse_expr_prec(0)?;
+                let cond = self.parse_expr()?;
                 self.expect(Tok::KwThen)?;
                 let then_branch = Box::new(self.parse_par()?);
                 self.expect(Tok::KwElse)?;
@@ -623,7 +630,7 @@ impl<'a> Parser<'a> {
         let mut args = Vec::new();
         if *self.cur() != close {
             loop {
-                args.push(self.parse_expr_prec(0)?);
+                args.push(self.parse_expr()?);
                 if *self.cur() == Tok::Comma {
                     self.bump();
                 } else {
@@ -648,16 +655,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_expr_prec(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        Ok(self.parse_expr_height(min_prec)?.0)
+    /// One whole expression, built in [`Parser::expr`].
+    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.parse_expr_height(0)?;
+        Ok(std::mem::take(&mut self.expr).finish())
     }
 
-    /// Precedence-climbing expression parser; returns the expression with
-    /// its height in nodes. A left-deep operator chain grows in the loop
-    /// below, not by recursion, so the height is checked where each node
-    /// is built.
-    fn parse_expr_height(&mut self, min_prec: u8) -> Result<(Expr, usize), ParseError> {
-        let (mut lhs, mut height) = self.parse_expr_atom()?;
+    /// Precedence-climbing expression parser: emits the nodes of an
+    /// expression in post-order into [`Parser::expr`] and returns its
+    /// height in nodes. A left-deep operator chain grows in the loop
+    /// below, not by recursion, so the height is checked where each
+    /// operator is emitted.
+    fn parse_expr_height(&mut self, min_prec: u8) -> Result<usize, ParseError> {
+        let mut height = self.parse_expr_atom()?;
         loop {
             let op = match self.cur() {
                 Tok::Plus => BinOp::Add,
@@ -681,17 +691,17 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.bump();
-            let (rhs, rhs_height) = self.parse_expr_height(prec + 1)?;
+            let rhs_height = self.parse_expr_height(prec + 1)?;
             height = 1 + height.max(rhs_height);
             self.check_depth(height)?;
-            lhs = Expr::bin(op, lhs, rhs);
+            self.expr.bin(op);
         }
-        Ok((lhs, height))
+        Ok(height)
     }
 
-    /// An operand with its height. Every level of expression nesting,
+    /// An operand, with its height. Every level of expression nesting,
     /// brackets included, recurses through here.
-    fn parse_expr_atom(&mut self) -> Result<(Expr, usize), ParseError> {
+    fn parse_expr_atom(&mut self) -> Result<usize, ParseError> {
         self.check_depth(1)?;
         self.depth += 1;
         let e = self.parse_expr_atom_at_depth();
@@ -699,10 +709,11 @@ impl<'a> Parser<'a> {
         e
     }
 
-    fn parse_expr_atom_at_depth(&mut self) -> Result<(Expr, usize), ParseError> {
+    fn parse_expr_atom_at_depth(&mut self) -> Result<usize, ParseError> {
         let lit = |p: &mut Parser, l: Lit| {
             p.bump();
-            Ok((Expr::Lit(l), 1))
+            p.expr.lit(l);
+            Ok(1)
         };
         match *self.cur() {
             Tok::Int(i) => lit(self, Lit::Int(i)),
@@ -719,25 +730,28 @@ impl<'a> Parser<'a> {
                     Tok::Int(i) => lit(self, Lit::Int(-i)),
                     Tok::Float(x) => lit(self, Lit::Float(-x)),
                     _ => {
-                        let (e, height) = self.parse_expr_atom()?;
-                        Ok((Expr::Un(UnOp::Neg, Box::new(e)), height + 1))
+                        let height = self.parse_expr_atom()?;
+                        self.expr.un(UnOp::Neg);
+                        Ok(height + 1)
                     }
                 }
             }
             Tok::KwNot => {
                 self.bump();
-                let (e, height) = self.parse_expr_atom()?;
-                Ok((Expr::Un(UnOp::Not, Box::new(e)), height + 1))
+                let height = self.parse_expr_atom()?;
+                self.expr.un(UnOp::Not);
+                Ok(height + 1)
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.parse_expr_height(0)?;
+                let height = self.parse_expr_height(0)?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                Ok(height)
             }
             Tok::LowerId(_) => {
                 let r = self.parse_name_ref()?;
-                Ok((Expr::Name(r), 1))
+                self.expr.name(r);
+                Ok(1)
             }
             other => Err(self.err(format!(
                 "expected an expression, found {}",
@@ -773,7 +787,7 @@ mod tests {
                 assert_eq!(target, NameRef::Plain("x".into()));
                 assert_eq!(label, "read");
                 assert_eq!(args.len(), 2);
-                assert!(matches!(args[1], Expr::Bin(BinOp::Add, _)));
+                assert_eq!(args[1].terms().next_back(), Some(Term::Bin(BinOp::Add)));
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -947,7 +961,9 @@ mod tests {
     fn parses_if_and_print() {
         let src = "if n > 0 then print(n) else println(\"done\")";
         match p(src) {
-            Proc::If { cond, .. } => assert!(matches!(cond, Expr::Bin(BinOp::Gt, _))),
+            Proc::If { cond, .. } => {
+                assert_eq!(cond.terms().next_back(), Some(Term::Bin(BinOp::Gt)))
+            }
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -955,16 +971,29 @@ mod tests {
     #[test]
     fn expression_precedence() {
         let e = parse_expr("1 + 2 * 3 == 7 && true").unwrap();
-        // ((1 + (2*3)) == 7) && true
-        match e {
-            Expr::Bin(BinOp::And, ab) => match ab.0 {
-                Expr::Bin(BinOp::Eq, ab2) => {
-                    assert!(matches!(ab2.0, Expr::Bin(BinOp::Add, _)));
-                }
-                other => panic!("unexpected: {other:?}"),
-            },
-            other => panic!("unexpected: {other:?}"),
-        }
+        // ((1 + (2*3)) == 7) && true, operands before their operator.
+        let terms: Vec<Term> = e.terms().collect();
+        use Term::{Bin, Int};
+        assert_eq!(
+            terms,
+            [
+                Int(1),
+                Int(2),
+                Int(3),
+                Bin(BinOp::Mul),
+                Bin(BinOp::Add),
+                Int(7),
+                Bin(BinOp::Eq),
+                Term::Bool(true),
+                Bin(BinOp::And),
+            ]
+        );
+        // A lone operand, brackets and all, is held inline.
+        assert_eq!(parse_expr("((x))").unwrap(), Expr::name("x"));
+        assert_eq!(parse_expr("-5").unwrap().atom(), Some(Int(-5)));
+        let neg = parse_expr("-(x)").unwrap();
+        let x = NameRef::Plain("x".into());
+        assert!(neg.terms().eq([Term::Name(&x), Term::Un(UnOp::Neg)]));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub fn pretty(p: &Proc) -> String {
 /// Render an expression to concrete syntax.
 pub fn pretty_expr(e: &Expr) -> String {
     let mut out = String::new();
-    write_expr(&mut out, e, 0);
+    write_expr(&mut out, e);
     out
 }
 
@@ -151,7 +151,7 @@ fn write_proc(out: &mut String, p: &Proc) {
             ..
         } => {
             out.push_str("if ");
-            write_expr(out, cond, 0);
+            write_expr(out, cond);
             out.push_str(" then ");
             // The then-branch must not swallow the `else`; `parse_par` stops
             // at any non-`|` token, so a bare print is fine, but a trailing
@@ -167,7 +167,7 @@ fn write_proc(out: &mut String, p: &Proc) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                write_expr(out, a, 0);
+                write_expr(out, a);
             }
             out.push(')');
         }
@@ -193,7 +193,7 @@ fn write_args(out: &mut String, args: &[Expr]) {
         if i > 0 {
             out.push_str(", ");
         }
-        write_expr(out, a, 0);
+        write_expr(out, a);
     }
     out.push(']');
 }
@@ -215,51 +215,87 @@ pub fn escape_str(s: &str) -> String {
     out
 }
 
-fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
-    match e {
-        Expr::Name(r) => {
+/// Print an expression in infix, bracketing an operand only where the
+/// precedences need it. The nodes are in post-order, so the subtree of
+/// each is found first (`start`); the in-order walk over them keeps its
+/// own stack and does not recurse.
+fn write_expr(out: &mut String, e: &Expr) {
+    if let Some(t) = e.atom() {
+        return write_operand(out, t);
+    }
+    let terms: Vec<Term> = e.terms().collect();
+    // start[i]: the first node of the subtree that node i roots.
+    let mut start: Vec<usize> = Vec::with_capacity(terms.len());
+    for (i, t) in terms.iter().enumerate() {
+        let s = match t {
+            Term::Bin(_) => start[start[i - 1] - 1],
+            Term::Un(_) => start[i - 1],
+            _ => i,
+        };
+        start.push(s);
+    }
+    enum Task {
+        /// Print the subtree rooted at a node, bracketed if its operator
+        /// binds looser than the given precedence.
+        Node(usize, u8),
+        Text(&'static str),
+    }
+    let mut todo = vec![Task::Node(terms.len() - 1, 0)];
+    while let Some(task) = todo.pop() {
+        let (i, min_prec) = match task {
+            Task::Text(s) => {
+                out.push_str(s);
+                continue;
+            }
+            Task::Node(i, min_prec) => (i, min_prec),
+        };
+        match terms[i] {
+            Term::Bin(op) => {
+                let (a, b) = (start[i - 1] - 1, i - 1);
+                let prec = op.precedence();
+                let need = prec < min_prec;
+                if need {
+                    todo.push(Task::Text(")"));
+                }
+                todo.push(Task::Node(b, prec + 1));
+                todo.push(Task::Text(" "));
+                todo.push(Task::Text(op.symbol()));
+                todo.push(Task::Text(" "));
+                todo.push(Task::Node(a, prec));
+                if need {
+                    todo.push(Task::Text("("));
+                }
+            }
+            Term::Un(op) => {
+                out.push_str(op.symbol());
+                if matches!(op, UnOp::Not) {
+                    out.push(' ');
+                }
+                // Atoms only after unary: an operator below is bracketed.
+                todo.push(Task::Node(i - 1, u8::MAX));
+            }
+            t => write_operand(out, t),
+        }
+    }
+}
+
+fn write_operand(out: &mut String, t: Term) {
+    match t {
+        Term::Name(r) => {
             let _ = write!(out, "{r}");
         }
-        Expr::Lit(Lit::Unit) => out.push_str("unit"),
-        Expr::Lit(Lit::Int(i)) => {
+        Term::Unit => out.push_str("unit"),
+        Term::Int(i) => {
             let _ = write!(out, "{i}");
         }
-        Expr::Lit(Lit::Bool(b)) => {
+        Term::Bool(b) => {
             let _ = write!(out, "{b}");
         }
-        Expr::Lit(Lit::Str(s)) => out.push_str(&escape_str(s)),
-        Expr::Lit(Lit::Float(x)) => {
+        Term::Str(s) => out.push_str(&escape_str(s)),
+        Term::Float(x) => {
             let _ = write!(out, "{x:?}");
         }
-        Expr::Bin(op, ab) => {
-            let (a, b) = &**ab;
-            let prec = op.precedence();
-            let need = prec < min_prec;
-            if need {
-                out.push('(');
-            }
-            write_expr(out, a, prec);
-            let _ = write!(out, " {} ", op.symbol());
-            write_expr(out, b, prec + 1);
-            if need {
-                out.push(')');
-            }
-        }
-        Expr::Un(op, a) => {
-            out.push_str(op.symbol());
-            if matches!(op, UnOp::Not) {
-                out.push(' ');
-            }
-            // Atoms only after unary; parenthesize anything compound.
-            match **a {
-                Expr::Bin(..) => {
-                    out.push('(');
-                    write_expr(out, a, 0);
-                    out.push(')');
-                }
-                _ => write_expr(out, a, u8::MAX),
-            }
-        }
+        Term::Bin(_) | Term::Un(_) => unreachable!("an operand"),
     }
 }
 

@@ -76,6 +76,8 @@ struct Checker<'a> {
     summary: TypeSummary,
     /// Scratch for [`Checker::distinct`].
     seen: HashSet<&'a str>,
+    /// Scratch for [`Checker::infer_expr`]: the operand types.
+    operands: Vec<Type>,
 }
 
 impl<'a> Checker<'a> {
@@ -89,6 +91,7 @@ impl<'a> Checker<'a> {
             remote_names: HashMap::new(),
             summary: TypeSummary::default(),
             seen: HashSet::new(),
+            operands: Vec::new(),
         }
     }
 
@@ -160,53 +163,72 @@ impl<'a> Checker<'a> {
         t
     }
 
+    /// Unify the two operands of an operator. Operands of one numeric
+    /// base type, as in every link of a sum of literals, have nothing to
+    /// unify.
+    fn unify_operands(&mut self, ta: &Type, tb: &Type) -> Result<(), TypeError> {
+        match (ta, tb) {
+            (Type::Int, Type::Int) | (Type::Float, Type::Float) => Ok(()),
+            _ => self.u.unify(ta, tb),
+        }
+    }
+
+    /// The type of `e`, from a stack of operand types run over its nodes
+    /// in post-order: the unifications and numeric records come in the
+    /// order a recursive walk, left operand first, would make them.
     fn infer_expr(&mut self, e: &'a Expr) -> Result<Type, TypeError> {
-        match e {
-            Expr::Name(r) => self.name_type(r),
-            Expr::Lit(Lit::Unit) => Ok(Type::Unit),
-            Expr::Lit(Lit::Int(_)) => Ok(Type::Int),
-            Expr::Lit(Lit::Bool(_)) => Ok(Type::Bool),
-            Expr::Lit(Lit::Str(_)) => Ok(Type::Str),
-            Expr::Lit(Lit::Float(_)) => Ok(Type::Float),
-            Expr::Bin(op, ab) => {
-                let ta = self.infer_expr(&ab.0)?;
-                let tb = self.infer_expr(&ab.1)?;
-                match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                        self.u.unify(&ta, &tb)?;
-                        Ok(self.numeric(ta))
-                    }
-                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        self.u.unify(&ta, &tb)?;
-                        self.numeric(ta);
-                        Ok(Type::Bool)
-                    }
-                    BinOp::Eq | BinOp::Ne => {
-                        self.u.unify(&ta, &tb)?;
-                        Ok(Type::Bool)
-                    }
-                    BinOp::And | BinOp::Or => {
-                        self.u.unify(&ta, &Type::Bool)?;
-                        self.u.unify(&tb, &Type::Bool)?;
-                        Ok(Type::Bool)
-                    }
-                    BinOp::Concat => {
-                        self.u.unify(&ta, &Type::Str)?;
-                        self.u.unify(&tb, &Type::Str)?;
-                        Ok(Type::Str)
+        self.operands.clear();
+        for t in e.terms() {
+            let ty = match t {
+                Term::Name(r) => self.name_type(r)?,
+                Term::Unit => Type::Unit,
+                Term::Int(_) => Type::Int,
+                Term::Bool(_) => Type::Bool,
+                Term::Str(_) => Type::Str,
+                Term::Float(_) => Type::Float,
+                Term::Bin(op) => {
+                    let tb = self.operands.pop().expect("a well-formed expression");
+                    let ta = self.operands.pop().expect("a well-formed expression");
+                    match op {
+                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+                            self.unify_operands(&ta, &tb)?;
+                            self.numeric(ta)
+                        }
+                        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                            self.unify_operands(&ta, &tb)?;
+                            self.numeric(ta);
+                            Type::Bool
+                        }
+                        BinOp::Eq | BinOp::Ne => {
+                            self.u.unify(&ta, &tb)?;
+                            Type::Bool
+                        }
+                        BinOp::And | BinOp::Or => {
+                            self.u.unify(&ta, &Type::Bool)?;
+                            self.u.unify(&tb, &Type::Bool)?;
+                            Type::Bool
+                        }
+                        BinOp::Concat => {
+                            self.u.unify(&ta, &Type::Str)?;
+                            self.u.unify(&tb, &Type::Str)?;
+                            Type::Str
+                        }
                     }
                 }
-            }
-            Expr::Un(UnOp::Neg, a) => {
-                let t = self.infer_expr(a)?;
-                Ok(self.numeric(t))
-            }
-            Expr::Un(UnOp::Not, a) => {
-                let t = self.infer_expr(a)?;
-                self.u.unify(&t, &Type::Bool)?;
-                Ok(Type::Bool)
-            }
+                Term::Un(op) => {
+                    let ta = self.operands.pop().expect("a well-formed expression");
+                    match op {
+                        UnOp::Neg => self.numeric(ta),
+                        UnOp::Not => {
+                            self.u.unify(&ta, &Type::Bool)?;
+                            Type::Bool
+                        }
+                    }
+                }
+            };
+            self.operands.push(ty);
         }
+        Ok(self.operands.pop().expect("a well-formed expression"))
     }
 
     fn infer_proc(&mut self, p: &'a Proc) -> Result<(), TypeError> {

@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use tyco_syntax::ast::{ClassRef, Expr, Ident, Lit, NameRef, Proc};
+use tyco_syntax::ast::{ClassRef, Expr, Ident, NameRef, Proc, Term};
 use tyco_syntax::{Pos, Span};
 
 /// What a finding is about.
@@ -224,17 +224,12 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Every plain name in an expression escapes as a value.
-    fn expr(&mut self, mut e: &Expr, unit: Unit) {
-        loop {
-            match e {
-                Expr::Name(r) => return self.target(r, unit, |b| b.escaped = true),
-                Expr::Lit(_) => return,
-                Expr::Bin(_, ab) => {
-                    self.expr(&ab.1, unit);
-                    e = &ab.0;
-                }
-                Expr::Un(_, a) => e = a,
+    /// Every plain name in an expression escapes as a value. Names are
+    /// visited right operand first, in reverse post-order.
+    fn expr(&mut self, e: &Expr, unit: Unit) {
+        for t in e.terms().rev() {
+            if let Term::Name(r) = t {
+                self.target(r, unit, |b| b.escaped = true);
             }
         }
     }
@@ -408,9 +403,9 @@ impl<'a> Walk<'a> {
                 ..
             } => {
                 self.expr(cond, unit);
-                let (then_unit, else_unit) = match cond {
-                    Expr::Lit(Lit::Bool(true)) => (unit, DEAD),
-                    Expr::Lit(Lit::Bool(false)) => (DEAD, unit),
+                let (then_unit, else_unit) = match cond.atom() {
+                    Some(Term::Bool(true)) => (unit, DEAD),
+                    Some(Term::Bool(false)) => (DEAD, unit),
                     _ => (unit, unit),
                 };
                 self.walk(then_branch, then_unit);

@@ -176,17 +176,11 @@ impl<'a> Frees<'a> {
         }
     }
 
-    fn expr(&mut self, mut e: &'a Expr) {
-        // Down the left spine of an operator chain by a loop.
-        loop {
-            match e {
-                Expr::Name(r) => return self.name(r),
-                Expr::Lit(_) => return,
-                Expr::Bin(_, ab) => {
-                    self.expr(&ab.1);
-                    e = &ab.0;
-                }
-                Expr::Un(_, a) => e = a,
+    /// The names of `e`, right operand first: its nodes backwards.
+    fn expr(&mut self, e: &'a Expr) {
+        for t in e.terms().rev() {
+            if let Term::Name(r) = t {
+                self.name(r);
             }
         }
     }
@@ -342,25 +336,22 @@ impl<'a> Compiler<'a> {
 
     // -- expressions ---------------------------------------------------------
 
+    /// One instruction per node, in post-order: the operands' pushes
+    /// before their operator.
     fn expr(&mut self, e: &Expr, cx: &mut BlockCx) -> Result<(), CompileError> {
-        match e {
-            Expr::Name(r) => self.push_name(r, cx)?,
-            Expr::Lit(Lit::Unit) => cx.emit(Instr::PushUnit),
-            Expr::Lit(Lit::Int(i)) => cx.emit(Instr::PushInt(*i)),
-            Expr::Lit(Lit::Bool(b)) => cx.emit(Instr::PushBool(*b)),
-            Expr::Lit(Lit::Float(x)) => cx.emit(Instr::PushFloat(*x)),
-            Expr::Lit(Lit::Str(s)) => {
-                let id = self.prog.strings.intern(s);
-                cx.emit(Instr::PushStr(id));
-            }
-            Expr::Bin(op, ab) => {
-                self.expr(&ab.0, cx)?;
-                self.expr(&ab.1, cx)?;
-                cx.emit(Instr::Bin(*op));
-            }
-            Expr::Un(op, a) => {
-                self.expr(a, cx)?;
-                cx.emit(Instr::Un(*op));
+        for t in e.terms() {
+            match t {
+                Term::Name(r) => self.push_name(r, cx)?,
+                Term::Unit => cx.emit(Instr::PushUnit),
+                Term::Int(i) => cx.emit(Instr::PushInt(i)),
+                Term::Bool(b) => cx.emit(Instr::PushBool(b)),
+                Term::Float(x) => cx.emit(Instr::PushFloat(x)),
+                Term::Str(s) => {
+                    let id = self.prog.strings.intern(s);
+                    cx.emit(Instr::PushStr(id));
+                }
+                Term::Bin(op) => cx.emit(Instr::Bin(op)),
+                Term::Un(op) => cx.emit(Instr::Un(op)),
             }
         }
         Ok(())

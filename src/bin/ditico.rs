@@ -21,6 +21,38 @@ use std::path::Path;
 use std::process::ExitCode;
 use tyco_vm::word::NodeId;
 
+/// `print!` that does not panic when stdout is gone. A reader that closed
+/// the pipe early (`ditico … | head -1`) ends the process quietly with the
+/// status a shell reports for a process killed by `SIGPIPE`; any other
+/// write error ends it with a one-line diagnostic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` over [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Exit status once a reader has closed stdout: 128 + `SIGPIPE`.
+const STDOUT_CLOSED: i32 = 141;
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(STDOUT_CLOSED),
+        Err(e) => {
+            eprintln!("ditico: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 // Flag lists are whitespace-separated words: `--flag` for a switch,
 // `--flag=VALUE` for a flag that takes a value (`VALUE` is its placeholder
 // in the usage text).
@@ -217,15 +249,15 @@ fn run() -> ExitCode {
 }
 
 fn print_usage() {
-    println!("usage: ditico <command>\n\ncommands:");
+    outln!("usage: ditico <command>\n\ncommands:");
     for cmd in COMMANDS {
         let usage = cmd.usage();
-        println!(
+        outln!(
             "  {}",
             usage.strip_prefix("usage: ditico ").unwrap_or(&usage)
         );
         for line in cmd.about.lines() {
-            println!("          {line}");
+            outln!("          {line}");
         }
     }
 }
@@ -260,18 +292,18 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
     let json = args.iter().any(|a| a == "--json");
     let p = compile_file(path)?;
     if !json {
-        println!("{path}: ok ({} byte-code instructions)", p.instr_count());
+        outln!("{path}: ok ({} byte-code instructions)", p.instr_count());
         if !p.types.exported_names.is_empty() || !p.types.exported_classes.is_empty() {
-            println!("exported interface:");
+            outln!("exported interface:");
             for (name, t) in &p.types.exported_names {
-                println!("  {name} : {t}");
+                outln!("  {name} : {t}");
             }
             for (name, s) in &p.types.exported_classes {
-                println!("  {name} : {s}");
+                outln!("  {name} : {s}");
             }
         }
         for (site, name, kind) in &p.types.imports {
-            println!("imports {name} ({kind:?}) from {site}");
+            outln!("imports {name} ({kind:?}) from {site}");
         }
     }
     // Every requested gate runs — a verifier failure must not mask the
@@ -282,7 +314,7 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
         match p.verify() {
             Ok(()) => {
                 if !json {
-                    println!("{path}: byte-code image verifies");
+                    outln!("{path}: byte-code image verifies");
                 }
             }
             Err(e) => {
@@ -295,7 +327,7 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
         // Static census: occurrence counts over the compiled image, a
         // preview of fusion opportunities (run with `ditico run --opstats`
         // for execution-weighted counts).
-        print!("{}", tyco_vm::stats::OpStats::census(&p.code).render(12));
+        out!("{}", tyco_vm::stats::OpStats::census(&p.code).render(12));
     }
     if json || args.iter().any(|a| a == "--lint") {
         let findings = p.findings();
@@ -314,17 +346,17 @@ fn cmd_check(cmd: &Command, args: &[String]) -> Result<(), String> {
                     )
                 })
                 .collect();
-            println!(
+            outln!(
                 r#"{{"file":"{}","findings":[{}]}}"#,
                 json_escape(path),
                 items.join(",")
             );
         } else {
             for f in &findings {
-                println!("{path}:{f}");
+                outln!("{path}:{f}");
             }
             if findings.is_empty() {
-                println!("{path}: no liveness findings");
+                outln!("{path}: no liveness findings");
             }
         }
         if !findings.is_empty() {
@@ -352,14 +384,14 @@ fn cmd_compile(cmd: &Command, args: &[String]) -> Result<(), String> {
     };
     let bytes = tyco_vm::image_to_bytes(&compile_file(path)?.code);
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!("{out}: {} bytes", bytes.len());
+    outln!("{out}: {} bytes", bytes.len());
     Ok(())
 }
 
 fn cmd_asm(cmd: &Command, args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(|| cmd.usage())?;
     let p = compile_file(path)?;
-    print!("{}", tyco_vm::emit_asm(&p.code));
+    out!("{}", tyco_vm::emit_asm(&p.code));
     Ok(())
 }
 
@@ -367,7 +399,7 @@ fn cmd_disasm(cmd: &Command, args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(|| cmd.usage())?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let prog = tyco_vm::image_from_bytes(bytes.into()).map_err(|e| e.to_string())?;
-    print!("{}", tyco_vm::emit_asm(&prog));
+    out!("{}", tyco_vm::emit_asm(&prog));
     Ok(())
 }
 
@@ -402,7 +434,7 @@ fn cmd_run(cmd: &Command, args: &[String]) -> Result<(), String> {
     }
     let result = m.run_to_quiescence(u64::MAX);
     for line in &m.io {
-        println!("{line}");
+        outln!("{line}");
     }
     if args.iter().any(|a| a == "--stats") {
         eprintln!("{}", m.stats);
@@ -576,7 +608,7 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
     lexemes.sort();
     for lexeme in lexemes {
         for line in &report.outputs[lexeme] {
-            println!("[{lexeme}] {line}");
+            outln!("[{lexeme}] {line}");
         }
     }
     for (site, err) in &report.errors {
@@ -798,7 +830,7 @@ fn cmd_shell() -> Result<(), String> {
     let stdin = std::io::stdin();
     let mut lock = stdin.lock();
     let mut line = String::new();
-    println!("TyCOsh — type `help` for commands, ctrl-D to exit.");
+    outln!("TyCOsh — type `help` for commands, ctrl-D to exit.");
     loop {
         line.clear();
         match lock.read_line(&mut line) {
@@ -809,7 +841,7 @@ fn cmd_shell() -> Result<(), String> {
                 }
                 let reply = shell.exec(&line);
                 if !reply.is_empty() {
-                    println!("{reply}");
+                    outln!("{reply}");
                 }
             }
             Err(e) => return Err(format!("read error: {e}")),

@@ -222,6 +222,29 @@ fn unknown_command_and_usage() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage"));
 }
 
+/// A reader that leaves early (`ditico check f --verify | head -1`) ends
+/// `ditico` quietly, with the status of a process killed by `SIGPIPE`:
+/// no panic text, and not the 101 of a panic.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = tmpdir("closed-stdout");
+    let src = write(&dir, "cell.dity", CELL);
+    for args in [&["check", "--verify"][..], &["run"], &["help"]] {
+        // The pipe's only reader is gone before the child starts.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let mut cmd = ditico();
+        cmd.arg(args[0]);
+        if args[0] != "help" {
+            cmd.arg(&src);
+        }
+        let out = cmd.args(&args[1..]).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn unknown_flags_are_rejected_by_name() {
     // The retired flags are spelled in halves so a tree-wide grep for
