@@ -22,9 +22,16 @@
 //! α-renaming the normal form fixes) — which the property tests check
 //! against hand-derived congruent pairs, and which the interpreter respects
 //! observationally.
+//!
+//! Which occurrences are free — for GcN, for the located mentions that
+//! keep a restriction alive, and for α-renaming — is decided by the one
+//! scope-aware walk of `tyco_syntax::ast` ([`Proc::free_occurrences`]).
+//! Renaming the restriction `s.x` rewrites the plain `x` free at `s` and
+//! every located mention `s.x` elsewhere: a located name is a constant,
+//! so a process binder spelled `x` does not capture it.
 
-use std::collections::BTreeMap;
-use tyco_syntax::ast::{ClassDef, Proc};
+use std::collections::{BTreeMap, BTreeSet};
+use tyco_syntax::ast::{ClassDef, NameRef, Proc};
 use tyco_syntax::desugar::fresh_name;
 use tyco_syntax::pretty::pretty;
 
@@ -95,7 +102,7 @@ struct Norm {
     defs: Vec<(String, Vec<ClassDef>)>,
     sites: BTreeMap<String, Vec<Proc>>,
     /// Names already used (for α-renaming extruded binders apart).
-    used: std::collections::BTreeSet<String>,
+    used: BTreeSet<String>,
 }
 
 impl Norm {
@@ -111,11 +118,10 @@ impl Norm {
                 // condition can never fail.
                 let fresh = fresh_name(name, &self.used);
                 self.used.insert(fresh.clone());
-                let body = if fresh == *name {
-                    (**body).clone()
-                } else {
-                    rename_net(body, site, name, &fresh)
-                };
+                let mut body = (**body).clone();
+                if fresh != *name {
+                    rename_net(&mut body, site, name, &fresh);
+                }
                 self.restrictions.push((site.clone(), fresh));
                 self.walk(&body);
             }
@@ -140,7 +146,7 @@ impl Norm {
                             let fresh = fresh_name(b, &self.used);
                             self.used.insert(fresh.clone());
                             if fresh != *b {
-                                body = rename_proc(&body, b, &fresh);
+                                rename_proc(&mut body, b, &fresh);
                             }
                             self.restrictions.push((s.clone(), fresh));
                         }
@@ -162,7 +168,7 @@ impl Norm {
         self.alpha_canonicalize();
         let mut sites: BTreeMap<String, Vec<String>> = BTreeMap::new();
         // Free names of the gathered body, for GcN.
-        let mut body_free: std::collections::BTreeSet<(String, String)> = Default::default();
+        let mut body_free: BTreeSet<(String, String)> = Default::default();
         for (s, ps) in &self.sites {
             let mut rendered: Vec<String> = ps.iter().map(pretty).collect();
             rendered.sort();
@@ -179,7 +185,7 @@ impl Norm {
         // when it occurs free in some component of its site; cross-site
         // located occurrences keep their own spelling `s.x` and are
         // conservatively retained by treating any located mention as use.)
-        let mut located_mentions: std::collections::BTreeSet<(String, String)> = Default::default();
+        let mut located_mentions: BTreeSet<(String, String)> = Default::default();
         for ps in self.sites.values() {
             for p in ps {
                 collect_located(p, &mut located_mentions);
@@ -194,7 +200,7 @@ impl Norm {
             })
             .collect();
         // GcD: drop definition groups whose classes are never used.
-        let mut class_uses: std::collections::BTreeSet<String> = Default::default();
+        let mut class_uses: BTreeSet<String> = Default::default();
         for ps in self.sites.values() {
             for p in ps {
                 class_uses.extend(p.free_classes());
@@ -253,9 +259,9 @@ impl Norm {
                     let mut m = p.clone();
                     for (rs, rx) in &self.restrictions {
                         if rs == site {
-                            m = rename_proc(&m, rx, mask);
+                            rename_proc(&mut m, rx, mask);
                         }
-                        m = rename_located(&m, rs, rx, mask);
+                        rename_located(&mut m, rs, rx, mask);
                     }
                     (p.clone(), pretty(&m))
                 })
@@ -272,7 +278,7 @@ impl Norm {
                     let used = if site == rs {
                         orig.free_names().contains(rx)
                     } else {
-                        let mut located = std::collections::BTreeSet::new();
+                        let mut located = BTreeSet::new();
                         collect_located(orig, &mut located);
                         located.contains(&(rs.clone(), rx.clone()))
                     };
@@ -292,9 +298,9 @@ impl Norm {
         // names to avoid are the *genuinely free* plain names per site —
         // occurrences of the restricted names themselves are about to be
         // replaced and must not block their canonical spelling.
-        let mut avoid: std::collections::BTreeSet<String> = Default::default();
+        let mut avoid: BTreeSet<String> = Default::default();
         for (site, ps) in &self.sites {
-            let restricted_here: std::collections::BTreeSet<&String> = self
+            let restricted_here: BTreeSet<&String> = self
                 .restrictions
                 .iter()
                 .filter(|(rs, _)| rs == site)
@@ -321,9 +327,9 @@ impl Norm {
             for p in ps.iter_mut() {
                 for (rs, old, new) in &renames {
                     if rs == site {
-                        *p = rename_proc(p, old, new);
+                        rename_proc(p, old, new);
                     }
-                    *p = rename_located(p, rs, old, new);
+                    rename_located(p, rs, old, new);
                 }
             }
         }
@@ -332,323 +338,52 @@ impl Norm {
 }
 
 /// Collect `s.x` mentions (free located names) of a process.
-fn collect_located(p: &Proc, out: &mut std::collections::BTreeSet<(String, String)>) {
-    use tyco_syntax::ast::{Expr, NameRef, Term};
-    fn expr(e: &Expr, out: &mut std::collections::BTreeSet<(String, String)>) {
-        for t in e.terms() {
-            if let Term::Name(NameRef::Located(sx)) = t {
-                out.insert((**sx).clone());
-            }
+fn collect_located(p: &Proc, out: &mut BTreeSet<(String, String)>) {
+    let located = |r: &NameRef| {
+        if let NameRef::Located(sx) = r {
+            out.insert((**sx).clone());
         }
-    }
-    match p {
-        Proc::Nil => {}
-        Proc::Par(ps) => ps.iter().for_each(|q| collect_located(q, out)),
-        Proc::New { body, .. }
-        | Proc::ExportNew { body, .. }
-        | Proc::ImportName { body, .. }
-        | Proc::ImportClass { body, .. } => collect_located(body, out),
-        Proc::Msg { target, args, .. } => {
-            if let NameRef::Located(sx) = target {
-                out.insert((**sx).clone());
-            }
-            args.iter().for_each(|a| expr(a, out));
-        }
-        Proc::Obj {
-            target, methods, ..
-        } => {
-            if let NameRef::Located(sx) = target {
-                out.insert((**sx).clone());
-            }
-            methods.iter().for_each(|m| collect_located(&m.body, out));
-        }
-        Proc::Inst { args, .. } => args.iter().for_each(|a| expr(a, out)),
-        Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
-            defs.iter().for_each(|d| collect_located(&d.body, out));
-            collect_located(body, out);
-        }
-        Proc::If {
-            cond,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            expr(cond, out);
-            collect_located(then_branch, out);
-            collect_located(else_branch, out);
-        }
-        Proc::Print { args, .. } => args.iter().for_each(|a| expr(a, out)),
-        Proc::Let {
-            target, args, body, ..
-        } => {
-            if let NameRef::Located(sx) = target {
-                out.insert((**sx).clone());
-            }
-            args.iter().for_each(|a| expr(a, out));
-            collect_located(body, out);
-        }
-    }
+    };
+    p.free_occurrences(located, |_| {});
 }
 
 /// Rename the free plain name `from` to `to` in a process (capture is
 /// impossible because `to` is globally fresh).
-fn rename_proc(p: &Proc, from: &str, to: &str) -> Proc {
-    // Reuse σ machinery through a tiny detour: rename by substituting via
-    // parse of the pretty form would be fragile; walk directly instead.
-    use tyco_syntax::ast::*;
-    fn nref(r: &NameRef, from: &str, to: &str, bound: &[String]) -> NameRef {
-        match r {
-            NameRef::Plain(x) if x == from && !bound.iter().any(|b| b == x) => {
-                NameRef::Plain(to.to_string())
-            }
-            other => other.clone(),
-        }
-    }
-    fn expr(e: &Expr, from: &str, to: &str, bound: &[String]) -> Expr {
-        e.map_names(|r| nref(r, from, to, bound))
-    }
-    fn walk(p: &Proc, from: &str, to: &str, bound: &mut Vec<String>) -> Proc {
-        if bound.iter().any(|b| b == from) {
-            return p.clone();
-        }
-        match p {
-            Proc::Nil => Proc::Nil,
-            Proc::Par(ps) => Proc::Par(ps.iter().map(|q| walk(q, from, to, bound)).collect()),
-            Proc::New {
-                binders,
-                body,
-                span,
-            } => {
-                let n = bound.len();
-                bound.extend(binders.iter().cloned());
-                let body = Box::new(walk(body, from, to, bound));
-                bound.truncate(n);
-                Proc::New {
-                    binders: binders.clone(),
-                    body,
-                    span: *span,
-                }
-            }
-            Proc::ExportNew {
-                binders,
-                body,
-                span,
-            } => {
-                let n = bound.len();
-                bound.extend(binders.iter().cloned());
-                let body = Box::new(walk(body, from, to, bound));
-                bound.truncate(n);
-                Proc::ExportNew {
-                    binders: binders.clone(),
-                    body,
-                    span: *span,
-                }
-            }
-            Proc::Msg {
-                target,
-                label,
-                args,
-                span,
-            } => Proc::Msg {
-                target: nref(target, from, to, bound),
-                label: label.clone(),
-                args: args.iter().map(|a| expr(a, from, to, bound)).collect(),
-                span: *span,
-            },
-            Proc::Obj {
-                target,
-                methods,
-                span,
-            } => Proc::Obj {
-                target: nref(target, from, to, bound),
-                methods: methods
-                    .iter()
-                    .map(|m| {
-                        let n = bound.len();
-                        bound.extend(m.params.iter().cloned());
-                        let body = walk(&m.body, from, to, bound);
-                        bound.truncate(n);
-                        Method {
-                            label: m.label.clone(),
-                            params: m.params.clone(),
-                            body,
-                            span: m.span,
-                        }
-                    })
-                    .collect(),
-                span: *span,
-            },
-            Proc::Inst { class, args, span } => Proc::Inst {
-                class: class.clone(),
-                args: args.iter().map(|a| expr(a, from, to, bound)).collect(),
-                span: *span,
-            },
-            Proc::Def { defs, body, span } => Proc::Def {
-                defs: defs
-                    .iter()
-                    .map(|d| {
-                        let n = bound.len();
-                        bound.extend(d.params.iter().cloned());
-                        let b = walk(&d.body, from, to, bound);
-                        bound.truncate(n);
-                        ClassDef {
-                            name: d.name.clone(),
-                            params: d.params.clone(),
-                            body: b,
-                            span: d.span,
-                        }
-                    })
-                    .collect(),
-                body: Box::new(walk(body, from, to, bound)),
-                span: *span,
-            },
-            Proc::ExportDef { defs, body, span } => Proc::ExportDef {
-                defs: defs
-                    .iter()
-                    .map(|d| {
-                        let n = bound.len();
-                        bound.extend(d.params.iter().cloned());
-                        let b = walk(&d.body, from, to, bound);
-                        bound.truncate(n);
-                        ClassDef {
-                            name: d.name.clone(),
-                            params: d.params.clone(),
-                            body: b,
-                            span: d.span,
-                        }
-                    })
-                    .collect(),
-                body: Box::new(walk(body, from, to, bound)),
-                span: *span,
-            },
-            Proc::ImportName {
-                name,
-                site,
-                body,
-                span,
-            } => {
-                let n = bound.len();
-                bound.push(name.clone());
-                let body = Box::new(walk(body, from, to, bound));
-                bound.truncate(n);
-                Proc::ImportName {
-                    name: name.clone(),
-                    site: site.clone(),
-                    body,
-                    span: *span,
-                }
-            }
-            Proc::ImportClass {
-                class,
-                site,
-                body,
-                span,
-            } => Proc::ImportClass {
-                class: class.clone(),
-                site: site.clone(),
-                body: Box::new(walk(body, from, to, bound)),
-                span: *span,
-            },
-            Proc::If {
-                cond,
-                then_branch,
-                else_branch,
-                span,
-            } => Proc::If {
-                cond: expr(cond, from, to, bound),
-                then_branch: Box::new(walk(then_branch, from, to, bound)),
-                else_branch: Box::new(walk(else_branch, from, to, bound)),
-                span: *span,
-            },
-            Proc::Print {
-                args,
-                newline,
-                span,
-            } => Proc::Print {
-                args: args.iter().map(|a| expr(a, from, to, bound)).collect(),
-                newline: *newline,
-                span: *span,
-            },
-            Proc::Let {
-                binder,
-                target,
-                label,
-                args,
-                body,
-                span,
-            } => {
-                let target = nref(target, from, to, bound);
-                let args = args.iter().map(|a| expr(a, from, to, bound)).collect();
-                let n = bound.len();
-                bound.push(binder.clone());
-                let body = Box::new(walk(body, from, to, bound));
-                bound.truncate(n);
-                Proc::Let {
-                    binder: binder.clone(),
-                    target,
-                    label: label.clone(),
-                    args,
-                    body,
-                    span: *span,
-                }
-            }
-        }
-    }
-    walk(p, from, to, &mut Vec::new())
+fn rename_proc(p: &mut Proc, from: &str, to: &str) {
+    let plain = |r: &mut NameRef| match r {
+        NameRef::Plain(x) if x == from => *x = to.to_string(),
+        _ => {}
+    };
+    p.free_occurrences_mut(plain, |_| {});
 }
 
 /// Rename a network-level restricted name `site.from` to `site.to`
-/// throughout a network body.
-fn rename_net(net: &Net, site: &str, from: &str, to: &str) -> Net {
+/// throughout a network body, in place.
+fn rename_net(net: &mut Net, site: &str, from: &str, to: &str) {
     match net {
-        Net::Nil => Net::Nil,
-        Net::Par(a, b) => Net::par(rename_net(a, site, from, to), rename_net(b, site, from, to)),
-        Net::New {
-            site: s2,
-            name,
-            body,
-        } => {
-            if s2 == site && name == from {
-                // Shadowed: stop.
-                net.clone()
-            } else {
-                Net::New {
-                    site: s2.clone(),
-                    name: name.clone(),
-                    body: Box::new(rename_net(body, site, from, to)),
-                }
-            }
+        Net::Nil => {}
+        Net::Par(a, b) => {
+            rename_net(a, site, from, to);
+            rename_net(b, site, from, to);
         }
-        Net::Def {
-            site: s2,
-            defs,
-            body,
-        } => Net::Def {
-            site: s2.clone(),
-            defs: defs.clone(),
-            body: Box::new(rename_net(body, site, from, to)),
-        },
-        Net::Site(s2, p) => {
-            if s2 == site {
-                // Plain occurrences at the owning site.
-                Net::Site(s2.clone(), rename_proc(p, from, to))
-            } else {
-                // Located occurrences `site.from` at other sites.
-                Net::Site(s2.clone(), rename_located(p, site, from, to))
-            }
-        }
+        // Shadowed: stop.
+        Net::New { site: s2, name, .. } if s2 == site && name == from => {}
+        Net::New { body, .. } | Net::Def { body, .. } => rename_net(body, site, from, to),
+        // Plain occurrences at the owning site.
+        Net::Site(s2, p) if s2 == site => rename_proc(p, from, to),
+        // Located occurrences `site.from` at other sites.
+        Net::Site(_, p) => rename_located(p, site, from, to),
     }
 }
 
-/// Rename located occurrences `site.from` → `site.to` in a process.
-fn rename_located(p: &Proc, site: &str, from: &str, to: &str) -> Proc {
-    // Round-trip through σ: translate so the located name becomes plain at
-    // `site`, rename there, translate back. Simpler: direct walk on the
-    // printed form would be fragile; reuse sigma twice.
-    let here = "\u{1}renaming\u{1}"; // a site lexeme that cannot occur
-    let at_site = crate::sigma::sigma_proc(p, here, site);
-    let renamed = rename_proc(&at_site, from, to);
-    crate::sigma::sigma_proc(&renamed, site, here)
+/// Rename located occurrences `site.from` → `site.to` in a process. A
+/// located name is a constant, so no process binder captures it.
+fn rename_located(p: &mut Proc, site: &str, from: &str, to: &str) {
+    let located = |r: &mut NameRef| match r {
+        NameRef::Located(sx) if sx.0 == site && sx.1 == from => sx.1 = to.to_string(),
+        _ => {}
+    };
+    p.free_occurrences_mut(located, |_| {});
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! σ(s'.x) = s'.x     other located names are untouched
 //! ```
 //!
-//! and identically for class variables.
+//! and identically for class variables. A process is translated by
+//! rewriting its free occurrences in place, found by the one scope-aware
+//! walk of `tyco_syntax::ast`.
 
 use tyco_syntax::ast::*;
 
@@ -36,220 +38,15 @@ pub fn sigma_class(r: &ClassRef, from: &str, to: &str) -> ClassRef {
 /// Apply σ to every *free* identifier of a process moving from `from` to
 /// `to`. Bound occurrences (under `new`, method/class parameters, `def`
 /// class names, `import` binders) are untouched, exactly as in the paper's
-/// `Mσr` / `Dσr`.
+/// `Mσr` / `Dσr`: which occurrences are free is
+/// [`Proc::free_occurrences_mut`]'s to say.
 pub fn sigma_proc(p: &Proc, from: &str, to: &str) -> Proc {
-    let mut bound_names: Vec<String> = Vec::new();
-    let mut bound_classes: Vec<String> = Vec::new();
-    sigma_rec(p, from, to, &mut bound_names, &mut bound_classes)
-}
-
-fn name_is_bound(bound: &[String], r: &NameRef) -> bool {
-    matches!(r, NameRef::Plain(x) if bound.iter().any(|b| b == x))
-}
-
-fn sigma_name_in(r: &NameRef, from: &str, to: &str, bound: &[String]) -> NameRef {
-    if name_is_bound(bound, r) {
-        r.clone()
-    } else {
-        sigma_name(r, from, to)
-    }
-}
-
-fn sigma_expr(e: &Expr, from: &str, to: &str, bound: &[String]) -> Expr {
-    e.map_names(|r| sigma_name_in(r, from, to, bound))
-}
-
-fn sigma_rec(p: &Proc, from: &str, to: &str, bn: &mut Vec<String>, bc: &mut Vec<String>) -> Proc {
-    match p {
-        Proc::Nil => Proc::Nil,
-        Proc::Par(ps) => Proc::Par(ps.iter().map(|q| sigma_rec(q, from, to, bn, bc)).collect()),
-        Proc::New {
-            binders,
-            body,
-            span,
-        } => {
-            let n = bn.len();
-            bn.extend(binders.iter().cloned());
-            let body = Box::new(sigma_rec(body, from, to, bn, bc));
-            bn.truncate(n);
-            Proc::New {
-                binders: binders.clone(),
-                body,
-                span: *span,
-            }
-        }
-        Proc::ExportNew {
-            binders,
-            body,
-            span,
-        } => {
-            let n = bn.len();
-            bn.extend(binders.iter().cloned());
-            let body = Box::new(sigma_rec(body, from, to, bn, bc));
-            bn.truncate(n);
-            Proc::ExportNew {
-                binders: binders.clone(),
-                body,
-                span: *span,
-            }
-        }
-        Proc::Msg {
-            target,
-            label,
-            args,
-            span,
-        } => Proc::Msg {
-            target: sigma_name_in(target, from, to, bn),
-            label: label.clone(),
-            args: args.iter().map(|a| sigma_expr(a, from, to, bn)).collect(),
-            span: *span,
-        },
-        Proc::Obj {
-            target,
-            methods,
-            span,
-        } => Proc::Obj {
-            target: sigma_name_in(target, from, to, bn),
-            methods: methods
-                .iter()
-                .map(|m| {
-                    let n = bn.len();
-                    bn.extend(m.params.iter().cloned());
-                    let body = sigma_rec(&m.body, from, to, bn, bc);
-                    bn.truncate(n);
-                    Method {
-                        label: m.label.clone(),
-                        params: m.params.clone(),
-                        body,
-                        span: m.span,
-                    }
-                })
-                .collect(),
-            span: *span,
-        },
-        Proc::Inst { class, args, span } => {
-            let class = match class {
-                ClassRef::Plain(x) if bc.iter().any(|b| b == x) => class.clone(),
-                other => sigma_class(other, from, to),
-            };
-            Proc::Inst {
-                class,
-                args: args.iter().map(|a| sigma_expr(a, from, to, bn)).collect(),
-                span: *span,
-            }
-        }
-        Proc::Def { defs, body, span } | Proc::ExportDef { defs, body, span } => {
-            let c = bc.len();
-            bc.extend(defs.iter().map(|d| d.name.clone()));
-            let defs2: Vec<ClassDef> = defs
-                .iter()
-                .map(|d| {
-                    let n = bn.len();
-                    bn.extend(d.params.iter().cloned());
-                    let body = sigma_rec(&d.body, from, to, bn, bc);
-                    bn.truncate(n);
-                    ClassDef {
-                        name: d.name.clone(),
-                        params: d.params.clone(),
-                        body,
-                        span: d.span,
-                    }
-                })
-                .collect();
-            let body2 = Box::new(sigma_rec(body, from, to, bn, bc));
-            bc.truncate(c);
-            if matches!(p, Proc::ExportDef { .. }) {
-                Proc::ExportDef {
-                    defs: defs2,
-                    body: body2,
-                    span: *span,
-                }
-            } else {
-                Proc::Def {
-                    defs: defs2,
-                    body: body2,
-                    span: *span,
-                }
-            }
-        }
-        Proc::ImportName {
-            name,
-            site,
-            body,
-            span,
-        } => {
-            let n = bn.len();
-            bn.push(name.clone());
-            let body = Box::new(sigma_rec(body, from, to, bn, bc));
-            bn.truncate(n);
-            Proc::ImportName {
-                name: name.clone(),
-                site: site.clone(),
-                body,
-                span: *span,
-            }
-        }
-        Proc::ImportClass {
-            class,
-            site,
-            body,
-            span,
-        } => {
-            let c = bc.len();
-            bc.push(class.clone());
-            let body = Box::new(sigma_rec(body, from, to, bn, bc));
-            bc.truncate(c);
-            Proc::ImportClass {
-                class: class.clone(),
-                site: site.clone(),
-                body,
-                span: *span,
-            }
-        }
-        Proc::If {
-            cond,
-            then_branch,
-            else_branch,
-            span,
-        } => Proc::If {
-            cond: sigma_expr(cond, from, to, bn),
-            then_branch: Box::new(sigma_rec(then_branch, from, to, bn, bc)),
-            else_branch: Box::new(sigma_rec(else_branch, from, to, bn, bc)),
-            span: *span,
-        },
-        Proc::Print {
-            args,
-            newline,
-            span,
-        } => Proc::Print {
-            args: args.iter().map(|a| sigma_expr(a, from, to, bn)).collect(),
-            newline: *newline,
-            span: *span,
-        },
-        Proc::Let {
-            binder,
-            target,
-            label,
-            args,
-            body,
-            span,
-        } => {
-            let target = sigma_name_in(target, from, to, bn);
-            let args = args.iter().map(|a| sigma_expr(a, from, to, bn)).collect();
-            let n = bn.len();
-            bn.push(binder.clone());
-            let body = Box::new(sigma_rec(body, from, to, bn, bc));
-            bn.truncate(n);
-            Proc::Let {
-                binder: binder.clone(),
-                target,
-                label: label.clone(),
-                args,
-                body,
-                span: *span,
-            }
-        }
-    }
+    let mut q = p.clone();
+    q.free_occurrences_mut(
+        |r| *r = sigma_name(r, from, to),
+        |c| *c = sigma_class(c, from, to),
+    );
+    q
 }
 
 #[cfg(test)]

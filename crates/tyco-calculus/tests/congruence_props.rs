@@ -5,10 +5,26 @@ use proptest::prelude::*;
 use tyco_calculus::network_syntax::{normalize, Net};
 use tyco_calculus::sigma::sigma_proc;
 use tyco_syntax::arbitrary::{arb_closed_program, arb_proc};
+use tyco_syntax::ast::{NameRef, Proc};
+use tyco_syntax::parse_core;
 use tyco_syntax::pretty::pretty;
 
+const SITES: [&str; 3] = ["s", "t", "u"];
+
 fn arb_site_name() -> impl Strategy<Value = String> {
-    proptest::sample::select(vec!["s", "t", "u"]).prop_map(str::to_string)
+    proptest::sample::select(SITES.to_vec()).prop_map(str::to_string)
+}
+
+/// A mention `site.name!val[k]` of a restriction, made at the `other`th
+/// other site, alone or under a process binder spelled `name`:
+/// `new name (site.name!val[k] | name!val[k])`.
+fn mention(site: &str, name: &str, other: usize, shadowed: bool, k: u8) -> Net {
+    let at = SITES.iter().filter(|&&s| s != site).nth(other).unwrap();
+    let src = match shadowed {
+        true => format!("new {name} ({site}.{name}!val[{k}] | {name}!val[{k}])"),
+        false => format!("{site}.{name}!val[{k}]"),
+    };
+    Net::Site(at.to_string(), parse_core(&src).unwrap())
 }
 
 fn arb_net() -> impl Strategy<Value = Net> {
@@ -29,8 +45,64 @@ fn arb_net() -> impl Strategy<Value = Net> {
                     name: name.to_string(),
                     body: Box::new(body)
                 }),
+            // The same, with a located mention of the restricted name in
+            // its scope.
+            (
+                arb_site_name(),
+                proptest::sample::select(vec!["x", "y"]),
+                inner.clone(),
+                0..SITES.len() - 1,
+                any::<bool>(),
+                any::<u8>()
+            )
+                .prop_map(|(site, name, body, other, shadowed, k)| Net::New {
+                    body: Box::new(Net::par(body, mention(&site, name, other, shadowed, k))),
+                    site,
+                    name: name.to_string(),
+                }),
         ]
     })
+}
+
+/// The located name occurrences of a process.
+fn located(p: &Proc) -> usize {
+    let mut n = 0;
+    p.free_occurrences(|r| n += matches!(r, NameRef::Located(_)) as usize, |_| {});
+    n
+}
+
+/// The located name occurrences of every site body of a network.
+fn located_in(net: &Net) -> usize {
+    match net {
+        Net::Nil => 0,
+        Net::Site(_, p) => located(p),
+        Net::Par(a, b) => located_in(a) + located_in(b),
+        Net::New { body, .. } | Net::Def { body, .. } => located_in(body),
+    }
+}
+
+/// A located mention `s.x` is a constant: the process binder spelled `x`
+/// at `t` does not capture it, so canonical renaming of the restriction
+/// `s.x` reaches it, and it stays apart from a plain `x`.
+#[test]
+fn renaming_a_restriction_reaches_a_located_mention_under_a_binder_of_its_spelling() {
+    let net = |mention: &str| Net::New {
+        site: "s".into(),
+        name: "x".into(),
+        body: Box::new(Net::par(
+            Net::Site("s".into(), parse_core("x!a[1]").unwrap()),
+            Net::Site(
+                "t".into(),
+                parse_core(&format!("y?(z) = new x ({mention}!b[2] | x!c[3])")).unwrap(),
+            ),
+        )),
+    };
+    let canon = normalize(&net("s.x"));
+    assert_ne!(canon, normalize(&net("x")));
+    assert_eq!(
+        canon.sites["t"],
+        ["y?{val(z) = new x in s.n0!b[2] | x!c[3]}"]
+    );
 }
 
 proptest! {
@@ -60,11 +132,11 @@ proptest! {
         for (site, comps) in &canon.sites {
             let procs: Vec<_> = comps
                 .iter()
-                .map(|src| tyco_syntax::parse_core(src).expect("canonical form re-parses"))
+                .map(|src| parse_core(src).expect("canonical form re-parses"))
                 .collect();
             rebuilt = Net::par(
                 rebuilt,
-                Net::Site(site.clone(), tyco_syntax::ast::Proc::par(procs)),
+                Net::Site(site.clone(), Proc::par(procs)),
             );
         }
         // Restrictions must be re-attached for names to stay alive.
@@ -73,6 +145,18 @@ proptest! {
         }
         let again = normalize(&rebuilt);
         prop_assert_eq!(canon.sites, again.sites);
+    }
+
+    /// Normalization renames restrictions apart and canonically, but never
+    /// turns a located mention into a plain one: every site body's located
+    /// occurrences are in the canonical components.
+    #[test]
+    fn normalization_keeps_located_mentions(n in arb_net()) {
+        let canon = normalize(&n);
+        let kept: usize = (canon.sites.values().flatten())
+            .map(|src| located(&parse_core(src).expect("canonical form re-parses")))
+            .sum();
+        prop_assert_eq!(kept, located_in(&n));
     }
 
     /// σ_{s→r} ∘ σ_{r→s} = id on processes whose free located names are at
@@ -111,7 +195,6 @@ proptest! {
         parts in proptest::collection::vec(arb_closed_program(), 1..4)
     ) {
         use tyco_calculus::Network;
-        use tyco_syntax::ast::Proc;
 
         let forward = Proc::par(parts.clone());
         let mut reversed_parts = parts.clone();

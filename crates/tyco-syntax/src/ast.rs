@@ -30,6 +30,7 @@
 //! [`NameRef::Located`] / [`ClassRef::Located`].
 
 use crate::pos::Span;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -329,29 +330,38 @@ impl Expr {
 
     /// The same expression with every name `r` replaced by `f(r)`.
     pub fn map_names(&self, mut f: impl FnMut(&NameRef) -> NameRef) -> Expr {
-        Expr(match &self.0 {
-            Repr::Name(r) => Repr::Name(f(r)),
-            Repr::Lit(l) => Repr::Lit(l.clone()),
-            Repr::Flat { nodes, leaves } => Repr::Flat {
-                nodes: nodes.clone(),
-                leaves: leaves
-                    .iter()
-                    .map(|leaf| match leaf {
-                        Leaf::Name(r) => Leaf::Name(f(r)),
-                        Leaf::Str(s) => Leaf::Str(s.clone()),
-                    })
-                    .collect(),
-            },
-        })
+        let mut e = self.clone();
+        e.names_mut().for_each(|r| *r = f(r));
+        e
     }
 
-    /// Free (plain) names of the expression, accumulated into `out`.
-    pub fn free_names_into(&self, out: &mut BTreeSet<Ident>) {
-        for t in self.terms() {
-            if let Term::Name(NameRef::Plain(x)) = t {
-                out.insert(x.clone());
-            }
-        }
+    /// The names of the expression, in node order, read off its side
+    /// table: no scan of the operators.
+    pub fn names(&self) -> impl Iterator<Item = &NameRef> {
+        let (lone, leaves): (_, &[Leaf]) = match &self.0 {
+            Repr::Name(r) => (Some(r), &[]),
+            Repr::Lit(_) => (None, &[]),
+            Repr::Flat { leaves, .. } => (None, leaves),
+        };
+        let named = leaves.iter().filter_map(|leaf| match leaf {
+            Leaf::Name(r) => Some(r),
+            Leaf::Str(_) => None,
+        });
+        lone.into_iter().chain(named)
+    }
+
+    /// [`Expr::names`], to rewrite in place.
+    pub fn names_mut(&mut self) -> impl Iterator<Item = &mut NameRef> {
+        let (lone, leaves): (_, &mut [Leaf]) = match &mut self.0 {
+            Repr::Name(r) => (Some(r), &mut []),
+            Repr::Lit(_) => (None, &mut []),
+            Repr::Flat { leaves, .. } => (None, leaves),
+        };
+        let named = leaves.iter_mut().filter_map(|leaf| match leaf {
+            Leaf::Name(r) => Some(r),
+            Leaf::Str(_) => None,
+        });
+        lone.into_iter().chain(named)
     }
 }
 
@@ -682,188 +692,243 @@ impl Proc {
     /// not collected). Follows the binding structure of §2/§4.
     pub fn free_names(&self) -> BTreeSet<Ident> {
         let mut out = BTreeSet::new();
-        self.free_names_into(&mut out);
+        let plain = |r: &NameRef| {
+            if let NameRef::Plain(x) = r {
+                out.insert(x.clone());
+            }
+        };
+        self.free_occurrences(plain, |_| {});
         out
-    }
-
-    fn free_names_into(&self, out: &mut BTreeSet<Ident>) {
-        match self {
-            Proc::Nil => {}
-            Proc::Par(ps) => {
-                for p in ps {
-                    p.free_names_into(out);
-                }
-            }
-            Proc::New { binders, body, .. } | Proc::ExportNew { binders, body, .. } => {
-                let mut inner = BTreeSet::new();
-                body.free_names_into(&mut inner);
-                for b in binders {
-                    inner.remove(b);
-                }
-                out.extend(inner);
-            }
-            Proc::Msg { target, args, .. } => {
-                if let NameRef::Plain(x) = target {
-                    out.insert(x.clone());
-                }
-                for a in args {
-                    a.free_names_into(out);
-                }
-            }
-            Proc::Obj {
-                target, methods, ..
-            } => {
-                if let NameRef::Plain(x) = target {
-                    out.insert(x.clone());
-                }
-                for m in methods {
-                    let mut inner = BTreeSet::new();
-                    m.body.free_names_into(&mut inner);
-                    for p in &m.params {
-                        inner.remove(p);
-                    }
-                    out.extend(inner);
-                }
-            }
-            Proc::Inst { args, .. } => {
-                for a in args {
-                    a.free_names_into(out);
-                }
-            }
-            Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
-                for d in defs {
-                    let mut inner = BTreeSet::new();
-                    d.body.free_names_into(&mut inner);
-                    for p in &d.params {
-                        inner.remove(p);
-                    }
-                    out.extend(inner);
-                }
-                body.free_names_into(out);
-            }
-            Proc::ImportName { name, body, .. } => {
-                // `import x from s in P` binds x within P (to s.x).
-                let mut inner = BTreeSet::new();
-                body.free_names_into(&mut inner);
-                inner.remove(name);
-                out.extend(inner);
-            }
-            Proc::ImportClass { body, .. } => body.free_names_into(out),
-            Proc::If {
-                cond,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                cond.free_names_into(out);
-                then_branch.free_names_into(out);
-                else_branch.free_names_into(out);
-            }
-            Proc::Print { args, .. } => {
-                for a in args {
-                    a.free_names_into(out);
-                }
-            }
-            Proc::Let {
-                binder,
-                target,
-                args,
-                body,
-                ..
-            } => {
-                if let NameRef::Plain(x) = target {
-                    out.insert(x.clone());
-                }
-                for a in args {
-                    a.free_names_into(out);
-                }
-                let mut inner = BTreeSet::new();
-                body.free_names_into(&mut inner);
-                inner.remove(binder);
-                out.extend(inner);
-            }
-        }
     }
 
     /// Free class variables (plain only), following `def` binding structure.
     pub fn free_classes(&self) -> BTreeSet<Ident> {
         let mut out = BTreeSet::new();
-        self.free_classes_into(&mut out);
+        let plain = |c: &ClassRef| {
+            if let ClassRef::Plain(x) = c {
+                out.insert(x.clone());
+            }
+        };
+        self.free_occurrences(|_| {}, plain);
         out
-    }
-
-    fn free_classes_into(&self, out: &mut BTreeSet<Ident>) {
-        match self {
-            Proc::Nil | Proc::Msg { .. } | Proc::Print { .. } => {}
-            Proc::Par(ps) => {
-                for p in ps {
-                    p.free_classes_into(out);
-                }
-            }
-            Proc::New { body, .. } | Proc::ExportNew { body, .. } => body.free_classes_into(out),
-            Proc::Obj { methods, .. } => {
-                for m in methods {
-                    m.body.free_classes_into(out);
-                }
-            }
-            Proc::Inst { class, .. } => {
-                if let ClassRef::Plain(x) = class {
-                    out.insert(x.clone());
-                }
-            }
-            Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
-                // All Xi are in scope in every body (mutual recursion) and in P.
-                let mut inner = BTreeSet::new();
-                for d in defs {
-                    d.body.free_classes_into(&mut inner);
-                }
-                body.free_classes_into(&mut inner);
-                for d in defs {
-                    inner.remove(&d.name);
-                }
-                out.extend(inner);
-            }
-            Proc::ImportName { body, .. } => body.free_classes_into(out),
-            Proc::ImportClass { class, body, .. } => {
-                let mut inner = BTreeSet::new();
-                body.free_classes_into(&mut inner);
-                inner.remove(class);
-                out.extend(inner);
-            }
-            Proc::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                then_branch.free_classes_into(out);
-                else_branch.free_classes_into(out);
-            }
-            Proc::Let { body, .. } => body.free_classes_into(out),
-        }
     }
 
     /// Number of AST nodes (for statistics and fuzz budgeting).
     pub fn size(&self) -> usize {
-        match self {
-            Proc::Nil => 1,
-            Proc::Par(ps) => 1 + ps.iter().map(Proc::size).sum::<usize>(),
-            Proc::New { body, .. }
-            | Proc::ExportNew { body, .. }
-            | Proc::ImportName { body, .. }
-            | Proc::ImportClass { body, .. } => 1 + body.size(),
-            Proc::Msg { .. } | Proc::Inst { .. } | Proc::Print { .. } => 1,
-            Proc::Obj { methods, .. } => 1 + methods.iter().map(|m| m.body.size()).sum::<usize>(),
-            Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
-                1 + defs.iter().map(|d| d.body.size()).sum::<usize>() + body.size()
+        let mut n = 1;
+        self.parts(&mut |part| {
+            if let Part::Sub(q) = part {
+                n += q.size();
             }
-            Proc::If {
-                then_branch,
-                else_branch,
-                ..
-            } => 1 + then_branch.size() + else_branch.size(),
-            Proc::Let { body, .. } => 1 + body.size(),
+        });
+        n
+    }
+}
+
+/// What a construct binds around some of its sub-processes.
+#[derive(Debug, Clone, Copy)]
+pub enum Binder<'a> {
+    /// Names: `new x̃`, a method's or a class's parameters, an imported
+    /// name, a `let`'s result.
+    Names(&'a [Ident]),
+    /// A `def` group's classes: in every body of the group (mutual
+    /// recursion) and in the continuation.
+    Classes(&'a [ClassDef]),
+    /// An imported class.
+    Class(&'a Ident),
+}
+
+/// The binders in scope at a point of a walk, innermost last: one stack
+/// of names and one of classes, pushed at a `Bind` and cut back at its
+/// `Unbind`; no set per scope. A `&` walk keeps `&str`s into the tree, a
+/// `&mut` walk copies, as it cannot borrow the tree it rewrites.
+#[derive(Default)]
+struct Scope<K> {
+    names: Vec<K>,
+    classes: Vec<K>,
+}
+
+impl<K: Borrow<str>> Scope<K> {
+    fn bind<'b>(&mut self, b: Binder<'b>, key: impl Fn(&'b Ident) -> K) {
+        match b {
+            Binder::Names(xs) => self.names.extend(xs.iter().map(key)),
+            Binder::Classes(ds) => self.classes.extend(ds.iter().map(|d| key(&d.name))),
+            Binder::Class(x) => self.classes.push(key(x)),
         }
     }
+
+    fn unbind(&mut self, b: Binder<'_>) {
+        let (stack, n) = match b {
+            Binder::Names(xs) => (&mut self.names, xs.len()),
+            Binder::Classes(ds) => (&mut self.classes, ds.len()),
+            Binder::Class(_) => (&mut self.classes, 1),
+        };
+        stack.truncate(stack.len() - n);
+    }
+
+    fn binds_name(&self, r: &NameRef) -> bool {
+        matches!(r, NameRef::Plain(x) if self.names.iter().rev().any(|b| b.borrow() == x.as_str()))
+    }
+
+    fn binds_class(&self, c: &ClassRef) -> bool {
+        matches!(c, ClassRef::Plain(x) if self.classes.iter().rev().any(|b| b.borrow() == x.as_str()))
+    }
+}
+
+/// `Bind(b)`, `Sub(q)`, `Unbind(b)`: the sub-process `q` under what `b`
+/// binds.
+macro_rules! under {
+    ($f:ident, $b:expr, $q:expr) => {{
+        let b = $b;
+        $f(Bind(b));
+        $f(Sub($q));
+        $f(Unbind(b));
+    }};
+}
+
+/// States the binding structure of every [`Proc`] construct — the one
+/// `match` over its constructors that knows what each binds — and builds
+/// the scope-aware walk on it. Invoked once for `&` and once, with `mut`,
+/// for `&mut`, so the two cannot drift apart.
+macro_rules! binding_structure {
+    (
+        $(#[$part_doc:meta])* enum $Part:ident<$l:lifetime>;
+        $(#[$parts_doc:meta])* fn $parts:ident $(<$a:lifetime>)?;
+        $(#[$walk_doc:meta])* fn $walk:ident;
+        names: $names:ident, scope: $K:ty = $key:path $(, $mut:ident)?
+    ) => {
+        $(#[$part_doc])*
+        #[derive(Debug)]
+        pub enum $Part<'a> {
+            /// A name the construct holds: a subject, or a name of an
+            /// expression.
+            Name(&'a $($mut)? NameRef),
+            /// A class the construct instantiates.
+            Class(&'a $($mut)? ClassRef),
+            /// A binder: in scope from here up to the `Unbind` of the same
+            /// binder.
+            Bind(Binder<'a>),
+            /// A sub-process.
+            Sub(&'a $($mut)? Proc),
+            /// The end of a `Bind`'s scope.
+            Unbind(Binder<'a>),
+        }
+
+        impl Proc {
+            $(#[$parts_doc])*
+            pub fn $parts $(<$a>)? (&$($a)? $($mut)? self, f: &mut impl FnMut($Part<$l>)) {
+                use $Part::{Bind, Class, Name, Sub, Unbind};
+                use std::slice::from_ref;
+                match self {
+                    Proc::Nil => {}
+                    Proc::Par(ps) => {
+                        for q in ps {
+                            f(Sub(q));
+                        }
+                    }
+                    Proc::New { binders, body, .. } | Proc::ExportNew { binders, body, .. } => {
+                        under!(f, Binder::Names(binders), body)
+                    }
+                    Proc::Msg { target, args, .. } => {
+                        f(Name(target));
+                        args.into_iter().flat_map(Expr::$names).for_each(|r| f(Name(r)));
+                    }
+                    Proc::Obj { target, methods, .. } => {
+                        f(Name(target));
+                        for m in methods {
+                            under!(f, Binder::Names(&m.params), &$($mut)? m.body);
+                        }
+                    }
+                    Proc::Inst { class, args, .. } => {
+                        f(Class(class));
+                        args.into_iter().flat_map(Expr::$names).for_each(|r| f(Name(r)));
+                    }
+                    Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
+                        f(Bind(Binder::Classes(defs)));
+                        for d in &$($mut)? *defs {
+                            under!(f, Binder::Names(&d.params), &$($mut)? d.body);
+                        }
+                        f(Sub(body));
+                        f(Unbind(Binder::Classes(defs)));
+                    }
+                    Proc::ImportName { name, body, .. } => {
+                        under!(f, Binder::Names(from_ref(name)), body)
+                    }
+                    Proc::ImportClass { class, body, .. } => under!(f, Binder::Class(class), body),
+                    Proc::If { cond, then_branch, else_branch, .. } => {
+                        cond.$names().for_each(|r| f(Name(r)));
+                        f(Sub(then_branch));
+                        f(Sub(else_branch));
+                    }
+                    Proc::Print { args, .. } => {
+                        args.into_iter().flat_map(Expr::$names).for_each(|r| f(Name(r)))
+                    }
+                    Proc::Let { binder, target, args, body, .. } => {
+                        f(Name(target));
+                        args.into_iter().flat_map(Expr::$names).for_each(|r| f(Name(r)));
+                        under!(f, Binder::Names(from_ref(binder)), body)
+                    }
+                }
+            }
+
+            $(#[$walk_doc])*
+            pub fn $walk $(<$a>)? (
+                &$($a)? $($mut)? self,
+                mut name: impl FnMut(&$l $($mut)? NameRef),
+                mut class: impl FnMut(&$l $($mut)? ClassRef),
+            ) {
+                fn walk $(<$a>)? (
+                    p: &$($a)? $($mut)? Proc,
+                    scope: &mut Scope<$K>,
+                    name: &mut impl FnMut(&$l $($mut)? NameRef),
+                    class: &mut impl FnMut(&$l $($mut)? ClassRef),
+                ) {
+                    p.$parts(&mut |part| match part {
+                        $Part::Name(r) => {
+                            if !scope.binds_name(r) {
+                                name(r)
+                            }
+                        }
+                        $Part::Class(c) => {
+                            if !scope.binds_class(c) {
+                                class(c)
+                            }
+                        }
+                        $Part::Bind(b) => scope.bind(b, $key),
+                        $Part::Sub(q) => walk(q, scope, name, class),
+                        $Part::Unbind(b) => scope.unbind(b),
+                    })
+                }
+                walk(self, &mut Scope::default(), &mut name, &mut class)
+            }
+        }
+    };
+}
+
+binding_structure! {
+    /// One part of a process construct, as [`Proc::parts`] lists it.
+    enum Part<'a>;
+    /// The construct's parts in source order: the occurrences it holds,
+    /// and each sub-process between a `Bind` and an `Unbind` of what the
+    /// construct binds there (nothing, for `|` and `if`). This is the one
+    /// statement of the binding structure of §2–§4.
+    fn parts<'a>;
+    /// Calls `name` on every free name occurrence and `class` on every
+    /// free class occurrence, in source order, in one pass: a plain
+    /// identifier no binder in scope captures, or a located one (`s.x`
+    /// is a constant, never bound).
+    fn free_occurrences;
+    names: names, scope: &'a str = String::as_str
+}
+
+binding_structure! {
+    /// [`Part`] through `&mut`, from [`Proc::parts_mut`].
+    enum PartMut<'_>;
+    /// [`Proc::parts`], to rewrite in place.
+    fn parts_mut;
+    /// [`Proc::free_occurrences`], to rewrite each in place.
+    fn free_occurrences_mut;
+    names: names_mut, scope: Ident = Ident::clone, mut
 }
 
 #[cfg(test)]

@@ -15,6 +15,9 @@ use crate::ast::*;
 use crate::pos::Span;
 use std::collections::BTreeSet;
 
+/// The spelling a `let`'s reply name starts from.
+const REPLY: &str = "reply";
+
 /// Eliminate all `let` sugar from a process, recursively. The tree is
 /// rewritten in place: only `let` nodes, and compositions that hold a `0`
 /// or a nested composition, are rebuilt.
@@ -23,61 +26,50 @@ pub fn desugar(mut p: Proc) -> Proc {
     p
 }
 
-fn desugar_in_place(p: &mut Proc) {
+/// Rewrite the `let`s of `p`, innermost first, in one pass. Returns the
+/// names free in the result that could clash with a reply name, built
+/// bottom-up: against these a `let`'s reply name comes out as against
+/// every free name of its body.
+fn desugar_in_place(p: &mut Proc) -> BTreeSet<Ident> {
+    let mut free = BTreeSet::new();
+    // The clashing names bound around the sub-process at hand.
+    let mut bound: Vec<Ident> = Vec::new();
+    p.parts_mut(&mut |part| match part {
+        PartMut::Name(r) => note(r, &mut free),
+        PartMut::Bind(Binder::Names(xs)) => bound.extend(xs.iter().filter(|x| clashes(x)).cloned()),
+        PartMut::Unbind(Binder::Names(xs)) => {
+            bound.truncate(bound.len() - xs.iter().filter(|x| clashes(x)).count())
+        }
+        PartMut::Sub(q) => {
+            let mut sub = desugar_in_place(q);
+            sub.retain(|x| !bound.contains(x));
+            if sub.len() > free.len() {
+                std::mem::swap(&mut sub, &mut free);
+            }
+            free.extend(sub);
+        }
+        PartMut::Class(_) | PartMut::Bind(_) | PartMut::Unbind(_) => {}
+    });
     match p {
-        Proc::Nil | Proc::Msg { .. } | Proc::Inst { .. } | Proc::Print { .. } => {}
-        Proc::Par(ps) => {
-            ps.iter_mut().for_each(desugar_in_place);
-            if ps.len() < 2 || ps.iter().any(|q| matches!(q, Proc::Nil | Proc::Par(_))) {
-                *p = Proc::par(std::mem::take(ps));
-            }
-        }
-        Proc::New { body, .. }
-        | Proc::ExportNew { body, .. }
-        | Proc::ImportName { body, .. }
-        | Proc::ImportClass { body, .. } => desugar_in_place(body),
-        Proc::Obj { methods, .. } => {
-            for m in methods {
-                desugar_in_place(&mut m.body);
-            }
-        }
-        Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
-            for d in defs {
-                desugar_in_place(&mut d.body);
-            }
-            desugar_in_place(body);
-        }
-        Proc::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            desugar_in_place(then_branch);
-            desugar_in_place(else_branch);
-        }
         Proc::Let { .. } => {
             let Proc::Let {
                 binder,
                 target,
                 label,
                 mut args,
-                mut body,
+                body,
                 span,
             } = std::mem::replace(p, Proc::Nil)
             else {
                 unreachable!("matched a `let`")
             };
-            desugar_in_place(&mut body);
-            // Compute the set of names the fresh reply channel must avoid.
-            let mut avoid: BTreeSet<Ident> = body.free_names();
-            avoid.insert(binder.clone());
-            for a in &args {
-                a.free_names_into(&mut avoid);
+            // The reply name avoids the free names of the body, the
+            // arguments and the target (`free`), and the binder.
+            let with_binder = clashes(&binder) && free.insert(binder.clone());
+            let reply = fresh_name(REPLY, &free);
+            if with_binder {
+                free.remove(&binder);
             }
-            if let NameRef::Plain(x) = &target {
-                avoid.insert(x.clone());
-            }
-            let reply = fresh_name("reply", &avoid);
             args.push(Expr::name(reply.clone()));
             let call = Proc::Msg {
                 target,
@@ -101,6 +93,27 @@ fn desugar_in_place(p: &mut Proc) {
                 span,
             };
         }
+        Proc::Par(ps)
+            if ps.len() < 2 || ps.iter().any(|q| matches!(q, Proc::Nil | Proc::Par(_))) =>
+        {
+            *p = Proc::par(std::mem::take(ps));
+        }
+        _ => {}
+    }
+    free
+}
+
+/// Could `x` be a reply name? [`fresh_name`] reads no names but those
+/// that start with its base.
+fn clashes(x: &str) -> bool {
+    x.starts_with(REPLY)
+}
+
+fn note(r: &NameRef, free: &mut BTreeSet<Ident>) {
+    if let NameRef::Plain(x) = r {
+        if clashes(x) {
+            free.insert(x.clone());
+        }
     }
 }
 
@@ -120,24 +133,13 @@ pub fn fresh_name(base: &str, avoid: &BTreeSet<Ident>) -> Ident {
 
 /// True when the process contains no remaining sugar.
 pub fn is_core(p: &Proc) -> bool {
-    match p {
-        Proc::Nil | Proc::Msg { .. } | Proc::Inst { .. } | Proc::Print { .. } => true,
-        Proc::Par(ps) => ps.iter().all(is_core),
-        Proc::New { body, .. }
-        | Proc::ExportNew { body, .. }
-        | Proc::ImportName { body, .. }
-        | Proc::ImportClass { body, .. } => is_core(body),
-        Proc::Obj { methods, .. } => methods.iter().all(|m| is_core(&m.body)),
-        Proc::Def { defs, body, .. } | Proc::ExportDef { defs, body, .. } => {
-            defs.iter().all(|d| is_core(&d.body)) && is_core(body)
+    let mut core = !matches!(p, Proc::Let { .. });
+    p.parts(&mut |part| {
+        if let Part::Sub(q) = part {
+            core = core && is_core(q);
         }
-        Proc::If {
-            then_branch,
-            else_branch,
-            ..
-        } => is_core(then_branch) && is_core(else_branch),
-        Proc::Let { .. } => false,
-    }
+    });
+    core
 }
 
 #[cfg(test)]

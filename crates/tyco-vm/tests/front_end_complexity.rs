@@ -5,7 +5,8 @@
 //! does not grow with its length at all.
 //! Both quadratics the compiler once had fail here: every class body
 //! re-binding its whole group, and free variables recomputed at every
-//! nested closure.
+//! nested closure. So does desugaring that rescans the body of every
+//! `let` for the names its reply name must avoid.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,6 +97,18 @@ fn object_nest(n: usize) -> String {
     format!("new a {}0{}", "a?(y) = (a![y] | ".repeat(n), ")".repeat(n))
 }
 
+/// `new a (let x0 = a!f[0] in let x1 = a!f[x0] in … print(x{n-1}))`:
+/// `n` nested calls, each desugared against the names free in the rest.
+fn let_chain(n: usize) -> String {
+    let lets: String = (0..n)
+        .map(|i| match i {
+            0 => "let x0 = a!f[0] in ".to_string(),
+            _ => format!("let x{i} = a!f[x{}] in ", i - 1),
+        })
+        .collect();
+    format!("new a ({lets}print(x{}))", n - 1)
+}
+
 /// A catalogue class: `export def C(v, r) = r![v + 1 + … ] in 0`.
 fn operator_chain(n: usize) -> String {
     format!("export def C(v, r) = r![v{}] in 0", " + 1".repeat(n - 1))
@@ -109,6 +122,11 @@ fn a_def_group_costs_the_same_per_class() {
 #[test]
 fn an_object_nest_costs_the_same_per_level() {
     assert_linear("object nest", object_nest, 1350, 100.0);
+}
+
+#[test]
+fn a_let_chain_costs_the_same_per_let() {
+    assert_linear("let chain", let_chain, 1000, 100.0);
 }
 
 /// An expression is one post-order array and no pass recurses down it:
