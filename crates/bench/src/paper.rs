@@ -11,7 +11,7 @@ use ditico_rt::NsShardMap;
 use std::hint::black_box;
 use std::time::Instant;
 use tyco_calculus::Network;
-use tyco_vm::wire::WireWord;
+use tyco_vm::wire::{Label, WireWord};
 use tyco_vm::word::{NetRef, NodeId, SiteId, Word};
 use tyco_vm::{compile, LoopbackPort, Machine, NetPort, Program};
 
@@ -204,7 +204,7 @@ impl NetPort for BlackholePort {
             node: NodeId(999),
         }))
     }
-    fn send_msg(&mut self, _dest: NetRef, _label: &str, _args: Vec<WireWord>) {}
+    fn send_msg(&mut self, _dest: NetRef, _label: Label, _args: Vec<WireWord>) {}
     fn send_obj(&mut self, _dest: NetRef, _digest: tyco_vm::Digest, _obj: tyco_vm::WireObj) {}
     fn fetch(&mut self, class: NetRef) -> tyco_vm::FetchReplyNow {
         tyco_vm::FetchReplyNow::Failed(format!("blackhole cannot fetch {class}"))

@@ -26,13 +26,13 @@
 //! back out to every coalesced waiter (single-flight).
 
 use crate::codecache::CodeCache;
-use crate::fabric::{Clock, Fabric, PacketFabric};
+use crate::fabric::{Clock, Fabric, Frames, PacketFabric};
 use crate::namecache::NameCache;
 use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
 use crate::site::RtIncoming;
 use crate::termination::{TermCounters, Ticket};
 use crate::wake::Wake;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -127,33 +127,54 @@ struct ParkedCode {
     asks: u32,
 }
 
-/// An outgoing batch for one destination node: packets are encoded
-/// back-to-back into one buffer, frozen once per flush, and handed to the
-/// fabric as zero-copy slice views — one allocation per batch instead of
-/// one per packet.
+/// An outgoing batch for one destination node: each packet is encoded
+/// once, framed, into a buffer the next flush reuses ([`Frames`]).
 #[derive(Default)]
 struct OutBuf {
-    buf: BytesMut,
-    /// End offset of each encoded packet in `buf`.
-    ends: Vec<usize>,
-    /// Reusable scratch for the per-packet slice views.
-    ready: Vec<Bytes>,
+    frames: Frames,
     /// The buffered packets' tickets, as one.
     ticket: Option<Ticket>,
 }
 
-/// A local site as its daemon sees it: the inbox, plus the site's delivery
-/// wakeup (its scheduler [`crate::sched::ReadyHandle`]) once a
-/// real-thread run has bound one.
+/// Destinations below this node id have their batch in a dense vector;
+/// a topology's ids count up from 0, so beyond it is only an id a peer
+/// made up, which a map holds instead.
+const DENSE_NODES: usize = 1024;
+
+/// A local site as its daemon sees it: the inbox, the deliveries the
+/// pump buffered for it, plus the site's delivery wakeup (its scheduler
+/// [`crate::sched::ReadyHandle`]) once a real-thread run has bound one.
 struct LocalSite {
     inbox: Sender<(RtIncoming, Ticket)>,
+    /// Flushed to the inbox once per pump (one inbox lock + one wakeup
+    /// per site per pump).
+    buf: Vec<(RtIncoming, Ticket)>,
     waker: Option<Arc<dyn Wake>>,
+}
+
+/// Site wakeups taken out of a daemon ([`Daemon::take_woken`]), to fire
+/// once it is unlocked. The first few are held in place, so a pump that
+/// readied a site or two allocates nothing; `woken` keeps its buffer.
+#[derive(Default)]
+pub struct Woken {
+    few: [Option<Arc<dyn Wake>>; 4],
+    more: Vec<Arc<dyn Wake>>,
+}
+
+impl Woken {
+    /// Wake every site, in delivery order.
+    pub fn fire(self) {
+        for w in self.few.into_iter().flatten().chain(self.more) {
+            w.wake();
+        }
+    }
 }
 
 /// The per-node communication daemon.
 pub struct Daemon {
     pub node: NodeId,
-    sites: HashMap<SiteId, LocalSite>,
+    /// The node's sites, by site id.
+    sites: Vec<Option<LocalSite>>,
     /// Wakeups of the sites the last pumps delivered to, not yet fired:
     /// whoever pumped fires them once it has let go of the daemon (see
     /// [`Daemon::take_woken`]).
@@ -165,12 +186,11 @@ pub struct Daemon {
     /// The outbound network: the in-process fabric, or (in distributed
     /// runs) the TCP transport's handle, swapped in via [`Daemon::set_fabric`].
     fabric: Arc<dyn PacketFabric>,
-    /// Outgoing bytes per destination node, flushed to the fabric once
-    /// per pump (per-link FIFO; buffers keep their allocation).
-    out_bufs: HashMap<NodeId, OutBuf>,
-    /// Local deliveries per site, flushed to each site inbox once per
-    /// pump (one inbox lock + one wakeup per site per pump).
-    site_bufs: HashMap<SiteId, Vec<(RtIncoming, Ticket)>>,
+    /// Outgoing frames per destination node, by node id, flushed to the
+    /// fabric once per pump (per-link FIFO; buffers keep their
+    /// allocation). Ids from [`DENSE_NODES`] on go in `far_out_bufs`.
+    out_bufs: Vec<OutBuf>,
+    far_out_bufs: HashMap<NodeId, OutBuf>,
     /// Reusable drain buffers for the two inbound queues.
     scratch_pkts: Vec<(SiteId, Packet, Ticket)>,
     scratch_bytes: Vec<(NodeId, Bytes, Ticket)>,
@@ -241,13 +261,13 @@ impl Daemon {
         Daemon {
             node,
             clock: Clock::Virtual(fabric.clone()),
-            sites: HashMap::new(),
+            sites: Vec::new(),
             woken: Vec::new(),
             from_sites,
             from_fabric,
             fabric: Arc::new(fabric),
-            out_bufs: HashMap::new(),
-            site_bufs: HashMap::new(),
+            out_bufs: Vec::new(),
+            far_out_bufs: HashMap::new(),
             scratch_pkts: Vec::new(),
             scratch_bytes: Vec::new(),
             ns,
@@ -285,13 +305,21 @@ impl Daemon {
     /// binds it to a scheduler, delivery wakes nobody: deterministic runs
     /// pump every site round-robin.
     pub fn attach_site(&mut self, site: SiteId, inbox: Sender<(RtIncoming, Ticket)>) {
-        self.sites.insert(site, LocalSite { inbox, waker: None });
+        let i = site.0 as usize;
+        if i >= self.sites.len() {
+            self.sites.resize_with(i + 1, || None);
+        }
+        self.sites[i] = Some(LocalSite {
+            inbox,
+            buf: Vec::new(),
+            waker: None,
+        });
     }
 
     /// Bind a site's delivery wakeup to the scheduler's readiness
     /// protocol (real-thread runs, before the workers start).
     pub fn set_site_waker(&mut self, site: SiteId, waker: Arc<dyn Wake>) {
-        if let Some(entry) = self.sites.get_mut(&site) {
+        if let Some(Some(entry)) = self.sites.get_mut(site.0 as usize) {
             entry.waker = Some(waker);
         }
     }
@@ -302,8 +330,16 @@ impl Daemon {
     /// which it must find unlocked. The pumper fires them after releasing
     /// the daemon ([`DaemonCell`] does). Empty in deterministic runs,
     /// where no site has a wakeup bound.
-    pub fn take_woken(&mut self) -> Vec<Arc<dyn Wake>> {
-        std::mem::take(&mut self.woken)
+    pub fn take_woken(&mut self) -> Woken {
+        let mut out = Woken::default();
+        if self.woken.len() > out.few.len() {
+            out.more = std::mem::take(&mut self.woken);
+        } else {
+            for (slot, w) in out.few.iter_mut().zip(self.woken.drain(..)) {
+                *slot = Some(w);
+            }
+        }
+        out
     }
 
     /// Replace the outbound network. Distributed runs rebind each local
@@ -764,51 +800,38 @@ impl Daemon {
     /// Hand each site its buffered backlog: one inbox lock and one
     /// (deferred) wakeup per site per pump, order per site preserved.
     fn flush_local(&mut self) {
-        for (site, buf) in self.site_bufs.iter_mut() {
-            if buf.is_empty() {
+        for site in self.sites.iter_mut().flatten() {
+            if site.buf.is_empty() {
                 continue;
             }
-            match self.sites.get(site) {
-                // Delivery first, wake second: the scheduler's readiness
-                // protocol relies on the inbox being populated before
-                // `mark_ready` runs — and the wake waits until the pumper
-                // has unlocked the daemon. A failed send means the site is
-                // gone (program exited): the batch is dropped, like the
-                // paper's freed sites.
-                Some(LocalSite { inbox, waker }) => {
-                    if inbox.send_iter(buf.drain(..)).is_ok() {
-                        if let Some(w) = waker {
-                            self.woken.push(w.clone());
-                        }
-                    }
+            // Delivery first, wake second: the scheduler's readiness
+            // protocol relies on the inbox being populated before
+            // `mark_ready` runs — and the wake waits until the pumper has
+            // unlocked the daemon. A failed send means the site is gone
+            // (program exited): the batch is dropped, like the paper's
+            // freed sites.
+            if site.inbox.send_iter(site.buf.drain(..)).is_ok() {
+                if let Some(w) = &site.waker {
+                    self.woken.push(w.clone());
                 }
-                // Unknown site on this node: drop (can only happen after
-                // a site was destroyed).
-                None => buf.clear(),
             }
         }
     }
 
     /// Hand every buffered per-destination backlog to the fabric in one
     /// batched send each (per-link FIFO preserved; see
-    /// [`Fabric::send_batch`]). The batch's encodings share one
-    /// frozen allocation; each packet is a slice view into it.
+    /// [`PacketFabric::send_frames`]).
     fn flush_remote(&mut self) {
         let node = self.node;
-        for (to, ob) in self.out_bufs.iter_mut() {
-            if ob.ends.is_empty() {
+        let dense = self.out_bufs.iter_mut().enumerate();
+        let dense = dense.map(|(i, ob)| (NodeId(i as u32), ob));
+        let far = self.far_out_bufs.iter_mut().map(|(to, ob)| (*to, ob));
+        for (to, ob) in dense.chain(far) {
+            let Some(ticket) = ob.ticket.take() else {
                 continue;
-            }
-            let frozen = std::mem::take(&mut ob.buf).freeze();
-            let mut start = 0;
-            for &end in &ob.ends {
-                ob.ready.push(frozen.slice(start..end));
-                start = end;
-            }
-            ob.ends.clear();
+            };
             self.stats.remote_batches += 1;
-            let ticket = ob.ticket.take().expect("buffered packets hold a ticket");
-            self.fabric.send_batch(node, *to, &mut ob.ready, ticket);
+            self.fabric.send_frames(node, to, &mut ob.frames, ticket);
         }
     }
 
@@ -835,16 +858,22 @@ impl Daemon {
     }
 
     fn send_remote(&mut self, to: NodeId, p: &Packet, ticket: Ticket) {
-        let ob = self.out_bufs.entry(to).or_default();
-        let start = ob.buf.len();
-        codec::encode_into(p, &mut ob.buf);
-        ob.ends.push(ob.buf.len());
+        let i = to.0 as usize;
+        let ob = if i < DENSE_NODES {
+            if i >= self.out_bufs.len() {
+                self.out_bufs.resize_with(i + 1, OutBuf::default);
+            }
+            &mut self.out_bufs[i]
+        } else {
+            self.far_out_bufs.entry(to).or_default()
+        };
+        let len = ob.frames.push(self.node, to, p);
         match &mut ob.ticket {
             Some(held) => held.merge(ticket),
             None => ob.ticket = Some(ticket),
         }
         self.stats.remote_sends += 1;
-        self.stats.bytes_out += (ob.buf.len() - start) as u64;
+        self.stats.bytes_out += len as u64;
     }
 
     /// Route a packet by its destination, local or remote. Name-service
@@ -1178,14 +1207,16 @@ impl Daemon {
                 // Every forwarded notice is minted, so the balance holds
                 // even if the invalidation itself was chaos-dropped
                 // upstream.
-                let locals: Vec<SiteId> = self.sites.keys().copied().collect();
-                for s in locals {
+                for i in 0..self.sites.len() {
+                    if self.sites[i].is_none() {
+                        continue;
+                    }
                     let notice = RtIncoming::NsInvalidated {
                         site: site.clone(),
                         name: name.clone(),
                     };
                     let t = self.mint();
-                    self.deliver_to_site(s, notice, t);
+                    self.deliver_to_site(SiteId(i as u32), notice, t);
                 }
                 return;
             }
@@ -1209,7 +1240,11 @@ impl Daemon {
 
     fn deliver_to_site(&mut self, site: SiteId, item: RtIncoming, ticket: Ticket) {
         self.stats.local_deliveries += 1;
-        self.site_bufs.entry(site).or_default().push((item, ticket));
+        // No such site on this node (it was destroyed, or a peer named
+        // one that never was): the item is dropped, its ticket consumed.
+        if let Some(Some(s)) = self.sites.get_mut(site.0 as usize) {
+            s.buf.push((item, ticket));
+        }
     }
 }
 
@@ -1301,9 +1336,7 @@ impl DaemonCell {
     fn release(mut guard: MutexGuard<'_, Option<Daemon>>) {
         let woken = guard.as_mut().map(Daemon::take_woken).unwrap_or_default();
         drop(guard);
-        for w in woken {
-            w.wake();
-        }
+        woken.fire();
     }
 
     /// Pump while a kick is pending and the lock is free. The fence pairs

@@ -39,7 +39,7 @@
 use crate::chaos::{ChaosState, Fault};
 use crate::termination::Ticket;
 use crate::wake::Wake;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
@@ -47,6 +47,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tyco_vm::codec::{self, Packet};
 use tyco_vm::word::NodeId;
 
 /// Latency/bandwidth model of a point-to-point link.
@@ -509,6 +510,61 @@ impl Fabric {
     }
 }
 
+/// One destination's outgoing packets, each encoded once behind its TCP
+/// frame header ([`codec::encode_framed_into`]). The transport writes the
+/// buffer to a socket as it stands; the in-process fabric carries views
+/// of its payloads. A send leaves it empty, and a buffer the transport
+/// wrote keeps its allocation for the next flush.
+#[derive(Default)]
+pub struct Frames {
+    buf: BytesMut,
+    count: usize,
+    /// Reusable scratch for the payload views.
+    views: Vec<Bytes>,
+}
+
+impl Frames {
+    /// Append `p`, framed from `from` to `to`. Returns the length of its
+    /// encoding.
+    pub fn push(&mut self, from: NodeId, to: NodeId, p: &Packet) -> usize {
+        self.count += 1;
+        codec::encode_framed_into(from, to, p, &mut self.buf)
+    }
+
+    /// Packets buffered.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The frames, as they go on the wire.
+    pub fn wire(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the frames, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.count = 0;
+    }
+
+    /// The payloads, as views of the frozen buffer, in order; the frames
+    /// go with them (the buffer's allocation too).
+    pub fn payloads(&mut self) -> &mut Vec<Bytes> {
+        let mut rest = std::mem::take(&mut self.buf).freeze();
+        self.count = 0;
+        while !rest.is_empty() {
+            let len = rest[..4].try_into().expect("a whole frame header");
+            let frame = rest.split_to(4 + u32::from_le_bytes(len) as usize);
+            self.views.push(frame.slice(12..frame.len()));
+        }
+        &mut self.views
+    }
+}
+
 /// The sending interface a daemon needs from "the network": the batched
 /// per-link flush discipline. [`Fabric`] implements it in process;
 /// the TCP transport's `NetHandle` implements it for
@@ -520,6 +576,13 @@ pub trait PacketFabric: Send + Sync {
     /// kept for reuse); `ticket` covers its packets. Must preserve
     /// `batch` order on the link.
     fn send_batch(&self, from: NodeId, to: NodeId, batch: &mut Vec<Bytes>, ticket: Ticket);
+
+    /// [`send_batch`](PacketFabric::send_batch) for a daemon's framed
+    /// backlog, leaving `frames` empty. A carrier that writes frames as
+    /// they are (the TCP transport) takes them without carving views.
+    fn send_frames(&self, from: NodeId, to: NodeId, frames: &mut Frames, ticket: Ticket) {
+        self.send_batch(from, to, frames.payloads(), ticket);
+    }
 }
 
 impl PacketFabric for Fabric {

@@ -10,20 +10,24 @@
 //!
 //! Design points, argued in DESIGN.md §15:
 //!
-//! * **Exactly-sized inbound, views from there on.** Every `read` lands
-//!   in one [`READ_CHUNK`] scratch buffer the loop owns for its lifetime,
-//!   and only the bytes that arrived are appended to the connection's
+//! * **One accumulator, views from there on.** Every `read` lands in one
+//!   [`READ_CHUNK`] scratch buffer the loop owns for its lifetime, and
+//!   only the bytes that arrived are appended to the connection's
 //!   accumulator — two copies per byte (kernel → scratch → accumulator),
-//!   and no allocation or zero-fill sized by the chunk: a 57-byte RPC
-//!   frame costs a 57-byte accumulator, not a fresh 64 KB one per
-//!   readable event. Once at least one complete frame is buffered the
-//!   accumulator is frozen and frames are carved off as [`Bytes`] views
-//!   (`codec::decode_frame_view`), so from the accumulator to the daemon
-//!   a payload is not copied again. The partial tail, if any, is copied
-//!   into the next accumulator — bounded by one frame, amortized O(1)
-//!   per byte. Payloads tiny relative to the accumulator's *allocation*
-//!   are copied out rather than handed over as views, so a retained
-//!   small payload never pins a big read buffer ([`PIN_DENOM`]).
+//!   and no zero-fill sized by the chunk. Once at least one complete
+//!   frame is buffered the accumulator is frozen and frames are carved
+//!   off as [`Bytes`] views (`codec::decode_frame_view`), so from the
+//!   accumulator to the daemon a payload is not copied again. The daemon
+//!   decodes each payload into owned values on this thread, inside the
+//!   injection, and lets go of it; the loop then reclaims the
+//!   accumulator ([`Bytes::try_into_mut`]), moves the partial tail to its
+//!   front — bounded by one frame — and reads on into the same
+//!   allocation: a readable event allocates nothing. A view something
+//!   still holds (a daemon busy on another thread has not pumped yet)
+//!   leaves the accumulator to it, and the tail goes to a fresh one. A
+//!   view that is kept for good is copied out where it is kept if it is
+//!   small against the allocation, so it never pins a big read buffer
+//!   ([`codec::PIN_DENOM`]).
 //! * **One injection per readable event, and one slice.** The data
 //!   frames a readable event admits are handed to the local fabric
 //!   together — one `send_batch` and one kick of the destination daemon
@@ -79,16 +83,6 @@ const READ_CHUNK: usize = 64 * 1024;
 /// level-triggered polling re-reports leftover data, so fairness costs
 /// nothing.
 const READ_BUDGET: usize = 4;
-/// Pin-amplification bound for zero-copy payload views: a decoded
-/// payload smaller than `1/PIN_DENOM` of the allocation backing its read
-/// accumulator (its capacity, which freezing keeps — not merely the bytes
-/// in use) is copied out instead of handed over as a view. A retained
-/// `Bytes` then pins at most `PIN_DENOM`× its own size — never the whole
-/// multi-frame accumulator (up to `READ_BUDGET × READ_CHUNK`) on behalf
-/// of one small long-lived payload. Large payloads, where the copy would
-/// actually cost something, stay zero-copy: they already *are* most of
-/// the buffer they pin.
-const PIN_DENOM: usize = 8;
 /// Park ceiling: bounds stop-flag latency even if no deadline is armed.
 const MAX_PARK: Duration = Duration::from_millis(500);
 
@@ -99,6 +93,9 @@ struct ConnSlot {
     peer: Arc<PeerConn>,
     /// Inbound accumulator; frozen into `Bytes` when a frame completes.
     rbuf: BytesMut,
+    /// The frozen accumulator's unparsed tail while the frames carved
+    /// from it are injected; reclaimed into `rbuf` after.
+    tail: Option<Bytes>,
     /// The nodes the peer's handshake announced, once it has arrived.
     hello: Option<Vec<NodeId>>,
     /// Whether writable interest is currently registered.
@@ -344,6 +341,7 @@ impl NetLoop {
             sock,
             peer: peer.clone(),
             rbuf: BytesMut::new(),
+            tail: None,
             hello: None,
             want_write: false,
             dialer,
@@ -480,6 +478,7 @@ impl NetLoop {
         // the stream turned corrupt after it — and the first site it
         // readies runs its slice here.
         sched::inject_and_run(|| inject_admitted(&self.inner, &mut self.admitted, &mut self.batch));
+        self.reclaim(idx);
         if dead {
             self.kill_conn(idx);
         }
@@ -499,37 +498,27 @@ impl NetLoop {
     }
 
     fn parse_frames(&mut self, idx: usize) -> std::io::Result<()> {
-        let (buf, acc_alloc, peer, mut hello) = {
+        let (mut cur, peer, mut hello) = {
             let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
                 return Ok(());
             };
             if !Self::has_actionable_frame(&c.rbuf) {
                 return Ok(()); // keep accumulating in place
             }
-            let acc_alloc = c.rbuf.capacity();
             (
                 std::mem::take(&mut c.rbuf).freeze(),
-                acc_alloc,
                 c.peer.clone(),
                 c.hello.take(),
             )
         };
-        let mut cur = buf;
         let mut res = Ok(());
         loop {
             match codec::decode_frame_view(&cur) {
                 Ok(None) => break,
-                Ok(Some((mut frame, used))) => {
+                Ok(Some((frame, used))) => {
                     cur.advance(used);
                     // `frame.payload` is a view into `cur`'s allocation —
-                    // the zero-copy handoff to the daemon — unless it is
-                    // small relative to that allocation, in which case a
-                    // daemon retaining it would pin the whole accumulator:
-                    // bound the amplification by copying it out (see
-                    // `PIN_DENOM`).
-                    if frame.payload.len() * PIN_DENOM < acc_alloc {
-                        frame.payload = Bytes::copy_from_slice(&frame.payload);
-                    }
+                    // the zero-copy handoff to the daemon.
                     if let Err(e) =
                         handle_frame(&self.inner, &peer, frame, &mut hello, &mut self.admitted)
                     {
@@ -545,12 +534,29 @@ impl NetLoop {
         }
         if let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) {
             c.hello = hello;
-            if res.is_ok() && !cur.is_empty() {
-                // Partial tail: at most one frame's worth re-buffered.
-                c.rbuf.extend_from_slice(&cur);
+            if res.is_ok() {
+                c.tail = Some(cur);
             }
         }
         res
+    }
+
+    /// Read on into the accumulator the last parse froze, its partial
+    /// tail (at most one frame's worth) moved to the front, once every
+    /// view carved from it is gone; a view still held keeps the old
+    /// allocation, and the tail goes to a fresh one.
+    fn reclaim(&mut self, idx: usize) {
+        let Some(Some(Slot::Conn(c))) = self.slots.get_mut(idx) else {
+            return;
+        };
+        let Some(tail) = c.tail.take() else {
+            return;
+        };
+        c.rbuf = tail.try_into_mut().unwrap_or_else(|tail| {
+            let mut fresh = BytesMut::new();
+            fresh.extend_from_slice(&tail);
+            fresh
+        });
     }
 
     // --- writing ------------------------------------------------------
@@ -705,8 +711,8 @@ impl NetLoop {
                     drop(w);
                     let _ = c.sock.set_nonblocking(false);
                     let _ = c.sock.set_write_timeout(Some(Duration::from_millis(100)));
-                    for (i, q) in rest.into_iter().enumerate() {
-                        let s = if i == 0 { &q.0[woff..] } else { &q.0[..] };
+                    for (i, (bytes, to, ticket)) in rest.into_iter().enumerate() {
+                        let s = if i == 0 { &bytes[woff..] } else { &bytes[..] };
                         if (&*c.sock).write_all(s).is_err() {
                             break;
                         }
@@ -714,7 +720,7 @@ impl NetLoop {
                             .stats
                             .bytes_out
                             .fetch_add(s.len() as u64, Ordering::Relaxed);
-                        self.inner.sent(q);
+                        self.inner.sent(to, ticket);
                     }
                     self.inner
                         .drop_routes(&c.peer, c.hello.as_deref().unwrap_or_default());

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use tyco_vm::codec::{Packet, TypeStamp};
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use tyco_vm::program::ImportKind;
-use tyco_vm::wire::{ReleaseRun, WireGroup, WireObj, WireWord};
+use tyco_vm::wire::{Label, ReleaseRun, WireGroup, WireObj, WireWord};
 use tyco_vm::word::{Identity, NetRef, SiteId};
 use tyco_vm::{Digest, Machine, Program, SliceStatus, VmError};
 
@@ -222,12 +222,8 @@ impl NetPort for RtPort {
         ImportReply::Pending(req)
     }
 
-    fn send_msg(&mut self, dest: NetRef, label: &str, args: Vec<WireWord>) {
-        self.send(Packet::Msg {
-            dest,
-            label: label.to_string(),
-            args,
-        });
+    fn send_msg(&mut self, dest: NetRef, label: Label, args: Vec<WireWord>) {
+        self.send(Packet::Msg { dest, label, args });
     }
 
     fn send_obj(&mut self, dest: NetRef, digest: Digest, obj: WireObj) {

@@ -96,7 +96,7 @@
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use crate::chaos::{ChaosState, Fault};
-use crate::fabric::{Fabric, PacketFabric};
+use crate::fabric::{Fabric, Frames, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket, Wave};
 use crate::wake::{Notify, Wake};
@@ -318,7 +318,8 @@ impl WriteHalf {
                         let front_left = self.wbufs[0].0.len() - self.woff;
                         if n >= front_left {
                             n -= front_left;
-                            inner.sent(self.wbufs.pop_front().expect("front"));
+                            let (_, to, ticket) = self.wbufs.pop_front().expect("front");
+                            inner.sent(to, ticket);
                             self.woff = 0;
                         } else {
                             self.woff += n;
@@ -343,6 +344,30 @@ impl WriteHalf {
         }
         self.stalled = false;
         false
+    }
+
+    /// Write `wire`, the frames `ticket` covers, with nothing queued
+    /// ahead of it: on the socket straight from the caller's buffer. Only
+    /// what the socket does not take is copied into the backlog, where
+    /// [`WriteHalf::flush`] meets the same push-back or failure again and
+    /// reports it. Returns whether the event loop must be told.
+    fn write_direct(&mut self, inner: &Inner, wire: &[u8], to: NodeId, ticket: Ticket) -> bool {
+        debug_assert!(self.wbufs.is_empty() && !self.stalled);
+        let wrote = match self.sock.as_deref() {
+            Some(mut sock) => sock.write(wire).unwrap_or(0),
+            None => 0,
+        };
+        inner
+            .stats
+            .bytes_out
+            .fetch_add(wrote as u64, Ordering::Relaxed);
+        if wrote == wire.len() {
+            inner.sent(to, Some(ticket));
+            return false;
+        }
+        let rest = Bytes::copy_from_slice(&wire[wrote..]);
+        self.wbufs.push_back((rest, to, Some(ticket)));
+        self.flush(inner)
     }
 }
 
@@ -560,7 +585,7 @@ impl Inner {
 
     /// A buffer is on the socket: its data packets leave this process
     /// unconsumed and count as sent to the node they are bound for.
-    fn sent(&self, (_, to, ticket): Queued) {
+    fn sent(&self, to: NodeId, ticket: Option<Ticket>) {
         if let Some(t) = ticket {
             self.exchanged.lock().entry(to).or_default().0 += t.forward();
         }
@@ -615,6 +640,11 @@ impl Inner {
             return;
         }
         drop(w);
+        self.hand_over(conn);
+    }
+
+    /// Hand `conn` to the event loop: its socket pushed back or failed.
+    fn hand_over(&self, conn: &Arc<PeerConn>) {
         self.handed.lock().push(conn.clone());
         self.net_wake.wake();
     }
@@ -627,8 +657,10 @@ impl Inner {
     /// Queue one already-framed buffer for `to`, running it through the
     /// chaos hook first (when installed). `ticket` covers every packet
     /// the buffer coalesces, so one fate applies to them all: a drop
-    /// discards the ticket, a duplicate mints one for the copy.
-    fn queue_frame(&self, from: NodeId, to: NodeId, frame: Bytes, ticket: Ticket) {
+    /// discards the ticket, a duplicate mints one for the copy. `frame`
+    /// is the caller's: only bytes the transport keeps — a stash, a
+    /// backlog, a chaos delay — are copied.
+    fn queue_frame(&self, from: NodeId, to: NodeId, frame: &[u8], ticket: Ticket) {
         let chaos = self.chaos.read().clone();
         let Some(ch) = chaos else {
             return self.queue_frame_raw(to, frame, ticket);
@@ -638,11 +670,12 @@ impl Inner {
             Fault::Deliver => self.queue_frame_raw(to, frame, ticket),
             Fault::Duplicate => {
                 let copy = ticket.mint_copy();
-                self.queue_frame_raw(to, frame.clone(), ticket);
+                self.queue_frame_raw(to, frame, ticket);
                 self.queue_frame_raw(to, frame, copy);
             }
             Fault::Delay(extra_ns) => {
                 let due = Instant::now() + Duration::from_nanos(extra_ns);
+                let frame = Bytes::copy_from_slice(frame);
                 self.delayed.lock().push((due, to, frame, ticket));
             }
         }
@@ -662,20 +695,30 @@ impl Inner {
             due
         };
         for (_, to, frame, ticket) in due {
-            self.queue_frame_raw(to, frame, ticket);
+            self.queue_frame_raw(to, &frame, ticket);
         }
     }
 
-    /// Queue one already-framed buffer for `to`, stashing it when no
+    /// Queue one already-framed buffer for `to`, stashing a copy when no
     /// route exists yet.
-    fn queue_frame_raw(&self, to: NodeId, frame: Bytes, ticket: Ticket) {
+    fn queue_frame_raw(&self, to: NodeId, frame: &[u8], ticket: Ticket) {
         let mut remotes = self.remotes.lock();
-        match remotes.nodes.get(&to).and_then(Remote::live_route).cloned() {
-            Some(conn) => {
-                drop(remotes);
-                self.write_frames(&conn, [(frame, to, Some(ticket))]);
-            }
-            None => self.stash(&mut remotes, to, frame, ticket),
+        let Some(conn) = remotes.nodes.get(&to).and_then(Remote::live_route).cloned() else {
+            return self.stash(&mut remotes, to, Bytes::copy_from_slice(frame), ticket);
+        };
+        drop(remotes);
+        let mut w = conn.w.lock();
+        if !w.wbufs.is_empty() || w.stalled || w.closed() {
+            self.append(&mut w, (Bytes::copy_from_slice(frame), to, Some(ticket)));
+            return self.write_out(&conn, w);
+        }
+        // What `append` counts for a buffer it queues.
+        let frames = ticket.count();
+        self.stats.frames_out.fetch_add(frames, Ordering::Relaxed);
+        self.stats.outq_hwm.fetch_max(1, Ordering::Relaxed);
+        if w.write_direct(self, frame, to, ticket) {
+            drop(w);
+            self.hand_over(&conn);
         }
     }
 
@@ -1018,9 +1061,6 @@ impl PacketFabric for NetHandle {
             self.inner.local_fabric.send_batch(from, to, batch, ticket);
             return;
         }
-        // Keep the fabric's batching discipline on the wire: the whole
-        // per-link backlog becomes one coalesced buffer under one ticket,
-        // one queue slot, one write — FIFO order preserved.
         let n = batch.len() as u64;
         self.inner.stats.data_out.fetch_add(n, Ordering::Relaxed);
         let total: usize = batch.iter().map(|b| b.len() + 12).sum();
@@ -1028,7 +1068,26 @@ impl PacketFabric for NetHandle {
         for p in batch.drain(..) {
             codec::encode_frame_into(from, to, &p, &mut buf);
         }
-        self.inner.queue_frame(from, to, buf.freeze(), ticket);
+        self.inner.queue_frame(from, to, &buf, ticket);
+    }
+
+    fn send_frames(&self, from: NodeId, to: NodeId, frames: &mut Frames, ticket: Ticket) {
+        if frames.is_empty() {
+            return;
+        }
+        if self.inner.local.contains(&to) {
+            let batch = frames.payloads();
+            self.inner.local_fabric.send_batch(from, to, batch, ticket);
+            return;
+        }
+        // Keep the fabric's batching discipline on the wire: the whole
+        // per-link backlog is one coalesced buffer under one ticket, one
+        // queue slot, one write — FIFO order preserved. The daemon framed
+        // every packet as it encoded it, so the buffer goes out as it is.
+        let n = frames.len() as u64;
+        self.inner.stats.data_out.fetch_add(n, Ordering::Relaxed);
+        self.inner.queue_frame(from, to, frames.wire(), ticket);
+        frames.clear();
     }
 }
 

@@ -186,7 +186,7 @@ fn ship_operations_produce_correctly_addressed_packets() {
         site: SiteId(5),
         node: NodeId(2),
     };
-    r.port.send_msg(dest, "go", vec![WireWord::Int(1)]);
+    r.port.send_msg(dest, "go".into(), vec![WireWord::Int(1)]);
     r.port.flush();
     match r.out_rx.try_recv().unwrap().1 {
         Packet::Msg {
@@ -219,7 +219,7 @@ fn ship_operations_produce_correctly_addressed_packets() {
 #[test]
 fn conservation_counts_poll_and_send() {
     let mut r = rig();
-    r.port.send_msg(some_ref(), "x", vec![]);
+    r.port.send_msg(some_ref(), "x".into(), vec![]);
     r.port.flush();
     assert_eq!(r.term.injected(), 1);
     r.in_tx
@@ -274,9 +274,9 @@ fn flush_queues_the_backlog_then_kicks_the_daemon_waker_once() {
         0,
         "nothing to hand over"
     );
-    r.port.send_msg(some_ref(), "a", vec![]);
-    r.port.send_msg(some_ref(), "b", vec![]);
-    r.port.send_msg(some_ref(), "c", vec![]);
+    r.port.send_msg(some_ref(), "a".into(), vec![]);
+    r.port.send_msg(some_ref(), "b".into(), vec![]);
+    r.port.send_msg(some_ref(), "c".into(), vec![]);
     r.port.flush();
     assert_eq!(waker.kicks.load(Ordering::SeqCst), 1);
     assert_eq!(

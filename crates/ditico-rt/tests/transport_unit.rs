@@ -441,7 +441,7 @@ fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
                 site: SiteId(0),
                 node: NodeId(1),
             },
-            label: label.to_string(),
+            label: label.into(),
             args: vec![WireWord::Str(text)],
         };
         codec::encode_frame(NodeId(0), NodeId(1), &codec::encode(&p))
@@ -507,10 +507,7 @@ fn split_oversized_and_bursty_frames_arrive_whole_in_order_and_batched() {
         ("burst1", 1),
         ("burst2", 1),
     ];
-    assert_eq!(
-        got,
-        want.map(|(label, len)| (label.to_string(), len)).to_vec()
-    );
+    assert_eq!(got, want.map(|(label, len)| (label.into(), len)).to_vec());
     let wire = transport.report();
     assert_eq!(wire.data_in, 5, "{wire:?}");
     use std::sync::atomic::Ordering;
@@ -654,7 +651,7 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
         }
         let honest = Packet::Msg {
             dest: p,
-            label: "val".to_string(),
+            label: "val".into(),
             args: vec![WireWord::Int(7)],
         };
         wire.extend_from_slice(&codec::encode_frame(
@@ -1258,7 +1255,7 @@ fn a_frame_not_yet_read_blocks_the_verdict() {
         };
         let msg = Packet::Msg {
             dest,
-            label: "val".to_string(),
+            label: "val".into(),
             args: vec![WireWord::Int(7)],
         };
         let mut peer = PassivePeer::new(NodeId(0));

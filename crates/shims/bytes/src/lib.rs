@@ -57,6 +57,39 @@ impl Bytes {
         }
     }
 
+    /// Bytes of the allocation this view keeps alive: the capacity of
+    /// the buffer it was frozen from, however short the view. Not in the
+    /// real crate; a reader that keeps a small view of a big read buffer
+    /// checks it to bound what the view pins.
+    pub fn backing_capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// The buffer back as a [`BytesMut`] holding this view's bytes, if
+    /// this is the only view of its allocation; otherwise `self` again.
+    /// A reader reclaims its accumulator this way once every view it
+    /// handed out has been dropped, and reads on into the same
+    /// allocation.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes {
+            mut data,
+            start,
+            end,
+        } = self;
+        match Arc::get_mut(&mut data) {
+            Some(vec) => {
+                let mut vec = std::mem::take(vec);
+                vec.truncate(end);
+                vec.drain(..start);
+                Ok(BytesMut {
+                    vec,
+                    spare: Some(data),
+                })
+            }
+            None => Err(Bytes { data, start, end }),
+        }
+    }
+
     /// Split off the first `at` bytes into a new `Bytes`, advancing self.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len());
@@ -144,9 +177,26 @@ impl std::hash::Hash for Bytes {
 }
 
 /// A growable byte buffer, frozen into [`Bytes`] when complete.
-#[derive(Clone, Default, Debug)]
+///
+/// A buffer reclaimed from its frozen views ([`Bytes::try_into_mut`])
+/// keeps the refcounted box it was frozen into, so freezing it again
+/// allocates nothing: a reader that freezes its accumulator, hands out
+/// views and reclaims it once they are gone reuses one allocation for
+/// good.
+#[derive(Default, Debug)]
 pub struct BytesMut {
     vec: Vec<u8>,
+    /// The emptied box of an earlier freeze, unshared.
+    spare: Option<Arc<Vec<u8>>>,
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> BytesMut {
+        BytesMut {
+            vec: self.vec.clone(),
+            spare: None,
+        }
+    }
 }
 
 impl BytesMut {
@@ -157,6 +207,7 @@ impl BytesMut {
     pub fn with_capacity(cap: usize) -> BytesMut {
         BytesMut {
             vec: Vec::with_capacity(cap),
+            spare: None,
         }
     }
 
@@ -176,7 +227,20 @@ impl BytesMut {
     }
 
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
+        let BytesMut { vec, spare } = self;
+        let end = vec.len();
+        let data = match spare {
+            Some(mut data) => {
+                *Arc::get_mut(&mut data).expect("a spare box is unshared") = vec;
+                data
+            }
+            None => Arc::new(vec),
+        };
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     pub fn extend_from_slice(&mut self, s: &[u8]) {
@@ -437,6 +501,33 @@ mod tests {
         assert_eq!(b.get_i64(), -5);
         assert!(!b.has_remaining());
         assert_eq!(c.len(), 23, "clone is an independent view");
+    }
+
+    #[test]
+    fn a_reclaimed_buffer_freezes_into_its_old_box() {
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"abcdef");
+        let b = m.freeze();
+        let view = b.slice(2..4);
+        let b = b.try_into_mut().expect_err("a view is still out");
+        drop(view);
+        let mut m = b.try_into_mut().expect("the only view");
+        assert_eq!(&m[..], b"abcdef");
+        assert!(m.capacity() >= 64, "the allocation comes back");
+        let boxed = Arc::as_ptr(m.spare.as_ref().expect("the box comes back"));
+        m.clear();
+        m.extend_from_slice(b"xy");
+        let again = m.freeze();
+        assert_eq!(Arc::as_ptr(&again.data), boxed, "no new box");
+        assert_eq!(&again[..], b"xy");
+        assert!(
+            again.backing_capacity() >= 64,
+            "a view pins the whole allocation"
+        );
+        let view = again.slice(1..2);
+        drop(again);
+        let tail = view.try_into_mut().expect("the only view");
+        assert_eq!(&tail[..], b"y", "a reclaimed view keeps only its bytes");
     }
 
     #[test]

@@ -92,8 +92,41 @@ impl CanonNet {
 /// Compute the canonical form of a network.
 pub fn normalize(net: &Net) -> CanonNet {
     let mut cx = Norm::default();
+    // Rule ExN extrudes `new s.x` over `N1` only if `s.x ∉ fn(N1)`. Every
+    // binder the walk extrudes is renamed apart from `used`, so seeding
+    // it with every name the site bodies mention free makes the side
+    // condition hold. A name that turns out bound is renamed needlessly,
+    // which the canonical renaming undoes.
+    mentions(net, &mut cx.used);
     cx.walk(net);
     cx.finish()
+}
+
+/// The names of every free occurrence in a network's site bodies and
+/// definitions, plain and located, whatever network binder holds them.
+fn mentions(net: &Net, out: &mut BTreeSet<String>) {
+    let mut name = |r: &NameRef| {
+        let x = match r {
+            NameRef::Plain(x) => x,
+            NameRef::Located(sx) => &sx.1,
+        };
+        out.insert(x.clone());
+    };
+    match net {
+        Net::Nil => {}
+        Net::Site(_, p) => p.free_occurrences(&mut name, |_| {}),
+        Net::Par(a, b) => {
+            mentions(a, out);
+            mentions(b, out);
+        }
+        Net::New { body, .. } => mentions(body, out),
+        Net::Def { defs, body, .. } => {
+            for d in defs {
+                d.body.free_occurrences(&mut name, |_| {});
+            }
+            mentions(body, out);
+        }
+    }
 }
 
 #[derive(Default)]

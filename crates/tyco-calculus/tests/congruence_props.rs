@@ -27,29 +27,40 @@ fn mention(site: &str, name: &str, other: usize, shadowed: bool, k: u8) -> Net {
     Net::Site(at.to_string(), parse_core(&src).unwrap())
 }
 
+fn arb_restricted_name() -> impl Strategy<Value = &'static str> {
+    proptest::sample::select(vec!["x", "y"])
+}
+
 fn arb_net() -> impl Strategy<Value = Net> {
     let leaf = prop_oneof![
         Just(Net::Nil),
         (arb_site_name(), arb_closed_program()).prop_map(|(s, p)| Net::Site(s, p)),
+        // A located mention on its own: beside a restriction of its name
+        // it sits outside that restriction's scope, free in the network.
+        (
+            arb_site_name(),
+            arb_restricted_name(),
+            0..SITES.len() - 1,
+            any::<bool>(),
+            any::<u8>()
+        )
+            .prop_map(|(site, name, other, shadowed, k)| mention(&site, name, other, shadowed, k)),
     ];
     leaf.prop_recursive(3, 12, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Net::par(a, b)),
-            (
-                arb_site_name(),
-                proptest::sample::select(vec!["x", "y"]),
-                inner.clone()
-            )
-                .prop_map(|(site, name, body)| Net::New {
+            (arb_site_name(), arb_restricted_name(), inner.clone()).prop_map(
+                |(site, name, body)| Net::New {
                     site,
                     name: name.to_string(),
                     body: Box::new(body)
-                }),
+                }
+            ),
             // The same, with a located mention of the restricted name in
             // its scope.
             (
                 arb_site_name(),
-                proptest::sample::select(vec!["x", "y"]),
+                arb_restricted_name(),
                 inner.clone(),
                 0..SITES.len() - 1,
                 any::<bool>(),
@@ -103,6 +114,42 @@ fn renaming_a_restriction_reaches_a_located_mention_under_a_binder_of_its_spelli
         canon.sites["t"],
         ["y?{val(z) = new x in s.n0!b[2] | x!c[3]}"]
     );
+}
+
+fn new_sx(body: Net) -> Net {
+    Net::New {
+        site: "s".into(),
+        name: "x".into(),
+        body: Box::new(body),
+    }
+}
+
+fn at(site: &str, src: &str) -> Net {
+    Net::Site(site.into(), parse_core(src).unwrap())
+}
+
+/// Rule ExN extrudes `new s.x` over `N1` only if `s.x ∉ fn(N1)`: a free
+/// mention of `s.x` beside the restriction is not captured by it.
+#[test]
+fn extrusion_does_not_capture_a_free_located_mention() {
+    let apart = Net::par(at("t", "s.x!a[1]"), new_sx(at("s", "x!b[2]")));
+    let captured = new_sx(Net::par(at("t", "s.x!a[1]"), at("s", "x!b[2]")));
+    assert_ne!(normalize(&apart), normalize(&captured));
+    // A process binder extruded from `s` is renamed apart from it too.
+    let apart = Net::par(at("t", "s.x!a[1]"), at("s", "new x x!b[2]"));
+    assert_ne!(normalize(&apart), normalize(&captured));
+}
+
+/// Two restrictions of `s.x` beside a free mention of `s.x`: the mention
+/// belongs to neither, whichever is walked first.
+#[test]
+fn par_commutes_beside_a_free_mention_of_two_restricted_names() {
+    let one = new_sx(at("s", "x!a[1]"));
+    let two = new_sx(at("s", "x!b[2]"));
+    let free = at("t", "s.x!c[3]");
+    let n1 = Net::par(Net::par(one.clone(), two.clone()), free.clone());
+    let n2 = Net::par(free, Net::par(two, one));
+    assert_eq!(normalize(&n1), normalize(&n2));
 }
 
 proptest! {

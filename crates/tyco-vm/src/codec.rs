@@ -16,7 +16,7 @@
 
 use crate::digest::Digest;
 use crate::program::{Block, ImportKind, Instr, Operand, BINOPS, IMPORT_KINDS, UNOPS};
-use crate::wire::{CodeParts, ReleaseRun, WireCode, WireGroup, WireObj, WireWord};
+use crate::wire::{CodeParts, Label, ReleaseRun, WireCode, WireGroup, WireObj, WireWord};
 use crate::word::{Identity, NetRef, NodeId, SiteId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -159,7 +159,7 @@ packet_set! {
         /// A shipped asynchronous message (SHIPM).
         Data Msg = 0 {
             dest: NetRef,
-            label: String,
+            label: Label,
             args: Vec<WireWord>,
         },
         /// A migrating object (SHIPO). Carries the content digest of
@@ -443,7 +443,9 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> R<String> {
+/// Read a length-prefixed UTF-8 string and make `T` of it.
+#[inline]
+fn get_str_as<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> R<T> {
     if buf.remaining() < 4 {
         return err("truncated string length");
     }
@@ -451,11 +453,15 @@ fn get_str(buf: &mut Bytes) -> R<String> {
     if buf.remaining() < n {
         return err("truncated string body");
     }
-    let s = std::str::from_utf8(&buf.chunk()[..n])
-        .map_err(|e| CodecError(format!("bad utf8: {e}")))?
-        .to_owned();
+    let s =
+        std::str::from_utf8(&buf.chunk()[..n]).map_err(|e| CodecError(format!("bad utf8: {e}")))?;
+    let v = make(s);
     buf.advance(n);
-    Ok(s)
+    Ok(v)
+}
+
+fn get_str(buf: &mut Bytes) -> R<String> {
+    get_str_as(buf, str::to_owned)
 }
 
 impl Field for String {
@@ -466,6 +472,18 @@ impl Field for String {
     #[inline]
     fn get(buf: &mut Bytes) -> R<Self> {
         get_str(buf)
+    }
+}
+
+/// A string, like [`String`]; a short one decodes in place.
+impl Field for Label {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+    #[inline]
+    fn get(buf: &mut Bytes) -> R<Self> {
+        get_str_as(buf, |s| Label::from(s))
     }
 }
 
@@ -726,14 +744,41 @@ pub fn code_digest(code: &WireCode) -> Digest {
     code.digest()
 }
 
+/// Pin-amplification bound for views of a read buffer that outlive the
+/// readable event that filled it. A transport reader hands payloads on
+/// as [`Bytes`] views of its accumulator, and almost every packet is
+/// decoded into owned values there and then: its view is gone before
+/// the reader reclaims the buffer. The one view a decoded packet keeps
+/// is the span a code image keeps as its bytes (`get_code`); it is
+/// copied out if it is smaller than `1/PIN_DENOM` of the allocation
+/// behind it (its capacity, which freezing keeps, not merely the bytes
+/// in use). A kept view then pins at most `PIN_DENOM`× its own size,
+/// never a whole multi-frame read buffer on behalf of one small
+/// long-lived image; a large one stays zero-copy, since it already *is*
+/// most of the buffer it pins. (Frames the transport holds back on the
+/// way out — a stash, a backlog, a chaos delay — are exact-size copies,
+/// which pin only themselves.)
+pub const PIN_DENOM: usize = 8;
+
+/// `view`, or a copy of it if keeping it would pin more than
+/// [`PIN_DENOM`]× its size.
+fn unpinned(view: Bytes) -> Bytes {
+    if view.len() * PIN_DENOM < view.backing_capacity() {
+        Bytes::copy_from_slice(&view)
+    } else {
+        view
+    }
+}
+
 /// Decode an image, keeping the span of `buf` it was decoded from as its
 /// bytes and hashing that span: decoding is canonical, so the span is the
-/// image's canonical encoding.
+/// image's canonical encoding. The image may be kept long after its
+/// frame, so the span is [`unpinned`].
 pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
     let start = buf.clone();
     let parts = get_parts(buf)?;
     let span = start.slice(0..start.len() - buf.len());
-    Ok(WireCode::from_bytes(span, Some(parts)))
+    Ok(WireCode::from_bytes(unpinned(span), Some(parts)))
 }
 
 pub(crate) fn get_parts(buf: &mut Bytes) -> R<CodeParts> {
@@ -829,6 +874,20 @@ pub fn encode_frame_into(from: NodeId, to: NodeId, payload: &[u8], buf: &mut Byt
     buf.put_u32_le(from.0);
     buf.put_u32_le(to.0);
     buf.put_slice(payload);
+}
+
+/// Append `p` to `buf` as one whole frame from `from` to `to`: the
+/// header, then the packet encoded once in place behind it, with no
+/// payload buffer in between. Returns the payload's length.
+pub fn encode_framed_into(from: NodeId, to: NodeId, p: &Packet, buf: &mut BytesMut) -> usize {
+    let at = buf.len();
+    buf.put_u32_le(0);
+    buf.put_u32_le(from.0);
+    buf.put_u32_le(to.0);
+    encode_into(p, buf);
+    let payload = buf.len() - at - 12;
+    buf[at..at + 4].copy_from_slice(&((payload + 8) as u32).to_le_bytes());
+    payload
 }
 
 /// Encode a single frame to its own buffer.
@@ -948,6 +1007,66 @@ mod tests {
         // And a different program gets a different digest.
         let other = compile(&parse_core("def K(a) = print(a + 1) in K[2]").unwrap()).unwrap();
         assert_ne!(code_digest(&wire::pack(&other, &[0]).code), d);
+    }
+
+    /// A label is held in place up to 22 bytes and shared beyond; both
+    /// round-trip, and the two ways of making one agree.
+    #[test]
+    fn labels_on_both_sides_of_the_inline_limit_round_trip() {
+        for len in [0, 1, 22, 23, 64] {
+            let text = "é".repeat(len / 2) + &"l".repeat(len % 2);
+            let shared = Label::shared(&std::sync::Arc::from(text.as_str()));
+            assert_eq!(shared, Label::from(text.as_str()));
+            assert_eq!(&*shared, text);
+            let p = Packet::Msg {
+                dest: nref(1),
+                label: shared,
+                args: vec![WireWord::Int(1)],
+            };
+            roundtrip(p);
+        }
+    }
+
+    /// A code image is the one view of a read buffer a decoded packet
+    /// keeps: a small one kept past its readable event is copied out of
+    /// the accumulator it arrived in, so it pins at most `PIN_DENOM`× its
+    /// size; one that is most of the accumulator stays a view of it.
+    #[test]
+    fn a_small_kept_image_does_not_pin_its_read_accumulator() {
+        let prog = compile(&parse_core("def K(a) = print(a) in K[1]").unwrap()).unwrap();
+        let code = wire::pack(&prog, &[0]).code;
+        let digest = code_digest(&code);
+        let p = Packet::HaveCode {
+            to: NodeId(0),
+            digest,
+            code,
+        };
+        let framed = encode(&p).len() + 12;
+        let kept = |capacity: usize| {
+            let mut acc = BytesMut::with_capacity(capacity);
+            encode_framed_into(NodeId(1), NodeId(0), &p, &mut acc);
+            let acc = acc.freeze();
+            let (frame, _) = decode_frame_view(&acc).unwrap().unwrap();
+            match decode(frame.payload).unwrap() {
+                Packet::HaveCode { code, .. } => code,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let small = kept(256 * 1024);
+        let bytes = small.bytes();
+        assert!(
+            bytes.backing_capacity() <= PIN_DENOM * bytes.len(),
+            "{} bytes kept pin {}",
+            bytes.len(),
+            bytes.backing_capacity()
+        );
+        assert_eq!(code_digest(&small), digest);
+        let whole = kept(framed);
+        assert_eq!(
+            whole.bytes().backing_capacity(),
+            framed,
+            "zero-copy when the image is most of its buffer"
+        );
     }
 
     /// The instruction set's encodings, assembly and decoder messages,
@@ -1519,6 +1638,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Framing while encoding writes every golden row's frame byte for
+    /// byte, back to back in one buffer, as the daemon batches them.
+    #[test]
+    fn encoding_in_place_behind_the_header_writes_the_golden_frames() {
+        let mut buf = BytesMut::new();
+        let mut want = String::new();
+        for (p, frame) in golden() {
+            let len = encode_framed_into(NodeId(1), NodeId(2), &p, &mut buf);
+            assert_eq!(len, encode(&p).len(), "{p:?}");
+            want.push_str(frame);
+        }
+        let got: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, want);
     }
 
     /// Seeded single-byte flips of every golden row never panic the

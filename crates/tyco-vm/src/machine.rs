@@ -26,7 +26,7 @@ use crate::compile::compile;
 use crate::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use crate::program::*;
 use crate::stats::ExecStats;
-use crate::wire::{self, LinkMap, ReleaseRun, WireGroup, WireObj, WireWord};
+use crate::wire::{self, Label, LinkMap, ReleaseRun, WireGroup, WireObj, WireWord};
 use crate::word::*;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -161,15 +161,32 @@ enum ThreadExit {
 /// the site. Classes stay for good. A channel's entry goes once nobody
 /// can name it any more (DESIGN.md §20); heap ids are never reused, so a
 /// late packet naming a reclaimed id cannot reach another channel.
+///
+/// Channel entries live in a dense window indexed by `id - base`: ids are
+/// issued in order and most entries go soon after (a reply channel, once
+/// its answer is in and its holder released it), so the window stays
+/// short and a lookup is an index. An entry that outlives the ids issued
+/// after it — a name registered for good, a channel a holder keeps —
+/// moves to `old` once the window is mostly holes, so it never holds the
+/// window open.
 #[derive(Debug, Default)]
 pub struct ExportTable {
     next: u64,
-    chans: HashMap<u64, ChanExport>,
+    /// The channel entry of id `base + i`, if it is live.
+    window: VecDeque<Option<ChanExport>>,
+    base: u64,
+    /// Entries in `window`.
+    live: usize,
+    /// Entries older than the window.
+    old: HashMap<u64, ChanExport>,
     classes: HashMap<u64, ClassRefW>,
     class_rev: HashMap<(u32, u8), u64>,
     /// The last release sequence number applied, per holder site.
     applied: HashMap<SiteId, u64>,
 }
+
+/// The window is compacted only beyond this many slots.
+const WINDOW_SLACK: usize = 64;
 
 /// One exported channel's entry.
 #[derive(Debug)]
@@ -178,9 +195,7 @@ struct ChanExport {
     /// Registered by name, or shipped in a class environment (which its
     /// receiver keeps for good): never reclaimed.
     pinned: bool,
-    /// Times the reference was sent to each holder site, less the
-    /// receipts that site released.
-    holders: Vec<(SiteId, u64)>,
+    holders: Holders,
     /// Packets that released holders reported sending to or carrying
     /// the channel.
     owed: u64,
@@ -194,22 +209,77 @@ impl ChanExport {
     }
 }
 
+/// Times a channel's reference was sent to each holder site, less the
+/// receipts that site released. The first holder is kept in place: a
+/// reply channel has exactly one, so exporting it allocates nothing.
+#[derive(Debug, Default)]
+struct Holders {
+    first: Option<(SiteId, u64)>,
+    /// Any further holders; empty while `first` is.
+    rest: Vec<(SiteId, u64)>,
+}
+
+impl Holders {
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The reference leaves for `to` once more.
+    fn add(&mut self, to: SiteId) {
+        let Some(first) = &mut self.first else {
+            self.first = Some((to, 1));
+            return;
+        };
+        let mut all = std::iter::once(first).chain(&mut self.rest);
+        match all.find(|(s, _)| *s == to) {
+            Some((_, n)) => *n += 1,
+            None => self.rest.push((to, 1)),
+        }
+    }
+
+    /// Holder `from` released `recv` receipts; it is no holder once it
+    /// has released all it was sent.
+    fn release(&mut self, from: SiteId, recv: u64) {
+        if let Some((s, n)) = &mut self.first {
+            if *s == from {
+                *n = n.saturating_sub(recv);
+                if *n == 0 {
+                    self.first = self.rest.pop();
+                }
+                return;
+            }
+        }
+        if let Some(i) = self.rest.iter().position(|(s, _)| *s == from) {
+            let n = &mut self.rest[i].1;
+            *n = n.saturating_sub(recv);
+            if *n == 0 {
+                self.rest.swap_remove(i);
+            }
+        }
+    }
+}
+
 impl ExportTable {
     /// A new heap id for a channel leaving the site for the first time
     /// (the machine keeps it in the channel's slot for later departures).
     fn add_chan(&mut self, c: ChanRef) -> u64 {
         let id = self.next;
         self.next += 1;
-        self.chans.insert(
-            id,
-            ChanExport {
-                chan: c,
-                pinned: false,
-                holders: Vec::new(),
-                owed: 0,
-                delivered: 0,
-            },
-        );
+        if self.window.is_empty() {
+            self.base = id;
+        }
+        // Ids issued to classes in between are holes.
+        let at = (id - self.base) as usize;
+        self.window.resize_with(at, || None);
+        self.window.push_back(Some(ChanExport {
+            chan: c,
+            pinned: false,
+            holders: Holders::default(),
+            owed: 0,
+            delivered: 0,
+        }));
+        self.live += 1;
+        self.compact();
         id
     }
 
@@ -224,8 +294,58 @@ impl ExportTable {
         id
     }
 
+    fn get(&self, id: u64) -> Option<&ChanExport> {
+        match id.checked_sub(self.base) {
+            Some(i) => self.window.get(i as usize)?.as_ref(),
+            None => self.old.get(&id),
+        }
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut ChanExport> {
+        match id.checked_sub(self.base) {
+            Some(i) => self.window.get_mut(i as usize)?.as_mut(),
+            None => self.old.get_mut(&id),
+        }
+    }
+
+    /// Drop `id`'s entry, which is live.
+    fn remove(&mut self, id: u64) {
+        match id.checked_sub(self.base) {
+            Some(i) => {
+                self.window[i as usize] = None;
+                self.live -= 1;
+                self.compact();
+            }
+            None => {
+                self.old.remove(&id);
+            }
+        }
+    }
+
+    /// Shed the window's leading holes, and move its oldest entries to
+    /// `old` while it is mostly holes. Each entry moves at most once.
+    fn compact(&mut self) {
+        loop {
+            match self.window.front() {
+                Some(None) => {}
+                Some(Some(_))
+                    if self.window.len() > WINDOW_SLACK && self.live * 2 < self.window.len() =>
+                {
+                    let e = self.window.pop_front().flatten().expect("a live entry");
+                    self.old.insert(self.base, e);
+                    self.live -= 1;
+                    self.base += 1;
+                    continue;
+                }
+                _ => return,
+            }
+            self.window.pop_front();
+            self.base += 1;
+        }
+    }
+
     pub fn resolve_chan(&self, id: u64) -> Option<ChanRef> {
-        self.chans.get(&id).map(|e| e.chan)
+        self.get(id).map(|e| e.chan)
     }
 
     /// Was `id` ever handed out (a reclaimed id was, a forged one not)?
@@ -234,9 +354,7 @@ impl ExportTable {
     }
 
     fn entry(&mut self, id: u64) -> &mut ChanExport {
-        self.chans
-            .get_mut(&id)
-            .expect("a slot's export id names an entry")
+        self.get_mut(id).expect("a slot's export id names an entry")
     }
 
     /// Keep `id`'s entry for good.
@@ -246,21 +364,17 @@ impl ExportTable {
 
     /// The reference to `id` leaves for holder site `to`.
     fn sent_to(&mut self, id: u64, to: SiteId) {
-        let e = self.entry(id);
-        match e.holders.iter_mut().find(|(s, _)| *s == to) {
-            Some((_, n)) => *n += 1,
-            None => e.holders.push((to, 1)),
-        }
+        self.entry(id).holders.add(to);
     }
 
     /// A remote packet arrived addressed to or carrying `id`: its channel,
     /// and whether that was the packet the entry still waited for.
     fn deliver(&mut self, id: u64) -> Option<(ChanRef, bool)> {
-        let e = self.chans.get_mut(&id)?;
+        let e = self.get_mut(id)?;
         e.delivered += 1;
         let (c, done) = (e.chan, e.reclaimable());
         if done {
-            self.chans.remove(&id);
+            self.remove(id);
         }
         Some((c, done))
     }
@@ -279,20 +393,14 @@ impl ExportTable {
             // most the table's id range.
             let end = run.first.saturating_add(run.len.into()).min(self.next);
             for id in run.first..end {
-                let Some(e) = self.chans.get_mut(&id) else {
+                let Some(e) = self.get_mut(id) else {
                     continue;
                 };
-                if let Some(i) = e.holders.iter().position(|(s, _)| *s == from) {
-                    let n = &mut e.holders[i].1;
-                    *n = n.saturating_sub(run.recv);
-                    if *n == 0 {
-                        e.holders.swap_remove(i);
-                    }
-                }
+                e.holders.release(from, run.recv);
                 e.owed = e.owed.saturating_add(run.sent);
                 if e.reclaimable() {
                     freed.push(e.chan);
-                    self.chans.remove(&id);
+                    self.remove(id);
                 }
             }
         }
@@ -305,11 +413,12 @@ impl ExportTable {
 
     /// Channels remote references may still name (GC roots).
     pub fn chan_roots(&self) -> impl Iterator<Item = ChanRef> + '_ {
-        self.chans.values().map(|e| e.chan)
+        let window = self.window.iter().flatten();
+        window.chain(self.old.values()).map(|e| e.chan)
     }
 
     pub fn len(&self) -> usize {
-        self.chans.len() + self.classes.len()
+        self.live + self.old.len() + self.classes.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -1050,12 +1159,12 @@ impl<P: NetPort> Machine<P> {
                 // SHIPM: package and place on the outgoing queue.
                 self.stats.msgs_sent += 1;
                 self.count_sent(&r);
-                let label_str = self.program.labels.get(label).to_string();
+                let label = Label::shared(self.program.labels.entry(label));
                 let wire_args: Vec<WireWord> = stack
                     .drain(at..)
                     .map(|w| self.outgoing(w, r.site, false))
                     .collect();
-                self.port.send_msg(r, &label_str, wire_args);
+                self.port.send_msg(r, label, wire_args);
                 Ok(())
             }
             other => Err(VmError::NotAChannel(other.display())),
@@ -1576,10 +1685,13 @@ impl<P: NetPort> Machine<P> {
     fn deliver_msg(&mut self, dest: u64, label: &str, args: Vec<WireWord>) -> Result<(), VmError> {
         let c = self.arrived(dest)?;
         let label = self.program.labels.intern(label);
-        let words: Vec<Word> = args
-            .into_iter()
-            .map(|w| self.incoming_word(w, true))
-            .collect::<Result<_, _>>()?;
+        // The words go into a pooled buffer and the decoded vector is
+        // freed: pooled, its exact-size allocation would come back as a
+        // frame or stack too small to hold one.
+        let mut words = self.take_vec();
+        for w in args {
+            words.push(self.incoming_word(w, true)?);
+        }
         self.local_msg(c, label, words)
     }
 
@@ -1815,6 +1927,37 @@ mod tests {
         assert!(!t.is_empty());
     }
 
+    /// A pinned entry among short-lived ones moves out of the dense
+    /// window once the window is mostly holes, so the window stays short
+    /// while every id still resolves.
+    #[test]
+    fn a_long_lived_entry_leaves_the_export_window_for_the_map() {
+        let mut t = ExportTable::default();
+        let kept = t.add_chan(0);
+        t.pin(kept);
+        let mut gone = Vec::new();
+        for c in 1..=1000 {
+            let id = t.add_chan(c);
+            t.sent_to(id, SiteId(1));
+            t.sent_to(id, SiteId(2));
+            let runs = [ReleaseRun {
+                first: id,
+                len: 1,
+                recv: 1,
+                sent: 0,
+            }];
+            assert!(t.release(SiteId(1), c.into(), &runs).is_empty());
+            assert_eq!(t.release(SiteId(2), c.into(), &runs), [c]);
+            gone.push(id);
+        }
+        assert!(t.window.len() <= WINDOW_SLACK, "{} slots", t.window.len());
+        assert_eq!(t.old.len(), 1);
+        assert_eq!(t.resolve_chan(kept), Some(0));
+        assert!(gone.iter().all(|&id| t.resolve_chan(id).is_none()));
+        assert_eq!(t.chan_roots().collect::<Vec<_>>(), [0]);
+        assert_eq!(t.len(), 1);
+    }
+
     #[test]
     fn a_channel_slot_is_one_word_more_than_its_queues() {
         // A site that churns channels keeps thousands of slots.
@@ -2007,7 +2150,7 @@ mod tests {
         m.run_to_quiescence(10_000).unwrap();
         m.port.inject(crate::port::Incoming::Msg {
             dest: 0,
-            label: "go".to_string(),
+            label: "go".into(),
             args: vec![WireWord::Int(1)], // expects two
         });
         let err = m.run_to_quiescence(10_000).unwrap_err();

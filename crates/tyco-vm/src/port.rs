@@ -8,7 +8,7 @@
 
 use crate::digest::Digest;
 use crate::program::ImportKind;
-use crate::wire::{ReleaseRun, WireGroup, WireObj, WireWord};
+use crate::wire::{Label, ReleaseRun, WireGroup, WireObj, WireWord};
 use crate::word::{Identity, NetRef, SiteId};
 use std::collections::HashMap;
 
@@ -39,7 +39,7 @@ pub enum Incoming {
     /// under `dest` in this site's export table.
     Msg {
         dest: u64,
-        label: String,
+        label: Label,
         args: Vec<WireWord>,
     },
     /// A migrated object (post-SHIPO).
@@ -82,7 +82,7 @@ pub trait NetPort {
     fn import(&mut self, site: &str, name: &str, kind: ImportKind) -> ImportReply;
 
     /// Ship a message to a remote channel (SHIPM).
-    fn send_msg(&mut self, dest: NetRef, label: &str, args: Vec<WireWord>);
+    fn send_msg(&mut self, dest: NetRef, label: Label, args: Vec<WireWord>);
 
     /// Migrate an object to a remote channel's site (SHIPO). `digest` is
     /// the content fingerprint of `obj.code` (computed once at packaging
@@ -119,7 +119,7 @@ pub struct LoopbackPort {
     registry: HashMap<String, WireWord>,
     /// Messages that would have left the site (none should, in loopback
     /// use; retained for assertions).
-    pub sent_msgs: Vec<(NetRef, String, Vec<WireWord>)>,
+    pub sent_msgs: Vec<(NetRef, Label, Vec<WireWord>)>,
     pub sent_objs: Vec<(NetRef, Digest, WireObj)>,
     pub released: Vec<(Identity, u64, Vec<ReleaseRun>)>,
     queue: std::collections::VecDeque<Incoming>,
@@ -168,8 +168,8 @@ impl NetPort for LoopbackPort {
         }
     }
 
-    fn send_msg(&mut self, dest: NetRef, label: &str, args: Vec<WireWord>) {
-        self.sent_msgs.push((dest, label.to_string(), args));
+    fn send_msg(&mut self, dest: NetRef, label: Label, args: Vec<WireWord>) {
+        self.sent_msgs.push((dest, label, args));
     }
 
     fn send_obj(&mut self, dest: NetRef, digest: Digest, obj: WireObj) {

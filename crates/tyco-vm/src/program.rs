@@ -396,7 +396,12 @@ impl Pool {
 
     /// The interned entry itself — cloning is a refcount bump.
     pub fn get_arc(&self, i: u32) -> Arc<str> {
-        self.items[i as usize].clone()
+        self.entry(i).clone()
+    }
+
+    /// The interned entry, borrowed.
+    pub fn entry(&self, i: u32) -> &Arc<str> {
+        &self.items[i as usize]
     }
 
     pub fn find(&self, s: &str) -> Option<u32> {

@@ -41,6 +41,98 @@ pub enum WireWord {
     Class(NetRef),
 }
 
+/// A message label on the wire ([`crate::codec::Packet::Msg`]): a
+/// string that costs no allocation when it is short, which nearly every
+/// label is. A sender shares a longer label from its program's pool
+/// ([`Label::shared`]); a receiver decodes a short one in place and
+/// resolves it against its own pool without building a `String`.
+#[derive(Clone)]
+pub struct Label(LabelRepr);
+
+#[derive(Clone)]
+enum LabelRepr {
+    /// The first `len` bytes of `bytes`, valid UTF-8.
+    Inline {
+        len: u8,
+        bytes: [u8; Label::INLINE],
+    },
+    Shared(Arc<str>),
+}
+
+impl Label {
+    /// Longest label kept in place (the whole fits in 24 bytes).
+    const INLINE: usize = 22;
+
+    /// `s` as a label: copied in place when short, otherwise the pool
+    /// entry itself, shared by a refcount bump.
+    pub fn shared(s: &Arc<str>) -> Label {
+        Label::inline(s).unwrap_or_else(|| Label(LabelRepr::Shared(s.clone())))
+    }
+
+    fn inline(s: &str) -> Option<Label> {
+        let len = s.len();
+        (len <= Label::INLINE).then(|| {
+            let mut bytes = [0; Label::INLINE];
+            bytes[..len].copy_from_slice(s.as_bytes());
+            Label(LabelRepr::Inline {
+                len: len as u8,
+                bytes,
+            })
+        })
+    }
+
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            LabelRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..*len as usize])
+                .expect("an inline label holds the bytes of a `&str`"),
+            LabelRepr::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Label {
+    fn from(s: &str) -> Label {
+        Label::inline(s).unwrap_or_else(|| Label(LabelRepr::Shared(s.into())))
+    }
+}
+
+impl Deref for Label {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl PartialEq<str> for Label {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// Consecutive export ids `first .. first + len` that a holder site
 /// releases with the same counts: it received each `recv` times from the
 /// owner and sent `sent` packets to or carrying each (DESIGN.md §20).

@@ -8,7 +8,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use tyco_vm::port::{FetchReplyNow, ImportReply, Incoming, NetPort};
 use tyco_vm::program::ImportKind;
-use tyco_vm::wire::{ReleaseRun, WireGroup, WireObj, WireWord};
+use tyco_vm::wire::{Label, ReleaseRun, WireGroup, WireObj, WireWord};
 use tyco_vm::word::{Identity, NetRef, SiteId};
 use tyco_vm::{LoopbackPort, Machine};
 
@@ -207,7 +207,7 @@ impl NetPort for EtherPort {
         ImportReply::Pending(req)
     }
 
-    fn send_msg(&mut self, dest: NetRef, label: &str, args: Vec<WireWord>) {
+    fn send_msg(&mut self, dest: NetRef, label: Label, args: Vec<WireWord>) {
         self.ether
             .borrow_mut()
             .queues
@@ -215,7 +215,7 @@ impl NetPort for EtherPort {
             .or_default()
             .push_back(Incoming::Msg {
                 dest: dest.heap_id,
-                label: label.to_string(),
+                label,
                 args,
             });
     }
