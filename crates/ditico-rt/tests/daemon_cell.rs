@@ -15,7 +15,7 @@ use ditico_rt::wake::Wake;
 use ditico_rt::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock, Weak};
 use std::time::Duration;
 use tyco_vm::codec::{self, Packet};
 use tyco_vm::port::Incoming;
@@ -210,9 +210,11 @@ fn two_simultaneous_kicks_never_strand_one() {
 
 /// A network whose every batch comes straight back as one more packet on
 /// the daemon's own outgoing queue plus a kick of the daemon's own cell —
-/// a `wake()` issued from inside that daemon's `pump`.
+/// a `wake()` issued from inside that daemon's `pump`. The cell owns
+/// its daemon and so this fabric; holding the cell weakly keeps the pair
+/// from leaking.
 struct Echo {
-    cell: OnceLock<Arc<DaemonCell>>,
+    cell: OnceLock<Weak<DaemonCell>>,
     to_daemon: Sender<(SiteId, Packet, Ticket)>,
     echoed: AtomicUsize,
 }
@@ -224,7 +226,8 @@ impl PacketFabric for Echo {
             let echo = (SiteId(0), tagged(9, n), ticket.split(1));
             self.to_daemon.send(echo).unwrap();
         }
-        self.cell.get().expect("cell installed").wake();
+        let cell = self.cell.get().and_then(Weak::upgrade);
+        cell.expect("cell installed").wake();
     }
 }
 
@@ -244,7 +247,7 @@ fn a_kick_from_inside_the_daemons_own_pump_is_neither_deadlock_nor_lost() {
     });
     daemon.set_fabric(echo.clone());
     let cell = DaemonCell::new(daemon);
-    assert!(echo.cell.set(cell.clone()).is_ok());
+    assert!(echo.cell.set(Arc::downgrade(&cell)).is_ok());
 
     // One message for a remote node: the pump hands it to `Echo`, which
     // queues a local message and kicks the (locked) cell from inside.
@@ -270,15 +273,17 @@ fn a_kick_from_inside_the_daemons_own_pump_is_neither_deadlock_nor_lost() {
 /// exists to keep: whenever a site wakeup fires, the cell is unlocked.
 /// It checks the way a woken worker would find out — by ending its slice
 /// with a kick of its own, which must win the lock and pump inline.
+/// Held by the daemon as a site waker, it holds the cell weakly.
 struct UnlockedProbe {
-    cell: OnceLock<Arc<DaemonCell>>,
+    cell: OnceLock<Weak<DaemonCell>>,
     fired: AtomicUsize,
     fired_under_lock: AtomicUsize,
 }
 
 impl Wake for UnlockedProbe {
     fn wake(&self) {
-        let cell = self.cell.get().expect("cell installed");
+        let cell = self.cell.get().and_then(Weak::upgrade);
+        let cell = cell.expect("cell installed");
         let inline_before = cell.pumps();
         cell.wake();
         if cell.pumps() == inline_before {
@@ -304,7 +309,7 @@ fn site_wakeups_fire_only_after_the_cell_is_unlocked() {
     });
     daemon.set_site_waker(SiteId(0), probe.clone());
     let cell = DaemonCell::new(daemon);
-    assert!(probe.cell.set(cell.clone()).is_ok());
+    assert!(probe.cell.set(Arc::downgrade(&cell)).is_ok());
 
     // The producer path: kick, pump inline, unlock, then wake the site.
     to_daemon

@@ -59,10 +59,9 @@ fn rig() -> Rig {
     }
     let (in_tx, site_rx) = unbounded();
     daemon.attach_site(SiteId(0), in_tx);
+    // The daemon's handle and `net` share the fabric: dropping this one
+    // closes nothing.
     let net = fabric.handle();
-    // Keep the fabric alive for the rig's lifetime by leaking it (tests
-    // are short-lived); shutting it down would close the channels.
-    std::mem::forget(fabric);
     Rig {
         daemon,
         site_rx,

@@ -5,10 +5,15 @@
 //!
 //! Allocations per RPC are the difference between two call counts over
 //! the extra calls, so start-up, the handshake, the import and the
-//! termination waves cancel out. Pipelined (64 chains in flight on one
-//! connection) and sequential (one chain, one call in flight) are
-//! measured separately: a sequential call pays every batch, flush and
-//! wake alone.
+//! termination waves cancel out. Heartbeats do not: they come per unit
+//! of time, and the larger run takes longer, the more so on a slow
+//! build. So they beat every 250 ms here. At 25 ms, an AddressSanitizer
+//! build read 4.6–4.8 allocations per sequential RPC where a release
+//! build read 4.1; at 250 ms both read 4.0–4.1.
+//!
+//! Pipelined (64 chains in flight on one connection) and sequential
+//! (one chain, one call in flight) are measured separately: a
+//! sequential call pays every batch, flush and wake alone.
 //!
 //! Only one `#[test]` lives in this binary, so nothing runs beside it
 //! while it counts.
@@ -93,7 +98,7 @@ fn run_allocs(chains: u64, calls: u64) -> u64 {
     let server_cfg = TransportConfig {
         local_nodes: vec![NodeId(0)],
         listen: Some(addr),
-        hb_period: Duration::from_millis(25),
+        hb_period: Duration::from_millis(250),
         ..TransportConfig::default()
     };
     let server = std::thread::spawn(move || {
@@ -104,7 +109,7 @@ fn run_allocs(chains: u64, calls: u64) -> u64 {
     let client_cfg = TransportConfig {
         local_nodes: vec![NodeId(1)],
         peers: vec![addr],
-        hb_period: Duration::from_millis(25),
+        hb_period: Duration::from_millis(250),
         ..TransportConfig::default()
     };
     let client = partition(1, chains, calls)
@@ -148,11 +153,11 @@ fn a_remote_message_allocates_almost_nothing() {
     let pipelined = per_rpc(64, (40, 160));
     let sequential = per_rpc(1, (400, 1600));
     assert!(
-        pipelined <= 6.0,
-        "{pipelined:.2} allocations per pipelined RPC (at most 6)"
+        pipelined <= 4.5,
+        "{pipelined:.2} allocations per pipelined RPC (at most 4.5)"
     );
     assert!(
-        sequential <= 12.0,
-        "{sequential:.2} allocations per sequential RPC (at most 12)"
+        sequential <= 4.5,
+        "{sequential:.2} allocations per sequential RPC (at most 4.5)"
     );
 }

@@ -102,15 +102,128 @@ pub struct ObjFrame {
     pub captured: Vec<Word>,
 }
 
-/// Channel state: a queue of pending messages *or* pending objects — the
-/// reduction rules keep at most one of the two non-empty. Both queues stay
-/// allocated for the life of the heap slot (and slots are recycled through
-/// the free list), so parking on a busy channel costs no allocation in
-/// steady state.
+/// Channel state (§5): empty, pending messages *or* pending objects — the
+/// reduction rules never leave both sides waiting. The first waiter is
+/// held in the slot itself; a FIFO is boxed only when a second waiter of
+/// the same side arrives, and goes when its last waiter leaves. A channel
+/// that never holds two waiters allocates nothing, and an empty one holds
+/// no allocation at all.
 #[derive(Debug, Clone, Default)]
-pub struct ChanState {
-    msgs: VecDeque<MsgFrame>,
-    objs: VecDeque<ObjFrame>,
+#[expect(
+    clippy::box_collection,
+    reason = "an unboxed VecDeque would widen every slot by 8 bytes to serve the rare second waiter"
+)]
+enum ChanState {
+    #[default]
+    Empty,
+    Msg {
+        label: LabelId,
+        args: Vec<Word>,
+    },
+    Obj {
+        table: TableId,
+        captured: Vec<Word>,
+    },
+    /// Waiting messages, oldest first; never empty.
+    Msgs(Box<VecDeque<MsgFrame>>),
+    /// Waiting objects, oldest first; never empty.
+    Objs(Box<VecDeque<ObjFrame>>),
+}
+
+impl ChanState {
+    /// Take the oldest waiting message, if messages wait.
+    #[inline]
+    fn pop_msg(&mut self) -> Option<MsgFrame> {
+        match std::mem::take(self) {
+            ChanState::Msg { label, args } => Some(MsgFrame { label, args }),
+            ChanState::Msgs(mut q) => {
+                let msg = q.pop_front();
+                if !q.is_empty() {
+                    *self = ChanState::Msgs(q);
+                }
+                msg
+            }
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+
+    /// Take the oldest waiting object, if objects wait.
+    #[inline]
+    fn pop_obj(&mut self) -> Option<ObjFrame> {
+        match std::mem::take(self) {
+            ChanState::Obj { table, captured } => Some(ObjFrame { table, captured }),
+            ChanState::Objs(mut q) => {
+                let obj = q.pop_front();
+                if !q.is_empty() {
+                    *self = ChanState::Objs(q);
+                }
+                obj
+            }
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+
+    /// Park a message behind the waiting ones; no object may be waiting.
+    #[inline]
+    fn push_msg(&mut self, msg: MsgFrame) {
+        *self = match std::mem::take(self) {
+            ChanState::Empty => ChanState::Msg {
+                label: msg.label,
+                args: msg.args,
+            },
+            ChanState::Msg { label, args } => {
+                ChanState::Msgs(Box::new(VecDeque::from([MsgFrame { label, args }, msg])))
+            }
+            ChanState::Msgs(mut q) => {
+                q.push_back(msg);
+                ChanState::Msgs(q)
+            }
+            ChanState::Obj { .. } | ChanState::Objs(_) => {
+                unreachable!("a message parked beside a waiting object")
+            }
+        };
+    }
+
+    /// Park an object behind the waiting ones; no message may be waiting.
+    #[inline]
+    fn push_obj(&mut self, obj: ObjFrame) {
+        *self = match std::mem::take(self) {
+            ChanState::Empty => ChanState::Obj {
+                table: obj.table,
+                captured: obj.captured,
+            },
+            ChanState::Obj { table, captured } => ChanState::Objs(Box::new(VecDeque::from([
+                ObjFrame { table, captured },
+                obj,
+            ]))),
+            ChanState::Objs(mut q) => {
+                q.push_back(obj);
+                ChanState::Objs(q)
+            }
+            ChanState::Msg { .. } | ChanState::Msgs(_) => {
+                unreachable!("an object parked beside a waiting message")
+            }
+        };
+    }
+
+    /// Every word the waiting side holds: the GC's edges out of a channel.
+    fn for_each_word(&self, f: impl FnMut(&Word)) {
+        match self {
+            ChanState::Empty => {}
+            ChanState::Msg { args: words, .. }
+            | ChanState::Obj {
+                captured: words, ..
+            } => words.iter().for_each(f),
+            ChanState::Msgs(q) => q.iter().flat_map(|m| &m.args).for_each(f),
+            ChanState::Objs(q) => q.iter().flat_map(|o| &o.captured).for_each(f),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -1219,7 +1332,7 @@ impl<P: NetPort> Machine<P> {
         self.stats.chans_allocated += 1;
         self.live_chans += 1;
         if let Some(c) = self.free_chans.pop() {
-            // The previous tenant's queues are empty but still allocated.
+            // The collector left the previous tenant's state empty.
             let slot = &mut self.channels[c as usize];
             debug_assert!(!slot.used(), "free list entry in use");
             slot.export = NO_EXPORT;
@@ -1250,12 +1363,12 @@ impl<P: NetPort> Machine<P> {
         stack: &mut Vec<Word>,
         at: usize,
     ) -> Result<(), VmError> {
-        if let Some(obj) = self.chan_mut(c).objs.pop_front() {
+        if let Some(obj) = self.chan_mut(c).pop_obj() {
             return self.fire_method_stack(obj, label, stack, at);
         }
         let mut args = self.take_vec();
         move_tail(stack, at, &mut args);
-        self.chan_mut(c).msgs.push_back(MsgFrame { label, args });
+        self.chan_mut(c).push_msg(MsgFrame { label, args });
         Ok(())
     }
 
@@ -1269,25 +1382,23 @@ impl<P: NetPort> Machine<P> {
         stack: &mut Vec<Word>,
         at: usize,
     ) -> Result<(), VmError> {
-        if let Some(msg) = self.chan_mut(c).msgs.pop_front() {
+        if let Some(msg) = self.chan_mut(c).pop_msg() {
             let mut frame = self.take_vec();
             move_tail(stack, at, &mut frame);
             return self.fire_method_frame(table, msg.label, frame, msg.args);
         }
         let mut captured = self.take_vec();
         move_tail(stack, at, &mut captured);
-        self.chan_mut(c)
-            .objs
-            .push_back(ObjFrame { table, captured });
+        self.chan_mut(c).push_obj(ObjFrame { table, captured });
         Ok(())
     }
 
     /// Local `trmsg` with an owned argument buffer (COMM or enqueue).
     fn local_msg(&mut self, c: ChanRef, label: LabelId, args: Vec<Word>) -> Result<(), VmError> {
-        match self.chan_mut(c).objs.pop_front() {
+        match self.chan_mut(c).pop_obj() {
             Some(obj) => self.fire_method(obj, label, args),
             None => {
-                self.chan_mut(c).msgs.push_back(MsgFrame { label, args });
+                self.chan_mut(c).push_msg(MsgFrame { label, args });
                 Ok(())
             }
         }
@@ -1300,12 +1411,10 @@ impl<P: NetPort> Machine<P> {
         table: TableId,
         captured: Vec<Word>,
     ) -> Result<(), VmError> {
-        match self.chan_mut(c).msgs.pop_front() {
+        match self.chan_mut(c).pop_msg() {
             Some(msg) => self.fire_method_frame(table, msg.label, captured, msg.args),
             None => {
-                self.chan_mut(c)
-                    .objs
-                    .push_back(ObjFrame { table, captured });
+                self.chan_mut(c).push_obj(ObjFrame { table, captured });
                 Ok(())
             }
         }
@@ -1772,21 +1881,16 @@ impl<P: NetPort> Machine<P> {
             marked[i] = true;
             let slot = &self.channels[i];
             if slot.used() {
-                let args = slot.state.msgs.iter().flat_map(|m| &m.args);
-                let captured = slot.state.objs.iter().flat_map(|o| &o.captured);
-                for w in args.chain(captured) {
-                    scan(w, &mut work);
-                }
+                slot.state.for_each_word(|w| scan(w, &mut work));
             }
         }
 
         for (i, slot) in self.channels.iter_mut().enumerate() {
             if !marked[i] && slot.used() {
-                // Drop unreachable queue contents but keep the queue
-                // allocations for the slot's next tenant.
+                // Drop what waits on an unreachable channel, its boxed
+                // queue included: a free slot holds no allocation.
                 slot.export = FREE;
-                slot.state.msgs.clear();
-                slot.state.objs.clear();
+                slot.state = ChanState::Empty;
                 self.free_chans.push(i as u32);
                 self.live_chans -= 1;
                 self.stats.chans_collected += 1;
@@ -1902,6 +2006,7 @@ pub fn unop(op: UnOp, a: Word) -> Result<Word, VmError> {
 mod tests {
     use super::*;
     use crate::port::LoopbackPort;
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
     fn machine(src: &str) -> Machine<LoopbackPort> {
         Machine::from_source(src, LoopbackPort::new("main")).expect("compiles")
@@ -1965,6 +2070,129 @@ mod tests {
             std::mem::size_of::<ChanSlot>(),
             std::mem::size_of::<ChanState>() + 8
         );
+    }
+
+    #[test]
+    fn a_channel_slot_is_at_most_forty_bytes() {
+        // The first waiter is held in place and a queue is boxed: the
+        // slot is its export word and a 32-byte state.
+        let size = std::mem::size_of::<ChanSlot>();
+        assert!(size <= 40, "a channel slot is {size} bytes");
+    }
+
+    /// Which side waits on a channel, and how many wait there.
+    fn waiting(state: &ChanState) -> (usize, usize) {
+        match state {
+            ChanState::Empty => (0, 0),
+            ChanState::Msg { .. } => (1, 0),
+            ChanState::Obj { .. } => (0, 1),
+            ChanState::Msgs(q) => (q.len(), 0),
+            ChanState::Objs(q) => (0, q.len()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Messages and objects arriving on one channel in any order,
+        /// through all four entry points, fire the same methods with the
+        /// same frames in the same order as the two FIFO queues they
+        /// replace; at most one side ever waits, and a channel that never
+        /// held two waiters since it was last empty holds no box.
+        #[test]
+        fn one_waiting_side_fires_like_two_fifo_queues(
+            ops in proptest::collection::vec((0u8..4, 0usize..2), 0..48)
+        ) {
+            let mut m = machine("new y new x x?{ a(u) = y![u], b(u, v) = y![u, v] }");
+            m.run_to_quiescence(10_000).unwrap();
+            let (table, ncap) = m
+                .channels
+                .iter()
+                .find_map(|s| match &s.state {
+                    ChanState::Obj { table, captured } => Some((*table, captured.len())),
+                    _ => None,
+                })
+                .expect("the object waits on x");
+            prop_assert!(ncap > 0, "the object captures y");
+            let methods: Vec<(LabelId, BlockId, usize)> = m.program.tables[table as usize]
+                .entries
+                .iter()
+                .map(|&(l, b)| (l, b, m.program.blocks[b as usize].nparams as usize))
+                .collect();
+            let c = m.alloc_chan();
+            let mut msgs: VecDeque<(LabelId, Vec<Word>)> = VecDeque::new();
+            let mut objs: VecDeque<Vec<Word>> = VecDeque::new();
+            let mut peak = 0;
+            let mut next = 0;
+            let mut fresh = |n: usize| -> Vec<Word> {
+                (0..n)
+                    .map(|_| {
+                        next += 1;
+                        Word::Int(next)
+                    })
+                    .collect()
+            };
+            for (op, which) in ops {
+                let queued = m.run_queue.len();
+                let fired = if op < 2 {
+                    let (label, _, nparams) = methods[which];
+                    let args = fresh(nparams);
+                    let fired = objs
+                        .pop_front()
+                        .map(|cap| (label, [cap, args.clone()].concat()));
+                    if fired.is_none() {
+                        msgs.push_back((label, args.clone()));
+                    }
+                    if op == 0 {
+                        let mut stack = vec![Word::Unit];
+                        stack.extend(args);
+                        m.local_msg_stack(c, label, &mut stack, 1).unwrap();
+                        prop_assert_eq!(stack, vec![Word::Unit]);
+                    } else {
+                        m.local_msg(c, label, args).unwrap();
+                    }
+                    fired
+                } else {
+                    let cap = fresh(ncap);
+                    let fired = msgs
+                        .pop_front()
+                        .map(|(label, args)| (label, [cap.clone(), args].concat()));
+                    if fired.is_none() {
+                        objs.push_back(cap.clone());
+                    }
+                    if op == 2 {
+                        let mut stack = vec![Word::Unit];
+                        stack.extend(cap);
+                        m.local_obj_stack(c, table, &mut stack, 1).unwrap();
+                        prop_assert_eq!(stack, vec![Word::Unit]);
+                    } else {
+                        m.local_obj(c, table, cap).unwrap();
+                    }
+                    fired
+                };
+                match fired {
+                    Some((label, frame)) => {
+                        prop_assert_eq!(m.run_queue.len(), queued + 1);
+                        let t = m.run_queue.back().unwrap();
+                        let block = methods.iter().find(|&&(l, ..)| l == label).unwrap().1;
+                        prop_assert_eq!(t.block, block);
+                        prop_assert_eq!(&t.frame[..frame.len()], &frame[..]);
+                    }
+                    None => prop_assert_eq!(m.run_queue.len(), queued),
+                }
+                prop_assert!(msgs.is_empty() || objs.is_empty());
+                let state = &m.channels[c as usize].state;
+                prop_assert_eq!(waiting(state), (msgs.len(), objs.len()));
+                peak = if msgs.is_empty() && objs.is_empty() {
+                    0
+                } else {
+                    peak.max(msgs.len() + objs.len())
+                };
+                if peak < 2 {
+                    prop_assert!(!matches!(state, ChanState::Msgs(_) | ChanState::Objs(_)));
+                }
+            }
+        }
     }
 
     #[test]
@@ -2140,6 +2368,41 @@ mod tests {
         assert_eq!(m.live_channels(), 2);
         m.gc();
         assert_eq!(m.live_channels(), 0);
+
+        // The only reference sits in the *second* waiter of a boxed
+        // queue: the scan walks the whole queue, so `keep` survives.
+        let mut m =
+            machine("new keep (export new holder in (holder![0] | holder![keep] | keep?(v) = 0))");
+        m.run_to_quiescence(10_000).unwrap();
+        let queued = |m: &Machine<LoopbackPort>| {
+            m.channels.iter().any(|s| match &s.state {
+                ChanState::Msgs(q) => q.len() == 2 && matches!(q[1].args[..], [Word::Chan(_)]),
+                _ => false,
+            })
+        };
+        assert!(queued(&m), "two messages wait on holder");
+        m.gc();
+        assert_eq!(m.live_channels(), 2);
+        assert!(queued(&m));
+
+        // Unreachable, the queue goes with its channel: the swept slot
+        // holds no box, and its next tenant parks its first waiter in
+        // place.
+        let mut m = machine("new keep new holder (holder![keep] | holder![keep] | keep?(v) = 0)");
+        m.run_to_quiescence(10_000).unwrap();
+        assert!(queued(&m));
+        m.gc();
+        assert_eq!(m.live_channels(), 0);
+        assert!(m
+            .channels
+            .iter()
+            .all(|s| matches!(s.state, ChanState::Empty)));
+        let c = m.alloc_chan();
+        m.local_msg(c, 0, vec![Word::Int(1)]).unwrap();
+        assert!(matches!(
+            m.channels[c as usize].state,
+            ChanState::Msg { ref args, .. } if args[..] == [Word::Int(1)]
+        ));
     }
 
     #[test]
