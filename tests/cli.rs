@@ -714,3 +714,76 @@ fn nesting_just_inside_the_bound_compiles_verifies_and_runs() {
         assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), want, "{shape}");
     }
 }
+
+/// An applet server on one node: an exported class that two sites on the
+/// other node fetch at once (coalesced), and an object it ships twice to
+/// a third site (the second shipment digest-only).
+const APPLET_SERVER: &str = r#"
+export def Applet(v) = println("applet", v) in
+def Shipped(p, d) = p?(v) = (println("shipped", v) | d![])
+in def Srv(c) = c?{ applet(p, d) = (Shipped[p, d] | Srv[c]) }
+in export new s in Srv[s]
+"#;
+
+const SHIP_TWICE_CLIENT: &str = r#"
+import s from server in
+new d1 (new p (s!applet[p, d1] | p![1]) |
+d1?() = new d2 (new q (s!applet[q, d2] | q![2]) |
+d2?() = println("done")))
+"#;
+
+/// The whole `--stats` report of two virtual-clock runs, byte for byte:
+/// the summary, the code-cache (hits, coalesced fetches, dedup sends, a
+/// duplicate fetch reply), name-service and chaos lines, and every
+/// per-site block. `benchmark/src/report.rs` parses this text strictly,
+/// so any change to it is a change to that parser's input.
+#[test]
+fn net_stats_report_is_golden() {
+    let dir = tmpdir("stats-golden");
+    write(&dir, "server.dity", APPLET_SERVER);
+    write(
+        &dir,
+        "a.dity",
+        "import Applet from server in Applet[1] | Applet[2]",
+    );
+    write(&dir, "b.dity", "import Applet from server in Applet[3]");
+    write(&dir, "client.dity", SHIP_TWICE_CLIENT);
+    let applet = write(
+        &dir,
+        "applet.net",
+        "topology nodes=2 link=myrinet\nsite server server.dity node=0\n\
+         site a a.dity node=1\nsite b b.dity node=1\nsite client client.dity node=1\n",
+    );
+    let rpc = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/dity/rpc.net");
+    let runs = [
+        (
+            rpc.as_ref(),
+            &["--chaos-seed", "3", "--chaos-dup", "20"][..],
+            include_str!("stats_rpc.golden"),
+        ),
+        (
+            applet.as_os_str(),
+            &[
+                "--chaos-seed",
+                "1",
+                "--chaos-dup",
+                "200",
+                "--chaos-delay",
+                "100",
+            ][..],
+            include_str!("stats_applet.golden"),
+        ),
+    ];
+    for (spec, flags, want) in runs {
+        let out = ditico()
+            .arg("net")
+            .arg(spec)
+            .args(flags)
+            .arg("--stats")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{spec:?}: {stderr}");
+        assert_eq!(stderr, want, "{spec:?} {flags:?}");
+    }
+}
