@@ -19,9 +19,10 @@
 //! drop discards it, a duplicate mints one for the copy. Every injected
 //! fault is counted in a [`ChaosReport`] that lands in `RunReport.chaos`.
 
+use crate::counters::{ChaosReport, ChaosTally};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tyco_vm::word::NodeId;
 
@@ -115,26 +116,6 @@ impl ChaosPlan {
     }
 }
 
-/// Counters of every fault the plan actually injected. Snapshot lands in
-/// `RunReport.chaos`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosReport {
-    /// Packets dropped by the per-packet fault die.
-    pub dropped: u64,
-    /// Packets duplicated (one extra copy each).
-    pub duplicated: u64,
-    /// Packets held back by `delay_ns`.
-    pub delayed: u64,
-    /// Packets (and heartbeat frames) dropped because an active
-    /// partition cuts their edge.
-    pub partition_drops: u64,
-    /// Timed events applied, by kind.
-    pub partitions: u64,
-    pub heals: u64,
-    pub kills: u64,
-    pub restarts: u64,
-}
-
 impl ChaosReport {
     pub fn total_faults(&self) -> u64 {
         self.dropped + self.duplicated + self.delayed + self.partition_drops
@@ -172,14 +153,7 @@ pub struct ChaosState {
     partitions: RwLock<Vec<(HashSet<NodeId>, HashSet<NodeId>)>>,
     /// Per-directed-edge packet counter feeding the fate hash.
     edge_seq: Mutex<HashMap<(u32, u32), u64>>,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    partition_drops: AtomicU64,
-    partitions_applied: AtomicU64,
-    heals: AtomicU64,
-    kills: AtomicU64,
-    restarts: AtomicU64,
+    tally: ChaosTally,
 }
 
 impl ChaosState {
@@ -192,14 +166,7 @@ impl ChaosState {
             next_event: AtomicUsize::new(0),
             partitions: RwLock::new(Vec::new()),
             edge_seq: Mutex::new(HashMap::new()),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
-            partition_drops: AtomicU64::new(0),
-            partitions_applied: AtomicU64::new(0),
-            heals: AtomicU64::new(0),
-            kills: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
+            tally: ChaosTally::default(),
         })
     }
 
@@ -230,17 +197,17 @@ impl ChaosState {
                     let a: HashSet<NodeId> = a.iter().copied().collect();
                     let b: HashSet<NodeId> = b.iter().copied().collect();
                     self.partitions.write().push((a, b));
-                    self.partitions_applied.fetch_add(1, Ordering::Relaxed);
+                    self.tally.partitions.fetch_add(1, Ordering::Relaxed);
                 }
                 ChaosEvent::Heal => {
                     self.partitions.write().clear();
-                    self.heals.fetch_add(1, Ordering::Relaxed);
+                    self.tally.heals.fetch_add(1, Ordering::Relaxed);
                 }
                 ChaosEvent::KillNode(_) => {
-                    self.kills.fetch_add(1, Ordering::Relaxed);
+                    self.tally.kills.fetch_add(1, Ordering::Relaxed);
                 }
                 ChaosEvent::RestartNode(_) => {
-                    self.restarts.fetch_add(1, Ordering::Relaxed);
+                    self.tally.restarts.fetch_add(1, Ordering::Relaxed);
                 }
             }
             out.push(ev.clone());
@@ -265,7 +232,7 @@ impl ChaosState {
     /// degrades to `Deliver`, uncounted.
     pub fn packet_fate(&self, from: NodeId, to: NodeId, n: u64, can_delay: bool) -> Fault {
         if self.blocked(from, to) {
-            self.partition_drops.fetch_add(n, Ordering::Relaxed);
+            self.tally.partition_drops.fetch_add(n, Ordering::Relaxed);
             return Fault::Drop;
         }
         let Some(spec) = &self.spec else {
@@ -284,13 +251,13 @@ impl ChaosState {
         let edge = (u64::from(from.0) << 32) | u64::from(to.0);
         let roll = (splitmix64(spec.seed ^ splitmix64(edge).wrapping_add(k)) % 1000) as u32;
         if roll < spec.drop_per_mille {
-            self.dropped.fetch_add(n, Ordering::Relaxed);
+            self.tally.dropped.fetch_add(n, Ordering::Relaxed);
             Fault::Drop
         } else if roll < spec.drop_per_mille + spec.dup_per_mille {
-            self.duplicated.fetch_add(n, Ordering::Relaxed);
+            self.tally.duplicated.fetch_add(n, Ordering::Relaxed);
             Fault::Duplicate
         } else if can_delay && roll < budget {
-            self.delayed.fetch_add(n, Ordering::Relaxed);
+            self.tally.delayed.fetch_add(n, Ordering::Relaxed);
             Fault::Delay(self.spec.map(|s| s.delay_ns).unwrap_or(0))
         } else {
             Fault::Deliver
@@ -307,23 +274,14 @@ impl ChaosState {
         }
         let cut = peers.iter().all(|m| self.blocked(from, *m));
         if cut {
-            self.partition_drops.fetch_add(1, Ordering::Relaxed);
+            self.tally.partition_drops.fetch_add(1, Ordering::Relaxed);
         }
         cut
     }
 
     /// Snapshot of everything injected so far.
     pub fn report(&self) -> ChaosReport {
-        ChaosReport {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            partition_drops: self.partition_drops.load(Ordering::Relaxed),
-            partitions: self.partitions_applied.load(Ordering::Relaxed),
-            heals: self.heals.load(Ordering::Relaxed),
-            kills: self.kills.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-        }
+        self.tally.snapshot()
     }
 }
 

@@ -13,15 +13,18 @@
 //! [`Cluster::run_threaded`] the wall clock over it, and
 //! [`Cluster::run_distributed`] the wall clock over the TCP transport.
 
-use crate::chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosState};
-use crate::daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats, DEFAULT_CODE_CACHE};
+use crate::chaos::{ChaosEvent, ChaosPlan, ChaosState};
+use crate::counters::{
+    self, ChaosReport, CodeCacheStats, Counters, DaemonStats, NsStats, SchedStats, TransportReport,
+};
+use crate::daemon::{Daemon, DaemonCell, DEFAULT_CODE_CACHE};
 use crate::fabric::{Clock, Fabric, LinkProfile};
 use crate::failure::FailureMonitor;
-use crate::nameservice::{NsShardMap, NsStats};
-use crate::sched::{SchedConfig, SchedStats, Shared, Worker};
+use crate::nameservice::NsShardMap;
+use crate::sched::{SchedConfig, Shared, Worker};
 use crate::site::{RtPort, Site, SiteInterface};
 use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket};
-use crate::transport::{Transport, TransportConfig, TransportReport};
+use crate::transport::{Transport, TransportConfig};
 use crate::wake::{NoWake, Notify, Wake};
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::HashMap;
@@ -124,33 +127,43 @@ impl RunReport {
 
     /// Code-cache counters summed across every node's daemon.
     pub fn cache_totals(&self) -> CodeCacheStats {
-        let mut t = CodeCacheStats::default();
-        for d in &self.daemon_stats {
-            t.hits += d.cache.hits;
-            t.misses += d.cache.misses;
-            t.coalesced += d.cache.coalesced;
-            t.dedup_sends += d.cache.dedup_sends;
-            t.bytes_saved += d.cache.bytes_saved;
-            t.insertions += d.cache.insertions;
-            t.evictions += d.cache.evictions;
-            t.digest_mismatches += d.cache.digest_mismatches;
-        }
-        t
+        self.daemon_stats.iter().map(|d| d.cache).sum()
     }
 
     /// Name-service counters summed across every node's daemon: shard
     /// routing, lease-cache traffic, invalidations and replication.
     pub fn ns_totals(&self) -> NsStats {
-        let mut t = NsStats::default();
-        for d in &self.daemon_stats {
-            t.add(&d.ns);
-        }
-        t
+        self.daemon_stats.iter().map(|d| d.ns).sum()
     }
 
     /// Duplicate/late fetch replies dropped by sites (idempotency guard).
     pub fn total_dup_fetch_replies(&self) -> u64 {
         self.stats.values().map(|s| s.dup_fetch_replies).sum()
+    }
+}
+
+/// The run's counters by name (`cache.hits`, `wire.dropped`, …): the
+/// groups daemons summed, and the run's own totals.
+impl Counters for RunReport {
+    fn get(&self, path: &str) -> Option<u64> {
+        let (head, rest) = counters::split(path);
+        match head {
+            "cache" => self.cache_totals().get(rest),
+            "ns" => self.ns_totals().get(rest),
+            "daemon" => self
+                .daemon_stats
+                .iter()
+                .copied()
+                .sum::<DaemonStats>()
+                .get(rest),
+            "wire" => self.transport?.get(rest),
+            "chaos" => self.chaos?.get(rest),
+            "sched" => self.sched.get(rest),
+            "dup_fetch_replies" => self.total_dup_fetch_replies().get(rest),
+            "ns_failovers" => self.ns_failovers.get(rest),
+            "detector_probes" => self.detector_probes.get(rest),
+            _ => None,
+        }
     }
 }
 

@@ -26,9 +26,10 @@
 //! back out to every coalesced waiter (single-flight).
 
 use crate::codecache::CodeCache;
+use crate::counters::{DaemonStats, NsStats};
 use crate::fabric::{Clock, Fabric, Frames, PacketFabric};
 use crate::namecache::NameCache;
-use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap, NsStats};
+use crate::nameservice::{kind_ok, stamp_ok, NameService, NsShardMap};
 use crate::site::RtIncoming;
 use crate::termination::{TermCounters, Ticket};
 use crate::wake::Wake;
@@ -59,59 +60,6 @@ pub const REFILL_RETRY_TICKS: u32 = 100;
 /// the image (or a link that eats every ask) costs at most
 /// `REFILL_MAX_ASKS × REFILL_RETRY_TICKS` idle ticks, never a hang.
 pub const REFILL_MAX_ASKS: u32 = 4;
-
-/// Per-daemon traffic statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Packets delivered through shared memory (same node).
-    pub local_deliveries: u64,
-    /// Packets serialized and pushed into the fabric.
-    pub remote_sends: u64,
-    /// Fabric flushes those packets went out in; mean batch occupancy is
-    /// `remote_sends / remote_batches`.
-    pub remote_batches: u64,
-    /// Bytes serialized for remote sends.
-    pub bytes_out: u64,
-    /// Packets received from the fabric.
-    pub remote_recvs: u64,
-    /// Name-service operations handled locally.
-    pub ns_ops: u64,
-    /// Fabric packets dropped at the trust boundary: undecodable bytes,
-    /// or mobile code that failed static verification before link.
-    pub rejected: u64,
-    /// Content-addressed code-cache counters.
-    pub cache: CodeCacheStats,
-    /// Name-service counters: shard routing, lease cache, failure
-    /// reasons by kind (see [`NsStats`]).
-    pub ns: NsStats,
-}
-
-/// Counters for the content-addressed code store and the fetch protocol
-/// built on it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CodeCacheStats {
-    /// Digest-only packets rehydrated from the local store (including
-    /// ones completed by a `HaveCode` refill).
-    pub hits: u64,
-    /// Digest-only packets whose image was missing on arrival; each
-    /// distinct missing digest costs one `NeedCode` round trip.
-    pub misses: u64,
-    /// `FetchReq`s folded into an already-in-flight fetch of the same
-    /// class (single-flight coalescing).
-    pub coalesced: u64,
-    /// Code-carrying packets sent digest-only instead of with full bytes.
-    pub dedup_sends: u64,
-    /// Wire bytes those digest-only sends avoided (stored image size
-    /// minus the digest still carried).
-    pub bytes_saved: u64,
-    /// Images inserted into the store.
-    pub insertions: u64,
-    /// Images evicted to honor the capacity bound.
-    pub evictions: u64,
-    /// Code packets whose bytes did not hash to their carried digest
-    /// (tampered in flight; dropped before they reach the store).
-    pub digest_mismatches: u64,
-}
 
 /// Digest-only packets parked behind one missing code image, plus the
 /// retry bookkeeping that bounds the refill protocol (see
@@ -399,14 +347,9 @@ impl Daemon {
     /// service, the node's lease cache, and the daemon's own routing
     /// counters — into the reportable `stats.ns`.
     fn sync_ns_stats(&mut self) {
-        let mut total = self.ns_local;
-        if let Some(ns) = &self.ns {
-            total.add(&ns.stats);
-        }
-        total.lease_hits += self.name_cache.stats.hits;
-        total.lease_misses += self.name_cache.stats.misses;
-        total.lease_expired += self.name_cache.stats.expired;
-        self.stats.ns = total;
+        let served = self.ns.as_ref().map(|ns| ns.stats).unwrap_or_default();
+        let leased = self.name_cache.stats.into();
+        self.stats.ns = [self.ns_local, served, leased].into_iter().sum();
     }
 
     /// Drain both queues once (each backlog moves under a single queue

@@ -22,6 +22,8 @@
 //!   imports are zero-wire);
 //! * [`fabric`] — the simulated interconnect (Myrinet / Fast Ethernet /
 //!   WAN link profiles; ideal and virtual-time delivery);
+//! * [`counters`] — every counter a run reports, declared once, and the
+//!   renderer of the report lines that name them;
 //! * [`cluster`] — the environment tying it together, with deterministic
 //!   and threaded execution;
 //! * [`sched`] — the M:N work-stealing scheduler threaded execution runs
@@ -41,6 +43,7 @@
 pub mod chaos;
 pub mod cluster;
 pub mod codecache;
+pub mod counters;
 pub mod daemon;
 pub mod fabric;
 pub mod failure;
@@ -57,16 +60,20 @@ pub mod termination;
 pub mod transport;
 pub mod wake;
 
-pub use chaos::{ChaosEvent, ChaosPlan, ChaosReport, ChaosSpec, ChaosState};
+pub use chaos::{ChaosEvent, ChaosPlan, ChaosSpec, ChaosState};
 pub use cluster::{Cluster, RunLimits, RunReport, WakeStats};
 pub use codecache::CodeCache;
-pub use daemon::{CodeCacheStats, Daemon, DaemonCell, DaemonStats};
+pub use counters::{
+    ChaosReport, CodeCacheStats, Counters, DaemonStats, NameCacheStats, NsStats, SchedStats,
+    TransportReport,
+};
+pub use daemon::{Daemon, DaemonCell};
 pub use fabric::{Clock, Fabric, FabricStats, LinkProfile, PacketFabric};
 pub use failure::FailureMonitor;
-pub use namecache::{NameCache, NameCacheStats};
-pub use nameservice::{NameService, NsShardMap, NsStats};
-pub use sched::{SchedConfig, SchedStats};
+pub use namecache::NameCache;
+pub use nameservice::{NameService, NsShardMap};
+pub use sched::SchedConfig;
 pub use site::{RtIncoming, RtPort, Site, SiteInterface, SliceOutcome};
 pub use termination::{Snapshot, TermCounters, TerminationDetector, Ticket};
-pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig, TransportReport};
+pub use transport::{parse_peer_list, NetHandle, Transport, TransportConfig};
 pub use wake::{Notify, Wake};

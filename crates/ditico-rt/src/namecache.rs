@@ -13,6 +13,7 @@
 //! of zero does: inserts are dropped and every lookup misses, so call
 //! sites never special-case "caching off".
 
+use crate::counters::NameCacheStats;
 use std::collections::HashMap;
 use tyco_vm::codec::TypeStamp;
 use tyco_vm::wire::WireWord;
@@ -24,19 +25,6 @@ struct Lease {
     stamp: Option<TypeStamp>,
     epoch: u64,
     expires_ns: u64,
-}
-
-/// Counters mirrored into the daemon's [`crate::nameservice::NsStats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NameCacheStats {
-    /// Lookups answered from a live lease.
-    pub hits: u64,
-    /// Lookups with no cached entry.
-    pub misses: u64,
-    /// Lookups that found an entry whose lease had run out.
-    pub expired: u64,
-    /// Entries dropped by an owner's epoch-bump invalidation.
-    pub invalidations: u64,
 }
 
 /// Per-node cache of leased name bindings.

@@ -33,6 +33,7 @@
 //! and invalidates outstanding lessees. The `SiteTable` stays fully
 //! replicated — site names are registered at build time.
 
+use crate::counters::NsStats;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -41,67 +42,6 @@ use tyco_vm::digest::Digest;
 use tyco_vm::program::ImportKind;
 use tyco_vm::wire::WireWord;
 use tyco_vm::word::{Identity, NodeId, SiteId};
-
-/// Structured name-service counters, kept per daemon and summed into the
-/// run report. Import failures are counted by *reason* (unknown site vs
-/// kind vs type-stamp refusal vs lease expiry) instead of one flat
-/// `ImportFailed` bucket.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NsStats {
-    /// Registrations applied (exports).
-    pub registers: u64,
-    /// Lookups received (imports).
-    pub imports: u64,
-    /// Lookups answered with a binding.
-    pub resolved: u64,
-    /// Lookups parked waiting for an export.
-    pub parked: u64,
-    /// Lookups refused: unknown site lexeme (permanent error).
-    pub unknown_site: u64,
-    /// Lookups refused: export exists but has the wrong kind.
-    pub kind_mismatch: u64,
-    /// Lookups refused: bind-time type-stamp mismatch.
-    pub stamp_mismatch: u64,
-    /// Node-cache lease hits (import answered with zero wire traffic).
-    pub lease_hits: u64,
-    /// Node-cache misses (no lease held; routed to the owning shard).
-    pub lease_misses: u64,
-    /// Node-cache entries that had expired when consulted.
-    pub lease_expired: u64,
-    /// Invalidations emitted by owners on re-export epoch bumps.
-    pub invalidations: u64,
-    /// Imports that left the importing node for a remote shard owner.
-    pub shard_hops: u64,
-    /// Replication records shipped to the shard's ring successor.
-    pub repl_shipped: u64,
-    /// Replication records applied from a ring partner.
-    pub repl_applied: u64,
-}
-
-impl NsStats {
-    /// Field-wise accumulate (used when summing per-daemon stats).
-    pub fn add(&mut self, o: &NsStats) {
-        self.registers += o.registers;
-        self.imports += o.imports;
-        self.resolved += o.resolved;
-        self.parked += o.parked;
-        self.unknown_site += o.unknown_site;
-        self.kind_mismatch += o.kind_mismatch;
-        self.stamp_mismatch += o.stamp_mismatch;
-        self.lease_hits += o.lease_hits;
-        self.lease_misses += o.lease_misses;
-        self.lease_expired += o.lease_expired;
-        self.invalidations += o.invalidations;
-        self.shard_hops += o.shard_hops;
-        self.repl_shipped += o.repl_shipped;
-        self.repl_applied += o.repl_applied;
-    }
-
-    /// Anything worth printing?
-    pub fn any(&self) -> bool {
-        *self != NsStats::default()
-    }
-}
 
 /// The shard map: which node owns which slice of the `(site, name)` key
 /// space, and which owners are currently believed dead. Shared (`Arc`)

@@ -71,6 +71,7 @@
 //! distributed run probes on the transport's heartbeat tick instead, and
 //! reads [`Shared::active_sites`] there.)
 
+use crate::counters::{SchedStats, SchedTally};
 use crate::site::Site;
 use crate::wake::{Notify, Wake};
 use parking_lot::Mutex;
@@ -147,31 +148,6 @@ impl SchedConfig {
     }
 }
 
-/// Aggregated scheduler counters, reported in
-/// [`crate::cluster::RunReport`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Worker pool size of the run.
-    pub workers: u64,
-    /// Batches stolen from another worker's queue.
-    pub steals: u64,
-    /// Sites pushed onto the global injector (edge-triggered wakeups).
-    pub injector_pushes: u64,
-    /// Times a worker parked with every queue empty.
-    pub parks: u64,
-    /// Wakeups issued to parked workers.
-    pub unparks: u64,
-    /// Deepest any ready queue (injector or local) ever got.
-    pub max_ready_depth: u64,
-    /// Total pump slices executed, by workers and the net thread alike.
-    pub slices: u64,
-    /// Slices the transport's net thread ran of a site its readable
-    /// event readied ([`inject_and_run`]).
-    pub net_slices: u64,
-    /// Most slices any single site consumed.
-    pub max_site_slices: u64,
-}
-
 /// One scheduled site: the site itself plus its scheduling state. The
 /// state machine guarantees at most one thread holds the mutex at a time
 /// (a site is popped from exactly one queue, or caught), so the lock is
@@ -211,13 +187,7 @@ pub struct Shared {
     /// threaded environment loop parks on between Mattern probes.
     pub idle: Arc<Notify>,
     stop: AtomicBool,
-    // Counters.
-    steals: AtomicU64,
-    injector_pushes: AtomicU64,
-    parks: AtomicU64,
-    unparks: AtomicU64,
-    max_ready_depth: AtomicU64,
-    net_slices: AtomicU64,
+    tally: SchedTally,
 }
 
 impl Shared {
@@ -247,12 +217,11 @@ impl Shared {
             aborts: Mutex::new(Vec::new()),
             idle: Arc::new(Notify::new()),
             stop: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            injector_pushes: AtomicU64::new(n as u64),
-            parks: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
-            max_ready_depth: AtomicU64::new(n as u64),
-            net_slices: AtomicU64::new(0),
+            tally: SchedTally {
+                injector_pushes: AtomicU64::new(n as u64),
+                max_ready_depth: AtomicU64::new(n as u64),
+                ..SchedTally::default()
+            },
         };
         if n == 0 {
             // Nothing will ever retire; report the idle edge immediately.
@@ -299,8 +268,10 @@ impl Shared {
             inj.push_back(slot);
             inj.len() as u64
         };
-        self.injector_pushes.fetch_add(1, Ordering::Relaxed);
-        self.max_ready_depth.fetch_max(depth, Ordering::Relaxed);
+        self.tally.injector_pushes.fetch_add(1, Ordering::Relaxed);
+        self.tally
+            .max_ready_depth
+            .fetch_max(depth, Ordering::Relaxed);
         self.unpark_one();
     }
 
@@ -311,30 +282,19 @@ impl Shared {
         let popped = self.parked.lock().pop();
         if let Some(w) = popped {
             self.n_parked.fetch_sub(1, Ordering::SeqCst);
-            self.unparks.fetch_add(1, Ordering::Relaxed);
+            self.tally.unparks.fetch_add(1, Ordering::Relaxed);
             self.wakers[w].notify();
         }
     }
 
     /// Snapshot the pool counters (plus per-site slice totals).
     pub fn stats(&self) -> SchedStats {
-        let mut slices = 0;
-        let mut max_site = 0;
-        for slot in &self.slots {
-            let s = slot.slices.load(Ordering::Relaxed);
-            slices += s;
-            max_site = max_site.max(s);
-        }
+        let slices = self.slots.iter().map(|s| s.slices.load(Ordering::Relaxed));
         SchedStats {
             workers: self.locals.len() as u64,
-            steals: self.steals.load(Ordering::Relaxed),
-            injector_pushes: self.injector_pushes.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            unparks: self.unparks.load(Ordering::Relaxed),
-            max_ready_depth: self.max_ready_depth.load(Ordering::Relaxed),
-            slices,
-            net_slices: self.net_slices.load(Ordering::Relaxed),
-            max_site_slices: max_site,
+            slices: slices.clone().sum(),
+            max_site_slices: slices.max().unwrap_or(0),
+            ..self.tally.snapshot()
         }
     }
 
@@ -432,7 +392,7 @@ impl Shared {
             self.inject(slot);
             return;
         }
-        self.net_slices.fetch_add(1, Ordering::Relaxed);
+        self.tally.net_slices.fetch_add(1, Ordering::Relaxed);
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_slice(slot)));
         let settled = ran.unwrap_or_else(|_| {
             self.mark_errored(
@@ -573,7 +533,7 @@ impl Worker {
                     // producer sees us and wakes us.
                     self.shared.parked.lock().push(self.index);
                     self.shared.n_parked.fetch_add(1, Ordering::SeqCst);
-                    self.shared.parks.fetch_add(1, Ordering::Relaxed);
+                    self.shared.tally.parks.fetch_add(1, Ordering::Relaxed);
                     if self.any_work() || self.shared.stop.load(Ordering::Relaxed) {
                         self.unregister_parked();
                         continue;
@@ -623,6 +583,7 @@ impl Worker {
                     let depth = local.len() as u64;
                     drop(local);
                     self.shared
+                        .tally
                         .max_ready_depth
                         .fetch_max(depth, Ordering::Relaxed);
                     self.shared.unpark_one();
@@ -649,7 +610,7 @@ impl Worker {
             let take = v.len().div_ceil(2);
             let stolen: Vec<u32> = v.drain(..take).collect();
             drop(v);
-            self.shared.steals.fetch_add(1, Ordering::Relaxed);
+            self.shared.tally.steals.fetch_add(1, Ordering::Relaxed);
             let (first, rest) = stolen.split_first().expect("take >= 1");
             if !rest.is_empty() {
                 self.shared.locals[self.index].lock().extend(rest);
@@ -675,6 +636,7 @@ impl Worker {
                 let surplus = local.len() > 1;
                 drop(local);
                 self.shared
+                    .tally
                     .max_ready_depth
                     .fetch_max(depth, Ordering::Relaxed);
                 if surplus {

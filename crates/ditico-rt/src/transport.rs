@@ -96,6 +96,7 @@
 #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use crate::chaos::{ChaosState, Fault};
+use crate::counters::{TransportReport, TransportTally};
 use crate::fabric::{Fabric, Frames, PacketFabric};
 use crate::failure::FailureMonitor;
 use crate::termination::{Snapshot, TermCounters, TerminationDetector, Ticket, Wave};
@@ -189,65 +190,6 @@ pub fn parse_peer_list(s: &str) -> Result<Vec<SocketAddr>, String> {
 pub fn backoff_delay(base: Duration, cap: Duration, attempt: u32) -> Duration {
     let mult = 1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX);
     base.checked_mul(mult).unwrap_or(cap).min(cap)
-}
-
-/// Wire-level counters, snapshotted into the final `RunReport`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportReport {
-    /// Frames queued for the wire (data + control).
-    pub frames_out: u64,
-    /// Frames parsed off the wire (data + control).
-    pub frames_in: u64,
-    pub bytes_out: u64,
-    pub bytes_in: u64,
-    /// Data packets routed onto sockets / injected from sockets.
-    pub data_out: u64,
-    pub data_in: u64,
-    pub heartbeats_in: u64,
-    /// Outbound frames dropped on a full or dead queue, plus inbound
-    /// frames addressed to nodes this process does not host.
-    pub dropped: u64,
-    /// Successful re-establishments of an outbound connection.
-    pub reconnects: u64,
-    /// Outbound peers declared permanently down (retry cap exhausted).
-    pub peers_failed: u64,
-    /// Connections dropped during handshake over a wire-version mismatch.
-    pub version_mismatches: u64,
-    /// High-water mark of any per-connection outbound queue — how deep
-    /// backpressure ever got.
-    pub outq_hwm: u64,
-    /// Flushes parked on `writable` readiness (the socket buffer was
-    /// full and the event loop had to wait to finish writing).
-    pub flush_stalls: u64,
-    /// Outbound packets dropped because every route to the destination
-    /// was declared permanently down or departed (subset of `dropped`).
-    pub dropped_perma: u64,
-    /// Topology edges signalled to the environment loop: routes
-    /// installed, connections dropped, dialers exhausted.
-    pub topology_edges: u64,
-    /// Termination snapshots this process took: one per wave it started
-    /// and one per probe it answered.
-    pub detector_probes: u64,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct Stats {
-    pub(crate) frames_out: AtomicU64,
-    pub(crate) frames_in: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) data_out: AtomicU64,
-    pub(crate) data_in: AtomicU64,
-    pub(crate) heartbeats_in: AtomicU64,
-    pub(crate) dropped: AtomicU64,
-    pub(crate) reconnects: AtomicU64,
-    pub(crate) peers_failed: AtomicU64,
-    pub(crate) version_mismatches: AtomicU64,
-    pub(crate) outq_hwm: AtomicU64,
-    pub(crate) flush_stalls: AtomicU64,
-    pub(crate) dropped_perma: AtomicU64,
-    pub(crate) topology_edges: AtomicU64,
-    pub(crate) detector_probes: AtomicU64,
 }
 
 /// Buffers gathered into one `write_vectored` (well under IOV_MAX).
@@ -514,7 +456,7 @@ struct Inner {
     waves: Mutex<Option<Waves>>,
     /// A wave reached the verdict here, or a peer's verdict arrived.
     verdict: AtomicBool,
-    stats: Stats,
+    stats: TransportTally,
     /// Wakes the event loop (its self-pipe): a connection was handed
     /// over, or the transport is stopping.
     net_wake: Arc<dyn Wake>,
@@ -1020,28 +962,6 @@ impl Inner {
         self.verdict.store(true, Ordering::Release);
         self.ping_env();
     }
-
-    fn report(&self) -> TransportReport {
-        let s = &self.stats;
-        TransportReport {
-            frames_out: s.frames_out.load(Ordering::Relaxed),
-            frames_in: s.frames_in.load(Ordering::Relaxed),
-            bytes_out: s.bytes_out.load(Ordering::Relaxed),
-            bytes_in: s.bytes_in.load(Ordering::Relaxed),
-            data_out: s.data_out.load(Ordering::Relaxed),
-            data_in: s.data_in.load(Ordering::Relaxed),
-            heartbeats_in: s.heartbeats_in.load(Ordering::Relaxed),
-            dropped: s.dropped.load(Ordering::Relaxed),
-            reconnects: s.reconnects.load(Ordering::Relaxed),
-            peers_failed: s.peers_failed.load(Ordering::Relaxed),
-            version_mismatches: s.version_mismatches.load(Ordering::Relaxed),
-            outq_hwm: s.outq_hwm.load(Ordering::Relaxed),
-            flush_stalls: s.flush_stalls.load(Ordering::Relaxed),
-            dropped_perma: s.dropped_perma.load(Ordering::Relaxed),
-            topology_edges: s.topology_edges.load(Ordering::Relaxed),
-            detector_probes: s.detector_probes.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The daemon-facing side of the transport: implements [`PacketFabric`]
@@ -1166,7 +1086,7 @@ impl Transport {
             exchanged: Mutex::new(HashMap::new()),
             waves: Mutex::new(None),
             verdict: AtomicBool::new(false),
-            stats: Stats::default(),
+            stats: TransportTally::default(),
             net_wake: Arc::new(wake_tx),
             handed: Mutex::new(Vec::new()),
             activity: Mutex::new(None),
@@ -1262,7 +1182,7 @@ impl Transport {
     }
 
     pub fn report(&self) -> TransportReport {
-        self.inner.report()
+        self.inner.stats.snapshot()
     }
 
     /// Stop the net thread and close every connection.

@@ -13,8 +13,9 @@
 //! site client client.dity node=1
 //! ```
 
+use ditico::ditico_rt::counters;
 use ditico::{parse_peer_list, Env, Program, Shell, Topology};
-use ditico::{RunReport, TransportConfig};
+use ditico::{NsStats, RunReport, TransportConfig};
 use std::io::BufRead as _;
 use std::net::ToSocketAddrs as _;
 use std::path::Path;
@@ -601,6 +602,33 @@ fn chaos_from_args(args: &[String]) -> Result<Option<ditico::ChaosPlan>, String>
     Ok(Some(ditico::ChaosPlan::new(spec)))
 }
 
+/// The counter lines of a report: templates over the names a
+/// [`RunReport`] reads its counters by. `benchmark/src/report.rs` parses
+/// their shape.
+const CACHE_LINE: &str = "code cache: {cache.hits} hits / {cache.misses} misses, \
+    {cache.coalesced} coalesced fetches, {cache.dedup_sends} dedup sends \
+    ({cache.bytes_saved} B saved), {cache.insertions} insertions, {cache.evictions} evictions, \
+    {cache.digest_mismatches} digest mismatches, {dup_fetch_replies} dup replies dropped";
+const NS_LINE: &str = "name service: {ns.registers} registers, {ns.imports} imports \
+    ({ns.resolved} resolved, {ns.parked} parked), {ns.lease_hits} lease hits / \
+    {ns.lease_misses} misses / {ns.lease_expired} expired, {ns.invalidations} invalidations, \
+    {ns.shard_hops} shard hops, repl {ns.repl_shipped} shipped / {ns.repl_applied} applied, \
+    {ns_failovers} failovers; refusals: {ns.unknown_site} unknown site, \
+    {ns.kind_mismatch} kind, {ns.stamp_mismatch} stamp";
+const WIRE_LINE: &str = "wire: {wire.data_out} data out / {wire.data_in} data in \
+    ({wire.bytes_out} B out, {wire.bytes_in} B in), {wire.heartbeats_in} heartbeats in, \
+    {daemon.rejected} rejected, {wire.dropped} dropped, {wire.reconnects} reconnects, \
+    {wire.peers_failed} peers failed, outq hwm {wire.outq_hwm}, \
+    {wire.flush_stalls} flush stalls, {wire.dropped_perma} perma-down drops";
+const CHAOS_LINE: &str = "chaos: {chaos.dropped} dropped, {chaos.duplicated} duplicated, \
+    {chaos.delayed} delayed, {chaos.partition_drops} partition drops; \
+    {chaos.partitions} partitions / {chaos.heals} heals, {chaos.kills} kills / \
+    {chaos.restarts} restarts";
+const SCHED_LINE: &str = "scheduler: workers={sched.workers} slices={sched.slices} \
+    (max/site {sched.max_site_slices}) steals={sched.steals} \
+    injector={sched.injector_pushes} parks={sched.parks} unparks={sched.unparks} \
+    max-ready-depth={sched.max_ready_depth} detector-probes={detector_probes}";
+
 /// Print a finished run's outputs and summary; returns an error when any
 /// site failed so the process exits non-zero.
 fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
@@ -630,78 +658,18 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
         if report.quiescent { "" } else { " (limit hit)" }
     );
     let cache = report.cache_totals();
-    if cache.insertions > 0 || cache.hits > 0 || cache.misses > 0 {
-        eprintln!(
-            "code cache: {} hits / {} misses, {} coalesced fetches, {} dedup sends \
-             ({} B saved), {} insertions, {} evictions, {} digest mismatches, \
-             {} dup replies dropped",
-            cache.hits,
-            cache.misses,
-            cache.coalesced,
-            cache.dedup_sends,
-            cache.bytes_saved,
-            cache.insertions,
-            cache.evictions,
-            cache.digest_mismatches,
-            report.total_dup_fetch_replies()
-        );
-    }
-    let ns = report.ns_totals();
-    if ns.any() {
-        eprintln!(
-            "name service: {} registers, {} imports ({} resolved, {} parked), \
-             {} lease hits / {} misses / {} expired, {} invalidations, \
-             {} shard hops, repl {} shipped / {} applied, {} failovers; \
-             refusals: {} unknown site, {} kind, {} stamp",
-            ns.registers,
-            ns.imports,
-            ns.resolved,
-            ns.parked,
-            ns.lease_hits,
-            ns.lease_misses,
-            ns.lease_expired,
-            ns.invalidations,
-            ns.shard_hops,
-            ns.repl_shipped,
-            ns.repl_applied,
-            report.ns_failovers,
-            ns.unknown_site,
-            ns.kind_mismatch,
-            ns.stamp_mismatch
-        );
-    }
-    if let Some(t) = &report.transport {
-        eprintln!(
-            "wire: {} data out / {} data in ({} B out, {} B in), {} heartbeats in, \
-             {} rejected, {} dropped, {} reconnects, {} peers failed, \
-             outq hwm {}, {} flush stalls, {} perma-down drops",
-            t.data_out,
-            t.data_in,
-            t.bytes_out,
-            t.bytes_in,
-            t.heartbeats_in,
-            report.daemon_stats.iter().map(|d| d.rejected).sum::<u64>(),
-            t.dropped,
-            t.reconnects,
-            t.peers_failed,
-            t.outq_hwm,
-            t.flush_stalls,
-            t.dropped_perma
-        );
-    }
-    if let Some(c) = &report.chaos {
-        eprintln!(
-            "chaos: {} dropped, {} duplicated, {} delayed, {} partition drops; \
-             {} partitions / {} heals, {} kills / {} restarts",
-            c.dropped,
-            c.duplicated,
-            c.delayed,
-            c.partition_drops,
-            c.partitions,
-            c.heals,
-            c.kills,
-            c.restarts
-        );
+    for (shown, line) in [
+        (
+            cache.insertions > 0 || cache.hits > 0 || cache.misses > 0,
+            CACHE_LINE,
+        ),
+        (report.ns_totals() != NsStats::default(), NS_LINE),
+        (report.transport.is_some(), WIRE_LINE),
+        (report.chaos.is_some(), CHAOS_LINE),
+    ] {
+        if shown {
+            eprintln!("{}", counters::render(line, report)?);
+        }
     }
     if show_stats {
         let mut lexemes: Vec<&String> = report.stats.keys().collect();
@@ -709,21 +677,8 @@ fn print_report(report: &RunReport, show_stats: bool) -> Result<(), String> {
         for lexeme in lexemes {
             eprintln!("[{lexeme}]\n{}", report.stats[lexeme]);
         }
-        let s = report.sched;
-        if s.workers > 0 {
-            eprintln!(
-                "scheduler: workers={} slices={} (max/site {}) steals={} injector={} \
-                 parks={} unparks={} max-ready-depth={} detector-probes={}",
-                s.workers,
-                s.slices,
-                s.max_site_slices,
-                s.steals,
-                s.injector_pushes,
-                s.parks,
-                s.unparks,
-                s.max_ready_depth,
-                report.detector_probes
-            );
+        if report.sched.workers > 0 {
+            eprintln!("{}", counters::render(SCHED_LINE, report)?);
         }
     }
     if !report.errors.is_empty() {
@@ -845,6 +800,24 @@ fn cmd_shell() -> Result<(), String> {
                 }
             }
             Err(e) => return Err(format!("read error: {e}")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_report_line_names_only_known_counters() {
+        let report = RunReport {
+            transport: Some(Default::default()),
+            chaos: Some(Default::default()),
+            ..RunReport::default()
+        };
+        for line in [CACHE_LINE, NS_LINE, WIRE_LINE, CHAOS_LINE, SCHED_LINE] {
+            assert!(!line.contains("  "), "{line}");
+            counters::render(line, &report).unwrap_or_else(|e| panic!("{e}: {line}"));
         }
     }
 }
