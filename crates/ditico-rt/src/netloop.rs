@@ -68,7 +68,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tyco_vm::codec::{self, Packet, CONTROL_NODE, MAX_FRAME_LEN};
+use tyco_vm::codec::{self, Packet, MAX_FRAME_LEN};
 use tyco_vm::word::NodeId;
 
 const TOKEN_WAKE: usize = 0;
@@ -146,6 +146,8 @@ struct NetLoop {
     /// Armed deadlines, unordered: a heartbeat, and at most one connect
     /// timeout or redial per dialer.
     timers: Vec<(Instant, Timer)>,
+    /// The timers a pass found due, kept empty between passes.
+    due: Vec<Timer>,
     /// Where every `read` lands before the bytes that arrived are
     /// appended to the connection's accumulator.
     scratch: Vec<u8>,
@@ -210,6 +212,7 @@ pub(super) fn run(inner: Arc<Inner>, io: NetIo) {
         free: Vec::new(),
         dialers,
         timers: Vec::new(),
+        due: Vec::new(),
         scratch: vec![0; READ_CHUNK],
         admitted: Vec::new(),
         batch: Vec::new(),
@@ -250,10 +253,13 @@ impl NetLoop {
             // take over exactly those connections.
             self.serve_handed();
             let now = Instant::now();
-            let due: Vec<Timer> = (self.timers.extract_if(.., |&mut (at, _)| at <= now))
-                .map(|(_, t)| t)
-                .collect();
-            for t in due {
+            let mut due = std::mem::take(&mut self.due);
+            due.extend(
+                self.timers
+                    .extract_if(.., |&mut (at, _)| at <= now)
+                    .map(|(_, t)| t),
+            );
+            for t in due.drain(..) {
                 match t {
                     Timer::Heartbeat => {
                         self.emit_heartbeats();
@@ -263,6 +269,7 @@ impl NetLoop {
                     Timer::ConnectTimeout(idx) => self.connect_timed_out(idx),
                 }
             }
+            self.due = due;
         }
     }
 
@@ -625,16 +632,6 @@ impl NetLoop {
         // The tick's round is published once its beacons are queued, so
         // whoever reads the monitor's clock counts only ticks that ran.
         let seq = self.inner.round() + 1;
-        let frames: Vec<(NodeId, Bytes)> = self
-            .inner
-            .cfg
-            .local_nodes
-            .iter()
-            .map(|&n| {
-                let p = Packet::Heartbeat { node: n, seq };
-                (n, codec::encode_frame(n, CONTROL_NODE, &codec::encode(&p)))
-            })
-            .collect();
         for slot in &self.slots {
             let Some(Slot::Conn(c)) = slot else {
                 continue;
@@ -644,11 +641,12 @@ impl NetLoop {
             // the beacon too — that is what drives the failure monitor
             // during a partition soak. The backlog's cap applies: a wedged
             // connection drops beacons rather than growing without bound.
-            let beacons = frames
-                .iter()
-                .filter(|(n, _)| !matches!(&chaos, Some(ch) if ch.hb_blocked(*n, peer_nodes)))
-                .map(|(_, f)| (f.clone(), CONTROL_NODE, None));
-            self.inner.write_frames(&c.peer, beacons);
+            for &node in &self.inner.cfg.local_nodes {
+                if !matches!(&chaos, Some(ch) if ch.hb_blocked(node, peer_nodes)) {
+                    let beacon = Packet::Heartbeat { node, seq };
+                    self.inner.send_control_from(node, &c.peer, &beacon);
+                }
+            }
         }
         self.inner.hb_seq.store(seq, Ordering::Release);
         self.inner.wave_tick();

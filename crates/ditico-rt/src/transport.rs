@@ -293,7 +293,7 @@ impl WriteHalf {
     /// what the socket does not take is copied into the backlog, where
     /// [`WriteHalf::flush`] meets the same push-back or failure again and
     /// reports it. Returns whether the event loop must be told.
-    fn write_direct(&mut self, inner: &Inner, wire: &[u8], to: NodeId, ticket: Ticket) -> bool {
+    fn write_direct(&mut self, inner: &Inner, wire: &[u8], to: NodeId, t: Option<Ticket>) -> bool {
         debug_assert!(self.wbufs.is_empty() && !self.stalled);
         let wrote = match self.sock.as_deref() {
             Some(mut sock) => sock.write(wire).unwrap_or(0),
@@ -304,11 +304,11 @@ impl WriteHalf {
             .bytes_out
             .fetch_add(wrote as u64, Ordering::Relaxed);
         if wrote == wire.len() {
-            inner.sent(to, Some(ticket));
+            inner.sent(to, t);
             return false;
         }
         let rest = Bytes::copy_from_slice(&wire[wrote..]);
-        self.wbufs.push_back((rest, to, Some(ticket)));
+        self.wbufs.push_back((rest, to, t));
         self.flush(inner)
     }
 }
@@ -474,6 +474,8 @@ struct Inner {
     /// Chaos-delayed frames waiting out their extra latency; flushed by
     /// the heartbeat tick, so delay resolution is one `hb_period`.
     delayed: Mutex<Vec<(Instant, NodeId, Bytes, Ticket)>>,
+    /// Where control packets are framed on their way to a socket.
+    control_buf: Mutex<BytesMut>,
 }
 
 impl Inner {
@@ -492,23 +494,24 @@ impl Inner {
         self.hb_seq.load(Ordering::Acquire)
     }
 
-    /// A control packet framed from this process's first node.
-    fn control_frame(&self, p: &Packet) -> Bytes {
-        let from = self
-            .cfg
+    /// The node this process frames its control packets from: its first.
+    fn control_from(&self) -> NodeId {
+        self.cfg
             .local_nodes
             .first()
             .copied()
-            .unwrap_or(CONTROL_NODE);
-        codec::encode_frame(from, CONTROL_NODE, &codec::encode(p))
+            .unwrap_or(CONTROL_NODE)
     }
 
     fn hello_frame(&self) -> Bytes {
         self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.control_frame(&Packet::Hello {
+        let hello = Packet::Hello {
             version: WIRE_VERSION,
             nodes: self.cfg.local_nodes.clone(),
-        })
+        };
+        let mut frame = BytesMut::new();
+        codec::encode_framed_into(self.control_from(), CONTROL_NODE, &hello, &mut frame);
+        frame.freeze()
     }
 
     /// Tell whoever watches topology edges (the distributed env loop)
@@ -548,19 +551,6 @@ impl Inner {
             .fold((0, 0), |(s, r), (o, i)| (s + o, r + i))
     }
 
-    /// Append `queued` to `conn`'s backlog and write it from this
-    /// thread. Frames beyond `outbound_cap`, or for a closed connection,
-    /// are dropped and counted. The event loop hears of it only when the
-    /// socket pushes back or fails; behind a stalled backlog this only
-    /// appends.
-    fn write_frames(&self, conn: &Arc<PeerConn>, queued: impl IntoIterator<Item = Queued>) {
-        let mut w = conn.w.lock();
-        for q in queued {
-            self.append(&mut w, q);
-        }
-        self.write_out(conn, w);
-    }
-
     /// Append one buffer to a backlog, or drop and count it.
     fn append(&self, w: &mut WriteHalf, q: Queued) {
         let nframes = frames(&q);
@@ -591,9 +581,18 @@ impl Inner {
         self.net_wake.wake();
     }
 
-    /// Write one control packet to `conn`.
+    /// Write one control packet from `from` to `conn`. It is framed in
+    /// the buffer kept for that, so it allocates nothing unless the
+    /// backlog must keep a copy.
+    fn send_control_from(&self, from: NodeId, conn: &Arc<PeerConn>, p: &Packet) {
+        let mut frame = self.control_buf.lock();
+        frame.clear();
+        codec::encode_framed_into(from, CONTROL_NODE, p, &mut frame);
+        self.write_or_queue(conn, &frame, CONTROL_NODE, None);
+    }
+
     fn send_control(&self, conn: &Arc<PeerConn>, p: &Packet) {
-        self.write_frames(conn, [(self.control_frame(p), CONTROL_NODE, None)]);
+        self.send_control_from(self.control_from(), conn, p);
     }
 
     /// Queue one already-framed buffer for `to`, running it through the
@@ -649,18 +648,24 @@ impl Inner {
             return self.stash(&mut remotes, to, Bytes::copy_from_slice(frame), ticket);
         };
         drop(remotes);
+        self.write_or_queue(&conn, frame, to, Some(ticket));
+    }
+
+    /// Write `frame` to `conn` straight from the caller's buffer, or,
+    /// behind a backlog, append a copy to it.
+    fn write_or_queue(&self, conn: &Arc<PeerConn>, frame: &[u8], to: NodeId, t: Option<Ticket>) {
         let mut w = conn.w.lock();
         if !w.wbufs.is_empty() || w.stalled || w.closed() {
-            self.append(&mut w, (Bytes::copy_from_slice(frame), to, Some(ticket)));
-            return self.write_out(&conn, w);
+            self.append(&mut w, (Bytes::copy_from_slice(frame), to, t));
+            return self.write_out(conn, w);
         }
         // What `append` counts for a buffer it queues.
-        let frames = ticket.count();
+        let frames = t.as_ref().map_or(1, Ticket::count);
         self.stats.frames_out.fetch_add(frames, Ordering::Relaxed);
         self.stats.outq_hwm.fetch_max(1, Ordering::Relaxed);
-        if w.write_direct(self, frame, to, ticket) {
+        if w.write_direct(self, frame, to, t) {
             drop(w);
-            self.hand_over(&conn);
+            self.hand_over(conn);
         }
     }
 
@@ -807,11 +812,8 @@ impl Inner {
     /// down while a connection may still bring it: a listener can always
     /// be dialled.
     fn all_remotes_down(&self) -> bool {
-        let members = self
-            .waves
-            .lock()
-            .as_ref()
-            .map_or_else(Vec::new, |w| w.members.clone());
+        let waves = self.waves.lock();
+        let members = waves.as_ref().map_or(&[][..], |w| &w.members);
         let gave_up = !self.cfg.peers.is_empty()
             && self.connectors_done.load(Ordering::Acquire) >= self.cfg.peers.len();
         let round = self.round();
@@ -870,25 +872,28 @@ impl Inner {
             return;
         }
         let round = self.round();
-        let mut excluded = Vec::new();
-        let mut owed = Vec::new();
-        let mut conns: Vec<Arc<PeerConn>> = Vec::new();
+        let (mut excluded, mut owed, mut conns) = (Vec::new(), Vec::new(), Vec::new());
         {
             let remotes = self.remotes.lock();
-            for &n in &w.members {
-                let r = remotes.nodes.get(&n);
-                if r.is_some_and(|r| r.gone.is_some()) {
-                    excluded.push(n);
-                    continue;
-                }
-                match r.and_then(Remote::live_route) {
-                    Some(c) if !remotes.monitor.suspected(n, round) => {
-                        owed.push(n);
-                        if !conns.iter().any(|k| Arc::ptr_eq(k, c)) {
+            let gone = |n| remotes.nodes.get(n).is_some_and(|r| r.gone.is_some());
+            let ready = |n| {
+                let route = remotes.nodes.get(n).and_then(Remote::live_route);
+                route.filter(|_| !remotes.monitor.suspected(*n, round))
+            };
+            // Checked before anything is built: a blocked tick allocates
+            // nothing.
+            if !w.members.iter().all(|n| gone(n) || ready(n).is_some()) {
+                return;
+            }
+            for n in &w.members {
+                match ready(n) {
+                    Some(c) if !gone(n) => {
+                        owed.push(*n);
+                        if !conns.iter().any(|k: &Arc<PeerConn>| Arc::ptr_eq(k, c)) {
                             conns.push(c.clone());
                         }
                     }
-                    _ => return,
+                    _ => excluded.push(*n),
                 }
             }
         }
@@ -1092,6 +1097,7 @@ impl Transport {
             activity: Mutex::new(None),
             chaos: RwLock::new(None),
             delayed: Mutex::new(Vec::new()),
+            control_buf: Mutex::new(BytesMut::new()),
             cfg,
         });
         let inner2 = inner.clone();

@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
+use ditico_rt::chaos::{ChaosPlan, ChaosSpec, ChaosState};
 use ditico_rt::fabric::{Fabric, LinkProfile};
 use ditico_rt::termination::{TermCounters, Ticket};
 use ditico_rt::wake::Wake;
@@ -107,8 +108,67 @@ fn arb_profile() -> impl Strategy<Value = LinkProfile> {
     ]
 }
 
+/// A link that takes time: the fabric puts every packet on it into the
+/// event heap, where chaos can delay it.
+fn arb_timed_profile() -> impl Strategy<Value = LinkProfile> {
+    prop_oneof![
+        Just(LinkProfile::myrinet()),
+        Just(LinkProfile::fast_ethernet()),
+        Just(LinkProfile::wan()),
+        (1u64..1_000_000).prop_map(|latency_ns| LinkProfile {
+            latency_ns,
+            bandwidth_bps: f64::INFINITY,
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Per-link FIFO holds under chaos on a timed link: a delayed packet
+    /// holds back every later packet on its link (each due time is at
+    /// least the link's previous one plus 1), so nothing overtakes it,
+    /// and a duplicate arrives right behind its original. Each
+    /// destination hears its links in send order.
+    #[test]
+    fn fifo_per_link_under_chaos_delay_and_duplication(
+        profile in arb_timed_profile(),
+        seed in 0u64..1_000,
+        dup_per_mille in 0u32..400,
+        delay_per_mille in 1u32..600,
+        delay_ns in 1u64..50_000_000,
+        flushes in proptest::collection::vec(0usize..6, 2..24),
+    ) {
+        let fabric = Fabric::new(profile);
+        let spec = ChaosSpec { dup_per_mille, delay_per_mille, delay_ns, ..ChaosSpec::quiet(seed) };
+        let chaos = ChaosState::new(ChaosPlan::new(spec));
+        fabric.set_chaos(Some(chaos.clone()));
+        let rxs: Vec<_> = (2..4).map(|n| fabric.register_node(NodeId(n))).collect();
+        // Two sources into two destinations: four links, sent in turn.
+        let mut sent = Vec::new();
+        for from in 0..2 {
+            for to in 2..4 {
+                sent.push(((from, to), send_flushes(&fabric, NodeId(from), NodeId(to), &flushes)));
+            }
+        }
+        while let Some(t) = fabric.next_event_ns() {
+            fabric.advance_to(t);
+        }
+        let heard: Vec<Vec<(u32, u8)>> =
+            rxs.iter().map(|rx| rx.try_iter().map(|(f, b, _)| (f.0, b[0])).collect()).collect();
+        let mut dups = 0;
+        for ((from, to), n) in sent {
+            let got: Vec<u8> =
+                heard[to as usize - 2].iter().filter(|(f, _)| *f == from).map(|(_, p)| *p).collect();
+            let mut order = got.clone();
+            order.dedup();
+            prop_assert_eq!(&order, &(0..n).collect::<Vec<_>>(), "{}→{}: {:?}", from, to, got);
+            dups += got.len() - order.len();
+        }
+        let report = chaos.report();
+        prop_assert_eq!(dups as u64, report.duplicated);
+        prop_assert_eq!(report.dropped, 0);
+    }
 
     /// Every packet sent is delivered exactly once, to the right node,
     /// with the right payload — regardless of profile or send order.
