@@ -16,6 +16,7 @@
 use crate::chaos::{ChaosEvent, ChaosPlan, ChaosState};
 use crate::counters::{
     self, ChaosReport, CodeCacheStats, Counters, DaemonStats, NsStats, SchedStats, TransportReport,
+    WakeStats,
 };
 use crate::daemon::{Daemon, DaemonCell, DEFAULT_CODE_CACHE};
 use crate::fabric::{Clock, Fabric, LinkProfile};
@@ -104,21 +105,6 @@ pub struct RunReport {
     pub in_flight: i64,
 }
 
-/// Wake-chain counters of a real-thread run: how often each party that
-/// can be woken per message actually was. Carried for regression tests
-/// (`tests/wake_chain.rs`); the CLI's `--stats` report does not print
-/// them.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WakeStats {
-    /// Daemon pumps, each run by the thread that kicked the daemon (a
-    /// worker ending its slice, the net thread after a read, another
-    /// daemon's pump) or by the holder the kick lost the lock to, summed
-    /// over nodes.
-    pub inline_pumps: u64,
-    /// Times the environment loop evaluated its exit test (either clock).
-    pub env_evals: u64,
-}
-
 impl RunReport {
     /// Output lines of one site (empty slice if unknown).
     pub fn output(&self, lexeme: &str) -> &[String] {
@@ -147,15 +133,10 @@ impl RunReport {
 impl Counters for RunReport {
     fn get(&self, path: &str) -> Option<u64> {
         let (head, rest) = counters::split(path);
+        let daemons = || self.daemon_stats.iter().copied().sum::<DaemonStats>();
         match head {
-            "cache" => self.cache_totals().get(rest),
-            "ns" => self.ns_totals().get(rest),
-            "daemon" => self
-                .daemon_stats
-                .iter()
-                .copied()
-                .sum::<DaemonStats>()
-                .get(rest),
+            "cache" | "ns" => daemons().get(path),
+            "daemon" => daemons().get(rest),
             "wire" => self.transport?.get(rest),
             "chaos" => self.chaos?.get(rest),
             "sched" => self.sched.get(rest),

@@ -1,6 +1,6 @@
 //! Every runtime counter a run reports, declared once (DESIGN.md §22).
 //!
-//! A group is one entry of [`counters!`]: a name, a doc and its fields.
+//! A group is one entry of `counters!`: a name, a doc and its fields.
 //! From it the macro makes the plain `Copy` report struct, a field-wise
 //! `+=` and `Sum`, the field names ([`Counters::get`] reads a counter by
 //! its dotted path) and, for a group counted from several threads, its
@@ -292,6 +292,20 @@ counters! {
         repl_shipped,
         /// Replication records applied from a ring partner.
         repl_applied,
+    }
+
+    /// Wake-chain counters of a real-thread run: how often each party that
+    /// can be woken per message actually was. Carried for regression tests
+    /// (`tests/wake_chain.rs`); the CLI's `--stats` report does not print
+    /// them.
+    pub struct WakeStats {
+        /// Daemon pumps, each run by the thread that kicked the daemon (a
+        /// worker ending its slice, the net thread after a read, another
+        /// daemon's pump) or by the holder the kick lost the lock to, summed
+        /// over nodes.
+        inline_pumps,
+        /// Times the environment loop evaluated its exit test (either clock).
+        env_evals,
     }
 
     /// Counters of a node's lease cache; the lookups carry into the

@@ -61,11 +61,11 @@ pub mod transport;
 pub mod wake;
 
 pub use chaos::{ChaosEvent, ChaosPlan, ChaosSpec, ChaosState};
-pub use cluster::{Cluster, RunLimits, RunReport, WakeStats};
+pub use cluster::{Cluster, RunLimits, RunReport};
 pub use codecache::CodeCache;
 pub use counters::{
     ChaosReport, CodeCacheStats, Counters, DaemonStats, NameCacheStats, NsStats, SchedStats,
-    TransportReport,
+    TransportReport, WakeStats,
 };
 pub use daemon::{Daemon, DaemonCell};
 pub use fabric::{Clock, Fabric, FabricStats, LinkProfile, PacketFabric};
