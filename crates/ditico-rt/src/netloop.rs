@@ -4,7 +4,7 @@
 //! half, every in-flight dial and every deadline. It parks in
 //! [`Poller::wait`] with its earliest deadline as the timeout
 //! and is interrupted by exactly three things: socket readiness, a timer
-//! firing, or a writer ringing the wake pipe because a socket pushed
+//! firing, or a writer ringing the wake channel because a socket pushed
 //! back or broke under it — one thread and zero sleeps, whatever the
 //! peer count, and no wake at all for a frame the sender could write.
 //!
@@ -157,7 +157,7 @@ struct NetLoop {
     batch: Vec<Bytes>,
 }
 
-/// The poller with the wake pipe and listener already registered. Built
+/// The poller with the wake channel and listener already registered. Built
 /// by [`prepare`] on `Transport::start`'s own thread so that a poller or
 /// registration failure becomes a start error the caller sees — never a
 /// silently dead `tyco-net` thread behind a transport that reported
@@ -379,18 +379,14 @@ impl NetLoop {
                     pending: p,
                     dialer: didx,
                 }));
-                if self
-                    .poller
-                    .register(fd, idx + SLOT_BASE, Interest::WRITE)
-                    .is_err()
-                {
+                if let Err(e) = self.poller.register(fd, idx + SLOT_BASE, Interest::WRITE) {
                     self.take_slot(idx);
-                    self.dial_failed(didx);
+                    self.dial_failed(didx, e);
                     return;
                 }
                 self.after(self.inner.cfg.connect_timeout, Timer::ConnectTimeout(idx));
             }
-            Err(_) => self.dial_failed(didx),
+            Err(e) => self.dial_failed(didx, e),
         }
     }
 
@@ -404,7 +400,7 @@ impl NetLoop {
         let _ = self.poller.deregister(d.pending.raw_fd());
         match d.pending.finish() {
             Ok(sock) => self.dial_connected(d.dialer, sock),
-            Err(_) => self.dial_failed(d.dialer),
+            Err(e) => self.dial_failed(d.dialer, e),
         }
     }
 
@@ -417,7 +413,12 @@ impl NetLoop {
                 return;
             };
             let _ = self.poller.deregister(d.pending.raw_fd());
-            self.dial_failed(d.dialer);
+            let ms = self.inner.cfg.connect_timeout.as_millis();
+            let e = std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!("connect timed out after {ms} ms"),
+            );
+            self.dial_failed(d.dialer, e);
         }
     }
 
@@ -426,14 +427,21 @@ impl NetLoop {
             self.inner.stats.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         self.dialers[didx].attempts = 0;
-        if self.install_conn(sock, false, Some(didx)).is_err() {
-            self.dial_failed(didx);
+        if let Err(e) = self.install_conn(sock, false, Some(didx)) {
+            self.dial_failed(didx, e);
         }
     }
 
-    fn dial_failed(&mut self, didx: usize) {
+    /// A dial of `didx` ended in `err`: retry after a backoff, or, with
+    /// the retry budget spent, give up and name the last error.
+    fn dial_failed(&mut self, didx: usize, err: std::io::Error) {
         let d = &mut self.dialers[didx];
         if d.attempts >= self.inner.cfg.max_retries {
+            eprintln!(
+                "dial {}: gave up after {} attempts: {err}",
+                d.addr,
+                d.attempts + 1
+            );
             d.done = true;
             let nodes = std::mem::take(&mut d.last_nodes);
             self.inner.peer_exhausted(&nodes);

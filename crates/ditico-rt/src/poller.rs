@@ -1,48 +1,48 @@
 //! Readiness-driven I/O primitives for the event-loop transport.
 //!
 //! This module is what lets one thread own every socket: a [`Poller`]
-//! over epoll(7), a [`PollWaker`] self-pipe so producer threads can
-//! interrupt a blocked wait, and a nonblocking [`connect_start`] so
-//! in-flight dials are concurrent instead of serialized behind
-//! `connect_timeout`. The loop's deadlines (heartbeats, reconnect
-//! backoff, connect timeouts) are a plain list in `netloop.rs` whose
-//! earliest entry becomes the wait timeout.
+//! over epoll(7), a [`PollWaker`] so producer threads can interrupt a
+//! blocked wait, and a nonblocking [`connect_start`] so in-flight dials
+//! are concurrent instead of serialized behind `connect_timeout`. The
+//! loop's deadlines (heartbeats, reconnect backoff, connect timeouts)
+//! are a plain list in `netloop.rs` whose earliest entry becomes the
+//! wait timeout.
 //!
-//! The workspace vendors no `libc` crate, and the build environment
-//! cannot add one; since std already links the platform libc, the tiny
-//! syscall surface needed here (a dozen symbols) is declared directly in
-//! `sys` — with **Linux** constant values and sockaddr layouts, which
-//! is why the whole module (and the TCP transport that rides on it) is
-//! compiled only for `target_os = "linux"`: other unixes lack epoll,
-//! disagree on `O_NONBLOCK`, `SOL_SOCKET`, `EINPROGRESS` and prefix
-//! sockaddrs with `sin_len`, so compiling there would fail at runtime,
-//! not loudly at build time. On those targets `Transport::start` reports
-//! that TCP runs need Linux. Every raw fd is wrapped in [`OwnedFd`]
-//! immediately so error paths cannot leak descriptors.
+//! Std has no readiness API and no way to start a connect without
+//! waiting for it (`TcpStream::connect_timeout` blocks its caller), and
+//! the workspace vendors no `libc` crate. So `sys` declares by hand the
+//! five calls std lacks: `epoll_create1`, `epoll_ctl`, `epoll_wait`,
+//! `socket` and `connect`, with **Linux** constant values and sockaddr
+//! layouts. That is why the whole module (and the TCP transport that
+//! rides on it) is compiled only for `target_os = "linux"`: other
+//! unixes lack epoll, disagree on `SOCK_NONBLOCK` and `EINPROGRESS` and
+//! prefix sockaddrs with `sin_len`, so compiling there would fail at
+//! runtime, not loudly at build time. On those targets
+//! `Transport::start` reports that TCP runs need Linux. Everything else
+//! is std: the wake channel is a [`UnixStream`] pair, and a finished
+//! dial is a [`TcpStream`] that reads its own `SO_ERROR`. Every raw fd
+//! becomes an [`OwnedFd`] in `owned_fd`, the moment the call returns
+//! it, so error paths cannot leak descriptors.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Raw libc declarations. Constant values and struct layouts are
-/// Linux's — the reason this module is gated on `target_os = "linux"`.
+/// Raw libc declarations of what std lacks. Constant values and struct
+/// layouts are Linux's — the reason this module is gated on
+/// `target_os = "linux"`.
 #[allow(non_camel_case_types)]
 mod sys {
     pub use std::os::raw::{c_int, c_void};
 
-    pub const F_SETFL: c_int = 4;
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFD: c_int = 2;
-    pub const FD_CLOEXEC: c_int = 1;
-    pub const O_NONBLOCK: c_int = 0o4000;
-
     pub const AF_INET: c_int = 2;
     pub const AF_INET6: c_int = 10;
     pub const SOCK_STREAM: c_int = 1;
-    pub const SOL_SOCKET: c_int = 1;
-    pub const SO_ERROR: c_int = 4;
+    pub const SOCK_NONBLOCK: c_int = 0o4000;
+    pub const SOCK_CLOEXEC: c_int = 0o2000000;
     pub const EINPROGRESS: i32 = 115;
     pub const EINTR: i32 = 4;
 
@@ -67,19 +67,8 @@ mod sys {
     pub const EPOLLRDHUP: u32 = 0x2000;
 
     extern "C" {
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         pub fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-        pub fn getsockopt(
-            fd: c_int,
-            level: c_int,
-            name: c_int,
-            value: *mut c_void,
-            len: *mut u32,
-        ) -> c_int;
 
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, ev: *mut epoll_event) -> c_int;
@@ -93,6 +82,15 @@ fn cvt(ret: sys::c_int) -> io::Result<sys::c_int> {
     } else {
         Ok(ret)
     }
+}
+
+/// Adopt the descriptor a call returned, or turn its failure into an
+/// error. Only `epoll_create1` and `socket` results come here.
+fn owned_fd(ret: sys::c_int) -> io::Result<OwnedFd> {
+    let fd = cvt(ret)?;
+    // SAFETY: a non-negative return of `epoll_create1` or `socket` is a
+    // fresh open descriptor that nothing else owns or will close.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// What a registration wants to hear about.
@@ -138,12 +136,10 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
-        // SAFETY: no pointers cross the call; a negative return is
-        // turned into an error by `cvt`.
-        let fd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
+        // SAFETY: no pointers cross the call.
+        let epfd = owned_fd(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
         Ok(Poller {
-            // SAFETY: `fd` is a fresh descriptor nobody else owns.
-            epfd: unsafe { OwnedFd::from_raw_fd(fd) },
+            epfd,
             buf: vec![sys::epoll_event { events: 0, data: 0 }; 1024],
         })
     }
@@ -225,59 +221,43 @@ impl Poller {
     }
 }
 
-fn set_nonblocking_cloexec(fd: RawFd) -> io::Result<()> {
-    let flags = cvt(unsafe { sys::fcntl(fd, sys::F_GETFL, 0) })?;
-    cvt(unsafe { sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) })?;
-    cvt(unsafe { sys::fcntl(fd, sys::F_SETFD, sys::FD_CLOEXEC) })?;
-    Ok(())
-}
-
-/// The read half of the wake pipe; the loop registers it and drains it.
+/// The read end of the wake channel; the loop registers it and drains it.
 pub struct WakeReader {
-    fd: OwnedFd,
+    sock: UnixStream,
 }
 
 impl WakeReader {
     pub fn raw_fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
+        self.sock.as_raw_fd()
     }
 
     /// Swallow all pending wake bytes; many wakes coalesce into one.
+    /// Stops when the channel is empty (`WouldBlock`), closed, or errs
+    /// (`Interrupted` included): the poll is level-triggered, so a byte
+    /// left behind only re-reports the channel readable.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe {
-                sys::read(
-                    self.fd.as_raw_fd(),
-                    buf.as_mut_ptr() as *mut sys::c_void,
-                    buf.len(),
-                )
-            };
-            if n <= 0 {
-                return; // empty (EAGAIN), closed, or EINTR — all fine
-            }
-        }
+        while matches!((&self.sock).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-/// The write half, cheaply cloneable across producer threads. Waking an
+/// The write end, cheaply cloneable across producer threads. Waking an
 /// event loop blocked in `Poller::wait` is the poller-world equivalent
 /// of [`crate::wake::Notify::notify`]; like it, a wake is idempotent —
-/// the pipe fills after ~64KiB of unconsumed wakes and further writes
-/// return EAGAIN, which is exactly "flag already raised".
+/// the socket buffer fills after a few hundred unconsumed wakes and
+/// further writes fail with `WouldBlock`, which is exactly "flag already
+/// raised".
 #[derive(Clone)]
 pub struct PollWaker {
-    fd: Arc<OwnedFd>,
+    sock: Arc<UnixStream>,
 }
 
 impl PollWaker {
     pub fn wake(&self) {
-        let b = [1u8];
-        unsafe {
-            // EAGAIN (pipe already full of wakes) and EINTR both mean the
-            // loop is guaranteed to wake; nothing to handle.
-            sys::write(self.fd.as_raw_fd(), b.as_ptr() as *const sys::c_void, 1);
-        }
+        // `WouldBlock` (the buffer is already full of wakes) and
+        // `Interrupted` both leave the loop sure to wake; nothing to
+        // handle.
+        let _ = (&*self.sock).write(&[1]);
     }
 }
 
@@ -287,14 +267,12 @@ impl crate::wake::Wake for PollWaker {
     }
 }
 
-/// A nonblocking self-pipe: `(drain side, wake side)`.
+/// A nonblocking, close-on-exec wake channel: `(drain side, wake side)`.
 pub fn wake_pipe() -> io::Result<(WakeReader, PollWaker)> {
-    let mut fds = [0 as sys::c_int; 2];
-    cvt(unsafe { sys::pipe(fds.as_mut_ptr()) })?;
-    let (r, w) = unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) };
-    set_nonblocking_cloexec(r.as_raw_fd())?;
-    set_nonblocking_cloexec(w.as_raw_fd())?;
-    Ok((WakeReader { fd: r }, PollWaker { fd: Arc::new(w) }))
+    let (r, w) = UnixStream::pair()?;
+    r.set_nonblocking(true)?;
+    w.set_nonblocking(true)?;
+    Ok((WakeReader { sock: r }, PollWaker { sock: Arc::new(w) }))
 }
 
 /// A dial that could not complete instantly: the socket is mid-handshake
@@ -317,23 +295,13 @@ impl PendingConnect {
     }
 
     /// Call once the socket reported writable: reads `SO_ERROR` for the
-    /// connect verdict and converts the fd into a `TcpStream` on success.
+    /// connect verdict and hands over the stream on success.
     pub fn finish(self) -> io::Result<TcpStream> {
-        let mut err: sys::c_int = 0;
-        let mut len = std::mem::size_of::<sys::c_int>() as u32;
-        cvt(unsafe {
-            sys::getsockopt(
-                self.fd.as_raw_fd(),
-                sys::SOL_SOCKET,
-                sys::SO_ERROR,
-                &mut err as *mut sys::c_int as *mut sys::c_void,
-                &mut len,
-            )
-        })?;
-        if err != 0 {
-            return Err(io::Error::from_raw_os_error(err));
+        let sock = TcpStream::from(self.fd);
+        match sock.take_error()? {
+            Some(e) => Err(e),
+            None => Ok(sock),
         }
-        Ok(TcpStream::from(self.fd))
     }
 }
 
@@ -365,18 +333,21 @@ fn sockaddr_bytes(addr: &SocketAddr) -> ([u8; 28], u32, sys::c_int) {
 /// what keeps one dead peer from delaying every other peer's handshake.
 pub fn connect_start(addr: &SocketAddr) -> io::Result<ConnectStart> {
     let (sa, len, domain) = sockaddr_bytes(addr);
-    let fd = cvt(unsafe { sys::socket(domain, sys::SOCK_STREAM, 0) })?;
-    let fd = unsafe { OwnedFd::from_raw_fd(fd) };
-    set_nonblocking_cloexec(fd.as_raw_fd())?;
-    let r = unsafe { sys::connect(fd.as_raw_fd(), sa.as_ptr() as *const sys::c_void, len) };
+    let ty = sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC;
+    // SAFETY: no pointers cross the call.
+    let fd = owned_fd(unsafe { sys::socket(domain, ty, 0) })?;
+    // SAFETY: `sa` is a live buffer of at least `len` bytes holding the
+    // sockaddr of `domain`; the kernel only reads it.
+    let r = unsafe { sys::connect(fd.as_raw_fd(), sa.as_ptr().cast(), len) };
     if r == 0 {
         return Ok(ConnectStart::Connected(TcpStream::from(fd)));
     }
-    match io::Error::last_os_error().raw_os_error() {
+    let e = io::Error::last_os_error();
+    match e.raw_os_error() {
         Some(sys::EINPROGRESS) | Some(sys::EINTR) => {
             Ok(ConnectStart::Pending(PendingConnect { fd }))
         }
-        _ => Err(io::Error::last_os_error()),
+        _ => Err(e),
     }
 }
 
@@ -478,7 +449,7 @@ mod tests {
             poller.wait(&mut evs, Some(Duration::from_secs(1))).unwrap();
         }
         assert!(evs.iter().any(|e| e.token == 0 && e.readable));
-        // Every wake must be in the pipe before the drain, or a late one
+        // Every wake must be in the channel before the drain, or a late one
         // makes the final wait readable again.
         h.join().unwrap();
         reader.drain();

@@ -30,7 +30,7 @@
 //! and writes the backlog out from its own thread
 //! (`Inner::write_frames`); the bytes are in the kernel before the call
 //! returns and the event loop is not woken. The loop takes a connection
-//! over in two cases only, each announced through the wake pipe: the
+//! over in two cases only, each announced through the wake channel: the
 //! socket buffer filled up (`EWOULDBLOCK`: the half is marked stalled,
 //! producers append behind it up to `outbound_cap`, and the loop drains
 //! it on writable readiness) or a write failed (the loop tears the
@@ -457,7 +457,7 @@ struct Inner {
     /// A wave reached the verdict here, or a peer's verdict arrived.
     verdict: AtomicBool,
     stats: TransportTally,
-    /// Wakes the event loop (its self-pipe): a connection was handed
+    /// Wakes the event loop (its wake channel): a connection was handed
     /// over, or the transport is stopping.
     net_wake: Arc<dyn Wake>,
     /// Connections whose write half stalled or failed under a writer and
@@ -1067,7 +1067,7 @@ impl Transport {
         };
         let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
 
-        // The poller, wake pipe and their registrations are built here,
+        // The poller, wake channel and their registrations are built here,
         // *before* the net thread is spawned, so a failure surfaces as a
         // start error — never a net thread that exits at birth while the
         // transport reports success.

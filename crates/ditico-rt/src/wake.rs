@@ -23,7 +23,7 @@ use std::time::Duration;
 /// Anything a producer can kick. Three things answer a kick — a thread
 /// parked on a [`Notify`] condvar (workers, the environment loop), the
 /// transport's event loop blocked in `Poller::wait` (woken through its
-/// self-pipe [`crate::poller::PollWaker`]), and a daemon's
+/// wake channel, [`crate::poller::PollWaker`]), and a daemon's
 /// [`crate::daemon::DaemonCell`], which does the daemon's work on the
 /// kicking thread instead of waking anyone — and this trait is what lets
 /// a producer hand work over without knowing which it is kicking.

@@ -489,6 +489,80 @@ fn duplicate_fetch_reply_is_dropped_not_relinked() {
     );
 }
 
+/// A port offering one remote class: `import` resolves it and `fetch`
+/// answers at once, so the thread that instantiates the class links it
+/// inside its own dispatch loop.
+struct FetchNowPort {
+    class: NetRef,
+    group: WireGroup,
+}
+
+impl NetPort for FetchNowPort {
+    fn identity(&self) -> Identity {
+        Identity::default()
+    }
+    fn register(&mut self, _: &str, _: WireWord) {}
+    fn import(&mut self, _: &str, _: &str, _: ImportKind) -> ImportReply {
+        ImportReply::Ready(WireWord::Class(self.class))
+    }
+    fn send_msg(&mut self, _: NetRef, _: Label, _: Vec<WireWord>) {}
+    fn send_obj(&mut self, _: NetRef, _: tyco_vm::Digest, _: WireObj) {}
+    fn fetch(&mut self, class: NetRef) -> FetchReplyNow {
+        assert_eq!(class, self.class);
+        FetchReplyNow::Ready(self.group.clone(), 0)
+    }
+    fn fetch_reply(&mut self, _: Identity, _: u64, _: tyco_vm::Digest, _: WireGroup, _: u8) {}
+    fn poll(&mut self) -> Option<Incoming> {
+        None
+    }
+}
+
+/// A thread links fetched code and then runs on through the rest of its
+/// own block, read from the code slice it pinned before the link (the
+/// SAFETY argument of `exec_thread_inner`): `link_trusted` appends
+/// blocks and `fuse_blocks_from` rewrites only those. A rewrite of the
+/// running block frees that slice, which AddressSanitizer reports here.
+#[test]
+fn a_thread_runs_on_in_its_block_after_linking_fetched_code() {
+    let lib =
+        tyco_vm::compile(&tyco_syntax::parse_core("def K(a) = print(a) in K[1]").expect("parses"))
+            .expect("compiles");
+    let group = WireGroup {
+        code: tyco_vm::pack(&lib, &[0]).code,
+        table: 0,
+        captured: vec![],
+    };
+    // The compiler puts nothing after an `instof` but `halt`; by hand,
+    // the instantiating thread has two prints left to run.
+    let prog = tyco_vm::parse_asm(
+        r#".entry 0
+.block 0 "entry" free=0 params=0 locals=1
+    import 0 "lib" "K" class
+    pushint 5
+    pushlocal 0
+    instof 1
+    pushint 7
+    print 1 raw
+    pushint 8
+    print 1 raw
+    halt
+"#,
+    )
+    .expect("assembles");
+    let class = NetRef {
+        heap_id: 0,
+        site: SiteId(1),
+        node: Default::default(),
+    };
+    let mut m = Machine::new(prog, FetchNowPort { class, group });
+    let before = m.program.blocks.len();
+    m.run_to_quiescence(10_000).expect("runs");
+    assert_eq!(m.stats.fetches, 1);
+    assert!(m.program.blocks.len() > before, "the class was linked");
+    // 7 and 8 come from the linking thread, 5 from the instance after it.
+    assert_eq!(m.io, vec!["7", "8", "5"]);
+}
+
 #[test]
 fn trace_buffer_records_last_instructions() {
     let mut m = Machine::from_source(

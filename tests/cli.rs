@@ -353,6 +353,43 @@ fn ns_lease_ms_turns_on_leases_on_the_specs_ring() {
     );
 }
 
+/// A dialer that spends its retry budget says which peer it gave up on,
+/// after how many attempts, and the last error: here the OS refusal of a
+/// port nobody listens on.
+#[test]
+fn a_dialer_that_gives_up_names_its_last_error() {
+    let dir = tmpdir("gaveup");
+    write(&dir, "a.dity", "print(1)");
+    write(&dir, "b.dity", "print(2)");
+    let spec = write(
+        &dir,
+        "two.net",
+        "topology nodes=2\nsite a a.dity node=0\nsite b b.dity node=1\n",
+    );
+    let addr = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    };
+    // This host's own words for the refusal the dialer will meet.
+    let refused = std::net::TcpStream::connect(addr).unwrap_err();
+    let peer = addr.to_string();
+    let out = ditico()
+        .arg("net")
+        .arg(&spec)
+        .args(["--node", "0", "--peers", &peer, "--retries", "1"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let gave_up: Vec<&str> = stderr.lines().filter(|l| l.contains("gave up")).collect();
+    assert_eq!(
+        gave_up,
+        [format!("dial {addr}: gave up after 2 attempts: {refused}")],
+        "{stderr}"
+    );
+    assert!(refused.raw_os_error().is_some(), "{refused}");
+}
+
 /// Run `ditico` with `args` and return its exit code and stderr.
 fn refusal(args: &[&str]) -> (Option<i32>, String) {
     let out = ditico().args(args).output().unwrap();

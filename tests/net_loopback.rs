@@ -118,6 +118,10 @@ fn two_process_fetch_roundtrip() {
     );
     for err in [&client_err, &server_err] {
         assert!(!err.contains("limit hit"), "{err}");
+        assert!(
+            !err.contains("gave up"),
+            "a dial that succeeds says nothing: {err}"
+        );
     }
 }
 
