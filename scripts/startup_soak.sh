@@ -66,6 +66,10 @@ on_the_verdict() {
 }
 
 for round in $(seq 1 "$rounds"); do
+    # Empty the last round's log before the server starts: its `2>` only
+    # truncates the file once the child runs, and a read before that
+    # would dial the last round's address, which nobody listens on.
+    : > "$work/server.err"
     "$ditico" serve "$work/cluster.net" --node 0 --listen 127.0.0.1:0 \
         --hb-ms "$hb_ms" --wall "$wall" --stats > /dev/null 2> "$work/server.err" &
     server_pid=$!
