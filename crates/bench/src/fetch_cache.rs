@@ -17,9 +17,20 @@
 //! *concurrently* to measure single-flight coalescing: the client node
 //! folds the simultaneous FetchReqs into one, so the server serves one
 //! request and the image crosses the wire once, regardless of `K`.
+//!
+//! The `image bytes` points pin the exact bytes of two shipped images
+//! (instruction count, length, digest) and time each stage a code image
+//! passes through, per wire instruction: pack on the exporter, then
+//! decode, verify and link (with fusion, as a machine links) on the
+//! importer. Any change to an image's bytes fails `bench all --smoke`.
 
+use std::hint::black_box;
+use std::time::Instant;
+
+use bytes::BytesMut;
 use ditico_rt::{Cluster, LinkProfile, RunLimits, RunReport};
-use tyco_vm::Digest;
+use tyco_vm::codec::{self, Packet};
+use tyco_vm::{Digest, NodeId, Program, TableId, WireCode};
 
 use crate::json::Json;
 use crate::{point, round, vals};
@@ -36,11 +47,16 @@ fn wan() -> LinkProfile {
 
 /// `export def Applet(v) = println("applet", v + 1 + 2 + ... ) in 0`
 fn server_src() -> String {
+    format!("export {} in 0", applet_def(TERMS))
+}
+
+/// `def Applet(v) = println("applet", v + 1 + 2 + ... )` with `terms` terms.
+fn applet_def(terms: usize) -> String {
     let mut sum = String::from("v");
-    for i in 1..=TERMS {
+    for i in 1..=terms {
         sum.push_str(&format!(" + {}", i % 7));
     }
-    format!(r#"export def Applet(v) = println("applet", {sum}) in 0"#)
+    format!(r#"def Applet(v) = println("applet", {sum})"#)
 }
 
 /// The chain: site `c0` fetches immediately; each later site waits for
@@ -106,8 +122,122 @@ fn run_once(mut c: Cluster, k: usize) -> RunReport {
     report
 }
 
-pub fn run(_smoke: bool) -> Vec<Json> {
-    let mut points = Vec::new();
+/// Terms of the class the `image bytes` point ships.
+const IMAGE_TERMS: usize = 300;
+
+/// An object whose method forks, sends, prints a string and builds a
+/// class group: every kind of id an image relocates (block, table, label,
+/// string), and fused forms on the exporter.
+const SHIPPED_OBJECT: &str = r#"new x x?{ go(n) = (println("go", n) | x!go[n - 1] | def Loop(k) = if k > 0 then Loop[k - 1] else x!done[k] in Loop[n] | x?{ done(m) = println("deep", m) }) }"#;
+
+/// The timed stages run this many times per repetition, best of
+/// `IMAGE_REPS` (one repetition under `--smoke`).
+const IMAGE_ITERS: usize = 200;
+const IMAGE_REPS: usize = 5;
+
+/// Best-of-`reps` ns per call of `f`, over `IMAGE_ITERS` calls each.
+fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..IMAGE_ITERS {
+                f();
+            }
+            t.elapsed().as_nanos() as f64 / IMAGE_ITERS as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Pin the bytes of `table`'s image out of `src` (fused, as a machine
+/// holds its program), and time each stage per wire instruction.
+fn image_point(name: &str, src: &str, table: impl Fn(&Program) -> TableId, reps: usize) -> Json {
+    let mut prog =
+        tyco_vm::compile(&tyco_syntax::parse_core(src).expect("parses")).expect("compiles");
+    tyco_vm::fuse_program(&mut prog);
+    let root = table(&prog);
+    let code = tyco_vm::pack(&prog, &[root]).code;
+    let instrs: usize = code.blocks.iter().map(|b| b.code.len()).sum();
+    let frame = {
+        let mut buf = BytesMut::new();
+        codec::encode_into(
+            &Packet::HaveCode {
+                to: NodeId(0),
+                digest: code.digest(),
+                code: code.clone(),
+            },
+            &mut buf,
+        );
+        buf.freeze()
+    };
+    let per_instr = |ns: f64| round(ns / instrs as f64, 2);
+    let pack = best_ns(reps, || {
+        black_box(tyco_vm::pack(black_box(&prog), &[root]));
+    });
+    let decode = best_ns(reps, || {
+        black_box(codec::decode(black_box(frame.clone())).expect("decodes"));
+    });
+    let received: WireCode = match codec::decode(frame.clone()).expect("decodes") {
+        Packet::HaveCode { code, .. } => code,
+        p => panic!("decoded {p:?}"),
+    };
+    let verify = best_ns(reps, || {
+        tyco_vm::verify_wire(black_box(&received)).expect("verifies");
+    });
+    let link = best_ns(reps, || {
+        let mut dest = Program::default();
+        black_box(tyco_vm::link_trusted(&mut dest, black_box(&received)));
+        tyco_vm::fuse::fuse_blocks_from(&mut dest, 0);
+        black_box(dest);
+    });
+    eprintln!(
+        "   {name}: {instrs} instrs, {} B, ns/instr pack {:.1} decode {:.1} verify {:.1} link {:.1}",
+        code.bytes().len(),
+        pack / instrs as f64,
+        decode / instrs as f64,
+        verify / instrs as f64,
+        link / instrs as f64
+    );
+    point(
+        name,
+        true,
+        Json::Obj(vec![
+            ("instrs".into(), Json::Num(instrs as f64)),
+            ("bytes".into(), Json::Num(code.bytes().len() as f64)),
+            ("digest".into(), Json::Str(code.digest().to_string())),
+        ]),
+        vals! {
+            "pack_ns_per_instr" => per_instr(pack),
+            "decode_ns_per_instr" => per_instr(decode),
+            "verify_ns_per_instr" => per_instr(verify),
+            "link_ns_per_instr" => per_instr(link),
+        },
+    )
+}
+
+/// The table whose entries bind `label`.
+fn table_of(prog: &Program, label: &str) -> TableId {
+    let l = prog.labels.find(label).expect("label interned");
+    (0..prog.tables.len() as TableId)
+        .find(|&t| prog.tables[t as usize].lookup(l).is_some())
+        .expect("a table binds the label")
+}
+
+pub fn run(smoke: bool) -> Vec<Json> {
+    let reps = if smoke { 1 } else { IMAGE_REPS };
+    let mut points = vec![
+        image_point(
+            "image bytes: class",
+            &format!("{} in 0", applet_def(IMAGE_TERMS)),
+            |_| 0,
+            reps,
+        ),
+        image_point(
+            "image bytes: object",
+            SHIPPED_OBJECT,
+            |p| table_of(p, "go"),
+            reps,
+        ),
+    ];
     let mut image_wire_bytes = 0;
     for k in SIZES {
         let base = run_once(build_chain(k, 0), k);
