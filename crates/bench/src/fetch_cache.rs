@@ -185,8 +185,11 @@ fn image_point(name: &str, src: &str, table: impl Fn(&Program) -> TableId, reps:
     });
     let link = best_ns(reps, || {
         let mut dest = Program::default();
-        black_box(tyco_vm::link_trusted(&mut dest, black_box(&received)));
-        tyco_vm::fuse::fuse_blocks_from(&mut dest, 0);
+        black_box(tyco_vm::wire::link_into(
+            &mut dest,
+            black_box(&received),
+            true,
+        ));
         black_box(dest);
     });
     eprintln!(

@@ -572,8 +572,9 @@ impl Daemon {
     }
 
     /// Cache a received image under the digest of the bytes that arrived.
-    /// Its bytes are a view into the frame it was decoded from; the store
-    /// keeps a copy of its own, so a cached image pins only itself.
+    /// The store keeps it [`WireCode::detached`], so a cached image pins
+    /// only itself: a view into the frame it was decoded from is copied
+    /// out, and bytes the decoder already copied out are kept as they are.
     fn store_received(&mut self, code: &WireCode) {
         if !self.store.contains(&code.digest()) {
             self.cache_insert(&code.detached());

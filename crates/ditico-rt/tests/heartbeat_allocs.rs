@@ -16,9 +16,10 @@
 
 use ditico_rt::{Cluster, LinkProfile, RunReport, TransportConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tyco_vm::word::NodeId;
 
 struct Counting;
@@ -72,12 +73,37 @@ fn run(local: u32, cfg: TransportConfig, wall: Duration) -> RunReport {
         .expect("distributed run")
 }
 
+/// Spin (yielding the CPU, which the server needs) until the kernel's
+/// socket table shows `addr` listening, so the client's first dial finds
+/// it. The table is read rather than the port dialed, which the server
+/// would count, and into `table`, reserved beforehand, so that the wait
+/// allocates nothing while the allocator is counting.
+fn wait_listening(addr: SocketAddr, table: &mut String) {
+    let needle = format!(" 0100007F:{:04X} 00000000:0000 0A ", addr.port());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        table.clear();
+        std::fs::File::open("/proc/net/tcp")
+            .and_then(|mut f| f.read_to_string(table))
+            .expect("/proc/net/tcp");
+        if table.contains(&needle) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "nothing listens on {addr} after 10 s"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Allocations and heartbeat ticks of one pair run for `wall`.
 fn run_pair(wall: Duration) -> (u64, u64) {
     let addr: SocketAddr = TcpListener::bind("127.0.0.1:0")
         .and_then(|l| l.local_addr())
         .expect("free port");
     let hb_period = Duration::from_millis(2);
+    let mut table = String::with_capacity(1 << 20);
     let before = ALLOCS.load(Ordering::Relaxed);
     let server_cfg = TransportConfig {
         local_nodes: vec![NodeId(0)],
@@ -86,6 +112,7 @@ fn run_pair(wall: Duration) -> (u64, u64) {
         ..TransportConfig::default()
     };
     let server = std::thread::spawn(move || run(0, server_cfg, wall));
+    wait_listening(addr, &mut table);
     let client_cfg = TransportConfig {
         local_nodes: vec![NodeId(1)],
         peers: vec![addr],

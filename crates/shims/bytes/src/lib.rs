@@ -23,31 +23,38 @@ pub struct Bytes {
 }
 
 impl Bytes {
+    #[inline]
     pub fn new() -> Bytes {
         Bytes::default()
     }
 
+    #[inline]
     pub fn from_static(s: &'static [u8]) -> Bytes {
         Bytes::from(s.to_vec())
     }
 
+    #[inline]
     pub fn copy_from_slice(s: &[u8]) -> Bytes {
         Bytes::from(s.to_vec())
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 
     /// A sub-view sharing the same allocation.
+    #[inline]
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && self.start + range.end <= self.end);
         Bytes {
@@ -61,6 +68,7 @@ impl Bytes {
     /// the buffer it was frozen from, however short the view. Not in the
     /// real crate; a reader that keeps a small view of a big read buffer
     /// checks it to bound what the view pins.
+    #[inline]
     pub fn backing_capacity(&self) -> usize {
         self.data.capacity()
     }
@@ -70,6 +78,7 @@ impl Bytes {
     /// A reader reclaims its accumulator this way once every view it
     /// handed out has been dropped, and reads on into the same
     /// allocation.
+    #[inline]
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
         let Bytes {
             mut data,
@@ -91,6 +100,7 @@ impl Bytes {
     }
 
     /// Split off the first `at` bytes into a new `Bytes`, advancing self.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len());
         let head = Bytes {
@@ -104,6 +114,7 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
@@ -115,18 +126,21 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl From<&'static [u8]> for Bytes {
+    #[inline]
     fn from(s: &'static [u8]) -> Bytes {
         Bytes::from(s.to_vec())
     }
 }
 
 impl<const N: usize> From<&'static [u8; N]> for Bytes {
+    #[inline]
     fn from(s: &'static [u8; N]) -> Bytes {
         Bytes::from(s.to_vec())
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(b: BytesMut) -> Bytes {
         b.freeze()
     }
@@ -134,12 +148,14 @@ impl From<BytesMut> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -152,6 +168,7 @@ impl fmt::Debug for Bytes {
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Bytes) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -159,18 +176,21 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
+    #[inline]
     fn eq(&self, other: &Vec<u8>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
 impl std::hash::Hash for Bytes {
+    #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state)
     }
@@ -191,6 +211,7 @@ pub struct BytesMut {
 }
 
 impl Clone for BytesMut {
+    #[inline]
     fn clone(&self) -> BytesMut {
         BytesMut {
             vec: self.vec.clone(),
@@ -200,10 +221,12 @@ impl Clone for BytesMut {
 }
 
 impl BytesMut {
+    #[inline]
     pub fn new() -> BytesMut {
         BytesMut::default()
     }
 
+    #[inline]
     pub fn with_capacity(cap: usize) -> BytesMut {
         BytesMut {
             vec: Vec::with_capacity(cap),
@@ -211,10 +234,12 @@ impl BytesMut {
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.vec.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.vec.is_empty()
     }
@@ -222,10 +247,12 @@ impl BytesMut {
     /// Bytes the buffer can hold without reallocating. `freeze` keeps
     /// the whole allocation alive behind the `Bytes` it returns, so this
     /// — not `len` — is what a retained view pins.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.vec.capacity()
     }
 
+    #[inline]
     pub fn freeze(self) -> Bytes {
         let BytesMut { vec, spare } = self;
         let end = vec.len();
@@ -243,10 +270,12 @@ impl BytesMut {
         }
     }
 
+    #[inline]
     pub fn extend_from_slice(&mut self, s: &[u8]) {
         self.vec.extend_from_slice(s);
     }
 
+    #[inline]
     pub fn clear(&mut self) {
         self.vec.clear();
     }
@@ -255,20 +284,24 @@ impl BytesMut {
     /// With `DerefMut` this lets readers fill the buffer in place —
     /// `resize`, `read` into the tail, `truncate` to what arrived —
     /// instead of staging through a scratch buffer.
+    #[inline]
     pub fn resize(&mut self, new_len: usize, value: u8) {
         self.vec.resize(new_len, value);
     }
 
+    #[inline]
     pub fn truncate(&mut self, new_len: usize) {
         self.vec.truncate(new_len);
     }
 
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.vec.reserve(additional);
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.vec
     }
@@ -276,12 +309,14 @@ impl std::ops::DerefMut for BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.vec
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.vec
     }
@@ -294,10 +329,12 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     fn advance(&mut self, n: usize);
 
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(self.remaining() >= dst.len(), "buffer underflow");
         let n = dst.len();
@@ -305,74 +342,88 @@ pub trait Buf {
         self.advance(n);
     }
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
         b[0]
     }
 
+    #[inline]
     fn get_i8(&mut self) -> i8 {
         self.get_u8() as i8
     }
 
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         let mut b = [0u8; 2];
         self.copy_to_slice(&mut b);
         u16::from_be_bytes(b)
     }
 
+    #[inline]
     fn get_u16_le(&mut self) -> u16 {
         let mut b = [0u8; 2];
         self.copy_to_slice(&mut b);
         u16::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
         u32::from_be_bytes(b)
     }
 
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
         u32::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
         u64::from_be_bytes(b)
     }
 
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
         u64::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_u128_le(&mut self) -> u128 {
         let mut b = [0u8; 16];
         self.copy_to_slice(&mut b);
         u128::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_i64(&mut self) -> i64 {
         self.get_u64() as i64
     }
 
+    #[inline]
     fn get_i64_le(&mut self) -> i64 {
         self.get_u64_le() as i64
     }
 
+    #[inline]
     fn get_f64(&mut self) -> f64 {
         f64::from_bits(self.get_u64())
     }
 
+    #[inline]
     fn get_f64_le(&mut self) -> f64 {
         f64::from_bits(self.get_u64_le())
     }
 
+    #[inline]
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         let mut v = vec![0u8; len];
         self.copy_to_slice(&mut v);
@@ -381,14 +432,17 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of Bytes");
         self.start += n;
@@ -396,14 +450,17 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         *self = &self[n..];
     }
@@ -414,66 +471,81 @@ impl Buf for &[u8] {
 pub trait BufMut {
     fn put_slice(&mut self, s: &[u8]);
 
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
+    #[inline]
     fn put_i8(&mut self, v: i8) {
         self.put_u8(v as u8);
     }
 
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u128_le(&mut self, v: u128) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_i64(&mut self, v: i64) {
         self.put_u64(v as u64);
     }
 
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.put_u64_le(v as u64);
     }
 
+    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.put_u64_le(v.to_bits());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.vec.extend_from_slice(s);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
     }

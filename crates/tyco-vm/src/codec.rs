@@ -445,7 +445,7 @@ fn put_str(buf: &mut BytesMut, s: &str) {
 
 /// Read a length-prefixed UTF-8 string and make `T` of it.
 #[inline]
-fn get_str_as<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> R<T> {
+fn get_str_as<T>(buf: &mut impl Buf, make: impl FnOnce(&str) -> T) -> R<T> {
     if buf.remaining() < 4 {
         return err("truncated string length");
     }
@@ -460,7 +460,7 @@ fn get_str_as<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> R<T> {
     Ok(v)
 }
 
-fn get_str(buf: &mut Bytes) -> R<String> {
+fn get_str(buf: &mut impl Buf) -> R<String> {
     get_str_as(buf, str::to_owned)
 }
 
@@ -626,36 +626,40 @@ struct_fields! {
 
 /// An instruction is its wire opcode, then its operands in declared order
 /// (see [`crate::program`]), each encoded by its kind alone. A fused form
-/// has no wire code: callers normalize first.
-fn put_instr(buf: &mut BytesMut, ins: &Instr) {
+/// has no wire code: callers expand it first ([`crate::fuse::expand`]).
+#[inline]
+pub(crate) fn put_instr(buf: &mut BytesMut, ins: &Instr) {
     debug_assert!(!ins.is_fused(), "fused forms have no encoding: {ins:?}");
     let mut ins = *ins;
     buf.put_u8(ins.op_index() as u8);
-    ins.each_operand(|o| match o {
-        Operand::Slot(v) | Operand::U16(v) => buf.put_u16_le(*v),
-        Operand::U8(v) | Operand::Sibling(v) => buf.put_u8(*v),
-        Operand::Int(v) => buf.put_i64_le(*v),
-        Operand::Imm(v) => buf.put_slice(&v.to_le_bytes()),
-        Operand::Float(v) => buf.put_u64_le(v.to_bits()),
-        Operand::Bool(v) | Operand::Newline(v) => buf.put_u8(*v as u8),
-        Operand::Str(v)
-        | Operand::Label(v)
-        | Operand::Block(v)
-        | Operand::Table(v)
-        | Operand::Target(v) => buf.put_u32_le(*v),
-        Operand::BinOp(v) => buf.put_u8(*v as u8),
-        Operand::UnOp(v) => buf.put_u8(*v as u8),
-        Operand::ImportKind(v) => buf.put_u8(*v as u8),
-    });
+    ins.each_operand(
+        #[inline(always)]
+        |o| match o {
+            Operand::Slot(v) | Operand::U16(v) => buf.put_u16_le(*v),
+            Operand::U8(v) | Operand::Sibling(v) => buf.put_u8(*v),
+            Operand::Int(v) => buf.put_i64_le(*v),
+            Operand::Imm(v) => buf.put_slice(&v.to_le_bytes()),
+            Operand::Float(v) => buf.put_u64_le(v.to_bits()),
+            Operand::Bool(v) | Operand::Newline(v) => buf.put_u8(*v as u8),
+            Operand::Str(v)
+            | Operand::Label(v)
+            | Operand::Block(v)
+            | Operand::Table(v)
+            | Operand::Target(v) => buf.put_u32_le(*v),
+            Operand::BinOp(v) => buf.put_u8(*v as u8),
+            Operand::UnOp(v) => buf.put_u8(*v as u8),
+            Operand::ImportKind(v) => buf.put_u8(*v as u8),
+        },
+    );
 }
 
 /// The next `N` bytes of an operand.
 #[inline(always)]
-fn operand_bytes<const N: usize>(buf: &mut Bytes) -> R<[u8; N]> {
-    let Some(&b) = buf.chunk().first_chunk::<N>() else {
+fn operand_bytes<const N: usize>(buf: &mut &[u8]) -> R<[u8; N]> {
+    let Some((&b, rest)) = buf.split_first_chunk::<N>() else {
         return err("truncated operand");
     };
-    buf.advance(N);
+    *buf = rest;
     Ok(b)
 }
 
@@ -663,7 +667,8 @@ fn operand_bytes<const N: usize>(buf: &mut Bytes) -> R<[u8; N]> {
 /// value the caller then copies, saves a store-forwarding stall per
 /// instruction: the operands are stored piecewise, the copy reads them
 /// back whole.
-fn get_instr(buf: &mut Bytes, ins: &mut Instr) -> R<()> {
+#[inline]
+fn get_instr(buf: &mut &[u8], ins: &mut Instr) -> R<()> {
     if !buf.has_remaining() {
         return err("truncated instruction");
     }
@@ -672,60 +677,79 @@ fn get_instr(buf: &mut Bytes, ins: &mut Instr) -> R<()> {
         Some(template) => template,
         None => return err(format!("bad opcode {opcode}")),
     };
-    ins.operands(|o| {
-        match o {
-            Operand::Slot(v) | Operand::U16(v) => *v = u16::from_le_bytes(operand_bytes(buf)?),
-            Operand::U8(v) | Operand::Sibling(v) => *v = operand_bytes::<1>(buf)?[0],
-            Operand::Int(v) => *v = i64::from_le_bytes(operand_bytes(buf)?),
-            Operand::Imm(v) => *v = i32::from_le_bytes(operand_bytes(buf)?),
-            Operand::Float(v) => *v = f64::from_le_bytes(operand_bytes(buf)?),
-            Operand::Bool(v) | Operand::Newline(v) => {
-                *v = by_code(operand_bytes::<1>(buf)?[0], &BOOLS, "bool")?
+    ins.operands(
+        #[inline(always)]
+        |o| {
+            match o {
+                Operand::Slot(v) | Operand::U16(v) => *v = u16::from_le_bytes(operand_bytes(buf)?),
+                Operand::U8(v) | Operand::Sibling(v) => *v = operand_bytes::<1>(buf)?[0],
+                Operand::Int(v) => *v = i64::from_le_bytes(operand_bytes(buf)?),
+                Operand::Imm(v) => *v = i32::from_le_bytes(operand_bytes(buf)?),
+                Operand::Float(v) => *v = f64::from_le_bytes(operand_bytes(buf)?),
+                Operand::Bool(v) | Operand::Newline(v) => {
+                    *v = by_code(operand_bytes::<1>(buf)?[0], &BOOLS, "bool")?
+                }
+                Operand::Str(v)
+                | Operand::Label(v)
+                | Operand::Block(v)
+                | Operand::Table(v)
+                | Operand::Target(v) => *v = u32::from_le_bytes(operand_bytes(buf)?),
+                Operand::BinOp(v) => *v = by_code(operand_bytes::<1>(buf)?[0], &BINOPS, "binop")?,
+                Operand::UnOp(v) => *v = by_code(operand_bytes::<1>(buf)?[0], &UNOPS, "unop")?,
+                Operand::ImportKind(v) => {
+                    *v = by_code(operand_bytes::<1>(buf)?[0], &IMPORT_KINDS, "import kind")?
+                }
             }
-            Operand::Str(v)
-            | Operand::Label(v)
-            | Operand::Block(v)
-            | Operand::Table(v)
-            | Operand::Target(v) => *v = u32::from_le_bytes(operand_bytes(buf)?),
-            Operand::BinOp(v) => *v = by_code(operand_bytes::<1>(buf)?[0], &BINOPS, "binop")?,
-            Operand::UnOp(v) => *v = by_code(operand_bytes::<1>(buf)?[0], &UNOPS, "unop")?,
-            Operand::ImportKind(v) => {
-                *v = by_code(operand_bytes::<1>(buf)?[0], &IMPORT_KINDS, "import kind")?
-            }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
 }
 
 // -- code bundles -------------------------------------------------------------------
 
+/// A code bundle: four counted sections, blocks, tables, labels and
+/// strings. [`crate::wire::pack`] writes the same layout straight from a
+/// program, through the section writers below.
 pub(crate) fn put_parts(buf: &mut BytesMut, code: &CodeParts) {
     buf.put_u32_le(code.blocks.len() as u32);
     for b in &code.blocks {
-        put_str(buf, &b.name);
-        buf.put_u16_le(b.nfree);
-        buf.put_u16_le(b.nparams);
-        buf.put_u16_le(b.nlocals);
-        buf.put_u8(b.is_class_body as u8);
-        buf.put_u32_le(b.code.len() as u32);
+        put_block_head(buf, b, b.code.len());
         for ins in b.code.iter() {
             put_instr(buf, ins);
         }
     }
     buf.put_u32_le(code.tables.len() as u32);
     for t in &code.tables {
-        buf.put_u32_le(t.len() as u32);
-        for (l, b) in t {
-            buf.put_u32_le(*l);
-            buf.put_u32_le(*b);
-        }
+        put_table(buf, t.iter().copied());
     }
-    buf.put_u32_le(code.labels.len() as u32);
-    for l in &code.labels {
-        put_str(buf, l);
+    put_strs(buf, code.labels.iter().map(String::as_str));
+    put_strs(buf, code.strings.iter().map(String::as_str));
+}
+
+/// A block's header, for a block of `len` wire instructions; its
+/// instructions follow.
+pub(crate) fn put_block_head(buf: &mut BytesMut, b: &Block, len: usize) {
+    put_str(buf, &b.name);
+    buf.put_u16_le(b.nfree);
+    buf.put_u16_le(b.nparams);
+    buf.put_u16_le(b.nlocals);
+    buf.put_u8(b.is_class_body as u8);
+    buf.put_u32_le(len as u32);
+}
+
+/// A method table: its count, then (label, block) per entry.
+pub(crate) fn put_table(buf: &mut BytesMut, entries: impl ExactSizeIterator<Item = (u32, u32)>) {
+    buf.put_u32_le(entries.len() as u32);
+    for (l, b) in entries {
+        buf.put_u32_le(l);
+        buf.put_u32_le(b);
     }
-    buf.put_u32_le(code.strings.len() as u32);
-    for s in &code.strings {
+}
+
+/// A symbol section: its count, then each string.
+pub(crate) fn put_strs<'a>(buf: &mut BytesMut, items: impl ExactSizeIterator<Item = &'a str>) {
+    buf.put_u32_le(items.len() as u32);
+    for s in items {
         put_str(buf, s);
     }
 }
@@ -775,13 +799,15 @@ fn unpinned(view: Bytes) -> Bytes {
 /// image's canonical encoding. The image may be kept long after its
 /// frame, so the span is [`unpinned`].
 pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
-    let start = buf.clone();
-    let parts = get_parts(buf)?;
-    let span = start.slice(0..start.len() - buf.len());
+    let mut rest: &[u8] = buf;
+    let parts = get_parts(&mut rest)?;
+    let span = buf.split_to(buf.len() - rest.len());
     Ok(WireCode::from_bytes(unpinned(span), Some(parts)))
 }
 
-pub(crate) fn get_parts(buf: &mut Bytes) -> R<CodeParts> {
+/// Decode a code bundle from the front of `buf`, a plain slice cursor:
+/// no field of an image needs the refcounted view it arrived in.
+pub(crate) fn get_parts(buf: &mut &[u8]) -> R<CodeParts> {
     macro_rules! count {
         () => {{
             if buf.remaining() < 4 {
@@ -1033,6 +1059,27 @@ mod tests {
     /// size; one that is most of the accumulator stays a view of it.
     #[test]
     fn a_small_kept_image_does_not_pin_its_read_accumulator() {
+        let (small, digest, _) = kept_image(256 * 1024);
+        let bytes = small.bytes();
+        assert!(
+            bytes.backing_capacity() <= PIN_DENOM * bytes.len(),
+            "{} bytes kept pin {}",
+            bytes.len(),
+            bytes.backing_capacity()
+        );
+        assert_eq!(code_digest(&small), digest);
+        let (whole, _, framed) = kept_image(0);
+        assert_eq!(
+            whole.bytes().backing_capacity(),
+            framed,
+            "zero-copy when the image is most of its buffer"
+        );
+    }
+
+    /// A small image, decoded out of a read accumulator of `capacity`
+    /// bytes (at least its own frame) as a transport reader decodes it;
+    /// with the digest it was shipped under and the frame's length.
+    fn kept_image(capacity: usize) -> (WireCode, Digest, usize) {
         let prog = compile(&parse_core("def K(a) = print(a) in K[1]").unwrap()).unwrap();
         let code = wire::pack(&prog, &[0]).code;
         let digest = code_digest(&code);
@@ -1042,31 +1089,37 @@ mod tests {
             code,
         };
         let framed = encode(&p).len() + 12;
-        let kept = |capacity: usize| {
-            let mut acc = BytesMut::with_capacity(capacity);
-            encode_framed_into(NodeId(1), NodeId(0), &p, &mut acc);
-            let acc = acc.freeze();
-            let (frame, _) = decode_frame_view(&acc).unwrap().unwrap();
-            match decode(frame.payload).unwrap() {
-                Packet::HaveCode { code, .. } => code,
-                other => panic!("unexpected {other:?}"),
-            }
-        };
-        let small = kept(256 * 1024);
-        let bytes = small.bytes();
-        assert!(
-            bytes.backing_capacity() <= PIN_DENOM * bytes.len(),
-            "{} bytes kept pin {}",
-            bytes.len(),
-            bytes.backing_capacity()
-        );
-        assert_eq!(code_digest(&small), digest);
-        let whole = kept(framed);
+        let mut acc = BytesMut::with_capacity(capacity.max(framed));
+        encode_framed_into(NodeId(1), NodeId(0), &p, &mut acc);
+        let acc = acc.freeze();
+        let (frame, _) = decode_frame_view(&acc).unwrap().unwrap();
+        match decode(frame.payload).unwrap() {
+            Packet::HaveCode { code, .. } => (code, digest, framed),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A daemon stores a received image `detached`, and that copies it
+    /// out of its frame once at most: an image the decoder already
+    /// copied out is stored as it is, one kept as a view into a bigger
+    /// buffer is copied into an allocation of its own.
+    #[test]
+    fn a_stored_image_is_copied_out_of_its_frame_once() {
+        let (small, _, _) = kept_image(256 * 1024);
+        assert_eq!(small.bytes().backing_capacity(), small.bytes().len());
+        let stored = small.detached();
         assert_eq!(
-            whole.bytes().backing_capacity(),
-            framed,
-            "zero-copy when the image is most of its buffer"
+            stored.bytes().as_ptr(),
+            small.bytes().as_ptr(),
+            "no second copy"
         );
+
+        let (view, _, framed) = kept_image(0);
+        assert!(view.bytes().len() < framed, "a view into its frame");
+        let stored = view.detached();
+        assert_ne!(stored.bytes().as_ptr(), view.bytes().as_ptr(), "copied out");
+        assert_eq!(stored.bytes().backing_capacity(), stored.bytes().len());
+        assert_eq!(stored, view);
     }
 
     /// The instruction set's encodings, assembly and decoder messages,
@@ -1229,7 +1282,7 @@ mod tests {
             put_instr(&mut buf, ins);
             let bytes = buf.freeze();
             for cut in 0..bytes.len() {
-                let got = get_instr(&mut bytes.slice(0..cut), &mut Instr::Halt)
+                let got = get_instr(&mut &bytes[..cut], &mut Instr::Halt)
                     .unwrap_err()
                     .0;
                 let want = ["truncated operand", "truncated instruction"][(cut == 0) as usize];

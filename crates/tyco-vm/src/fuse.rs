@@ -33,7 +33,7 @@
 //!   rather than panicking — the machine bounds-checks anyway.
 //! * The pass is idempotent: fused opcodes never start or end a new pair.
 
-use crate::program::{Block, Instr, Operand, Program};
+use crate::program::{Block, Instr, Operand, Program, Refers};
 use std::sync::Arc;
 
 /// The two base instructions a fused variant stands for, or `None` for base
@@ -59,6 +59,7 @@ pub fn expand(ins: &Instr) -> Option<[Instr; 2]> {
 }
 
 /// Fuse one adjacent pair, if it matches a profitable digram.
+#[inline(always)]
 fn try_fuse(a: &Instr, b: &Instr) -> Option<Instr> {
     Some(match (a, b) {
         (Instr::PushLocal(a), Instr::PushLocal(b)) => Instr::PushLocal2 { a: *a, b: *b },
@@ -103,11 +104,46 @@ fn try_fuse(a: &Instr, b: &Instr) -> Option<Instr> {
 /// Fuse a block's code. Returns `None` when nothing fused (keep the
 /// original `Arc` — no copy).
 pub fn fuse_code(code: &[Instr]) -> Option<Arc<[Instr]>> {
-    let len = code.len();
+    let mut scratch = Scratch::default();
+    map_and_fuse(code, |ins| ins, &mut scratch).then(|| scratch.out[..].into())
+}
+
+/// Buffers a fusing pass reuses from one block to the next.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Per instruction of the input block: does a jump land on it?
+    is_target: Vec<bool>,
+    /// Per instruction of the input block, then its end: the index in
+    /// `out` of the instruction that starts there.
+    old_to_new: Vec<u32>,
+    /// The pass's output.
+    pub(crate) out: Vec<Instr>,
+}
+
+/// One pass over `code`: instructions are paired greedily left to right
+/// into `scratch.out`, each output instruction through `map` (a linker's
+/// relocation: fusion reads no id, so relocating a fused form is fusing
+/// the relocated pair). Returns whether anything fused; jump targets are
+/// remapped only then, so code that does not fuse comes out as `map` left
+/// it.
+#[inline]
+pub(crate) fn map_and_fuse(
+    code: &[Instr],
+    mut map: impl FnMut(Instr) -> Instr,
+    scratch: &mut Scratch,
+) -> bool {
+    let Scratch {
+        is_target,
+        old_to_new,
+        out,
+    } = scratch;
     // Incoming-edge map: an instruction that is a jump target must start an
-    // instruction (can't be swallowed as the second half of a pair).
-    let mut is_target = vec![false; len];
-    for mut ins in code.iter().copied() {
+    // instruction (can't be swallowed as the second half of a pair). It
+    // stays empty for a block without jumps, which then needs no target
+    // remap either.
+    is_target.clear();
+    for mut ins in code.iter().copied().filter(|i| i.refers(Refers::Target)) {
+        is_target.resize(code.len(), false);
         ins.each_operand(|o| {
             if let Operand::Target(t) = o {
                 if let Some(target) = is_target.get_mut(*t as usize) {
@@ -116,35 +152,41 @@ pub fn fuse_code(code: &[Instr]) -> Option<Arc<[Instr]>> {
             }
         });
     }
+    let jumps = !is_target.is_empty();
 
     // Greedy left-to-right pairing. old_to_new[i] = index in the fused
     // stream of the instruction that *starts at* old pc i (second halves
     // map to the fused instruction containing them, which is fine: nothing
     // may jump there).
-    let mut out: Vec<Instr> = Vec::with_capacity(len);
-    let mut old_to_new = vec![0u32; len + 1];
-    let mut i = 0usize;
+    out.clear();
+    out.reserve(code.len());
+    old_to_new.clear();
     let mut fused_any = false;
-    while i < len {
-        old_to_new[i] = out.len() as u32;
-        if i + 1 < len && !is_target[i + 1] && !code[i].is_fused() && !code[i + 1].is_fused() {
-            if let Some(f) = try_fuse(&code[i], &code[i + 1]) {
-                old_to_new[i + 1] = out.len() as u32;
-                out.push(f);
-                fused_any = true;
-                i += 2;
-                continue;
-            }
+    let mut i = 0;
+    while i < code.len() {
+        if jumps {
+            old_to_new.push(out.len() as u32);
         }
-        out.push(code[i]);
-        i += 1;
+        let pair = (code.get(i + 1))
+            .filter(|_| is_target.get(i + 1) != Some(&true))
+            .and_then(|b| try_fuse(&code[i], b));
+        if let Some(f) = pair {
+            if jumps {
+                old_to_new.push(out.len() as u32);
+            }
+            out.push(map(f));
+            fused_any = true;
+            i += 2;
+        } else {
+            out.push(map(code[i]));
+            i += 1;
+        }
     }
-    if !fused_any {
-        return None;
+    if fused_any && jumps {
+        old_to_new.push(out.len() as u32);
+        remap_targets(out, old_to_new);
     }
-    old_to_new[len] = out.len() as u32;
-    remap_targets(&mut out, &old_to_new);
-    Some(out.into())
+    fused_any
 }
 
 /// Remap jump targets into the new index space through `old_to_new`
@@ -153,13 +195,18 @@ pub fn fuse_code(code: &[Instr]) -> Option<Arc<[Instr]>> {
 /// code) clamp to the new end — same halt behaviour, no panic.
 fn remap_targets(code: &mut [Instr], old_to_new: &[u32]) {
     let new_len = code.len() as u32;
-    for ins in code {
+    for ins in code.iter_mut().filter(|i| i.refers(Refers::Target)) {
         ins.each_operand(|o| {
             if let Operand::Target(t) = o {
-                *t = old_to_new.get(*t as usize).copied().unwrap_or(new_len);
+                *t = remap_target(old_to_new, *t, new_len);
             }
         });
     }
+}
+
+/// `t` through `old_to_new`, clamped to `new_len` when out of range.
+pub(crate) fn remap_target(old_to_new: &[u32], t: u32, new_len: u32) -> u32 {
+    old_to_new.get(t as usize).copied().unwrap_or(new_len)
 }
 
 /// Normalize: expand every fused instruction back to its base pair and

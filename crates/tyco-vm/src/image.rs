@@ -68,9 +68,10 @@ pub fn from_bytes(mut bytes: Bytes) -> Result<Program, CodecError> {
         return Err(CodecError(format!("unsupported image version {version}")));
     }
     let entry = bytes.get_u32_le();
-    let code = codec::get_parts(&mut bytes)?;
-    if bytes.has_remaining() {
-        return Err(CodecError(format!("{} trailing bytes", bytes.remaining())));
+    let mut rest: &[u8] = &bytes;
+    let code = codec::get_parts(&mut rest)?;
+    if !rest.is_empty() {
+        return Err(CodecError(format!("{} trailing bytes", rest.len())));
     }
     let mut prog = Program {
         entry,

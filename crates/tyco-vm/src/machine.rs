@@ -880,11 +880,9 @@ impl<P: NetPort> Machine<P> {
         // * blocks are never removed, and `program.blocks` growing (dynamic
         //   linking inside this very loop) moves the `Block` structs, not
         //   the heap data their `Arc<[Instr]>`s point to;
-        // * the only in-place rewrite of a block's code is
-        //   `fuse_blocks_from`, which exclusively touches blocks appended
-        //   by the `link_trusted` call immediately preceding it — and a
-        //   thread can only be executing a block that existed before it was
-        //   spawned, hence before that link.
+        // * no block's code is rewritten once it is in the program: dynamic
+        //   linking (`wire::link_into`) relocates and fuses a block before
+        //   it appends it.
         let code: &[Instr] = {
             let c = &self.program.blocks[t.block as usize].code;
             unsafe { std::slice::from_raw_parts(c.as_ptr(), c.len()) }
@@ -1576,12 +1574,8 @@ impl<P: NetPort> Machine<P> {
     /// transport reader), or never crossed a trust boundary (same-process
     /// delivery), so linking skips the verifier pass.
     fn link_group(&mut self, group: &WireGroup, index: u8) -> Result<ClassRefW, VmError> {
-        let nb = self.program.blocks.len();
-        let lm: LinkMap = wire::link_trusted(&mut self.program, &group.code);
-        if self.fuse_enabled {
-            // Mobile code gets the same superinstruction pass as boot code.
-            crate::fuse::fuse_blocks_from(&mut self.program, nb);
-        }
+        // Mobile code gets the same superinstruction pass as boot code.
+        let lm: LinkMap = wire::link_into(&mut self.program, &group.code, self.fuse_enabled);
         let table = *lm
             .tables
             .get(group.table as usize)
@@ -1807,11 +1801,7 @@ impl<P: NetPort> Machine<P> {
     fn deliver_obj(&mut self, dest: u64, obj: WireObj) -> Result<(), VmError> {
         let c = self.arrived(dest)?;
         // Verify-once: screened at the node boundary (see `link_group`).
-        let nb = self.program.blocks.len();
-        let lm = wire::link_trusted(&mut self.program, &obj.code);
-        if self.fuse_enabled {
-            crate::fuse::fuse_blocks_from(&mut self.program, nb);
-        }
+        let lm = wire::link_into(&mut self.program, &obj.code, self.fuse_enabled);
         let table = *lm
             .tables
             .get(obj.table as usize)

@@ -65,11 +65,11 @@ const _: () = {
     assert!(UNOPS[1].0 as usize == 1 && IMPORT_KINDS[1].0 as usize == 1);
 };
 
-/// Declares [`Operand`] from one table of kinds, each with its Rust type
-/// and the value a decoder starts from, and the two mappings from a kind
-/// to those that `instruction_set!` uses.
+/// Declares [`Operand`] from one table of kinds, each with its Rust type,
+/// the value a decoder starts from, and what it refers to, and the three
+/// mappings from a kind to those that `instruction_set!` uses.
 macro_rules! operand_kinds {
-    ($($(#[$doc:meta])* $kind:ident($ty:ty) = $zero:expr,)*) => {
+    ($($(#[$doc:meta])* $kind:ident($ty:ty) = $zero:expr, $refers:ident,)*) => {
         /// One operand of an instruction, by kind, borrowed from it by
         /// [`Instr::operands`]. The kind says how the codec encodes the
         /// operand, how assembly spells it, and what it refers to.
@@ -84,40 +84,57 @@ macro_rules! operand_kinds {
         macro_rules! operand_zero {
             $(($kind) => { $zero };)*
         }
+
+        macro_rules! operand_refers {
+            $(($kind) => { Refers::$refers };)*
+        }
     };
+}
+
+/// What an operand kind refers to, as a bit of an opcode's
+/// [`Instr::refers`] mask.
+#[derive(Clone, Copy)]
+pub(crate) enum Refers {
+    /// A plain value.
+    Nothing = 0,
+    /// An id that packing and linking relocate: a pool entry or a block
+    /// or table of the same image.
+    Id = 1,
+    /// A jump target inside the block, which fusion remaps.
+    Target = 2,
 }
 
 operand_kinds! {
     /// A frame slot: inside the block's register window.
-    Slot(u16) = 0,
-    U8(u8) = 0,
-    U16(u16) = 0,
-    Int(i64) = 0,
+    Slot(u16) = 0, Nothing,
+    U8(u8) = 0, Nothing,
+    U16(u16) = 0, Nothing,
+    Int(i64) = 0, Nothing,
     /// A fused form's narrowed integer immediate.
-    Imm(i32) = 0,
+    Imm(i32) = 0, Nothing,
     /// Encoded and spelled as its IEEE-754 bits.
-    Float(f64) = 0.0,
-    Bool(bool) = false,
+    Float(f64) = 0.0, Nothing,
+    Bool(bool) = false, Nothing,
     /// A string-pool id, spelled as the quoted string.
-    Str(StrId) = 0,
+    Str(StrId) = 0, Id,
     /// A label-pool id, spelled as the bare label.
-    Label(LabelId) = 0,
+    Label(LabelId) = 0, Id,
     /// A block of the same image.
-    Block(BlockId) = 0,
+    Block(BlockId) = 0, Id,
     /// A method table of the same image.
-    Table(TableId) = 0,
+    Table(TableId) = 0, Id,
     /// A jump target: an instruction index within the block.
-    Target(u32) = 0,
+    Target(u32) = 0, Target,
     /// An index into the executing class's group.
-    Sibling(u8) = 0,
+    Sibling(u8) = 0, Nothing,
     /// Encoded and spelled by [`BINOPS`].
-    BinOp(BinOp) = BinOp::Add,
+    BinOp(BinOp) = BinOp::Add, Nothing,
     /// Encoded and spelled by [`UNOPS`].
-    UnOp(UnOp) = UnOp::Neg,
+    UnOp(UnOp) = UnOp::Neg, Nothing,
     /// Encoded and spelled by [`IMPORT_KINDS`].
-    ImportKind(ImportKind) = ImportKind::Name,
+    ImportKind(ImportKind) = ImportKind::Name, Nothing,
     /// Encoded and spelled by [`NEWLINES`].
-    Newline(bool) = false,
+    Newline(bool) = false, Nothing,
 }
 
 /// Declares [`Instr`] from one table. A row is a variant with its
@@ -150,6 +167,11 @@ macro_rules! instruction_set {
 
         /// Opcode names, indexed by [`Instr::op_index`].
         pub const OP_NAMES: [&str; NUM_OPS] = [$($name),*];
+
+        /// Per opcode, the [`Refers`] bits of its operands OR-ed together.
+        const REFERS: [u8; NUM_OPS] = [$(
+            0 $(| operand_refers!($kind) as u8)? $($(| operand_refers!($fkind) as u8)*)?
+        ),*];
 
         impl Instr {
             /// Dense opcode index for telemetry tables, stable across
@@ -309,13 +331,24 @@ impl Instr {
         self.op_index() >= NUM_BASE
     }
 
+    /// True when an operand is of a kind that refers to `what`: packing
+    /// and linking visit the operands of an instruction that carries an
+    /// [`Refers::Id`] and copy any other as it is.
+    #[inline(always)]
+    pub(crate) fn refers(&self, what: Refers) -> bool {
+        REFERS[self.op_index()] & what as u8 != 0
+    }
+
     /// [`Instr::operands`] for a visitor that cannot fail.
     #[inline(always)]
     pub(crate) fn each_operand(&mut self, mut f: impl FnMut(Operand<'_>)) {
-        let Ok(()) = self.operands::<std::convert::Infallible>(|o| {
-            f(o);
-            Ok(())
-        });
+        let Ok(()) = self.operands::<std::convert::Infallible>(
+            #[inline(always)]
+            |o| {
+                f(o);
+                Ok(())
+            },
+        );
     }
 
     /// Human-readable opcode name for a telemetry index.
@@ -435,45 +468,36 @@ impl Program {
         self.blocks.iter().map(|b| b.code.len()).sum()
     }
 
-    /// The block ids directly referenced by a block's code.
-    pub fn direct_refs(&self, block: BlockId) -> (Vec<BlockId>, Vec<TableId>) {
-        let mut blocks = Vec::new();
-        let mut tables = Vec::new();
-        for mut ins in self.blocks[block as usize].code.iter().copied() {
-            ins.each_operand(|o| match o {
-                Operand::Block(b) => blocks.push(*b),
-                Operand::Table(t) => tables.push(*t),
-                _ => {}
-            });
-        }
-        (blocks, tables)
-    }
-
     /// Transitive closure of blocks and tables reachable from `roots`
-    /// (the unit shipped by SHIPO/FETCH).
+    /// (the unit shipped by SHIPO/FETCH), each list sorted.
     pub fn closure(&self, root_blocks: &[BlockId], root_tables: &[TableId]) -> Closure {
+        let mut seen_b = vec![false; self.blocks.len()];
+        let mut seen_t = vec![false; self.tables.len()];
         let mut blocks: Vec<BlockId> = Vec::new();
         let mut tables: Vec<TableId> = Vec::new();
         let mut stack_b: Vec<BlockId> = root_blocks.to_vec();
         let mut stack_t: Vec<TableId> = root_tables.to_vec();
         while !stack_b.is_empty() || !stack_t.is_empty() {
             while let Some(b) = stack_b.pop() {
-                if blocks.contains(&b) {
+                if std::mem::replace(&mut seen_b[b as usize], true) {
                     continue;
                 }
                 blocks.push(b);
-                let (bs, ts) = self.direct_refs(b);
-                stack_b.extend(bs);
-                stack_t.extend(ts);
+                let code = &self.blocks[b as usize].code;
+                for mut ins in code.iter().copied().filter(|i| i.refers(Refers::Id)) {
+                    ins.each_operand(|o| match o {
+                        Operand::Block(b) => stack_b.push(*b),
+                        Operand::Table(t) => stack_t.push(*t),
+                        _ => {}
+                    });
+                }
             }
             while let Some(t) = stack_t.pop() {
-                if tables.contains(&t) {
+                if std::mem::replace(&mut seen_t[t as usize], true) {
                     continue;
                 }
                 tables.push(t);
-                for (_, b) in &self.tables[t as usize].entries {
-                    stack_b.push(*b);
-                }
+                stack_b.extend(self.tables[t as usize].entries.iter().map(|e| e.1));
             }
         }
         blocks.sort_unstable();
@@ -532,6 +556,35 @@ mod tests {
             Instr::PushSiblingLocal { sib: 0, slot: 0 }.op_index(),
             NUM_OPS - 1
         );
+    }
+
+    /// The generated mask agrees with the operands each opcode visits,
+    /// on every base form and every fused form a pair of them makes.
+    #[test]
+    fn the_refers_mask_matches_the_operand_kinds() {
+        let mut all: Vec<Instr> = BASE.to_vec();
+        for a in BASE {
+            for b in BASE {
+                all.extend(
+                    crate::fuse::fuse_code(&[*a, *b])
+                        .into_iter()
+                        .flat_map(|f| f.to_vec()),
+                );
+            }
+        }
+        assert!(all.iter().filter(|i| i.is_fused()).count() >= NUM_OPS - NUM_BASE);
+        for mut ins in all {
+            let (mut id, mut target) = (false, false);
+            ins.each_operand(|o| match o {
+                Operand::Str(_) | Operand::Label(_) | Operand::Block(_) | Operand::Table(_) => {
+                    id = true
+                }
+                Operand::Target(_) => target = true,
+                _ => {}
+            });
+            assert_eq!(ins.refers(Refers::Id), id, "{ins:?}");
+            assert_eq!(ins.refers(Refers::Target), target, "{ins:?}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::digest::Digest;
 use crate::program::*;
 use crate::word::NetRef;
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
@@ -210,12 +210,19 @@ impl WireCode {
         self.digest
     }
 
-    /// The same image holding its own copy of its bytes. A decoded
-    /// image's bytes are a view into the frame it arrived in; a copy kept
-    /// for long pins only itself.
+    /// The same image pinning only its own bytes. A decoded image's
+    /// bytes may be a view into the frame it arrived in; such a view is
+    /// copied out, so a copy kept for long pins only itself. Bytes that
+    /// already fill their allocation (the decoder's own copy of a small
+    /// span, see `codec::get_code`) are shared, not copied again.
     pub fn detached(&self) -> WireCode {
+        let bytes = if self.bytes.len() < self.bytes.backing_capacity() {
+            Bytes::copy_from_slice(&self.bytes)
+        } else {
+            self.bytes.clone()
+        };
         WireCode {
-            bytes: Bytes::copy_from_slice(&self.bytes),
+            bytes,
             digest: self.digest,
             parts: self.parts.clone(),
         }
@@ -233,7 +240,7 @@ impl Deref for WireCode {
 
     fn deref(&self) -> &CodeParts {
         self.parts.get_or_init(|| {
-            let parts = crate::codec::get_parts(&mut self.bytes.clone());
+            let parts = crate::codec::get_parts(&mut &self.bytes[..]);
             Arc::new(parts.expect("an image's own bytes decode"))
         })
     }
@@ -288,87 +295,112 @@ pub struct Packed {
     pub table_map: HashMap<TableId, u32>,
 }
 
-/// Package the transitive closure of `root_tables` from `prog`.
+/// Package the transitive closure of `root_tables` from `prog`, writing
+/// the image's bytes in one pass over its blocks.
+///
+/// Packet-relative ids: a block or table is numbered by its place in the
+/// sorted closure, a label or string by its first use (blocks in order,
+/// then tables). Fused superinstructions (see [`crate::fuse`]) never go
+/// on the wire: each is written as the base pair it stands for, with the
+/// block's jump targets moved to match, so the bytes and their digest are
+/// those of the unfused program.
 pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
+    const NONE: u32 = u32::MAX;
     let closure = prog.closure(&[], root_tables);
-    let mut block_map: HashMap<BlockId, u32> = HashMap::new();
-    for (i, b) in closure.blocks.iter().enumerate() {
-        block_map.insert(*b, i as u32);
-    }
-    let mut table_map: HashMap<TableId, u32> = HashMap::new();
-    for (i, t) in closure.tables.iter().enumerate() {
-        table_map.insert(*t, i as u32);
-    }
-    let mut labels: Vec<String> = Vec::new();
-    let mut label_map: HashMap<LabelId, u32> = HashMap::new();
-    let mut strings: Vec<String> = Vec::new();
-    let mut string_map: HashMap<StrId, u32> = HashMap::new();
-    // Packet-relative symbol ids, in order of first use.
-    fn remap(pool: &Pool, out: &mut Vec<String>, map: &mut HashMap<u32, u32>, id: u32) -> u32 {
-        *map.entry(id).or_insert_with(|| {
-            out.push(pool.get(id).to_string());
-            (out.len() - 1) as u32
-        })
+    let packet_id = |ids: &[u32], id: u32| {
+        ids.binary_search(&id)
+            .expect("the closure holds every id its code names") as u32
+    };
+    // Pool id → packet id, and the pool ids in packet order.
+    let mut pool_map = vec![NONE; prog.labels.len() + prog.strings.len()];
+    let (label_map, string_map) = pool_map.split_at_mut(prog.labels.len());
+    let (mut labels, mut strings) = (Vec::new(), Vec::new());
+    fn first_use(map: &mut [u32], order: &mut Vec<u32>, id: u32) -> u32 {
+        let slot = &mut map[id as usize];
+        if *slot == NONE {
+            *slot = order.len() as u32;
+            order.push(id);
+        }
+        *slot
     }
 
-    let mut blocks = Vec::with_capacity(closure.blocks.len());
-    for &bid in &closure.blocks {
-        let src = &prog.blocks[bid as usize];
-        // Fused superinstructions (see `crate::fuse`) never go on the wire:
-        // ship the normalized form so the frozen opcode set and the content
-        // digests computed from these bytes stay fusion-independent.
-        let normalized = crate::fuse::unfuse_code(&src.code);
-        let src_code: &[Instr] = normalized.as_deref().unwrap_or(&src.code);
-        let code = src_code
-            .iter()
-            .copied()
-            .map(|mut ins| {
-                ins.each_operand(|o| match o {
-                    // By value: a key borrowed from `ins` would keep it
-                    // in memory for every instruction.
-                    Operand::Block(b) => *b = block_map[&{ *b }],
-                    Operand::Table(t) => *t = table_map[&{ *t }],
-                    Operand::Label(l) => *l = remap(&prog.labels, &mut labels, &mut label_map, *l),
-                    Operand::Str(s) => *s = remap(&prog.strings, &mut strings, &mut string_map, *s),
-                    _ => {}
-                });
-                ins
-            })
-            .collect();
-        blocks.push(Block {
-            name: src.name.clone(),
-            nfree: src.nfree,
-            nparams: src.nparams,
-            nlocals: src.nlocals,
-            is_class_body: src.is_class_body,
-            code,
-        });
-    }
-
-    let tables = closure
-        .tables
+    // Wire length of each block: a fused form is two instructions.
+    let lens: Vec<usize> = closure
+        .blocks
         .iter()
-        .map(|&tid| {
-            prog.tables[tid as usize]
-                .entries
-                .iter()
-                .map(|(l, b)| {
-                    let l = remap(&prog.labels, &mut labels, &mut label_map, *l);
-                    (l, block_map[b])
-                })
-                .collect()
+        .map(|&b| {
+            let code = &prog.blocks[b as usize].code;
+            code.len() + code.iter().filter(|i| i.is_fused()).count()
         })
         .collect();
-
-    let parts = CodeParts {
-        blocks,
-        tables,
-        labels,
-        strings,
-    };
+    let size: usize = closure
+        .blocks
+        .iter()
+        .zip(&lens)
+        .map(|(&b, len)| len * 6 + prog.blocks[b as usize].name.len() + 8)
+        .sum();
+    let mut buf = BytesMut::with_capacity(size + 64);
+    let mut old_to_new: Vec<u32> = Vec::new();
+    buf.put_u32_le(closure.blocks.len() as u32);
+    for (&bid, &len) in closure.blocks.iter().zip(&lens) {
+        let src = &prog.blocks[bid as usize];
+        crate::codec::put_block_head(&mut buf, src, len);
+        // A fused block's jump targets move into the expanded index space.
+        let fused = len != src.code.len();
+        if fused {
+            old_to_new.clear();
+            let mut at = 0;
+            for ins in src.code.iter() {
+                old_to_new.push(at);
+                at += 1 + ins.is_fused() as u32;
+            }
+        }
+        let mut put = |mut ins: Instr| {
+            if ins.refers(Refers::Id) || fused && ins.refers(Refers::Target) {
+                ins.each_operand(
+                    #[inline(always)]
+                    |o| match o {
+                        Operand::Block(b) => *b = packet_id(&closure.blocks, *b),
+                        Operand::Table(t) => *t = packet_id(&closure.tables, *t),
+                        Operand::Label(l) => *l = first_use(label_map, &mut labels, *l),
+                        Operand::Str(s) => *s = first_use(string_map, &mut strings, *s),
+                        Operand::Target(t) if fused => {
+                            *t = crate::fuse::remap_target(&old_to_new, *t, len as u32)
+                        }
+                        _ => {}
+                    },
+                );
+            }
+            crate::codec::put_instr(&mut buf, &ins);
+        };
+        for &ins in src.code.iter() {
+            match crate::fuse::expand(&ins) {
+                Some([a, b]) => {
+                    put(a);
+                    put(b);
+                }
+                None => put(ins),
+            }
+        }
+    }
+    buf.put_u32_le(closure.tables.len() as u32);
+    for &tid in &closure.tables {
+        let entries = prog.tables[tid as usize].entries.iter().map(|&(l, b)| {
+            (
+                first_use(label_map, &mut labels, l),
+                packet_id(&closure.blocks, b),
+            )
+        });
+        crate::codec::put_table(&mut buf, entries);
+    }
+    crate::codec::put_strs(&mut buf, labels.iter().map(|&l| prog.labels.get(l)));
+    crate::codec::put_strs(&mut buf, strings.iter().map(|&s| prog.strings.get(s)));
     Packed {
-        code: WireCode::from_bytes(encode_parts(&parts), None),
-        table_map,
+        code: WireCode::from_bytes(buf.freeze(), None),
+        table_map: (closure.tables.iter())
+            .enumerate()
+            .map(|(i, &t)| (t, i as u32))
+            .collect(),
     }
 }
 
@@ -397,39 +429,48 @@ pub fn link(prog: &mut Program, code: &WireCode) -> Result<LinkMap, crate::verif
 /// node boundary (and re-verification of a content-addressed cache hit
 /// would be pure overhead), and same-process deliveries never crossed a
 /// trust boundary at all. Callers holding bytes of unknown provenance
-/// must use [`link`].
+/// must use [`link`]. The blocks are appended as they were shipped,
+/// unfused: [`link_into`] with `fuse` off.
 pub fn link_trusted(prog: &mut Program, code: &WireCode) -> LinkMap {
-    let label_ids: Vec<LabelId> = code.labels.iter().map(|l| prog.labels.intern(l)).collect();
-    let string_ids: Vec<StrId> = code
-        .strings
-        .iter()
-        .map(|s| prog.strings.intern(s))
-        .collect();
-    let base_block = prog.blocks.len() as BlockId;
-    let block_ids: Vec<BlockId> = (0..code.blocks.len() as u32)
-        .map(|i| base_block + i)
-        .collect();
-    let base_table = prog.tables.len() as TableId;
-    let table_ids: Vec<TableId> = (0..code.tables.len() as u32)
-        .map(|i| base_table + i)
-        .collect();
+    link_into(prog, code, false)
+}
 
-    for b in &code.blocks {
-        let code = b
-            .code
+/// [`link_trusted`], fusing each appended block as it is relocated when
+/// `fuse` is set, so mobile code gets the same superinstructions as boot
+/// code (see [`crate::fuse`]). One pass per block: each instruction is
+/// relocated and paired into one reused buffer, and the block's code is
+/// its one allocation.
+pub fn link_into(prog: &mut Program, code: &WireCode, fuse: bool) -> LinkMap {
+    let reloc = Relocation {
+        blocks: prog.blocks.len() as BlockId,
+        tables: prog.tables.len() as TableId,
+        labels: code.labels.iter().map(|l| prog.labels.intern(l)).collect(),
+        strings: code
+            .strings
             .iter()
-            .copied()
-            .map(|mut ins| {
-                ins.each_operand(|o| match o {
-                    Operand::Block(b) => *b += base_block,
-                    Operand::Table(t) => *t += base_table,
-                    Operand::Label(l) => *l = label_ids[*l as usize],
-                    Operand::Str(s) => *s = string_ids[*s as usize],
-                    _ => {}
-                });
-                ins
-            })
-            .collect();
+            .map(|s| prog.strings.intern(s))
+            .collect(),
+    };
+    let mut scratch = crate::fuse::Scratch::default();
+    prog.blocks.reserve(code.blocks.len());
+    for b in &code.blocks {
+        let code: Arc<[Instr]> = if fuse {
+            crate::fuse::map_and_fuse(
+                &b.code,
+                #[inline(always)]
+                |i| reloc.apply(i),
+                &mut scratch,
+            );
+            scratch.out[..].into()
+        } else {
+            b.code
+                .iter()
+                .map(
+                    #[inline(always)]
+                    |&i| reloc.apply(i),
+                )
+                .collect()
+        };
         prog.blocks.push(Block {
             name: format!("{}'", b.name),
             nfree: b.nfree,
@@ -442,15 +483,46 @@ pub fn link_trusted(prog: &mut Program, code: &WireCode) -> LinkMap {
     for t in &code.tables {
         let mut entries: Vec<(LabelId, BlockId)> = t
             .iter()
-            .map(|(l, b)| (label_ids[*l as usize], block_ids[*b as usize]))
+            .map(|(l, b)| (reloc.labels[*l as usize], reloc.blocks + b))
             .collect();
         entries.sort_unstable_by_key(|e| e.0);
         prog.tables.push(MethodTable { entries });
     }
 
     LinkMap {
-        blocks: block_ids,
-        tables: table_ids,
+        blocks: (reloc.blocks..prog.blocks.len() as BlockId).collect(),
+        tables: (reloc.tables..prog.tables.len() as TableId).collect(),
+    }
+}
+
+/// Packet-relative ids to the ids of the program an image is linked
+/// into: blocks and tables are appended after `blocks` and `tables`, and
+/// symbols are re-interned into its pools.
+struct Relocation {
+    blocks: BlockId,
+    tables: TableId,
+    labels: Vec<LabelId>,
+    strings: Vec<StrId>,
+}
+
+impl Relocation {
+    /// `ins` with its ids relocated; only an opcode that carries an id
+    /// visits its operands.
+    #[inline(always)]
+    fn apply(&self, mut ins: Instr) -> Instr {
+        if ins.refers(Refers::Id) {
+            ins.each_operand(
+                #[inline(always)]
+                |o| match o {
+                    Operand::Block(b) => *b += self.blocks,
+                    Operand::Table(t) => *t += self.tables,
+                    Operand::Label(l) => *l = self.labels[*l as usize],
+                    Operand::Str(s) => *s = self.strings[*s as usize],
+                    _ => {}
+                },
+            );
+        }
+        ins
     }
 }
 

@@ -77,6 +77,53 @@ proptest! {
             prop_assert_eq!(&back[..], &orig.code[..]);
         }
     }
+
+    /// `pack` expands fused pairs as it writes: the image of every table
+    /// of a fused program is byte for byte the image of its unfused twin,
+    /// and the decoded parts encode back to those bytes.
+    #[test]
+    fn pack_of_fused_code_is_the_bytes_of_its_unfused_twin(p in arb_closed_program()) {
+        let prog = compile(&p).expect("compiles");
+        let mut fused = prog.clone();
+        tyco_vm::fuse_program(&mut fused);
+        for t in 0..prog.tables.len() as u32 {
+            let plain = tyco_vm::pack(&prog, &[t]).code;
+            let packed = tyco_vm::pack(&fused, &[t]);
+            prop_assert_eq!(packed.code.bytes(), plain.bytes(), "table {}", t);
+            prop_assert_eq!(&packed.table_map, &tyco_vm::pack(&prog, &[t]).table_map);
+            let reencoded = tyco_vm::WireCode::new(tyco_vm::CodeParts::clone(&plain));
+            prop_assert_eq!(reencoded.bytes(), plain.bytes());
+        }
+    }
+
+    /// Linking relocates and fuses in one pass: instruction for
+    /// instruction what linking and then fusing the appended blocks
+    /// produced, into an empty program and into a warm one (the
+    /// exporter's own, so ids shift and symbols are already interned).
+    #[test]
+    fn one_pass_link_matches_link_then_fuse(p in arb_closed_program()) {
+        let prog = compile(&p).expect("compiles");
+        if prog.tables.is_empty() {
+            return Ok(());
+        }
+        let roots: Vec<u32> = (0..prog.tables.len() as u32).collect();
+        let code = tyco_vm::pack(&prog, &roots).code;
+        let mut warm = prog.clone();
+        tyco_vm::fuse_program(&mut warm);
+        for dest in [Program::default(), warm] {
+            let mut oracle = dest.clone();
+            let from = oracle.blocks.len();
+            let want = tyco_vm::link_trusted(&mut oracle, &code);
+            tyco_vm::fuse::fuse_blocks_from(&mut oracle, from);
+            let mut one_pass = dest.clone();
+            let got = tyco_vm::wire::link_into(&mut one_pass, &code, true);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&one_pass, &oracle);
+            let mut unfused = dest.clone();
+            prop_assert_eq!(tyco_vm::wire::link_into(&mut unfused, &code, false), want);
+            prop_assert!(unfused.blocks[from..].iter().all(|b| tyco_vm::unfuse_code(&b.code).is_none()));
+        }
+    }
 }
 
 // -- mutation testing ---------------------------------------------------------

@@ -519,9 +519,10 @@ impl NetPort for FetchNowPort {
 
 /// A thread links fetched code and then runs on through the rest of its
 /// own block, read from the code slice it pinned before the link (the
-/// SAFETY argument of `exec_thread_inner`): `link_trusted` appends
-/// blocks and `fuse_blocks_from` rewrites only those. A rewrite of the
-/// running block frees that slice, which AddressSanitizer reports here.
+/// SAFETY argument of `exec_thread_inner`): linking appends blocks it
+/// has already relocated and fused, and rewrites none in place. A
+/// rewrite of the running block frees that slice, which AddressSanitizer
+/// reports here.
 #[test]
 fn a_thread_runs_on_in_its_block_after_linking_fetched_code() {
     let lib =
