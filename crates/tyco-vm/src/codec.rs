@@ -669,10 +669,10 @@ fn operand_bytes<const N: usize>(buf: &mut &[u8]) -> R<[u8; N]> {
 /// back whole.
 #[inline]
 fn get_instr(buf: &mut &[u8], ins: &mut Instr) -> R<()> {
-    if !buf.has_remaining() {
+    let Some((&opcode, rest)) = buf.split_first() else {
         return err("truncated instruction");
-    }
-    let opcode = buf.get_u8();
+    };
+    *buf = rest;
     *ins = match Instr::base(opcode) {
         Some(template) => template,
         None => return err(format!("bad opcode {opcode}")),

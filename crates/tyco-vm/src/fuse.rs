@@ -7,12 +7,15 @@
 //! them):
 //!
 //! * Fused forms are **machine-internal**. [`fuse_program`] runs inside
-//!   `Machine::new` (and on dynamically linked blocks), *after* any
-//!   compilation, verification, packing, imaging or digesting. Every
-//!   serialization path ([`crate::wire::pack`], [`crate::image::to_bytes`],
-//!   [`crate::asm::emit`]) and the verifier ([`crate::verify`]) normalize
-//!   with [`unfuse_code`] first, and the codec has no encoding for fused
-//!   opcodes, so a fused instruction can never escape a machine.
+//!   `Machine::new`, and [`crate::wire::link_into`] fuses dynamically
+//!   linked blocks as it relocates them, *after* any compilation,
+//!   verification, packing, imaging or digesting. [`crate::wire::pack`]
+//!   writes each fused pair as the base pair [`expand`] gives, with the
+//!   block's jump targets moved to match; the other serialization paths
+//!   ([`crate::image::to_bytes`], [`crate::asm::emit`]) and the verifier
+//!   ([`crate::verify`]) normalize with [`unfuse_code`] first. The codec
+//!   has no encoding for fused opcodes, so a fused instruction can never
+//!   escape a machine.
 //! * `unfuse(fuse(code))` is observationally identity: the normalized form
 //!   is instruction-for-instruction the original program (jump targets are
 //!   remapped back), so digests computed from normalized code are
@@ -247,8 +250,9 @@ pub fn fuse_program(p: &mut Program) {
     }
 }
 
-/// Fuse only blocks appended at or after index `from` — used after dynamic
-/// linking so mobile code gets the same treatment as boot code.
+/// Fuse only blocks appended at or after index `from`: linking and then
+/// fusing in two steps, the oracle [`crate::wire::link_into`]'s one pass
+/// is tested against.
 pub fn fuse_blocks_from(p: &mut Program, from: usize) {
     for b in p.blocks.iter_mut().skip(from) {
         fuse_block(b);

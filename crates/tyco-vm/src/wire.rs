@@ -355,31 +355,27 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
                 at += 1 + ins.is_fused() as u32;
             }
         }
-        let mut put = |mut ins: Instr| {
-            if ins.refers(Refers::Id) || fused && ins.refers(Refers::Target) {
-                ins.each_operand(
-                    #[inline(always)]
-                    |o| match o {
-                        Operand::Block(b) => *b = packet_id(&closure.blocks, *b),
-                        Operand::Table(t) => *t = packet_id(&closure.tables, *t),
-                        Operand::Label(l) => *l = first_use(label_map, &mut labels, *l),
-                        Operand::Str(s) => *s = first_use(string_map, &mut strings, *s),
-                        Operand::Target(t) if fused => {
-                            *t = crate::fuse::remap_target(&old_to_new, *t, len as u32)
-                        }
-                        _ => {}
-                    },
-                );
-            }
-            crate::codec::put_instr(&mut buf, &ins);
-        };
-        for &ins in src.code.iter() {
-            match crate::fuse::expand(&ins) {
-                Some([a, b]) => {
-                    put(a);
-                    put(b);
+        // A fused form is written as the base pair it stands for.
+        for ins in src.code.iter() {
+            let pair = crate::fuse::expand(ins);
+            for &ins in pair.as_ref().map_or(std::slice::from_ref(ins), |p| &p[..]) {
+                let mut ins = ins;
+                if ins.refers(Refers::Id) || fused && ins.refers(Refers::Target) {
+                    ins.each_operand(
+                        #[inline(always)]
+                        |o| match o {
+                            Operand::Block(b) => *b = packet_id(&closure.blocks, *b),
+                            Operand::Table(t) => *t = packet_id(&closure.tables, *t),
+                            Operand::Label(l) => *l = first_use(label_map, &mut labels, *l),
+                            Operand::Str(s) => *s = first_use(string_map, &mut strings, *s),
+                            Operand::Target(t) if fused => {
+                                *t = crate::fuse::remap_target(&old_to_new, *t, len as u32)
+                            }
+                            _ => {}
+                        },
+                    );
                 }
-                None => put(ins),
+                crate::codec::put_instr(&mut buf, &ins);
             }
         }
     }
