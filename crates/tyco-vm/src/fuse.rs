@@ -144,18 +144,22 @@ pub(crate) fn map_and_fuse(
     // instruction (can't be swallowed as the second half of a pair). It
     // stays empty for a block without jumps, which then needs no target
     // remap either.
+    // (The first test has no early exit, so it runs without a branch per
+    // instruction.)
     is_target.clear();
-    for mut ins in code.iter().copied().filter(|i| i.refers(Refers::Target)) {
+    let jumps = code.iter().fold(false, |j, i| j | i.refers(Refers::Target));
+    if jumps {
         is_target.resize(code.len(), false);
-        ins.each_operand(|o| {
-            if let Operand::Target(t) = o {
-                if let Some(target) = is_target.get_mut(*t as usize) {
-                    *target = true;
+        for mut ins in code.iter().copied().filter(|i| i.refers(Refers::Target)) {
+            ins.each_operand(|o| {
+                if let Operand::Target(t) = o {
+                    if let Some(target) = is_target.get_mut(*t as usize) {
+                        *target = true;
+                    }
                 }
-            }
-        });
+            });
+        }
     }
-    let jumps = !is_target.is_empty();
 
     // Greedy left-to-right pairing. old_to_new[i] = index in the fused
     // stream of the instruction that *starts at* old pc i (second halves

@@ -468,7 +468,7 @@ pub fn link_into(prog: &mut Program, code: &WireCode, fuse: bool) -> LinkMap {
                 .collect()
         };
         prog.blocks.push(Block {
-            name: format!("{}'", b.name),
+            name: [b.name.as_str(), "'"].concat(),
             nfree: b.nfree,
             nparams: b.nparams,
             nlocals: b.nlocals,
