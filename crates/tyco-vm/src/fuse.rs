@@ -141,11 +141,10 @@ pub(crate) fn map_and_fuse(
         out,
     } = scratch;
     // Incoming-edge map: an instruction that is a jump target must start an
-    // instruction (can't be swallowed as the second half of a pair). It
-    // stays empty for a block without jumps, which then needs no target
-    // remap either.
-    // (The first test has no early exit, so it runs without a branch per
-    // instruction.)
+    // instruction (can't be swallowed as the second half of a pair). A
+    // block without jumps leaves it empty and needs no target remap; the
+    // test for jumps has no early exit, so it costs no branch per
+    // instruction.
     is_target.clear();
     let jumps = code.iter().fold(false, |j, i| j | i.refers(Refers::Target));
     if jumps {
