@@ -156,7 +156,7 @@ fn image_point(name: &str, src: &str, table: impl Fn(&Program) -> TableId, reps:
     tyco_vm::fuse_program(&mut prog);
     let root = table(&prog);
     let code = tyco_vm::pack(&prog, &[root]).code;
-    let instrs: usize = code.blocks.iter().map(|b| b.code.len()).sum();
+    let instrs = code.view().code.len();
     let frame = {
         let mut buf = BytesMut::new();
         codec::encode_into(

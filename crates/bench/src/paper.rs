@@ -47,7 +47,7 @@ fn verify_overhead() {
         let prog = program(src);
         let roots: Vec<u32> = (0..prog.tables.len() as u32).collect();
         let packed = tyco_vm::pack(&prog, &roots);
-        let instrs = packed.code.blocks.iter().map(|b| b.code.len()).sum();
+        let instrs = packed.code.view().code.len();
         let ns = time_ns(reps, || {
             tyco_vm::verify_wire(black_box(&packed.code)).unwrap()
         });

@@ -155,11 +155,10 @@ impl CodeCache {
 mod tests {
     use super::*;
 
+    /// An image of one empty method, labelled `l{tag}`.
     fn code(tag: u32) -> (Digest, WireCode) {
-        let code = WireCode::new(tyco_vm::CodeParts {
-            labels: vec![format!("l{tag}")],
-            ..Default::default()
-        });
+        let asm = format!(".block 0 \"m\" free=0 params=0 locals=0\n.table 0\n    l{tag} -> 0\n");
+        let code = tyco_vm::pack(&tyco_vm::parse_asm(&asm).unwrap(), &[0]).code;
         (code.digest(), code)
     }
 

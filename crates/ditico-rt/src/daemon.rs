@@ -429,10 +429,10 @@ impl Daemon {
         if let Err(e) = tyco_vm::verify_wire(code) {
             return Some(e.to_string());
         }
-        if table as usize >= code.tables.len() {
+        if table as usize >= code.view().tables.len() {
             return Some(format!(
                 "entry table {table} out of range ({} tables shipped)",
-                code.tables.len()
+                code.view().tables.len()
             ));
         }
         None
@@ -506,7 +506,7 @@ impl Daemon {
                     // A tampered refill — or the sender's tombstone for an
                     // image it no longer holds. The parked packets can
                     // never be completed.
-                    if !code.blocks.is_empty() || !code.tables.is_empty() {
+                    if !code.view().blocks.is_empty() || !code.view().tables.is_empty() {
                         self.stats.cache.digest_mismatches += 1;
                     }
                     for (_, t) in parked {
@@ -706,7 +706,7 @@ impl Daemon {
                 digest,
                 table,
                 captured,
-            } if (table as usize) < code.tables.len() => Packet::Obj {
+            } if (table as usize) < code.view().tables.len() => Packet::Obj {
                 dest,
                 digest,
                 obj: WireObj {
@@ -722,7 +722,7 @@ impl Daemon {
                 table,
                 captured,
                 index,
-            } if (table as usize) < code.tables.len() => Packet::FetchReply {
+            } if (table as usize) < code.view().tables.len() => Packet::FetchReply {
                 to,
                 req,
                 digest,

@@ -590,9 +590,13 @@ fn hostile_input_over_tcp_is_refused_once_each_and_the_connection_stays_up() {
     let prog = tyco_vm::compile(&tyco_syntax::parse_core("new x x?{ go(n) = print(n) }").unwrap())
         .unwrap();
     let good = tyco_vm::pack(&prog, &[0]);
-    let mut bad_parts = tyco_vm::CodeParts::clone(&good.code);
-    bad_parts.tables[0].push((0, 9_999)); // a method in a block nobody shipped
-    let bad_code = tyco_vm::WireCode::new(bad_parts);
+    // A method in a block nobody shipped. After its 12-byte header, an
+    // image is a bundle.
+    let bad =
+        tyco_vm::parse_asm(".block 0 \"go\" free=0 params=1 locals=0\n.table 0\n    go -> 9999\n")
+            .unwrap();
+    let image = tyco_vm::image_to_bytes(&bad);
+    let bad_code = tyco_vm::WireCode::decode(image.slice(12..image.len())).unwrap();
     assert!(tyco_vm::verify_wire(&good.code).is_ok());
     assert!(tyco_vm::verify_wire(&bad_code).is_err());
 

@@ -15,8 +15,10 @@
 //! to [`CONTROL_NODE`] and never Mattern-counted.
 
 use crate::digest::Digest;
-use crate::program::{Block, ImportKind, Instr, Operand, BINOPS, IMPORT_KINDS, UNOPS};
-use crate::wire::{CodeParts, Label, ReleaseRun, WireCode, WireGroup, WireObj, WireWord};
+use crate::program::{Block, ImportKind, Instr, Operand, Refers, BINOPS, IMPORT_KINDS, UNOPS};
+use crate::wire::{
+    BlockHead, CodeView, Label, ReleaseRun, Span, WireCode, WireGroup, WireObj, WireWord,
+};
 use crate::word::{Identity, NetRef, NodeId, SiteId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -460,10 +462,6 @@ fn get_str_as<T>(buf: &mut impl Buf, make: impl FnOnce(&str) -> T) -> R<T> {
     Ok(v)
 }
 
-fn get_str(buf: &mut impl Buf) -> R<String> {
-    get_str_as(buf, str::to_owned)
-}
-
 impl Field for String {
     const MIN: usize = 4;
     fn put(&self, buf: &mut BytesMut) {
@@ -471,7 +469,7 @@ impl Field for String {
     }
     #[inline]
     fn get(buf: &mut Bytes) -> R<Self> {
-        get_str(buf)
+        get_str_as(buf, str::to_owned)
     }
 }
 
@@ -707,34 +705,54 @@ fn get_instr(buf: &mut &[u8], ins: &mut Instr) -> R<()> {
 
 // -- code bundles -------------------------------------------------------------------
 
-/// A code bundle: four counted sections, blocks, tables, labels and
-/// strings. [`crate::wire::pack`] writes the same layout straight from a
-/// program, through the section writers below.
-pub(crate) fn put_parts(buf: &mut BytesMut, code: &CodeParts) {
-    buf.put_u32_le(code.blocks.len() as u32);
-    for b in &code.blocks {
-        put_block_head(buf, b, b.code.len());
-        for ins in b.code.iter() {
-            put_instr(buf, ins);
-        }
-    }
-    buf.put_u32_le(code.tables.len() as u32);
-    for t in &code.tables {
-        put_table(buf, t.iter().copied());
-    }
-    put_strs(buf, code.labels.iter().map(String::as_str));
-    put_strs(buf, code.strings.iter().map(String::as_str));
-}
-
-/// A block's header, for a block of `len` wire instructions; its
-/// instructions follow.
-pub(crate) fn put_block_head(buf: &mut BytesMut, b: &Block, len: usize) {
+/// Write `b` as a block of a code bundle (four counted sections: blocks,
+/// tables, labels, strings): each fused form as the base pair it stands
+/// for, jump targets moved to match, every id operand through `id`.
+#[inline]
+pub(crate) fn put_block(
+    buf: &mut BytesMut,
+    b: &Block,
+    old_to_new: &mut Vec<u32>,
+    mut id: impl FnMut(Operand<'_>),
+) {
+    let len = wire_len(&b.code);
     put_str(buf, &b.name);
-    buf.put_u16_le(b.nfree);
-    buf.put_u16_le(b.nparams);
-    buf.put_u16_le(b.nlocals);
+    for n in [b.nfree, b.nparams, b.nlocals] {
+        buf.put_u16_le(n);
+    }
     buf.put_u8(b.is_class_body as u8);
     buf.put_u32_le(len as u32);
+    let fused = len != b.code.len();
+    if fused {
+        old_to_new.clear();
+        let mut at = 0;
+        for ins in b.code.iter() {
+            old_to_new.push(at);
+            at += 1 + ins.is_fused() as u32;
+        }
+    }
+    for ins in b.code.iter() {
+        let pair = crate::fuse::expand(ins);
+        for &(mut ins) in pair.as_ref().map_or(std::slice::from_ref(ins), |p| &p[..]) {
+            if ins.refers(Refers::Id) || fused && ins.refers(Refers::Target) {
+                ins.each_operand(
+                    #[inline(always)]
+                    |o| match o {
+                        Operand::Target(t) if fused => {
+                            *t = crate::fuse::remap_target(old_to_new, *t, len as u32)
+                        }
+                        o => id(o),
+                    },
+                );
+            }
+            put_instr(buf, &ins);
+        }
+    }
+}
+
+/// How many wire instructions `code` is written as: a fused form is two.
+pub(crate) fn wire_len(code: &[Instr]) -> usize {
+    code.len() + code.iter().filter(|i| i.is_fused()).count()
 }
 
 /// A method table: its count, then (label, block) per entry.
@@ -800,14 +818,20 @@ fn unpinned(view: Bytes) -> Bytes {
 /// frame, so the span is [`unpinned`].
 pub(crate) fn get_code(buf: &mut Bytes) -> R<WireCode> {
     let mut rest: &[u8] = buf;
-    let parts = get_parts(&mut rest)?;
+    let view = get_view(&mut rest)?;
     let span = buf.split_to(buf.len() - rest.len());
-    Ok(WireCode::from_bytes(unpinned(span), Some(parts)))
+    Ok(WireCode::from_bytes(unpinned(span), Some(view)))
 }
 
-/// Decode a code bundle from the front of `buf`, a plain slice cursor:
-/// no field of an image needs the refcounted view it arrived in.
-pub(crate) fn get_parts(buf: &mut &[u8]) -> R<CodeParts> {
+/// Decode a code bundle from the front of `buf`, a plain slice cursor,
+/// into its view; spans are offsets from where `buf` starts. Each vector
+/// is reserved once for all the bytes left could hold, code and table
+/// entries then trimmed to fit.
+pub(crate) fn get_view(buf: &mut &[u8]) -> R<CodeView> {
+    let len = buf.len();
+    if u32::try_from(len).is_err() {
+        return err(format!("image of {len} bytes"));
+    }
     macro_rules! count {
         () => {{
             if buf.remaining() < 4 {
@@ -816,61 +840,66 @@ pub(crate) fn get_parts(buf: &mut &[u8]) -> R<CodeParts> {
             buf.get_u32_le() as usize
         }};
     }
+    macro_rules! span {
+        () => {{
+            let n = get_str_as(buf, str::len)?;
+            let end = (len - buf.len()) as u32;
+            let start = end - n as u32;
+            Span { start, end }
+        }};
+    }
     let nblocks = count!();
-    let mut blocks = Vec::with_capacity(nblocks.min(4096));
+    // An instruction is at least its opcode byte, a block header 15 bytes.
+    let mut v = CodeView {
+        code: Vec::with_capacity(buf.len()),
+        blocks: Vec::with_capacity(nblocks.min(buf.len() / 15)),
+        ..CodeView::default()
+    };
     for _ in 0..nblocks {
-        let name = get_str(buf)?;
+        let name = span!();
         if buf.remaining() < 7 {
             return err("truncated block header");
         }
-        let nfree = buf.get_u16_le();
-        let nparams = buf.get_u16_le();
-        let nlocals = buf.get_u16_le();
-        let is_class_body = by_code(buf.get_u8(), &BOOLS, "bool")?;
-        let ninstrs = count!();
-        let mut code = Vec::with_capacity(ninstrs.min(65536));
-        for _ in 0..ninstrs {
-            code.push(Instr::Halt);
-            get_instr(buf, code.last_mut().expect("just pushed"))?;
-        }
-        blocks.push(Block {
+        let start = v.code.len() as u32;
+        let mut b = BlockHead {
             name,
-            nfree,
-            nparams,
-            nlocals,
-            is_class_body,
-            code: code.into(),
-        });
+            nfree: buf.get_u16_le(),
+            nparams: buf.get_u16_le(),
+            nlocals: buf.get_u16_le(),
+            is_class_body: by_code(buf.get_u8(), &BOOLS, "bool")?,
+            code: Span { start, end: start },
+        };
+        for _ in 0..count!() {
+            v.code.push(Instr::Halt);
+            get_instr(buf, v.code.last_mut().expect("just pushed"))?;
+        }
+        b.code.end = v.code.len() as u32;
+        v.blocks.push(b);
     }
+    v.code.shrink_to_fit();
     let ntables = count!();
-    let mut tables = Vec::with_capacity(ntables.min(4096));
+    v.tables = Vec::with_capacity(ntables.min(buf.len() / 4));
+    v.entries = Vec::with_capacity(buf.len() / 8);
     for _ in 0..ntables {
-        let n = count!();
-        let mut t = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
+        let start = v.entries.len() as u32;
+        for _ in 0..count!() {
             if buf.remaining() < 8 {
                 return err("truncated table entry");
             }
-            t.push((buf.get_u32_le(), buf.get_u32_le()));
+            v.entries.push((buf.get_u32_le(), buf.get_u32_le()));
         }
-        tables.push(t);
+        let end = v.entries.len() as u32;
+        v.tables.push(Span { start, end });
     }
-    let nlabels = count!();
-    let mut labels = Vec::with_capacity(nlabels.min(4096));
-    for _ in 0..nlabels {
-        labels.push(get_str(buf)?);
+    v.entries.shrink_to_fit();
+    for spans in [&mut v.labels, &mut v.strings] {
+        let n = count!();
+        *spans = Vec::with_capacity(n.min(buf.len() / 4));
+        for _ in 0..n {
+            spans.push(span!());
+        }
     }
-    let nstrings = count!();
-    let mut strings = Vec::with_capacity(nstrings.min(4096));
-    for _ in 0..nstrings {
-        strings.push(get_str(buf)?);
-    }
-    Ok(CodeParts {
-        blocks,
-        tables,
-        labels,
-        strings,
-    })
+    Ok(v)
 }
 
 // -- TCP frames ---------------------------------------------------------------------

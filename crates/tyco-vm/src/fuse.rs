@@ -10,12 +10,11 @@
 //!   `Machine::new`, and [`crate::wire::link_into`] fuses dynamically
 //!   linked blocks as it relocates them, *after* any compilation,
 //!   verification, packing, imaging or digesting. [`crate::wire::pack`]
-//!   writes each fused pair as the base pair [`expand`] gives, with the
-//!   block's jump targets moved to match; the other serialization paths
-//!   ([`crate::image::to_bytes`], [`crate::asm::emit`]) and the verifier
-//!   ([`crate::verify`]) normalize with [`unfuse_code`] first. The codec
-//!   has no encoding for fused opcodes, so a fused instruction can never
-//!   escape a machine.
+//!   and [`crate::image::to_bytes`] write each fused pair as the base pair
+//!   [`expand`] gives, with the block's jump targets moved to match;
+//!   [`crate::asm::emit`] and the verifier ([`crate::verify`]) normalize
+//!   with [`unfuse_code`] first. The codec has no encoding for fused
+//!   opcodes, so a fused instruction can never escape a machine.
 //! * `unfuse(fuse(code))` is observationally identity: the normalized form
 //!   is instruction-for-instruction the original program (jump targets are
 //!   remapped back), so digests computed from normalized code are

@@ -8,48 +8,31 @@
 
 use crate::codec::{self, CodecError};
 use crate::program::{MethodTable, Program};
-use crate::wire::CodeParts;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"TYCO";
 const VERSION: u32 = 1;
 
-/// Serialize a program to a self-contained byte-code image.
+/// Serialize a program to a self-contained byte-code image. A program's
+/// pools are already dense, so every id is written as it is; blocks are
+/// written as [`crate::wire::pack`] writes them, fused forms expanded.
 pub fn to_bytes(prog: &Program) -> Bytes {
-    // A Program's pools are already dense, so the conversion to the wire
-    // bundle is the identity on all ids.
-    let code = CodeParts {
-        // Images always carry the normalized (unfused) form: the codec's
-        // opcode set is frozen at the base instructions, and fusion is a
-        // machine-internal rewrite (see `crate::fuse`).
-        blocks: prog
-            .blocks
-            .iter()
-            .map(|b| match crate::fuse::unfuse_code(&b.code) {
-                Some(code) => crate::program::Block {
-                    code: code.into(),
-                    ..b.clone()
-                },
-                None => b.clone(),
-            })
-            .collect(),
-        tables: prog
-            .tables
-            .iter()
-            .map(|t| t.entries.iter().map(|(l, b)| (*l, *b)).collect())
-            .collect(),
-        labels: (0..prog.labels.len() as u32)
-            .map(|i| prog.labels.get(i).to_string())
-            .collect(),
-        strings: (0..prog.strings.len() as u32)
-            .map(|i| prog.strings.get(i).to_string())
-            .collect(),
-    };
     let mut buf = BytesMut::with_capacity(256);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u32_le(prog.entry);
-    codec::put_parts(&mut buf, &code);
+    buf.put_u32_le(prog.blocks.len() as u32);
+    let mut old_to_new = Vec::new();
+    for b in &prog.blocks {
+        codec::put_block(&mut buf, b, &mut old_to_new, |_| {});
+    }
+    buf.put_u32_le(prog.tables.len() as u32);
+    for t in &prog.tables {
+        codec::put_table(&mut buf, t.entries.iter().copied());
+    }
+    for pool in [&prog.labels, &prog.strings] {
+        codec::put_strs(&mut buf, (0..pool.len() as u32).map(|i| pool.get(i)));
+    }
     buf.freeze()
 }
 
@@ -68,32 +51,29 @@ pub fn from_bytes(mut bytes: Bytes) -> Result<Program, CodecError> {
         return Err(CodecError(format!("unsupported image version {version}")));
     }
     let entry = bytes.get_u32_le();
-    let mut rest: &[u8] = &bytes;
-    let code = codec::get_parts(&mut rest)?;
-    if !rest.is_empty() {
-        return Err(CodecError(format!("{} trailing bytes", rest.len())));
-    }
+    let code = crate::wire::WireCode::decode(bytes)?;
+    let (view, bytes) = (code.view(), code.bytes());
     let mut prog = Program {
         entry,
         ..Program::default()
     };
     // Re-intern pools in order: ids are preserved because the emitting side
     // wrote them densely in order.
-    for l in &code.labels {
-        prog.labels.intern(l);
+    for l in &view.labels {
+        prog.labels.intern(l.str(bytes));
     }
-    for s in &code.strings {
-        prog.strings.intern(s);
+    for s in &view.strings {
+        prog.strings.intern(s.str(bytes));
     }
-    prog.blocks = code.blocks;
-    prog.tables = code
-        .tables
-        .into_iter()
+    prog.blocks = (view.blocks.iter())
+        .map(|b| b.with(b.name.str(bytes).to_owned(), b.code.of(&view.code).into()))
+        .collect();
+    prog.tables = (view.tables.iter())
         .map(|t| MethodTable {
-            entries: t.into_iter().collect(),
+            entries: t.of(&view.entries).to_vec(),
         })
         .collect();
-    if (prog.entry as usize) >= prog.blocks.len() && !prog.blocks.is_empty() {
+    if (prog.entry as usize) >= prog.blocks.len() {
         return Err(CodecError(format!(
             "entry block {} out of range",
             prog.entry
@@ -102,10 +82,8 @@ pub fn from_bytes(mut bytes: Bytes) -> Result<Program, CodecError> {
     // Static gate: a decoded image is untrusted until the verifier has
     // walked every block (referential integrity, stack simulation, frame
     // windows). See `verify.rs`.
-    if !prog.blocks.is_empty() {
-        crate::verify::verify_program(&prog)
-            .map_err(|e| CodecError(format!("image failed verification: {e}")))?;
-    }
+    crate::verify::verify_program(&prog)
+        .map_err(|e| CodecError(format!("image failed verification: {e}")))?;
     Ok(prog)
 }
 
@@ -158,6 +136,14 @@ mod tests {
         let mut trailing = to_bytes(&program("print(1)")).to_vec();
         trailing.push(0);
         assert!(from_bytes(Bytes::from(trailing)).is_err());
+        // No block for entry 7 to name: four zero counts, or one table
+        // `x -> 9`.
+        let head = b"TYCO\x01\0\0\0\x07\0\0\0\0\0\0\0";
+        let tables = b"\x01\0\0\0\x01\0\0\0\0\0\0\0\x09\0\0\0\x01\0\0\0\x01\0\0\0x\0\0\0\0";
+        for rest in [&[0; 12][..], tables] {
+            let err = from_bytes(Bytes::from([&head[..], rest].concat())).unwrap_err();
+            assert_eq!(err.0, "entry block 7 out of range");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use program::{
 pub use stats::{ExecStats, Histogram};
 pub use verify::{verify_program, verify_wire, VerifyError};
 pub use wire::{
-    link, link_trusted, pack, CodeParts, Label, LinkMap, Packed, ReleaseRun, WireCode, WireGroup,
+    link, link_trusted, pack, CodeView, Label, LinkMap, Packed, ReleaseRun, WireCode, WireGroup,
     WireObj, WireWord,
 };
 pub use word::{ChanRef, ClassRefW, Identity, NetRef, NodeId, SiteId, Word};

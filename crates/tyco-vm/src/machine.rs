@@ -1314,7 +1314,7 @@ impl<P: NetPort> Machine<P> {
                     .collect();
                 let obj = WireObj {
                     code: packed.code.clone(),
-                    table: packed.table_map[&table],
+                    table: packed.roots[0],
                     captured: wire_captured,
                 };
                 self.port.send_obj(r, packed.code.digest(), obj);
@@ -1731,7 +1731,7 @@ impl<P: NetPort> Machine<P> {
                         .collect();
                     let group = WireGroup {
                         code: packed.code.clone(),
-                        table: packed.table_map[&table],
+                        table: packed.roots[0],
                         captured: wire_captured,
                     };
                     self.port

@@ -357,11 +357,12 @@ impl Instr {
     }
 }
 
-/// A compiled code block.
+/// A compiled code block; with its name and code held otherwise, the
+/// layout of a block in other forms ([`crate::wire::BlockHead`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Block {
+pub struct Block<Name = String, Code = Arc<[Instr]>> {
     /// Diagnostic name (`"Cell.read"`, `"fork@3"`, …).
-    pub name: String,
+    pub name: Name,
     /// Captured environment size (filled by Fork/TrObj/InstOf spawn).
     pub nfree: u16,
     /// Parameter count (method or class arguments).
@@ -374,16 +375,28 @@ pub struct Block {
     /// Shared so the interpreter can pin the executing block's code for a
     /// whole thread slice with one refcount bump (blocks are immutable
     /// once built), and so cloning a `Program` never copies byte-code.
-    pub code: Arc<[Instr]>,
+    pub code: Code,
 }
 
-impl Block {
+impl<Name, Code> Block<Name, Code> {
     /// Total frame size in words.
     pub fn frame_size(&self) -> usize {
         (self.is_class_body as usize)
             + self.nfree as usize
             + self.nparams as usize
             + self.nlocals as usize
+    }
+
+    /// A block of this frame layout, with `name` and `code`.
+    pub fn with<N, C>(&self, name: N, code: C) -> Block<N, C> {
+        Block {
+            name,
+            nfree: self.nfree,
+            nparams: self.nparams,
+            nlocals: self.nlocals,
+            is_class_body: self.is_class_body,
+            code,
+        }
     }
 }
 
@@ -468,14 +481,14 @@ impl Program {
         self.blocks.iter().map(|b| b.code.len()).sum()
     }
 
-    /// Transitive closure of blocks and tables reachable from `roots`
-    /// (the unit shipped by SHIPO/FETCH), each list sorted.
-    pub fn closure(&self, root_blocks: &[BlockId], root_tables: &[TableId]) -> Closure {
+    /// Transitive closure of blocks and tables reachable from
+    /// `root_tables` (the unit shipped by SHIPO/FETCH), each list sorted.
+    pub fn closure(&self, root_tables: &[TableId]) -> Closure {
         let mut seen_b = vec![false; self.blocks.len()];
         let mut seen_t = vec![false; self.tables.len()];
         let mut blocks: Vec<BlockId> = Vec::new();
         let mut tables: Vec<TableId> = Vec::new();
-        let mut stack_b: Vec<BlockId> = root_blocks.to_vec();
+        let mut stack_b: Vec<BlockId> = Vec::new();
         let mut stack_t: Vec<TableId> = root_tables.to_vec();
         while !stack_b.is_empty() || !stack_t.is_empty() {
             while let Some(b) = stack_b.pop() {
@@ -612,7 +625,7 @@ mod tests {
     #[test]
     fn closure_follows_forks_and_tables() {
         let mut prog = Program::default();
-        // b0 forks b1; b1 uses table t0 which points at b2; b2 is a leaf.
+        // t0 points at b0 and b2; b0 forks b1; b1 uses t0 again.
         prog.blocks.push(block(
             "b0",
             vec![Instr::Fork { block: 1, nfree: 0 }, Instr::Halt],
@@ -624,9 +637,9 @@ mod tests {
         prog.blocks.push(block("b2", vec![Instr::Halt]));
         prog.blocks.push(block("b3", vec![Instr::Halt])); // unreachable
         prog.tables.push(MethodTable {
-            entries: vec![(0, 2)],
+            entries: vec![(0, 0), (1, 2)],
         });
-        let c = prog.closure(&[0], &[]);
+        let c = prog.closure(&[0]);
         assert_eq!(c.blocks, vec![0, 1, 2]);
         assert_eq!(c.tables, vec![0]);
     }

@@ -37,7 +37,7 @@
 //! tested in `tests/verify_props.rs`).
 
 use crate::program::{Block, Operand, Pool, Program, NUM_BASE};
-use crate::wire::WireCode;
+use crate::wire::{Span, WireCode};
 use crate::Instr;
 use std::borrow::Cow;
 use std::fmt;
@@ -235,14 +235,14 @@ impl Kind {
 /// Where the image's label names live (for error messages only).
 enum Labels<'a> {
     Pool(&'a Pool),
-    List(&'a [String]),
+    Spans(&'a [Span], &'a [u8]),
 }
 
 impl Labels<'_> {
-    fn name(&self, l: u32) -> String {
+    fn name(&self, l: u32) -> &str {
         match self {
-            Labels::Pool(p) => p.get(l).to_string(),
-            Labels::List(v) => v[l as usize].clone(),
+            Labels::Pool(p) => p.get(l),
+            Labels::Spans(spans, bytes) => spans[l as usize].str(bytes),
         }
     }
 }
@@ -250,7 +250,8 @@ impl Labels<'_> {
 /// A borrowed, representation-agnostic view of a code image: whole
 /// programs and packet-relative wire bundles verify identically.
 struct View<'a> {
-    blocks: &'a [Block],
+    /// Each block's frame layout and code.
+    blocks: Vec<Block<(), &'a [Instr]>>,
     tables: Vec<&'a [(u32, u32)]>,
     labels: Labels<'a>,
     nlabels: u32,
@@ -383,18 +384,23 @@ struct Scratch {
 
 impl<'a> View<'a> {
     fn of_wire(code: &'a WireCode) -> Self {
+        let v = code.view();
+        let blocks = v.blocks.iter().map(|b| b.with((), b.code.of(&v.code)));
         View::new(
-            &code.blocks,
-            code.tables.iter().map(|t| t.as_slice()).collect(),
-            Labels::List(&code.labels),
-            code.labels.len(),
-            code.strings.len(),
+            blocks.collect(),
+            v.tables.iter().map(|t| t.of(&v.entries)).collect(),
+            Labels::Spans(&v.labels, code.bytes()),
+            v.labels.len(),
+            v.strings.len(),
         )
     }
 
     fn of_program(prog: &'a Program) -> Self {
         View::new(
-            &prog.blocks,
+            prog.blocks
+                .iter()
+                .map(|b| b.with((), &b.code[..]))
+                .collect(),
             prog.tables.iter().map(|t| t.entries.as_slice()).collect(),
             Labels::Pool(&prog.labels),
             prog.labels.len(),
@@ -403,7 +409,7 @@ impl<'a> View<'a> {
     }
 
     fn new(
-        blocks: &'a [Block],
+        blocks: Vec<Block<(), &'a [Instr]>>,
         tables: Vec<&'a [(u32, u32)]>,
         labels: Labels<'a>,
         nlabels: usize,
@@ -441,7 +447,7 @@ impl<'a> View<'a> {
     /// dispatch and positional class lookup both take the *first* match,
     /// so a duplicate would silently shadow the earlier block).
     fn check_tables(&self) -> Result<(), VerifyError> {
-        let mut seen: Vec<u32> = Vec::new();
+        let mut seen: Vec<u32> = Vec::with_capacity(self.max_sibling as usize);
         for (ti, entries) in self.tables.iter().enumerate() {
             seen.clear();
             for &(l, b) in entries.iter() {
@@ -460,7 +466,7 @@ impl<'a> View<'a> {
                 if seen.contains(&l) {
                     return Err(VerifyError::DuplicateMethod {
                         table: ti as u32,
-                        label: self.labels.name(l),
+                        label: self.labels.name(l).to_owned(),
                     });
                 }
                 seen.push(l);
@@ -498,9 +504,9 @@ impl<'a> View<'a> {
             b.nfree as usize + b.nparams as usize,
         ));
         entry.extend(std::iter::repeat_n(Kind::Unit, b.nlocals as usize));
-        Ok(match crate::fuse::unfuse_code(&b.code) {
+        Ok(match crate::fuse::unfuse_code(b.code) {
             Some(code) => Cow::Owned(code),
-            None => Cow::Borrowed(&b.code[..]),
+            None => Cow::Borrowed(b.code),
         })
     }
 
@@ -665,7 +671,7 @@ impl<'a> View<'a> {
     fn step(
         &self,
         bi: u32,
-        b: &Block,
+        b: &Block<(), &[Instr]>,
         code: &[Instr],
         pc: u32,
         st: &mut State,
@@ -958,7 +964,7 @@ mod equiv;
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use crate::program::{Block, MethodTable};
+    use crate::program::MethodTable;
     use tyco_syntax::parse_core;
 
     fn prog(src: &str) -> Program {
@@ -1208,12 +1214,13 @@ mod tests {
 
     #[test]
     fn rejects_wire_bundle_with_dangling_string() {
-        let p = prog("new x x?{ go(n) = println(\"hi\", n) }");
-        let packed = crate::wire::pack(&p, &[0]);
-        let mut bad = crate::wire::CodeParts::clone(&packed.code);
-        bad.strings.clear(); // every PushStr id now dangles
+        let mut p = prog("new x x?{ go(n) = println(\"hi\", n) }");
+        p.strings = Pool::default(); // every PushStr id now dangles
+                                     // After its 12-byte header, an image is a bundle.
+        let image = crate::image::to_bytes(&p);
+        let bad = WireCode::decode(image.slice(12..image.len())).unwrap();
         assert!(matches!(
-            verify_wire(&WireCode::new(bad)),
+            verify_wire(&bad),
             Err(VerifyError::BadRef { what: "string", .. })
         ));
     }

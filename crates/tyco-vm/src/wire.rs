@@ -17,7 +17,6 @@ use crate::digest::Digest;
 use crate::program::*;
 use crate::word::NetRef;
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -144,59 +143,77 @@ pub struct ReleaseRun {
     pub sent: u64,
 }
 
-/// The decoded parts of a code image: blocks, method tables and symbol
-/// pools, all packet-relative.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CodeParts {
-    pub blocks: Vec<Block>,
-    /// Each table is a vec of (label index into `labels`, packet block id).
-    pub tables: Vec<Vec<(u32, u32)>>,
-    pub labels: Vec<String>,
-    pub strings: Vec<String>,
+/// The decoded form of a code image, read through [`WireCode::view`]:
+/// flat, so decoding allocates per section, never per block or symbol.
+/// Names, labels and strings are [`Span`]s of the image's bytes; all ids
+/// are packet-relative.
+#[derive(Debug, Default)]
+pub struct CodeView {
+    /// Every block's code, block after block.
+    pub code: Vec<Instr>,
+    pub blocks: Vec<BlockHead>,
+    /// Every table's (label, block) entries, table after table.
+    pub entries: Vec<(u32, u32)>,
+    /// Each table's span of `entries`.
+    pub tables: Vec<Span>,
+    pub labels: Vec<Span>,
+    pub strings: Vec<Span>,
 }
 
-impl CodeParts {
-    /// Approximate encoded size in bytes (the encoder's first reserve).
-    pub fn approx_size(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.code.len() * 6 + b.name.len() + 8)
-            .sum::<usize>()
-            + self.tables.iter().map(|t| t.len() * 8).sum::<usize>()
-            + self.labels.iter().map(|s| s.len() + 4).sum::<usize>()
-            + self.strings.iter().map(|s| s.len() + 4).sum::<usize>()
+/// A block of a [`CodeView`]: its name's span of the image's bytes, its
+/// frame layout and its span of [`CodeView::code`].
+pub type BlockHead = Block<Span, Span>;
+
+/// `start..end` of an image's bytes or of a [`CodeView`] vector.
+#[derive(Debug, Clone, Copy)]
+pub struct Span {
+    pub start: u32,
+    pub end: u32,
+}
+
+impl Span {
+    pub fn of<T>(self, items: &[T]) -> &[T] {
+        &items[self.start as usize..self.end as usize]
+    }
+
+    /// The string this span of an image's bytes holds.
+    pub fn str(self, bytes: &[u8]) -> &str {
+        std::str::from_utf8(self.of(bytes)).expect("the decoder checked an image's strings")
     }
 }
 
 /// A self-contained bundle of byte-code: its canonical codec bytes, the
-/// digest of those bytes, and its [`CodeParts`] (read through `Deref`).
+/// digest of those bytes, and their decoded [`CodeView`].
 ///
 /// An image is immutable: its bytes and digest are fixed when it is made,
 /// and every shipment writes those bytes as they are. It is made by
-/// [`WireCode::new`] from parts, by [`pack`] (which keeps the bytes
-/// only), or by the codec's decoder (which keeps the span of the frame it
-/// decoded, hashes it, and keeps the parts). Parts an image does not hold
-/// are decoded from its bytes the first time they are read.
+/// [`pack`] (which keeps the bytes only) or by the codec's decoder (which
+/// keeps the span of the frame it decoded, hashes it, and keeps the view
+/// it filled in the same walk). An image packed on this node is decoded
+/// the first time its view is read.
 #[derive(Clone)]
 pub struct WireCode {
     bytes: Bytes,
     digest: Digest,
-    parts: OnceLock<Arc<CodeParts>>,
+    view: OnceLock<Arc<CodeView>>,
 }
 
 impl WireCode {
-    /// Encode `parts` once and hash the bytes.
-    pub fn new(parts: CodeParts) -> WireCode {
-        WireCode::from_bytes(encode_parts(&parts), Some(parts))
-    }
-
-    /// The image whose canonical bytes are `bytes`, holding `parts` if
-    /// they are at hand.
-    pub(crate) fn from_bytes(bytes: Bytes, parts: Option<CodeParts>) -> WireCode {
+    /// The image of `bytes`, holding their view if it is at hand.
+    pub(crate) fn from_bytes(bytes: Bytes, view: Option<CodeView>) -> WireCode {
         WireCode {
             digest: Digest::of(&bytes),
             bytes,
-            parts: parts.map_or_else(OnceLock::new, |p| OnceLock::from(Arc::new(p))),
+            view: view.map_or_else(OnceLock::new, |v| OnceLock::from(Arc::new(v))),
+        }
+    }
+
+    /// Decode the image whose canonical bytes are all of `bytes`.
+    pub fn decode(mut bytes: Bytes) -> Result<WireCode, crate::codec::CodecError> {
+        let code = crate::codec::get_code(&mut bytes)?;
+        match bytes.len() {
+            0 => Ok(code),
+            n => Err(crate::codec::CodecError(format!("{n} trailing bytes"))),
         }
     }
 
@@ -208,6 +225,14 @@ impl WireCode {
     /// The content digest: the hash of [`bytes`](WireCode::bytes).
     pub fn digest(&self) -> Digest {
         self.digest
+    }
+
+    /// The decoded form of the image, its spans of [`WireCode::bytes`].
+    pub fn view(&self) -> &CodeView {
+        self.view.get_or_init(|| {
+            let view = crate::codec::get_view(&mut &self.bytes[..]);
+            Arc::new(view.expect("an image's own bytes decode"))
+        })
     }
 
     /// The same image pinning only its own bytes. A decoded image's
@@ -224,31 +249,16 @@ impl WireCode {
         WireCode {
             bytes,
             digest: self.digest,
-            parts: self.parts.clone(),
+            view: self.view.clone(),
         }
     }
 }
 
-fn encode_parts(parts: &CodeParts) -> Bytes {
-    let mut buf = BytesMut::with_capacity(parts.approx_size());
-    crate::codec::put_parts(&mut buf, parts);
-    buf.freeze()
-}
-
-impl Deref for WireCode {
-    type Target = CodeParts;
-
-    fn deref(&self) -> &CodeParts {
-        self.parts.get_or_init(|| {
-            let parts = crate::codec::get_parts(&mut &self.bytes[..]);
-            Arc::new(parts.expect("an image's own bytes decode"))
-        })
-    }
-}
-
+/// The empty image, four zero counts: a daemon's tombstone for an image
+/// it no longer holds.
 impl Default for WireCode {
     fn default() -> WireCode {
-        WireCode::new(CodeParts::default())
+        WireCode::from_bytes(Bytes::from_static(&[0; 16]), Some(CodeView::default()))
     }
 }
 
@@ -285,14 +295,14 @@ pub struct WireGroup {
     pub captured: Vec<WireWord>,
 }
 
-/// Result of packaging: the wire code plus the mapping from program ids to
-/// packet ids (callers need it to translate the root table reference).
-/// `code` holds its bytes and digest only, fixed once here so every
-/// shipment of this image reuses them; a site on the same node that
-/// links it decodes its own copy.
+/// Result of packaging: the wire code and the packet id of each root
+/// table, in the order given (callers translate the root table reference
+/// with it). `code` holds its bytes and digest only, fixed once here so
+/// every shipment of this image reuses them; a site on the same node
+/// that links it decodes its view.
 pub struct Packed {
     pub code: WireCode,
-    pub table_map: HashMap<TableId, u32>,
+    pub roots: Vec<u32>,
 }
 
 /// Package the transitive closure of `root_tables` from `prog`, writing
@@ -301,12 +311,11 @@ pub struct Packed {
 /// Packet-relative ids: a block or table is numbered by its place in the
 /// sorted closure, a label or string by its first use (blocks in order,
 /// then tables). Fused superinstructions (see [`crate::fuse`]) never go
-/// on the wire: each is written as the base pair it stands for, with the
-/// block's jump targets moved to match, so the bytes and their digest are
-/// those of the unfused program.
+/// on the wire: each is written as the base pair it stands for, so the
+/// bytes and their digest are those of the unfused program.
 pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
     const NONE: u32 = u32::MAX;
-    let closure = prog.closure(&[], root_tables);
+    let closure = prog.closure(root_tables);
     let packet_id = |ids: &[u32], id: u32| {
         ids.binary_search(&id)
             .expect("the closure holds every id its code names") as u32
@@ -324,60 +333,29 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
         *slot
     }
 
-    // Wire length of each block: a fused form is two instructions.
-    let lens: Vec<usize> = closure
-        .blocks
-        .iter()
+    let size: usize = (closure.blocks.iter())
         .map(|&b| {
-            let code = &prog.blocks[b as usize].code;
-            code.len() + code.iter().filter(|i| i.is_fused()).count()
+            let b = &prog.blocks[b as usize];
+            crate::codec::wire_len(&b.code) * 6 + b.name.len() + 8
         })
-        .collect();
-    let size: usize = closure
-        .blocks
-        .iter()
-        .zip(&lens)
-        .map(|(&b, len)| len * 6 + prog.blocks[b as usize].name.len() + 8)
         .sum();
     let mut buf = BytesMut::with_capacity(size + 64);
     let mut old_to_new: Vec<u32> = Vec::new();
     buf.put_u32_le(closure.blocks.len() as u32);
-    for (&bid, &len) in closure.blocks.iter().zip(&lens) {
-        let src = &prog.blocks[bid as usize];
-        crate::codec::put_block_head(&mut buf, src, len);
-        // A fused block's jump targets move into the expanded index space.
-        let fused = len != src.code.len();
-        if fused {
-            old_to_new.clear();
-            let mut at = 0;
-            for ins in src.code.iter() {
-                old_to_new.push(at);
-                at += 1 + ins.is_fused() as u32;
-            }
-        }
-        // A fused form is written as the base pair it stands for.
-        for ins in src.code.iter() {
-            let pair = crate::fuse::expand(ins);
-            for &ins in pair.as_ref().map_or(std::slice::from_ref(ins), |p| &p[..]) {
-                let mut ins = ins;
-                if ins.refers(Refers::Id) || fused && ins.refers(Refers::Target) {
-                    ins.each_operand(
-                        #[inline(always)]
-                        |o| match o {
-                            Operand::Block(b) => *b = packet_id(&closure.blocks, *b),
-                            Operand::Table(t) => *t = packet_id(&closure.tables, *t),
-                            Operand::Label(l) => *l = first_use(label_map, &mut labels, *l),
-                            Operand::Str(s) => *s = first_use(string_map, &mut strings, *s),
-                            Operand::Target(t) if fused => {
-                                *t = crate::fuse::remap_target(&old_to_new, *t, len as u32)
-                            }
-                            _ => {}
-                        },
-                    );
-                }
-                crate::codec::put_instr(&mut buf, &ins);
-            }
-        }
+    for &bid in &closure.blocks {
+        crate::codec::put_block(
+            &mut buf,
+            &prog.blocks[bid as usize],
+            &mut old_to_new,
+            #[inline(always)]
+            |o| match o {
+                Operand::Block(b) => *b = packet_id(&closure.blocks, *b),
+                Operand::Table(t) => *t = packet_id(&closure.tables, *t),
+                Operand::Label(l) => *l = first_use(label_map, &mut labels, *l),
+                Operand::Str(s) => *s = first_use(string_map, &mut strings, *s),
+                _ => {}
+            },
+        );
     }
     buf.put_u32_le(closure.tables.len() as u32);
     for &tid in &closure.tables {
@@ -393,9 +371,8 @@ pub fn pack(prog: &Program, root_tables: &[TableId]) -> Packed {
     crate::codec::put_strs(&mut buf, strings.iter().map(|&s| prog.strings.get(s)));
     Packed {
         code: WireCode::from_bytes(buf.freeze(), None),
-        table_map: (closure.tables.iter())
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
+        roots: (root_tables.iter())
+            .map(|&t| packet_id(&closure.tables, t))
             .collect(),
     }
 }
@@ -437,49 +414,43 @@ pub fn link_trusted(prog: &mut Program, code: &WireCode) -> LinkMap {
 /// relocated and paired into one reused buffer, and the block's code is
 /// its one allocation.
 pub fn link_into(prog: &mut Program, code: &WireCode, fuse: bool) -> LinkMap {
+    let (view, bytes) = (code.view(), code.bytes());
     let reloc = Relocation {
         blocks: prog.blocks.len() as BlockId,
         tables: prog.tables.len() as TableId,
-        labels: code.labels.iter().map(|l| prog.labels.intern(l)).collect(),
-        strings: code
-            .strings
-            .iter()
-            .map(|s| prog.strings.intern(s))
+        labels: (view.labels.iter())
+            .map(|l| prog.labels.intern(l.str(bytes)))
+            .collect(),
+        strings: (view.strings.iter())
+            .map(|s| prog.strings.intern(s.str(bytes)))
             .collect(),
     };
     let mut scratch = crate::fuse::Scratch::default();
-    prog.blocks.reserve(code.blocks.len());
-    for b in &code.blocks {
+    prog.blocks.reserve(view.blocks.len());
+    for b in &view.blocks {
+        let src = b.code.of(&view.code);
         let code: Arc<[Instr]> = if fuse {
             crate::fuse::map_and_fuse(
-                &b.code,
+                src,
                 #[inline(always)]
                 |i| reloc.apply(i),
                 &mut scratch,
             );
             scratch.out[..].into()
         } else {
-            b.code
-                .iter()
+            src.iter()
                 .map(
                     #[inline(always)]
                     |&i| reloc.apply(i),
                 )
                 .collect()
         };
-        prog.blocks.push(Block {
-            name: [b.name.as_str(), "'"].concat(),
-            nfree: b.nfree,
-            nparams: b.nparams,
-            nlocals: b.nlocals,
-            is_class_body: b.is_class_body,
-            code,
-        });
+        prog.blocks
+            .push(b.with([b.name.str(bytes), "'"].concat(), code));
     }
-    for t in &code.tables {
-        let mut entries: Vec<(LabelId, BlockId)> = t
-            .iter()
-            .map(|(l, b)| (reloc.labels[*l as usize], reloc.blocks + b))
+    for t in &view.tables {
+        let mut entries: Vec<(LabelId, BlockId)> = (t.of(&view.entries).iter())
+            .map(|&(l, b)| (reloc.labels[l as usize], reloc.blocks + b))
             .collect();
         entries.sort_unstable_by_key(|e| e.0);
         prog.tables.push(MethodTable { entries });
@@ -541,16 +512,17 @@ mod tests {
         );
         assert_eq!(p.tables.len(), 2);
         let packed = pack(&p, &[0, 1]);
+        let (view, bytes) = (packed.code.view(), packed.code.bytes());
         // The packet must contain both tables and all reachable blocks.
-        assert_eq!(packed.code.tables.len(), 2);
-        assert!(!packed.code.blocks.is_empty());
-        assert!(packed.code.labels.iter().any(|l| l == "go"));
-        assert!(packed.code.strings.iter().any(|s| s == "deep"));
+        assert_eq!(view.tables.len(), 2);
+        assert!(!view.blocks.is_empty());
+        assert!(view.labels.iter().any(|l| l.str(bytes) == "go"));
+        assert!(view.strings.iter().any(|s| s.str(bytes) == "deep"));
 
         // Link into an empty destination program.
         let mut dest = Program::default();
         let lm = link(&mut dest, &packed.code).unwrap();
-        assert_eq!(dest.blocks.len(), packed.code.blocks.len());
+        assert_eq!(dest.blocks.len(), view.blocks.len());
         assert_eq!(dest.tables.len(), 2);
         // Every table entry's block id is in range.
         for t in &dest.tables {
@@ -566,23 +538,22 @@ mod tests {
     fn packet_ids_are_dense_and_self_contained() {
         let p = prog("new x (x?{ a() = 0, b(u) = print(u) } | x!a[])");
         let packed = pack(&p, &[0]);
-        for b in &packed.code.blocks {
-            for ins in b.code.iter() {
-                match ins {
-                    Instr::Fork { block, .. } => {
-                        assert!((*block as usize) < packed.code.blocks.len());
-                    }
-                    Instr::TrMsg { label, .. } => {
-                        assert!((*label as usize) < packed.code.labels.len());
-                    }
-                    Instr::TrObj { table, .. } | Instr::MkGroup { table, .. } => {
-                        assert!((*table as usize) < packed.code.tables.len());
-                    }
-                    Instr::PushStr(s) => {
-                        assert!((*s as usize) < packed.code.strings.len());
-                    }
-                    _ => {}
+        let view = packed.code.view();
+        for ins in &view.code {
+            match ins {
+                Instr::Fork { block, .. } => {
+                    assert!((*block as usize) < view.blocks.len());
                 }
+                Instr::TrMsg { label, .. } => {
+                    assert!((*label as usize) < view.labels.len());
+                }
+                Instr::TrObj { table, .. } | Instr::MkGroup { table, .. } => {
+                    assert!((*table as usize) < view.tables.len());
+                }
+                Instr::PushStr(s) => {
+                    assert!((*s as usize) < view.strings.len());
+                }
+                _ => {}
             }
         }
     }
@@ -595,9 +566,9 @@ mod tests {
         let lm1 = link(&mut dest, &packed.code).unwrap();
         let lm2 = link(&mut dest, &packed.code).unwrap();
         assert_ne!(lm1.blocks, lm2.blocks);
-        assert_eq!(dest.blocks.len(), 2 * packed.code.blocks.len());
+        assert_eq!(dest.blocks.len(), 2 * packed.code.view().blocks.len());
         // Interned symbols are shared, not duplicated.
-        assert_eq!(dest.labels.len(), packed.code.labels.len());
+        assert_eq!(dest.labels.len(), packed.code.view().labels.len());
     }
 
     #[test]
@@ -606,11 +577,6 @@ mod tests {
         let packed = pack(&p, &[0]);
         let bytes = crate::codec::code_bytes(&packed.code);
         assert_eq!(packed.code.digest(), crate::digest::Digest::of(&bytes));
-        // The parts decoded from those bytes encode back to them.
-        assert_eq!(
-            WireCode::new(CodeParts::clone(&packed.code)).bytes(),
-            &bytes
-        );
         // Re-packing the same program yields the same identity.
         assert_eq!(pack(&p, &[0]).code.digest(), packed.code.digest());
     }
@@ -620,12 +586,10 @@ mod tests {
         let p = prog("def Loop(n) = if n > 0 then Loop[n - 1] else println(\"done\") in Loop[3]");
         // Find the group table (positional, with Loop's body).
         let packed = pack(&p, &[0]);
-        assert_eq!(packed.code.tables.len(), 1);
-        let loop_block = &packed.code.blocks[packed.code.tables[0][0].1 as usize];
+        let view = packed.code.view();
+        assert_eq!(view.tables.len(), 1);
+        let loop_block = &view.blocks[view.tables[0].of(&view.entries)[0].1 as usize];
         assert!(loop_block.is_class_body);
-        assert!(loop_block
-            .code
-            .iter()
-            .any(|i| matches!(i, Instr::PushSibling(0))));
+        assert!((loop_block.code.of(&view.code).iter()).any(|i| matches!(i, Instr::PushSibling(0))));
     }
 }

@@ -79,8 +79,7 @@ proptest! {
     }
 
     /// `pack` expands fused pairs as it writes: the image of every table
-    /// of a fused program is byte for byte the image of its unfused twin,
-    /// and the decoded parts encode back to those bytes.
+    /// of a fused program is byte for byte the image of its unfused twin.
     #[test]
     fn pack_of_fused_code_is_the_bytes_of_its_unfused_twin(p in arb_closed_program()) {
         let prog = compile(&p).expect("compiles");
@@ -90,9 +89,7 @@ proptest! {
             let plain = tyco_vm::pack(&prog, &[t]).code;
             let packed = tyco_vm::pack(&fused, &[t]);
             prop_assert_eq!(packed.code.bytes(), plain.bytes(), "table {}", t);
-            prop_assert_eq!(&packed.table_map, &tyco_vm::pack(&prog, &[t]).table_map);
-            let reencoded = tyco_vm::WireCode::new(tyco_vm::CodeParts::clone(&plain));
-            prop_assert_eq!(reencoded.bytes(), plain.bytes());
+            prop_assert_eq!(&packed.roots, &tyco_vm::pack(&prog, &[t]).roots);
         }
     }
 
@@ -413,7 +410,8 @@ fn shipped_packet_byte_flips_never_panic() {
         let outcome = std::panic::catch_unwind(|| match decode(bytes_from(m)) {
             Err(_) => false,
             Ok(Packet::Obj { obj, .. }) => {
-                verify_wire(&obj.code).is_ok() && (obj.table as usize) < obj.code.tables.len()
+                verify_wire(&obj.code).is_ok()
+                    && (obj.table as usize) < obj.code.view().tables.len()
             }
             Ok(_) => true, // mutated into a code-free packet: nothing to verify
         });
@@ -463,7 +461,7 @@ fn accepted_packet_mutants_link_and_run_without_panic() {
             digest: packed.code.digest(),
             obj: tyco_vm::WireObj {
                 code: packed.code,
-                table: packed.table_map[&0],
+                table: packed.roots[0],
                 captured: vec![],
             },
         };
@@ -476,7 +474,7 @@ fn accepted_packet_mutants_link_and_run_without_panic() {
                 Err(_) => false,
                 Ok(Packet::Obj { obj, .. }) => {
                     if verify_wire(&obj.code).is_err()
-                        || (obj.table as usize) >= obj.code.tables.len()
+                        || (obj.table as usize) >= obj.code.view().tables.len()
                     {
                         return false;
                     }
